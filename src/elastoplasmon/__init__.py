@@ -29,7 +29,6 @@ from .lame import (
     interior_from_traction,
     interior_mode,
     mode_constants,
-    numeric_traction,
 )
 from .waves import (
     PerfectWave,

@@ -6,7 +6,8 @@ results go to CSV with a fixed column order and a metadata header block that
 round-trips the full configuration.  Runs are deterministic: identical
 configurations produce byte-identical CSV files.
 
-Exit codes: 0 success, 2 validation failure, 3 I/O failure, 4 empty result.
+Exit codes: 0 success, 2 validation failure (including a singular loss-free
+or unconverged solve), 3 I/O failure, 4 empty result.
 The thread count for per-loss parallel dispatch honors the
 ``ELASTOPLASMON_THREADS`` environment variable.
 """
@@ -22,7 +23,7 @@ import sys
 from .harmonics import build_quadrature, ensure_tables, shared_tables
 from .lame import LameParams
 from .energy import EnergyReport
-from .transmission import SourceSpec, residual_check, solve_modes
+from .transmission import ResonantSingularityError, SourceSpec, UnconvergedSolveError, residual_check, solve_modes
 from .scenarios import (
     SweepResult,
     fixed_configuration,
@@ -41,6 +42,7 @@ from .waves import (
     perfect_wave,
     plasmon_constants,
     plasmon_kernel,
+    sector_basis,
     verify_perfect_wave,
 )
 
@@ -274,7 +276,7 @@ def _cmd_waves_check(args) -> int:
     z = plasmon_constants(params, args.n)
     worst = 0.0
     for fam, c in enumerate(z.as_tuple(), start=1):
-        kers = plasmon_kernel(assemble_H(args.n, params, c, tables))
+        kers = plasmon_kernel(assemble_H(args.n, params, c, tables), sector=sector_basis(args.n, fam, tables))
         for k, K in enumerate(kers, start=1):
             wave = perfect_wave(K, fam, args.n, args.R, params, tables)
             rep = verify_perfect_wave(wave, params, tables)
@@ -436,7 +438,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EmptyResultError as exc:
         return _error(str(exc), EXIT_EMPTY)
-    except (ValidationError, ValueError) as exc:
+    except (ValidationError, ValueError, ResonantSingularityError, UnconvergedSolveError) as exc:
         return _error(str(exc), EXIT_VALIDATION)
     except OSError as exc:
         return _error(str(exc), EXIT_IO)

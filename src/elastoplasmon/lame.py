@@ -11,7 +11,7 @@ differentiation: with the multiplication identity
 
 one derivative of a term produces two terms with the radial power dropped by
 one.  This gives exact gradients, strains, divergences and tractions for all
-mode fields; finite differences are kept as independent oracles only.
+mode fields; finite-difference tractions live with the tests as oracles.
 
 The regular and irregular Lame blocks carry their slaved corrections:
 
@@ -50,13 +50,9 @@ __all__ = [
     "displacement_coeffs",
     "traction_coeffs",
     "traction_coeffs_algebraic",
-    "numeric_traction",
     "eval_terms",
     "grad_terms",
     "lame_residual",
-    "conj_terms",
-    "real_terms",
-    "imag_terms",
     "term_degrees",
 ]
 
@@ -190,32 +186,6 @@ def grad_terms(terms: Iterable[Term], x: np.ndarray, tables: DerivativeTable) ->
             for dt in term_derivative(t, j, tables):
                 out[:, :, j] += eval_terms([dt], X)
     return out[0] if single else out
-
-
-def conj_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
-    """Terms of the complex-conjugate field (conj + order flip with phase)."""
-    out = []
-    for t in terms:
-        d = t.degree
-        m = d - np.arange(2 * d + 1)
-        flip = np.zeros((2 * d + 1, 2 * d + 1))
-        flip[np.arange(2 * d + 1), d + m] = (-1.0) ** m
-        out.append(Term(np.conj(t.coef) @ flip, d, t.power))
-    return tuple(out)
-
-
-def real_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
-    terms = tuple(terms)
-    return tuple(Term(0.5 * t.coef, t.degree, t.power) for t in terms) + tuple(
-        Term(0.5 * t.coef, t.degree, t.power) for t in conj_terms(terms)
-    )
-
-
-def imag_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
-    terms = tuple(terms)
-    return tuple(Term(-0.5j * t.coef, t.degree, t.power) for t in terms) + tuple(
-        Term(0.5j * t.coef, t.degree, t.power) for t in conj_terms(terms)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,34 +408,6 @@ def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: Lame
             for prow, pg in _sphere_multiply(row, g, i, tables):
                 add(j, prow, pg, w)
     return out
-
-
-def numeric_traction(field: ModeField, R: float, params: LameParams, quad: SphereQuadrature,
-                     degrees: Iterable[int] | None = None, h: float = 1e-5) -> dict[int, np.ndarray]:
-    """Finite-difference traction oracle (5-point central differences).
-
-    Independent of the derivative tables; projects onto Y_n by quadrature.
-    Raises when the field region does not contain a neighborhood of the
-    sphere.
-    """
-    if not (field.r_lo + 3 * h * R < R < field.r_hi - 3 * h * R):
-        raise ValueError("field region does not contain the sphere partial B_R")
-    if degrees is None:
-        degrees = sorted({d for t in field.terms for d in range(max(t.degree - 2, 0), t.degree + 3)})
-    X = R * quad.nodes
-    step = h * max(1.0, R)
-    grad = np.zeros((X.shape[0], 3, 3), dtype=complex)
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = step
-        grad[:, :, j] = (
-            eval_terms(field.terms, X - 2 * e)
-            - 8.0 * eval_terms(field.terms, X - e)
-            + 8.0 * eval_terms(field.terms, X + e)
-            - eval_terms(field.terms, X + 2 * e)
-        ) / (12.0 * step)
-    trac = _traction_from_grad(grad, quad.nodes, params.lam, params.mu)
-    return {d: quad.project(trac, d).T for d in degrees}
 
 
 def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,

@@ -4,14 +4,16 @@ The medium is a concentric stack (optional core | shell | matrix) with a
 spherical source surface at radius q > R.  Moduli in each layer are
 (A + i delta)(lambda, mu) with A = +1 in core and matrix, c in the shell.
 
-For a degree-n source density the solution is sought as entire/decaying
-blocks on a small window of degrees around n (the slaved corrections couple
-n to n +- 2, and rotational invariance forbids anything farther).  The
-interface conditions (displacement continuity, weighted-traction continuity,
-and the prescribed traction jump across the source sphere) form an
-overdetermined but consistent linear system; the least-squares residual is
-part of the returned diagnostics, and a toroidal-only source collapses the
-window to the single degree automatically.
+A radially layered medium commutes with rotations, so a degree-n source of
+family f excites only its total-angular-momentum sector: J = n for family 1
+(toroidal), J = n-1 for family 2 (degree n plus the degree n-2 shape reached
+through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
+reached through t1).  Each region therefore carries entire/decaying blocks
+of a few fixed shapes per family, and the interface conditions
+(displacement continuity, weighted-traction continuity and the prescribed
+traction jump across the source sphere) form a small overdetermined but
+consistent system in their amplitudes: the *sector solve*.  A pure family-1
+source collapses to one scalar system per interface.
 """
 
 from __future__ import annotations
@@ -30,22 +32,26 @@ from .lame import (
     exterior_block,
     interior_block,
     lame_residual,
+    stack_rows,
+    t1_vector,
+    t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import plasmon_constants
+from .waves import assemble_H, plasmon_constants, plasmon_kernel, sector_basis
 
 __all__ = [
     "LayeredMedium",
     "SourceSpec",
     "ModeSolution",
     "ResonantSingularityError",
+    "UnconvergedSolveError",
     "kernel_basis",
     "project_source",
     "solve_mode",
     "solve_modes",
     "eval_field",
     "residual_check",
-    "interface_singular_values",
+    "sector_conditions",
 ]
 
 
@@ -55,6 +61,10 @@ class ResonantSingularityError(RuntimeError):
     def __init__(self, message: str, condition: float):
         super().__init__(message)
         self.condition = condition
+
+
+class UnconvergedSolveError(RuntimeError):
+    """Raised when a solve's least-squares backward error exceeds 1e-10."""
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,8 @@ class LayeredMedium:
     def __post_init__(self):
         if self.core_radius is not None and not (0 < self.core_radius < self.shell_radius):
             raise ValueError("need 0 < core_radius < shell_radius")
+        if not (math.isfinite(self.c) and math.isfinite(self.delta)):
+            raise ValueError("shell multiplier c and loss delta must be finite")
         if self.delta < 0:
             raise ValueError("loss delta must be nonnegative")
 
@@ -83,16 +95,19 @@ _KERNEL_CACHE: dict = {}
 
 
 def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[int, list[np.ndarray]]:
-    """Self-conjugate orthonormal kernel matrices per family at degree n."""
+    """Self-conjugate orthonormal kernel matrices per family at degree n.
+
+    Each family's null space is taken inside its own angular-momentum sector,
+    so families stay pure where two plasmon constants coincide.
+    """
     key = (params.lam, params.mu, n)
     if key not in _KERNEL_CACHE:
-        from .waves import assemble_H, plasmon_kernel
-
+        tables = ensure_tables(tables, n + 4)
         zetas = plasmon_constants(params, n)
-        fams = {}
-        for fam, c in enumerate(zetas.as_tuple(), start=1):
-            fams[fam] = plasmon_kernel(assemble_H(n, params, c, tables))
-        _KERNEL_CACHE[key] = fams
+        _KERNEL_CACHE[key] = {
+            fam: plasmon_kernel(assemble_H(n, params, c, tables), sector=sector_basis(n, fam, tables))
+            for fam, c in enumerate(zetas.as_tuple(), start=1)
+        }
     return _KERNEL_CACHE[key]
 
 
@@ -106,17 +121,18 @@ class SourceSpec:
     def degrees(self) -> list[int]:
         return sorted({n for (n, _, _) in self.coefficients})
 
-    def density_matrix(self, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
-        """Coefficient matrix of the degree-n part of the density."""
-        out = np.zeros((3, 2 * n + 1), dtype=complex)
+    def family_densities(self, n: int, params: LameParams, tables: DerivativeTable) -> dict[int, np.ndarray]:
+        """Degree-n part of the density split by family: {family: sum of g K}."""
         fams = kernel_basis(params, n, tables)
+        out: dict[int, np.ndarray] = {}
         for (nn, fam, k), g in self.coefficients.items():
             if nn == n and g != 0:
-                out += g * fams[fam][k - 1]
+                out[fam] = out.get(fam, 0.0) + g * fams[fam][k - 1]
         return out
 
-    def families_at(self, n: int) -> set[int]:
-        return {f for (nn, f, _), g in self.coefficients.items() if nn == n and g != 0}
+    def density_matrix(self, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
+        """Coefficient matrix of the degree-n part of the density."""
+        return sum(self.family_densities(n, params, tables).values(), np.zeros((3, 2 * n + 1), dtype=complex))
 
 
 def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
@@ -187,39 +203,140 @@ def _block_terms(kind: str, d: int, E: np.ndarray, params: LameParams, tables: D
     return exterior_block(E, d, params, tables)
 
 
-def _window(n: int, minimal: bool) -> tuple[int, ...]:
-    if minimal:
-        return (n,)
-    return tuple(d for d in (n - 2, n, n + 2) if d >= 0)
+def _sector_shapes(gammas: dict[int, np.ndarray], n: int, tables: DerivativeTable) -> list[tuple[int, np.ndarray]]:
+    """(degree, coefficient matrix) shapes spanning the sectors of the density.
+
+    Each family's density is one shape at degree n; families 2 and 3 add the
+    unique shape of their sector at degree n-2 (through t3) or n+2 (through t1).
+    """
+    shapes = [(n, g) for _, g in sorted(gammas.items())]
+    if 2 in gammas:
+        shapes.append((n - 2, stack_rows(t3_vector(gammas[2], n, tables), tables.lower[n - 1])))
+    if 3 in gammas:
+        shapes.append((n + 2, stack_rows(t1_vector(gammas[3], n, tables), tables.raise_[n + 1])))
+    return shapes
+
+
+def _sector_system(medium: LayeredMedium, q: float, shapes: list[tuple[int, np.ndarray]],
+                   tables: DerivativeTable):
+    """Interface matrix over the block terms of every shape in every region.
+
+    Rows are keyed by (interface, displacement/traction, degree); returns the
+    matrix, the row offset of each key, the columns (region, block terms),
+    the interface radii and the region weights.
+    """
+    params = medium.base
+    bounds, weights = _region_layout(medium, q)
+    n_regions = len(bounds) + 1
+    blocks = {(kind, si): _block_terms(kind, d, S, params, tables)
+              for kind in ("entire", "decay") for si, (d, S) in enumerate(shapes)}
+    cols = [(reg, kind, si) for reg in range(n_regions)
+            for kind in (("entire",) if reg == 0 else ("decay",) if reg == n_regions - 1 else ("entire", "decay"))
+            for si in range(len(shapes))]
+    entries: dict[tuple[int, int, int], list[tuple[int, np.ndarray]]] = {}
+    for bi, rho in enumerate(bounds):
+        traces = {}
+        for ci, (reg, kind, si) in enumerate(cols):
+            if reg not in (bi, bi + 1):
+                continue
+            if (kind, si) not in traces:
+                terms = blocks[(kind, si)]
+                traces[(kind, si)] = (displacement_coeffs(terms, rho),
+                                      traction_coeffs_algebraic(terms, rho, params, tables))
+            sgn = 1.0 if reg == bi else -1.0
+            for row_kind, (vecs, w) in enumerate(zip(traces[(kind, si)], (sgn, sgn * weights[reg]))):
+                for d, mat in vecs.items():
+                    entries.setdefault((bi, row_kind, d), []).append((ci, w * mat.reshape(-1)))
+    offsets, pos = {}, 0
+    for key in sorted(entries):
+        offsets[key] = pos
+        pos += 3 * (2 * key[2] + 1)
+    M = np.zeros((pos, len(cols)), dtype=complex)
+    for key, lst in entries.items():
+        for ci, vec in lst:
+            M[offsets[key]: offsets[key] + vec.size, ci] += vec
+    regions = [(reg, blocks[(kind, si)]) for reg, kind, si in cols]
+    return M, offsets, regions, bounds, weights
+
+
+def _equilibrated_lstsq(M: np.ndarray, b: np.ndarray):
+    """Column-equilibrated least squares: (x, condition, residual, scale).
+
+    ``scale`` is the backward-error scale |M| |x| + |b|: an amplified
+    near-resonant solution is accepted when the residual is small relative
+    to it, not just to |b|.
+    """
+    col_scale = np.linalg.norm(M, axis=0)
+    col_scale[col_scale == 0] = 1.0
+    xs, _, _, sv = np.linalg.lstsq(M / col_scale, b, rcond=None)
+    cond = float(sv[0] / max(sv[-1], 1e-300))
+    x = xs / col_scale
+    resid = float(np.linalg.norm(M @ x - b))
+    scale = float(sv[0] * np.linalg.norm(xs) + np.linalg.norm(b)) or 1e-300
+    return x, cond, resid, scale
+
+
+def sector_conditions(medium: LayeredMedium, n: int, q: float, tables: DerivativeTable) -> dict[int, float]:
+    """Condition number of each family's degree-n sector system.
+
+    Each system is built from the family's first kernel matrix; a loss-free
+    medium at a plasmon constant makes the matching family's system singular.
+    """
+    tables = ensure_tables(tables, n + 6)
+    kernels = kernel_basis(medium.base, n, tables)
+    out = {}
+    for fam in (1, 2, 3):
+        M, *_ = _sector_system(medium, q, _sector_shapes({fam: kernels[fam][0]}, n, tables), tables)
+        out[fam] = _equilibrated_lstsq(M, np.zeros(M.shape[0]))[1]
+    return out
 
 
 def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable,
                sing_tol: float = 1e-9) -> ModeSolution:
     """Exact transmission solve for the degree-n part of the source.
 
-    Tries the single-degree ansatz first (enough for toroidal-only sources)
-    and widens the window when the least-squares residual shows coupling.
-    Raises :class:`ResonantSingularityError` for a singular loss-free system.
+    A pure family-1 density takes the scalar radial solve; any other density
+    is solved in the sectors of its families (see the module docstring).
+    Raises :class:`ResonantSingularityError` when a loss-free medium makes
+    any family's sector system singular, and :class:`UnconvergedSolveError`
+    when the least-squares backward error exceeds 1e-10.
     """
     if n < 2:
         raise ValueError("solve_mode needs n >= 2")
     tables = ensure_tables(tables, n + 6)
-    gamma = source.density_matrix(n, medium.base, tables)
-    if source.families_at(n) <= {1}:
+    gammas = source.family_densities(n, medium.base, tables)
+    if set(gammas) <= {1}:
         # divergence-free sources stay divergence-free: exact scalar radial solve
+        gamma = gammas.get(1, np.zeros((3, 2 * n + 1), dtype=complex))
         return _solve_family1(medium, source.q, n, gamma, tables, sing_tol)
-    for minimal in (True, False):
-        window = _window(n, minimal)
-        sol, cond, resid, scale, _ = _solve_window(medium, source.q, n, gamma, window, tables)
-        if medium.delta == 0.0 and cond > 1.0 / sing_tol:
+    if medium.delta == 0.0:
+        cond = max(sector_conditions(medium, n, source.q, tables).values())
+        if cond > 1.0 / sing_tol:
             raise ResonantSingularityError(
                 f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
                 condition=cond,
             )
-        if resid <= 1e-10 * scale:
-            return ModeSolution(n=n, regions=sol, condition=cond, lstsq_residual=resid, window=window)
-    # fall through with the wide-window solution and its residual
-    return ModeSolution(n=n, regions=sol, condition=cond, lstsq_residual=resid, window=window)
+    M, offsets, cols, bounds, weights = _sector_system(
+        medium, source.q, _sector_shapes(gammas, n, tables), tables)
+    b = np.zeros(M.shape[0], dtype=complex)
+    gamma = sum(gammas.values())
+    row = offsets[(len(bounds) - 1, 1, n)]  # weighted traction jump (outer - inner) at q
+    b[row: row + gamma.size] = -gamma.reshape(-1)
+    x, cond, resid, scale = _equilibrated_lstsq(M, b)
+    if resid > 1e-10 * scale:
+        raise UnconvergedSolveError(f"sector solve at degree {n} did not converge (backward error {resid / scale:.3e})")
+    radii = [0.0] + bounds + [math.inf]
+    regions = []
+    for reg in range(len(weights)):
+        coefs: dict[tuple[int, int], np.ndarray] = {}
+        for xc, (r2, terms) in zip(x, cols):
+            if r2 == reg and xc != 0:
+                for t in terms:
+                    coefs[(t.degree, t.power)] = coefs.get((t.degree, t.power), 0.0) + xc * t.coef
+        terms = tuple(Term(c, d, p) for (d, p), c in coefs.items())
+        regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], terms))
+    window = tuple(sorted({t.degree for reg in regions for t in reg.terms}))
+    return ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=window)
 
 
 def _solve_family1(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
@@ -263,18 +380,12 @@ def _solve_family1(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
             M[2 * bi + 1, ci] += sgn * w * (mu * (n - 1.0) * ent - mu * (n + 2.0) * dec) / rho
         if abs(rho - q) < 1e-15:
             b[2 * bi + 1] = -1.0  # unit density; jump (outer - inner) = +1
-    col_scale = np.linalg.norm(M, axis=0)
-    col_scale[col_scale == 0] = 1.0
-    Ms = M / col_scale
-    xs, _, _, sv = np.linalg.lstsq(Ms, b, rcond=None)
-    cond = float(sv[0] / max(sv[-1], 1e-300))
+    x, cond, resid, _ = _equilibrated_lstsq(M, b)
     if medium.delta == 0.0 and cond > 1.0 / sing_tol:
         raise ResonantSingularityError(
             f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
             condition=cond,
         )
-    x = xs / col_scale
-    resid = float(np.linalg.norm(M @ x - b))
     regions = []
     for reg in range(n_regions):
         terms: list[Term] = []
@@ -289,94 +400,6 @@ def _solve_family1(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
         regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], tuple(terms)))
     return ModeSolution(n=n, regions=tuple(regions), condition=cond,
                         lstsq_residual=resid, window=(n,))
-
-
-def _solve_window(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
-                  window: tuple[int, ...], tables: DerivativeTable):
-    params = medium.base
-    bounds, weights = _region_layout(medium, q)
-    n_regions = len(bounds) + 1
-    blocks: list[tuple[int, str, int]] = []  # (region, kind, degree)
-    for reg in range(n_regions):
-        kinds = ("entire",) if reg == 0 else ("decay",) if reg == n_regions - 1 else ("entire", "decay")
-        for kind in kinds:
-            for d in window:
-                if d == 0 and kind == "entire" and reg == n_regions - 1:
-                    continue
-                blocks.append((reg, kind, d))
-    sizes = [3 * (2 * d + 1) for (_, _, d) in blocks]
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    n_unknown = int(offs[-1])
-    out_degs = sorted({dd for d in window for dd in (d - 2, d, d + 2) if dd >= 0})
-    deg_off = {}
-    pos = 0
-    for d in out_degs:
-        deg_off[d] = pos
-        pos += 3 * (2 * d + 1)
-    rows_per_iface = pos
-    n_rows = 2 * rows_per_iface * len(bounds)
-    M = np.zeros((n_rows, n_unknown), dtype=complex)
-    b = np.zeros(n_rows, dtype=complex)
-
-    def put(vecs: dict[int, np.ndarray], row0: int, col: int, sgn: complex):
-        for d, mat in vecs.items():
-            if d in deg_off:
-                M[row0 + deg_off[d]: row0 + deg_off[d] + mat.size, col] += sgn * mat.reshape(-1)
-
-    for bi, (rho) in enumerate(bounds):
-        row_disp = 2 * rows_per_iface * bi
-        row_trac = row_disp + rows_per_iface
-        for blk_idx, (reg, kind, d) in enumerate(blocks):
-            touches_inner = reg == bi
-            touches_outer = reg == bi + 1
-            if not (touches_inner or touches_outer):
-                continue
-            w = weights[reg]
-            sgn = 1.0 if touches_inner else -1.0
-            size = sizes[blk_idx]
-            for a in range(size):
-                E = np.zeros(size)
-                E[a] = 1.0
-                terms = _block_terms(kind, d, E.reshape(3, 2 * d + 1), params, tables)
-                disp = displacement_coeffs(terms, rho)
-                trac = traction_coeffs_algebraic(terms, rho, params, tables)
-                col = offs[blk_idx] + a
-                put(disp, row_disp, col, sgn)
-                put(trac, row_trac, col, sgn * w)
-        if abs(rho - q) < 1e-15 and np.any(gamma):
-            # weighted traction jump (outer - inner) equals the density
-            b[row_trac + deg_off[n]: row_trac + deg_off[n] + gamma.size] = -gamma.reshape(-1)
-    col_scale = np.linalg.norm(M, axis=0)
-    col_scale[col_scale == 0] = 1.0
-    Ms = M / col_scale
-    xs, _, _, sv = np.linalg.lstsq(Ms, b, rcond=None)
-    cond = float(sv[0] / max(sv[-1], 1e-300))
-    x = xs / col_scale
-    resid = float(np.linalg.norm(M @ x - b))
-    # backward-error scale: an amplified near-resonant solution is accepted
-    # when the residual is small relative to |M| |x|, not just |b|
-    scale = float(sv[0] * np.linalg.norm(xs) + np.linalg.norm(b)) or 1e-300
-    regions = []
-    radii = [0.0] + bounds + [math.inf]
-    for reg in range(n_regions):
-        terms: list[Term] = []
-        for blk_idx, (r2, kind, d) in enumerate(blocks):
-            if r2 != reg:
-                continue
-            E = x[offs[blk_idx]: offs[blk_idx + 1]].reshape(3, 2 * d + 1)
-            if np.max(np.abs(E)) > 0:
-                terms.extend(_block_terms(kind, d, E, params, tables))
-        regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], tuple(terms)))
-    return tuple(regions), cond, resid, scale, sv
-
-
-def interface_singular_values(medium: LayeredMedium, n: int, q: float,
-                              tables: DerivativeTable, minimal: bool = True) -> np.ndarray:
-    """Singular values of the column-equilibrated interface matrix."""
-    gamma = np.zeros((3, 2 * n + 1))
-    tables = ensure_tables(tables, n + 6)
-    *_, sv = _solve_window(medium, q, n, gamma, _window(n, minimal), tables)
-    return sv
 
 
 def solve_modes(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> list[ModeSolution]:

@@ -45,6 +45,7 @@ __all__ = [
     "plasmon_constants",
     "assemble_H",
     "plasmon_kernel",
+    "sector_basis",
     "perfect_wave",
     "verify_perfect_wave",
     "np_eigenvalue_map",
@@ -153,44 +154,61 @@ def _conj_kernel(G: np.ndarray) -> np.ndarray:
     return np.conj(G) @ _flip_matrix(n)
 
 
-def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9) -> list[np.ndarray]:
+def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9,
+                   sector: np.ndarray | None = None) -> list[np.ndarray]:
     """Orthonormal self-conjugate basis of the null space of the matching map.
 
-    Raises ``ValueError`` with the smallest residual singular value when the
-    multiplier is not a plasmon constant.
+    With ``sector`` (orthonormal columns, see :func:`sector_basis`) the null
+    space is taken inside that subspace, which keeps the families apart where
+    two plasmon constants coincide.  Raises ``ValueError`` with the smallest
+    residual singular value when the multiplier is not a plasmon constant.
     """
     n = problem.n
-    U, s, Vh = np.linalg.svd(problem.H.T)
-    keep = s < rel_tol * s[0]
+    Q = np.eye(problem.H.shape[0]) if sector is None else sector
+    U, s, Vh = np.linalg.svd(problem.H.T @ Q)
+    smax = problem.singular_values[0]
+    keep = s < rel_tol * smax
     if not np.any(keep):
         raise ValueError(
             f"no kernel at c={problem.c}: smallest singular value {s[-1]:.3e} "
-            f"(relative {s[-1] / s[0]:.3e})"
+            f"(relative {s[-1] / smax:.3e})"
         )
-    raw = [_unvec(Vh[i].conj(), n) for i in np.nonzero(keep)[0]]
+    raw = [_unvec(Q @ Vh[i].conj(), n) for i in np.nonzero(keep)[0]]
     return _realify(raw)
 
 
+def sector_basis(n: int, family: int, tables: DerivativeTable) -> np.ndarray:
+    """Orthonormal columns spanning one family's sector of vec(G), degree n.
+
+    The sectors are the total angular momenta of G Y_n: J = n-1 (family 2)
+    is the row space of the t3 map, J = n+1 (family 3) the row space of the
+    t1 map, and J = n (family 1) their common null space.
+    """
+    t1 = np.hstack([tables.raise_[n][j].T for j in range(3)])  # vec(G) -> t1
+    t3 = np.hstack([tables.lower[n][j].T for j in range(3)])  # vec(G) -> t3
+    A = {1: np.vstack([t1, t3]), 2: t3, 3: t1}[family]
+    rank = {1: 4 * n + 2, 2: 2 * n - 1, 3: 2 * n + 3}[family]
+    Vh = np.linalg.svd(A)[2]
+    return (Vh[rank:] if family == 1 else Vh[:rank]).conj().T
+
+
 def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:
-    """Rotate a kernel basis to self-conjugate matrices, re-orthonormalized."""
+    """Rotate a kernel basis to self-conjugate matrices, re-orthonormalized.
+
+    The candidates G + C(G) and i(G - C(G)) are self-conjugate, so their Gram
+    matrix is real and real combinations of them stay self-conjugate; its
+    leading eigenvectors give an orthonormal basis without the rounding
+    blow-up of Gram-Schmidt on nearly dependent candidates.
+    """
     dim = len(basis)
-    out: list[np.ndarray] = []
-    candidates: list[np.ndarray] = []
-    for G in basis:
-        candidates.append(G + _conj_kernel(G))
-        candidates.append(1j * (G - _conj_kernel(G)))
-    for cand in candidates:
-        w = cand.copy()
-        for prev in out:
-            w = w - np.sum(w * np.conj(prev)) * prev
-        nrm = math.sqrt(abs(np.sum(w * np.conj(w))))
-        if nrm > 1e-8:
-            out.append(w / nrm)
-        if len(out) == dim:
-            break
-    if len(out) != dim:
+    X = np.stack([v.reshape(-1) for G in basis
+                  for v in (G + _conj_kernel(G), 1j * (G - _conj_kernel(G)))], axis=1)
+    w, V = np.linalg.eigh(np.real(X.conj().T @ X))
+    w, V = w[::-1][:dim], V[:, ::-1][:, :dim]
+    if w[-1] < 1e-12 * w[0]:
         raise AssertionError("failed to build a self-conjugate kernel basis")
-    return out
+    n = (basis[0].shape[1] - 1) // 2
+    return [_unvec(v, n) for v in (X @ (V / np.sqrt(w))).T]
 
 
 def kernel_family(G: np.ndarray, tables: DerivativeTable, tol: float = 1e-8) -> int:

@@ -1,0 +1,200 @@
+"""Reference routes that the tests compare the package against.
+
+``numeric_traction`` differentiates fields by finite differences, and
+``real_terms``/``imag_terms`` split a complex field into the terms of its
+real and imaginary parts.
+
+``window_solve`` is the matrix route the sector solve replaced: every entry
+of every 3(2d+1) coefficient block on the degree window (n-2, n, n+2) is an
+unknown, each column costs one ``traction_coeffs_algebraic`` call per
+interface it touches, and the whole system goes through one
+column-equilibrated least squares.  It assumes nothing about
+angular-momentum sectors, which makes it an independent check of the
+sector solve.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable
+
+import numpy as np
+
+from elastoplasmon.harmonics import DerivativeTable, SphereQuadrature, ensure_tables
+from elastoplasmon.lame import (
+    LameParams,
+    ModeField,
+    Term,
+    _traction_from_grad,
+    displacement_coeffs,
+    eval_terms,
+    traction_coeffs_algebraic,
+)
+from elastoplasmon.transmission import (
+    LayeredMedium,
+    ModeSolution,
+    RegionField,
+    SourceSpec,
+    _block_terms,
+    _region_layout,
+)
+
+
+def window(n: int, minimal: bool = False) -> tuple[int, ...]:
+    """The single degree n, or the coupled window (n-2, n, n+2)."""
+    if minimal:
+        return (n,)
+    return tuple(d for d in (n - 2, n, n + 2) if d >= 0)
+
+
+def window_system(medium: LayeredMedium, q: float, win: tuple[int, ...], tables: DerivativeTable):
+    """Interface matrix with one column per entry of every (region, kind, degree) block.
+
+    Returns the matrix, the blocks, their column offsets, the row offset of
+    each degree inside an interface's displacement or traction rows, the row
+    count per interface and the interface radii.
+    """
+    params = medium.base
+    bounds, weights = _region_layout(medium, q)
+    n_regions = len(bounds) + 1
+    blocks: list[tuple[int, str, int]] = []  # (region, kind, degree)
+    for reg in range(n_regions):
+        kinds = ("entire",) if reg == 0 else ("decay",) if reg == n_regions - 1 else ("entire", "decay")
+        for kind in kinds:
+            for d in win:
+                blocks.append((reg, kind, d))
+    sizes = [3 * (2 * d + 1) for (_, _, d) in blocks]
+    offs = np.concatenate([[0], np.cumsum(sizes)])
+    out_degs = sorted({dd for d in win for dd in (d - 2, d, d + 2) if dd >= 0})
+    deg_off = {}
+    pos = 0
+    for d in out_degs:
+        deg_off[d] = pos
+        pos += 3 * (2 * d + 1)
+    rows_per_iface = pos
+    M = np.zeros((2 * rows_per_iface * len(bounds), int(offs[-1])), dtype=complex)
+
+    def put(vecs: dict[int, np.ndarray], row0: int, col: int, sgn: complex):
+        for d, mat in vecs.items():
+            if d in deg_off:
+                M[row0 + deg_off[d]: row0 + deg_off[d] + mat.size, col] += sgn * mat.reshape(-1)
+
+    for bi, rho in enumerate(bounds):
+        row_disp = 2 * rows_per_iface * bi
+        row_trac = row_disp + rows_per_iface
+        traces = {}  # a unit block's traces do not depend on its region
+        for blk_idx, (reg, kind, d) in enumerate(blocks):
+            if reg not in (bi, bi + 1):
+                continue
+            sgn = 1.0 if reg == bi else -1.0
+            for a in range(sizes[blk_idx]):
+                if (kind, d, a) not in traces:
+                    E = np.zeros(sizes[blk_idx])
+                    E[a] = 1.0
+                    terms = _block_terms(kind, d, E.reshape(3, 2 * d + 1), params, tables)
+                    traces[(kind, d, a)] = (displacement_coeffs(terms, rho),
+                                            traction_coeffs_algebraic(terms, rho, params, tables))
+                disp, trac = traces[(kind, d, a)]
+                put(disp, row_disp, offs[blk_idx] + a, sgn)
+                put(trac, row_trac, offs[blk_idx] + a, sgn * weights[reg])
+    return M, blocks, offs, deg_off, rows_per_iface, bounds, weights
+
+
+def window_solve(medium: LayeredMedium, sources: list[SourceSpec], n: int,
+                 tables: DerivativeTable) -> list[ModeSolution]:
+    """Degree-n solves of several sources on one sphere q, one assembly for all."""
+    (q,) = {src.q for src in sources}
+    params = medium.base
+    tables = ensure_tables(tables, n + 6)
+    win = window(n)
+    M, blocks, offs, deg_off, rows_per_iface, bounds, weights = window_system(medium, q, win, tables)
+    B = np.zeros((M.shape[0], len(sources)), dtype=complex)
+    row = 2 * rows_per_iface * (len(bounds) - 1) + rows_per_iface + deg_off[n]  # traction rows at q
+    for i, src in enumerate(sources):
+        gamma = src.density_matrix(n, params, tables)
+        # weighted traction jump (outer - inner) equals the density
+        B[row: row + gamma.size, i] = -gamma.reshape(-1)
+    col_scale = np.linalg.norm(M, axis=0)
+    col_scale[col_scale == 0] = 1.0
+    XS, _, _, sv = np.linalg.lstsq(M / col_scale, B, rcond=None)
+    cond = float(sv[0] / max(sv[-1], 1e-300))
+    radii = [0.0] + bounds + [math.inf]
+    out = []
+    for xs, b in zip(XS.T, B.T):
+        x = xs / col_scale
+        resid = float(np.linalg.norm(M @ x - b))
+        assert resid <= 1e-10 * (sv[0] * np.linalg.norm(xs) + np.linalg.norm(b)), resid
+        regions = []
+        for reg in range(len(weights)):
+            terms: list[Term] = []
+            for blk_idx, (r2, kind, d) in enumerate(blocks):
+                E = x[offs[blk_idx]: offs[blk_idx + 1]].reshape(3, 2 * d + 1)
+                if r2 == reg and np.max(np.abs(E)) > 0:
+                    terms.extend(_block_terms(kind, d, E, params, tables))
+            regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], tuple(terms)))
+        out.append(ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=win))
+    return out
+
+
+def interface_singular_values(medium: LayeredMedium, n: int, q: float, tables: DerivativeTable,
+                              minimal: bool = False) -> np.ndarray:
+    """Singular values of the column-equilibrated window interface matrix."""
+    tables = ensure_tables(tables, n + 6)
+    M = window_system(medium, q, window(n, minimal), tables)[0]
+    col_scale = np.linalg.norm(M, axis=0)
+    col_scale[col_scale == 0] = 1.0
+    return np.linalg.svd(M / col_scale, compute_uv=False)
+
+
+def conj_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
+    """Terms of the complex-conjugate field (conj + order flip with phase)."""
+    out = []
+    for t in terms:
+        d = t.degree
+        m = d - np.arange(2 * d + 1)
+        flip = np.zeros((2 * d + 1, 2 * d + 1))
+        flip[np.arange(2 * d + 1), d + m] = (-1.0) ** m
+        out.append(Term(np.conj(t.coef) @ flip, d, t.power))
+    return tuple(out)
+
+
+def real_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
+    terms = tuple(terms)
+    return tuple(Term(0.5 * t.coef, t.degree, t.power) for t in terms) + tuple(
+        Term(0.5 * t.coef, t.degree, t.power) for t in conj_terms(terms)
+    )
+
+
+def imag_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
+    terms = tuple(terms)
+    return tuple(Term(-0.5j * t.coef, t.degree, t.power) for t in terms) + tuple(
+        Term(0.5j * t.coef, t.degree, t.power) for t in conj_terms(terms)
+    )
+
+
+def numeric_traction(field: ModeField, R: float, params: LameParams, quad: SphereQuadrature,
+                     degrees: Iterable[int] | None = None, h: float = 1e-5) -> dict[int, np.ndarray]:
+    """Finite-difference traction oracle (5-point central differences).
+
+    Independent of the derivative tables; projects onto Y_n by quadrature.
+    Raises when the field region does not contain a neighborhood of the
+    sphere.
+    """
+    if not (field.r_lo + 3 * h * R < R < field.r_hi - 3 * h * R):
+        raise ValueError("field region does not contain the sphere partial B_R")
+    if degrees is None:
+        degrees = sorted({d for t in field.terms for d in range(max(t.degree - 2, 0), t.degree + 3)})
+    X = R * quad.nodes
+    step = h * max(1.0, R)
+    grad = np.zeros((X.shape[0], 3, 3), dtype=complex)
+    for j in range(3):
+        e = np.zeros(3)
+        e[j] = step
+        grad[:, :, j] = (
+            eval_terms(field.terms, X - 2 * e)
+            - 8.0 * eval_terms(field.terms, X - e)
+            + 8.0 * eval_terms(field.terms, X + e)
+            - eval_terms(field.terms, X + 2 * e)
+        ) / (12.0 * step)
+    trac = _traction_from_grad(grad, quad.nodes, params.lam, params.mu)
+    return {d: quad.project(trac, d).T for d in degrees}

@@ -22,9 +22,6 @@ from elastoplasmon.lame import (
     Term,
     exterior_block,
     exterior_traction_coeffs,
-    imag_terms,
-    numeric_traction,
-    real_terms,
     traction_coeffs,
 )
 from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P, pairing_P_pieces, volumetric_P
@@ -50,6 +47,7 @@ from elastoplasmon.waves import (
     plasmon_kernel,
     verify_perfect_wave,
 )
+from oracles import imag_terms, numeric_traction, real_terms
 
 P11 = LameParams(1.0, 1.0)
 MATERIALS = (LameParams(1.0, 1.0), LameParams(-0.5, 1.0), LameParams(2.0, 0.5))

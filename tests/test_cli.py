@@ -1,6 +1,7 @@
 """Command-line runner: determinism, round trips, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -160,3 +161,39 @@ def test_np_spectrum_csv(tmp_path):
     assert lines[1] == "eigenvalue,degree_tag,matched_c,matched_family,target"
     matched = [l for l in lines[2:] if l.split(",")[2]]
     assert matched  # at least the degree-2 constants are matched
+
+
+SPHEROIDAL_CONFIG = {
+    "schema": 1, "lambda": 1.0, "mu": 1.0, "shell_radius": 2.0, "q": 2.6, "n_max": 12,
+    "c_mode": {"fixed": -25.0 / 38.0},  # zeta3 at n = 3: a core-free resonance
+    "delta_list": [1e-2, 1e-3, 1e-4, 1e-5], "source_modes": [[3, 3, 1, 1.0, 0.0]],
+}
+
+
+@pytest.mark.parametrize("config, args", [
+    (SPHEROIDAL_CONFIG, ("solve", "--delta", "0")),  # singular loss-free solve
+    (SPHEROIDAL_CONFIG, ("solve", "--delta", "nan")),
+    (dict(BASE_CONFIG, source_modes=[[2, 2, 1, 1.0, 0.0]]), ("solve", "--delta", "inf")),
+    (dict(BASE_CONFIG, delta_list=[1e-2, math.nan, 1e-4]), ("sweep", "--csv", "{tmp}/x.csv")),
+])
+def test_solver_failures_are_json_errors(tmp_path, config, args):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    r = run_cli(args[0], "--config", str(path), *(a.format(tmp=tmp_path) for a in args[1:]))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
+    assert "Traceback" not in r.stderr and "DLASCL" not in r.stdout + r.stderr
+
+
+def test_unconverged_solve_is_a_json_error(config_file, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+    from elastoplasmon.transmission import UnconvergedSolveError
+
+    def unconverged(*args):
+        raise UnconvergedSolveError("sector solve did not converge")
+
+    monkeypatch.setattr(cli, "solve_modes", unconverged)
+    assert cli.main(["solve", "--config", config_file]) == 2
+    assert json.loads(capsys.readouterr().err)["code"] == 2

@@ -22,10 +22,10 @@ from elastoplasmon.lame import (
     interior_mode,
     lame_residual,
     mode_constants,
-    numeric_traction,
     traction_coeffs,
     traction_coeffs_algebraic,
 )
+from oracles import numeric_traction
 
 
 def test_strong_convexity_enforced():

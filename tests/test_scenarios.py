@@ -100,7 +100,8 @@ def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
     pieces, _, data = witness_fixed_c(med, src, tables)
     e6, tau = data[0].e6, data[0].tau
     K = kernel_basis(P11, 2, tables)[1][0]
-    from elastoplasmon.lame import ModeField, numeric_traction
+    from elastoplasmon.lame import ModeField
+    from oracles import numeric_traction
 
     inner = next(p for p in pieces if abs(p.r_hi - 3.0) < 1e-12)
     outer = next(p for p in pieces if abs(p.r_lo - 3.0) < 1e-12)

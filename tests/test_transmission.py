@@ -5,21 +5,25 @@ import math
 import numpy as np
 import pytest
 
+from elastoplasmon import transmission
+from elastoplasmon.energy import dissipation_E
 from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
-from elastoplasmon.lame import LameParams
+from elastoplasmon.lame import LameParams, lame_residual
 from elastoplasmon.transmission import (
     LayeredMedium,
     ResonantSingularityError,
     SourceSpec,
+    UnconvergedSolveError,
     eval_field,
-    interface_singular_values,
     kernel_basis,
     project_source,
     residual_check,
+    sector_conditions,
     solve_mode,
     solve_modes,
 )
-from elastoplasmon.waves import plasmon_constants
+from elastoplasmon.waves import kernel_family, plasmon_constants
+from oracles import interface_singular_values, window_solve
 
 P11 = LameParams(1.0, 1.0)
 
@@ -29,6 +33,9 @@ def test_medium_validation():
         LayeredMedium(shell_radius=1.0, c=-2.0, delta=0.1, base=P11, core_radius=1.5)
     with pytest.raises(ValueError):
         LayeredMedium(shell_radius=1.0, c=-2.0, delta=-0.1, base=P11)
+    for c, delta in ((-2.0, math.nan), (-2.0, math.inf), (math.nan, 0.1), (-math.inf, 0.1)):
+        with pytest.raises(ValueError):
+            LayeredMedium(shell_radius=1.0, c=c, delta=delta, base=P11)
 
 
 def test_transparent_interfaces(tables, quad):
@@ -104,20 +111,89 @@ def test_field_decay_and_continuity(tables):
 
 
 def test_resonant_singularity_alignment(tables):
-    # loss-free interface matrix is singular exactly at the three constants
+    # loss-free sector systems are singular exactly at their own constant
     med_factory = lambda c: LayeredMedium(shell_radius=1.5, c=c, delta=0.0, base=P11)
-    n = 2
-    zetas = plasmon_constants(P11, n).as_tuple()
-    for z in zetas:
-        sv = interface_singular_values(med_factory(z), n, 2.0, tables, minimal=False)
-        assert sv[-1] < 1e-9 * sv[0]
-        # a small detuning restores invertibility
-        sv_off = interface_singular_values(med_factory(z + 1e-3), n, 2.0, tables, minimal=False)
-        assert sv_off[-1] > 1e-7 * sv_off[0]
-    for c in (-5.0, -1.5, -0.4):
-        assert min(abs(c - z) for z in zetas) > 1e-2
-        sv = interface_singular_values(med_factory(c), n, 2.0, tables, minimal=False)
-        assert sv[-1] > 1e-6 * sv[0]
+    for n in (2, 3):
+        zetas = plasmon_constants(P11, n).as_tuple()
+        for fam, z in enumerate(zetas, start=1):
+            conds = sector_conditions(med_factory(z), n, 2.0, tables)
+            assert conds[fam] > 1e13
+            # the other families' sectors stay well conditioned
+            assert all(conds[f] < 1e5 for f in conds if f != fam)
+            # a small detuning restores invertibility
+            assert sector_conditions(med_factory(z + 1e-3), n, 2.0, tables)[fam] < 1e6
+        for c in (-5.0, -1.5, -0.4):
+            assert min(abs(c - z) for z in zetas) > 1e-2
+            assert max(sector_conditions(med_factory(c), n, 2.0, tables).values()) < 1e5
+    # the full-window matrix route agrees on where the system is singular
+    for z in plasmon_constants(P11, 2).as_tuple():
+        sv = interface_singular_values(med_factory(z), 2, 2.0, tables)
+        assert sv[-1] < 1e-13 * sv[0]
+
+
+def test_loss_free_solve_checks_every_family(tables):
+    # a family-2 source still raises at the family-3 constant
+    z3 = plasmon_constants(P11, 2).zeta3
+    med = LayeredMedium(shell_radius=1.5, c=z3, delta=0.0, base=P11)
+    with pytest.raises(ResonantSingularityError) as err:
+        solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 2, 1): 1.0}), 2, tables)
+    assert err.value.condition > 1e9
+
+
+def test_sector_solve_agrees_with_window_oracle(tables, materials):
+    # the sector solve against the full-window matrix route, one oracle
+    # assembly per medium and degree for all three sources
+    for params in materials:
+        for core in (None, 1.0):
+            for n in (2, 3):
+                med = LayeredMedium(shell_radius=2.0, c=plasmon_constants(params, n).zeta2,
+                                    delta=1e-4, base=params, core_radius=core)
+                sources = [SourceSpec(q=2.7, coefficients=co) for co in (
+                    {(n, 2, 1): 1.0}, {(n, 3, 2): 1.0},
+                    {(n, 1, 1): 0.3, (n, 2, 1): 0.5j, (n, 3, 1): -0.7})]
+                for src, ref in zip(sources, window_solve(med, sources, n, tables)):
+                    sol = solve_mode(med, src, n, tables)
+                    E, E_ref = dissipation_E([sol], med, tables), dissipation_E([ref], med, tables)
+                    assert abs(E - E_ref) <= 1e-9 * abs(E_ref), (params, core, n, src)
+                    for reg in ref.regions:
+                        hi = reg.r_hi if math.isfinite(reg.r_hi) else 2.0 * reg.r_lo
+                        rads = reg.r_lo + np.array([0.3, 0.7]) * (hi - reg.r_lo)
+                        pts = np.outer(rads, [0.36, 0.48, 0.8])
+                        u, u_ref = eval_field([sol], pts), eval_field([ref], pts)
+                        assert np.max(np.abs(u - u_ref)) <= 1e-8 * np.max(np.abs(u_ref))
+
+
+def test_unconverged_solve_raises(tables, monkeypatch):
+    # a density with content outside its declared sector cannot be matched
+    kers = kernel_basis(P11, 2, tables)
+    mix = (kers[1][0] + kers[2][0]) / math.sqrt(2.0)
+    monkeypatch.setattr(transmission, "kernel_basis", lambda *a: {**kers, 3: [mix]})
+    med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
+    with pytest.raises(UnconvergedSolveError, match="backward error"):
+        solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2, tables)
+
+
+def test_solve_where_plasmon_constants_coincide(tables, quad):
+    # lambda=2, mu=0.5 at n=8: zeta1 = zeta2 = -10/7, the families stay apart
+    params = LameParams(2.0, 0.5)
+    z = plasmon_constants(params, 8)
+    assert z.zeta1 == pytest.approx(z.zeta2, abs=1e-14)
+    med = LayeredMedium(shell_radius=1.4, c=-1.7, delta=0.05, base=params)
+    for fam in (1, 2):
+        src = SourceSpec(q=2.1, coefficients={(8, fam, 1): 1.0})
+        sols = solve_modes(med, src, tables)
+        rep = residual_check(sols, med, src, quad, tables)
+        assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) < 1e-9, (fam, rep)
+        # the default stencil's truncation error at degree 8 is ~5e-8, so the
+        # PDE residual is checked with half the step (error 16x smaller)
+        assert rep["lame"] < 1e-7, (fam, rep)
+        rng = np.random.default_rng(0)
+        for reg in sols[0].regions:
+            hi = reg.r_hi if math.isfinite(reg.r_hi) else 3.0 * reg.r_lo
+            dirs = rng.normal(size=(3, 3))
+            rads = reg.r_lo + np.array([0.3, 0.5, 0.7]) * (hi - reg.r_lo)
+            pts = rads[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+            assert lame_residual(reg.terms, params, pts, h=1e-3) < 1e-8, (fam, reg.r_lo)
 
 
 def test_singularity_error_carries_condition(tables):
@@ -137,6 +213,17 @@ def test_delta_continuity(tables):
     u1 = eval_field(solve_modes(med1, src, tables), x)
     u2 = eval_field(solve_modes(med2, src, tables), x)
     assert np.max(np.abs(u1 - u2)) / np.max(np.abs(u1)) < 1e-2
+
+
+def test_kernel_basis_families_are_pure(tables, materials):
+    # multiplicities 2n+1, 2n-1, 2n+3 and pure t-patterns, including
+    # lambda=2, mu=0.5 at n=8 where zeta1 and zeta2 coincide
+    for params in materials:
+        for n in range(2, 13):
+            fams = kernel_basis(params, n, tables)
+            for fam, dim in ((1, 2 * n + 1), (2, 2 * n - 1), (3, 2 * n + 3)):
+                assert len(fams[fam]) == dim, (params, n, fam)
+                assert all(kernel_family(K, tables) == fam for K in fams[fam]), (params, n, fam)
 
 
 def test_project_source_recovers_kernel_density(tables):
