@@ -23,7 +23,8 @@ spec = np_galerkin_spectrum(1.0, params, n_max, build_quadrature(2 * n_max + 6))
 eigs = np.array([e for e, _ in spec])
 
 print(f"Galerkin spectrum on vector harmonics up to degree {n_max}: {len(eigs)} eigenvalues")
-print(f"range: [{eigs.min():+.4f}, {eigs.max():+.4f}]  (all inside +-1/2)\n")
+print(f"range: [{eigs.min():+.4f}, {eigs.max():+.4f}]  (inside +-1/2; the top value 1/2 belongs to")
+print("the three degree-1 densities whose single layer is a rigid rotation inside)\n")
 
 print(" n  family   c          mapped target   closest eigenvalue   gap")
 for n in (2, 3):

@@ -8,8 +8,6 @@ configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 validation failure (including a singular loss-free
 or unconverged solve), 3 I/O failure, 4 empty result.
-The thread count for per-loss parallel dispatch honors the
-``ELASTOPLASMON_THREADS`` environment variable.
 """
 
 from __future__ import annotations
@@ -17,16 +15,23 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from .harmonics import build_quadrature, ensure_tables, shared_tables
 from .lame import LameParams
 from .energy import EnergyReport
-from .transmission import ResonantSingularityError, SourceSpec, UnconvergedSolveError, residual_check, solve_modes
+from .transmission import (
+    ResonantSingularityError,
+    SourceSpec,
+    UnconvergedSolveError,
+    kernel_basis,
+    residual_check,
+    solve_modes,
+)
 from .scenarios import (
     SweepResult,
     fixed_configuration,
+    schedule_n_delta,
     scheduled_configuration,
     sweep,
     witness_core_resonant,
@@ -35,14 +40,11 @@ from .scenarios import (
     witness_radial_nonresonant,
 )
 from .waves import (
-    assemble_H,
     kernel_family,
     np_eigenvalue_map,
     np_galerkin_spectrum,
     perfect_wave,
     plasmon_constants,
-    plasmon_kernel,
-    sector_basis,
     verify_perfect_wave,
 )
 
@@ -85,37 +87,75 @@ def load_config(path: str) -> dict:
     return validate_config(cfg)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
 def validate_config(cfg: dict) -> dict:
-    if cfg.get("schema") != 1:
+    """Check every field a run reads; any defect raises :class:`ValidationError`."""
+    if not isinstance(cfg, dict) or cfg.get("schema") != 1:
         raise ValidationError("config schema must be 1")
     for key in ("lambda", "mu", "shell_radius", "q", "delta_list", "c_mode", "source_modes"):
         if key not in cfg:
             raise ValidationError(f"config missing key {key!r}")
+    core = cfg.get("core_radius")
+    for key in ("lambda", "mu", "shell_radius", "q") + (("core_radius",) if core is not None else ()):
+        if not _is_real(cfg[key]):
+            raise ValidationError(f"{key} must be a finite number")
     LameParams(cfg["lambda"], cfg["mu"])  # raises on a non-convex pair
     if cfg["shell_radius"] <= 0 or cfg["q"] <= cfg["shell_radius"]:
         raise ValidationError("need 0 < shell_radius < q")
-    core = cfg.get("core_radius")
     if core is not None and not (0 < core < cfg["shell_radius"]):
         raise ValidationError("need 0 < core_radius < shell_radius")
     deltas = cfg["delta_list"]
-    if len(deltas) < 3 or any(b >= a for a, b in zip(deltas, deltas[1:])) or min(deltas) <= 0:
-        raise ValidationError("delta_list must be positive and strictly decreasing, >= 3 entries")
+    if (not isinstance(deltas, list) or len(deltas) < 3 or not all(_is_real(d) for d in deltas)
+            or any(b >= a for a, b in zip(deltas, deltas[1:])) or min(deltas) <= 0):
+        raise ValidationError("delta_list must be finite, positive and strictly decreasing, >= 3 entries")
     cmode = cfg["c_mode"]
     if not (isinstance(cmode, dict) and len(cmode) == 1 and next(iter(cmode)) in ("fixed", "schedule")):
         raise ValidationError("c_mode must be {'fixed': value} or {'schedule': family}")
-    if "schedule" in cmode and cmode["schedule"] not in (1, 2, 3):
+    if "fixed" in cmode and not _is_real(cmode["fixed"]):
+        raise ValidationError("the fixed multiplier must be a finite number")
+    if "schedule" in cmode and not (_is_int(cmode["schedule"]) and cmode["schedule"] in (1, 2, 3)):
         raise ValidationError("schedule family must be 1, 2 or 3")
-    n_max = cfg.get("n_max", 24)
-    for mode in cfg["source_modes"]:
+    n_max = cfg.setdefault("n_max", 24)
+    if not _is_int(n_max):
+        raise ValidationError("n_max must be an integer")
+    if not _is_int(cfg.setdefault("quadrature_exactness", 2 * n_max + 4)):
+        raise ValidationError("quadrature_exactness must be an integer")
+    modes = cfg["source_modes"]
+    if not (isinstance(modes, list) and modes):
+        raise ValidationError("source_modes must be a non-empty list")
+    first = None
+    if "schedule" in cmode:
+        if len(modes) != 1:
+            raise ValidationError("scheduled runs re-inject exactly one source mode")
+        # the mode is re-injected at every scheduled degree; the first is the smallest
+        first = schedule_n_delta(cfg["shell_radius"], deltas[0])
+    for mode in modes:
+        if not (isinstance(mode, list) and len(mode) == 5):
+            raise ValidationError(f"source mode {mode!r} is not [degree, family, k, Re gamma, Im gamma]")
         n, fam, k, re, im = mode
+        if not ((n is None or _is_int(n)) and _is_int(fam) and _is_int(k) and _is_real(re) and _is_real(im)):
+            raise ValidationError(f"source mode {mode!r} needs integer degree, family and k and a finite gamma")
+        if n is None and first is None:
+            raise ValidationError("fixed-multiplier runs need explicit source degrees")
         if n is not None and n < 2:
             raise ValidationError("source degrees below 2 are unsupported")
         if n is not None and n > n_max:
             raise ValidationError(f"source degree {n} exceeds the truncation n_max = {n_max}")
-        if fam not in (1, 2, 3) or k < 1:
-            raise ValidationError("source mode family/index invalid")
-    cfg.setdefault("n_max", 24)
-    cfg.setdefault("quadrature_exactness", 2 * cfg["n_max"] + 4)
+        if fam not in (1, 2, 3):
+            raise ValidationError("source mode family must be 1, 2 or 3")
+        if first is not None and fam != cmode["schedule"]:
+            raise ValidationError("scheduled source family must match the schedule family")
+        deg = n if first is None else first
+        dim = {1: 2 * deg + 1, 2: 2 * deg - 1, 3: 2 * deg + 3}[fam]
+        if not 1 <= k <= dim:
+            raise ValidationError(f"source mode index k = {k} outside 1..{dim} (family {fam}, degree {deg})")
     cfg.setdefault("output", {})
     return cfg
 
@@ -126,9 +166,7 @@ def _configuration(cfg: dict):
     if "fixed" in cmode:
         coeffs = {}
         for n, fam, k, re, im in cfg["source_modes"]:
-            if n is None:
-                raise ValidationError("fixed-multiplier runs need explicit source degrees")
-            coeffs[(int(n), int(fam), int(k))] = complex(re, im)
+            coeffs[(n, fam, k)] = complex(re, im)
         src = SourceSpec(q=cfg["q"], coefficients=coeffs)
         return fixed_configuration(
             params=params,
@@ -137,18 +175,13 @@ def _configuration(cfg: dict):
             source=src,
             core_radius=cfg.get("core_radius"),
         )
-    fam = cmode["schedule"]
-    if len(cfg["source_modes"]) != 1:
-        raise ValidationError("scheduled runs re-inject exactly one source mode")
-    _, fam_src, k, re, im = cfg["source_modes"][0]
-    if fam_src != fam:
-        raise ValidationError("scheduled source family must match the schedule family")
+    _, fam, k, re, im = cfg["source_modes"][0]
     return scheduled_configuration(
         params=params,
         shell_radius=cfg["shell_radius"],
         q=cfg["q"],
         family=fam,
-        k=int(k),
+        k=k,
         gamma=complex(re, im),
         core_radius=cfg.get("core_radius"),
     )
@@ -263,8 +296,9 @@ def _cmd_kernels(args) -> int:
     params = LameParams(args.lam, args.mu)
     tables = ensure_tables(None, args.n + 4)
     z = plasmon_constants(params, args.n)
+    kernels = kernel_basis(params, args.n, tables)
     for fam, c in enumerate(z.as_tuple(), start=1):
-        kers = plasmon_kernel(assemble_H(args.n, params, c, tables))
+        kers = kernels[fam]
         fams = {kernel_family(K, tables) for K in kers}
         print(f"family {fam}: c = {_fmt(c)}, kernel dimension {len(kers)}, t-pattern {sorted(fams)}")
     return EXIT_OK
@@ -273,10 +307,8 @@ def _cmd_kernels(args) -> int:
 def _cmd_waves_check(args) -> int:
     params = LameParams(args.lam, args.mu)
     tables = ensure_tables(None, args.n + 4)
-    z = plasmon_constants(params, args.n)
     worst = 0.0
-    for fam, c in enumerate(z.as_tuple(), start=1):
-        kers = plasmon_kernel(assemble_H(args.n, params, c, tables), sector=sector_basis(args.n, fam, tables))
+    for fam, kers in kernel_basis(params, args.n, tables).items():
         for k, K in enumerate(kers, start=1):
             wave = perfect_wave(K, fam, args.n, args.R, params, tables)
             rep = verify_perfect_wave(wave, params, tables)
@@ -317,11 +349,11 @@ def _cmd_np_spectrum(args) -> int:
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
-    params = LameParams(cfg["lambda"], cfg["mu"])
     tables = shared_tables(max(12, cfg["n_max"]))
     configuration = _configuration(cfg)
     delta = args.delta if args.delta is not None else cfg["delta_list"][0]
     med, src = configuration(delta)
+    tables = ensure_tables(tables, max(src.degrees()) + 6)
     sols = solve_modes(med, src, tables)
     quad = build_quadrature(cfg["quadrature_exactness"])
     rep = residual_check(sols, med, src, quad, tables)
@@ -338,8 +370,7 @@ def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     tables = shared_tables(max(12, cfg["n_max"]))
     configuration = _configuration(cfg)
-    workers = int(os.environ.get("ELASTOPLASMON_THREADS", "1"))
-    result = sweep(configuration, cfg["delta_list"], tables, max_workers=workers)
+    result = sweep(configuration, cfg["delta_list"], tables)
     out = cfg.get("output", {})
     csv_path = args.csv or out.get("csv")
     if not csv_path:

@@ -135,38 +135,27 @@ def pairing_P_pieces(u_pieces: Sequence, v_pieces: Sequence, params: LameParams,
     return total
 
 
-def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable,
-                  method: str = "pairing") -> float:
+def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable) -> float:
     """Dissipation (delta/2) P(u, u) of an exact solve.
 
     Terms of all degree solutions are merged per region first: solutions two
     degrees apart share a vector-harmonic sector, so their cross pairing does
-    not vanish.  ``method='imaginary'`` recomputes the result as the
-    imaginary part of the complex-moduli energy (cross-check path).  Raises
-    for delta = 0 where dissipation is undefined.
+    not vanish.  Raises for delta = 0 where dissipation is undefined.
     """
     delta = medium.delta
     if delta <= 0:
         raise ValueError("dissipation needs delta > 0")
     params = medium.base
     merged: dict[tuple[float, float], list] = {}
-    weights: dict[tuple[float, float], complex] = {}
     for sol in solutions:
         for reg in sol.regions:
-            key = (reg.r_lo, reg.r_hi)
-            merged.setdefault(key, []).extend(reg.terms)
-            weights[key] = reg.weight
+            merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
     total = 0.0
     for key, terms in merged.items():
         if not terms:
             continue
         p = pairing_P(terms, terms, key[0], key[1], params, tables)
-        if method == "pairing":
-            total += 0.5 * delta * float(np.real(p))
-        elif method == "imaginary":
-            total += 0.5 * float(np.imag(weights[key] * p))
-        else:
-            raise ValueError(method)
+        total += 0.5 * delta * float(np.real(p))
     return total
 
 

@@ -10,8 +10,9 @@ differentiation: with the multiplication identity
     xhat_j Y_d = -raise_[d][j]/(2d+1) . Y_{d+1}  +  lower[d][j]/(2d+1) . Y_{d-1}
 
 one derivative of a term produces two terms with the radial power dropped by
-one.  This gives exact gradients, strains, divergences and tractions for all
-mode fields; finite-difference tractions live with the tests as oracles.
+one.  This gives exact gradients, strains, divergences, tractions and Lame
+residuals for all mode fields; finite-difference routes live with the tests
+as oracles.
 
 The regular and irregular Lame blocks carry their slaved corrections:
 
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .harmonics import DerivativeTable, SphereQuadrature, sph_harm_stack
+from .harmonics import DerivativeTable, SphereQuadrature, ensure_tables, sph_harm_stack
 
 __all__ = [
     "LameParams",
@@ -410,43 +411,35 @@ def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: Lame
     return out
 
 
-def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
-                  h: float = 2e-3) -> float:
-    """Relative finite-difference residual of mu Lap u + (lam+mu) grad div u.
+def _second_derivative_terms(terms: Iterable[Term], i: int, j: int, tables: DerivativeTable) -> list[Term]:
+    """Exact d^2/dx_i dx_j of a term list as new terms."""
+    out: list[Term] = []
+    for t in terms:
+        for dt in term_derivative(t, j, tables):
+            out.extend(term_derivative(dt, i, tables))
+    return out
 
-    Fourth-order stencils with step ``h * max(1, r)``; the residual is
-    normalized by the largest second-derivative scale so the bound is
-    meaningful across degrees and radii.
+
+def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
+                  tables: DerivativeTable | None = None) -> float:
+    """Relative residual of mu Lap u + (lam+mu) grad div u at the points.
+
+    Every second derivative is formed exactly by the term algebra and
+    evaluated at the points; the residual is normalized by the larger of
+    3 max|second derivatives| and |u|/r^2, so the bound is meaningful across
+    degrees and radii.
     """
-    lam, mu = params.lam, params.mu
-    pts = np.atleast_2d(points)
-    worst = 0.0
-    for x in pts:
-        step = h * max(1.0, float(np.linalg.norm(x)))
-        E = np.eye(3) * step
-        u0 = eval_terms(terms, x)
-        second = np.zeros((3, 3, 3), dtype=complex)  # [i, j, k] = d^2 u_i / dx_j dx_k
-        for j in range(3):
-            fp = eval_terms(terms, x + E[j])
-            fm = eval_terms(terms, x - E[j])
-            fp2 = eval_terms(terms, x + 2 * E[j])
-            fm2 = eval_terms(terms, x - 2 * E[j])
-            second[:, j, j] = (-fp2 + 16 * fp - 30 * u0 + 16 * fm - fm2) / (12 * step**2)
-        offsets = (-2, -1, 1, 2)
-        wts = (1.0, -8.0, 8.0, -1.0)
-        for j in range(3):
-            for k in range(j + 1, 3):
-                mixed = np.zeros(3, dtype=complex)
-                for a, wa in zip(offsets, wts):
-                    for b, wb in zip(offsets, wts):
-                        mixed += wa * wb * eval_terms(terms, x + a * E[j] + b * E[k])
-                mixed /= (12.0 * step) ** 2
-                second[:, j, k] = mixed
-                second[:, k, j] = mixed
-        lap = second[:, 0, 0] + second[:, 1, 1] + second[:, 2, 2]
-        graddiv = np.array([second[0, 0, i] + second[1, 1, i] + second[2, 2, i] for i in range(3)])
-        res = mu * lap + (lam + mu) * graddiv
-        r2 = max(float(np.dot(x, x)), 1e-30)
-        scale = abs(mu) * max(3.0 * np.max(np.abs(second)), np.max(np.abs(u0)) / r2, 1e-30)
-        worst = max(worst, float(np.max(np.abs(res)) / scale))
-    return worst
+    terms = tuple(terms)
+    tables = ensure_tables(tables, max((t.degree for t in terms), default=0) + 2)
+    X = np.atleast_2d(points)
+    second = np.zeros((X.shape[0], 3, 3, 3), dtype=complex)  # [., i, j, k] = d^2 u_i / dx_j dx_k
+    for j in range(3):
+        for k in range(j, 3):
+            second[:, :, j, k] = second[:, :, k, j] = eval_terms(_second_derivative_terms(terms, j, k, tables), X)
+    lap = np.einsum("nijj->ni", second)
+    graddiv = np.einsum("njji->ni", second)
+    res = params.mu * lap + (params.lam + params.mu) * graddiv
+    r2 = np.maximum(np.sum(X * X, axis=1), 1e-30)
+    u_scale = np.max(np.abs(eval_terms(terms, X)), axis=1) / r2
+    scale = abs(params.mu) * np.maximum(np.maximum(3.0 * np.max(np.abs(second), axis=(1, 2, 3)), u_scale), 1e-30)
+    return float(np.max(np.max(np.abs(res), axis=1) / scale))

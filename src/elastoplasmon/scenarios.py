@@ -96,11 +96,13 @@ def toroidal_radial_coeffs(n: int, mu: float, r: float) -> tuple[float, float]:
     return mu * (n - 1.0) * r ** (n - 1), -mu * (n + 2.0) * r ** (-n - 2)
 
 
-def _fixed_c_radial_solve(n: int, c: float, r_e: float, q: float, mu: float) -> tuple[np.ndarray, float]:
+def _fixed_c_radial_solve(n: int, c: float, r_c: float, r_e: float, q: float,
+                          mu: float) -> tuple[np.ndarray, float]:
     """Branch coefficients e1..e5 (core amplitude 1) and the jump scalar e6.
 
     Solves the five interface conditions of the piecewise pure witness:
-    continuity at 1, r_e, q and A-weighted traction continuity at 1, r_e.
+    continuity at r_c, r_e, q and A-weighted traction continuity at r_c, r_e,
+    where r_c is the core radius.
     """
     def se(r):
         return toroidal_radial_coeffs(n, mu, r)[0]
@@ -110,14 +112,14 @@ def _fixed_c_radial_solve(n: int, c: float, r_e: float, q: float, mu: float) -> 
 
     A = np.zeros((5, 5))
     b = np.zeros(5)
-    # continuity at r = 1: e1 + e2 = 1
-    A[0, 0] = 1.0
-    A[0, 1] = 1.0
-    b[0] = 1.0
-    # traction at r = 1: c (e1 se + e2 sd) = se
-    A[1, 0] = c * se(1.0)
-    A[1, 1] = c * sd(1.0)
-    b[1] = se(1.0)
+    # continuity at r_c: e1 r_c^n + e2 r_c^(-n-1) = r_c^n
+    A[0, 0] = r_c**n
+    A[0, 1] = r_c ** (-n - 1)
+    b[0] = r_c**n
+    # traction at r_c: c (e1 se + e2 sd) = se
+    A[1, 0] = c * se(r_c)
+    A[1, 1] = c * sd(r_c)
+    b[1] = se(r_c)
     # continuity at r_e
     A[2, 0] = r_e**n
     A[2, 1] = r_e ** (-n - 1)
@@ -208,7 +210,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec, tables: Derivativ
         if fam != 1:
             raise ValueError("fixed-multiplier witness needs a family-1 source")
         K = kernel_basis(params, n, tables)[1][k - 1]
-        e, e6 = _fixed_c_radial_solve(n, c, r_e, q, params.mu)
+        e, e6 = _fixed_c_radial_solve(n, c, 1.0, r_e, q, params.mu)
         tau = gamma / e6
         coeffs = [(tau, 0.0), (tau * e[0], tau * e[1]), (tau * e[2], tau * e[3]), (0.0, tau * e[4])]
         all_pieces.append(_mode_pieces(K, n, coeffs, [1.0, r_e, q]))
@@ -371,7 +373,7 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
                 amps = _toroidal_surface_solve(n, rho, -dens, mu)
                 w_parts.append(_mode_pieces(K, n, amps, [rho]))
         else:
-            e, e6 = _fixed_c_radial_solve(n, medium.c, R, q, mu)
+            e, e6 = _fixed_c_radial_solve(n, medium.c, a_core, R, q, mu)
             tau = gamma / e6
             coeffs = [(tau, 0.0), (tau * e[0], tau * e[1]), (tau * e[2], tau * e[3]), (0.0, tau * e[4])]
             v_parts.append(_mode_pieces(K, n, coeffs, [a_core, R, q]))
@@ -461,13 +463,12 @@ def _sweep_row(configuration, delta: float, tables: DerivativeTable, with_witnes
 
 def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
           delta_list: Sequence[float], tables: DerivativeTable,
-          with_witnesses: bool = True, max_workers: int = 1) -> SweepResult:
+          with_witnesses: bool = True) -> SweepResult:
     """Exact solves over a decreasing loss list, with witness bounds.
 
     Each row records the dissipation and whichever bounds apply to the
     configuration; the verdict follows the growth conventions in the module
-    docstring.  Rows are independent and run on ``max_workers`` threads over
-    shared immutable tables; assembly of the result is ordered.
+    docstring.
     """
     deltas = list(delta_list)
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
@@ -476,13 +477,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
         raise ValueError("sweep must span at least three decades")
     _, deepest_src = configuration(deltas[-1])
     tables = ensure_tables(tables, max(deepest_src.degrees()) + 6)
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            rows = list(pool.map(lambda d: _sweep_row(configuration, d, tables, with_witnesses), deltas))
-    else:
-        rows = [_sweep_row(configuration, d, tables, with_witnesses) for d in deltas]
+    rows = [_sweep_row(configuration, d, tables, with_witnesses) for d in deltas]
     E = [r.E_delta for r in rows]
     slope = _fit_slope(deltas, E)
     monotone = all(E[i + 1] >= E[i] * 0.95 for i in range(len(E) - 1))

@@ -447,7 +447,7 @@ def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source:
             dirs = rng.normal(size=(3, 3))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             pts = rads[:, None] * dirs
-            report["lame"] = max(report["lame"], lame_residual(reg.terms, params, pts))
+            report["lame"] = max(report["lame"], lame_residual(reg.terms, params, pts, tables))
         for bi, rho in enumerate(bounds):
             inner, outer = sol.regions[bi], sol.regions[bi + 1]
             nodes = quad.nodes

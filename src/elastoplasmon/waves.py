@@ -11,7 +11,7 @@ returned kernel generates a real-valued field G Y_n.
 The Neumann-Poincare route is independent: densities e_j Y_n^m on the sphere
 are convolved with the Kelvin matrix through exact radial factors of the
 Newtonian and distance kernels, and K* is read off as the average of the two
-one-sided conormal traces.
+one-sided conormal traces, both taken exactly on the sphere.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ from .lame import (
     stack_rows,
     t1_vector,
     t3_vector,
-    term_derivative,
     traction_coeffs,
     _neumann_to_dirichlet,
+    _second_derivative_terms,
 )
 
 __all__ = [
@@ -288,8 +288,8 @@ def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: Derivativ
     """Residuals of every defining property of a perfect wave.
 
     Keys: continuity (pointwise on the interface), transmission (c-weighted
-    traction match, relative), lame_interior / lame_exterior (relative finite
-    difference residuals), t1_interiors / t3 conditions by family.
+    traction match, relative), lame_interior / lame_exterior (relative exact
+    residuals), t1_interiors / t3 conditions by family.
     """
     n, R, c = wave.n, wave.R, wave.c
     if quad is None:
@@ -319,8 +319,8 @@ def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: Derivativ
     ) / tenorm
     pts_in = dirs[:24] * (0.35 * R)
     pts_out = dirs[:24] * (1.7 * R)
-    res_in = lame_residual(wave.interior.terms, params, pts_in)
-    res_out = lame_residual(wave.exterior.terms, params, pts_out)
+    res_in = lame_residual(wave.interior.terms, params, pts_in, tables)
+    res_out = lame_residual(wave.exterior.terms, params, pts_out, tables)
     t1 = np.max(np.abs(t1_vector(wave.kernel, n, tables)))
     t3 = np.max(np.abs(t3_vector(wave.kernel, n, tables)))
     return {
@@ -379,14 +379,6 @@ def _scalar_potential_terms(n: int, pos: int, R: float, kind: str) -> tuple[list
     return inside, outside
 
 
-def _second_derivative_terms(terms: list[Term], i: int, j: int, tables: DerivativeTable) -> list[Term]:
-    out: list[Term] = []
-    for t in terms:
-        for dt in term_derivative(t, j, tables):
-            out.extend(term_derivative(dt, i, tables))
-    return out
-
-
 def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
                        tables: DerivativeTable) -> tuple[ModeField, ModeField]:
     """Exact single-layer potential of the density e_j Y_n^m on partial B_R.
@@ -423,12 +415,13 @@ def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
 
 
 def np_galerkin_spectrum(R: float, params: LameParams, n_max: int,
-                         quad: SphereQuadrature, eps: float = 1e-4) -> list[tuple[float, int]]:
+                         quad: SphereQuadrature) -> list[tuple[float, int]]:
     """Galerkin eigenvalues of K* on vector harmonics up to degree ``n_max``.
 
-    The conormal derivative of the exact single-layer field is evaluated at
-    r = R (1 +- eps) and the two one-sided traces are averaged.  Returns
-    (eigenvalue, dominant basis degree) pairs sorted by eigenvalue.
+    The exact conormal derivatives of the single-layer field's inside and
+    outside terms are both taken at r = R, and the two one-sided traces are
+    averaged.  Returns (eigenvalue, dominant basis degree) pairs sorted by
+    eigenvalue.
     """
     if quad.exactness < 2 * n_max + 4:
         raise ValueError("quadrature exactness below 2 n_max + 4")
@@ -436,25 +429,14 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int,
 
     tables = shared_tables(n_max + 4)
     basis = [(jj, n, pos) for n in range(1, n_max + 1) for jj in range(3) for pos in range(2 * n + 1)]
-    dim = len(basis)
-    index = {b: i for i, b in enumerate(basis)}
-    M = np.zeros((dim, dim), dtype=complex)
-    X_in = (1.0 - eps) * R * quad.nodes
-    X_out = (1.0 + eps) * R * quad.nodes
-    from .lame import grad_terms, _traction_from_grad
-
+    degrees = range(1, n_max + 1)
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, (jj, n, pos) in enumerate(basis):
         inside, outside = single_layer_field(jj, n, pos, R, params, tables)
-        g_in = grad_terms(inside.terms, X_in, tables)
-        g_out = grad_terms(outside.terms, X_out, tables)
-        t_in = _traction_from_grad(g_in, quad.nodes, params.lam, params.mu)
-        t_out = _traction_from_grad(g_out, quad.nodes, params.lam, params.mu)
-        kstar = 0.5 * (t_in + t_out)
-        for nb in range(1, n_max + 1):
-            proj = quad.project(kstar, nb)  # (2nb+1, 3)
-            for jb in range(3):
-                for pb in range(2 * nb + 1):
-                    M[index[(jb, nb, pb)], a] = proj[pb, jb]
+        kstar = traction_coeffs(inside.terms + outside.terms, R, params, quad, degrees, tables)
+        # traction is linear: half the traction of the summed terms is the
+        # average of the one-sided traces; rows follow the basis order
+        M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) for nb in degrees])
     vals, vecs = np.linalg.eig(M)
     out = []
     for v, w in zip(vals, vecs.T):

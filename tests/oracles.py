@@ -1,8 +1,9 @@
 """Reference routes that the tests compare the package against.
 
-``numeric_traction`` differentiates fields by finite differences, and
-``real_terms``/``imag_terms`` split a complex field into the terms of its
-real and imaginary parts.
+``numeric_traction`` and ``fd_lame_residual`` differentiate fields by finite
+differences, ``real_terms``/``imag_terms`` split a complex field into the
+terms of its real and imaginary parts, and ``dissipation_imaginary`` reads
+the dissipation off the imaginary part of the complex-moduli energy.
 
 ``window_solve`` is the matrix route the sector solve replaced: every entry
 of every 3(2d+1) coefficient block on the degree window (n-2, n, n+2) is an
@@ -20,6 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
+from elastoplasmon.energy import pairing_P
 from elastoplasmon.harmonics import DerivativeTable, SphereQuadrature, ensure_tables
 from elastoplasmon.lame import (
     LameParams,
@@ -198,3 +200,61 @@ def numeric_traction(field: ModeField, R: float, params: LameParams, quad: Spher
         ) / (12.0 * step)
     trac = _traction_from_grad(grad, quad.nodes, params.lam, params.mu)
     return {d: quad.project(trac, d).T for d in degrees}
+
+
+def fd_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
+                     h: float = 2e-3) -> float:
+    """Finite-difference oracle of ``lame_residual``.
+
+    Fourth-order stencils with step ``h * max(1, r)``, normalized like the
+    exact route; the truncation error grows like (h n)^4 with the degree n.
+    """
+    lam, mu = params.lam, params.mu
+    pts = np.atleast_2d(points)
+    worst = 0.0
+    for x in pts:
+        step = h * max(1.0, float(np.linalg.norm(x)))
+        E = np.eye(3) * step
+        u0 = eval_terms(terms, x)
+        second = np.zeros((3, 3, 3), dtype=complex)  # [i, j, k] = d^2 u_i / dx_j dx_k
+        for j in range(3):
+            fp = eval_terms(terms, x + E[j])
+            fm = eval_terms(terms, x - E[j])
+            fp2 = eval_terms(terms, x + 2 * E[j])
+            fm2 = eval_terms(terms, x - 2 * E[j])
+            second[:, j, j] = (-fp2 + 16 * fp - 30 * u0 + 16 * fm - fm2) / (12 * step**2)
+        offsets = (-2, -1, 1, 2)
+        wts = (1.0, -8.0, 8.0, -1.0)
+        for j in range(3):
+            for k in range(j + 1, 3):
+                mixed = np.zeros(3, dtype=complex)
+                for a, wa in zip(offsets, wts):
+                    for b, wb in zip(offsets, wts):
+                        mixed += wa * wb * eval_terms(terms, x + a * E[j] + b * E[k])
+                mixed /= (12.0 * step) ** 2
+                second[:, j, k] = mixed
+                second[:, k, j] = mixed
+        lap = second[:, 0, 0] + second[:, 1, 1] + second[:, 2, 2]
+        graddiv = np.array([second[0, 0, i] + second[1, 1, i] + second[2, 2, i] for i in range(3)])
+        res = mu * lap + (lam + mu) * graddiv
+        r2 = max(float(np.dot(x, x)), 1e-30)
+        scale = abs(mu) * max(3.0 * np.max(np.abs(second)), np.max(np.abs(u0)) / r2, 1e-30)
+        worst = max(worst, float(np.max(np.abs(res)) / scale))
+    return worst
+
+
+def dissipation_imaginary(solutions, medium: LayeredMedium, tables: DerivativeTable) -> float:
+    """Dissipation as (1/2) Im of the complex-moduli energy, region by region.
+
+    Merges the terms of all degree solutions per region like
+    ``energy.dissipation_E`` and weights each region's pairing with its
+    complex modulus factor A + i delta.
+    """
+    merged: dict[tuple[float, float], list] = {}
+    weights: dict[tuple[float, float], complex] = {}
+    for sol in solutions:
+        for reg in sol.regions:
+            merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
+            weights[(reg.r_lo, reg.r_hi)] = reg.weight
+    return sum(0.5 * float(np.imag(weights[key] * pairing_P(terms, terms, *key, medium.base, tables)))
+               for key, terms in merged.items() if terms)

@@ -149,9 +149,14 @@ def test_criterion_04_np_cross_validation():
         for c in plasmon_constants(P11, n).as_tuple():
             target = np_eigenvalue_map(c)
             worst = max(worst, float(np.min(np.abs(eigs - target))))
-    inside = bool(np.all(eigs > -0.5) and np.all(eigs < 0.5))
+    # the single layers of the three degree-1 toroidal densities are rigid
+    # rotations inside, so K* holds them at exactly 1/2
+    rigid = [d for e, d in spec if abs(e - 0.5) < 1e-12]
+    rest = eigs[np.abs(eigs - 0.5) >= 1e-12]
+    inside = bool(rigid == [1, 1, 1] and np.all(rest > -0.5) and np.all(rest < 0.5))
     report(4, worst < 2e-3 and inside,
-           f"mapped constants found within {worst:.1e}; all eigenvalues in (-1/2, 1/2): {inside}")
+           f"mapped constants found within {worst:.1e}; all eigenvalues in (-1/2, 1/2) "
+           f"but the three rigid rotations at 1/2: {inside}")
 
 
 def _identity_defects(med, src, sols, delta):

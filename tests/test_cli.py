@@ -12,10 +12,8 @@ import pytest
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ, PYTHONPATH=SRC)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "elastoplasmon.cli", *args],
         capture_output=True,
@@ -63,6 +61,17 @@ def test_kernels_output():
     assert "kernel dimension 7" in out.stdout
 
 
+def test_kernels_output_where_plasmon_constants_coincide():
+    # zeta1 = zeta2 at lambda=2, mu=0.5, n=8: the solver's sector kernels
+    out = run_cli("kernels", "--n", "8", "--lambda", "2", "--mu", "0.5")
+    assert out.returncode == 0
+    lines = out.stdout.strip().splitlines()
+    assert len(lines) == 3
+    for line, dim, fam in zip(lines, (17, 15, 19), (1, 2, 3)):
+        assert line.startswith(f"family {fam}:")
+        assert line.endswith(f"kernel dimension {dim}, t-pattern [{fam}]"), line
+
+
 def test_waves_check_passes():
     out = run_cli("waves-check", "--n", "2", "--R", "1.5")
     assert out.returncode == 0
@@ -97,13 +106,6 @@ def test_sweep_csv_structure_and_roundtrip(config_file, tmp_path):
     assert len(rows) == len(BASE_CONFIG["delta_list"])
     assert verdict == "non-resonant"
     assert Path(svg).read_text().startswith("<svg")
-
-
-def test_sweep_parallel_dispatch_is_identical(config_file, tmp_path):
-    c1, c2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
-    run_cli("sweep", "--config", config_file, "--csv", c1)
-    run_cli("sweep", "--config", config_file, "--csv", c2, env_extra={"ELASTOPLASMON_THREADS": "4"})
-    assert Path(c1).read_bytes() == Path(c2).read_bytes()
 
 
 def test_validation_failure_exit_code(tmp_path):
@@ -147,6 +149,17 @@ def test_solve_subcommand(config_file):
     assert all(float(l.split(":")[1]) < 1e-8 for l in r.stdout.splitlines() if l.startswith("residual"))
 
 
+def test_solve_deep_schedule(tmp_path):
+    # the scheduled degree (14 at delta=1e-4, R=2) is beyond the config's n_max
+    cfg = dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1})
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(cfg))
+    r = run_cli("solve", "--config", str(path), "--delta", "1e-4")
+    assert r.returncode == 0, r.stderr
+    residuals = [float(l.split(":")[1]) for l in r.stdout.splitlines() if l.startswith("residual")]
+    assert len(residuals) == 4 and max(residuals) < 1e-8
+
+
 def test_witness_subcommand(config_file):
     r = run_cli("witness", "--config", config_file, "--delta", "0.001")
     assert r.returncode == 0
@@ -184,6 +197,28 @@ def test_solver_failures_are_json_errors(tmp_path, config, args):
     lines = r.stderr.strip().splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
     assert "Traceback" not in r.stderr and "DLASCL" not in r.stdout + r.stderr
+
+
+@pytest.mark.parametrize("config", [
+    dict(BASE_CONFIG, source_modes=[7]),
+    dict(BASE_CONFIG, source_modes=[[2, 1, 99, 1.0, 0.0]]),  # k above 2n+1
+    dict(BASE_CONFIG, source_modes=[[2, 2, 4, 1.0, 0.0]]),  # k above 2n-1
+    dict(BASE_CONFIG, source_modes=[[2, 1, 1, "1", 0.0]]),
+    dict(BASE_CONFIG, source_modes=[[2, 1, 1, math.nan, 0.0]]),
+    dict(BASE_CONFIG, source_modes=[]),
+    dict(BASE_CONFIG, source_modes=[[None, 1, 1, 1.0, 0.0]]),  # fixed runs need a degree
+    # scheduled: degree 7 at delta=1e-2, R=2 has 15 family-1 kernels
+    dict(BASE_CONFIG, c_mode={"schedule": 1}, source_modes=[[None, 1, 16, 1.0, 0.0]]),
+    dict(BASE_CONFIG, n_max="12"),
+])
+def test_invalid_source_modes_are_json_errors(tmp_path, config):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    r = run_cli("solve", "--config", str(path))
+    assert r.returncode == 2
+    lines = r.stderr.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
+    assert "Traceback" not in r.stderr
 
 
 def test_unconverged_solve_is_a_json_error(config_file, monkeypatch, capsys):

@@ -25,7 +25,7 @@ from elastoplasmon.lame import (
     traction_coeffs,
     traction_coeffs_algebraic,
 )
-from oracles import numeric_traction
+from oracles import fd_lame_residual, numeric_traction
 
 
 def test_strong_convexity_enforced():
@@ -72,14 +72,23 @@ def test_zero_amplitude_gives_zero_field(tables):
 
 
 def test_mode_fields_satisfy_lame(tables, materials):
+    # exact residual at rounding level, agreeing with the finite-difference
+    # oracle; both flag a 1e-3 error in a slaved correction
     rng = np.random.default_rng(1)
     for params in materials:
         for n in (1, 2, 3, 5):
             G = _random_coeff(rng, n)
             pts = rng.normal(size=(8, 3))
             pts /= np.linalg.norm(pts, axis=1)[:, None]
-            assert lame_residual(exterior_block(G, n, params, tables), params, 1.7 * pts) < 1e-6
-            assert lame_residual(interior_block(G, n, params, tables), params, 0.4 * pts) < 1e-6
+            for blk, x in ((exterior_block(G, n, params, tables), 1.7 * pts),
+                           (interior_block(G, n, params, tables), 0.4 * pts)):
+                assert lame_residual(blk, params, x, tables) <= 1e-13
+                assert fd_lame_residual(blk, params, x) < 1e-6
+                if len(blk) == 2:
+                    main, corr = blk
+                    bad = (main, Term(corr.coef * (1 + 1e-3), corr.degree, corr.power))
+                    assert lame_residual(bad, params, x, tables) > 1e-5
+                    assert fd_lame_residual(bad, params, x) > 1e-5
 
 
 def test_dirichlet_round_trip(tables):

@@ -8,7 +8,7 @@ import pytest
 from elastoplasmon import transmission
 from elastoplasmon.energy import dissipation_E
 from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
-from elastoplasmon.lame import LameParams, lame_residual
+from elastoplasmon.lame import LameParams
 from elastoplasmon.transmission import (
     LayeredMedium,
     ResonantSingularityError,
@@ -184,16 +184,7 @@ def test_solve_where_plasmon_constants_coincide(tables, quad):
         sols = solve_modes(med, src, tables)
         rep = residual_check(sols, med, src, quad, tables)
         assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) < 1e-9, (fam, rep)
-        # the default stencil's truncation error at degree 8 is ~5e-8, so the
-        # PDE residual is checked with half the step (error 16x smaller)
-        assert rep["lame"] < 1e-7, (fam, rep)
-        rng = np.random.default_rng(0)
-        for reg in sols[0].regions:
-            hi = reg.r_hi if math.isfinite(reg.r_hi) else 3.0 * reg.r_lo
-            dirs = rng.normal(size=(3, 3))
-            rads = reg.r_lo + np.array([0.3, 0.5, 0.7]) * (hi - reg.r_lo)
-            pts = rads[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
-            assert lame_residual(reg.terms, params, pts, h=1e-3) < 1e-8, (fam, reg.r_lo)
+        assert rep["lame"] < 1e-8, (fam, rep)
 
 
 def test_singularity_error_carries_condition(tables):

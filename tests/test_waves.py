@@ -226,12 +226,11 @@ def test_single_layer_jump_relation(tables):
     inside, outside = single_layer_field(0, 2, 1, R, params, tables)
     from elastoplasmon.lame import grad_terms, _traction_from_grad
 
-    eps = 1e-8
-    ti = _traction_from_grad(grad_terms(inside.terms, (1 - eps) * quad.nodes, tables), quad.nodes, params.lam, params.mu)
-    to = _traction_from_grad(grad_terms(outside.terms, (1 + eps) * quad.nodes, tables), quad.nodes, params.lam, params.mu)
+    ti = _traction_from_grad(grad_terms(inside.terms, R * quad.nodes, tables), quad.nodes, params.lam, params.mu)
+    to = _traction_from_grad(grad_terms(outside.terms, R * quad.nodes, tables), quad.nodes, params.lam, params.mu)
     dens = np.zeros_like(ti)
     dens[:, 0] = quad.harmonics(2)[:, 1]
-    assert np.max(np.abs((to - ti) - dens)) < 1e-6
+    assert np.max(np.abs((to - ti) - dens)) < 1e-12
     vi = eval_terms(inside.terms, R * quad.nodes)
     vo = eval_terms(outside.terms, R * quad.nodes)
     assert np.max(np.abs(vi - vo)) < 1e-12
@@ -245,17 +244,23 @@ def np_spectrum():
 
 
 def test_np_spectrum_contains_mapped_constants(np_spectrum, tables):
+    # the traces are exact, so every constant is matched to rounding
     eigs = np.array([e for e, _ in np_spectrum])
     params = LameParams(1.0, 1.0)
-    for n in (2, 3):
+    for n in range(2, 6):
         for c in plasmon_constants(params, n).as_tuple():
             target = np_eigenvalue_map(c)
-            assert np.min(np.abs(eigs - target)) < 2e-3, (n, c, target)
+            assert np.min(np.abs(eigs - target)) < 1e-10, (n, c, target)
 
 
 def test_np_spectrum_within_half(np_spectrum):
+    # K* maps densities whose single layer is a rigid rotation inside to half
+    # themselves: the three degree-1 toroidal modes sit at exactly 1/2
     eigs = np.array([e for e, _ in np_spectrum])
-    assert np.all(eigs > -0.5) and np.all(eigs < 0.5)
+    rigid = [(e, d) for e, d in np_spectrum if abs(e - 0.5) < 1e-12]
+    assert len(rigid) == 3 and all(d == 1 for _, d in rigid)
+    rest = eigs[np.abs(eigs - 0.5) >= 1e-12]
+    assert np.all(rest > -0.5) and np.all(rest < 0.5)
 
 
 def test_np_spectrum_scale_invariance(tables):
