@@ -7,13 +7,9 @@ variational bounds, including the critical source radius R^{3/2}.
 
 from .harmonics import (
     DerivativeTable,
-    HarmonicIndex,
-    SMatrixSet,
     SphereQuadrature,
     build_derivative_tables,
     build_quadrature,
-    build_s_matrices,
-    eval_Y,
     shared_quadrature,
     shared_tables,
     sph_harm_stack,

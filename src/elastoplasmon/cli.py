@@ -17,7 +17,7 @@ import json
 import math
 import sys
 
-from .harmonics import build_quadrature, ensure_tables, shared_tables
+from .harmonics import ensure_tables, shared_quadrature, shared_tables
 from .lame import LameParams
 from .energy import EnergyReport
 from .transmission import (
@@ -324,7 +324,7 @@ def _cmd_waves_check(args) -> int:
 
 def _cmd_np_spectrum(args) -> int:
     params = LameParams(args.lam, args.mu)
-    quad = build_quadrature(2 * args.nmax + 4)
+    quad = shared_quadrature(2 * args.nmax + 4)
     spec = np_galerkin_spectrum(args.R, params, args.nmax, quad)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
     targets = []
@@ -355,7 +355,7 @@ def _cmd_solve(args) -> int:
     med, src = configuration(delta)
     tables = ensure_tables(tables, max(src.degrees()) + 6)
     sols = solve_modes(med, src, tables)
-    quad = build_quadrature(cfg["quadrature_exactness"])
+    quad = shared_quadrature(cfg["quadrature_exactness"])
     rep = residual_check(sols, med, src, quad, tables)
     from .energy import dissipation_E
 

@@ -17,45 +17,27 @@ Conventions
   imaginary; the other two are real.
 * Entries come from the standard solid-harmonic gradient ladders in the
   Cartesian combinations ``d/dz``, ``d/dx +- i d/dy``.
+* Each degree's pair ``lower[n]``, ``raise_[n]`` is built and validated per
+  degree on first use: the quadrature self-test runs once per process for
+  every degree something reads, and never for a degree nothing reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import pi, sqrt
 
 import numpy as np
 
 __all__ = [
-    "HarmonicIndex",
     "SphereQuadrature",
     "DerivativeTable",
-    "SMatrixSet",
-    "eval_Y",
     "sph_harm_stack",
     "build_quadrature",
     "build_derivative_tables",
-    "build_s_matrices",
     "dmat",
 ]
-
-
-@dataclass(frozen=True)
-class HarmonicIndex:
-    """Degree/order pair with the stacking convention m = n, n-1, ..., -n."""
-
-    degree: int
-    order: int
-
-    def __post_init__(self):
-        if self.degree < 0 or abs(self.order) > self.degree:
-            raise ValueError(f"invalid harmonic index (n={self.degree}, m={self.order})")
-
-    @property
-    def position(self) -> int:
-        """Row of this order inside the stacked vector of its degree."""
-        return self.degree - self.order
 
 
 def _normalized_legendre_scaled(n_max: int, z: np.ndarray) -> np.ndarray:
@@ -109,33 +91,25 @@ def sph_harm_stack(n: int, xhat: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_Y(idx: HarmonicIndex, direction: np.ndarray) -> complex:
-    """Single orthonormal harmonic value at a unit direction.
-
-    Raises ``ValueError`` when the direction is not normalized to 1e-12.
-    """
-    direction = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
-        raise ValueError("direction must be a unit vector")
-    return complex(sph_harm_stack(idx.degree, direction)[idx.position])
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereQuadrature:
     """Product Gauss-Legendre (polar) x uniform (azimuthal) rule on S^2."""
 
     nodes: np.ndarray  # (N, 3) unit vectors
     weights: np.ndarray  # (N,), sums to 4 pi
     exactness: int
+    _harmonics: dict = field(default_factory=dict, init=False, repr=False)  # n -> Y_n at the nodes
 
     def integrate(self, values: np.ndarray) -> complex:
         """Integrate nodal samples; leading axis must match the node count."""
         return np.tensordot(self.weights, values, axes=(0, 0))
 
-    @lru_cache(maxsize=None)
     def harmonics(self, n: int) -> np.ndarray:
-        """Cached (N, 2n+1) table of Y_n at the nodes."""
-        return sph_harm_stack(n, self.nodes)
+        """(N, 2n+1) table of Y_n at the nodes, cached on this rule."""
+        Y = self._harmonics.get(n)
+        if Y is None:
+            Y = self._harmonics[n] = sph_harm_stack(n, self.nodes)
+        return Y
 
     def project(self, values: np.ndarray, n: int) -> np.ndarray:
         """Coefficients <values, Y_n^m> for m = n ... -n.
@@ -146,12 +120,6 @@ class SphereQuadrature:
         Yc = np.conj(self.harmonics(n))  # (N, 2n+1)
         wv = self.weights[:, None] * Yc  # (N, 2n+1)
         return np.tensordot(wv, values, axes=(0, 0))
-
-    def __hash__(self):  # needed for the lru_cache on self
-        return id(self)
-
-    def __eq__(self, other):
-        return self is other
 
 
 def build_quadrature(exactness: int) -> SphereQuadrature:
@@ -210,34 +178,80 @@ def _raise_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return Rx, Ry, Rz
 
 
+# degree n -> (lower[n], raise_[n]); lower[0] is None.  A degree enters only
+# after its quadrature self-test has passed.
+_DEGREES: dict[int, tuple] = {}
+
+
+def _degree(n: int) -> tuple:
+    """Both ladder families at degree n, built and self-tested on first request."""
+    pair = _DEGREES.get(n)
+    if pair is None:
+        pair = (_lower_matrices(n) if n >= 1 else None, _raise_matrices(n))
+        _self_test_degree(n, *pair)
+        for family in pair:
+            for D in family or ():
+                D.flags.writeable = False  # shared by every table in the process
+        _DEGREES[n] = pair
+    return pair
+
+
+class _Ladder(dict):
+    """Read-only view of one ladder family for degrees 0..n_max.
+
+    A degree not yet read through this view is taken from the process-wide
+    store, which builds and self-tests it on first request; later reads are
+    plain dict lookups.
+    """
+
+    __slots__ = ("n_max", "family")
+
+    def __init__(self, n_max: int, family: int):
+        super().__init__()
+        self.n_max = n_max
+        self.family = family  # 0: lower, 1: raise_
+
+    def __missing__(self, n: int):
+        if not 0 <= n <= self.n_max:
+            raise IndexError(f"degree {n} outside table range 0..{self.n_max}")
+        matrices = _degree(n)[self.family]
+        dict.__setitem__(self, n, matrices)
+        return matrices
+
+    def __setitem__(self, n, value):
+        raise TypeError("derivative tables are read-only")
+
+
 @dataclass(frozen=True)
 class DerivativeTable:
     """Solid-harmonic derivative matrices for degrees up to ``n_max``.
 
     ``lower[n][j]`` and ``raise_[n][j]`` hold the two defining families; all
     other index patterns used by the mode formulas are these families looked
-    up by (source degree, target degree), see :func:`dmat`.
+    up by (source degree, target degree), see :func:`dmat`.  ``n_max`` only
+    bounds the degrees that may be read; nothing is built until it is read.
     """
 
     n_max: int
-    lower: tuple  # lower[n] = (Dx, Dy, Dz), valid for 1 <= n <= n_max
-    raise_: tuple  # raise_[n] = (Dx, Dy, Dz), valid for 0 <= n <= n_max
+    lower: _Ladder = field(init=False, repr=False, compare=False)  # 1 <= n <= n_max
+    raise_: _Ladder = field(init=False, repr=False, compare=False)  # 0 <= n <= n_max
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", _Ladder(self.n_max, 0))
+        object.__setattr__(self, "raise_", _Ladder(self.n_max, 1))
 
 
-def build_derivative_tables(n_max: int, validate: bool = True) -> DerivativeTable:
-    """Populate both derivative families and run the build-time self-test.
+def build_derivative_tables(n_max: int) -> DerivativeTable:
+    """Derivative tables declared up to ``n_max``.
 
-    The self-test projects analytically evaluated surface gradients onto the
-    harmonic basis by quadrature and fails on disagreement above 1e-9.
+    Each degree's matrices are built when first read and pass the quadrature
+    self-test (analytic surface gradients projected onto the harmonic basis,
+    disagreement above 1e-9 raises ``AssertionError``) before they are
+    returned; the process keeps them for every later table.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    lower = (None,) + tuple(_lower_matrices(n) for n in range(1, n_max + 1))
-    raise_ = tuple(_raise_matrices(n) for n in range(0, n_max + 1))
-    table = DerivativeTable(n_max=n_max, lower=lower, raise_=raise_)
-    if validate:
-        _quadrature_self_test(table)
-    return table
+    return DerivativeTable(n_max=n_max)
 
 
 def dmat(table: DerivativeTable, src: int, dst: int, j: int) -> np.ndarray:
@@ -257,9 +271,8 @@ def dmat(table: DerivativeTable, src: int, dst: int, j: int) -> np.ndarray:
     raise ValueError(f"no derivative matrix maps degree {src} to {dst}")
 
 
-@lru_cache(maxsize=8)
 def shared_tables(n_max: int) -> DerivativeTable:
-    """Process-wide memoized tables (immutable, safe to share)."""
+    """Tables up to ``n_max`` over the process-wide per-degree matrices."""
     return build_derivative_tables(n_max)
 
 
@@ -270,36 +283,14 @@ def shared_quadrature(exactness: int) -> SphereQuadrature:
 
 
 def ensure_tables(tables: DerivativeTable | None, n_need: int) -> DerivativeTable:
-    """Tables covering degree ``n_need``, reusing or growing the shared set.
+    """``tables`` if it covers degree ``n_need``, else shared tables up to it.
 
-    Growth is quantized to multiples of 8 so deep loss schedules do not
-    rebuild tables at every step.
+    Nothing is built here: a degree costs its build and self-test only when
+    it is first read.
     """
     if tables is not None and tables.n_max >= n_need:
         return tables
-    return shared_tables(max(12, 8 * ((n_need + 7) // 8)))
-
-
-@dataclass(frozen=True)
-class SMatrixSet:
-    """The four degree-n products of two derivative matrices."""
-
-    n: int
-    s3: np.ndarray  # (2n+3, 2n-1), vanishes identically (Laplacian of a harmonic)
-    s4: np.ndarray  # (2n-1, 2n-1)
-    s5: np.ndarray  # (2n-1, 2n+3), vanishes identically
-    s6: np.ndarray  # (2n+3, 2n+3)
-
-
-def build_s_matrices(n: int, tables: DerivativeTable) -> SMatrixSet:
-    """Assemble s3..s6 as sums over j of the stated derivative products."""
-    if not (2 <= n <= tables.n_max - 1):
-        raise ValueError(f"degree {n} outside table range 2..{tables.n_max - 1}")
-    s3 = sum(dmat(tables, n + 1, n, j) @ dmat(tables, n, n - 1, j) for j in range(3))
-    s4 = sum(dmat(tables, n - 1, n, j) @ dmat(tables, n, n - 1, j) for j in range(3))
-    s5 = sum(dmat(tables, n - 1, n, j) @ dmat(tables, n, n + 1, j) for j in range(3))
-    s6 = sum(dmat(tables, n + 1, n, j) @ dmat(tables, n, n + 1, j) for j in range(3))
-    return SMatrixSet(n=n, s3=s3, s4=s4, s5=s5, s6=s6)
+    return shared_tables(n_need)
 
 
 def _surface_gradient_stack(n: int, nodes: np.ndarray) -> np.ndarray:
@@ -334,31 +325,30 @@ def _surface_gradient_stack(n: int, nodes: np.ndarray) -> np.ndarray:
     return grad
 
 
-def _quadrature_self_test(table: DerivativeTable, tol: float = 1e-9) -> None:
-    """Check every derivative matrix against quadrature-projected gradients."""
-    for n in range(1, table.n_max + 1):
-        quad = build_quadrature(2 * n + 4)
-        grad = _surface_gradient_stack(n, quad.nodes)  # (N, 2n+1, 3)
-        Y = quad.harmonics(n)
-        xh = quad.nodes
-        # d/dx_j [r^n Y_n] on S^2 = n xhat_j Y + tangential gradient component j
+def _self_test_degree(n: int, lower, raise_, tol: float = 1e-9) -> None:
+    """Check degree n's ladder matrices against quadrature-projected gradients.
+
+    Uses a fresh ``2n+4`` rule and evaluates the harmonics directly, so no
+    rule or table outlives the test.
+    """
+    if n == 0:
+        # degree 0 irregular: gradient of 1/(sqrt(4 pi) r)
+        quad = build_quadrature(6)
+        vals = -quad.nodes / sqrt(4.0 * pi)
+        wY1 = quad.weights[:, None] * np.conj(sph_harm_stack(1, quad.nodes))
         for j in range(3):
-            vals = n * xh[:, j : j + 1] * Y + grad[:, :, j]
-            proj = quad.project(vals, n - 1) if n >= 1 else None
-            ref = table.lower[n][j]
-            if np.max(np.abs(proj.T - ref)) > tol:
-                raise AssertionError(f"lower[{n}][{j}] fails quadrature self-test")
-        # d/dx_j [r^{-n-1} Y_n] on S^2 = -(n+1) xhat_j Y + tangential component
+            if np.max(np.abs(wY1.T @ vals[:, j] - raise_[j])) > tol:
+                raise AssertionError(f"raise_[0][{j}] fails quadrature self-test")
+        return
+    quad = build_quadrature(2 * n + 4)
+    xh = quad.nodes
+    grad = _surface_gradient_stack(n, xh)  # (N, 2n+1, 3)
+    Y = sph_harm_stack(n, xh)
+    # d/dx_j [r^n Y_n] on S^2 = n xhat_j Y + tangential gradient component j;
+    # d/dx_j [r^{-n-1} Y_n] on S^2 = -(n+1) xhat_j Y + tangential component
+    for name, ref, target, radial in (("lower", lower, n - 1, n), ("raise_", raise_, n + 1, -(n + 1))):
+        wY = quad.weights[:, None] * np.conj(sph_harm_stack(target, xh))  # (N, 2 target + 1)
         for j in range(3):
-            vals = -(n + 1) * xh[:, j : j + 1] * Y + grad[:, :, j]
-            proj = quad.project(vals, n + 1)
-            ref = table.raise_[n][j]
-            if np.max(np.abs(proj.T - ref)) > tol:
-                raise AssertionError(f"raise_[{n}][{j}] fails quadrature self-test")
-    # degree 0 irregular: gradient of 1/(sqrt(4 pi) r)
-    quad = build_quadrature(6)
-    vals = -quad.nodes / sqrt(4.0 * pi)
-    for j in range(3):
-        proj = quad.project(vals[:, j], 1)
-        if np.max(np.abs(proj.T - table.raise_[0][j])) > tol:
-            raise AssertionError(f"raise_[0][{j}] fails quadrature self-test")
+            vals = radial * xh[:, j : j + 1] * Y + grad[:, :, j]
+            if np.max(np.abs((wY.T @ vals).T - ref[j])) > tol:
+                raise AssertionError(f"{name}[{n}][{j}] fails quadrature self-test")

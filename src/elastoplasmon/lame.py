@@ -291,18 +291,25 @@ def interior_from_traction(R: float, traction: Sequence[tuple[int, np.ndarray]],
 
 
 def _neumann_to_dirichlet(Ap: np.ndarray, n: int, R: float, params: LameParams,
-                          tables: DerivativeTable, c: complex = 1.0) -> np.ndarray:
-    """Degree-n traction coefficients -> Dirichlet coefficients (tilde map).
+                          tables: DerivativeTable) -> np.ndarray:
+    """Degree-n traction coefficients -> Dirichlet coefficients (tilde map)."""
+    return _tilde_scale(n, R, params) * _tilde_unscaled(Ap, n, params, tables)
 
-    The optional ``c`` folds the shell multiplier of the transmission problem
-    into the inversion (traction divided by c).
-    """
+
+def _tilde_scale(n: int, R: float, params: LameParams, c: complex = 1.0) -> complex:
+    """Scalar factor of the tilde map; ``c`` folds in the shell multiplier of
+    the transmission problem (traction divided by c)."""
+    return R / ((n - 1) * c * params.mu)
+
+
+def _tilde_unscaled(Ap: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
+    """The radius- and multiplier-free part of the tilde map."""
     Ap = np.asarray(Ap, dtype=complex)
     cst = mode_constants(params, n)
     t4 = sum(Ap[j] @ tables.lower[n][j] for j in range(3))
     t5 = sum(Ap[j] @ tables.raise_[n][j] for j in range(3))
     extra = cst.s1_n * stack_rows(t4, tables.raise_[n - 1]) + cst.s2_n * stack_rows(t5, tables.lower[n + 1])
-    return (R / ((n - 1) * c * params.mu)) * (Ap + extra)
+    return Ap + extra
 
 
 def exterior_traction_coeffs(G: np.ndarray, n: int, R: float, params: LameParams,

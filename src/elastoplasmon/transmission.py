@@ -37,7 +37,7 @@ from .lame import (
     t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import assemble_H, plasmon_constants, plasmon_kernel, sector_basis
+from .waves import matching_problems, plasmon_constants, plasmon_kernel, sector_basis
 
 __all__ = [
     "LayeredMedium",
@@ -103,10 +103,10 @@ def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[in
     key = (params.lam, params.mu, n)
     if key not in _KERNEL_CACHE:
         tables = ensure_tables(tables, n + 4)
-        zetas = plasmon_constants(params, n)
+        problems = matching_problems(n, params, plasmon_constants(params, n).as_tuple(), tables)
         _KERNEL_CACHE[key] = {
-            fam: plasmon_kernel(assemble_H(n, params, c, tables), sector=sector_basis(n, fam, tables))
-            for fam, c in enumerate(zetas.as_tuple(), start=1)
+            fam: plasmon_kernel(prob, sector=sector_basis(n, fam, tables))
+            for fam, prob in enumerate(problems, start=1)
         }
     return _KERNEL_CACHE[key]
 

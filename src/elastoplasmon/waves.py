@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import DerivativeTable, SphereQuadrature, build_quadrature, ensure_tables
+from .harmonics import DerivativeTable, SphereQuadrature, ensure_tables, shared_quadrature
 from .lame import (
     LameParams,
     ModeField,
@@ -34,8 +34,9 @@ from .lame import (
     t1_vector,
     t3_vector,
     traction_coeffs,
-    _neumann_to_dirichlet,
     _second_derivative_terms,
+    _tilde_scale,
+    _tilde_unscaled,
 )
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "PerfectWave",
     "plasmon_constants",
     "assemble_H",
+    "matching_problems",
     "plasmon_kernel",
     "sector_basis",
     "perfect_wave",
@@ -123,22 +125,37 @@ def assemble_H(n: int, params: LameParams, c: float, tables: DerivativeTable,
     its closed-form surface traction, and the traction-to-displacement
     inversion carrying the multiplier c.
     """
+    return matching_problems(n, params, (c,), tables, R)[0]
+
+
+def matching_problems(n: int, params: LameParams, cs, tables: DerivativeTable,
+                      R: float = 1.0) -> list[PlasmonEigenProblem]:
+    """:func:`assemble_H` at each multiplier in ``cs`` from one assembly.
+
+    Only the scalar of the traction inversion depends on c, so the columns of
+    the displacement ``D`` and of the c-free inversion ``X`` are built once and
+    the matching matrix at c is ``D - s(c) X``.
+    """
     if n < 2:
         raise ValueError("assemble_H needs n >= 2")
-    if c == 0:
+    if any(c == 0 for c in cs):
         raise ValueError("multiplier c = 0 makes the traction inversion singular")
     tables = ensure_tables(tables, n + 4)
     N = 3 * (2 * n + 1)
-    M = np.zeros((N, N), dtype=complex)
+    D = np.zeros((N, N), dtype=complex)
+    X = np.zeros((N, N), dtype=complex)
     for a in range(N):
         E = _unvec(np.eye(N)[a], n)
-        disp = E / R ** (n + 1)
+        D[:, a] = _vec(E / R ** (n + 1))
         trac_n = exterior_traction_coeffs(E, n, R, params, tables)[n]
-        tilde = _neumann_to_dirichlet(trac_n, n, R, params, tables, c=c)
-        M[:, a] = _vec(disp - tilde)
-    prob = PlasmonEigenProblem(n=n, c=c, R=R, params=params, H=M.T)
-    prob.singular_values = np.linalg.svd(M, compute_uv=False)
-    return prob
+        X[:, a] = _vec(_tilde_unscaled(trac_n, n, params, tables))
+    problems = []
+    for c in cs:
+        M = D - _tilde_scale(n, R, params, c) * X
+        prob = PlasmonEigenProblem(n=n, c=c, R=R, params=params, H=M.T)
+        prob.singular_values = np.linalg.svd(M, compute_uv=False)
+        problems.append(prob)
+    return problems
 
 
 def _flip_matrix(n: int) -> np.ndarray:
@@ -293,7 +310,7 @@ def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: Derivativ
     """
     n, R, c = wave.n, wave.R, wave.c
     if quad is None:
-        quad = build_quadrature(2 * n + 8)
+        quad = shared_quadrature(2 * n + 8)
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n_points, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]

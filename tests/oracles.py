@@ -5,6 +5,10 @@ differences, ``real_terms``/``imag_terms`` split a complex field into the
 terms of its real and imaginary parts, and ``dissipation_imaginary`` reads
 the dissipation off the imaginary part of the complex-moduli energy.
 
+``HarmonicIndex``/``eval_Y`` read one harmonic at one direction, and
+``build_s_matrices`` forms the four degree-n products of two derivative
+matrices (two of which vanish identically).
+
 ``window_solve`` is the matrix route the sector solve replaced: every entry
 of every 3(2d+1) coefficient block on the degree window (n-2, n, n+2) is an
 unknown, each column costs one ``traction_coeffs_algebraic`` call per
@@ -17,12 +21,13 @@ sector solve.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from elastoplasmon.energy import pairing_P
-from elastoplasmon.harmonics import DerivativeTable, SphereQuadrature, ensure_tables
+from elastoplasmon.harmonics import DerivativeTable, SphereQuadrature, dmat, ensure_tables, sph_harm_stack
 from elastoplasmon.lame import (
     LameParams,
     ModeField,
@@ -258,3 +263,53 @@ def dissipation_imaginary(solutions, medium: LayeredMedium, tables: DerivativeTa
             weights[(reg.r_lo, reg.r_hi)] = reg.weight
     return sum(0.5 * float(np.imag(weights[key] * pairing_P(terms, terms, *key, medium.base, tables)))
                for key, terms in merged.items() if terms)
+
+
+@dataclass(frozen=True)
+class HarmonicIndex:
+    """Degree/order pair with the stacking convention m = n, n-1, ..., -n."""
+
+    degree: int
+    order: int
+
+    def __post_init__(self):
+        if self.degree < 0 or abs(self.order) > self.degree:
+            raise ValueError(f"invalid harmonic index (n={self.degree}, m={self.order})")
+
+    @property
+    def position(self) -> int:
+        """Row of this order inside the stacked vector of its degree."""
+        return self.degree - self.order
+
+
+def eval_Y(idx: HarmonicIndex, direction: np.ndarray) -> complex:
+    """Single orthonormal harmonic value at a unit direction.
+
+    Raises ``ValueError`` when the direction is not normalized to 1e-12.
+    """
+    direction = np.asarray(direction, dtype=float)
+    if abs(np.linalg.norm(direction) - 1.0) > 1e-12:
+        raise ValueError("direction must be a unit vector")
+    return complex(sph_harm_stack(idx.degree, direction)[idx.position])
+
+
+@dataclass(frozen=True)
+class SMatrixSet:
+    """The four degree-n products of two derivative matrices."""
+
+    n: int
+    s3: np.ndarray  # (2n+3, 2n-1), vanishes identically (Laplacian of a harmonic)
+    s4: np.ndarray  # (2n-1, 2n-1)
+    s5: np.ndarray  # (2n-1, 2n+3), vanishes identically
+    s6: np.ndarray  # (2n+3, 2n+3)
+
+
+def build_s_matrices(n: int, tables: DerivativeTable) -> SMatrixSet:
+    """Assemble s3..s6 as sums over j of the stated derivative products."""
+    if not (2 <= n <= tables.n_max - 1):
+        raise ValueError(f"degree {n} outside table range 2..{tables.n_max - 1}")
+    s3 = sum(dmat(tables, n + 1, n, j) @ dmat(tables, n, n - 1, j) for j in range(3))
+    s4 = sum(dmat(tables, n - 1, n, j) @ dmat(tables, n, n - 1, j) for j in range(3))
+    s5 = sum(dmat(tables, n - 1, n, j) @ dmat(tables, n, n + 1, j) for j in range(3))
+    s6 = sum(dmat(tables, n + 1, n, j) @ dmat(tables, n, n + 1, j) for j in range(3))
+    return SMatrixSet(n=n, s3=s3, s4=s4, s5=s5, s6=s6)

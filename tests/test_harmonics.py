@@ -2,23 +2,28 @@
 
 The derivative matrices are validated against 5-point central finite
 differences of independently evaluated solid harmonics; quadrature exactness
-is checked through Gram matrices.
+is checked through Gram matrices.  The per-degree store is checked for its
+invariant: a matrix is returned only after its degree's self-test passed,
+each degree is tested once, and only degrees that are read are tested.
 """
 
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from elastoplasmon import harmonics
 from elastoplasmon.harmonics import (
-    HarmonicIndex,
     build_derivative_tables,
     build_quadrature,
-    build_s_matrices,
     dmat,
-    eval_Y,
+    ensure_tables,
     sph_harm_stack,
 )
+from oracles import HarmonicIndex, build_s_matrices, eval_Y
 
 
 def test_constant_harmonic():
@@ -61,6 +66,15 @@ def test_orthonormality_gram():
     assert abs(v33 - 1.0) < 1e-10
     cross = q.project(q.harmonics(2)[:, 2], 3)  # Y_2^0 against degree 3
     assert np.max(np.abs(cross)) < 1e-10
+
+
+def test_rule_is_freed_with_its_harmonics():
+    q = build_quadrature(10)
+    assert q.harmonics(3) is q.harmonics(3)
+    ref = weakref.ref(q)
+    del q
+    gc.collect()
+    assert ref() is None
 
 
 def test_stacking_order_is_descending_m():
@@ -147,7 +161,70 @@ def test_harmonicity_of_solid_harmonics(tables12):
 
 
 def test_build_time_self_test_runs():
-    build_derivative_tables(3, validate=True)
+    # the self-test of each degree runs when the degree is first read
+    tables = build_derivative_tables(3)
+    assert all(tables.raise_[n] is not None for n in range(4))
+    assert all(tables.lower[n] is not None for n in range(1, 4))
+    with pytest.raises(IndexError):
+        tables.lower[4]
+
+
+@pytest.fixture
+def self_tests(monkeypatch):
+    """An empty per-degree store; counts the self-tests run into it.
+
+    The counted self-test is not run (the matrices are the genuine ones and
+    the store is discarded after the test), which keeps degree 40 cheap.
+    """
+    counts = Counter()
+    monkeypatch.setattr(harmonics, "_DEGREES", {})
+    monkeypatch.setattr(harmonics, "_self_test_degree", lambda n, *pair: counts.update([n]))
+    return counts
+
+
+def test_corrupt_degree_fails_on_first_read_and_is_not_kept(monkeypatch):
+    monkeypatch.setattr(harmonics, "_DEGREES", {})
+    good = harmonics._raise_matrices
+
+    def corrupt(n):
+        Rx, Ry, Rz = good(n)
+        if n == 7:
+            Ry = Ry.copy()
+            Ry[3, 5] += 1e-7
+        return Rx, Ry, Rz
+
+    monkeypatch.setattr(harmonics, "_raise_matrices", corrupt)
+    tables = build_derivative_tables(12)
+    assert tables.raise_[6][1].shape == (13, 15)
+    with pytest.raises(AssertionError, match=r"raise_\[7\]\[1\]"):
+        tables.raise_[7]
+    assert 7 not in harmonics._DEGREES
+    with pytest.raises(AssertionError):  # not served on a second read either
+        tables.lower[7]
+    monkeypatch.setattr(harmonics, "_raise_matrices", good)
+    assert np.array_equal(tables.raise_[7][1], good(7)[1])
+    assert 7 in harmonics._DEGREES
+
+
+def test_growing_tables_tests_each_degree_once(self_tests):
+    small = ensure_tables(None, 12)
+    for n in range(1, 13):
+        small.lower[n], small.raise_[n]
+    big = ensure_tables(small, 40)
+    assert (small.n_max, big.n_max) == (12, 40)
+    for t in (small, big):
+        for n in range(1, t.n_max + 1):
+            t.lower[n], t.raise_[n], dmat(t, n, n - 1, 2)
+    assert self_tests == Counter(range(1, 41))
+    with pytest.raises(ValueError):  # matrices shared by every table stay as tested
+        big.lower[5][0][0, 0] = 1.0
+
+
+def test_reading_degree_28_tests_nothing_above(self_tests):
+    tables = ensure_tables(None, 40)
+    assert not self_tests
+    tables.lower[28], tables.raise_[28], dmat(tables, 28, 29, 0)
+    assert self_tests == Counter([28])
 
 
 def test_dmat_reindexing(tables12):
