@@ -58,7 +58,6 @@ from .energy import (
     functional_J,
     pairing_P,
     pairing_P_pieces,
-    volumetric_P,
 )
 from .scenarios import (
     Piece,

@@ -31,7 +31,6 @@ __all__ = [
     "functional_I",
     "functional_J",
     "source_pairing",
-    "volumetric_P",
 ]
 
 from dataclasses import dataclass
@@ -208,37 +207,3 @@ def functional_J(v_pieces: Sequence | None, psi_pieces: Sequence, source, delta:
             total -= 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params, tables)))
     return total
 
-
-def volumetric_P(u_pieces: Sequence, params: LameParams, tables: DerivativeTable,
-                 r_cut: float = 30.0, n_radial: int = 60) -> tuple[float, float]:
-    """Quadrature-in-radius oracle for P(u,u); returns (value, tail bound).
-
-    Radial Gauss-Legendre panels replace the closed-form power integrals on
-    each bounded piece (the exterior is truncated at ``r_cut``); the reported
-    tail is the closed-form remainder beyond the cut, so value + tail should
-    match :func:`pairing_P_pieces` within the panel accuracy.
-    """
-    from .lame import grad_terms
-
-    total = 0.0
-    tail = 0.0
-    lam, mu = params.lam, params.mu
-    for piece in u_pieces:
-        if not piece.terms:
-            continue
-        dmax = max(t.degree for t in piece.terms)
-        tables = ensure_tables(tables, dmax + 2)
-        quad = shared_quadrature(2 * dmax + 6)
-        hi = min(piece.r_hi, r_cut)
-        t, wt = np.polynomial.legendre.leggauss(n_radial)
-        rr = 0.5 * (piece.r_lo + hi) + 0.5 * (hi - piece.r_lo) * t
-        wr = 0.5 * (hi - piece.r_lo) * wt
-        for r, w in zip(rr, wr):
-            g = grad_terms(piece.terms, r * quad.nodes, tables)
-            sym = 0.5 * (g + np.swapaxes(g, 1, 2))
-            div = np.trace(g, axis1=1, axis2=2)
-            dens = lam * np.abs(div) ** 2 + 2.0 * mu * np.einsum("nij,nij->n", sym, np.conj(sym)).real
-            total += w * r**2 * float(np.real(quad.integrate(dens)))
-        if math.isinf(piece.r_hi):
-            tail += float(np.real(pairing_P(piece.terms, piece.terms, r_cut, math.inf, params, tables)))
-    return total, tail

@@ -7,6 +7,9 @@ Conventions
   Condon-Shortley phase, so ``int_{S^2} Y_n^m conj(Y_n'^m') = delta delta``.
 * Stacked vectors ``Y_n(xhat)`` hold the orders in descending sequence
   ``m = n, n-1, ..., -n``;  position ``i`` stores order ``m = n - i``.
+  They come from the scaled Legendre recurrence stepped over degrees,
+  vectorised over the order and holding two rows at a time; the self-test of
+  degree n reads Y_{n-1}, Y_n and Y_{n+1} off one such recurrence.
 * ``r^n Y_n`` (regular) and ``r^{-n-1} Y_n`` (irregular) solid harmonics obey
 
       d/dx_j [r^n     Y_n] = lower[n][j]  . r^{n-1} Y_{n-1}
@@ -40,26 +43,51 @@ __all__ = [
 ]
 
 
-def _normalized_legendre_scaled(n_max: int, z: np.ndarray) -> np.ndarray:
-    """Scaled associated Legendre table A[n, m] with Y_n^m = A[n,m] (x+iy)^m.
+def _legendre_rows(n_max: int, z: np.ndarray):
+    """Rows ``A[0], A[1], ..., A[n_max]`` of the scaled associated Legendre table.
 
-    ``A[n, m] = Pbar_n^m(z) / sin(theta)^m`` for m >= 0, where ``Pbar`` is the
-    orthonormalized function including the Condon-Shortley phase.  Scaling by
-    ``sin^m`` keeps the recurrence pole-free.
+    ``A[n][m] = Pbar_n^m(z) / sin(theta)^m`` for ``0 <= m <= n``, where
+    ``Pbar`` is the orthonormalized function including the Condon-Shortley
+    phase, so ``Y_n^m = A[n][m] (x+iy)^m``.  Scaling by ``sin^m`` keeps the
+    recurrence pole-free.  Each step is vectorised over m and keeps only the
+    two previous rows.
     """
     z = np.asarray(z, dtype=float)
-    A = np.zeros((n_max + 1, n_max + 1) + z.shape)
-    A[0, 0] = 1.0 / sqrt(4.0 * pi)
-    for m in range(1, n_max + 1):
-        A[m, m] = -sqrt((2 * m + 1) / (2.0 * m)) * A[m - 1, m - 1]
-    for m in range(0, n_max):
-        A[m + 1, m] = sqrt(2 * m + 3.0) * z * A[m, m]
-    for m in range(0, n_max + 1):
-        for n in range(m + 2, n_max + 1):
-            c1 = sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
-            c2 = sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
-            A[n, m] = c1 * (z * A[n - 1, m] - c2 * A[n - 2, m])
-    return A
+    prev = None
+    row = np.full((1,) + z.shape, 1.0 / sqrt(4.0 * pi))
+    yield row
+    for n in range(1, n_max + 1):
+        new = np.empty((n + 1,) + z.shape)
+        if n >= 2:
+            m = np.arange(n - 1).reshape((n - 1,) + (1,) * z.ndim)
+            c1 = np.sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+            c2 = np.sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+            new[: n - 1] = c1 * (z * row[: n - 1] - c2 * prev[: n - 1])
+        new[n - 1] = sqrt(2 * n + 1.0) * z * row[n - 1]
+        new[n] = -sqrt((2 * n + 1) / (2.0 * n)) * row[n - 1]
+        prev, row = row, new
+        yield row
+
+
+def _stack_row(n: int, A_n: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Stacked Y_n (orders m = n ... -n) from the Legendre row ``A_n`` and u = x + iy."""
+    out = np.zeros(u.shape + (2 * n + 1,), dtype=complex)
+    upow = np.ones_like(u)
+    for m in range(0, n + 1):
+        ym = A_n[m] * upow
+        out[..., n - m] = ym
+        if m > 0:
+            out[..., n + m] = (-1) ** m * np.conj(ym)
+        upow = upow * u
+    return out
+
+
+def _sph_harm_stacks(degrees: range, xhat: np.ndarray) -> dict[int, np.ndarray]:
+    """Stacked Y_d for each d in ``degrees`` from one Legendre recurrence."""
+    xhat = np.asarray(xhat, dtype=float)
+    u = xhat[..., 0] + 1j * xhat[..., 1]
+    return {d: _stack_row(d, A, u) for d, A in enumerate(_legendre_rows(degrees[-1], xhat[..., 2]))
+            if d in degrees}
 
 
 def sph_harm_stack(n: int, xhat: np.ndarray) -> np.ndarray:
@@ -76,19 +104,7 @@ def sph_harm_stack(n: int, xhat: np.ndarray) -> np.ndarray:
     -------
     array, shape (..., 2n+1), complex
     """
-    xhat = np.asarray(xhat, dtype=float)
-    x, y, z = xhat[..., 0], xhat[..., 1], xhat[..., 2]
-    A = _normalized_legendre_scaled(n, z)
-    u = x + 1j * y
-    out = np.zeros(z.shape + (2 * n + 1,), dtype=complex)
-    upow = np.ones_like(u)
-    for m in range(0, n + 1):
-        ym = A[n, m] * upow
-        out[..., n - m] = ym
-        if m > 0:
-            out[..., n + m] = (-1) ** m * np.conj(ym)
-        upow = upow * u
-    return out
+    return _sph_harm_stacks(range(n, n + 1), xhat)[n]
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,18 +309,20 @@ def ensure_tables(tables: DerivativeTable | None, n_need: int) -> DerivativeTabl
     return shared_tables(n_need)
 
 
-def _surface_gradient_stack(n: int, nodes: np.ndarray) -> np.ndarray:
+def _surface_gradient_stack(n: int, nodes: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
     """Cartesian gradient of Y_n on the unit sphere, shape (N, 2n+1, 3).
 
     Uses the theta/phi ladder, independent of the solid ladders above:
     ``dY/dtheta = m cot(theta) Y_n^m + sqrt((n-m)(n+m+1)) e^{-i phi} Y_n^{m+1}``.
+    ``Y`` is Y_n at the nodes when the caller already has it.
     """
     x, y, z = nodes[:, 0], nodes[:, 1], nodes[:, 2]
     st = np.sqrt(np.maximum(1.0 - z**2, 0.0))
     safe = st > 1e-13
     inv_st = np.where(safe, 1.0 / np.where(safe, st, 1.0), 0.0)
     eiphi = np.where(safe, (x + 1j * y) * inv_st, 1.0)
-    Y = sph_harm_stack(n, nodes)  # (N, 2n+1)
+    if Y is None:
+        Y = sph_harm_stack(n, nodes)  # (N, 2n+1)
     dY_dtheta = np.zeros_like(Y)
     dY_dphi = np.zeros_like(Y)
     for m in range(-n, n + 1):
@@ -328,8 +346,8 @@ def _surface_gradient_stack(n: int, nodes: np.ndarray) -> np.ndarray:
 def _self_test_degree(n: int, lower, raise_, tol: float = 1e-9) -> None:
     """Check degree n's ladder matrices against quadrature-projected gradients.
 
-    Uses a fresh ``2n+4`` rule and evaluates the harmonics directly, so no
-    rule or table outlives the test.
+    Uses a fresh ``2n+4`` rule and evaluates Y_{n-1}, Y_n and Y_{n+1} directly
+    from one Legendre recurrence, so no rule or table outlives the test.
     """
     if n == 0:
         # degree 0 irregular: gradient of 1/(sqrt(4 pi) r)
@@ -342,12 +360,13 @@ def _self_test_degree(n: int, lower, raise_, tol: float = 1e-9) -> None:
         return
     quad = build_quadrature(2 * n + 4)
     xh = quad.nodes
-    grad = _surface_gradient_stack(n, xh)  # (N, 2n+1, 3)
-    Y = sph_harm_stack(n, xh)
+    Ys = _sph_harm_stacks(range(n - 1, n + 2), xh)
+    Y = Ys[n]
+    grad = _surface_gradient_stack(n, xh, Y)  # (N, 2n+1, 3)
     # d/dx_j [r^n Y_n] on S^2 = n xhat_j Y + tangential gradient component j;
     # d/dx_j [r^{-n-1} Y_n] on S^2 = -(n+1) xhat_j Y + tangential component
     for name, ref, target, radial in (("lower", lower, n - 1, n), ("raise_", raise_, n + 1, -(n + 1))):
-        wY = quad.weights[:, None] * np.conj(sph_harm_stack(target, xh))  # (N, 2 target + 1)
+        wY = quad.weights[:, None] * np.conj(Ys[target])  # (N, 2 target + 1)
         for j in range(3):
             vals = radial * xh[:, j : j + 1] * Y + grad[:, :, j]
             if np.max(np.abs((wY.T @ vals).T - ref[j])) > tol:

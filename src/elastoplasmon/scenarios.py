@@ -75,7 +75,9 @@ def schedule_n_delta(R: float, delta: float) -> int:
         raise ValueError("schedule needs R > 1")
     if delta >= 1:
         return 2
-    n = max(1, math.floor(math.log(1.0 / delta) / math.log(R)))
+    # a first guess only; the loops below make n exact.  -log(delta) stays
+    # finite where 1/delta overflows (subnormal delta)
+    n = max(1, math.floor(-math.log(delta) / math.log(R)))
     while R ** (-n) >= delta:
         n += 1
     while n > 1 and R ** (-(n - 1)) < delta:
@@ -139,22 +141,6 @@ def _fixed_c_radial_solve(n: int, c: float, r_c: float, r_e: float, q: float,
     if abs(e6) < 1e-14:
         raise ArithmeticError(f"witness degenerate at degree {n}: jump scalar vanishes")
     return e, float(e6)
-
-
-def fixed_c_closed_forms(n: int, c: float, r_e: float, q: float) -> tuple[float, ...]:
-    """Published closed forms of e1..e5 (material-free)."""
-    e1 = (n - 1 + c * (n + 2)) / (c * (2 * n + 1))
-    e2 = (c - 1) * (n - 1) / (c * (2 * n + 1))
-    re = r_e ** (2 * n + 1)
-    e3 = (-((c - 1) ** 2) * (n**2 + n - 2) + (2 + c * (n - 1) + n) * (n - 1 + c * (n + 2)) * re) / (
-        c * (2 * n + 1) ** 2 * re
-    )
-    e4 = -(c - 1) * (n - 1) * (c * (n + 2) + n - 1) * (re - 1) / (c * (2 * n + 1) ** 2)
-    e5 = (
-        -(c - 1) * (n - 1) * (n - 1 + c * (n + 2)) * (re - 1)
-        + q ** (2 * n + 1) * (-((c - 1) ** 2) * (n**2 + n - 2) / re + (2 + c * (n - 1) + n) * (n - 1 + c * (n + 2)))
-    ) / (c * (2 * n + 1) ** 2)
-    return (e1, e2, e3, e4, e5)
 
 
 def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequence[float]) -> list[Piece]:

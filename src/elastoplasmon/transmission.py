@@ -14,6 +14,10 @@ of a few fixed shapes per family, and the interface conditions
 traction jump across the source sphere) form a small overdetermined but
 consistent system in their amplitudes: the *sector solve*.  A pure family-1
 source collapses to one scalar system per interface.
+
+Sources are expanded in the kernel basis of each degree, which is each
+family's sector itself (:func:`kernel_basis`); the matching map is applied
+to one combination per family as a check, never assembled.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .lame import (
     t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import matching_problems, plasmon_constants, plasmon_kernel, sector_basis
+from .waves import matching_defect, plasmon_constants, sector_kernels
 
 __all__ = [
     "LayeredMedium",
@@ -97,17 +101,25 @@ _KERNEL_CACHE: dict = {}
 def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[int, list[np.ndarray]]:
     """Self-conjugate orthonormal kernel matrices per family at degree n.
 
-    Each family's null space is taken inside its own angular-momentum sector,
-    so families stay pure where two plasmon constants coincide.
+    Each family's kernel is its whole angular-momentum sector
+    (:func:`~elastoplasmon.waves.sector_kernels`), so families stay pure where
+    two plasmon constants coincide.  One fixed combination of each family's
+    kernels must pass the matching map at the family's plasmon constant to a
+    relative defect of 1e-9, else ``AssertionError``.
     """
     key = (params.lam, params.mu, n)
     if key not in _KERNEL_CACHE:
         tables = ensure_tables(tables, n + 4)
-        problems = matching_problems(n, params, plasmon_constants(params, n).as_tuple(), tables)
-        _KERNEL_CACHE[key] = {
-            fam: plasmon_kernel(prob, sector=sector_basis(n, fam, tables))
-            for fam, prob in enumerate(problems, start=1)
-        }
+        out = {}
+        for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), start=1):
+            kers = sector_kernels(n, fam, tables)
+            probe = sum(w * K for w, K in zip(np.linspace(1.0, 2.0, len(kers)), kers))
+            defect = matching_defect(probe, n, params, c, tables)
+            if not defect <= 1e-9:
+                raise AssertionError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
+                                     f"(matching defect {defect:.3e})")
+            out[fam] = kers
+        _KERNEL_CACHE[key] = out
     return _KERNEL_CACHE[key]
 
 

@@ -5,8 +5,13 @@ coefficient matrix G.  Matching the Dirichlet data of the interior solution
 obtained from the surface displacement against the one obtained from the
 surface traction (divided by the shell multiplier c) yields a square linear
 map on G; its null space is nontrivial exactly at the three plasmon
-constants.  Null bases are rotated to self-conjugate matrices, so every
-returned kernel generates a real-valued field G Y_n.
+constants.  Each null space is a whole total-angular-momentum sector of G Y_n
+(J = n, n-1, n+1 for families 1, 2, 3), so :func:`sector_kernels` reads the
+kernels off the t1/t3 maps without the matching map, and
+:func:`matching_defect` applies the map to one matrix to check them;
+:func:`assemble_H` and :func:`plasmon_kernel` build the full map and its
+null space.  Kernel bases are rotated to self-conjugate matrices, so every
+kernel generates a real-valued field G Y_n.
 
 The Neumann-Poincare route is independent: densities e_j Y_n^m on the sphere
 are convolved with the Kelvin matrix through exact radial factors of the
@@ -45,9 +50,9 @@ __all__ = [
     "PerfectWave",
     "plasmon_constants",
     "assemble_H",
-    "matching_problems",
+    "matching_defect",
     "plasmon_kernel",
-    "sector_basis",
+    "sector_kernels",
     "perfect_wave",
     "verify_perfect_wave",
     "np_eigenvalue_map",
@@ -121,24 +126,14 @@ def assemble_H(n: int, params: LameParams, c: float, tables: DerivativeTable,
     """Displacement-match composed with traction expansion and inversion.
 
     Columns are produced by pushing basis coefficient matrices through the
-    degree-n building blocks: surface displacement of the irregular block,
-    its closed-form surface traction, and the traction-to-displacement
-    inversion carrying the multiplier c.
-    """
-    return matching_problems(n, params, (c,), tables, R)[0]
-
-
-def matching_problems(n: int, params: LameParams, cs, tables: DerivativeTable,
-                      R: float = 1.0) -> list[PlasmonEigenProblem]:
-    """:func:`assemble_H` at each multiplier in ``cs`` from one assembly.
-
-    Only the scalar of the traction inversion depends on c, so the columns of
-    the displacement ``D`` and of the c-free inversion ``X`` are built once and
-    the matching matrix at c is ``D - s(c) X``.
+    degree-n building blocks: surface displacement of the irregular block
+    (``D``), its closed-form surface traction followed by the c-free part of
+    the traction-to-displacement inversion (``X``); the matching matrix is
+    ``D - s(c) X`` with the scalar ``s(c)`` of the inversion.
     """
     if n < 2:
         raise ValueError("assemble_H needs n >= 2")
-    if any(c == 0 for c in cs):
+    if c == 0:
         raise ValueError("multiplier c = 0 makes the traction inversion singular")
     tables = ensure_tables(tables, n + 4)
     N = 3 * (2 * n + 1)
@@ -147,42 +142,48 @@ def matching_problems(n: int, params: LameParams, cs, tables: DerivativeTable,
     for a in range(N):
         E = _unvec(np.eye(N)[a], n)
         D[:, a] = _vec(E / R ** (n + 1))
-        trac_n = exterior_traction_coeffs(E, n, R, params, tables)[n]
-        X[:, a] = _vec(_tilde_unscaled(trac_n, n, params, tables))
-    problems = []
-    for c in cs:
-        M = D - _tilde_scale(n, R, params, c) * X
-        prob = PlasmonEigenProblem(n=n, c=c, R=R, params=params, H=M.T)
-        prob.singular_values = np.linalg.svd(M, compute_uv=False)
-        problems.append(prob)
-    return problems
+        X[:, a] = _vec(_inversion(E, n, R, params, tables))
+    M = D - _tilde_scale(n, R, params, c) * X
+    prob = PlasmonEigenProblem(n=n, c=c, R=R, params=params, H=M.T)
+    prob.singular_values = np.linalg.svd(M, compute_uv=False)
+    return prob
 
 
-def _flip_matrix(n: int) -> np.ndarray:
-    m = n - np.arange(2 * n + 1)
-    F = np.zeros((2 * n + 1, 2 * n + 1))
-    F[np.arange(2 * n + 1), n + m] = (-1.0) ** m
-    return F
+def _inversion(G: np.ndarray, n: int, R: float, params: LameParams, tables: DerivativeTable) -> np.ndarray:
+    """c-free interior Dirichlet data recovered from the block's surface traction."""
+    return _tilde_unscaled(exterior_traction_coeffs(G, n, R, params, tables)[n], n, params, tables)
+
+
+def matching_defect(G: np.ndarray, n: int, params: LameParams, c: float, tables: DerivativeTable,
+                    R: float = 1.0) -> float:
+    """Relative defect ``|D G - s(c) X G| / (|D G| + |s(c) X G|)`` of one matrix.
+
+    The matching map of :func:`assemble_H` applied to ``G`` alone: it reads
+    about machine precision for a kernel matrix at its plasmon constant.
+    """
+    d = np.asarray(G, dtype=complex) / R ** (n + 1)
+    sx = _tilde_scale(n, R, params, c) * _inversion(G, n, R, params, tables)
+    return float(np.linalg.norm(d - sx) / (np.linalg.norm(d) + np.linalg.norm(sx)))
 
 
 def _conj_kernel(G: np.ndarray) -> np.ndarray:
-    """Antiunitary map fixing matrices whose field G Y_n is real-valued."""
-    n = (G.shape[1] - 1) // 2
-    return np.conj(G) @ _flip_matrix(n)
+    """Antiunitary map fixing matrices whose field G Y_n is real-valued.
+
+    ``conj(Y_n^m) = (-1)^m Y_n^{-m}``, so the map conjugates, reverses the
+    order axis (the last) and signs odd orders.
+    """
+    n = (G.shape[-1] - 1) // 2
+    return np.conj(G)[..., ::-1] * (-1.0) ** (n - np.arange(2 * n + 1))
 
 
-def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9,
-                   sector: np.ndarray | None = None) -> list[np.ndarray]:
+def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9) -> list[np.ndarray]:
     """Orthonormal self-conjugate basis of the null space of the matching map.
 
-    With ``sector`` (orthonormal columns, see :func:`sector_basis`) the null
-    space is taken inside that subspace, which keeps the families apart where
-    two plasmon constants coincide.  Raises ``ValueError`` with the smallest
-    residual singular value when the multiplier is not a plasmon constant.
+    Raises ``ValueError`` with the smallest residual singular value when the
+    multiplier is not a plasmon constant.
     """
     n = problem.n
-    Q = np.eye(problem.H.shape[0]) if sector is None else sector
-    U, s, Vh = np.linalg.svd(problem.H.T @ Q)
+    U, s, Vh = np.linalg.svd(problem.H.T)
     smax = problem.singular_values[0]
     keep = s < rel_tol * smax
     if not np.any(keep):
@@ -190,23 +191,25 @@ def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9,
             f"no kernel at c={problem.c}: smallest singular value {s[-1]:.3e} "
             f"(relative {s[-1] / smax:.3e})"
         )
-    raw = [_unvec(Q @ Vh[i].conj(), n) for i in np.nonzero(keep)[0]]
+    raw = [_unvec(Vh[i].conj(), n) for i in np.nonzero(keep)[0]]
     return _realify(raw)
 
 
-def sector_basis(n: int, family: int, tables: DerivativeTable) -> np.ndarray:
-    """Orthonormal columns spanning one family's sector of vec(G), degree n.
+def sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
+    """Self-conjugate orthonormal basis of one family's sector, as matrices G.
 
     The sectors are the total angular momenta of G Y_n: J = n-1 (family 2)
     is the row space of the t3 map, J = n+1 (family 3) the row space of the
-    t1 map, and J = n (family 1) their common null space.
+    t1 map, and J = n (family 1) their common null space.  Each family's
+    kernel at its plasmon constant is its whole sector, so this is the
+    kernel basis without the matching map.
     """
     t1 = np.hstack([tables.raise_[n][j].T for j in range(3)])  # vec(G) -> t1
     t3 = np.hstack([tables.lower[n][j].T for j in range(3)])  # vec(G) -> t3
     A = {1: np.vstack([t1, t3]), 2: t3, 3: t1}[family]
     rank = {1: 4 * n + 2, 2: 2 * n - 1, 3: 2 * n + 3}[family]
     Vh = np.linalg.svd(A)[2]
-    return (Vh[rank:] if family == 1 else Vh[:rank]).conj().T
+    return _realify([_unvec(v.conj(), n) for v in (Vh[rank:] if family == 1 else Vh[:rank])])
 
 
 def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:
@@ -218,8 +221,9 @@ def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:
     blow-up of Gram-Schmidt on nearly dependent candidates.
     """
     dim = len(basis)
-    X = np.stack([v.reshape(-1) for G in basis
-                  for v in (G + _conj_kernel(G), 1j * (G - _conj_kernel(G)))], axis=1)
+    B = np.stack(basis)
+    C = _conj_kernel(B)
+    X = np.stack([B + C, 1j * (B - C)], axis=1).reshape(2 * dim, -1).T
     w, V = np.linalg.eigh(np.real(X.conj().T @ X))
     w, V = w[::-1][:dim], V[:, ::-1][:, :dim]
     if w[-1] < 1e-12 * w[0]:

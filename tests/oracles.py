@@ -9,6 +9,14 @@ the dissipation off the imaginary part of the complex-moduli energy.
 ``build_s_matrices`` forms the four degree-n products of two derivative
 matrices (two of which vanish identically).
 
+``volumetric_P`` integrates the energy density by radial Gauss-Legendre
+panels instead of closed-form power integrals; ``fixed_c_closed_forms`` are
+the published branch coefficients of the fixed-multiplier witness.
+
+``normalized_legendre_scaled``/``table_sph_harm_stack`` build the whole
+``(n+1)^2`` scaled Legendre table and read Y_n off it; ``conj_kernel_matrix``
+applies the antiunitary conjugation of kernel matrices as a dense matrix.
+
 ``window_solve`` is the matrix route the sector solve replaced: every entry
 of every 3(2d+1) coefficient block on the degree window (n-2, n, n+2) is an
 unknown, each column costs one ``traction_coeffs_algebraic`` call per
@@ -22,12 +30,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from math import pi, sqrt
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from elastoplasmon.energy import pairing_P
-from elastoplasmon.harmonics import DerivativeTable, SphereQuadrature, dmat, ensure_tables, sph_harm_stack
+from elastoplasmon.harmonics import (
+    DerivativeTable,
+    SphereQuadrature,
+    dmat,
+    ensure_tables,
+    shared_quadrature,
+    sph_harm_stack,
+)
 from elastoplasmon.lame import (
     LameParams,
     ModeField,
@@ -35,6 +51,7 @@ from elastoplasmon.lame import (
     _traction_from_grad,
     displacement_coeffs,
     eval_terms,
+    grad_terms,
     traction_coeffs_algebraic,
 )
 from elastoplasmon.transmission import (
@@ -313,3 +330,99 @@ def build_s_matrices(n: int, tables: DerivativeTable) -> SMatrixSet:
     s5 = sum(dmat(tables, n - 1, n, j) @ dmat(tables, n, n + 1, j) for j in range(3))
     s6 = sum(dmat(tables, n + 1, n, j) @ dmat(tables, n, n + 1, j) for j in range(3))
     return SMatrixSet(n=n, s3=s3, s4=s4, s5=s5, s6=s6)
+
+
+def volumetric_P(u_pieces: Sequence, params: LameParams, tables: DerivativeTable,
+                 r_cut: float = 30.0, n_radial: int = 60) -> tuple[float, float]:
+    """Quadrature-in-radius oracle for P(u,u); returns (value, tail bound).
+
+    Radial Gauss-Legendre panels replace the closed-form power integrals on
+    each bounded piece (the exterior is truncated at ``r_cut``); the reported
+    tail is the closed-form remainder beyond the cut, so value + tail should
+    match ``energy.pairing_P_pieces`` within the panel accuracy.
+    """
+    total = 0.0
+    tail = 0.0
+    lam, mu = params.lam, params.mu
+    for piece in u_pieces:
+        if not piece.terms:
+            continue
+        dmax = max(t.degree for t in piece.terms)
+        tables = ensure_tables(tables, dmax + 2)
+        quad = shared_quadrature(2 * dmax + 6)
+        hi = min(piece.r_hi, r_cut)
+        t, wt = np.polynomial.legendre.leggauss(n_radial)
+        rr = 0.5 * (piece.r_lo + hi) + 0.5 * (hi - piece.r_lo) * t
+        wr = 0.5 * (hi - piece.r_lo) * wt
+        for r, w in zip(rr, wr):
+            g = grad_terms(piece.terms, r * quad.nodes, tables)
+            sym = 0.5 * (g + np.swapaxes(g, 1, 2))
+            div = np.trace(g, axis1=1, axis2=2)
+            dens = lam * np.abs(div) ** 2 + 2.0 * mu * np.einsum("nij,nij->n", sym, np.conj(sym)).real
+            total += w * r**2 * float(np.real(quad.integrate(dens)))
+        if math.isinf(piece.r_hi):
+            tail += float(np.real(pairing_P(piece.terms, piece.terms, r_cut, math.inf, params, tables)))
+    return total, tail
+
+
+def fixed_c_closed_forms(n: int, c: float, r_e: float, q: float) -> tuple[float, ...]:
+    """Published closed forms of e1..e5 (material-free)."""
+    e1 = (n - 1 + c * (n + 2)) / (c * (2 * n + 1))
+    e2 = (c - 1) * (n - 1) / (c * (2 * n + 1))
+    re = r_e ** (2 * n + 1)
+    e3 = (-((c - 1) ** 2) * (n**2 + n - 2) + (2 + c * (n - 1) + n) * (n - 1 + c * (n + 2)) * re) / (
+        c * (2 * n + 1) ** 2 * re
+    )
+    e4 = -(c - 1) * (n - 1) * (c * (n + 2) + n - 1) * (re - 1) / (c * (2 * n + 1) ** 2)
+    e5 = (
+        -(c - 1) * (n - 1) * (n - 1 + c * (n + 2)) * (re - 1)
+        + q ** (2 * n + 1) * (-((c - 1) ** 2) * (n**2 + n - 2) / re + (2 + c * (n - 1) + n) * (n - 1 + c * (n + 2)))
+    ) / (c * (2 * n + 1) ** 2)
+    return (e1, e2, e3, e4, e5)
+
+
+def normalized_legendre_scaled(n_max: int, z: np.ndarray) -> np.ndarray:
+    """Full scaled associated Legendre table A[n, m] with Y_n^m = A[n,m] (x+iy)^m.
+
+    ``A[n, m] = Pbar_n^m(z) / sin(theta)^m`` for m >= 0, filled column by
+    column in Python loops.
+    """
+    z = np.asarray(z, dtype=float)
+    A = np.zeros((n_max + 1, n_max + 1) + z.shape)
+    A[0, 0] = 1.0 / sqrt(4.0 * pi)
+    for m in range(1, n_max + 1):
+        A[m, m] = -sqrt((2 * m + 1) / (2.0 * m)) * A[m - 1, m - 1]
+    for m in range(0, n_max):
+        A[m + 1, m] = sqrt(2 * m + 3.0) * z * A[m, m]
+    for m in range(0, n_max + 1):
+        for n in range(m + 2, n_max + 1):
+            c1 = sqrt((4.0 * n * n - 1.0) / (n * n - m * m))
+            c2 = sqrt(((n - 1.0) ** 2 - m * m) / (4.0 * (n - 1.0) ** 2 - 1.0))
+            A[n, m] = c1 * (z * A[n - 1, m] - c2 * A[n - 2, m])
+    return A
+
+
+def table_sph_harm_stack(n: int, xhat: np.ndarray) -> np.ndarray:
+    """Stacked Y_n (orders m = n ... -n) read off the full Legendre table."""
+    xhat = np.asarray(xhat, dtype=float)
+    x, y, z = xhat[..., 0], xhat[..., 1], xhat[..., 2]
+    A = normalized_legendre_scaled(n, z)
+    u = x + 1j * y
+    out = np.zeros(z.shape + (2 * n + 1,), dtype=complex)
+    upow = np.ones_like(u)
+    for m in range(0, n + 1):
+        ym = A[n, m] * upow
+        out[..., n - m] = ym
+        if m > 0:
+            out[..., n + m] = (-1) ** m * np.conj(ym)
+        upow = upow * u
+    return out
+
+
+def conj_kernel_matrix(G: np.ndarray) -> np.ndarray:
+    """Conjugation of a kernel matrix through the dense order-flip matrix."""
+    n = (G.shape[1] - 1) // 2
+    m = n - np.arange(2 * n + 1)
+    flip = np.zeros((2 * n + 1, 2 * n + 1))
+    flip[np.arange(2 * n + 1), n + m] = (-1.0) ** m
+    return np.conj(G) @ flip

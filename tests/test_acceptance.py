@@ -24,7 +24,7 @@ from elastoplasmon.lame import (
     exterior_traction_coeffs,
     traction_coeffs,
 )
-from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P, pairing_P_pieces, volumetric_P
+from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P, pairing_P_pieces
 from elastoplasmon.scenarios import (
     Piece,
     _merge_pieces,
@@ -47,7 +47,7 @@ from elastoplasmon.waves import (
     plasmon_kernel,
     verify_perfect_wave,
 )
-from oracles import imag_terms, numeric_traction, real_terms
+from oracles import imag_terms, numeric_traction, real_terms, volumetric_P
 
 P11 = LameParams(1.0, 1.0)
 MATERIALS = (LameParams(1.0, 1.0), LameParams(-0.5, 1.0), LameParams(2.0, 0.5))

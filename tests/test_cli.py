@@ -86,6 +86,23 @@ def test_sweep_deterministic_csv(config_file, tmp_path):
     assert Path(c1).read_bytes() == Path(c2).read_bytes()
 
 
+def test_scheduled_sweep_leaves_numpy_random_unimported(tmp_path):
+    # numpy.random adds about 6 MB of resident memory; a sweep has no use for it
+    cfg = dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, delta_list=[1e-2, 1e-3, 1e-4, 1e-5])
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(cfg))
+    code = (
+        "import sys\n"
+        "from elastoplasmon.cli import main\n"
+        f"assert main(['sweep', '--config', {str(path)!r}, '--csv', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "False"
+
+
 def test_sweep_csv_structure_and_roundtrip(config_file, tmp_path):
     csv = str(tmp_path / "out.csv")
     svg = str(tmp_path / "out.svg")

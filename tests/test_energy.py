@@ -15,11 +15,10 @@ from elastoplasmon.energy import (
     pairing_P,
     pairing_P_pieces,
     source_pairing,
-    volumetric_P,
 )
 from elastoplasmon.scenarios import Piece
 from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
-from oracles import dissipation_imaginary, imag_terms, real_terms
+from oracles import dissipation_imaginary, imag_terms, real_terms, volumetric_P
 
 P11 = LameParams(1.0, 1.0)
 

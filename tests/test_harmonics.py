@@ -23,7 +23,7 @@ from elastoplasmon.harmonics import (
     ensure_tables,
     sph_harm_stack,
 )
-from oracles import HarmonicIndex, build_s_matrices, eval_Y
+from oracles import HarmonicIndex, build_s_matrices, eval_Y, table_sph_harm_stack
 
 
 def test_constant_harmonic():
@@ -75,6 +75,33 @@ def test_rule_is_freed_with_its_harmonics():
     del q
     gc.collect()
     assert ref() is None
+
+
+def test_sph_harm_stack_is_bit_identical_to_full_table():
+    # the per-degree recurrence repeats the full table's arithmetic element by element
+    rng = np.random.default_rng(7)
+    dirs = rng.normal(size=(40, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
+    for n in range(42):
+        for pts in (build_quadrature(2 * n + 4).nodes, dirs, poles, dirs[0], dirs[:12].reshape(3, 4, 3)):
+            Y = sph_harm_stack(n, pts)
+            assert Y.shape == pts.shape[:-1] + (2 * n + 1,)
+            assert np.array_equal(Y, table_sph_harm_stack(n, pts)), (n, pts.shape)
+
+
+def test_self_test_runs_one_recurrence(monkeypatch):
+    calls = []
+    rows = harmonics._legendre_rows
+
+    def counted(n_max, z):
+        calls.append(n_max)
+        return rows(n_max, z)
+
+    monkeypatch.setattr(harmonics, "_legendre_rows", counted)
+    for n in (1, 5, 9):
+        harmonics._self_test_degree(n, harmonics._lower_matrices(n), harmonics._raise_matrices(n))
+    assert calls == [2, 6, 10]
 
 
 def test_stacking_order_is_descending_m():

@@ -10,7 +10,6 @@ from elastoplasmon.lame import LameParams, Term, eval_terms, traction_coeffs_alg
 from elastoplasmon.energy import dissipation_E, functional_J, pairing_P
 from elastoplasmon.scenarios import (
     Piece,
-    fixed_c_closed_forms,
     fixed_configuration,
     _fixed_c_radial_solve,
     schedule_n_delta,
@@ -24,6 +23,7 @@ from elastoplasmon.scenarios import (
 )
 from elastoplasmon.transmission import LayeredMedium, SourceSpec, kernel_basis, solve_modes
 from elastoplasmon.waves import plasmon_constants
+from oracles import fixed_c_closed_forms
 
 P11 = LameParams(1.0, 1.0)
 

@@ -22,7 +22,7 @@ from elastoplasmon.transmission import (
     solve_mode,
     solve_modes,
 )
-from elastoplasmon.waves import kernel_family, plasmon_constants
+from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
 from oracles import interface_singular_values, window_solve
 
 P11 = LameParams(1.0, 1.0)
@@ -215,6 +215,42 @@ def test_kernel_basis_families_are_pure(tables, materials):
             for fam, dim in ((1, 2 * n + 1), (2, 2 * n - 1), (3, 2 * n + 3)):
                 assert len(fams[fam]) == dim, (params, n, fam)
                 assert all(kernel_family(K, tables) == fam for K in fams[fam]), (params, n, fam)
+
+
+def test_kernel_basis_lies_in_the_matching_null_space(tables, materials):
+    # the proof kernel_basis no longer runs: every kernel matrix is annihilated
+    # by the full matching matrix at its family's plasmon constant
+    cases = [(params, n) for params in materials for n in range(2, 14)] + [(P11, 27)]
+    for params, n in cases:
+        fams = kernel_basis(params, n, tables)
+        for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), start=1):
+            prob = assemble_H(n, params, c, tables)
+            smax = prob.singular_values[0]
+            for K in fams[fam]:
+                assert np.linalg.norm(prob.defect(K)) <= 1e-9 * smax, (params, n, fam)
+
+
+def test_matching_defect_separates_the_constants(tables):
+    n = 5
+    z = plasmon_constants(P11, n).as_tuple()
+    fams = kernel_basis(P11, n, tables)
+    for fam, c in enumerate(z, start=1):
+        G = sum(fams[fam])
+        assert matching_defect(G, n, P11, c, tables) < 1e-13
+        assert 1e-9 < matching_defect(G, n, P11, c * (1 + 1e-6), tables) < 1e-5
+        other = z[fam % 3]
+        assert matching_defect(G, n, P11, other, tables) > 0.1
+
+
+def test_kernel_check_rejects_detuned_constants(tables, monkeypatch):
+    def detuned(params, n):
+        return PlasmonConstants(n, *(z * (1 + 1e-6) for z in plasmon_constants(params, n).as_tuple()))
+
+    monkeypatch.setattr(transmission, "plasmon_constants", detuned)
+    monkeypatch.setattr(transmission, "_KERNEL_CACHE", {})
+    with pytest.raises(AssertionError, match="matching defect"):
+        kernel_basis(P11, 4, tables)
+    assert not transmission._KERNEL_CACHE
 
 
 def test_project_source_recovers_kernel_density(tables):

@@ -19,7 +19,9 @@ from elastoplasmon.waves import (
     plasmon_kernel,
     single_layer_field,
     verify_perfect_wave,
+    _conj_kernel,
 )
+from oracles import conj_kernel_matrix
 
 MULTIPLICITY = {1: lambda n: 2 * n + 1, 2: lambda n: 2 * n - 1, 3: lambda n: 2 * n + 3}
 
@@ -135,6 +137,14 @@ def test_kernels_generate_real_fields(tables):
     Y = sph_harm_stack(2, d)
     for K in kers:
         assert np.max(np.abs(np.imag(Y @ K.T))) < 1e-12
+
+
+def test_conj_kernel_matches_flip_matrix():
+    rng = np.random.default_rng(2)
+    for n in range(0, 12):
+        G = rng.normal(size=(3, 2 * n + 1)) + 1j * rng.normal(size=(3, 2 * n + 1))
+        assert np.array_equal(_conj_kernel(G), conj_kernel_matrix(G))
+        assert np.array_equal(_conj_kernel(np.stack([G, 2 * G])), [conj_kernel_matrix(G), conj_kernel_matrix(2 * G)])
 
 
 def test_kernel_independence_of_radius(tables):
