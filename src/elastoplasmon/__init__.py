@@ -19,11 +19,7 @@ from .lame import (
     ModeConstants,
     ModeField,
     Term,
-    exterior_mode,
     exterior_traction_coeffs,
-    interior_from_displacement,
-    interior_from_traction,
-    interior_mode,
     mode_constants,
 )
 from .waves import (
@@ -31,7 +27,6 @@ from .waves import (
     PlasmonConstants,
     PlasmonEigenProblem,
     assemble_H,
-    kelvin_matrix,
     np_eigenvalue_map,
     np_galerkin_spectrum,
     perfect_wave,
@@ -44,9 +39,7 @@ from .transmission import (
     ModeSolution,
     ResonantSingularityError,
     SourceSpec,
-    eval_field,
     kernel_basis,
-    project_source,
     residual_check,
     solve_mode,
     solve_modes,
@@ -57,10 +50,8 @@ from .energy import (
     functional_I,
     functional_J,
     pairing_P,
-    pairing_P_pieces,
 )
 from .scenarios import (
-    Piece,
     SweepResult,
     WitnessParams,
     fixed_configuration,

@@ -55,6 +55,15 @@ EXIT_EMPTY = 4
 
 CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 
+# Deepest source degree a run may reach, also the bound on n_max; the
+# residual check's sphere rule may be exact up to 2 MAX_DEGREE + 4.  Every
+# table degree a run reads is built and self-tested on first use, at a cost
+# growing like n^4: about 0.9 s for degree 64 alone and 16 s for degrees
+# 0..70 (a sweep reads 6 beyond its deepest source degree), on a 2-vCPU
+# x86-64 host with one BLAS thread.  The suite and the demos stay below
+# degree 42.
+MAX_DEGREE = 64
+
 
 class ValidationError(ValueError):
     pass
@@ -130,8 +139,12 @@ def validate_config(cfg: dict) -> dict:
     n_max = cfg.setdefault("n_max", 24)
     if not _is_int(n_max):
         raise ValidationError("n_max must be an integer")
-    if not _is_int(cfg.setdefault("quadrature_exactness", 2 * n_max + 4)):
+    _check_degree(n_max, "n_max")  # bounds the source degrees of fixed runs too
+    exactness = cfg.setdefault("quadrature_exactness", 2 * n_max + 4)
+    if not _is_int(exactness):
         raise ValidationError("quadrature_exactness must be an integer")
+    if exactness > 2 * MAX_DEGREE + 4:
+        raise ValidationError(f"quadrature_exactness {exactness} exceeds 2 * {MAX_DEGREE} + 4")
     modes = cfg["source_modes"]
     if not (isinstance(modes, list) and modes):
         raise ValidationError("source_modes must be a non-empty list")
@@ -141,6 +154,7 @@ def validate_config(cfg: dict) -> dict:
             raise ValidationError("scheduled runs re-inject exactly one source mode")
         # the mode is re-injected at every scheduled degree; the first is the smallest
         first = schedule_n_delta(cfg["shell_radius"], deltas[0])
+        _check_degree(schedule_n_delta(cfg["shell_radius"], deltas[-1]), "deepest scheduled degree")
     for mode in modes:
         if not (isinstance(mode, list) and len(mode) == 5):
             raise ValidationError(f"source mode {mode!r} is not [degree, family, k, Re gamma, Im gamma]")
@@ -163,6 +177,24 @@ def validate_config(cfg: dict) -> dict:
             raise ValidationError(f"source mode index k = {k} outside 1..{dim} (family {fam}, degree {deg})")
     cfg.setdefault("output", {})
     return cfg
+
+
+def _check_degree(n: int, what: str) -> None:
+    if n > MAX_DEGREE:
+        raise ValidationError(f"{what} {n} exceeds the largest supported degree {MAX_DEGREE}")
+
+
+def _single_loss(args, cfg: dict) -> float:
+    """The loss of a one-loss command: ``--delta``, else the first listed loss.
+
+    A scheduled run's degree follows the loss, so ``--delta`` is bounded
+    like the listed losses.
+    """
+    if args.delta is None:
+        return cfg["delta_list"][0]
+    if "schedule" in cfg["c_mode"]:
+        _check_degree(schedule_n_delta(cfg["shell_radius"], args.delta), "scheduled degree")
+    return args.delta
 
 
 def _configuration(cfg: dict):
@@ -356,7 +388,7 @@ def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     tables = shared_tables(max(12, cfg["n_max"]))
     configuration = _configuration(cfg)
-    delta = args.delta if args.delta is not None else cfg["delta_list"][0]
+    delta = _single_loss(args, cfg)
     med, src = configuration(delta)
     tables = ensure_tables(tables, max(src.degrees()) + 6)
     sols = solve_modes(med, src, tables)
@@ -389,7 +421,7 @@ def _cmd_witness(args) -> int:
     cfg = load_config(args.config)
     tables = shared_tables(max(12, cfg["n_max"]))
     configuration = _configuration(cfg)
-    delta = args.delta if args.delta is not None else cfg["delta_list"][0]
+    delta = _single_loss(args, cfg)
     med, src = configuration(delta)
     printed = False
     if med.core_radius is None:

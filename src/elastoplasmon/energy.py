@@ -4,11 +4,13 @@ The quadratic pairing
 
     P(u, v) = int [ lambda (div u) conj(div v) + 2 mu  sym grad u : conj(sym grad v) ]
 
-is evaluated per region as (angular Gram by quadrature) x (closed-form radial
-power integral).  Gradients of harmonic terms are homogeneous, so each field
-contributes one angular strain profile per radial power; angular
-orthogonality kills most cross products, but fields two degrees apart share
-a vector-harmonic sector, so total energies must pair merged fields (see
+is evaluated per region as (angular integral) x (closed-form radial power
+integral).  The term algebra gives every gradient as exact harmonic
+coefficients, one (3, 3, 2d+1) array per (radial power, degree), and the
+Y_d^m are orthonormal, so the angular integral of two such arrays is a dot
+product of their divergence and symmetric-strain coefficients when the
+degrees are equal and zero otherwise.  Fields two degrees apart have
+gradients of a common degree, so total energies must pair merged fields (see
 ``dissipation_E``).  Improper exterior integrals are legal only for decaying
 strain pairs and raise otherwise.
 """
@@ -20,13 +22,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .harmonics import DerivativeTable, SphereQuadrature, ensure_tables, shared_quadrature
-from .lame import LameParams, Term, term_derivative
+from .harmonics import DerivativeTable, ensure_tables
+from .lame import LameParams, ModeField, Term, displacement_coeffs, term_derivative
 
 __all__ = [
     "EnergyReport",
     "pairing_P",
-    "pairing_P_pieces",
     "dissipation_E",
     "functional_I",
     "functional_J",
@@ -72,65 +73,42 @@ def _radial_integral(s: int, r_lo: float, r_hi: float) -> float:
     return (r_hi ** (s + 1) - lo) / (s + 1)
 
 
-def _strain_profiles(terms: Iterable[Term], quad: SphereQuadrature,
-                     tables: DerivativeTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Angular strain/divergence profiles grouped by gradient radial power.
+def _strain_coeffs(terms: Iterable[Term], tables: DerivativeTable) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Divergence and symmetric-strain coefficients grouped by gradient power and degree.
 
-    Returns {power p: (sym grad profile (N,3,3), div profile (N,))} where the
-    actual gradient at radius r is sum_p r^p * profile_p.
+    Returns (p, d, div (2d+1,), sym (3, 3, 2d+1)) entries: the gradient at
+    r xhat is the sum over groups of r^p grad[i, j] . Y_d(xhat), with
+    [i, j] = d u_i / d x_j.
     """
-    groups: dict[int, list[Term]] = {}
+    grads: dict[tuple[int, int], np.ndarray] = {}
     for t in terms:
         for j in range(3):
             for dt in term_derivative(t, j, tables):
-                groups.setdefault(dt.power, []).append((j, dt))
-    out = {}
-    for p, lst in groups.items():
-        grad = np.zeros((len(quad.nodes), 3, 3), dtype=complex)
-        for j, dt in lst:
-            Y = quad.harmonics(dt.degree)
-            grad[:, :, j] += Y @ dt.coef.T
-        sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
-        div = np.trace(grad, axis1=1, axis2=2)
-        out[p] = (sym, div)
-    return out
+                key = (dt.power, dt.degree)
+                if key not in grads:
+                    grads[key] = np.zeros((3, 3, 2 * dt.degree + 1), dtype=complex)
+                grads[key][:, j] += dt.coef
+    return [(p, d, np.trace(g), 0.5 * (g + g.transpose(1, 0, 2))) for (p, d), g in grads.items()]
 
 
 def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
-              params: LameParams, tables: DerivativeTable,
-              quad: SphereQuadrature | None = None) -> complex:
-    """P over one annulus; use :func:`pairing_P_pieces` for piecewise fields."""
+              params: LameParams, tables: DerivativeTable) -> complex:
+    """P over one annulus, from the gradients' harmonic coefficients."""
+    same = u_terms is v_terms
     u_terms, v_terms = tuple(u_terms), tuple(v_terms)
     if not u_terms or not v_terms:
         return 0.0
-    dmax = max(t.degree for t in list(u_terms) + list(v_terms))
+    dmax = max(t.degree for t in u_terms + v_terms)
     tables = ensure_tables(tables, dmax + 2)
-    if quad is None:
-        quad = shared_quadrature(2 * dmax + 6)
-    pu = _strain_profiles(u_terms, quad, tables)
-    pv = _strain_profiles(v_terms, quad, tables)
+    su = _strain_coeffs(u_terms, tables)
+    sv = su if same else _strain_coeffs(v_terms, tables)
     lam, mu = params.lam, params.mu
     total = 0.0 + 0.0j
-    for p, (su, du) in pu.items():
-        for p2, (sv, dv) in pv.items():
-            ang = lam * du * np.conj(dv) + 2.0 * mu * np.einsum("nij,nij->n", su, np.conj(sv))
-            ang_int = complex(quad.integrate(ang))
-            scale = float(np.max(np.abs(ang))) * 4.0 * math.pi
-            if abs(ang_int) <= 1e-13 * max(scale, 1e-300):
-                # zero by angular orthogonality; the radial factor may be divergent
-                continue
-            total += ang_int * _radial_integral(p + p2 + 2, r_lo, r_hi)
-    return total
-
-
-def pairing_P_pieces(u_pieces: Sequence, v_pieces: Sequence, params: LameParams,
-                     tables: DerivativeTable, quad: SphereQuadrature | None = None) -> complex:
-    """P for piecewise fields given as sequences with .terms/.r_lo/.r_hi."""
-    total = 0.0 + 0.0j
-    for pu, pv in zip(u_pieces, v_pieces):
-        if (pu.r_lo, pu.r_hi) != (pv.r_lo, pv.r_hi):
-            raise ValueError("piecewise fields must share the region split")
-        total += pairing_P(pu.terms, pv.terms, pu.r_lo, pu.r_hi, params, tables, quad)
+    for p, d, du, eu in su:
+        for p2, d2, dv, ev in sv:
+            if d2 == d:  # distinct degrees are orthogonal; their radial factor may diverge
+                ang = lam * np.vdot(dv, du) + 2.0 * mu * np.vdot(ev, eu)
+                total += ang * _radial_integral(p + p2 + 2, r_lo, r_hi)
     return total
 
 
@@ -138,8 +116,8 @@ def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable) -> float
     """Dissipation (delta/2) P(u, u) of an exact solve.
 
     Terms of all degree solutions are merged per region first: solutions two
-    degrees apart share a vector-harmonic sector, so their cross pairing does
-    not vanish.  Raises for delta = 0 where dissipation is undefined.
+    degrees apart have gradients of a common degree, so their cross pairing
+    does not vanish.  Raises for delta = 0 where dissipation is undefined.
     """
     delta = medium.delta
     if delta <= 0:
@@ -158,7 +136,7 @@ def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable) -> float
     return total
 
 
-def functional_I(v_pieces: Sequence, w_pieces: Sequence | None, delta: float,
+def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,
                  params: LameParams, tables: DerivativeTable) -> float:
     """Primal value (delta/2) P(v,v) + 1/(2 delta) P(w,w)."""
     if delta <= 0:
@@ -172,38 +150,39 @@ def functional_I(v_pieces: Sequence, w_pieces: Sequence | None, delta: float,
     return total
 
 
-def source_pairing(psi_pieces: Sequence, source, params: LameParams,
-                   tables: DerivativeTable, quad: SphereQuadrature) -> float:
-    """Surface integral of (density . psi) over the source sphere."""
-    q = source.q
-    nodes = quad.nodes
-    fvals = np.zeros((len(nodes), 3), dtype=complex)
-    for n in source.degrees():
-        gamma = source.density_matrix(n, params, tables)
-        fvals += quad.harmonics(n) @ gamma.T
-    psi = None
-    from .lame import eval_terms
+def source_pairing(psi_pieces: Sequence[ModeField], source, params: LameParams,
+                   tables: DerivativeTable) -> float:
+    """Surface integral of (density . psi) over the source sphere.
 
+    The integral is bilinear, so Y_n^m pairs with conj(Y_n^m) =
+    (-1)^m Y_n^{-m}: the density's degree-n coefficients meet those of psi's
+    trace in reversed order, odd orders signed.
+    """
+    q = source.q
+    trace = None
     for piece in psi_pieces:
         if piece.r_lo < q < piece.r_hi or math.isclose(piece.r_hi, q):
-            psi = eval_terms(piece.terms, q * nodes)
+            trace = displacement_coeffs(piece.terms, q)
             break
-    if psi is None:
+    if trace is None:
         raise ValueError("no piece of psi covers the source sphere")
-    val = q**2 * complex(quad.integrate(np.sum(fvals * psi, axis=1)))
-    return float(np.real(val))
+    val = 0.0 + 0.0j
+    for n in source.degrees():
+        if n in trace:
+            gamma = source.density_matrix(n, params, tables)
+            val += np.sum(gamma * trace[n][:, ::-1] * (-1.0) ** (n - np.arange(2 * n + 1)))
+    return float(np.real(q**2 * val))
 
 
-def functional_J(v_pieces: Sequence | None, psi_pieces: Sequence, source, delta: float,
-                 params: LameParams, tables: DerivativeTable, quad: SphereQuadrature) -> float:
+def functional_J(v_pieces: Sequence[ModeField] | None, psi_pieces: Sequence[ModeField], source, delta: float,
+                 params: LameParams, tables: DerivativeTable) -> float:
     """Dual value  int f . psi - (delta/2) P(v,v) - (delta/2) P(psi,psi)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    total = source_pairing(psi_pieces, source, params, tables, quad)
+    total = source_pairing(psi_pieces, source, params, tables)
     for pieces in (v_pieces, psi_pieces):
         if pieces is None:
             continue
         for piece in pieces:
             total -= 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params, tables)))
     return total
-

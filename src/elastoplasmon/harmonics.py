@@ -39,7 +39,6 @@ __all__ = [
     "sph_harm_stack",
     "build_quadrature",
     "build_derivative_tables",
-    "dmat",
 ]
 
 
@@ -244,8 +243,8 @@ class DerivativeTable:
 
     ``lower[n][j]`` and ``raise_[n][j]`` hold the two defining families; all
     other index patterns used by the mode formulas are these families looked
-    up by (source degree, target degree), see :func:`dmat`.  ``n_max`` only
-    bounds the degrees that may be read; nothing is built until it is read.
+    up by (source degree, target degree).  ``n_max`` only bounds the degrees
+    that may be read; nothing is built until it is read.
     """
 
     n_max: int
@@ -268,23 +267,6 @@ def build_derivative_tables(n_max: int) -> DerivativeTable:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return DerivativeTable(n_max=n_max)
-
-
-def dmat(table: DerivativeTable, src: int, dst: int, j: int) -> np.ndarray:
-    """Derivative matrix selected by (source degree, target degree).
-
-    ``dst = src - 1`` selects the regular family, ``dst = src + 1`` the
-    irregular one.  ``j`` is 0, 1, 2 for x, y, z.
-    """
-    if dst == src - 1:
-        if not (1 <= src <= table.n_max):
-            raise ValueError(f"lower family degree {src} out of range")
-        return table.lower[src][j]
-    if dst == src + 1:
-        if not (0 <= src <= table.n_max):
-            raise ValueError(f"raise family degree {src} out of range")
-        return table.raise_[src][j]
-    raise ValueError(f"no derivative matrix maps degree {src} to {dst}")
 
 
 def shared_tables(n_max: int) -> DerivativeTable:

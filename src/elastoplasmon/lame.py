@@ -43,10 +43,6 @@ __all__ = [
     "stack_rows",
     "exterior_block",
     "interior_block",
-    "exterior_mode",
-    "interior_mode",
-    "interior_from_displacement",
-    "interior_from_traction",
     "exterior_traction_coeffs",
     "displacement_coeffs",
     "traction_coeffs",
@@ -54,7 +50,6 @@ __all__ = [
     "eval_terms",
     "grad_terms",
     "lame_residual",
-    "term_degrees",
 ]
 
 
@@ -133,21 +128,14 @@ class Term:
 
 @dataclass(frozen=True)
 class ModeField:
-    """Sum of terms on the open annulus (r_lo, r_hi); r_hi may be inf."""
+    """One annulus of a piecewise field: a sum of terms on (r_lo, r_hi); r_hi may be inf."""
 
     terms: tuple[Term, ...]
-    r_lo: float = 0.0
-    r_hi: float = math.inf
+    r_lo: float
+    r_hi: float
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return eval_terms(self.terms, np.asarray(x, dtype=float))
-
-    def contains(self, r: float, pad: float = 0.0) -> bool:
-        return self.r_lo + pad < r < self.r_hi - pad
-
-
-def term_degrees(terms: Iterable[Term]) -> list[int]:
-    return sorted({t.degree for t in terms})
 
 
 def eval_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
@@ -236,64 +224,6 @@ def interior_block(G: np.ndarray, n: int, params: LameParams, tables: Derivative
             corr = stack_rows(t3, tables.lower[n - 1])
             terms.append(Term(-M_n * corr, n - 2, n))
     return tuple(terms)
-
-
-def exterior_mode(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable,
-                  r_lo: float = 0.0) -> ModeField:
-    """Decaying solution G r^{-n-1} Y_n + correction, valid for r > r_lo."""
-    if n < 1:
-        raise ValueError("exterior_mode needs degree n >= 1")
-    return ModeField(exterior_block(G, n, params, tables), r_lo=r_lo, r_hi=math.inf)
-
-
-def interior_mode(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable,
-                  r_hi: float = math.inf) -> ModeField:
-    """Entire solution G r^n Y_n + correction, valid for r < r_hi."""
-    if n < 1:
-        raise ValueError("interior_mode needs degree n >= 1")
-    return ModeField(interior_block(G, n, params, tables), r_lo=0.0, r_hi=r_hi)
-
-
-def interior_from_displacement(R: float, boundary: Sequence[tuple[int, np.ndarray]],
-                               params: LameParams, tables: DerivativeTable) -> ModeField:
-    """Interior Dirichlet solution from per-degree surface displacement data.
-
-    ``boundary`` holds pairs (degree, 3 x (2n+1) coefficient matrix); the trace
-    of the result on ``partial B_R`` reproduces the data.  Degree-m data feeds
-    a slaved correction at angular degree m-2 through the lowered divergence.
-    """
-    terms: list[Term] = []
-    for m, B in boundary:
-        B = np.asarray(B, dtype=complex)
-        terms.append(Term(B / R**m, m, m))
-        if m >= 2:
-            t2 = sum(B[j] @ tables.lower[m][j] for j in range(3))
-            if np.max(np.abs(t2)) > 1e-13 * max(np.max(np.abs(B)), 1e-300):
-                Mm = mode_constants(params, m).M_n
-                corr = stack_rows(t2, tables.lower[m - 1])
-                terms.append(Term(Mm * R ** (2 - m) * corr, m - 2, m - 2))
-                terms.append(Term(-Mm * R ** (-m) * corr, m - 2, m))
-    return ModeField(tuple(terms), r_lo=0.0, r_hi=R)
-
-
-def interior_from_traction(R: float, traction: Sequence[tuple[int, np.ndarray]],
-                           params: LameParams, tables: DerivativeTable) -> ModeField:
-    """Interior Neumann solution from per-degree surface traction data.
-
-    Degrees below 2 are rejected: the n=1 system is degenerate and unused.
-    """
-    boundary = []
-    for n, Ap in traction:
-        if n < 2:
-            raise ValueError("interior_from_traction supports degrees n >= 2 only")
-        boundary.append((n, _neumann_to_dirichlet(Ap, n, R, params, tables)))
-    return interior_from_displacement(R, boundary, params, tables)
-
-
-def _neumann_to_dirichlet(Ap: np.ndarray, n: int, R: float, params: LameParams,
-                          tables: DerivativeTable) -> np.ndarray:
-    """Degree-n traction coefficients -> Dirichlet coefficients (tilde map)."""
-    return _tilde_scale(n, R, params) * _tilde_unscaled(Ap, n, params, tables)
 
 
 def _tilde_scale(n: int, R: float, params: LameParams, c: complex = 1.0) -> complex:

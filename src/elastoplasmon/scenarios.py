@@ -20,8 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .harmonics import DerivativeTable, ensure_tables, shared_quadrature
-from .lame import LameParams, Term
+from .harmonics import DerivativeTable, ensure_tables
+from .lame import LameParams, ModeField, Term
 from .energy import EnergyReport, functional_I, pairing_P, source_pairing, dissipation_E
 from .transmission import LayeredMedium, SourceSpec, kernel_basis, solve_modes
 from .waves import plasmon_constants
@@ -29,7 +29,6 @@ from .waves import plasmon_constants
 __all__ = [
     "WitnessParams",
     "SweepResult",
-    "Piece",
     "schedule_n_delta",
     "toroidal_radial_coeffs",
     "witness_fixed_c",
@@ -40,15 +39,6 @@ __all__ = [
     "fixed_configuration",
     "scheduled_configuration",
 ]
-
-
-@dataclass(frozen=True)
-class Piece:
-    """One annulus of a piecewise witness field."""
-
-    terms: tuple[Term, ...]
-    r_lo: float
-    r_hi: float
 
 
 @dataclass
@@ -143,7 +133,7 @@ def _fixed_c_radial_solve(n: int, c: float, r_c: float, r_e: float, q: float,
     return e, float(e6)
 
 
-def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequence[float]) -> list[Piece]:
+def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequence[float]) -> list[ModeField]:
     """Pure-kernel piecewise field from (entire, decaying) amplitude pairs.
 
     ``coeffs`` holds (a_i, b_i) per region; ``radii`` the interface radii.
@@ -156,11 +146,11 @@ def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequen
             terms.append(Term(a * K, n, n))
         if b != 0:
             terms.append(Term(b * K, n, -n - 1))
-        out.append(Piece(tuple(terms), bounds[i], bounds[i + 1]))
+        out.append(ModeField(tuple(terms), bounds[i], bounds[i + 1]))
     return out
 
 
-def _merge_pieces(list_of_pieces: list[list[Piece]]) -> list[Piece]:
+def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
     if not list_of_pieces:
         return []
     bounds = sorted({p.r_lo for pieces in list_of_pieces for p in pieces} | {p.r_hi for pieces in list_of_pieces for p in pieces})
@@ -171,11 +161,11 @@ def _merge_pieces(list_of_pieces: list[list[Piece]]) -> list[Piece]:
             for p in pieces:
                 if p.r_lo <= lo and hi <= p.r_hi:
                     terms.extend(p.terms)
-        merged.append(Piece(tuple(terms), lo, hi))
+        merged.append(ModeField(tuple(terms), lo, hi))
     return merged
 
 
-def witness_fixed_c(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> tuple[list[Piece], float, list[WitnessParams]]:
+def witness_fixed_c(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> tuple[list[ModeField], float, list[WitnessParams]]:
     """Primal witness for the cored fixed-multiplier configuration.
 
     The source must carry family-1 content only.  Returns the witness field
@@ -188,7 +178,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec, tables: Derivativ
     params = medium.base
     r_e, q, c = medium.shell_radius, source.q, medium.c
     tables = ensure_tables(tables, max(n for (n, _, _) in source.coefficients) + 6)
-    all_pieces: list[list[Piece]] = []
+    all_pieces: list[list[ModeField]] = []
     data: list[WitnessParams] = []
     for (n, fam, k), gamma in sorted(source.coefficients.items()):
         if gamma == 0:
@@ -207,11 +197,11 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec, tables: Derivativ
 
 
 def _perfect_wave_pieces(K: np.ndarray, fam: int, n: int, R: float, params: LameParams,
-                         tables: DerivativeTable) -> list[Piece]:
+                         tables: DerivativeTable) -> list[ModeField]:
     from .waves import perfect_wave
 
     w = perfect_wave(K, fam, n, R, params, tables)
-    return [Piece(w.interior.terms, 0.0, R), Piece(w.exterior.terms, R, math.inf)]
+    return [w.interior, w.exterior]
 
 
 def _dominant_mode(source: SourceSpec) -> tuple[int, int, int, complex]:
@@ -225,7 +215,7 @@ def _real_branch_coefficient(gamma: complex) -> float:
 
 
 def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
-                   tables: DerivativeTable) -> tuple[list[Piece], float, float]:
+                   tables: DerivativeTable) -> tuple[list[ModeField], float, float]:
     """Dual witness for the core-free resonant configuration.
 
     Needs medium.c equal to a plasmon constant of the dominant source mode.
@@ -244,15 +234,14 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
         raise ValueError("dominant source coefficient vanishes on both branches")
     K = kernel_basis(params, n0, tables)[fam][k - 1]
     psi_hat = _perfect_wave_pieces(K, fam, n0, medium.shell_radius, params, tables)
-    quad = shared_quadrature(2 * (n0 + 2) + 6)
     unit_source = SourceSpec(q=source.q, coefficients={(n0, fam, k): 1.0})
-    C0 = g * source_pairing(psi_hat, unit_source, params, tables, quad)
+    C0 = g * source_pairing(psi_hat, unit_source, params, tables)
     C1 = 0.0
     for p in psi_hat:
         C1 += 0.5 * float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables)))
     tau = C0 / (2.0 * C1 * delta)
     J_lower = C0**2 / (4.0 * C1 * delta)
-    psi = [Piece(tuple(Term(tau * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in psi_hat]
+    psi = [ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in psi_hat]
     return psi, J_lower, tau
 
 
@@ -270,7 +259,7 @@ def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: flo
 
 
 def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: float,
-                          tables: DerivativeTable) -> tuple[list[Piece], list[Piece], float, float]:
+                          tables: DerivativeTable) -> tuple[list[ModeField], list[ModeField], float, float]:
     """Dual witness for the cored scheduled configuration.
 
     psi is the core-free perfect wave of the scheduled mode; v repairs the
@@ -295,9 +284,8 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     K = kernel_basis(params, n0, tables)[1][k - 1]
     R = medium.shell_radius
     psi_hat = _perfect_wave_pieces(K, 1, n0, R, params, tables)
-    quad = shared_quadrature(2 * (n0 + 2) + 6)
     unit_source = SourceSpec(q=source.q, coefficients={(n0, 1, k): 1.0})
-    C0 = g * source_pairing(psi_hat, unit_source, params, tables, quad)
+    C0 = g * source_pairing(psi_hat, unit_source, params, tables)
     C_psi = 0.0
     for p in psi_hat:
         C_psi += 0.5 * float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables)))
@@ -315,13 +303,13 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     tau = C0 / (2.0 * denom)
     J_lower = C0**2 / (4.0 * denom)
     scale = lambda pieces, s: [
-        Piece(tuple(Term(s * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in pieces
+        ModeField(tuple(Term(s * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in pieces
     ]
     return scale(v_tilde, tau / delta), scale(psi_hat, tau), J_lower, tau
 
 
 def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta: float,
-                               tables: DerivativeTable) -> tuple[list[Piece], list[Piece], float]:
+                               tables: DerivativeTable) -> tuple[list[ModeField], list[ModeField], float]:
     """Primal witness for the cored scheduled configuration outside R^{3/2}.
 
     The scheduled mode rides the free incident wave (no scattering); the
@@ -338,8 +326,8 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     a_core = medium.core_radius
     tables = ensure_tables(tables, max(n for (n, _, _) in source.coefficients) + 6)
     n_sched = None
-    v_parts: list[list[Piece]] = []
-    w_parts: list[list[Piece]] = []
+    v_parts: list[list[ModeField]] = []
+    w_parts: list[list[ModeField]] = []
     for (n, fam, k), gamma in sorted(source.coefficients.items()):
         if gamma == 0:
             continue

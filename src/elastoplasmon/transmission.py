@@ -30,6 +30,7 @@ import numpy as np
 from .harmonics import DerivativeTable, SphereQuadrature, ensure_tables
 from .lame import (
     LameParams,
+    ModeField,
     Term,
     displacement_coeffs,
     eval_terms,
@@ -50,10 +51,8 @@ __all__ = [
     "ResonantSingularityError",
     "UnconvergedSolveError",
     "kernel_basis",
-    "project_source",
     "solve_mode",
     "solve_modes",
-    "eval_field",
     "residual_check",
     "sector_conditions",
 ]
@@ -147,51 +146,12 @@ class SourceSpec:
         return sum(self.family_densities(n, params, tables).values(), np.zeros((3, 2 * n + 1), dtype=complex))
 
 
-def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
-                   params: LameParams, tables: DerivativeTable, n_max: int) -> tuple[SourceSpec, dict]:
-    """Expand nodal samples of a surface density into kernel coefficients.
-
-    ``F_samples`` holds the density at ``q * quad.nodes`` (shape (N, 3)).
-    Returns the source description plus a report with the zero-mean residual and the
-    Parseval defect.
-    """
-    if quad.exactness < 2 * n_max:
-        raise ValueError("quadrature exactness below 2 n_max")
-    mean = quad.integrate(F_samples)
-    coeffs = {}
-    total = 0.0
-    for n in range(2, n_max + 1):
-        proj = quad.project(F_samples, n)  # (2n+1, 3)
-        fams = kernel_basis(params, n, tables)
-        for fam, kers in fams.items():
-            for k, K in enumerate(kers, start=1):
-                g = complex(np.sum(proj.T * np.conj(K)))
-                if abs(g) > 1e-14:
-                    coeffs[(n, fam, k)] = g
-                total += abs(g) ** 2
-    norm2 = float(np.real(quad.integrate(np.sum(F_samples * np.conj(F_samples), axis=1))))
-    report = {
-        "zero_mean_residual": float(np.max(np.abs(mean))),
-        "parseval_defect": abs(total - norm2),
-        "density_l2": norm2,
-    }
-    return SourceSpec(q=q, coefficients=coeffs), report
-
-
-@dataclass(frozen=True)
-class RegionField:
-    r_lo: float
-    r_hi: float
-    weight: complex
-    terms: tuple[Term, ...]
-
-
 @dataclass(frozen=True)
 class ModeSolution:
     """Piecewise solution for one degree family."""
 
     n: int
-    regions: tuple[RegionField, ...]
+    regions: tuple[ModeField, ...]
     condition: float
     lstsq_residual: float
     window: tuple[int, ...]
@@ -346,7 +306,7 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
                 for t in terms:
                     coefs[(t.degree, t.power)] = coefs.get((t.degree, t.power), 0.0) + xc * t.coef
         terms = tuple(Term(c, d, p) for (d, p), c in coefs.items())
-        regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], terms))
+        regions.append(ModeField(terms, radii[reg], radii[reg + 1]))
     window = tuple(sorted({t.degree for reg in regions for t in reg.terms}))
     return ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=window)
 
@@ -409,7 +369,7 @@ def _solve_family1(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
                 terms.append(Term(x[ci] * anchor ** (-n) * gamma, n, n))
             else:
                 terms.append(Term(x[ci] * anchor ** (n + 1) * gamma, n, -n - 1))
-        regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], tuple(terms)))
+        regions.append(ModeField(tuple(terms), radii[reg], radii[reg + 1]))
     return ModeSolution(n=n, regions=tuple(regions), condition=cond,
                         lstsq_residual=resid, window=(n,))
 
@@ -417,24 +377,6 @@ def _solve_family1(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
 def solve_modes(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> list[ModeSolution]:
     """Solve every degree present in the source."""
     return [solve_mode(medium, source, n, tables) for n in source.degrees()]
-
-
-def eval_field(solutions: list[ModeSolution], x: np.ndarray, side: str = "outer") -> np.ndarray:
-    """Total displacement at x; ``side`` breaks ties on interface spheres."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    X = x[None, :] if single else x
-    out = np.zeros((X.shape[0], 3), dtype=complex)
-    r = np.linalg.norm(X, axis=1)
-    for sol in solutions:
-        for reg in sol.regions:
-            if side == "outer":
-                mask = (r >= reg.r_lo) & (r < reg.r_hi)
-            else:
-                mask = (r > reg.r_lo) & (r <= reg.r_hi)
-            if np.any(mask):
-                out[mask] += eval_terms(reg.terms, X[mask])
-    return out[0] if single else out
 
 
 def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec,
@@ -445,11 +387,11 @@ def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source:
     re-projected with quadrature, independently of the assembly path.
     """
     params = medium.base
+    bounds, weights = _region_layout(medium, source.q)
     report = {"lame": 0.0, "displacement_jump": 0.0, "traction_jump": 0.0, "source_jump": 0.0}
     rng = np.random.default_rng(1234)
     for sol in solutions:
         gamma = source.density_matrix(sol.n, params, tables)
-        bounds = [r.r_hi for r in sol.regions][:-1]
         for reg in sol.regions:
             if not reg.terms:
                 continue
@@ -474,7 +416,7 @@ def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source:
                 [np.max(np.abs(m)) for m in list(t_in.values()) + list(t_out.values())] + [1e-30]
             )
             for d in degs:
-                jump = outer.weight * t_out.get(d, 0.0) - inner.weight * t_in.get(d, 0.0)
+                jump = weights[bi + 1] * t_out.get(d, 0.0) - weights[bi] * t_in.get(d, 0.0)
                 expected = gamma if (d == sol.n and abs(rho - source.q) < 1e-14) else 0.0
                 mismatch = float(np.max(np.abs(jump - expected)))
                 key = "source_jump" if (d == sol.n and abs(rho - source.q) < 1e-14) else "traction_jump"

@@ -56,7 +56,6 @@ __all__ = [
     "perfect_wave",
     "verify_perfect_wave",
     "np_eigenvalue_map",
-    "kelvin_matrix",
     "single_layer_field",
     "np_galerkin_spectrum",
 ]
@@ -360,18 +359,6 @@ def np_eigenvalue_map(c: float) -> float:
     if c == 1:
         raise ZeroDivisionError("c = 1 is the pole of the eigenvalue map")
     return (c + 1.0) / (2.0 * (c - 1.0))
-
-
-def kelvin_matrix(x: np.ndarray, params: LameParams) -> np.ndarray:
-    """Matrix fundamental solution of the static system at x != 0."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise ZeroDivisionError("Kelvin matrix is singular at x = 0")
-    lam, mu = params.lam, params.mu
-    alpha = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
-    beta = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
-    return -(alpha / (4 * math.pi)) * np.eye(3) / r - (beta / (4 * math.pi)) * np.outer(x, x) / r**3
 
 
 def _scalar_potential_terms(n: int, pos: int, R: float, kind: str) -> tuple[list[Term], list[Term]]:

@@ -17,6 +17,18 @@ the published branch coefficients of the fixed-multiplier witness.
 ``(n+1)^2`` scaled Legendre table and read Y_n off it; ``conj_kernel_matrix``
 applies the antiunitary conjugation of kernel matrices as a dense matrix.
 
+``quadrature_pairing_P`` and ``quadrature_source_pairing`` take the angular
+integrals of the energy pairing and the source pairing on a sphere rule, the
+route the coefficient dot products of ``energy`` replaced;
+``pairing_P_pieces`` sums the pairing over a piecewise field.
+
+``interior_from_displacement``/``interior_from_traction`` are the interior
+Dirichlet/Neumann solvers, ``exterior_mode``/``interior_mode`` single blocks
+as fields, ``eval_field`` point values of a solve, ``project_source`` the
+quadrature expansion of sampled densities, ``kelvin_matrix`` the fundamental
+solution at a point and ``dmat`` the derivative matrices looked up by
+(source degree, target degree).
+
 ``window_solve`` is the matrix route the sector solve replaced: every entry
 of every 3(2d+1) coefficient block on the degree window (n-2, n, n+2) is an
 unknown, each column costs one ``traction_coeffs_algebraic`` call per
@@ -35,11 +47,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from elastoplasmon.energy import pairing_P
+from elastoplasmon.energy import _radial_integral, pairing_P
 from elastoplasmon.harmonics import (
     DerivativeTable,
     SphereQuadrature,
-    dmat,
     ensure_tables,
     shared_quadrature,
     sph_harm_stack,
@@ -48,19 +59,26 @@ from elastoplasmon.lame import (
     LameParams,
     ModeField,
     Term,
+    _tilde_scale,
+    _tilde_unscaled,
     _traction_from_grad,
     displacement_coeffs,
     eval_terms,
+    exterior_block,
     grad_terms,
+    interior_block,
+    mode_constants,
+    stack_rows,
+    term_derivative,
     traction_coeffs_algebraic,
 )
 from elastoplasmon.transmission import (
     LayeredMedium,
     ModeSolution,
-    RegionField,
     SourceSpec,
     _block_terms,
     _region_layout,
+    kernel_basis,
 )
 
 
@@ -155,7 +173,7 @@ def window_solve(medium: LayeredMedium, sources: list[SourceSpec], n: int,
                 E = x[offs[blk_idx]: offs[blk_idx + 1]].reshape(3, 2 * d + 1)
                 if r2 == reg and np.max(np.abs(E)) > 0:
                     terms.extend(_block_terms(kind, d, E, params, tables))
-            regions.append(RegionField(radii[reg], radii[reg + 1], weights[reg], tuple(terms)))
+            regions.append(ModeField(tuple(terms), radii[reg], radii[reg + 1]))
         out.append(ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=win))
     return out
 
@@ -275,9 +293,10 @@ def dissipation_imaginary(solutions, medium: LayeredMedium, tables: DerivativeTa
     merged: dict[tuple[float, float], list] = {}
     weights: dict[tuple[float, float], complex] = {}
     for sol in solutions:
-        for reg in sol.regions:
+        q = sol.regions[-1].r_lo  # the outermost region starts at the source sphere
+        for reg, w in zip(sol.regions, _region_layout(medium, q)[1]):
             merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
-            weights[(reg.r_lo, reg.r_hi)] = reg.weight
+            weights[(reg.r_lo, reg.r_hi)] = w
     return sum(0.5 * float(np.imag(weights[key] * pairing_P(terms, terms, *key, medium.base, tables)))
                for key, terms in merged.items() if terms)
 
@@ -339,7 +358,7 @@ def volumetric_P(u_pieces: Sequence, params: LameParams, tables: DerivativeTable
     Radial Gauss-Legendre panels replace the closed-form power integrals on
     each bounded piece (the exterior is truncated at ``r_cut``); the reported
     tail is the closed-form remainder beyond the cut, so value + tail should
-    match ``energy.pairing_P_pieces`` within the panel accuracy.
+    match :func:`pairing_P_pieces` within the panel accuracy.
     """
     total = 0.0
     tail = 0.0
@@ -426,3 +445,224 @@ def conj_kernel_matrix(G: np.ndarray) -> np.ndarray:
     flip = np.zeros((2 * n + 1, 2 * n + 1))
     flip[np.arange(2 * n + 1), n + m] = (-1.0) ** m
     return np.conj(G) @ flip
+
+
+def pairing_P_pieces(u_pieces: Sequence[ModeField], v_pieces: Sequence[ModeField], params: LameParams,
+                     tables: DerivativeTable) -> complex:
+    """P for piecewise fields on a common region split."""
+    total = 0.0 + 0.0j
+    for pu, pv in zip(u_pieces, v_pieces):
+        if (pu.r_lo, pu.r_hi) != (pv.r_lo, pv.r_hi):
+            raise ValueError("piecewise fields must share the region split")
+        total += pairing_P(pu.terms, pv.terms, pu.r_lo, pu.r_hi, params, tables)
+    return total
+
+
+def _strain_profiles(terms: Iterable[Term], quad: SphereQuadrature,
+                     tables: DerivativeTable) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Angular strain/divergence profiles at the nodes, grouped by gradient radial power.
+
+    Returns {power p: (sym grad profile (N,3,3), div profile (N,))} where the
+    actual gradient at radius r is sum_p r^p * profile_p.
+    """
+    groups: dict[int, list] = {}
+    for t in terms:
+        for j in range(3):
+            for dt in term_derivative(t, j, tables):
+                groups.setdefault(dt.power, []).append((j, dt))
+    out = {}
+    for p, lst in groups.items():
+        grad = np.zeros((len(quad.nodes), 3, 3), dtype=complex)
+        for j, dt in lst:
+            grad[:, :, j] += quad.harmonics(dt.degree) @ dt.coef.T
+        sym = 0.5 * (grad + np.swapaxes(grad, 1, 2))
+        div = np.trace(grad, axis1=1, axis2=2)
+        out[p] = (sym, div)
+    return out
+
+
+def quadrature_pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
+                         params: LameParams, tables: DerivativeTable,
+                         quad: SphereQuadrature | None = None) -> complex:
+    """``energy.pairing_P`` with the angular integrals taken on a sphere rule.
+
+    Pairs of radial powers whose angular integral falls below 1e-13 of its
+    scale are dropped as zero by orthogonality (their radial factor may
+    diverge).
+    """
+    u_terms, v_terms = tuple(u_terms), tuple(v_terms)
+    if not u_terms or not v_terms:
+        return 0.0
+    dmax = max(t.degree for t in u_terms + v_terms)
+    tables = ensure_tables(tables, dmax + 2)
+    if quad is None:
+        quad = shared_quadrature(2 * dmax + 6)
+    pu = _strain_profiles(u_terms, quad, tables)
+    pv = _strain_profiles(v_terms, quad, tables)
+    lam, mu = params.lam, params.mu
+    total = 0.0 + 0.0j
+    for p, (su, du) in pu.items():
+        for p2, (sv, dv) in pv.items():
+            ang = lam * du * np.conj(dv) + 2.0 * mu * np.einsum("nij,nij->n", su, np.conj(sv))
+            ang_int = complex(quad.integrate(ang))
+            scale = float(np.max(np.abs(ang))) * 4.0 * math.pi
+            if abs(ang_int) <= 1e-13 * max(scale, 1e-300):
+                continue
+            total += ang_int * _radial_integral(p + p2 + 2, r_lo, r_hi)
+    return total
+
+
+def quadrature_source_pairing(psi_pieces: Sequence[ModeField], source: SourceSpec, params: LameParams,
+                              tables: DerivativeTable, quad: SphereQuadrature) -> float:
+    """``energy.source_pairing`` with density and psi sampled on a sphere rule."""
+    q = source.q
+    nodes = quad.nodes
+    fvals = np.zeros((len(nodes), 3), dtype=complex)
+    for n in source.degrees():
+        gamma = source.density_matrix(n, params, tables)
+        fvals += quad.harmonics(n) @ gamma.T
+    psi = None
+    for piece in psi_pieces:
+        if piece.r_lo < q < piece.r_hi or math.isclose(piece.r_hi, q):
+            psi = eval_terms(piece.terms, q * nodes)
+            break
+    if psi is None:
+        raise ValueError("no piece of psi covers the source sphere")
+    val = q**2 * complex(quad.integrate(np.sum(fvals * psi, axis=1)))
+    return float(np.real(val))
+
+
+def exterior_mode(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable,
+                  r_lo: float = 0.0) -> ModeField:
+    """Decaying solution G r^{-n-1} Y_n + correction, valid for r > r_lo."""
+    if n < 1:
+        raise ValueError("exterior_mode needs degree n >= 1")
+    return ModeField(exterior_block(G, n, params, tables), r_lo=r_lo, r_hi=math.inf)
+
+
+def interior_mode(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable,
+                  r_hi: float = math.inf) -> ModeField:
+    """Entire solution G r^n Y_n + correction, valid for r < r_hi."""
+    if n < 1:
+        raise ValueError("interior_mode needs degree n >= 1")
+    return ModeField(interior_block(G, n, params, tables), r_lo=0.0, r_hi=r_hi)
+
+
+def interior_from_displacement(R: float, boundary: Sequence[tuple[int, np.ndarray]],
+                               params: LameParams, tables: DerivativeTable) -> ModeField:
+    """Interior Dirichlet solution from per-degree surface displacement data.
+
+    ``boundary`` holds pairs (degree, 3 x (2n+1) coefficient matrix); the trace
+    of the result on ``partial B_R`` reproduces the data.  Degree-m data feeds
+    a slaved correction at angular degree m-2 through the lowered divergence.
+    """
+    terms: list[Term] = []
+    for m, B in boundary:
+        B = np.asarray(B, dtype=complex)
+        terms.append(Term(B / R**m, m, m))
+        if m >= 2:
+            t2 = sum(B[j] @ tables.lower[m][j] for j in range(3))
+            if np.max(np.abs(t2)) > 1e-13 * max(np.max(np.abs(B)), 1e-300):
+                Mm = mode_constants(params, m).M_n
+                corr = stack_rows(t2, tables.lower[m - 1])
+                terms.append(Term(Mm * R ** (2 - m) * corr, m - 2, m - 2))
+                terms.append(Term(-Mm * R ** (-m) * corr, m - 2, m))
+    return ModeField(tuple(terms), r_lo=0.0, r_hi=R)
+
+
+def interior_from_traction(R: float, traction: Sequence[tuple[int, np.ndarray]],
+                           params: LameParams, tables: DerivativeTable) -> ModeField:
+    """Interior Neumann solution from per-degree surface traction data.
+
+    Degrees below 2 are rejected: the n=1 system is degenerate and unused.
+    """
+    boundary = []
+    for n, Ap in traction:
+        if n < 2:
+            raise ValueError("interior_from_traction supports degrees n >= 2 only")
+        boundary.append((n, _neumann_to_dirichlet(Ap, n, R, params, tables)))
+    return interior_from_displacement(R, boundary, params, tables)
+
+
+def _neumann_to_dirichlet(Ap: np.ndarray, n: int, R: float, params: LameParams,
+                          tables: DerivativeTable) -> np.ndarray:
+    """Degree-n traction coefficients -> Dirichlet coefficients (tilde map)."""
+    return _tilde_scale(n, R, params) * _tilde_unscaled(Ap, n, params, tables)
+
+
+def dmat(table: DerivativeTable, src: int, dst: int, j: int) -> np.ndarray:
+    """Derivative matrix selected by (source degree, target degree).
+
+    ``dst = src - 1`` selects the regular family, ``dst = src + 1`` the
+    irregular one.  ``j`` is 0, 1, 2 for x, y, z.
+    """
+    if dst == src - 1:
+        if not (1 <= src <= table.n_max):
+            raise ValueError(f"lower family degree {src} out of range")
+        return table.lower[src][j]
+    if dst == src + 1:
+        if not (0 <= src <= table.n_max):
+            raise ValueError(f"raise family degree {src} out of range")
+        return table.raise_[src][j]
+    raise ValueError(f"no derivative matrix maps degree {src} to {dst}")
+
+
+def kelvin_matrix(x: np.ndarray, params: LameParams) -> np.ndarray:
+    """Matrix fundamental solution of the static system at x != 0."""
+    x = np.asarray(x, dtype=float)
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        raise ZeroDivisionError("Kelvin matrix is singular at x = 0")
+    lam, mu = params.lam, params.mu
+    alpha = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
+    beta = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
+    return -(alpha / (4 * math.pi)) * np.eye(3) / r - (beta / (4 * math.pi)) * np.outer(x, x) / r**3
+
+
+def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
+                   params: LameParams, tables: DerivativeTable, n_max: int) -> tuple[SourceSpec, dict]:
+    """Expand nodal samples of a surface density into kernel coefficients.
+
+    ``F_samples`` holds the density at ``q * quad.nodes`` (shape (N, 3)).
+    Returns the source description plus a report with the zero-mean residual and the
+    Parseval defect.
+    """
+    if quad.exactness < 2 * n_max:
+        raise ValueError("quadrature exactness below 2 n_max")
+    mean = quad.integrate(F_samples)
+    coeffs = {}
+    total = 0.0
+    for n in range(2, n_max + 1):
+        proj = quad.project(F_samples, n)  # (2n+1, 3)
+        fams = kernel_basis(params, n, tables)
+        for fam, kers in fams.items():
+            for k, K in enumerate(kers, start=1):
+                g = complex(np.sum(proj.T * np.conj(K)))
+                if abs(g) > 1e-14:
+                    coeffs[(n, fam, k)] = g
+                total += abs(g) ** 2
+    norm2 = float(np.real(quad.integrate(np.sum(F_samples * np.conj(F_samples), axis=1))))
+    report = {
+        "zero_mean_residual": float(np.max(np.abs(mean))),
+        "parseval_defect": abs(total - norm2),
+        "density_l2": norm2,
+    }
+    return SourceSpec(q=q, coefficients=coeffs), report
+
+
+def eval_field(solutions: list[ModeSolution], x: np.ndarray, side: str = "outer") -> np.ndarray:
+    """Total displacement at x; ``side`` breaks ties on interface spheres."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    X = x[None, :] if single else x
+    out = np.zeros((X.shape[0], 3), dtype=complex)
+    r = np.linalg.norm(X, axis=1)
+    for sol in solutions:
+        for reg in sol.regions:
+            if side == "outer":
+                mask = (r >= reg.r_lo) & (r < reg.r_hi)
+            else:
+                mask = (r > reg.r_lo) & (r <= reg.r_hi)
+            if np.any(mask):
+                out[mask] += eval_terms(reg.terms, X[mask])
+    return out[0] if single else out

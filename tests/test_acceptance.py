@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature, shared_quadrature, shared_tables, sph_harm_stack
+from elastoplasmon.harmonics import build_quadrature, shared_tables, sph_harm_stack
 from elastoplasmon.lame import (
     LameParams,
     ModeField,
@@ -24,9 +24,8 @@ from elastoplasmon.lame import (
     exterior_traction_coeffs,
     traction_coeffs,
 )
-from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P, pairing_P_pieces
+from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P
 from elastoplasmon.scenarios import (
-    Piece,
     _merge_pieces,
     fixed_configuration,
     schedule_n_delta,
@@ -47,7 +46,7 @@ from elastoplasmon.waves import (
     plasmon_kernel,
     verify_perfect_wave,
 )
-from oracles import imag_terms, numeric_traction, real_terms, volumetric_P
+from oracles import imag_terms, numeric_traction, pairing_P_pieces, real_terms, volumetric_P
 
 P11 = LameParams(1.0, 1.0)
 MATERIALS = (LameParams(1.0, 1.0), LameParams(-0.5, 1.0), LameParams(2.0, 0.5))
@@ -160,15 +159,14 @@ def test_criterion_04_np_cross_validation():
 
 
 def _identity_defects(med, src, sols, delta):
-    merged = _merge_pieces([[Piece(r.terms, r.r_lo, r.r_hi) for r in sol.regions] for sol in sols])
+    merged = _merge_pieces([[ModeField(r.terms, r.r_lo, r.r_hi) for r in sol.regions] for sol in sols])
     E = dissipation_E(sols, med, TABLES)
-    vp = [Piece(real_terms(p.terms), p.r_lo, p.r_hi) for p in merged]
-    wp = [Piece(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(p.terms)), p.r_lo, p.r_hi)
+    vp = [ModeField(real_terms(p.terms), p.r_lo, p.r_hi) for p in merged]
+    wp = [ModeField(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(p.terms)), p.r_lo, p.r_hi)
           for p in merged]
-    pp = [Piece(imag_terms(p.terms), p.r_lo, p.r_hi) for p in merged]
+    pp = [ModeField(imag_terms(p.terms), p.r_lo, p.r_hi) for p in merged]
     I_val = functional_I(vp, wp, delta, med.base, TABLES)
-    quadJ = shared_quadrature(2 * max(src.degrees()) + 6)
-    J_val = functional_J(vp, pp, src, delta, med.base, TABLES, quadJ)
+    J_val = functional_J(vp, pp, src, delta, med.base, TABLES)
     return E, abs(I_val - E) / E, abs(J_val - E) / E
 
 
@@ -324,7 +322,7 @@ def test_criterion_09_oracle_agreements():
     # analytic pairing vs truncated volumetric quadrature
     G = rng.normal(size=(3, 7))
     blk = exterior_block(G, 3, P11, TABLES)
-    pieces = [Piece(blk, 1.0, math.inf)]
+    pieces = [ModeField(blk, 1.0, math.inf)]
     exact = float(np.real(pairing_P_pieces(pieces, pieces, P11, TABLES)))
     approx, tail = volumetric_P(pieces, P11, TABLES, r_cut=25.0, n_radial=80)
     p_err = abs(exact - (approx + tail)) / exact

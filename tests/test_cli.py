@@ -1,5 +1,8 @@
 """Command-line runner: determinism, round trips, exit codes."""
 
+import copy
+import importlib
+import importlib.util
 import json
 import math
 import os
@@ -249,3 +252,76 @@ def test_unconverged_solve_is_a_json_error(config_file, monkeypatch, capsys):
     monkeypatch.setattr(cli, "solve_modes", unconverged)
     assert cli.main(["solve", "--config", config_file]) == 2
     assert json.loads(capsys.readouterr().err)["code"] == 2
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+@pytest.mark.parametrize("config", [
+    dict(BASE_CONFIG, n_max=10**9, source_modes=[[10**9, 1, 1, 1.0, 0.0]]),
+    # the scheduled degree at the deepest loss is about 1070
+    dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 1, 1.0, 0.0]],
+         delta_list=[3e-323, 2e-323, 1e-323]),
+    dict(BASE_CONFIG, quadrature_exactness=2 * 64 + 5),
+])
+def test_unreachable_degrees_rejected_before_any_run(tmp_path, config, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    with pytest.raises(cli.ValidationError, match=str(cli.MAX_DEGREE)):
+        cli.validate_config(copy.deepcopy(config))
+    monkeypatch.setattr(cli, "shared_tables", _no_run)  # every run starts with its tables
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    for argv in (["sweep", "--csv", str(tmp_path / "x.csv")], ["solve"], ["witness"]):
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
+
+
+def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
+    monkeypatch.setattr(cli, "solve_modes", _no_run)
+    monkeypatch.setattr(cli, "witness_fixed_c", _no_run)
+    for command in ("solve", "witness"):
+        assert cli.main([command, "--config", str(path), "--delta", "1e-300"]) == 2
+        assert "exceeds the largest supported degree" in json.loads(capsys.readouterr().err)["error"]
+
+
+def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
+    # energies and witnesses integrate on harmonic coefficients: only the
+    # derivative-table self-test builds sphere rules, outside the shared cache
+    configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
+               dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 1}))
+    argvs = []
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"sched{i}.json"
+        path.write_text(json.dumps(cfg))
+        argvs.append(["sweep", "--config", str(path), "--csv", str(tmp_path / f"x{i}.csv")])
+    code = (
+        "from elastoplasmon import harmonics\n"
+        "from elastoplasmon.cli import main\n"
+        f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
+        "print(harmonics.shared_quadrature.cache_info().misses)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0"
+
+
+def test_benchmark_span_targets_resolve(monkeypatch):
+    # perfbench/spans.py imports neither numpy nor the package; --trace 1
+    # wraps every (module, name) of its TARGETS, so each must stay a function
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up here
+    spec.loader.exec_module(spans)
+    for module, name, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"elastoplasmon.{module}"), name, None)), (module, name)

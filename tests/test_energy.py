@@ -6,25 +6,31 @@ import numpy as np
 import pytest
 
 from elastoplasmon.harmonics import build_quadrature
-from elastoplasmon.lame import LameParams, Term, exterior_block
+from elastoplasmon.lame import LameParams, ModeField, Term, displacement_coeffs, exterior_block
 from elastoplasmon.energy import (
     EnergyReport,
     dissipation_E,
     functional_I,
     functional_J,
     pairing_P,
-    pairing_P_pieces,
     source_pairing,
 )
-from elastoplasmon.scenarios import Piece
 from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
-from oracles import dissipation_imaginary, imag_terms, real_terms, volumetric_P
+from oracles import (
+    dissipation_imaginary,
+    imag_terms,
+    pairing_P_pieces,
+    quadrature_pairing_P,
+    quadrature_source_pairing,
+    real_terms,
+    volumetric_P,
+)
 
 P11 = LameParams(1.0, 1.0)
 
 
 def _regions_to_pieces(sol):
-    return [Piece(r.terms, r.r_lo, r.r_hi) for r in sol.regions]
+    return [ModeField(r.terms, r.r_lo, r.r_hi) for r in sol.regions]
 
 
 def test_pairing_nonnegative_for_real_fields(tables):
@@ -44,7 +50,7 @@ def test_exterior_pairing_against_volumetric_oracle(tables):
     rng = np.random.default_rng(1)
     G = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
     blk = exterior_block(G, 3, P11, tables)
-    pieces = [Piece(blk, 1.0, math.inf)]
+    pieces = [ModeField(blk, 1.0, math.inf)]
     exact = float(np.real(pairing_P_pieces(pieces, pieces, P11, tables)))
     approx, tail = volumetric_P(pieces, P11, tables, r_cut=25.0, n_radial=80)
     assert tail < 1e-4 * exact  # documented tail bound at the cut radius
@@ -105,11 +111,10 @@ def test_dissipation_quadratic_in_source(tables):
 
 
 def test_zero_pair_gives_zero_functionals(tables):
-    empty = [Piece((), 0.0, math.inf)]
+    empty = [ModeField((), 0.0, math.inf)]
     assert functional_I(empty, empty, 0.1, P11, tables) == 0.0
     src = SourceSpec(q=1.5, coefficients={(2, 1, 1): 1.0})
-    quad = build_quadrature(12)
-    assert functional_J(None, empty, src, 0.1, P11, tables, quad) == 0.0
+    assert functional_J(None, empty, src, 0.1, P11, tables) == 0.0
 
 
 def test_primal_identity_at_minimizer(lossy_solution, tables):
@@ -118,9 +123,9 @@ def test_primal_identity_at_minimizer(lossy_solution, tables):
     E = dissipation_E(sols, med, tables)
     I_val = 0.0
     for sol in sols:
-        vp = [Piece(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
+        vp = [ModeField(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
         wp = [
-            Piece(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(r.terms)), r.r_lo, r.r_hi)
+            ModeField(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(r.terms)), r.r_lo, r.r_hi)
             for r in sol.regions
         ]
         I_val += functional_I(vp, wp, delta, P11, tables)
@@ -132,11 +137,10 @@ def test_dual_identity_at_maximizer(tables):
     src = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0})
     sols = solve_modes(med, src, tables)
     E = dissipation_E(sols, med, tables)
-    quad = build_quadrature(14)
     sol = sols[0]
-    vp = [Piece(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
-    pp = [Piece(imag_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
-    J_val = functional_J(vp, pp, src, med.delta, P11, tables, quad)
+    vp = [ModeField(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
+    pp = [ModeField(imag_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
+    J_val = functional_J(vp, pp, src, med.delta, P11, tables)
     assert abs(J_val - E) / E < 1e-7
 
 
@@ -159,14 +163,13 @@ def test_dual_witness_sign(tables):
     z1 = plasmon_constants(P11, 2).zeta1
     K = kernel_basis(P11, 2, tables)[1][0]
     w = perfect_wave(K, 1, 2, 1.5, P11, tables)
-    quad = build_quadrature(12)
     src = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0})
     tau = 1e-6
     psi = [
-        Piece(tuple(Term(tau * t.coef, t.degree, t.power) for t in w.interior.terms), 0.0, 1.5),
-        Piece(tuple(Term(tau * t.coef, t.degree, t.power) for t in w.exterior.terms), 1.5, math.inf),
+        ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in w.interior.terms), 0.0, 1.5),
+        ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in w.exterior.terms), 1.5, math.inf),
     ]
-    J = functional_J(None, psi, src, 0.01, P11, tables, quad)
+    J = functional_J(None, psi, src, 0.01, P11, tables)
     assert J > 0
 
 
@@ -175,3 +178,97 @@ def test_sandwich_guard_of_reports():
     assert r.sandwich_ok()
     bad = EnergyReport(delta=0.1, E_delta=1.0, c_used=-2.0, I_upper=0.5)
     assert not bad.sandwich_ok()
+
+
+# ---------------------------------------------------------------------------
+# coefficient pairings against their quadrature oracles
+# ---------------------------------------------------------------------------
+
+def _assert_pairings_agree(fields, params, tables):
+    """pairing_P of every field with itself, and of every two fields on the
+    same annulus, against the quadrature oracle to 1e-13 of the Cauchy-Schwarz
+    scale sqrt(P(u,u) P(v,v))."""
+    self_vals = []
+    for f in fields:
+        ref = quadrature_pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params, tables)
+        val = pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params, tables)
+        assert abs(val - ref) <= 1e-13 * abs(ref), (f.r_lo, f.r_hi, val, ref)
+        self_vals.append(abs(ref))
+    for i, f in enumerate(fields):
+        for j, g in enumerate(fields[:i]):
+            if (f.r_lo, f.r_hi) != (g.r_lo, g.r_hi):
+                continue
+            ref = quadrature_pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
+            val = pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
+            assert abs(val - ref) <= 1e-13 * math.sqrt(self_vals[i] * self_vals[j]), (f.r_lo, f.r_hi, val, ref)
+
+
+# families 1 and 3 at degree 3 and family 2 at degree 5: the two solutions
+# share gradient degrees, so their cross pairings do not vanish
+MIXED_SOURCE = {(3, 1, 2): 1.0, (3, 3, 1): 0.5j, (5, 2, 1): 0.3 - 0.2j}
+
+
+@pytest.mark.parametrize("core", [1.0, None])
+def test_pairing_matches_quadrature_on_solve_regions(tables, materials, core):
+    for params in materials:
+        med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=core)
+        sols = solve_modes(med, SourceSpec(q=3.0, coefficients=MIXED_SOURCE), tables)
+        _assert_pairings_agree([reg for sol in sols for reg in sol.regions if reg.terms], params, tables)
+
+
+def test_pairing_matches_quadrature_on_witness_pieces(tables, materials):
+    from elastoplasmon.scenarios import (
+        scheduled_configuration,
+        witness_core_resonant,
+        witness_fixed_c,
+        witness_nocore,
+        witness_radial_nonresonant,
+    )
+    from elastoplasmon.waves import plasmon_constants
+
+    med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
+    pieces, _, _ = witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (27, 1, 3): 0.5}), tables)
+    _assert_pairings_agree(pieces, P11, tables)
+    for delta in (1e-2, 1e-8):  # scheduled degrees 7 and 27
+        med, src = scheduled_configuration(P11, 2.0, q=2.3, k=2, core_radius=1.0)(delta)
+        v, psi, _, _ = witness_core_resonant(med, src, delta, tables)
+        _assert_pairings_agree(v + psi, P11, tables)
+        med, src = scheduled_configuration(P11, 2.0, q=3.6, k=2, core_radius=1.0)(delta)
+        v, w, _ = witness_radial_nonresonant(med, src, delta, tables)
+        _assert_pairings_agree(v + w, P11, tables)
+    # family-2/3 waves stop at degree 12: their slaved correction makes the
+    # radial power integrals cancel about n^2-fold, and at degree 27 neither
+    # route is within 1e-13 of a 50-digit evaluation (ROADMAP item 1)
+    for params in materials:
+        for n, fam in ((2, 1), (27, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
+            c = plasmon_constants(params, n).as_tuple()[fam - 1]
+            med = LayeredMedium(shell_radius=2.0, c=c, delta=1e-3, base=params)
+            psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3, tables)
+            _assert_pairings_agree(psi, params, tables)
+
+
+def test_source_pairing_matches_quadrature(tables, materials):
+    # Re(i z) = -Im(z): pairing the densities gamma and i gamma reads both
+    # parts of the complex integral z.  psi and the densities share kernels
+    # and carry complex coefficients on every family, so neither field is
+    # real and the (-1)^m order flip of the bilinear pairing is exercised.
+    # The scale is the Cauchy-Schwarz bound q^2 |f| |psi| on the source sphere.
+    quad = build_quadrature(2 * 7 + 6)
+    psi_src = SourceSpec(q=3.0, coefficients={(3, 1, 1): 0.5 - 0.3j, (3, 2, 1): 0.4 + 0.9j, (5, 3, 2): -0.7j})
+    densities = ({(3, 1, 1): 1j, (3, 2, 1): 0.3 - 0.8j, (5, 3, 2): 0.6 + 0.2j, (5, 1, 1): 1.0}, MIXED_SOURCE)
+    for params in materials:
+        med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=1.0)
+        for sol in solve_modes(med, psi_src, tables):
+            inner = sol.regions[-2]  # the piece that ends on the source sphere
+            psi_norm = math.sqrt(sum(np.sum(np.abs(c) ** 2) for c in displacement_coeffs(inner.terms, 3.0).values()))
+            for coeffs in densities:
+                f_norm = math.sqrt(sum(abs(g) ** 2 for g in coeffs.values()))  # kernels are orthonormal
+                scale = psi_src.q**2 * f_norm * psi_norm
+                z, z_ref = [], []
+                for phase in (1.0, 1j):
+                    src = SourceSpec(q=3.0, coefficients={key: phase * g for key, g in coeffs.items()})
+                    z.append(source_pairing(sol.regions, src, params, tables))
+                    z_ref.append(quadrature_source_pairing(sol.regions, src, params, tables, quad))
+                assert np.max(np.abs(np.subtract(z, z_ref))) <= 1e-13 * scale, (z, z_ref)
+                if coeffs is densities[0]:
+                    assert math.hypot(*z_ref) > 1e-3 * scale  # psi and f overlap

@@ -19,11 +19,10 @@ from elastoplasmon import harmonics
 from elastoplasmon.harmonics import (
     build_derivative_tables,
     build_quadrature,
-    dmat,
     ensure_tables,
     sph_harm_stack,
 )
-from oracles import HarmonicIndex, build_s_matrices, eval_Y, table_sph_harm_stack
+from oracles import HarmonicIndex, build_s_matrices, dmat, eval_Y, table_sph_harm_stack
 
 
 def test_constant_harmonic():

@@ -13,19 +13,22 @@ from elastoplasmon.lame import (
     displacement_coeffs,
     eval_terms,
     exterior_block,
-    exterior_mode,
     exterior_traction_coeffs,
     grad_terms,
     interior_block,
-    interior_from_displacement,
-    interior_from_traction,
-    interior_mode,
     lame_residual,
     mode_constants,
     traction_coeffs,
     traction_coeffs_algebraic,
 )
-from oracles import fd_lame_residual, numeric_traction
+from oracles import (
+    exterior_mode,
+    fd_lame_residual,
+    interior_from_displacement,
+    interior_from_traction,
+    interior_mode,
+    numeric_traction,
+)
 
 
 def test_strong_convexity_enforced():

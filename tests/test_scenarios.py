@@ -9,7 +9,6 @@ from elastoplasmon.harmonics import build_quadrature
 from elastoplasmon.lame import LameParams, Term, eval_terms, traction_coeffs_algebraic
 from elastoplasmon.energy import dissipation_E, functional_J, pairing_P
 from elastoplasmon.scenarios import (
-    Piece,
     fixed_configuration,
     _fixed_c_radial_solve,
     schedule_n_delta,

@@ -14,16 +14,14 @@ from elastoplasmon.transmission import (
     ResonantSingularityError,
     SourceSpec,
     UnconvergedSolveError,
-    eval_field,
     kernel_basis,
-    project_source,
     residual_check,
     sector_conditions,
     solve_mode,
     solve_modes,
 )
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
-from oracles import interface_singular_values, window_solve
+from oracles import eval_field, interface_singular_values, project_source, window_solve
 
 P11 = LameParams(1.0, 1.0)
 

@@ -10,7 +10,6 @@ from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
 from elastoplasmon.lame import LameParams, eval_terms, t1_vector, t3_vector
 from elastoplasmon.waves import (
     assemble_H,
-    kelvin_matrix,
     kernel_family,
     np_eigenvalue_map,
     np_galerkin_spectrum,
@@ -21,7 +20,7 @@ from elastoplasmon.waves import (
     verify_perfect_wave,
     _conj_kernel,
 )
-from oracles import conj_kernel_matrix
+from oracles import conj_kernel_matrix, kelvin_matrix
 
 MULTIPLICITY = {1: lambda n: 2 * n + 1, 2: lambda n: 2 * n - 1, 3: lambda n: 2 * n + 3}
 
