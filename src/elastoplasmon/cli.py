@@ -58,10 +58,10 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # Deepest source degree a run may reach, also the bound on n_max; the
 # residual check's sphere rule may be exact up to 2 MAX_DEGREE + 4.  Every
 # table degree a run reads is built and self-tested on first use, at a cost
-# growing like n^4: about 0.9 s for degree 64 alone and 16 s for degrees
+# growing like n^2: about 8 ms for degree 64 alone and 0.4 s for degrees
 # 0..70 (a sweep reads 6 beyond its deepest source degree), on a 2-vCPU
-# x86-64 host with one BLAS thread.  The suite and the demos stay below
-# degree 42.
+# x86-64 host with one BLAS thread.  The suite self-tests every degree
+# 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
 
 

@@ -9,7 +9,8 @@ Conventions
   ``m = n, n-1, ..., -n``;  position ``i`` stores order ``m = n - i``.
   They come from the scaled Legendre recurrence stepped over degrees,
   vectorised over the order and holding two rows at a time; the self-test of
-  degree n reads Y_{n-1}, Y_n and Y_{n+1} off one such recurrence.
+  degree n reads the polar factors of Y_{n-1}, Y_n and Y_{n+1} off one such
+  recurrence.
 * ``r^n Y_n`` (regular) and ``r^{-n-1} Y_n`` (irregular) solid harmonics obey
 
       d/dx_j [r^n     Y_n] = lower[n][j]  . r^{n-1} Y_{n-1}
@@ -21,8 +22,11 @@ Conventions
 * Entries come from the standard solid-harmonic gradient ladders in the
   Cartesian combinations ``d/dz``, ``d/dx +- i d/dy``.
 * Each degree's pair ``lower[n]``, ``raise_[n]`` is built and validated per
-  degree on first use: the quadrature self-test runs once per process for
-  every degree something reads, and never for a degree nothing reads.
+  degree on first use: the self-test runs once per process for every degree
+  something reads, and never for a degree nothing reads.  It projects the
+  analytic surface gradients onto the harmonic basis on the ``n+3`` polar
+  Gauss-Legendre nodes of the ``2n+4`` sphere rule, with the azimuthal sum in
+  closed form, at a cost growing like ``n^2``.
 """
 
 from __future__ import annotations
@@ -81,14 +85,6 @@ def _stack_row(n: int, A_n: np.ndarray, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sph_harm_stacks(degrees: range, xhat: np.ndarray) -> dict[int, np.ndarray]:
-    """Stacked Y_d for each d in ``degrees`` from one Legendre recurrence."""
-    xhat = np.asarray(xhat, dtype=float)
-    u = xhat[..., 0] + 1j * xhat[..., 1]
-    return {d: _stack_row(d, A, u) for d, A in enumerate(_legendre_rows(degrees[-1], xhat[..., 2]))
-            if d in degrees}
-
-
 def sph_harm_stack(n: int, xhat: np.ndarray) -> np.ndarray:
     """Stacked vector Y_n at unit direction(s), orders m = n ... -n.
 
@@ -103,7 +99,10 @@ def sph_harm_stack(n: int, xhat: np.ndarray) -> np.ndarray:
     -------
     array, shape (..., 2n+1), complex
     """
-    return _sph_harm_stacks(range(n, n + 1), xhat)[n]
+    xhat = np.asarray(xhat, dtype=float)
+    for A in _legendre_rows(n, xhat[..., 2]):
+        pass  # the last row is A[n]
+    return _stack_row(n, A, xhat[..., 0] + 1j * xhat[..., 1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +193,7 @@ def _raise_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # degree n -> (lower[n], raise_[n]); lower[0] is None.  A degree enters only
-# after its quadrature self-test has passed.
+# after its self-test has passed.
 _DEGREES: dict[int, tuple] = {}
 
 
@@ -259,9 +258,10 @@ class DerivativeTable:
 def build_derivative_tables(n_max: int) -> DerivativeTable:
     """Derivative tables declared up to ``n_max``.
 
-    Each degree's matrices are built when first read and pass the quadrature
-    self-test (analytic surface gradients projected onto the harmonic basis,
-    disagreement above 1e-9 raises ``AssertionError``) before they are
+    Each degree's matrices are built when first read and pass the self-test
+    (analytic surface gradients projected onto the harmonic basis on the
+    polar Gauss-Legendre nodes of the ``2n+4`` sphere rule; a disagreement
+    above 1e-9 in any entry raises ``AssertionError``) before they are
     returned; the process keeps them for every later table.
     """
     if n_max < 1:
@@ -291,65 +291,67 @@ def ensure_tables(tables: DerivativeTable | None, n_need: int) -> DerivativeTabl
     return shared_tables(n_need)
 
 
-def _surface_gradient_stack(n: int, nodes: np.ndarray, Y: np.ndarray | None = None) -> np.ndarray:
-    """Cartesian gradient of Y_n on the unit sphere, shape (N, 2n+1, 3).
+def _polar_projection(n: int) -> tuple:
+    """Gradients of degree-n solid harmonics projected onto Y_{n-1} and Y_{n+1}.
 
-    Uses the theta/phi ladder, independent of the solid ladders above:
-    ``dY/dtheta = m cot(theta) Y_n^m + sqrt((n-m)(n+m+1)) e^{-i phi} Y_n^{m+1}``.
-    ``Y`` is Y_n at the nodes when the caller already has it.
+    The projection is the one of the ``2n+4`` product rule (Gauss-Legendre in
+    theta times a uniform phi grid), taken on its ``n+3`` polar nodes alone:
+    every integrand's phi factor is one ``e^{ik phi}`` with ``|k| <= 2n+2``,
+    so the rule's phi sum is exactly ``2 pi delta_k0``.  The theta factors of
+    Y_{n-1}, Y_n and Y_{n+1} come from one Legendre recurrence, ``dY/dtheta``
+    from the theta/phi ladder (independent of the solid ladders)
+
+        dY/dtheta = m cot(theta) Y_n^m + sqrt((n-m)(n+m+1)) e^{-i phi} Y_n^{m+1},
+
+    and ``d/dx +- i d/dy`` (order m -> m +- 1) and ``d/dz`` (m -> m) give the
+    three couplings.  Returns ``(lower, raise_)``, each the three Cartesian
+    matrices shaped like the ladders; ``lower`` is None at n = 0.
     """
-    x, y, z = nodes[:, 0], nodes[:, 1], nodes[:, 2]
-    st = np.sqrt(np.maximum(1.0 - z**2, 0.0))
-    safe = st > 1e-13
-    inv_st = np.where(safe, 1.0 / np.where(safe, st, 1.0), 0.0)
-    eiphi = np.where(safe, (x + 1j * y) * inv_st, 1.0)
-    if Y is None:
-        Y = sph_harm_stack(n, nodes)  # (N, 2n+1)
-    dY_dtheta = np.zeros_like(Y)
-    dY_dphi = np.zeros_like(Y)
-    for m in range(-n, n + 1):
-        i = n - m
-        term = m * (z * inv_st) * Y[:, i]
-        if m + 1 <= n:
-            term = term + sqrt((n - m) * (n + m + 1)) * np.conj(eiphi) * Y[:, n - (m + 1)]
-        dY_dtheta[:, i] = term
-        dY_dphi[:, i] = 1j * m * Y[:, i]
-    # unit vectors theta_hat, phi_hat in Cartesian components
-    cphi, sphi = np.real(eiphi), np.imag(eiphi)
-    theta_hat = np.stack([z * cphi, z * sphi, -st], axis=-1)
-    phi_hat = np.stack([-sphi, cphi, np.zeros_like(z)], axis=-1)
-    grad = (
-        dY_dtheta[:, :, None] * theta_hat[:, None, :]
-        + (dY_dphi * inv_st[:, None])[:, :, None] * phi_hat[:, None, :]
-    )
-    return grad
+    z, wt = np.polynomial.legendre.leggauss(n + 3)
+    st = np.sqrt(1.0 - z**2)  # the nodes are interior: st > 0
+    theta = {}  # degree d -> (2d+1, n+3) polar factors of Y_d^m, m = d ... -d
+    for d, A in enumerate(_legendre_rows(n + 1, z)):
+        if d >= n - 1:
+            m = np.arange(d + 1)[:, None]
+            pos = A * st**m  # orders m = 0 ... d
+            theta[d] = np.concatenate([pos[::-1], (-1.0) ** m[1:] * pos[1:]])
+    m = np.arange(n, -n - 1, -1.0)[:, None]
+    T = theta[n]
+    dT = m * (z / st) * T
+    dT[1:] += np.sqrt((n - m[1:]) * (n + m[1:] + 1)) * T[:-1]
+    w = 2.0 * pi * wt
+    rows = np.arange(2 * n + 1)
+    out = []
+    # F = r^radial Y_n^m, radial = n (lower) or -(n+1) (raise_); on S^2, with
+    # Y_n^m = T e^{i m phi}:
+    #   (d/dx +- i d/dy) F = e^{i(m+-1) phi} (radial st T + z dT -+ m T / st),
+    #   d/dz F = e^{i m phi} (radial z T - st dT)
+    for target, radial in ((n - 1, n), (n + 1, -(n + 1))):
+        if target < 0:
+            out.append(None)
+            continue
+        common = radial * st * T + z * dT
+        shifted = []  # order shift +1 (d/dx + i d/dy), 0 (d/dz), -1 (d/dx - i d/dy)
+        for shift, g in ((1, common - m / st * T), (0, radial * z * T - st * dT), (-1, common + m / st * T)):
+            M = np.zeros((2 * n + 1, 2 * target + 1))
+            cols = rows + (target - n) - shift  # column of order m + shift
+            ok = (cols >= 0) & (cols <= 2 * target)
+            M[rows[ok], cols[ok]] = (g[ok] * theta[target][cols[ok]]) @ w
+            shifted.append(M)
+        plus, Mz, minus = shifted
+        out.append(((plus + minus) / 2.0, (plus - minus) / 2j, Mz.astype(complex)))
+    return tuple(out)
 
 
 def _self_test_degree(n: int, lower, raise_, tol: float = 1e-9) -> None:
-    """Check degree n's ladder matrices against quadrature-projected gradients.
+    """Check degree n's ladder matrices in full against ``_polar_projection(n)``.
 
-    Uses a fresh ``2n+4`` rule and evaluates Y_{n-1}, Y_n and Y_{n+1} directly
-    from one Legendre recurrence, so no rule or table outlives the test.
+    Every entry is compared, those the ladders leave zero included; a
+    disagreement above ``tol`` raises ``AssertionError`` naming the matrix.
     """
-    if n == 0:
-        # degree 0 irregular: gradient of 1/(sqrt(4 pi) r)
-        quad = build_quadrature(6)
-        vals = -quad.nodes / sqrt(4.0 * pi)
-        wY1 = quad.weights[:, None] * np.conj(sph_harm_stack(1, quad.nodes))
+    for name, ref, proj in zip(("lower", "raise_"), (lower, raise_), _polar_projection(n)):
+        if proj is None:
+            continue
         for j in range(3):
-            if np.max(np.abs(wY1.T @ vals[:, j] - raise_[j])) > tol:
-                raise AssertionError(f"raise_[0][{j}] fails quadrature self-test")
-        return
-    quad = build_quadrature(2 * n + 4)
-    xh = quad.nodes
-    Ys = _sph_harm_stacks(range(n - 1, n + 2), xh)
-    Y = Ys[n]
-    grad = _surface_gradient_stack(n, xh, Y)  # (N, 2n+1, 3)
-    # d/dx_j [r^n Y_n] on S^2 = n xhat_j Y + tangential gradient component j;
-    # d/dx_j [r^{-n-1} Y_n] on S^2 = -(n+1) xhat_j Y + tangential component
-    for name, ref, target, radial in (("lower", lower, n - 1, n), ("raise_", raise_, n + 1, -(n + 1))):
-        wY = quad.weights[:, None] * np.conj(Ys[target])  # (N, 2 target + 1)
-        for j in range(3):
-            vals = radial * xh[:, j : j + 1] * Y + grad[:, :, j]
-            if np.max(np.abs((wY.T @ vals).T - ref[j])) > tol:
+            if np.max(np.abs(proj[j] - ref[j])) > tol:
                 raise AssertionError(f"{name}[{n}][{j}] fails quadrature self-test")

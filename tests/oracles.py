@@ -13,6 +13,11 @@ matrices (two of which vanish identically).
 panels instead of closed-form power integrals; ``fixed_c_closed_forms`` are
 the published branch coefficients of the fixed-multiplier witness.
 
+``grid_self_test_projection`` projects the analytic gradients of degree-n
+solid harmonics onto Y_{n-1} and Y_{n+1} on every node of the ``2n+4`` sphere
+rule (``_surface_gradient_stack`` gives the gradients there), the route the
+polar-node self-test of ``harmonics`` replaced.
+
 ``normalized_legendre_scaled``/``table_sph_harm_stack`` build the whole
 ``(n+1)^2`` scaled Legendre table and read Y_n off it; ``conj_kernel_matrix``
 applies the antiunitary conjugation of kernel matrices as a dense matrix.
@@ -51,6 +56,7 @@ from elastoplasmon.energy import _radial_integral, pairing_P
 from elastoplasmon.harmonics import (
     DerivativeTable,
     SphereQuadrature,
+    build_quadrature,
     ensure_tables,
     shared_quadrature,
     sph_harm_stack,
@@ -398,6 +404,57 @@ def fixed_c_closed_forms(n: int, c: float, r_e: float, q: float) -> tuple[float,
         + q ** (2 * n + 1) * (-((c - 1) ** 2) * (n**2 + n - 2) / re + (2 + c * (n - 1) + n) * (n - 1 + c * (n + 2)))
     ) / (c * (2 * n + 1) ** 2)
     return (e1, e2, e3, e4, e5)
+
+
+def _surface_gradient_stack(n: int, nodes: np.ndarray) -> np.ndarray:
+    """Cartesian gradient of Y_n on the unit sphere, shape (N, 2n+1, 3).
+
+    Uses the theta/phi ladder, independent of the solid ladders:
+    ``dY/dtheta = m cot(theta) Y_n^m + sqrt((n-m)(n+m+1)) e^{-i phi} Y_n^{m+1}``.
+    """
+    x, y, z = nodes[:, 0], nodes[:, 1], nodes[:, 2]
+    st = np.sqrt(np.maximum(1.0 - z**2, 0.0))
+    safe = st > 1e-13
+    inv_st = np.where(safe, 1.0 / np.where(safe, st, 1.0), 0.0)
+    eiphi = np.where(safe, (x + 1j * y) * inv_st, 1.0)
+    Y = sph_harm_stack(n, nodes)  # (N, 2n+1)
+    dY_dtheta = np.zeros_like(Y)
+    dY_dphi = np.zeros_like(Y)
+    for m in range(-n, n + 1):
+        i = n - m
+        term = m * (z * inv_st) * Y[:, i]
+        if m + 1 <= n:
+            term = term + sqrt((n - m) * (n + m + 1)) * np.conj(eiphi) * Y[:, n - (m + 1)]
+        dY_dtheta[:, i] = term
+        dY_dphi[:, i] = 1j * m * Y[:, i]
+    # unit vectors theta_hat, phi_hat in Cartesian components
+    cphi, sphi = np.real(eiphi), np.imag(eiphi)
+    theta_hat = np.stack([z * cphi, z * sphi, -st], axis=-1)
+    phi_hat = np.stack([-sphi, cphi, np.zeros_like(z)], axis=-1)
+    return (dY_dtheta[:, :, None] * theta_hat[:, None, :]
+            + (dY_dphi * inv_st[:, None])[:, :, None] * phi_hat[:, None, :])
+
+
+def grid_self_test_projection(n: int) -> tuple:
+    """``harmonics._polar_projection(n)`` on every node of the ``2n+4`` rule.
+
+    Samples the gradients of r^n Y_n and r^{-n-1} Y_n on the sphere and
+    projects them onto Y_{n-1} and Y_{n+1} with the full product rule, so it
+    assumes no azimuthal selection rule.  Same layout: ``(lower, raise_)``,
+    three Cartesian matrices each, ``lower`` None at n = 0.
+    """
+    quad = build_quadrature(2 * n + 4)
+    xh = quad.nodes
+    Y = sph_harm_stack(n, xh)
+    grad = _surface_gradient_stack(n, xh)  # (N, 2n+1, 3)
+    out = []
+    for target, radial in ((n - 1, n), (n + 1, -(n + 1))):
+        if target < 0:
+            out.append(None)
+            continue
+        wY = quad.weights[:, None] * np.conj(sph_harm_stack(target, xh))  # (N, 2 target + 1)
+        out.append(tuple((wY.T @ (radial * xh[:, j: j + 1] * Y + grad[:, :, j])).T for j in range(3)))
+    return tuple(out)
 
 
 def normalized_legendre_scaled(n_max: int, z: np.ndarray) -> np.ndarray:

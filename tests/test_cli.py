@@ -294,8 +294,9 @@ def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
 
 
 def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
-    # energies and witnesses integrate on harmonic coefficients: only the
-    # derivative-table self-test builds sphere rules, outside the shared cache
+    # energies and witnesses integrate on harmonic coefficients and the
+    # derivative-table self-test sums over polar Gauss nodes: no sphere rule
+    # is built, through the shared cache or outside it
     configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
                dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 1}))
     argvs = []
@@ -306,13 +307,15 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     code = (
         "from elastoplasmon import harmonics\n"
         "from elastoplasmon.cli import main\n"
+        "built, build = [], harmonics.build_quadrature\n"
+        "harmonics.build_quadrature = lambda exactness: built.append(exactness) or build(exactness)\n"
         f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
-        "print(harmonics.shared_quadrature.cache_info().misses)\n"
+        "print(len(built), harmonics.shared_quadrature.cache_info().misses)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0"
+    assert r.stdout.splitlines()[-1] == "0 0"
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):

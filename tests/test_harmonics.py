@@ -4,25 +4,36 @@ The derivative matrices are validated against 5-point central finite
 differences of independently evaluated solid harmonics; quadrature exactness
 is checked through Gram matrices.  The per-degree store is checked for its
 invariant: a matrix is returned only after its degree's self-test passed,
-each degree is tested once, and only degrees that are read are tested.
+each degree is tested once, and only degrees that are read are tested.  The
+self-test's polar-node projection is checked against the full sphere-rule
+projection of ``oracles.grid_self_test_projection``, and both must reject a
+single perturbed entry.
 """
 
 import gc
 import math
+import re
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from elastoplasmon import harmonics
+from elastoplasmon import cli, harmonics
 from elastoplasmon.harmonics import (
     build_derivative_tables,
     build_quadrature,
     ensure_tables,
     sph_harm_stack,
 )
-from oracles import HarmonicIndex, build_s_matrices, dmat, eval_Y, table_sph_harm_stack
+from oracles import (
+    HarmonicIndex,
+    build_s_matrices,
+    dmat,
+    eval_Y,
+    grid_self_test_projection,
+    table_sph_harm_stack,
+)
 
 
 def test_constant_harmonic():
@@ -91,16 +102,19 @@ def test_sph_harm_stack_is_bit_identical_to_full_table():
 
 def test_self_test_runs_one_recurrence(monkeypatch):
     calls = []
+    shapes = []
     rows = harmonics._legendre_rows
 
     def counted(n_max, z):
         calls.append(n_max)
+        shapes.append(np.shape(z))
         return rows(n_max, z)
 
     monkeypatch.setattr(harmonics, "_legendre_rows", counted)
     for n in (1, 5, 9):
         harmonics._self_test_degree(n, harmonics._lower_matrices(n), harmonics._raise_matrices(n))
     assert calls == [2, 6, 10]
+    assert shapes == [(n + 3,) for n in (1, 5, 9)]  # the polar Gauss nodes of the 2n+4 rule
 
 
 def test_stacking_order_is_descending_m():
@@ -232,6 +246,50 @@ def test_corrupt_degree_fails_on_first_read_and_is_not_kept(monkeypatch):
     assert 7 in harmonics._DEGREES
 
 
+def test_polar_projection_matches_grid_oracle():
+    # the polar-node projection and the full 2n+4 product rule agree entry by entry
+    for n in range(1, 42):
+        polar, grid = harmonics._polar_projection(n), grid_self_test_projection(n)
+        for family in range(2):
+            for j in range(3):
+                assert np.max(np.abs(polar[family][j] - grid[family][j])) < 1e-12, (n, family, j)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 20])
+def test_perturbed_entry_rejected_by_both_routes(n, monkeypatch):
+    # one 1e-8 change, real or imaginary, in any of the six matrices is caught,
+    # on an entry the ladder fills and on one it leaves zero
+    good = (harmonics._lower_matrices(n) if n else None, harmonics._raise_matrices(n))
+    routes = (harmonics._polar_projection, lambda n, grid=grid_self_test_projection(n): grid)
+    for family, name in enumerate(("lower", "raise_")):
+        for j in range(3 if good[family] else 0):
+            ref = good[family][j]
+            filled = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
+            zeros = np.argwhere(ref == 0)
+            for at in (filled, tuple(zeros[len(zeros) // 2])):
+                for kick in (1e-8, 1e-8j):
+                    bad = [list(f) if f else None for f in good]
+                    bad[family][j] = ref.copy()
+                    bad[family][j][at] += kick
+                    for route in routes:
+                        monkeypatch.setattr(harmonics, "_polar_projection", route)
+                        with pytest.raises(AssertionError, match=rf"^{re.escape(name)}\[{n}\]\[{j}\] "):
+                            harmonics._self_test_degree(n, *bad)
+    for route in routes:  # and the genuine matrices pass on both
+        monkeypatch.setattr(harmonics, "_polar_projection", route)
+        harmonics._self_test_degree(n, *good)
+
+
+def test_every_admissible_degree_self_tests(monkeypatch):
+    # a valid run reads at most 6 degrees beyond cli.MAX_DEGREE
+    monkeypatch.setattr(harmonics, "_DEGREES", {})
+    n_max = cli.MAX_DEGREE + 6
+    tables = build_derivative_tables(n_max)
+    for n in range(n_max + 1):
+        tables.raise_[n]
+    assert sorted(harmonics._DEGREES) == list(range(n_max + 1))
+
+
 def test_growing_tables_tests_each_degree_once(self_tests):
     small = ensure_tables(None, 12)
     for n in range(1, 13):
@@ -283,7 +341,7 @@ def test_s4_matches_quadrature_gram(tables12):
 
 
 def _surface_grad(n, quad):
-    from elastoplasmon.harmonics import _surface_gradient_stack
+    from oracles import _surface_gradient_stack
 
     return _surface_gradient_stack(n, quad.nodes)
 
