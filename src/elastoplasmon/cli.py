@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from .harmonics import ensure_tables, shared_quadrature, shared_tables
 from .lame import LameParams
 from .energy import EnergyReport
@@ -63,6 +65,13 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # x86-64 host with one BLAS thread.  The suite self-tests every degree
 # 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
+# Largest --nmax of np-spectrum.  The dense Galerkin matrix has
+# N = 3((nmax+1)^2 - 1) rows and columns, N^2 complex entries, and each column
+# costs one single-layer field and one quadrature traction: at nmax = 16,
+# N = 864 (a 12 MB matrix) and a run takes 13 s with a 85 MB peak RSS on a
+# 2-vCPU x86-64 host with one BLAS thread (nmax = 12: 4.3 s, 52 MB); the time
+# about doubles with every 2 degrees beyond.  The suite stays at nmax <= 5.
+MAX_NP_DEGREE = 16
 
 
 class ValidationError(ValueError):
@@ -182,6 +191,17 @@ def validate_config(cfg: dict) -> dict:
 def _check_degree(n: int, what: str) -> None:
     if n > MAX_DEGREE:
         raise ValidationError(f"{what} {n} exceeds the largest supported degree {MAX_DEGREE}")
+
+
+def _check_wave_degree(n: int) -> None:
+    if n < 2:
+        raise ValidationError(f"--n must be at least 2, got {n}")
+    _check_degree(n, "--n")
+
+
+def _check_radius(R: float) -> None:
+    if not (math.isfinite(R) and R > 0):
+        raise ValidationError(f"--R must be finite and positive, got {R}")
 
 
 def _single_loss(args, cfg: dict) -> float:
@@ -330,6 +350,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    _check_wave_degree(args.n)
     params = LameParams(args.lam, args.mu)
     tables = ensure_tables(None, args.n + 4)
     z = plasmon_constants(params, args.n)
@@ -342,6 +363,8 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_waves_check(args) -> int:
+    _check_wave_degree(args.n)
+    _check_radius(args.R)
     params = LameParams(args.lam, args.mu)
     tables = ensure_tables(None, args.n + 4)
     worst = 0.0
@@ -349,8 +372,9 @@ def _cmd_waves_check(args) -> int:
         for k, K in enumerate(kers, start=1):
             wave = perfect_wave(K, fam, args.n, args.R, params, tables)
             rep = verify_perfect_wave(wave, params, tables)
-            bad = max(rep["continuity"], rep["transmission"], rep["lame_interior"], rep["lame_exterior"])
-            worst = max(worst, bad)
+            # np.max, unlike max(), keeps a NaN residual, which then fails
+            worst = float(np.max([worst, rep["continuity"], rep["transmission"],
+                                  rep["lame_interior"], rep["lame_exterior"]]))
             print(
                 f"n={args.n} family={fam} k={k}: continuity {rep['continuity']:.2e} "
                 f"transmission {rep['transmission']:.2e} lame {max(rep['lame_interior'], rep['lame_exterior']):.2e}"
@@ -360,6 +384,9 @@ def _cmd_waves_check(args) -> int:
 
 
 def _cmd_np_spectrum(args) -> int:
+    _check_radius(args.R)
+    if not 2 <= args.nmax <= MAX_NP_DEGREE:
+        raise ValidationError(f"--nmax must lie in 2..{MAX_NP_DEGREE}, got {args.nmax}")
     params = LameParams(args.lam, args.mu)
     quad = shared_quadrature(2 * args.nmax + 4)
     spec = np_galerkin_spectrum(args.R, params, args.nmax, quad)

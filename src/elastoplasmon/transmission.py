@@ -16,8 +16,12 @@ consistent system in their amplitudes: the *sector solve*.  A pure family-1
 source collapses to one scalar system per interface.
 
 Sources are expanded in the kernel basis of each degree, which is each
-family's sector itself (:func:`kernel_basis`); the matching map is applied
-to one combination per family as a check, never assembled.
+family's sector itself, built in closed form (:func:`kernel_basis`); the
+matching map is applied to one combination per family as a check, never
+assembled.  The source-mode index k picks one member of that basis (ordered
+by descending |M| as in :func:`~elastoplasmon.waves.sector_kernels`); the
+sector solve commutes with rotations, so the dissipation, the bounds and the
+verdicts of a unit source do not depend on k.
 """
 
 from __future__ import annotations
@@ -100,11 +104,15 @@ _KERNEL_CACHE: dict = {}
 def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[int, list[np.ndarray]]:
     """Self-conjugate orthonormal kernel matrices per family at degree n.
 
-    Each family's kernel is its whole angular-momentum sector
-    (:func:`~elastoplasmon.waves.sector_kernels`), so families stay pure where
-    two plasmon constants coincide.  One fixed combination of each family's
-    kernels must pass the matching map at the family's plasmon constant to a
-    relative defect of 1e-9, else ``AssertionError``.
+    Each family's kernel is its whole angular-momentum sector, built in
+    closed form (:func:`~elastoplasmon.waves.sector_kernels`), so families
+    stay pure where two plasmon constants coincide.  Kernels 2(J - M) + 1
+    and 2(J - M) + 2 are the two members of orders +-M about the z axis
+    (M = J..1) and kernel 2J + 1 is the M = 0 member.  One fixed combination
+    of each family's kernels must pass the matching map at the family's
+    plasmon constant to a relative defect of 1e-9, else ``AssertionError``.
+    Results are cached per material and degree: a sweep reads the same
+    bases at every loss.
     """
     key = (params.lam, params.mu, n)
     if key not in _KERNEL_CACHE:
@@ -112,7 +120,7 @@ def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[in
         out = {}
         for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), start=1):
             kers = sector_kernels(n, fam, tables)
-            probe = sum(w * K for w, K in zip(np.linspace(1.0, 2.0, len(kers)), kers))
+            probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
             defect = matching_defect(probe, n, params, c, tables)
             if not defect <= 1e-9:
                 raise AssertionError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
@@ -124,7 +132,14 @@ def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[in
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """Surface force density on partial B_q expanded in kernel matrices."""
+    """Surface force density on partial B_q expanded in kernel matrices.
+
+    ``coefficients[(n, family, k)]`` multiplies kernel k of the family at
+    degree n (:func:`kernel_basis`: by descending order |M| of the sector's
+    total angular momentum J, k = 2J + 1 being M = 0).  Every
+    rotation-invariant output of a solve from one such mode (``E_delta``,
+    ``I_upper``, ``J_lower``, the verdict) is the same for every k.
+    """
 
     q: float
     coefficients: dict  # (n, family, k) -> complex gamma

@@ -6,12 +6,17 @@ obtained from the surface displacement against the one obtained from the
 surface traction (divided by the shell multiplier c) yields a square linear
 map on G; its null space is nontrivial exactly at the three plasmon
 constants.  Each null space is a whole total-angular-momentum sector of G Y_n
-(J = n, n-1, n+1 for families 1, 2, 3), so :func:`sector_kernels` reads the
-kernels off the t1/t3 maps without the matching map, and
-:func:`matching_defect` applies the map to one matrix to check them;
-:func:`assemble_H` and :func:`plasmon_kernel` build the full map and its
-null space.  Kernel bases are rotated to self-conjugate matrices, so every
-kernel generates a real-valued field G Y_n.
+(J = n, n-1, n+1 for families 1, 2, 3), so :func:`sector_kernels` builds the
+kernels in closed form from the angular-momentum ladders, without the
+matching map, and :func:`matching_defect` applies the map to one matrix to
+check them; :func:`assemble_H` and :func:`plasmon_kernel` build the full map
+and its null space.  Kernel bases are self-conjugate matrices, so every
+kernel generates a real-valued field G Y_n.  A sector basis is ordered by
+descending |M|, the order of the total angular momentum J about the z axis:
+k = 1, 2 are the two self-conjugate members of orders +-J, and so on down
+to k = 2J + 1, the M = 0 member.  Any rotation-invariant quantity of a unit
+source in one sector (its dissipation, bounds and verdicts) is the same for
+every k.
 
 The Neumann-Poincare route is independent: densities e_j Y_n^m on the sphere
 are convolved with the Kelvin matrix through exact radial factors of the
@@ -194,21 +199,57 @@ def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9) -> list[
     return _realify(raw)
 
 
+def _toroidal_members(n: int) -> np.ndarray:
+    """Matrices ``<n,m|L_j|n,M>`` of the toroidal fields L Y_n^M, M = n..-n.
+
+    ``L_z = M``, ``L_x = (L_+ + L_-)/2`` and ``L_y = (L_+ - L_-)/(2i)`` with
+    ``L_+- |n,M> = sqrt((n -+ M)(n +- M + 1)) |n,M+-1>`` (Condon-Shortley
+    phase); member p has order M = n - p and reaches the orders M +- 1 at
+    the stacked positions p -+ 1.
+    """
+    p = np.arange(2 * n + 1)
+    M = n - p.astype(float)
+    B = np.zeros((2 * n + 1, 3, 2 * n + 1), dtype=complex)
+    B[p, 2, p] = M
+    up = np.sqrt((n - M[1:]) * (n + M[1:] + 1))
+    down = np.sqrt((n + M[:-1]) * (n - M[:-1] + 1))
+    B[p[1:], 0, p[:-1]] = 0.5 * up
+    B[p[1:], 1, p[:-1]] = -0.5j * up
+    B[p[:-1], 0, p[1:]] = 0.5 * down
+    B[p[:-1], 1, p[1:]] = 0.5j * down
+    return B
+
+
 def sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
     """Self-conjugate orthonormal basis of one family's sector, as matrices G.
 
-    The sectors are the total angular momenta of G Y_n: J = n-1 (family 2)
-    is the row space of the t3 map, J = n+1 (family 3) the row space of the
-    t1 map, and J = n (family 1) their common null space.  Each family's
-    kernel at its plasmon constant is its whole sector, so this is the
-    kernel basis without the matching map.
+    The sectors are the total angular momenta J of G Y_n, each spanned in
+    closed form by 2J + 1 members of orders M = J..-J (Edmonds, *Angular
+    Momentum in Quantum Mechanics*, 1957, ch. 2-3): for J = n (family 1)
+    the toroidal matrices of :func:`_toroidal_members`, for J = n-1
+    (family 2) and J = n+1 (family 3) the conjugated columns of the ladders
+    ``lower[n]`` and ``raise_[n]``, i.e. the rows of the t3 and t1 maps.  By
+    Wigner-Eckart the members of a sector share one norm.  The orders +-M
+    are exchanged by :func:`_conj_kernel`, so ``(B + C B)/sqrt 2`` and
+    ``i (B - C B)/sqrt 2`` of the order-M member B are self-conjugate, and
+    the M = 0 member is self-conjugate up to a factor i.  The basis runs by
+    descending |M| like the stacked orders: k = 2(J - M) + 1 and
+    2(J - M) + 2 are the two members of orders +-M for M = J..1, and
+    k = 2J + 1 is the M = 0 member.  Each family's kernel at its plasmon
+    constant is its whole sector, so this is the kernel basis without the
+    matching map.
     """
-    t1 = np.hstack([tables.raise_[n][j].T for j in range(3)])  # vec(G) -> t1
-    t3 = np.hstack([tables.lower[n][j].T for j in range(3)])  # vec(G) -> t3
-    A = {1: np.vstack([t1, t3]), 2: t3, 3: t1}[family]
-    rank = {1: 4 * n + 2, 2: 2 * n - 1, 3: 2 * n + 3}[family]
-    Vh = np.linalg.svd(A)[2]
-    return _realify([_unvec(v.conj(), n) for v in (Vh[rank:] if family == 1 else Vh[:rank])])
+    if family == 1:
+        B = _toroidal_members(n)
+    else:
+        B = np.conj(np.stack(tables.lower[n] if family == 2 else tables.raise_[n])).transpose(2, 0, 1)
+    B = B * (math.sqrt(len(B)) / np.linalg.norm(B))
+    half = B[: len(B) // 2 + 1]  # orders M = J, J-1, ..., 0
+    C = _conj_kernel(half)
+    P, Q = half + C, 1j * (half - C)
+    pairs = np.stack([P[:-1], Q[:-1]], axis=1).reshape(-1, 3, 2 * n + 1) / math.sqrt(2.0)
+    zero = P[-1] if np.linalg.norm(P[-1]) >= np.linalg.norm(Q[-1]) else Q[-1]
+    return [*pairs, zero / 2.0]
 
 
 def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:

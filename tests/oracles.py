@@ -22,6 +22,11 @@ polar-node self-test of ``harmonics`` replaced.
 ``(n+1)^2`` scaled Legendre table and read Y_n off it; ``conj_kernel_matrix``
 applies the antiunitary conjugation of kernel matrices as a dense matrix.
 
+``svd_sector_kernels`` finds each family's sector as a null or row space of
+the stacked t1/t3 maps by a dense SVD and rotates it to self-conjugate form
+through the Gram eigendecomposition of ``waves._realify``, the route the
+closed-form sector bases of ``waves.sector_kernels`` replaced.
+
 ``quadrature_pairing_P`` and ``quadrature_source_pairing`` take the angular
 integrals of the energy pairing and the source pairing on a sphere rule, the
 route the coefficient dot products of ``energy`` replaced;
@@ -86,6 +91,7 @@ from elastoplasmon.transmission import (
     _region_layout,
     kernel_basis,
 )
+from elastoplasmon.waves import _realify, _unvec
 
 
 def window(n: int, minimal: bool = False) -> tuple[int, ...]:
@@ -502,6 +508,21 @@ def conj_kernel_matrix(G: np.ndarray) -> np.ndarray:
     flip = np.zeros((2 * n + 1, 2 * n + 1))
     flip[np.arange(2 * n + 1), n + m] = (-1.0) ** m
     return np.conj(G) @ flip
+
+
+def svd_sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
+    """Self-conjugate orthonormal basis of one family's sector, by SVD.
+
+    J = n-1 (family 2) is the row space of the t3 map, J = n+1 (family 3)
+    the row space of the t1 map, and J = n (family 1) their common null
+    space.
+    """
+    t1 = np.hstack([tables.raise_[n][j].T for j in range(3)])  # vec(G) -> t1
+    t3 = np.hstack([tables.lower[n][j].T for j in range(3)])  # vec(G) -> t3
+    A = {1: np.vstack([t1, t3]), 2: t3, 3: t1}[family]
+    rank = {1: 4 * n + 2, 2: 2 * n - 1, 3: 2 * n + 3}[family]
+    Vh = np.linalg.svd(A)[2]
+    return _realify([_unvec(v.conj(), n) for v in (Vh[rank:] if family == 1 else Vh[:rank])])
 
 
 def pairing_P_pieces(u_pieces: Sequence[ModeField], v_pieces: Sequence[ModeField], params: LameParams,

@@ -81,6 +81,44 @@ def test_waves_check_passes():
     assert "worst residual" in out.stdout
 
 
+def test_waves_check_fails_on_a_nan_residual(monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    def nan_residuals(*args, **kwargs):
+        return {"continuity": math.nan, "transmission": 0.0, "lame_interior": 0.0, "lame_exterior": 0.0}
+
+    monkeypatch.setattr(cli, "verify_perfect_wave", nan_residuals)
+    assert cli.main(["waves-check", "--n", "2"]) == 2
+    assert capsys.readouterr().out.splitlines()[-1] == "worst residual nan"
+
+
+@pytest.mark.parametrize("argv", [
+    ["waves-check", "--n", "3", "--R", "0"],
+    ["waves-check", "--n", "3", "--R", "nan"],
+    ["waves-check", "--n", "3", "--R", "-1"],
+    ["waves-check", "--n", "1"],
+    ["waves-check", "--n", "{deg}"],
+    ["kernels", "--n", "-10"],
+    ["kernels", "--n", "{deg}"],
+    ["np-spectrum", "--R", "inf"],
+    ["np-spectrum", "--R", "0"],
+    ["np-spectrum", "--nmax", "0"],
+    ["np-spectrum", "--nmax", "1"],
+    ["np-spectrum", "--nmax", "{np_deg}"],
+    ["np-spectrum", "--nmax", "10000"],
+])
+def test_wave_arguments_are_bounded_before_any_run(argv, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    monkeypatch.setattr(cli, "kernel_basis", _no_run)
+    monkeypatch.setattr(cli, "np_galerkin_spectrum", _no_run)
+    assert cli.main([a.format(deg=cli.MAX_DEGREE + 1, np_deg=cli.MAX_NP_DEGREE + 1) for a in argv]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
+
+
 def test_sweep_deterministic_csv(config_file, tmp_path):
     c1, c2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     r1 = run_cli("sweep", "--config", config_file, "--csv", c1)
@@ -296,7 +334,8 @@ def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
 def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     # energies and witnesses integrate on harmonic coefficients and the
     # derivative-table self-test sums over polar Gauss nodes: no sphere rule
-    # is built, through the shared cache or outside it
+    # is built, through the shared cache or outside it.  The sector kernel
+    # bases are closed forms: no SVD and no Hermitian eigendecomposition.
     configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
                dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 1}))
     argvs = []
@@ -305,17 +344,24 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
         path.write_text(json.dumps(cfg))
         argvs.append(["sweep", "--config", str(path), "--csv", str(tmp_path / f"x{i}.csv")])
     code = (
+        "import collections\n"
+        "import numpy as np\n"
         "from elastoplasmon import harmonics\n"
         "from elastoplasmon.cli import main\n"
         "built, build = [], harmonics.build_quadrature\n"
         "harmonics.build_quadrature = lambda exactness: built.append(exactness) or build(exactness)\n"
+        "calls = collections.Counter()\n"
+        "def counted(name, f):\n"
+        "    return lambda *a, **k: calls.update([name]) or f(*a, **k)\n"
+        "for name in ('svd', 'eigh'):\n"
+        "    setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))\n"
         f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
-        "print(len(built), harmonics.shared_quadrature.cache_info().misses)\n"
+        "print(len(built), harmonics.shared_quadrature.cache_info().misses, calls['svd'], calls['eigh'])\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0 0"
+    assert r.stdout.splitlines()[-1] == "0 0 0 0"
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):

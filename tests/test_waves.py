@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
+from elastoplasmon.harmonics import build_quadrature, ensure_tables, sph_harm_stack
 from elastoplasmon.lame import LameParams, eval_terms, t1_vector, t3_vector
 from elastoplasmon.waves import (
     assemble_H,
@@ -16,11 +16,12 @@ from elastoplasmon.waves import (
     perfect_wave,
     plasmon_constants,
     plasmon_kernel,
+    sector_kernels,
     single_layer_field,
     verify_perfect_wave,
     _conj_kernel,
 )
-from oracles import conj_kernel_matrix, kelvin_matrix
+from oracles import conj_kernel_matrix, kelvin_matrix, svd_sector_kernels
 
 MULTIPLICITY = {1: lambda n: 2 * n + 1, 2: lambda n: 2 * n - 1, 3: lambda n: 2 * n + 3}
 
@@ -144,6 +145,21 @@ def test_conj_kernel_matches_flip_matrix():
         G = rng.normal(size=(3, 2 * n + 1)) + 1j * rng.normal(size=(3, 2 * n + 1))
         assert np.array_equal(_conj_kernel(G), conj_kernel_matrix(G))
         assert np.array_equal(_conj_kernel(np.stack([G, 2 * G])), [conj_kernel_matrix(G), conj_kernel_matrix(2 * G)])
+
+
+def test_sector_kernels_match_svd_oracle(tables):
+    # closed-form sectors span the SVD null/row spaces of the t1/t3 maps
+    tables = ensure_tables(tables, 64)
+    for n in [*range(2, 42), 64]:
+        for fam in (1, 2, 3):
+            kers = sector_kernels(n, fam, tables)
+            assert len(kers) == MULTIPLICITY[fam](n), (n, fam)
+            V = np.array([K.ravel() for K in kers])
+            W = np.array([K.ravel() for K in svd_sector_kernels(n, fam, tables)])
+            assert np.max(np.abs(V.T @ V.conj() - W.T @ W.conj())) < 1e-13, (n, fam)
+            assert np.max(np.abs(V.conj() @ V.T - np.eye(len(kers)))) < 1e-14, (n, fam)
+            assert all(np.array_equal(_conj_kernel(K), K) for K in kers), (n, fam)
+            assert all(kernel_family(K, tables) == fam for K in kers), (n, fam)
 
 
 def test_kernel_independence_of_radius(tables):
