@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 @dataclass
 class EnergyReport:
-    """One row of a loss sweep."""
+    """One row of a loss sweep; ``sandwich_ok``: J_lower <= E_delta <= I_upper to ``slack * |E_delta|``."""
 
     delta: float
     E_delta: float
@@ -49,10 +49,10 @@ class EnergyReport:
     n_delta: int | None = None
 
     def sandwich_ok(self, slack: float = 1e-9) -> bool:
-        scale = max(abs(self.E_delta), 1.0)
-        if self.J_lower is not None and self.J_lower > self.E_delta + slack * scale:
+        tol = slack * abs(self.E_delta)
+        if self.J_lower is not None and self.J_lower > self.E_delta + tol:
             return False
-        if self.I_upper is not None and self.I_upper < self.E_delta - slack * scale:
+        if self.I_upper is not None and self.I_upper < self.E_delta - tol:
             return False
         return True
 

@@ -8,20 +8,22 @@ A radially layered medium commutes with rotations, so a degree-n source of
 family f excites only its total-angular-momentum sector: J = n for family 1
 (toroidal), J = n-1 for family 2 (degree n plus the degree n-2 shape reached
 through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
-reached through t1).  Each region therefore carries entire/decaying blocks
-of a few fixed shapes per family, and the interface conditions
-(displacement continuity, weighted-traction continuity and the prescribed
-traction jump across the source sphere) form a small overdetermined but
-consistent system in their amplitudes: the *sector solve*.  A pure family-1
-source collapses to one scalar system per interface.
+reached through t1).  Within a sector every block's displacement and
+traction on a sphere is a scalar times one reference matrix per degree (the
+sector's *radial profile*), so the interface conditions (displacement
+continuity, weighted-traction continuity and the prescribed traction jump
+across the source sphere) form a square scalar system: two unknowns per
+region and rows per interface for family 1, four for families 2 and 3.
+Each family's part of a density is solved in its sector, by LU refined in
+extended precision, and the parts are superposed.
 
 Sources are expanded in the kernel basis of each degree, which is each
 family's sector itself, built in closed form (:func:`kernel_basis`); the
 matching map is applied to one combination per family as a check, never
 assembled.  The source-mode index k picks one member of that basis (ordered
 by descending |M| as in :func:`~elastoplasmon.waves.sector_kernels`); the
-sector solve commutes with rotations, so the dissipation, the bounds and the
-verdicts of a unit source do not depend on k.
+sector systems do not depend on the member, so the dissipation, the bounds
+and the verdicts of a unit source do not depend on k.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .lame import (
     LameParams,
     ModeField,
     Term,
-    displacement_coeffs,
     eval_terms,
     exterior_block,
     interior_block,
@@ -71,7 +72,7 @@ class ResonantSingularityError(RuntimeError):
 
 
 class UnconvergedSolveError(RuntimeError):
-    """Raised when a solve's least-squares backward error exceeds 1e-10."""
+    """Raised when a density leaves its sector or a solve's backward error exceeds 1e-10."""
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,7 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Piecewise solution for one degree family."""
+    """Piecewise solution for one degree; ``lstsq_residual`` is the largest backward error."""
 
     n: int
     regions: tuple[ModeField, ...]
@@ -183,210 +184,209 @@ def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[c
 
 
 def _block_terms(kind: str, d: int, E: np.ndarray, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
-    if kind == "entire":
-        if d == 0:
-            return (Term(np.asarray(E, dtype=complex), 0, 0),)
-        return interior_block(E, d, params, tables)
-    return exterior_block(E, d, params, tables)
+    return (interior_block if kind == "entire" else exterior_block)(E, d, params, tables)
 
 
-def _sector_shapes(gammas: dict[int, np.ndarray], n: int, tables: DerivativeTable) -> list[tuple[int, np.ndarray]]:
-    """(degree, coefficient matrix) shapes spanning the sectors of the density.
+def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
+                  max_condition: float = math.inf) -> tuple[np.ndarray | None, float, float]:
+    """Solve a square interface system: (x, condition, backward error).
 
-    Each family's density is one shape at degree n; families 2 and 3 add the
-    unique shape of their sector at degree n-2 (through t3) or n+2 (through t1).
+    Rows, then columns, are scaled to a largest entry of 1 and the scaled
+    system is solved by LU.  The condition number is that of the scaled
+    matrix, from its singular values; above ``max_condition`` the system is
+    singular (:class:`ResonantSingularityError`) and is not solved, and
+    without ``b`` only the condition number is computed.  Residuals of the
+    double system formed in ``np.clongdouble`` refine the solution, at most
+    4 steps and until a correction falls below eps |x| (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 12), so it is accurate
+    to working precision while condition x eps < 1.  A normwise backward
+    error of the scaled system above 1e-10 raises :class:`UnconvergedSolveError`.
     """
-    shapes = [(n, g) for _, g in sorted(gammas.items())]
-    if 2 in gammas:
-        shapes.append((n - 2, stack_rows(t3_vector(gammas[2], n, tables), tables.lower[n - 1])))
-    if 3 in gammas:
-        shapes.append((n + 2, stack_rows(t1_vector(gammas[3], n, tables), tables.raise_[n + 1])))
-    return shapes
-
-
-def _sector_system(medium: LayeredMedium, q: float, shapes: list[tuple[int, np.ndarray]],
-                   tables: DerivativeTable):
-    """Interface matrix over the block terms of every shape in every region.
-
-    Rows are keyed by (interface, displacement/traction, degree); returns the
-    matrix, the row offset of each key, the columns (region, block terms),
-    the interface radii and the region weights.
-    """
-    params = medium.base
-    bounds, weights = _region_layout(medium, q)
-    n_regions = len(bounds) + 1
-    blocks = {(kind, si): _block_terms(kind, d, S, params, tables)
-              for kind in ("entire", "decay") for si, (d, S) in enumerate(shapes)}
-    cols = [(reg, kind, si) for reg in range(n_regions)
-            for kind in (("entire",) if reg == 0 else ("decay",) if reg == n_regions - 1 else ("entire", "decay"))
-            for si in range(len(shapes))]
-    entries: dict[tuple[int, int, int], list[tuple[int, np.ndarray]]] = {}
-    for bi, rho in enumerate(bounds):
-        traces = {}
-        for ci, (reg, kind, si) in enumerate(cols):
-            if reg not in (bi, bi + 1):
-                continue
-            if (kind, si) not in traces:
-                terms = blocks[(kind, si)]
-                traces[(kind, si)] = (displacement_coeffs(terms, rho),
-                                      traction_coeffs_algebraic(terms, rho, params, tables))
-            sgn = 1.0 if reg == bi else -1.0
-            for row_kind, (vecs, w) in enumerate(zip(traces[(kind, si)], (sgn, sgn * weights[reg]))):
-                for d, mat in vecs.items():
-                    entries.setdefault((bi, row_kind, d), []).append((ci, w * mat.reshape(-1)))
-    offsets, pos = {}, 0
-    for key in sorted(entries):
-        offsets[key] = pos
-        pos += 3 * (2 * key[2] + 1)
-    M = np.zeros((pos, len(cols)), dtype=complex)
-    for key, lst in entries.items():
-        for ci, vec in lst:
-            M[offsets[key]: offsets[key] + vec.size, ci] += vec
-    regions = [(reg, blocks[(kind, si)]) for reg, kind, si in cols]
-    return M, offsets, regions, bounds, weights
-
-
-def _equilibrated_lstsq(M: np.ndarray, b: np.ndarray):
-    """Column-equilibrated least squares: (x, condition, residual, scale).
-
-    ``scale`` is the backward-error scale |M| |x| + |b|: an amplified
-    near-resonant solution is accepted when the residual is small relative
-    to it, not just to |b|.
-    """
-    col_scale = np.linalg.norm(M, axis=0)
-    col_scale[col_scale == 0] = 1.0
-    xs, _, _, sv = np.linalg.lstsq(M / col_scale, b, rcond=None)
+    rows = np.max(np.abs(M), axis=1)
+    rows[rows == 0] = 1.0
+    A = M / rows[:, None]
+    cols = np.max(np.abs(A), axis=0)
+    cols[cols == 0] = 1.0
+    A = A / cols
+    sv = np.linalg.svd(A, compute_uv=False)
     cond = float(sv[0] / max(sv[-1], 1e-300))
-    x = xs / col_scale
-    resid = float(np.linalg.norm(M @ x - b))
-    scale = float(sv[0] * np.linalg.norm(xs) + np.linalg.norm(b)) or 1e-300
-    return x, cond, resid, scale
+    if cond > max_condition:
+        raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
+    if b is None:
+        return None, cond, 0.0
+    M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
+    x = np.linalg.solve(A, b / rows) / cols
+    for _ in range(4):
+        dx = np.linalg.solve(A, (b_ext - M_ext @ x).astype(complex) / rows) / cols
+        x = x + dx
+        if np.linalg.norm(dx) <= np.finfo(float).eps * np.linalg.norm(x):
+            break
+    resid = float(np.linalg.norm((b_ext - M_ext @ x).astype(complex) / rows))
+    berr = resid / (float(sv[0] * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
+    if berr > 1e-10:
+        raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
+    return x, cond, berr
+
+
+def _ladder(G: np.ndarray, d: int, up: bool, tables: DerivativeTable) -> np.ndarray:
+    """The shape two degrees up (through t1) or down (through t3) that G Y_d slaves."""
+    if up:
+        return stack_rows(t1_vector(G, d, tables), tables.raise_[d + 1])
+    return stack_rows(t3_vector(G, d, tables), tables.lower[d - 1])
+
+
+@dataclass(frozen=True)
+class _RadialProfile:
+    """Scalar radial data of one sector at degree n.
+
+    ``degrees`` are n alone (family 1) or n and the partner degree n-2 or
+    n+2 (families 2, 3), whose reference matrices are a density G and its
+    :func:`_ladder` shape.  ``blocks[(kind, s)]`` is the ``entire`` or
+    ``decay`` block on the shape of ``degrees[s]`` as (power p, {degree:
+    displacement scalar}, {degree: unit-radius traction scalar}): on the
+    sphere rho its displacement and traction are these scalars times the
+    reference matrix of their degree, times rho^p and rho^(p-1).  The ladder
+    back from the partner shape gives ``kappa`` G.  By Wigner-Eckart every
+    scalar is the same for every member of the sector.
+    """
+
+    degrees: tuple[int, ...]
+    blocks: dict
+    kappa: complex | None
+
+
+def _project(T: np.ndarray, R: np.ndarray | None, scale: float, what: str) -> complex:
+    """Scalar s with T = s R (R = None: T = 0), else ``AssertionError``."""
+    s = 0.0 if R is None else np.vdot(R, T) / np.vdot(R, R)
+    resid = float(np.linalg.norm(T - s * R if R is not None else T))
+    if not resid <= 1e-11 * scale:
+        raise AssertionError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
+    return complex(s)
+
+
+def _radial_profile(params: LameParams, n: int, fam: int, tables: DerivativeTable) -> _RadialProfile:
+    """The :class:`_RadialProfile` of a sector.
+
+    The toroidal blocks K r^n and K r^(-n-1) have the tractions mu (n-1) and
+    -mu (n+2) times K.  A spheroidal profile is cached beside the kernel
+    bases, built from one closed-form member: the terms and the unit-radius
+    traction (``traction_coeffs_algebraic``) of each block are projected on
+    the reference matrices, to a residual of at most 1e-11 of the block.
+    """
+    if fam == 1:
+        return _RadialProfile((n,), {("entire", 0): (n, {n: 1.0}, {n: params.mu * (n - 1.0)}),
+                                     ("decay", 0): (-n - 1, {n: 1.0}, {n: -params.mu * (n + 2.0)})}, None)
+    key = (params.lam, params.mu, n, fam)
+    if key not in _KERNEL_CACHE:
+        K = sector_kernels(n, fam, tables)[0]
+        d2 = n - 2 if fam == 2 else n + 2
+        refs = {n: K, d2: _ladder(K, n, fam == 3, tables)}
+        blocks = {}
+        for s, d in enumerate(refs):
+            for kind in ("entire", "decay"):
+                terms = _block_terms(kind, d, refs[d], params, tables)
+                (p,) = {t.power for t in terms}
+                trac = traction_coeffs_algebraic(terms, 1.0, params, tables)
+                scale = max(float(np.linalg.norm(m)) for m in [t.coef for t in terms] + list(trac.values()))
+                what = f"family-{fam} {kind} block of degree {d}"
+                blocks[(kind, s)] = (p, {t.degree: _project(t.coef, refs[t.degree], scale, what) for t in terms},
+                                     {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
+        back = _ladder(refs[d2], d2, fam == 2, tables)
+        kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
+        _KERNEL_CACHE[key] = _RadialProfile((n, d2), blocks, kappa)
+    return _KERNEL_CACHE[key]
+
+
+def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
+    """Square system of one sector for a unit density: (matrix, right-hand side, columns).
+
+    The unknowns are the amplitudes of the (region, kind, shape) blocks:
+    entire in the ball, decaying outside, both in between.  Each interface
+    has a displacement and a weighted-traction row per degree of the sector
+    (inner minus outer); the density enters as the traction jump at q.
+    """
+    bounds, weights = _region_layout(medium, q)
+    k = len(prof.degrees)
+    kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
+    cols = [(reg, kind, s) for reg, ks in enumerate(kinds) for kind in ks for s in range(k)]
+    M = np.zeros((2 * k * len(bounds), len(cols)), dtype=complex)
+    for ci, (reg, kind, s) in enumerate(cols):
+        p, disp, trac = prof.blocks[(kind, s)]
+        for bi in (reg - 1, reg):
+            if 0 <= bi < len(bounds):
+                rho, sgn = bounds[bi], (1.0 if reg == bi else -1.0)
+                for di, d in enumerate(prof.degrees):
+                    M[2 * k * bi + di, ci] = sgn * disp.get(d, 0.0) * rho**p
+                    M[2 * k * bi + k + di, ci] = sgn * weights[reg] * trac.get(d, 0.0) * rho ** (p - 1)
+    b = np.zeros(len(M), dtype=complex)
+    b[-k] = -1.0  # weighted traction jump (outer - inner) = density at q, degree n
+    return M, b, cols
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float, tables: DerivativeTable) -> dict[int, float]:
-    """Condition number of each family's degree-n sector system.
+    """Condition number of each family's degree-n square sector system.
 
-    Each system is built from the family's first kernel matrix; a loss-free
-    medium at a plasmon constant makes the matching family's system singular.
+    No density enters; a loss-free medium at a plasmon constant makes the
+    matching family's system singular.
     """
     tables = ensure_tables(tables, n + 6)
-    kernels = kernel_basis(medium.base, n, tables)
-    out = {}
-    for fam in (1, 2, 3):
-        M, *_ = _sector_system(medium, q, _sector_shapes({fam: kernels[fam][0]}, n, tables), tables)
-        out[fam] = _equilibrated_lstsq(M, np.zeros(M.shape[0]))[1]
-    return out
+    return {fam: _square_solve(_sector_system(medium, q, _radial_profile(medium.base, n, fam, tables))[0])[1]
+            for fam in (1, 2, 3)}
 
 
 def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable,
                sing_tol: float = 1e-9) -> ModeSolution:
     """Exact transmission solve for the degree-n part of the source.
 
-    A pure family-1 density takes the scalar radial solve; any other density
-    is solved in the sectors of its families (see the module docstring).
-    Raises :class:`ResonantSingularityError` when a loss-free medium makes
-    any family's sector system singular, and :class:`UnconvergedSolveError`
-    when the least-squares backward error exceeds 1e-10.
+    Each family's part G of the density is solved in its sector by one
+    square scalar system (:func:`sector_conditions` gives their conditions)
+    and the parts are superposed; a block's field is its profile scalars
+    times G and the partner shape of G.  Raises
+    :class:`ResonantSingularityError` when a loss-free medium makes a solved
+    system singular (for a source outside family 1: any family's), and
+    :class:`UnconvergedSolveError` when a family-2/3 density leaves its
+    sector or a backward error exceeds 1e-10.
     """
     if n < 2:
         raise ValueError("solve_mode needs n >= 2")
     tables = ensure_tables(tables, n + 6)
-    gammas = source.family_densities(n, medium.base, tables)
-    if set(gammas) <= {1}:
-        # divergence-free sources stay divergence-free: exact scalar radial solve
-        gamma = gammas.get(1, np.zeros((3, 2 * n + 1), dtype=complex))
-        return _solve_family1(medium, source.q, n, gamma, tables, sing_tol)
-    if medium.delta == 0.0:
+    params = medium.base
+    gammas = source.family_densities(n, params, tables) or {1: np.zeros((3, 2 * n + 1), dtype=complex)}
+    max_condition = 1.0 / sing_tol if medium.delta == 0.0 else math.inf
+    if medium.delta == 0.0 and set(gammas) != {1}:
         cond = max(sector_conditions(medium, n, source.q, tables).values())
-        if cond > 1.0 / sing_tol:
+        if cond > max_condition:
             raise ResonantSingularityError(
                 f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
                 condition=cond,
             )
-    M, offsets, cols, bounds, weights = _sector_system(
-        medium, source.q, _sector_shapes(gammas, n, tables), tables)
-    b = np.zeros(M.shape[0], dtype=complex)
-    gamma = sum(gammas.values())
-    row = offsets[(len(bounds) - 1, 1, n)]  # weighted traction jump (outer - inner) at q
-    b[row: row + gamma.size] = -gamma.reshape(-1)
-    x, cond, resid, scale = _equilibrated_lstsq(M, b)
-    if resid > 1e-10 * scale:
-        raise UnconvergedSolveError(f"sector solve at degree {n} did not converge (backward error {resid / scale:.3e})")
+    bounds, _ = _region_layout(medium, source.q)
     radii = [0.0] + bounds + [math.inf]
-    regions = []
-    for reg in range(len(weights)):
-        coefs: dict[tuple[int, int], np.ndarray] = {}
-        for xc, (r2, terms) in zip(x, cols):
-            if r2 == reg and xc != 0:
-                for t in terms:
-                    coefs[(t.degree, t.power)] = coefs.get((t.degree, t.power), 0.0) + xc * t.coef
-        terms = tuple(Term(c, d, p) for (d, p), c in coefs.items())
-        regions.append(ModeField(terms, radii[reg], radii[reg + 1]))
+    coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in range(len(bounds) + 1)]
+    conds, berrs = [], []
+    for fam, G in sorted(gammas.items()):
+        prof = _radial_profile(params, n, fam, tables)
+        refs = {n: G}
+        if fam != 1:
+            d2 = prof.degrees[1]
+            refs[d2] = _ladder(G, n, fam == 3, tables)
+            stray = np.linalg.norm(_ladder(refs[d2], d2, fam == 2, tables) - prof.kappa * G)
+            impurity = float(stray / (abs(prof.kappa) * max(float(np.linalg.norm(G)), 1e-300)))
+            if not impurity <= 1e-10:
+                raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
+                                            f"(backward error {impurity:.3e})")
+        M, b, cols = _sector_system(medium, source.q, prof)
+        x, cond, berr = _square_solve(M, b, f"family-{fam} system at degree {n}", max_condition)
+        conds.append(cond)
+        berrs.append(berr)
+        for xc, (reg, kind, s) in zip(x, cols):
+            p, disp, _ = prof.blocks[(kind, s)]
+            for d, a in disp.items():
+                coefs[reg][(d, p)] = coefs[reg].get((d, p), 0.0) + (xc * a) * refs[d]
+    regions = tuple(ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi)
+                    for co, lo, hi in zip(coefs, radii[:-1], radii[1:]))
     window = tuple(sorted({t.degree for reg in regions for t in reg.terms}))
-    return ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=window)
-
-
-def _solve_family1(medium: LayeredMedium, q: float, n: int, gamma: np.ndarray,
-                   tables: DerivativeTable, sing_tol: float) -> ModeSolution:
-    """Exact solve for a pure family-1 density: one scalar system, all orders.
-
-    The density matrix is a combination of divergence-free kernels, so every
-    region amplitude is (scalar) x (density matrix) with pure radial powers.
-    """
-    params = medium.base
-    mu = params.mu
-    bounds, weights = _region_layout(medium, q)
-    n_regions = len(bounds) + 1
-    # unknown layout: (entire, decaying) per region, trimmed at the ends
-    cols = []
-    for reg in range(n_regions):
-        if reg > 0:
-            cols.append((reg, "decay"))
-        if reg < n_regions - 1:
-            cols.append((reg, "entire"))
-    radii = [0.0] + bounds + [math.inf]
-    anchors = [min(hi, q) if math.isfinite(hi) else lo for lo, hi in zip(radii[:-1], radii[1:])]
-    M = np.zeros((2 * len(bounds), len(cols)), dtype=complex)
-    b = np.zeros(2 * len(bounds), dtype=complex)
-
-    def colscale(reg, kind, rho):
-        # amplitudes anchored at the region's reference radius
-        anchor = anchors[reg]
-        return (rho / anchor) ** n if kind == "entire" else (anchor / rho) ** (n + 1)
-
-    for bi, rho in enumerate(bounds):
-        for ci, (reg, kind) in enumerate(cols):
-            if reg not in (bi, bi + 1):
-                continue
-            sgn = 1.0 if reg == bi else -1.0
-            w = weights[reg]
-            s = colscale(reg, kind, rho)
-            ent = s if kind == "entire" else 0.0
-            dec = s if kind == "decay" else 0.0
-            M[2 * bi, ci] += sgn * (ent + dec)
-            M[2 * bi + 1, ci] += sgn * w * (mu * (n - 1.0) * ent - mu * (n + 2.0) * dec) / rho
-        if abs(rho - q) < 1e-15:
-            b[2 * bi + 1] = -1.0  # unit density; jump (outer - inner) = +1
-    x, cond, resid, _ = _equilibrated_lstsq(M, b)
-    if medium.delta == 0.0 and cond > 1.0 / sing_tol:
-        raise ResonantSingularityError(
-            f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
-            condition=cond,
-        )
-    regions = []
-    for reg in range(n_regions):
-        terms: list[Term] = []
-        anchor = anchors[reg]
-        for ci, (r2, kind) in enumerate(cols):
-            if r2 != reg or x[ci] == 0:
-                continue
-            if kind == "entire":
-                terms.append(Term(x[ci] * anchor ** (-n) * gamma, n, n))
-            else:
-                terms.append(Term(x[ci] * anchor ** (n + 1) * gamma, n, -n - 1))
-        regions.append(ModeField(tuple(terms), radii[reg], radii[reg + 1]))
-    return ModeSolution(n=n, regions=tuple(regions), condition=cond,
-                        lstsq_residual=resid, window=(n,))
+    return ModeSolution(n=n, regions=regions, condition=max(conds), lstsq_residual=max(berrs), window=window)
 
 
 def solve_modes(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> list[ModeSolution]:

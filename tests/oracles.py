@@ -46,6 +46,16 @@ interface it touches, and the whole system goes through one
 column-equilibrated least squares.  It assumes nothing about
 angular-momentum sectors, which makes it an independent check of the
 sector solve.
+
+``matrix_sector_solve`` is the route the square scalar systems replaced: one
+column per block of each sector shape in each region, but every entry of
+the 3(2d+1) displacement and traction blocks at every interface is a row
+(one ``traction_coeffs_algebraic`` call per block and interface), and the
+overdetermined but consistent stack goes through one column-equilibrated
+least squares.  ``mp_square_solve`` solves the package's square systems as
+assembled in double, in 50-digit ``mpmath`` arithmetic; patched in for
+``transmission._square_solve`` it gives the reference the refined double
+solve is held to.
 """
 
 from __future__ import annotations
@@ -80,6 +90,8 @@ from elastoplasmon.lame import (
     interior_block,
     mode_constants,
     stack_rows,
+    t1_vector,
+    t3_vector,
     term_derivative,
     traction_coeffs_algebraic,
 )
@@ -89,6 +101,7 @@ from elastoplasmon.transmission import (
     SourceSpec,
     _block_terms,
     _region_layout,
+    _square_solve,
     kernel_basis,
 )
 from elastoplasmon.waves import _realify, _unvec
@@ -198,6 +211,122 @@ def interface_singular_values(medium: LayeredMedium, n: int, q: float, tables: D
     col_scale = np.linalg.norm(M, axis=0)
     col_scale[col_scale == 0] = 1.0
     return np.linalg.svd(M / col_scale, compute_uv=False)
+
+
+def _sector_shapes(gammas: dict[int, np.ndarray], n: int, tables: DerivativeTable) -> list[tuple[int, np.ndarray]]:
+    """(degree, coefficient matrix) shapes spanning the sectors of the density.
+
+    Each family's density is one shape at degree n; families 2 and 3 add the
+    unique shape of their sector at degree n-2 (through t3) or n+2 (through t1).
+    """
+    shapes = [(n, g) for _, g in sorted(gammas.items())]
+    if 2 in gammas:
+        shapes.append((n - 2, stack_rows(t3_vector(gammas[2], n, tables), tables.lower[n - 1])))
+    if 3 in gammas:
+        shapes.append((n + 2, stack_rows(t1_vector(gammas[3], n, tables), tables.raise_[n + 1])))
+    return shapes
+
+
+def matrix_sector_system(medium: LayeredMedium, q: float, shapes: list[tuple[int, np.ndarray]],
+                         tables: DerivativeTable):
+    """Interface matrix over the block terms of every shape in every region.
+
+    Rows are keyed by (interface, displacement/traction, degree), one per
+    entry of each 3(2d+1) coefficient block; returns the matrix, the row
+    offset of each key, the columns (region, block terms), the interface
+    radii and the region weights.
+    """
+    params = medium.base
+    bounds, weights = _region_layout(medium, q)
+    n_regions = len(bounds) + 1
+    blocks = {(kind, si): _block_terms(kind, d, S, params, tables)
+              for kind in ("entire", "decay") for si, (d, S) in enumerate(shapes)}
+    cols = [(reg, kind, si) for reg in range(n_regions)
+            for kind in (("entire",) if reg == 0 else ("decay",) if reg == n_regions - 1 else ("entire", "decay"))
+            for si in range(len(shapes))]
+    entries: dict[tuple[int, int, int], list[tuple[int, np.ndarray]]] = {}
+    for bi, rho in enumerate(bounds):
+        traces = {}
+        for ci, (reg, kind, si) in enumerate(cols):
+            if reg not in (bi, bi + 1):
+                continue
+            if (kind, si) not in traces:
+                terms = blocks[(kind, si)]
+                traces[(kind, si)] = (displacement_coeffs(terms, rho),
+                                      traction_coeffs_algebraic(terms, rho, params, tables))
+            sgn = 1.0 if reg == bi else -1.0
+            for row_kind, (vecs, w) in enumerate(zip(traces[(kind, si)], (sgn, sgn * weights[reg]))):
+                for d, mat in vecs.items():
+                    entries.setdefault((bi, row_kind, d), []).append((ci, w * mat.reshape(-1)))
+    offsets, pos = {}, 0
+    for key in sorted(entries):
+        offsets[key] = pos
+        pos += 3 * (2 * key[2] + 1)
+    M = np.zeros((pos, len(cols)), dtype=complex)
+    for key, lst in entries.items():
+        for ci, vec in lst:
+            M[offsets[key]: offsets[key] + vec.size, ci] += vec
+    regions = [(reg, blocks[(kind, si)]) for reg, kind, si in cols]
+    return M, offsets, regions, bounds, weights
+
+
+def matrix_sector_solve(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable) -> ModeSolution:
+    """Degree-n solve of all families at once by the matrix sector route.
+
+    Every block of every sector shape is one column; the rows are every
+    entry of the displacement and weighted-traction blocks at each
+    interface, and the overdetermined but consistent stack goes through one
+    column-equilibrated least squares.  ``condition`` and ``lstsq_residual``
+    are those of that least squares.
+    """
+    tables = ensure_tables(tables, n + 6)
+    gammas = source.family_densities(n, medium.base, tables)
+    M, offsets, cols, bounds, weights = matrix_sector_system(medium, source.q, _sector_shapes(gammas, n, tables), tables)
+    b = np.zeros(M.shape[0], dtype=complex)
+    gamma = sum(gammas.values())
+    row = offsets[(len(bounds) - 1, 1, n)]  # weighted traction jump (outer - inner) at q
+    b[row: row + gamma.size] = -gamma.reshape(-1)
+    col_scale = np.linalg.norm(M, axis=0)
+    col_scale[col_scale == 0] = 1.0
+    xs, _, _, sv = np.linalg.lstsq(M / col_scale, b, rcond=None)
+    x = xs / col_scale
+    resid = float(np.linalg.norm(M @ x - b))
+    assert resid <= 1e-10 * (sv[0] * np.linalg.norm(xs) + np.linalg.norm(b)), resid
+    radii = [0.0] + bounds + [math.inf]
+    regions = []
+    for reg in range(len(weights)):
+        coefs: dict[tuple[int, int], np.ndarray] = {}
+        for xc, (r2, terms) in zip(x, cols):
+            if r2 == reg and xc != 0:
+                for t in terms:
+                    coefs[(t.degree, t.power)] = coefs.get((t.degree, t.power), 0.0) + xc * t.coef
+        regions.append(ModeField(tuple(Term(c, d, p) for (d, p), c in coefs.items()), radii[reg], radii[reg + 1]))
+    window = tuple(sorted({t.degree for reg in regions for t in reg.terms}))
+    return ModeSolution(n=n, regions=tuple(regions), condition=float(sv[0] / max(sv[-1], 1e-300)),
+                        lstsq_residual=resid, window=window)
+
+
+def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
+                    max_condition: float = math.inf, dps: int = 50) -> tuple[np.ndarray | None, float, float]:
+    """Drop-in for ``transmission._square_solve``: the double system solved in ``dps`` digits.
+
+    The entries of M and b are taken exactly as doubles, the system is
+    solved by ``mpmath.lu_solve`` at ``dps`` decimal digits and the solution
+    is rounded to complex doubles.  The condition number is the package's
+    (equilibrated, from an SVD), and the backward error is that of the
+    rounded solution.
+    """
+    import mpmath
+
+    _, cond, _ = _square_solve(M, None, what, max_condition)
+    if b is None:
+        return None, cond, 0.0
+    with mpmath.workdps(dps):
+        A = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in M])
+        y = mpmath.lu_solve(A, mpmath.matrix([mpmath.mpc(complex(v)) for v in b]))
+        x = np.array([complex(y[i]) for i in range(len(b))])
+    berr = float(np.linalg.norm(M @ x - b) / (np.linalg.norm(M) * np.linalg.norm(x) + np.linalg.norm(b)))
+    return x, cond, berr
 
 
 def conj_terms(terms: Iterable[Term]) -> tuple[Term, ...]:

@@ -335,7 +335,9 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     # energies and witnesses integrate on harmonic coefficients and the
     # derivative-table self-test sums over polar Gauss nodes: no sphere rule
     # is built, through the shared cache or outside it.  The sector kernel
-    # bases are closed forms: no SVD and no Hermitian eigendecomposition.
+    # bases are closed forms: no Hermitian eigendecomposition, and the only
+    # SVDs are the condition numbers of the square interface systems (at
+    # most 6 x 6 for a cored family-1 sweep), never a sector basis.
     configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
                dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 1}))
     argvs = []
@@ -353,15 +355,16 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
         "calls = collections.Counter()\n"
         "def counted(name, f):\n"
         "    return lambda *a, **k: calls.update([name]) or f(*a, **k)\n"
-        "for name in ('svd', 'eigh'):\n"
-        "    setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))\n"
+        "np.linalg.eigh = counted('eigh', np.linalg.eigh)\n"
+        "svd_dims, svd = [0], np.linalg.svd\n"
+        "np.linalg.svd = lambda a, *r, **k: svd_dims.append(max(np.shape(a))) or svd(a, *r, **k)\n"
         f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
-        "print(len(built), harmonics.shared_quadrature.cache_info().misses, calls['svd'], calls['eigh'])\n"
+        "print(len(built), harmonics.shared_quadrature.cache_info().misses, max(svd_dims), calls['eigh'])\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0 0 0 0"
+    assert r.stdout.splitlines()[-1] == "0 0 6 0"
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):

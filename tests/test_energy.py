@@ -180,6 +180,15 @@ def test_sandwich_guard_of_reports():
     assert not bad.sandwich_ok()
 
 
+def test_sandwich_slack_is_relative():
+    # the slack scales with |E_delta| below 1 as well: a bound 1e-8 relative
+    # on the wrong side of a small dissipation fails
+    E = 4e-7
+    assert EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, I_upper=E * (1 - 1e-10), J_lower=E * (1 + 1e-10)).sandwich_ok()
+    assert not EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, I_upper=E * (1 - 1e-8)).sandwich_ok()
+    assert not EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, J_lower=E * (1 + 1e-8)).sandwich_ok()
+
+
 # ---------------------------------------------------------------------------
 # coefficient pairings against their quadrature oracles
 # ---------------------------------------------------------------------------

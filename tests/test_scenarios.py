@@ -289,6 +289,19 @@ def test_sweep_sandwich_consistency(tables):
         assert row.sandwich_ok(1e-9)
 
 
+def test_scheduled_sweep_outside_critical_radius_keeps_relative_sandwich(tables):
+    # q = 3.6 down to delta = 1e-8 (n = 27, condition ~ 1/delta): E_delta is
+    # solved accurately enough for the relative gate, and the witnesses bound
+    # it to rounding (a double solve without refinement misses by 5.8e-9)
+    conf = scheduled_configuration(params=P11, shell_radius=2.0, q=3.6, core_radius=1.0)
+    res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)], tables)
+    for row in res.rows:
+        assert row.I_upper is not None and row.J_lower is not None
+        assert row.sandwich_ok(1e-9), row.delta
+        assert (row.I_upper - row.E_delta) / row.E_delta >= -1e-14, row.delta
+        assert (row.E_delta - row.J_lower) / row.E_delta >= -1e-14, row.delta
+
+
 def test_sweep_input_validation(tables):
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
     conf = fixed_configuration(params=P11, shell_radius=2.0, c=-4.0, source=src, core_radius=1.0)

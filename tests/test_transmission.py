@@ -1,6 +1,10 @@
 """Layered lossy solves: transparency, sources, resonances, residuals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +24,16 @@ from elastoplasmon.transmission import (
     solve_mode,
     solve_modes,
 )
+from elastoplasmon.scenarios import scheduled_configuration
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
-from oracles import eval_field, interface_singular_values, project_source, window_solve
+from oracles import (
+    eval_field,
+    interface_singular_values,
+    matrix_sector_solve,
+    mp_square_solve,
+    project_source,
+    window_solve,
+)
 
 P11 = LameParams(1.0, 1.0)
 
@@ -291,3 +303,96 @@ def test_degree_guard(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=P11)
     with pytest.raises(ValueError):
         solve_mode(med, SourceSpec(q=2.0, coefficients={}), 1, tables)
+
+
+def test_scalar_sector_solve_agrees_with_matrix_oracle(tables, materials):
+    # the square scalar systems against the matrix route they replaced, for
+    # single families and a mixed source, away from any plasmon constant
+    for params in materials:
+        for core in (None, 1.0):
+            med = LayeredMedium(shell_radius=1.8, c=-2.2, delta=0.05, base=params, core_radius=core)
+            for n in (2, 3, 5, 8):
+                for co in ({(n, 2, 1): 1.0}, {(n, 3, 2): 0.5 - 0.5j},
+                           {(n, 1, 2): 0.3, (n, 2, 1): 0.5j, (n, 3, 3): -0.7}):
+                    src = SourceSpec(q=2.5, coefficients=co)
+                    sol, ref = solve_mode(med, src, n, tables), matrix_sector_solve(med, src, n, tables)
+                    assert sol.window == ref.window
+                    E, E_ref = dissipation_E([sol], med, tables), dissipation_E([ref], med, tables)
+                    assert abs(E - E_ref) <= 1e-12 * E_ref, (params, core, n, co)
+                    for reg, reg_ref in zip(sol.regions, ref.regions):
+                        got = {(t.degree, t.power): t.coef for t in reg.terms}
+                        want = {(t.degree, t.power): t.coef for t in reg_ref.terms}
+                        assert set(got) == set(want)
+                        scale = max(np.max(np.abs(c)) for c in want.values())
+                        assert all(np.max(np.abs(got[k] - want[k])) <= 1e-11 * scale for k in want)
+
+
+def _energies_with_50_digit_oracle(configuration, deltas, tables, monkeypatch):
+    out = []
+    for delta in deltas:
+        med, src = configuration(delta)
+        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        with monkeypatch.context() as m:
+            m.setattr(transmission, "_square_solve", mp_square_solve)
+            E_mp = dissipation_E(solve_modes(med, src, tables), med, tables)
+        out.append((E, E_mp))
+    return out
+
+
+def test_refined_solves_match_50_digit_oracle(tables, materials, monkeypatch):
+    # the double square systems solved in 50 digits: the refined solve's
+    # E_delta agrees to 1e-13 down to delta = 1e-8 (condition ~ 1/delta)
+    cases = [(scheduled_configuration(P11, 2.0, q=q, core_radius=1.0), [10.0 ** (-e / 2) for e in range(4, 17)])
+             for q in (2.3, 3.6)]  # family 1, n = 7 .. 27
+    cases += [(scheduled_configuration(params, 2.6, q=3.0, family=fam, core_radius=core), [1e-2, 1e-4, 1e-6, 1e-8])
+              for params in materials for fam in (2, 3) for core in (None, 1.0)]  # n = 5 .. 20
+    for conf, deltas in cases:
+        for E, E_mp in _energies_with_50_digit_oracle(conf, deltas, tables, monkeypatch):
+            assert abs(E - E_mp) <= 1e-13 * E_mp, (conf, E, E_mp)
+
+
+def test_spheroidal_energy_independent_of_member_and_phase(tables):
+    # the resonant core-free family-3 sweep of the benchmark: every member k
+    # of the sector and a unit phase on gamma give one E_delta
+    phase = complex(math.cos(2.0), math.sin(2.0))
+    for delta in (1e-4, 1e-5):
+        med = LayeredMedium(shell_radius=2.0, c=-25.0 / 38.0, delta=delta, base=P11)
+        energies = [dissipation_E(solve_modes(med, SourceSpec(q=2.6, coefficients={(3, 3, k): g}), tables), med, tables)
+                    for k in range(1, 10) for g in (1.0, phase)]
+        assert (max(energies) - min(energies)) <= 1e-13 * min(energies), delta
+
+
+def test_sector_sweeps_do_not_assemble_per_row():
+    # a family-2/3 sweep projects traction_coeffs_algebraic once per block of
+    # its radial profile, however many rows it has; a family-1 sweep builds
+    # no profile and calls it never
+    code = """
+import numpy as np
+from elastoplasmon import lame, transmission
+from elastoplasmon.harmonics import shared_tables
+from elastoplasmon.lame import LameParams
+from elastoplasmon.scenarios import fixed_configuration, sweep
+from elastoplasmon.transmission import SourceSpec
+calls = [0]
+traction = lame.traction_coeffs_algebraic
+def counted(*args, **kwargs):
+    calls[0] += 1
+    return traction(*args, **kwargs)
+lame.traction_coeffs_algebraic = transmission.traction_coeffs_algebraic = counted
+tables = shared_tables(12)
+out = []
+for fam, n, c, q, core in ((2, 4, -130 / 59, 3.0, 1.0), (3, 3, -25 / 38, 2.6, None), (1, 2, -4.0, 3.0, 1.0)):
+    conf = fixed_configuration(LameParams(1.0, 1.0), 2.0, c, SourceSpec(q, {(n, fam, 1): 1.0}), core_radius=core)
+    for rows in (4, 8):
+        transmission._KERNEL_CACHE.clear()
+        calls[0] = 0
+        sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)), tables)
+        profiles = sum(len(key) == 4 for key in transmission._KERNEL_CACHE)
+        out.append(f"{calls[0]}/{profiles}")
+print(" ".join(out))
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=src))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["4/1", "4/1", "4/1", "4/1", "0/0", "0/0"]
