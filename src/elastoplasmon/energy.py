@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .harmonics import DerivativeTable, ensure_tables
-from .lame import LameParams, ModeField, Term, displacement_coeffs, term_derivative
+from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
 
 __all__ = [
     "EnergyReport",
@@ -77,18 +77,11 @@ def _strain_coeffs(terms: Iterable[Term], tables: DerivativeTable) -> list[tuple
     """Divergence and symmetric-strain coefficients grouped by gradient power and degree.
 
     Returns (p, d, div (2d+1,), sym (3, 3, 2d+1)) entries: the gradient at
-    r xhat is the sum over groups of r^p grad[i, j] . Y_d(xhat), with
-    [i, j] = d u_i / d x_j.
+    r xhat is the sum over groups of r^p grad[j, i] . Y_d(xhat), with
+    [j, i] = d u_i / d x_j; the strain is symmetric, so its layout is either.
     """
-    grads: dict[tuple[int, int], np.ndarray] = {}
-    for t in terms:
-        for j in range(3):
-            for dt in term_derivative(t, j, tables):
-                key = (dt.power, dt.degree)
-                if key not in grads:
-                    grads[key] = np.zeros((3, 3, 2 * dt.degree + 1), dtype=complex)
-                grads[key][:, j] += dt.coef
-    return [(p, d, np.trace(g), 0.5 * (g + g.transpose(1, 0, 2))) for (p, d), g in grads.items()]
+    return [(p, d, g[0, 0] + g[1, 1] + g[2, 2], 0.5 * (g + g.transpose(1, 0, 2)))
+            for (d, p), g in gradient_groups(terms, tables).items()]
 
 
 def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,

@@ -16,9 +16,11 @@ Conventions
       d/dx_j [r^n     Y_n] = lower[n][j]  . r^{n-1} Y_{n-1}
       d/dx_j [r^{-n-1}Y_n] = raise_[n][j] . r^{-n-2} Y_{n+1}
 
-  ``lower[n][j]`` has shape ``(2n+1, 2n-1)`` and ``raise_[n][j]`` has shape
-  ``(2n+1, 2n+3)``.  With the complex basis the ``x_2`` members are purely
-  imaginary; the other two are real.
+  Each family is one read-only complex array per degree: ``lower[n]`` has
+  shape ``(3, 2n+1, 2n-1)`` and ``raise_[n]`` has shape ``(3, 2n+1, 2n+3)``,
+  so ``lower[n][j]`` is the ``x_j`` matrix (a view) and ``coef @ lower[n]``
+  differentiates in all three directions at once.  With the complex basis
+  the ``x_2`` members are purely imaginary; the other two are real.
 * Entries come from the standard solid-harmonic gradient ladders in the
   Cartesian combinations ``d/dz``, ``d/dx +- i d/dy``.
 * Each degree's pair ``lower[n]``, ``raise_[n]`` is built and validated per
@@ -153,43 +155,39 @@ def build_quadrature(exactness: int) -> SphereQuadrature:
     return SphereQuadrature(nodes=nodes, weights=weights, exactness=exactness)
 
 
-def _lower_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient ladder for regular solid harmonics of degree n >= 1."""
-    Lx = np.zeros((2 * n + 1, 2 * n - 1), dtype=complex)
-    Ly = np.zeros_like(Lx)
-    Lz = np.zeros_like(Lx)
+def _lower_matrices(n: int) -> np.ndarray:
+    """Gradient ladder for regular solid harmonics of degree n >= 1, shape (3, 2n+1, 2n-1)."""
+    L = np.zeros((3, 2 * n + 1, 2 * n - 1), dtype=complex)
     s = (2.0 * n + 1.0) / (2.0 * n - 1.0)
     for m in range(-n, n + 1):
         row = n - m
         if abs(m) <= n - 1:
-            Lz[row, (n - 1) - m] = sqrt((n + m) * (n - m) * s)
+            L[2, row, (n - 1) - m] = sqrt((n + m) * (n - m) * s)
         if abs(m + 1) <= n - 1:
             cp = sqrt((n - m) * (n - m - 1) * s)
-            Lx[row, (n - 1) - (m + 1)] += 0.5 * cp
-            Ly[row, (n - 1) - (m + 1)] += -0.5j * cp
+            L[0, row, (n - 1) - (m + 1)] += 0.5 * cp
+            L[1, row, (n - 1) - (m + 1)] += -0.5j * cp
         if abs(m - 1) <= n - 1:
             cm = -sqrt((n + m) * (n + m - 1) * s)
-            Lx[row, (n - 1) - (m - 1)] += 0.5 * cm
-            Ly[row, (n - 1) - (m - 1)] += 0.5j * cm
-    return Lx, Ly, Lz
+            L[0, row, (n - 1) - (m - 1)] += 0.5 * cm
+            L[1, row, (n - 1) - (m - 1)] += 0.5j * cm
+    return L
 
 
-def _raise_matrices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradient ladder for irregular solid harmonics of degree n >= 0."""
-    Rx = np.zeros((2 * n + 1, 2 * n + 3), dtype=complex)
-    Ry = np.zeros_like(Rx)
-    Rz = np.zeros_like(Rx)
+def _raise_matrices(n: int) -> np.ndarray:
+    """Gradient ladder for irregular solid harmonics of degree n >= 0, shape (3, 2n+1, 2n+3)."""
+    R = np.zeros((3, 2 * n + 1, 2 * n + 3), dtype=complex)
     s = (2.0 * n + 1.0) / (2.0 * n + 3.0)
     for m in range(-n, n + 1):
         row = n - m
-        Rz[row, (n + 1) - m] = -sqrt((n + 1 + m) * (n + 1 - m) * s)
+        R[2, row, (n + 1) - m] = -sqrt((n + 1 + m) * (n + 1 - m) * s)
         cp = sqrt((n + 1 + m) * (n + 2 + m) * s)
-        Rx[row, (n + 1) - (m + 1)] += 0.5 * cp
-        Ry[row, (n + 1) - (m + 1)] += -0.5j * cp
+        R[0, row, (n + 1) - (m + 1)] += 0.5 * cp
+        R[1, row, (n + 1) - (m + 1)] += -0.5j * cp
         cm = -sqrt((n + 1 - m) * (n + 2 - m) * s)
-        Rx[row, (n + 1) - (m - 1)] += 0.5 * cm
-        Ry[row, (n + 1) - (m - 1)] += 0.5j * cm
-    return Rx, Ry, Rz
+        R[0, row, (n + 1) - (m - 1)] += 0.5 * cm
+        R[1, row, (n + 1) - (m - 1)] += 0.5j * cm
+    return R
 
 
 # degree n -> (lower[n], raise_[n]); lower[0] is None.  A degree enters only
@@ -201,11 +199,11 @@ def _degree(n: int) -> tuple:
     """Both ladder families at degree n, built and self-tested on first request."""
     pair = _DEGREES.get(n)
     if pair is None:
-        pair = (_lower_matrices(n) if n >= 1 else None, _raise_matrices(n))
+        pair = (np.asarray(_lower_matrices(n)) if n >= 1 else None, np.asarray(_raise_matrices(n)))
         _self_test_degree(n, *pair)
         for family in pair:
-            for D in family or ():
-                D.flags.writeable = False  # shared by every table in the process
+            if family is not None:
+                family.flags.writeable = False  # shared by every table in the process
         _DEGREES[n] = pair
     return pair
 
@@ -240,7 +238,9 @@ class _Ladder(dict):
 class DerivativeTable:
     """Solid-harmonic derivative matrices for degrees up to ``n_max``.
 
-    ``lower[n][j]`` and ``raise_[n][j]`` hold the two defining families; all
+    ``lower[n]`` and ``raise_[n]``, read-only arrays of shapes
+    ``(3, 2n+1, 2n-1)`` and ``(3, 2n+1, 2n+3)`` whose ``[j]`` is the ``x_j``
+    matrix, hold the two defining families; all
     other index patterns used by the mode formulas are these families looked
     up by (source degree, target degree).  ``n_max`` only bounds the degrees
     that may be read; nothing is built until it is read.

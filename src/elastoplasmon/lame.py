@@ -10,23 +10,26 @@ differentiation: with the multiplication identity
     xhat_j Y_d = -raise_[d][j]/(2d+1) . Y_{d+1}  +  lower[d][j]/(2d+1) . Y_{d-1}
 
 one derivative of a term produces two terms with the radial power dropped by
-one.  This gives exact gradients, strains, divergences, tractions and Lame
-residuals for all mode fields; finite-difference routes live with the tests
-as oracles.
+one.  Each ladder family is stored as one ``(3, ., .)`` array per degree, so
+:func:`term_gradient` takes all three directions in one broadcast product
+``coef @ ladder``.  This gives exact gradients, strains, divergences,
+tractions and Lame residuals for all mode fields; finite-difference and
+per-direction routes live with the tests as oracles.
 
 The regular and irregular Lame blocks carry their slaved corrections:
 
     exterior:  G r^{-n-1} Y_n + k_n [t1 . D]_j r^{-n-1} Y_{n+2}
     interior:  G r^n Y_n     - M_n [t3 . D]_j r^n Y_{n-2}
 
-with ``t1 = sum_j G_j . raise_[n][j]`` and ``t3 = sum_j G_j . lower[n][j]``.
+with ``t1 = sum_j G_j . raise_[n][j]``, ``t3 = sum_j G_j . lower[n][j]`` and
+``[t . D]_j = t . D[j]``, i.e. ``t @ D`` for a stacked ladder ``D``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -40,7 +43,6 @@ __all__ = [
     "mode_constants",
     "t1_vector",
     "t3_vector",
-    "stack_rows",
     "exterior_block",
     "interior_block",
     "exterior_traction_coeffs",
@@ -48,6 +50,8 @@ __all__ = [
     "traction_coeffs",
     "traction_coeffs_algebraic",
     "eval_terms",
+    "term_gradient",
+    "gradient_groups",
     "grad_terms",
     "lame_residual",
 ]
@@ -138,42 +142,66 @@ class ModeField:
         return eval_terms(self.terms, np.asarray(x, dtype=float))
 
 
+def _eval_coefs(groups: Iterable[tuple[tuple[int, int], np.ndarray]], X: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum of r^p coef . Y_d(xhat) over ((d, p), coef) at the points X (N, 3); coef of shape shape + (2d+1,)."""
+    r = np.linalg.norm(X, axis=1)
+    xhat = X / r[:, None]
+    out = np.zeros((X.shape[0], math.prod(shape)), dtype=complex)
+    for (d, p), coef in groups:
+        out += (sph_harm_stack(d, xhat) @ coef.reshape(-1, 2 * d + 1).T) * (r**p)[:, None]
+    return out.reshape((X.shape[0],) + shape)
+
+
 def eval_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
     """Field values; x of shape (3,) or (N, 3), output (3,) or (N, 3)."""
     single = x.ndim == 1
-    X = x[None, :] if single else x
-    r = np.linalg.norm(X, axis=1)
-    xhat = X / r[:, None]
-    out = np.zeros((X.shape[0], 3), dtype=complex)
-    for t in terms:
-        Y = sph_harm_stack(t.degree, xhat)  # (N, 2d+1)
-        out += (Y @ t.coef.T) * (r ** t.power)[:, None]
+    out = _eval_coefs((((t.degree, t.power), t.coef) for t in terms), np.atleast_2d(x), (3,))
     return out[0] if single else out
 
 
-def term_derivative(t: Term, j: int, tables: DerivativeTable) -> list[Term]:
-    """Exact d/dx_j of a term as new terms (one degree up, one down)."""
+def term_gradient(t: Term, tables: DerivativeTable) -> list[tuple[int, int, np.ndarray]]:
+    """Exact gradient of a term as at most two groups (degree d+-1, power p-1, coef).
+
+    ``coef[j]`` is the d/dx_j coefficient block, rows as in ``t.coef``: for a
+    vector term ``coef[j, i]`` holds d u_i / d x_j.  Each group is one
+    broadcast product of the coefficients with a stacked ladder.
+    """
     d, p = t.degree, t.power
-    out: list[Term] = []
+    out = []
     up = -(p - d) / (2.0 * d + 1.0)
     if up != 0.0:
-        out.append(Term(t.coef @ (up * tables.raise_[d][j]), d + 1, p - 1))
+        out.append((d + 1, p - 1, up * (t.coef @ tables.raise_[d])))
     if d >= 1:
         down = (p - d) / (2.0 * d + 1.0) + 1.0
         if down != 0.0:
-            out.append(Term(t.coef @ (down * tables.lower[d][j]), d - 1, p - 1))
+            out.append((d - 1, p - 1, down * (t.coef @ tables.lower[d])))
     return out
+
+
+def gradient_groups(terms: Iterable[Term], tables: DerivativeTable) -> dict[tuple[int, int], np.ndarray]:
+    """The terms' :func:`term_gradient` groups summed by (degree, power)."""
+    out: dict[tuple[int, int], np.ndarray] = {}
+    for t in terms:
+        for d, p, g in term_gradient(t, tables):
+            out[d, p] = out[d, p] + g if (d, p) in out else g
+    return out
+
+
+def _hessian_groups(terms: Iterable[Term], tables: DerivativeTable) -> dict[tuple[int, int], np.ndarray]:
+    """Exact second derivatives summed by (degree, power).
+
+    ``coef[k, j]`` is the d^2/dx_j dx_k coefficient block, rows as in the
+    terms' coefficients.
+    """
+    first = gradient_groups(terms, tables)
+    flat = (Term(g.reshape(-1, 2 * d + 1), d, p) for (d, p), g in first.items())
+    return {key: h.reshape((3, 3, -1, h.shape[-1])) for key, h in gradient_groups(flat, tables).items()}
 
 
 def grad_terms(terms: Iterable[Term], x: np.ndarray, tables: DerivativeTable) -> np.ndarray:
     """Exact gradient; output (..., 3, 3) with [i, j] = d u_i / d x_j."""
     single = x.ndim == 1
-    X = x[None, :] if single else x
-    out = np.zeros((X.shape[0], 3, 3), dtype=complex)
-    for t in terms:
-        for j in range(3):
-            for dt in term_derivative(t, j, tables):
-                out[:, :, j] += eval_terms([dt], X)
+    out = np.swapaxes(_eval_coefs(gradient_groups(terms, tables).items(), np.atleast_2d(x), (3, 3)), 1, 2)
     return out[0] if single else out
 
 
@@ -183,17 +211,12 @@ def grad_terms(terms: Iterable[Term], x: np.ndarray, tables: DerivativeTable) ->
 
 def t1_vector(G: np.ndarray, n: int, tables: DerivativeTable) -> np.ndarray:
     """Divergence coefficients of the irregular block, length 2n+3."""
-    return sum(G[j] @ tables.raise_[n][j] for j in range(3))
+    return np.einsum("jm,jmk->k", G, tables.raise_[n])
 
 
 def t3_vector(G: np.ndarray, n: int, tables: DerivativeTable) -> np.ndarray:
     """Divergence coefficients of the regular block, length 2n-1."""
-    return sum(G[j] @ tables.lower[n][j] for j in range(3))
-
-
-def stack_rows(row: np.ndarray, mats: Sequence[np.ndarray]) -> np.ndarray:
-    """Stack row @ mats[j] over j = x, y, z into a 3-row coefficient block."""
-    return np.stack([row @ mats[j] for j in range(3)])
+    return np.einsum("jm,jmk->k", G, tables.lower[n])
 
 
 def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
@@ -203,8 +226,7 @@ def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: Derivative
     t1 = t1_vector(G, n, tables)
     if np.max(np.abs(t1)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
         k_n = mode_constants(params, max(n, 1)).k_n if n >= 1 else _k0(params)
-        corr = stack_rows(t1, tables.raise_[n + 1])
-        terms.append(Term(k_n * corr, n + 2, -n - 1))
+        terms.append(Term(k_n * (t1 @ tables.raise_[n + 1]), n + 2, -n - 1))
     return tuple(terms)
 
 
@@ -221,8 +243,7 @@ def interior_block(G: np.ndarray, n: int, params: LameParams, tables: Derivative
         t3 = t3_vector(G, n, tables)
         if np.max(np.abs(t3)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
             M_n = mode_constants(params, n).M_n
-            corr = stack_rows(t3, tables.lower[n - 1])
-            terms.append(Term(-M_n * corr, n - 2, n))
+            terms.append(Term(-M_n * (t3 @ tables.lower[n - 1]), n - 2, n))
     return tuple(terms)
 
 
@@ -236,10 +257,9 @@ def _tilde_unscaled(Ap: np.ndarray, n: int, params: LameParams, tables: Derivati
     """The radius- and multiplier-free part of the tilde map."""
     Ap = np.asarray(Ap, dtype=complex)
     cst = mode_constants(params, n)
-    t4 = sum(Ap[j] @ tables.lower[n][j] for j in range(3))
-    t5 = sum(Ap[j] @ tables.raise_[n][j] for j in range(3))
-    extra = cst.s1_n * stack_rows(t4, tables.raise_[n - 1]) + cst.s2_n * stack_rows(t5, tables.lower[n + 1])
-    return Ap + extra
+    t4 = t3_vector(Ap, n, tables)
+    t5 = t1_vector(Ap, n, tables)
+    return Ap + cst.s1_n * (t4 @ tables.raise_[n - 1]) + cst.s2_n * (t5 @ tables.lower[n + 1])
 
 
 def exterior_traction_coeffs(G: np.ndarray, n: int, R: float, params: LameParams,
@@ -254,13 +274,13 @@ def exterior_traction_coeffs(G: np.ndarray, n: int, R: float, params: LameParams
     t1 = t1_vector(G, n, tables)
     t3 = t3_vector(G, n, tables) if n >= 1 else None
     mu = params.mu
-    main = cst.l_n * stack_rows(t1, tables.lower[n + 1]) + (-n - 2.0) * G
+    main = cst.l_n * (t1 @ tables.lower[n + 1]) + (-n - 2.0) * G
     if n >= 1 and t3 is not None and t3.size:
-        main = main + (1.0 / (2 * n + 1.0)) * stack_rows(t3, tables.raise_[n - 1])
+        main = main + (1.0 / (2 * n + 1.0)) * (t3 @ tables.raise_[n - 1])
     out = {n: main * mu / R ** (n + 2)}
     if np.any(t1):
         m_np2 = mode_constants(params, n + 2).m_n
-        out[n + 2] = m_np2 * stack_rows(t1, tables.raise_[n + 1]) * mu / R ** (n + 2)
+        out[n + 2] = m_np2 * (t1 @ tables.raise_[n + 1]) * mu / R ** (n + 2)
     return out
 
 
@@ -297,11 +317,11 @@ def traction_coeffs(terms: Iterable[Term], radius: float, params: LameParams,
     return {d: quad.project(trac, d).T for d in degrees}
 
 
-def _sphere_multiply(row: np.ndarray, g: int, j: int, tables: DerivativeTable) -> list[tuple[np.ndarray, int]]:
-    """Coefficients of xhat_j * (row . Y_g) on the unit sphere."""
-    out = [(row @ (-tables.raise_[g][j] / (2.0 * g + 1.0)), g + 1)]
+def _sphere_multiply(sigma: np.ndarray, g: int, tables: DerivativeTable) -> list[tuple[np.ndarray, int]]:
+    """Coefficients of sum_k xhat_k (sigma[k] . Y_g) on the unit sphere, by degree g +- 1."""
+    out = [((sigma @ tables.raise_[g]).sum(axis=0) * (-1.0 / (2.0 * g + 1.0)), g + 1)]
     if g >= 1:
-        out.append((row @ (tables.lower[g][j] / (2.0 * g + 1.0)), g - 1))
+        out.append(((sigma @ tables.lower[g]).sum(axis=0) / (2.0 * g + 1.0), g - 1))
     return out
 
 
@@ -311,49 +331,18 @@ def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: Lame
     """Per-degree traction coefficients by pure matrix algebra (no quadrature).
 
     Optional ``lam``/``mu`` override the moduli (used for complex lossy
-    weights); defaults are the real base pair.
+    weights); defaults are the real base pair.  The traction is
+    ``sum_k sigma[k, i] xhat_k`` with the symmetric stress
+    ``sigma[k, i] = lam div delta_ki + mu (d u_i/d x_k + d u_k/d x_i)``.
     """
     lam = params.lam if lam is None else lam
     mu = params.mu if mu is None else mu
-    # scalar term lists: gradient components and divergence
-    grads: dict[tuple[int, int], list[tuple[np.ndarray, int, int]]] = {}
-    div: list[tuple[np.ndarray, int, int]] = []
-    for t in terms:
-        for j in range(3):
-            for dt in term_derivative(t, j, tables):
-                for i in range(3):
-                    grads.setdefault((i, j), []).append((dt.coef[i], dt.degree, dt.power))
-                div.append((dt.coef[j], dt.degree, dt.power))
     out: dict[int, np.ndarray] = {}
-
-    def add(i: int, row: np.ndarray, deg: int, w: complex):
-        if deg < 0:
-            return
-        block = out.setdefault(deg, np.zeros((3, 2 * deg + 1), dtype=complex))
-        block[i] += w * row
-
-    for row, g, p in div:
-        w = lam * radius**p
-        for i in range(3):
-            for prow, pg in _sphere_multiply(row, g, i, tables):
-                add(i, prow, pg, w)
-    for (i, j), lst in grads.items():
-        for row, g, p in lst:
-            w = mu * radius**p
-            # (grad u + grad u^T) nu picks xhat_j for component i and xhat_i for component j
-            for prow, pg in _sphere_multiply(row, g, j, tables):
-                add(i, prow, pg, w)
-            for prow, pg in _sphere_multiply(row, g, i, tables):
-                add(j, prow, pg, w)
-    return out
-
-
-def _second_derivative_terms(terms: Iterable[Term], i: int, j: int, tables: DerivativeTable) -> list[Term]:
-    """Exact d^2/dx_i dx_j of a term list as new terms."""
-    out: list[Term] = []
-    for t in terms:
-        for dt in term_derivative(t, j, tables):
-            out.extend(term_derivative(dt, i, tables))
+    for (g, p), A in gradient_groups(terms, tables).items():  # A[j, i] = d u_i / d x_j
+        sigma = mu * (A + A.transpose(1, 0, 2))
+        sigma[[0, 1, 2], [0, 1, 2]] += lam * (A[0, 0] + A[1, 1] + A[2, 2])
+        for block, deg in _sphere_multiply(radius**p * sigma, g, tables):
+            out[deg] = out[deg] + block if deg in out else block
     return out
 
 
@@ -369,12 +358,9 @@ def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
     terms = tuple(terms)
     tables = ensure_tables(tables, max((t.degree for t in terms), default=0) + 2)
     X = np.atleast_2d(points)
-    second = np.zeros((X.shape[0], 3, 3, 3), dtype=complex)  # [., i, j, k] = d^2 u_i / dx_j dx_k
-    for j in range(3):
-        for k in range(j, 3):
-            second[:, :, j, k] = second[:, :, k, j] = eval_terms(_second_derivative_terms(terms, j, k, tables), X)
-    lap = np.einsum("nijj->ni", second)
-    graddiv = np.einsum("njji->ni", second)
+    second = _eval_coefs(_hessian_groups(terms, tables).items(), X, (3, 3, 3))  # [., k, j, i] = d^2 u_i / dx_j dx_k
+    lap = np.einsum("njji->ni", second)
+    graddiv = np.einsum("nijj->ni", second)
     res = params.mu * lap + (params.lam + params.mu) * graddiv
     r2 = np.maximum(np.sum(X * X, axis=1), 1e-30)
     u_scale = np.max(np.abs(eval_terms(terms, X)), axis=1) / r2

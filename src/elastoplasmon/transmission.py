@@ -42,7 +42,6 @@ from .lame import (
     exterior_block,
     interior_block,
     lame_residual,
-    stack_rows,
     t1_vector,
     t3_vector,
     traction_coeffs_algebraic,
@@ -197,9 +196,10 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
     singular (:class:`ResonantSingularityError`) and is not solved, and
     without ``b`` only the condition number is computed.  Residuals of the
     double system formed in ``np.clongdouble`` refine the solution, at most
-    4 steps and until a correction falls below eps |x| (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 12), so it is accurate
-    to working precision while condition x eps < 1.  A normwise backward
+    4 steps, until a correction falls below eps |x| or no longer shrinks to
+    half the previous one, in which case it is not applied (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., ch. 12), so it is
+    accurate to working precision while condition x eps < 1.  A normwise backward
     error of the scaled system above 1e-10 raises :class:`UnconvergedSolveError`.
     """
     rows = np.max(np.abs(M), axis=1)
@@ -216,10 +216,14 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
         return None, cond, 0.0
     M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
     x = np.linalg.solve(A, b / rows) / cols
+    last = math.inf
     for _ in range(4):
         dx = np.linalg.solve(A, (b_ext - M_ext @ x).astype(complex) / rows) / cols
-        x = x + dx
-        if np.linalg.norm(dx) <= np.finfo(float).eps * np.linalg.norm(x):
+        step = float(np.linalg.norm(dx))
+        if step > 0.5 * last:
+            break
+        x, last = x + dx, step
+        if step <= np.finfo(float).eps * np.linalg.norm(x):
             break
     resid = float(np.linalg.norm((b_ext - M_ext @ x).astype(complex) / rows))
     berr = resid / (float(sv[0] * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
@@ -231,8 +235,8 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
 def _ladder(G: np.ndarray, d: int, up: bool, tables: DerivativeTable) -> np.ndarray:
     """The shape two degrees up (through t1) or down (through t3) that G Y_d slaves."""
     if up:
-        return stack_rows(t1_vector(G, d, tables), tables.raise_[d + 1])
-    return stack_rows(t3_vector(G, d, tables), tables.lower[d - 1])
+        return t1_vector(G, d, tables) @ tables.raise_[d + 1]
+    return t3_vector(G, d, tables) @ tables.lower[d - 1]
 
 
 @dataclass(frozen=True)

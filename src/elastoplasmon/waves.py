@@ -40,11 +40,10 @@ from .lame import (
     exterior_traction_coeffs,
     lame_residual,
     mode_constants,
-    stack_rows,
     t1_vector,
     t3_vector,
     traction_coeffs,
-    _second_derivative_terms,
+    _hessian_groups,
     _tilde_scale,
     _tilde_unscaled,
 )
@@ -242,7 +241,7 @@ def sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.ndar
     if family == 1:
         B = _toroidal_members(n)
     else:
-        B = np.conj(np.stack(tables.lower[n] if family == 2 else tables.raise_[n])).transpose(2, 0, 1)
+        B = np.conj(tables.lower[n] if family == 2 else tables.raise_[n]).transpose(2, 0, 1)
     B = B * (math.sqrt(len(B)) / np.linalg.norm(B))
     half = B[: len(B) // 2 + 1]  # orders M = J, J-1, ..., 0
     C = _conj_kernel(half)
@@ -323,13 +322,11 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
     int_terms: list[Term] = [Term(K, n, n)]
     ext_terms: list[Term] = [Term(K * R ** (2 * n + 1), n, -n - 1)]
     if family == 2:
-        t3 = t3_vector(K, n, tables)
-        corr = stack_rows(t3, tables.lower[n - 1])
+        corr = t3_vector(K, n, tables) @ tables.lower[n - 1]
         int_terms.append(Term(-cst.M_n * corr, n - 2, n))
         int_terms.append(Term(cst.M_n * R**2 * corr, n - 2, n - 2))
     if family == 3:
-        t1 = t1_vector(K, n, tables)
-        corr = stack_rows(t1, tables.raise_[n + 1])
+        corr = t1_vector(K, n, tables) @ tables.raise_[n + 1]
         ext_terms.append(Term(cst.k_n * R ** (2 * n + 1) * corr, n + 2, -n - 1))
         ext_terms.append(Term(-cst.k_n * R ** (2 * n + 3) * corr, n + 2, -n - 3))
     return PerfectWave(
@@ -444,18 +441,12 @@ def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
 
     def build(newt: list[Term], dist: list[Term]) -> list[Term]:
         vec: dict[tuple[int, int], np.ndarray] = {}
-
-        def add(i: int, ts: list[Term], w: complex):
-            for t in ts:
-                key = (t.degree, t.power)
-                block = vec.setdefault(key, np.zeros((3, 2 * t.degree + 1), dtype=complex))
-                block[i] += w * t.coef[0]
-
         for t in newt:
-            add(j, [t], -(alpha + beta) / (4.0 * math.pi))
-        for i in range(3):
-            dd = _second_derivative_terms(dist, i, j, tables)
-            add(i, dd, beta / (4.0 * math.pi))
+            block = vec.setdefault((t.degree, t.power), np.zeros((3, 2 * t.degree + 1), dtype=complex))
+            block[j] += -(alpha + beta) / (4.0 * math.pi) * t.coef[0]
+        for (d, p), h in _hessian_groups(dist, tables).items():  # h[i, j, 0] = d^2 / dx_j dx_i
+            block = vec.setdefault((d, p), np.zeros((3, 2 * d + 1), dtype=complex))
+            block += beta / (4.0 * math.pi) * h[:, j, 0]
         return [Term(block, d, p) for (d, p), block in sorted(vec.items())]
 
     inside = ModeField(tuple(build(newt_in, dist_in)), 0.0, R)

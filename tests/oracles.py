@@ -27,6 +27,13 @@ the stacked t1/t3 maps by a dense SVD and rotates it to self-conjugate form
 through the Gram eigendecomposition of ``waves._realify``, the route the
 closed-form sector bases of ``waves.sector_kernels`` replaced.
 
+``term_derivative`` differentiates a term in one direction ``j`` with the
+ladder matrix ``[j]``, the route the broadcast ``lame.term_gradient``
+replaced; ``per_direction_pairing_P``, ``per_direction_traction_coeffs`` and
+``per_direction_lame_residual`` are ``energy.pairing_P``,
+``lame.traction_coeffs_algebraic`` and ``lame.lame_residual`` built on it,
+one direction, one term and one output component at a time.
+
 ``quadrature_pairing_P`` and ``quadrature_source_pairing`` take the angular
 integrals of the energy pairing and the source pairing on a sphere rule, the
 route the coefficient dot products of ``energy`` replaced;
@@ -89,10 +96,8 @@ from elastoplasmon.lame import (
     grad_terms,
     interior_block,
     mode_constants,
-    stack_rows,
     t1_vector,
     t3_vector,
-    term_derivative,
     traction_coeffs_algebraic,
 )
 from elastoplasmon.transmission import (
@@ -221,9 +226,9 @@ def _sector_shapes(gammas: dict[int, np.ndarray], n: int, tables: DerivativeTabl
     """
     shapes = [(n, g) for _, g in sorted(gammas.items())]
     if 2 in gammas:
-        shapes.append((n - 2, stack_rows(t3_vector(gammas[2], n, tables), tables.lower[n - 1])))
+        shapes.append((n - 2, t3_vector(gammas[2], n, tables) @ tables.lower[n - 1]))
     if 3 in gammas:
-        shapes.append((n + 2, stack_rows(t1_vector(gammas[3], n, tables), tables.raise_[n + 1])))
+        shapes.append((n + 2, t1_vector(gammas[3], n, tables) @ tables.raise_[n + 1]))
     return shapes
 
 
@@ -654,6 +659,111 @@ def svd_sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.
     return _realify([_unvec(v.conj(), n) for v in (Vh[rank:] if family == 1 else Vh[:rank])])
 
 
+def term_derivative(t: Term, j: int, tables: DerivativeTable) -> list[Term]:
+    """Exact d/dx_j of a term as new terms (one degree up, one down)."""
+    d, p = t.degree, t.power
+    out: list[Term] = []
+    up = -(p - d) / (2.0 * d + 1.0)
+    if up != 0.0:
+        out.append(Term(t.coef @ (up * tables.raise_[d][j]), d + 1, p - 1))
+    if d >= 1:
+        down = (p - d) / (2.0 * d + 1.0) + 1.0
+        if down != 0.0:
+            out.append(Term(t.coef @ (down * tables.lower[d][j]), d - 1, p - 1))
+    return out
+
+
+def per_direction_pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
+                            params: LameParams, tables: DerivativeTable) -> complex:
+    """``energy.pairing_P`` with each gradient column taken by :func:`term_derivative`."""
+    u_terms, v_terms = tuple(u_terms), tuple(v_terms)
+    if not u_terms or not v_terms:
+        return 0.0
+    tables = ensure_tables(tables, max(t.degree for t in u_terms + v_terms) + 2)
+
+    def strains(terms):
+        grads: dict[tuple[int, int], np.ndarray] = {}  # (power, degree) -> [i, j] = d u_i / d x_j
+        for t in terms:
+            for j in range(3):
+                for dt in term_derivative(t, j, tables):
+                    g = grads.setdefault((dt.power, dt.degree), np.zeros((3, 3, 2 * dt.degree + 1), dtype=complex))
+                    g[:, j] += dt.coef
+        return [(p, d, np.trace(g), 0.5 * (g + g.transpose(1, 0, 2))) for (p, d), g in grads.items()]
+
+    total = 0.0 + 0.0j
+    for p, d, du, eu in strains(u_terms):
+        for p2, d2, dv, ev in strains(v_terms):
+            if d2 == d:
+                ang = params.lam * np.vdot(dv, du) + 2.0 * params.mu * np.vdot(ev, eu)
+                total += ang * _radial_integral(p + p2 + 2, r_lo, r_hi)
+    return total
+
+
+def _per_direction_sphere_multiply(row: np.ndarray, g: int, j: int,
+                                   tables: DerivativeTable) -> list[tuple[np.ndarray, int]]:
+    """Coefficients of xhat_j * (row . Y_g) on the unit sphere."""
+    out = [(row @ (-tables.raise_[g][j] / (2.0 * g + 1.0)), g + 1)]
+    if g >= 1:
+        out.append((row @ (tables.lower[g][j] / (2.0 * g + 1.0)), g - 1))
+    return out
+
+
+def per_direction_traction_coeffs(terms: Iterable[Term], radius: float, params: LameParams,
+                                  tables: DerivativeTable) -> dict[int, np.ndarray]:
+    """``lame.traction_coeffs_algebraic`` one gradient term and one component at a time."""
+    lam, mu = params.lam, params.mu
+    grads: dict[tuple[int, int], list[tuple[np.ndarray, int, int]]] = {}
+    div: list[tuple[np.ndarray, int, int]] = []
+    for t in terms:
+        for j in range(3):
+            for dt in term_derivative(t, j, tables):
+                for i in range(3):
+                    grads.setdefault((i, j), []).append((dt.coef[i], dt.degree, dt.power))
+                div.append((dt.coef[j], dt.degree, dt.power))
+    out: dict[int, np.ndarray] = {}
+
+    def add(i: int, row: np.ndarray, deg: int, w: complex):
+        block = out.setdefault(deg, np.zeros((3, 2 * deg + 1), dtype=complex))
+        block[i] += w * row
+
+    for row, g, p in div:
+        for i in range(3):
+            for prow, pg in _per_direction_sphere_multiply(row, g, i, tables):
+                add(i, prow, pg, lam * radius**p)
+    for (i, j), lst in grads.items():
+        for row, g, p in lst:
+            # (grad u + grad u^T) nu picks xhat_j for component i and xhat_i for component j
+            for prow, pg in _per_direction_sphere_multiply(row, g, j, tables):
+                add(i, prow, pg, mu * radius**p)
+            for prow, pg in _per_direction_sphere_multiply(row, g, i, tables):
+                add(j, prow, pg, mu * radius**p)
+    return out
+
+
+def per_direction_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
+                                tables: DerivativeTable) -> float:
+    """``lame.lame_residual`` with each second derivative a term list of its own."""
+    terms = tuple(terms)
+    tables = ensure_tables(tables, max((t.degree for t in terms), default=0) + 2)
+    X = np.atleast_2d(points)
+    r = np.linalg.norm(X, axis=1)
+    degrees = {d for t in terms for d in (t.degree - 2, t.degree, t.degree + 2) if d >= 0}
+    Y = {d: sph_harm_stack(d, X / r[:, None]) for d in degrees}
+    second = np.zeros((X.shape[0], 3, 3, 3), dtype=complex)  # [., i, j, k] = d^2 u_i / dx_j dx_k
+    for j in range(3):
+        for k in range(j, 3):
+            for t in terms:
+                for d1 in term_derivative(t, k, tables):
+                    for d2 in term_derivative(d1, j, tables):
+                        second[:, :, j, k] += (Y[d2.degree] @ d2.coef.T) * (r**d2.power)[:, None]
+            second[:, :, k, j] = second[:, :, j, k]
+    res = params.mu * np.einsum("nijj->ni", second) + (params.lam + params.mu) * np.einsum("njji->ni", second)
+    r2 = np.maximum(np.sum(X * X, axis=1), 1e-30)
+    u_scale = np.max(np.abs(eval_terms(terms, X)), axis=1) / r2
+    scale = abs(params.mu) * np.maximum(np.maximum(3.0 * np.max(np.abs(second), axis=(1, 2, 3)), u_scale), 1e-30)
+    return float(np.max(np.max(np.abs(res), axis=1) / scale))
+
+
 def pairing_P_pieces(u_pieces: Sequence[ModeField], v_pieces: Sequence[ModeField], params: LameParams,
                      tables: DerivativeTable) -> complex:
     """P for piecewise fields on a common region split."""
@@ -771,7 +881,7 @@ def interior_from_displacement(R: float, boundary: Sequence[tuple[int, np.ndarra
             t2 = sum(B[j] @ tables.lower[m][j] for j in range(3))
             if np.max(np.abs(t2)) > 1e-13 * max(np.max(np.abs(B)), 1e-300):
                 Mm = mode_constants(params, m).M_n
-                corr = stack_rows(t2, tables.lower[m - 1])
+                corr = t2 @ tables.lower[m - 1]
                 terms.append(Term(Mm * R ** (2 - m) * corr, m - 2, m - 2))
                 terms.append(Term(-Mm * R ** (-m) * corr, m - 2, m))
     return ModeField(tuple(terms), r_lo=0.0, r_hi=R)

@@ -337,7 +337,9 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     # is built, through the shared cache or outside it.  The sector kernel
     # bases are closed forms: no Hermitian eigendecomposition, and the only
     # SVDs are the condition numbers of the square interface systems (at
-    # most 6 x 6 for a cored family-1 sweep), never a sector basis.
+    # most 6 x 6 for a cored family-1 sweep), never a sector basis.  Each
+    # degree's ladders are stored stacked, so no np.stack of ladder matrices
+    # (arrays sharing memory with a stored ladder) runs either.
     configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
                dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 1}))
     argvs = []
@@ -358,13 +360,22 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
         "np.linalg.eigh = counted('eigh', np.linalg.eigh)\n"
         "svd_dims, svd = [0], np.linalg.svd\n"
         "np.linalg.svd = lambda a, *r, **k: svd_dims.append(max(np.shape(a))) or svd(a, *r, **k)\n"
+        "stack = np.stack\n"
+        "def counted_stack(arrays, *r, **k):\n"
+        "    arrays = list(arrays)\n"
+        "    ladders = [f for pair in harmonics._DEGREES.values() for f in pair if f is not None]\n"
+        "    if any(np.may_share_memory(a, f) for a in arrays for f in ladders):\n"
+        "        calls.update(['ladder_stack'])\n"
+        "    return stack(arrays, *r, **k)\n"
+        "np.stack = counted_stack\n"
         f"assert all(main(argv) == 0 for argv in {argvs!r})\n"
-        "print(len(built), harmonics.shared_quadrature.cache_info().misses, max(svd_dims), calls['eigh'])\n"
+        "print(len(built), harmonics.shared_quadrature.cache_info().misses, max(svd_dims), calls['eigh'],\n"
+        "      calls['ladder_stack'])\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0 0 6 0"
+    assert r.stdout.splitlines()[-1] == "0 0 6 0 0"
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):
@@ -377,3 +388,35 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     spec.loader.exec_module(spans)
     for module, name, _ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(f"elastoplasmon.{module}"), name, None)), (module, name)
+
+
+def _perfbench_module(name, monkeypatch):
+    """A perfbench module loaded by path, without perfbench on sys.path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["dichotomy_schedule", "spheroidal_fixed"])
+def test_benchmark_workloads_pass_their_checks(workload, tmp_path, monkeypatch, capsys):
+    # the seed-1 plan of each gated benchmark workload, run through cli.main
+    # in process: every sweep and its deepest-loss solve passes every check
+    # of the benchmark's checker against its reference table
+    import dataclasses
+
+    from elastoplasmon import cli
+
+    workloads = _perfbench_module("workloads", monkeypatch)
+    check = _perfbench_module("check", monkeypatch)
+    ref = check.load_reference()
+    plan = workloads.make_plan(workload, 1, tmp_path)
+    commands = workloads.commands_in(plan.commands + plan.checks, tmp_path / "out")
+    assert [c.kind for c in commands] == ["sweep"] * len(plan.checks) + ["solve"] * len(plan.checks)
+    for cmd in commands:
+        code = cli.main(list(cmd.argv))
+        result = {**dataclasses.asdict(cmd), "code": code, "stdout": capsys.readouterr().out}
+        checks = check.check_result(result, ref)
+        assert [c for c in checks if not c.ok] == [], cmd.argv

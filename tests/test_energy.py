@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature
-from elastoplasmon.lame import LameParams, ModeField, Term, displacement_coeffs, exterior_block
+from elastoplasmon.harmonics import build_quadrature, ensure_tables
+from elastoplasmon.lame import (
+    LameParams,
+    ModeField,
+    Term,
+    displacement_coeffs,
+    exterior_block,
+    lame_residual,
+    traction_coeffs_algebraic,
+)
 from elastoplasmon.energy import (
     EnergyReport,
     dissipation_E,
@@ -20,6 +28,9 @@ from oracles import (
     dissipation_imaginary,
     imag_terms,
     pairing_P_pieces,
+    per_direction_lame_residual,
+    per_direction_pairing_P,
+    per_direction_traction_coeffs,
     quadrature_pairing_P,
     quadrature_source_pairing,
     real_terms,
@@ -281,3 +292,89 @@ def test_source_pairing_matches_quadrature(tables, materials):
                 assert np.max(np.abs(np.subtract(z, z_ref))) <= 1e-13 * scale, (z, z_ref)
                 if coeffs is densities[0]:
                     assert math.hypot(*z_ref) > 1e-3 * scale  # psi and f overlap
+
+
+# ---------------------------------------------------------------------------
+# the broadcast gradient route against the per-direction one
+# ---------------------------------------------------------------------------
+
+def _assert_gradient_routes_agree(fields, params, tables):
+    """pairing_P, traction_coeffs_algebraic and lame_residual of every field
+    against their per-direction term_derivative oracles, to 1e-13.
+
+    Pairings are held to 1e-13 of |P(u,u)| and of the Cauchy-Schwarz scale for
+    two fields on one annulus; tractions, on each bounding sphere, to 1e-13 of
+    their largest coefficient.  The Lame residual is already relative (to
+    the second derivatives), so it is compared to 1e-13 absolute, for the
+    field and for the field plus r^2 times its largest term, which no longer
+    solves the Lame system.
+    """
+    rng = np.random.default_rng(7)
+    tables = ensure_tables(tables, max(t.degree for f in fields for t in f.terms) + 2)
+    for i, f in enumerate(fields):
+        for g in fields[: i + 1]:
+            if (f.r_lo, f.r_hi) != (g.r_lo, g.r_hi):
+                continue
+            ref = per_direction_pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
+            val = pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
+            scale = math.sqrt(abs(per_direction_pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params, tables))
+                              * abs(per_direction_pairing_P(g.terms, g.terms, g.r_lo, g.r_hi, params, tables)))
+            assert abs(val - ref) <= 1e-13 * scale, (f.r_lo, f.r_hi, val, ref)
+        for rho in (f.r_lo, f.r_hi):
+            if not 0 < rho < math.inf:
+                continue
+            ref = per_direction_traction_coeffs(f.terms, rho, params, tables)
+            val = traction_coeffs_algebraic(f.terms, rho, params, tables)
+            assert set(val) == set(ref)
+            scale = max(np.max(np.abs(m)) for m in ref.values())
+            assert max(np.max(np.abs(val[d] - ref[d])) for d in ref) <= 1e-13 * scale, (rho, f.r_lo, f.r_hi)
+        lo = f.r_lo if f.r_lo > 0 else 0.2 * f.r_hi
+        hi = f.r_hi if math.isfinite(f.r_hi) else 3.0 * f.r_lo
+        dirs = rng.normal(size=(4, 3))
+        pts = np.linspace(lo, hi, 6)[1:-1, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        t0 = max(f.terms, key=lambda t: np.linalg.norm(t.coef))
+        broken = f.terms + (Term(t0.coef, t0.degree, t0.power + 2),)
+        for terms in (f.terms, broken):
+            ref = per_direction_lame_residual(terms, params, pts, tables)
+            val = lame_residual(terms, params, pts, tables)
+            assert abs(val - ref) <= 1e-13, (f.r_lo, f.r_hi, val, ref)
+        assert ref > 1e-9  # the broken field is not a solution, far above the 1e-13 agreement
+
+
+@pytest.mark.parametrize("core", [1.0, None])
+def test_gradient_routes_agree_on_solve_regions(tables, materials, core):
+    # degrees 3 and 5 of every family, then each family at degree 27
+    deep = {(27, 1, 2): 1.0, (27, 2, 3): 0.4 - 0.3j, (27, 3, 5): 0.7j}
+    for params in materials:
+        med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=core)
+        for coeffs in (MIXED_SOURCE, deep):
+            sols = solve_modes(med, SourceSpec(q=3.0, coefficients=coeffs), tables)
+            _assert_gradient_routes_agree([reg for sol in sols for reg in sol.regions if reg.terms], params, tables)
+
+
+def test_gradient_routes_agree_on_witness_pieces(tables, materials):
+    from elastoplasmon.scenarios import (
+        scheduled_configuration,
+        witness_core_resonant,
+        witness_fixed_c,
+        witness_nocore,
+        witness_radial_nonresonant,
+    )
+    from elastoplasmon.waves import plasmon_constants
+
+    med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
+    pieces, _, _ = witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (27, 1, 3): 0.5}), tables)
+    _assert_gradient_routes_agree(pieces, P11, tables)
+    for delta in (1e-2, 1e-8):  # scheduled degrees 7 and 27
+        med, src = scheduled_configuration(P11, 2.0, q=2.3, k=2, core_radius=1.0)(delta)
+        v, psi, _, _ = witness_core_resonant(med, src, delta, tables)
+        _assert_gradient_routes_agree(v + psi, P11, tables)
+        med, src = scheduled_configuration(P11, 2.0, q=3.6, k=2, core_radius=1.0)(delta)
+        v, w, _ = witness_radial_nonresonant(med, src, delta, tables)
+        _assert_gradient_routes_agree(v + w, P11, tables)
+    for params in materials:
+        for n, fam in ((2, 1), (27, 1), (4, 2), (27, 2), (3, 3), (27, 3)):
+            c = plasmon_constants(params, n).as_tuple()[fam - 1]
+            med = LayeredMedium(shell_radius=2.0, c=c, delta=1e-3, base=params)
+            psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3, tables)
+            _assert_gradient_routes_agree(psi, params, tables)

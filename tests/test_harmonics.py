@@ -262,13 +262,13 @@ def test_perturbed_entry_rejected_by_both_routes(n, monkeypatch):
     good = (harmonics._lower_matrices(n) if n else None, harmonics._raise_matrices(n))
     routes = (harmonics._polar_projection, lambda n, grid=grid_self_test_projection(n): grid)
     for family, name in enumerate(("lower", "raise_")):
-        for j in range(3 if good[family] else 0):
+        for j in range(0 if good[family] is None else 3):
             ref = good[family][j]
             filled = np.unravel_index(np.argmax(np.abs(ref)), ref.shape)
             zeros = np.argwhere(ref == 0)
             for at in (filled, tuple(zeros[len(zeros) // 2])):
                 for kick in (1e-8, 1e-8j):
-                    bad = [list(f) if f else None for f in good]
+                    bad = [None if f is None else list(f) for f in good]
                     bad[family][j] = ref.copy()
                     bad[family][j][at] += kick
                     for route in routes:
@@ -304,6 +304,21 @@ def test_growing_tables_tests_each_degree_once(self_tests):
         big.lower[5][0][0, 0] = 1.0
 
 
+def test_each_ladder_is_one_read_only_array():
+    # lower[n] is one (3, 2n+1, 2n-1) array and raise_[n] one (3, 2n+1, 2n+3)
+    # array, the store's own; [j] is a view of it
+    tables = ensure_tables(None, 40)
+    for n in range(41):
+        for k, (family, cols) in enumerate(((tables.lower, 2 * n - 1), (tables.raise_, 2 * n + 3))):
+            if n == 0 and k == 0:
+                continue
+            D = family[n]
+            assert type(D) is np.ndarray and D.dtype == complex and D.shape == (3, 2 * n + 1, cols)
+            assert not D.flags.writeable
+            assert all(D[j].base is D for j in range(3))
+            assert D is harmonics._DEGREES[n][k]
+
+
 def test_reading_degree_28_tests_nothing_above(self_tests):
     tables = ensure_tables(None, 40)
     assert not self_tests
@@ -312,8 +327,10 @@ def test_reading_degree_28_tests_nothing_above(self_tests):
 
 
 def test_dmat_reindexing(tables12):
-    assert dmat(tables12, 5, 4, 1) is tables12.lower[5][1]
-    assert dmat(tables12, 5, 6, 2) is tables12.raise_[5][2]
+    # the stored ladder reindexed, not copied: a view of the degree's array
+    for got, family, j in ((dmat(tables12, 5, 4, 1), tables12.lower[5], 1),
+                           (dmat(tables12, 5, 6, 2), tables12.raise_[5], 2)):
+        assert np.array_equal(got, family[j]) and np.shares_memory(got, family)
     with pytest.raises(ValueError):
         dmat(tables12, 5, 8, 0)
 
