@@ -11,7 +11,6 @@ import numpy as np
 
 from elastoplasmon import (
     LameParams,
-    build_quadrature,
     np_eigenvalue_map,
     np_galerkin_spectrum,
     plasmon_constants,
@@ -19,7 +18,7 @@ from elastoplasmon import (
 
 params = LameParams(1.0, 1.0)
 n_max = 5
-spec = np_galerkin_spectrum(1.0, params, n_max, build_quadrature(2 * n_max + 6))
+spec = np_galerkin_spectrum(1.0, params, n_max)
 eigs = np.array([e for e, _ in spec])
 
 print(f"Galerkin spectrum on vector harmonics up to degree {n_max}: {len(eigs)} eigenvalues")

@@ -7,10 +7,6 @@ variational bounds, including the critical source radius R^{3/2}.
 
 from .harmonics import (
     DerivativeTable,
-    SphereQuadrature,
-    build_derivative_tables,
-    build_quadrature,
-    shared_quadrature,
     shared_tables,
     sph_harm_stack,
 )

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from .harmonics import ensure_tables, shared_quadrature, shared_tables
+from .harmonics import ensure_tables, shared_tables
 from .lame import LameParams
 from .energy import EnergyReport
 from .transmission import (
@@ -57,8 +57,8 @@ EXIT_EMPTY = 4
 
 CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 
-# Deepest source degree a run may reach, also the bound on n_max; the
-# residual check's sphere rule may be exact up to 2 MAX_DEGREE + 4.  Every
+# Deepest source degree a run may reach, also the bound on n_max (and, as
+# 2 MAX_DEGREE + 4, on the inert quadrature_exactness key).  Every
 # table degree a run reads is built and self-tested on first use, at a cost
 # growing like n^2: about 8 ms for degree 64 alone and 0.4 s for degrees
 # 0..70 (a sweep reads 6 beyond its deepest source degree), on a 2-vCPU
@@ -67,10 +67,10 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 MAX_DEGREE = 64
 # Largest --nmax of np-spectrum.  The dense Galerkin matrix has
 # N = 3((nmax+1)^2 - 1) rows and columns, N^2 complex entries, and each column
-# costs one single-layer field and one quadrature traction: at nmax = 16,
-# N = 864 (a 12 MB matrix) and a run takes 13 s with a 85 MB peak RSS on a
-# 2-vCPU x86-64 host with one BLAS thread (nmax = 12: 4.3 s, 52 MB); the time
-# about doubles with every 2 degrees beyond.  The suite stays at nmax <= 5.
+# costs one single-layer field and its exact traces: at nmax = 16, N = 864
+# (a 12 MB matrix) and a run takes 2.7 s with an 82 MB peak RSS on a 2-vCPU
+# x86-64 host with one BLAS thread (nmax = 12: 1.0 s, 50 MB); the dense
+# eigensolve grows like nmax^6.  The suite stays at nmax <= 6.
 MAX_NP_DEGREE = 16
 
 
@@ -149,6 +149,7 @@ def validate_config(cfg: dict) -> dict:
     if not _is_int(n_max):
         raise ValidationError("n_max must be an integer")
     _check_degree(n_max, "n_max")  # bounds the source degrees of fixed runs too
+    # inert (no run builds a sphere rule), but validated and echoed in the CSV header
     exactness = cfg.setdefault("quadrature_exactness", 2 * n_max + 4)
     if not _is_int(exactness):
         raise ValidationError("quadrature_exactness must be an integer")
@@ -388,8 +389,7 @@ def _cmd_np_spectrum(args) -> int:
     if not 2 <= args.nmax <= MAX_NP_DEGREE:
         raise ValidationError(f"--nmax must lie in 2..{MAX_NP_DEGREE}, got {args.nmax}")
     params = LameParams(args.lam, args.mu)
-    quad = shared_quadrature(2 * args.nmax + 4)
-    spec = np_galerkin_spectrum(args.R, params, args.nmax, quad)
+    spec = np_galerkin_spectrum(args.R, params, args.nmax)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
     targets = []
     for n in range(2, args.nmax + 1):
@@ -419,8 +419,7 @@ def _cmd_solve(args) -> int:
     med, src = configuration(delta)
     tables = ensure_tables(tables, max(src.degrees()) + 6)
     sols = solve_modes(med, src, tables)
-    quad = shared_quadrature(cfg["quadrature_exactness"])
-    rep = residual_check(sols, med, src, quad, tables)
+    rep = residual_check(sols, med, src, tables)
     from .energy import dissipation_E
 
     E = dissipation_E(sols, med, tables)

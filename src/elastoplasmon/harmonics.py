@@ -29,6 +29,8 @@ Conventions
   analytic surface gradients onto the harmonic basis on the ``n+3`` polar
   Gauss-Legendre nodes of the ``2n+4`` sphere rule, with the azimuthal sum in
   closed form, at a cost growing like ``n^2``.
+* The sphere rule (:class:`SphereQuadrature`) is a reference route for the
+  tests: no code in the package builds one.
 """
 
 from __future__ import annotations
@@ -40,11 +42,9 @@ from math import pi, sqrt
 import numpy as np
 
 __all__ = [
-    "SphereQuadrature",
     "DerivativeTable",
     "sph_harm_stack",
-    "build_quadrature",
-    "build_derivative_tables",
+    "shared_tables",
 ]
 
 
@@ -255,8 +255,8 @@ class DerivativeTable:
         object.__setattr__(self, "raise_", _Ladder(self.n_max, 1))
 
 
-def build_derivative_tables(n_max: int) -> DerivativeTable:
-    """Derivative tables declared up to ``n_max``.
+def shared_tables(n_max: int) -> DerivativeTable:
+    """Derivative tables up to ``n_max`` over the process-wide per-degree matrices.
 
     Each degree's matrices are built when first read and pass the self-test
     (analytic surface gradients projected onto the harmonic basis on the
@@ -267,11 +267,6 @@ def build_derivative_tables(n_max: int) -> DerivativeTable:
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return DerivativeTable(n_max=n_max)
-
-
-def shared_tables(n_max: int) -> DerivativeTable:
-    """Tables up to ``n_max`` over the process-wide per-degree matrices."""
-    return build_derivative_tables(n_max)
 
 
 @lru_cache(maxsize=64)

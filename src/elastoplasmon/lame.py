@@ -14,7 +14,8 @@ one.  Each ladder family is stored as one ``(3, ., .)`` array per degree, so
 :func:`term_gradient` takes all three directions in one broadcast product
 ``coef @ ladder``.  This gives exact gradients, strains, divergences,
 tractions and Lame residuals for all mode fields; finite-difference and
-per-direction routes live with the tests as oracles.
+per-direction routes live with the tests as oracles, and so does
+:func:`traction_coeffs`, a sphere-rule projection nothing in the package calls.
 
 The regular and irregular Lame blocks carry their slaved corrections:
 
@@ -33,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .harmonics import DerivativeTable, SphereQuadrature, ensure_tables, sph_harm_stack
+from .harmonics import DerivativeTable, SphereQuadrature, _legendre_rows, _stack_row, ensure_tables
 
 __all__ = [
     "LameParams",
@@ -47,7 +48,6 @@ __all__ = [
     "interior_block",
     "exterior_traction_coeffs",
     "displacement_coeffs",
-    "traction_coeffs",
     "traction_coeffs_algebraic",
     "eval_terms",
     "term_gradient",
@@ -143,12 +143,20 @@ class ModeField:
 
 
 def _eval_coefs(groups: Iterable[tuple[tuple[int, int], np.ndarray]], X: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum of r^p coef . Y_d(xhat) over ((d, p), coef) at the points X (N, 3); coef of shape shape + (2d+1,)."""
+    """Sum of r^p coef . Y_d(xhat) over ((d, p), coef) at the points X (N, 3); coef of shape shape + (2d+1,).
+
+    One Legendre recurrence serves every group; each Y_d equals ``sph_harm_stack(d, xhat)``.
+    """
+    groups = list(groups)
     r = np.linalg.norm(X, axis=1)
     xhat = X / r[:, None]
+    u = xhat[:, 0] + 1j * xhat[:, 1]
+    needed = {d for (d, _), _ in groups}
+    Y = {d: _stack_row(d, A, u) for d, A in enumerate(_legendre_rows(max(needed, default=0), xhat[:, 2]))
+         if d in needed}
     out = np.zeros((X.shape[0], math.prod(shape)), dtype=complex)
     for (d, p), coef in groups:
-        out += (sph_harm_stack(d, xhat) @ coef.reshape(-1, 2 * d + 1).T) * (r**p)[:, None]
+        out += (Y[d] @ coef.reshape(-1, 2 * d + 1).T) * (r**p)[:, None]
     return out.reshape((X.shape[0],) + shape)
 
 
@@ -307,7 +315,7 @@ def _traction_from_grad(grad: np.ndarray, xhat: np.ndarray, lam: float | complex
 def traction_coeffs(terms: Iterable[Term], radius: float, params: LameParams,
                     quad: SphereQuadrature, degrees: Iterable[int] | None = None,
                     tables: DerivativeTable | None = None) -> dict[int, np.ndarray]:
-    """Per-degree traction coefficients via exact gradients + projection."""
+    """Per-degree traction coefficients via exact nodal gradients projected on ``quad`` (tests only)."""
     terms = tuple(terms)
     if degrees is None:
         degrees = sorted({d for t in terms for d in range(max(t.degree - 2, 0), t.degree + 3)})

@@ -31,18 +31,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import DerivativeTable, SphereQuadrature, ensure_tables, shared_quadrature
+from .harmonics import DerivativeTable, ensure_tables, shared_tables
 from .lame import (
     LameParams,
     ModeField,
     Term,
+    displacement_coeffs,
     eval_terms,
     exterior_traction_coeffs,
     lame_residual,
     mode_constants,
     t1_vector,
     t3_vector,
-    traction_coeffs,
+    traction_coeffs_algebraic,
     _hessian_groups,
     _tilde_scale,
     _tilde_unscaled,
@@ -340,54 +341,37 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
     )
 
 
-def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable,
-                        quad: SphereQuadrature | None = None, n_points: int = 200,
-                        seed: int = 0) -> dict[str, float]:
+def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable) -> dict[str, float]:
     """Residuals of every defining property of a perfect wave.
 
-    Keys: continuity (pointwise on the interface), transmission (c-weighted
-    traction match, relative), lame_interior / lame_exterior (relative exact
-    residuals), t1_interiors / t3 conditions by family.
+    Keys: continuity and transmission (c-weighted traction match), both on
+    per-degree coefficient arrays of the interface traces, relative;
+    lame_interior / lame_exterior (relative exact residuals at 24 points on
+    the spheres 0.35 R and 1.7 R); t1 / t3 conditions; normalization.
     """
     n, R, c = wave.n, wave.R, wave.c
-    if quad is None:
-        quad = shared_quadrature(2 * n + 8)
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n_points, 3))
+    u_in = displacement_coeffs(wave.interior.terms, R)
+    u_out = displacement_coeffs(wave.exterior.terms, R)
+    t_in = traction_coeffs_algebraic(wave.interior.terms, R, params, tables)
+    t_out = traction_coeffs_algebraic(wave.exterior.terms, R, params, tables)
+
+    def worst(blocks) -> float:
+        return max((float(np.max(np.abs(m))) for m in blocks), default=0.0)
+
+    zero = np.zeros(1)
+    continuity = worst(u_in.get(d, zero) - u_out.get(d, zero) for d in u_in.keys() | u_out.keys())
+    continuity /= max(1.0, worst(u_in.values()))
+    transmission = worst(c * t_in.get(d, zero) - t_out.get(d, zero) for d in t_in.keys() | t_out.keys())
+    transmission /= max(worst(t_out.values()), 1e-30)
+    dirs = np.random.default_rng(0).normal(size=(24, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    vin = eval_terms(wave.interior.terms, R * dirs)
-    vout = eval_terms(wave.exterior.terms, R * dirs)
-    scale = max(1.0, float(np.max(np.abs(vin))))
-    continuity = float(np.max(np.abs(vin - vout))) / scale
-    t_in = traction_coeffs(wave.interior.terms, R, params, quad, tables=tables)
-    t_out = traction_coeffs(wave.exterior.terms, R, params, quad, tables=tables)
-    degs = sorted(set(t_in) | set(t_out))
-    tenorm = max(
-        max((float(np.max(np.abs(m))) for m in t_out.values()), default=0.0), 1e-30
-    )
-    transmission = max(
-        float(
-            np.max(
-                np.abs(
-                    c * t_in.get(d, np.zeros(1)) - t_out.get(d, np.zeros(1))
-                )
-            )
-        )
-        for d in degs
-    ) / tenorm
-    pts_in = dirs[:24] * (0.35 * R)
-    pts_out = dirs[:24] * (1.7 * R)
-    res_in = lame_residual(wave.interior.terms, params, pts_in, tables)
-    res_out = lame_residual(wave.exterior.terms, params, pts_out, tables)
-    t1 = np.max(np.abs(t1_vector(wave.kernel, n, tables)))
-    t3 = np.max(np.abs(t3_vector(wave.kernel, n, tables)))
     return {
         "continuity": continuity,
         "transmission": transmission,
-        "lame_interior": res_in,
-        "lame_exterior": res_out,
-        "t1": float(t1),
-        "t3": float(t3),
+        "lame_interior": lame_residual(wave.interior.terms, params, dirs * (0.35 * R), tables),
+        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs * (1.7 * R), tables),
+        "t1": float(np.max(np.abs(t1_vector(wave.kernel, n, tables)))),
+        "t3": float(np.max(np.abs(t3_vector(wave.kernel, n, tables)))),
         "normalization": float(abs(np.sum(wave.kernel * np.conj(wave.kernel)) - 1.0)),
     }
 
@@ -454,29 +438,26 @@ def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
     return inside, outside
 
 
-def np_galerkin_spectrum(R: float, params: LameParams, n_max: int,
-                         quad: SphereQuadrature) -> list[tuple[float, int]]:
+def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple[float, int]]:
     """Galerkin eigenvalues of K* on vector harmonics up to degree ``n_max``.
 
-    The exact conormal derivatives of the single-layer field's inside and
-    outside terms are both taken at r = R, and the two one-sided traces are
-    averaged.  Returns (eigenvalue, dominant basis degree) pairs sorted by
-    eigenvalue.
+    The exact conormal traces of the single-layer field's inside and outside
+    terms are both taken at r = R as coefficient arrays, and the two
+    one-sided traces are averaged.  Returns (eigenvalue, dominant basis
+    degree) pairs sorted by eigenvalue.
     """
-    if quad.exactness < 2 * n_max + 4:
-        raise ValueError("quadrature exactness below 2 n_max + 4")
-    from .harmonics import shared_tables
-
     tables = shared_tables(n_max + 4)
     basis = [(jj, n, pos) for n in range(1, n_max + 1) for jj in range(3) for pos in range(2 * n + 1)]
     degrees = range(1, n_max + 1)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, (jj, n, pos) in enumerate(basis):
         inside, outside = single_layer_field(jj, n, pos, R, params, tables)
-        kstar = traction_coeffs(inside.terms + outside.terms, R, params, quad, degrees, tables)
+        kstar = traction_coeffs_algebraic(inside.terms + outside.terms, R, params, tables)
         # traction is linear: half the traction of the summed terms is the
-        # average of the one-sided traces; rows follow the basis order
-        M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) for nb in degrees])
+        # average of the one-sided traces; rows follow the basis order, and a
+        # degree the traces do not reach is zero
+        M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) if nb in kstar else np.zeros(3 * (2 * nb + 1))
+                                        for nb in degrees])
     vals, vecs = np.linalg.eig(M)
     out = []
     for v, w in zip(vals, vecs.T):

@@ -37,6 +37,10 @@ one direction, one term and one output component at a time.
 ``quadrature_pairing_P`` and ``quadrature_source_pairing`` take the angular
 integrals of the energy pairing and the source pairing on a sphere rule, the
 route the coefficient dot products of ``energy`` replaced;
+``point_verify_perfect_wave`` and ``quadrature_np_matrix`` compare wave
+traces at random interface points and project tractions on a sphere rule
+(``lame.traction_coeffs``), the routes the exact coefficient traces of
+``waves.verify_perfect_wave`` and ``waves.np_galerkin_spectrum`` replaced;
 ``pairing_P_pieces`` sums the pairing over a piecewise field.
 
 ``interior_from_displacement``/``interior_from_traction`` are the interior
@@ -81,6 +85,7 @@ from elastoplasmon.harmonics import (
     build_quadrature,
     ensure_tables,
     shared_quadrature,
+    shared_tables,
     sph_harm_stack,
 )
 from elastoplasmon.lame import (
@@ -95,9 +100,11 @@ from elastoplasmon.lame import (
     exterior_block,
     grad_terms,
     interior_block,
+    lame_residual,
     mode_constants,
     t1_vector,
     t3_vector,
+    traction_coeffs,
     traction_coeffs_algebraic,
 )
 from elastoplasmon.transmission import (
@@ -109,7 +116,7 @@ from elastoplasmon.transmission import (
     _square_solve,
     kernel_basis,
 )
-from elastoplasmon.waves import _realify, _unvec
+from elastoplasmon.waves import PerfectWave, _realify, _unvec, single_layer_field
 
 
 def window(n: int, minimal: bool = False) -> tuple[int, ...]:
@@ -983,3 +990,62 @@ def eval_field(solutions: list[ModeSolution], x: np.ndarray, side: str = "outer"
             if np.any(mask):
                 out[mask] += eval_terms(reg.terms, X[mask])
     return out[0] if single else out
+
+
+def point_verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable,
+                              quad: SphereQuadrature | None = None, n_points: int = 200,
+                              seed: int = 0) -> dict[str, float]:
+    """The point and quadrature route of ``waves.verify_perfect_wave``.
+
+    Continuity compares both sides' values at ``n_points`` random points of
+    the interface; transmission projects the nodal tractions of both sides on
+    a ``2n+8`` sphere rule (``lame.traction_coeffs``).  The Lame residuals and
+    the t-conditions are those of the package.
+    """
+    n, R, c = wave.n, wave.R, wave.c
+    if quad is None:
+        quad = shared_quadrature(2 * n + 8)
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(n_points, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    vin = eval_terms(wave.interior.terms, R * dirs)
+    vout = eval_terms(wave.exterior.terms, R * dirs)
+    scale = max(1.0, float(np.max(np.abs(vin))))
+    continuity = float(np.max(np.abs(vin - vout))) / scale
+    t_in = traction_coeffs(wave.interior.terms, R, params, quad, tables=tables)
+    t_out = traction_coeffs(wave.exterior.terms, R, params, quad, tables=tables)
+    tenorm = max(max((float(np.max(np.abs(m))) for m in t_out.values()), default=0.0), 1e-30)
+    transmission = max(float(np.max(np.abs(c * t_in.get(d, np.zeros(1)) - t_out.get(d, np.zeros(1)))))
+                       for d in set(t_in) | set(t_out)) / tenorm
+    return {
+        "continuity": continuity,
+        "transmission": transmission,
+        "lame_interior": lame_residual(wave.interior.terms, params, dirs[:24] * (0.35 * R), tables),
+        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs[:24] * (1.7 * R), tables),
+        "t1": float(np.max(np.abs(t1_vector(wave.kernel, n, tables)))),
+        "t3": float(np.max(np.abs(t3_vector(wave.kernel, n, tables)))),
+        "normalization": float(abs(np.sum(wave.kernel * np.conj(wave.kernel)) - 1.0)),
+    }
+
+
+def quadrature_np_matrix(R: float, params: LameParams, n_max: int,
+                         quad: SphereQuadrature) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The dense Galerkin matrix of K* by the sphere-rule route of ``waves.np_galerkin_spectrum``.
+
+    Each single-layer field's traction is evaluated at the nodes of ``quad``
+    and projected on every degree up to ``n_max`` (``lame.traction_coeffs``);
+    the rule must be exact to ``2 n_max + 4``.  Basis entries are
+    (component, degree, stack position), in the row and column order.
+    """
+    if quad.exactness < 2 * n_max + 4:
+        raise ValueError("quadrature exactness below 2 n_max + 4")
+    tables = shared_tables(n_max + 4)
+    basis = [(jj, n, pos) for n in range(1, n_max + 1) for jj in range(3) for pos in range(2 * n + 1)]
+    degrees = range(1, n_max + 1)
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for a, (jj, n, pos) in enumerate(basis):
+        inside, outside = single_layer_field(jj, n, pos, R, params, tables)
+        kstar = traction_coeffs(inside.terms + outside.terms, R, params, quad, degrees, tables)
+        M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) for nb in degrees])
+    return M, basis
+

@@ -140,8 +140,7 @@ def test_criterion_03_perfect_wave_verification():
 
 
 def test_criterion_04_np_cross_validation():
-    quad = build_quadrature(2 * 5 + 6)
-    spec = np_galerkin_spectrum(1.0, P11, 5, quad)
+    spec = np_galerkin_spectrum(1.0, P11, 5)
     eigs = np.array([e for e, _ in spec])
     worst = 0.0
     for n in (2, 3):

@@ -378,6 +378,34 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     assert r.stdout.splitlines()[-1] == "0 0 6 0 0"
 
 
+def test_verification_commands_build_no_sphere_rule(tmp_path):
+    # waves-check, np-spectrum and solve compare traces as exact per-degree
+    # coefficient arrays: no sphere rule is built, through the shared cache
+    # or outside it, and the quadrature traction is never called
+    path = tmp_path / "solve.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, source_modes=[[2, 1, 1, 1.0, 0.0], [3, 2, 2, 0.5, 0.25]])))
+    argvs = [["waves-check", "--n", "5"], ["np-spectrum", "--nmax", "5", "--csv", str(tmp_path / "np.csv")],
+             ["solve", "--config", str(path)]]
+    code = (
+        "import sys\n"
+        "from elastoplasmon import harmonics, lame\n"
+        "from elastoplasmon.cli import main\n"
+        "built, build = [], harmonics.build_quadrature\n"
+        "harmonics.build_quadrature = lambda exactness: built.append(exactness) or build(exactness)\n"
+        "traced, trace = [], lame.traction_coeffs\n"
+        "for mod in [m for name, m in sys.modules.items() if name.startswith('elastoplasmon.')]:\n"
+        "    for attr, value in list(vars(mod).items()):\n"
+        "        if value is trace:\n"
+        "            setattr(mod, attr, lambda *a, **k: traced.append(1) or trace(*a, **k))\n"
+        f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0]\n"
+        "print(len(built), harmonics.shared_quadrature.cache_info().misses, len(traced))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 0 0"
+
+
 def test_benchmark_span_targets_resolve(monkeypatch):
     # perfbench/spans.py imports neither numpy nor the package; --trace 1
     # wraps every (module, name) of its TARGETS, so each must stay a function

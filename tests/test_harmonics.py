@@ -21,9 +21,9 @@ import pytest
 
 from elastoplasmon import cli, harmonics
 from elastoplasmon.harmonics import (
-    build_derivative_tables,
     build_quadrature,
     ensure_tables,
+    shared_tables,
     sph_harm_stack,
 )
 from oracles import (
@@ -127,7 +127,7 @@ def test_stacking_order_is_descending_m():
 
 @pytest.fixture(scope="module")
 def tables12():
-    return build_derivative_tables(12)
+    return shared_tables(12)
 
 
 def _fd5(f, x, j, h):
@@ -202,7 +202,7 @@ def test_harmonicity_of_solid_harmonics(tables12):
 
 def test_build_time_self_test_runs():
     # the self-test of each degree runs when the degree is first read
-    tables = build_derivative_tables(3)
+    tables = shared_tables(3)
     assert all(tables.raise_[n] is not None for n in range(4))
     assert all(tables.lower[n] is not None for n in range(1, 4))
     with pytest.raises(IndexError):
@@ -234,7 +234,7 @@ def test_corrupt_degree_fails_on_first_read_and_is_not_kept(monkeypatch):
         return Rx, Ry, Rz
 
     monkeypatch.setattr(harmonics, "_raise_matrices", corrupt)
-    tables = build_derivative_tables(12)
+    tables = shared_tables(12)
     assert tables.raise_[6][1].shape == (13, 15)
     with pytest.raises(AssertionError, match=r"raise_\[7\]\[1\]"):
         tables.raise_[7]
@@ -284,7 +284,7 @@ def test_every_admissible_degree_self_tests(monkeypatch):
     # a valid run reads at most 6 degrees beyond cli.MAX_DEGREE
     monkeypatch.setattr(harmonics, "_DEGREES", {})
     n_max = cli.MAX_DEGREE + 6
-    tables = build_derivative_tables(n_max)
+    tables = shared_tables(n_max)
     for n in range(n_max + 1):
         tables.raise_[n]
     assert sorted(harmonics._DEGREES) == list(range(n_max + 1))

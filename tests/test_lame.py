@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature
+from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
 from elastoplasmon.lame import (
     LameParams,
     ModeField,
@@ -54,6 +54,25 @@ def _random_coeff(rng, n, complex_=True):
     if complex_:
         G = G + 1j * rng.normal(size=(3, 2 * n + 1))
     return G
+
+
+def test_eval_terms_bit_identical_to_per_term_harmonics(tables):
+    # one Legendre recurrence serves every term; each Y_d read off it equals
+    # sph_harm_stack(d, .), so the sum is bit-identical to the per-term route
+    rng = np.random.default_rng(7)
+    G = _random_coeff(rng, 4)
+    blocks = exterior_block(G, 4, LameParams(1.0, 1.0), tables) + interior_block(G, 4, LameParams(1.0, 1.0), tables)
+    terms = blocks + tuple(Term(_random_coeff(rng, d), d, p) for d, p in ((0, 0), (3, -2), (4, 1), (11, 11), (1, -2)))
+    X = rng.normal(size=(40, 3)) * 1.3
+    X[0] = [0.0, 0.0, 2.0]  # on the polar axis
+    for pts in (X, X[3:4]):
+        r = np.linalg.norm(pts, axis=1)
+        ref = np.zeros((len(pts), 3), dtype=complex)
+        for t in terms:
+            Y = sph_harm_stack(t.degree, pts / r[:, None])
+            ref += (Y @ t.coef.reshape(-1, 2 * t.degree + 1).T) * (r**t.power)[:, None]
+        assert np.array_equal(eval_terms(terms, pts), ref)
+    assert np.array_equal(eval_terms(terms, X[3]), ref[0])
 
 
 def test_pure_multipole_when_t1_vanishes(tables):

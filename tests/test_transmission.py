@@ -48,7 +48,7 @@ def test_medium_validation():
             LayeredMedium(shell_radius=1.0, c=c, delta=delta, base=P11)
 
 
-def test_transparent_interfaces(tables, quad):
+def test_transparent_interfaces(tables):
     # c = 1: no scattering; entire amplitudes equal in all interior regions
     med = LayeredMedium(shell_radius=1.5, c=1.0, delta=0.02, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
@@ -78,7 +78,7 @@ def test_wellposed_positive_multiplier_loss_free(tables):
     assert sol.lstsq_residual < 1e-10
 
 
-def test_all_families_solve_with_tiny_residuals(tables, quad, materials):
+def test_all_families_solve_with_tiny_residuals(tables, materials):
     for params in materials[:2]:
         med = LayeredMedium(shell_radius=1.4, c=-1.7, delta=0.05, base=params)
         src = SourceSpec(
@@ -86,14 +86,14 @@ def test_all_families_solve_with_tiny_residuals(tables, quad, materials):
             coefficients={(2, 1, 1): 1.0, (2, 2, 1): 0.5 + 0.25j, (2, 3, 2): -0.75, (3, 3, 1): 0.4},
         )
         sols = solve_modes(med, src, tables)
-        rep = residual_check(sols, med, src, quad, tables)
+        rep = residual_check(sols, med, src, tables)
         assert rep["lame"] < 1e-8
         assert rep["displacement_jump"] < 1e-9
         assert rep["traction_jump"] < 1e-9
         assert rep["source_jump"] < 1e-9
 
 
-def test_residual_check_detects_perturbation(tables, quad):
+def test_residual_check_detects_perturbation(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
     sol = solve_mode(med, src, 2, tables)
@@ -102,7 +102,7 @@ def test_residual_check_detects_perturbation(tables, quad):
 
     bad_terms = tuple(Term(1.01 * t.coef, t.degree, t.power) for t in sol.regions[1].terms)
     bad = replace(sol, regions=sol.regions[:1] + (replace(sol.regions[1], terms=bad_terms),) + sol.regions[2:])
-    rep = residual_check([bad], med, src, quad, tables)
+    rep = residual_check([bad], med, src, tables)
     assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) > 1e-3
 
 
@@ -183,7 +183,7 @@ def test_unconverged_solve_raises(tables, monkeypatch):
         solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2, tables)
 
 
-def test_solve_where_plasmon_constants_coincide(tables, quad):
+def test_solve_where_plasmon_constants_coincide(tables):
     # lambda=2, mu=0.5 at n=8: zeta1 = zeta2 = -10/7, the families stay apart
     params = LameParams(2.0, 0.5)
     z = plasmon_constants(params, 8)
@@ -192,7 +192,7 @@ def test_solve_where_plasmon_constants_coincide(tables, quad):
     for fam in (1, 2):
         src = SourceSpec(q=2.1, coefficients={(8, fam, 1): 1.0})
         sols = solve_modes(med, src, tables)
-        rep = residual_check(sols, med, src, quad, tables)
+        rep = residual_check(sols, med, src, tables)
         assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) < 1e-9, (fam, rep)
         assert rep["lame"] < 1e-8, (fam, rep)
 

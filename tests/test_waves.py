@@ -2,12 +2,13 @@
 boundary-operator cross-validation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from elastoplasmon.harmonics import build_quadrature, ensure_tables, sph_harm_stack
-from elastoplasmon.lame import LameParams, eval_terms, t1_vector, t3_vector
+from elastoplasmon.lame import LameParams, Term, eval_terms, t1_vector, t3_vector
 from elastoplasmon.waves import (
     assemble_H,
     kernel_family,
@@ -21,7 +22,13 @@ from elastoplasmon.waves import (
     verify_perfect_wave,
     _conj_kernel,
 )
-from oracles import conj_kernel_matrix, kelvin_matrix, svd_sector_kernels
+from oracles import (
+    conj_kernel_matrix,
+    kelvin_matrix,
+    point_verify_perfect_wave,
+    quadrature_np_matrix,
+    svd_sector_kernels,
+)
 
 MULTIPLICITY = {1: lambda n: 2 * n + 1, 2: lambda n: 2 * n - 1, 3: lambda n: 2 * n + 3}
 
@@ -263,9 +270,7 @@ def test_single_layer_jump_relation(tables):
 
 @pytest.fixture(scope="module")
 def np_spectrum():
-    params = LameParams(1.0, 1.0)
-    quad = build_quadrature(2 * 5 + 6)
-    return np_galerkin_spectrum(1.0, params, 5, quad)
+    return np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 5)
 
 
 def test_np_spectrum_contains_mapped_constants(np_spectrum, tables):
@@ -290,12 +295,67 @@ def test_np_spectrum_within_half(np_spectrum):
 
 def test_np_spectrum_scale_invariance(tables):
     params = LameParams(1.0, 1.0)
-    quad = build_quadrature(2 * 3 + 6)
-    s1 = np.array([e for e, _ in np_galerkin_spectrum(1.0, params, 3, quad)])
-    s2 = np.array([e for e, _ in np_galerkin_spectrum(2.0, params, 3, quad)])
+    s1 = np.array([e for e, _ in np_galerkin_spectrum(1.0, params, 3)])
+    s2 = np.array([e for e, _ in np_galerkin_spectrum(2.0, params, 3)])
     assert np.max(np.abs(np.sort(s1) - np.sort(s2))) < 1e-6
 
 
-def test_np_spectrum_rejects_coarse_quadrature():
-    with pytest.raises(ValueError):
-        np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 5, build_quadrature(8))
+@pytest.mark.parametrize("R, n_max", [(1.0, 5), (2.0, 4)])
+def test_np_spectrum_matches_quadrature_oracle(R, n_max, materials):
+    # coefficient traces against tractions projected on a sphere rule: the
+    # same sorted eigenvalues, and each degree tag a degree on which the
+    # oracle's eigenspace at that eigenvalue has weight.  The oracle's own
+    # tags are no reference where two degrees share an eigenvalue: eig may
+    # return any basis of the eigenspace (at lambda = -0.5, nmax = 5 and one
+    # BLAS thread it tags all ten rows of 7/18 as degree 5, though the
+    # degree-1 monopole lies in that space)
+    quad = build_quadrature(2 * n_max + 4)
+    for params in materials:
+        spec = np_galerkin_spectrum(R, params, n_max)
+        M, basis = quadrature_np_matrix(R, params, n_max, quad)
+        ref_vals, ref_vecs = np.linalg.eig(M)
+        ref_vals = np.real(ref_vals)
+        vals = np.array([e for e, _ in spec])
+        assert len(spec) == len(basis) == 3 * ((n_max + 1) ** 2 - 1)
+        assert np.max(np.abs(vals - np.sort(ref_vals))) < 1e-12, params
+        degree_of_row = np.array([n for _, n, _ in basis])
+        for e, d in spec:
+            Q, _ = np.linalg.qr(ref_vecs[:, np.abs(ref_vals - e) < 1e-9])
+            assert np.linalg.norm(Q[degree_of_row == d]) > 1e-6, (params, e, d)
+
+
+def _worst(rep):
+    return max(rep["continuity"], rep["transmission"], rep["lame_interior"], rep["lame_exterior"])
+
+
+def _seeded_defect(wave, defect):
+    """The wave with one defect: its slaved correction scaled by 1.01 or
+    dropped (the interior of family 2, the exterior of family 3), or c
+    scaled by 1.01."""
+    if defect == "c":
+        return replace(wave, c=1.01 * wave.c)
+    side = "interior" if wave.family == 2 else "exterior"
+    field = getattr(wave, side)
+    main, slaved, *rest = field.terms
+    kept = (Term(1.01 * slaved.coef, slaved.degree, slaved.power),) if defect == "scaled" else ()
+    return replace(wave, **{side: replace(field, terms=(main, *kept, *rest))})
+
+
+def test_wave_check_routes_agree_on_waves_and_seeded_defects(tables, materials):
+    # the coefficient route and the point/quadrature oracle both read
+    # rounding on every wave and both exceed the 1e-6 waves-check gate on
+    # each seeded defect
+    for params in materials:
+        for n in (2, 3):
+            for fam in (1, 2, 3):
+                for K in sector_kernels(n, fam, tables)[:2]:
+                    wave = perfect_wave(K, fam, n, 1.3, params, tables)
+                    got = verify_perfect_wave(wave, params, tables)
+                    ref = point_verify_perfect_wave(wave, params, tables)
+                    assert _worst(got) < 1e-13 and _worst(ref) < 1e-13, (params, n, fam)
+                    for key in ("lame_interior", "lame_exterior", "t1", "t3", "normalization"):
+                        assert got[key] == ref[key], key
+                    for defect in ("scaled", "dropped", "c") if fam != 1 else ("c",):
+                        bad = _seeded_defect(wave, defect)
+                        for route in (verify_perfect_wave, point_verify_perfect_wave):
+                            assert _worst(route(bad, params, tables)) >= 1e-6, (params, n, fam, defect, route)
