@@ -57,21 +57,14 @@ EXIT_EMPTY = 4
 
 CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 
-# Deepest source degree a run may reach, also the bound on n_max (and, as
-# 2 MAX_DEGREE + 4, on the inert quadrature_exactness key).  Every
-# table degree a run reads is built and self-tested on first use, at a cost
-# growing like n^2: about 8 ms for degree 64 alone and 0.4 s for degrees
-# 0..70 (a sweep reads 6 beyond its deepest source degree), on a 2-vCPU
-# x86-64 host with one BLAS thread.  The suite self-tests every degree
-# 0..70; the demos stay below degree 42.
+# Deepest source degree a run may reach, also the bound on n_max, on
+# np-spectrum's --nmax (and, as 2 MAX_DEGREE + 4, on the inert
+# quadrature_exactness key).  Every table degree a run reads is built and
+# self-tested on first use, at a cost growing like n^2: about 8 ms for
+# degree 64 alone and 0.4 s for degrees 0..70 (a sweep reads 6 beyond its
+# deepest source degree), on a 2-vCPU x86-64 host with one BLAS thread.  The
+# suite self-tests every degree 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
-# Largest --nmax of np-spectrum.  The dense Galerkin matrix has
-# N = 3((nmax+1)^2 - 1) rows and columns, N^2 complex entries, and each column
-# costs one single-layer field and its exact traces: at nmax = 16, N = 864
-# (a 12 MB matrix) and a run takes 2.7 s with an 82 MB peak RSS on a 2-vCPU
-# x86-64 host with one BLAS thread (nmax = 12: 1.0 s, 50 MB); the dense
-# eigensolve grows like nmax^6.  The suite stays at nmax <= 6.
-MAX_NP_DEGREE = 16
 
 
 class ValidationError(ValueError):
@@ -386,8 +379,8 @@ def _cmd_waves_check(args) -> int:
 
 def _cmd_np_spectrum(args) -> int:
     _check_radius(args.R)
-    if not 2 <= args.nmax <= MAX_NP_DEGREE:
-        raise ValidationError(f"--nmax must lie in 2..{MAX_NP_DEGREE}, got {args.nmax}")
+    if not 2 <= args.nmax <= MAX_DEGREE:
+        raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
     params = LameParams(args.lam, args.mu)
     spec = np_galerkin_spectrum(args.R, params, args.nmax)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
@@ -396,8 +389,10 @@ def _cmd_np_spectrum(args) -> int:
         z = plasmon_constants(params, n)
         for fam, c in enumerate(z.as_tuple(), start=1):
             targets.append((np_eigenvalue_map(c), c, fam, n))
+    # a value repeats once per member of its sector: match each distinct value once
+    nearest = {val: min(targets, key=lambda t: abs(t[0] - val)) for val in {v for v, _ in spec}}
     for val, deg in spec:
-        match = min(targets, key=lambda t: abs(t[0] - val))
+        match = nearest[val]
         if abs(match[0] - val) < 5e-3:
             lines.append(f"{_fmt(val)},{deg},{_fmt(match[1])},{match[2]},{_fmt(match[0])}")
         else:

@@ -78,7 +78,6 @@ class ModeConstants:
     n: int
     k_n: float
     M_n: float
-    M_np2: float
     E_n: float
     s1_n: float
     s2_n: float
@@ -93,18 +92,17 @@ def _safe_div(num: float, den: float, what: str) -> float:
 
 
 def mode_constants(params: LameParams, n: int) -> ModeConstants:
-    """All eight scalars of the degree-n closed forms.
+    """All seven scalars of the degree-n closed forms.
 
     ``k_n`` enters the irregular correction, ``M_n`` the regular one,
-    ``M_np2/E_n/s1_n/s2_n`` the boundary solvers and ``l_n/m_n`` the
-    traction expansion of an irregular block.
+    ``E_n/s1_n/s2_n`` the boundary solvers and ``l_n/m_n`` the traction
+    expansion of an irregular block.
     """
     if n < 1:
         raise ValueError("mode constants need n >= 1")
     lam, mu = params.lam, params.mu
     k_n = _safe_div(lam + mu, 2.0 * ((n + 2) * lam + (3 * n + 5) * mu), "k_n")
     M_n = _safe_div(lam + mu, 2.0 * ((n - 1) * lam + (3 * n - 2) * mu), "M_n")
-    M_np2 = _safe_div(lam + mu, 2.0 * ((n + 1) * lam + (3 * n + 4) * mu), "M_{n+2}")
     E_n = _safe_div((n + 2) * lam - (n - 3) * mu, (2 * n + 1.0) * ((n - 1) * lam + (3 * n - 2) * mu), "E_n")
     s1_n = _safe_div(E_n, n - 1 + n * (2 * n + 1.0) * E_n, "s1_n") if n >= 2 else math.nan
     s2_n = 1.0 / (2.0 * n * (2 * n + 1))
@@ -114,7 +112,7 @@ def mode_constants(params: LameParams, n: int) -> ModeConstants:
         m_n = (-2.0 * lam / (lam + mu) - 4.0 * n * (n - 1) / (2 * n - 1.0)) * k_nm2 - 1.0 / (2 * n - 1.0)
     else:
         m_n = math.nan
-    return ModeConstants(n=n, k_n=k_n, M_n=M_n, M_np2=M_np2, E_n=E_n, s1_n=s1_n, s2_n=s2_n, l_n=l_n, m_n=m_n)
+    return ModeConstants(n=n, k_n=k_n, M_n=M_n, E_n=E_n, s1_n=s1_n, s2_n=s2_n, l_n=l_n, m_n=m_n)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from .lame import (
     t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import matching_defect, plasmon_constants, sector_kernels
+from .waves import _project, matching_defect, plasmon_constants, sector_kernels
 
 __all__ = [
     "LayeredMedium",
@@ -257,15 +257,6 @@ class _RadialProfile:
     degrees: tuple[int, ...]
     blocks: dict
     kappa: complex | None
-
-
-def _project(T: np.ndarray, R: np.ndarray | None, scale: float, what: str) -> complex:
-    """Scalar s with T = s R (R = None: T = 0), else ``AssertionError``."""
-    s = 0.0 if R is None else np.vdot(R, T) / np.vdot(R, R)
-    resid = float(np.linalg.norm(T - s * R if R is not None else T))
-    if not resid <= 1e-11 * scale:
-        raise AssertionError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
-    return complex(s)
 
 
 def _radial_profile(params: LameParams, n: int, fam: int, tables: DerivativeTable) -> _RadialProfile:

@@ -18,10 +18,14 @@ to k = 2J + 1, the M = 0 member.  Any rotation-invariant quantity of a unit
 source in one sector (its dissipation, bounds and verdicts) is the same for
 every k.
 
-The Neumann-Poincare route is independent: densities e_j Y_n^m on the sphere
-are convolved with the Kelvin matrix through exact radial factors of the
-Newtonian and distance kernels, and K* is read off as the average of the two
-one-sided conormal traces, both taken exactly on the sphere.
+The Neumann-Poincare spectrum reuses the sector shapes.  A density G Y_n
+on the sphere is convolved with the Kelvin matrix through exact radial
+factors of the Newtonian and distance kernels, and K* is read off as the
+average of the two one-sided conormal traces, both exact coefficient arrays
+on the sphere.  K* commutes with rotations and maps every sector shape to a
+multiple of itself, so one shape per degree and family gives an eigenvalue,
+with the eigen-equation checked; under (c+1)/(2(c-1)) these eigenvalues are
+the plasmon constants.
 """
 
 from __future__ import annotations
@@ -383,35 +387,43 @@ def np_eigenvalue_map(c: float) -> float:
     return (c + 1.0) / (2.0 * (c - 1.0))
 
 
-def _scalar_potential_terms(n: int, pos: int, R: float, kind: str) -> tuple[list[Term], list[Term]]:
+def _project(T: np.ndarray, R: np.ndarray | None, scale: float, what: str) -> complex:
+    """Scalar s with T = s R (R = None: T = 0), else ``AssertionError``."""
+    s = 0.0 if R is None else np.vdot(R, T) / np.vdot(R, R)
+    resid = float(np.linalg.norm(T - s * R if R is not None else T))
+    if not resid <= 1e-11 * scale:
+        raise AssertionError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
+    return complex(s)
+
+
+def _scalar_potential_terms(G: np.ndarray, n: int, R: float, kind: str) -> tuple[list[Term], list[Term]]:
     """Single-layer radial factors of 1/|x-y| ('newton') or |x-y| ('dist').
 
-    Returns (inside terms, outside terms) for the density Y_n^m at stack
-    position ``pos`` on the sphere of radius R; coefficients are scalar rows.
+    Returns (inside terms, outside terms) for the densities G[j] Y_n on the
+    sphere of radius R, one per row of G; the terms' coefficient rows are
+    the potentials of the rows.
     """
-    row = np.zeros((1, 2 * n + 1), dtype=complex)
-    row[0, pos] = 1.0
-    f = 4.0 * math.pi * R**2 / (2 * n + 1.0)
+    G = np.asarray(G, dtype=complex) * (4.0 * math.pi * R**2 / (2 * n + 1.0))
     if kind == "newton":
-        inside = [Term(f * row / R ** (n + 1), n, n)]
-        outside = [Term(f * row * R**n, n, -n - 1)]
+        inside = [Term(G / R ** (n + 1), n, n)]
+        outside = [Term(G * R**n, n, -n - 1)]
     elif kind == "dist":
         inside = [
-            Term(f * row / ((2 * n + 3.0) * R ** (n + 1)), n, n + 2),
-            Term(-f * row * R ** (1 - n) / (2 * n - 1.0), n, n),
+            Term(G / ((2 * n + 3.0) * R ** (n + 1)), n, n + 2),
+            Term(-G * R ** (1 - n) / (2 * n - 1.0), n, n),
         ]
         outside = [
-            Term(f * row * R ** (n + 2) / (2 * n + 3.0), n, -n - 1),
-            Term(-f * row * R**n / (2 * n - 1.0), n, -n + 1),
+            Term(G * R ** (n + 2) / (2 * n + 3.0), n, -n - 1),
+            Term(-G * R**n / (2 * n - 1.0), n, -n + 1),
         ]
     else:
         raise ValueError(kind)
     return inside, outside
 
 
-def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
+def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams,
                        tables: DerivativeTable) -> tuple[ModeField, ModeField]:
-    """Exact single-layer potential of the density e_j Y_n^m on partial B_R.
+    """Exact single-layer potential of the density G Y_n on partial B_R.
 
     The Kelvin matrix splits into a Newtonian part and second derivatives of
     the distance kernel; both have exact per-degree radial factors, so the
@@ -420,17 +432,14 @@ def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
     lam, mu = params.lam, params.mu
     alpha = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
     beta = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
-    newt_in, newt_out = _scalar_potential_terms(n, pos, R, "newton")
-    dist_in, dist_out = _scalar_potential_terms(n, pos, R, "dist")
+    newt_in, newt_out = _scalar_potential_terms(G, n, R, "newton")
+    dist_in, dist_out = _scalar_potential_terms(G, n, R, "dist")
 
     def build(newt: list[Term], dist: list[Term]) -> list[Term]:
-        vec: dict[tuple[int, int], np.ndarray] = {}
-        for t in newt:
-            block = vec.setdefault((t.degree, t.power), np.zeros((3, 2 * t.degree + 1), dtype=complex))
-            block[j] += -(alpha + beta) / (4.0 * math.pi) * t.coef[0]
-        for (d, p), h in _hessian_groups(dist, tables).items():  # h[i, j, 0] = d^2 / dx_j dx_i
-            block = vec.setdefault((d, p), np.zeros((3, 2 * d + 1), dtype=complex))
-            block += beta / (4.0 * math.pi) * h[:, j, 0]
+        vec = {(t.degree, t.power): -(alpha + beta) / (4.0 * math.pi) * t.coef for t in newt}
+        for (d, p), h in _hessian_groups(dist, tables).items():  # h[i, j, r] = d^2 / dx_j dx_i of row r
+            part = beta / (4.0 * math.pi) * np.einsum("ijjm->im", h)
+            vec[d, p] = vec[d, p] + part if (d, p) in vec else part
         return [Term(block, d, p) for (d, p), block in sorted(vec.items())]
 
     inside = ModeField(tuple(build(newt_in, dist_in)), 0.0, R)
@@ -441,27 +450,27 @@ def single_layer_field(j: int, n: int, pos: int, R: float, params: LameParams,
 def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple[float, int]]:
     """Galerkin eigenvalues of K* on vector harmonics up to degree ``n_max``.
 
-    The exact conormal traces of the single-layer field's inside and outside
-    terms are both taken at r = R as coefficient arrays, and the two
-    one-sided traces are averaged.  Returns (eigenvalue, dominant basis
-    degree) pairs sorted by eigenvalue.
+    K* commutes with rotations and maps each sector shape of
+    :func:`sector_kernels` to a multiple of itself, so the Galerkin matrix
+    is diagonal on the shapes, truncation included.  The multiple of one
+    member K per degree n and family is read off the average of the exact
+    one-sided conormal traces of K's single layer (half the traction of the
+    inside plus the outside terms at r = R); a part of the trace off K
+    beyond 1e-11 of it raises ``AssertionError``.  Each multiple is emitted
+    once per member of its sector, as the dense matrix's eigenvalues are.
+    Returns (eigenvalue, degree n) pairs sorted by eigenvalue.
     """
     tables = shared_tables(n_max + 4)
-    basis = [(jj, n, pos) for n in range(1, n_max + 1) for jj in range(3) for pos in range(2 * n + 1)]
-    degrees = range(1, n_max + 1)
-    M = np.zeros((len(basis), len(basis)), dtype=complex)
-    for a, (jj, n, pos) in enumerate(basis):
-        inside, outside = single_layer_field(jj, n, pos, R, params, tables)
-        kstar = traction_coeffs_algebraic(inside.terms + outside.terms, R, params, tables)
-        # traction is linear: half the traction of the summed terms is the
-        # average of the one-sided traces; rows follow the basis order, and a
-        # degree the traces do not reach is zero
-        M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) if nb in kstar else np.zeros(3 * (2 * nb + 1))
-                                        for nb in degrees])
-    vals, vecs = np.linalg.eig(M)
     out = []
-    for v, w in zip(vals, vecs.T):
-        deg = basis[int(np.argmax(np.abs(w)))][1]
-        out.append((float(np.real(v)), deg))
+    for n in range(1, n_max + 1):
+        for fam in (1, 2, 3):
+            members = sector_kernels(n, fam, tables)
+            K = members[0]
+            inside, outside = single_layer_field(K, n, R, params, tables)
+            trace = traction_coeffs_algebraic(inside.terms + outside.terms, R, params, tables)
+            scale = max(float(np.linalg.norm(m)) for m in trace.values())
+            what = f"K* of the degree-{n} family-{fam} shape"
+            value = {d: _project(m, K if d == n else None, scale, what) for d, m in trace.items()}[n]
+            out += [(float(value.real) / 2.0, n)] * len(members)
     out.sort(key=lambda t: t[0])
     return out

@@ -43,6 +43,12 @@ traces at random interface points and project tractions on a sphere rule
 ``waves.verify_perfect_wave`` and ``waves.np_galerkin_spectrum`` replaced;
 ``pairing_P_pieces`` sums the pairing over a piecewise field.
 
+``dense_np_matrix`` is the route the sector shapes of
+``waves.np_galerkin_spectrum`` replaced: one single-layer field and one
+exact coefficient trace per scalar density e_j Y_n^m, assembled into the
+dense Galerkin matrix of K*, whose eigenvalues the tests take with ``eig``.
+It assumes nothing about angular-momentum sectors.
+
 ``interior_from_displacement``/``interior_from_traction`` are the interior
 Dirichlet/Neumann solvers, ``exterior_mode``/``interior_mode`` single blocks
 as fields, ``eval_field`` point values of a solve, ``project_source`` the
@@ -403,30 +409,30 @@ def fd_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarr
     exact route; the truncation error grows like (h n)^4 with the degree n.
     """
     lam, mu = params.lam, params.mu
-    pts = np.atleast_2d(points)
+    terms = tuple(terms)
+    offsets = (-2, -1, 1, 2)
+    wts = np.array([1.0, -8.0, 8.0, -1.0])
+    pairs = [(j, k) for j in range(3) for k in range(j + 1, 3)]
     worst = 0.0
-    for x in pts:
+    for x in np.atleast_2d(points):
         step = h * max(1.0, float(np.linalg.norm(x)))
         E = np.eye(3) * step
-        u0 = eval_terms(terms, x)
+        # the 61-point stencil, one evaluation: the centre, four points along
+        # each axis and a 4 x 4 grid in each coordinate plane
+        stencil = ([x] + [x + a * E[j] for j in range(3) for a in offsets]
+                   + [x + a * E[j] + b * E[k] for j, k in pairs for a in offsets for b in offsets])
+        vals = eval_terms(terms, np.array(stencil))
+        u0 = vals[0]
+        axial = vals[1:13].reshape(3, 4, 3)  # [j, offset, i]
+        plane = vals[13:].reshape(3, 4, 4, 3)  # [pair, offset along j, offset along k, i]
         second = np.zeros((3, 3, 3), dtype=complex)  # [i, j, k] = d^2 u_i / dx_j dx_k
         for j in range(3):
-            fp = eval_terms(terms, x + E[j])
-            fm = eval_terms(terms, x - E[j])
-            fp2 = eval_terms(terms, x + 2 * E[j])
-            fm2 = eval_terms(terms, x - 2 * E[j])
+            fm2, fm, fp, fp2 = axial[j]
             second[:, j, j] = (-fp2 + 16 * fp - 30 * u0 + 16 * fm - fm2) / (12 * step**2)
-        offsets = (-2, -1, 1, 2)
-        wts = (1.0, -8.0, 8.0, -1.0)
-        for j in range(3):
-            for k in range(j + 1, 3):
-                mixed = np.zeros(3, dtype=complex)
-                for a, wa in zip(offsets, wts):
-                    for b, wb in zip(offsets, wts):
-                        mixed += wa * wb * eval_terms(terms, x + a * E[j] + b * E[k])
-                mixed /= (12.0 * step) ** 2
-                second[:, j, k] = mixed
-                second[:, k, j] = mixed
+        for (j, k), grid in zip(pairs, plane):
+            mixed = np.einsum("a,b,abi->i", wts, wts, grid) / (12.0 * step) ** 2
+            second[:, j, k] = mixed
+            second[:, k, j] = mixed
         lap = second[:, 0, 0] + second[:, 1, 1] + second[:, 2, 2]
         graddiv = np.array([second[0, 0, i] + second[1, 1, i] + second[2, 2, i] for i in range(3)])
         res = mu * lap + (lam + mu) * graddiv
@@ -1040,12 +1046,42 @@ def quadrature_np_matrix(R: float, params: LameParams, n_max: int,
     if quad.exactness < 2 * n_max + 4:
         raise ValueError("quadrature exactness below 2 n_max + 4")
     tables = shared_tables(n_max + 4)
-    basis = [(jj, n, pos) for n in range(1, n_max + 1) for jj in range(3) for pos in range(2 * n + 1)]
+    basis = _np_basis(n_max)
     degrees = range(1, n_max + 1)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, (jj, n, pos) in enumerate(basis):
-        inside, outside = single_layer_field(jj, n, pos, R, params, tables)
+        inside, outside = single_layer_field(_unit_density(jj, n, pos), n, R, params, tables)
         kstar = traction_coeffs(inside.terms + outside.terms, R, params, quad, degrees, tables)
         M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) for nb in degrees])
     return M, basis
 
+
+def _np_basis(n_max: int) -> list[tuple[int, int, int]]:
+    return [(jj, n, pos) for n in range(1, n_max + 1) for jj in range(3) for pos in range(2 * n + 1)]
+
+
+def _unit_density(j: int, n: int, pos: int) -> np.ndarray:
+    """The density matrix G of e_j Y_n^m, m at stack position ``pos``."""
+    G = np.zeros((3, 2 * n + 1))
+    G[j, pos] = 1.0
+    return G
+
+
+def dense_np_matrix(R: float, params: LameParams, n_max: int) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
+    """The dense Galerkin matrix of K* from exact coefficient traces.
+
+    One column per density e_j Y_n^m, n = 1..n_max: half the
+    ``traction_coeffs_algebraic`` of its single layer's inside plus outside
+    terms at r = R, rows in the basis order and zero on a degree the trace
+    does not reach.  Basis entries are (component, degree, stack position).
+    """
+    tables = shared_tables(n_max + 4)
+    basis = _np_basis(n_max)
+    degrees = range(1, n_max + 1)
+    M = np.zeros((len(basis), len(basis)), dtype=complex)
+    for a, (jj, n, pos) in enumerate(basis):
+        inside, outside = single_layer_field(_unit_density(jj, n, pos), n, R, params, tables)
+        kstar = traction_coeffs_algebraic(inside.terms + outside.terms, R, params, tables)
+        M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) if nb in kstar else np.zeros(3 * (2 * nb + 1))
+                                        for nb in degrees])
+    return M, basis

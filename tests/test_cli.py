@@ -105,7 +105,7 @@ def test_waves_check_fails_on_a_nan_residual(monkeypatch, capsys):
     ["np-spectrum", "--R", "0"],
     ["np-spectrum", "--nmax", "0"],
     ["np-spectrum", "--nmax", "1"],
-    ["np-spectrum", "--nmax", "{np_deg}"],
+    ["np-spectrum", "--nmax", "{deg}"],
     ["np-spectrum", "--nmax", "10000"],
 ])
 def test_wave_arguments_are_bounded_before_any_run(argv, monkeypatch, capsys):
@@ -114,7 +114,7 @@ def test_wave_arguments_are_bounded_before_any_run(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "kernel_basis", _no_run)
     monkeypatch.setattr(cli, "np_galerkin_spectrum", _no_run)
-    assert cli.main([a.format(deg=cli.MAX_DEGREE + 1, np_deg=cli.MAX_NP_DEGREE + 1) for a in argv]) == 2
+    assert cli.main([a.format(deg=cli.MAX_DEGREE + 1) for a in argv]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
 
@@ -404,6 +404,55 @@ def test_verification_commands_build_no_sphere_rule(tmp_path):
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 0 0"
+
+
+def test_np_spectrum_reaches_max_degree_without_an_eigensolver(tmp_path):
+    # one single layer per sector shape: --nmax 64 writes all
+    # 3((nmax+1)^2 - 1) rows and no dense eigensolver runs
+    csv = tmp_path / "np.csv"
+    code = (
+        "import numpy as np\n"
+        "from elastoplasmon.cli import main\n"
+        "calls = []\n"
+        "for name in ('eig', 'eigvals'):\n"
+        "    setattr(np.linalg, name, lambda *a, name=name, f=getattr(np.linalg, name): calls.append(name) or f(*a))\n"
+        f"assert main(['np-spectrum', '--nmax', '64', '--csv', {str(csv)!r}]) == 0\n"
+        "print(len(calls))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0"
+    lines = csv.read_text().splitlines()
+    assert lines[1] == "eigenvalue,degree_tag,matched_c,matched_family,target"
+    assert len(lines) - 2 == 3 * (65**2 - 1) == 12672
+
+
+def test_benchmark_spans_install_and_probe_run():
+    # perfbench/spans.py and replay.py as the benchmark runs them, in a fresh
+    # process: install wraps every (module, name) of TARGETS, and the
+    # untraced replay's lame_residual probe runs on wave_certify's waves
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    code = (
+        "import importlib, sys\n"
+        f"sys.path.insert(0, {perfbench!r})\n"
+        "import replay, spans\n"
+        "import elastoplasmon.cli\n"
+        "homes = [(importlib.import_module(f'elastoplasmon.{m}'), name) for m, name, _ in spans.TARGETS]\n"
+        "originals = [getattr(home, name) for home, name in homes]\n"
+        "tracer = spans.Tracer()\n"
+        "assert spans.install(tracer) >= len(spans.TARGETS)\n"
+        "for (home, name), fn in zip(homes, originals):\n"
+        "    assert getattr(home, name).__wrapped__ is fn, name\n"
+        "probe = replay.residual_probe('wave_certify')\n"
+        "residuals = [s for s in tracer.spans if s.group == 'lame.residual']\n"
+        "assert probe > 0 and residuals and not any(s.error for s in tracer.spans)\n"
+        "print(len(residuals))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "42"  # 21 degree-3 waves, inside and outside
 
 
 def test_benchmark_span_targets_resolve(monkeypatch):

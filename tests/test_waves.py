@@ -22,8 +22,10 @@ from elastoplasmon.waves import (
     verify_perfect_wave,
     _conj_kernel,
 )
+import elastoplasmon.waves as waves
 from oracles import (
     conj_kernel_matrix,
+    dense_np_matrix,
     kelvin_matrix,
     point_verify_perfect_wave,
     quadrature_np_matrix,
@@ -255,7 +257,9 @@ def test_single_layer_jump_relation(tables):
     params = LameParams(1.0, 1.0)
     quad = build_quadrature(16)
     R = 1.0
-    inside, outside = single_layer_field(0, 2, 1, R, params, tables)
+    G = np.zeros((3, 5))
+    G[0, 1] = 1.0
+    inside, outside = single_layer_field(G, 2, R, params, tables)
     from elastoplasmon.lame import grad_terms, _traction_from_grad
 
     ti = _traction_from_grad(grad_terms(inside.terms, R * quad.nodes, tables), quad.nodes, params.lam, params.mu)
@@ -322,6 +326,51 @@ def test_np_spectrum_matches_quadrature_oracle(R, n_max, materials):
         for e, d in spec:
             Q, _ = np.linalg.qr(ref_vecs[:, np.abs(ref_vals - e) < 1e-9])
             assert np.linalg.norm(Q[degree_of_row == d]) > 1e-6, (params, e, d)
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_np_spectrum_matches_dense_galerkin_oracle(R, materials):
+    # one single layer per sector shape against one per scalar density and a
+    # dense eig: the same sorted eigenvalues, with the same multiplicities
+    for params in materials:
+        for n_max in (2, 5, 8):
+            vals = np.array([e for e, _ in np_galerkin_spectrum(R, params, n_max)])
+            M, basis = dense_np_matrix(R, params, n_max)
+            ref = np.sort(np.real(np.linalg.eigvals(M)))
+            assert len(vals) == len(basis)
+            assert np.max(np.abs(vals - ref)) < 1e-12, (params, n_max)
+            cuts = np.nonzero(np.diff(vals) > 1e-9)[0] + 1
+            for cluster in np.split(vals, cuts):
+                assert np.sum(np.abs(ref - cluster[0]) < 1e-9) == len(cluster), (params, n_max, cluster[0])
+
+
+@pytest.mark.parametrize("R", [0.3, 1.0, 3.0])
+def test_np_spectrum_rows_are_the_mapped_constants(R, materials):
+    # the rows tagged with degree n are each family's np_eigenvalue_map(zeta)
+    # once per member of its sector, away from the truncation edge and at it
+    n_max = 12
+    for params in materials:
+        spec = np_galerkin_spectrum(R, params, n_max)
+        assert len(spec) == 3 * ((n_max + 1) ** 2 - 1)
+        for n in range(2, n_max + 1):
+            got = np.sort([e for e, d in spec if d == n])
+            want = np.sort([np_eigenvalue_map(c) for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), 1)
+                            for _ in range(MULTIPLICITY[fam](n))])
+            assert len(got) == len(want) and np.max(np.abs(got - want)) < 1e-12, (params, n)
+
+
+def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch, tables):
+    # a shape with 1e-6 of another family's shape mixed in is no K*
+    # eigenfunction: the eigen-equation check raises instead of returning
+    exact = waves.sector_kernels
+
+    def mixed(n, family, tables):
+        other = exact(n, family % 3 + 1, tables)[0]
+        return [K + 1e-6 * other for K in exact(n, family, tables)]
+
+    monkeypatch.setattr(waves, "sector_kernels", mixed)
+    with pytest.raises(AssertionError, match="leaves its sector"):
+        np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 3)
 
 
 def _worst(rep):
