@@ -49,7 +49,6 @@ from .energy import (
 )
 from .scenarios import (
     SweepResult,
-    WitnessParams,
     fixed_configuration,
     schedule_n_delta,
     scheduled_configuration,

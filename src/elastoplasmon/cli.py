@@ -451,7 +451,7 @@ def _cmd_witness(args) -> int:
         printed = True
     else:
         try:
-            _, I, data = witness_fixed_c(med, src, tables)
+            _, I, _ = witness_fixed_c(med, src, tables)
             print(f"I_upper = {_fmt(I)}")
             printed = True
         except (ValueError, ArithmeticError):

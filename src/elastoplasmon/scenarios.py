@@ -5,7 +5,13 @@ Witness fields certify the dissipation from both sides: a primal pair
 (v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).
 The generic constants of the asymptotic arguments are replaced by exactly
 computed surface pairings and P-norms, and the auxiliary elliptic solves are
-done exactly per mode in the radial geometry.
+done exactly per mode in the radial geometry.  The fixed-multiplier primal
+witness is the loss-free field (L_A v = f): the transmission solve of the
+medium at delta = 0, with its scaling, refinement and checks.  Where that
+system is singular (condition above 1e9) the solve raises
+:class:`~elastoplasmon.transmission.ResonantSingularityError`, an
+``ArithmeticError``, and a sweep row leaves ``I_upper`` blank unless another
+primal witness applies.
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -15,7 +21,7 @@ final two decades to stay within a factor 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,11 +29,10 @@ import numpy as np
 from .harmonics import DerivativeTable, ensure_tables
 from .lame import LameParams, ModeField, Term
 from .energy import EnergyReport, functional_I, pairing_P, source_pairing, dissipation_E
-from .transmission import LayeredMedium, SourceSpec, kernel_basis, solve_modes
-from .waves import plasmon_constants
+from .transmission import LayeredMedium, ModeSolution, SourceSpec, kernel_basis, solve_mode, solve_modes
+from .waves import perfect_wave, plasmon_constants
 
 __all__ = [
-    "WitnessParams",
     "SweepResult",
     "schedule_n_delta",
     "toroidal_radial_coeffs",
@@ -39,16 +44,6 @@ __all__ = [
     "fixed_configuration",
     "scheduled_configuration",
 ]
-
-
-@dataclass
-class WitnessParams:
-    """Radial matching data of one primal mode witness."""
-
-    n: int
-    e: tuple[float, ...]  # e1..e5 branch coefficients (core amplitude 1)
-    e6: float  # conormal jump scalar across the source sphere
-    tau: complex  # mode amplitude gamma / e6
 
 
 @dataclass
@@ -88,51 +83,6 @@ def toroidal_radial_coeffs(n: int, mu: float, r: float) -> tuple[float, float]:
     return mu * (n - 1.0) * r ** (n - 1), -mu * (n + 2.0) * r ** (-n - 2)
 
 
-def _fixed_c_radial_solve(n: int, c: float, r_c: float, r_e: float, q: float,
-                          mu: float) -> tuple[np.ndarray, float]:
-    """Branch coefficients e1..e5 (core amplitude 1) and the jump scalar e6.
-
-    Solves the five interface conditions of the piecewise pure witness:
-    continuity at r_c, r_e, q and A-weighted traction continuity at r_c, r_e,
-    where r_c is the core radius.
-    """
-    def se(r):
-        return toroidal_radial_coeffs(n, mu, r)[0]
-
-    def sd(r):
-        return toroidal_radial_coeffs(n, mu, r)[1]
-
-    A = np.zeros((5, 5))
-    b = np.zeros(5)
-    # continuity at r_c: e1 r_c^n + e2 r_c^(-n-1) = r_c^n
-    A[0, 0] = r_c**n
-    A[0, 1] = r_c ** (-n - 1)
-    b[0] = r_c**n
-    # traction at r_c: c (e1 se + e2 sd) = se
-    A[1, 0] = c * se(r_c)
-    A[1, 1] = c * sd(r_c)
-    b[1] = se(r_c)
-    # continuity at r_e
-    A[2, 0] = r_e**n
-    A[2, 1] = r_e ** (-n - 1)
-    A[2, 2] = -(r_e**n)
-    A[2, 3] = -(r_e ** (-n - 1))
-    # traction at r_e: c (e1 se + e2 sd) = e3 se + e4 sd
-    A[3, 0] = c * se(r_e)
-    A[3, 1] = c * sd(r_e)
-    A[3, 2] = -se(r_e)
-    A[3, 3] = -sd(r_e)
-    # continuity at q
-    A[4, 2] = q**n
-    A[4, 3] = q ** (-n - 1)
-    A[4, 4] = -(q ** (-n - 1))
-    e = np.linalg.solve(A, b)
-    e6 = sd(q) * e[4] - (se(q) * e[2] + sd(q) * e[3])
-    if abs(e6) < 1e-14:
-        raise ArithmeticError(f"witness degenerate at degree {n}: jump scalar vanishes")
-    return e, float(e6)
-
-
 def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequence[float]) -> list[ModeField]:
     """Pure-kernel piecewise field from (entire, decaying) amplitude pairs.
 
@@ -165,43 +115,30 @@ def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
     return merged
 
 
-def witness_fixed_c(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> tuple[list[ModeField], float, list[WitnessParams]]:
+def _require_family1(source: SourceSpec, what: str) -> None:
+    if any(fam != 1 for (_, fam, _), g in source.coefficients.items() if g != 0):
+        raise ValueError(f"{what} needs a family-1 source")
+
+
+def witness_fixed_c(medium: LayeredMedium, source: SourceSpec,
+                    tables: DerivativeTable) -> tuple[list[ModeField], float, list[ModeSolution]]:
     """Primal witness for the cored fixed-multiplier configuration.
 
-    The source must carry family-1 content only.  Returns the witness field
-    (w = 0), the upper bound I, and the per-mode matching data.
+    The witness is the loss-free field v with L_A v = f (and w = 0): the
+    transmission solve of the medium at delta = 0, scaled, refined and
+    checked like any other.  The source must carry family-1 content only.
+    Returns the witness field, the upper bound I(v, 0) at the medium's loss,
+    and the loss-free solutions (with their conditions and backward errors).
+    A loss-free system of condition above 1e9 raises
+    :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
     if medium.core_radius is None:
         raise ValueError("fixed-multiplier witness needs a core")
-    if not math.isclose(medium.core_radius, 1.0):
-        raise ValueError("witness is built for core radius 1")
-    params = medium.base
-    r_e, q, c = medium.shell_radius, source.q, medium.c
-    tables = ensure_tables(tables, max(n for (n, _, _) in source.coefficients) + 6)
-    all_pieces: list[list[ModeField]] = []
-    data: list[WitnessParams] = []
-    for (n, fam, k), gamma in sorted(source.coefficients.items()):
-        if gamma == 0:
-            continue
-        if fam != 1:
-            raise ValueError("fixed-multiplier witness needs a family-1 source")
-        K = kernel_basis(params, n, tables)[1][k - 1]
-        e, e6 = _fixed_c_radial_solve(n, c, 1.0, r_e, q, params.mu)
-        tau = gamma / e6
-        coeffs = [(tau, 0.0), (tau * e[0], tau * e[1]), (tau * e[2], tau * e[3]), (0.0, tau * e[4])]
-        all_pieces.append(_mode_pieces(K, n, coeffs, [1.0, r_e, q]))
-        data.append(WitnessParams(n=n, e=tuple(e), e6=e6, tau=tau))
-    pieces = _merge_pieces(all_pieces)
-    I_upper = functional_I(pieces, None, medium.delta, params, tables)
-    return pieces, I_upper, data
-
-
-def _perfect_wave_pieces(K: np.ndarray, fam: int, n: int, R: float, params: LameParams,
-                         tables: DerivativeTable) -> list[ModeField]:
-    from .waves import perfect_wave
-
-    w = perfect_wave(K, fam, n, R, params, tables)
-    return [w.interior, w.exterior]
+    _require_family1(source, "fixed-multiplier witness")
+    tables = ensure_tables(tables, max(source.degrees()) + 6)
+    solutions = solve_modes(replace(medium, delta=0.0), source, tables)
+    pieces = _merge_pieces([list(sol.regions) for sol in solutions])
+    return pieces, functional_I(pieces, None, medium.delta, medium.base, tables), solutions
 
 
 def _dominant_mode(source: SourceSpec) -> tuple[int, int, int, complex]:
@@ -214,6 +151,36 @@ def _real_branch_coefficient(gamma: complex) -> float:
     return gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
 
 
+def _dual_wave(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable
+               ) -> tuple[int, np.ndarray, list[ModeField], float, float, DerivativeTable]:
+    """The perfect wave of the dominant source mode and its dual-bound constants.
+
+    Needs medium.c equal to the mode family's plasmon constant at its degree
+    n0 and a nonzero source.  Returns (n0, K, psi_hat, C0, C_psi, tables):
+    the mode's kernel K, the unit wave's pieces, C0 = g <f_unit, psi_hat>
+    with g the real branch coefficient, C_psi = sum 0.5 Re P(p, p) over the
+    pieces, and the tables grown to n0 + 6.
+    """
+    params = medium.base
+    n0, fam, k, gamma = _dominant_mode(source)
+    tables = ensure_tables(tables, n0 + 6)
+    zet = plasmon_constants(params, n0).as_tuple()[fam - 1]
+    if not math.isclose(medium.c, zet, rel_tol=1e-10):
+        raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant {zet} at degree {n0}")
+    g = _real_branch_coefficient(gamma)
+    if g == 0:
+        raise ValueError("dominant source coefficient vanishes on both branches")
+    K = kernel_basis(params, n0, tables)[fam][k - 1]
+    wave = perfect_wave(K, fam, n0, medium.shell_radius, params, tables)
+    psi_hat = [wave.interior, wave.exterior]
+    unit_source = SourceSpec(q=source.q, coefficients={(n0, fam, k): 1.0})
+    C0 = g * source_pairing(psi_hat, unit_source, params, tables)
+    C_psi = 0.0
+    for p in psi_hat:
+        C_psi += 0.5 * float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables)))
+    return n0, K, psi_hat, C0, C_psi, tables
+
+
 def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
                    tables: DerivativeTable) -> tuple[list[ModeField], float, float]:
     """Dual witness for the core-free resonant configuration.
@@ -223,24 +190,9 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
     """
     if medium.core_radius is not None:
         raise ValueError("no-core witness requires an empty core")
-    params = medium.base
-    n0, fam, k, gamma = _dominant_mode(source)
-    tables = ensure_tables(tables, n0 + 6)
-    zet = plasmon_constants(params, n0).as_tuple()[fam - 1]
-    if not math.isclose(medium.c, zet, rel_tol=1e-10):
-        raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant {zet}")
-    g = _real_branch_coefficient(gamma)
-    if g == 0:
-        raise ValueError("dominant source coefficient vanishes on both branches")
-    K = kernel_basis(params, n0, tables)[fam][k - 1]
-    psi_hat = _perfect_wave_pieces(K, fam, n0, medium.shell_radius, params, tables)
-    unit_source = SourceSpec(q=source.q, coefficients={(n0, fam, k): 1.0})
-    C0 = g * source_pairing(psi_hat, unit_source, params, tables)
-    C1 = 0.0
-    for p in psi_hat:
-        C1 += 0.5 * float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables)))
-    tau = C0 / (2.0 * C1 * delta)
-    J_lower = C0**2 / (4.0 * C1 * delta)
+    _, _, psi_hat, C0, C_psi, _ = _dual_wave(medium, source, tables)
+    tau = C0 / (2.0 * C_psi * delta)
+    J_lower = C0**2 / (4.0 * C_psi * delta)
     psi = [ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in psi_hat]
     return psi, J_lower, tau
 
@@ -270,25 +222,12 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
         raise ValueError("core witness requires a core")
     if source.q <= medium.shell_radius:
         raise ValueError("source must lie outside the shell")
+    if _dominant_mode(source)[1] != 1:
+        raise ValueError("core witness implemented for the family-1 schedule")
     params = medium.base
     mu = params.mu
     a_core = medium.core_radius
-    n0, fam, k, gamma = _dominant_mode(source)
-    tables = ensure_tables(tables, n0 + 6)
-    if fam != 1:
-        raise ValueError("core witness implemented for the family-1 schedule")
-    zet = plasmon_constants(params, n0).zeta1
-    if not math.isclose(medium.c, zet, rel_tol=1e-10):
-        raise ValueError(f"multiplier {medium.c} does not match zeta1({n0}) = {zet}")
-    g = _real_branch_coefficient(gamma)
-    K = kernel_basis(params, n0, tables)[1][k - 1]
-    R = medium.shell_radius
-    psi_hat = _perfect_wave_pieces(K, 1, n0, R, params, tables)
-    unit_source = SourceSpec(q=source.q, coefficients={(n0, 1, k): 1.0})
-    C0 = g * source_pairing(psi_hat, unit_source, params, tables)
-    C_psi = 0.0
-    for p in psi_hat:
-        C_psi += 0.5 * float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables)))
+    n0, K, psi_hat, C0, C_psi, tables = _dual_wave(medium, source, tables)
     # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
     se, _ = toroidal_radial_coeffs(n0, mu, a_core)
     rho1 = (medium.c - 1.0) * se  # per unit tau
@@ -314,7 +253,8 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
 
     The scheduled mode rides the free incident wave (no scattering); the
     constraint defect at the material interfaces is pushed into w by exact
-    per-mode solves.  Returns (v pieces, w pieces, I upper bound).
+    per-mode solves.  Off-schedule degrees take the loss-free field of
+    :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
     if medium.core_radius is None:
         raise ValueError("radial witness requires a core")
@@ -323,21 +263,18 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     R, q = medium.shell_radius, source.q
     if q <= R**1.5:
         raise ValueError("hypothesis violated: q must exceed R^{3/2}")
+    _require_family1(source, "radial witness")
     a_core = medium.core_radius
-    tables = ensure_tables(tables, max(n for (n, _, _) in source.coefficients) + 6)
-    n_sched = None
+    tables = ensure_tables(tables, max(source.degrees()) + 6)
     v_parts: list[list[ModeField]] = []
     w_parts: list[list[ModeField]] = []
-    for (n, fam, k), gamma in sorted(source.coefficients.items()):
+    off_schedule: set[int] = set()
+    for (n, _, k), gamma in sorted(source.coefficients.items()):
         if gamma == 0:
             continue
-        if fam != 1:
-            raise ValueError("radial witness needs a family-1 source")
-        zet1 = plasmon_constants(params, n).zeta1
-        K = kernel_basis(params, n, tables)[1][k - 1]
-        if math.isclose(medium.c, zet1, rel_tol=1e-10):
+        if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
             # scheduled mode: free incident wave, interface defects go to w
-            n_sched = n
+            K = kernel_basis(params, n, tables)[1][k - 1]
             tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
             coeffs = [(tau, 0.0), (0.0, tau * q ** (2 * n + 1))]
             v_parts.append(_mode_pieces(K, n, coeffs, [q]))
@@ -347,10 +284,9 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
                 amps = _toroidal_surface_solve(n, rho, -dens, mu)
                 w_parts.append(_mode_pieces(K, n, amps, [rho]))
         else:
-            e, e6 = _fixed_c_radial_solve(n, medium.c, a_core, R, q, mu)
-            tau = gamma / e6
-            coeffs = [(tau, 0.0), (tau * e[0], tau * e[1]), (tau * e[2], tau * e[3]), (0.0, tau * e[4])]
-            v_parts.append(_mode_pieces(K, n, coeffs, [a_core, R, q]))
+            off_schedule.add(n)
+    loss_free = replace(medium, delta=0.0)
+    v_parts += [list(solve_mode(loss_free, source, n, tables).regions) for n in sorted(off_schedule)]
     v = _merge_pieces(v_parts)
     w = _merge_pieces(w_parts) if w_parts else []
     I_upper = functional_I(v, w if w else None, delta, params, tables)

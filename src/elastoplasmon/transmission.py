@@ -15,7 +15,11 @@ continuity, weighted-traction continuity and the prescribed traction jump
 across the source sphere) form a square scalar system: two unknowns per
 region and rows per interface for family 1, four for families 2 and 3.
 Each family's part of a density is solved in its sector, by LU refined in
-extended precision, and the parts are superposed.
+extended precision, and the parts are superposed.  A loss-free medium
+(delta = 0) is solved only where every solved system's equilibrated
+condition is at most 1e9; above it :class:`ResonantSingularityError` (an
+``ArithmeticError``) is raised.  The fixed-multiplier primal witness of
+:mod:`~elastoplasmon.scenarios` is such a loss-free solve.
 
 Sources are expanded in the kernel basis of each degree, which is each
 family's sector itself, built in closed form (:func:`kernel_basis`); the
@@ -62,8 +66,12 @@ __all__ = [
 ]
 
 
-class ResonantSingularityError(RuntimeError):
-    """Raised for a loss-free solve at (or numerically at) a plasmon constant."""
+class ResonantSingularityError(ArithmeticError):
+    """Raised for a loss-free solve at (or numerically at) a plasmon constant.
+
+    An ``ArithmeticError``: a witness built on a loss-free solve that is
+    refused this way is a degenerate witness, like any other.
+    """
 
     def __init__(self, message: str, condition: float):
         super().__init__(message)
@@ -329,8 +337,7 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float, tables: Derivativ
             for fam in (1, 2, 3)}
 
 
-def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable,
-               sing_tol: float = 1e-9) -> ModeSolution:
+def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable) -> ModeSolution:
     """Exact transmission solve for the degree-n part of the source.
 
     Each family's part G of the density is solved in its sector by one
@@ -338,7 +345,8 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
     and the parts are superposed; a block's field is its profile scalars
     times G and the partner shape of G.  Raises
     :class:`ResonantSingularityError` when a loss-free medium makes a solved
-    system singular (for a source outside family 1: any family's), and
+    system singular, that is of equilibrated condition above 1e9 (for a
+    source outside family 1: any family's system), and
     :class:`UnconvergedSolveError` when a family-2/3 density leaves its
     sector or a backward error exceeds 1e-10.
     """
@@ -347,7 +355,7 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
     tables = ensure_tables(tables, n + 6)
     params = medium.base
     gammas = source.family_densities(n, params, tables) or {1: np.zeros((3, 2 * n + 1), dtype=complex)}
-    max_condition = 1.0 / sing_tol if medium.delta == 0.0 else math.inf
+    max_condition = 1e9 if medium.delta == 0.0 else math.inf
     if medium.delta == 0.0 and set(gammas) != {1}:
         cond = max(sector_conditions(medium, n, source.q, tables).values())
         if cond > max_condition:

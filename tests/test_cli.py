@@ -224,6 +224,17 @@ def test_witness_subcommand(config_file):
     assert "I_upper" in r.stdout
 
 
+def test_witness_subcommand_without_loss_free_bound(tmp_path):
+    # q=2.3 at delta 1e-4 (degree 14): the loss-free system is singular, so
+    # only the dual bound is printed
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
+    r = run_cli("witness", "--config", str(path), "--delta", "1e-4")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.startswith("J_lower = ")
+    assert not any(line.startswith("I_upper") for line in r.stdout.splitlines())
+
+
 def test_np_spectrum_csv(tmp_path):
     csv = str(tmp_path / "np.csv")
     r = run_cli("np-spectrum", "--R", "1", "--nmax", "4", "--csv", csv)

@@ -1,16 +1,19 @@
 """Witness constructions, the loss schedule, and sweep verdicts."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from elastoplasmon import transmission
 from elastoplasmon.harmonics import build_quadrature
 from elastoplasmon.lame import LameParams, Term, eval_terms, traction_coeffs_algebraic
-from elastoplasmon.energy import dissipation_E, functional_J, pairing_P
+from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P
 from elastoplasmon.scenarios import (
+    _merge_pieces,
+    _sweep_row,
     fixed_configuration,
-    _fixed_c_radial_solve,
     schedule_n_delta,
     scheduled_configuration,
     sweep,
@@ -20,9 +23,9 @@ from elastoplasmon.scenarios import (
     witness_nocore,
     witness_radial_nonresonant,
 )
-from elastoplasmon.transmission import LayeredMedium, SourceSpec, kernel_basis, solve_modes
+from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, kernel_basis, solve_modes
 from elastoplasmon.waves import plasmon_constants
-from oracles import fixed_c_closed_forms
+from oracles import fixed_c_closed_forms, mp_square_solve
 
 P11 = LameParams(1.0, 1.0)
 
@@ -54,11 +57,31 @@ def test_toroidal_traction_scalars(tables, quad):
         assert all(np.max(np.abs(m)) < 1e-12 for d, m in t_e.items() if d != 3)
 
 
-def test_branch_coefficients_match_closed_forms():
+def _region_amplitudes(pieces, K):
+    """(entire, decaying) amplitudes of a pure-kernel piecewise field, per region."""
+    out = []
+    for p in pieces:
+        amp = {t.power: np.vdot(K, t.coef) / np.vdot(K, K) for t in p.terms}
+        for t in p.terms:
+            assert np.max(np.abs(t.coef - amp[t.power] * K)) < 1e-13 * max(1.0, abs(amp[t.power]))
+        n = p.terms[0].degree
+        out.append((complex(amp.get(n, 0.0)), complex(amp.get(-n - 1, 0.0))))
+    return out
+
+
+def test_branch_coefficients_match_closed_forms(tables):
+    # region amplitudes of the witness over its core amplitude are e1..e5
     for n in (2, 3, 4, 5, 6):
+        K = kernel_basis(P11, n, tables)[1][0]
+        src = SourceSpec(q=3.0, coefficients={(n, 1, 1): 1.0})
         for c in (-4.0, -2.0, -1.0):
             for r_e in (1.5, 2.0):
-                e, e6 = _fixed_c_radial_solve(n, c, 1.0, r_e, 3.0, 1.0)
+                med = LayeredMedium(shell_radius=r_e, c=c, delta=1e-3, base=P11, core_radius=1.0)
+                pieces, _, _ = witness_fixed_c(med, src, tables)
+                (core, _), (a1, b1), (a2, b2), (_, b3) = _region_amplitudes(pieces, K)
+                e = [a1 / core, b1 / core, a2 / core, b2 / core, b3 / core]
+                assert max(abs(x.imag) for x in e) < 1e-12
+                e = [x.real for x in e]
                 closed = fixed_c_closed_forms(n, c, r_e, 3.0)
                 for a, b in zip(e, closed):
                     assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
@@ -93,11 +116,11 @@ def test_witness_fixed_c_constraint_and_jump(tables, quad):
 
 
 def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
-    # conormal jump of the unit witness equals e6 K Y to oracle accuracy
+    # conormal jump of the witness equals gamma K Y to oracle accuracy
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
-    pieces, _, data = witness_fixed_c(med, src, tables)
-    e6, tau = data[0].e6, data[0].tau
+    pieces, _, _ = witness_fixed_c(med, src, tables)
+    gamma = src.coefficients[(2, 1, 1)]
     K = kernel_basis(P11, 2, tables)[1][0]
     from elastoplasmon.lame import ModeField
     from oracles import numeric_traction
@@ -108,7 +131,7 @@ def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
     f_out = ModeField(outer.terms, 2.5, math.inf)
     t_in = numeric_traction(f_in, 3.0, P11, quad)[2]
     t_out = numeric_traction(f_out, 3.0, P11, quad)[2]
-    assert np.max(np.abs((t_out - t_in) - tau * e6 * K)) < 1e-8
+    assert np.max(np.abs((t_out - t_in) - gamma * K)) < 1e-8
 
 
 def test_witness_fixed_c_requires_family1(tables):
@@ -132,6 +155,44 @@ def test_witness_fixed_c_upper_bound_slope(tables):
     for vals in (Is, Es):
         slope = np.polyfit(np.log(1 / deltas), np.log(vals), 1)[0]
         assert abs(slope + 1.0) < 0.05  # value ~ delta means slope -1 vs 1/delta
+
+
+def test_witness_fixed_c_upper_bound_any_core(tables):
+    # the loss-free field is matched at the actual core radius
+    src = SourceSpec(q=3.0, coefficients={(3, 1, 1): 1.0})
+    for core in (0.5, 1.5):
+        med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-2, base=P11, core_radius=core)
+        _, I_up, _ = witness_fixed_c(med, src, tables)
+        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        assert E <= I_up * (1 + 1e-9), (core, E, I_up)
+
+
+def test_witness_fixed_c_matches_extended_precision_solve(tables, monkeypatch):
+    # on the q=2.3 schedule (n = 7..12) the bound is I of the loss-free
+    # field solved in 50 digits
+    conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.3, core_radius=1.0, k=3)
+    for delta in (1e-2, 10**-2.5, 1e-3, 10**-3.5):
+        med, src = conf(delta)
+        assert 7 <= max(src.degrees()) <= 12
+        _, I_up, _ = witness_fixed_c(med, src, tables)
+        with monkeypatch.context() as m:
+            m.setattr(transmission, "_square_solve", mp_square_solve)
+            sols = solve_modes(replace(med, delta=0.0), src, tables)
+        pieces = _merge_pieces([list(sol.regions) for sol in sols])
+        I_ref = functional_I(pieces, None, delta, P11, tables)
+        assert abs(I_up - I_ref) <= 1e-11 * abs(I_ref), (delta, I_up, I_ref)
+
+
+def test_witness_fixed_c_singular_loss_free_system_leaves_bound_blank(tables):
+    # at n = 14 the loss-free system's condition exceeds 1e9: no bound
+    conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.3, core_radius=1.0)
+    med, src = conf(1e-4)
+    assert max(src.degrees()) == 14
+    with pytest.raises(ResonantSingularityError) as err:
+        witness_fixed_c(med, src, tables)
+    assert err.value.condition > 1e9
+    row = _sweep_row(conf, 1e-4, tables, True)
+    assert row.I_upper is None and row.J_lower is not None
 
 
 def test_witness_nocore_lower_bound_slope_and_sign(tables):
