@@ -60,11 +60,24 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # Deepest source degree a run may reach, also the bound on n_max, on
 # np-spectrum's --nmax (and, as 2 MAX_DEGREE + 4, on the inert
 # quadrature_exactness key).  Every table degree a run reads is built and
-# self-tested on first use, at a cost growing like n^2: about 8 ms for
-# degree 64 alone and 0.4 s for degrees 0..70 (a sweep reads 6 beyond its
-# deepest source degree), on a 2-vCPU x86-64 host with one BLAS thread.  The
-# suite self-tests every degree 0..70; the demos stay below degree 42.
+# self-tested on first use: about 20 ms for degree 64 alone (its band's
+# polar rule included) and 0.2 s for degrees 0..70 (a sweep reads 6 beyond
+# its deepest source degree), on a 2-vCPU x86-64 host with one BLAS thread.
+# The suite self-tests every degree 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
+
+# Accepted Lame pairs, in any unit: 1e-12 <= mu <= 1e100 and a Poisson ratio
+# in about [-0.99985, 0.49995], that is 1e-4 mu <= 3 lambda + 2 mu and
+# lambda <= 1e4 mu.  Measured edges outside it: below mu of about 1e-15 the
+# mode constants read as singular, from mu of about 1e200 the energies
+# underflow, from lambda = 5e5 mu a family-2 sweep leaves its sector, and from
+# 3 lambda + 2 mu = 3e-7 mu the sector kernels fail their matching check.
+# At its corners the sweeps, solves, kernels and waves-check runs of the
+# suite's configurations complete; np-spectrum's 1e-11 sector check already
+# fails from lambda = 100 mu at --nmax 8.
+MU_RANGE = (1e-12, 1e100)
+MAX_LAMBDA_RATIO = 1e4  # lambda / mu
+MIN_BULK_RATIO = 1e-4  # (3 lambda + 2 mu) / mu
 
 
 class ValidationError(ValueError):
@@ -122,7 +135,7 @@ def validate_config(cfg: dict) -> dict:
     for key in ("lambda", "mu", "shell_radius", "q") + (("core_radius",) if core is not None else ()):
         if not _is_real(cfg[key]):
             raise ValidationError(f"{key} must be a finite number")
-    LameParams(cfg["lambda"], cfg["mu"])  # raises on a non-convex pair
+    _material(cfg["lambda"], cfg["mu"])
     if cfg["shell_radius"] <= 0 or cfg["q"] <= cfg["shell_radius"]:
         raise ValidationError("need 0 < shell_radius < q")
     if core is not None and not (0 < core < cfg["shell_radius"]):
@@ -180,6 +193,17 @@ def validate_config(cfg: dict) -> dict:
             raise ValidationError(f"source mode index k = {k} outside 1..{dim} (family {fam}, degree {deg})")
     cfg.setdefault("output", {})
     return cfg
+
+
+def _material(lam: float, mu: float) -> LameParams:
+    """The Lame pair, checked against the accepted range (``MU_RANGE`` and the ratios)."""
+    params = LameParams(lam, mu)  # raises on a non-convex pair
+    if not MU_RANGE[0] <= mu <= MU_RANGE[1]:
+        raise ValidationError(f"mu = {mu} outside the accepted range {MU_RANGE[0]:g}..{MU_RANGE[1]:g}")
+    if not (lam <= MAX_LAMBDA_RATIO * mu and 3.0 * lam + 2.0 * mu >= MIN_BULK_RATIO * mu):
+        raise ValidationError(f"(lambda, mu) = ({lam}, {mu}) outside the accepted range "
+                              f"{MIN_BULK_RATIO:g} mu <= 3 lambda + 2 mu, lambda <= {MAX_LAMBDA_RATIO:g} mu")
+    return params
 
 
 def _check_degree(n: int, what: str) -> None:
@@ -336,7 +360,7 @@ def _write_svg(result: SweepResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(args) -> int:
-    params = LameParams(args.lam, args.mu)
+    params = _material(args.lam, args.mu)
     z = plasmon_constants(params, args.n)
     for name, val in zip(("zeta1", "zeta2", "zeta3"), z.as_tuple()):
         print(f"{name} = {_fmt(val)}")
@@ -345,12 +369,11 @@ def _cmd_constants(args) -> int:
 
 def _cmd_kernels(args) -> int:
     _check_wave_degree(args.n)
-    params = LameParams(args.lam, args.mu)
+    params = _material(args.lam, args.mu)
     tables = ensure_tables(None, args.n + 4)
     z = plasmon_constants(params, args.n)
-    kernels = kernel_basis(params, args.n, tables)
-    for fam, c in enumerate(z.as_tuple(), start=1):
-        kers = kernels[fam]
+    kernels = [kernel_basis(params, args.n, fam, tables) for fam in (1, 2, 3)]
+    for fam, (c, kers) in enumerate(zip(z.as_tuple(), kernels), start=1):
         fams = {kernel_family(K, tables) for K in kers}
         print(f"family {fam}: c = {_fmt(c)}, kernel dimension {len(kers)}, t-pattern {sorted(fams)}")
     return EXIT_OK
@@ -359,11 +382,11 @@ def _cmd_kernels(args) -> int:
 def _cmd_waves_check(args) -> int:
     _check_wave_degree(args.n)
     _check_radius(args.R)
-    params = LameParams(args.lam, args.mu)
+    params = _material(args.lam, args.mu)
     tables = ensure_tables(None, args.n + 4)
     worst = 0.0
-    for fam, kers in kernel_basis(params, args.n, tables).items():
-        for k, K in enumerate(kers, start=1):
+    for fam in (1, 2, 3):
+        for k, K in enumerate(kernel_basis(params, args.n, fam, tables), start=1):
             wave = perfect_wave(K, fam, args.n, args.R, params, tables)
             rep = verify_perfect_wave(wave, params, tables)
             # np.max, unlike max(), keeps a NaN residual, which then fails
@@ -381,7 +404,7 @@ def _cmd_np_spectrum(args) -> int:
     _check_radius(args.R)
     if not 2 <= args.nmax <= MAX_DEGREE:
         raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
-    params = LameParams(args.lam, args.mu)
+    params = _material(args.lam, args.mu)
     spec = np_galerkin_spectrum(args.R, params, args.nmax)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
     targets = []

@@ -8,9 +8,8 @@ Conventions
 * Stacked vectors ``Y_n(xhat)`` hold the orders in descending sequence
   ``m = n, n-1, ..., -n``;  position ``i`` stores order ``m = n - i``.
   They come from the scaled Legendre recurrence stepped over degrees,
-  vectorised over the order and holding two rows at a time; the self-test of
-  degree n reads the polar factors of Y_{n-1}, Y_n and Y_{n+1} off one such
-  recurrence.
+  vectorised over the order and holding two rows at a time; the self-tests
+  of a band of 16 degrees read their polar factors off one such recurrence.
 * ``r^n Y_n`` (regular) and ``r^{-n-1} Y_n`` (irregular) solid harmonics obey
 
       d/dx_j [r^n     Y_n] = lower[n][j]  . r^{n-1} Y_{n-1}
@@ -22,13 +21,17 @@ Conventions
   differentiates in all three directions at once.  With the complex basis
   the ``x_2`` members are purely imaginary; the other two are real.
 * Entries come from the standard solid-harmonic gradient ladders in the
-  Cartesian combinations ``d/dz``, ``d/dx +- i d/dy``.
+  Cartesian combinations ``d/dz``, ``d/dx +- i d/dy``, built vectorised
+  over the order.
 * Each degree's pair ``lower[n]``, ``raise_[n]`` is built and validated per
   degree on first use: the self-test runs once per process for every degree
   something reads, and never for a degree nothing reads.  It projects the
-  analytic surface gradients onto the harmonic basis on the ``n+3`` polar
-  Gauss-Legendre nodes of the ``2n+4`` sphere rule, with the azimuthal sum in
-  closed form, at a cost growing like ``n^2``.
+  analytic surface gradients onto the harmonic basis on the polar
+  Gauss-Legendre rule of the degree's band: ``k = 16 ceil((n+3)/16)`` nodes,
+  exact for every degree of the band, with the azimuthal sum in closed form.
+  Each band's rule and its polar factors of Y_0 .. Y_{k-2} are computed once
+  per process, with one ``leggauss`` and one Legendre recurrence; a degree's
+  own test then costs ``O(n k)``.
 * The sphere rule (:class:`SphereQuadrature`) is a reference route for the
   tests: no code in the package builds one.
 """
@@ -156,37 +159,43 @@ def build_quadrature(exactness: int) -> SphereQuadrature:
 
 
 def _lower_matrices(n: int) -> np.ndarray:
-    """Gradient ladder for regular solid harmonics of degree n >= 1, shape (3, 2n+1, 2n-1)."""
+    """Gradient ladder for regular solid harmonics of degree n >= 1, shape (3, 2n+1, 2n-1).
+
+    Row i holds order m = n - i; d/dz keeps the order (column i - 1) and
+    d/dx +- i d/dy raise / lower it (columns i - 2 and i).
+    """
     L = np.zeros((3, 2 * n + 1, 2 * n - 1), dtype=complex)
     s = (2.0 * n + 1.0) / (2.0 * n - 1.0)
-    for m in range(-n, n + 1):
-        row = n - m
-        if abs(m) <= n - 1:
-            L[2, row, (n - 1) - m] = sqrt((n + m) * (n - m) * s)
-        if abs(m + 1) <= n - 1:
-            cp = sqrt((n - m) * (n - m - 1) * s)
-            L[0, row, (n - 1) - (m + 1)] += 0.5 * cp
-            L[1, row, (n - 1) - (m + 1)] += -0.5j * cp
-        if abs(m - 1) <= n - 1:
-            cm = -sqrt((n + m) * (n + m - 1) * s)
-            L[0, row, (n - 1) - (m - 1)] += 0.5 * cm
-            L[1, row, (n - 1) - (m - 1)] += 0.5j * cm
+    i = np.arange(2 * n + 1)
+    m = n - i
+    z, p, q = i[1:-1], i[2:], i[:-2]  # rows with |m| <= n-1, |m+1| <= n-1, |m-1| <= n-1
+    L[2, z, z - 1] = np.sqrt((n + m[z]) * (n - m[z]) * s)
+    cp = np.sqrt((n - m[p]) * (n - m[p] - 1) * s)
+    L[0, p, p - 2] += 0.5 * cp
+    L[1, p, p - 2] += -0.5j * cp
+    cm = -np.sqrt((n + m[q]) * (n + m[q] - 1) * s)
+    L[0, q, q] += 0.5 * cm
+    L[1, q, q] += 0.5j * cm
     return L
 
 
 def _raise_matrices(n: int) -> np.ndarray:
-    """Gradient ladder for irregular solid harmonics of degree n >= 0, shape (3, 2n+1, 2n+3)."""
+    """Gradient ladder for irregular solid harmonics of degree n >= 0, shape (3, 2n+1, 2n+3).
+
+    Row i holds order m = n - i; d/dz keeps the order (column i + 1) and
+    d/dx +- i d/dy raise / lower it (columns i and i + 2).
+    """
     R = np.zeros((3, 2 * n + 1, 2 * n + 3), dtype=complex)
     s = (2.0 * n + 1.0) / (2.0 * n + 3.0)
-    for m in range(-n, n + 1):
-        row = n - m
-        R[2, row, (n + 1) - m] = -sqrt((n + 1 + m) * (n + 1 - m) * s)
-        cp = sqrt((n + 1 + m) * (n + 2 + m) * s)
-        R[0, row, (n + 1) - (m + 1)] += 0.5 * cp
-        R[1, row, (n + 1) - (m + 1)] += -0.5j * cp
-        cm = -sqrt((n + 1 - m) * (n + 2 - m) * s)
-        R[0, row, (n + 1) - (m - 1)] += 0.5 * cm
-        R[1, row, (n + 1) - (m - 1)] += 0.5j * cm
+    i = np.arange(2 * n + 1)
+    m = n - i
+    R[2, i, i + 1] = -np.sqrt((n + 1 + m) * (n + 1 - m) * s)
+    cp = np.sqrt((n + 1 + m) * (n + 2 + m) * s)
+    R[0, i, i] += 0.5 * cp
+    R[1, i, i] += -0.5j * cp
+    cm = -np.sqrt((n + 1 - m) * (n + 2 - m) * s)
+    R[0, i, i + 2] += 0.5 * cm
+    R[1, i, i + 2] += 0.5j * cm
     return R
 
 
@@ -260,9 +269,9 @@ def shared_tables(n_max: int) -> DerivativeTable:
 
     Each degree's matrices are built when first read and pass the self-test
     (analytic surface gradients projected onto the harmonic basis on the
-    polar Gauss-Legendre nodes of the ``2n+4`` sphere rule; a disagreement
-    above 1e-9 in any entry raises ``AssertionError``) before they are
-    returned; the process keeps them for every later table.
+    shared polar Gauss-Legendre rule of the degree's band of 16; a
+    disagreement above 1e-9 in any entry raises ``AssertionError``) before
+    they are returned; the process keeps them for every later table.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -286,15 +295,49 @@ def ensure_tables(tables: DerivativeTable | None, n_need: int) -> DerivativeTabl
     return shared_tables(n_need)
 
 
+# polar rule size k -> (nodes z, sin(theta), 2 pi weights, theta factors of
+# Y_0 .. Y_{k-2}); one entry per band of 16 degrees a run self-tests
+_BANDS: dict[int, tuple] = {}
+
+
+def _band_size(n: int) -> int:
+    """Polar nodes of degree n's self-test: ``n + 3`` rounded up to a multiple of 16."""
+    return 16 * -(-(n + 3) // 16)
+
+
+def _polar_band(n: int) -> tuple:
+    """The shared polar Gauss-Legendre rule of degree n's band, built once.
+
+    Returns ``(z, st, w, theta)``: the ``k = _band_size(n)`` nodes, their
+    ``sin(theta)``, the weights times ``2 pi`` and, for each degree
+    ``d <= k - 2``, the ``(2d+1, k)`` polar factors of Y_d^m (m = d ... -d),
+    read off one Legendre recurrence.
+    """
+    k = _band_size(n)
+    band = _BANDS.get(k)
+    if band is None:
+        z, wt = np.polynomial.legendre.leggauss(k)
+        st = np.sqrt(1.0 - z**2)  # the nodes are interior: st > 0
+        st_pow = st ** np.arange(k - 1)[:, None]
+        theta = []
+        for d, A in enumerate(_legendre_rows(k - 2, z)):
+            pos = A * st_pow[: d + 1]  # orders m = 0 ... d
+            theta.append(np.concatenate([pos[::-1], (-1.0) ** np.arange(1, d + 1)[:, None] * pos[1:]]))
+        band = _BANDS[k] = (z, st, 2.0 * pi * wt, theta)
+    return band
+
+
 def _polar_projection(n: int) -> tuple:
     """Gradients of degree-n solid harmonics projected onto Y_{n-1} and Y_{n+1}.
 
-    The projection is the one of the ``2n+4`` product rule (Gauss-Legendre in
-    theta times a uniform phi grid), taken on its ``n+3`` polar nodes alone:
-    every integrand's phi factor is one ``e^{ik phi}`` with ``|k| <= 2n+2``,
-    so the rule's phi sum is exactly ``2 pi delta_k0``.  The theta factors of
-    Y_{n-1}, Y_n and Y_{n+1} come from one Legendre recurrence, ``dY/dtheta``
-    from the theta/phi ladder (independent of the solid ladders)
+    The projection is that of a product rule (Gauss-Legendre in theta times
+    a uniform phi grid) taken on its polar nodes alone: every integrand's phi
+    factor is one ``e^{ik phi}`` with ``|k| <= 2n+2``, so the phi sum is
+    exactly ``2 pi delta_k0``; what remains is a polynomial in ``cos(theta)``
+    of degree at most ``2n+2``, which the ``_band_size(n) >= n + 3`` polar
+    nodes of the band integrate exactly.  The theta factors of Y_{n-1}, Y_n
+    and Y_{n+1} are the band's, ``dY/dtheta`` comes from the theta/phi ladder
+    (independent of the solid ladders)
 
         dY/dtheta = m cot(theta) Y_n^m + sqrt((n-m)(n+m+1)) e^{-i phi} Y_n^{m+1},
 
@@ -302,19 +345,11 @@ def _polar_projection(n: int) -> tuple:
     three couplings.  Returns ``(lower, raise_)``, each the three Cartesian
     matrices shaped like the ladders; ``lower`` is None at n = 0.
     """
-    z, wt = np.polynomial.legendre.leggauss(n + 3)
-    st = np.sqrt(1.0 - z**2)  # the nodes are interior: st > 0
-    theta = {}  # degree d -> (2d+1, n+3) polar factors of Y_d^m, m = d ... -d
-    for d, A in enumerate(_legendre_rows(n + 1, z)):
-        if d >= n - 1:
-            m = np.arange(d + 1)[:, None]
-            pos = A * st**m  # orders m = 0 ... d
-            theta[d] = np.concatenate([pos[::-1], (-1.0) ** m[1:] * pos[1:]])
+    z, st, w, theta = _polar_band(n)
     m = np.arange(n, -n - 1, -1.0)[:, None]
     T = theta[n]
     dT = m * (z / st) * T
     dT[1:] += np.sqrt((n - m[1:]) * (n + m[1:] + 1)) * T[:-1]
-    w = 2.0 * pi * wt
     rows = np.arange(2 * n + 1)
     out = []
     # F = r^radial Y_n^m, radial = n (lower) or -(n+1) (raise_); on S^2, with

@@ -170,7 +170,7 @@ def _dual_wave(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTabl
     g = _real_branch_coefficient(gamma)
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
-    K = kernel_basis(params, n0, tables)[fam][k - 1]
+    K = kernel_basis(params, n0, fam, tables)[k - 1]
     wave = perfect_wave(K, fam, n0, medium.shell_radius, params, tables)
     psi_hat = [wave.interior, wave.exterior]
     unit_source = SourceSpec(q=source.q, coefficients={(n0, fam, k): 1.0})
@@ -274,7 +274,7 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
             continue
         if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
             # scheduled mode: free incident wave, interface defects go to w
-            K = kernel_basis(params, n, tables)[1][k - 1]
+            K = kernel_basis(params, n, 1, tables)[k - 1]
             tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
             coeffs = [(tau, 0.0), (0.0, tau * q ** (2 * n + 1))]
             v_parts.append(_mode_pieces(K, n, coeffs, [q]))

@@ -106,35 +106,35 @@ class LayeredMedium:
         return a + 1j * self.delta
 
 
-_KERNEL_CACHE: dict = {}
+_KERNEL_CACHE: dict = {}  # (lam, mu, n, family) -> kernel basis
+_PROFILE_CACHE: dict = {}  # (lam, mu, n, family) -> spheroidal radial profile
 
 
-def kernel_basis(params: LameParams, n: int, tables: DerivativeTable) -> dict[int, list[np.ndarray]]:
-    """Self-conjugate orthonormal kernel matrices per family at degree n.
+def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
+    """Self-conjugate orthonormal kernel matrices of one family at degree n.
 
-    Each family's kernel is its whole angular-momentum sector, built in
+    The kernel is the family's whole angular-momentum sector, built in
     closed form (:func:`~elastoplasmon.waves.sector_kernels`), so families
     stay pure where two plasmon constants coincide.  Kernels 2(J - M) + 1
     and 2(J - M) + 2 are the two members of orders +-M about the z axis
     (M = J..1) and kernel 2J + 1 is the M = 0 member.  One fixed combination
-    of each family's kernels must pass the matching map at the family's
-    plasmon constant to a relative defect of 1e-9, else ``AssertionError``.
-    Results are cached per material and degree: a sweep reads the same
-    bases at every loss.
+    of the kernels must pass the matching map at the family's plasmon
+    constant to a relative defect of 1e-9, else ``AssertionError``, before
+    the basis is kept.  Results are cached per material, degree and family:
+    a sweep reads the same bases at every loss, and only the families it
+    reads are built.
     """
-    key = (params.lam, params.mu, n)
+    key = (params.lam, params.mu, n, family)
     if key not in _KERNEL_CACHE:
         tables = ensure_tables(tables, n + 4)
-        out = {}
-        for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), start=1):
-            kers = sector_kernels(n, fam, tables)
-            probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
-            defect = matching_defect(probe, n, params, c, tables)
-            if not defect <= 1e-9:
-                raise AssertionError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
-                                     f"(matching defect {defect:.3e})")
-            out[fam] = kers
-        _KERNEL_CACHE[key] = out
+        c = plasmon_constants(params, n).as_tuple()[family - 1]
+        kers = sector_kernels(n, family, tables)
+        probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
+        defect = matching_defect(probe, n, params, c, tables)
+        if not defect <= 1e-9:
+            raise AssertionError(f"family {family} sector at degree {n} is not a kernel at c={c} "
+                                 f"(matching defect {defect:.3e})")
+        _KERNEL_CACHE[key] = kers
     return _KERNEL_CACHE[key]
 
 
@@ -157,11 +157,10 @@ class SourceSpec:
 
     def family_densities(self, n: int, params: LameParams, tables: DerivativeTable) -> dict[int, np.ndarray]:
         """Degree-n part of the density split by family: {family: sum of g K}."""
-        fams = kernel_basis(params, n, tables)
         out: dict[int, np.ndarray] = {}
         for (nn, fam, k), g in self.coefficients.items():
             if nn == n and g != 0:
-                out[fam] = out.get(fam, 0.0) + g * fams[fam][k - 1]
+                out[fam] = out.get(fam, 0.0) + g * kernel_basis(params, n, fam, tables)[k - 1]
         return out
 
     def density_matrix(self, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
@@ -271,16 +270,17 @@ def _radial_profile(params: LameParams, n: int, fam: int, tables: DerivativeTabl
     """The :class:`_RadialProfile` of a sector.
 
     The toroidal blocks K r^n and K r^(-n-1) have the tractions mu (n-1) and
-    -mu (n+2) times K.  A spheroidal profile is cached beside the kernel
-    bases, built from one closed-form member: the terms and the unit-radius
-    traction (``traction_coeffs_algebraic``) of each block are projected on
-    the reference matrices, to a residual of at most 1e-11 of the block.
+    -mu (n+2) times K.  A spheroidal profile is cached per material, degree
+    and family, like the kernel bases, built from one closed-form member: the
+    terms and the unit-radius traction (``traction_coeffs_algebraic``) of each
+    block are projected on the reference matrices, to a residual of at most
+    1e-11 of the block.
     """
     if fam == 1:
         return _RadialProfile((n,), {("entire", 0): (n, {n: 1.0}, {n: params.mu * (n - 1.0)}),
                                      ("decay", 0): (-n - 1, {n: 1.0}, {n: -params.mu * (n + 2.0)})}, None)
     key = (params.lam, params.mu, n, fam)
-    if key not in _KERNEL_CACHE:
+    if key not in _PROFILE_CACHE:
         K = sector_kernels(n, fam, tables)[0]
         d2 = n - 2 if fam == 2 else n + 2
         refs = {n: K, d2: _ladder(K, n, fam == 3, tables)}
@@ -296,8 +296,8 @@ def _radial_profile(params: LameParams, n: int, fam: int, tables: DerivativeTabl
                                      {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
         back = _ladder(refs[d2], d2, fam == 2, tables)
         kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
-        _KERNEL_CACHE[key] = _RadialProfile((n, d2), blocks, kappa)
-    return _KERNEL_CACHE[key]
+        _PROFILE_CACHE[key] = _RadialProfile((n, d2), blocks, kappa)
+    return _PROFILE_CACHE[key]
 
 
 def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):

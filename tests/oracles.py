@@ -14,9 +14,12 @@ panels instead of closed-form power integrals; ``fixed_c_closed_forms`` are
 the published branch coefficients of the fixed-multiplier witness.
 
 ``grid_self_test_projection`` projects the analytic gradients of degree-n
-solid harmonics onto Y_{n-1} and Y_{n+1} on every node of the ``2n+4`` sphere
-rule (``_surface_gradient_stack`` gives the gradients there), the route the
-polar-node self-test of ``harmonics`` replaced.
+solid harmonics onto Y_{n-1} and Y_{n+1} on every node of the product rule
+with the polar nodes of the degree's band (``_surface_gradient_stack`` gives
+the gradients there), the route the polar-node self-test of ``harmonics``
+replaced.  ``loop_lower_matrices``/``loop_raise_matrices`` fill the two
+ladder families one order m at a time, the builders the vectorised
+``harmonics._lower_matrices``/``_raise_matrices`` replaced.
 
 ``normalized_legendre_scaled``/``table_sph_harm_stack`` build the whole
 ``(n+1)^2`` scaled Legendre table and read Y_n off it; ``conj_kernel_matrix``
@@ -88,6 +91,7 @@ from elastoplasmon.energy import _radial_integral, pairing_P
 from elastoplasmon.harmonics import (
     DerivativeTable,
     SphereQuadrature,
+    _band_size,
     build_quadrature,
     ensure_tables,
     shared_quadrature,
@@ -589,25 +593,64 @@ def _surface_gradient_stack(n: int, nodes: np.ndarray) -> np.ndarray:
 
 
 def grid_self_test_projection(n: int) -> tuple:
-    """``harmonics._polar_projection(n)`` on every node of the ``2n+4`` rule.
+    """``harmonics._polar_projection(n)`` on every node of a full product rule.
 
-    Samples the gradients of r^n Y_n and r^{-n-1} Y_n on the sphere and
-    projects them onto Y_{n-1} and Y_{n+1} with the full product rule, so it
-    assumes no azimuthal selection rule.  Same layout: ``(lower, raise_)``,
-    three Cartesian matrices each, ``lower`` None at n = 0.
+    The rule is ``build_quadrature(2k - 2)``: the ``k = harmonics._band_size(n)``
+    polar nodes of the degree's band times ``2k - 1`` azimuths.  Samples the
+    gradients of r^n Y_n and r^{-n-1} Y_n there and projects them onto
+    Y_{n-1} and Y_{n+1}, so it assumes no azimuthal selection rule; the nodes
+    are taken in blocks to bound the memory at high degree.  Same layout:
+    ``(lower, raise_)``, three Cartesian matrices each, ``lower`` None at n = 0.
     """
-    quad = build_quadrature(2 * n + 4)
-    xh = quad.nodes
-    Y = sph_harm_stack(n, xh)
-    grad = _surface_gradient_stack(n, xh)  # (N, 2n+1, 3)
-    out = []
-    for target, radial in ((n - 1, n), (n + 1, -(n + 1))):
-        if target < 0:
-            out.append(None)
-            continue
-        wY = quad.weights[:, None] * np.conj(sph_harm_stack(target, xh))  # (N, 2 target + 1)
-        out.append(tuple((wY.T @ (radial * xh[:, j: j + 1] * Y + grad[:, :, j])).T for j in range(3)))
+    quad = build_quadrature(2 * _band_size(n) - 2)
+    out = [None if n == 0 else np.zeros((3, 2 * n + 1, 2 * n - 1), dtype=complex),
+           np.zeros((3, 2 * n + 1, 2 * n + 3), dtype=complex)]
+    for lo in range(0, len(quad.weights), 2048):
+        xh, wt = quad.nodes[lo: lo + 2048], quad.weights[lo: lo + 2048]
+        Y = sph_harm_stack(n, xh)
+        grad = _surface_gradient_stack(n, xh)  # (N, 2n+1, 3)
+        for acc, target, radial in ((out[0], n - 1, n), (out[1], n + 1, -(n + 1))):
+            if acc is None:
+                continue
+            wY = wt[:, None] * np.conj(sph_harm_stack(target, xh))  # (N, 2 target + 1)
+            for j in range(3):
+                acc[j] += (wY.T @ (radial * xh[:, j: j + 1] * Y + grad[:, :, j])).T
     return tuple(out)
+
+
+def loop_lower_matrices(n: int) -> np.ndarray:
+    """Gradient ladder of regular solid harmonics (degree n >= 1), one order m at a time."""
+    L = np.zeros((3, 2 * n + 1, 2 * n - 1), dtype=complex)
+    s = (2.0 * n + 1.0) / (2.0 * n - 1.0)
+    for m in range(-n, n + 1):
+        row = n - m
+        if abs(m) <= n - 1:
+            L[2, row, (n - 1) - m] = sqrt((n + m) * (n - m) * s)
+        if abs(m + 1) <= n - 1:
+            cp = sqrt((n - m) * (n - m - 1) * s)
+            L[0, row, (n - 1) - (m + 1)] += 0.5 * cp
+            L[1, row, (n - 1) - (m + 1)] += -0.5j * cp
+        if abs(m - 1) <= n - 1:
+            cm = -sqrt((n + m) * (n + m - 1) * s)
+            L[0, row, (n - 1) - (m - 1)] += 0.5 * cm
+            L[1, row, (n - 1) - (m - 1)] += 0.5j * cm
+    return L
+
+
+def loop_raise_matrices(n: int) -> np.ndarray:
+    """Gradient ladder of irregular solid harmonics (degree n >= 0), one order m at a time."""
+    R = np.zeros((3, 2 * n + 1, 2 * n + 3), dtype=complex)
+    s = (2.0 * n + 1.0) / (2.0 * n + 3.0)
+    for m in range(-n, n + 1):
+        row = n - m
+        R[2, row, (n + 1) - m] = -sqrt((n + 1 + m) * (n + 1 - m) * s)
+        cp = sqrt((n + 1 + m) * (n + 2 + m) * s)
+        R[0, row, (n + 1) - (m + 1)] += 0.5 * cp
+        R[1, row, (n + 1) - (m + 1)] += -0.5j * cp
+        cm = -sqrt((n + 1 - m) * (n + 2 - m) * s)
+        R[0, row, (n + 1) - (m - 1)] += 0.5 * cm
+        R[1, row, (n + 1) - (m - 1)] += 0.5j * cm
+    return R
 
 
 def normalized_legendre_scaled(n_max: int, z: np.ndarray) -> np.ndarray:
@@ -964,9 +1007,8 @@ def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
     total = 0.0
     for n in range(2, n_max + 1):
         proj = quad.project(F_samples, n)  # (2n+1, 3)
-        fams = kernel_basis(params, n, tables)
-        for fam, kers in fams.items():
-            for k, K in enumerate(kers, start=1):
+        for fam in (1, 2, 3):
+            for k, K in enumerate(kernel_basis(params, n, fam, tables), start=1):
                 g = complex(np.sum(proj.T * np.conj(K)))
                 if abs(g) > 1e-14:
                     coeffs[(n, fam, k)] = g

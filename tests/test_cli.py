@@ -64,6 +64,17 @@ def test_kernels_output():
     assert "kernel dimension 7" in out.stdout
 
 
+def test_kernels_output_is_unchanged():
+    # stdout of the all-family bases, as printed before bases were built per family
+    out = run_cli("kernels", "--n", "5")
+    assert out.returncode == 0
+    assert out.stdout == (
+        "family 1: c = -1.75, kernel dimension 11, t-pattern [1]\n"
+        "family 2: c = -2.193548387096774, kernel dimension 9, t-pattern [2]\n"
+        "family 3: c = -0.58888888888888891, kernel dimension 13, t-pattern [3]\n"
+    )
+
+
 def test_kernels_output_where_plasmon_constants_coincide():
     # zeta1 = zeta2 at lambda=2, mu=0.5, n=8: the solver's sector kernels
     out = run_cli("kernels", "--n", "8", "--lambda", "2", "--mu", "0.5")
@@ -329,6 +340,62 @@ def test_unreachable_degrees_rejected_before_any_run(tmp_path, config, monkeypat
         assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
 
 
+EXTREME_MATERIALS = [(1e308, 1e308), (0.0, 1e-320), (1e20, 1.0)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--n", "2"],
+    ["kernels", "--n", "2"],
+    ["waves-check", "--n", "2"],
+    ["np-spectrum"],
+])
+@pytest.mark.parametrize("lam, mu", EXTREME_MATERIALS)
+def test_extreme_materials_rejected_before_any_run(argv, lam, mu, monkeypatch, capsys):
+    # each pair passes LameParams but once crashed a run with a traceback
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    for name in ("plasmon_constants", "ensure_tables", "kernel_basis", "np_galerkin_spectrum"):
+        monkeypatch.setattr(cli, name, _no_run)
+    assert cli.main(argv + [f"--lambda={lam!r}", f"--mu={mu!r}"]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "accepted range" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("lam, mu", EXTREME_MATERIALS)
+def test_extreme_material_configs_rejected_before_any_run(lam, mu, tmp_path, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    cfg = dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 1, 1.0, 0.0]], mu=mu)
+    cfg["lambda"] = lam
+    with pytest.raises(cli.ValidationError, match="accepted range"):
+        cli.validate_config(copy.deepcopy(cfg))
+    monkeypatch.setattr(cli, "shared_tables", _no_run)
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    for argv in (["sweep", "--csv", str(tmp_path / "x.csv")], ["solve"], ["witness"]):
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and "accepted range" in json.loads(lines[0])["error"]
+
+
+def test_material_range_edges_are_accepted(capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    low_bulk = (cli.MIN_BULK_RATIO - 2.0) / 3.0  # 3 lambda + 2 mu = 1e-4 mu
+    inside = ((1e4, 1.0), (low_bulk, 1.0), (0.0, 1e-12), (1e-8, 1e-12), (1e104, 1e100), (low_bulk * 1e100, 1e100))
+    outside = ((1.0001e4, 1.0), ((cli.MIN_BULK_RATIO / 2 - 2.0) / 3.0, 1.0), (0.0, 0.99e-12), (0.0, 1.01e100))
+    for lam, mu in inside:
+        cli.validate_config(dict(BASE_CONFIG, mu=mu, **{"lambda": lam}))
+        assert cli.main(["kernels", "--n", "4", f"--lambda={lam!r}", f"--mu={mu!r}"]) == 0, (lam, mu)
+    for lam, mu in outside:
+        with pytest.raises(cli.ValidationError, match="accepted range"):
+            cli.validate_config(dict(BASE_CONFIG, mu=mu, **{"lambda": lam}))
+    capsys.readouterr()
+
+
 def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
@@ -387,6 +454,32 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 0 6 0 0"
+
+
+def test_cold_family1_sweep_builds_and_tests_only_what_it_reads(tmp_path):
+    # a cold q=2.3 sweep reads family-1 kernels at degrees 7..27 and table
+    # degrees 6..28: it builds no family-2/3 kernel or radial profile,
+    # self-tests exactly those degrees, and forms one Gauss-Legendre rule per
+    # band of 16 degrees (16 and 32 nodes)
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, delta_list=[
+        10.0 ** (-(4 + i) / 2) for i in range(13)])))
+    code = (
+        "import numpy as np\n"
+        "from elastoplasmon import harmonics, transmission\n"
+        "from elastoplasmon.cli import main\n"
+        "tested, rules, test = [], [], harmonics._self_test_degree\n"
+        "harmonics._self_test_degree = lambda n, *pair: tested.append(n) or test(n, *pair)\n"
+        "leggauss = np.polynomial.legendre.leggauss\n"
+        "np.polynomial.legendre.leggauss = lambda k: rules.append(k) or leggauss(k)\n"
+        f"assert main(['sweep', '--config', {str(path)!r}, '--csv', {str(tmp_path / 'x.csv')!r}]) == 0\n"
+        "print(sorted(tested), rules, sorted({key[3] for key in transmission._KERNEL_CACHE}),\n"
+        "      len(transmission._PROFILE_CACHE))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == f"{list(range(6, 29))} [16, 32] [1] 0"
 
 
 def test_verification_commands_build_no_sphere_rule(tmp_path):

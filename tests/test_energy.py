@@ -172,7 +172,7 @@ def test_dual_witness_sign(tables):
     from elastoplasmon.waves import perfect_wave, plasmon_constants
 
     z1 = plasmon_constants(P11, 2).zeta1
-    K = kernel_basis(P11, 2, tables)[1][0]
+    K = kernel_basis(P11, 2, 1, tables)[0]
     w = perfect_wave(K, 1, 2, 1.5, P11, tables)
     src = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0})
     tau = 1e-6

@@ -6,8 +6,9 @@ is checked through Gram matrices.  The per-degree store is checked for its
 invariant: a matrix is returned only after its degree's self-test passed,
 each degree is tested once, and only degrees that are read are tested.  The
 self-test's polar-node projection is checked against the full sphere-rule
-projection of ``oracles.grid_self_test_projection``, and both must reject a
-single perturbed entry.
+projection of ``oracles.grid_self_test_projection`` on the same polar nodes,
+and both must reject a single perturbed entry; the vectorised ladder builders
+are checked against the loop builders of ``oracles``.
 """
 
 import gc
@@ -32,6 +33,8 @@ from oracles import (
     dmat,
     eval_Y,
     grid_self_test_projection,
+    loop_lower_matrices,
+    loop_raise_matrices,
     table_sph_harm_stack,
 )
 
@@ -101,6 +104,8 @@ def test_sph_harm_stack_is_bit_identical_to_full_table():
 
 
 def test_self_test_runs_one_recurrence(monkeypatch):
+    # degrees 1, 5 and 9 share the 16-node band: one rule, one recurrence
+    monkeypatch.setattr(harmonics, "_BANDS", {})
     calls = []
     shapes = []
     rows = harmonics._legendre_rows
@@ -113,8 +118,21 @@ def test_self_test_runs_one_recurrence(monkeypatch):
     monkeypatch.setattr(harmonics, "_legendre_rows", counted)
     for n in (1, 5, 9):
         harmonics._self_test_degree(n, harmonics._lower_matrices(n), harmonics._raise_matrices(n))
-    assert calls == [2, 6, 10]
-    assert shapes == [(n + 3,) for n in (1, 5, 9)]  # the polar Gauss nodes of the 2n+4 rule
+    assert calls == [14]  # the polar factors of Y_0 .. Y_{k-2}
+    assert shapes == [(16,)]
+    assert sorted(harmonics._BANDS) == [16]
+
+
+def test_band_sizes():
+    # k = 16 ceil((n+3)/16): degree n's band holds at least its n+3 polar nodes
+    assert [harmonics._band_size(n) for n in (0, 13, 14, 29, 30, 64, 70)] == [16, 16, 32, 32, 48, 80, 80]
+
+
+def test_vectorised_ladders_equal_loop_builders():
+    for n in range(71):
+        if n:
+            assert np.array_equal(harmonics._lower_matrices(n), loop_lower_matrices(n)), n
+        assert np.array_equal(harmonics._raise_matrices(n), loop_raise_matrices(n)), n
 
 
 def test_stacking_order_is_descending_m():
@@ -247,7 +265,8 @@ def test_corrupt_degree_fails_on_first_read_and_is_not_kept(monkeypatch):
 
 
 def test_polar_projection_matches_grid_oracle():
-    # the polar-node projection and the full 2n+4 product rule agree entry by entry
+    # the polar-node projection and the full product rule on the band's polar
+    # nodes agree entry by entry
     for n in range(1, 42):
         polar, grid = harmonics._polar_projection(n), grid_self_test_projection(n)
         for family in range(2):
@@ -255,7 +274,7 @@ def test_polar_projection_matches_grid_oracle():
                 assert np.max(np.abs(polar[family][j] - grid[family][j])) < 1e-12, (n, family, j)
 
 
-@pytest.mark.parametrize("n", [0, 1, 7, 20])
+@pytest.mark.parametrize("n", [0, 1, 7, 13, 14, 20, 29, 30, 64])
 def test_perturbed_entry_rejected_by_both_routes(n, monkeypatch):
     # one 1e-8 change, real or imaginary, in any of the six matrices is caught,
     # on an entry the ladder fills and on one it leaves zero

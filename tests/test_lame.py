@@ -83,7 +83,7 @@ def test_pure_multipole_when_t1_vanishes(tables):
     # angular-momentum-type matrix: rows of x cross grad of a degree-n harmonic
     from elastoplasmon.transmission import kernel_basis
 
-    K = kernel_basis(LameParams(1.0, 1.0), n, tables)[1][0]
+    K = kernel_basis(LameParams(1.0, 1.0), n, 1, tables)[0]
     terms = exterior_block(K, n, LameParams(1.0, 1.0), tables)
     assert len(terms) == 1 and terms[0].power == -n - 1
 

@@ -175,9 +175,8 @@ def test_sector_solve_agrees_with_window_oracle(tables, materials):
 
 def test_unconverged_solve_raises(tables, monkeypatch):
     # a density with content outside its declared sector cannot be matched
-    kers = kernel_basis(P11, 2, tables)
-    mix = (kers[1][0] + kers[2][0]) / math.sqrt(2.0)
-    monkeypatch.setattr(transmission, "kernel_basis", lambda *a: {**kers, 3: [mix]})
+    mix = (kernel_basis(P11, 2, 1, tables)[0] + kernel_basis(P11, 2, 2, tables)[0]) / math.sqrt(2.0)
+    monkeypatch.setattr(transmission, "kernel_basis", lambda params, n, fam, tables: [mix])
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
     with pytest.raises(UnconvergedSolveError, match="backward error"):
         solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2, tables)
@@ -221,10 +220,10 @@ def test_kernel_basis_families_are_pure(tables, materials):
     # lambda=2, mu=0.5 at n=8 where zeta1 and zeta2 coincide
     for params in materials:
         for n in range(2, 13):
-            fams = kernel_basis(params, n, tables)
             for fam, dim in ((1, 2 * n + 1), (2, 2 * n - 1), (3, 2 * n + 3)):
-                assert len(fams[fam]) == dim, (params, n, fam)
-                assert all(kernel_family(K, tables) == fam for K in fams[fam]), (params, n, fam)
+                kers = kernel_basis(params, n, fam, tables)
+                assert len(kers) == dim, (params, n, fam)
+                assert all(kernel_family(K, tables) == fam for K in kers), (params, n, fam)
 
 
 def test_kernel_basis_lies_in_the_matching_null_space(tables, materials):
@@ -232,20 +231,18 @@ def test_kernel_basis_lies_in_the_matching_null_space(tables, materials):
     # by the full matching matrix at its family's plasmon constant
     cases = [(params, n) for params in materials for n in range(2, 14)] + [(P11, 27)]
     for params, n in cases:
-        fams = kernel_basis(params, n, tables)
         for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), start=1):
             prob = assemble_H(n, params, c, tables)
             smax = prob.singular_values[0]
-            for K in fams[fam]:
+            for K in kernel_basis(params, n, fam, tables):
                 assert np.linalg.norm(prob.defect(K)) <= 1e-9 * smax, (params, n, fam)
 
 
 def test_matching_defect_separates_the_constants(tables):
     n = 5
     z = plasmon_constants(P11, n).as_tuple()
-    fams = kernel_basis(P11, n, tables)
     for fam, c in enumerate(z, start=1):
-        G = sum(fams[fam])
+        G = sum(kernel_basis(P11, n, fam, tables))
         assert matching_defect(G, n, P11, c, tables) < 1e-13
         assert 1e-9 < matching_defect(G, n, P11, c * (1 + 1e-6), tables) < 1e-5
         other = z[fam % 3]
@@ -258,14 +255,15 @@ def test_kernel_check_rejects_detuned_constants(tables, monkeypatch):
 
     monkeypatch.setattr(transmission, "plasmon_constants", detuned)
     monkeypatch.setattr(transmission, "_KERNEL_CACHE", {})
-    with pytest.raises(AssertionError, match="matching defect"):
-        kernel_basis(P11, 4, tables)
+    for fam in (1, 2, 3):  # each family is checked before it is kept
+        with pytest.raises(AssertionError, match=f"family {fam} .*matching defect"):
+            kernel_basis(P11, 4, fam, tables)
     assert not transmission._KERNEL_CACHE
 
 
 def test_project_source_recovers_kernel_density(tables):
     quad = build_quadrature(14)
-    K = kernel_basis(P11, 2, tables)[1][0]
+    K = kernel_basis(P11, 2, 1, tables)[0]
     F = quad.harmonics(2) @ K.T  # density G Y_2 sampled at nodes
     spec, report = project_source(F, 2.0, quad, P11, tables, n_max=4)
     assert report["zero_mean_residual"] < 1e-12
@@ -385,9 +383,10 @@ for fam, n, c, q, core in ((2, 4, -130 / 59, 3.0, 1.0), (3, 3, -25 / 38, 2.6, No
     conf = fixed_configuration(LameParams(1.0, 1.0), 2.0, c, SourceSpec(q, {(n, fam, 1): 1.0}), core_radius=core)
     for rows in (4, 8):
         transmission._KERNEL_CACHE.clear()
+        transmission._PROFILE_CACHE.clear()
         calls[0] = 0
         sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)), tables)
-        profiles = sum(len(key) == 4 for key in transmission._KERNEL_CACHE)
+        profiles = len(transmission._PROFILE_CACHE)
         out.append(f"{calls[0]}/{profiles}")
 print(" ".join(out))
 """
