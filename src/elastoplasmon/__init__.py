@@ -22,6 +22,7 @@ from .waves import (
     PerfectWave,
     PlasmonConstants,
     PlasmonEigenProblem,
+    SectorCheckError,
     assemble_H,
     np_eigenvalue_map,
     np_galerkin_spectrum,

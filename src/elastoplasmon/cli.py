@@ -7,12 +7,14 @@ round-trips the full configuration.  Runs are deterministic: identical
 configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 validation failure (including a singular loss-free
-or unconverged solve), 3 I/O failure, 4 empty result.
+or unconverged solve and a failed sector check), 3 I/O failure, 4 empty
+result.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -20,7 +22,7 @@ import sys
 import numpy as np
 
 from .harmonics import ensure_tables, shared_tables
-from .lame import LameParams
+from .lame import LameParams, mode_constants
 from .energy import EnergyReport
 from .transmission import (
     ResonantSingularityError,
@@ -42,6 +44,7 @@ from .scenarios import (
     witness_radial_nonresonant,
 )
 from .waves import (
+    SectorCheckError,
     kernel_family,
     np_eigenvalue_map,
     np_galerkin_spectrum,
@@ -65,19 +68,6 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # its deepest source degree), on a 2-vCPU x86-64 host with one BLAS thread.
 # The suite self-tests every degree 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
-
-# Accepted Lame pairs, in any unit: 1e-12 <= mu <= 1e100 and a Poisson ratio
-# in about [-0.99985, 0.49995], that is 1e-4 mu <= 3 lambda + 2 mu and
-# lambda <= 1e4 mu.  Measured edges outside it: below mu of about 1e-15 the
-# mode constants read as singular, from mu of about 1e200 the energies
-# underflow, from lambda = 5e5 mu a family-2 sweep leaves its sector, and from
-# 3 lambda + 2 mu = 3e-7 mu the sector kernels fail their matching check.
-# At its corners the sweeps, solves, kernels and waves-check runs of the
-# suite's configurations complete; np-spectrum's 1e-11 sector check already
-# fails from lambda = 100 mu at --nmax 8.
-MU_RANGE = (1e-12, 1e100)
-MAX_LAMBDA_RATIO = 1e4  # lambda / mu
-MIN_BULK_RATIO = 1e-4  # (3 lambda + 2 mu) / mu
 
 
 class ValidationError(ValueError):
@@ -135,7 +125,7 @@ def validate_config(cfg: dict) -> dict:
     for key in ("lambda", "mu", "shell_radius", "q") + (("core_radius",) if core is not None else ()):
         if not _is_real(cfg[key]):
             raise ValidationError(f"{key} must be a finite number")
-    _material(cfg["lambda"], cfg["mu"])
+    LameParams(cfg["lambda"], cfg["mu"])  # raises on a non-convex pair
     if cfg["shell_radius"] <= 0 or cfg["q"] <= cfg["shell_radius"]:
         raise ValidationError("need 0 < shell_radius < q")
     if core is not None and not (0 < core < cfg["shell_radius"]):
@@ -171,6 +161,9 @@ def validate_config(cfg: dict) -> dict:
         # the mode is re-injected at every scheduled degree; the first is the smallest
         first = schedule_n_delta(cfg["shell_radius"], deltas[0])
         _check_degree(schedule_n_delta(cfg["shell_radius"], deltas[-1]), "deepest scheduled degree")
+        sources = [(schedule_n_delta(cfg["shell_radius"], d), cmode["schedule"]) for d in deltas]
+    else:
+        sources = []
     for mode in modes:
         if not (isinstance(mode, list) and len(mode) == 5):
             raise ValidationError(f"source mode {mode!r} is not [degree, family, k, Re gamma, Im gamma]")
@@ -191,19 +184,41 @@ def validate_config(cfg: dict) -> dict:
         dim = {1: 2 * deg + 1, 2: 2 * deg - 1, 3: 2 * deg + 3}[fam]
         if not 1 <= k <= dim:
             raise ValidationError(f"source mode index k = {k} outside 1..{dim} (family {fam}, degree {deg})")
+        if first is None:
+            sources.append((n, fam))
+    _source_material(cfg, sources)
     cfg.setdefault("output", {})
     return cfg
 
 
-def _material(lam: float, mu: float) -> LameParams:
-    """The Lame pair, checked against the accepted range (``MU_RANGE`` and the ratios)."""
+def _material(lam: float, mu: float, degrees=(), fields=()) -> LameParams:
+    """The Lame pair, refused where a constant the run reads is not a finite number.
+
+    A run reads the plasmon constants at ``degrees``, and a field built at a
+    degree d in ``fields`` reads the mode constants at d and d + 2.  Any
+    convex pair is accepted unless one of these overflows or has a vanishing
+    denominator, which happens only far out in the float range (lambda = mu
+    = 1e308, or mu = 1e-320).
+    """
     params = LameParams(lam, mu)  # raises on a non-convex pair
-    if not MU_RANGE[0] <= mu <= MU_RANGE[1]:
-        raise ValidationError(f"mu = {mu} outside the accepted range {MU_RANGE[0]:g}..{MU_RANGE[1]:g}")
-    if not (lam <= MAX_LAMBDA_RATIO * mu and 3.0 * lam + 2.0 * mu >= MIN_BULK_RATIO * mu):
-        raise ValidationError(f"(lambda, mu) = ({lam}, {mu}) outside the accepted range "
-                              f"{MIN_BULK_RATIO:g} mu <= 3 lambda + 2 mu, lambda <= {MAX_LAMBDA_RATIO:g} mu")
+    try:
+        for n in sorted(set(degrees)):
+            plasmon_constants(params, n)
+        for n in sorted({e for d in fields for e in (d, d + 2) if e >= 2}):
+            if not all(math.isfinite(v) for v in dataclasses.astuple(mode_constants(params, n))):
+                raise ArithmeticError(f"mode constants at n={n} are not finite")
+    except ArithmeticError as exc:
+        raise ValidationError(f"(lambda, mu) = ({lam!r}, {mu!r}) is out of the float range: {exc}") from None
     return params
+
+
+def _source_material(cfg: dict, sources: list[tuple[int, int]]) -> LameParams:
+    """:func:`_material` for solves of the (degree, family) source sectors.
+
+    A family-2 solve also builds its partner field two degrees below.
+    """
+    fields = [d for n, fam in sources for d in ((n, n - 2) if fam == 2 else (n,))]
+    return _material(cfg["lambda"], cfg["mu"], degrees=[n for n, _ in sources], fields=fields)
 
 
 def _check_degree(n: int, what: str) -> None:
@@ -231,7 +246,9 @@ def _single_loss(args, cfg: dict) -> float:
     if args.delta is None:
         return cfg["delta_list"][0]
     if "schedule" in cfg["c_mode"]:
-        _check_degree(schedule_n_delta(cfg["shell_radius"], args.delta), "scheduled degree")
+        n = schedule_n_delta(cfg["shell_radius"], args.delta)
+        _check_degree(n, "scheduled degree")
+        _source_material(cfg, [(n, cfg["c_mode"]["schedule"])])
     return args.delta
 
 
@@ -360,7 +377,7 @@ def _write_svg(result: SweepResult, path: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constants(args) -> int:
-    params = _material(args.lam, args.mu)
+    params = _material(args.lam, args.mu, degrees=[args.n])
     z = plasmon_constants(params, args.n)
     for name, val in zip(("zeta1", "zeta2", "zeta3"), z.as_tuple()):
         print(f"{name} = {_fmt(val)}")
@@ -369,7 +386,7 @@ def _cmd_constants(args) -> int:
 
 def _cmd_kernels(args) -> int:
     _check_wave_degree(args.n)
-    params = _material(args.lam, args.mu)
+    params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
     tables = ensure_tables(None, args.n + 4)
     z = plasmon_constants(params, args.n)
     kernels = [kernel_basis(params, args.n, fam, tables) for fam in (1, 2, 3)]
@@ -382,7 +399,7 @@ def _cmd_kernels(args) -> int:
 def _cmd_waves_check(args) -> int:
     _check_wave_degree(args.n)
     _check_radius(args.R)
-    params = _material(args.lam, args.mu)
+    params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
     tables = ensure_tables(None, args.n + 4)
     worst = 0.0
     for fam in (1, 2, 3):
@@ -404,7 +421,7 @@ def _cmd_np_spectrum(args) -> int:
     _check_radius(args.R)
     if not 2 <= args.nmax <= MAX_DEGREE:
         raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
-    params = _material(args.lam, args.mu)
+    params = _material(args.lam, args.mu, degrees=range(2, args.nmax + 1))
     spec = np_galerkin_spectrum(args.R, params, args.nmax)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
     targets = []
@@ -550,7 +567,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EmptyResultError as exc:
         return _error(str(exc), EXIT_EMPTY)
-    except (ValidationError, ValueError, ResonantSingularityError, UnconvergedSolveError) as exc:
+    except (ValidationError, ValueError, ResonantSingularityError, UnconvergedSolveError,
+            SectorCheckError) as exc:
         return _error(str(exc), EXIT_VALIDATION)
     except OSError as exc:
         return _error(str(exc), EXIT_IO)

@@ -50,7 +50,7 @@ from .lame import (
     t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import _project, matching_defect, plasmon_constants, sector_kernels
+from .waves import SectorCheckError, _project, matching_defect, plasmon_constants, sector_kernels
 
 __all__ = [
     "LayeredMedium",
@@ -119,7 +119,7 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
     and 2(J - M) + 2 are the two members of orders +-M about the z axis
     (M = J..1) and kernel 2J + 1 is the M = 0 member.  One fixed combination
     of the kernels must pass the matching map at the family's plasmon
-    constant to a relative defect of 1e-9, else ``AssertionError``, before
+    constant to a relative defect of 1e-9, else :class:`SectorCheckError`, before
     the basis is kept.  Results are cached per material, degree and family:
     a sweep reads the same bases at every loss, and only the families it
     reads are built.
@@ -132,7 +132,7 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
         probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
         defect = matching_defect(probe, n, params, c, tables)
         if not defect <= 1e-9:
-            raise AssertionError(f"family {family} sector at degree {n} is not a kernel at c={c} "
+            raise SectorCheckError(f"family {family} sector at degree {n} is not a kernel at c={c} "
                                  f"(matching defect {defect:.3e})")
         _KERNEL_CACHE[key] = kers
     return _KERNEL_CACHE[key]

@@ -54,6 +54,7 @@ from .lame import (
 )
 
 __all__ = [
+    "SectorCheckError",
     "PlasmonConstants",
     "PlasmonEigenProblem",
     "PerfectWave",
@@ -68,6 +69,16 @@ __all__ = [
     "single_layer_field",
     "np_galerkin_spectrum",
 ]
+
+
+class SectorCheckError(AssertionError):
+    """Raised when a built field, trace or kernel fails its sector check.
+
+    The checks hold to roundoff, and the roundoff of lambda div u grows with
+    lambda / mu (and near 3 lambda + 2 mu = 0), so at extreme Lame ratios a
+    correct build can fail them.  The command line reports this as a
+    validation failure.
+    """
 
 
 @dataclass(frozen=True)
@@ -88,7 +99,9 @@ def plasmon_constants(params: LameParams, n: int) -> PlasmonConstants:
 
     The middle constant carries the combination (n-1) lambda + (3n-2) mu in
     its numerator; the transmission eigenproblem, the kernel multiplicity
-    2n-1 and the Neumann-Poincare spectrum all confirm this form.
+    2n-1 and the Neumann-Poincare spectrum all confirm this form.  Moduli
+    so large that the sums overflow (lambda = mu = 1e308) give non-finite or
+    zero constants, which raise ``ArithmeticError``.
     """
     if n < 2:
         raise ValueError("plasmon constants need n >= 2")
@@ -101,6 +114,8 @@ def plasmon_constants(params: LameParams, n: int) -> PlasmonConstants:
         2.0 * n * ((n + 2) * lam + (3 * n + 5) * mu)
     )
     out = PlasmonConstants(n=n, zeta1=z1, zeta2=z2, zeta3=z3)
+    if not all(math.isfinite(z) and z != 0 for z in out.as_tuple()):  # the sums overflow
+        raise ArithmeticError(f"plasmon constants at n={n} overflow: {out}")
     if not all(z < 0 for z in out.as_tuple()):
         raise AssertionError(f"plasmon constants not all negative at n={n}: {out}")
     return out
@@ -388,11 +403,11 @@ def np_eigenvalue_map(c: float) -> float:
 
 
 def _project(T: np.ndarray, R: np.ndarray | None, scale: float, what: str) -> complex:
-    """Scalar s with T = s R (R = None: T = 0), else ``AssertionError``."""
+    """Scalar s with T = s R (R = None: T = 0), else :class:`SectorCheckError`."""
     s = 0.0 if R is None else np.vdot(R, T) / np.vdot(R, R)
     resid = float(np.linalg.norm(T - s * R if R is not None else T))
     if not resid <= 1e-11 * scale:
-        raise AssertionError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
+        raise SectorCheckError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
     return complex(s)
 
 
@@ -456,7 +471,7 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     member K per degree n and family is read off the average of the exact
     one-sided conormal traces of K's single layer (half the traction of the
     inside plus the outside terms at r = R); a part of the trace off K
-    beyond 1e-11 of it raises ``AssertionError``.  Each multiple is emitted
+    beyond 1e-11 of it raises :class:`SectorCheckError`.  Each multiple is emitted
     once per member of its sector, as the dense matrix's eigenvalues are.
     Returns (eigenvalue, degree n) pairs sorted by eigenvalue.
     """
