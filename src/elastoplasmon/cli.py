@@ -6,9 +6,10 @@ results go to CSV with a fixed column order and a metadata header block that
 round-trips the full configuration.  Runs are deterministic: identical
 configurations produce byte-identical CSV files.
 
-Exit codes: 0 success, 2 validation failure (including a singular loss-free
-or unconverged solve and a failed sector check), 3 I/O failure, 4 empty
-result.
+Exit codes: 0 success, 2 validation failure (including an argument error, a
+singular loss-free or unconverged solve, a failed sector check and a witness
+command no witness applies to), 3 I/O failure, 4 empty result.  Every
+failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -484,35 +485,57 @@ def _cmd_witness(args) -> int:
     configuration = _configuration(cfg)
     delta = _single_loss(args, cfg)
     med, src = configuration(delta)
-    printed = False
     if med.core_radius is None:
-        _, J, tau = witness_nocore(med, src, delta, tables)
-        print(f"J_lower = {_fmt(J)}  tau = {_fmt(tau)}")
-        printed = True
+        witnesses = [
+            (witness_nocore, (med, src, delta, tables), lambda w: f"J_lower = {_fmt(w[1])}  tau = {_fmt(w[2])}"),
+        ]
     else:
+        witnesses = [
+            (witness_fixed_c, (med, src, tables), lambda w: f"I_upper = {_fmt(w[1])}"),
+            (witness_core_resonant, (med, src, delta, tables), lambda w: f"J_lower = {_fmt(w[2])}  tau = {_fmt(w[3])}"),
+            (witness_radial_nonresonant, (med, src, delta, tables), lambda w: f"I_upper_scheduled = {_fmt(w[2])}"),
+        ]
+    failures = []
+    for builder, inputs, show in witnesses:
         try:
-            _, I, _ = witness_fixed_c(med, src, tables)
-            print(f"I_upper = {_fmt(I)}")
-            printed = True
-        except (ValueError, ArithmeticError):
-            pass
-        try:
-            _, _, J, tau = witness_core_resonant(med, src, delta, tables)
-            print(f"J_lower = {_fmt(J)}  tau = {_fmt(tau)}")
-            printed = True
-        except (ValueError, ArithmeticError):
-            pass
-        try:
-            _, _, I2 = witness_radial_nonresonant(med, src, delta, tables)
-            print(f"I_upper_scheduled = {_fmt(I2)}")
-            printed = True
-        except (ValueError, ArithmeticError):
-            pass
-    return EXIT_OK if printed else EXIT_VALIDATION
+            print(show(builder(*inputs)))
+        except (ValueError, ArithmeticError) as exc:
+            failures.append(f"{builder.__name__}: {type(exc).__name__}: {exc}")
+    if len(failures) == len(witnesses):
+        raise ValidationError("no witness applies: " + "; ".join(failures))
+    return EXIT_OK
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises :class:`ValidationError` where argparse would print usage text and exit."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+# options whose value may be a negative number in exponent notation
+# ("--lambda -1e-3"), which argparse would read as an option flag
+_NUMBER_OPTIONS = ("--lambda", "--mu", "--R", "--delta")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--lambda -1e-3`` as ``--lambda=-1e-3`` for the options in ``_NUMBER_OPTIONS``."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _NUMBER_OPTIONS and tok.startswith("-"):
+            try:
+                float(tok)
+            except ValueError:
+                pass
+            else:
+                out[-1] = f"{out[-1]}={tok}"
+                continue
+        out.append(tok)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="elastoplasmon", description=__doc__)
+    ap = _Parser(prog="elastoplasmon", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 
     def material(p):
@@ -562,8 +585,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
         return args.func(args)
     except EmptyResultError as exc:
         return _error(str(exc), EXIT_EMPTY)

@@ -29,13 +29,13 @@ import numpy as np
 from .harmonics import DerivativeTable, ensure_tables
 from .lame import LameParams, ModeField, Term
 from .energy import EnergyReport, functional_I, pairing_P, source_pairing, dissipation_E
-from .transmission import LayeredMedium, ModeSolution, SourceSpec, kernel_basis, solve_mode, solve_modes
+from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _radial_profile, _source_member, solve_mode,
+                           solve_modes)
 from .waves import perfect_wave, plasmon_constants
 
 __all__ = [
     "SweepResult",
     "schedule_n_delta",
-    "toroidal_radial_coeffs",
     "witness_fixed_c",
     "witness_nocore",
     "witness_core_resonant",
@@ -74,13 +74,10 @@ def schedule_n_delta(R: float, delta: float) -> int:
 # scalar machinery of the divergence-free family
 # ---------------------------------------------------------------------------
 
-def toroidal_radial_coeffs(n: int, mu: float, r: float) -> tuple[float, float]:
-    """Traction scalars of pure kernel fields K r^n Y and K r^{-n-1} Y.
-
-    A family-1 kernel K has t1 = t3 = 0, so the traction of K f(r) Y_n on a
-    sphere stays proportional to K Y_n with these factors.
-    """
-    return mu * (n - 1.0) * r ** (n - 1), -mu * (n + 2.0) * r ** (-n - 2)
+def _entire_traction(params: LameParams, n: int, r: float) -> float:
+    """Traction of K r^n Y_n on the sphere r over K Y_n, K a family-1 kernel (its radial profile)."""
+    p, _, trac = _radial_profile(params, n, 1).blocks[("entire", n)]
+    return trac[n] * r ** (p - 1)
 
 
 def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequence[float]) -> list[ModeField]:
@@ -170,7 +167,7 @@ def _dual_wave(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTabl
     g = _real_branch_coefficient(gamma)
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
-    K = kernel_basis(params, n0, fam, tables)[k - 1]
+    K = _source_member(params, n0, fam, k, tables)
     wave = perfect_wave(K, fam, n0, medium.shell_radius, params, tables)
     psi_hat = [wave.interior, wave.exterior]
     unit_source = SourceSpec(q=source.q, coefficients={(n0, fam, k): 1.0})
@@ -229,8 +226,7 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     a_core = medium.core_radius
     n0, K, psi_hat, C0, C_psi, tables = _dual_wave(medium, source, tables)
     # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
-    se, _ = toroidal_radial_coeffs(n0, mu, a_core)
-    rho1 = (medium.c - 1.0) * se  # per unit tau
+    rho1 = (medium.c - 1.0) * _entire_traction(params, n0, a_core)  # per unit tau
     amps = _toroidal_surface_solve(n0, a_core, rho1, mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
     v_tilde = _mode_pieces(K, n0, amps, [a_core])
     P_vt = sum(
@@ -274,13 +270,12 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
             continue
         if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
             # scheduled mode: free incident wave, interface defects go to w
-            K = kernel_basis(params, n, 1, tables)[k - 1]
+            K = _source_member(params, n, 1, k, tables)
             tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
             coeffs = [(tau, 0.0), (0.0, tau * q ** (2 * n + 1))]
             v_parts.append(_mode_pieces(K, n, coeffs, [q]))
             for rho, sgn in ((a_core, 1.0), (R, -1.0)):
-                se, _ = toroidal_radial_coeffs(n, mu, rho)
-                dens = sgn * (medium.c - 1.0) * se * tau
+                dens = sgn * (medium.c - 1.0) * _entire_traction(params, n, rho) * tau
                 amps = _toroidal_surface_solve(n, rho, -dens, mu)
                 w_parts.append(_mode_pieces(K, n, amps, [rho]))
         else:

@@ -10,7 +10,9 @@ family f excites only its total-angular-momentum sector: J = n for family 1
 through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
 reached through t1).  Within a sector every block's displacement and
 traction on a sphere is a scalar times one reference matrix per degree (the
-sector's *radial profile*), so the interface conditions (displacement
+sector's *radial profile*, in closed form from
+:func:`~elastoplasmon.lame.mode_constants`; a solve runs no traction
+algebra), so the interface conditions (displacement
 continuity, weighted-traction continuity and the prescribed traction jump
 across the source sphere) form a square scalar system: two unknowns per
 region and rows per interface for family 1, four for families 2 and 3.
@@ -27,7 +29,9 @@ matching map is applied to one combination per family as a check, never
 assembled.  The source-mode index k picks one member of that basis (ordered
 by descending |M| as in :func:`~elastoplasmon.waves.sector_kernels`); the
 sector systems do not depend on the member, so the dissipation, the bounds
-and the verdicts of a unit source do not depend on k.
+and the verdicts of a unit source do not depend on k.  A source sphere that
+is not outside the shell, a family other than 1, 2, 3 or an index k outside
+1..2J+1 raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,15 +46,15 @@ from .lame import (
     LameParams,
     ModeField,
     Term,
+    _k0,
     displacement_coeffs,
-    exterior_block,
-    interior_block,
     lame_residual,
+    mode_constants,
     t1_vector,
     t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import SectorCheckError, _project, matching_defect, plasmon_constants, sector_kernels
+from .waves import SectorCheckError, matching_defect, plasmon_constants, sector_kernels
 
 __all__ = [
     "LayeredMedium",
@@ -107,7 +111,6 @@ class LayeredMedium:
 
 
 _KERNEL_CACHE: dict = {}  # (lam, mu, n, family) -> kernel basis
-_PROFILE_CACHE: dict = {}  # (lam, mu, n, family) -> spheroidal radial profile
 
 
 def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
@@ -138,6 +141,16 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
     return _KERNEL_CACHE[key]
 
 
+def _source_member(params: LameParams, n: int, family: int, k: int, tables: DerivativeTable) -> np.ndarray:
+    """Kernel k of the family at degree n (:func:`kernel_basis`); ValueError unless 1 <= k <= 2J + 1."""
+    if family not in (1, 2, 3):
+        raise ValueError(f"source mode family {family} is not 1, 2 or 3")
+    kers = kernel_basis(params, n, family, tables)
+    if not 1 <= k <= len(kers):
+        raise ValueError(f"source mode index k = {k} outside 1..{len(kers)} (family {family}, degree {n})")
+    return kers[k - 1]
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Surface force density on partial B_q expanded in kernel matrices.
@@ -160,7 +173,7 @@ class SourceSpec:
         out: dict[int, np.ndarray] = {}
         for (nn, fam, k), g in self.coefficients.items():
             if nn == n and g != 0:
-                out[fam] = out.get(fam, 0.0) + g * kernel_basis(params, n, fam, tables)[k - 1]
+                out[fam] = out.get(fam, 0.0) + g * _source_member(params, n, fam, k, tables)
         return out
 
     def density_matrix(self, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
@@ -180,6 +193,8 @@ class ModeSolution:
 
 
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
+    if not q > medium.shell_radius:
+        raise ValueError(f"source sphere q = {q} must lie outside the shell (radius {medium.shell_radius})")
     bounds = ([medium.core_radius] if medium.core_radius else []) + [medium.shell_radius, q]
     radii = [0.0] + bounds + [math.inf]
     weights = [
@@ -187,10 +202,6 @@ def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[c
         for lo, hi in zip(radii[:-1], radii[1:])
     ]
     return bounds, weights
-
-
-def _block_terms(kind: str, d: int, E: np.ndarray, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
-    return (interior_block if kind == "entire" else exterior_block)(E, d, params, tables)
 
 
 def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
@@ -252,8 +263,8 @@ class _RadialProfile:
 
     ``degrees`` are n alone (family 1) or n and the partner degree n-2 or
     n+2 (families 2, 3), whose reference matrices are a density G and its
-    :func:`_ladder` shape.  ``blocks[(kind, s)]`` is the ``entire`` or
-    ``decay`` block on the shape of ``degrees[s]`` as (power p, {degree:
+    :func:`_ladder` shape.  ``blocks[(kind, d)]`` is the ``entire`` or
+    ``decay`` block on the shape of degree d as (power p, {degree:
     displacement scalar}, {degree: unit-radius traction scalar}): on the
     sphere rho its displacement and traction are these scalars times the
     reference matrix of their degree, times rho^p and rho^(p-1).  The ladder
@@ -263,41 +274,39 @@ class _RadialProfile:
 
     degrees: tuple[int, ...]
     blocks: dict
-    kappa: complex | None
+    kappa: float | None
 
 
-def _radial_profile(params: LameParams, n: int, fam: int, tables: DerivativeTable) -> _RadialProfile:
-    """The :class:`_RadialProfile` of a sector.
+def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
+    """The :class:`_RadialProfile` of a sector in closed form (Love, *Treatise*, ch. XI).
 
-    The toroidal blocks K r^n and K r^(-n-1) have the tractions mu (n-1) and
-    -mu (n+2) times K.  A spheroidal profile is cached per material, degree
-    and family, like the kernel bases, built from one closed-form member: the
-    terms and the unit-radius traction (``traction_coeffs_algebraic``) of each
-    block are projected on the reference matrices, to a residual of at most
-    1e-11 of the block.
+    Toroidal blocks K r^n and K r^(-n-1) have tractions mu (n-1) and -mu (n+2).
+    A spheroidal sector pairs degrees lo and hi = lo + 2 (family 2: lo = n-2,
+    family 3: lo = n).  ``entire`` on lo and ``decay`` on hi are pure, with
+    tractions 2 mu lo and -2 mu (hi+1); ``entire`` on hi slaves -a M_hi onto
+    lo and ``decay`` on lo slaves b k_lo onto hi, (a, b) = (1, kappa) for
+    family 2 and (kappa, 1) for family 3, and their own tractions are
+    -(2hi+2) mu / zeta2(hi) and 2 lo mu zeta3(lo), undivided for lo = 0.
     """
+    lam, mu = params.lam, params.mu
     if fam == 1:
-        return _RadialProfile((n,), {("entire", 0): (n, {n: 1.0}, {n: params.mu * (n - 1.0)}),
-                                     ("decay", 0): (-n - 1, {n: 1.0}, {n: -params.mu * (n + 2.0)})}, None)
-    key = (params.lam, params.mu, n, fam)
-    if key not in _PROFILE_CACHE:
-        K = sector_kernels(n, fam, tables)[0]
-        d2 = n - 2 if fam == 2 else n + 2
-        refs = {n: K, d2: _ladder(K, n, fam == 3, tables)}
-        blocks = {}
-        for s, d in enumerate(refs):
-            for kind in ("entire", "decay"):
-                terms = _block_terms(kind, d, refs[d], params, tables)
-                (p,) = {t.power for t in terms}
-                trac = traction_coeffs_algebraic(terms, 1.0, params, tables)
-                scale = max(float(np.linalg.norm(m)) for m in [t.coef for t in terms] + list(trac.values()))
-                what = f"family-{fam} {kind} block of degree {d}"
-                blocks[(kind, s)] = (p, {t.degree: _project(t.coef, refs[t.degree], scale, what) for t in terms},
-                                     {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
-        back = _ladder(refs[d2], d2, fam == 2, tables)
-        kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
-        _PROFILE_CACHE[key] = _RadialProfile((n, d2), blocks, kappa)
-    return _PROFILE_CACHE[key]
+        return _RadialProfile((n,), {("entire", n): (n, {n: 1.0}, {n: mu * (n - 1.0)}),
+                                     ("decay", n): (-n - 1, {n: 1.0}, {n: -mu * (n + 2.0)})}, None)
+    lo = n - 2 if fam == 2 else n
+    hi = lo + 2
+    kappa = (lo + 1.0) * (lo + 2) * (2 * lo + 1) * (2 * lo + 5)
+    a, b = (1.0, kappa) if fam == 2 else (kappa, 1.0)
+    slave_lo = -a * mode_constants(params, hi).M_n
+    slave_hi = b * (mode_constants(params, lo).k_n if lo >= 1 else _k0(params))
+    t_lo, t_hi = 2.0 * mu * lo, -2.0 * mu * (hi + 1)
+    t_entire = mu * ((2 * hi * hi + 1) * lam + 2 * (hi * hi - hi + 1) * mu) / ((hi - 1) * lam + (3 * hi - 2) * mu)
+    t_decay = -mu * ((2 * lo * lo + 4 * lo + 3) * lam + 2 * (lo * lo + 3 * lo + 3) * mu) / (
+        (lo + 2) * lam + (3 * lo + 5) * mu)
+    blocks = {("entire", lo): (lo, {lo: 1.0}, {lo: t_lo}),
+              ("entire", hi): (hi, {hi: 1.0, lo: slave_lo}, {hi: t_entire, lo: slave_lo * t_lo}),
+              ("decay", lo): (-lo - 1, {lo: 1.0, hi: slave_hi}, {lo: t_decay, hi: slave_hi * t_hi}),
+              ("decay", hi): (-hi - 1, {hi: 1.0}, {hi: t_hi})}
+    return _RadialProfile((n, lo if fam == 2 else hi), blocks, kappa)
 
 
 def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
@@ -311,10 +320,10 @@ def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
     bounds, weights = _region_layout(medium, q)
     k = len(prof.degrees)
     kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
-    cols = [(reg, kind, s) for reg, ks in enumerate(kinds) for kind in ks for s in range(k)]
+    cols = [(reg, kind, shape) for reg, ks in enumerate(kinds) for kind in ks for shape in prof.degrees]
     M = np.zeros((2 * k * len(bounds), len(cols)), dtype=complex)
-    for ci, (reg, kind, s) in enumerate(cols):
-        p, disp, trac = prof.blocks[(kind, s)]
+    for ci, (reg, kind, shape) in enumerate(cols):
+        p, disp, trac = prof.blocks[(kind, shape)]
         for bi in (reg - 1, reg):
             if 0 <= bi < len(bounds):
                 rho, sgn = bounds[bi], (1.0 if reg == bi else -1.0)
@@ -326,14 +335,13 @@ def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
     return M, b, cols
 
 
-def sector_conditions(medium: LayeredMedium, n: int, q: float, tables: DerivativeTable) -> dict[int, float]:
+def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:
     """Condition number of each family's degree-n square sector system.
 
     No density enters; a loss-free medium at a plasmon constant makes the
     matching family's system singular.
     """
-    tables = ensure_tables(tables, n + 6)
-    return {fam: _square_solve(_sector_system(medium, q, _radial_profile(medium.base, n, fam, tables))[0])[1]
+    return {fam: _square_solve(_sector_system(medium, q, _radial_profile(medium.base, n, fam))[0])[1]
             for fam in (1, 2, 3)}
 
 
@@ -348,7 +356,9 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
     system singular, that is of equilibrated condition above 1e9 (for a
     source outside family 1: any family's system), and
     :class:`UnconvergedSolveError` when a family-2/3 density leaves its
-    sector or a backward error exceeds 1e-10.
+    sector or a backward error exceeds 1e-10, and ``ValueError`` unless
+    q > shell_radius and every source mode names a family 1..3 and a member
+    k in 1..2J+1.
     """
     if n < 2:
         raise ValueError("solve_mode needs n >= 2")
@@ -357,7 +367,7 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
     gammas = source.family_densities(n, params, tables) or {1: np.zeros((3, 2 * n + 1), dtype=complex)}
     max_condition = 1e9 if medium.delta == 0.0 else math.inf
     if medium.delta == 0.0 and set(gammas) != {1}:
-        cond = max(sector_conditions(medium, n, source.q, tables).values())
+        cond = max(sector_conditions(medium, n, source.q).values())
         if cond > max_condition:
             raise ResonantSingularityError(
                 f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
@@ -368,7 +378,7 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
     coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in range(len(bounds) + 1)]
     conds, berrs = [], []
     for fam, G in sorted(gammas.items()):
-        prof = _radial_profile(params, n, fam, tables)
+        prof = _radial_profile(params, n, fam)
         refs = {n: G}
         if fam != 1:
             d2 = prof.degrees[1]
@@ -382,8 +392,8 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
         x, cond, berr = _square_solve(M, b, f"family-{fam} system at degree {n}", max_condition)
         conds.append(cond)
         berrs.append(berr)
-        for xc, (reg, kind, s) in zip(x, cols):
-            p, disp, _ = prof.blocks[(kind, s)]
+        for xc, (reg, kind, shape) in zip(x, cols):
+            p, disp, _ = prof.blocks[(kind, shape)]
             for d, a in disp.items():
                 coefs[reg][(d, p)] = coefs[reg].get((d, p), 0.0) + (xc * a) * refs[d]
     regions = tuple(ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi)

@@ -76,6 +76,12 @@ least squares.  ``mp_square_solve`` solves the package's square systems as
 assembled in double, in 50-digit ``mpmath`` arithmetic; patched in for
 ``transmission._square_solve`` it gives the reference the refined double
 solve is held to.
+
+``projected_radial_profile`` is the route the closed-form radial profiles of
+``transmission._radial_profile`` replaced: the blocks (``block_terms``) of
+one sector member and their unit-radius tractions
+(``traction_coeffs_algebraic``) are projected on the sector's reference
+matrices, and so is the ladder round trip.
 """
 
 from __future__ import annotations
@@ -121,12 +127,47 @@ from elastoplasmon.transmission import (
     LayeredMedium,
     ModeSolution,
     SourceSpec,
-    _block_terms,
+    _RadialProfile,
+    _ladder,
     _region_layout,
     _square_solve,
     kernel_basis,
 )
-from elastoplasmon.waves import PerfectWave, _realify, _unvec, single_layer_field
+from elastoplasmon.waves import PerfectWave, _project, _realify, _unvec, sector_kernels, single_layer_field
+
+
+def block_terms(kind: str, d: int, E: np.ndarray, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
+    """The ``entire`` (interior) or ``decay`` (exterior) Lame block on E Y_d with its slaved correction."""
+    return (interior_block if kind == "entire" else exterior_block)(E, d, params, tables)
+
+
+def projected_radial_profile(params: LameParams, n: int, fam: int, tables: DerivativeTable) -> _RadialProfile:
+    """The radial profile of a sector, projected from one closed-form member.
+
+    The terms and the unit-radius traction of each block on the member K and
+    its partner shape are projected on the reference matrices, to a residual
+    of at most 1e-11 of the block, else ``SectorCheckError``.
+    """
+    K = sector_kernels(n, fam, tables)[0]
+    refs = {n: K}
+    if fam != 1:
+        d2 = n - 2 if fam == 2 else n + 2
+        refs[d2] = _ladder(K, n, fam == 3, tables)
+    blocks = {}
+    for d, ref in refs.items():
+        for kind in ("entire", "decay"):
+            terms = block_terms(kind, d, ref, params, tables)
+            (p,) = {t.power for t in terms}
+            trac = traction_coeffs_algebraic(terms, 1.0, params, tables)
+            scale = max(float(np.linalg.norm(m)) for m in [t.coef for t in terms] + list(trac.values()))
+            what = f"family-{fam} {kind} block of degree {d}"
+            blocks[(kind, d)] = (p, {t.degree: _project(t.coef, refs[t.degree], scale, what) for t in terms},
+                                 {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
+    if fam == 1:
+        return _RadialProfile((n,), blocks, None)
+    back = _ladder(refs[d2], d2, fam == 2, tables)
+    kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
+    return _RadialProfile((n, d2), blocks, kappa)
 
 
 def window(n: int, minimal: bool = False) -> tuple[int, ...]:
@@ -180,7 +221,7 @@ def window_system(medium: LayeredMedium, q: float, win: tuple[int, ...], tables:
                 if (kind, d, a) not in traces:
                     E = np.zeros(sizes[blk_idx])
                     E[a] = 1.0
-                    terms = _block_terms(kind, d, E.reshape(3, 2 * d + 1), params, tables)
+                    terms = block_terms(kind, d, E.reshape(3, 2 * d + 1), params, tables)
                     traces[(kind, d, a)] = (displacement_coeffs(terms, rho),
                                             traction_coeffs_algebraic(terms, rho, params, tables))
                 disp, trac = traces[(kind, d, a)]
@@ -219,7 +260,7 @@ def window_solve(medium: LayeredMedium, sources: list[SourceSpec], n: int,
             for blk_idx, (r2, kind, d) in enumerate(blocks):
                 E = x[offs[blk_idx]: offs[blk_idx + 1]].reshape(3, 2 * d + 1)
                 if r2 == reg and np.max(np.abs(E)) > 0:
-                    terms.extend(_block_terms(kind, d, E, params, tables))
+                    terms.extend(block_terms(kind, d, E, params, tables))
             regions.append(ModeField(tuple(terms), radii[reg], radii[reg + 1]))
         out.append(ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=win))
     return out
@@ -261,7 +302,7 @@ def matrix_sector_system(medium: LayeredMedium, q: float, shapes: list[tuple[int
     params = medium.base
     bounds, weights = _region_layout(medium, q)
     n_regions = len(bounds) + 1
-    blocks = {(kind, si): _block_terms(kind, d, S, params, tables)
+    blocks = {(kind, si): block_terms(kind, d, S, params, tables)
               for kind in ("entire", "decay") for si, (d, S) in enumerate(shapes)}
     cols = [(reg, kind, si) for reg in range(n_regions)
             for kind in (("entire",) if reg == 0 else ("decay",) if reg == n_regions - 1 else ("entire", "decay"))

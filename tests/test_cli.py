@@ -382,19 +382,13 @@ def test_extreme_material_configs_rejected_before_any_run(lam, mu, tmp_path, mon
         assert len(lines) == 1 and "out of the float range" in json.loads(lines[0])["error"]
 
 
-def test_failed_sector_checks_are_json_errors(tmp_path, capsys):
+def test_failed_sector_checks_are_json_errors(capsys):
     # correct builds whose roundoff, growing with lambda / mu or near
     # 3 lambda + 2 mu = 0, exceeds a sector check: exit 2, never a traceback
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
 
-    cfg = dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 1, 1.0, 0.0]])
-    cfg["lambda"] = 1e20
-    path = tmp_path / "run.json"
-    path.write_text(json.dumps(cfg))
     runs = [
-        (["sweep", "--config", str(path), "--csv", str(tmp_path / "x.csv")], "leaves its sector"),
-        (["solve", "--config", str(path)], "leaves its sector"),
         (["np-spectrum", "--lambda", "100", "--nmax", "8"], "leaves its sector"),
         (["kernels", "--n", "2", f"--lambda={(1e-8 - 2.0) / 3.0!r}"], "is not a kernel"),
     ]
@@ -402,7 +396,82 @@ def test_failed_sector_checks_are_json_errors(tmp_path, capsys):
         assert cli.main(argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and message in json.loads(lines[0])["error"], argv
-    assert not (tmp_path / "x.csv").exists()
+
+
+def _cored_zeta2_config(tmp_path, lam):
+    # the cored fixed-multiplier family-2 run at zeta2(4) of lambda = mu = 1
+    cfg = dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 1, 1.0, 0.0]])
+    cfg["lambda"] = lam
+    path = tmp_path / f"run_{lam:g}.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def test_family2_sweep_reaches_the_incompressible_limit(tmp_path, capsys):
+    # closed-form radial profiles carry no roundoff that grows with lambda / mu:
+    # the sweep runs at 1e6, 1e12 and 1e20 mu, and 1e20 reads as 1e12 (both
+    # sit at the incompressible limit)
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    energies = {}
+    for lam in (1e6, 1e12, 1e20):
+        csv = tmp_path / f"x_{lam:g}.csv"
+        assert cli.main(["sweep", "--config", _cored_zeta2_config(tmp_path, lam), "--csv", str(csv)]) == 0, lam
+        assert not capsys.readouterr().err
+        energies[lam] = [row.E_delta for row in cli.parse_report(str(csv))[1]]
+    assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(energies[1e20], energies[1e12]))
+
+
+@pytest.mark.xfail(strict=True, reason="FOUND 33: residual_check is not scaled to lambda / mu; at "
+                                       "lambda = 1e20 mu it reads Lame 1.3e4 and traction 2.5")
+def test_solve_at_the_incompressible_limit_passes_its_residual_check(tmp_path, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert cli.main(["solve", "--config", _cored_zeta2_config(tmp_path, 1e20)]) == 0
+
+
+def test_witness_without_an_applicable_witness_names_each_one(tmp_path, capsys):
+    # a family-2 source in the cored medium: every witness is tried and refused
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert cli.main(["witness", "--config", _cored_zeta2_config(tmp_path, 1.0)]) == 2
+    out = capsys.readouterr()
+    assert not out.out
+    lines = out.err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["code"] == 2 and error["error"].startswith("no witness applies: ")
+    for name in ("witness_fixed_c", "witness_core_resonant", "witness_radial_nonresonant"):
+        assert f"{name}: ValueError: " in error["error"]
+
+
+def test_negative_exponent_values_are_option_values(capsys):
+    # "--lambda -1e-3" is the valid pair (-1e-3, 1), not an unknown flag
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert cli.main(["kernels", "--n", "2", "--lambda", "-1e-3", "--mu", "1"]) == 0
+    spaced = capsys.readouterr()
+    assert cli.main(["kernels", "--n", "2", "--lambda=-1e-3", "--mu", "1"]) == 0
+    assert spaced == capsys.readouterr() and not spaced.err
+    assert "family 2: c = -4.0050075112669008" in spaced.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["kernels", "--lambda", "1"], "the following arguments are required: --n"),
+    (["kernels", "--n", "2", "--mu", "abc"], "argument --mu: invalid float value: 'abc'"),
+    (["kernels", "--n", "2", "--mu", "-1e-3x"], "argument --mu: expected one argument"),
+    (["sweep", "--config", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+])
+def test_argument_errors_are_json_errors(argv, message):
+    r = run_cli(*argv)
+    assert r.returncode == 2 and not r.stdout
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and message in json.loads(lines[0])["error"], r.stderr
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -494,7 +563,7 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
 
 def test_cold_family1_sweep_builds_and_tests_only_what_it_reads(tmp_path):
     # a cold q=2.3 sweep reads family-1 kernels at degrees 7..27 and table
-    # degrees 6..28: it builds no family-2/3 kernel or radial profile,
+    # degrees 6..28: it builds no family-2/3 kernel,
     # self-tests exactly those degrees, and forms one Gauss-Legendre rule per
     # band of 16 degrees (16 and 32 nodes)
     path = tmp_path / "sched.json"
@@ -509,13 +578,12 @@ def test_cold_family1_sweep_builds_and_tests_only_what_it_reads(tmp_path):
         "leggauss = np.polynomial.legendre.leggauss\n"
         "np.polynomial.legendre.leggauss = lambda k: rules.append(k) or leggauss(k)\n"
         f"assert main(['sweep', '--config', {str(path)!r}, '--csv', {str(tmp_path / 'x.csv')!r}]) == 0\n"
-        "print(sorted(tested), rules, sorted({key[3] for key in transmission._KERNEL_CACHE}),\n"
-        "      len(transmission._PROFILE_CACHE))\n"
+        "print(sorted(tested), rules, sorted({key[3] for key in transmission._KERNEL_CACHE}))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == f"{list(range(6, 29))} [16, 32] [1] 0"
+    assert r.stdout.splitlines()[-1] == f"{list(range(6, 29))} [16, 32] [1]"
 
 
 def test_verification_commands_build_no_sphere_rule(tmp_path):

@@ -17,7 +17,6 @@ from elastoplasmon.scenarios import (
     schedule_n_delta,
     scheduled_configuration,
     sweep,
-    toroidal_radial_coeffs,
     witness_core_resonant,
     witness_fixed_c,
     witness_nocore,
@@ -46,10 +45,12 @@ def test_schedule_bracketing_property():
 
 
 def test_toroidal_traction_scalars(tables, quad):
-    # the scalar factors against the generic traction machinery
+    # the family-1 radial profile the witnesses read, against the generic
+    # traction machinery
     K = kernel_basis(P11, 3, 1, tables)[0]
+    prof = transmission._radial_profile(P11, 3, 1)
     for r in (0.8, 1.7):
-        se, sd = toroidal_radial_coeffs(3, P11.mu, r)
+        se, sd = (prof.blocks[kind, 3][2][3] * r ** (prof.blocks[kind, 3][0] - 1) for kind in ("entire", "decay"))
         t_e = traction_coeffs_algebraic((Term(K, 3, 3),), r, P11, tables)
         t_d = traction_coeffs_algebraic((Term(K, 3, -4),), r, P11, tables)
         assert np.max(np.abs(t_e[3] - se * K)) < 1e-12 * abs(se)

@@ -11,7 +11,7 @@ import pytest
 
 from elastoplasmon import transmission
 from elastoplasmon.energy import dissipation_E
-from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
+from elastoplasmon.harmonics import build_quadrature, ensure_tables, sph_harm_stack
 from elastoplasmon.lame import LameParams
 from elastoplasmon.transmission import (
     LayeredMedium,
@@ -24,7 +24,7 @@ from elastoplasmon.transmission import (
     solve_mode,
     solve_modes,
 )
-from elastoplasmon.scenarios import scheduled_configuration
+from elastoplasmon.scenarios import scheduled_configuration, witness_nocore, witness_radial_nonresonant
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
 from oracles import (
     eval_field,
@@ -32,6 +32,7 @@ from oracles import (
     matrix_sector_solve,
     mp_square_solve,
     project_source,
+    projected_radial_profile,
     window_solve,
 )
 
@@ -120,24 +121,30 @@ def test_field_decay_and_continuity(tables):
     assert np.max(np.abs(lim_in - lim_out)) < 1e-8 * max(1.0, np.max(np.abs(lim_in)))
 
 
-def test_resonant_singularity_alignment(tables):
-    # loss-free sector systems are singular exactly at their own constant
-    med_factory = lambda c: LayeredMedium(shell_radius=1.5, c=c, delta=0.0, base=P11)
-    for n in (2, 3):
-        zetas = plasmon_constants(P11, n).as_tuple()
-        for fam, z in enumerate(zetas, start=1):
-            conds = sector_conditions(med_factory(z), n, 2.0, tables)
-            assert conds[fam] > 1e13
-            # the other families' sectors stay well conditioned
-            assert all(conds[f] < 1e5 for f in conds if f != fam)
-            # a small detuning restores invertibility
-            assert sector_conditions(med_factory(z + 1e-3), n, 2.0, tables)[fam] < 1e6
-        for c in (-5.0, -1.5, -0.4):
-            assert min(abs(c - z) for z in zetas) > 1e-2
-            assert max(sector_conditions(med_factory(c), n, 2.0, tables).values()) < 1e5
+def test_resonant_singularity_alignment(tables, materials):
+    # loss-free sector systems are singular exactly at their own constant:
+    # at zeta_f(n) the family's condition reads at least 1.0e16, and a
+    # relative detuning of 1e-6 brings it to at most 5.0e10
+    for params in materials:
+        med_factory = lambda c: LayeredMedium(shell_radius=1.5, c=c, delta=0.0, base=params)
+        for n in (2, 3, 8, 27, 64):
+            zetas = plasmon_constants(params, n).as_tuple()
+            for fam, z in enumerate(zetas, start=1):
+                conds = sector_conditions(med_factory(z), n, 2.0)
+                assert conds[fam] > 1e13, (params, n, fam)
+                assert sector_conditions(med_factory(z * (1 + 1e-6)), n, 2.0)[fam] < 1e12, (params, n, fam)
+                if n <= 3:
+                    # the other families' sectors stay well conditioned
+                    assert all(conds[f] < 1e5 for f in conds if f != fam), (params, n, fam)
+                    # a small detuning restores invertibility
+                    assert sector_conditions(med_factory(z + 1e-3), n, 2.0)[fam] < 1e6, (params, n, fam)
+            if n <= 3:
+                for c in (-5.0, -1.5, -0.4):
+                    assert min(abs(c - z) for z in zetas) > 1e-2
+                    assert max(sector_conditions(med_factory(c), n, 2.0).values()) < 1e5, (params, n, c)
     # the full-window matrix route agrees on where the system is singular
     for z in plasmon_constants(P11, 2).as_tuple():
-        sv = interface_singular_values(med_factory(z), 2, 2.0, tables)
+        sv = interface_singular_values(LayeredMedium(shell_radius=1.5, c=z, delta=0.0, base=P11), 2, 2.0, tables)
         assert sv[-1] < 1e-13 * sv[0]
 
 
@@ -297,6 +304,62 @@ def test_project_source_rejects_coarse_quadrature(tables):
         project_source(np.zeros((len(quad.nodes), 3)), 1.5, quad, P11, tables, n_max=6)
 
 
+def test_closed_form_profiles_match_projection_oracle(tables, materials):
+    # every closed-form displacement and traction scalar and the ladder round
+    # trip kappa against the projected traction algebra of one sector member,
+    # to 1e-13 relative (an exact zero, the traction 2 mu lo at lo = 0 or a
+    # degree the block does not reach: to 1e-13 of the block's largest scalar)
+    tables = ensure_tables(tables, 68)
+    for params in materials:
+        for n in range(2, 65):
+            for fam in (1, 2, 3):
+                prof, ref = transmission._radial_profile(params, n, fam), projected_radial_profile(params, n, fam, tables)
+                assert prof.degrees == ref.degrees and prof.blocks.keys() == ref.blocks.keys()
+                triples = [(prof.kappa, ref.kappa, 0.0)] if fam != 1 else []
+                for key, (p, disp, trac) in prof.blocks.items():
+                    p_ref, disp_ref, trac_ref = ref.blocks[key]
+                    assert p == p_ref and disp.keys() == disp_ref.keys(), (params, n, fam, key)
+                    scale = max(abs(v) for v in [*disp.values(), *trac.values()])
+                    triples += [(disp[d], disp_ref[d], scale) for d in disp]
+                    triples += [(trac.get(d, 0.0), trac_ref.get(d, 0.0), scale) for d in trac.keys() | trac_ref.keys()]
+                assert all(abs(a - b) <= 1e-13 * (abs(a) if a else scale) for a, b, scale in triples), (params, n, fam)
+
+
+def _bad_source_calls():
+    # solve_mode, the dual-wave prologue and the radial witness on degree-2
+    # sources, family 1 (2J + 1 = 5 members) unless the case names another
+    def solve(k, q=3.0, fam=1):
+        med = LayeredMedium(shell_radius=2.0, c=-2.2, delta=0.05, base=P11, core_radius=1.0)
+        return lambda t: solve_mode(med, SourceSpec(q=q, coefficients={(2, fam, k): 1.0}), 2, t)
+
+    def dual(k):
+        med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11)
+        return lambda t: witness_nocore(med, SourceSpec(q=3.0, coefficients={(2, 1, k): 1.0}), 0.05, t)
+
+    def radial(k):
+        med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11, core_radius=1.0)
+        return lambda t: witness_radial_nonresonant(med, SourceSpec(q=3.0, coefficients={(2, 1, k): 1.0}), 0.05, t)
+
+    cases = {"solve-q-inside-shell": (solve(1, q=1.5), "outside the shell"),
+             "solve-q-on-shell": (solve(1, q=2.0), "outside the shell"),
+             "solve-family0": (solve(1, fam=0), "family 0 is not 1, 2 or 3"),
+             "solve-family4": (solve(1, fam=4), "family 4 is not 1, 2 or 3")}
+    for name, call in (("solve", solve), ("dual-wave", dual), ("radial-witness", radial)):
+        for k in (0, 6):
+            cases[f"{name}-k{k}"] = (call(k), f"k = {k} outside 1..5")
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_bad_source_calls()))
+def test_library_rejects_sources_outside_the_model(case, tables):
+    # a source sphere inside the shell, a family outside 1..3 or a kernel
+    # index outside 1..2J+1 raises ValueError instead of solving another
+    # problem or failing deep inside the solve
+    call, message = _bad_source_calls()[case]
+    with pytest.raises(ValueError, match=message):
+        call(tables)
+
+
 def test_degree_guard(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=P11)
     with pytest.raises(ValueError):
@@ -361,9 +424,8 @@ def test_spheroidal_energy_independent_of_member_and_phase(tables):
 
 
 def test_sector_sweeps_do_not_assemble_per_row():
-    # a family-2/3 sweep projects traction_coeffs_algebraic once per block of
-    # its radial profile, however many rows it has; a family-1 sweep builds
-    # no profile and calls it never
+    # every radial profile is closed form: family-1, family-2 and family-3
+    # sweeps call traction_coeffs_algebraic never, however many rows they have
     code = """
 import numpy as np
 from elastoplasmon import lame, transmission
@@ -383,15 +445,13 @@ for fam, n, c, q, core in ((2, 4, -130 / 59, 3.0, 1.0), (3, 3, -25 / 38, 2.6, No
     conf = fixed_configuration(LameParams(1.0, 1.0), 2.0, c, SourceSpec(q, {(n, fam, 1): 1.0}), core_radius=core)
     for rows in (4, 8):
         transmission._KERNEL_CACHE.clear()
-        transmission._PROFILE_CACHE.clear()
         calls[0] = 0
         sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)), tables)
-        profiles = len(transmission._PROFILE_CACHE)
-        out.append(f"{calls[0]}/{profiles}")
+        out.append(str(calls[0]))
 print(" ".join(out))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=src))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["4/1", "4/1", "4/1", "4/1", "0/0", "0/0"]
+    assert r.stdout.split() == ["0"] * 6
