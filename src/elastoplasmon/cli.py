@@ -65,9 +65,11 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # np-spectrum's --nmax (and, as 2 MAX_DEGREE + 4, on the inert
 # quadrature_exactness key).  Every table degree a run reads is built and
 # self-tested on first use: about 20 ms for degree 64 alone (its band's
-# polar rule included) and 0.2 s for degrees 0..70 (a sweep reads 6 beyond
-# its deepest source degree), on a 2-vCPU x86-64 host with one BLAS thread.
-# The suite self-tests every degree 0..70; the demos stay below degree 42.
+# polar rule included) and 0.2 s for degrees 0..70, on a 2-vCPU x86-64 host
+# with one BLAS thread.  A sweep reads none (its rows are sector scalars);
+# solve, witness, kernels and waves-check read at most 4 beyond their
+# deepest degree.  The suite self-tests every degree 0..70; the demos stay
+# below degree 42.
 MAX_DEGREE = 64
 
 

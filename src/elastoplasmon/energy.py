@@ -4,15 +4,24 @@ The quadratic pairing
 
     P(u, v) = int [ lambda (div u) conj(div v) + 2 mu  sym grad u : conj(sym grad v) ]
 
-is evaluated per region as (angular integral) x (closed-form radial power
-integral).  The term algebra gives every gradient as exact harmonic
-coefficients, one (3, 3, 2d+1) array per (radial power, degree), and the
-Y_d^m are orthonormal, so the angular integral of two such arrays is a dot
-product of their divergence and symmetric-strain coefficients when the
-degrees are equal and zero otherwise.  Fields two degrees apart have
-gradients of a common degree, so total energies must pair merged fields (see
-``dissipation_E``).  Improper exterior integrals are legal only for decaying
-strain pairs and raise otherwise.
+of two general fields is evaluated per region as (angular integral) x
+(closed-form radial power integral) by :func:`pairing_P`.  The term algebra
+gives every gradient as exact harmonic coefficients, one (3, 3, 2d+1) array
+per (radial power, degree), and the Y_d^m are orthonormal, so the angular
+integral of two such arrays is a dot product of their divergence and
+symmetric-strain coefficients when the degrees are equal and zero otherwise.
+Improper exterior integrals are legal only for decaying strain pairs and
+raise otherwise.
+
+A field that solves the Lame system in each region needs no volume
+integral: by Betti's identity P(u, u) over an annulus is the flux
+rho^2 Re <u, t(u)> through its outer sphere minus its inner one.  In a
+sector the displacement and traction on a sphere are radial-profile scalars
+times unit members and their partner shapes (norm^2 kappa (2n+1)/(2d+1)),
+so the dissipation of a solve and the witness bounds of
+:mod:`~elastoplasmon.scenarios` are scalar sums over the interface spheres
+(:func:`solution_pairing`, :func:`profile_pairing`), and a source enters
+through its coefficients alone.
 """
 
 from __future__ import annotations
@@ -24,11 +33,14 @@ import numpy as np
 
 from .harmonics import DerivativeTable, ensure_tables
 from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
+from .transmission import _profile_trace
 
 __all__ = [
     "EnergyReport",
     "pairing_P",
     "dissipation_E",
+    "solution_pairing",
+    "profile_pairing",
     "functional_I",
     "functional_J",
     "source_pairing",
@@ -105,28 +117,89 @@ def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_h
     return total
 
 
-def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable) -> float:
-    """Dissipation (delta/2) P(u, u) of an exact solve.
+def _flux(annuli: dict) -> float:
+    """Sum over annuli of P(u, u) by Betti's identity, for fields that solve the Lame system.
 
-    Terms of all degree solutions are merged per region first: solutions two
-    degrees apart have gradients of a common degree, so their cross pairing
-    does not vanish.  Raises for delta = 0 where dissipation is undefined.
+    On an annulus P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
+    sphere minus its inner one; the flux vanishes at r = 0 and at infinity.
+    ``annuli[(r_lo, r_hi, sector)]`` lists the sector's parts on the annulus
+    as (profile, coordinates, gamma, block amplitudes): on the sphere rho a
+    part's shape of degree d has the coordinate vector ``coordinates[d] *
+    gamma * U_d(rho)`` on the sector's unit members (traction alike), so the
+    angular integral is a dot product of coordinate vectors per degree.
+    """
+    total = 0.0
+    for (r_lo, r_hi, _), parts in annuli.items():
+        for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
+            if not 0.0 < rho < math.inf:
+                continue
+            u: dict = {}
+            t: dict = {}
+            for prof, coords, gamma, amplitudes in parts:
+                for d, (ud, td) in _profile_trace(prof, amplitudes, rho).items():
+                    u[d] = u.get(d, 0.0) + (coords[d] * ud) * gamma
+                    t[d] = t.get(d, 0.0) + (coords[d] * td) * gamma
+            total += sign * rho**2 * sum(float(np.real(np.vdot(u[d], t[d]))) for d in u)
+    return total
+
+
+def _coordinates(prof, n: int) -> dict[int, float]:
+    """Coordinates of a unit member's shapes: 1 at degree n, -sqrt(kappa (2n+1)/(2d+1)) at the partner d.
+
+    The partner shape of member k of a family-2 sector at n is minus its
+    norm times member k of the family-3 sector at n - 2, and the reverse, so
+    the two sectors share one member basis (total angular momentum n - 1).
+    """
+    return {d: 1.0 if d == n else -math.sqrt(prof.kappa * (2 * n + 1) / (2 * d + 1)) for d in prof.degrees}
+
+
+def profile_pairing(prof, n: int, pieces: Iterable[tuple[float, float, dict]]) -> float:
+    """Re P(u, u) of a unit sector member's field, by flux.
+
+    ``pieces`` are (r_lo, r_hi, {(kind, shape): amplitude}) annuli of blocks
+    of the degree-n profile ``prof`` (:func:`~elastoplasmon.transmission._radial_profile`).
+    """
+    coords = _coordinates(prof, n)
+    return _flux({(lo, hi, None): [(prof, coords, 1.0, amps)] for lo, hi, amps in pieces})
+
+
+def solution_pairing(solutions: Sequence) -> float:
+    """Re P(u, u) summed over all regions of the superposed solves, by flux.
+
+    Sectors are orthogonal, except a family-2 density at n and a family-3
+    density at n - 2, which share total angular momentum n - 1 and pair
+    through their member coordinates.
+    """
+    annuli: dict = {}
+    for sol in solutions:
+        for fam, gammas, prof, cols, x in sol.sectors:
+            lo = min(prof.degrees)
+            sector = (fam == 1, lo if fam != 1 else sol.n)
+            dim = 2 * (sol.n, lo + 1)[fam != 1] + 1
+            gamma = np.zeros(dim, dtype=complex)
+            for k, g in gammas:
+                gamma[k - 1] = g
+            coords = _coordinates(prof, sol.n)
+            per_region: dict[int, dict] = {}
+            for xc, (reg, kind, shape) in zip(x, cols):
+                per_region.setdefault(reg, {})[(kind, shape)] = xc
+            for reg, amps in per_region.items():
+                key = (sol.radii[reg], sol.radii[reg + 1], sector)
+                annuli.setdefault(key, []).append((prof, coords, gamma, amps))
+    return _flux(annuli)
+
+
+def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable | None = None) -> float:
+    """Dissipation (delta/2) P(u, u) of an exact solve, by the flux of :func:`solution_pairing`.
+
+    Every region's field solves the Lame system, so no volume integral is
+    formed and ``tables`` is not read.  Raises for delta = 0 where
+    dissipation is undefined.
     """
     delta = medium.delta
     if delta <= 0:
         raise ValueError("dissipation needs delta > 0")
-    params = medium.base
-    merged: dict[tuple[float, float], list] = {}
-    for sol in solutions:
-        for reg in sol.regions:
-            merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
-    total = 0.0
-    for key, terms in merged.items():
-        if not terms:
-            continue
-        p = pairing_P(terms, terms, key[0], key[1], params, tables)
-        total += 0.5 * delta * float(np.real(p))
-    return total
+    return 0.5 * delta * solution_pairing(solutions)
 
 
 def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,

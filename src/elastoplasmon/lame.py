@@ -17,18 +17,19 @@ tractions and Lame residuals for all mode fields; finite-difference and
 per-direction routes live with the tests as oracles, and so does
 :func:`traction_coeffs`, a sphere-rule projection nothing in the package calls.
 
-The regular and irregular Lame blocks carry their slaved corrections:
-
-    exterior:  G r^{-n-1} Y_n + k_n [t1 . D]_j r^{-n-1} Y_{n+2}
-    interior:  G r^n Y_n     - M_n [t3 . D]_j r^n Y_{n-2}
-
-with ``t1 = sum_j G_j . raise_[n][j]``, ``t3 = sum_j G_j . lower[n][j]`` and
-``[t . D]_j = t . D[j]``, i.e. ``t @ D`` for a stacked ladder ``D``.
+The irregular and regular Lame blocks of a coefficient matrix G carry
+slaved corrections k_n [t1 . raise_] r^{-n-1} Y_{n+2} and
+-M_n [t3 . lower] r^n Y_{n-2}, with ``t1 = sum_j G_j . raise_[n][j]`` and
+``t3 = sum_j G_j . lower[n][j]``; :func:`mode_constants` gives k_n and M_n,
+:func:`exterior_traction_coeffs` the traction of the irregular block, and
+the radial profiles of :mod:`~elastoplasmon.transmission` every block in
+closed form.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -44,8 +45,6 @@ __all__ = [
     "mode_constants",
     "t1_vector",
     "t3_vector",
-    "exterior_block",
-    "interior_block",
     "exterior_traction_coeffs",
     "displacement_coeffs",
     "traction_coeffs_algebraic",
@@ -85,10 +84,18 @@ class ModeConstants:
     m_n: float
 
 
-def _safe_div(num: float, den: float, what: str) -> float:
-    if abs(den) < 1e-14 * max(1.0, abs(num)):
+def _safe_div(num: float, den_terms: tuple[float, ...], what: str, factor: float = 1.0) -> float:
+    """``num`` over ``factor`` times the sum of ``den_terms``, refused where that sum cancels or underflows.
+
+    The sum is compared with the magnitudes of its own terms, so the test is
+    homogeneous in (lambda, mu): ArithmeticError where the terms cancel to
+    1e-14 of their magnitude (exactly zero included), or where their
+    magnitude falls below the normal float range and digits are lost.
+    """
+    den, size = sum(den_terms), sum(abs(t) for t in den_terms)
+    if not (abs(den) > 1e-14 * size and size >= sys.float_info.min):
         raise ArithmeticError(f"denominator of {what} vanishes")
-    return num / den
+    return num / (factor * den)
 
 
 def mode_constants(params: LameParams, n: int) -> ModeConstants:
@@ -101,14 +108,14 @@ def mode_constants(params: LameParams, n: int) -> ModeConstants:
     if n < 1:
         raise ValueError("mode constants need n >= 1")
     lam, mu = params.lam, params.mu
-    k_n = _safe_div(lam + mu, 2.0 * ((n + 2) * lam + (3 * n + 5) * mu), "k_n")
-    M_n = _safe_div(lam + mu, 2.0 * ((n - 1) * lam + (3 * n - 2) * mu), "M_n")
-    E_n = _safe_div((n + 2) * lam - (n - 3) * mu, (2 * n + 1.0) * ((n - 1) * lam + (3 * n - 2) * mu), "E_n")
-    s1_n = _safe_div(E_n, n - 1 + n * (2 * n + 1.0) * E_n, "s1_n") if n >= 2 else math.nan
+    k_n = _safe_div(lam + mu, ((n + 2) * lam, (3 * n + 5) * mu), "k_n", 2.0)
+    M_n = _safe_div(lam + mu, ((n - 1) * lam, (3 * n - 2) * mu), "M_n", 2.0)
+    E_n = _safe_div((n + 2) * lam - (n - 3) * mu, ((n - 1) * lam, (3 * n - 2) * mu), "E_n", 2 * n + 1.0)
+    s1_n = _safe_div(E_n, (n - 1, n * (2 * n + 1.0) * E_n), "s1_n") if n >= 2 else math.nan
     s2_n = 1.0 / (2.0 * n * (2 * n + 1))
     l_n = (2.0 * lam / (lam + mu) + 2.0 * (-n - 2) / (2 * n + 3.0)) * k_n - 2.0 / ((2 * n + 3.0) * (2 * n + 1.0))
     if n >= 2:
-        k_nm2 = _safe_div(lam + mu, 2.0 * (n * lam + (3 * n - 1) * mu), "k_{n-2}")
+        k_nm2 = _safe_div(lam + mu, (n * lam, (3 * n - 1) * mu), "k_{n-2}", 2.0)
         m_n = (-2.0 * lam / (lam + mu) - 4.0 * n * (n - 1) / (2 * n - 1.0)) * k_nm2 - 1.0 / (2 * n - 1.0)
     else:
         m_n = math.nan
@@ -225,32 +232,9 @@ def t3_vector(G: np.ndarray, n: int, tables: DerivativeTable) -> np.ndarray:
     return np.einsum("jm,jmk->k", G, tables.lower[n])
 
 
-def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
-    """Irregular degree-n block with its slaved degree-(n+2) correction."""
-    G = np.asarray(G, dtype=complex)
-    terms = [Term(G, n, -n - 1)]
-    t1 = t1_vector(G, n, tables)
-    if np.max(np.abs(t1)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
-        k_n = mode_constants(params, max(n, 1)).k_n if n >= 1 else _k0(params)
-        terms.append(Term(k_n * (t1 @ tables.raise_[n + 1]), n + 2, -n - 1))
-    return tuple(terms)
-
-
 def _k0(params: LameParams) -> float:
     # k_n formula continues to n = 0 (monopole block)
     return (params.lam + params.mu) / (2.0 * (2 * params.lam + 5 * params.mu))
-
-
-def interior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
-    """Regular degree-n block with its slaved degree-(n-2) correction."""
-    G = np.asarray(G, dtype=complex)
-    terms = [Term(G, n, n)]
-    if n >= 2:
-        t3 = t3_vector(G, n, tables)
-        if np.max(np.abs(t3)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
-            M_n = mode_constants(params, n).M_n
-            terms.append(Term(-M_n * (t3 @ tables.lower[n - 1]), n - 2, n))
-    return tuple(terms)
 
 
 def _tilde_scale(n: int, R: float, params: LameParams, c: complex = 1.0) -> complex:

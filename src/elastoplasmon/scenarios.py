@@ -13,6 +13,16 @@ system is singular (condition above 1e9) the solve raises
 ``ArithmeticError``, and a sweep row leaves ``I_upper`` blank unless another
 primal witness applies.
 
+Every witness field solves the Lame system in each region, so its energies
+are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_pairing`,
+:func:`~elastoplasmon.energy.solution_pairing`): each bound is a scalar of
+the radial profiles and the source coefficients.  A sweep row reads only
+these scalars and builds no field; the public ``witness_*`` builders take
+their bound from the same scalar core and return the fields too, built from
+the member matrices.  A sweep records each witness that applies but raises
+in ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
+exception type and message).
+
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
 final two decades to stay within a factor 10.
@@ -28,9 +38,9 @@ import numpy as np
 
 from .harmonics import DerivativeTable, ensure_tables
 from .lame import LameParams, ModeField, Term
-from .energy import EnergyReport, functional_I, pairing_P, source_pairing, dissipation_E
-from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _radial_profile, _source_member, solve_mode,
-                           solve_modes)
+from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairing
+from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_trace,
+                           _radial_profile, _source_member, _wave_amplitudes, solve_mode, solve_modes)
 from .waves import perfect_wave, plasmon_constants
 
 __all__ = [
@@ -117,6 +127,18 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
+def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec,
+                   tables: DerivativeTable | None) -> tuple[float, list[ModeSolution]]:
+    """I(v, 0) of the loss-free field at the medium's loss, by flux, and the loss-free solutions."""
+    if medium.core_radius is None:
+        raise ValueError("fixed-multiplier witness needs a core")
+    _require_family1(source, "fixed-multiplier witness")
+    if medium.delta <= 0:
+        raise ValueError("delta must be positive")
+    solutions = solve_modes(replace(medium, delta=0.0), source, tables)
+    return 0.5 * medium.delta * solution_pairing(solutions), solutions
+
+
 def witness_fixed_c(medium: LayeredMedium, source: SourceSpec,
                     tables: DerivativeTable) -> tuple[list[ModeField], float, list[ModeSolution]]:
     """Primal witness for the cored fixed-multiplier configuration.
@@ -124,18 +146,14 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec,
     The witness is the loss-free field v with L_A v = f (and w = 0): the
     transmission solve of the medium at delta = 0, scaled, refined and
     checked like any other.  The source must carry family-1 content only.
-    Returns the witness field, the upper bound I(v, 0) at the medium's loss,
-    and the loss-free solutions (with their conditions and backward errors).
-    A loss-free system of condition above 1e9 raises
+    Returns the witness field, the upper bound I(v, 0) at the medium's loss
+    (the flux of :func:`~elastoplasmon.energy.solution_pairing`), and the
+    loss-free solutions (with their conditions and backward errors).  A
+    loss-free system of condition above 1e9 raises
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
-    if medium.core_radius is None:
-        raise ValueError("fixed-multiplier witness needs a core")
-    _require_family1(source, "fixed-multiplier witness")
-    tables = ensure_tables(tables, max(source.degrees()) + 6)
-    solutions = solve_modes(replace(medium, delta=0.0), source, tables)
-    pieces = _merge_pieces([list(sol.regions) for sol in solutions])
-    return pieces, functional_I(pieces, None, medium.delta, medium.base, tables), solutions
+    I_upper, solutions = _fixed_c_bound(medium, source, tables)
+    return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
 def _dominant_mode(source: SourceSpec) -> tuple[int, int, int, complex]:
@@ -148,34 +166,50 @@ def _real_branch_coefficient(gamma: complex) -> float:
     return gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
 
 
-def _dual_wave(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable
-               ) -> tuple[int, np.ndarray, list[ModeField], float, float, DerivativeTable]:
-    """The perfect wave of the dominant source mode and its dual-bound constants.
+def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int, int, float, float]:
+    """The dominant source mode and the dual-bound constants of its perfect wave.
 
     Needs medium.c equal to the mode family's plasmon constant at its degree
-    n0 and a nonzero source.  Returns (n0, K, psi_hat, C0, C_psi, tables):
-    the mode's kernel K, the unit wave's pieces, C0 = g <f_unit, psi_hat>
-    with g the real branch coefficient, C_psi = sum 0.5 Re P(p, p) over the
-    pieces, and the tables grown to n0 + 6.
+    n0 and a nonzero source.  Returns (n0, family, k, C0, C_psi) for the
+    unit wave psi_hat of member k (:func:`~elastoplasmon.transmission._wave_amplitudes`,
+    which checks the sector): C0 = g <f_unit, psi_hat> = g q^2 U_n0(q) with
+    g the real branch coefficient, and C_psi = 0.5 Re P(psi_hat, psi_hat),
+    both scalar.
     """
     params = medium.base
     n0, fam, k, gamma = _dominant_mode(source)
-    tables = ensure_tables(tables, n0 + 6)
+    _check_source_mode(n0, fam, k)
     zet = plasmon_constants(params, n0).as_tuple()[fam - 1]
     if not math.isclose(medium.c, zet, rel_tol=1e-10):
         raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant {zet} at degree {n0}")
     g = _real_branch_coefficient(gamma)
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
-    K = _source_member(params, n0, fam, k, tables)
-    wave = perfect_wave(K, fam, n0, medium.shell_radius, params, tables)
-    psi_hat = [wave.interior, wave.exterior]
-    unit_source = SourceSpec(q=source.q, coefficients={(n0, fam, k): 1.0})
-    C0 = g * source_pairing(psi_hat, unit_source, params, tables)
-    C_psi = 0.0
-    for p in psi_hat:
-        C_psi += 0.5 * float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables)))
-    return n0, K, psi_hat, C0, C_psi, tables
+    R, q = medium.shell_radius, source.q
+    prof, inner, outer = _wave_amplitudes(params, n0, fam, R)
+    C0 = g * q**2 * float(np.real(_profile_trace(prof, inner if q <= R else outer, q)[n0][0]))
+    C_psi = 0.5 * profile_pairing(prof, n0, [(0.0, R, inner), (R, math.inf, outer)])
+    return n0, fam, k, C0, C_psi
+
+
+def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int, tables: DerivativeTable) -> tuple[np.ndarray, list[ModeField]]:
+    """Member k of the dominant mode and its unit perfect wave's pieces (built from the member matrix)."""
+    tables = ensure_tables(tables, n0 + 6)
+    K = _source_member(medium.base, n0, fam, k, tables)
+    wave = perfect_wave(K, fam, n0, medium.shell_radius, medium.base, tables)
+    return K, [wave.interior, wave.exterior]
+
+
+def _scaled(pieces: list[ModeField], s: complex) -> list[ModeField]:
+    return [ModeField(tuple(Term(s * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in pieces]
+
+
+def _nocore_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, float, tuple]:
+    """(J lower bound, tau, dominant mode) of the core-free dual witness, scalar."""
+    if medium.core_radius is not None:
+        raise ValueError("no-core witness requires an empty core")
+    n0, fam, k, C0, C_psi = _dual_constants(medium, source)
+    return C0**2 / (4.0 * C_psi * delta), C0 / (2.0 * C_psi * delta), (n0, fam, k)
 
 
 def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
@@ -185,13 +219,8 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
     Needs medium.c equal to a plasmon constant of the dominant source mode.
     Returns (psi pieces at the optimal amplitude, J lower bound, tau).
     """
-    if medium.core_radius is not None:
-        raise ValueError("no-core witness requires an empty core")
-    _, _, psi_hat, C0, C_psi, _ = _dual_wave(medium, source, tables)
-    tau = C0 / (2.0 * C_psi * delta)
-    J_lower = C0**2 / (4.0 * C_psi * delta)
-    psi = [ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in psi_hat]
-    return psi, J_lower, tau
+    J_lower, tau, mode = _nocore_bound(medium, source, delta)
+    return _scaled(_unit_wave(medium, *mode, tables)[1], tau), J_lower, tau
 
 
 def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: float) -> list[tuple[complex, complex]]:
@@ -207,6 +236,45 @@ def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: flo
     return [(a, 0.0), (0.0, b)]
 
 
+def _toroidal_pieces(n: int, parts: Sequence[tuple[Sequence[tuple[complex, complex]], Sequence[float]]],
+                     radii: Sequence[float]) -> list[tuple[float, float, dict]]:
+    """The sum of pure-kernel piecewise fields as profile-block annuli on the interface ``radii``.
+
+    Each part is ((a_i, b_i) per region, its own interface radii), as for
+    :func:`_mode_pieces`, with entire amplitude a_i and decaying b_i.
+    """
+    bounds = [0.0] + list(radii) + [math.inf]
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        amps = {("entire", n): 0.0, ("decay", n): 0.0}
+        for coeffs, own in parts:
+            a, b = coeffs[sum(r < hi for r in own)]
+            amps[("entire", n)] += a
+            amps[("decay", n)] += b
+        out.append((lo, hi, amps))
+    return out
+
+
+def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, float, tuple, list]:
+    """(J lower bound, tau, dominant mode, core-repair amplitudes) of the cored dual witness, scalar."""
+    if medium.core_radius is None:
+        raise ValueError("core witness requires a core")
+    if source.q <= medium.shell_radius:
+        raise ValueError("source must lie outside the shell")
+    if _dominant_mode(source)[1] != 1:
+        raise ValueError("core witness implemented for the family-1 schedule")
+    params = medium.base
+    a_core = medium.core_radius
+    n0, fam, k, C0, C_psi = _dual_constants(medium, source)
+    # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
+    rho1 = (medium.c - 1.0) * _entire_traction(params, n0, a_core)  # per unit tau
+    amps = _toroidal_surface_solve(n0, a_core, rho1, params.mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
+    P_vt = profile_pairing(_radial_profile(params, n0, 1), n0, _toroidal_pieces(n0, [(amps, [a_core])], [a_core]))
+    # J(tau) = C0 tau - (delta C_psi + P_vt/(2 delta) * ... ) tau^2
+    denom = delta * C_psi + 0.5 * P_vt / delta
+    return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), amps
+
+
 def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: float,
                           tables: DerivativeTable) -> tuple[list[ModeField], list[ModeField], float, float]:
     """Dual witness for the cored scheduled configuration.
@@ -215,32 +283,57 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     core interface through an exact per-mode elliptic solve.  Returns
     (v pieces, psi pieces, J lower bound, tau).
     """
+    J_lower, tau, (n0, fam, k), amps = _core_bound(medium, source, delta)
+    K, psi_hat = _unit_wave(medium, n0, fam, k, tables)
+    v_tilde = _mode_pieces(K, n0, amps, [medium.core_radius])
+    return _scaled(v_tilde, tau / delta), _scaled(psi_hat, tau), J_lower, tau
+
+
+def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float, tables: DerivativeTable | None
+                  ) -> tuple[float, list, list[ModeSolution]]:
+    """I(v, w) of the radial primal witness by flux.
+
+    Returns the bound, (n, k, v coefficients, [(rho, w amplitudes)]) per
+    scheduled mode, and the loss-free solutions of the off-schedule degrees.
+    Scheduled modes, distinct members and distinct degrees are orthogonal,
+    so their energies add; the two repairs of one mode share its member.
+    """
     if medium.core_radius is None:
-        raise ValueError("core witness requires a core")
-    if source.q <= medium.shell_radius:
-        raise ValueError("source must lie outside the shell")
-    if _dominant_mode(source)[1] != 1:
-        raise ValueError("core witness implemented for the family-1 schedule")
+        raise ValueError("radial witness requires a core")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
     params = medium.base
     mu = params.mu
+    R, q = medium.shell_radius, source.q
+    if q <= R**1.5:
+        raise ValueError("hypothesis violated: q must exceed R^{3/2}")
+    _require_family1(source, "radial witness")
     a_core = medium.core_radius
-    n0, K, psi_hat, C0, C_psi, tables = _dual_wave(medium, source, tables)
-    # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
-    rho1 = (medium.c - 1.0) * _entire_traction(params, n0, a_core)  # per unit tau
-    amps = _toroidal_surface_solve(n0, a_core, rho1, mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
-    v_tilde = _mode_pieces(K, n0, amps, [a_core])
-    P_vt = sum(
-        float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables))) for p in v_tilde
-    )
-    # J(tau) = C0 tau - (delta C_psi + P_vt/(2 delta) * ... ) tau^2
-    C_v = 0.5 * P_vt / delta
-    denom = delta * C_psi + C_v
-    tau = C0 / (2.0 * denom)
-    J_lower = C0**2 / (4.0 * denom)
-    scale = lambda pieces, s: [
-        ModeField(tuple(Term(s * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in pieces
-    ]
-    return scale(v_tilde, tau / delta), scale(psi_hat, tau), J_lower, tau
+    scheduled = []
+    off_schedule: set[int] = set()
+    P_v = P_w = 0.0
+    for (n, _, k), gamma in sorted(source.coefficients.items()):
+        if gamma == 0:
+            continue
+        if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
+            # scheduled mode: free incident wave, interface defects go to w
+            _check_source_mode(n, 1, k)
+            tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
+            coeffs = [(tau, 0.0), (0.0, tau * q ** (2 * n + 1))]
+            repairs = []
+            for rho, sgn in ((a_core, 1.0), (R, -1.0)):
+                dens = sgn * (medium.c - 1.0) * _entire_traction(params, n, rho) * tau
+                repairs.append((_toroidal_surface_solve(n, rho, -dens, mu), [rho]))
+            prof = _radial_profile(params, n, 1)
+            P_v += profile_pairing(prof, n, _toroidal_pieces(n, [(coeffs, [q])], [q]))
+            P_w += profile_pairing(prof, n, _toroidal_pieces(n, repairs, [a_core, R]))
+            scheduled.append((n, k, coeffs, repairs))
+        else:
+            off_schedule.add(n)
+    loss_free = replace(medium, delta=0.0)
+    off = [solve_mode(loss_free, source, n, tables) for n in sorted(off_schedule)]
+    I_upper = 0.5 * delta * (P_v + solution_pairing(off)) + 0.5 / delta * P_w
+    return I_upper, scheduled, off
 
 
 def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta: float,
@@ -252,40 +345,16 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     per-mode solves.  Off-schedule degrees take the loss-free field of
     :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
-    if medium.core_radius is None:
-        raise ValueError("radial witness requires a core")
-    params = medium.base
-    mu = params.mu
-    R, q = medium.shell_radius, source.q
-    if q <= R**1.5:
-        raise ValueError("hypothesis violated: q must exceed R^{3/2}")
-    _require_family1(source, "radial witness")
-    a_core = medium.core_radius
+    I_upper, scheduled, off = _radial_bound(medium, source, delta, tables)
     tables = ensure_tables(tables, max(source.degrees()) + 6)
     v_parts: list[list[ModeField]] = []
     w_parts: list[list[ModeField]] = []
-    off_schedule: set[int] = set()
-    for (n, _, k), gamma in sorted(source.coefficients.items()):
-        if gamma == 0:
-            continue
-        if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
-            # scheduled mode: free incident wave, interface defects go to w
-            K = _source_member(params, n, 1, k, tables)
-            tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
-            coeffs = [(tau, 0.0), (0.0, tau * q ** (2 * n + 1))]
-            v_parts.append(_mode_pieces(K, n, coeffs, [q]))
-            for rho, sgn in ((a_core, 1.0), (R, -1.0)):
-                dens = sgn * (medium.c - 1.0) * _entire_traction(params, n, rho) * tau
-                amps = _toroidal_surface_solve(n, rho, -dens, mu)
-                w_parts.append(_mode_pieces(K, n, amps, [rho]))
-        else:
-            off_schedule.add(n)
-    loss_free = replace(medium, delta=0.0)
-    v_parts += [list(solve_mode(loss_free, source, n, tables).regions) for n in sorted(off_schedule)]
-    v = _merge_pieces(v_parts)
-    w = _merge_pieces(w_parts) if w_parts else []
-    I_upper = functional_I(v, w if w else None, delta, params, tables)
-    return v, w, I_upper
+    for n, k, coeffs, repairs in scheduled:
+        K = _source_member(medium.base, n, 1, k, tables)
+        v_parts.append(_mode_pieces(K, n, coeffs, [source.q]))
+        w_parts += [_mode_pieces(K, n, amps, radii) for amps, radii in repairs]
+    v_parts += [list(sol.regions) for sol in off]
+    return _merge_pieces(v_parts), _merge_pieces(w_parts), I_upper
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +420,9 @@ def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
     return float(slope)
 
 
-def _sweep_row(configuration, delta: float, tables: DerivativeTable, with_witnesses: bool) -> EnergyReport:
+def _sweep_row(configuration, delta: float, tables: DerivativeTable, with_witnesses: bool,
+               refusals: list | None = None) -> EnergyReport:
+    """One sweep row; each witness refusal is appended to ``refusals`` as (witness, exception)."""
     if delta <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
     med, src = configuration(delta)
@@ -360,8 +431,9 @@ def _sweep_row(configuration, delta: float, tables: DerivativeTable, with_witnes
     I_upper = None
     J_lower = None
     if with_witnesses:
-        for builder in (_try_I, _try_J):
-            I_upper, J_lower = builder(med, src, delta, tables, I_upper, J_lower)
+        refused = [] if refusals is None else refusals
+        I_upper = _try_I(med, src, delta, tables, refused)
+        J_lower = _try_J(med, src, delta, refused)
     return EnergyReport(delta=delta, E_delta=E, c_used=med.c, I_upper=I_upper,
                         J_lower=J_lower, n_delta=max(src.degrees()))
 
@@ -380,9 +452,12 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
         raise ValueError("delta_list must be strictly decreasing with >= 3 entries")
     if deltas[0] / deltas[-1] < 0.99e3:
         raise ValueError("sweep must span at least three decades")
-    _, deepest_src = configuration(deltas[-1])
-    tables = ensure_tables(tables, max(deepest_src.degrees()) + 6)
-    rows = [_sweep_row(configuration, d, tables, with_witnesses) for d in deltas]
+    rows, refusals = [], []
+    for i, d in enumerate(deltas):
+        refused: list = []
+        rows.append(_sweep_row(configuration, d, tables, with_witnesses, refused))
+        refusals += [{"row": i, "delta": d, "n_delta": rows[-1].n_delta, "witness": name, "bound": bound,
+                      "error": type(exc).__name__, "message": str(exc)} for name, bound, exc in refused]
     E = [r.E_delta for r in rows]
     slope = _fit_slope(deltas, E)
     monotone = all(E[i + 1] >= E[i] * 0.95 for i in range(len(E) - 1))
@@ -407,35 +482,39 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
             "thresholds": "resonant: monotone growth and fitted slope > 0.5; "
             "non-resonant: largest upward move in the final two decades < 10x",
             "final_window_growth_factor": growth_factor,
+            "refusals": refusals,
         },
     )
 
 
-def _try_I(med, src, delta, tables, I_upper, J_lower):
+def _try_I(med, src, delta, tables, refusals: list) -> float | None:
+    """The tighter of the primal bounds that apply (cored media only), by flux; None if none does.
+
+    A witness that applies but raises ``ValueError`` or ``ArithmeticError``
+    is appended to ``refusals`` as (witness, "I_upper", exception).
+    """
     if med.core_radius is None:
-        return I_upper, J_lower
-    candidates = []
+        return None
+    attempts = [("witness_fixed_c", lambda: _fixed_c_bound(med, src, tables)[0])]
     zet1 = plasmon_constants(med.base, max(src.degrees())).zeta1
     if math.isclose(med.c, zet1, rel_tol=1e-10) and src.q > med.shell_radius**1.5:
+        attempts.insert(0, ("witness_radial_nonresonant", lambda: _radial_bound(med, src, delta, tables)[0]))
+    candidates = []
+    for name, bound in attempts:
         try:
-            candidates.append(witness_radial_nonresonant(med, src, delta, tables)[2])
-        except (ValueError, ArithmeticError):
-            pass
-    try:
-        candidates.append(witness_fixed_c(med, src, tables)[1])
-    except (ValueError, ArithmeticError):
-        pass
-    if candidates:
-        I_upper = min(candidates)  # both are valid upper bounds; keep the tighter
-    return I_upper, J_lower
+            candidates.append(bound())
+        except (ValueError, ArithmeticError) as exc:
+            refusals.append((name, "I_upper", exc))
+    return min(candidates) if candidates else None  # both are valid upper bounds; keep the tighter
 
 
-def _try_J(med, src, delta, tables, I_upper, J_lower):
+def _try_J(med, src, delta, refusals: list) -> float | None:
+    """The dual bound of the medium's witness, by flux; None (and a refusal) if it raises."""
     try:
         if med.core_radius is None:
-            _, J_lower, _ = witness_nocore(med, src, delta, tables)
-        else:
-            _, _, J_lower, _ = witness_core_resonant(med, src, delta, tables)
-    except (ValueError, ArithmeticError):
-        pass
-    return I_upper, J_lower
+            return _nocore_bound(med, src, delta)[0]
+        return _core_bound(med, src, delta)[0]
+    except (ValueError, ArithmeticError) as exc:
+        name = "witness_nocore" if med.core_radius is None else "witness_core_resonant"
+        refusals.append((name, "J_lower", exc))
+        return None

@@ -24,20 +24,25 @@ condition is at most 1e9; above it :class:`ResonantSingularityError` (an
 :mod:`~elastoplasmon.scenarios` is such a loss-free solve.
 
 Sources are expanded in the kernel basis of each degree, which is each
-family's sector itself, built in closed form (:func:`kernel_basis`); the
-matching map is applied to one combination per family as a check, never
-assembled.  The source-mode index k picks one member of that basis (ordered
-by descending |M| as in :func:`~elastoplasmon.waves.sector_kernels`); the
-sector systems do not depend on the member, so the dissipation, the bounds
-and the verdicts of a unit source do not depend on k.  A source sphere that
-is not outside the shell, a family other than 1, 2, 3 or an index k outside
-1..2J+1 raises ``ValueError``.
+family's sector itself, built in closed form (:func:`kernel_basis`).  The
+source-mode index k picks one member of that basis (ordered by descending
+|M| as in :func:`~elastoplasmon.waves.sector_kernels`); the sector systems
+do not depend on the member, so a solve is scalar: one unit-density system
+per family, its amplitudes kept with the source coefficients
+(:class:`ModeSolution`), and no member matrix is built until a caller reads
+the solution's fields.  The dissipation, the bounds and the verdicts of a
+unit source do not depend on k.  Instead of the matching map applied to the
+members, each solved family passes a scalar sector check: its perfect wave
+in profile blocks (:func:`_wave_amplitudes`) must match at the plasmon
+constant.  A source sphere that is not outside the shell, a family other
+than 1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -123,9 +128,10 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
     (M = J..1) and kernel 2J + 1 is the M = 0 member.  One fixed combination
     of the kernels must pass the matching map at the family's plasmon
     constant to a relative defect of 1e-9, else :class:`SectorCheckError`, before
-    the basis is kept.  Results are cached per material, degree and family:
-    a sweep reads the same bases at every loss, and only the families it
-    reads are built.
+    the basis is kept.  Results are cached per material, degree and family,
+    and only the families a caller reads are built: the fields of a solve,
+    the public witnesses' pieces and the wave checks read them, a sweep does
+    not.
     """
     key = (params.lam, params.mu, n, family)
     if key not in _KERNEL_CACHE:
@@ -141,14 +147,19 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
     return _KERNEL_CACHE[key]
 
 
-def _source_member(params: LameParams, n: int, family: int, k: int, tables: DerivativeTable) -> np.ndarray:
-    """Kernel k of the family at degree n (:func:`kernel_basis`); ValueError unless 1 <= k <= 2J + 1."""
+def _check_source_mode(n: int, family: int, k: int) -> None:
+    """ValueError unless the family is 1, 2 or 3 and 1 <= k <= 2J + 1 (J = n, n - 1, n + 1)."""
     if family not in (1, 2, 3):
         raise ValueError(f"source mode family {family} is not 1, 2 or 3")
-    kers = kernel_basis(params, n, family, tables)
-    if not 1 <= k <= len(kers):
-        raise ValueError(f"source mode index k = {k} outside 1..{len(kers)} (family {family}, degree {n})")
-    return kers[k - 1]
+    dim = 2 * (n, n - 1, n + 1)[family - 1] + 1
+    if not 1 <= k <= dim:
+        raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
+
+
+def _source_member(params: LameParams, n: int, family: int, k: int, tables: DerivativeTable) -> np.ndarray:
+    """Kernel k of the family at degree n (:func:`kernel_basis`); ValueError unless 1 <= k <= 2J + 1."""
+    _check_source_mode(n, family, k)
+    return kernel_basis(params, n, family, tables)[k - 1]
 
 
 @dataclass(frozen=True)
@@ -168,6 +179,16 @@ class SourceSpec:
     def degrees(self) -> list[int]:
         return sorted({n for (n, _, _) in self.coefficients})
 
+    def family_gammas(self, n: int) -> dict[int, dict[int, complex]]:
+        """Degree-n coefficients split by family, {family: {k: gamma}}, each mode checked
+        (:func:`_check_source_mode`); no kernel matrix is built."""
+        out: dict[int, dict[int, complex]] = {}
+        for (nn, fam, k), g in self.coefficients.items():
+            if nn == n and g != 0:
+                _check_source_mode(n, fam, k)
+                out.setdefault(fam, {})[k] = g
+        return out
+
     def family_densities(self, n: int, params: LameParams, tables: DerivativeTable) -> dict[int, np.ndarray]:
         """Degree-n part of the density split by family: {family: sum of g K}."""
         out: dict[int, np.ndarray] = {}
@@ -183,13 +204,57 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class ModeSolution:
-    """Piecewise solution for one degree; ``lstsq_residual`` is the largest backward error."""
+    """Exact solve of one degree: the scalar amplitudes of each family's sector system.
+
+    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, columns,
+    amplitudes)`` entry per solved family: the amplitudes of the unit-density
+    system over its (region, kind, shape) columns, the density being
+    sum gamma_k times member k.  ``radii`` are the region bounds from 0 to
+    inf and ``window`` the degrees of the solution's terms.  ``regions`` is
+    the piecewise field; its terms need the member matrices, so it is built
+    when first read.  ``lstsq_residual`` is the largest backward error.
+    """
 
     n: int
-    regions: tuple[ModeField, ...]
     condition: float
     lstsq_residual: float
     window: tuple[int, ...]
+    radii: tuple[float, ...]
+    sectors: tuple
+    params: LameParams
+    tables: DerivativeTable | None = None
+
+    @cached_property
+    def regions(self) -> tuple[ModeField, ...]:
+        """One :class:`~elastoplasmon.lame.ModeField` per region.
+
+        Each family's density G is built from its members
+        (:func:`kernel_basis`) and a block's field is its profile scalars
+        times G and the partner shape of G.  Raises
+        :class:`UnconvergedSolveError` when a family-2/3 density leaves its
+        sector: the ladder back from its partner shape is not kappa G to 1e-10.
+        """
+        n = self.n
+        tables = ensure_tables(self.tables, n + 4)
+        coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in self.radii[1:]]
+        for fam, gammas, prof, cols, x in self.sectors:
+            G = sum((g * _source_member(self.params, n, fam, k, tables) for k, g in gammas),
+                    np.zeros((3, 2 * n + 1), dtype=complex))
+            refs = {n: G}
+            if fam != 1:
+                d2 = prof.degrees[1]
+                refs[d2] = _ladder(G, n, fam == 3, tables)
+                stray = np.linalg.norm(_ladder(refs[d2], d2, fam == 2, tables) - prof.kappa * G)
+                impurity = float(stray / (abs(prof.kappa) * max(float(np.linalg.norm(G)), 1e-300)))
+                if not impurity <= 1e-10:
+                    raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
+                                                f"(backward error {impurity:.3e})")
+            for xc, (reg, kind, shape) in zip(x, cols):
+                p, disp, _ = prof.blocks[(kind, shape)]
+                for d, a in disp.items():
+                    coefs[reg][(d, p)] = coefs[reg].get((d, p), 0.0) + (xc * a) * refs[d]
+        return tuple(ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi)
+                     for co, lo, hi in zip(coefs, self.radii[:-1], self.radii[1:]))
 
 
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
@@ -309,6 +374,52 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     return _RadialProfile((n, lo if fam == 2 else hi), blocks, kappa)
 
 
+def _profile_trace(prof: _RadialProfile, amplitudes: dict, rho: float) -> dict[int, tuple[complex, complex]]:
+    """{degree: (displacement, traction)} scalars on the sphere rho of a sum of the profile's blocks.
+
+    ``amplitudes`` maps (kind, shape) blocks to their amplitudes; the
+    traction is that of the base moduli.
+    """
+    out: dict[int, tuple[complex, complex]] = {}
+    for block, a in amplitudes.items():
+        p, disp, trac = prof.blocks[block]
+        for d, u in disp.items():
+            u0, t0 = out.get(d, (0.0, 0.0))
+            out[d] = (u0 + a * u * rho**p, t0 + a * trac[d] * rho ** (p - 1))
+    return out
+
+
+def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, dict, dict]:
+    """The perfect wave of a unit sector member in profile blocks: (profile, inner, outer amplitudes).
+
+    As :func:`~elastoplasmon.waves.perfect_wave`: ``entire n`` inside and
+    R^(2n+1) ``decay n`` outside, plus M_n R^2 ``entire n-2`` inside for
+    family 2 and -k_n R^(2n+3) ``decay n+2`` outside for family 3.  The
+    amplitudes are the sector's kernel check: at R the displacements must
+    agree and the traction inside times the family's plasmon constant c
+    must equal the one outside, each to 1e-9 of the largest, else
+    :class:`SectorCheckError`.
+    """
+    prof = _radial_profile(params, n, fam)
+    outer_scale = R ** (2 * n + 1)
+    inner, outer = {("entire", n): 1.0}, {("decay", n): outer_scale}
+    if fam == 2:
+        inner[("entire", n - 2)] = mode_constants(params, n).M_n * R**2
+    elif fam == 3:
+        outer[("decay", n + 2)] = -mode_constants(params, n).k_n * outer_scale * R**2
+    c = plasmon_constants(params, n).as_tuple()[fam - 1]
+    at_in, at_out = _profile_trace(prof, inner, R), _profile_trace(prof, outer, R)
+    for what, i, weight in (("continuity", 0, 1.0), ("transmission", 1, c)):
+        inside = [weight * at_in.get(d, (0.0, 0.0))[i] for d in prof.degrees]
+        outside = [at_out.get(d, (0.0, 0.0))[i] for d in prof.degrees]
+        scale = max(map(abs, inside + outside))
+        defect = max(abs(a - b) for a, b in zip(inside, outside))
+        if not defect <= 1e-9 * scale:
+            raise SectorCheckError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
+                                   f"({what} defect {defect / scale:.3e})")
+    return prof, inner, outer
+
+
 def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
     """Square system of one sector for a unit density: (matrix, right-hand side, columns).
 
@@ -345,26 +456,27 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, floa
             for fam in (1, 2, 3)}
 
 
-def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable) -> ModeSolution:
+def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int,
+               tables: DerivativeTable | None = None) -> ModeSolution:
     """Exact transmission solve for the degree-n part of the source.
 
-    Each family's part G of the density is solved in its sector by one
-    square scalar system (:func:`sector_conditions` gives their conditions)
-    and the parts are superposed; a block's field is its profile scalars
-    times G and the partner shape of G.  Raises
+    Each family's part of the density is solved in its sector by one square
+    scalar system for a unit density (:func:`sector_conditions` gives their
+    conditions); the parts superpose with their coefficients.  No kernel
+    matrix is built: the solution's ``regions`` are, from ``tables``, when
+    read.  Each family's perfect wave must pass :func:`_wave_amplitudes`'
+    check at its plasmon constant, else :class:`SectorCheckError`.  Raises
     :class:`ResonantSingularityError` when a loss-free medium makes a solved
     system singular, that is of equilibrated condition above 1e9 (for a
     source outside family 1: any family's system), and
-    :class:`UnconvergedSolveError` when a family-2/3 density leaves its
-    sector or a backward error exceeds 1e-10, and ``ValueError`` unless
-    q > shell_radius and every source mode names a family 1..3 and a member
-    k in 1..2J+1.
+    :class:`UnconvergedSolveError` when a backward error exceeds 1e-10, and
+    ``ValueError`` unless q > shell_radius and every source mode names a
+    family 1..3 and a member k in 1..2J+1.
     """
     if n < 2:
         raise ValueError("solve_mode needs n >= 2")
-    tables = ensure_tables(tables, n + 6)
     params = medium.base
-    gammas = source.family_densities(n, params, tables) or {1: np.zeros((3, 2 * n + 1), dtype=complex)}
+    gammas = source.family_gammas(n) or {1: {}}
     max_condition = 1e9 if medium.delta == 0.0 else math.inf
     if medium.delta == 0.0 and set(gammas) != {1}:
         cond = max(sector_conditions(medium, n, source.q).values())
@@ -374,35 +486,23 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int, tables: Deriva
                 condition=cond,
             )
     bounds, _ = _region_layout(medium, source.q)
-    radii = [0.0] + bounds + [math.inf]
-    coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in range(len(bounds) + 1)]
-    conds, berrs = [], []
-    for fam, G in sorted(gammas.items()):
+    sectors, conds, berrs = [], [], []
+    for fam, gam in sorted(gammas.items()):
+        if gam:
+            _wave_amplitudes(params, n, fam, medium.shell_radius)  # the sector's kernel check
         prof = _radial_profile(params, n, fam)
-        refs = {n: G}
-        if fam != 1:
-            d2 = prof.degrees[1]
-            refs[d2] = _ladder(G, n, fam == 3, tables)
-            stray = np.linalg.norm(_ladder(refs[d2], d2, fam == 2, tables) - prof.kappa * G)
-            impurity = float(stray / (abs(prof.kappa) * max(float(np.linalg.norm(G)), 1e-300)))
-            if not impurity <= 1e-10:
-                raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
-                                            f"(backward error {impurity:.3e})")
         M, b, cols = _sector_system(medium, source.q, prof)
         x, cond, berr = _square_solve(M, b, f"family-{fam} system at degree {n}", max_condition)
         conds.append(cond)
         berrs.append(berr)
-        for xc, (reg, kind, shape) in zip(x, cols):
-            p, disp, _ = prof.blocks[(kind, shape)]
-            for d, a in disp.items():
-                coefs[reg][(d, p)] = coefs[reg].get((d, p), 0.0) + (xc * a) * refs[d]
-    regions = tuple(ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi)
-                    for co, lo, hi in zip(coefs, radii[:-1], radii[1:]))
-    window = tuple(sorted({t.degree for reg in regions for t in reg.terms}))
-    return ModeSolution(n=n, regions=regions, condition=max(conds), lstsq_residual=max(berrs), window=window)
+        sectors.append((fam, tuple(sorted(gam.items())), prof, cols, x))
+    return ModeSolution(n=n, condition=max(conds), lstsq_residual=max(berrs),
+                        window=tuple(sorted({d for _, _, prof, _, _ in sectors for d in prof.degrees})),
+                        radii=(0.0, *bounds, math.inf), sectors=tuple(sectors), params=params, tables=tables)
 
 
-def solve_modes(medium: LayeredMedium, source: SourceSpec, tables: DerivativeTable) -> list[ModeSolution]:
+def solve_modes(medium: LayeredMedium, source: SourceSpec,
+                tables: DerivativeTable | None = None) -> list[ModeSolution]:
     """Solve every degree present in the source."""
     return [solve_mode(medium, source, n, tables) for n in source.degrees()]
 

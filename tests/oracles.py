@@ -75,7 +75,19 @@ overdetermined but consistent stack goes through one column-equilibrated
 least squares.  ``mp_square_solve`` solves the package's square systems as
 assembled in double, in 50-digit ``mpmath`` arithmetic; patched in for
 ``transmission._square_solve`` it gives the reference the refined double
-solve is held to.
+solve is held to, and ``mp_flux_dissipation`` is the dissipation of a
+solve from those 50-digit amplitudes by the flux of the radial profiles.
+
+``exterior_block``/``interior_block`` build the irregular and regular Lame
+blocks of one coefficient matrix with their slaved corrections, as terms.
+
+``volume_dissipation`` is the route the flux of ``energy.dissipation_E``
+replaced: the terms of all degree solutions are merged per region and
+paired by ``energy.pairing_P`` (gradients of a common degree pair, so
+solutions two degrees apart must be merged).  ``FieldSolution`` is the
+record of the matrix routes, a solve given by its regions alone.
+``volume_row`` is a sweep row by these volume routes, the witness bounds
+from the pairings of the witness pieces.
 
 ``projected_radial_profile`` is the route the closed-form radial profiles of
 ``transmission._radial_profile`` replaced: the blocks (``block_terms``) of
@@ -112,10 +124,9 @@ from elastoplasmon.lame import (
     _tilde_unscaled,
     _traction_from_grad,
     displacement_coeffs,
+    _k0,
     eval_terms,
-    exterior_block,
     grad_terms,
-    interior_block,
     lame_residual,
     mode_constants,
     t1_vector,
@@ -125,15 +136,115 @@ from elastoplasmon.lame import (
 )
 from elastoplasmon.transmission import (
     LayeredMedium,
-    ModeSolution,
     SourceSpec,
     _RadialProfile,
     _ladder,
     _region_layout,
+    _sector_system,
     _square_solve,
     kernel_basis,
 )
 from elastoplasmon.waves import PerfectWave, _project, _realify, _unvec, sector_kernels, single_layer_field
+
+
+def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
+    """Irregular degree-n block with its slaved degree-(n+2) correction k_n [t1 . raise_] r^{-n-1} Y_{n+2}."""
+    G = np.asarray(G, dtype=complex)
+    terms = [Term(G, n, -n - 1)]
+    t1 = t1_vector(G, n, tables)
+    if np.max(np.abs(t1)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
+        k_n = mode_constants(params, max(n, 1)).k_n if n >= 1 else _k0(params)
+        terms.append(Term(k_n * (t1 @ tables.raise_[n + 1]), n + 2, -n - 1))
+    return tuple(terms)
+
+
+def interior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
+    """Regular degree-n block with its slaved degree-(n-2) correction -M_n [t3 . lower] r^n Y_{n-2}."""
+    G = np.asarray(G, dtype=complex)
+    terms = [Term(G, n, n)]
+    if n >= 2:
+        t3 = t3_vector(G, n, tables)
+        if np.max(np.abs(t3)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
+            M_n = mode_constants(params, n).M_n
+            terms.append(Term(-M_n * (t3 @ tables.lower[n - 1]), n - 2, n))
+    return tuple(terms)
+
+
+@dataclass(frozen=True)
+class FieldSolution:
+    """A solve given by its regions: the record of the matrix routes."""
+
+    n: int
+    regions: tuple[ModeField, ...]
+    condition: float = math.nan
+    lstsq_residual: float = math.nan
+    window: tuple[int, ...] = ()
+
+
+def volume_dissipation(solutions, medium: LayeredMedium, tables: DerivativeTable) -> float:
+    """Dissipation (delta/2) P(u, u) by the volume pairing of the terms merged per region."""
+    if medium.delta <= 0:
+        raise ValueError("dissipation needs delta > 0")
+    merged: dict[tuple[float, float], list] = {}
+    for sol in solutions:
+        for reg in sol.regions:
+            merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
+    return sum(0.5 * medium.delta * float(np.real(pairing_P(terms, terms, *key, medium.base, tables)))
+               for key, terms in merged.items() if terms)
+
+
+def volume_row(configuration, delta: float, tables: DerivativeTable) -> tuple[float, float | None, float | None]:
+    """(E_delta, I_upper, J_lower) of one sweep row by the volume routes.
+
+    E is :func:`volume_dissipation` of the solve; I is ``functional_I`` of
+    the pieces each applicable primal witness returns (the tighter one), and
+    J is C0^2 / (4 denominator) with C0 the source pairing and the
+    denominator the energies of the dual witness's pieces, its amplitude
+    divided out; a witness that raises leaves its bound None.
+    """
+    from elastoplasmon.energy import functional_I, source_pairing
+    from elastoplasmon.scenarios import (witness_core_resonant, witness_fixed_c, witness_nocore,
+                                         witness_radial_nonresonant)
+    from elastoplasmon.transmission import solve_modes
+    from elastoplasmon.waves import plasmon_constants
+
+    med, src = configuration(delta)
+    params = med.base
+    E = volume_dissipation(solve_modes(med, src, tables), med, tables)
+
+    def energy(pieces):
+        return sum(float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables))) for p in pieces)
+
+    I_values, J = [], None
+    if med.core_radius is not None:
+        try:
+            I_values.append(functional_I(witness_fixed_c(med, src, tables)[0], None, delta, params, tables))
+        except (ValueError, ArithmeticError):
+            pass
+        if (math.isclose(med.c, plasmon_constants(params, max(src.degrees())).zeta1, rel_tol=1e-10)
+                and src.q > med.shell_radius**1.5):
+            try:
+                v, w, _ = witness_radial_nonresonant(med, src, delta, tables)
+                I_values.append(functional_I(v, w or None, delta, params, tables))
+            except (ValueError, ArithmeticError):
+                pass
+    # the dual bound C0^2 / (4 denominator) from the pieces at amplitude tau:
+    # C0 = g <f_unit, psi / tau>, C_psi = P(psi, psi) / (2 tau^2) and the core
+    # repair's P(v, v) delta^2 / tau^2
+    mode, gamma = max(src.coefficients.items(), key=lambda kv: abs(kv[1]))
+    g = gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
+    try:
+        if med.core_radius is None:
+            psi, _, tau = witness_nocore(med, src, delta, tables)
+            repair = 0.0
+        else:
+            v, psi, _, tau = witness_core_resonant(med, src, delta, tables)
+            repair = 0.5 * energy(v) * delta / tau**2
+        C0 = g * source_pairing(psi, SourceSpec(src.q, {mode: 1.0}), params, tables) / tau
+        J = C0**2 / (4.0 * (delta * 0.5 * energy(psi) / tau**2 + repair))
+    except (ValueError, ArithmeticError):
+        pass
+    return E, min(I_values, default=None), J
 
 
 def block_terms(kind: str, d: int, E: np.ndarray, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
@@ -231,7 +342,7 @@ def window_system(medium: LayeredMedium, q: float, win: tuple[int, ...], tables:
 
 
 def window_solve(medium: LayeredMedium, sources: list[SourceSpec], n: int,
-                 tables: DerivativeTable) -> list[ModeSolution]:
+                 tables: DerivativeTable) -> list[FieldSolution]:
     """Degree-n solves of several sources on one sphere q, one assembly for all."""
     (q,) = {src.q for src in sources}
     params = medium.base
@@ -262,7 +373,7 @@ def window_solve(medium: LayeredMedium, sources: list[SourceSpec], n: int,
                 if r2 == reg and np.max(np.abs(E)) > 0:
                     terms.extend(block_terms(kind, d, E, params, tables))
             regions.append(ModeField(tuple(terms), radii[reg], radii[reg + 1]))
-        out.append(ModeSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=win))
+        out.append(FieldSolution(n=n, regions=tuple(regions), condition=cond, lstsq_residual=resid, window=win))
     return out
 
 
@@ -333,7 +444,7 @@ def matrix_sector_system(medium: LayeredMedium, q: float, shapes: list[tuple[int
     return M, offsets, regions, bounds, weights
 
 
-def matrix_sector_solve(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable) -> ModeSolution:
+def matrix_sector_solve(medium: LayeredMedium, source: SourceSpec, n: int, tables: DerivativeTable) -> FieldSolution:
     """Degree-n solve of all families at once by the matrix sector route.
 
     Every block of every sector shape is one column; the rows are every
@@ -365,8 +476,27 @@ def matrix_sector_solve(medium: LayeredMedium, source: SourceSpec, n: int, table
                     coefs[(t.degree, t.power)] = coefs.get((t.degree, t.power), 0.0) + xc * t.coef
         regions.append(ModeField(tuple(Term(c, d, p) for (d, p), c in coefs.items()), radii[reg], radii[reg + 1]))
     window = tuple(sorted({t.degree for reg in regions for t in reg.terms}))
-    return ModeSolution(n=n, regions=tuple(regions), condition=float(sv[0] / max(sv[-1], 1e-300)),
-                        lstsq_residual=resid, window=window)
+    return FieldSolution(n=n, regions=tuple(regions), condition=float(sv[0] / max(sv[-1], 1e-300)),
+                         lstsq_residual=resid, window=window)
+
+
+def _mp_lu_solve(M: np.ndarray, b: np.ndarray, dps: int):
+    """The solution of M x = b in ``dps`` digits, the entries taken exactly as doubles (mpmath values).
+
+    Rows, then columns, are scaled by powers of two, exactly, before
+    ``mpmath.lu_solve``: its pivot test reads a badly scaled system (family
+    3 at n = 60) as singular.
+    """
+    import mpmath
+
+    rows = 2.0 ** -np.round(np.log2(np.max(np.abs(M), axis=1)))
+    A = M * rows[:, None]
+    cols = 2.0 ** -np.round(np.log2(np.max(np.abs(A), axis=0)))
+    A = A * cols
+    with mpmath.workdps(dps):
+        y = mpmath.lu_solve(mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in A]),
+                            mpmath.matrix([mpmath.mpc(complex(v)) for v in b * rows]))
+        return [y[i] * mpmath.mpf(float(cols[i])) for i in range(len(b))]
 
 
 def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
@@ -374,22 +504,53 @@ def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "int
     """Drop-in for ``transmission._square_solve``: the double system solved in ``dps`` digits.
 
     The entries of M and b are taken exactly as doubles, the system is
-    solved by ``mpmath.lu_solve`` at ``dps`` decimal digits and the solution
+    solved by :func:`_mp_lu_solve` at ``dps`` decimal digits and the solution
     is rounded to complex doubles.  The condition number is the package's
     (equilibrated, from an SVD), and the backward error is that of the
     rounded solution.
     """
-    import mpmath
-
     _, cond, _ = _square_solve(M, None, what, max_condition)
     if b is None:
         return None, cond, 0.0
-    with mpmath.workdps(dps):
-        A = mpmath.matrix([[mpmath.mpc(complex(v)) for v in row] for row in M])
-        y = mpmath.lu_solve(A, mpmath.matrix([mpmath.mpc(complex(v)) for v in b]))
-        x = np.array([complex(y[i]) for i in range(len(b))])
+    x = np.array([complex(v) for v in _mp_lu_solve(M, b, dps)])
     berr = float(np.linalg.norm(M @ x - b) / (np.linalg.norm(M) * np.linalg.norm(x) + np.linalg.norm(b)))
     return x, cond, berr
+
+
+def mp_flux_dissipation(sol, medium: LayeredMedium, dps: int = 50) -> float:
+    """Dissipation of a one-sector ``ModeSolution`` from 50-digit amplitudes, by flux.
+
+    The sector system is assembled in double as the package assembles it
+    and solved by :func:`_mp_lu_solve`; the flux rho^2 Re <u, t(u)> of each
+    region (outer minus inner sphere, every shape weighted by its norm^2,
+    1 or kappa (2n+1)/(2d+1)) and the source weight sum |gamma_k|^2 are
+    summed in ``dps`` digits from the profile scalars taken exactly as doubles.
+    """
+    import mpmath
+
+    (fam, gammas, prof, cols, _), = sol.sectors
+    M, b, cols = _sector_system(medium, sol.radii[-2], prof)
+    x = _mp_lu_solve(M, b, dps)
+    n = sol.n
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        norms = {d: mpf(1) if d == n else mpf(float(prof.kappa)) * (2 * n + 1) / (2 * d + 1) for d in prof.degrees}
+        total = mpf(0)
+        for reg in range(len(sol.radii) - 1):
+            for rho, sign in ((sol.radii[reg + 1], 1), (sol.radii[reg], -1)):
+                if not 0.0 < rho < math.inf:
+                    continue
+                r = mpf(rho)
+                for d in prof.degrees:
+                    u = t = mpmath.mpc(0)
+                    for xc, (r2, kind, shape) in zip(x, cols):
+                        p, disp, trac = prof.blocks[(kind, shape)]
+                        if r2 == reg and d in disp:
+                            u += xc * mpmath.mpc(complex(disp[d])) * r**p
+                            t += xc * mpmath.mpc(complex(trac[d])) * r ** (p - 1)
+                    total += sign * norms[d] * r**2 * mpmath.re(mpmath.conj(u) * t)
+        weight = sum(abs(mpmath.mpc(complex(g))) ** 2 for _, g in gammas)
+        return float(mpf(float(medium.delta)) / 2 * weight * total)
 
 
 def conj_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
@@ -491,7 +652,7 @@ def dissipation_imaginary(solutions, medium: LayeredMedium, tables: DerivativeTa
     """Dissipation as (1/2) Im of the complex-moduli energy, region by region.
 
     Merges the terms of all degree solutions per region like
-    ``energy.dissipation_E`` and weights each region's pairing with its
+    ``volume_dissipation`` and weights each region's pairing with its
     complex modulus factor A + i delta.
     """
     merged: dict[tuple[float, float], list] = {}
@@ -1063,7 +1224,7 @@ def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
     return SourceSpec(q=q, coefficients=coeffs), report
 
 
-def eval_field(solutions: list[ModeSolution], x: np.ndarray, side: str = "outer") -> np.ndarray:
+def eval_field(solutions: list, x: np.ndarray, side: str = "outer") -> np.ndarray:
     """Total displacement at x; ``side`` breaks ties on interface spheres."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1

@@ -20,7 +20,6 @@ from elastoplasmon.lame import (
     LameParams,
     ModeField,
     Term,
-    exterior_block,
     exterior_traction_coeffs,
     traction_coeffs,
 )
@@ -46,7 +45,7 @@ from elastoplasmon.waves import (
     plasmon_kernel,
     verify_perfect_wave,
 )
-from oracles import imag_terms, numeric_traction, pairing_P_pieces, real_terms, volumetric_P
+from oracles import exterior_block, imag_terms, numeric_traction, pairing_P_pieces, real_terms, volumetric_P
 
 P11 = LameParams(1.0, 1.0)
 MATERIALS = (LameParams(1.0, 1.0), LameParams(-0.5, 1.0), LameParams(2.0, 0.5))

@@ -501,6 +501,19 @@ def test_wide_materials_keep_their_output(argv, expected, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_tiny_moduli_are_the_unit_material(capsys):
+    # the constants are homogeneous of degree 0: mu = 1e-15 runs, and prints
+    # what mu = 1 prints
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    outputs = []
+    for mu in ("1e-15", "1"):
+        assert cli.main(["kernels", "--n", "2", "--lambda", "0", "--mu", mu]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
@@ -561,29 +574,36 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     assert r.stdout.splitlines()[-1] == "0 0 6 0 0"
 
 
-def test_cold_family1_sweep_builds_and_tests_only_what_it_reads(tmp_path):
-    # a cold q=2.3 sweep reads family-1 kernels at degrees 7..27 and table
-    # degrees 6..28: it builds no family-2/3 kernel,
-    # self-tests exactly those degrees, and forms one Gauss-Legendre rule per
-    # band of 16 degrees (16 and 32 nodes)
-    path = tmp_path / "sched.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, delta_list=[
-        10.0 ** (-(4 + i) / 2) for i in range(13)])))
+def test_cold_sweeps_build_no_member_and_test_no_degree(tmp_path):
+    # a sweep row is sector scalars: energies and bounds come from the radial
+    # profiles by flux, so the four benchmark sweeps (both cored schedules,
+    # the core-free family-3 and the cored family-2 fixed runs) read no
+    # derivative-table degree (no self-test, no Gauss band, no
+    # numpy.polynomial import) and build no kernel member
+    schedule = dict(BASE_CONFIG, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]],
+                    delta_list=[10.0 ** (-(4 + i) / 2) for i in range(13)])
+    configs = (dict(schedule, q=2.3), dict(schedule, q=3.6),
+               dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"fixed": -25.0 / 38.0},
+                    source_modes=[[3, 3, 5, 0.6, -0.8]]),
+               dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 2, -0.8, 0.6]]))
+    argvs = []
+    for i, cfg in enumerate(configs):
+        path = tmp_path / f"run{i}.json"
+        path.write_text(json.dumps(cfg))
+        argvs.append(["sweep", "--config", str(path), "--csv", str(tmp_path / f"x{i}.csv")])
     code = (
-        "import numpy as np\n"
+        "import sys\n"
         "from elastoplasmon import harmonics, transmission\n"
         "from elastoplasmon.cli import main\n"
-        "tested, rules, test = [], [], harmonics._self_test_degree\n"
+        "tested, test = [], harmonics._self_test_degree\n"
         "harmonics._self_test_degree = lambda n, *pair: tested.append(n) or test(n, *pair)\n"
-        "leggauss = np.polynomial.legendre.leggauss\n"
-        "np.polynomial.legendre.leggauss = lambda k: rules.append(k) or leggauss(k)\n"
-        f"assert main(['sweep', '--config', {str(path)!r}, '--csv', {str(tmp_path / 'x.csv')!r}]) == 0\n"
-        "print(sorted(tested), rules, sorted({key[3] for key in transmission._KERNEL_CACHE}))\n"
+        f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0, 0]\n"
+        "print(tested, sorted(harmonics._BANDS), len(transmission._KERNEL_CACHE), 'numpy.polynomial' in sys.modules)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == f"{list(range(6, 29))} [16, 32] [1]"
+    assert r.stdout.splitlines()[-1] == "[] [] 0 False"
 
 
 def test_verification_commands_build_no_sphere_rule(tmp_path):

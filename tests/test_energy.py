@@ -11,7 +11,6 @@ from elastoplasmon.lame import (
     ModeField,
     Term,
     displacement_coeffs,
-    exterior_block,
     lame_residual,
     traction_coeffs_algebraic,
 )
@@ -26,6 +25,7 @@ from elastoplasmon.energy import (
 from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
 from oracles import (
     dissipation_imaginary,
+    exterior_block,
     imag_terms,
     pairing_P_pieces,
     per_direction_lame_residual,
@@ -378,3 +378,73 @@ def test_gradient_routes_agree_on_witness_pieces(tables, materials):
             med = LayeredMedium(shell_radius=2.0, c=c, delta=1e-3, base=params)
             psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3, tables)
             _assert_gradient_routes_agree(psi, params, tables)
+
+
+# ---------------------------------------------------------------------------
+# the identities the flux route reads
+# ---------------------------------------------------------------------------
+
+def test_partner_shape_norms():
+    # ||ladder(G)||^2 = kappa (2n+1)/(2d+1) for every unit member G of families
+    # 2 and 3 (d = n - 2, n + 2): the weight of the partner shape in the flux
+    from elastoplasmon.harmonics import shared_tables
+    from elastoplasmon.transmission import _ladder, _radial_profile
+    from elastoplasmon.waves import sector_kernels
+
+    tables = shared_tables(67)
+    for n in range(2, 65):
+        for fam in (2, 3):
+            prof = _radial_profile(P11, n, fam)
+            d = prof.degrees[1]
+            want = prof.kappa * (2 * n + 1) / (2 * d + 1)
+            norms = [float(np.real(np.vdot(p, p))) for p in
+                     (_ladder(G, n, fam == 3, tables) for G in sector_kernels(n, fam, tables))]
+            assert max(abs(v - want) for v in norms) <= 4e-15 * want, (n, fam)
+
+
+def test_shared_sector_gram():
+    # a family-2 member at n and a family-3 member at n - 2 share J = n - 1:
+    # <G2_k, ladder_up(G3_k')> = -||partner|| delta_kk', and back down the same
+    from elastoplasmon.harmonics import shared_tables
+    from elastoplasmon.transmission import _radial_profile
+    from elastoplasmon.waves import sector_kernels
+
+    tables = shared_tables(67)
+    for n in range(4, 65):
+        kappa = _radial_profile(P11, n - 2, 3).kappa
+        G2, G3 = np.stack(sector_kernels(n, 2, tables)), np.stack(sector_kernels(n - 2, 3, tables))
+        # the ladders of every member at once: t1 (or t3) times the next ladder
+        up = np.einsum("ak,jkl->ajl", np.einsum("ajm,jmk->ak", G3, tables.raise_[n - 2]), tables.raise_[n - 1])
+        down = np.einsum("ak,jkl->ajl", np.einsum("ajm,jmk->ak", G2, tables.lower[n]), tables.lower[n - 1])
+        for gram, norm in ((np.einsum("ajm,bjm->ab", G2.conj(), up), math.sqrt(kappa * (2 * n - 3) / (2 * n + 1))),
+                           (np.einsum("ajm,bjm->ab", down.conj(), G3), math.sqrt(kappa * (2 * n + 1) / (2 * n - 3)))):
+            assert np.max(np.abs(gram + norm * np.eye(len(G2)))) <= 1e-15 * norm, n
+        if n in (4, 7, 12):
+            assert np.einsum("jm,jm->", G2[0].conj(), up[0]).real == pytest.approx(
+                -math.sqrt({4: 300, 7: 5082, 12: 58212}[n]), rel=1e-15)
+
+
+@pytest.mark.parametrize("core", [None, 0.75])
+def test_flux_dissipation_against_50_digit_solve(core):
+    # the double flux against 50 digits (the same double system solved by an
+    # equilibrated mpmath LU, the flux summed in 50 digits): flux <= 2e-15 for
+    # families 1-3 at n = 12, 27, 60.  The volume route is recorded beside it
+    # and needs its n^2-fold looser bound (measured up to 5.4e-13 at n = 60)
+    from elastoplasmon.harmonics import shared_tables
+    from elastoplasmon.transmission import solve_mode
+    from oracles import mp_flux_dissipation, volume_dissipation
+
+    params = LameParams(2.0, 0.5)
+    tables = shared_tables(66)
+    med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=1e-3, base=params, core_radius=core)
+    errors = {}
+    for fam in (1, 2, 3):
+        for n in (12, 27, 60):
+            sol = solve_mode(med, SourceSpec(q=2.25, coefficients={(n, fam, 2): 0.6 - 0.8j}), n, tables)
+            ref = mp_flux_dissipation(sol, med)
+            flux = abs(dissipation_E([sol], med) - ref) / ref
+            volume = abs(volume_dissipation([sol], med, tables) - ref) / ref
+            errors[fam, n] = (flux, volume)
+            assert flux <= 2e-15, (fam, n, flux, volume)
+            assert volume <= 1e-11, (fam, n, flux, volume)
+    print(" ".join(f"f{f} n={n}: flux {a:.1e} volume {b:.1e}" for (f, n), (a, b) in errors.items()))

@@ -1,5 +1,6 @@
 """Mode constants, mode fields, boundary solvers and traction oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,22 +9,23 @@ import pytest
 from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
 from elastoplasmon.lame import (
     LameParams,
+    _safe_div,
     ModeField,
     Term,
     displacement_coeffs,
     eval_terms,
-    exterior_block,
     exterior_traction_coeffs,
     grad_terms,
-    interior_block,
     lame_residual,
     mode_constants,
     traction_coeffs,
     traction_coeffs_algebraic,
 )
 from oracles import (
+    exterior_block,
     exterior_mode,
     fd_lame_residual,
+    interior_block,
     interior_from_displacement,
     interior_from_traction,
     interior_mode,
@@ -47,6 +49,28 @@ def test_mode_constants_examples():
     assert c.s2_n == pytest.approx(0.05, abs=1e-15)
     c1 = mode_constants(LameParams(0.0, 1.0), 1)
     assert c1.k_n == pytest.approx(0.0625, abs=1e-15)
+
+
+def test_mode_constants_are_scale_free():
+    # every constant is homogeneous of degree 0 in (lambda, mu): a denominator
+    # is measured against its own terms, so mu = 1e-15 is no smaller than mu = 1
+    for lam, n in ((0.0, 2), (0.0, 9), (0.5, 2), (-0.6, 3)):
+        small = dataclasses.astuple(mode_constants(LameParams(lam * 1e-15, 1e-15), n))
+        unit = dataclasses.astuple(mode_constants(LameParams(lam, 1.0), n))
+        for a, b in zip(small[1:], unit[1:]):
+            assert a == b or abs(a - b) <= 1e-15 * abs(b), (lam, n, a, b)
+    # lambda = 1e20 mu: the denominator mu of M_1 is not measured against lambda
+    assert mode_constants(LameParams(1e20, 1.0), 1).M_n == pytest.approx(5e19, rel=1e-15)
+
+
+def test_vanishing_denominators_still_raise():
+    with pytest.raises(ArithmeticError, match="denominator of x vanishes"):
+        _safe_div(1.0, (3.0, -3.0), "x")  # the terms cancel exactly
+    with pytest.raises(ArithmeticError):
+        _safe_div(1.0, (1.0, -1.0 + 2.0**-50), "x")  # to roundoff
+    with pytest.raises(ArithmeticError, match="k_n"):
+        mode_constants(LameParams(0.0, 1e-320), 2)  # subnormal: the digits are gone
+    assert _safe_div(1.0, (3.0, -2.0), "x", 2.0) == 0.5
 
 
 def _random_coeff(rng, n, complex_=True):

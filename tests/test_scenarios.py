@@ -373,3 +373,73 @@ def test_sweep_input_validation(tables):
         sweep(conf, [1e-3, 1e-2, 1e-4, 1e-5], tables)  # not decreasing
     with pytest.raises(ValueError):
         sweep(conf, [1e-2, 1e-3, 1e-4], tables)  # under three decades
+
+
+# fixed and scheduled runs of families 1-3, cored and core-free, and a
+# two-mode source whose family-2 (n = 4) and family-3 (n = 2) densities share
+# total angular momentum 3
+P_WIDE = LameParams(2.0, 0.5)
+FLUX_CONFIGS = {
+    "f1_fixed_cored": fixed_configuration(P11, 2.0, -4.0, SourceSpec(3.0, {(2, 1, 1): 1.0}), core_radius=1.0),
+    "f1_fixed_nocore": fixed_configuration(P11, 2.0, -4.0, SourceSpec(3.0, {(2, 1, 4): 0.6 + 0.8j})),
+    "f1_sched_q2.3": scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0),
+    "f1_sched_q3.6": scheduled_configuration(P11, 2.0, q=3.6, k=2, core_radius=1.0),
+    "f1_sched_nocore": scheduled_configuration(P_WIDE, 2.0, q=2.6, k=1),
+    "f2_fixed_cored": fixed_configuration(P11, 2.0, -130.0 / 59.0, SourceSpec(3.0, {(4, 2, 2): -0.8 + 0.6j}),
+                                          core_radius=1.0),
+    "f2_sched_nocore": scheduled_configuration(P_WIDE, 2.6, q=3.0, family=2, k=3),
+    "f3_fixed_nocore": fixed_configuration(P11, 2.0, -25.0 / 38.0, SourceSpec(2.6, {(3, 3, 5): 0.6 - 0.8j})),
+    "f3_sched_cored": scheduled_configuration(P_WIDE, 2.6, q=3.0, family=3, k=2, core_radius=1.0),
+    "shared_sector_nocore": fixed_configuration(P11, 2.0, -130.0 / 59.0,
+                                                SourceSpec(2.6, {(4, 2, 3): 1.0, (2, 3, 3): 0.5 - 0.4j})),
+    "shared_sector_cored": fixed_configuration(P_WIDE, 2.0, -1.7, SourceSpec(3.0, {(4, 2, 1): 0.7, (2, 3, 1): -0.9 + 0.2j}),
+                                               core_radius=1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLUX_CONFIGS))
+def test_sweep_rows_match_the_volume_oracle(name, tables):
+    # every E_delta, I_upper and J_lower of a sweep (by flux, from the sector
+    # scalars) against the volume pairings of the solve and of the public
+    # witnesses' pieces, to 1e-13; the same bounds apply on both routes
+    from oracles import volume_row
+
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5]
+    res = sweep(FLUX_CONFIGS[name], deltas, tables)
+    for row, delta in zip(res.rows, deltas):
+        for got, want in zip((row.E_delta, row.I_upper, row.J_lower), volume_row(FLUX_CONFIGS[name], delta, tables)):
+            assert (got is None) == (want is None), (name, delta, got, want)
+            if want is not None:
+                assert abs(got - want) <= 1e-13 * abs(want), (name, delta, got, want)
+
+
+def test_shared_sector_cross_energy_is_counted(tables):
+    # the two densities of one J pair through their member coordinates: the
+    # dissipation differs from the sum of the single-density dissipations
+    for name in ("shared_sector_nocore", "shared_sector_cored"):
+        med, src = FLUX_CONFIGS[name](1e-2)
+        parts = [dissipation_E(solve_modes(med, SourceSpec(src.q, {mode: g}), tables), med, tables)
+                 for mode, g in src.coefficients.items()]
+        together = dissipation_E(solve_modes(med, src, tables), med, tables)
+        assert abs(together - sum(parts)) > 1e-5 * together, name
+
+
+def test_sweep_records_every_witness_refusal(tables):
+    # q = 2.3: the loss-free system of the fixed-multiplier witness is
+    # singular from n_delta = 14 on; each blank I_upper names its refusal, and
+    # the radial witness, whose hypothesis q > R^(3/2) fails, is not tried
+    conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
+    res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)], tables)
+    refusals = res.meta["refusals"]
+    assert [r["n_delta"] for r in refusals] == [14, 15, 17, 19, 20, 22, 24, 25, 27]
+    assert {(r["witness"], r["bound"], r["error"]) for r in refusals} == {
+        ("witness_fixed_c", "I_upper", "ResonantSingularityError")}
+    assert all("singular" in r["message"] for r in refusals)
+    for i, row in enumerate(res.rows):
+        assert (row.I_upper is None) == any(r["row"] == i for r in refusals)
+        assert row.J_lower is not None
+    # a bound that does not apply to the configuration is a refusal too
+    conf = FLUX_CONFIGS["f2_fixed_cored"]
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], tables)
+    assert [(r["row"], r["witness"], r["error"]) for r in res.meta["refusals"]] == [
+        (i, w, "ValueError") for i in range(4) for w in ("witness_fixed_c", "witness_core_resonant")]

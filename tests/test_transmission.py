@@ -27,12 +27,14 @@ from elastoplasmon.transmission import (
 from elastoplasmon.scenarios import scheduled_configuration, witness_nocore, witness_radial_nonresonant
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
 from oracles import (
+    FieldSolution,
     eval_field,
     interface_singular_values,
     matrix_sector_solve,
     mp_square_solve,
     project_source,
     projected_radial_profile,
+    volume_dissipation,
     window_solve,
 )
 
@@ -102,7 +104,7 @@ def test_residual_check_detects_perturbation(tables):
     from elastoplasmon.lame import Term
 
     bad_terms = tuple(Term(1.01 * t.coef, t.degree, t.power) for t in sol.regions[1].terms)
-    bad = replace(sol, regions=sol.regions[:1] + (replace(sol.regions[1], terms=bad_terms),) + sol.regions[2:])
+    bad = FieldSolution(sol.n, sol.regions[:1] + (replace(sol.regions[1], terms=bad_terms),) + sol.regions[2:])
     rep = residual_check([bad], med, src, tables)
     assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) > 1e-3
 
@@ -170,7 +172,7 @@ def test_sector_solve_agrees_with_window_oracle(tables, materials):
                     {(n, 1, 1): 0.3, (n, 2, 1): 0.5j, (n, 3, 1): -0.7})]
                 for src, ref in zip(sources, window_solve(med, sources, n, tables)):
                     sol = solve_mode(med, src, n, tables)
-                    E, E_ref = dissipation_E([sol], med, tables), dissipation_E([ref], med, tables)
+                    E, E_ref = dissipation_E([sol], med, tables), volume_dissipation([ref], med, tables)
                     assert abs(E - E_ref) <= 1e-9 * abs(E_ref), (params, core, n, src)
                     for reg in ref.regions:
                         hi = reg.r_hi if math.isfinite(reg.r_hi) else 2.0 * reg.r_lo
@@ -181,12 +183,14 @@ def test_sector_solve_agrees_with_window_oracle(tables, materials):
 
 
 def test_unconverged_solve_raises(tables, monkeypatch):
-    # a density with content outside its declared sector cannot be matched
+    # a density with content outside its declared sector cannot be matched:
+    # the solve is scalar, and building its regions from the members fails
     mix = (kernel_basis(P11, 2, 1, tables)[0] + kernel_basis(P11, 2, 2, tables)[0]) / math.sqrt(2.0)
     monkeypatch.setattr(transmission, "kernel_basis", lambda params, n, fam, tables: [mix])
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
+    sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2, tables)
     with pytest.raises(UnconvergedSolveError, match="backward error"):
-        solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2, tables)
+        sol.regions
 
 
 def test_solve_where_plasmon_constants_coincide(tables):
@@ -266,6 +270,26 @@ def test_kernel_check_rejects_detuned_constants(tables, monkeypatch):
         with pytest.raises(AssertionError, match=f"family {fam} .*matching defect"):
             kernel_basis(P11, 4, fam, tables)
     assert not transmission._KERNEL_CACHE
+
+
+def test_scalar_kernel_check_rejects_detuned_constants(tables, monkeypatch):
+    # a solve builds no member, so its sector check is scalar: the perfect
+    # wave's profile amplitudes must meet continuity and the c-weighted
+    # traction match at R; passes for n = 2..64 on every material, fails
+    # once the constants are detuned by 1e-6
+    for params in (P11, LameParams(2.0, 0.5), LameParams(-0.5, 1.0), LameParams(1e20, 1.0)):
+        for n in range(2, 65):
+            for fam in (1, 2, 3):
+                transmission._wave_amplitudes(params, n, fam, 1.7)
+
+    def detuned(params, n):
+        return PlasmonConstants(n, *(z * (1 + 1e-6) for z in plasmon_constants(params, n).as_tuple()))
+
+    monkeypatch.setattr(transmission, "plasmon_constants", detuned)
+    med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
+    for fam in (1, 2, 3):
+        with pytest.raises(AssertionError, match=f"family {fam} .*transmission defect"):
+            solve_mode(med, SourceSpec(q=2.0, coefficients={(4, fam, 1): 1.0}), 4, tables)
 
 
 def test_project_source_recovers_kernel_density(tables):
@@ -378,7 +402,7 @@ def test_scalar_sector_solve_agrees_with_matrix_oracle(tables, materials):
                     src = SourceSpec(q=2.5, coefficients=co)
                     sol, ref = solve_mode(med, src, n, tables), matrix_sector_solve(med, src, n, tables)
                     assert sol.window == ref.window
-                    E, E_ref = dissipation_E([sol], med, tables), dissipation_E([ref], med, tables)
+                    E, E_ref = dissipation_E([sol], med, tables), volume_dissipation([ref], med, tables)
                     assert abs(E - E_ref) <= 1e-12 * E_ref, (params, core, n, co)
                     for reg, reg_ref in zip(sol.regions, ref.regions):
                         got = {(t.degree, t.power): t.coef for t in reg.terms}
