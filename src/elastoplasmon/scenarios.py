@@ -90,21 +90,29 @@ def _entire_traction(params: LameParams, n: int, r: float) -> float:
     return trac[n] * r ** (p - 1)
 
 
-def _mode_pieces(K: np.ndarray, n: int, coeffs: Sequence[complex], radii: Sequence[float]) -> list[ModeField]:
-    """Pure-kernel piecewise field from (entire, decaying) amplitude pairs.
+def _toroidal_fields(K: np.ndarray, n: int, annuli: Sequence[tuple[float, float, dict]]) -> list[ModeField]:
+    """The family-1 field of member K on block-amplitude annuli [(r_lo, r_hi, {(kind, n): amplitude})].
 
-    ``coeffs`` holds (a_i, b_i) per region; ``radii`` the interface radii.
+    ``entire`` is K r^n Y_n and ``decay`` K r^(-n-1) Y_n.
     """
-    bounds = [0.0] + list(radii) + [math.inf]
-    out = []
-    for i, (a, b) in enumerate(coeffs):
-        terms = []
-        if a != 0:
-            terms.append(Term(a * K, n, n))
-        if b != 0:
-            terms.append(Term(b * K, n, -n - 1))
-        out.append(ModeField(tuple(terms), bounds[i], bounds[i + 1]))
-    return out
+    power = {("entire", n): n, ("decay", n): -n - 1}
+    return [ModeField(tuple(Term(a * K, n, power[b]) for b, a in amps.items() if a != 0), lo, hi)
+            for lo, hi, amps in annuli]
+
+
+def _merge_annuli(parts: list[list[tuple[float, float, dict]]]) -> list[tuple[float, float, dict]]:
+    """Block amplitudes of several annulus lists summed on the union of their bounds (as :func:`_merge_pieces`)."""
+    bounds = sorted({r for part in parts for lo, hi, _ in part for r in (lo, hi)})
+    merged = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        amps: dict = {}
+        for part in parts:
+            for p_lo, p_hi, p_amps in part:
+                if p_lo <= lo and hi <= p_hi:
+                    for block, a in p_amps.items():
+                        amps[block] = amps.get(block, 0.0) + a
+        merged.append((lo, hi, amps))
+    return merged
 
 
 def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
@@ -223,40 +231,22 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
     return _scaled(_unit_wave(medium, *mode, tables)[1], tau), J_lower, tau
 
 
-def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: float) -> list[tuple[complex, complex]]:
+def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: float) -> list[tuple[float, float, dict]]:
     """Scalar single-layer solve: -L w = density K Y on the sphere rho.
 
-    Returns (entire, decaying) amplitudes inside/outside for a unit kernel;
-    continuity plus a plain traction jump of -density determine both.
+    Returns the annuli inside and outside rho with their entire and decaying
+    amplitudes for a unit kernel; continuity plus a plain traction jump of
+    -density determine both.
     """
     # w = a r^n inside, b r^{-n-1} outside; continuity a rho^n = b rho^{-n-1};
     # traction jump (out - in) = -density: mu[-(n+2) b rho^{-n-2} - (n-1) a rho^{n-1}] = -density
     a = density_scalar / (mu * (2 * n + 1.0) * rho ** (n - 1))
     b = a * rho ** (2 * n + 1)
-    return [(a, 0.0), (0.0, b)]
-
-
-def _toroidal_pieces(n: int, parts: Sequence[tuple[Sequence[tuple[complex, complex]], Sequence[float]]],
-                     radii: Sequence[float]) -> list[tuple[float, float, dict]]:
-    """The sum of pure-kernel piecewise fields as profile-block annuli on the interface ``radii``.
-
-    Each part is ((a_i, b_i) per region, its own interface radii), as for
-    :func:`_mode_pieces`, with entire amplitude a_i and decaying b_i.
-    """
-    bounds = [0.0] + list(radii) + [math.inf]
-    out = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        amps = {("entire", n): 0.0, ("decay", n): 0.0}
-        for coeffs, own in parts:
-            a, b = coeffs[sum(r < hi for r in own)]
-            amps[("entire", n)] += a
-            amps[("decay", n)] += b
-        out.append((lo, hi, amps))
-    return out
+    return [(0.0, rho, {("entire", n): a}), (rho, math.inf, {("decay", n): b})]
 
 
 def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, float, tuple, list]:
-    """(J lower bound, tau, dominant mode, core-repair amplitudes) of the cored dual witness, scalar."""
+    """(J lower bound, tau, dominant mode, core-repair annuli) of the cored dual witness, scalar."""
     if medium.core_radius is None:
         raise ValueError("core witness requires a core")
     if source.q <= medium.shell_radius:
@@ -268,11 +258,11 @@ def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tupl
     n0, fam, k, C0, C_psi = _dual_constants(medium, source)
     # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
     rho1 = (medium.c - 1.0) * _entire_traction(params, n0, a_core)  # per unit tau
-    amps = _toroidal_surface_solve(n0, a_core, rho1, params.mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
-    P_vt = profile_pairing(_radial_profile(params, n0, 1), n0, _toroidal_pieces(n0, [(amps, [a_core])], [a_core]))
+    v_tilde = _toroidal_surface_solve(n0, a_core, rho1, params.mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
+    P_vt = profile_pairing(_radial_profile(params, n0, 1), n0, v_tilde)
     # J(tau) = C0 tau - (delta C_psi + P_vt/(2 delta) * ... ) tau^2
     denom = delta * C_psi + 0.5 * P_vt / delta
-    return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), amps
+    return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), v_tilde
 
 
 def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: float,
@@ -283,18 +273,18 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     core interface through an exact per-mode elliptic solve.  Returns
     (v pieces, psi pieces, J lower bound, tau).
     """
-    J_lower, tau, (n0, fam, k), amps = _core_bound(medium, source, delta)
+    J_lower, tau, (n0, fam, k), v_tilde = _core_bound(medium, source, delta)
     K, psi_hat = _unit_wave(medium, n0, fam, k, tables)
-    v_tilde = _mode_pieces(K, n0, amps, [medium.core_radius])
-    return _scaled(v_tilde, tau / delta), _scaled(psi_hat, tau), J_lower, tau
+    return _scaled(_toroidal_fields(K, n0, v_tilde), tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
 def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float, tables: DerivativeTable | None
                   ) -> tuple[float, list, list[ModeSolution]]:
     """I(v, w) of the radial primal witness by flux.
 
-    Returns the bound, (n, k, v coefficients, [(rho, w amplitudes)]) per
-    scheduled mode, and the loss-free solutions of the off-schedule degrees.
+    Returns the bound, (n, k, v annuli, [annuli of each repair]) per
+    scheduled mode (the form of :func:`_toroidal_fields`), and the loss-free
+    solutions of the off-schedule degrees.
     Scheduled modes, distinct members and distinct degrees are orthogonal,
     so their energies add; the two repairs of one mode share its member.
     """
@@ -319,15 +309,15 @@ def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float, table
             # scheduled mode: free incident wave, interface defects go to w
             _check_source_mode(n, 1, k)
             tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
-            coeffs = [(tau, 0.0), (0.0, tau * q ** (2 * n + 1))]
+            v = [(0.0, q, {("entire", n): tau}), (q, math.inf, {("decay", n): tau * q ** (2 * n + 1)})]
             repairs = []
             for rho, sgn in ((a_core, 1.0), (R, -1.0)):
                 dens = sgn * (medium.c - 1.0) * _entire_traction(params, n, rho) * tau
-                repairs.append((_toroidal_surface_solve(n, rho, -dens, mu), [rho]))
+                repairs.append(_toroidal_surface_solve(n, rho, -dens, mu))
             prof = _radial_profile(params, n, 1)
-            P_v += profile_pairing(prof, n, _toroidal_pieces(n, [(coeffs, [q])], [q]))
-            P_w += profile_pairing(prof, n, _toroidal_pieces(n, repairs, [a_core, R]))
-            scheduled.append((n, k, coeffs, repairs))
+            P_v += profile_pairing(prof, n, v)
+            P_w += profile_pairing(prof, n, _merge_annuli(repairs))
+            scheduled.append((n, k, v, repairs))
         else:
             off_schedule.add(n)
     loss_free = replace(medium, delta=0.0)
@@ -349,10 +339,10 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     tables = ensure_tables(tables, max(source.degrees()) + 6)
     v_parts: list[list[ModeField]] = []
     w_parts: list[list[ModeField]] = []
-    for n, k, coeffs, repairs in scheduled:
+    for n, k, v, repairs in scheduled:
         K = _source_member(medium.base, n, 1, k, tables)
-        v_parts.append(_mode_pieces(K, n, coeffs, [source.q]))
-        w_parts += [_mode_pieces(K, n, amps, radii) for amps, radii in repairs]
+        v_parts.append(_toroidal_fields(K, n, v))
+        w_parts += [_toroidal_fields(K, n, w) for w in repairs]
     v_parts += [list(sol.regions) for sol in off]
     return _merge_pieces(v_parts), _merge_pieces(w_parts), I_upper
 
@@ -422,7 +412,7 @@ def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
 
 def _sweep_row(configuration, delta: float, tables: DerivativeTable, with_witnesses: bool,
                refusals: list | None = None) -> EnergyReport:
-    """One sweep row; each witness refusal is appended to ``refusals`` as (witness, exception)."""
+    """One sweep row; each witness refusal is appended to ``refusals`` as (witness, bound, exception)."""
     if delta <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
     med, src = configuration(delta)

@@ -162,6 +162,12 @@ def _source_member(params: LameParams, n: int, family: int, k: int, tables: Deri
     return kernel_basis(params, n, family, tables)[k - 1]
 
 
+def _family_density(params: LameParams, n: int, family: int, gammas, tables: DerivativeTable) -> np.ndarray:
+    """The density sum gamma_k K_k over (k, gamma_k) pairs, K_k member k of the family's sector at degree n."""
+    return sum((g * _source_member(params, n, family, k, tables) for k, g in gammas),
+               np.zeros((3, 2 * n + 1), dtype=complex))
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Surface force density on partial B_q expanded in kernel matrices.
@@ -191,11 +197,7 @@ class SourceSpec:
 
     def family_densities(self, n: int, params: LameParams, tables: DerivativeTable) -> dict[int, np.ndarray]:
         """Degree-n part of the density split by family: {family: sum of g K}."""
-        out: dict[int, np.ndarray] = {}
-        for (nn, fam, k), g in self.coefficients.items():
-            if nn == n and g != 0:
-                out[fam] = out.get(fam, 0.0) + g * _source_member(params, n, fam, k, tables)
-        return out
+        return {fam: _family_density(params, n, fam, gam.items(), tables) for fam, gam in self.family_gammas(n).items()}
 
     def density_matrix(self, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
         """Coefficient matrix of the degree-n part of the density."""
@@ -238,8 +240,7 @@ class ModeSolution:
         tables = ensure_tables(self.tables, n + 4)
         coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in self.radii[1:]]
         for fam, gammas, prof, cols, x in self.sectors:
-            G = sum((g * _source_member(self.params, n, fam, k, tables) for k, g in gammas),
-                    np.zeros((3, 2 * n + 1), dtype=complex))
+            G = _family_density(self.params, n, fam, gammas, tables)
             refs = {n: G}
             if fam != 1:
                 d2 = prof.degrees[1]
@@ -495,7 +496,7 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int,
         x, cond, berr = _square_solve(M, b, f"family-{fam} system at degree {n}", max_condition)
         conds.append(cond)
         berrs.append(berr)
-        sectors.append((fam, tuple(sorted(gam.items())), prof, cols, x))
+        sectors.append((fam, tuple(gam.items()), prof, cols, x))
     return ModeSolution(n=n, condition=max(conds), lstsq_residual=max(berrs),
                         window=tuple(sorted({d for _, _, prof, _, _ in sectors for d in prof.degrees})),
                         radii=(0.0, *bounds, math.inf), sectors=tuple(sectors), params=params, tables=tables)
