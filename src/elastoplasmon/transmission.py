@@ -204,7 +204,7 @@ class SourceSpec:
         return sum(self.family_densities(n, params, tables).values(), np.zeros((3, 2 * n + 1), dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModeSolution:
     """Exact solve of one degree: the scalar amplitudes of each family's sector system.
 
