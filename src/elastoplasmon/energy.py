@@ -173,10 +173,8 @@ def solution_pairing(solutions: Sequence) -> float:
     annuli: dict = {}
     for sol in solutions:
         for fam, gammas, prof, cols, x in sol.sectors:
-            lo = min(prof.degrees)
-            sector = (fam == 1, lo if fam != 1 else sol.n)
-            dim = 2 * (sol.n, lo + 1)[fam != 1] + 1
-            gamma = np.zeros(dim, dtype=complex)
+            J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
+            gamma = np.zeros(2 * J + 1, dtype=complex)
             for k, g in gammas:
                 gamma[k - 1] = g
             coords = _coordinates(prof, sol.n)
@@ -184,7 +182,7 @@ def solution_pairing(solutions: Sequence) -> float:
             for xc, (reg, kind, shape) in zip(x, cols):
                 per_region.setdefault(reg, {})[(kind, shape)] = xc
             for reg, amps in per_region.items():
-                key = (sol.radii[reg], sol.radii[reg + 1], sector)
+                key = (sol.radii[reg], sol.radii[reg + 1], (fam == 1, J))
                 annuli.setdefault(key, []).append((prof, coords, gamma, amps))
     return _flux(annuli)
 
