@@ -143,23 +143,24 @@ def _flux(annuli: dict) -> float:
     return total
 
 
-def _coordinates(prof, n: int) -> dict[int, float]:
-    """Coordinates of a unit member's shapes: 1 at degree n, -sqrt(kappa (2n+1)/(2d+1)) at the partner d.
+def _coordinates(prof) -> dict[int, float]:
+    """Coordinates of a unit member's shapes: 1 at its degree n, -sqrt(kappa (2n+1)/(2d+1)) at the partner d.
 
     The partner shape of member k of a family-2 sector at n is minus its
     norm times member k of the family-3 sector at n - 2, and the reverse, so
     the two sectors share one member basis (total angular momentum n - 1).
     """
+    n = prof.degrees[0]
     return {d: 1.0 if d == n else -math.sqrt(prof.kappa * (2 * n + 1) / (2 * d + 1)) for d in prof.degrees}
 
 
-def profile_pairing(prof, n: int, pieces: Iterable[tuple[float, float, dict]]) -> float:
+def profile_pairing(prof, pieces: Iterable[tuple[float, float, dict]]) -> float:
     """Re P(u, u) of a unit sector member's field, by flux.
 
     ``pieces`` are (r_lo, r_hi, {(kind, shape): amplitude}) annuli of blocks
-    of the degree-n profile ``prof`` (:func:`~elastoplasmon.transmission._radial_profile`).
+    of the profile ``prof`` (:func:`~elastoplasmon.transmission._radial_profile`).
     """
-    coords = _coordinates(prof, n)
+    coords = _coordinates(prof)
     return _flux({(lo, hi, None): [(prof, coords, 1.0, amps)] for lo, hi, amps in pieces})
 
 
@@ -177,7 +178,7 @@ def solution_pairing(solutions: Sequence) -> float:
             gamma = np.zeros(2 * J + 1, dtype=complex)
             for k, g in gammas:
                 gamma[k - 1] = g
-            coords = _coordinates(prof, sol.n)
+            coords = _coordinates(prof)
             per_region: dict[int, dict] = {}
             for xc, (reg, kind, shape) in zip(x, cols):
                 per_region.setdefault(reg, {})[(kind, shape)] = xc

@@ -196,7 +196,7 @@ def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int
     R, q = medium.shell_radius, source.q
     prof, inner, outer = _wave_amplitudes(params, n0, fam, R)
     C0 = g * q**2 * float(np.real(_profile_trace(prof, inner if q <= R else outer, q)[n0][0]))
-    C_psi = 0.5 * profile_pairing(prof, n0, [(0.0, R, inner), (R, math.inf, outer)])
+    C_psi = 0.5 * profile_pairing(prof, [(0.0, R, inner), (R, math.inf, outer)])
     return n0, fam, k, C0, C_psi
 
 
@@ -259,7 +259,7 @@ def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tupl
     # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
     rho1 = (medium.c - 1.0) * _entire_traction(params, n0, a_core)  # per unit tau
     v_tilde = _toroidal_surface_solve(n0, a_core, rho1, params.mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
-    P_vt = profile_pairing(_radial_profile(params, n0, 1), n0, v_tilde)
+    P_vt = profile_pairing(_radial_profile(params, n0, 1), v_tilde)
     # J(tau) = C0 tau - (delta C_psi + P_vt/(2 delta) * ... ) tau^2
     denom = delta * C_psi + 0.5 * P_vt / delta
     return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), v_tilde
@@ -315,8 +315,8 @@ def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float, table
                 dens = sgn * (medium.c - 1.0) * _entire_traction(params, n, rho) * tau
                 repairs.append(_toroidal_surface_solve(n, rho, -dens, mu))
             prof = _radial_profile(params, n, 1)
-            P_v += profile_pairing(prof, n, v)
-            P_w += profile_pairing(prof, n, _merge_annuli(repairs))
+            P_v += profile_pairing(prof, v)
+            P_w += profile_pairing(prof, _merge_annuli(repairs))
             scheduled.append((n, k, v, repairs))
         else:
             off_schedule.add(n)
