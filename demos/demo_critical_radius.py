@@ -8,17 +8,16 @@ unbounded growth for q below R^{3/2} = 2.828, decay above it.
 
 import numpy as np
 
-from elastoplasmon import LameParams, scheduled_configuration, shared_tables, sweep
+from elastoplasmon import LameParams, scheduled_configuration, sweep
 
 params = LameParams(1.0, 1.0)
-tables = shared_tables(10)
 R = 2.0
 deltas = [10.0 ** (-e) for e in np.arange(2.0, 8.01, 0.5)]
 
 print(f"critical radius R^(3/2) = {R**1.5:.4f}\n")
 for q in (2.3, 2.5, 3.2, 3.6):
     conf = scheduled_configuration(params, R, q=q, core_radius=1.0)
-    res = sweep(conf, deltas, tables, with_witnesses=False)
+    res = sweep(conf, deltas, with_witnesses=False)
     side = "inside " if q < R**1.5 else "outside"
     first, last = res.rows[0].E_delta, res.rows[-1].E_delta
     print(

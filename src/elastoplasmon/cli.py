@@ -22,9 +22,8 @@ import sys
 
 import numpy as np
 
-from .harmonics import ensure_tables, shared_tables
-from .lame import LameParams, mode_constants
-from .energy import EnergyReport
+from .lame import LameParams, SectorCheckError, mode_constants, plasmon_constants
+from .energy import dissipation_E
 from .transmission import (
     ResonantSingularityError,
     SourceSpec,
@@ -43,15 +42,6 @@ from .scenarios import (
     witness_fixed_c,
     witness_nocore,
     witness_radial_nonresonant,
-)
-from .waves import (
-    SectorCheckError,
-    kernel_family,
-    np_eigenvalue_map,
-    np_galerkin_spectrum,
-    perfect_wave,
-    plasmon_constants,
-    verify_perfect_wave,
 )
 
 EXIT_OK = 0
@@ -313,39 +303,6 @@ def emit_report(result: SweepResult, cfg: dict, csv_path: str, svg_path: str | N
         _write_svg(result, svg_path)
 
 
-def parse_report(csv_path: str) -> tuple[dict, list[EnergyReport], float, str]:
-    """Round-trip reader: config, rows, growth exponent, verdict."""
-    cfg = None
-    rows = []
-    growth = math.nan
-    verdict = ""
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# config="):
-                cfg = json.loads(line[len("# config="):])
-            elif line.startswith("#") or line == CSV_COLUMNS or not line:
-                continue
-            else:
-                cells = line.split(",")
-                rows.append(
-                    EnergyReport(
-                        delta=float(cells[0]),
-                        n_delta=int(cells[1]) if cells[1] else None,
-                        c_used=float(cells[2]),
-                        E_delta=float(cells[3]),
-                        I_upper=float(cells[4]) if cells[4] else None,
-                        J_lower=float(cells[5]) if cells[5] else None,
-                    )
-                )
-                if cells[7]:
-                    growth = float(cells[6])
-                    verdict = cells[7]
-    if cfg is None:
-        raise ValueError("no config header in CSV")
-    return cfg, rows, growth, verdict
-
-
 def _write_svg(result: SweepResult, path: str) -> None:
     xs = [math.log10(1.0 / r.delta) for r in result.rows]
     ys = [math.log10(max(r.E_delta, 1e-300)) for r in result.rows]
@@ -388,6 +345,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    from .harmonics import ensure_tables
+    from .waves import kernel_family
+
     _check_wave_degree(args.n)
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
     tables = ensure_tables(None, args.n + 4)
@@ -400,6 +360,9 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_waves_check(args) -> int:
+    from .harmonics import ensure_tables
+    from .waves import perfect_wave, verify_perfect_wave
+
     _check_wave_degree(args.n)
     _check_radius(args.R)
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
@@ -421,6 +384,8 @@ def _cmd_waves_check(args) -> int:
 
 
 def _cmd_np_spectrum(args) -> int:
+    from .waves import np_eigenvalue_map, np_galerkin_spectrum
+
     _check_radius(args.R)
     if not 2 <= args.nmax <= MAX_DEGREE:
         raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
@@ -450,17 +415,17 @@ def _cmd_np_spectrum(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .harmonics import ensure_tables, shared_tables
+
     cfg = load_config(args.config)
     tables = shared_tables(max(12, cfg["n_max"]))
     configuration = _configuration(cfg)
     delta = _single_loss(args, cfg)
     med, src = configuration(delta)
     tables = ensure_tables(tables, max(src.degrees()) + 6)
-    sols = solve_modes(med, src, tables)
+    sols = solve_modes(med, src)
     rep = residual_check(sols, med, src, tables)
-    from .energy import dissipation_E
-
-    E = dissipation_E(sols, med, tables)
+    E = dissipation_E(sols, med)
     print(f"delta = {_fmt(delta)}  c = {_fmt(med.c)}  E_delta = {_fmt(E)}")
     for key, val in sorted(rep.items()):
         print(f"residual {key}: {val:.3e}")
@@ -469,9 +434,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    tables = shared_tables(max(12, cfg["n_max"]))
-    configuration = _configuration(cfg)
-    result = sweep(configuration, cfg["delta_list"], tables)
+    result = sweep(_configuration(cfg), cfg["delta_list"])
     out = cfg.get("output", {})
     csv_path = args.csv or out.get("csv")
     if not csv_path:
@@ -482,6 +445,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .harmonics import shared_tables
+
     cfg = load_config(args.config)
     tables = shared_tables(max(12, cfg["n_max"]))
     configuration = _configuration(cfg)
@@ -493,7 +458,7 @@ def _cmd_witness(args) -> int:
         ]
     else:
         witnesses = [
-            (witness_fixed_c, (med, src, tables), lambda w: f"I_upper = {_fmt(w[1])}"),
+            (witness_fixed_c, (med, src), lambda w: f"I_upper = {_fmt(w[1])}"),
             (witness_core_resonant, (med, src, delta, tables), lambda w: f"J_lower = {_fmt(w[2])}  tau = {_fmt(w[3])}"),
             (witness_radial_nonresonant, (med, src, delta, tables), lambda w: f"I_upper_scheduled = {_fmt(w[2])}"),
         ]

@@ -27,13 +27,16 @@ through its coefficients alone.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .harmonics import DerivativeTable, ensure_tables
 from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
 from .transmission import _profile_trace
+
+if TYPE_CHECKING:
+    from .harmonics import DerivativeTable
 
 __all__ = [
     "EnergyReport",
@@ -45,8 +48,6 @@ __all__ = [
     "functional_J",
     "source_pairing",
 ]
-
-from dataclasses import dataclass
 
 
 @dataclass
@@ -99,6 +100,8 @@ def _strain_coeffs(terms: Iterable[Term], tables: DerivativeTable) -> list[tuple
 def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
               params: LameParams, tables: DerivativeTable) -> complex:
     """P over one annulus, from the gradients' harmonic coefficients."""
+    from .harmonics import ensure_tables
+
     same = u_terms is v_terms
     u_terms, v_terms = tuple(u_terms), tuple(v_terms)
     if not u_terms or not v_terms:
@@ -188,12 +191,13 @@ def solution_pairing(solutions: Sequence) -> float:
     return _flux(annuli)
 
 
-def dissipation_E(solutions: Sequence, medium, tables: DerivativeTable | None = None) -> float:
+def dissipation_E(solutions: Sequence, medium) -> float:
     """Dissipation (delta/2) P(u, u) of an exact solve, by the flux of :func:`solution_pairing`.
 
     Every region's field solves the Lame system, so no volume integral is
-    formed and ``tables`` is not read.  Raises for delta = 0 where
-    dissipation is undefined.
+    formed: the sum reads only the solutions' sector amplitudes, with no
+    field and no derivative table.  Raises for delta = 0 where dissipation
+    is undefined.
     """
     delta = medium.delta
     if delta <= 0:

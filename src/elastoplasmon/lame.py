@@ -23,7 +23,11 @@ slaved corrections k_n [t1 . raise_] r^{-n-1} Y_{n+2} and
 ``t3 = sum_j G_j . lower[n][j]``; :func:`mode_constants` gives k_n and M_n,
 :func:`exterior_traction_coeffs` the traction of the irregular block, and
 the radial profiles of :mod:`~elastoplasmon.transmission` every block in
-closed form.
+closed form.  :func:`plasmon_constants`, the shell multipliers that admit
+perfect waves, and :class:`SectorCheckError` sit here with the mode
+constants, so a sector solve needs neither the derivative tables of
+:mod:`~elastoplasmon.harmonics`, which this module loads only where a
+field's derivatives are formed, nor :mod:`~elastoplasmon.waves`.
 """
 
 from __future__ import annotations
@@ -31,18 +35,22 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .harmonics import DerivativeTable, SphereQuadrature, _legendre_rows, _stack_row, ensure_tables
+if TYPE_CHECKING:
+    from .harmonics import DerivativeTable, SphereQuadrature
 
 __all__ = [
+    "SectorCheckError",
     "LameParams",
     "ModeConstants",
+    "PlasmonConstants",
     "Term",
     "ModeField",
     "mode_constants",
+    "plasmon_constants",
     "t1_vector",
     "t3_vector",
     "exterior_traction_coeffs",
@@ -54,6 +62,16 @@ __all__ = [
     "grad_terms",
     "lame_residual",
 ]
+
+
+class SectorCheckError(AssertionError):
+    """Raised when a built field, trace or kernel fails its sector check.
+
+    The checks hold to roundoff, and the roundoff of lambda div u grows with
+    lambda / mu (and near 3 lambda + 2 mu = 0), so at extreme Lame ratios a
+    correct build can fail them.  The command line reports this as a
+    validation failure.
+    """
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,46 @@ def mode_constants(params: LameParams, n: int) -> ModeConstants:
     return ModeConstants(n=n, k_n=k_n, M_n=M_n, E_n=E_n, s1_n=s1_n, s2_n=s2_n, l_n=l_n, m_n=m_n)
 
 
+@dataclass(frozen=True)
+class PlasmonConstants:
+    """The three negative shell multipliers admitting nontrivial waves."""
+
+    n: int
+    zeta1: float
+    zeta2: float
+    zeta3: float
+
+    def as_tuple(self) -> tuple[float, float, float]:
+        return (self.zeta1, self.zeta2, self.zeta3)
+
+
+def plasmon_constants(params: LameParams, n: int) -> PlasmonConstants:
+    """Closed-form plasmon constants for degree n >= 2.
+
+    The middle constant carries the combination (n-1) lambda + (3n-2) mu in
+    its numerator; the transmission eigenproblem, the kernel multiplicity
+    2n-1 and the Neumann-Poincare spectrum all confirm this form.  Moduli
+    so large that the sums overflow (lambda = mu = 1e308) give non-finite or
+    zero constants, which raise ``ArithmeticError``.
+    """
+    if n < 2:
+        raise ValueError("plasmon constants need n >= 2")
+    lam, mu = params.lam, params.mu
+    z1 = -1.0 - 3.0 / (n - 1.0)
+    z2 = -(2.0 * n + 2.0) * ((n - 1) * lam + (3 * n - 2) * mu) / (
+        (2.0 * n * n + 1.0) * lam + (2.0 + 2.0 * n * (n - 1.0)) * mu
+    )
+    z3 = -((2.0 * n * n + 4 * n + 3) * lam + (2.0 * n * n + 6 * n + 6) * mu) / (
+        2.0 * n * ((n + 2) * lam + (3 * n + 5) * mu)
+    )
+    out = PlasmonConstants(n=n, zeta1=z1, zeta2=z2, zeta3=z3)
+    if not all(math.isfinite(z) and z != 0 for z in out.as_tuple()):  # the sums overflow
+        raise ArithmeticError(f"plasmon constants at n={n} overflow: {out}")
+    if not all(z < 0 for z in out.as_tuple()):
+        raise AssertionError(f"plasmon constants not all negative at n={n}: {out}")
+    return out
+
+
 # ---------------------------------------------------------------------------
 # term algebra
 # ---------------------------------------------------------------------------
@@ -152,6 +210,8 @@ def _eval_coefs(groups: Iterable[tuple[tuple[int, int], np.ndarray]], X: np.ndar
 
     One Legendre recurrence serves every group; each Y_d equals ``sph_harm_stack(d, xhat)``.
     """
+    from .harmonics import _legendre_rows, _stack_row
+
     groups = list(groups)
     r = np.linalg.norm(X, axis=1)
     xhat = X / r[:, None]
@@ -345,6 +405,8 @@ def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
     3 max|second derivatives| and |u|/r^2, so the bound is meaningful across
     degrees and radii.
     """
+    from .harmonics import ensure_tables
+
     terms = tuple(terms)
     tables = ensure_tables(tables, max((t.degree for t in terms), default=0) + 2)
     X = np.atleast_2d(points)

@@ -32,16 +32,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .harmonics import DerivativeTable, ensure_tables
-from .lame import LameParams, ModeField, Term
+from .lame import LameParams, ModeField, Term, plasmon_constants
 from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairing
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_trace,
                            _radial_profile, _source_member, _wave_amplitudes, solve_mode, solve_modes)
-from .waves import perfect_wave, plasmon_constants
+
+if TYPE_CHECKING:
+    from .harmonics import DerivativeTable
 
 __all__ = [
     "SweepResult",
@@ -135,20 +136,18 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
-def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec,
-                   tables: DerivativeTable | None) -> tuple[float, list[ModeSolution]]:
+def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec) -> tuple[float, list[ModeSolution]]:
     """I(v, 0) of the loss-free field at the medium's loss, by flux, and the loss-free solutions."""
     if medium.core_radius is None:
         raise ValueError("fixed-multiplier witness needs a core")
     _require_family1(source, "fixed-multiplier witness")
     if medium.delta <= 0:
         raise ValueError("delta must be positive")
-    solutions = solve_modes(replace(medium, delta=0.0), source, tables)
+    solutions = solve_modes(replace(medium, delta=0.0), source)
     return 0.5 * medium.delta * solution_pairing(solutions), solutions
 
 
-def witness_fixed_c(medium: LayeredMedium, source: SourceSpec,
-                    tables: DerivativeTable) -> tuple[list[ModeField], float, list[ModeSolution]]:
+def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[ModeField], float, list[ModeSolution]]:
     """Primal witness for the cored fixed-multiplier configuration.
 
     The witness is the loss-free field v with L_A v = f (and w = 0): the
@@ -160,7 +159,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec,
     loss-free system of condition above 1e9 raises
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
-    I_upper, solutions = _fixed_c_bound(medium, source, tables)
+    I_upper, solutions = _fixed_c_bound(medium, source)
     return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
@@ -202,6 +201,9 @@ def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int
 
 def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int, tables: DerivativeTable) -> tuple[np.ndarray, list[ModeField]]:
     """Member k of the dominant mode and its unit perfect wave's pieces (built from the member matrix)."""
+    from .harmonics import ensure_tables
+    from .waves import perfect_wave
+
     tables = ensure_tables(tables, n0 + 6)
     K = _source_member(medium.base, n0, fam, k, tables)
     wave = perfect_wave(K, fam, n0, medium.shell_radius, medium.base, tables)
@@ -278,8 +280,7 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     return _scaled(_toroidal_fields(K, n0, v_tilde), tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
-def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float, tables: DerivativeTable | None
-                  ) -> tuple[float, list, list[ModeSolution]]:
+def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, list, list[ModeSolution]]:
     """I(v, w) of the radial primal witness by flux.
 
     Returns the bound, (n, k, v annuli, [annuli of each repair]) per
@@ -321,7 +322,7 @@ def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float, table
         else:
             off_schedule.add(n)
     loss_free = replace(medium, delta=0.0)
-    off = [solve_mode(loss_free, source, n, tables) for n in sorted(off_schedule)]
+    off = [solve_mode(loss_free, source, n) for n in sorted(off_schedule)]
     I_upper = 0.5 * delta * (P_v + solution_pairing(off)) + 0.5 / delta * P_w
     return I_upper, scheduled, off
 
@@ -335,7 +336,9 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     per-mode solves.  Off-schedule degrees take the loss-free field of
     :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
-    I_upper, scheduled, off = _radial_bound(medium, source, delta, tables)
+    from .harmonics import ensure_tables
+
+    I_upper, scheduled, off = _radial_bound(medium, source, delta)
     tables = ensure_tables(tables, max(source.degrees()) + 6)
     v_parts: list[list[ModeField]] = []
     w_parts: list[list[ModeField]] = []
@@ -410,32 +413,31 @@ def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
     return float(slope)
 
 
-def _sweep_row(configuration, delta: float, tables: DerivativeTable, with_witnesses: bool,
-               refusals: list | None = None) -> EnergyReport:
+def _sweep_row(configuration, delta: float, with_witnesses: bool, refusals: list | None = None) -> EnergyReport:
     """One sweep row; each witness refusal is appended to ``refusals`` as (witness, bound, exception)."""
     if delta <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
     med, src = configuration(delta)
-    sols = solve_modes(med, src, tables)
-    E = dissipation_E(sols, med, tables)
+    sols = solve_modes(med, src)
+    E = dissipation_E(sols, med)
     I_upper = None
     J_lower = None
     if with_witnesses:
         refused = [] if refusals is None else refusals
-        I_upper = _try_I(med, src, delta, tables, refused)
+        I_upper = _try_I(med, src, delta, refused)
         J_lower = _try_J(med, src, delta, refused)
     return EnergyReport(delta=delta, E_delta=E, c_used=med.c, I_upper=I_upper,
                         J_lower=J_lower, n_delta=max(src.degrees()))
 
 
 def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
-          delta_list: Sequence[float], tables: DerivativeTable,
-          with_witnesses: bool = True) -> SweepResult:
+          delta_list: Sequence[float], with_witnesses: bool = True) -> SweepResult:
     """Exact solves over a decreasing loss list, with witness bounds.
 
     Each row records the dissipation and whichever bounds apply to the
     configuration; the verdict follows the growth conventions in the module
-    docstring.
+    docstring.  A row is sector-scalar algebra: it builds no field and reads
+    no derivative table.
     """
     deltas = list(delta_list)
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
@@ -445,7 +447,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     rows, refusals = [], []
     for i, d in enumerate(deltas):
         refused: list = []
-        rows.append(_sweep_row(configuration, d, tables, with_witnesses, refused))
+        rows.append(_sweep_row(configuration, d, with_witnesses, refused))
         refusals += [{"row": i, "delta": d, "n_delta": rows[-1].n_delta, "witness": name, "bound": bound,
                       "error": type(exc).__name__, "message": str(exc)} for name, bound, exc in refused]
     E = [r.E_delta for r in rows]
@@ -477,7 +479,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     )
 
 
-def _try_I(med, src, delta, tables, refusals: list) -> float | None:
+def _try_I(med, src, delta, refusals: list) -> float | None:
     """The tighter of the primal bounds that apply (cored media only), by flux; None if none does.
 
     A witness that applies but raises ``ValueError`` or ``ArithmeticError``
@@ -485,10 +487,10 @@ def _try_I(med, src, delta, tables, refusals: list) -> float | None:
     """
     if med.core_radius is None:
         return None
-    attempts = [("witness_fixed_c", lambda: _fixed_c_bound(med, src, tables)[0])]
+    attempts = [("witness_fixed_c", lambda: _fixed_c_bound(med, src)[0])]
     zet1 = plasmon_constants(med.base, max(src.degrees())).zeta1
     if math.isclose(med.c, zet1, rel_tol=1e-10) and src.q > med.shell_radius**1.5:
-        attempts.insert(0, ("witness_radial_nonresonant", lambda: _radial_bound(med, src, delta, tables)[0]))
+        attempts.insert(0, ("witness_radial_nonresonant", lambda: _radial_bound(med, src, delta)[0]))
     candidates = []
     for name, bound in attempts:
         try:

@@ -43,23 +43,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .harmonics import DerivativeTable, ensure_tables
 from .lame import (
     LameParams,
     ModeField,
+    SectorCheckError,
     Term,
     _k0,
     displacement_coeffs,
     lame_residual,
     mode_constants,
+    plasmon_constants,
     t1_vector,
     t3_vector,
     traction_coeffs_algebraic,
 )
-from .waves import SectorCheckError, matching_defect, plasmon_constants, sector_kernels
+
+if TYPE_CHECKING:
+    from .harmonics import DerivativeTable
 
 __all__ = [
     "LayeredMedium",
@@ -135,6 +139,9 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
     """
     key = (params.lam, params.mu, n, family)
     if key not in _KERNEL_CACHE:
+        from .harmonics import ensure_tables
+        from .waves import matching_defect, sector_kernels
+
         tables = ensure_tables(tables, n + 4)
         c = plasmon_constants(params, n).as_tuple()[family - 1]
         kers = sector_kernels(n, family, tables)
@@ -213,8 +220,9 @@ class ModeSolution:
     system over its (region, kind, shape) columns, the density being
     sum gamma_k times member k.  ``radii`` are the region bounds from 0 to
     inf and ``window`` the degrees of the solution's terms.  ``regions`` is
-    the piecewise field; its terms need the member matrices, so it is built
-    when first read.  ``lstsq_residual`` is the largest backward error.
+    the piecewise field; its terms need the member matrices and the
+    process-wide derivative tables, so it is built when first read.
+    ``lstsq_residual`` is the largest backward error.
     """
 
     n: int
@@ -224,7 +232,6 @@ class ModeSolution:
     radii: tuple[float, ...]
     sectors: tuple
     params: LameParams
-    tables: DerivativeTable | None = None
 
     @cached_property
     def regions(self) -> tuple[ModeField, ...]:
@@ -236,8 +243,10 @@ class ModeSolution:
         :class:`UnconvergedSolveError` when a family-2/3 density leaves its
         sector: the ladder back from its partner shape is not kappa G to 1e-10.
         """
+        from .harmonics import ensure_tables
+
         n = self.n
-        tables = ensure_tables(self.tables, n + 4)
+        tables = ensure_tables(None, n + 4)
         coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in self.radii[1:]]
         for fam, gammas, prof, cols, x in self.sectors:
             G = _family_density(self.params, n, fam, gammas, tables)
@@ -457,15 +466,14 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, floa
             for fam in (1, 2, 3)}
 
 
-def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int,
-               tables: DerivativeTable | None = None) -> ModeSolution:
+def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolution:
     """Exact transmission solve for the degree-n part of the source.
 
     Each family's part of the density is solved in its sector by one square
     scalar system for a unit density (:func:`sector_conditions` gives their
     conditions); the parts superpose with their coefficients.  No kernel
-    matrix is built: the solution's ``regions`` are, from ``tables``, when
-    read.  Each family's perfect wave must pass :func:`_wave_amplitudes`'
+    matrix or derivative table is built: the solution's ``regions`` are,
+    when read.  Each family's perfect wave must pass :func:`_wave_amplitudes`'
     check at its plasmon constant, else :class:`SectorCheckError`.  Raises
     :class:`ResonantSingularityError` when a loss-free medium makes a solved
     system singular, that is of equilibrated condition above 1e9 (for a
@@ -499,13 +507,12 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int,
         sectors.append((fam, tuple(gam.items()), prof, cols, x))
     return ModeSolution(n=n, condition=max(conds), lstsq_residual=max(berrs),
                         window=tuple(sorted({d for _, _, prof, _, _ in sectors for d in prof.degrees})),
-                        radii=(0.0, *bounds, math.inf), sectors=tuple(sectors), params=params, tables=tables)
+                        radii=(0.0, *bounds, math.inf), sectors=tuple(sectors), params=params)
 
 
-def solve_modes(medium: LayeredMedium, source: SourceSpec,
-                tables: DerivativeTable | None = None) -> list[ModeSolution]:
+def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]:
     """Solve every degree present in the source."""
-    return [solve_mode(medium, source, n, tables) for n in source.degrees()]
+    return [solve_mode(medium, source, n) for n in source.degrees()]
 
 
 def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec,

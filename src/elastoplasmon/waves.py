@@ -5,7 +5,8 @@ coefficient matrix G.  Matching the Dirichlet data of the interior solution
 obtained from the surface displacement against the one obtained from the
 surface traction (divided by the shell multiplier c) yields a square linear
 map on G; its null space is nontrivial exactly at the three plasmon
-constants.  Each null space is a whole total-angular-momentum sector of G Y_n
+constants (:func:`~elastoplasmon.lame.plasmon_constants`, also importable
+from here).  Each null space is a whole total-angular-momentum sector of G Y_n
 (J = n, n-1, n+1 for families 1, 2, 3), so :func:`sector_kernels` builds the
 kernels in closed form from the angular-momentum ladders, without the
 matching map, and :func:`matching_defect` applies the map to one matrix to
@@ -39,12 +40,15 @@ from .harmonics import DerivativeTable, ensure_tables, shared_tables
 from .lame import (
     LameParams,
     ModeField,
+    PlasmonConstants,  # noqa: F401  (defined next to the mode constants; imported from here too)
+    SectorCheckError,
     Term,
     displacement_coeffs,
     eval_terms,
     exterior_traction_coeffs,
     lame_residual,
     mode_constants,
+    plasmon_constants,
     t1_vector,
     t3_vector,
     traction_coeffs_algebraic,
@@ -54,11 +58,8 @@ from .lame import (
 )
 
 __all__ = [
-    "SectorCheckError",
-    "PlasmonConstants",
     "PlasmonEigenProblem",
     "PerfectWave",
-    "plasmon_constants",
     "assemble_H",
     "matching_defect",
     "plasmon_kernel",
@@ -69,56 +70,6 @@ __all__ = [
     "single_layer_field",
     "np_galerkin_spectrum",
 ]
-
-
-class SectorCheckError(AssertionError):
-    """Raised when a built field, trace or kernel fails its sector check.
-
-    The checks hold to roundoff, and the roundoff of lambda div u grows with
-    lambda / mu (and near 3 lambda + 2 mu = 0), so at extreme Lame ratios a
-    correct build can fail them.  The command line reports this as a
-    validation failure.
-    """
-
-
-@dataclass(frozen=True)
-class PlasmonConstants:
-    """The three negative shell multipliers admitting nontrivial waves."""
-
-    n: int
-    zeta1: float
-    zeta2: float
-    zeta3: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.zeta1, self.zeta2, self.zeta3)
-
-
-def plasmon_constants(params: LameParams, n: int) -> PlasmonConstants:
-    """Closed-form plasmon constants for degree n >= 2.
-
-    The middle constant carries the combination (n-1) lambda + (3n-2) mu in
-    its numerator; the transmission eigenproblem, the kernel multiplicity
-    2n-1 and the Neumann-Poincare spectrum all confirm this form.  Moduli
-    so large that the sums overflow (lambda = mu = 1e308) give non-finite or
-    zero constants, which raise ``ArithmeticError``.
-    """
-    if n < 2:
-        raise ValueError("plasmon constants need n >= 2")
-    lam, mu = params.lam, params.mu
-    z1 = -1.0 - 3.0 / (n - 1.0)
-    z2 = -(2.0 * n + 2.0) * ((n - 1) * lam + (3 * n - 2) * mu) / (
-        (2.0 * n * n + 1.0) * lam + (2.0 + 2.0 * n * (n - 1.0)) * mu
-    )
-    z3 = -((2.0 * n * n + 4 * n + 3) * lam + (2.0 * n * n + 6 * n + 6) * mu) / (
-        2.0 * n * ((n + 2) * lam + (3 * n + 5) * mu)
-    )
-    out = PlasmonConstants(n=n, zeta1=z1, zeta2=z2, zeta3=z3)
-    if not all(math.isfinite(z) and z != 0 for z in out.as_tuple()):  # the sums overflow
-        raise ArithmeticError(f"plasmon constants at n={n} overflow: {out}")
-    if not all(z < 0 for z in out.as_tuple()):
-        raise AssertionError(f"plasmon constants not all negative at n={n}: {out}")
-    return out
 
 
 @dataclass

@@ -210,7 +210,7 @@ def volume_row(configuration, delta: float, tables: DerivativeTable) -> tuple[fl
 
     med, src = configuration(delta)
     params = med.base
-    E = volume_dissipation(solve_modes(med, src, tables), med, tables)
+    E = volume_dissipation(solve_modes(med, src), med, tables)
 
     def energy(pieces):
         return sum(float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables))) for p in pieces)
@@ -218,7 +218,7 @@ def volume_row(configuration, delta: float, tables: DerivativeTable) -> tuple[fl
     I_values, J = [], None
     if med.core_radius is not None:
         try:
-            I_values.append(functional_I(witness_fixed_c(med, src, tables)[0], None, delta, params, tables))
+            I_values.append(functional_I(witness_fixed_c(med, src)[0], None, delta, params, tables))
         except (ValueError, ArithmeticError):
             pass
         if (math.isclose(med.c, plasmon_constants(params, max(src.degrees())).zeta1, rel_tol=1e-10)

@@ -158,7 +158,7 @@ def test_criterion_04_np_cross_validation():
 
 def _identity_defects(med, src, sols, delta):
     merged = _merge_pieces([[ModeField(r.terms, r.r_lo, r.r_hi) for r in sol.regions] for sol in sols])
-    E = dissipation_E(sols, med, TABLES)
+    E = dissipation_E(sols, med)
     vp = [ModeField(real_terms(p.terms), p.r_lo, p.r_hi) for p in merged]
     wp = [ModeField(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(p.terms)), p.r_lo, p.r_hi)
           for p in merged]
@@ -184,7 +184,7 @@ def test_criterion_05_variational_sandwich():
     for ci, conf in enumerate(configs):
         for delta in (1e-2, 1e-3, 1e-4):
             med, src = conf(delta)
-            sols = solve_modes(med, src, TABLES)
+            sols = solve_modes(med, src)
             E, dI, dJ = _identity_defects(med, src, sols, delta)
             worst_identity = max(worst_identity, dI, dJ)
             I_upper = J_lower = None
@@ -194,7 +194,7 @@ def test_criterion_05_variational_sandwich():
                     if math.isclose(med.c, zet1, rel_tol=1e-10) and src.q > med.shell_radius**1.5:
                         _, _, I_upper = witness_radial_nonresonant(med, src, delta, TABLES)
                     else:
-                        _, I_upper, _ = witness_fixed_c(med, src, TABLES)
+                        _, I_upper, _ = witness_fixed_c(med, src)
             except (ValueError, ArithmeticError):
                 pass
             try:
@@ -223,7 +223,7 @@ def _fit(deltas, vals):
 def test_criterion_06_fixed_multiplier_no_resonance():
     deltas = [10 ** (-e) for e in np.arange(2.0, 5.01, 0.5)]
     conf = fixed_configuration(P11, 2.0, -4.0, SourceSpec(3.0, {(2, 1, 1): 1.0}), core_radius=1.0)
-    res = sweep(conf, deltas, TABLES)
+    res = sweep(conf, deltas)
     slope_E = _fit(deltas, [r.E_delta for r in res.rows])
     slope_I = _fit(deltas, [r.I_upper for r in res.rows])
     # E ~ delta means slope -1 against 1/delta
@@ -236,7 +236,7 @@ def test_criterion_07_nocore_resonance():
     z1 = plasmon_constants(P11, 2).zeta1
     deltas = [10 ** (-e) for e in np.arange(2.0, 5.01, 0.5)]
     conf = fixed_configuration(P11, 2.0, z1, SourceSpec(3.0, {(2, 1, 1): 1.0}))
-    res = sweep(conf, deltas, TABLES)
+    res = sweep(conf, deltas)
     slope_E = _fit(deltas, [r.E_delta for r in res.rows])
     slope_J = _fit(deltas, [r.J_lower for r in res.rows])
     ok = abs(slope_E - 1.0) <= 0.05 and abs(slope_J - 1.0) <= 0.05 and res.verdict == "resonant"
@@ -249,7 +249,7 @@ DICHOTOMY_DELTAS = [10 ** (-e) for e in np.arange(2.0, 8.01, 0.5)]
 
 def _dichotomy(q):
     conf = scheduled_configuration(P11, 2.0, q=q, core_radius=1.0)
-    return sweep(conf, DICHOTOMY_DELTAS, TABLES, with_witnesses=False)
+    return sweep(conf, DICHOTOMY_DELTAS, with_witnesses=False)
 
 
 def test_criterion_08_dichotomy_inside_q23():

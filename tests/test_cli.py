@@ -40,6 +40,34 @@ BASE_CONFIG = {
 }
 
 
+def parse_report(csv_path):
+    """Read a sweep CSV back: (config, rows as EnergyReport, growth exponent, verdict)."""
+    from elastoplasmon.cli import CSV_COLUMNS
+    from elastoplasmon.energy import EnergyReport
+
+    cfg, rows, growth, verdict = None, [], math.nan, ""
+    for line in Path(csv_path).read_text(encoding="utf-8").splitlines():
+        if line.startswith("# config="):
+            cfg = json.loads(line[len("# config="):])
+        elif line.startswith("#") or line == CSV_COLUMNS or not line:
+            continue
+        else:
+            cells = line.split(",")
+            rows.append(EnergyReport(
+                delta=float(cells[0]),
+                n_delta=int(cells[1]) if cells[1] else None,
+                c_used=float(cells[2]),
+                E_delta=float(cells[3]),
+                I_upper=float(cells[4]) if cells[4] else None,
+                J_lower=float(cells[5]) if cells[5] else None,
+            ))
+            if cells[7]:
+                growth, verdict = float(cells[6]), cells[7]
+    if cfg is None:
+        raise ValueError("no config header in CSV")
+    return cfg, rows, growth, verdict
+
+
 @pytest.fixture()
 def config_file(tmp_path):
     path = tmp_path / "run.json"
@@ -94,12 +122,12 @@ def test_waves_check_passes():
 
 def test_waves_check_fails_on_a_nan_residual(monkeypatch, capsys):
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli
+    from elastoplasmon import cli, waves
 
     def nan_residuals(*args, **kwargs):
         return {"continuity": math.nan, "transmission": 0.0, "lame_interior": 0.0, "lame_exterior": 0.0}
 
-    monkeypatch.setattr(cli, "verify_perfect_wave", nan_residuals)
+    monkeypatch.setattr(waves, "verify_perfect_wave", nan_residuals)
     assert cli.main(["waves-check", "--n", "2"]) == 2
     assert capsys.readouterr().out.splitlines()[-1] == "worst residual nan"
 
@@ -123,8 +151,7 @@ def test_wave_arguments_are_bounded_before_any_run(argv, monkeypatch, capsys):
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
 
-    monkeypatch.setattr(cli, "kernel_basis", _no_run)
-    monkeypatch.setattr(cli, "np_galerkin_spectrum", _no_run)
+    _forbid_runs(monkeypatch)
     assert cli.main([a.format(deg=cli.MAX_DEGREE + 1) for a in argv]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
@@ -166,9 +193,6 @@ def test_sweep_csv_structure_and_roundtrip(config_file, tmp_path):
     verdicts = [l.split(",")[7] for l in data_lines[1:] if len(l.split(",")) > 7 and l.split(",")[7]]
     assert len(verdicts) == 1  # verdict appears exactly once
     assert verdicts[0] == "non-resonant"
-    sys.path.insert(0, SRC)
-    from elastoplasmon.cli import parse_report
-
     cfg, rows, growth, verdict = parse_report(csv)
     # every input parameter is recovered from the header (defaults may be added)
     assert all(cfg[k] == v for k, v in BASE_CONFIG.items())
@@ -318,6 +342,35 @@ def _no_run(*args, **kwargs):
     raise AssertionError("a run started")
 
 
+# the first computational call of each command, where it is defined (a
+# command imports it from there when it runs): kernels and waves-check read
+# their tables, np-spectrum builds its spectrum, solve and witness take
+# shared tables, and a sweep's first row starts with its degree's solve
+FIRST_CALLS = (("harmonics", "ensure_tables"), ("waves", "np_galerkin_spectrum"),
+               ("harmonics", "shared_tables"), ("transmission", "solve_mode"))
+
+
+def _forbid_runs(monkeypatch):
+    for module, name in FIRST_CALLS:
+        monkeypatch.setattr(importlib.import_module(f"elastoplasmon.{module}"), name, _no_run)
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernels", "--n", "2"], ["waves-check", "--n", "2"], ["np-spectrum"],
+    ["sweep", "--config", "{config}", "--csv", "{csv}"], ["solve", "--config", "{config}"],
+    ["witness", "--config", "{config}"],
+])
+def test_first_calls_guard_every_run(argv, config_file, tmp_path, monkeypatch):
+    # the probe of the "before any run" tests: every valid command reaches
+    # one of FIRST_CALLS before it computes anything else
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    _forbid_runs(monkeypatch)
+    with pytest.raises(AssertionError, match="a run started"):
+        cli.main([a.format(config=config_file, csv=tmp_path / "x.csv") for a in argv])
+
+
 @pytest.mark.parametrize("config", [
     dict(BASE_CONFIG, n_max=10**9, source_modes=[[10**9, 1, 1, 1.0, 0.0]]),
     # the scheduled degree at the deepest loss is about 1070
@@ -331,7 +384,7 @@ def test_unreachable_degrees_rejected_before_any_run(tmp_path, config, monkeypat
 
     with pytest.raises(cli.ValidationError, match=str(cli.MAX_DEGREE)):
         cli.validate_config(copy.deepcopy(config))
-    monkeypatch.setattr(cli, "shared_tables", _no_run)  # every run starts with its tables
+    _forbid_runs(monkeypatch)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
     for argv in (["sweep", "--csv", str(tmp_path / "x.csv")], ["solve"], ["witness"]):
@@ -357,8 +410,7 @@ def test_extreme_materials_rejected_before_any_run(argv, lam, mu, monkeypatch, c
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
 
-    for name in ("ensure_tables", "kernel_basis", "np_galerkin_spectrum"):
-        monkeypatch.setattr(cli, name, _no_run)
+    _forbid_runs(monkeypatch)
     assert cli.main(argv + [f"--lambda={lam!r}", f"--mu={mu!r}"]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and "out of the float range" in json.loads(lines[0])["error"]
@@ -373,7 +425,7 @@ def test_extreme_material_configs_rejected_before_any_run(lam, mu, tmp_path, mon
     cfg["lambda"] = lam
     with pytest.raises(cli.ValidationError, match="out of the float range"):
         cli.validate_config(copy.deepcopy(cfg))
-    monkeypatch.setattr(cli, "shared_tables", _no_run)
+    _forbid_runs(monkeypatch)
     path = tmp_path / "run.json"
     path.write_text(json.dumps(cfg))
     for argv in (["sweep", "--csv", str(tmp_path / "x.csv")], ["solve"], ["witness"]):
@@ -419,7 +471,7 @@ def test_family2_sweep_reaches_the_incompressible_limit(tmp_path, capsys):
         csv = tmp_path / f"x_{lam:g}.csv"
         assert cli.main(["sweep", "--config", _cored_zeta2_config(tmp_path, lam), "--csv", str(csv)]) == 0, lam
         assert not capsys.readouterr().err
-        energies[lam] = [row.E_delta for row in cli.parse_report(str(csv))[1]]
+        energies[lam] = [row.E_delta for row in parse_report(csv)[1]]
     assert all(abs(a - b) <= 1e-9 * abs(b) for a, b in zip(energies[1e20], energies[1e12]))
 
 
@@ -604,6 +656,44 @@ def test_cold_sweeps_build_no_member_and_test_no_degree(tmp_path):
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "[] [] 0 False"
+
+
+def test_cold_sweep_loads_neither_harmonics_nor_waves(tmp_path):
+    # a sweep row is sector-scalar algebra and the package loads a module on
+    # first use: a bare import loads no submodule, an unknown name is an
+    # AttributeError, and sweeps of the cored q = 2.3 schedule (degrees 7 ..
+    # 27) and of the cored family-2 run at zeta2(4) load neither the
+    # derivative tables' module nor the perfect waves'
+    schedule = dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]],
+                    delta_list=[10.0 ** (-(4 + i) / 2) for i in range(13)])
+    cored_zeta2 = dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 2, -0.8, 0.6]])
+    argvs = []
+    for i, cfg in enumerate((schedule, cored_zeta2)):
+        path = tmp_path / f"run{i}.json"
+        path.write_text(json.dumps(cfg))
+        argvs.append(["sweep", "--config", str(path), "--csv", str(tmp_path / f"x{i}.csv")])
+    code = (
+        "import sys\n"
+        "import elastoplasmon\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('elastoplasmon.'))\n"
+        "assert loaded() == [], loaded()\n"
+        "try:\n"
+        "    elastoplasmon.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+        "assert loaded() == [], loaded()\n"
+        "from elastoplasmon.cli import main\n"
+        f"assert [main(argv) for argv in {argvs!r}] == [0, 0]\n"
+        "print(loaded())\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == str([f"elastoplasmon.{m}" for m in
+                                            ("cli", "energy", "lame", "scenarios", "transmission")])
 
 
 def test_verification_commands_build_no_sphere_rule(tmp_path):

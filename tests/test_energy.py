@@ -78,12 +78,12 @@ def test_divergent_exterior_integral_raises(tables):
 def lossy_solution(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.1, base=P11)
     src = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0, (2, 3, 2): 0.5})
-    return med, src, solve_modes(med, src, tables)
+    return med, src, solve_modes(med, src)
 
 
 def test_dissipation_positive_and_crosschecked(lossy_solution, tables):
     med, _, sols = lossy_solution
-    E1 = dissipation_E(sols, med, tables)
+    E1 = dissipation_E(sols, med)
     E2 = dissipation_imaginary(sols, med, tables)
     assert E1 > 0
     assert abs(E1 - E2) / E1 < 1e-8
@@ -92,7 +92,7 @@ def test_dissipation_positive_and_crosschecked(lossy_solution, tables):
 def test_dissipation_split_identity(lossy_solution, tables):
     med, _, sols = lossy_solution
     delta = med.delta
-    E = dissipation_E(sols, med, tables)
+    E = dissipation_E(sols, med)
     Pv = Pw = 0.0
     for sol in sols:
         for reg in sol.regions:
@@ -109,15 +109,15 @@ def test_dissipation_needs_loss(lossy_solution, tables):
     _, src, sols = lossy_solution
     med0 = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.0, base=P11)
     with pytest.raises(ValueError):
-        dissipation_E(sols, med0, tables)
+        dissipation_E(sols, med0)
 
 
 def test_dissipation_quadratic_in_source(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.1, base=P11)
     s1 = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0})
     s2 = SourceSpec(q=2.25, coefficients={(2, 1, 1): 2.0})
-    E1 = dissipation_E(solve_modes(med, s1, tables), med, tables)
-    E2 = dissipation_E(solve_modes(med, s2, tables), med, tables)
+    E1 = dissipation_E(solve_modes(med, s1), med)
+    E2 = dissipation_E(solve_modes(med, s2), med)
     assert E2 / E1 == pytest.approx(4.0, rel=1e-12)
 
 
@@ -131,7 +131,7 @@ def test_zero_pair_gives_zero_functionals(tables):
 def test_primal_identity_at_minimizer(lossy_solution, tables):
     med, _, sols = lossy_solution
     delta = med.delta
-    E = dissipation_E(sols, med, tables)
+    E = dissipation_E(sols, med)
     I_val = 0.0
     for sol in sols:
         vp = [ModeField(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
@@ -146,8 +146,8 @@ def test_primal_identity_at_minimizer(lossy_solution, tables):
 def test_dual_identity_at_maximizer(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.1, base=P11)
     src = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0})
-    sols = solve_modes(med, src, tables)
-    E = dissipation_E(sols, med, tables)
+    sols = solve_modes(med, src)
+    E = dissipation_E(sols, med)
     sol = sols[0]
     vp = [ModeField(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
     pp = [ModeField(imag_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
@@ -161,8 +161,8 @@ def test_admissible_non_optimal_pair_is_upper_bound(tables):
 
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
-    _, I_up, _ = witness_fixed_c(med, src, tables)
-    E = dissipation_E(solve_modes(med, src, tables), med, tables)
+    _, I_up, _ = witness_fixed_c(med, src)
+    E = dissipation_E(solve_modes(med, src), med)
     assert E <= I_up * (1 + 1e-9)
 
 
@@ -232,7 +232,7 @@ MIXED_SOURCE = {(3, 1, 2): 1.0, (3, 3, 1): 0.5j, (5, 2, 1): 0.3 - 0.2j}
 def test_pairing_matches_quadrature_on_solve_regions(tables, materials, core):
     for params in materials:
         med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=core)
-        sols = solve_modes(med, SourceSpec(q=3.0, coefficients=MIXED_SOURCE), tables)
+        sols = solve_modes(med, SourceSpec(q=3.0, coefficients=MIXED_SOURCE))
         _assert_pairings_agree([reg for sol in sols for reg in sol.regions if reg.terms], params, tables)
 
 
@@ -247,7 +247,7 @@ def test_pairing_matches_quadrature_on_witness_pieces(tables, materials):
     from elastoplasmon.waves import plasmon_constants
 
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
-    pieces, _, _ = witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (27, 1, 3): 0.5}), tables)
+    pieces, _, _ = witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (27, 1, 3): 0.5}))
     _assert_pairings_agree(pieces, P11, tables)
     for delta in (1e-2, 1e-8):  # scheduled degrees 7 and 27
         med, src = scheduled_configuration(P11, 2.0, q=2.3, k=2, core_radius=1.0)(delta)
@@ -278,7 +278,7 @@ def test_source_pairing_matches_quadrature(tables, materials):
     densities = ({(3, 1, 1): 1j, (3, 2, 1): 0.3 - 0.8j, (5, 3, 2): 0.6 + 0.2j, (5, 1, 1): 1.0}, MIXED_SOURCE)
     for params in materials:
         med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=1.0)
-        for sol in solve_modes(med, psi_src, tables):
+        for sol in solve_modes(med, psi_src):
             inner = sol.regions[-2]  # the piece that ends on the source sphere
             psi_norm = math.sqrt(sum(np.sum(np.abs(c) ** 2) for c in displacement_coeffs(inner.terms, 3.0).values()))
             for coeffs in densities:
@@ -348,7 +348,7 @@ def test_gradient_routes_agree_on_solve_regions(tables, materials, core):
     for params in materials:
         med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=core)
         for coeffs in (MIXED_SOURCE, deep):
-            sols = solve_modes(med, SourceSpec(q=3.0, coefficients=coeffs), tables)
+            sols = solve_modes(med, SourceSpec(q=3.0, coefficients=coeffs))
             _assert_gradient_routes_agree([reg for sol in sols for reg in sol.regions if reg.terms], params, tables)
 
 
@@ -363,7 +363,7 @@ def test_gradient_routes_agree_on_witness_pieces(tables, materials):
     from elastoplasmon.waves import plasmon_constants
 
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
-    pieces, _, _ = witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (27, 1, 3): 0.5}), tables)
+    pieces, _, _ = witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (27, 1, 3): 0.5}))
     _assert_gradient_routes_agree(pieces, P11, tables)
     for delta in (1e-2, 1e-8):  # scheduled degrees 7 and 27
         med, src = scheduled_configuration(P11, 2.0, q=2.3, k=2, core_radius=1.0)(delta)
@@ -440,7 +440,7 @@ def test_flux_dissipation_against_50_digit_solve(core):
     errors = {}
     for fam in (1, 2, 3):
         for n in (12, 27, 60):
-            sol = solve_mode(med, SourceSpec(q=2.25, coefficients={(n, fam, 2): 0.6 - 0.8j}), n, tables)
+            sol = solve_mode(med, SourceSpec(q=2.25, coefficients={(n, fam, 2): 0.6 - 0.8j}), n)
             ref = mp_flux_dissipation(sol, med)
             flux = abs(dissipation_E([sol], med) - ref) / ref
             volume = abs(volume_dissipation([sol], med, tables) - ref) / ref

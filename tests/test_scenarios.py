@@ -78,7 +78,7 @@ def test_branch_coefficients_match_closed_forms(tables):
         for c in (-4.0, -2.0, -1.0):
             for r_e in (1.5, 2.0):
                 med = LayeredMedium(shell_radius=r_e, c=c, delta=1e-3, base=P11, core_radius=1.0)
-                pieces, _, _ = witness_fixed_c(med, src, tables)
+                pieces, _, _ = witness_fixed_c(med, src)
                 (core, _), (a1, b1), (a2, b2), (_, b3) = _region_amplitudes(pieces, K)
                 e = [a1 / core, b1 / core, a2 / core, b2 / core, b3 / core]
                 assert max(abs(x.imag) for x in e) < 1e-12
@@ -97,7 +97,7 @@ def test_witness_fixed_c_constraint_and_jump(tables, quad):
     # A-weighted interface continuity everywhere, jump = gamma K at the source
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (3, 1, 2): 0.5})
-    pieces, I_up, data = witness_fixed_c(med, src, tables)
+    pieces, I_up, data = witness_fixed_c(med, src)
     gammas = {2: src.density_matrix(2, P11, tables), 3: src.density_matrix(3, P11, tables)}
     for rho, is_src in ((1.0, False), (2.0, False), (3.0, True)):
         inner = next(p for p in pieces if abs(p.r_hi - rho) < 1e-12)
@@ -120,7 +120,7 @@ def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
     # conormal jump of the witness equals gamma K Y to oracle accuracy
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
-    pieces, _, _ = witness_fixed_c(med, src, tables)
+    pieces, _, _ = witness_fixed_c(med, src)
     gamma = src.coefficients[(2, 1, 1)]
     K = kernel_basis(P11, 2, 1, tables)[0]
     from elastoplasmon.lame import ModeField
@@ -138,7 +138,7 @@ def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
 def test_witness_fixed_c_requires_family1(tables):
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
     with pytest.raises(ValueError):
-        witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 2, 1): 1.0}), tables)
+        witness_fixed_c(med, SourceSpec(q=3.0, coefficients={(2, 2, 1): 1.0}))
 
 
 def test_witness_fixed_c_upper_bound_slope(tables):
@@ -148,8 +148,8 @@ def test_witness_fixed_c_upper_bound_slope(tables):
     Is, Es = [], []
     for d in deltas:
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=float(d), base=P11, core_radius=1.0)
-        _, I_up, _ = witness_fixed_c(med, src, tables)
-        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        _, I_up, _ = witness_fixed_c(med, src)
+        E = dissipation_E(solve_modes(med, src), med)
         assert E <= I_up * (1 + 1e-9)
         Is.append(I_up)
         Es.append(E)
@@ -163,8 +163,8 @@ def test_witness_fixed_c_upper_bound_any_core(tables):
     src = SourceSpec(q=3.0, coefficients={(3, 1, 1): 1.0})
     for core in (0.5, 1.5):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-2, base=P11, core_radius=core)
-        _, I_up, _ = witness_fixed_c(med, src, tables)
-        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        _, I_up, _ = witness_fixed_c(med, src)
+        E = dissipation_E(solve_modes(med, src), med)
         assert E <= I_up * (1 + 1e-9), (core, E, I_up)
 
 
@@ -175,10 +175,10 @@ def test_witness_fixed_c_matches_extended_precision_solve(tables, monkeypatch):
     for delta in (1e-2, 10**-2.5, 1e-3, 10**-3.5):
         med, src = conf(delta)
         assert 7 <= max(src.degrees()) <= 12
-        _, I_up, _ = witness_fixed_c(med, src, tables)
+        _, I_up, _ = witness_fixed_c(med, src)
         with monkeypatch.context() as m:
             m.setattr(transmission, "_square_solve", mp_square_solve)
-            sols = solve_modes(replace(med, delta=0.0), src, tables)
+            sols = solve_modes(replace(med, delta=0.0), src)
         pieces = _merge_pieces([list(sol.regions) for sol in sols])
         I_ref = functional_I(pieces, None, delta, P11, tables)
         assert abs(I_up - I_ref) <= 1e-11 * abs(I_ref), (delta, I_up, I_ref)
@@ -190,9 +190,9 @@ def test_witness_fixed_c_singular_loss_free_system_leaves_bound_blank(tables):
     med, src = conf(1e-4)
     assert max(src.degrees()) == 14
     with pytest.raises(ResonantSingularityError) as err:
-        witness_fixed_c(med, src, tables)
+        witness_fixed_c(med, src)
     assert err.value.condition > 1e9
-    row = _sweep_row(conf, 1e-4, tables, True)
+    row = _sweep_row(conf, 1e-4, True)
     assert row.I_upper is None and row.J_lower is not None
 
 
@@ -205,7 +205,7 @@ def test_witness_nocore_lower_bound_slope_and_sign(tables):
         med = LayeredMedium(shell_radius=2.0, c=z1, delta=float(d), base=P11)
         psi, J_low, tau = witness_nocore(med, src, float(d), tables)
         assert tau > 0  # sign matches the positive real coefficient
-        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        E = dissipation_E(solve_modes(med, src), med)
         assert J_low <= E * (1 + 1e-9)
         Js.append(J_low)
     slope = np.polyfit(np.log(1 / deltas), np.log(Js), 1)[0]
@@ -277,7 +277,7 @@ def test_witness_radial_nonresonant_bounded(tables):
     for d in (1e-2, 1e-3, 1e-4, 1e-5):
         med, src = conf(d)
         _, _, I_up = witness_radial_nonresonant(med, src, d, tables)
-        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        E = dissipation_E(solve_modes(med, src), med)
         assert E <= I_up * (1 + 1e-9)
         vals.append(I_up)
     # bounded: the bound never grows along the sweep (here it decays, since
@@ -291,7 +291,7 @@ def test_witness_radial_nonresonant_upper_bound_any_core(tables):
     for core in (0.5, 1.5):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-2, base=P11, core_radius=core)
         _, _, I_up = witness_radial_nonresonant(med, src, 1e-2, tables)
-        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        E = dissipation_E(solve_modes(med, src), med)
         assert E <= I_up * (1 + 1e-9), (core, E, I_up)
 
 
@@ -321,7 +321,7 @@ def test_sweep_nocore_fixed_resonant(tables):
     z1 = plasmon_constants(P11, 2).zeta1
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
     conf = fixed_configuration(params=P11, shell_radius=2.0, c=z1, source=src)
-    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], tables)
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5])
     assert res.verdict == "resonant"
     assert abs(res.growth_exponent - 1.0) < 0.05
     for row in res.rows:
@@ -331,7 +331,7 @@ def test_sweep_nocore_fixed_resonant(tables):
 def test_sweep_cored_fixed_nonresonant(tables):
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
     conf = fixed_configuration(params=P11, shell_radius=2.0, c=-4.0, source=src, core_radius=1.0)
-    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], tables)
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5])
     assert res.verdict == "non-resonant"
     assert abs(res.growth_exponent + 1.0) < 0.05
     for row in res.rows:
@@ -340,13 +340,13 @@ def test_sweep_cored_fixed_nonresonant(tables):
 
 def test_sweep_scheduled_outside_critical_radius(tables):
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.0**1.8, core_radius=1.0)
-    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], tables, with_witnesses=False)
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], with_witnesses=False)
     assert res.verdict == "non-resonant"
 
 
 def test_sweep_sandwich_consistency(tables):
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.3, core_radius=1.0)
-    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], tables)
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5])
     for row in res.rows:
         assert row.sandwich_ok(1e-9)
 
@@ -356,7 +356,7 @@ def test_scheduled_sweep_outside_critical_radius_keeps_relative_sandwich(tables)
     # solved accurately enough for the relative gate, and the witnesses bound
     # it to rounding (a double solve without refinement misses by 5.8e-9)
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=3.6, core_radius=1.0)
-    res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)], tables)
+    res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)])
     for row in res.rows:
         assert row.I_upper is not None and row.J_lower is not None
         assert row.sandwich_ok(1e-9), row.delta
@@ -368,11 +368,11 @@ def test_sweep_input_validation(tables):
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
     conf = fixed_configuration(params=P11, shell_radius=2.0, c=-4.0, source=src, core_radius=1.0)
     with pytest.raises(ValueError):
-        sweep(conf, [1e-2, 1e-3], tables)  # too short
+        sweep(conf, [1e-2, 1e-3])  # too short
     with pytest.raises(ValueError):
-        sweep(conf, [1e-3, 1e-2, 1e-4, 1e-5], tables)  # not decreasing
+        sweep(conf, [1e-3, 1e-2, 1e-4, 1e-5])  # not decreasing
     with pytest.raises(ValueError):
-        sweep(conf, [1e-2, 1e-3, 1e-4], tables)  # under three decades
+        sweep(conf, [1e-2, 1e-3, 1e-4])  # under three decades
 
 
 # fixed and scheduled runs of families 1-3, cored and core-free, and a
@@ -405,7 +405,7 @@ def test_sweep_rows_match_the_volume_oracle(name, tables):
     from oracles import volume_row
 
     deltas = [1e-2, 1e-3, 1e-4, 1e-5]
-    res = sweep(FLUX_CONFIGS[name], deltas, tables)
+    res = sweep(FLUX_CONFIGS[name], deltas)
     for row, delta in zip(res.rows, deltas):
         for got, want in zip((row.E_delta, row.I_upper, row.J_lower), volume_row(FLUX_CONFIGS[name], delta, tables)):
             assert (got is None) == (want is None), (name, delta, got, want)
@@ -418,9 +418,9 @@ def test_shared_sector_cross_energy_is_counted(tables):
     # dissipation differs from the sum of the single-density dissipations
     for name in ("shared_sector_nocore", "shared_sector_cored"):
         med, src = FLUX_CONFIGS[name](1e-2)
-        parts = [dissipation_E(solve_modes(med, SourceSpec(src.q, {mode: g}), tables), med, tables)
+        parts = [dissipation_E(solve_modes(med, SourceSpec(src.q, {mode: g})), med)
                  for mode, g in src.coefficients.items()]
-        together = dissipation_E(solve_modes(med, src, tables), med, tables)
+        together = dissipation_E(solve_modes(med, src), med)
         assert abs(together - sum(parts)) > 1e-5 * together, name
 
 
@@ -429,7 +429,7 @@ def test_sweep_records_every_witness_refusal(tables):
     # singular from n_delta = 14 on; each blank I_upper names its refusal, and
     # the radial witness, whose hypothesis q > R^(3/2) fails, is not tried
     conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
-    res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)], tables)
+    res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)])
     refusals = res.meta["refusals"]
     assert [r["n_delta"] for r in refusals] == [14, 15, 17, 19, 20, 22, 24, 25, 27]
     assert {(r["witness"], r["bound"], r["error"]) for r in refusals} == {
@@ -440,6 +440,6 @@ def test_sweep_records_every_witness_refusal(tables):
         assert row.J_lower is not None
     # a bound that does not apply to the configuration is a refusal too
     conf = FLUX_CONFIGS["f2_fixed_cored"]
-    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], tables)
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5])
     assert [(r["row"], r["witness"], r["error"]) for r in res.meta["refusals"]] == [
         (i, w, "ValueError") for i in range(4) for w in ("witness_fixed_c", "witness_core_resonant")]

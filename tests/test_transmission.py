@@ -55,7 +55,7 @@ def test_transparent_interfaces(tables):
     # c = 1: no scattering; entire amplitudes equal in all interior regions
     med = LayeredMedium(shell_radius=1.5, c=1.0, delta=0.02, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
-    sol = solve_mode(med, src, 2, tables)
+    sol = solve_mode(med, src, 2)
     inner = {(t.degree, t.power): t.coef for t in sol.regions[0].terms}
     mid = {(t.degree, t.power): t.coef for t in sol.regions[1].terms}
     scale = max(np.max(np.abs(c)) for c in inner.values())
@@ -70,14 +70,14 @@ def test_transparent_interfaces(tables):
 def test_zero_source_zero_solution(tables):
     med = LayeredMedium(shell_radius=1.5, c=-3.0, delta=0.0, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 0.0})
-    sol = solve_mode(med, src, 2, tables)
+    sol = solve_mode(med, src, 2)
     assert all(not reg.terms or max(np.max(np.abs(t.coef)) for t in reg.terms) < 1e-14 for reg in sol.regions)
 
 
 def test_wellposed_positive_multiplier_loss_free(tables):
     med = LayeredMedium(shell_radius=1.5, c=2.0, delta=0.0, base=P11)
     src = SourceSpec(q=2.0, coefficients={(3, 2, 1): 1.0})
-    sol = solve_mode(med, src, 3, tables)
+    sol = solve_mode(med, src, 3)
     assert sol.lstsq_residual < 1e-10
 
 
@@ -88,7 +88,7 @@ def test_all_families_solve_with_tiny_residuals(tables, materials):
             q=2.1,
             coefficients={(2, 1, 1): 1.0, (2, 2, 1): 0.5 + 0.25j, (2, 3, 2): -0.75, (3, 3, 1): 0.4},
         )
-        sols = solve_modes(med, src, tables)
+        sols = solve_modes(med, src)
         rep = residual_check(sols, med, src, tables)
         assert rep["lame"] < 1e-8
         assert rep["displacement_jump"] < 1e-9
@@ -99,7 +99,7 @@ def test_all_families_solve_with_tiny_residuals(tables, materials):
 def test_residual_check_detects_perturbation(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
-    sol = solve_mode(med, src, 2, tables)
+    sol = solve_mode(med, src, 2)
     from dataclasses import replace
     from elastoplasmon.lame import Term
 
@@ -112,7 +112,7 @@ def test_residual_check_detects_perturbation(tables):
 def test_field_decay_and_continuity(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
-    sols = solve_modes(med, src, tables)
+    sols = solve_modes(med, src)
     d = np.array([0.36, 0.48, 0.8])
     far, farther = eval_field(sols, 20.0 * d), eval_field(sols, 200.0 * d)
     # lowest active degree 2 decays like r^{-3} per decade, above the 10^{-2(n+1)} floor
@@ -155,7 +155,7 @@ def test_loss_free_solve_checks_every_family(tables):
     z3 = plasmon_constants(P11, 2).zeta3
     med = LayeredMedium(shell_radius=1.5, c=z3, delta=0.0, base=P11)
     with pytest.raises(ResonantSingularityError) as err:
-        solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 2, 1): 1.0}), 2, tables)
+        solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 2, 1): 1.0}), 2)
     assert err.value.condition > 1e9
 
 
@@ -171,8 +171,8 @@ def test_sector_solve_agrees_with_window_oracle(tables, materials):
                     {(n, 2, 1): 1.0}, {(n, 3, 2): 1.0},
                     {(n, 1, 1): 0.3, (n, 2, 1): 0.5j, (n, 3, 1): -0.7})]
                 for src, ref in zip(sources, window_solve(med, sources, n, tables)):
-                    sol = solve_mode(med, src, n, tables)
-                    E, E_ref = dissipation_E([sol], med, tables), volume_dissipation([ref], med, tables)
+                    sol = solve_mode(med, src, n)
+                    E, E_ref = dissipation_E([sol], med), volume_dissipation([ref], med, tables)
                     assert abs(E - E_ref) <= 1e-9 * abs(E_ref), (params, core, n, src)
                     for reg in ref.regions:
                         hi = reg.r_hi if math.isfinite(reg.r_hi) else 2.0 * reg.r_lo
@@ -188,7 +188,7 @@ def test_unconverged_solve_raises(tables, monkeypatch):
     mix = (kernel_basis(P11, 2, 1, tables)[0] + kernel_basis(P11, 2, 2, tables)[0]) / math.sqrt(2.0)
     monkeypatch.setattr(transmission, "kernel_basis", lambda params, n, fam, tables: [mix])
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
-    sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2, tables)
+    sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2)
     with pytest.raises(UnconvergedSolveError, match="backward error"):
         sol.regions
 
@@ -201,7 +201,7 @@ def test_solve_where_plasmon_constants_coincide(tables):
     med = LayeredMedium(shell_radius=1.4, c=-1.7, delta=0.05, base=params)
     for fam in (1, 2):
         src = SourceSpec(q=2.1, coefficients={(8, fam, 1): 1.0})
-        sols = solve_modes(med, src, tables)
+        sols = solve_modes(med, src)
         rep = residual_check(sols, med, src, tables)
         assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) < 1e-9, (fam, rep)
         assert rep["lame"] < 1e-8, (fam, rep)
@@ -212,7 +212,7 @@ def test_singularity_error_carries_condition(tables):
     med = LayeredMedium(shell_radius=1.5, c=z1, delta=0.0, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
     with pytest.raises(ResonantSingularityError) as err:
-        solve_mode(med, src, 2, tables)
+        solve_mode(med, src, 2)
     assert err.value.condition > 1e9
 
 
@@ -221,8 +221,8 @@ def test_delta_continuity(tables):
     med2 = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.1001, base=P11)
     src = SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0})
     x = np.array([0.9, 0.3, 0.1])
-    u1 = eval_field(solve_modes(med1, src, tables), x)
-    u2 = eval_field(solve_modes(med2, src, tables), x)
+    u1 = eval_field(solve_modes(med1, src), x)
+    u2 = eval_field(solve_modes(med2, src), x)
     assert np.max(np.abs(u1 - u2)) / np.max(np.abs(u1)) < 1e-2
 
 
@@ -289,7 +289,7 @@ def test_scalar_kernel_check_rejects_detuned_constants(tables, monkeypatch):
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
     for fam in (1, 2, 3):
         with pytest.raises(AssertionError, match=f"family {fam} .*transmission defect"):
-            solve_mode(med, SourceSpec(q=2.0, coefficients={(4, fam, 1): 1.0}), 4, tables)
+            solve_mode(med, SourceSpec(q=2.0, coefficients={(4, fam, 1): 1.0}), 4)
 
 
 def test_project_source_recovers_kernel_density(tables):
@@ -354,7 +354,7 @@ def _bad_source_calls():
     # sources, family 1 (2J + 1 = 5 members) unless the case names another
     def solve(k, q=3.0, fam=1):
         med = LayeredMedium(shell_radius=2.0, c=-2.2, delta=0.05, base=P11, core_radius=1.0)
-        return lambda t: solve_mode(med, SourceSpec(q=q, coefficients={(2, fam, k): 1.0}), 2, t)
+        return lambda t: solve_mode(med, SourceSpec(q=q, coefficients={(2, fam, k): 1.0}), 2)
 
     def dual(k):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11)
@@ -387,7 +387,7 @@ def test_library_rejects_sources_outside_the_model(case, tables):
 def test_degree_guard(tables):
     med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=P11)
     with pytest.raises(ValueError):
-        solve_mode(med, SourceSpec(q=2.0, coefficients={}), 1, tables)
+        solve_mode(med, SourceSpec(q=2.0, coefficients={}), 1)
 
 
 def test_scalar_sector_solve_agrees_with_matrix_oracle(tables, materials):
@@ -400,9 +400,9 @@ def test_scalar_sector_solve_agrees_with_matrix_oracle(tables, materials):
                 for co in ({(n, 2, 1): 1.0}, {(n, 3, 2): 0.5 - 0.5j},
                            {(n, 1, 2): 0.3, (n, 2, 1): 0.5j, (n, 3, 3): -0.7}):
                     src = SourceSpec(q=2.5, coefficients=co)
-                    sol, ref = solve_mode(med, src, n, tables), matrix_sector_solve(med, src, n, tables)
+                    sol, ref = solve_mode(med, src, n), matrix_sector_solve(med, src, n, tables)
                     assert sol.window == ref.window
-                    E, E_ref = dissipation_E([sol], med, tables), volume_dissipation([ref], med, tables)
+                    E, E_ref = dissipation_E([sol], med), volume_dissipation([ref], med, tables)
                     assert abs(E - E_ref) <= 1e-12 * E_ref, (params, core, n, co)
                     for reg, reg_ref in zip(sol.regions, ref.regions):
                         got = {(t.degree, t.power): t.coef for t in reg.terms}
@@ -416,10 +416,10 @@ def _energies_with_50_digit_oracle(configuration, deltas, tables, monkeypatch):
     out = []
     for delta in deltas:
         med, src = configuration(delta)
-        E = dissipation_E(solve_modes(med, src, tables), med, tables)
+        E = dissipation_E(solve_modes(med, src), med)
         with monkeypatch.context() as m:
             m.setattr(transmission, "_square_solve", mp_square_solve)
-            E_mp = dissipation_E(solve_modes(med, src, tables), med, tables)
+            E_mp = dissipation_E(solve_modes(med, src), med)
         out.append((E, E_mp))
     return out
 
@@ -442,7 +442,7 @@ def test_spheroidal_energy_independent_of_member_and_phase(tables):
     phase = complex(math.cos(2.0), math.sin(2.0))
     for delta in (1e-4, 1e-5):
         med = LayeredMedium(shell_radius=2.0, c=-25.0 / 38.0, delta=delta, base=P11)
-        energies = [dissipation_E(solve_modes(med, SourceSpec(q=2.6, coefficients={(3, 3, k): g}), tables), med, tables)
+        energies = [dissipation_E(solve_modes(med, SourceSpec(q=2.6, coefficients={(3, 3, k): g})), med)
                     for k in range(1, 10) for g in (1.0, phase)]
         assert (max(energies) - min(energies)) <= 1e-13 * min(energies), delta
 
@@ -470,7 +470,7 @@ for fam, n, c, q, core in ((2, 4, -130 / 59, 3.0, 1.0), (3, 3, -25 / 38, 2.6, No
     for rows in (4, 8):
         transmission._KERNEL_CACHE.clear()
         calls[0] = 0
-        sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)), tables)
+        sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)))
         out.append(str(calls[0]))
 print(" ".join(out))
 """
