@@ -1,10 +1,11 @@
 """Cross-validate the plasmon constants through the boundary operator.
 
-The single-layer potential of the Kelvin matrix has exact per-degree radial
-factors, so the conormal traces on both sides of the sphere are computable
-in closed form.  Their average is the Neumann-Poincare operator; a shell
-multiplier c admits a nontrivial transmission field exactly when
-(c+1)/(2(c-1)) sits in its spectrum.
+The single layer of a density in one total-angular-momentum sector is the
+sector's radial-profile field that is continuous across the sphere and
+whose traction jumps by the density, so the conormal traces on both sides
+are scalars in closed form.  Their average is the Neumann-Poincare
+operator; a shell multiplier c admits a nontrivial transmission field
+exactly when (c+1)/(2(c-1)) sits in its spectrum.
 """
 
 import numpy as np

@@ -56,10 +56,10 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # quadrature_exactness key).  Every table degree a run reads is built and
 # self-tested on first use: about 20 ms for degree 64 alone (its band's
 # polar rule included) and 0.2 s for degrees 0..70, on a 2-vCPU x86-64 host
-# with one BLAS thread.  A sweep reads none (its rows are sector scalars);
-# solve, witness, kernels and waves-check read at most 4 beyond their
-# deepest degree.  The suite self-tests every degree 0..70; the demos stay
-# below degree 42.
+# with one BLAS thread.  A sweep and np-spectrum read none (their results
+# are sector scalars); solve, witness, kernels and waves-check read at most
+# 4 beyond their deepest degree.  The suite self-tests every degree 0..70;
+# the demos stay below degree 42.
 MAX_DEGREE = 64
 
 
@@ -188,7 +188,8 @@ def _material(lam: float, mu: float, degrees=(), fields=()) -> LameParams:
     """The Lame pair, refused where a constant the run reads is not a finite number.
 
     A run reads the plasmon constants at ``degrees``, and a field built at a
-    degree d in ``fields`` reads the mode constants at d and d + 2.  Any
+    degree d in ``fields`` reads the mode constants at d and d + 2 (at
+    degree 1 only k_n and M_n, the others being undefined there).  Any
     convex pair is accepted unless one of these overflows or has a vanishing
     denominator, which happens only far out in the float range (lambda = mu
     = 1e308, or mu = 1e-320).
@@ -197,8 +198,9 @@ def _material(lam: float, mu: float, degrees=(), fields=()) -> LameParams:
     try:
         for n in sorted(set(degrees)):
             plasmon_constants(params, n)
-        for n in sorted({e for d in fields for e in (d, d + 2) if e >= 2}):
-            if not all(math.isfinite(v) for v in dataclasses.astuple(mode_constants(params, n))):
+        for n in sorted({e for d in fields for e in (d, d + 2) if e >= 1}):
+            cst = mode_constants(params, n)
+            if not all(math.isfinite(v) for v in (dataclasses.astuple(cst) if n >= 2 else (cst.k_n, cst.M_n))):
                 raise ArithmeticError(f"mode constants at n={n} are not finite")
     except ArithmeticError as exc:
         raise ValidationError(f"(lambda, mu) = ({lam!r}, {mu!r}) is out of the float range: {exc}") from None
@@ -389,7 +391,7 @@ def _cmd_np_spectrum(args) -> int:
     _check_radius(args.R)
     if not 2 <= args.nmax <= MAX_DEGREE:
         raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
-    params = _material(args.lam, args.mu, degrees=range(2, args.nmax + 1))
+    params = _material(args.lam, args.mu, degrees=range(2, args.nmax + 1), fields=range(1, args.nmax + 1))
     spec = np_galerkin_spectrum(args.R, params, args.nmax)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
     targets = []

@@ -176,18 +176,14 @@ def solution_pairing(solutions: Sequence) -> float:
     """
     annuli: dict = {}
     for sol in solutions:
-        for fam, gammas, prof, cols, x in sol.sectors:
+        for fam, gammas, prof, pieces in sol.sectors:
             J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
             gamma = np.zeros(2 * J + 1, dtype=complex)
             for k, g in gammas:
                 gamma[k - 1] = g
             coords = _coordinates(prof)
-            per_region: dict[int, dict] = {}
-            for xc, (reg, kind, shape) in zip(x, cols):
-                per_region.setdefault(reg, {})[(kind, shape)] = xc
-            for reg, amps in per_region.items():
-                key = (sol.radii[reg], sol.radii[reg + 1], (fam == 1, J))
-                annuli.setdefault(key, []).append((prof, coords, gamma, amps))
+            for lo, hi, amps in pieces:
+                annuli.setdefault((lo, hi, (fam == 1, J)), []).append((prof, coords, gamma, amps))
     return _flux(annuli)
 
 

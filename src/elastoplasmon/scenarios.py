@@ -38,8 +38,9 @@ import numpy as np
 
 from .lame import LameParams, ModeField, Term, plasmon_constants
 from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairing
-from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_trace,
-                           _radial_profile, _source_member, _wave_amplitudes, solve_mode, solve_modes)
+from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_fields,
+                           _profile_trace, _radial_profile, _source_member, _wave_amplitudes, solve_mode,
+                           solve_modes)
 
 if TYPE_CHECKING:
     from .harmonics import DerivativeTable
@@ -89,16 +90,6 @@ def _entire_traction(params: LameParams, n: int, r: float) -> float:
     """Traction of K r^n Y_n on the sphere r over K Y_n, K a family-1 kernel (its radial profile)."""
     p, _, trac = _radial_profile(params, n, 1).blocks[("entire", n)]
     return trac[n] * r ** (p - 1)
-
-
-def _toroidal_fields(K: np.ndarray, n: int, annuli: Sequence[tuple[float, float, dict]]) -> list[ModeField]:
-    """The family-1 field of member K on block-amplitude annuli [(r_lo, r_hi, {(kind, n): amplitude})].
-
-    ``entire`` is K r^n Y_n and ``decay`` K r^(-n-1) Y_n.
-    """
-    power = {("entire", n): n, ("decay", n): -n - 1}
-    return [ModeField(tuple(Term(a * K, n, power[b]) for b, a in amps.items() if a != 0), lo, hi)
-            for lo, hi, amps in annuli]
 
 
 def _merge_annuli(parts: list[list[tuple[float, float, dict]]]) -> list[tuple[float, float, dict]]:
@@ -277,15 +268,16 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     """
     J_lower, tau, (n0, fam, k), v_tilde = _core_bound(medium, source, delta)
     K, psi_hat = _unit_wave(medium, n0, fam, k, tables)
-    return _scaled(_toroidal_fields(K, n0, v_tilde), tau / delta), _scaled(psi_hat, tau), J_lower, tau
+    v_hat = _profile_fields([(_radial_profile(medium.base, n0, 1), {n0: K}, v_tilde)])
+    return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
 def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, list, list[ModeSolution]]:
     """I(v, w) of the radial primal witness by flux.
 
     Returns the bound, (n, k, v annuli, [annuli of each repair]) per
-    scheduled mode (the form of :func:`_toroidal_fields`), and the loss-free
-    solutions of the off-schedule degrees.
+    scheduled mode (the form :func:`~elastoplasmon.transmission._profile_fields`
+    reads), and the loss-free solutions of the off-schedule degrees.
     Scheduled modes, distinct members and distinct degrees are orthogonal,
     so their energies add; the two repairs of one mode share its member.
     """
@@ -343,9 +335,9 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     v_parts: list[list[ModeField]] = []
     w_parts: list[list[ModeField]] = []
     for n, k, v, repairs in scheduled:
-        K = _source_member(medium.base, n, 1, k, tables)
-        v_parts.append(_toroidal_fields(K, n, v))
-        w_parts += [_toroidal_fields(K, n, w) for w in repairs]
+        sector = (_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k, tables)})
+        v_parts.append(_profile_fields([(*sector, v)]))
+        w_parts += [_profile_fields([(*sector, w)]) for w in repairs]
     v_parts += [list(sol.regions) for sol in off]
     return _merge_pieces(v_parts), _merge_pieces(w_parts), I_upper
 

@@ -215,9 +215,9 @@ class SourceSpec:
 class ModeSolution:
     """Exact solve of one degree: the scalar amplitudes of each family's sector system.
 
-    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, columns,
-    amplitudes)`` entry per solved family: the amplitudes of the unit-density
-    system over its (region, kind, shape) columns, the density being
+    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, annuli)``
+    entry per solved family: the block amplitudes of the unit-density
+    system per region (:func:`_sector_annuli`), the density being
     sum gamma_k times member k.  ``radii`` are the region bounds from 0 to
     inf and ``window`` the degrees of the solution's terms.  ``regions`` is
     the piecewise field; its terms need the member matrices and the
@@ -235,20 +235,20 @@ class ModeSolution:
 
     @cached_property
     def regions(self) -> tuple[ModeField, ...]:
-        """One :class:`~elastoplasmon.lame.ModeField` per region.
+        """One :class:`~elastoplasmon.lame.ModeField` per region (:func:`_profile_fields`).
 
         Each family's density G is built from its members
-        (:func:`kernel_basis`) and a block's field is its profile scalars
-        times G and the partner shape of G.  Raises
-        :class:`UnconvergedSolveError` when a family-2/3 density leaves its
-        sector: the ladder back from its partner shape is not kappa G to 1e-10.
+        (:func:`kernel_basis`); its profile's reference matrices are G and
+        the partner shape of G.  Raises :class:`UnconvergedSolveError` when
+        a family-2/3 density leaves its sector: the ladder back from its
+        partner shape is not kappa G to 1e-10.
         """
         from .harmonics import ensure_tables
 
         n = self.n
         tables = ensure_tables(None, n + 4)
-        coefs: list[dict[tuple[int, int], np.ndarray]] = [{} for _ in self.radii[1:]]
-        for fam, gammas, prof, cols, x in self.sectors:
+        sectors = []
+        for fam, gammas, prof, annuli in self.sectors:
             G = _family_density(self.params, n, fam, gammas, tables)
             refs = {n: G}
             if fam != 1:
@@ -259,12 +259,8 @@ class ModeSolution:
                 if not impurity <= 1e-10:
                     raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
                                                 f"(backward error {impurity:.3e})")
-            for xc, (reg, kind, shape) in zip(x, cols):
-                p, disp, _ = prof.blocks[(kind, shape)]
-                for d, a in disp.items():
-                    coefs[reg][(d, p)] = coefs[reg].get((d, p), 0.0) + (xc * a) * refs[d]
-        return tuple(ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi)
-                     for co, lo, hi in zip(coefs, self.radii[:-1], self.radii[1:]))
+            sectors.append((prof, refs, annuli))
+        return tuple(_profile_fields(sectors))
 
 
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
@@ -356,6 +352,8 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     """The :class:`_RadialProfile` of a sector in closed form (Love, *Treatise*, ch. XI).
 
     Toroidal blocks K r^n and K r^(-n-1) have tractions mu (n-1) and -mu (n+2).
+    Family 2 at n = 1 is the sector J = 0, the degree-1 blocks x and x / r^3
+    with tractions 3 lambda + 2 mu and -4 mu and no partner degree.
     A spheroidal sector pairs degrees lo and hi = lo + 2 (family 2: lo = n-2,
     family 3: lo = n).  ``entire`` on lo and ``decay`` on hi are pure, with
     tractions 2 mu lo and -2 mu (hi+1); ``entire`` on hi slaves -a M_hi onto
@@ -367,6 +365,9 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     if fam == 1:
         return _RadialProfile((n,), {("entire", n): (n, {n: 1.0}, {n: mu * (n - 1.0)}),
                                      ("decay", n): (-n - 1, {n: 1.0}, {n: -mu * (n + 2.0)})}, None)
+    if n == 1 and fam == 2:  # J = 0: x and x / r^3
+        return _RadialProfile((1,), {("entire", 1): (1, {1: 1.0}, {1: 3.0 * lam + 2.0 * mu}),
+                                     ("decay", 1): (-2, {1: 1.0}, {1: -4.0 * mu})}, None)
     lo = n - 2 if fam == 2 else n
     hi = lo + 2
     kappa = (lo + 1.0) * (lo + 2) * (2 * lo + 1) * (2 * lo + 5)
@@ -399,16 +400,35 @@ def _profile_trace(prof: _RadialProfile, amplitudes: dict, rho: float) -> dict[i
     return out
 
 
+def _profile_fields(sectors) -> list[ModeField]:
+    """The fields of profile blocks, one :class:`~elastoplasmon.lame.ModeField` per annulus.
+
+    ``sectors`` are (profile, {degree: reference matrix}, annuli) triples,
+    annuli in the form :func:`~elastoplasmon.energy.profile_pairing` reads.
+    Each displacement scalar of a block adds amplitude x scalar x the
+    reference matrix of its degree to the term of that degree and the
+    block's power."""
+    coefs: dict[tuple[float, float], dict[tuple[int, int], np.ndarray]] = {}
+    for prof, refs, annuli in sectors:
+        for lo, hi, amps in annuli:
+            co = coefs.setdefault((lo, hi), {})
+            for block, x in amps.items():
+                p, disp, _ = prof.blocks[block]
+                for d, a in disp.items():
+                    co[(d, p)] = co.get((d, p), 0.0) + (x * a) * refs[d]
+    return [ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi) for (lo, hi), co in coefs.items()]
+
+
 def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, dict, dict]:
     """The perfect wave of a unit sector member in profile blocks: (profile, inner, outer amplitudes).
 
-    As :func:`~elastoplasmon.waves.perfect_wave`: ``entire n`` inside and
-    R^(2n+1) ``decay n`` outside, plus M_n R^2 ``entire n-2`` inside for
-    family 2 and -k_n R^(2n+3) ``decay n+2`` outside for family 3.  The
-    amplitudes are the sector's kernel check: at R the displacements must
-    agree and the traction inside times the family's plasmon constant c
-    must equal the one outside, each to 1e-9 of the largest, else
-    :class:`SectorCheckError`.
+    :func:`~elastoplasmon.waves.perfect_wave` builds its fields from them:
+    ``entire n`` inside and R^(2n+1) ``decay n`` outside, plus M_n R^2
+    ``entire n-2`` inside for family 2 and -k_n R^(2n+3) ``decay n+2``
+    outside for family 3.  The amplitudes are the sector's kernel check: at
+    R the displacements must agree and the traction inside times the
+    family's plasmon constant c must equal the one outside, each to 1e-9 of
+    the largest, else :class:`SectorCheckError`.
     """
     prof = _radial_profile(params, n, fam)
     outer_scale = R ** (2 * n + 1)
@@ -430,15 +450,14 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
     return prof, inner, outer
 
 
-def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
+def _sector_system(bounds: list[float], weights: list[complex], prof: _RadialProfile):
     """Square system of one sector for a unit density: (matrix, right-hand side, columns).
 
     The unknowns are the amplitudes of the (region, kind, shape) blocks:
     entire in the ball, decaying outside, both in between.  Each interface
-    has a displacement and a weighted-traction row per degree of the sector
-    (inner minus outer); the density enters as the traction jump at q.
-    """
-    bounds, weights = _region_layout(medium, q)
+    of ``bounds`` has a displacement and a ``weights``-weighted traction row
+    per degree of the sector (inner minus outer); the density enters as the
+    traction jump at the last one."""
     k = len(prof.degrees)
     kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
     cols = [(reg, kind, shape) for reg, ks in enumerate(kinds) for kind in ks for shape in prof.degrees]
@@ -452,8 +471,16 @@ def _sector_system(medium: LayeredMedium, q: float, prof: _RadialProfile):
                     M[2 * k * bi + di, ci] = sgn * disp.get(d, 0.0) * rho**p
                     M[2 * k * bi + k + di, ci] = sgn * weights[reg] * trac.get(d, 0.0) * rho ** (p - 1)
     b = np.zeros(len(M), dtype=complex)
-    b[-k] = -1.0  # weighted traction jump (outer - inner) = density at q, degree n
+    b[-k] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
     return M, b, cols
+
+
+def _sector_annuli(radii, cols: list, x: np.ndarray) -> list[tuple[float, float, dict]]:
+    """Amplitudes of (region, kind, shape) columns as [(r_lo, r_hi, {(kind, shape): amplitude})] per region."""
+    annuli = [(lo, hi, {}) for lo, hi in zip(radii[:-1], radii[1:])]
+    for xc, (reg, kind, shape) in zip(x, cols):
+        annuli[reg][2][(kind, shape)] = xc
+    return annuli
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:
@@ -462,7 +489,8 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, floa
     No density enters; a loss-free medium at a plasmon constant makes the
     matching family's system singular.
     """
-    return {fam: _square_solve(_sector_system(medium, q, _radial_profile(medium.base, n, fam))[0])[1]
+    layout = _region_layout(medium, q)
+    return {fam: _square_solve(_sector_system(*layout, _radial_profile(medium.base, n, fam))[0])[1]
             for fam in (1, 2, 3)}
 
 
@@ -494,20 +522,21 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolutio
                 f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
                 condition=cond,
             )
-    bounds, _ = _region_layout(medium, source.q)
+    bounds, weights = _region_layout(medium, source.q)
+    radii = (0.0, *bounds, math.inf)
     sectors, conds, berrs = [], [], []
     for fam, gam in sorted(gammas.items()):
         if gam:
             _wave_amplitudes(params, n, fam, medium.shell_radius)  # the sector's kernel check
         prof = _radial_profile(params, n, fam)
-        M, b, cols = _sector_system(medium, source.q, prof)
+        M, b, cols = _sector_system(bounds, weights, prof)
         x, cond, berr = _square_solve(M, b, f"family-{fam} system at degree {n}", max_condition)
         conds.append(cond)
         berrs.append(berr)
-        sectors.append((fam, tuple(gam.items()), prof, cols, x))
+        sectors.append((fam, tuple(gam.items()), prof, _sector_annuli(radii, cols, x)))
     return ModeSolution(n=n, condition=max(conds), lstsq_residual=max(berrs),
-                        window=tuple(sorted({d for _, _, prof, _, _ in sectors for d in prof.degrees})),
-                        radii=(0.0, *bounds, math.inf), sectors=tuple(sectors), params=params)
+                        window=tuple(sorted({d for _, _, prof, _ in sectors for d in prof.degrees})),
+                        radii=radii, sectors=tuple(sectors), params=params)
 
 
 def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]:

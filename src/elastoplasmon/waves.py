@@ -19,14 +19,14 @@ to k = 2J + 1, the M = 0 member.  Any rotation-invariant quantity of a unit
 source in one sector (its dissipation, bounds and verdicts) is the same for
 every k.
 
-The Neumann-Poincare spectrum reuses the sector shapes.  A density G Y_n
-on the sphere is convolved with the Kelvin matrix through exact radial
-factors of the Newtonian and distance kernels, and K* is read off as the
-average of the two one-sided conormal traces, both exact coefficient arrays
-on the sphere.  K* commutes with rotations and maps every sector shape to a
-multiple of itself, so one shape per degree and family gives an eigenvalue,
-with the eigen-equation checked; under (c+1)/(2(c-1)) these eigenvalues are
-the plasmon constants.
+The Neumann-Poincare spectrum reads the sectors' radial profiles of
+:mod:`~elastoplasmon.transmission`, the engine of the transmission solve.
+The single layer of a sector density on the sphere is the profile field
+that is continuous there and whose traction jumps by the density, one square
+scalar system, and K* is the average of its two one-sided traction scalars.
+K* commutes with rotations and maps every sector shape to a multiple of
+itself (checked), so one system per degree and family gives an eigenvalue;
+under (c+1)/(2(c-1)) these eigenvalues are the plasmon constants.
 """
 
 from __future__ import annotations
@@ -36,26 +36,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import DerivativeTable, ensure_tables, shared_tables
+from .harmonics import DerivativeTable, ensure_tables
 from .lame import (
     LameParams,
     ModeField,
     PlasmonConstants,  # noqa: F401  (defined next to the mode constants; imported from here too)
     SectorCheckError,
-    Term,
     displacement_coeffs,
     eval_terms,
     exterior_traction_coeffs,
     lame_residual,
-    mode_constants,
     plasmon_constants,
     t1_vector,
     t3_vector,
     traction_coeffs_algebraic,
-    _hessian_groups,
     _tilde_scale,
     _tilde_unscaled,
 )
+from .transmission import (_ladder, _profile_fields, _profile_trace, _radial_profile, _sector_annuli,
+                           _sector_system, _square_solve, _wave_amplitudes)
 
 __all__ = [
     "PlasmonEigenProblem",
@@ -67,7 +66,6 @@ __all__ = [
     "perfect_wave",
     "verify_perfect_wave",
     "np_eigenvalue_map",
-    "single_layer_field",
     "np_galerkin_spectrum",
 ]
 
@@ -280,35 +278,19 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
                  params: LameParams, tables: DerivativeTable) -> PerfectWave:
     """Construct the piecewise wave for a kernel of the given family.
 
-    Family 1 is pure on both sides; family 2 carries the regular correction
-    inside with the (r^2 - R^2) split; family 3 carries the irregular
-    correction outside with the R^{2n+1} weight on both exterior terms (the
-    variant that satisfies the transmission condition).
+    Its fields are the profile blocks of the sector's perfect wave
+    (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
+    sector) on the kernel and its ladder shape.
     """
     K = np.asarray(kernel, dtype=complex)
     tables = ensure_tables(tables, n + 4)
-    cst = mode_constants(params, n)
-    zetas = plasmon_constants(params, n)
-    c = zetas.as_tuple()[family - 1]
-    int_terms: list[Term] = [Term(K, n, n)]
-    ext_terms: list[Term] = [Term(K * R ** (2 * n + 1), n, -n - 1)]
-    if family == 2:
-        corr = t3_vector(K, n, tables) @ tables.lower[n - 1]
-        int_terms.append(Term(-cst.M_n * corr, n - 2, n))
-        int_terms.append(Term(cst.M_n * R**2 * corr, n - 2, n - 2))
-    if family == 3:
-        corr = t1_vector(K, n, tables) @ tables.raise_[n + 1]
-        ext_terms.append(Term(cst.k_n * R ** (2 * n + 1) * corr, n + 2, -n - 1))
-        ext_terms.append(Term(-cst.k_n * R ** (2 * n + 3) * corr, n + 2, -n - 3))
-    return PerfectWave(
-        n=n,
-        family=family,
-        c=c,
-        R=R,
-        kernel=K,
-        interior=ModeField(tuple(int_terms), 0.0, R),
-        exterior=ModeField(tuple(ext_terms), R, math.inf),
-    )
+    prof, inner, outer = _wave_amplitudes(params, n, family, R)
+    refs = {n: K}
+    if family != 1:
+        refs[prof.degrees[1]] = _ladder(K, n, family == 3, tables)
+    interior, exterior = _profile_fields([(prof, refs, [(0.0, R, inner), (R, math.inf, outer)])])
+    c = plasmon_constants(params, n).as_tuple()[family - 1]
+    return PerfectWave(n=n, family=family, c=c, R=R, kernel=K, interior=interior, exterior=exterior)
 
 
 def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable) -> dict[str, float]:
@@ -353,90 +335,34 @@ def np_eigenvalue_map(c: float) -> float:
     return (c + 1.0) / (2.0 * (c - 1.0))
 
 
-def _project(T: np.ndarray, R: np.ndarray | None, scale: float, what: str) -> complex:
-    """Scalar s with T = s R (R = None: T = 0), else :class:`SectorCheckError`."""
-    s = 0.0 if R is None else np.vdot(R, T) / np.vdot(R, R)
-    resid = float(np.linalg.norm(T - s * R if R is not None else T))
-    if not resid <= 1e-11 * scale:
-        raise SectorCheckError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
-    return complex(s)
-
-
-def _scalar_potential_terms(G: np.ndarray, n: int, R: float, kind: str) -> tuple[list[Term], list[Term]]:
-    """Single-layer radial factors of 1/|x-y| ('newton') or |x-y| ('dist').
-
-    Returns (inside terms, outside terms) for the densities G[j] Y_n on the
-    sphere of radius R, one per row of G; the terms' coefficient rows are
-    the potentials of the rows.
-    """
-    G = np.asarray(G, dtype=complex) * (4.0 * math.pi * R**2 / (2 * n + 1.0))
-    if kind == "newton":
-        inside = [Term(G / R ** (n + 1), n, n)]
-        outside = [Term(G * R**n, n, -n - 1)]
-    elif kind == "dist":
-        inside = [
-            Term(G / ((2 * n + 3.0) * R ** (n + 1)), n, n + 2),
-            Term(-G * R ** (1 - n) / (2 * n - 1.0), n, n),
-        ]
-        outside = [
-            Term(G * R ** (n + 2) / (2 * n + 3.0), n, -n - 1),
-            Term(-G * R**n / (2 * n - 1.0), n, -n + 1),
-        ]
-    else:
-        raise ValueError(kind)
-    return inside, outside
-
-
-def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams,
-                       tables: DerivativeTable) -> tuple[ModeField, ModeField]:
-    """Exact single-layer potential of the density G Y_n on partial B_R.
-
-    The Kelvin matrix splits into a Newtonian part and second derivatives of
-    the distance kernel; both have exact per-degree radial factors, so the
-    potential is a finite sum of harmonic terms on either side of the sphere.
-    """
-    lam, mu = params.lam, params.mu
-    alpha = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
-    beta = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
-    newt_in, newt_out = _scalar_potential_terms(G, n, R, "newton")
-    dist_in, dist_out = _scalar_potential_terms(G, n, R, "dist")
-
-    def build(newt: list[Term], dist: list[Term]) -> list[Term]:
-        vec = {(t.degree, t.power): -(alpha + beta) / (4.0 * math.pi) * t.coef for t in newt}
-        for (d, p), h in _hessian_groups(dist, tables).items():  # h[i, j, r] = d^2 / dx_j dx_i of row r
-            part = beta / (4.0 * math.pi) * np.einsum("ijjm->im", h)
-            vec[d, p] = vec[d, p] + part if (d, p) in vec else part
-        return [Term(block, d, p) for (d, p), block in sorted(vec.items())]
-
-    inside = ModeField(tuple(build(newt_in, dist_in)), 0.0, R)
-    outside = ModeField(tuple(build(newt_out, dist_out)), R, math.inf)
-    return inside, outside
-
-
 def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple[float, int]]:
     """Galerkin eigenvalues of K* on vector harmonics up to degree ``n_max``.
 
     K* commutes with rotations and maps each sector shape of
     :func:`sector_kernels` to a multiple of itself, so the Galerkin matrix
-    is diagonal on the shapes, truncation included.  The multiple of one
-    member K per degree n and family is read off the average of the exact
-    one-sided conormal traces of K's single layer (half the traction of the
-    inside plus the outside terms at r = R); a part of the trace off K
-    beyond 1e-11 of it raises :class:`SectorCheckError`.  Each multiple is emitted
-    once per member of its sector, as the dense matrix's eigenvalues are.
-    Returns (eigenvalue, degree n) pairs sorted by eigenvalue.
+    is diagonal on the shapes, truncation included.  The single layer of a
+    family's degree-n shape is the field of its radial profile that is
+    continuous at R with unit traction jump (one square scalar system, no
+    member matrix), and the multiple is half the sum of its two one-sided
+    traction scalars on degree n; a partner-degree part above 1e-11 of the
+    largest of them raises :class:`SectorCheckError`.  Each multiple is
+    emitted 2J + 1 times, once per member of its sector, as the dense
+    matrix's eigenvalues are.  Returns (eigenvalue, degree n) pairs sorted
+    by eigenvalue.
     """
-    tables = shared_tables(n_max + 4)
     out = []
     for n in range(1, n_max + 1):
-        for fam in (1, 2, 3):
-            members = sector_kernels(n, fam, tables)
-            K = members[0]
-            inside, outside = single_layer_field(K, n, R, params, tables)
-            trace = traction_coeffs_algebraic(inside.terms + outside.terms, R, params, tables)
-            scale = max(float(np.linalg.norm(m)) for m in trace.values())
-            what = f"K* of the degree-{n} family-{fam} shape"
-            value = {d: _project(m, K if d == n else None, scale, what) for d, m in trace.items()}[n]
-            out += [(float(value.real) / 2.0, n)] * len(members)
+        for fam, J in ((1, n), (2, n - 1), (3, n + 1)):
+            prof = _radial_profile(params, n, fam)
+            M, b, cols = _sector_system([R], [1.0, 1.0], prof)
+            x, _, _ = _square_solve(M, b, f"degree-{n} family-{fam} single layer")
+            sides = [_profile_trace(prof, amps, R) for _, _, amps in _sector_annuli((0.0, R, math.inf), cols, x)]
+            scale = max(abs(t) for side in sides for _, t in side.values())
+            kstar = [(sides[0][d][1] + sides[1][d][1]) / 2.0 for d in prof.degrees]
+            stray = max((abs(t) for t in kstar[1:]), default=0.0)
+            if not stray <= 1e-11 * scale:
+                raise SectorCheckError(f"K* of the degree-{n} family-{fam} shape leaves its sector "
+                                       f"(partner part {stray / scale:.3e})")
+            out += [(float(kstar[0].real), n)] * (2 * J + 1)
     out.sort(key=lambda t: t[0])
     return out

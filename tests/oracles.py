@@ -46,11 +46,14 @@ traces at random interface points and project tractions on a sphere rule
 ``waves.verify_perfect_wave`` and ``waves.np_galerkin_spectrum`` replaced;
 ``pairing_P_pieces`` sums the pairing over a piecewise field.
 
-``dense_np_matrix`` is the route the sector shapes of
-``waves.np_galerkin_spectrum`` replaced: one single-layer field and one
+``single_layer_field`` is the Kelvin single layer of a density G Y_n on a
+sphere, from the exact radial factors of the Newtonian and distance
+kernels (``_scalar_potential_terms``); ``waves.np_galerkin_spectrum``
+solves the sector's radial profile instead.  ``dense_np_matrix`` is the
+route the sector shapes replaced: one Kelvin single-layer field and one
 exact coefficient trace per scalar density e_j Y_n^m, assembled into the
 dense Galerkin matrix of K*, whose eigenvalues the tests take with ``eig``.
-It assumes nothing about angular-momentum sectors.
+It assumes nothing about angular-momentum sectors or radial profiles.
 
 ``interior_from_displacement``/``interior_from_traction`` are the interior
 Dirichlet/Neumann solvers, ``exterior_mode``/``interior_mode`` single blocks
@@ -93,7 +96,7 @@ from the pairings of the witness pieces.
 ``transmission._radial_profile`` replaced: the blocks (``block_terms``) of
 one sector member and their unit-radius tractions
 (``traction_coeffs_algebraic``) are projected on the sector's reference
-matrices, and so is the ladder round trip.
+matrices (``_project``), and so is the ladder round trip.
 """
 
 from __future__ import annotations
@@ -119,7 +122,9 @@ from elastoplasmon.harmonics import (
 from elastoplasmon.lame import (
     LameParams,
     ModeField,
+    SectorCheckError,
     Term,
+    _hessian_groups,
     _tilde_scale,
     _tilde_unscaled,
     _traction_from_grad,
@@ -144,7 +149,7 @@ from elastoplasmon.transmission import (
     _square_solve,
     kernel_basis,
 )
-from elastoplasmon.waves import PerfectWave, _project, _realify, _unvec, sector_kernels, single_layer_field
+from elastoplasmon.waves import PerfectWave, _realify, _unvec, sector_kernels
 
 
 def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
@@ -528,8 +533,8 @@ def mp_flux_dissipation(sol, medium: LayeredMedium, dps: int = 50) -> float:
     """
     import mpmath
 
-    (fam, gammas, prof, cols, _), = sol.sectors
-    M, b, cols = _sector_system(medium, sol.radii[-2], prof)
+    (fam, gammas, prof, _), = sol.sectors
+    M, b, cols = _sector_system(*_region_layout(medium, sol.radii[-2]), prof)
     x = _mp_lu_solve(M, b, dps)
     n = sol.n
     with mpmath.workdps(dps):
@@ -1278,13 +1283,74 @@ def point_verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: Der
     }
 
 
+def _project(T: np.ndarray, R: np.ndarray | None, scale: float, what: str) -> complex:
+    """Scalar s with T = s R (R = None: T = 0), else :class:`SectorCheckError`."""
+    s = 0.0 if R is None else np.vdot(R, T) / np.vdot(R, R)
+    resid = float(np.linalg.norm(T - s * R if R is not None else T))
+    if not resid <= 1e-11 * scale:
+        raise SectorCheckError(f"{what} leaves its sector (projection residual {resid / scale:.3e})")
+    return complex(s)
+
+
+def _scalar_potential_terms(G: np.ndarray, n: int, R: float, kind: str) -> tuple[list[Term], list[Term]]:
+    """Single-layer radial factors of 1/|x-y| ('newton') or |x-y| ('dist').
+
+    Returns (inside terms, outside terms) for the densities G[j] Y_n on the
+    sphere of radius R, one per row of G; the terms' coefficient rows are
+    the potentials of the rows.
+    """
+    G = np.asarray(G, dtype=complex) * (4.0 * math.pi * R**2 / (2 * n + 1.0))
+    if kind == "newton":
+        inside = [Term(G / R ** (n + 1), n, n)]
+        outside = [Term(G * R**n, n, -n - 1)]
+    elif kind == "dist":
+        inside = [
+            Term(G / ((2 * n + 3.0) * R ** (n + 1)), n, n + 2),
+            Term(-G * R ** (1 - n) / (2 * n - 1.0), n, n),
+        ]
+        outside = [
+            Term(G * R ** (n + 2) / (2 * n + 3.0), n, -n - 1),
+            Term(-G * R**n / (2 * n - 1.0), n, -n + 1),
+        ]
+    else:
+        raise ValueError(kind)
+    return inside, outside
+
+
+def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams,
+                       tables: DerivativeTable) -> tuple[ModeField, ModeField]:
+    """Exact single-layer potential of the density G Y_n on partial B_R.
+
+    The Kelvin matrix splits into a Newtonian part and second derivatives of
+    the distance kernel; both have exact per-degree radial factors, so the
+    potential is a finite sum of harmonic terms on either side of the sphere.
+    """
+    lam, mu = params.lam, params.mu
+    alpha = 0.5 * (1.0 / mu + 1.0 / (2.0 * mu + lam))
+    beta = 0.5 * (1.0 / mu - 1.0 / (2.0 * mu + lam))
+    newt_in, newt_out = _scalar_potential_terms(G, n, R, "newton")
+    dist_in, dist_out = _scalar_potential_terms(G, n, R, "dist")
+
+    def build(newt: list[Term], dist: list[Term]) -> list[Term]:
+        vec = {(t.degree, t.power): -(alpha + beta) / (4.0 * math.pi) * t.coef for t in newt}
+        for (d, p), h in _hessian_groups(dist, tables).items():  # h[i, j, r] = d^2 / dx_j dx_i of row r
+            part = beta / (4.0 * math.pi) * np.einsum("ijjm->im", h)
+            vec[d, p] = vec[d, p] + part if (d, p) in vec else part
+        return [Term(block, d, p) for (d, p), block in sorted(vec.items())]
+
+    inside = ModeField(tuple(build(newt_in, dist_in)), 0.0, R)
+    outside = ModeField(tuple(build(newt_out, dist_out)), R, math.inf)
+    return inside, outside
+
+
 def quadrature_np_matrix(R: float, params: LameParams, n_max: int,
                          quad: SphereQuadrature) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """The dense Galerkin matrix of K* by the sphere-rule route of ``waves.np_galerkin_spectrum``.
+    """The dense Galerkin matrix of K* by a sphere-rule route.
 
-    Each single-layer field's traction is evaluated at the nodes of ``quad``
-    and projected on every degree up to ``n_max`` (``lame.traction_coeffs``);
-    the rule must be exact to ``2 n_max + 4``.  Basis entries are
+    Each Kelvin single-layer field's (:func:`single_layer_field`) traction
+    is evaluated at the nodes of ``quad`` and projected on every degree up
+    to ``n_max`` (``lame.traction_coeffs``); the rule must be exact to
+    ``2 n_max + 4``.  Basis entries are
     (component, degree, stack position), in the row and column order.
     """
     if quad.exactness < 2 * n_max + 4:

@@ -45,7 +45,8 @@ from elastoplasmon.waves import (
     plasmon_kernel,
     verify_perfect_wave,
 )
-from oracles import exterior_block, imag_terms, numeric_traction, pairing_P_pieces, real_terms, volumetric_P
+from oracles import (dense_np_matrix, exterior_block, imag_terms, numeric_traction, pairing_P_pieces, real_terms,
+                     volumetric_P)
 
 P11 = LameParams(1.0, 1.0)
 MATERIALS = (LameParams(1.0, 1.0), LameParams(-0.5, 1.0), LameParams(2.0, 0.5))
@@ -139,20 +140,24 @@ def test_criterion_03_perfect_wave_verification():
 
 
 def test_criterion_04_np_cross_validation():
+    # the mapped constants are found both in the spectrum of the sector
+    # profiles and in the eigenvalues of the dense Kelvin single-layer
+    # oracle, which assumes neither sectors nor profiles
     spec = np_galerkin_spectrum(1.0, P11, 5)
     eigs = np.array([e for e, _ in spec])
+    kelvin = np.real(np.linalg.eigvals(dense_np_matrix(1.0, P11, 5)[0]))
     worst = 0.0
     for n in (2, 3):
         for c in plasmon_constants(P11, n).as_tuple():
             target = np_eigenvalue_map(c)
-            worst = max(worst, float(np.min(np.abs(eigs - target))))
+            worst = max(worst, float(np.min(np.abs(eigs - target))), float(np.min(np.abs(kelvin - target))))
     # the single layers of the three degree-1 toroidal densities are rigid
     # rotations inside, so K* holds them at exactly 1/2
     rigid = [d for e, d in spec if abs(e - 0.5) < 1e-12]
     rest = eigs[np.abs(eigs - 0.5) >= 1e-12]
     inside = bool(rigid == [1, 1, 1] and np.all(rest > -0.5) and np.all(rest < 0.5))
     report(4, worst < 2e-3 and inside,
-           f"mapped constants found within {worst:.1e}; all eigenvalues in (-1/2, 1/2) "
+           f"mapped constants found within {worst:.1e} (profiles and Kelvin oracle); all eigenvalues in (-1/2, 1/2) "
            f"but the three rigid rotations at 1/2: {inside}")
 
 

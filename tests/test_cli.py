@@ -405,6 +405,7 @@ EXTREME_MATERIALS = [(1e308, 1e308), (0.0, 1e-320)]
     (["np-spectrum"], 1e308, 1e308),
     (["kernels", "--n", "2"], 0.0, 1e-320),
     (["waves-check", "--n", "2"], 0.0, 1e-320),
+    (["np-spectrum"], 0.0, 1e-320),
 ])
 def test_extreme_materials_rejected_before_any_run(argv, lam, mu, monkeypatch, capsys):
     sys.path.insert(0, SRC)
@@ -441,13 +442,45 @@ def test_failed_sector_checks_are_json_errors(capsys):
     from elastoplasmon import cli
 
     runs = [
-        (["np-spectrum", "--lambda", "100", "--nmax", "8"], "leaves its sector"),
         (["kernels", "--n", "2", f"--lambda={(1e-8 - 2.0) / 3.0!r}"], "is not a kernel"),
     ]
     for argv, message in runs:
         assert cli.main(argv) == 2, argv
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and message in json.loads(lines[0])["error"], argv
+
+
+@pytest.mark.parametrize("lam, nmax", [(100.0, 64), (1e4, 5), (1e12, 5)])
+def test_np_spectrum_rows_are_the_mapped_constants_at_large_lambda(lam, nmax, tmp_path):
+    # the sector profiles keep their digits as lambda / mu grows: every row
+    # tagged n >= 2 is a family's np_eigenvalue_map(zeta) once per member of
+    # its sector, and the degree-1 rows are the three rigid rotations at
+    # exactly 1/2, the J = 0 monopole (2 mu - 3 lambda) / (6 (lambda + 2 mu))
+    # and five J = 2 rows at the zeta3 closed form continued to n = 1
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+    from elastoplasmon.lame import LameParams, plasmon_constants
+    from elastoplasmon.waves import np_eigenvalue_map
+
+    csv = tmp_path / "np.csv"
+    assert cli.main(["np-spectrum", f"--lambda={lam!r}", "--nmax", str(nmax), "--csv", str(csv)]) == 0
+    rows: dict[int, list[float]] = {}
+    for line in csv.read_text().splitlines()[2:]:
+        value, degree = line.split(",")[:2]
+        rows.setdefault(int(degree), []).append(float(value))
+    assert sorted(rows) == list(range(1, nmax + 1))
+    mu = 1.0
+    for n in range(2, nmax + 1):
+        want = sorted(np_eigenvalue_map(c) for c, J in zip(plasmon_constants(LameParams(lam, mu), n).as_tuple(),
+                                                            (n, n - 1, n + 1)) for _ in range(2 * J + 1))
+        got = sorted(rows[n])
+        assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (lam, n)
+    monopole = (2.0 * mu - 3.0 * lam) / (6.0 * (lam + 2.0 * mu))
+    zeta3 = -(9.0 * lam + 14.0 * mu) / (2.0 * (3.0 * lam + 8.0 * mu))
+    got = sorted(rows[1])
+    want = sorted([0.5] * 3 + [monopole] + [np_eigenvalue_map(zeta3)] * 5)
+    assert got.count(0.5) == 3 and len(got) == len(want), got
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (lam, got)
 
 
 def _cored_zeta2_config(tmp_path, lam):
@@ -725,22 +758,24 @@ def test_verification_commands_build_no_sphere_rule(tmp_path):
 
 
 def test_np_spectrum_reaches_max_degree_without_an_eigensolver(tmp_path):
-    # one single layer per sector shape: --nmax 64 writes all
-    # 3((nmax+1)^2 - 1) rows and no dense eigensolver runs
+    # one sector profile system per degree and family: --nmax 64 writes all
+    # 3((nmax+1)^2 - 1) rows, no dense eigensolver runs, and no derivative
+    # table degree and no kernel member is built
     csv = tmp_path / "np.csv"
     code = (
         "import numpy as np\n"
+        "from elastoplasmon import harmonics, transmission\n"
         "from elastoplasmon.cli import main\n"
         "calls = []\n"
         "for name in ('eig', 'eigvals'):\n"
         "    setattr(np.linalg, name, lambda *a, name=name, f=getattr(np.linalg, name): calls.append(name) or f(*a))\n"
         f"assert main(['np-spectrum', '--nmax', '64', '--csv', {str(csv)!r}]) == 0\n"
-        "print(len(calls))\n"
+        "print(len(calls), len(harmonics._DEGREES), len(transmission._KERNEL_CACHE))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0"
+    assert r.stdout.splitlines()[-1] == "0 0 0"
     lines = csv.read_text().splitlines()
     assert lines[1] == "eigenvalue,degree_tag,matched_c,matched_family,target"
     assert len(lines) - 2 == 3 * (65**2 - 1) == 12672

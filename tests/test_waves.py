@@ -18,7 +18,6 @@ from elastoplasmon.waves import (
     plasmon_constants,
     plasmon_kernel,
     sector_kernels,
-    single_layer_field,
     verify_perfect_wave,
     _conj_kernel,
 )
@@ -29,6 +28,7 @@ from oracles import (
     kelvin_matrix,
     point_verify_perfect_wave,
     quadrature_np_matrix,
+    single_layer_field,
     svd_sector_kernels,
 )
 
@@ -359,18 +359,27 @@ def test_np_spectrum_rows_are_the_mapped_constants(R, materials):
             assert len(got) == len(want) and np.max(np.abs(got - want)) < 1e-12, (params, n)
 
 
-def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch, tables):
-    # a shape with 1e-6 of another family's shape mixed in is no K*
-    # eigenfunction: the eigen-equation check raises instead of returning
-    exact = waves.sector_kernels
+def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
+    # a 1e-6 relative error in the slaved displacement scalar of the profile
+    # block the single layer carries (family 2: the entire block inside,
+    # slaving the upper degree onto the lower; family 3: the decaying block
+    # outside, slaving the lower onto the upper) puts a partner-degree part
+    # into K*: the sector check raises instead of returning
+    exact = waves._radial_profile
+    for family in (2, 3):
+        def seeded(params, n, fam):
+            prof = exact(params, n, fam)
+            if fam != family or len(prof.degrees) == 1:  # the J = 0 sector has no partner
+                return prof
+            lo, hi = sorted(prof.degrees)
+            block, target = (("entire", hi), lo) if fam == 2 else (("decay", lo), hi)
+            p, disp, trac = prof.blocks[block]
+            seeded_disp = {**disp, target: disp[target] * (1.0 + 1e-6)}
+            return replace(prof, blocks={**prof.blocks, block: (p, seeded_disp, trac)})
 
-    def mixed(n, family, tables):
-        other = exact(n, family % 3 + 1, tables)[0]
-        return [K + 1e-6 * other for K in exact(n, family, tables)]
-
-    monkeypatch.setattr(waves, "sector_kernels", mixed)
-    with pytest.raises(AssertionError, match="leaves its sector"):
-        np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 3)
+        monkeypatch.setattr(waves, "_radial_profile", seeded)
+        with pytest.raises(AssertionError, match=f"family-{family} shape leaves its sector"):
+            np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 3)
 
 
 def _worst(rep):
