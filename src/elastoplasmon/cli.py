@@ -15,7 +15,6 @@ failure writes one JSON line to stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -200,7 +199,8 @@ def _material(lam: float, mu: float, degrees=(), fields=()) -> LameParams:
             plasmon_constants(params, n)
         for n in sorted({e for d in fields for e in (d, d + 2) if e >= 1}):
             cst = mode_constants(params, n)
-            if not all(math.isfinite(v) for v in (dataclasses.astuple(cst) if n >= 2 else (cst.k_n, cst.M_n))):
+            read = (cst.k_n, cst.M_n, cst.E_n, cst.s1_n, cst.s2_n, cst.l_n, cst.m_n) if n >= 2 else (cst.k_n, cst.M_n)
+            if not all(math.isfinite(v) for v in read):
                 raise ArithmeticError(f"mode constants at n={n} are not finite")
     except ArithmeticError as exc:
         raise ValidationError(f"(lambda, mu) = ({lam!r}, {mu!r}) is out of the float range: {exc}") from None
@@ -251,27 +251,13 @@ def _configuration(cfg: dict):
     params = LameParams(cfg["lambda"], cfg["mu"])
     cmode = cfg["c_mode"]
     if "fixed" in cmode:
-        coeffs = {}
-        for n, fam, k, re, im in cfg["source_modes"]:
-            coeffs[(n, fam, k)] = complex(re, im)
-        src = SourceSpec(q=cfg["q"], coefficients=coeffs)
-        return fixed_configuration(
-            params=params,
-            shell_radius=cfg["shell_radius"],
-            c=cmode["fixed"],
-            source=src,
-            core_radius=cfg.get("core_radius"),
-        )
+        coeffs = {(n, fam, k): complex(re, im) for n, fam, k, re, im in cfg["source_modes"]}
+        return fixed_configuration(params=params, shell_radius=cfg["shell_radius"], c=cmode["fixed"],
+                                   source=SourceSpec(q=cfg["q"], coefficients=coeffs),
+                                   core_radius=cfg.get("core_radius"))
     _, fam, k, re, im = cfg["source_modes"][0]
-    return scheduled_configuration(
-        params=params,
-        shell_radius=cfg["shell_radius"],
-        q=cfg["q"],
-        family=fam,
-        k=k,
-        gamma=complex(re, im),
-        core_radius=cfg.get("core_radius"),
-    )
+    return scheduled_configuration(params=params, shell_radius=cfg["shell_radius"], q=cfg["q"], family=fam, k=k,
+                                   gamma=complex(re, im), core_radius=cfg.get("core_radius"))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ times unit members and their partner shapes (norm^2 kappa (2n+1)/(2d+1)),
 so the dissipation of a solve and the witness bounds of
 :mod:`~elastoplasmon.scenarios` are scalar sums over the interface spheres
 (:func:`solution_pairing`, :func:`profile_pairing`), and a source enters
-through its coefficients alone.
+through the Gram matrix of its coefficients alone.
 """
 
 from __future__ import annotations
@@ -126,23 +126,26 @@ def _flux(annuli: dict) -> float:
     On an annulus P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
     sphere minus its inner one; the flux vanishes at r = 0 and at infinity.
     ``annuli[(r_lo, r_hi, sector)]`` lists the sector's parts on the annulus
-    as (profile, coordinates, gamma, block amplitudes): on the sphere rho a
-    part's shape of degree d has the coordinate vector ``coordinates[d] *
-    gamma * U_d(rho)`` on the sector's unit members (traction alike), so the
-    angular integral is a dot product of coordinate vectors per degree.
+    as (profile, coordinates, gamma, block amplitudes), gamma the part's
+    coefficients {member k: gamma_k}: on the sphere rho a part's shape of
+    degree d has the coordinate vector ``coordinates[d] * gamma * U_d(rho)``
+    on the sector's unit members (traction alike).  So the angular integral
+    of two parts' shapes of degree d is the product of their scalars
+    ``coordinates[d] * U_d(rho)`` and ``coordinates[d] * T_d(rho)`` times
+    the entry <gamma_p, gamma_q> of the Gram matrix of the parts'
+    coefficients, formed once per annulus.
     """
     total = 0.0
     for (r_lo, r_hi, _), parts in annuli.items():
+        gram = [[sum(g.conjugate() * q[2].get(k, 0.0) for k, g in p[2].items()) for q in parts] for p in parts]
         for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
             if not 0.0 < rho < math.inf:
                 continue
-            u: dict = {}
-            t: dict = {}
-            for prof, coords, gamma, amplitudes in parts:
-                for d, (ud, td) in _profile_trace(prof, amplitudes, rho).items():
-                    u[d] = u.get(d, 0.0) + (coords[d] * ud) * gamma
-                    t[d] = t.get(d, 0.0) + (coords[d] * td) * gamma
-            total += sign * rho**2 * sum(float(np.real(np.vdot(u[d], t[d]))) for d in u)
+            traces = [{d: (coords[d] * ud, coords[d] * td) for d, (ud, td) in _profile_trace(prof, amps, rho).items()}
+                      for prof, coords, _, amps in parts]
+            total += sign * rho**2 * sum(
+                (g * sum(u.conjugate() * tq[d][1] for d, (u, _) in tp.items() if d in tq)).real
+                for row, tp in zip(gram, traces) for g, tq in zip(row, traces))
     return total
 
 
@@ -164,7 +167,7 @@ def profile_pairing(prof, pieces: Iterable[tuple[float, float, dict]]) -> float:
     of the profile ``prof`` (:func:`~elastoplasmon.transmission._radial_profile`).
     """
     coords = _coordinates(prof)
-    return _flux({(lo, hi, None): [(prof, coords, 1.0, amps)] for lo, hi, amps in pieces})
+    return _flux({(lo, hi, None): [(prof, coords, {1: 1.0}, amps)] for lo, hi, amps in pieces})
 
 
 def solution_pairing(solutions: Sequence) -> float:
@@ -178,10 +181,7 @@ def solution_pairing(solutions: Sequence) -> float:
     for sol in solutions:
         for fam, gammas, prof, pieces in sol.sectors:
             J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
-            gamma = np.zeros(2 * J + 1, dtype=complex)
-            for k, g in gammas:
-                gamma[k - 1] = g
-            coords = _coordinates(prof)
+            coords, gamma = _coordinates(prof), dict(gammas)
             for lo, hi, amps in pieces:
                 annuli.setdefault((lo, hi, (fam == 1, J)), []).append((prof, coords, gamma, amps))
     return _flux(annuli)

@@ -32,6 +32,7 @@ field's derivatives are formed, nor :mod:`~elastoplasmon.waves`.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -116,6 +117,23 @@ def _safe_div(num: float, den_terms: tuple[float, ...], what: str, factor: float
     return num / (factor * den)
 
 
+def _once_per_key(f):
+    """``f(params, *args)`` once per process per key (float lambda, float mu, *args), evaluated at
+    that float pair (``+ 0.0`` reads -0.0 as 0.0): ``LameParams(1, 1)`` and ``LameParams(1.0, 1.0)``
+    share a value in ``cache``.  A raise keeps nothing; no caller mutates a value; ``f`` is ``__wrapped__``."""
+    @functools.wraps(f)
+    def cached(params, *args):
+        key = (float(params.lam) + 0.0, float(params.mu) + 0.0, *args)
+        out = cached.cache.get(key)
+        if out is None:
+            out = cached.cache[key] = cached.__wrapped__(LameParams(*key[:2]), *args)
+        return out
+
+    cached.cache = {}
+    return cached
+
+
+@_once_per_key
 def mode_constants(params: LameParams, n: int) -> ModeConstants:
     """All seven scalars of the degree-n closed forms.
 
@@ -153,6 +171,7 @@ class PlasmonConstants:
         return (self.zeta1, self.zeta2, self.zeta3)
 
 
+@_once_per_key
 def plasmon_constants(params: LameParams, n: int) -> PlasmonConstants:
     """Closed-form plasmon constants for degree n >= 2.
 

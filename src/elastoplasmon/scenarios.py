@@ -108,18 +108,11 @@ def _merge_annuli(parts: list[list[tuple[float, float, dict]]]) -> list[tuple[fl
 
 
 def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
-    if not list_of_pieces:
-        return []
-    bounds = sorted({p.r_lo for pieces in list_of_pieces for p in pieces} | {p.r_hi for pieces in list_of_pieces for p in pieces})
-    merged = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        terms: list[Term] = []
-        for pieces in list_of_pieces:
-            for p in pieces:
-                if p.r_lo <= lo and hi <= p.r_hi:
-                    terms.extend(p.terms)
-        merged.append(ModeField(tuple(terms), lo, hi))
-    return merged
+    """Fields of several piece lists summed on the union of their bounds, terms in list order."""
+    pieces = [p for part in list_of_pieces for p in part]
+    bounds = sorted({r for p in pieces for r in (p.r_lo, p.r_hi)})
+    return [ModeField(tuple(t for p in pieces if p.r_lo <= lo and hi <= p.r_hi for t in p.terms), lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _require_family1(source: SourceSpec, what: str) -> None:
@@ -184,7 +177,7 @@ def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
     R, q = medium.shell_radius, source.q
-    prof, inner, outer = _wave_amplitudes(params, n0, fam, R)
+    prof, inner, outer, _ = _wave_amplitudes(params, n0, fam, R)  # checked once per key
     C0 = g * q**2 * float(np.real(_profile_trace(prof, inner if q <= R else outer, q)[n0][0]))
     C_psi = 0.5 * profile_pairing(prof, [(0.0, R, inner), (R, math.inf, outer)])
     return n0, fam, k, C0, C_psi
@@ -357,14 +350,8 @@ class fixed_configuration:
     core_radius: float | None = None
 
     def __call__(self, delta: float) -> tuple[LayeredMedium, SourceSpec]:
-        med = LayeredMedium(
-            shell_radius=self.shell_radius,
-            c=self.c,
-            delta=delta,
-            base=self.params,
-            core_radius=self.core_radius,
-        )
-        return med, self.source
+        return LayeredMedium(shell_radius=self.shell_radius, c=self.c, delta=delta, base=self.params,
+                             core_radius=self.core_radius), self.source
 
 
 @dataclass(frozen=True)
@@ -386,15 +373,9 @@ class scheduled_configuration:
     def __call__(self, delta: float) -> tuple[LayeredMedium, SourceSpec]:
         n = schedule_n_delta(self.shell_radius, delta)
         c = plasmon_constants(self.params, n).as_tuple()[self.family - 1]
-        med = LayeredMedium(
-            shell_radius=self.shell_radius,
-            c=c,
-            delta=delta,
-            base=self.params,
-            core_radius=self.core_radius,
-        )
-        src = SourceSpec(q=self.q, coefficients={(n, self.family, self.k): self.gamma})
-        return med, src
+        med = LayeredMedium(shell_radius=self.shell_radius, c=c, delta=delta, base=self.params,
+                            core_radius=self.core_radius)
+        return med, SourceSpec(q=self.q, coefficients={(n, self.family, self.k): self.gamma})
 
 
 def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:

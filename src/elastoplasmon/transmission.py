@@ -11,8 +11,8 @@ through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
 reached through t1).  Within a sector every block's displacement and
 traction on a sphere is a scalar times one reference matrix per degree (the
 sector's *radial profile*, in closed form from
-:func:`~elastoplasmon.lame.mode_constants`; a solve runs no traction
-algebra), so the interface conditions (displacement
+:func:`~elastoplasmon.lame.mode_constants` once per process and key; a
+solve runs no traction algebra), so the interface conditions (displacement
 continuity, weighted-traction continuity and the prescribed traction jump
 across the source sphere) form a square scalar system: two unknowns per
 region and rows per interface for family 1, four for families 2 and 3.
@@ -32,10 +32,10 @@ per family, its amplitudes kept with the source coefficients
 (:class:`ModeSolution`), and no member matrix is built until a caller reads
 the solution's fields.  The dissipation, the bounds and the verdicts of a
 unit source do not depend on k.  Instead of the matching map applied to the
-members, each solved family passes a scalar sector check: its perfect wave
-in profile blocks (:func:`_wave_amplitudes`) must match at the plasmon
-constant.  A source sphere that is not outside the shell, a family other
-than 1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
+members, each solved family passes a scalar sector check, run once per key:
+its perfect wave in profile blocks (:func:`_wave_amplitudes`) must match at
+the plasmon constant.  A source sphere that is not outside the shell, a
+family other than 1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _lu_solve
 
 from .lame import (
     LameParams,
@@ -53,6 +54,7 @@ from .lame import (
     SectorCheckError,
     Term,
     _k0,
+    _once_per_key,
     displacement_coeffs,
     lame_residual,
     mode_constants,
@@ -275,6 +277,15 @@ def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[c
     return bounds, weights
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm`` of a complex vector, in its own operations: sqrt(re . re + im . im)."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
+def _raise_singular(err: str, flag: int):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
                   max_condition: float = math.inf) -> tuple[np.ndarray | None, float, float]:
     """Solve a square interface system: (x, condition, backward error).
@@ -290,13 +301,15 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
     and Stability of Numerical Algorithms*, 2nd ed., ch. 12), so it is
     accurate to working precision while condition x eps < 1.  A normwise backward
     error of the scaled system above 1e-10 raises :class:`UnconvergedSolveError`.
+    LU calls the LAPACK gufunc of ``np.linalg.solve`` under its error state and
+    the norms are ``np.linalg.norm``'s own sums: bit for bit the public calls.
     """
-    rows = np.max(np.abs(M), axis=1)
+    rows = np.abs(M).max(axis=1)
     rows[rows == 0] = 1.0
     A = M / rows[:, None]
-    cols = np.max(np.abs(A), axis=0)
+    cols = np.abs(A).max(axis=0)
     cols[cols == 0] = 1.0
-    A = A / cols
+    A /= cols
     sv = np.linalg.svd(A, compute_uv=False)
     cond = float(sv[0] / max(sv[-1], 1e-300))
     if cond > max_condition:
@@ -304,18 +317,19 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
     if b is None:
         return None, cond, 0.0
     M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
-    x = np.linalg.solve(A, b / rows) / cols
-    last = math.inf
-    for _ in range(4):
-        dx = np.linalg.solve(A, (b_ext - M_ext @ x).astype(complex) / rows) / cols
-        step = float(np.linalg.norm(dx))
-        if step > 0.5 * last:
-            break
-        x, last = x + dx, step
-        if step <= np.finfo(float).eps * np.linalg.norm(x):
-            break
-    resid = float(np.linalg.norm((b_ext - M_ext @ x).astype(complex) / rows))
-    berr = resid / (float(sv[0] * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
+    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        x = _lu_solve(A, b / rows, signature="DD->D") / cols
+        last = math.inf
+        for _ in range(4):
+            dx = _lu_solve(A, (b_ext - M_ext @ x).astype(complex) / rows, signature="DD->D") / cols
+            step = _norm(dx)
+            if step > 0.5 * last:
+                break
+            x, last = x + dx, step
+            if step <= 2.0**-52 * _norm(x):  # eps
+                break
+        resid = _norm((b_ext - M_ext @ x).astype(complex) / rows)
+    berr = resid / (float(sv[0] * _norm(x * cols) + _norm(b / rows)) or 1e-300)
     if berr > 1e-10:
         raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
     return x, cond, berr
@@ -348,8 +362,9 @@ class _RadialProfile:
     kappa: float | None
 
 
+@_once_per_key
 def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
-    """The :class:`_RadialProfile` of a sector in closed form (Love, *Treatise*, ch. XI).
+    """The :class:`_RadialProfile` of a sector in closed form (Love, *Treatise*, ch. XI), once per key.
 
     Toroidal blocks K r^n and K r^(-n-1) have tractions mu (n-1) and -mu (n+2).
     Family 2 at n = 1 is the sector J = 0, the degree-1 blocks x and x / r^3
@@ -419,8 +434,9 @@ def _profile_fields(sectors) -> list[ModeField]:
     return [ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi) for (lo, hi), co in coefs.items()]
 
 
-def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, dict, dict]:
-    """The perfect wave of a unit sector member in profile blocks: (profile, inner, outer amplitudes).
+@_once_per_key
+def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, dict, dict, float]:
+    """The perfect wave of a unit sector member in profile blocks: (profile, inner, outer amplitudes, c).
 
     :func:`~elastoplasmon.waves.perfect_wave` builds its fields from them:
     ``entire n`` inside and R^(2n+1) ``decay n`` outside, plus M_n R^2
@@ -428,8 +444,10 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
     outside for family 3.  The amplitudes are the sector's kernel check: at
     R the displacements must agree and the traction inside times the
     family's plasmon constant c must equal the one outside, each to 1e-9 of
-    the largest, else :class:`SectorCheckError`.
+    the largest, else :class:`SectorCheckError`.  The check runs once per
+    process per (lambda, mu, n, family, R); R is taken as a float.
     """
+    R = float(R)
     prof = _radial_profile(params, n, fam)
     outer_scale = R ** (2 * n + 1)
     inner, outer = {("entire", n): 1.0}, {("decay", n): outer_scale}
@@ -447,7 +465,7 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
         if not defect <= 1e-9 * scale:
             raise SectorCheckError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
                                    f"({what} defect {defect / scale:.3e})")
-    return prof, inner, outer
+    return prof, inner, outer, c
 
 
 def _sector_system(bounds: list[float], weights: list[complex], prof: _RadialProfile):
@@ -461,24 +479,26 @@ def _sector_system(bounds: list[float], weights: list[complex], prof: _RadialPro
     k = len(prof.degrees)
     kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
     cols = [(reg, kind, shape) for reg, ks in enumerate(kinds) for kind in ks for shape in prof.degrees]
-    M = np.zeros((2 * k * len(bounds), len(cols)), dtype=complex)
+    nc = len(cols)
+    M = [0j] * (2 * k * len(bounds) * nc)  # row-major, filled as Python scalars
     for ci, (reg, kind, shape) in enumerate(cols):
         p, disp, trac = prof.blocks[(kind, shape)]
         for bi in (reg - 1, reg):
             if 0 <= bi < len(bounds):
                 rho, sgn = bounds[bi], (1.0 if reg == bi else -1.0)
+                u, t, at = rho**p, rho ** (p - 1), 2 * k * bi * nc + ci
                 for di, d in enumerate(prof.degrees):
-                    M[2 * k * bi + di, ci] = sgn * disp.get(d, 0.0) * rho**p
-                    M[2 * k * bi + k + di, ci] = sgn * weights[reg] * trac.get(d, 0.0) * rho ** (p - 1)
-    b = np.zeros(len(M), dtype=complex)
+                    M[at + di * nc] = sgn * disp.get(d, 0.0) * u
+                    M[at + (k + di) * nc] = sgn * weights[reg] * trac.get(d, 0.0) * t
+    b = np.zeros(2 * k * len(bounds), dtype=complex)
     b[-k] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
-    return M, b, cols
+    return np.array(M, dtype=complex).reshape(-1, nc), b, cols
 
 
 def _sector_annuli(radii, cols: list, x: np.ndarray) -> list[tuple[float, float, dict]]:
     """Amplitudes of (region, kind, shape) columns as [(r_lo, r_hi, {(kind, shape): amplitude})] per region."""
     annuli = [(lo, hi, {}) for lo, hi in zip(radii[:-1], radii[1:])]
-    for xc, (reg, kind, shape) in zip(x, cols):
+    for xc, (reg, kind, shape) in zip(x.tolist(), cols):  # Python complex: scalar sums run faster
         annuli[reg][2][(kind, shape)] = xc
     return annuli
 
@@ -572,15 +592,13 @@ def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source:
             inner, outer = sol.regions[bi], sol.regions[bi + 1]
             u_in = displacement_coeffs(inner.terms, rho)
             u_out = displacement_coeffs(outer.terms, rho)
-            scale = max([np.max(np.abs(m)) for m in list(u_in.values()) + list(u_out.values())] + [1e-30])
+            scale = max([np.max(np.abs(m)) for m in [*u_in.values(), *u_out.values()]] + [1e-30])
             for d in set(u_in) | set(u_out):
                 jump = float(np.max(np.abs(u_in.get(d, 0.0) - u_out.get(d, 0.0))))
                 report["displacement_jump"] = max(report["displacement_jump"], jump / scale)
             t_in = traction_coeffs_algebraic(inner.terms, rho, params, tables)
             t_out = traction_coeffs_algebraic(outer.terms, rho, params, tables)
-            tscale = max(
-                [np.max(np.abs(m)) for m in list(t_in.values()) + list(t_out.values())] + [1e-30]
-            )
+            tscale = max([np.max(np.abs(m)) for m in [*t_in.values(), *t_out.values()]] + [1e-30])
             for d in set(t_in) | set(t_out):
                 jump = weights[bi + 1] * t_out.get(d, 0.0) - weights[bi] * t_in.get(d, 0.0)
                 expected = gamma if (d == sol.n and abs(rho - source.q) < 1e-14) else 0.0

@@ -46,7 +46,7 @@ from .lame import (
     eval_terms,
     exterior_traction_coeffs,
     lame_residual,
-    plasmon_constants,
+    plasmon_constants,  # noqa: F401  (imported from here too)
     t1_vector,
     t3_vector,
     traction_coeffs_algebraic,
@@ -245,13 +245,9 @@ def kernel_family(G: np.ndarray, tables: DerivativeTable, tol: float = 1e-8) -> 
     n = (G.shape[1] - 1) // 2
     has_t1 = np.max(np.abs(t1_vector(G, n, tables))) > tol
     has_t3 = np.max(np.abs(t3_vector(G, n, tables))) > tol
-    if not has_t1 and not has_t3:
-        return 1
-    if not has_t1 and has_t3:
-        return 2
-    if has_t1 and not has_t3:
-        return 3
-    raise ValueError("matrix has both t1 and t3 content; not a pure kernel")
+    if has_t1 and has_t3:
+        raise ValueError("matrix has both t1 and t3 content; not a pure kernel")
+    return 3 if has_t1 else 2 if has_t3 else 1
 
 
 @dataclass(frozen=True)
@@ -280,16 +276,15 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
 
     Its fields are the profile blocks of the sector's perfect wave
     (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
-    sector) on the kernel and its ladder shape.
+    sector once per key and gives its plasmon constant) on the kernel and
+    its ladder shape.
     """
     K = np.asarray(kernel, dtype=complex)
-    tables = ensure_tables(tables, n + 4)
-    prof, inner, outer = _wave_amplitudes(params, n, family, R)
+    prof, inner, outer, c = _wave_amplitudes(params, n, family, R)
     refs = {n: K}
     if family != 1:
-        refs[prof.degrees[1]] = _ladder(K, n, family == 3, tables)
+        refs[prof.degrees[1]] = _ladder(K, n, family == 3, ensure_tables(tables, n + 4))
     interior, exterior = _profile_fields([(prof, refs, [(0.0, R, inner), (R, math.inf, outer)])])
-    c = plasmon_constants(params, n).as_tuple()[family - 1]
     return PerfectWave(n=n, family=family, c=c, R=R, kernel=K, interior=interior, exterior=exterior)
 
 

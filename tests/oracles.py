@@ -81,6 +81,14 @@ assembled in double, in 50-digit ``mpmath`` arithmetic; patched in for
 solve is held to, and ``mp_flux_dissipation`` is the dissipation of a
 solve from those 50-digit amplitudes by the flux of the radial profiles.
 
+``square_solve_reference`` is ``transmission._square_solve`` through the
+public ``np.linalg.solve`` and ``np.linalg.norm`` calls; the package's
+solve calls their LAPACK gufunc and their sums directly and must agree with
+it bit for bit.  ``vector_flux``/``vector_solution_pairing`` are the
+flux of ``energy.solution_pairing`` with each source read as its coefficient
+vector on the sector's 2J + 1 members (one ``np.vdot`` per degree and
+sphere) instead of through the Gram matrix of the coefficients.
+
 ``exterior_block``/``interior_block`` build the irregular and regular Lame
 blocks of one coefficient matrix with their slaved corrections, as terms.
 
@@ -108,7 +116,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from elastoplasmon.energy import _radial_integral, pairing_P
+from elastoplasmon.energy import _coordinates, _radial_integral, pairing_P
 from elastoplasmon.harmonics import (
     DerivativeTable,
     SphereQuadrature,
@@ -141,9 +149,12 @@ from elastoplasmon.lame import (
 )
 from elastoplasmon.transmission import (
     LayeredMedium,
+    ResonantSingularityError,
     SourceSpec,
+    UnconvergedSolveError,
     _RadialProfile,
     _ladder,
+    _profile_trace,
     _region_layout,
     _sector_system,
     _square_solve,
@@ -522,40 +533,133 @@ def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "int
     return x, cond, berr
 
 
-def mp_flux_dissipation(sol, medium: LayeredMedium, dps: int = 50) -> float:
-    """Dissipation of a one-sector ``ModeSolution`` from 50-digit amplitudes, by flux.
+def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
+    """Dissipation of superposed ``ModeSolution`` s (or of one) from 50-digit amplitudes, by flux.
 
-    The sector system is assembled in double as the package assembles it
-    and solved by :func:`_mp_lu_solve`; the flux rho^2 Re <u, t(u)> of each
-    region (outer minus inner sphere, every shape weighted by its norm^2,
-    1 or kappa (2n+1)/(2d+1)) and the source weight sum |gamma_k|^2 are
+    Each sector system is assembled in double as the package assembles it
+    and solved by :func:`_mp_lu_solve`.  On every interface sphere each
+    shape's displacement and traction are coordinate vectors on the unit
+    members of its sector (family 1 at n, or total angular momentum J shared
+    by family 2 at n and family 3 at n - 2): the sum over parts of the
+    shape's coordinate (1 at the part's degree n, -sqrt(kappa (2n+1)/(2d+1))
+    at the partner degree d), the profile scalar and the coefficient vector.
+    The flux rho^2 Re <u, t(u)> of each region (outer minus inner sphere) is
     summed in ``dps`` digits from the profile scalars taken exactly as doubles.
     """
     import mpmath
 
-    (fam, gammas, prof, _), = sol.sectors
-    M, b, cols = _sector_system(*_region_layout(medium, sol.radii[-2]), prof)
-    x = _mp_lu_solve(M, b, dps)
-    n = sol.n
+    sols = list(sols) if isinstance(sols, (list, tuple)) else [sols]
+    radii = sols[0].radii
     with mpmath.workdps(dps):
-        mpf = mpmath.mpf
-        norms = {d: mpf(1) if d == n else mpf(float(prof.kappa)) * (2 * n + 1) / (2 * d + 1) for d in prof.degrees}
+        mpf, mpc = mpmath.mpf, mpmath.mpc
+        parts = []
+        for sol in sols:
+            for fam, gammas, prof, _ in sol.sectors:
+                M, b, cols = _sector_system(*_region_layout(medium, sol.radii[-2]), prof)
+                n, J = sol.n, min(prof.degrees) + (fam != 1)
+                coords = {d: mpf(1) if d == n else -mpmath.sqrt(mpf(float(prof.kappa)) * (2 * n + 1) / (2 * d + 1))
+                          for d in prof.degrees}
+                gamma = [mpc(0)] * (2 * J + 1)
+                for k, g in gammas:
+                    gamma[k - 1] = mpc(complex(g))
+                parts.append(((fam == 1, J), prof, coords, gamma, _mp_lu_solve(M, b, dps), cols))
         total = mpf(0)
-        for reg in range(len(sol.radii) - 1):
-            for rho, sign in ((sol.radii[reg + 1], 1), (sol.radii[reg], -1)):
+        for reg in range(len(radii) - 1):
+            for rho, sign in ((radii[reg + 1], 1), (radii[reg], -1)):
                 if not 0.0 < rho < math.inf:
                     continue
                 r = mpf(rho)
-                for d in prof.degrees:
-                    u = t = mpmath.mpc(0)
-                    for xc, (r2, kind, shape) in zip(x, cols):
-                        p, disp, trac = prof.blocks[(kind, shape)]
-                        if r2 == reg and d in disp:
-                            u += xc * mpmath.mpc(complex(disp[d])) * r**p
-                            t += xc * mpmath.mpc(complex(trac[d])) * r ** (p - 1)
-                    total += sign * norms[d] * r**2 * mpmath.re(mpmath.conj(u) * t)
-        weight = sum(abs(mpmath.mpc(complex(g))) ** 2 for _, g in gammas)
-        return float(mpf(float(medium.delta)) / 2 * weight * total)
+                fields: dict = {}
+                for key, prof, coords, gamma, x, cols in parts:
+                    for d in prof.degrees:
+                        u = t = mpc(0)
+                        for xc, (r2, kind, shape) in zip(x, cols):
+                            p, disp, trac = prof.blocks[(kind, shape)]
+                            if r2 == reg and d in disp:
+                                u += xc * mpc(complex(disp[d])) * r**p
+                                t += xc * mpc(complex(trac[d])) * r ** (p - 1)
+                        U, T = fields.setdefault((key, d), ([mpc(0)] * len(gamma), [mpc(0)] * len(gamma)))
+                        for i, g in enumerate(gamma):
+                            U[i] += coords[d] * u * g
+                            T[i] += coords[d] * t * g
+                for U, T in fields.values():
+                    total += sign * r**2 * sum(mpmath.re(mpmath.conj(a) * b) for a, b in zip(U, T))
+        return float(mpf(float(medium.delta)) / 2 * total)
+
+
+def square_solve_reference(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
+                           max_condition: float = math.inf) -> tuple[np.ndarray | None, float, float]:
+    """``transmission._square_solve`` by the public numpy calls: (x, condition, backward error).
+
+    Rows, then columns, are scaled to a largest entry of 1, the condition
+    number is that of the scaled matrix from its singular values, and the
+    scaled system is solved by ``np.linalg.solve`` and refined at most 4 times
+    from ``np.clongdouble`` residuals; the same errors are raised.
+    """
+    rows = np.max(np.abs(M), axis=1)
+    rows[rows == 0] = 1.0
+    A = M / rows[:, None]
+    cols = np.max(np.abs(A), axis=0)
+    cols[cols == 0] = 1.0
+    A = A / cols
+    sv = np.linalg.svd(A, compute_uv=False)
+    cond = float(sv[0] / max(sv[-1], 1e-300))
+    if cond > max_condition:
+        raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
+    if b is None:
+        return None, cond, 0.0
+    M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
+    x = np.linalg.solve(A, b / rows) / cols
+    last = math.inf
+    for _ in range(4):
+        dx = np.linalg.solve(A, (b_ext - M_ext @ x).astype(complex) / rows) / cols
+        step = float(np.linalg.norm(dx))
+        if step > 0.5 * last:
+            break
+        x, last = x + dx, step
+        if step <= np.finfo(float).eps * np.linalg.norm(x):
+            break
+    resid = float(np.linalg.norm((b_ext - M_ext @ x).astype(complex) / rows))
+    berr = resid / (float(sv[0] * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
+    if berr > 1e-10:
+        raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
+    return x, cond, berr
+
+
+def vector_flux(annuli: dict) -> float:
+    """``energy._flux`` with each part's coefficients a vector on the sector's 2J + 1 members.
+
+    On the sphere rho a part's shape of degree d has the coordinate vector
+    ``coordinates[d] * gamma * U_d(rho)`` (traction alike); the parts of an
+    annulus are summed as vectors and paired by one ``np.vdot`` per degree.
+    """
+    total = 0.0
+    for (r_lo, r_hi, _), parts in annuli.items():
+        for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
+            if not 0.0 < rho < math.inf:
+                continue
+            u: dict = {}
+            t: dict = {}
+            for prof, coords, gamma, amplitudes in parts:
+                for d, (ud, td) in _profile_trace(prof, amplitudes, rho).items():
+                    u[d] = u.get(d, 0.0) + (coords[d] * ud) * gamma
+                    t[d] = t.get(d, 0.0) + (coords[d] * td) * gamma
+            total += sign * rho**2 * sum(float(np.real(np.vdot(u[d], t[d]))) for d in u)
+    return total
+
+
+def vector_solution_pairing(solutions) -> float:
+    """``energy.solution_pairing`` by :func:`vector_flux`: each source a zero-padded vector gamma_k."""
+    annuli: dict = {}
+    for sol in solutions:
+        for fam, gammas, prof, pieces in sol.sectors:
+            J = min(prof.degrees) + (fam != 1)
+            gamma = np.zeros(2 * J + 1, dtype=complex)
+            for k, g in gammas:
+                gamma[k - 1] = g
+            for lo, hi, amps in pieces:
+                annuli.setdefault((lo, hi, (fam == 1, J)), []).append((prof, _coordinates(prof), gamma, amps))
+    return vector_flux(annuli)
 
 
 def conj_terms(terms: Iterable[Term]) -> tuple[Term, ...]:

@@ -850,3 +850,36 @@ def test_benchmark_workloads_pass_their_checks(workload, tmp_path, monkeypatch, 
         result = {**dataclasses.asdict(cmd), "code": code, "stdout": capsys.readouterr().out}
         checks = check.check_result(result, ref)
         assert [c for c in checks if not c.ok] == [], cmd.argv
+
+
+def test_a_sweep_evaluates_each_closed_form_once_per_key(tmp_path):
+    # a fresh process running one sweep of the cored q = 2.3 schedule (13
+    # rows, 13 distinct degrees) evaluates each closed form and each sector
+    # check once per (lambda, mu, n[, family, R]) key: 13 sector checks, 13
+    # plasmon constants and 13 radial profiles, where every row used to
+    # repeat them (39, 91 and 91 evaluations), and the mode constants of the
+    # 18 degrees the command's material probe reads (d and d + 2)
+    cfg = dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]],
+               delta_list=[10.0 ** (-(4 + i) / 2) for i in range(13)])
+    path = tmp_path / "sched.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["sweep", "--config", str(path), "--csv", str(tmp_path / "x.csv")]
+    code = (
+        "import collections\n"
+        "from elastoplasmon import lame, transmission\n"
+        "from elastoplasmon.cli import main\n"
+        "keys = collections.defaultdict(list)\n"
+        "def counted(f):\n"
+        "    inner = f.__wrapped__\n"
+        "    f.__wrapped__ = lambda params, *args: keys[f.__name__].append((params, args)) or inner(params, *args)\n"
+        "for f in (lame.mode_constants, lame.plasmon_constants, transmission._radial_profile,\n"
+        "          transmission._wave_amplitudes):\n"
+        "    counted(f)\n"
+        f"assert main({argv!r}) == 0\n"
+        "print(*(f'{name}={len(seen)}/{len(set(seen))}' for name, seen in sorted(keys.items())))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == ("_radial_profile=13/13 _wave_amplitudes=13/13 mode_constants=18/18 "
+                                         "plasmon_constants=13/13")

@@ -448,3 +448,32 @@ def test_flux_dissipation_against_50_digit_solve(core):
             assert flux <= 2e-15, (fam, n, flux, volume)
             assert volume <= 1e-11, (fam, n, flux, volume)
     print(" ".join(f"f{f} n={n}: flux {a:.1e} volume {b:.1e}" for (f, n), (a, b) in errors.items()))
+
+
+@pytest.mark.parametrize("core", [None, 0.75])
+def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
+    # the flux reads each source through the Gram matrix of its coefficients;
+    # against the coefficient vectors (one np.vdot per degree and sphere) and
+    # the 50-digit flux, on sources where family 2 at n and family 3 at n - 2
+    # share J = n - 1 (several members, complex coefficients) beside a
+    # family-1 part: measured <= 2.9e-16 and <= 7.8e-16.  The witness pairing
+    # of a unit member reads the vector route's value too
+    from elastoplasmon.energy import _coordinates, profile_pairing, solution_pairing
+    from elastoplasmon.transmission import _wave_amplitudes
+    from oracles import mp_flux_dissipation, vector_flux, vector_solution_pairing
+
+    for params in (P11, LameParams(2.0, 0.5)):
+        med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=1e-3, base=params, core_radius=core)
+        for n in (4, 12, 27):
+            src = SourceSpec(q=2.25, coefficients={(n, 2, 1): 0.6 - 0.8j, (n, 2, 3): 0.3j, (n - 2, 3, 1): -0.9 + 0.2j,
+                                                    (n - 2, 3, 3): 0.5, (n - 2, 3, 2): 0.1, (n, 1, 2): 0.7})
+            sols = solve_modes(med, src)
+            gram, vector = solution_pairing(sols), vector_solution_pairing(sols)
+            assert abs(gram - vector) <= 1e-15 * abs(vector), (params, n)
+            ref = mp_flux_dissipation(sols, med)
+            assert abs(dissipation_E(sols, med) - ref) <= 2e-15 * ref, (params, n)
+            for fam in (1, 2, 3):
+                prof, inner, outer, _ = _wave_amplitudes(params, n, fam, 1.5)
+                pieces = [(0.0, 1.5, inner), (1.5, math.inf, outer)]
+                want = vector_flux({(lo, hi, None): [(prof, _coordinates(prof), 1.0, amps)] for lo, hi, amps in pieces})
+                assert abs(profile_pairing(prof, pieces) - want) <= 1e-15 * abs(want), (params, n, fam)

@@ -73,6 +73,38 @@ def test_vanishing_denominators_still_raise():
     assert _safe_div(1.0, (3.0, -2.0), "x", 2.0) == 0.5
 
 
+def test_closed_forms_are_kept_per_float_key(monkeypatch):
+    # LameParams(1, 1) and LameParams(1.0, 1.0) share one key, and so do
+    # -0.0 and 0.0 and the radii 2 and 2.0: whichever call comes first, the
+    # kept value is a fresh evaluation at the float pair.  Integers beyond
+    # 2^53 round otherwise in their own arithmetic, so they are read as the
+    # float pair too.  A call that raises keeps nothing.
+    from elastoplasmon import lame, transmission
+
+    kept = ((lame.mode_constants, (10,)), (lame.plasmon_constants, (10,)), (transmission._radial_profile, (10, 2)),
+            (transmission._wave_amplitudes, (10, 3, 2)), (transmission._wave_amplitudes, (10, 3, 2.0)))
+    big = LameParams(1006633145311236043253, 87885138432301809200)
+    pairs = ((LameParams(1, 1), LameParams(1.0, 1.0)), (LameParams(-0.0, 2), LameParams(0.0, 2.0)),
+             (LameParams(3, 0.5), LameParams(3.0, 0.5)), (big, LameParams(float(big.lam), float(big.mu))))
+    assert lame.mode_constants.__wrapped__(big, 10) != lame.mode_constants.__wrapped__(pairs[-1][1], 10)
+    for a, floats in pairs:
+        for first, second in ((a, floats), (floats, a)):
+            for f, args in kept:
+                monkeypatch.setattr(f, "cache", {})
+                value = f(first, *args)
+                assert f(second, *args) is value and len(f.cache) == 1
+                assert value == f.__wrapped__(floats, *args), (f.__name__, first)
+    assert transmission._wave_amplitudes(LameParams(1, 1), 5, 3, 2) is transmission._wave_amplitudes(
+        LameParams(1.0, 1.0), 5, 3, 2.0)
+    monkeypatch.setattr(lame.plasmon_constants, "cache", {})
+    monkeypatch.setattr(lame.mode_constants, "cache", {})
+    with pytest.raises(ArithmeticError):
+        lame.plasmon_constants(LameParams(1e308, 1e308), 2)
+    with pytest.raises(ValueError):
+        lame.mode_constants(LameParams(1.0, 1.0), 0)
+    assert not lame.plasmon_constants.cache and not lame.mode_constants.cache
+
+
 def _random_coeff(rng, n, complex_=True):
     G = rng.normal(size=(3, 2 * n + 1))
     if complex_:

@@ -12,7 +12,7 @@ import pytest
 from elastoplasmon import transmission
 from elastoplasmon.energy import dissipation_E
 from elastoplasmon.harmonics import build_quadrature, ensure_tables, sph_harm_stack
-from elastoplasmon.lame import LameParams
+from elastoplasmon.lame import LameParams, SectorCheckError, mode_constants
 from elastoplasmon.transmission import (
     LayeredMedium,
     ResonantSingularityError,
@@ -24,7 +24,8 @@ from elastoplasmon.transmission import (
     solve_mode,
     solve_modes,
 )
-from elastoplasmon.scenarios import scheduled_configuration, witness_nocore, witness_radial_nonresonant
+from elastoplasmon.scenarios import (fixed_configuration, scheduled_configuration, sweep, witness_nocore,
+                                     witness_radial_nonresonant)
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
 from oracles import (
     FieldSolution,
@@ -34,6 +35,7 @@ from oracles import (
     mp_square_solve,
     project_source,
     projected_radial_profile,
+    square_solve_reference,
     volume_dissipation,
     window_solve,
 )
@@ -286,6 +288,7 @@ def test_scalar_kernel_check_rejects_detuned_constants(tables, monkeypatch):
         return PlasmonConstants(n, *(z * (1 + 1e-6) for z in plasmon_constants(params, n).as_tuple()))
 
     monkeypatch.setattr(transmission, "plasmon_constants", detuned)
+    monkeypatch.setattr(transmission._wave_amplitudes, "cache", {})  # each check runs once per key
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
     for fam in (1, 2, 3):
         with pytest.raises(AssertionError, match=f"family {fam} .*transmission defect"):
@@ -479,3 +482,118 @@ print(" ".join(out))
                        env=dict(os.environ, PYTHONPATH=src))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["0"] * 6
+
+
+# ---------------------------------------------------------------------------
+# sector work once per key: the lean square solve and the caches
+# ---------------------------------------------------------------------------
+
+SCHEDULE_DELTAS = [10.0 ** (-(4 + i) / 2) for i in range(13)]
+
+
+def _gated_sweeps():
+    """The sweeps of the two benchmark workloads (both cored family-1 schedules, the
+    core-free family-3 run at zeta3(3) and the cored family-2 run at zeta2(4))."""
+    for q in (2.3, 3.6):
+        sweep(scheduled_configuration(P11, 2.0, q, family=1, k=3, gamma=0.6 + 0.8j, core_radius=1.0),
+              SCHEDULE_DELTAS)
+    sweep(fixed_configuration(P11, 2.0, -25.0 / 38.0, SourceSpec(2.6, {(3, 3, 5): 0.6 - 0.8j})),
+          [1e-2, 1e-3, 1e-4, 1e-5])
+    sweep(fixed_configuration(P11, 2.0, -130.0 / 59.0, SourceSpec(3.0, {(4, 2, 2): -0.8 + 0.6j}), core_radius=1.0),
+          [1e-2, 1e-3, 1e-4, 1e-5])
+
+
+def _solve_outcome(solve, M, b, what="interface system", max_condition=math.inf):
+    """(x bytes, condition, backward error), or (error type, message, condition) of a raising solve."""
+    try:
+        x, cond, berr = solve(M.copy(), None if b is None else b.copy(), what, max_condition)
+    except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc), getattr(exc, "condition", None)
+    return (None if x is None else x.tobytes()), cond, berr
+
+
+def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
+    # the lean solve calls the LAPACK gufunc of np.linalg.solve and forms
+    # np.linalg.norm's sums itself: on every system the four benchmark sweeps
+    # solve (lossy and loss-free, raising or not) it is bit for bit the
+    # public-call route, and so are its errors
+    systems = []
+    lean = transmission._square_solve
+
+    def recorded(M, b=None, what="interface system", max_condition=math.inf):
+        systems.append((M.copy(), None if b is None else b.copy(), what, max_condition))
+        return lean(M, b, what, max_condition)
+
+    monkeypatch.setattr(transmission, "_square_solve", recorded)
+    _gated_sweeps()
+    raised = 0
+    for system in systems:
+        got = _solve_outcome(lean, *system)
+        assert got == _solve_outcome(square_solve_reference, *system), system[2:]
+        raised += got[0] is ResonantSingularityError
+    # lossy and loss-free per schedule row, lossy only per fixed row (no family-1 source)
+    assert len(systems) == 2 * 2 * 13 + 2 * 4 and raised > 0
+
+
+def test_square_solve_is_the_reference_on_seeded_systems():
+    # random complex systems of sizes 2..12, conditions 1 to 1e15, rows
+    # scaled over 16 decades: solved, condition only (b = None) and capped at
+    # 1e9 (ResonantSingularityError); a Wilkinson matrix of size 100, whose
+    # LU growth 2^99 defeats refinement (UnconvergedSolveError), and an
+    # exactly singular one (numpy's LinAlgError)
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for size in (2, 4, 6, 8, 12):
+        for log_cond in (0, 6, 12, 15):
+            U, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+            V, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+            M = (U * np.logspace(0, -log_cond, size)) @ V.conj().T * 10.0 ** rng.uniform(-8, 8, size=(size, 1))
+            b = rng.normal(size=size) + 1j * rng.normal(size=size)
+            cases += [(M, b, math.inf), (M, None, math.inf), (M, b, 1e9)]
+    W = (np.eye(100) - np.tril(np.ones((100, 100)), -1)).astype(complex)
+    W[:, -1] = 1.0
+    cases += [(W, rng.normal(size=100) + 0j, math.inf), (np.ones((4, 4), dtype=complex), np.ones(4, dtype=complex),
+                                                         math.inf)]
+    kinds = set()
+    for M, b, cap in cases:
+        got = _solve_outcome(transmission._square_solve, M, b, "system", cap)
+        assert got == _solve_outcome(square_solve_reference, M, b, "system", cap), (M.shape, cap)
+        kinds.add(got[0] if isinstance(got[0], type) else "none" if got[0] is None else "solved")
+    assert kinds == {"solved", "none", ResonantSingularityError, UnconvergedSolveError, np.linalg.LinAlgError}
+
+
+def test_cached_closed_forms_are_never_mutated():
+    # after the four benchmark sweeps and the perfect waves of degree 6 every
+    # kept closed form and sector check equals a fresh evaluation at its key
+    from elastoplasmon.harmonics import ensure_tables
+    from elastoplasmon.lame import plasmon_constants as closed_plasmon_constants
+    from elastoplasmon.waves import perfect_wave
+
+    _gated_sweeps()
+    tables = ensure_tables(None, 10)
+    for fam in (1, 2, 3):
+        for K in kernel_basis(P11, 6, fam, tables):
+            perfect_wave(K, fam, 6, 1.3, P11, tables)
+    for f in (mode_constants, closed_plasmon_constants, transmission._radial_profile, transmission._wave_amplitudes):
+        assert f.cache
+        for (lam, mu, *args), value in f.cache.items():
+            assert value == f.__wrapped__(LameParams(lam, mu), *args), (f.__name__, lam, mu, args)
+
+
+def test_seeded_defect_is_caught_after_a_full_sweep(monkeypatch):
+    # a sweep keeps the sector check of (P11, n = 4, family 2, R = 2); a test
+    # that seeds a defect into what the check reads empties the caches that
+    # depend on it, so the same key is checked again and fails
+    conf = fixed_configuration(P11, 2.0, -130.0 / 59.0, SourceSpec(3.0, {(4, 2, 2): -0.8 + 0.6j}), core_radius=1.0)
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5]
+    sweep(conf, deltas)
+    assert (1.0, 1.0, 4, 2, 2.0) in transmission._wave_amplitudes.cache
+
+    def detuned(params, n):
+        return PlasmonConstants(n, *(z * (1 + 1e-6) for z in plasmon_constants(params, n).as_tuple()))
+
+    monkeypatch.setattr(transmission, "plasmon_constants", detuned)
+    monkeypatch.setattr(transmission._wave_amplitudes, "cache", {})
+    with pytest.raises(SectorCheckError, match="family 2 .*transmission defect"):
+        sweep(conf, deltas)
+    assert not transmission._wave_amplitudes.cache

@@ -417,3 +417,23 @@ def test_wave_check_routes_agree_on_waves_and_seeded_defects(tables, materials):
                         bad = _seeded_defect(wave, defect)
                         for route in (verify_perfect_wave, point_verify_perfect_wave):
                             assert _worst(route(bad, params, tables)) >= 1e-6, (params, n, fam, defect, route)
+
+
+def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
+    # a perfect wave's constant is the one its sector check tested, and the
+    # check of each (material, degree, family, R) runs once however many
+    # members are built (123 waves at degree 20, 3 checks)
+    from elastoplasmon import transmission
+
+    params, n, R = LameParams(2.0, 0.5), 20, 1.3
+    checked, check = [], transmission._wave_amplitudes.__wrapped__
+    monkeypatch.setattr(transmission._wave_amplitudes, "cache", {})
+    monkeypatch.setattr(transmission._wave_amplitudes, "__wrapped__", lambda *a: checked.append(a[1:]) or check(*a))
+    tables = ensure_tables(None, n + 4)
+    waves_built = 0
+    for fam in (1, 2, 3):
+        c = plasmon_constants(params, n).as_tuple()[fam - 1]
+        for K in transmission.kernel_basis(params, n, fam, tables):
+            assert perfect_wave(K, fam, n, R, params, tables).c == c
+            waves_built += 1
+    assert waves_built == 123 and checked == [(n, 1, R), (n, 2, R), (n, 3, R)]
