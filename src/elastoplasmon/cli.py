@@ -235,11 +235,13 @@ def _check_radius(R: float) -> None:
 def _single_loss(args, cfg: dict) -> float:
     """The loss of a one-loss command: ``--delta``, else the first listed loss.
 
-    A scheduled run's degree follows the loss, so ``--delta`` is bounded
-    like the listed losses.
+    ``--delta`` must be finite and positive, and a scheduled run's degree
+    follows the loss, so it is bounded like the listed losses.
     """
     if args.delta is None:
         return cfg["delta_list"][0]
+    if not (math.isfinite(args.delta) and args.delta > 0):
+        raise ValidationError(f"--delta must be finite and positive, got {args.delta}")
     if "schedule" in cfg["c_mode"]:
         n = schedule_n_delta(cfg["shell_radius"], args.delta)
         _check_degree(n, "scheduled degree")
@@ -406,10 +408,9 @@ def _cmd_solve(args) -> int:
     from .harmonics import ensure_tables, shared_tables
 
     cfg = load_config(args.config)
-    tables = shared_tables(max(12, cfg["n_max"]))
-    configuration = _configuration(cfg)
     delta = _single_loss(args, cfg)
-    med, src = configuration(delta)
+    tables = shared_tables(max(12, cfg["n_max"]))
+    med, src = _configuration(cfg)(delta)
     tables = ensure_tables(tables, max(src.degrees()) + 6)
     sols = solve_modes(med, src)
     rep = residual_check(sols, med, src, tables)
@@ -422,11 +423,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    result = sweep(_configuration(cfg), cfg["delta_list"])
-    out = cfg.get("output", {})
+    out = cfg["output"]
     csv_path = args.csv or out.get("csv")
     if not csv_path:
         raise ValidationError("no CSV output path configured")
+    result = sweep(_configuration(cfg), cfg["delta_list"])
     emit_report(result, cfg, csv_path, args.svg or out.get("svg"))
     print(f"verdict: {result.verdict}  growth_exponent: {_fmt(result.growth_exponent)}")
     return EXIT_OK
@@ -436,10 +437,9 @@ def _cmd_witness(args) -> int:
     from .harmonics import shared_tables
 
     cfg = load_config(args.config)
-    tables = shared_tables(max(12, cfg["n_max"]))
-    configuration = _configuration(cfg)
     delta = _single_loss(args, cfg)
-    med, src = configuration(delta)
+    tables = shared_tables(max(12, cfg["n_max"]))
+    med, src = _configuration(cfg)(delta)
     if med.core_radius is None:
         witnesses = [
             (witness_nocore, (med, src, delta, tables), lambda w: f"J_lower = {_fmt(w[1])}  tau = {_fmt(w[2])}"),
@@ -489,59 +489,46 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def build_parser() -> argparse.ArgumentParser:
+_MATERIAL = (("--lambda", dict(dest="lam", type=float, default=1.0)), ("--mu", dict(type=float, default=1.0)))
+_DEGREE = ("--n", dict(type=int, required=True))
+_RADIUS = ("--R", dict(type=float, default=1.0))
+_CONFIG = ("--config", dict(required=True))
+_DELTA = ("--delta", dict(type=float))
+
+# (name, help, handler, options as (flag, add_argument keywords)), in help order
+_COMMANDS = (
+    ("constants", "plasmon constants at one degree", _cmd_constants, (_DEGREE, *_MATERIAL)),
+    ("kernels", "kernel dimensions and t-patterns", _cmd_kernels, (_DEGREE, *_MATERIAL)),
+    ("waves-check", "verify the perfect-wave invariants", _cmd_waves_check, (_DEGREE, _RADIUS, *_MATERIAL)),
+    ("np-spectrum", "Galerkin boundary-operator spectrum", _cmd_np_spectrum,
+     (_RADIUS, ("--nmax", dict(type=int, default=5)), ("--csv", {}), *_MATERIAL)),
+    ("solve", "one exact solve with residual report", _cmd_solve, (_CONFIG, _DELTA)),
+    ("sweep", "loss sweep driven by a JSON config", _cmd_sweep, (_CONFIG, ("--csv", {}), ("--svg", {}))),
+    ("witness", "variational bounds at one loss value", _cmd_witness, (_CONFIG, _DELTA)),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser of ``argv``, with only the subparser of the command its first token names.
+
+    Any other first token (none, ``-h``, an unknown command, an option) gets
+    every subparser, so usage, help and error texts are the full parser's.
+    """
     ap = _Parser(prog="elastoplasmon", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def material(p):
-        p.add_argument("--lambda", dest="lam", type=float, default=1.0)
-        p.add_argument("--mu", type=float, default=1.0)
-
-    p = sub.add_parser("constants", help="plasmon constants at one degree")
-    p.add_argument("--n", type=int, required=True)
-    material(p)
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("kernels", help="kernel dimensions and t-patterns")
-    p.add_argument("--n", type=int, required=True)
-    material(p)
-    p.set_defaults(func=_cmd_kernels)
-
-    p = sub.add_parser("waves-check", help="verify the perfect-wave invariants")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--R", type=float, default=1.0)
-    material(p)
-    p.set_defaults(func=_cmd_waves_check)
-
-    p = sub.add_parser("np-spectrum", help="Galerkin boundary-operator spectrum")
-    p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--nmax", type=int, default=5)
-    p.add_argument("--csv")
-    material(p)
-    p.set_defaults(func=_cmd_np_spectrum)
-
-    p = sub.add_parser("solve", help="one exact solve with residual report")
-    p.add_argument("--config", required=True)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(func=_cmd_solve)
-
-    p = sub.add_parser("sweep", help="loss sweep driven by a JSON config")
-    p.add_argument("--config", required=True)
-    p.add_argument("--csv")
-    p.add_argument("--svg")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("witness", help="variational bounds at one loss value")
-    p.add_argument("--config", required=True)
-    p.add_argument("--delta", type=float)
-    p.set_defaults(func=_cmd_witness)
+    first = argv[0] if argv else None
+    for name, text, func, options in [c for c in _COMMANDS if c[0] == first] or _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag, kwargs in options:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
-        args = ap.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+        args = build_parser(argv).parse_args(argv)
         return args.func(args)
     except EmptyResultError as exc:
         return _error(str(exc), EXIT_EMPTY)

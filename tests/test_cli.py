@@ -545,18 +545,98 @@ def test_negative_exponent_values_are_option_values(capsys):
     assert "family 2: c = -4.0050075112669008" in spaced.out
 
 
+COMMANDS = ["constants", "kernels", "waves-check", "np-spectrum", "solve", "sweep", "witness"]
+ALL_COMMANDS = ", ".join(map(repr, COMMANDS))  # argparse's list of choices
+
+
 @pytest.mark.parametrize("argv, message", [
     (["kernels", "--lambda", "1"], "the following arguments are required: --n"),
     (["kernels", "--n", "2", "--mu", "abc"], "argument --mu: invalid float value: 'abc'"),
     (["kernels", "--n", "2", "--mu", "-1e-3x"], "argument --mu: expected one argument"),
     (["sweep", "--config", "x.json", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: command"),
+    # a first token that names no command builds every subparser
+    (["bogus"], "elastoplasmon: argument command: invalid choice: 'bogus' (choose from " + ALL_COMMANDS + ")"),
+    (["--lambda", "1"], "elastoplasmon: argument command: invalid choice: '1' (choose from " + ALL_COMMANDS + ")"),
 ])
 def test_argument_errors_are_json_errors(argv, message):
     r = run_cli(*argv)
     assert r.returncode == 2 and not r.stdout
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and message in json.loads(lines[0])["error"], r.stderr
+
+
+def _main_output(cli, argv, capsys):
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # -h prints the help and exits
+        code = f"exit {exc.code}"
+    return code, *capsys.readouterr()
+
+
+# -h and an argument error of the top level and of every subcommand
+# (np-spectrum has no required argument)
+@pytest.mark.parametrize("argv", [["-h"], []] + [
+    [command, *tail] for command in COMMANDS for tail in (["-h"], ["--nmax"] if command == "np-spectrum" else [])
+])
+def test_one_subparser_texts_are_the_full_parsers(argv, monkeypatch, capsys):
+    # the oracle: the same call through a parser built with every subparser
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    got = _main_output(cli, argv, capsys)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: full())
+    assert got == _main_output(cli, argv, capsys)
+    code, out, err = got
+    if "-h" in argv:
+        assert code == "exit 0" and out.startswith(" ".join(["usage: elastoplasmon", *argv[:-1]])) and not err
+    else:
+        assert code == 2 and not out and json.loads(err)["code"] == 2
+
+
+def test_a_command_builds_only_its_own_subparser(config_file, tmp_path, monkeypatch):
+    sys.path.insert(0, SRC)
+    import argparse
+
+    from elastoplasmon import cli
+
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    assert cli.main(["sweep", "--config", config_file, "--csv", str(tmp_path / "x.csv")]) == 0
+    assert calls == ["sweep"]
+    calls.clear()
+    assert cli.main(["bogus"]) == 2
+    assert calls == COMMANDS
+
+
+def test_sweep_refuses_a_missing_csv_path_before_solving(config_file, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    monkeypatch.setattr(cli, "sweep", _no_run)
+    assert cli.main(["sweep", "--config", config_file]) == 2
+    assert json.loads(capsys.readouterr().err) == {"code": 2, "error": "no CSV output path configured"}
+
+
+@pytest.mark.parametrize("command", ["solve", "witness"])
+@pytest.mark.parametrize("delta", ["0", "-1e-3", "nan"])
+def test_delta_argument_is_positive_before_any_run(command, delta, config_file, monkeypatch, capsys):
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    _forbid_runs(monkeypatch)
+    monkeypatch.setattr(cli, "solve_modes", _no_run)
+    assert cli.main([command, "--config", config_file, "--delta", delta]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0]) == {
+        "code": 2, "error": f"--delta must be finite and positive, got {float(delta)}"}
 
 
 @pytest.mark.parametrize("argv, expected", [
