@@ -8,26 +8,23 @@ corrections two degrees away.
 
 from elastoplasmon import (
     LameParams,
-    assemble_H,
+    kernel_basis,
     perfect_wave,
     plasmon_constants,
-    plasmon_kernel,
-    shared_tables,
     verify_perfect_wave,
 )
 
 params = LameParams(-0.5, 1.0)  # strongly convex with negative lambda
-tables = shared_tables(10)
 R = 1.3
 
 print("family  k   continuity   transmission   lame(int/ext)")
 for n in (2, 3):
     zetas = plasmon_constants(params, n)
     for fam, c in enumerate(zetas.as_tuple(), start=1):
-        kers = plasmon_kernel(assemble_H(n, params, c, tables))
+        kers = kernel_basis(params, n, fam, None)
         for k, K in enumerate(kers, start=1):
-            wave = perfect_wave(K, fam, n, R, params, tables)
-            rep = verify_perfect_wave(wave, params, tables)
+            wave = perfect_wave(K, fam, n, R, params, None)
+            rep = verify_perfect_wave(wave, params, None)
             print(
                 f"n={n} f{fam}  {k:2d}   {rep['continuity']:.2e}     {rep['transmission']:.2e}"
                 f"      {rep['lame_interior']:.1e}/{rep['lame_exterior']:.1e}"

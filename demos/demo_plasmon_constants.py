@@ -1,32 +1,42 @@
 """Where does the core-free sphere admit nontrivial transmission fields?
 
-Sweep the shell multiplier c over the negative axis and watch the smallest
-singular value of the degree-n matching matrix dip to zero at exactly three
-points, the plasmon constants.  Their kernels have dimensions 2n+1, 2n-1,
-2n+3 and split by the two divergence conditions t1 and t3.
+Sweep the shell multiplier c over the negative axis and watch the loss-free
+transmission system of the degree-n sectors, one per family: the largest
+condition number peaks at the plasmon constants.  The family-3 sector
+(total angular momentum n + 1) also holds the degree-(n + 2) shape, so its
+system peaks at zeta2(n + 2) too (-130/59 for n = 2).  The kernels at the
+three constants have dimensions 2n+1, 2n-1, 2n+3 and split by the two
+divergence conditions t1 and t3.
 """
 
 import numpy as np
 
-from elastoplasmon import LameParams, assemble_H, plasmon_constants, plasmon_kernel, shared_tables
+from elastoplasmon import LameParams, LayeredMedium, kernel_basis, plasmon_constants
+from elastoplasmon.transmission import sector_conditions
 from elastoplasmon.waves import kernel_family
 
 params = LameParams(1.0, 1.0)
-tables = shared_tables(8)
-n = 2
+n, R, q = 2, 1.0, 2.0
+
+
+def conditions(c: float) -> dict[int, float]:
+    """Condition number of each family's loss-free degree-n system, source sphere at q."""
+    return sector_conditions(LayeredMedium(shell_radius=R, c=c, delta=0.0, base=params), n, q)
+
 
 zetas = plasmon_constants(params, n)
 print(f"degree n = {n}, (lambda, mu) = (1, 1)")
 print(f"closed forms: zeta1 = {zetas.zeta1}, zeta2 = {zetas.zeta2}, zeta3 = {zetas.zeta3}\n")
 
-print(" c        min singular value of H")
+print(" c        largest condition number (family)")
 for c in np.linspace(-6.0, -0.2, 30):
-    s = assemble_H(n, params, float(c), tables).singular_values
-    bar = "#" * max(0, int(14 + np.log10(max(s[-1] / s[0], 1e-17)) * 1.0))
-    print(f"{c:+.3f}   {s[-1] / s[0]:.3e}  {bar}")
+    conds = conditions(float(c))
+    fam = max(conds, key=conds.get)
+    print(f"{c:+.3f}   {conds[fam]:.3e} ({fam})  {'#' * int(np.log10(conds[fam]))}")
 
 print("\nkernels at the three constants:")
 for fam, c in enumerate(zetas.as_tuple(), start=1):
-    kers = plasmon_kernel(assemble_H(n, params, c, tables))
-    fams = {kernel_family(K, tables) for K in kers}
-    print(f"  family {fam}: c = {c:.6f}, dimension {len(kers)}, t-pattern class {fams}")
+    kers = kernel_basis(params, n, fam, None)
+    fams = {kernel_family(K, None) for K in kers}
+    print(f"  family {fam}: c = {c:.6f}, condition {conditions(c)[fam]:.1e}, dimension {len(kers)}, "
+          f"t-pattern class {fams}")

@@ -14,13 +14,12 @@ import importlib
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in (
     ("harmonics", "DerivativeTable shared_tables sph_harm_stack"),
-    ("lame", "LameParams ModeConstants ModeField PlasmonConstants SectorCheckError Term "
-             "exterior_traction_coeffs mode_constants plasmon_constants"),
-    ("waves", "PerfectWave PlasmonEigenProblem assemble_H np_eigenvalue_map np_galerkin_spectrum "
-              "perfect_wave plasmon_kernel verify_perfect_wave"),
+    ("lame", "LameParams ModeConstants ModeField PlasmonConstants SectorCheckError Term mode_constants "
+             "plasmon_constants"),
+    ("waves", "PerfectWave np_eigenvalue_map np_galerkin_spectrum perfect_wave verify_perfect_wave"),
     ("transmission", "LayeredMedium ModeSolution ResonantSingularityError SourceSpec kernel_basis "
                      "residual_check solve_mode solve_modes"),
-    ("energy", "EnergyReport dissipation_E functional_I functional_J pairing_P"),
+    ("energy", "EnergyReport dissipation_E"),
     ("scenarios", "SweepResult fixed_configuration schedule_n_delta scheduled_configuration sweep "
                   "witness_core_resonant witness_fixed_c witness_nocore witness_radial_nonresonant"),
 ) for name in names.split()}

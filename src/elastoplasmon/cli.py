@@ -33,14 +33,14 @@ from .transmission import (
 )
 from .scenarios import (
     SweepResult,
+    _core_bound,
+    _fixed_c_bound,
+    _nocore_bound,
+    _radial_bound,
     fixed_configuration,
     schedule_n_delta,
     scheduled_configuration,
     sweep,
-    witness_core_resonant,
-    witness_fixed_c,
-    witness_nocore,
-    witness_radial_nonresonant,
 )
 
 EXIT_OK = 0
@@ -55,10 +55,10 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # quadrature_exactness key).  Every table degree a run reads is built and
 # self-tested on first use: about 20 ms for degree 64 alone (its band's
 # polar rule included) and 0.2 s for degrees 0..70, on a 2-vCPU x86-64 host
-# with one BLAS thread.  A sweep and np-spectrum read none (their results
-# are sector scalars); solve, witness, kernels and waves-check read at most
-# 4 beyond their deepest degree.  The suite self-tests every degree 0..70;
-# the demos stay below degree 42.
+# with one BLAS thread.  A sweep, witness and np-spectrum read none (their
+# results are sector scalars); solve, kernels and waves-check read at most
+# 4 beyond their deepest degree, as sized by the functions that read them.
+# The suite self-tests every degree 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
 
 
@@ -179,7 +179,9 @@ def validate_config(cfg: dict) -> dict:
         if first is None:
             sources.append((n, fam))
     _source_material(cfg, sources)
-    cfg.setdefault("output", {})
+    out = cfg.setdefault("output", {})
+    if not (isinstance(out, dict) and all(isinstance(out[k], str) and out[k] for k in ("csv", "svg") if k in out)):
+        raise ValidationError("output must be an object whose csv and svg, where given, are non-empty strings")
     return cfg
 
 
@@ -335,33 +337,29 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    from .harmonics import ensure_tables
     from .waves import kernel_family
 
     _check_wave_degree(args.n)
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
-    tables = ensure_tables(None, args.n + 4)
     z = plasmon_constants(params, args.n)
-    kernels = [kernel_basis(params, args.n, fam, tables) for fam in (1, 2, 3)]
+    kernels = [kernel_basis(params, args.n, fam, None) for fam in (1, 2, 3)]
     for fam, (c, kers) in enumerate(zip(z.as_tuple(), kernels), start=1):
-        fams = {kernel_family(K, tables) for K in kers}
+        fams = {kernel_family(K, None) for K in kers}
         print(f"family {fam}: c = {_fmt(c)}, kernel dimension {len(kers)}, t-pattern {sorted(fams)}")
     return EXIT_OK
 
 
 def _cmd_waves_check(args) -> int:
-    from .harmonics import ensure_tables
     from .waves import perfect_wave, verify_perfect_wave
 
     _check_wave_degree(args.n)
     _check_radius(args.R)
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
-    tables = ensure_tables(None, args.n + 4)
     worst = 0.0
     for fam in (1, 2, 3):
-        for k, K in enumerate(kernel_basis(params, args.n, fam, tables), start=1):
-            wave = perfect_wave(K, fam, args.n, args.R, params, tables)
-            rep = verify_perfect_wave(wave, params, tables)
+        for k, K in enumerate(kernel_basis(params, args.n, fam, None), start=1):
+            wave = perfect_wave(K, fam, args.n, args.R, params, None)
+            rep = verify_perfect_wave(wave, params, None)
             # np.max, unlike max(), keeps a NaN residual, which then fails
             worst = float(np.max([worst, rep["continuity"], rep["transmission"],
                                   rep["lame_interior"], rep["lame_exterior"]]))
@@ -405,15 +403,11 @@ def _cmd_np_spectrum(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    from .harmonics import ensure_tables, shared_tables
-
     cfg = load_config(args.config)
     delta = _single_loss(args, cfg)
-    tables = shared_tables(max(12, cfg["n_max"]))
     med, src = _configuration(cfg)(delta)
-    tables = ensure_tables(tables, max(src.degrees()) + 6)
     sols = solve_modes(med, src)
-    rep = residual_check(sols, med, src, tables)
+    rep = residual_check(sols, med, src, None)
     E = dissipation_E(sols, med)
     print(f"delta = {_fmt(delta)}  c = {_fmt(med.c)}  E_delta = {_fmt(E)}")
     for key, val in sorted(rep.items()):
@@ -434,28 +428,23 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    from .harmonics import shared_tables
-
     cfg = load_config(args.config)
     delta = _single_loss(args, cfg)
-    tables = shared_tables(max(12, cfg["n_max"]))
     med, src = _configuration(cfg)(delta)
+    # (witness, the scalar core of its bound, its inputs, the leading scalars it returns)
+    dual = ("J_lower", "tau")
     if med.core_radius is None:
-        witnesses = [
-            (witness_nocore, (med, src, delta, tables), lambda w: f"J_lower = {_fmt(w[1])}  tau = {_fmt(w[2])}"),
-        ]
+        witnesses = [("witness_nocore", _nocore_bound, (med, src, delta), dual)]
     else:
-        witnesses = [
-            (witness_fixed_c, (med, src), lambda w: f"I_upper = {_fmt(w[1])}"),
-            (witness_core_resonant, (med, src, delta, tables), lambda w: f"J_lower = {_fmt(w[2])}  tau = {_fmt(w[3])}"),
-            (witness_radial_nonresonant, (med, src, delta, tables), lambda w: f"I_upper_scheduled = {_fmt(w[2])}"),
-        ]
+        witnesses = [("witness_fixed_c", _fixed_c_bound, (med, src), ("I_upper",)),
+                     ("witness_core_resonant", _core_bound, (med, src, delta), dual),
+                     ("witness_radial_nonresonant", _radial_bound, (med, src, delta), ("I_upper_scheduled",))]
     failures = []
-    for builder, inputs, show in witnesses:
+    for name, bound, inputs, labels in witnesses:
         try:
-            print(show(builder(*inputs)))
+            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(labels, bound(*inputs))))
         except (ValueError, ArithmeticError) as exc:
-            failures.append(f"{builder.__name__}: {type(exc).__name__}: {exc}")
+            failures.append(f"{name}: {type(exc).__name__}: {exc}")
     if len(failures) == len(witnesses):
         raise ValidationError("no witness applies: " + "; ".join(failures))
     return EXIT_OK

@@ -395,17 +395,13 @@ def _sphere_multiply(sigma: np.ndarray, g: int, tables: DerivativeTable) -> list
 
 
 def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: LameParams,
-                              tables: DerivativeTable,
-                              lam: complex | None = None, mu: complex | None = None) -> dict[int, np.ndarray]:
+                              tables: DerivativeTable) -> dict[int, np.ndarray]:
     """Per-degree traction coefficients by pure matrix algebra (no quadrature).
 
-    Optional ``lam``/``mu`` override the moduli (used for complex lossy
-    weights); defaults are the real base pair.  The traction is
-    ``sum_k sigma[k, i] xhat_k`` with the symmetric stress
+    The traction is ``sum_k sigma[k, i] xhat_k`` with the symmetric stress
     ``sigma[k, i] = lam div delta_ki + mu (d u_i/d x_k + d u_k/d x_i)``.
     """
-    lam = params.lam if lam is None else lam
-    mu = params.mu if mu is None else mu
+    lam, mu = params.lam, params.mu
     out: dict[int, np.ndarray] = {}
     for (g, p), A in gradient_groups(terms, tables).items():  # A[j, i] = d u_i / d x_j
         sigma = mu * (A + A.transpose(1, 0, 2))

@@ -16,10 +16,10 @@ primal witness applies.
 Every witness field solves the Lame system in each region, so its energies
 are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_pairing`,
 :func:`~elastoplasmon.energy.solution_pairing`): each bound is a scalar of
-the radial profiles and the source coefficients.  A sweep row reads only
-these scalars and builds no field; the public ``witness_*`` builders take
-their bound from the same scalar core and return the fields too, built from
-the member matrices.  A sweep records each witness that applies but raises
+the radial profiles and the source coefficients.  A sweep row and the
+``witness`` command read only these scalars and build no field; the public
+``witness_*`` builders take their bound from the same scalar core and return
+the fields too, built from the member matrices.  A sweep records each witness that applies but raises
 in ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
 exception type and message).
 

@@ -124,7 +124,7 @@ class LayeredMedium:
 _KERNEL_CACHE: dict = {}  # (lam, mu, n, family) -> kernel basis
 
 
-def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
+def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTable | None) -> list[np.ndarray]:
     """Self-conjugate orthonormal kernel matrices of one family at degree n.
 
     The kernel is the family's whole angular-momentum sector, built in
@@ -565,13 +565,18 @@ def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]
 
 
 def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec,
-                   tables: DerivativeTable) -> dict[str, float]:
+                   tables: DerivativeTable | None) -> dict[str, float]:
     """Independent verification of a solve: PDE, interfaces, source jump.
 
     The Lame residual is exact at points in each region; at each interface
     the displacement and weighted-traction jumps (minus the density at q)
     are per-degree coefficient arrays, relative to the largest trace.
+    ``tables`` is extended to the degrees the check reads: the Lame
+    residual of a degree-d term reads degree d + 2.
     """
+    from .harmonics import ensure_tables
+
+    tables = ensure_tables(tables, max((d for sol in solutions for d in sol.window), default=0) + 2)
     params = medium.base
     bounds, weights = _region_layout(medium, source.q)
     report = {"lame": 0.0, "displacement_jump": 0.0, "traction_jump": 0.0, "source_jump": 0.0}

@@ -43,7 +43,6 @@ from .lame import (
     PlasmonConstants,  # noqa: F401  (defined next to the mode constants; imported from here too)
     SectorCheckError,
     displacement_coeffs,
-    eval_terms,
     exterior_traction_coeffs,
     lame_residual,
     plasmon_constants,  # noqa: F401  (imported from here too)
@@ -240,9 +239,10 @@ def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:
     return [_unvec(v, n) for v in (X @ (V / np.sqrt(w))).T]
 
 
-def kernel_family(G: np.ndarray, tables: DerivativeTable, tol: float = 1e-8) -> int:
+def kernel_family(G: np.ndarray, tables: DerivativeTable | None, tol: float = 1e-8) -> int:
     """Classify a kernel matrix by its t-conditions: 1, 2 or 3."""
     n = (G.shape[1] - 1) // 2
+    tables = ensure_tables(tables, n)
     has_t1 = np.max(np.abs(t1_vector(G, n, tables))) > tol
     has_t3 = np.max(np.abs(t3_vector(G, n, tables))) > tol
     if has_t1 and has_t3:
@@ -262,16 +262,9 @@ class PerfectWave:
     interior: ModeField
     exterior: ModeField
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=-1)
-        inside = eval_terms(self.interior.terms, x)
-        outside = eval_terms(self.exterior.terms, x)
-        return np.where((r <= self.R)[..., None], inside, outside)
-
 
 def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
-                 params: LameParams, tables: DerivativeTable) -> PerfectWave:
+                 params: LameParams, tables: DerivativeTable | None) -> PerfectWave:
     """Construct the piecewise wave for a kernel of the given family.
 
     Its fields are the profile blocks of the sector's perfect wave
@@ -288,15 +281,18 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
     return PerfectWave(n=n, family=family, c=c, R=R, kernel=K, interior=interior, exterior=exterior)
 
 
-def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable) -> dict[str, float]:
+def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable | None) -> dict[str, float]:
     """Residuals of every defining property of a perfect wave.
 
     Keys: continuity and transmission (c-weighted traction match), both on
     per-degree coefficient arrays of the interface traces, relative;
     lame_interior / lame_exterior (relative exact residuals at 24 points on
     the spheres 0.35 R and 1.7 R); t1 / t3 conditions; normalization.
+    ``tables`` is extended to degree n + 4, the deepest the Lame residual
+    of the wave's degree-(n + 2) terms reads.
     """
     n, R, c = wave.n, wave.R, wave.c
+    tables = ensure_tables(tables, n + 4)
     u_in = displacement_coeffs(wave.interior.terms, R)
     u_out = displacement_coeffs(wave.exterior.terms, R)
     t_in = traction_coeffs_algebraic(wave.interior.terms, R, params, tables)

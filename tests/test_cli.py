@@ -342,23 +342,29 @@ def _no_run(*args, **kwargs):
     raise AssertionError("a run started")
 
 
-# the first computational call of each command, where it is defined (a
-# command imports it from there when it runs): kernels and waves-check read
-# their tables, np-spectrum builds its spectrum, solve and witness take
-# shared tables, and a sweep's first row starts with its degree's solve
-FIRST_CALLS = (("harmonics", "ensure_tables"), ("waves", "np_galerkin_spectrum"),
-               ("harmonics", "shared_tables"), ("transmission", "solve_mode"))
+# the first computational call of each command, where it is defined:
+# kernels and waves-check start with their kernel bases, np-spectrum with
+# its spectrum, a witness in a core-free medium with its dual bound, and
+# solve, a witness in a cored medium (its loss-free bound) and a sweep's
+# first row with their degree's solve
+FIRST_CALLS = (("transmission", "kernel_basis"), ("waves", "np_galerkin_spectrum"),
+               ("scenarios", "_nocore_bound"), ("transmission", "solve_mode"))
 
 
 def _forbid_runs(monkeypatch):
+    # replaced where it is defined and in every loaded module that imported it by name
     for module, name in FIRST_CALLS:
-        monkeypatch.setattr(importlib.import_module(f"elastoplasmon.{module}"), name, _no_run)
+        original = getattr(importlib.import_module(f"elastoplasmon.{module}"), name)
+        for mod in [m for key, m in sys.modules.items() if key.startswith("elastoplasmon.")]:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, _no_run)
 
 
 @pytest.mark.parametrize("argv", [
     ["kernels", "--n", "2"], ["waves-check", "--n", "2"], ["np-spectrum"],
     ["sweep", "--config", "{config}", "--csv", "{csv}"], ["solve", "--config", "{config}"],
-    ["witness", "--config", "{config}"],
+    ["witness", "--config", "{config}"], ["witness", "--config", "{nocore}"],
 ])
 def test_first_calls_guard_every_run(argv, config_file, tmp_path, monkeypatch):
     # the probe of the "before any run" tests: every valid command reaches
@@ -366,9 +372,11 @@ def test_first_calls_guard_every_run(argv, config_file, tmp_path, monkeypatch):
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
 
+    nocore = tmp_path / "nocore.json"
+    nocore.write_text(json.dumps(dict(BASE_CONFIG, core_radius=None, c_mode={"fixed": -4.0})))
     _forbid_runs(monkeypatch)
     with pytest.raises(AssertionError, match="a run started"):
-        cli.main([a.format(config=config_file, csv=tmp_path / "x.csv") for a in argv])
+        cli.main([a.format(config=config_file, csv=tmp_path / "x.csv", nocore=nocore) for a in argv])
 
 
 @pytest.mark.parametrize("config", [
@@ -616,6 +624,24 @@ def test_a_command_builds_only_its_own_subparser(config_file, tmp_path, monkeypa
     assert calls == COMMANDS
 
 
+@pytest.mark.parametrize("output", [None, [], {"csv": 1}, {"svg": 3}, {"csv": ""}])
+def test_output_block_is_validated(output, tmp_path, monkeypatch, capsys):
+    # a bad output block once crashed a sweep with a traceback (null, a list)
+    # or wrote the CSV to an open file descriptor (a number)
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    cfg = dict(BASE_CONFIG, output=output)
+    with pytest.raises(cli.ValidationError, match="output"):
+        cli.validate_config(copy.deepcopy(cfg))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(cli, "sweep", _no_run)
+    assert cli.main(["sweep", "--config", str(path)]) == 2
+    out = capsys.readouterr()
+    assert not out.out and json.loads(out.err)["code"] == 2
+
+
 def test_sweep_refuses_a_missing_csv_path_before_solving(config_file, monkeypatch, capsys):
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
@@ -686,7 +712,7 @@ def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
     monkeypatch.setattr(cli, "solve_modes", _no_run)
-    monkeypatch.setattr(cli, "witness_fixed_c", _no_run)
+    monkeypatch.setattr(cli, "_fixed_c_bound", _no_run)
     for command in ("solve", "witness"):
         assert cli.main([command, "--config", str(path), "--delta", "1e-300"]) == 2
         assert "exceeds the largest supported degree" in json.loads(capsys.readouterr().err)["error"]
@@ -772,41 +798,86 @@ def test_cold_sweeps_build_no_member_and_test_no_degree(tmp_path):
 
 
 def test_cold_sweep_loads_neither_harmonics_nor_waves(tmp_path):
-    # a sweep row is sector-scalar algebra and the package loads a module on
-    # first use: a bare import loads no submodule, an unknown name is an
-    # AttributeError, and sweeps of the cored q = 2.3 schedule (degrees 7 ..
-    # 27) and of the cored family-2 run at zeta2(4) load neither the
-    # derivative tables' module nor the perfect waves'
+    # sweep rows and witness bounds are sector-scalar algebra and the package
+    # loads a module on first use: a bare import loads no submodule, an
+    # unknown name is an AttributeError, and, each command group in a fresh
+    # process, sweeps of the cored q = 2.3 schedule (degrees 7 .. 27) and of
+    # the cored family-2 run at zeta2(4), and witnesses on the cored q = 2.3
+    # schedule (every cored witness tried) and on a core-free family-3
+    # schedule, load neither the derivative tables' module nor the perfect
+    # waves'
     schedule = dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]],
                     delta_list=[10.0 ** (-(4 + i) / 2) for i in range(13)])
     cored_zeta2 = dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 2, -0.8, 0.6]])
-    argvs = []
-    for i, cfg in enumerate((schedule, cored_zeta2)):
-        path = tmp_path / f"run{i}.json"
-        path.write_text(json.dumps(cfg))
-        argvs.append(["sweep", "--config", str(path), "--csv", str(tmp_path / f"x{i}.csv")])
-    code = (
-        "import sys\n"
-        "import elastoplasmon\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.startswith('elastoplasmon.'))\n"
-        "assert loaded() == [], loaded()\n"
-        "try:\n"
-        "    elastoplasmon.no_such_name\n"
-        "except AttributeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('no AttributeError')\n"
-        "assert loaded() == [], loaded()\n"
-        "from elastoplasmon.cli import main\n"
-        f"assert [main(argv) for argv in {argvs!r}] == [0, 0]\n"
-        "print(loaded())\n"
-    )
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                       env=dict(os.environ, PYTHONPATH=SRC))
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == str([f"elastoplasmon.{m}" for m in
-                                            ("cli", "energy", "lame", "scenarios", "transmission")])
+    nocore_family3 = dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 3},
+                          source_modes=[[None, 3, 2, 1.0, 0.0]])
+    paths = []
+    for i, cfg in enumerate((schedule, cored_zeta2, nocore_family3)):
+        paths.append(str(tmp_path / f"run{i}.json"))
+        Path(paths[-1]).write_text(json.dumps(cfg))
+    groups = ([["sweep", "--config", path, "--csv", str(tmp_path / f"x{i}.csv")] for i, path in enumerate(paths[:2])],
+              [["witness", "--config", paths[0], "--delta", d] for d in ("1e-2", "1e-8")]
+              + [["witness", "--config", paths[2], "--delta", d] for d in ("1e-2", "1e-6")])
+    for argvs in groups:
+        code = (
+            "import sys\n"
+            "import elastoplasmon\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('elastoplasmon.'))\n"
+            "assert loaded() == [], loaded()\n"
+            "try:\n"
+            "    elastoplasmon.no_such_name\n"
+            "except AttributeError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('no AttributeError')\n"
+            "assert loaded() == [], loaded()\n"
+            "from elastoplasmon.cli import main\n"
+            f"assert [main(argv) for argv in {argvs!r}] == {[0] * len(argvs)!r}\n"
+            "print(loaded())\n"
+        )
+        r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=SRC))
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.splitlines()[-1] == str([f"elastoplasmon.{m}" for m in
+                                                ("cli", "energy", "lame", "scenarios", "transmission")]), argvs
+
+
+@pytest.mark.parametrize("config, delta", [
+    (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]]), "1e-4"),
+    (dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}, source_modes=[[None, 1, 2, 0.0, 1.0]]), "1e-6"),
+    (dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 3}, source_modes=[[None, 3, 2, 1.0, 0.0]]),
+     "1e-5"),
+    (BASE_CONFIG, "1e-3"),
+])
+def test_witness_prints_the_public_builders_scalars(config, delta, tmp_path, capsys):
+    # the command reads the scalar cores; the public builders, which also
+    # build the witness fields, return the same bounds to the last digit
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli, scenarios
+
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["witness", "--config", str(path), "--delta", delta]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    d = float(delta)
+    med, src = cli._configuration(cli.load_config(str(path)))(d)
+    if med.core_radius is None:
+        builders = [(lambda: scenarios.witness_nocore(med, src, d, None),
+                     lambda w: f"J_lower = {cli._fmt(w[1])}  tau = {cli._fmt(w[2])}")]
+    else:
+        builders = [(lambda: scenarios.witness_fixed_c(med, src), lambda w: f"I_upper = {cli._fmt(w[1])}"),
+                    (lambda: scenarios.witness_core_resonant(med, src, d, None),
+                     lambda w: f"J_lower = {cli._fmt(w[2])}  tau = {cli._fmt(w[3])}"),
+                    (lambda: scenarios.witness_radial_nonresonant(med, src, d, None),
+                     lambda w: f"I_upper_scheduled = {cli._fmt(w[2])}")]
+    expected = []
+    for build, show in builders:
+        try:
+            expected.append(show(build()))
+        except (ValueError, ArithmeticError):
+            pass
+    assert printed == expected and printed
 
 
 def test_verification_commands_build_no_sphere_rule(tmp_path):
