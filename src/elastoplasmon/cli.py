@@ -31,17 +31,7 @@ from .transmission import (
     residual_check,
     solve_modes,
 )
-from .scenarios import (
-    SweepResult,
-    _core_bound,
-    _fixed_c_bound,
-    _nocore_bound,
-    _radial_bound,
-    fixed_configuration,
-    schedule_n_delta,
-    scheduled_configuration,
-    sweep,
-)
+from .scenarios import WITNESSES, SweepResult, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -431,20 +421,13 @@ def _cmd_witness(args) -> int:
     cfg = load_config(args.config)
     delta = _single_loss(args, cfg)
     med, src = _configuration(cfg)(delta)
-    # (witness, the scalar core of its bound, its inputs, the leading scalars it returns)
-    dual = ("J_lower", "tau")
-    if med.core_radius is None:
-        witnesses = [("witness_nocore", _nocore_bound, (med, src, delta), dual)]
-    else:
-        witnesses = [("witness_fixed_c", _fixed_c_bound, (med, src), ("I_upper",)),
-                     ("witness_core_resonant", _core_bound, (med, src, delta), dual),
-                     ("witness_radial_nonresonant", _radial_bound, (med, src, delta), ("I_upper_scheduled",))]
+    witnesses = [w for w in WITNESSES if w.applies(med)]  # every one, unlike a sweep row
     failures = []
-    for name, bound, inputs, labels in witnesses:
+    for w in witnesses:
         try:
-            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(labels, bound(*inputs))))
+            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(w.labels, w.core(med, src, delta))))
         except (ValueError, ArithmeticError) as exc:
-            failures.append(f"{name}: {type(exc).__name__}: {exc}")
+            failures.append(f"{w.name}: {type(exc).__name__}: {exc}")
     if len(failures) == len(witnesses):
         raise ValidationError("no witness applies: " + "; ".join(failures))
     return EXIT_OK

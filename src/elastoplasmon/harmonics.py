@@ -217,30 +217,21 @@ def _degree(n: int) -> tuple:
     return pair
 
 
-class _Ladder(dict):
-    """Read-only view of one ladder family for degrees 0..n_max.
+@dataclass(frozen=True)
+class _Ladder:
+    """Read-only view of one ladder family for degrees 0..n_max (no item assignment).
 
-    A degree not yet read through this view is taken from the process-wide
-    store, which builds and self-tests it on first request; later reads are
-    plain dict lookups.
+    Each read takes the degree from the process-wide store, which builds and
+    self-tests it on first request.
     """
 
-    __slots__ = ("n_max", "family")
+    n_max: int
+    family: int  # 0: lower, 1: raise_
 
-    def __init__(self, n_max: int, family: int):
-        super().__init__()
-        self.n_max = n_max
-        self.family = family  # 0: lower, 1: raise_
-
-    def __missing__(self, n: int):
+    def __getitem__(self, n: int) -> np.ndarray | None:
         if not 0 <= n <= self.n_max:
             raise IndexError(f"degree {n} outside table range 0..{self.n_max}")
-        matrices = _degree(n)[self.family]
-        dict.__setitem__(self, n, matrices)
-        return matrices
-
-    def __setitem__(self, n, value):
-        raise TypeError("derivative tables are read-only")
+        return _degree(n)[self.family]
 
 
 @dataclass(frozen=True)
@@ -373,15 +364,18 @@ def _polar_projection(n: int) -> tuple:
     return tuple(out)
 
 
-def _self_test_degree(n: int, lower, raise_, tol: float = 1e-9) -> None:
+_SELF_TEST_TOL = 1e-9
+
+
+def _self_test_degree(n: int, lower, raise_) -> None:
     """Check degree n's ladder matrices in full against ``_polar_projection(n)``.
 
     Every entry is compared, those the ladders leave zero included; a
-    disagreement above ``tol`` raises ``AssertionError`` naming the matrix.
+    disagreement above ``_SELF_TEST_TOL`` raises ``AssertionError`` naming the matrix.
     """
     for name, ref, proj in zip(("lower", "raise_"), (lower, raise_), _polar_projection(n)):
         if proj is None:
             continue
         for j in range(3):
-            if np.max(np.abs(proj[j] - ref[j])) > tol:
+            if np.max(np.abs(proj[j] - ref[j])) > _SELF_TEST_TOL:
                 raise AssertionError(f"{name}[{n}][{j}] fails quadrature self-test")

@@ -16,12 +16,14 @@ primal witness applies.
 Every witness field solves the Lame system in each region, so its energies
 are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_pairing`,
 :func:`~elastoplasmon.energy.solution_pairing`): each bound is a scalar of
-the radial profiles and the source coefficients.  A sweep row and the
-``witness`` command read only these scalars and build no field; the public
-``witness_*`` builders take their bound from the same scalar core and return
-the fields too, built from the member matrices.  A sweep records each witness that applies but raises
-in ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
-exception type and message).
+the radial profiles and the source coefficients.  :data:`WITNESSES` lists
+each witness once (its bound, whether it needs a core, its scalar core and
+the scalars it prints); a sweep row and the ``witness`` command read it and
+build no field.  A sweep tries the radial witness only on its schedule
+outside R^{3/2} and records each witness that raises in
+``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
+exception type and message).  The public ``witness_*`` builders take their
+bound from the same scalar core and also return the fields.
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -47,6 +49,8 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SweepResult",
+    "Witness",
+    "WITNESSES",
     "schedule_n_delta",
     "witness_fixed_c",
     "witness_nocore",
@@ -120,15 +124,15 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
-def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec) -> tuple[float, list[ModeSolution]]:
-    """I(v, 0) of the loss-free field at the medium's loss, by flux, and the loss-free solutions."""
+def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, list[ModeSolution]]:
+    """I(v, 0) of the loss-free field at loss delta, by flux, and the loss-free solutions."""
     if medium.core_radius is None:
         raise ValueError("fixed-multiplier witness needs a core")
     _require_family1(source, "fixed-multiplier witness")
-    if medium.delta <= 0:
+    if delta <= 0:
         raise ValueError("delta must be positive")
     solutions = solve_modes(replace(medium, delta=0.0), source)
-    return 0.5 * medium.delta * solution_pairing(solutions), solutions
+    return 0.5 * delta * solution_pairing(solutions), solutions
 
 
 def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[ModeField], float, list[ModeSolution]]:
@@ -143,7 +147,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[Mod
     loss-free system of condition above 1e9 raises
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
-    I_upper, solutions = _fixed_c_bound(medium, source)
+    I_upper, solutions = _fixed_c_bound(medium, source, medium.delta)
     return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
@@ -335,6 +339,29 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     return _merge_pieces(v_parts), _merge_pieces(w_parts), I_upper
 
 
+@dataclass(frozen=True)
+class Witness:
+    """One row of :data:`WITNESSES`; ``core(medium, source, delta)`` returns the bound first."""
+
+    name: str  # the public builder
+    bound: str  # "I_upper" (primal) or "J_lower" (dual)
+    cored: bool  # for cored media only, else for core-free media only
+    core: Callable[[LayeredMedium, SourceSpec, float], tuple]
+    labels: tuple[str, ...]  # the leading scalars of the core, as the witness command prints them
+
+    def applies(self, medium: LayeredMedium) -> bool:
+        return self.cored == (medium.core_radius is not None)
+
+
+# every witness, in the order the witness command prints them
+WITNESSES = (
+    Witness("witness_nocore", "J_lower", False, _nocore_bound, ("J_lower", "tau")),
+    Witness("witness_fixed_c", "I_upper", True, _fixed_c_bound, ("I_upper",)),
+    Witness("witness_core_resonant", "J_lower", True, _core_bound, ("J_lower", "tau")),
+    Witness("witness_radial_nonresonant", "I_upper", True, _radial_bound, ("I_upper_scheduled",)),
+)
+
+
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
@@ -387,20 +414,34 @@ def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
 
 
 def _sweep_row(configuration, delta: float, with_witnesses: bool, refusals: list | None = None) -> EnergyReport:
-    """One sweep row; each witness refusal is appended to ``refusals`` as (witness, bound, exception)."""
+    """One sweep row, with the tighter bound of each side from the :data:`WITNESSES` of its medium.
+
+    Every bound of a side is valid; a side no witness bounds is None.  A
+    witness that applies but raises ``ValueError`` or ``ArithmeticError`` is
+    appended to ``refusals`` as (witness, bound, exception).
+    """
     if delta <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
     med, src = configuration(delta)
     sols = solve_modes(med, src)
     E = dissipation_E(sols, med)
-    I_upper = None
-    J_lower = None
-    if with_witnesses:
-        refused = [] if refusals is None else refusals
-        I_upper = _try_I(med, src, delta, refused)
-        J_lower = _try_J(med, src, delta, refused)
-    return EnergyReport(delta=delta, E_delta=E, c_used=med.c, I_upper=I_upper,
-                        J_lower=J_lower, n_delta=max(src.degrees()))
+    refusals = [] if refusals is None else refusals
+    bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
+    for w in WITNESSES if with_witnesses else ():
+        if not w.applies(med):
+            continue
+        # unlike the witness command, a sweep tries the radial witness only on
+        # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
+        if w.name == "witness_radial_nonresonant" and not (
+                src.q > med.shell_radius**1.5
+                and math.isclose(med.c, plasmon_constants(med.base, max(src.degrees())).zeta1, rel_tol=1e-10)):
+            continue
+        try:
+            bounds[w.bound].append(w.core(med, src, delta)[0])
+        except (ValueError, ArithmeticError) as exc:
+            refusals.append((w.name, w.bound, exc))
+    return EnergyReport(delta=delta, E_delta=E, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
+                        J_lower=max(bounds["J_lower"], default=None), n_delta=max(src.degrees()))
 
 
 def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
@@ -450,36 +491,3 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
             "refusals": refusals,
         },
     )
-
-
-def _try_I(med, src, delta, refusals: list) -> float | None:
-    """The tighter of the primal bounds that apply (cored media only), by flux; None if none does.
-
-    A witness that applies but raises ``ValueError`` or ``ArithmeticError``
-    is appended to ``refusals`` as (witness, "I_upper", exception).
-    """
-    if med.core_radius is None:
-        return None
-    attempts = [("witness_fixed_c", lambda: _fixed_c_bound(med, src)[0])]
-    zet1 = plasmon_constants(med.base, max(src.degrees())).zeta1
-    if math.isclose(med.c, zet1, rel_tol=1e-10) and src.q > med.shell_radius**1.5:
-        attempts.insert(0, ("witness_radial_nonresonant", lambda: _radial_bound(med, src, delta)[0]))
-    candidates = []
-    for name, bound in attempts:
-        try:
-            candidates.append(bound())
-        except (ValueError, ArithmeticError) as exc:
-            refusals.append((name, "I_upper", exc))
-    return min(candidates) if candidates else None  # both are valid upper bounds; keep the tighter
-
-
-def _try_J(med, src, delta, refusals: list) -> float | None:
-    """The dual bound of the medium's witness, by flux; None (and a refusal) if it raises."""
-    try:
-        if med.core_radius is None:
-            return _nocore_bound(med, src, delta)[0]
-        return _core_bound(med, src, delta)[0]
-    except (ValueError, ArithmeticError) as exc:
-        name = "witness_nocore" if med.core_radius is None else "witness_core_resonant"
-        refusals.append((name, "J_lower", exc))
-        return None

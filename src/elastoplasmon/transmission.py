@@ -301,6 +301,9 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
     and Stability of Numerical Algorithms*, 2nd ed., ch. 12), so it is
     accurate to working precision while condition x eps < 1.  A normwise backward
     error of the scaled system above 1e-10 raises :class:`UnconvergedSolveError`.
+    The scaled right side is solved times the power of two that brings its
+    largest entry to unit size, which scales exactly: the norms stay in range
+    in any unit of the moduli, and a solve whose norms were in range keeps its bits.
     LU calls the LAPACK gufunc of ``np.linalg.solve`` under its error state and
     the norms are ``np.linalg.norm``'s own sums: bit for bit the public calls.
     """
@@ -316,9 +319,11 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
         raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
     if b is None:
         return None, cond, 0.0
-    M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
+    scale = math.ldexp(1.0, -math.frexp(float(np.abs(b / rows).max()))[1])
+    rhs = b / rows * scale
+    M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble) * scale
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        x = _lu_solve(A, b / rows, signature="DD->D") / cols
+        x = _lu_solve(A, rhs, signature="DD->D") / cols
         last = math.inf
         for _ in range(4):
             dx = _lu_solve(A, (b_ext - M_ext @ x).astype(complex) / rows, signature="DD->D") / cols
@@ -329,10 +334,10 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
             if step <= 2.0**-52 * _norm(x):  # eps
                 break
         resid = _norm((b_ext - M_ext @ x).astype(complex) / rows)
-    berr = resid / (float(sv[0] * _norm(x * cols) + _norm(b / rows)) or 1e-300)
+    berr = resid / (float(sv[0] * _norm(x * cols) + _norm(rhs)) or 1e-300)
     if berr > 1e-10:
         raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
-    return x, cond, berr
+    return x / scale, cond, berr
 
 
 def _ladder(G: np.ndarray, d: int, up: bool, tables: DerivativeTable) -> np.ndarray:

@@ -68,6 +68,11 @@ __all__ = [
     "np_galerkin_spectrum",
 ]
 
+# the null space of plasmon_kernel: singular values below this fraction of
+# the largest; and the largest t1 / t3 entry kernel_family reads as absent
+_KERNEL_REL_TOL = 1e-9
+_T_PATTERN_TOL = 1e-8
+
 
 @dataclass
 class PlasmonEigenProblem:
@@ -125,15 +130,15 @@ def _inversion(G: np.ndarray, n: int, R: float, params: LameParams, tables: Deri
     return _tilde_unscaled(exterior_traction_coeffs(G, n, R, params, tables)[n], n, params, tables)
 
 
-def matching_defect(G: np.ndarray, n: int, params: LameParams, c: float, tables: DerivativeTable,
-                    R: float = 1.0) -> float:
+def matching_defect(G: np.ndarray, n: int, params: LameParams, c: float, tables: DerivativeTable) -> float:
     """Relative defect ``|D G - s(c) X G| / (|D G| + |s(c) X G|)`` of one matrix.
 
-    The matching map of :func:`assemble_H` applied to ``G`` alone: it reads
-    about machine precision for a kernel matrix at its plasmon constant.
+    The matching map of :func:`assemble_H` on the unit sphere applied to
+    ``G`` alone: it reads about machine precision for a kernel matrix at its
+    plasmon constant.
     """
-    d = np.asarray(G, dtype=complex) / R ** (n + 1)
-    sx = _tilde_scale(n, R, params, c) * _inversion(G, n, R, params, tables)
+    d = np.asarray(G, dtype=complex)  # D G = G / R^(n+1) at R = 1
+    sx = _tilde_scale(n, 1.0, params, c) * _inversion(G, n, 1.0, params, tables)
     return float(np.linalg.norm(d - sx) / (np.linalg.norm(d) + np.linalg.norm(sx)))
 
 
@@ -147,7 +152,7 @@ def _conj_kernel(G: np.ndarray) -> np.ndarray:
     return np.conj(G)[..., ::-1] * (-1.0) ** (n - np.arange(2 * n + 1))
 
 
-def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9) -> list[np.ndarray]:
+def plasmon_kernel(problem: PlasmonEigenProblem) -> list[np.ndarray]:
     """Orthonormal self-conjugate basis of the null space of the matching map.
 
     Raises ``ValueError`` with the smallest residual singular value when the
@@ -156,7 +161,7 @@ def plasmon_kernel(problem: PlasmonEigenProblem, rel_tol: float = 1e-9) -> list[
     n = problem.n
     U, s, Vh = np.linalg.svd(problem.H.T)
     smax = problem.singular_values[0]
-    keep = s < rel_tol * smax
+    keep = s < _KERNEL_REL_TOL * smax
     if not np.any(keep):
         raise ValueError(
             f"no kernel at c={problem.c}: smallest singular value {s[-1]:.3e} "
@@ -239,12 +244,12 @@ def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:
     return [_unvec(v, n) for v in (X @ (V / np.sqrt(w))).T]
 
 
-def kernel_family(G: np.ndarray, tables: DerivativeTable | None, tol: float = 1e-8) -> int:
+def kernel_family(G: np.ndarray, tables: DerivativeTable | None) -> int:
     """Classify a kernel matrix by its t-conditions: 1, 2 or 3."""
     n = (G.shape[1] - 1) // 2
     tables = ensure_tables(tables, n)
-    has_t1 = np.max(np.abs(t1_vector(G, n, tables))) > tol
-    has_t3 = np.max(np.abs(t3_vector(G, n, tables))) > tol
+    has_t1 = np.max(np.abs(t1_vector(G, n, tables))) > _T_PATTERN_TOL
+    has_t3 = np.max(np.abs(t3_vector(G, n, tables))) > _T_PATTERN_TOL
     if has_t1 and has_t3:
         raise ValueError("matrix has both t1 and t3 content; not a pure kernel")
     return 3 if has_t1 else 2 if has_t3 else 1

@@ -1,6 +1,8 @@
 """Command-line runner: determinism, round trips, exit codes."""
 
+import ast
 import copy
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -344,21 +346,25 @@ def _no_run(*args, **kwargs):
 
 # the first computational call of each command, where it is defined:
 # kernels and waves-check start with their kernel bases, np-spectrum with
-# its spectrum, a witness in a core-free medium with its dual bound, and
-# solve, a witness in a cored medium (its loss-free bound) and a sweep's
-# first row with their degree's solve
+# its spectrum, a witness in a core-free medium with the constants of its
+# dual bound (looked up when its core runs, unlike the core, which the
+# witness table holds), and solve, a witness in a cored medium (its
+# loss-free bound) and a sweep's first row with their degree's solve
 FIRST_CALLS = (("transmission", "kernel_basis"), ("waves", "np_galerkin_spectrum"),
-               ("scenarios", "_nocore_bound"), ("transmission", "solve_mode"))
+               ("scenarios", "_dual_constants"), ("transmission", "solve_mode"))
+
+
+def _replace_everywhere(monkeypatch, original, value):
+    # where it is defined and in every loaded module that imported it by name
+    for mod in [m for key, m in sys.modules.items() if key.startswith("elastoplasmon.")]:
+        for attr, held in list(vars(mod).items()):
+            if held is original:
+                monkeypatch.setattr(mod, attr, value)
 
 
 def _forbid_runs(monkeypatch):
-    # replaced where it is defined and in every loaded module that imported it by name
     for module, name in FIRST_CALLS:
-        original = getattr(importlib.import_module(f"elastoplasmon.{module}"), name)
-        for mod in [m for key, m in sys.modules.items() if key.startswith("elastoplasmon.")]:
-            for attr, value in list(vars(mod).items()):
-                if value is original:
-                    monkeypatch.setattr(mod, attr, _no_run)
+        _replace_everywhere(monkeypatch, getattr(importlib.import_module(f"elastoplasmon.{module}"), name), _no_run)
 
 
 @pytest.mark.parametrize("argv", [
@@ -712,7 +718,8 @@ def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
     monkeypatch.setattr(cli, "solve_modes", _no_run)
-    monkeypatch.setattr(cli, "_fixed_c_bound", _no_run)
+    monkeypatch.setattr(cli, "WITNESSES", tuple(dataclasses.replace(w, core=_no_run) if w.name == "witness_fixed_c"
+                                                else w for w in cli.WITNESSES))
     for command in ("solve", "witness"):
         assert cli.main([command, "--config", str(path), "--delta", "1e-300"]) == 2
         assert "exceeds the largest supported degree" in json.loads(capsys.readouterr().err)["error"]
@@ -971,6 +978,42 @@ def test_benchmark_span_targets_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(f"elastoplasmon.{module}"), name, None)), (module, name)
 
 
+def test_witness_table_names_the_traced_public_builders(monkeypatch):
+    # each witness the command and the sweep rows read is a public builder
+    # of scenarios that the benchmark traces
+    from elastoplasmon import scenarios
+
+    traced = {name for module, name, _ in _perfbench_module("spans", monkeypatch).TARGETS if module == "scenarios"}
+    names = [w.name for w in scenarios.WITNESSES]
+    assert names == ["witness_nocore", "witness_fixed_c", "witness_core_resonant", "witness_radial_nonresonant"]
+    assert all(name in scenarios.__all__ and name in traced for name in names)
+
+
+def test_witness_table_row_reaches_the_command_and_the_sweep(config_file, tmp_path, monkeypatch, capsys):
+    # one row added to the table: witness prints its scalars, and a sweep
+    # row keeps its bound where it is the tighter
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli, scenarios
+
+    stub = scenarios.Witness("witness_stub", "I_upper", True, lambda med, src, delta: (1e-300, 7.0),
+                             ("I_stub", "extra"))
+    _replace_everywhere(monkeypatch, scenarios.WITNESSES, scenarios.WITNESSES + (stub,))
+    assert cli.main(["witness", "--config", config_file, "--delta", "1e-3"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "I_stub = 1e-300  extra = 7"
+    csv = tmp_path / "stub.csv"
+    assert cli.main(["sweep", "--config", config_file, "--csv", str(csv)]) == 0
+    _, rows, _, _ = parse_report(csv)
+    assert [row.I_upper for row in rows] == [1e-300] * 4
+
+
+def test_cli_imports_no_private_name_of_the_package():
+    tree = ast.parse((Path(SRC) / "elastoplasmon" / "cli.py").read_text(encoding="utf-8"))
+    private = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("elastoplasmon"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 def _perfbench_module(name, monkeypatch):
     """A perfbench module loaded by path, without perfbench on sys.path."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
@@ -986,8 +1029,6 @@ def test_benchmark_workloads_pass_their_checks(workload, tmp_path, monkeypatch, 
     # the seed-1 plan of each gated benchmark workload, run through cli.main
     # in process: every sweep and its deepest-loss solve passes every check
     # of the benchmark's checker against its reference table
-    import dataclasses
-
     from elastoplasmon import cli
 
     workloads = _perfbench_module("workloads", monkeypatch)

@@ -225,6 +225,10 @@ def test_build_time_self_test_runs():
     assert all(tables.lower[n] is not None for n in range(1, 4))
     with pytest.raises(IndexError):
         tables.lower[4]
+    with pytest.raises(IndexError):
+        tables.raise_[-1]
+    with pytest.raises(TypeError):  # a read-only view
+        tables.lower[3] = tables.lower[3]
 
 
 @pytest.fixture

@@ -535,6 +535,25 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     assert len(systems) == 2 * 2 * 13 + 2 * 4 and raised > 0
 
 
+def test_family1_solve_is_scale_free_in_the_moduli():
+    # the moduli may be in any unit: at lambda = mu = 2^k a cored family-1
+    # solve is the unit solve bit for bit (condition and backward error
+    # equal, amplitudes exactly 2^-k times), also where the norms of the
+    # unscaled equilibrated solution would overflow or underflow
+    src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (2, 1, 3): 0.5j})
+
+    def solve(k):
+        med = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=LameParams(2.0**k, 2.0**k), core_radius=1.0)
+        sol = solve_mode(med, src, 2)
+        return sol, [(lo, hi, amps) for _, _, _, annuli in sol.sectors for lo, hi, amps in annuli]
+
+    unit, unit_annuli = solve(0)
+    for k in (530, -530, 664, -664, 900, -900):
+        sol, annuli = solve(k)
+        assert (sol.condition, sol.lstsq_residual) == (unit.condition, unit.lstsq_residual), k
+        assert [(lo, hi, {b: a * 2.0**-k for b, a in amps.items()}) for lo, hi, amps in unit_annuli] == annuli, k
+
+
 def test_square_solve_is_the_reference_on_seeded_systems():
     # random complex systems of sizes 2..12, conditions 1 to 1e15, rows
     # scaled over 16 decades: solved, condition only (b = None) and capped at
