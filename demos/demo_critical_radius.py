@@ -17,7 +17,7 @@ deltas = [10.0 ** (-e) for e in np.arange(2.0, 8.01, 0.5)]
 print(f"critical radius R^(3/2) = {R**1.5:.4f}\n")
 for q in (2.3, 2.5, 3.2, 3.6):
     conf = scheduled_configuration(params, R, q=q, core_radius=1.0)
-    res = sweep(conf, deltas, with_witnesses=False)
+    res = sweep(conf, deltas)
     side = "inside " if q < R**1.5 else "outside"
     first, last = res.rows[0].E_delta, res.rows[-1].E_delta
     print(

@@ -21,10 +21,10 @@ print("family  k   continuity   transmission   lame(int/ext)")
 for n in (2, 3):
     zetas = plasmon_constants(params, n)
     for fam, c in enumerate(zetas.as_tuple(), start=1):
-        kers = kernel_basis(params, n, fam, None)
+        kers = kernel_basis(params, n, fam)
         for k, K in enumerate(kers, start=1):
-            wave = perfect_wave(K, fam, n, R, params, None)
-            rep = verify_perfect_wave(wave, params, None)
+            wave = perfect_wave(K, fam, n, R, params)
+            rep = verify_perfect_wave(wave, params)
             print(
                 f"n={n} f{fam}  {k:2d}   {rep['continuity']:.2e}     {rep['transmission']:.2e}"
                 f"      {rep['lame_interior']:.1e}/{rep['lame_exterior']:.1e}"

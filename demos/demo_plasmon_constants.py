@@ -36,7 +36,7 @@ for c in np.linspace(-6.0, -0.2, 30):
 
 print("\nkernels at the three constants:")
 for fam, c in enumerate(zetas.as_tuple(), start=1):
-    kers = kernel_basis(params, n, fam, None)
-    fams = {kernel_family(K, None) for K in kers}
+    kers = kernel_basis(params, n, fam)
+    fams = {kernel_family(K) for K in kers}
     print(f"  family {fam}: c = {c:.6f}, condition {conditions(c)[fam]:.1e}, dimension {len(kers)}, "
           f"t-pattern class {fams}")

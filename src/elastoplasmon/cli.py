@@ -7,9 +7,9 @@ round-trips the full configuration.  Runs are deterministic: identical
 configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 validation failure (including an argument error, a
-singular loss-free or unconverged solve, a failed sector check and a witness
-command no witness applies to), 3 I/O failure, 4 empty result.  Every
-failure writes one JSON line to stderr.
+singular loss-free or unconverged solve, a failed sector check, arithmetic
+out of the float range and a witness command no witness applies to), 3 I/O
+failure, 4 empty result.  Every failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import numpy as np
 from .lame import LameParams, SectorCheckError, mode_constants, plasmon_constants
 from .energy import dissipation_E
 from .transmission import (
-    ResonantSingularityError,
     SourceSpec,
     UnconvergedSolveError,
     kernel_basis,
@@ -47,7 +46,8 @@ CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 # polar rule included) and 0.2 s for degrees 0..70, on a 2-vCPU x86-64 host
 # with one BLAS thread.  A sweep, witness and np-spectrum read none (their
 # results are sector scalars); solve, kernels and waves-check read at most
-# 4 beyond their deepest degree, as sized by the functions that read them.
+# 4 beyond their deepest degree.  Package functions read the ladders by
+# degree from one process-wide store; none takes or sizes a table.
 # The suite self-tests every degree 0..70; the demos stay below degree 42.
 MAX_DEGREE = 64
 
@@ -332,9 +332,9 @@ def _cmd_kernels(args) -> int:
     _check_wave_degree(args.n)
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
     z = plasmon_constants(params, args.n)
-    kernels = [kernel_basis(params, args.n, fam, None) for fam in (1, 2, 3)]
+    kernels = [kernel_basis(params, args.n, fam) for fam in (1, 2, 3)]
     for fam, (c, kers) in enumerate(zip(z.as_tuple(), kernels), start=1):
-        fams = {kernel_family(K, None) for K in kers}
+        fams = {kernel_family(K) for K in kers}
         print(f"family {fam}: c = {_fmt(c)}, kernel dimension {len(kers)}, t-pattern {sorted(fams)}")
     return EXIT_OK
 
@@ -347,9 +347,9 @@ def _cmd_waves_check(args) -> int:
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
     worst = 0.0
     for fam in (1, 2, 3):
-        for k, K in enumerate(kernel_basis(params, args.n, fam, None), start=1):
-            wave = perfect_wave(K, fam, args.n, args.R, params, None)
-            rep = verify_perfect_wave(wave, params, None)
+        for k, K in enumerate(kernel_basis(params, args.n, fam), start=1):
+            wave = perfect_wave(K, fam, args.n, args.R, params)
+            rep = verify_perfect_wave(wave, params)
             # np.max, unlike max(), keeps a NaN residual, which then fails
             worst = float(np.max([worst, rep["continuity"], rep["transmission"],
                                   rep["lame_interior"], rep["lame_exterior"]]))
@@ -397,7 +397,7 @@ def _cmd_solve(args) -> int:
     delta = _single_loss(args, cfg)
     med, src = _configuration(cfg)(delta)
     sols = solve_modes(med, src)
-    rep = residual_check(sols, med, src, None)
+    rep = residual_check(sols, med, src)
     E = dissipation_E(sols, med)
     print(f"delta = {_fmt(delta)}  c = {_fmt(med.c)}  E_delta = {_fmt(E)}")
     for key, val in sorted(rep.items()):
@@ -504,8 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EmptyResultError as exc:
         return _error(str(exc), EXIT_EMPTY)
-    except (ValidationError, ValueError, ResonantSingularityError, UnconvergedSolveError,
-            SectorCheckError) as exc:
+    except (ValidationError, ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError) as exc:
         return _error(str(exc), EXIT_VALIDATION)
     except OSError as exc:
         return _error(str(exc), EXIT_IO)

@@ -28,15 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
 from .transmission import _profile_trace
-
-if TYPE_CHECKING:
-    from .harmonics import DerivativeTable
 
 __all__ = [
     "EnergyReport",
@@ -86,7 +83,7 @@ def _radial_integral(s: int, r_lo: float, r_hi: float) -> float:
     return (r_hi ** (s + 1) - lo) / (s + 1)
 
 
-def _strain_coeffs(terms: Iterable[Term], tables: DerivativeTable) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
+def _strain_coeffs(terms: Iterable[Term]) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
     """Divergence and symmetric-strain coefficients grouped by gradient power and degree.
 
     Returns (p, d, div (2d+1,), sym (3, 3, 2d+1)) entries: the gradient at
@@ -94,22 +91,18 @@ def _strain_coeffs(terms: Iterable[Term], tables: DerivativeTable) -> list[tuple
     [j, i] = d u_i / d x_j; the strain is symmetric, so its layout is either.
     """
     return [(p, d, g[0, 0] + g[1, 1] + g[2, 2], 0.5 * (g + g.transpose(1, 0, 2)))
-            for (d, p), g in gradient_groups(terms, tables).items()]
+            for (d, p), g in gradient_groups(terms).items()]
 
 
 def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
-              params: LameParams, tables: DerivativeTable) -> complex:
+              params: LameParams) -> complex:
     """P over one annulus, from the gradients' harmonic coefficients."""
-    from .harmonics import ensure_tables
-
     same = u_terms is v_terms
     u_terms, v_terms = tuple(u_terms), tuple(v_terms)
     if not u_terms or not v_terms:
         return 0.0
-    dmax = max(t.degree for t in u_terms + v_terms)
-    tables = ensure_tables(tables, dmax + 2)
-    su = _strain_coeffs(u_terms, tables)
-    sv = su if same else _strain_coeffs(v_terms, tables)
+    su = _strain_coeffs(u_terms)
+    sv = su if same else _strain_coeffs(v_terms)
     lam, mu = params.lam, params.mu
     total = 0.0 + 0.0j
     for p, d, du, eu in su:
@@ -192,7 +185,7 @@ def dissipation_E(solutions: Sequence, medium) -> float:
 
     Every region's field solves the Lame system, so no volume integral is
     formed: the sum reads only the solutions' sector amplitudes, with no
-    field and no derivative table.  Raises for delta = 0 where dissipation
+    field and no ladder degree.  Raises for delta = 0 where dissipation
     is undefined.
     """
     delta = medium.delta
@@ -202,21 +195,20 @@ def dissipation_E(solutions: Sequence, medium) -> float:
 
 
 def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,
-                 params: LameParams, tables: DerivativeTable) -> float:
+                 params: LameParams) -> float:
     """Primal value (delta/2) P(v,v) + 1/(2 delta) P(w,w)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     total = 0.0
     for piece in v_pieces:
-        total += 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params, tables)))
+        total += 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params)))
     if w_pieces is not None:
         for piece in w_pieces:
-            total += (0.5 / delta) * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params, tables)))
+            total += (0.5 / delta) * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params)))
     return total
 
 
-def source_pairing(psi_pieces: Sequence[ModeField], source, params: LameParams,
-                   tables: DerivativeTable) -> float:
+def source_pairing(psi_pieces: Sequence[ModeField], source, params: LameParams) -> float:
     """Surface integral of (density . psi) over the source sphere.
 
     The integral is bilinear, so Y_n^m pairs with conj(Y_n^m) =
@@ -234,20 +226,20 @@ def source_pairing(psi_pieces: Sequence[ModeField], source, params: LameParams,
     val = 0.0 + 0.0j
     for n in source.degrees():
         if n in trace:
-            gamma = source.density_matrix(n, params, tables)
+            gamma = source.density_matrix(n, params)
             val += np.sum(gamma * trace[n][:, ::-1] * (-1.0) ** (n - np.arange(2 * n + 1)))
     return float(np.real(q**2 * val))
 
 
 def functional_J(v_pieces: Sequence[ModeField] | None, psi_pieces: Sequence[ModeField], source, delta: float,
-                 params: LameParams, tables: DerivativeTable) -> float:
+                 params: LameParams) -> float:
     """Dual value  int f . psi - (delta/2) P(v,v) - (delta/2) P(psi,psi)."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    total = source_pairing(psi_pieces, source, params, tables)
+    total = source_pairing(psi_pieces, source, params)
     for pieces in (v_pieces, psi_pieces):
         if pieces is None:
             continue
         for piece in pieces:
-            total -= 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params, tables)))
+            total -= 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params)))
     return total

@@ -32,6 +32,12 @@ Conventions
   Each band's rule and its polar factors of Y_0 .. Y_{k-2} are computed once
   per process, with one ``leggauss`` and one Legendre recurrence; a degree's
   own test then costs ``O(n k)``.
+* The package reads the ladders by degree from this one process-wide store,
+  through the module-level views :data:`lower` and :data:`raise_` (any
+  ``n >= 0``); no package function takes, sizes or passes a table.
+  :class:`DerivativeTable` (from :func:`shared_tables` or
+  :func:`ensure_tables`) is a view of the same store bounded at ``n_max``,
+  for the tests' oracles and the benchmark.
 * The sphere rule (:class:`SphereQuadrature`) is a reference route for the
   tests: no code in the package builds one.
 """
@@ -45,6 +51,8 @@ from math import pi, sqrt
 import numpy as np
 
 __all__ = [
+    "lower",
+    "raise_",
     "DerivativeTable",
     "sph_harm_stack",
     "shared_tables",
@@ -219,19 +227,25 @@ def _degree(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class _Ladder:
-    """Read-only view of one ladder family for degrees 0..n_max (no item assignment).
+    """Read-only view of one ladder family for degrees 0..n_max, or every n >= 0 when
+    ``n_max`` is None (no item assignment).
 
     Each read takes the degree from the process-wide store, which builds and
     self-tests it on first request.
     """
 
-    n_max: int
+    n_max: int | None
     family: int  # 0: lower, 1: raise_
 
     def __getitem__(self, n: int) -> np.ndarray | None:
-        if not 0 <= n <= self.n_max:
-            raise IndexError(f"degree {n} outside table range 0..{self.n_max}")
+        if n < 0 or self.n_max is not None and n > self.n_max:
+            raise IndexError(f"degree {n} outside table range 0..{'' if self.n_max is None else self.n_max}")
         return _degree(n)[self.family]
+
+
+# The two ladder families over every degree: what the package reads
+lower = _Ladder(None, 0)
+raise_ = _Ladder(None, 1)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,9 @@ slaved corrections k_n [t1 . raise_] r^{-n-1} Y_{n+2} and
 the radial profiles of :mod:`~elastoplasmon.transmission` every block in
 closed form.  :func:`plasmon_constants`, the shell multipliers that admit
 perfect waves, and :class:`SectorCheckError` sit here with the mode
-constants, so a sector solve needs neither the derivative tables of
-:mod:`~elastoplasmon.harmonics`, which this module loads only where a
-field's derivatives are formed, nor :mod:`~elastoplasmon.waves`.
+constants, so a sector solve needs neither the ladders of
+:mod:`~elastoplasmon.harmonics`, which this module reads by degree only where
+a field's derivatives are formed, nor :mod:`~elastoplasmon.waves`.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 if TYPE_CHECKING:
-    from .harmonics import DerivativeTable, SphereQuadrature
+    from .harmonics import SphereQuadrature
 
 __all__ = [
     "SectorCheckError",
@@ -251,49 +251,51 @@ def eval_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
     return out[0] if single else out
 
 
-def term_gradient(t: Term, tables: DerivativeTable) -> list[tuple[int, int, np.ndarray]]:
+def term_gradient(t: Term) -> list[tuple[int, int, np.ndarray]]:
     """Exact gradient of a term as at most two groups (degree d+-1, power p-1, coef).
 
     ``coef[j]`` is the d/dx_j coefficient block, rows as in ``t.coef``: for a
     vector term ``coef[j, i]`` holds d u_i / d x_j.  Each group is one
     broadcast product of the coefficients with a stacked ladder.
     """
+    from .harmonics import lower, raise_
+
     d, p = t.degree, t.power
     out = []
     up = -(p - d) / (2.0 * d + 1.0)
     if up != 0.0:
-        out.append((d + 1, p - 1, up * (t.coef @ tables.raise_[d])))
+        out.append((d + 1, p - 1, up * (t.coef @ raise_[d])))
     if d >= 1:
         down = (p - d) / (2.0 * d + 1.0) + 1.0
         if down != 0.0:
-            out.append((d - 1, p - 1, down * (t.coef @ tables.lower[d])))
+            out.append((d - 1, p - 1, down * (t.coef @ lower[d])))
     return out
 
 
-def gradient_groups(terms: Iterable[Term], tables: DerivativeTable) -> dict[tuple[int, int], np.ndarray]:
+def gradient_groups(terms: Iterable[Term]) -> dict[tuple[int, int], np.ndarray]:
     """The terms' :func:`term_gradient` groups summed by (degree, power)."""
     out: dict[tuple[int, int], np.ndarray] = {}
     for t in terms:
-        for d, p, g in term_gradient(t, tables):
+        for d, p, g in term_gradient(t):
             out[d, p] = out[d, p] + g if (d, p) in out else g
     return out
 
 
-def _hessian_groups(terms: Iterable[Term], tables: DerivativeTable) -> dict[tuple[int, int], np.ndarray]:
+def _hessian_groups(terms: Iterable[Term]) -> dict[tuple[int, int], np.ndarray]:
     """Exact second derivatives summed by (degree, power).
 
     ``coef[k, j]`` is the d^2/dx_j dx_k coefficient block, rows as in the
     terms' coefficients.
     """
-    first = gradient_groups(terms, tables)
+    first = gradient_groups(terms)
     flat = (Term(g.reshape(-1, 2 * d + 1), d, p) for (d, p), g in first.items())
-    return {key: h.reshape((3, 3, -1, h.shape[-1])) for key, h in gradient_groups(flat, tables).items()}
+    return {key: h.reshape((3, 3, -1, h.shape[-1])) for key, h in gradient_groups(flat).items()}
 
 
-def grad_terms(terms: Iterable[Term], x: np.ndarray, tables: DerivativeTable) -> np.ndarray:
+def grad_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
     """Exact gradient; output (..., 3, 3) with [i, j] = d u_i / d x_j."""
     single = x.ndim == 1
-    out = np.swapaxes(_eval_coefs(gradient_groups(terms, tables).items(), np.atleast_2d(x), (3, 3)), 1, 2)
+    out = np.swapaxes(_eval_coefs(gradient_groups(terms).items(), np.atleast_2d(x), (3, 3)), 1, 2)
     return out[0] if single else out
 
 
@@ -301,14 +303,18 @@ def grad_terms(terms: Iterable[Term], x: np.ndarray, tables: DerivativeTable) ->
 # mode blocks
 # ---------------------------------------------------------------------------
 
-def t1_vector(G: np.ndarray, n: int, tables: DerivativeTable) -> np.ndarray:
+def t1_vector(G: np.ndarray, n: int) -> np.ndarray:
     """Divergence coefficients of the irregular block, length 2n+3."""
-    return np.einsum("jm,jmk->k", G, tables.raise_[n])
+    from .harmonics import raise_
+
+    return np.einsum("jm,jmk->k", G, raise_[n])
 
 
-def t3_vector(G: np.ndarray, n: int, tables: DerivativeTable) -> np.ndarray:
+def t3_vector(G: np.ndarray, n: int) -> np.ndarray:
     """Divergence coefficients of the regular block, length 2n-1."""
-    return np.einsum("jm,jmk->k", G, tables.lower[n])
+    from .harmonics import lower
+
+    return np.einsum("jm,jmk->k", G, lower[n])
 
 
 def _k0(params: LameParams) -> float:
@@ -322,34 +328,37 @@ def _tilde_scale(n: int, R: float, params: LameParams, c: complex = 1.0) -> comp
     return R / ((n - 1) * c * params.mu)
 
 
-def _tilde_unscaled(Ap: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
+def _tilde_unscaled(Ap: np.ndarray, n: int, params: LameParams) -> np.ndarray:
     """The radius- and multiplier-free part of the tilde map."""
+    from .harmonics import lower, raise_
+
     Ap = np.asarray(Ap, dtype=complex)
     cst = mode_constants(params, n)
-    t4 = t3_vector(Ap, n, tables)
-    t5 = t1_vector(Ap, n, tables)
-    return Ap + cst.s1_n * (t4 @ tables.raise_[n - 1]) + cst.s2_n * (t5 @ tables.lower[n + 1])
+    t4 = t3_vector(Ap, n)
+    t5 = t1_vector(Ap, n)
+    return Ap + cst.s1_n * (t4 @ raise_[n - 1]) + cst.s2_n * (t5 @ lower[n + 1])
 
 
-def exterior_traction_coeffs(G: np.ndarray, n: int, R: float, params: LameParams,
-                             tables: DerivativeTable) -> dict[int, np.ndarray]:
+def exterior_traction_coeffs(G: np.ndarray, n: int, R: float, params: LameParams) -> dict[int, np.ndarray]:
     """Closed-form surface traction of one irregular block on partial B_R.
 
     Returns coefficient matrices keyed by angular degree (n and, when the
     block's t1 is nonzero, n+2).
     """
+    from .harmonics import lower, raise_
+
     G = np.asarray(G, dtype=complex)
     cst = mode_constants(params, n)
-    t1 = t1_vector(G, n, tables)
-    t3 = t3_vector(G, n, tables) if n >= 1 else None
+    t1 = t1_vector(G, n)
+    t3 = t3_vector(G, n) if n >= 1 else None
     mu = params.mu
-    main = cst.l_n * (t1 @ tables.lower[n + 1]) + (-n - 2.0) * G
+    main = cst.l_n * (t1 @ lower[n + 1]) + (-n - 2.0) * G
     if n >= 1 and t3 is not None and t3.size:
-        main = main + (1.0 / (2 * n + 1.0)) * (t3 @ tables.raise_[n - 1])
+        main = main + (1.0 / (2 * n + 1.0)) * (t3 @ raise_[n - 1])
     out = {n: main * mu / R ** (n + 2)}
     if np.any(t1):
         m_np2 = mode_constants(params, n + 2).m_n
-        out[n + 2] = m_np2 * (t1 @ tables.raise_[n + 1]) * mu / R ** (n + 2)
+        out[n + 2] = m_np2 * (t1 @ raise_[n + 1]) * mu / R ** (n + 2)
     return out
 
 
@@ -374,28 +383,28 @@ def _traction_from_grad(grad: np.ndarray, xhat: np.ndarray, lam: float | complex
 
 
 def traction_coeffs(terms: Iterable[Term], radius: float, params: LameParams,
-                    quad: SphereQuadrature, degrees: Iterable[int] | None = None,
-                    tables: DerivativeTable | None = None) -> dict[int, np.ndarray]:
+                    quad: SphereQuadrature, degrees: Iterable[int] | None = None) -> dict[int, np.ndarray]:
     """Per-degree traction coefficients via exact nodal gradients projected on ``quad`` (tests only)."""
     terms = tuple(terms)
     if degrees is None:
         degrees = sorted({d for t in terms for d in range(max(t.degree - 2, 0), t.degree + 3)})
     X = radius * quad.nodes
-    grad = grad_terms(terms, X, tables)
+    grad = grad_terms(terms, X)
     trac = _traction_from_grad(grad, quad.nodes, params.lam, params.mu)
     return {d: quad.project(trac, d).T for d in degrees}
 
 
-def _sphere_multiply(sigma: np.ndarray, g: int, tables: DerivativeTable) -> list[tuple[np.ndarray, int]]:
+def _sphere_multiply(sigma: np.ndarray, g: int) -> list[tuple[np.ndarray, int]]:
     """Coefficients of sum_k xhat_k (sigma[k] . Y_g) on the unit sphere, by degree g +- 1."""
-    out = [((sigma @ tables.raise_[g]).sum(axis=0) * (-1.0 / (2.0 * g + 1.0)), g + 1)]
+    from .harmonics import lower, raise_
+
+    out = [((sigma @ raise_[g]).sum(axis=0) * (-1.0 / (2.0 * g + 1.0)), g + 1)]
     if g >= 1:
-        out.append(((sigma @ tables.lower[g]).sum(axis=0) / (2.0 * g + 1.0), g - 1))
+        out.append(((sigma @ lower[g]).sum(axis=0) / (2.0 * g + 1.0), g - 1))
     return out
 
 
-def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: LameParams,
-                              tables: DerivativeTable) -> dict[int, np.ndarray]:
+def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: LameParams) -> dict[int, np.ndarray]:
     """Per-degree traction coefficients by pure matrix algebra (no quadrature).
 
     The traction is ``sum_k sigma[k, i] xhat_k`` with the symmetric stress
@@ -403,16 +412,15 @@ def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: Lame
     """
     lam, mu = params.lam, params.mu
     out: dict[int, np.ndarray] = {}
-    for (g, p), A in gradient_groups(terms, tables).items():  # A[j, i] = d u_i / d x_j
+    for (g, p), A in gradient_groups(terms).items():  # A[j, i] = d u_i / d x_j
         sigma = mu * (A + A.transpose(1, 0, 2))
         sigma[[0, 1, 2], [0, 1, 2]] += lam * (A[0, 0] + A[1, 1] + A[2, 2])
-        for block, deg in _sphere_multiply(radius**p * sigma, g, tables):
+        for block, deg in _sphere_multiply(radius**p * sigma, g):
             out[deg] = out[deg] + block if deg in out else block
     return out
 
 
-def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
-                  tables: DerivativeTable | None = None) -> float:
+def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray) -> float:
     """Relative residual of mu Lap u + (lam+mu) grad div u at the points.
 
     Every second derivative is formed exactly by the term algebra and
@@ -420,12 +428,9 @@ def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
     3 max|second derivatives| and |u|/r^2, so the bound is meaningful across
     degrees and radii.
     """
-    from .harmonics import ensure_tables
-
     terms = tuple(terms)
-    tables = ensure_tables(tables, max((t.degree for t in terms), default=0) + 2)
     X = np.atleast_2d(points)
-    second = _eval_coefs(_hessian_groups(terms, tables).items(), X, (3, 3, 3))  # [., k, j, i] = d^2 u_i / dx_j dx_k
+    second = _eval_coefs(_hessian_groups(terms).items(), X, (3, 3, 3))  # [., k, j, i] = d^2 u_i / dx_j dx_k
     lap = np.einsum("njji->ni", second)
     graddiv = np.einsum("nijj->ni", second)
     res = params.mu * lap + (params.lam + params.mu) * graddiv

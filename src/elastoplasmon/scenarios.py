@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,9 +43,6 @@ from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairi
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_fields,
                            _profile_trace, _radial_profile, _source_member, _wave_amplitudes, solve_mode,
                            solve_modes)
-
-if TYPE_CHECKING:
-    from .harmonics import DerivativeTable
 
 __all__ = [
     "SweepResult",
@@ -187,14 +184,12 @@ def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int
     return n0, fam, k, C0, C_psi
 
 
-def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int, tables: DerivativeTable) -> tuple[np.ndarray, list[ModeField]]:
+def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int) -> tuple[np.ndarray, list[ModeField]]:
     """Member k of the dominant mode and its unit perfect wave's pieces (built from the member matrix)."""
-    from .harmonics import ensure_tables
     from .waves import perfect_wave
 
-    tables = ensure_tables(tables, n0 + 6)
-    K = _source_member(medium.base, n0, fam, k, tables)
-    wave = perfect_wave(K, fam, n0, medium.shell_radius, medium.base, tables)
+    K = _source_member(medium.base, n0, fam, k)
+    wave = perfect_wave(K, fam, n0, medium.shell_radius, medium.base)
     return K, [wave.interior, wave.exterior]
 
 
@@ -210,15 +205,14 @@ def _nocore_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
     return C0**2 / (4.0 * C_psi * delta), C0 / (2.0 * C_psi * delta), (n0, fam, k)
 
 
-def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float,
-                   tables: DerivativeTable) -> tuple[list[ModeField], float, float]:
+def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list[ModeField], float, float]:
     """Dual witness for the core-free resonant configuration.
 
     Needs medium.c equal to a plasmon constant of the dominant source mode.
     Returns (psi pieces at the optimal amplitude, J lower bound, tau).
     """
     J_lower, tau, mode = _nocore_bound(medium, source, delta)
-    return _scaled(_unit_wave(medium, *mode, tables)[1], tau), J_lower, tau
+    return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
 
 def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: float) -> list[tuple[float, float, dict]]:
@@ -255,8 +249,8 @@ def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tupl
     return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), v_tilde
 
 
-def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: float,
-                          tables: DerivativeTable) -> tuple[list[ModeField], list[ModeField], float, float]:
+def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
+                          delta: float) -> tuple[list[ModeField], list[ModeField], float, float]:
     """Dual witness for the cored scheduled configuration.
 
     psi is the core-free perfect wave of the scheduled mode; v repairs the
@@ -264,7 +258,7 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec, delta: floa
     (v pieces, psi pieces, J lower bound, tau).
     """
     J_lower, tau, (n0, fam, k), v_tilde = _core_bound(medium, source, delta)
-    K, psi_hat = _unit_wave(medium, n0, fam, k, tables)
+    K, psi_hat = _unit_wave(medium, n0, fam, k)
     v_hat = _profile_fields([(_radial_profile(medium.base, n0, 1), {n0: K}, v_tilde)])
     return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
@@ -316,8 +310,8 @@ def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
     return I_upper, scheduled, off
 
 
-def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta: float,
-                               tables: DerivativeTable) -> tuple[list[ModeField], list[ModeField], float]:
+def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
+                               delta: float) -> tuple[list[ModeField], list[ModeField], float]:
     """Primal witness for the cored scheduled configuration outside R^{3/2}.
 
     The scheduled mode rides the free incident wave (no scattering); the
@@ -325,14 +319,11 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec, delta:
     per-mode solves.  Off-schedule degrees take the loss-free field of
     :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
-    from .harmonics import ensure_tables
-
     I_upper, scheduled, off = _radial_bound(medium, source, delta)
-    tables = ensure_tables(tables, max(source.degrees()) + 6)
     v_parts: list[list[ModeField]] = []
     w_parts: list[list[ModeField]] = []
     for n, k, v, repairs in scheduled:
-        sector = (_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k, tables)})
+        sector = (_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)})
         v_parts.append(_profile_fields([(*sector, v)]))
         w_parts += [_profile_fields([(*sector, w)]) for w in repairs]
     v_parts += [list(sol.regions) for sol in off]
@@ -413,7 +404,7 @@ def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
     return float(slope)
 
 
-def _sweep_row(configuration, delta: float, with_witnesses: bool, refusals: list | None = None) -> EnergyReport:
+def _sweep_row(configuration, delta: float, refusals: list | None = None) -> EnergyReport:
     """One sweep row, with the tighter bound of each side from the :data:`WITNESSES` of its medium.
 
     Every bound of a side is valid; a side no witness bounds is None.  A
@@ -427,7 +418,7 @@ def _sweep_row(configuration, delta: float, with_witnesses: bool, refusals: list
     E = dissipation_E(sols, med)
     refusals = [] if refusals is None else refusals
     bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
-    for w in WITNESSES if with_witnesses else ():
+    for w in WITNESSES:
         if not w.applies(med):
             continue
         # unlike the witness command, a sweep tries the radial witness only on
@@ -445,13 +436,13 @@ def _sweep_row(configuration, delta: float, with_witnesses: bool, refusals: list
 
 
 def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
-          delta_list: Sequence[float], with_witnesses: bool = True) -> SweepResult:
+          delta_list: Sequence[float]) -> SweepResult:
     """Exact solves over a decreasing loss list, with witness bounds.
 
     Each row records the dissipation and whichever bounds apply to the
     configuration; the verdict follows the growth conventions in the module
     docstring.  A row is sector-scalar algebra: it builds no field and reads
-    no derivative table.
+    no ladder degree.
     """
     deltas = list(delta_list)
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
@@ -461,7 +452,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     rows, refusals = [], []
     for i, d in enumerate(deltas):
         refused: list = []
-        rows.append(_sweep_row(configuration, d, with_witnesses, refused))
+        rows.append(_sweep_row(configuration, d, refused))
         refusals += [{"row": i, "delta": d, "n_delta": rows[-1].n_delta, "witness": name, "bound": bound,
                       "error": type(exc).__name__, "message": str(exc)} for name, bound, exc in refused]
     E = [r.E_delta for r in rows]

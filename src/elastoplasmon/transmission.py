@@ -36,6 +36,11 @@ members, each solved family passes a scalar sector check, run once per key:
 its perfect wave in profile blocks (:func:`_wave_amplitudes`) must match at
 the plasmon constant.  A source sphere that is not outside the shell, a
 family other than 1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
+
+Where a field is formed (the kernels, a solution's regions, the residual
+check), the gradient ladders are read by degree from the one process-wide
+store of :mod:`~elastoplasmon.harmonics` (``lower[n]``, ``raise_[n]``); no
+function here takes, sizes or passes a derivative table.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _lu_solve
@@ -63,9 +67,6 @@ from .lame import (
     t3_vector,
     traction_coeffs_algebraic,
 )
-
-if TYPE_CHECKING:
-    from .harmonics import DerivativeTable
 
 __all__ = [
     "LayeredMedium",
@@ -121,10 +122,8 @@ class LayeredMedium:
         return a + 1j * self.delta
 
 
-_KERNEL_CACHE: dict = {}  # (lam, mu, n, family) -> kernel basis
-
-
-def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTable | None) -> list[np.ndarray]:
+@_once_per_key
+def kernel_basis(params: LameParams, n: int, family: int) -> list[np.ndarray]:
     """Self-conjugate orthonormal kernel matrices of one family at degree n.
 
     The kernel is the family's whole angular-momentum sector, built in
@@ -134,26 +133,21 @@ def kernel_basis(params: LameParams, n: int, family: int, tables: DerivativeTabl
     (M = J..1) and kernel 2J + 1 is the M = 0 member.  One fixed combination
     of the kernels must pass the matching map at the family's plasmon
     constant to a relative defect of 1e-9, else :class:`SectorCheckError`, before
-    the basis is kept.  Results are cached per material, degree and family,
-    and only the families a caller reads are built: the fields of a solve,
-    the public witnesses' pieces and the wave checks read them, a sweep does
-    not.
+    the basis is kept.  Results are kept once per process per material,
+    degree and family (``kernel_basis.cache``), and only the families a
+    caller reads are built: the fields of a solve, the public witnesses'
+    pieces and the wave checks read them, a sweep does not.
     """
-    key = (params.lam, params.mu, n, family)
-    if key not in _KERNEL_CACHE:
-        from .harmonics import ensure_tables
-        from .waves import matching_defect, sector_kernels
+    from .waves import matching_defect, sector_kernels
 
-        tables = ensure_tables(tables, n + 4)
-        c = plasmon_constants(params, n).as_tuple()[family - 1]
-        kers = sector_kernels(n, family, tables)
-        probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
-        defect = matching_defect(probe, n, params, c, tables)
-        if not defect <= 1e-9:
-            raise SectorCheckError(f"family {family} sector at degree {n} is not a kernel at c={c} "
-                                 f"(matching defect {defect:.3e})")
-        _KERNEL_CACHE[key] = kers
-    return _KERNEL_CACHE[key]
+    c = plasmon_constants(params, n).as_tuple()[family - 1]
+    kers = sector_kernels(n, family)
+    probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
+    defect = matching_defect(probe, n, params, c)
+    if not defect <= 1e-9:
+        raise SectorCheckError(f"family {family} sector at degree {n} is not a kernel at c={c} "
+                               f"(matching defect {defect:.3e})")
+    return kers
 
 
 def _check_source_mode(n: int, family: int, k: int) -> None:
@@ -165,15 +159,15 @@ def _check_source_mode(n: int, family: int, k: int) -> None:
         raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
 
 
-def _source_member(params: LameParams, n: int, family: int, k: int, tables: DerivativeTable) -> np.ndarray:
+def _source_member(params: LameParams, n: int, family: int, k: int) -> np.ndarray:
     """Kernel k of the family at degree n (:func:`kernel_basis`); ValueError unless 1 <= k <= 2J + 1."""
     _check_source_mode(n, family, k)
-    return kernel_basis(params, n, family, tables)[k - 1]
+    return kernel_basis(params, n, family)[k - 1]
 
 
-def _family_density(params: LameParams, n: int, family: int, gammas, tables: DerivativeTable) -> np.ndarray:
+def _family_density(params: LameParams, n: int, family: int, gammas) -> np.ndarray:
     """The density sum gamma_k K_k over (k, gamma_k) pairs, K_k member k of the family's sector at degree n."""
-    return sum((g * _source_member(params, n, family, k, tables) for k, g in gammas),
+    return sum((g * _source_member(params, n, family, k) for k, g in gammas),
                np.zeros((3, 2 * n + 1), dtype=complex))
 
 
@@ -204,13 +198,13 @@ class SourceSpec:
                 out.setdefault(fam, {})[k] = g
         return out
 
-    def family_densities(self, n: int, params: LameParams, tables: DerivativeTable) -> dict[int, np.ndarray]:
+    def family_densities(self, n: int, params: LameParams) -> dict[int, np.ndarray]:
         """Degree-n part of the density split by family: {family: sum of g K}."""
-        return {fam: _family_density(params, n, fam, gam.items(), tables) for fam, gam in self.family_gammas(n).items()}
+        return {fam: _family_density(params, n, fam, gam.items()) for fam, gam in self.family_gammas(n).items()}
 
-    def density_matrix(self, n: int, params: LameParams, tables: DerivativeTable) -> np.ndarray:
+    def density_matrix(self, n: int, params: LameParams) -> np.ndarray:
         """Coefficient matrix of the degree-n part of the density."""
-        return sum(self.family_densities(n, params, tables).values(), np.zeros((3, 2 * n + 1), dtype=complex))
+        return sum(self.family_densities(n, params).values(), np.zeros((3, 2 * n + 1), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +217,7 @@ class ModeSolution:
     sum gamma_k times member k.  ``radii`` are the region bounds from 0 to
     inf and ``window`` the degrees of the solution's terms.  ``regions`` is
     the piecewise field; its terms need the member matrices and the
-    process-wide derivative tables, so it is built when first read.
+    process-wide ladders, so it is built when first read.
     ``lstsq_residual`` is the largest backward error.
     """
 
@@ -245,18 +239,15 @@ class ModeSolution:
         a family-2/3 density leaves its sector: the ladder back from its
         partner shape is not kappa G to 1e-10.
         """
-        from .harmonics import ensure_tables
-
         n = self.n
-        tables = ensure_tables(None, n + 4)
         sectors = []
         for fam, gammas, prof, annuli in self.sectors:
-            G = _family_density(self.params, n, fam, gammas, tables)
+            G = _family_density(self.params, n, fam, gammas)
             refs = {n: G}
             if fam != 1:
                 d2 = prof.degrees[1]
-                refs[d2] = _ladder(G, n, fam == 3, tables)
-                stray = np.linalg.norm(_ladder(refs[d2], d2, fam == 2, tables) - prof.kappa * G)
+                refs[d2] = _ladder(G, n, fam == 3)
+                stray = np.linalg.norm(_ladder(refs[d2], d2, fam == 2) - prof.kappa * G)
                 impurity = float(stray / (abs(prof.kappa) * max(float(np.linalg.norm(G)), 1e-300)))
                 if not impurity <= 1e-10:
                     raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
@@ -340,11 +331,13 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "inter
     return x / scale, cond, berr
 
 
-def _ladder(G: np.ndarray, d: int, up: bool, tables: DerivativeTable) -> np.ndarray:
+def _ladder(G: np.ndarray, d: int, up: bool) -> np.ndarray:
     """The shape two degrees up (through t1) or down (through t3) that G Y_d slaves."""
+    from .harmonics import lower, raise_
+
     if up:
-        return t1_vector(G, d, tables) @ tables.raise_[d + 1]
-    return t3_vector(G, d, tables) @ tables.lower[d - 1]
+        return t1_vector(G, d) @ raise_[d + 1]
+    return t3_vector(G, d) @ lower[d - 1]
 
 
 @dataclass(frozen=True)
@@ -525,7 +518,7 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolutio
     Each family's part of the density is solved in its sector by one square
     scalar system for a unit density (:func:`sector_conditions` gives their
     conditions); the parts superpose with their coefficients.  No kernel
-    matrix or derivative table is built: the solution's ``regions`` are,
+    matrix or ladder degree is built: the solution's ``regions`` are,
     when read.  Each family's perfect wave must pass :func:`_wave_amplitudes`'
     check at its plasmon constant, else :class:`SectorCheckError`.  Raises
     :class:`ResonantSingularityError` when a loss-free medium makes a solved
@@ -569,25 +562,19 @@ def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]
     return [solve_mode(medium, source, n) for n in source.degrees()]
 
 
-def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec,
-                   tables: DerivativeTable | None) -> dict[str, float]:
+def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec) -> dict[str, float]:
     """Independent verification of a solve: PDE, interfaces, source jump.
 
     The Lame residual is exact at points in each region; at each interface
     the displacement and weighted-traction jumps (minus the density at q)
     are per-degree coefficient arrays, relative to the largest trace.
-    ``tables`` is extended to the degrees the check reads: the Lame
-    residual of a degree-d term reads degree d + 2.
     """
-    from .harmonics import ensure_tables
-
-    tables = ensure_tables(tables, max((d for sol in solutions for d in sol.window), default=0) + 2)
     params = medium.base
     bounds, weights = _region_layout(medium, source.q)
     report = {"lame": 0.0, "displacement_jump": 0.0, "traction_jump": 0.0, "source_jump": 0.0}
     rng = np.random.default_rng(1234)
     for sol in solutions:
-        gamma = source.density_matrix(sol.n, params, tables)
+        gamma = source.density_matrix(sol.n, params)
         for reg in sol.regions:
             if not reg.terms:
                 continue
@@ -597,7 +584,7 @@ def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source:
             dirs = rng.normal(size=(3, 3))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             pts = rads[:, None] * dirs
-            report["lame"] = max(report["lame"], lame_residual(reg.terms, params, pts, tables))
+            report["lame"] = max(report["lame"], lame_residual(reg.terms, params, pts))
         for bi, rho in enumerate(bounds):
             inner, outer = sol.regions[bi], sol.regions[bi + 1]
             u_in = displacement_coeffs(inner.terms, rho)
@@ -606,8 +593,8 @@ def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source:
             for d in set(u_in) | set(u_out):
                 jump = float(np.max(np.abs(u_in.get(d, 0.0) - u_out.get(d, 0.0))))
                 report["displacement_jump"] = max(report["displacement_jump"], jump / scale)
-            t_in = traction_coeffs_algebraic(inner.terms, rho, params, tables)
-            t_out = traction_coeffs_algebraic(outer.terms, rho, params, tables)
+            t_in = traction_coeffs_algebraic(inner.terms, rho, params)
+            t_out = traction_coeffs_algebraic(outer.terms, rho, params)
             tscale = max([np.max(np.abs(m)) for m in [*t_in.values(), *t_out.values()]] + [1e-30])
             for d in set(t_in) | set(t_out):
                 jump = weights[bi + 1] * t_out.get(d, 0.0) - weights[bi] * t_in.get(d, 0.0)

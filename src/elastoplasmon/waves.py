@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .harmonics import DerivativeTable, ensure_tables
+from .harmonics import lower, raise_
 from .lame import (
     LameParams,
     ModeField,
@@ -97,40 +97,41 @@ def _unvec(v: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(v).reshape(3, 2 * n + 1)
 
 
-def assemble_H(n: int, params: LameParams, c: float, tables: DerivativeTable,
-               R: float = 1.0) -> PlasmonEigenProblem:
+def assemble_H(n: int, params: LameParams, c: float, tables=None, R: float = 1.0) -> PlasmonEigenProblem:
     """Displacement-match composed with traction expansion and inversion.
 
     Columns are produced by pushing basis coefficient matrices through the
     degree-n building blocks: surface displacement of the irregular block
     (``D``), its closed-form surface traction followed by the c-free part of
     the traction-to-displacement inversion (``X``); the matching matrix is
-    ``D - s(c) X`` with the scalar ``s(c)`` of the inversion.
+    ``D - s(c) X`` with the scalar ``s(c)`` of the inversion.  ``tables`` is
+    unused (the ladders are read by degree from the process-wide store); it
+    keeps its position only for callers that pass a table positionally, such
+    as the benchmark's residual probe.
     """
     if n < 2:
         raise ValueError("assemble_H needs n >= 2")
     if c == 0:
         raise ValueError("multiplier c = 0 makes the traction inversion singular")
-    tables = ensure_tables(tables, n + 4)
     N = 3 * (2 * n + 1)
     D = np.zeros((N, N), dtype=complex)
     X = np.zeros((N, N), dtype=complex)
     for a in range(N):
         E = _unvec(np.eye(N)[a], n)
         D[:, a] = _vec(E / R ** (n + 1))
-        X[:, a] = _vec(_inversion(E, n, R, params, tables))
+        X[:, a] = _vec(_inversion(E, n, R, params))
     M = D - _tilde_scale(n, R, params, c) * X
     prob = PlasmonEigenProblem(n=n, c=c, R=R, params=params, H=M.T)
     prob.singular_values = np.linalg.svd(M, compute_uv=False)
     return prob
 
 
-def _inversion(G: np.ndarray, n: int, R: float, params: LameParams, tables: DerivativeTable) -> np.ndarray:
+def _inversion(G: np.ndarray, n: int, R: float, params: LameParams) -> np.ndarray:
     """c-free interior Dirichlet data recovered from the block's surface traction."""
-    return _tilde_unscaled(exterior_traction_coeffs(G, n, R, params, tables)[n], n, params, tables)
+    return _tilde_unscaled(exterior_traction_coeffs(G, n, R, params)[n], n, params)
 
 
-def matching_defect(G: np.ndarray, n: int, params: LameParams, c: float, tables: DerivativeTable) -> float:
+def matching_defect(G: np.ndarray, n: int, params: LameParams, c: float) -> float:
     """Relative defect ``|D G - s(c) X G| / (|D G| + |s(c) X G|)`` of one matrix.
 
     The matching map of :func:`assemble_H` on the unit sphere applied to
@@ -138,7 +139,7 @@ def matching_defect(G: np.ndarray, n: int, params: LameParams, c: float, tables:
     plasmon constant.
     """
     d = np.asarray(G, dtype=complex)  # D G = G / R^(n+1) at R = 1
-    sx = _tilde_scale(n, 1.0, params, c) * _inversion(G, n, 1.0, params, tables)
+    sx = _tilde_scale(n, 1.0, params, c) * _inversion(G, n, 1.0, params)
     return float(np.linalg.norm(d - sx) / (np.linalg.norm(d) + np.linalg.norm(sx)))
 
 
@@ -192,7 +193,7 @@ def _toroidal_members(n: int) -> np.ndarray:
     return B
 
 
-def sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.ndarray]:
+def sector_kernels(n: int, family: int) -> list[np.ndarray]:
     """Self-conjugate orthonormal basis of one family's sector, as matrices G.
 
     The sectors are the total angular momenta J of G Y_n, each spanned in
@@ -214,7 +215,7 @@ def sector_kernels(n: int, family: int, tables: DerivativeTable) -> list[np.ndar
     if family == 1:
         B = _toroidal_members(n)
     else:
-        B = np.conj(tables.lower[n] if family == 2 else tables.raise_[n]).transpose(2, 0, 1)
+        B = np.conj(lower[n] if family == 2 else raise_[n]).transpose(2, 0, 1)
     B = B * (math.sqrt(len(B)) / np.linalg.norm(B))
     half = B[: len(B) // 2 + 1]  # orders M = J, J-1, ..., 0
     C = _conj_kernel(half)
@@ -244,12 +245,11 @@ def _realify(basis: list[np.ndarray]) -> list[np.ndarray]:
     return [_unvec(v, n) for v in (X @ (V / np.sqrt(w))).T]
 
 
-def kernel_family(G: np.ndarray, tables: DerivativeTable | None) -> int:
+def kernel_family(G: np.ndarray) -> int:
     """Classify a kernel matrix by its t-conditions: 1, 2 or 3."""
     n = (G.shape[1] - 1) // 2
-    tables = ensure_tables(tables, n)
-    has_t1 = np.max(np.abs(t1_vector(G, n, tables))) > _T_PATTERN_TOL
-    has_t3 = np.max(np.abs(t3_vector(G, n, tables))) > _T_PATTERN_TOL
+    has_t1 = np.max(np.abs(t1_vector(G, n))) > _T_PATTERN_TOL
+    has_t3 = np.max(np.abs(t3_vector(G, n))) > _T_PATTERN_TOL
     if has_t1 and has_t3:
         raise ValueError("matrix has both t1 and t3 content; not a pure kernel")
     return 3 if has_t1 else 2 if has_t3 else 1
@@ -269,39 +269,38 @@ class PerfectWave:
 
 
 def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
-                 params: LameParams, tables: DerivativeTable | None) -> PerfectWave:
+                 params: LameParams, tables=None) -> PerfectWave:
     """Construct the piecewise wave for a kernel of the given family.
 
     Its fields are the profile blocks of the sector's perfect wave
     (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
     sector once per key and gives its plasmon constant) on the kernel and
-    its ladder shape.
+    its ladder shape.  ``tables`` is unused (the ladders are read by degree
+    from the process-wide store); it keeps its position only for callers
+    that pass a table positionally, such as the benchmark's residual probe.
     """
     K = np.asarray(kernel, dtype=complex)
     prof, inner, outer, c = _wave_amplitudes(params, n, family, R)
     refs = {n: K}
     if family != 1:
-        refs[prof.degrees[1]] = _ladder(K, n, family == 3, ensure_tables(tables, n + 4))
+        refs[prof.degrees[1]] = _ladder(K, n, family == 3)
     interior, exterior = _profile_fields([(prof, refs, [(0.0, R, inner), (R, math.inf, outer)])])
     return PerfectWave(n=n, family=family, c=c, R=R, kernel=K, interior=interior, exterior=exterior)
 
 
-def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable | None) -> dict[str, float]:
+def verify_perfect_wave(wave: PerfectWave, params: LameParams) -> dict[str, float]:
     """Residuals of every defining property of a perfect wave.
 
     Keys: continuity and transmission (c-weighted traction match), both on
     per-degree coefficient arrays of the interface traces, relative;
     lame_interior / lame_exterior (relative exact residuals at 24 points on
     the spheres 0.35 R and 1.7 R); t1 / t3 conditions; normalization.
-    ``tables`` is extended to degree n + 4, the deepest the Lame residual
-    of the wave's degree-(n + 2) terms reads.
     """
     n, R, c = wave.n, wave.R, wave.c
-    tables = ensure_tables(tables, n + 4)
     u_in = displacement_coeffs(wave.interior.terms, R)
     u_out = displacement_coeffs(wave.exterior.terms, R)
-    t_in = traction_coeffs_algebraic(wave.interior.terms, R, params, tables)
-    t_out = traction_coeffs_algebraic(wave.exterior.terms, R, params, tables)
+    t_in = traction_coeffs_algebraic(wave.interior.terms, R, params)
+    t_out = traction_coeffs_algebraic(wave.exterior.terms, R, params)
 
     def worst(blocks) -> float:
         return max((float(np.max(np.abs(m))) for m in blocks), default=0.0)
@@ -316,10 +315,10 @@ def verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: Derivativ
     return {
         "continuity": continuity,
         "transmission": transmission,
-        "lame_interior": lame_residual(wave.interior.terms, params, dirs * (0.35 * R), tables),
-        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs * (1.7 * R), tables),
-        "t1": float(np.max(np.abs(t1_vector(wave.kernel, n, tables)))),
-        "t3": float(np.max(np.abs(t3_vector(wave.kernel, n, tables)))),
+        "lame_interior": lame_residual(wave.interior.terms, params, dirs * (0.35 * R)),
+        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs * (1.7 * R)),
+        "t1": float(np.max(np.abs(t1_vector(wave.kernel, n)))),
+        "t3": float(np.max(np.abs(t3_vector(wave.kernel, n)))),
         "normalization": float(abs(np.sum(wave.kernel * np.conj(wave.kernel)) - 1.0)),
     }
 

@@ -124,7 +124,6 @@ from elastoplasmon.harmonics import (
     build_quadrature,
     ensure_tables,
     shared_quadrature,
-    shared_tables,
     sph_harm_stack,
 )
 from elastoplasmon.lame import (
@@ -167,7 +166,7 @@ def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: Derivative
     """Irregular degree-n block with its slaved degree-(n+2) correction k_n [t1 . raise_] r^{-n-1} Y_{n+2}."""
     G = np.asarray(G, dtype=complex)
     terms = [Term(G, n, -n - 1)]
-    t1 = t1_vector(G, n, tables)
+    t1 = t1_vector(G, n)
     if np.max(np.abs(t1)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
         k_n = mode_constants(params, max(n, 1)).k_n if n >= 1 else _k0(params)
         terms.append(Term(k_n * (t1 @ tables.raise_[n + 1]), n + 2, -n - 1))
@@ -179,7 +178,7 @@ def interior_block(G: np.ndarray, n: int, params: LameParams, tables: Derivative
     G = np.asarray(G, dtype=complex)
     terms = [Term(G, n, n)]
     if n >= 2:
-        t3 = t3_vector(G, n, tables)
+        t3 = t3_vector(G, n)
         if np.max(np.abs(t3)) > 1e-13 * max(np.max(np.abs(G)), 1e-300):
             M_n = mode_constants(params, n).M_n
             terms.append(Term(-M_n * (t3 @ tables.lower[n - 1]), n - 2, n))
@@ -197,7 +196,7 @@ class FieldSolution:
     window: tuple[int, ...] = ()
 
 
-def volume_dissipation(solutions, medium: LayeredMedium, tables: DerivativeTable) -> float:
+def volume_dissipation(solutions, medium: LayeredMedium) -> float:
     """Dissipation (delta/2) P(u, u) by the volume pairing of the terms merged per region."""
     if medium.delta <= 0:
         raise ValueError("dissipation needs delta > 0")
@@ -205,11 +204,11 @@ def volume_dissipation(solutions, medium: LayeredMedium, tables: DerivativeTable
     for sol in solutions:
         for reg in sol.regions:
             merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
-    return sum(0.5 * medium.delta * float(np.real(pairing_P(terms, terms, *key, medium.base, tables)))
+    return sum(0.5 * medium.delta * float(np.real(pairing_P(terms, terms, *key, medium.base)))
                for key, terms in merged.items() if terms)
 
 
-def volume_row(configuration, delta: float, tables: DerivativeTable) -> tuple[float, float | None, float | None]:
+def volume_row(configuration, delta: float) -> tuple[float, float | None, float | None]:
     """(E_delta, I_upper, J_lower) of one sweep row by the volume routes.
 
     E is :func:`volume_dissipation` of the solve; I is ``functional_I`` of
@@ -226,22 +225,22 @@ def volume_row(configuration, delta: float, tables: DerivativeTable) -> tuple[fl
 
     med, src = configuration(delta)
     params = med.base
-    E = volume_dissipation(solve_modes(med, src), med, tables)
+    E = volume_dissipation(solve_modes(med, src), med)
 
     def energy(pieces):
-        return sum(float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params, tables))) for p in pieces)
+        return sum(float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params))) for p in pieces)
 
     I_values, J = [], None
     if med.core_radius is not None:
         try:
-            I_values.append(functional_I(witness_fixed_c(med, src)[0], None, delta, params, tables))
+            I_values.append(functional_I(witness_fixed_c(med, src)[0], None, delta, params))
         except (ValueError, ArithmeticError):
             pass
         if (math.isclose(med.c, plasmon_constants(params, max(src.degrees())).zeta1, rel_tol=1e-10)
                 and src.q > med.shell_radius**1.5):
             try:
-                v, w, _ = witness_radial_nonresonant(med, src, delta, tables)
-                I_values.append(functional_I(v, w or None, delta, params, tables))
+                v, w, _ = witness_radial_nonresonant(med, src, delta)
+                I_values.append(functional_I(v, w or None, delta, params))
             except (ValueError, ArithmeticError):
                 pass
     # the dual bound C0^2 / (4 denominator) from the pieces at amplitude tau:
@@ -251,12 +250,12 @@ def volume_row(configuration, delta: float, tables: DerivativeTable) -> tuple[fl
     g = gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
     try:
         if med.core_radius is None:
-            psi, _, tau = witness_nocore(med, src, delta, tables)
+            psi, _, tau = witness_nocore(med, src, delta)
             repair = 0.0
         else:
-            v, psi, _, tau = witness_core_resonant(med, src, delta, tables)
+            v, psi, _, tau = witness_core_resonant(med, src, delta)
             repair = 0.5 * energy(v) * delta / tau**2
-        C0 = g * source_pairing(psi, SourceSpec(src.q, {mode: 1.0}), params, tables) / tau
+        C0 = g * source_pairing(psi, SourceSpec(src.q, {mode: 1.0}), params) / tau
         J = C0**2 / (4.0 * (delta * 0.5 * energy(psi) / tau**2 + repair))
     except (ValueError, ArithmeticError):
         pass
@@ -275,24 +274,24 @@ def projected_radial_profile(params: LameParams, n: int, fam: int, tables: Deriv
     its partner shape are projected on the reference matrices, to a residual
     of at most 1e-11 of the block, else ``SectorCheckError``.
     """
-    K = sector_kernels(n, fam, tables)[0]
+    K = sector_kernels(n, fam)[0]
     refs = {n: K}
     if fam != 1:
         d2 = n - 2 if fam == 2 else n + 2
-        refs[d2] = _ladder(K, n, fam == 3, tables)
+        refs[d2] = _ladder(K, n, fam == 3)
     blocks = {}
     for d, ref in refs.items():
         for kind in ("entire", "decay"):
             terms = block_terms(kind, d, ref, params, tables)
             (p,) = {t.power for t in terms}
-            trac = traction_coeffs_algebraic(terms, 1.0, params, tables)
+            trac = traction_coeffs_algebraic(terms, 1.0, params)
             scale = max(float(np.linalg.norm(m)) for m in [t.coef for t in terms] + list(trac.values()))
             what = f"family-{fam} {kind} block of degree {d}"
             blocks[(kind, d)] = (p, {t.degree: _project(t.coef, refs[t.degree], scale, what) for t in terms},
                                  {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
     if fam == 1:
         return _RadialProfile((n,), blocks, None)
-    back = _ladder(refs[d2], d2, fam == 2, tables)
+    back = _ladder(refs[d2], d2, fam == 2)
     kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
     return _RadialProfile((n, d2), blocks, kappa)
 
@@ -350,7 +349,7 @@ def window_system(medium: LayeredMedium, q: float, win: tuple[int, ...], tables:
                     E[a] = 1.0
                     terms = block_terms(kind, d, E.reshape(3, 2 * d + 1), params, tables)
                     traces[(kind, d, a)] = (displacement_coeffs(terms, rho),
-                                            traction_coeffs_algebraic(terms, rho, params, tables))
+                                            traction_coeffs_algebraic(terms, rho, params))
                 disp, trac = traces[(kind, d, a)]
                 put(disp, row_disp, offs[blk_idx] + a, sgn)
                 put(trac, row_trac, offs[blk_idx] + a, sgn * weights[reg])
@@ -368,7 +367,7 @@ def window_solve(medium: LayeredMedium, sources: list[SourceSpec], n: int,
     B = np.zeros((M.shape[0], len(sources)), dtype=complex)
     row = 2 * rows_per_iface * (len(bounds) - 1) + rows_per_iface + deg_off[n]  # traction rows at q
     for i, src in enumerate(sources):
-        gamma = src.density_matrix(n, params, tables)
+        gamma = src.density_matrix(n, params)
         # weighted traction jump (outer - inner) equals the density
         B[row: row + gamma.size, i] = -gamma.reshape(-1)
     col_scale = np.linalg.norm(M, axis=0)
@@ -411,9 +410,9 @@ def _sector_shapes(gammas: dict[int, np.ndarray], n: int, tables: DerivativeTabl
     """
     shapes = [(n, g) for _, g in sorted(gammas.items())]
     if 2 in gammas:
-        shapes.append((n - 2, t3_vector(gammas[2], n, tables) @ tables.lower[n - 1]))
+        shapes.append((n - 2, t3_vector(gammas[2], n) @ tables.lower[n - 1]))
     if 3 in gammas:
-        shapes.append((n + 2, t1_vector(gammas[3], n, tables) @ tables.raise_[n + 1]))
+        shapes.append((n + 2, t1_vector(gammas[3], n) @ tables.raise_[n + 1]))
     return shapes
 
 
@@ -443,7 +442,7 @@ def matrix_sector_system(medium: LayeredMedium, q: float, shapes: list[tuple[int
             if (kind, si) not in traces:
                 terms = blocks[(kind, si)]
                 traces[(kind, si)] = (displacement_coeffs(terms, rho),
-                                      traction_coeffs_algebraic(terms, rho, params, tables))
+                                      traction_coeffs_algebraic(terms, rho, params))
             sgn = 1.0 if reg == bi else -1.0
             for row_kind, (vecs, w) in enumerate(zip(traces[(kind, si)], (sgn, sgn * weights[reg]))):
                 for d, mat in vecs.items():
@@ -470,7 +469,7 @@ def matrix_sector_solve(medium: LayeredMedium, source: SourceSpec, n: int, table
     are those of that least squares.
     """
     tables = ensure_tables(tables, n + 6)
-    gammas = source.family_densities(n, medium.base, tables)
+    gammas = source.family_densities(n, medium.base)
     M, offsets, cols, bounds, weights = matrix_sector_system(medium, source.q, _sector_shapes(gammas, n, tables), tables)
     b = np.zeros(M.shape[0], dtype=complex)
     gamma = sum(gammas.values())
@@ -757,7 +756,7 @@ def fd_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarr
     return worst
 
 
-def dissipation_imaginary(solutions, medium: LayeredMedium, tables: DerivativeTable) -> float:
+def dissipation_imaginary(solutions, medium: LayeredMedium) -> float:
     """Dissipation as (1/2) Im of the complex-moduli energy, region by region.
 
     Merges the terms of all degree solutions per region like
@@ -771,7 +770,7 @@ def dissipation_imaginary(solutions, medium: LayeredMedium, tables: DerivativeTa
         for reg, w in zip(sol.regions, _region_layout(medium, q)[1]):
             merged.setdefault((reg.r_lo, reg.r_hi), []).extend(reg.terms)
             weights[(reg.r_lo, reg.r_hi)] = w
-    return sum(0.5 * float(np.imag(weights[key] * pairing_P(terms, terms, *key, medium.base, tables)))
+    return sum(0.5 * float(np.imag(weights[key] * pairing_P(terms, terms, *key, medium.base)))
                for key, terms in merged.items() if terms)
 
 
@@ -848,13 +847,13 @@ def volumetric_P(u_pieces: Sequence, params: LameParams, tables: DerivativeTable
         rr = 0.5 * (piece.r_lo + hi) + 0.5 * (hi - piece.r_lo) * t
         wr = 0.5 * (hi - piece.r_lo) * wt
         for r, w in zip(rr, wr):
-            g = grad_terms(piece.terms, r * quad.nodes, tables)
+            g = grad_terms(piece.terms, r * quad.nodes)
             sym = 0.5 * (g + np.swapaxes(g, 1, 2))
             div = np.trace(g, axis1=1, axis2=2)
             dens = lam * np.abs(div) ** 2 + 2.0 * mu * np.einsum("nij,nij->n", sym, np.conj(sym)).real
             total += w * r**2 * float(np.real(quad.integrate(dens)))
         if math.isinf(piece.r_hi):
-            tail += float(np.real(pairing_P(piece.terms, piece.terms, r_cut, math.inf, params, tables)))
+            tail += float(np.real(pairing_P(piece.terms, piece.terms, r_cut, math.inf, params)))
     return total, tail
 
 
@@ -1131,14 +1130,13 @@ def per_direction_lame_residual(terms: Iterable[Term], params: LameParams, point
     return float(np.max(np.max(np.abs(res), axis=1) / scale))
 
 
-def pairing_P_pieces(u_pieces: Sequence[ModeField], v_pieces: Sequence[ModeField], params: LameParams,
-                     tables: DerivativeTable) -> complex:
+def pairing_P_pieces(u_pieces: Sequence[ModeField], v_pieces: Sequence[ModeField], params: LameParams) -> complex:
     """P for piecewise fields on a common region split."""
     total = 0.0 + 0.0j
     for pu, pv in zip(u_pieces, v_pieces):
         if (pu.r_lo, pu.r_hi) != (pv.r_lo, pv.r_hi):
             raise ValueError("piecewise fields must share the region split")
-        total += pairing_P(pu.terms, pv.terms, pu.r_lo, pu.r_hi, params, tables)
+        total += pairing_P(pu.terms, pv.terms, pu.r_lo, pu.r_hi, params)
     return total
 
 
@@ -1197,13 +1195,13 @@ def quadrature_pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo:
 
 
 def quadrature_source_pairing(psi_pieces: Sequence[ModeField], source: SourceSpec, params: LameParams,
-                              tables: DerivativeTable, quad: SphereQuadrature) -> float:
+                              quad: SphereQuadrature) -> float:
     """``energy.source_pairing`` with density and psi sampled on a sphere rule."""
     q = source.q
     nodes = quad.nodes
     fvals = np.zeros((len(nodes), 3), dtype=complex)
     for n in source.degrees():
-        gamma = source.density_matrix(n, params, tables)
+        gamma = source.density_matrix(n, params)
         fvals += quad.harmonics(n) @ gamma.T
     psi = None
     for piece in psi_pieces:
@@ -1264,14 +1262,13 @@ def interior_from_traction(R: float, traction: Sequence[tuple[int, np.ndarray]],
     for n, Ap in traction:
         if n < 2:
             raise ValueError("interior_from_traction supports degrees n >= 2 only")
-        boundary.append((n, _neumann_to_dirichlet(Ap, n, R, params, tables)))
+        boundary.append((n, _neumann_to_dirichlet(Ap, n, R, params)))
     return interior_from_displacement(R, boundary, params, tables)
 
 
-def _neumann_to_dirichlet(Ap: np.ndarray, n: int, R: float, params: LameParams,
-                          tables: DerivativeTable) -> np.ndarray:
+def _neumann_to_dirichlet(Ap: np.ndarray, n: int, R: float, params: LameParams) -> np.ndarray:
     """Degree-n traction coefficients -> Dirichlet coefficients (tilde map)."""
-    return _tilde_scale(n, R, params) * _tilde_unscaled(Ap, n, params, tables)
+    return _tilde_scale(n, R, params) * _tilde_unscaled(Ap, n, params)
 
 
 def dmat(table: DerivativeTable, src: int, dst: int, j: int) -> np.ndarray:
@@ -1304,7 +1301,7 @@ def kelvin_matrix(x: np.ndarray, params: LameParams) -> np.ndarray:
 
 
 def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
-                   params: LameParams, tables: DerivativeTable, n_max: int) -> tuple[SourceSpec, dict]:
+                   params: LameParams, n_max: int) -> tuple[SourceSpec, dict]:
     """Expand nodal samples of a surface density into kernel coefficients.
 
     ``F_samples`` holds the density at ``q * quad.nodes`` (shape (N, 3)).
@@ -1319,7 +1316,7 @@ def project_source(F_samples: np.ndarray, q: float, quad: SphereQuadrature,
     for n in range(2, n_max + 1):
         proj = quad.project(F_samples, n)  # (2n+1, 3)
         for fam in (1, 2, 3):
-            for k, K in enumerate(kernel_basis(params, n, fam, tables), start=1):
+            for k, K in enumerate(kernel_basis(params, n, fam), start=1):
                 g = complex(np.sum(proj.T * np.conj(K)))
                 if abs(g) > 1e-14:
                     coeffs[(n, fam, k)] = g
@@ -1351,7 +1348,7 @@ def eval_field(solutions: list, x: np.ndarray, side: str = "outer") -> np.ndarra
     return out[0] if single else out
 
 
-def point_verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: DerivativeTable,
+def point_verify_perfect_wave(wave: PerfectWave, params: LameParams,
                               quad: SphereQuadrature | None = None, n_points: int = 200,
                               seed: int = 0) -> dict[str, float]:
     """The point and quadrature route of ``waves.verify_perfect_wave``.
@@ -1371,18 +1368,18 @@ def point_verify_perfect_wave(wave: PerfectWave, params: LameParams, tables: Der
     vout = eval_terms(wave.exterior.terms, R * dirs)
     scale = max(1.0, float(np.max(np.abs(vin))))
     continuity = float(np.max(np.abs(vin - vout))) / scale
-    t_in = traction_coeffs(wave.interior.terms, R, params, quad, tables=tables)
-    t_out = traction_coeffs(wave.exterior.terms, R, params, quad, tables=tables)
+    t_in = traction_coeffs(wave.interior.terms, R, params, quad)
+    t_out = traction_coeffs(wave.exterior.terms, R, params, quad)
     tenorm = max(max((float(np.max(np.abs(m))) for m in t_out.values()), default=0.0), 1e-30)
     transmission = max(float(np.max(np.abs(c * t_in.get(d, np.zeros(1)) - t_out.get(d, np.zeros(1)))))
                        for d in set(t_in) | set(t_out)) / tenorm
     return {
         "continuity": continuity,
         "transmission": transmission,
-        "lame_interior": lame_residual(wave.interior.terms, params, dirs[:24] * (0.35 * R), tables),
-        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs[:24] * (1.7 * R), tables),
-        "t1": float(np.max(np.abs(t1_vector(wave.kernel, n, tables)))),
-        "t3": float(np.max(np.abs(t3_vector(wave.kernel, n, tables)))),
+        "lame_interior": lame_residual(wave.interior.terms, params, dirs[:24] * (0.35 * R)),
+        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs[:24] * (1.7 * R)),
+        "t1": float(np.max(np.abs(t1_vector(wave.kernel, n)))),
+        "t3": float(np.max(np.abs(t3_vector(wave.kernel, n)))),
         "normalization": float(abs(np.sum(wave.kernel * np.conj(wave.kernel)) - 1.0)),
     }
 
@@ -1421,8 +1418,7 @@ def _scalar_potential_terms(G: np.ndarray, n: int, R: float, kind: str) -> tuple
     return inside, outside
 
 
-def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams,
-                       tables: DerivativeTable) -> tuple[ModeField, ModeField]:
+def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams) -> tuple[ModeField, ModeField]:
     """Exact single-layer potential of the density G Y_n on partial B_R.
 
     The Kelvin matrix splits into a Newtonian part and second derivatives of
@@ -1437,7 +1433,7 @@ def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams,
 
     def build(newt: list[Term], dist: list[Term]) -> list[Term]:
         vec = {(t.degree, t.power): -(alpha + beta) / (4.0 * math.pi) * t.coef for t in newt}
-        for (d, p), h in _hessian_groups(dist, tables).items():  # h[i, j, r] = d^2 / dx_j dx_i of row r
+        for (d, p), h in _hessian_groups(dist).items():  # h[i, j, r] = d^2 / dx_j dx_i of row r
             part = beta / (4.0 * math.pi) * np.einsum("ijjm->im", h)
             vec[d, p] = vec[d, p] + part if (d, p) in vec else part
         return [Term(block, d, p) for (d, p), block in sorted(vec.items())]
@@ -1459,13 +1455,12 @@ def quadrature_np_matrix(R: float, params: LameParams, n_max: int,
     """
     if quad.exactness < 2 * n_max + 4:
         raise ValueError("quadrature exactness below 2 n_max + 4")
-    tables = shared_tables(n_max + 4)
     basis = _np_basis(n_max)
     degrees = range(1, n_max + 1)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, (jj, n, pos) in enumerate(basis):
-        inside, outside = single_layer_field(_unit_density(jj, n, pos), n, R, params, tables)
-        kstar = traction_coeffs(inside.terms + outside.terms, R, params, quad, degrees, tables)
+        inside, outside = single_layer_field(_unit_density(jj, n, pos), n, R, params)
+        kstar = traction_coeffs(inside.terms + outside.terms, R, params, quad, degrees)
         M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) for nb in degrees])
     return M, basis
 
@@ -1489,13 +1484,12 @@ def dense_np_matrix(R: float, params: LameParams, n_max: int) -> tuple[np.ndarra
     terms at r = R, rows in the basis order and zero on a degree the trace
     does not reach.  Basis entries are (component, degree, stack position).
     """
-    tables = shared_tables(n_max + 4)
     basis = _np_basis(n_max)
     degrees = range(1, n_max + 1)
     M = np.zeros((len(basis), len(basis)), dtype=complex)
     for a, (jj, n, pos) in enumerate(basis):
-        inside, outside = single_layer_field(_unit_density(jj, n, pos), n, R, params, tables)
-        kstar = traction_coeffs_algebraic(inside.terms + outside.terms, R, params, tables)
+        inside, outside = single_layer_field(_unit_density(jj, n, pos), n, R, params)
+        kstar = traction_coeffs_algebraic(inside.terms + outside.terms, R, params)
         M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) if nb in kstar else np.zeros(3 * (2 * nb + 1))
                                         for nb in degrees])
     return M, basis

@@ -119,7 +119,7 @@ def test_criterion_03_perfect_wave_verification():
             kers_all.extend(kers)
             for K in kers:
                 w = perfect_wave(K, fam, n, R, P11, TABLES)
-                rep = verify_perfect_wave(w, P11, TABLES)
+                rep = verify_perfect_wave(w, P11)
                 worst["continuity"] = max(worst["continuity"], rep["continuity"])
                 worst["transmission"] = max(worst["transmission"], rep["transmission"])
                 worst["lame"] = max(worst["lame"], rep["lame_interior"], rep["lame_exterior"])
@@ -168,8 +168,8 @@ def _identity_defects(med, src, sols, delta):
     wp = [ModeField(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(p.terms)), p.r_lo, p.r_hi)
           for p in merged]
     pp = [ModeField(imag_terms(p.terms), p.r_lo, p.r_hi) for p in merged]
-    I_val = functional_I(vp, wp, delta, med.base, TABLES)
-    J_val = functional_J(vp, pp, src, delta, med.base, TABLES)
+    I_val = functional_I(vp, wp, delta, med.base)
+    J_val = functional_J(vp, pp, src, delta, med.base)
     return E, abs(I_val - E) / E, abs(J_val - E) / E
 
 
@@ -197,16 +197,16 @@ def test_criterion_05_variational_sandwich():
                 if med.core_radius is not None:
                     zet1 = plasmon_constants(P11, max(src.degrees())).zeta1
                     if math.isclose(med.c, zet1, rel_tol=1e-10) and src.q > med.shell_radius**1.5:
-                        _, _, I_upper = witness_radial_nonresonant(med, src, delta, TABLES)
+                        _, _, I_upper = witness_radial_nonresonant(med, src, delta)
                     else:
                         _, I_upper, _ = witness_fixed_c(med, src)
             except (ValueError, ArithmeticError):
                 pass
             try:
                 if med.core_radius is None:
-                    _, J_lower, _ = witness_nocore(med, src, delta, TABLES)
+                    _, J_lower, _ = witness_nocore(med, src, delta)
                 else:
-                    _, _, J_lower, _ = witness_core_resonant(med, src, delta, TABLES)
+                    _, _, J_lower, _ = witness_core_resonant(med, src, delta)
             except (ValueError, ArithmeticError):
                 pass
             slack = 1e-9 * max(abs(E), 1.0)
@@ -254,7 +254,7 @@ DICHOTOMY_DELTAS = [10 ** (-e) for e in np.arange(2.0, 8.01, 0.5)]
 
 def _dichotomy(q):
     conf = scheduled_configuration(P11, 2.0, q=q, core_radius=1.0)
-    return sweep(conf, DICHOTOMY_DELTAS, with_witnesses=False)
+    return sweep(conf, DICHOTOMY_DELTAS)
 
 
 def test_criterion_08_dichotomy_inside_q23():
@@ -317,7 +317,7 @@ def test_criterion_09_oracle_agreements():
         blk = exterior_block(G, 2, params, TABLES)
         field = ModeField(blk, 0.4, math.inf)
         for R in (0.7, 1.0, 1.9):
-            closed = exterior_traction_coeffs(G, 2, R, params, TABLES)
+            closed = exterior_traction_coeffs(G, 2, R, params)
             fd = numeric_traction(field, R, params, quad)
             scale = max(np.max(np.abs(m)) for m in closed.values())
             for d, m in closed.items():
@@ -326,7 +326,7 @@ def test_criterion_09_oracle_agreements():
     G = rng.normal(size=(3, 7))
     blk = exterior_block(G, 3, P11, TABLES)
     pieces = [ModeField(blk, 1.0, math.inf)]
-    exact = float(np.real(pairing_P_pieces(pieces, pieces, P11, TABLES)))
+    exact = float(np.real(pairing_P_pieces(pieces, pieces, P11)))
     approx, tail = volumetric_P(pieces, P11, TABLES, r_cut=25.0, n_radial=80)
     p_err = abs(exact - (approx + tail)) / exact
     ok = worst_d <= 1e-9 and worst_t <= 1e-8 and p_err <= 1e-5

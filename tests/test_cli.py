@@ -449,6 +449,22 @@ def test_extreme_material_configs_rejected_before_any_run(lam, mu, tmp_path, mon
         assert len(lines) == 1 and "out of the float range" in json.loads(lines[0])["error"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["np-spectrum", "--nmax", "8", "--R", "1e-200"],
+    ["waves-check", "--n", "3", "--R", "1e-100"],
+    ["waves-check", "--n", "3", "--R", "1e100"],
+])
+def test_radius_out_of_the_float_range_is_a_json_error(argv, capsys):
+    # a power of a far-out radius overflows a Python float (OverflowError):
+    # exit 2 with one JSON line, never a traceback
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
+
+
 def test_failed_sector_checks_are_json_errors(capsys):
     # correct builds whose roundoff, growing with lambda / mu or near
     # 3 lambda + 2 mu = 0, exceeds a sector check: exit 2, never a traceback
@@ -796,7 +812,7 @@ def test_cold_sweeps_build_no_member_and_test_no_degree(tmp_path):
         "tested, test = [], harmonics._self_test_degree\n"
         "harmonics._self_test_degree = lambda n, *pair: tested.append(n) or test(n, *pair)\n"
         f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0, 0]\n"
-        "print(tested, sorted(harmonics._BANDS), len(transmission._KERNEL_CACHE), 'numpy.polynomial' in sys.modules)\n"
+        "print(tested, sorted(harmonics._BANDS), len(transmission.kernel_basis.cache), 'numpy.polynomial' in sys.modules)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
@@ -870,13 +886,13 @@ def test_witness_prints_the_public_builders_scalars(config, delta, tmp_path, cap
     d = float(delta)
     med, src = cli._configuration(cli.load_config(str(path)))(d)
     if med.core_radius is None:
-        builders = [(lambda: scenarios.witness_nocore(med, src, d, None),
+        builders = [(lambda: scenarios.witness_nocore(med, src, d),
                      lambda w: f"J_lower = {cli._fmt(w[1])}  tau = {cli._fmt(w[2])}")]
     else:
         builders = [(lambda: scenarios.witness_fixed_c(med, src), lambda w: f"I_upper = {cli._fmt(w[1])}"),
-                    (lambda: scenarios.witness_core_resonant(med, src, d, None),
+                    (lambda: scenarios.witness_core_resonant(med, src, d),
                      lambda w: f"J_lower = {cli._fmt(w[2])}  tau = {cli._fmt(w[3])}"),
-                    (lambda: scenarios.witness_radial_nonresonant(med, src, d, None),
+                    (lambda: scenarios.witness_radial_nonresonant(med, src, d),
                      lambda w: f"I_upper_scheduled = {cli._fmt(w[2])}")]
     expected = []
     for build, show in builders:
@@ -928,7 +944,7 @@ def test_np_spectrum_reaches_max_degree_without_an_eigensolver(tmp_path):
         "for name in ('eig', 'eigvals'):\n"
         "    setattr(np.linalg, name, lambda *a, name=name, f=getattr(np.linalg, name): calls.append(name) or f(*a))\n"
         f"assert main(['np-spectrum', '--nmax', '64', '--csv', {str(csv)!r}]) == 0\n"
-        "print(len(calls), len(harmonics._DEGREES), len(transmission._KERNEL_CACHE))\n"
+        "print(len(calls), len(harmonics._DEGREES), len(transmission.kernel_basis.cache))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))

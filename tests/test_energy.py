@@ -48,13 +48,13 @@ def test_pairing_nonnegative_for_real_fields(tables):
     rng = np.random.default_rng(0)
     G = rng.normal(size=(3, 5))
     blk = exterior_block(G, 2, P11, tables)
-    val = pairing_P(real_terms(blk), real_terms(blk), 1.0, math.inf, P11, tables)
+    val = pairing_P(real_terms(blk), real_terms(blk), 1.0, math.inf, P11)
     assert np.real(val) > 0 and abs(np.imag(val)) < 1e-12 * np.real(val)
 
 
 def test_rigid_translation_contributes_nothing(tables):
     rigid = (Term(np.array([[1.0], [0.5], [-2.0]]) * math.sqrt(4 * math.pi), 0, 0),)
-    assert abs(pairing_P(rigid, rigid, 0.5, 2.0, P11, tables)) == 0.0
+    assert abs(pairing_P(rigid, rigid, 0.5, 2.0, P11)) == 0.0
 
 
 def test_exterior_pairing_against_volumetric_oracle(tables):
@@ -62,7 +62,7 @@ def test_exterior_pairing_against_volumetric_oracle(tables):
     G = rng.normal(size=(3, 7)) + 1j * rng.normal(size=(3, 7))
     blk = exterior_block(G, 3, P11, tables)
     pieces = [ModeField(blk, 1.0, math.inf)]
-    exact = float(np.real(pairing_P_pieces(pieces, pieces, P11, tables)))
+    exact = float(np.real(pairing_P_pieces(pieces, pieces, P11)))
     approx, tail = volumetric_P(pieces, P11, tables, r_cut=25.0, n_radial=80)
     assert tail < 1e-4 * exact  # documented tail bound at the cut radius
     assert abs(exact - (approx + tail)) / exact < 1e-5
@@ -71,7 +71,7 @@ def test_exterior_pairing_against_volumetric_oracle(tables):
 def test_divergent_exterior_integral_raises(tables):
     grow = (Term(np.ones((3, 5)), 2, 2),)
     with pytest.raises(ValueError):
-        pairing_P(grow, grow, 1.0, math.inf, P11, tables)
+        pairing_P(grow, grow, 1.0, math.inf, P11)
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +84,7 @@ def lossy_solution(tables):
 def test_dissipation_positive_and_crosschecked(lossy_solution, tables):
     med, _, sols = lossy_solution
     E1 = dissipation_E(sols, med)
-    E2 = dissipation_imaginary(sols, med, tables)
+    E2 = dissipation_imaginary(sols, med)
     assert E1 > 0
     assert abs(E1 - E2) / E1 < 1e-8
 
@@ -100,8 +100,8 @@ def test_dissipation_split_identity(lossy_solution, tables):
                 continue
             v = real_terms(reg.terms)
             w = tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(reg.terms))
-            Pv += float(np.real(pairing_P(v, v, reg.r_lo, reg.r_hi, P11, tables)))
-            Pw += float(np.real(pairing_P(w, w, reg.r_lo, reg.r_hi, P11, tables)))
+            Pv += float(np.real(pairing_P(v, v, reg.r_lo, reg.r_hi, P11)))
+            Pw += float(np.real(pairing_P(w, w, reg.r_lo, reg.r_hi, P11)))
     assert abs(E - (0.5 * delta * Pv + 0.5 / delta * Pw)) / E < 1e-8
 
 
@@ -123,9 +123,9 @@ def test_dissipation_quadratic_in_source(tables):
 
 def test_zero_pair_gives_zero_functionals(tables):
     empty = [ModeField((), 0.0, math.inf)]
-    assert functional_I(empty, empty, 0.1, P11, tables) == 0.0
+    assert functional_I(empty, empty, 0.1, P11) == 0.0
     src = SourceSpec(q=1.5, coefficients={(2, 1, 1): 1.0})
-    assert functional_J(None, empty, src, 0.1, P11, tables) == 0.0
+    assert functional_J(None, empty, src, 0.1, P11) == 0.0
 
 
 def test_primal_identity_at_minimizer(lossy_solution, tables):
@@ -139,7 +139,7 @@ def test_primal_identity_at_minimizer(lossy_solution, tables):
             ModeField(tuple(Term(delta * t.coef, t.degree, t.power) for t in imag_terms(r.terms)), r.r_lo, r.r_hi)
             for r in sol.regions
         ]
-        I_val += functional_I(vp, wp, delta, P11, tables)
+        I_val += functional_I(vp, wp, delta, P11)
     assert abs(I_val - E) / E < 1e-7
 
 
@@ -151,7 +151,7 @@ def test_dual_identity_at_maximizer(tables):
     sol = sols[0]
     vp = [ModeField(real_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
     pp = [ModeField(imag_terms(r.terms), r.r_lo, r.r_hi) for r in sol.regions]
-    J_val = functional_J(vp, pp, src, med.delta, P11, tables)
+    J_val = functional_J(vp, pp, src, med.delta, P11)
     assert abs(J_val - E) / E < 1e-7
 
 
@@ -172,7 +172,7 @@ def test_dual_witness_sign(tables):
     from elastoplasmon.waves import perfect_wave, plasmon_constants
 
     z1 = plasmon_constants(P11, 2).zeta1
-    K = kernel_basis(P11, 2, 1, tables)[0]
+    K = kernel_basis(P11, 2, 1)[0]
     w = perfect_wave(K, 1, 2, 1.5, P11, tables)
     src = SourceSpec(q=2.25, coefficients={(2, 1, 1): 1.0})
     tau = 1e-6
@@ -180,7 +180,7 @@ def test_dual_witness_sign(tables):
         ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in w.interior.terms), 0.0, 1.5),
         ModeField(tuple(Term(tau * t.coef, t.degree, t.power) for t in w.exterior.terms), 1.5, math.inf),
     ]
-    J = functional_J(None, psi, src, 0.01, P11, tables)
+    J = functional_J(None, psi, src, 0.01, P11)
     assert J > 0
 
 
@@ -211,7 +211,7 @@ def _assert_pairings_agree(fields, params, tables):
     self_vals = []
     for f in fields:
         ref = quadrature_pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params, tables)
-        val = pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params, tables)
+        val = pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params)
         assert abs(val - ref) <= 1e-13 * abs(ref), (f.r_lo, f.r_hi, val, ref)
         self_vals.append(abs(ref))
     for i, f in enumerate(fields):
@@ -219,7 +219,7 @@ def _assert_pairings_agree(fields, params, tables):
             if (f.r_lo, f.r_hi) != (g.r_lo, g.r_hi):
                 continue
             ref = quadrature_pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
-            val = pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
+            val = pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params)
             assert abs(val - ref) <= 1e-13 * math.sqrt(self_vals[i] * self_vals[j]), (f.r_lo, f.r_hi, val, ref)
 
 
@@ -251,10 +251,10 @@ def test_pairing_matches_quadrature_on_witness_pieces(tables, materials):
     _assert_pairings_agree(pieces, P11, tables)
     for delta in (1e-2, 1e-8):  # scheduled degrees 7 and 27
         med, src = scheduled_configuration(P11, 2.0, q=2.3, k=2, core_radius=1.0)(delta)
-        v, psi, _, _ = witness_core_resonant(med, src, delta, tables)
+        v, psi, _, _ = witness_core_resonant(med, src, delta)
         _assert_pairings_agree(v + psi, P11, tables)
         med, src = scheduled_configuration(P11, 2.0, q=3.6, k=2, core_radius=1.0)(delta)
-        v, w, _ = witness_radial_nonresonant(med, src, delta, tables)
+        v, w, _ = witness_radial_nonresonant(med, src, delta)
         _assert_pairings_agree(v + w, P11, tables)
     # family-2/3 waves stop at degree 12: their slaved correction makes the
     # radial power integrals cancel about n^2-fold, and at degree 27 neither
@@ -263,7 +263,7 @@ def test_pairing_matches_quadrature_on_witness_pieces(tables, materials):
         for n, fam in ((2, 1), (27, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
             c = plasmon_constants(params, n).as_tuple()[fam - 1]
             med = LayeredMedium(shell_radius=2.0, c=c, delta=1e-3, base=params)
-            psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3, tables)
+            psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3)
             _assert_pairings_agree(psi, params, tables)
 
 
@@ -287,8 +287,8 @@ def test_source_pairing_matches_quadrature(tables, materials):
                 z, z_ref = [], []
                 for phase in (1.0, 1j):
                     src = SourceSpec(q=3.0, coefficients={key: phase * g for key, g in coeffs.items()})
-                    z.append(source_pairing(sol.regions, src, params, tables))
-                    z_ref.append(quadrature_source_pairing(sol.regions, src, params, tables, quad))
+                    z.append(source_pairing(sol.regions, src, params))
+                    z_ref.append(quadrature_source_pairing(sol.regions, src, params, quad))
                 assert np.max(np.abs(np.subtract(z, z_ref))) <= 1e-13 * scale, (z, z_ref)
                 if coeffs is densities[0]:
                     assert math.hypot(*z_ref) > 1e-3 * scale  # psi and f overlap
@@ -316,7 +316,7 @@ def _assert_gradient_routes_agree(fields, params, tables):
             if (f.r_lo, f.r_hi) != (g.r_lo, g.r_hi):
                 continue
             ref = per_direction_pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
-            val = pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params, tables)
+            val = pairing_P(f.terms, g.terms, f.r_lo, f.r_hi, params)
             scale = math.sqrt(abs(per_direction_pairing_P(f.terms, f.terms, f.r_lo, f.r_hi, params, tables))
                               * abs(per_direction_pairing_P(g.terms, g.terms, g.r_lo, g.r_hi, params, tables)))
             assert abs(val - ref) <= 1e-13 * scale, (f.r_lo, f.r_hi, val, ref)
@@ -324,7 +324,7 @@ def _assert_gradient_routes_agree(fields, params, tables):
             if not 0 < rho < math.inf:
                 continue
             ref = per_direction_traction_coeffs(f.terms, rho, params, tables)
-            val = traction_coeffs_algebraic(f.terms, rho, params, tables)
+            val = traction_coeffs_algebraic(f.terms, rho, params)
             assert set(val) == set(ref)
             scale = max(np.max(np.abs(m)) for m in ref.values())
             assert max(np.max(np.abs(val[d] - ref[d])) for d in ref) <= 1e-13 * scale, (rho, f.r_lo, f.r_hi)
@@ -336,7 +336,7 @@ def _assert_gradient_routes_agree(fields, params, tables):
         broken = f.terms + (Term(t0.coef, t0.degree, t0.power + 2),)
         for terms in (f.terms, broken):
             ref = per_direction_lame_residual(terms, params, pts, tables)
-            val = lame_residual(terms, params, pts, tables)
+            val = lame_residual(terms, params, pts)
             assert abs(val - ref) <= 1e-13, (f.r_lo, f.r_hi, val, ref)
         assert ref > 1e-9  # the broken field is not a solution, far above the 1e-13 agreement
 
@@ -367,16 +367,16 @@ def test_gradient_routes_agree_on_witness_pieces(tables, materials):
     _assert_gradient_routes_agree(pieces, P11, tables)
     for delta in (1e-2, 1e-8):  # scheduled degrees 7 and 27
         med, src = scheduled_configuration(P11, 2.0, q=2.3, k=2, core_radius=1.0)(delta)
-        v, psi, _, _ = witness_core_resonant(med, src, delta, tables)
+        v, psi, _, _ = witness_core_resonant(med, src, delta)
         _assert_gradient_routes_agree(v + psi, P11, tables)
         med, src = scheduled_configuration(P11, 2.0, q=3.6, k=2, core_radius=1.0)(delta)
-        v, w, _ = witness_radial_nonresonant(med, src, delta, tables)
+        v, w, _ = witness_radial_nonresonant(med, src, delta)
         _assert_gradient_routes_agree(v + w, P11, tables)
     for params in materials:
         for n, fam in ((2, 1), (27, 1), (4, 2), (27, 2), (3, 3), (27, 3)):
             c = plasmon_constants(params, n).as_tuple()[fam - 1]
             med = LayeredMedium(shell_radius=2.0, c=c, delta=1e-3, base=params)
-            psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3, tables)
+            psi, _, _ = witness_nocore(med, SourceSpec(q=2.6, coefficients={(n, fam, 1): 1.0}), 1e-3)
             _assert_gradient_routes_agree(psi, params, tables)
 
 
@@ -398,7 +398,7 @@ def test_partner_shape_norms():
             d = prof.degrees[1]
             want = prof.kappa * (2 * n + 1) / (2 * d + 1)
             norms = [float(np.real(np.vdot(p, p))) for p in
-                     (_ladder(G, n, fam == 3, tables) for G in sector_kernels(n, fam, tables))]
+                     (_ladder(G, n, fam == 3) for G in sector_kernels(n, fam))]
             assert max(abs(v - want) for v in norms) <= 4e-15 * want, (n, fam)
 
 
@@ -412,7 +412,7 @@ def test_shared_sector_gram():
     tables = shared_tables(67)
     for n in range(4, 65):
         kappa = _radial_profile(P11, n - 2, 3).kappa
-        G2, G3 = np.stack(sector_kernels(n, 2, tables)), np.stack(sector_kernels(n - 2, 3, tables))
+        G2, G3 = np.stack(sector_kernels(n, 2)), np.stack(sector_kernels(n - 2, 3))
         # the ladders of every member at once: t1 (or t3) times the next ladder
         up = np.einsum("ak,jkl->ajl", np.einsum("ajm,jmk->ak", G3, tables.raise_[n - 2]), tables.raise_[n - 1])
         down = np.einsum("ak,jkl->ajl", np.einsum("ajm,jmk->ak", G2, tables.lower[n]), tables.lower[n - 1])
@@ -443,7 +443,7 @@ def test_flux_dissipation_against_50_digit_solve(core):
             sol = solve_mode(med, SourceSpec(q=2.25, coefficients={(n, fam, 2): 0.6 - 0.8j}), n)
             ref = mp_flux_dissipation(sol, med)
             flux = abs(dissipation_E([sol], med) - ref) / ref
-            volume = abs(volume_dissipation([sol], med, tables) - ref) / ref
+            volume = abs(volume_dissipation([sol], med) - ref) / ref
             errors[fam, n] = (flux, volume)
             assert flux <= 2e-15, (fam, n, flux, volume)
             assert volume <= 1e-11, (fam, n, flux, volume)

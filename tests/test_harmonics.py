@@ -11,11 +11,13 @@ and both must reject a single perturbed entry; the vectorised ladder builders
 are checked against the loop builders of ``oracles``.
 """
 
+import ast
 import gc
 import math
 import re
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -229,6 +231,36 @@ def test_build_time_self_test_runs():
         tables.raise_[-1]
     with pytest.raises(TypeError):  # a read-only view
         tables.lower[3] = tables.lower[3]
+    # the module-level views read any degree of the same store, unbounded
+    for n in (0, 3, 13):
+        assert harmonics.raise_[n] is shared_tables(n + 1).raise_[n]
+        assert harmonics.lower[n] is shared_tables(n + 1).lower[n]
+    assert harmonics.lower[0] is None and harmonics.raise_[0].shape == (3, 1, 3)
+    for ladder in (harmonics.lower, harmonics.raise_):
+        with pytest.raises(IndexError):
+            ladder[-1]
+        with pytest.raises(TypeError):
+            ladder[3] = ladder[3]
+
+
+def test_no_package_function_takes_or_sizes_a_table():
+    # outside harmonics, which defines the bounded tables, package functions
+    # read the ladders by degree; only the two signatures the benchmark passes
+    # a table to positionally keep an (unused) parameter
+    takes, names = set(), {}
+    for path in sorted(Path(harmonics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree) if path.stem != "harmonics" else ():
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                if "tables" in {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}:
+                    takes.add(f"{path.stem}.{getattr(node, 'name', 'lambda')}")
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        names[path.stem] = used & {"ensure_tables", "shared_tables"}
+    assert takes == {"waves.assemble_H", "waves.perfect_wave"}
+    assert {m: u for m, u in names.items() if u and m != "harmonics"} == {}
 
 
 @pytest.fixture

@@ -139,7 +139,7 @@ def test_pure_multipole_when_t1_vanishes(tables):
     # angular-momentum-type matrix: rows of x cross grad of a degree-n harmonic
     from elastoplasmon.transmission import kernel_basis
 
-    K = kernel_basis(LameParams(1.0, 1.0), n, 1, tables)[0]
+    K = kernel_basis(LameParams(1.0, 1.0), n, 1)[0]
     terms = exterior_block(K, n, LameParams(1.0, 1.0), tables)
     assert len(terms) == 1 and terms[0].power == -n - 1
 
@@ -160,12 +160,12 @@ def test_mode_fields_satisfy_lame(tables, materials):
             pts /= np.linalg.norm(pts, axis=1)[:, None]
             for blk, x in ((exterior_block(G, n, params, tables), 1.7 * pts),
                            (interior_block(G, n, params, tables), 0.4 * pts)):
-                assert lame_residual(blk, params, x, tables) <= 1e-13
+                assert lame_residual(blk, params, x) <= 1e-13
                 assert fd_lame_residual(blk, params, x) < 1e-6
                 if len(blk) == 2:
                     main, corr = blk
                     bad = (main, Term(corr.coef * (1 + 1e-3), corr.degree, corr.power))
-                    assert lame_residual(bad, params, x, tables) > 1e-5
+                    assert lame_residual(bad, params, x) > 1e-5
                     assert fd_lame_residual(bad, params, x) > 1e-5
 
 
@@ -203,7 +203,7 @@ def test_neumann_round_trip(tables, quad, materials):
         for n in (2, 3):
             Ap = _random_coeff(rng, n)
             f = interior_from_traction(1.0, [(n, Ap)], params, tables)
-            got = traction_coeffs(f.terms, 1.0, params, quad, degrees=[n], tables=tables)[n]
+            got = traction_coeffs(f.terms, 1.0, params, quad, degrees=[n])[n]
             assert np.max(np.abs(got - Ap)) < 1e-10
 
 
@@ -258,8 +258,8 @@ def test_traction_oracle_agreement(tables, quad, materials):
             blk = exterior_block(G, n, params, tables)
             field = ModeField(blk, 0.5, math.inf)
             for R in (0.7, 1.0, 1.9):
-                closed = exterior_traction_coeffs(G, n, R, params, tables)
-                exact = traction_coeffs(blk, R, params, quad, tables=tables)
+                closed = exterior_traction_coeffs(G, n, R, params)
+                exact = traction_coeffs(blk, R, params, quad)
                 fd = numeric_traction(field, R, params, quad)
                 scale = max(np.max(np.abs(m)) for m in exact.values())
                 for d in exact:
@@ -274,8 +274,8 @@ def test_traction_homothety(tables, quad):
     params = LameParams(1.0, 1.0)
     n = 3
     G = _random_coeff(rng, n)
-    t1 = exterior_traction_coeffs(G, n, 1.0, params, tables)[n]
-    t2 = exterior_traction_coeffs(G, n, 2.0, params, tables)[n]
+    t1 = exterior_traction_coeffs(G, n, 1.0, params)[n]
+    t2 = exterior_traction_coeffs(G, n, 2.0, params)[n]
     assert np.max(np.abs(t2 - t1 / 2 ** (n + 2))) < 1e-12
 
 
@@ -285,8 +285,8 @@ def test_algebraic_traction_matches_quadrature(tables, quad):
     n = 4
     G = _random_coeff(rng, n)
     blk = interior_block(G, n, params, tables)
-    a = traction_coeffs_algebraic(blk, 1.4, params, tables)
-    b = traction_coeffs(blk, 1.4, params, quad, degrees=sorted(a), tables=tables)
+    a = traction_coeffs_algebraic(blk, 1.4, params)
+    b = traction_coeffs(blk, 1.4, params, quad, degrees=sorted(a))
     scale = max(np.max(np.abs(m)) for m in a.values())
     assert max(np.max(np.abs(a[d] - b[d])) for d in a) / scale < 1e-12
 
@@ -305,7 +305,7 @@ def test_gradients_match_finite_differences(tables):
         Term(rng.normal(size=(3, 1)), 0, -1),
     )
     x = np.array([0.9, -0.3, 0.6])
-    g = grad_terms(terms, x, tables)
+    g = grad_terms(terms, x)
     h = 1e-6
     for j in range(3):
         e = np.zeros(3)

@@ -47,12 +47,12 @@ def test_schedule_bracketing_property():
 def test_toroidal_traction_scalars(tables, quad):
     # the family-1 radial profile the witnesses read, against the generic
     # traction machinery
-    K = kernel_basis(P11, 3, 1, tables)[0]
+    K = kernel_basis(P11, 3, 1)[0]
     prof = transmission._radial_profile(P11, 3, 1)
     for r in (0.8, 1.7):
         se, sd = (prof.blocks[kind, 3][2][3] * r ** (prof.blocks[kind, 3][0] - 1) for kind in ("entire", "decay"))
-        t_e = traction_coeffs_algebraic((Term(K, 3, 3),), r, P11, tables)
-        t_d = traction_coeffs_algebraic((Term(K, 3, -4),), r, P11, tables)
+        t_e = traction_coeffs_algebraic((Term(K, 3, 3),), r, P11)
+        t_d = traction_coeffs_algebraic((Term(K, 3, -4),), r, P11)
         assert np.max(np.abs(t_e[3] - se * K)) < 1e-12 * abs(se)
         assert np.max(np.abs(t_d[3] - sd * K)) < 1e-12 * abs(sd)
         assert all(np.max(np.abs(m)) < 1e-12 for d, m in t_e.items() if d != 3)
@@ -73,7 +73,7 @@ def _region_amplitudes(pieces, K):
 def test_branch_coefficients_match_closed_forms(tables):
     # region amplitudes of the witness over its core amplitude are e1..e5
     for n in (2, 3, 4, 5, 6):
-        K = kernel_basis(P11, n, 1, tables)[0]
+        K = kernel_basis(P11, n, 1)[0]
         src = SourceSpec(q=3.0, coefficients={(n, 1, 1): 1.0})
         for c in (-4.0, -2.0, -1.0):
             for r_e in (1.5, 2.0):
@@ -98,14 +98,14 @@ def test_witness_fixed_c_constraint_and_jump(tables, quad):
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (3, 1, 2): 0.5})
     pieces, I_up, data = witness_fixed_c(med, src)
-    gammas = {2: src.density_matrix(2, P11, tables), 3: src.density_matrix(3, P11, tables)}
+    gammas = {2: src.density_matrix(2, P11), 3: src.density_matrix(3, P11)}
     for rho, is_src in ((1.0, False), (2.0, False), (3.0, True)):
         inner = next(p for p in pieces if abs(p.r_hi - rho) < 1e-12)
         outer = next(p for p in pieces if abs(p.r_lo - rho) < 1e-12)
         w_in = med.weight(rho - 1e-9).real
         w_out = med.weight(rho + 1e-9).real
-        t_in = traction_coeffs_algebraic(inner.terms, rho, P11, tables)
-        t_out = traction_coeffs_algebraic(outer.terms, rho, P11, tables)
+        t_in = traction_coeffs_algebraic(inner.terms, rho, P11)
+        t_out = traction_coeffs_algebraic(outer.terms, rho, P11)
         for d in set(t_in) | set(t_out):
             jump = w_out * t_out.get(d, 0.0) - w_in * t_in.get(d, 0.0)
             expected = gammas.get(d, 0.0) if is_src else 0.0
@@ -122,7 +122,7 @@ def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
     pieces, _, _ = witness_fixed_c(med, src)
     gamma = src.coefficients[(2, 1, 1)]
-    K = kernel_basis(P11, 2, 1, tables)[0]
+    K = kernel_basis(P11, 2, 1)[0]
     from elastoplasmon.lame import ModeField
     from oracles import numeric_traction
 
@@ -180,7 +180,7 @@ def test_witness_fixed_c_matches_extended_precision_solve(tables, monkeypatch):
             m.setattr(transmission, "_square_solve", mp_square_solve)
             sols = solve_modes(replace(med, delta=0.0), src)
         pieces = _merge_pieces([list(sol.regions) for sol in sols])
-        I_ref = functional_I(pieces, None, delta, P11, tables)
+        I_ref = functional_I(pieces, None, delta, P11)
         assert abs(I_up - I_ref) <= 1e-11 * abs(I_ref), (delta, I_up, I_ref)
 
 
@@ -192,7 +192,7 @@ def test_witness_fixed_c_singular_loss_free_system_leaves_bound_blank(tables):
     with pytest.raises(ResonantSingularityError) as err:
         witness_fixed_c(med, src)
     assert err.value.condition > 1e9
-    row = _sweep_row(conf, 1e-4, True)
+    row = _sweep_row(conf, 1e-4)
     assert row.I_upper is None and row.J_lower is not None
 
 
@@ -203,7 +203,7 @@ def test_witness_nocore_lower_bound_slope_and_sign(tables):
     Js = []
     for d in deltas:
         med = LayeredMedium(shell_radius=2.0, c=z1, delta=float(d), base=P11)
-        psi, J_low, tau = witness_nocore(med, src, float(d), tables)
+        psi, J_low, tau = witness_nocore(med, src, float(d))
         assert tau > 0  # sign matches the positive real coefficient
         E = dissipation_E(solve_modes(med, src), med)
         assert J_low <= E * (1 + 1e-9)
@@ -215,7 +215,7 @@ def test_witness_nocore_lower_bound_slope_and_sign(tables):
 def test_witness_nocore_mismatch_rejected(tables):
     med = LayeredMedium(shell_radius=2.0, c=-2.0, delta=1e-3, base=P11)
     with pytest.raises(ValueError):
-        witness_nocore(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0}), 1e-3, tables)
+        witness_nocore(med, SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0}), 1e-3)
 
 
 def test_witness_core_resonant_constraint(tables, quad):
@@ -224,16 +224,16 @@ def test_witness_core_resonant_constraint(tables, quad):
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.3, core_radius=1.0)
     med, src = conf(delta)
     n = max(src.degrees())
-    v, psi, J_low, tau = witness_core_resonant(med, src, delta, tables)
+    v, psi, J_low, tau = witness_core_resonant(med, src, delta)
     # at the core sphere: (c w_out-traction - w_in-traction) of psi plus
     # delta * plain traction jump of v must vanish
     rho = 1.0
     psi_in = next(p for p in psi if p.r_lo < rho <= p.r_hi).terms
-    t_psi = traction_coeffs_algebraic(psi_in, rho, P11, tables)[n]
+    t_psi = traction_coeffs_algebraic(psi_in, rho, P11)[n]
     defect = (med.c - 1.0) * t_psi
     v_in = next(p for p in v if abs(p.r_hi - rho) < 1e-12).terms
     v_out = next(p for p in v if abs(p.r_lo - rho) < 1e-12).terms
-    jump_v = traction_coeffs_algebraic(v_out, rho, P11, tables)[n] - traction_coeffs_algebraic(v_in, rho, P11, tables)[n]
+    jump_v = traction_coeffs_algebraic(v_out, rho, P11)[n] - traction_coeffs_algebraic(v_in, rho, P11)[n]
     resid = defect + delta * jump_v
     assert np.max(np.abs(resid)) < 1e-8 * max(1.0, np.max(np.abs(defect)))
 
@@ -246,7 +246,7 @@ def test_witness_core_resonant_dichotomy_in_q(tables):
         conf = scheduled_configuration(params=P11, shell_radius=2.0, q=q, core_radius=1.0)
         for d in deltas:
             med, src = conf(d)
-            _, _, J_low, _ = witness_core_resonant(med, src, d, tables)
+            _, _, J_low, _ = witness_core_resonant(med, src, d)
             Js.append(J_low)
         if growing:
             assert Js[-1] > Js[0] * 3
@@ -261,9 +261,9 @@ def test_witness_radial_nonresonant_scheduled_amplitude(tables):
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=q, core_radius=1.0)
     med, src = conf(delta)
     n = max(src.degrees())
-    v, w, I_up = witness_radial_nonresonant(med, src, delta, tables)
+    v, w, I_up = witness_radial_nonresonant(med, src, delta)
     inner = next(p for p in v if p.r_lo == 0.0)
-    K = kernel_basis(P11, n, 1, tables)[0]
+    K = kernel_basis(P11, n, 1)[0]
     tau_expect = -1.0 / ((2 * n + 1) * q ** (n - 1))
     coef = inner.terms[0].coef
     ratio = coef[np.abs(K) > 1e-3][0] / K[np.abs(K) > 1e-3][0]
@@ -276,7 +276,7 @@ def test_witness_radial_nonresonant_bounded(tables):
     vals = []
     for d in (1e-2, 1e-3, 1e-4, 1e-5):
         med, src = conf(d)
-        _, _, I_up = witness_radial_nonresonant(med, src, d, tables)
+        _, _, I_up = witness_radial_nonresonant(med, src, d)
         E = dissipation_E(solve_modes(med, src), med)
         assert E <= I_up * (1 + 1e-9)
         vals.append(I_up)
@@ -290,7 +290,7 @@ def test_witness_radial_nonresonant_upper_bound_any_core(tables):
     src = SourceSpec(q=3.0, coefficients={(3, 1, 1): 1.0})
     for core in (0.5, 1.5):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-2, base=P11, core_radius=core)
-        _, _, I_up = witness_radial_nonresonant(med, src, 1e-2, tables)
+        _, _, I_up = witness_radial_nonresonant(med, src, 1e-2)
         E = dissipation_E(solve_modes(med, src), med)
         assert E <= I_up * (1 + 1e-9), (core, E, I_up)
 
@@ -302,9 +302,9 @@ def test_witness_radial_nonresonant_w_energy_decreasing(tables):
     w_energies = []
     for d in (1e-2, 1e-4, 1e-6):
         med, src = conf(d)
-        _, w, _ = witness_radial_nonresonant(med, src, d, tables)
+        _, w, _ = witness_radial_nonresonant(med, src, d)
         val = sum(
-            float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, P11, tables))) for p in w if p.terms
+            float(np.real(pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, P11))) for p in w if p.terms
         ) / d
         w_energies.append(val)
     assert w_energies[0] > w_energies[1] > w_energies[2]
@@ -314,7 +314,7 @@ def test_witness_radial_nonresonant_hypothesis_guard(tables):
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.5, core_radius=1.0)
     med, src = conf(1e-3)
     with pytest.raises(ValueError):
-        witness_radial_nonresonant(med, src, 1e-3, tables)
+        witness_radial_nonresonant(med, src, 1e-3)
 
 
 def test_sweep_nocore_fixed_resonant(tables):
@@ -340,7 +340,7 @@ def test_sweep_cored_fixed_nonresonant(tables):
 
 def test_sweep_scheduled_outside_critical_radius(tables):
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.0**1.8, core_radius=1.0)
-    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5], with_witnesses=False)
+    res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5])
     assert res.verdict == "non-resonant"
 
 
@@ -407,7 +407,7 @@ def test_sweep_rows_match_the_volume_oracle(name, tables):
     deltas = [1e-2, 1e-3, 1e-4, 1e-5]
     res = sweep(FLUX_CONFIGS[name], deltas)
     for row, delta in zip(res.rows, deltas):
-        for got, want in zip((row.E_delta, row.I_upper, row.J_lower), volume_row(FLUX_CONFIGS[name], delta, tables)):
+        for got, want in zip((row.E_delta, row.I_upper, row.J_lower), volume_row(FLUX_CONFIGS[name], delta)):
             assert (got is None) == (want is None), (name, delta, got, want)
             if want is not None:
                 assert abs(got - want) <= 1e-13 * abs(want), (name, delta, got, want)

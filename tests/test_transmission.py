@@ -91,7 +91,7 @@ def test_all_families_solve_with_tiny_residuals(tables, materials):
             coefficients={(2, 1, 1): 1.0, (2, 2, 1): 0.5 + 0.25j, (2, 3, 2): -0.75, (3, 3, 1): 0.4},
         )
         sols = solve_modes(med, src)
-        rep = residual_check(sols, med, src, tables)
+        rep = residual_check(sols, med, src)
         assert rep["lame"] < 1e-8
         assert rep["displacement_jump"] < 1e-9
         assert rep["traction_jump"] < 1e-9
@@ -107,7 +107,7 @@ def test_residual_check_detects_perturbation(tables):
 
     bad_terms = tuple(Term(1.01 * t.coef, t.degree, t.power) for t in sol.regions[1].terms)
     bad = FieldSolution(sol.n, sol.regions[:1] + (replace(sol.regions[1], terms=bad_terms),) + sol.regions[2:])
-    rep = residual_check([bad], med, src, tables)
+    rep = residual_check([bad], med, src)
     assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) > 1e-3
 
 
@@ -174,7 +174,7 @@ def test_sector_solve_agrees_with_window_oracle(tables, materials):
                     {(n, 1, 1): 0.3, (n, 2, 1): 0.5j, (n, 3, 1): -0.7})]
                 for src, ref in zip(sources, window_solve(med, sources, n, tables)):
                     sol = solve_mode(med, src, n)
-                    E, E_ref = dissipation_E([sol], med), volume_dissipation([ref], med, tables)
+                    E, E_ref = dissipation_E([sol], med), volume_dissipation([ref], med)
                     assert abs(E - E_ref) <= 1e-9 * abs(E_ref), (params, core, n, src)
                     for reg in ref.regions:
                         hi = reg.r_hi if math.isfinite(reg.r_hi) else 2.0 * reg.r_lo
@@ -187,8 +187,8 @@ def test_sector_solve_agrees_with_window_oracle(tables, materials):
 def test_unconverged_solve_raises(tables, monkeypatch):
     # a density with content outside its declared sector cannot be matched:
     # the solve is scalar, and building its regions from the members fails
-    mix = (kernel_basis(P11, 2, 1, tables)[0] + kernel_basis(P11, 2, 2, tables)[0]) / math.sqrt(2.0)
-    monkeypatch.setattr(transmission, "kernel_basis", lambda params, n, fam, tables: [mix])
+    mix = (kernel_basis(P11, 2, 1)[0] + kernel_basis(P11, 2, 2)[0]) / math.sqrt(2.0)
+    monkeypatch.setattr(transmission, "kernel_basis", lambda params, n, fam: [mix])
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
     sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2)
     with pytest.raises(UnconvergedSolveError, match="backward error"):
@@ -204,7 +204,7 @@ def test_solve_where_plasmon_constants_coincide(tables):
     for fam in (1, 2):
         src = SourceSpec(q=2.1, coefficients={(8, fam, 1): 1.0})
         sols = solve_modes(med, src)
-        rep = residual_check(sols, med, src, tables)
+        rep = residual_check(sols, med, src)
         assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) < 1e-9, (fam, rep)
         assert rep["lame"] < 1e-8, (fam, rep)
 
@@ -234,9 +234,9 @@ def test_kernel_basis_families_are_pure(tables, materials):
     for params in materials:
         for n in range(2, 13):
             for fam, dim in ((1, 2 * n + 1), (2, 2 * n - 1), (3, 2 * n + 3)):
-                kers = kernel_basis(params, n, fam, tables)
+                kers = kernel_basis(params, n, fam)
                 assert len(kers) == dim, (params, n, fam)
-                assert all(kernel_family(K, tables) == fam for K in kers), (params, n, fam)
+                assert all(kernel_family(K) == fam for K in kers), (params, n, fam)
 
 
 def test_kernel_basis_lies_in_the_matching_null_space(tables, materials):
@@ -247,7 +247,7 @@ def test_kernel_basis_lies_in_the_matching_null_space(tables, materials):
         for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), start=1):
             prob = assemble_H(n, params, c, tables)
             smax = prob.singular_values[0]
-            for K in kernel_basis(params, n, fam, tables):
+            for K in kernel_basis(params, n, fam):
                 assert np.linalg.norm(prob.defect(K)) <= 1e-9 * smax, (params, n, fam)
 
 
@@ -255,11 +255,11 @@ def test_matching_defect_separates_the_constants(tables):
     n = 5
     z = plasmon_constants(P11, n).as_tuple()
     for fam, c in enumerate(z, start=1):
-        G = sum(kernel_basis(P11, n, fam, tables))
-        assert matching_defect(G, n, P11, c, tables) < 1e-13
-        assert 1e-9 < matching_defect(G, n, P11, c * (1 + 1e-6), tables) < 1e-5
+        G = sum(kernel_basis(P11, n, fam))
+        assert matching_defect(G, n, P11, c) < 1e-13
+        assert 1e-9 < matching_defect(G, n, P11, c * (1 + 1e-6)) < 1e-5
         other = z[fam % 3]
-        assert matching_defect(G, n, P11, other, tables) > 0.1
+        assert matching_defect(G, n, P11, other) > 0.1
 
 
 def test_kernel_check_rejects_detuned_constants(tables, monkeypatch):
@@ -267,11 +267,11 @@ def test_kernel_check_rejects_detuned_constants(tables, monkeypatch):
         return PlasmonConstants(n, *(z * (1 + 1e-6) for z in plasmon_constants(params, n).as_tuple()))
 
     monkeypatch.setattr(transmission, "plasmon_constants", detuned)
-    monkeypatch.setattr(transmission, "_KERNEL_CACHE", {})
+    monkeypatch.setattr(transmission.kernel_basis, "cache", {})
     for fam in (1, 2, 3):  # each family is checked before it is kept
         with pytest.raises(AssertionError, match=f"family {fam} .*matching defect"):
-            kernel_basis(P11, 4, fam, tables)
-    assert not transmission._KERNEL_CACHE
+            kernel_basis(P11, 4, fam)
+    assert not transmission.kernel_basis.cache
 
 
 def test_scalar_kernel_check_rejects_detuned_constants(tables, monkeypatch):
@@ -297,9 +297,9 @@ def test_scalar_kernel_check_rejects_detuned_constants(tables, monkeypatch):
 
 def test_project_source_recovers_kernel_density(tables):
     quad = build_quadrature(14)
-    K = kernel_basis(P11, 2, 1, tables)[0]
+    K = kernel_basis(P11, 2, 1)[0]
     F = quad.harmonics(2) @ K.T  # density G Y_2 sampled at nodes
-    spec, report = project_source(F, 2.0, quad, P11, tables, n_max=4)
+    spec, report = project_source(F, 2.0, quad, P11, n_max=4)
     assert report["zero_mean_residual"] < 1e-12
     assert abs(spec.coefficients[(2, 1, 1)] - 1.0) < 1e-10
     others = {k: v for k, v in spec.coefficients.items() if k != (2, 1, 1)}
@@ -313,14 +313,14 @@ def test_project_source_parseval(tables):
     for n in (2, 3, 4):
         C = rng.normal(size=(3, 2 * n + 1)) + 1j * rng.normal(size=(3, 2 * n + 1))
         F += quad.harmonics(n) @ C.T
-    spec, report = project_source(F, 1.5, quad, P11, tables, n_max=4)
+    spec, report = project_source(F, 1.5, quad, P11, n_max=4)
     assert report["parseval_defect"] < 1e-9 * report["density_l2"]
 
 
 def test_project_source_flags_mean_violation(tables):
     quad = build_quadrature(12)
     F = np.ones((len(quad.nodes), 3))  # constant density: nonzero mean
-    spec, report = project_source(F, 1.5, quad, P11, tables, n_max=3)
+    spec, report = project_source(F, 1.5, quad, P11, n_max=3)
     assert report["zero_mean_residual"] > 1.0
     assert not spec.coefficients
 
@@ -328,7 +328,7 @@ def test_project_source_flags_mean_violation(tables):
 def test_project_source_rejects_coarse_quadrature(tables):
     quad = build_quadrature(6)
     with pytest.raises(ValueError):
-        project_source(np.zeros((len(quad.nodes), 3)), 1.5, quad, P11, tables, n_max=6)
+        project_source(np.zeros((len(quad.nodes), 3)), 1.5, quad, P11, n_max=6)
 
 
 def test_closed_form_profiles_match_projection_oracle(tables, materials):
@@ -357,15 +357,15 @@ def _bad_source_calls():
     # sources, family 1 (2J + 1 = 5 members) unless the case names another
     def solve(k, q=3.0, fam=1):
         med = LayeredMedium(shell_radius=2.0, c=-2.2, delta=0.05, base=P11, core_radius=1.0)
-        return lambda t: solve_mode(med, SourceSpec(q=q, coefficients={(2, fam, k): 1.0}), 2)
+        return lambda: solve_mode(med, SourceSpec(q=q, coefficients={(2, fam, k): 1.0}), 2)
 
     def dual(k):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11)
-        return lambda t: witness_nocore(med, SourceSpec(q=3.0, coefficients={(2, 1, k): 1.0}), 0.05, t)
+        return lambda: witness_nocore(med, SourceSpec(q=3.0, coefficients={(2, 1, k): 1.0}), 0.05)
 
     def radial(k):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11, core_radius=1.0)
-        return lambda t: witness_radial_nonresonant(med, SourceSpec(q=3.0, coefficients={(2, 1, k): 1.0}), 0.05, t)
+        return lambda: witness_radial_nonresonant(med, SourceSpec(q=3.0, coefficients={(2, 1, k): 1.0}), 0.05)
 
     cases = {"solve-q-inside-shell": (solve(1, q=1.5), "outside the shell"),
              "solve-q-on-shell": (solve(1, q=2.0), "outside the shell"),
@@ -378,13 +378,13 @@ def _bad_source_calls():
 
 
 @pytest.mark.parametrize("case", sorted(_bad_source_calls()))
-def test_library_rejects_sources_outside_the_model(case, tables):
+def test_library_rejects_sources_outside_the_model(case):
     # a source sphere inside the shell, a family outside 1..3 or a kernel
     # index outside 1..2J+1 raises ValueError instead of solving another
     # problem or failing deep inside the solve
     call, message = _bad_source_calls()[case]
     with pytest.raises(ValueError, match=message):
-        call(tables)
+        call()
 
 
 def test_degree_guard(tables):
@@ -405,7 +405,7 @@ def test_scalar_sector_solve_agrees_with_matrix_oracle(tables, materials):
                     src = SourceSpec(q=2.5, coefficients=co)
                     sol, ref = solve_mode(med, src, n), matrix_sector_solve(med, src, n, tables)
                     assert sol.window == ref.window
-                    E, E_ref = dissipation_E([sol], med), volume_dissipation([ref], med, tables)
+                    E, E_ref = dissipation_E([sol], med), volume_dissipation([ref], med)
                     assert abs(E - E_ref) <= 1e-12 * E_ref, (params, core, n, co)
                     for reg, reg_ref in zip(sol.regions, ref.regions):
                         got = {(t.degree, t.power): t.coef for t in reg.terms}
@@ -471,7 +471,7 @@ out = []
 for fam, n, c, q, core in ((2, 4, -130 / 59, 3.0, 1.0), (3, 3, -25 / 38, 2.6, None), (1, 2, -4.0, 3.0, 1.0)):
     conf = fixed_configuration(LameParams(1.0, 1.0), 2.0, c, SourceSpec(q, {(n, fam, 1): 1.0}), core_radius=core)
     for rows in (4, 8):
-        transmission._KERNEL_CACHE.clear()
+        transmission.kernel_basis.cache.clear()
         calls[0] = 0
         sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)))
         out.append(str(calls[0]))
@@ -591,7 +591,7 @@ def test_cached_closed_forms_are_never_mutated():
     _gated_sweeps()
     tables = ensure_tables(None, 10)
     for fam in (1, 2, 3):
-        for K in kernel_basis(P11, 6, fam, tables):
+        for K in kernel_basis(P11, 6, fam):
             perfect_wave(K, fam, 6, 1.3, P11, tables)
     for f in (mode_constants, closed_plasmon_constants, transmission._radial_profile, transmission._wave_amplitudes):
         assert f.cache

@@ -116,7 +116,7 @@ def test_kernel_extraction_and_t_conditions(tables, materials):
                 kers = plasmon_kernel(assemble_H(n, params, c, tables))
                 assert len(kers) == MULTIPLICITY[fam](n)
                 for K in kers:
-                    assert kernel_family(K, tables) == fam
+                    assert kernel_family(K) == fam
                     assert abs(np.sum(K * np.conj(K)) - 1.0) < 1e-12
 
 
@@ -161,14 +161,14 @@ def test_sector_kernels_match_svd_oracle(tables):
     tables = ensure_tables(tables, 64)
     for n in [*range(2, 42), 64]:
         for fam in (1, 2, 3):
-            kers = sector_kernels(n, fam, tables)
+            kers = sector_kernels(n, fam)
             assert len(kers) == MULTIPLICITY[fam](n), (n, fam)
             V = np.array([K.ravel() for K in kers])
             W = np.array([K.ravel() for K in svd_sector_kernels(n, fam, tables)])
             assert np.max(np.abs(V.T @ V.conj() - W.T @ W.conj())) < 1e-13, (n, fam)
             assert np.max(np.abs(V.conj() @ V.T - np.eye(len(kers)))) < 1e-14, (n, fam)
             assert all(np.array_equal(_conj_kernel(K), K) for K in kers), (n, fam)
-            assert all(kernel_family(K, tables) == fam for K in kers), (n, fam)
+            assert all(kernel_family(K) == fam for K in kers), (n, fam)
 
 
 def test_kernel_independence_of_radius(tables):
@@ -192,7 +192,7 @@ def test_perfect_waves_full_invariants(tables, materials):
                 kers = plasmon_kernel(assemble_H(n, params, c, tables))
                 for K in kers[:2]:
                     w = perfect_wave(K, fam, n, 1.3, params, tables)
-                    rep = verify_perfect_wave(w, params, tables)
+                    rep = verify_perfect_wave(w, params)
                     assert rep["continuity"] < tol["continuity"]
                     assert rep["transmission"] < tol["transmission"]
                     assert max(rep["lame_interior"], rep["lame_exterior"]) < tol["lame"]
@@ -259,11 +259,11 @@ def test_single_layer_jump_relation(tables):
     R = 1.0
     G = np.zeros((3, 5))
     G[0, 1] = 1.0
-    inside, outside = single_layer_field(G, 2, R, params, tables)
+    inside, outside = single_layer_field(G, 2, R, params)
     from elastoplasmon.lame import grad_terms, _traction_from_grad
 
-    ti = _traction_from_grad(grad_terms(inside.terms, R * quad.nodes, tables), quad.nodes, params.lam, params.mu)
-    to = _traction_from_grad(grad_terms(outside.terms, R * quad.nodes, tables), quad.nodes, params.lam, params.mu)
+    ti = _traction_from_grad(grad_terms(inside.terms, R * quad.nodes), quad.nodes, params.lam, params.mu)
+    to = _traction_from_grad(grad_terms(outside.terms, R * quad.nodes), quad.nodes, params.lam, params.mu)
     dens = np.zeros_like(ti)
     dens[:, 0] = quad.harmonics(2)[:, 1]
     assert np.max(np.abs((to - ti) - dens)) < 1e-12
@@ -406,17 +406,17 @@ def test_wave_check_routes_agree_on_waves_and_seeded_defects(tables, materials):
     for params in materials:
         for n in (2, 3):
             for fam in (1, 2, 3):
-                for K in sector_kernels(n, fam, tables)[:2]:
+                for K in sector_kernels(n, fam)[:2]:
                     wave = perfect_wave(K, fam, n, 1.3, params, tables)
-                    got = verify_perfect_wave(wave, params, tables)
-                    ref = point_verify_perfect_wave(wave, params, tables)
+                    got = verify_perfect_wave(wave, params)
+                    ref = point_verify_perfect_wave(wave, params)
                     assert _worst(got) < 1e-13 and _worst(ref) < 1e-13, (params, n, fam)
                     for key in ("lame_interior", "lame_exterior", "t1", "t3", "normalization"):
                         assert got[key] == ref[key], key
                     for defect in ("scaled", "dropped", "c") if fam != 1 else ("c",):
                         bad = _seeded_defect(wave, defect)
                         for route in (verify_perfect_wave, point_verify_perfect_wave):
-                            assert _worst(route(bad, params, tables)) >= 1e-6, (params, n, fam, defect, route)
+                            assert _worst(route(bad, params)) >= 1e-6, (params, n, fam, defect, route)
 
 
 def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
@@ -433,7 +433,7 @@ def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
     waves_built = 0
     for fam in (1, 2, 3):
         c = plasmon_constants(params, n).as_tuple()[fam - 1]
-        for K in transmission.kernel_basis(params, n, fam, tables):
+        for K in transmission.kernel_basis(params, n, fam):
             assert perfect_wave(K, fam, n, R, params, tables).c == c
             waves_built += 1
     assert waves_built == 123 and checked == [(n, 1, R), (n, 2, R), (n, 3, R)]
