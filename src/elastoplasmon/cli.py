@@ -358,7 +358,9 @@ def _cmd_waves_check(args) -> int:
                 f"transmission {rep['transmission']:.2e} lame {max(rep['lame_interior'], rep['lame_exterior']):.2e}"
             )
     print(f"worst residual {worst:.3e}")
-    return EXIT_OK if worst < 1e-6 else EXIT_VALIDATION
+    if not worst < 1e-6:
+        raise ValidationError(f"worst residual {worst:.3e} is not below 1e-6")
+    return EXIT_OK
 
 
 def _cmd_np_spectrum(args) -> int:
@@ -402,7 +404,10 @@ def _cmd_solve(args) -> int:
     print(f"delta = {_fmt(delta)}  c = {_fmt(med.c)}  E_delta = {_fmt(E)}")
     for key, val in sorted(rep.items()):
         print(f"residual {key}: {val:.3e}")
-    return EXIT_OK if max(rep.values()) < 1e-8 else EXIT_VALIDATION
+    failed = [f"{key} {val:.3e}" for key, val in sorted(rep.items()) if not val < 1e-8]
+    if failed:
+        raise ValidationError("residual not below 1e-8: " + ", ".join(failed))
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:

@@ -12,10 +12,17 @@ differentiation: with the multiplication identity
 one derivative of a term produces two terms with the radial power dropped by
 one.  Each ladder family is stored as one ``(3, ., .)`` array per degree, so
 :func:`term_gradient` takes all three directions in one broadcast product
-``coef @ ladder``.  This gives exact gradients, strains, divergences,
-tractions and Lame residuals for all mode fields; finite-difference and
-per-direction routes live with the tests as oracles, and so does
-:func:`traction_coeffs`, a sphere-rule projection nothing in the package calls.
+``coef @ ladder``.  This gives exact gradients, strains, divergences and
+tractions for all mode fields; finite-difference, per-direction and point
+routes live with the tests as oracles, and so does :func:`traction_coeffs`,
+a sphere-rule projection nothing in the package calls.
+
+Every residual a check reports is formed here, in coefficients and normwise:
+:func:`lame_residual` (each field's Lame residual against the
+lambda-sized operator, :meth:`ModeField.residual` on an annulus) and
+:func:`trace_jumps` (the interface jumps on a sphere).  So the roundoff of
+lambda div u counts once at any lambda / mu, and no check evaluates a field
+at points.
 
 The irregular and regular Lame blocks of a coefficient matrix G carry
 slaved corrections k_n [t1 . raise_] r^{-n-1} Y_{n+2} and
@@ -57,21 +64,21 @@ __all__ = [
     "exterior_traction_coeffs",
     "displacement_coeffs",
     "traction_coeffs_algebraic",
-    "eval_terms",
     "term_gradient",
     "gradient_groups",
-    "grad_terms",
     "lame_residual",
+    "trace_jumps",
 ]
 
 
 class SectorCheckError(AssertionError):
     """Raised when a built field, trace or kernel fails its sector check.
 
-    The checks hold to roundoff, and the roundoff of lambda div u grows with
-    lambda / mu (and near 3 lambda + 2 mu = 0), so at extreme Lame ratios a
-    correct build can fail them.  The command line reports this as a
-    validation failure.
+    The checks hold to roundoff, which grows near 3 lambda + 2 mu = 0, so
+    there a correct build can fail them (a kernel at 3 lambda + 2 mu =
+    3e-7 mu); the command line reports this as a validation failure.  The
+    residual reports (:func:`lame_residual`, :func:`trace_jumps`) raise
+    nothing: they are normwise, and a caller gates them.
     """
 
 
@@ -220,8 +227,9 @@ class ModeField:
     r_lo: float
     r_hi: float
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return eval_terms(self.terms, np.asarray(x, dtype=float))
+    def residual(self, params: LameParams) -> float:
+        """:func:`lame_residual` on the annulus' bounding spheres (those of finite positive radius)."""
+        return lame_residual(self.terms, params, [(0.0, 0.0, r) for r in (self.r_lo, self.r_hi) if 0 < r < math.inf])
 
 
 def _eval_coefs(groups: Iterable[tuple[tuple[int, int], np.ndarray]], X: np.ndarray, shape: tuple) -> np.ndarray:
@@ -242,13 +250,6 @@ def _eval_coefs(groups: Iterable[tuple[tuple[int, int], np.ndarray]], X: np.ndar
     for (d, p), coef in groups:
         out += (Y[d] @ coef.reshape(-1, 2 * d + 1).T) * (r**p)[:, None]
     return out.reshape((X.shape[0],) + shape)
-
-
-def eval_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
-    """Field values; x of shape (3,) or (N, 3), output (3,) or (N, 3)."""
-    single = x.ndim == 1
-    out = _eval_coefs((((t.degree, t.power), t.coef) for t in terms), np.atleast_2d(x), (3,))
-    return out[0] if single else out
 
 
 def term_gradient(t: Term) -> list[tuple[int, int, np.ndarray]]:
@@ -290,13 +291,6 @@ def _hessian_groups(terms: Iterable[Term]) -> dict[tuple[int, int], np.ndarray]:
     first = gradient_groups(terms)
     flat = (Term(g.reshape(-1, 2 * d + 1), d, p) for (d, p), g in first.items())
     return {key: h.reshape((3, 3, -1, h.shape[-1])) for key, h in gradient_groups(flat).items()}
-
-
-def grad_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
-    """Exact gradient; output (..., 3, 3) with [i, j] = d u_i / d x_j."""
-    single = x.ndim == 1
-    out = np.swapaxes(_eval_coefs(gradient_groups(terms).items(), np.atleast_2d(x), (3, 3)), 1, 2)
-    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +382,7 @@ def traction_coeffs(terms: Iterable[Term], radius: float, params: LameParams,
     terms = tuple(terms)
     if degrees is None:
         degrees = sorted({d for t in terms for d in range(max(t.degree - 2, 0), t.degree + 3)})
-    X = radius * quad.nodes
-    grad = grad_terms(terms, X)
+    grad = np.swapaxes(_eval_coefs(gradient_groups(terms).items(), radius * quad.nodes, (3, 3)), 1, 2)
     trac = _traction_from_grad(grad, quad.nodes, params.lam, params.mu)
     return {d: quad.project(trac, d).T for d in degrees}
 
@@ -420,21 +413,52 @@ def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: Lame
     return out
 
 
-def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray) -> float:
-    """Relative residual of mu Lap u + (lam+mu) grad div u at the points.
+def _relative(num: float, den: float) -> float:
+    """``num / den``; 0 / 0 reads 0, another number over 0 inf and a NaN NaN."""
+    return num / den if den else (math.inf if num else 0.0)
 
-    Every second derivative is formed exactly by the term algebra and
-    evaluated at the points; the residual is normalized by the larger of
-    3 max|second derivatives| and |u|/r^2, so the bound is meaningful across
-    degrees and radii.
+
+def _largest(blocks) -> float:
+    """The largest magnitude in any of the arrays (0 for none); a NaN stays NaN."""
+    return float(np.max([np.max(np.abs(m)) for m in blocks], initial=0.0))
+
+
+def lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray) -> float:
+    """Normwise backward error of mu Lap u + (lam+mu) grad div u = 0, in coefficients.
+
+    Each (degree, power) group h of exact second derivatives is a function
+    of its own, so its residual ``mu h[j, j, i] + (lam + mu) h[i, j, j]``
+    must vanish.  On each sphere through the points (only their radii are
+    read) every group is weighted by r^p, and the largest residual is divided
+    by (|mu| + |lam + mu|) times the largest group, so the roundoff of
+    lambda div u counts once at any lambda / mu, radius and degree.
     """
-    terms = tuple(terms)
-    X = np.atleast_2d(points)
-    second = _eval_coefs(_hessian_groups(terms).items(), X, (3, 3, 3))  # [., k, j, i] = d^2 u_i / dx_j dx_k
-    lap = np.einsum("njji->ni", second)
-    graddiv = np.einsum("nijj->ni", second)
-    res = params.mu * lap + (params.lam + params.mu) * graddiv
-    r2 = np.maximum(np.sum(X * X, axis=1), 1e-30)
-    u_scale = np.max(np.abs(eval_terms(terms, X)), axis=1) / r2
-    scale = abs(params.mu) * np.maximum(np.maximum(3.0 * np.max(np.abs(second), axis=(1, 2, 3)), u_scale), 1e-30)
-    return float(np.max(np.max(np.abs(res), axis=1) / scale))
+    lam, mu = params.lam, params.mu
+    radii = np.linalg.norm(np.atleast_2d(points), axis=-1)
+    res_w, h_w = np.zeros_like(radii), np.zeros_like(radii)
+    for (_, p), h in _hessian_groups(terms).items():  # h[k, j, i] = d^2 u_i / dx_j dx_k
+        res = mu * np.einsum("jjim->im", h) + (lam + mu) * np.einsum("ijjm->im", h)
+        res_w, h_w = np.maximum(res_w, _largest([res]) * radii**p), np.maximum(h_w, _largest([h]) * radii**p)
+    return float(np.max([_relative(a, (abs(mu) + abs(lam + mu)) * b) for a, b in zip(res_w, h_w)]))
+
+
+def trace_jumps(inner: Iterable[Term], outer: Iterable[Term], rho: float, params: LameParams,
+                weights=(1.0, 1.0), density: dict | None = None) -> tuple[dict[int, float], dict[int, float]]:
+    """Per-degree jumps (outer minus inner) of the displacement and the weighted traction on the sphere rho.
+
+    ``weights`` multiply the inner and the outer traction, and ``density``
+    ({degree: matrix}) is taken off the traction jump.  The displacement
+    jump is relative to the largest trace coefficient of either side, the
+    traction jump to (|lam| + 2|mu|) max|weight| times the largest gradient
+    coefficient of either side on the sphere: the size a traction term,
+    lambda div u included, can reach.
+    """
+    sides, density = (tuple(inner), tuple(outer)), density or {}
+    u0, u1 = (displacement_coeffs(s, rho) for s in sides)
+    t0, t1 = (traction_coeffs_algebraic(s, rho, params) for s in sides)
+    u_scale = _largest([*u0.values(), *u1.values()])
+    t_scale = (abs(params.lam) + 2.0 * abs(params.mu)) * max(map(abs, weights)) * _largest(
+        g * rho**p for s in sides for (_, p), g in gradient_groups(s).items())
+    return ({d: _relative(_largest([u1.get(d, 0.0) - u0.get(d, 0.0)]), u_scale) for d in u0.keys() | u1.keys()},
+            {d: _relative(_largest([weights[1] * t1.get(d, 0.0) - weights[0] * t0.get(d, 0.0) - density.get(d, 0.0)]),
+                          t_scale) for d in t0.keys() | t1.keys() | density.keys()})

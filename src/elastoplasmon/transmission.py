@@ -59,13 +59,11 @@ from .lame import (
     Term,
     _k0,
     _once_per_key,
-    displacement_coeffs,
-    lame_residual,
     mode_constants,
     plasmon_constants,
     t1_vector,
     t3_vector,
-    traction_coeffs_algebraic,
+    trace_jumps,
 )
 
 __all__ = [
@@ -439,7 +437,8 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
     :func:`~elastoplasmon.waves.perfect_wave` builds its fields from them:
     ``entire n`` inside and R^(2n+1) ``decay n`` outside, plus M_n R^2
     ``entire n-2`` inside for family 2 and -k_n R^(2n+3) ``decay n+2``
-    outside for family 3.  The amplitudes are the sector's kernel check: at
+    outside for family 3; an amplitude that is not finite raises
+    ``ArithmeticError`` naming R.  The amplitudes are the sector's kernel check: at
     R the displacements must agree and the traction inside times the
     family's plasmon constant c must equal the one outside, each to 1e-9 of
     the largest, else :class:`SectorCheckError`.  The check runs once per
@@ -447,12 +446,17 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
     """
     R = float(R)
     prof = _radial_profile(params, n, fam)
-    outer_scale = R ** (2 * n + 1)
+    try:
+        outer_scale, R2 = R ** (2 * n + 1), R**2
+    except OverflowError:  # the amplitudes are then not finite
+        outer_scale = R2 = math.inf
     inner, outer = {("entire", n): 1.0}, {("decay", n): outer_scale}
     if fam == 2:
-        inner[("entire", n - 2)] = mode_constants(params, n).M_n * R**2
+        inner[("entire", n - 2)] = mode_constants(params, n).M_n * R2
     elif fam == 3:
-        outer[("decay", n + 2)] = -mode_constants(params, n).k_n * outer_scale * R**2
+        outer[("decay", n + 2)] = -mode_constants(params, n).k_n * outer_scale * R2
+    if not all(map(math.isfinite, (*inner.values(), *outer.values()))):
+        raise ArithmeticError(f"perfect-wave amplitudes at R = {R} overflow (degree {n}, family {fam})")
     c = plasmon_constants(params, n).as_tuple()[fam - 1]
     at_in, at_out = _profile_trace(prof, inner, R), _profile_trace(prof, outer, R)
     for what, i, weight in (("continuity", 0, 1.0), ("transmission", 1, c)):
@@ -565,41 +569,22 @@ def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]
 def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec) -> dict[str, float]:
     """Independent verification of a solve: PDE, interfaces, source jump.
 
-    The Lame residual is exact at points in each region; at each interface
-    the displacement and weighted-traction jumps (minus the density at q)
-    are per-degree coefficient arrays, relative to the largest trace.
+    Each is the worst of :mod:`~elastoplasmon.lame`'s normwise measures: the
+    Lame residual of each region (:meth:`~elastoplasmon.lame.ModeField.residual`)
+    and the per-degree jumps at each interface (:func:`~elastoplasmon.lame.trace_jumps`),
+    the density taken off on the source sphere, the layout's last bound.  A NaN stays NaN.
     """
     params = medium.base
     bounds, weights = _region_layout(medium, source.q)
-    report = {"lame": 0.0, "displacement_jump": 0.0, "traction_jump": 0.0, "source_jump": 0.0}
-    rng = np.random.default_rng(1234)
+    found = {key: [0.0] for key in ("lame", "displacement_jump", "traction_jump", "source_jump")}
     for sol in solutions:
-        gamma = source.density_matrix(sol.n, params)
-        for reg in sol.regions:
-            if not reg.terms:
-                continue
-            lo = reg.r_lo if reg.r_lo > 0 else 0.2 * reg.r_hi
-            hi = reg.r_hi if math.isfinite(reg.r_hi) else 3.0 * reg.r_lo
-            rads = np.linspace(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo), 3)
-            dirs = rng.normal(size=(3, 3))
-            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-            pts = rads[:, None] * dirs
-            report["lame"] = max(report["lame"], lame_residual(reg.terms, params, pts))
+        found["lame"] += [reg.residual(params) for reg in sol.regions if reg.terms]
         for bi, rho in enumerate(bounds):
-            inner, outer = sol.regions[bi], sol.regions[bi + 1]
-            u_in = displacement_coeffs(inner.terms, rho)
-            u_out = displacement_coeffs(outer.terms, rho)
-            scale = max([np.max(np.abs(m)) for m in [*u_in.values(), *u_out.values()]] + [1e-30])
-            for d in set(u_in) | set(u_out):
-                jump = float(np.max(np.abs(u_in.get(d, 0.0) - u_out.get(d, 0.0))))
-                report["displacement_jump"] = max(report["displacement_jump"], jump / scale)
-            t_in = traction_coeffs_algebraic(inner.terms, rho, params)
-            t_out = traction_coeffs_algebraic(outer.terms, rho, params)
-            tscale = max([np.max(np.abs(m)) for m in [*t_in.values(), *t_out.values()]] + [1e-30])
-            for d in set(t_in) | set(t_out):
-                jump = weights[bi + 1] * t_out.get(d, 0.0) - weights[bi] * t_in.get(d, 0.0)
-                expected = gamma if (d == sol.n and abs(rho - source.q) < 1e-14) else 0.0
-                mismatch = float(np.max(np.abs(jump - expected)))
-                key = "source_jump" if (d == sol.n and abs(rho - source.q) < 1e-14) else "traction_jump"
-                report[key] = max(report[key], mismatch / tscale)
-    return report
+            on_source = bi == len(bounds) - 1
+            density = {sol.n: source.density_matrix(sol.n, params)} if on_source else None
+            disp, trac = trace_jumps(sol.regions[bi].terms, sol.regions[bi + 1].terms, rho, params,
+                                     weights[bi:bi + 2], density)
+            found["displacement_jump"] += disp.values()
+            for d, jump in trac.items():
+                found["source_jump" if on_source and d == sol.n else "traction_jump"].append(jump)
+    return {key: float(np.max(values)) for key, values in found.items()}

@@ -42,13 +42,11 @@ from .lame import (
     ModeField,
     PlasmonConstants,  # noqa: F401  (defined next to the mode constants; imported from here too)
     SectorCheckError,
-    displacement_coeffs,
     exterior_traction_coeffs,
-    lame_residual,
     plasmon_constants,  # noqa: F401  (imported from here too)
     t1_vector,
     t3_vector,
-    traction_coeffs_algebraic,
+    trace_jumps,
     _tilde_scale,
     _tilde_unscaled,
 )
@@ -291,32 +289,19 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
 def verify_perfect_wave(wave: PerfectWave, params: LameParams) -> dict[str, float]:
     """Residuals of every defining property of a perfect wave.
 
-    Keys: continuity and transmission (c-weighted traction match), both on
-    per-degree coefficient arrays of the interface traces, relative;
-    lame_interior / lame_exterior (relative exact residuals at 24 points on
-    the spheres 0.35 R and 1.7 R); t1 / t3 conditions; normalization.
+    Keys: continuity and transmission (c-weighted traction match), the
+    worst per-degree interface jumps of :func:`~elastoplasmon.lame.trace_jumps`;
+    lame_interior / lame_exterior, each side's normwise Lame residual
+    (:meth:`~elastoplasmon.lame.ModeField.residual`); t1 / t3 conditions;
+    normalization.  A NaN stays NaN.
     """
-    n, R, c = wave.n, wave.R, wave.c
-    u_in = displacement_coeffs(wave.interior.terms, R)
-    u_out = displacement_coeffs(wave.exterior.terms, R)
-    t_in = traction_coeffs_algebraic(wave.interior.terms, R, params)
-    t_out = traction_coeffs_algebraic(wave.exterior.terms, R, params)
-
-    def worst(blocks) -> float:
-        return max((float(np.max(np.abs(m))) for m in blocks), default=0.0)
-
-    zero = np.zeros(1)
-    continuity = worst(u_in.get(d, zero) - u_out.get(d, zero) for d in u_in.keys() | u_out.keys())
-    continuity /= max(1.0, worst(u_in.values()))
-    transmission = worst(c * t_in.get(d, zero) - t_out.get(d, zero) for d in t_in.keys() | t_out.keys())
-    transmission /= max(worst(t_out.values()), 1e-30)
-    dirs = np.random.default_rng(0).normal(size=(24, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    n = wave.n
+    disp, trac = trace_jumps(wave.interior.terms, wave.exterior.terms, wave.R, params, (wave.c, 1.0))
     return {
-        "continuity": continuity,
-        "transmission": transmission,
-        "lame_interior": lame_residual(wave.interior.terms, params, dirs * (0.35 * R)),
-        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs * (1.7 * R)),
+        "continuity": float(np.max(list(disp.values()))),
+        "transmission": float(np.max(list(trac.values()))),
+        "lame_interior": wave.interior.residual(params),
+        "lame_exterior": wave.exterior.residual(params),
         "t1": float(np.max(np.abs(t1_vector(wave.kernel, n)))),
         "t3": float(np.max(np.abs(t3_vector(wave.kernel, n)))),
         "normalization": float(abs(np.sum(wave.kernel * np.conj(wave.kernel)) - 1.0)),

@@ -34,8 +34,16 @@ closed-form sector bases of ``waves.sector_kernels`` replaced.
 ladder matrix ``[j]``, the route the broadcast ``lame.term_gradient``
 replaced; ``per_direction_pairing_P``, ``per_direction_traction_coeffs`` and
 ``per_direction_lame_residual`` are ``energy.pairing_P``,
-``lame.traction_coeffs_algebraic`` and ``lame.lame_residual`` built on it,
+``lame.traction_coeffs_algebraic`` and ``point_lame_residual`` built on it,
 one direction, one term and one output component at a time.
+
+``eval_terms`` and ``grad_terms`` evaluate a field and its exact gradient at
+points (``lame._eval_coefs``); no command evaluates a field at points.
+``point_lame_residual`` evaluates the exact second derivatives at points and
+divides the residual there by mu times their size (or |u|/r^2), the route
+the normwise coefficient residual ``lame.lame_residual`` replaced: the
+roundoff of lambda div u counts lambda / mu times in it, and its absolute
+floors hide a field whose coefficients are below them.
 
 ``quadrature_pairing_P`` and ``quadrature_source_pairing`` take the angular
 integrals of the energy pairing and the source pairing on a sphere rule, the
@@ -131,15 +139,14 @@ from elastoplasmon.lame import (
     ModeField,
     SectorCheckError,
     Term,
+    _eval_coefs,
     _hessian_groups,
     _tilde_scale,
     _tilde_unscaled,
     _traction_from_grad,
     displacement_coeffs,
     _k0,
-    eval_terms,
-    grad_terms,
-    lame_residual,
+    gradient_groups,
     mode_constants,
     t1_vector,
     t3_vector,
@@ -717,10 +724,10 @@ def numeric_traction(field: ModeField, R: float, params: LameParams, quad: Spher
 
 def fd_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
                      h: float = 2e-3) -> float:
-    """Finite-difference oracle of ``lame_residual``.
+    """Finite-difference oracle of ``point_lame_residual``.
 
     Fourth-order stencils with step ``h * max(1, r)``, normalized like the
-    exact route; the truncation error grows like (h n)^4 with the degree n.
+    exact point route; the truncation error grows like (h n)^4 with the degree n.
     """
     lam, mu = params.lam, params.mu
     terms = tuple(terms)
@@ -754,6 +761,40 @@ def fd_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarr
         scale = abs(mu) * max(3.0 * np.max(np.abs(second)), np.max(np.abs(u0)) / r2, 1e-30)
         worst = max(worst, float(np.max(np.abs(res)) / scale))
     return worst
+
+
+def eval_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
+    """Field values; x of shape (3,) or (N, 3), output (3,) or (N, 3)."""
+    single = x.ndim == 1
+    out = _eval_coefs((((t.degree, t.power), t.coef) for t in terms), np.atleast_2d(x), (3,))
+    return out[0] if single else out
+
+
+def grad_terms(terms: Iterable[Term], x: np.ndarray) -> np.ndarray:
+    """Exact gradient; output (..., 3, 3) with [i, j] = d u_i / d x_j."""
+    single = x.ndim == 1
+    out = np.swapaxes(_eval_coefs(gradient_groups(terms).items(), np.atleast_2d(x), (3, 3)), 1, 2)
+    return out[0] if single else out
+
+
+def point_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray) -> float:
+    """Relative residual of mu Lap u + (lam+mu) grad div u at the points.
+
+    Every second derivative is formed exactly by the term algebra and
+    evaluated at the points; the residual is normalized by the larger of
+    3 max|second derivatives| and |u|/r^2, so the bound is meaningful across
+    degrees and radii.
+    """
+    terms = tuple(terms)
+    X = np.atleast_2d(points)
+    second = _eval_coefs(_hessian_groups(terms).items(), X, (3, 3, 3))  # [., k, j, i] = d^2 u_i / dx_j dx_k
+    lap = np.einsum("njji->ni", second)
+    graddiv = np.einsum("nijj->ni", second)
+    res = params.mu * lap + (params.lam + params.mu) * graddiv
+    r2 = np.maximum(np.sum(X * X, axis=1), 1e-30)
+    u_scale = np.max(np.abs(eval_terms(terms, X)), axis=1) / r2
+    scale = abs(params.mu) * np.maximum(np.maximum(3.0 * np.max(np.abs(second), axis=(1, 2, 3)), u_scale), 1e-30)
+    return float(np.max(np.max(np.abs(res), axis=1) / scale))
 
 
 def dissipation_imaginary(solutions, medium: LayeredMedium) -> float:
@@ -1108,7 +1149,7 @@ def per_direction_traction_coeffs(terms: Iterable[Term], radius: float, params: 
 
 def per_direction_lame_residual(terms: Iterable[Term], params: LameParams, points: np.ndarray,
                                 tables: DerivativeTable) -> float:
-    """``lame.lame_residual`` with each second derivative a term list of its own."""
+    """``point_lame_residual`` with each second derivative a term list of its own."""
     terms = tuple(terms)
     tables = ensure_tables(tables, max((t.degree for t in terms), default=0) + 2)
     X = np.atleast_2d(points)
@@ -1355,8 +1396,9 @@ def point_verify_perfect_wave(wave: PerfectWave, params: LameParams,
 
     Continuity compares both sides' values at ``n_points`` random points of
     the interface; transmission projects the nodal tractions of both sides on
-    a ``2n+8`` sphere rule (``lame.traction_coeffs``).  The Lame residuals and
-    the t-conditions are those of the package.
+    a ``2n+8`` sphere rule (``lame.traction_coeffs``).  The Lame residuals are
+    ``point_lame_residual`` at 24 of the directions on the spheres 0.35 R and
+    1.7 R; the t-conditions are those of the package.
     """
     n, R, c = wave.n, wave.R, wave.c
     if quad is None:
@@ -1376,8 +1418,8 @@ def point_verify_perfect_wave(wave: PerfectWave, params: LameParams,
     return {
         "continuity": continuity,
         "transmission": transmission,
-        "lame_interior": lame_residual(wave.interior.terms, params, dirs[:24] * (0.35 * R)),
-        "lame_exterior": lame_residual(wave.exterior.terms, params, dirs[:24] * (1.7 * R)),
+        "lame_interior": point_lame_residual(wave.interior.terms, params, dirs[:24] * (0.35 * R)),
+        "lame_exterior": point_lame_residual(wave.exterior.terms, params, dirs[:24] * (1.7 * R)),
         "t1": float(np.max(np.abs(t1_vector(wave.kernel, n)))),
         "t3": float(np.max(np.abs(t3_vector(wave.kernel, n)))),
         "normalization": float(abs(np.sum(wave.kernel * np.conj(wave.kernel)) - 1.0)),

@@ -31,6 +31,7 @@ from oracles import (
     per_direction_lame_residual,
     per_direction_pairing_P,
     per_direction_traction_coeffs,
+    point_lame_residual,
     quadrature_pairing_P,
     quadrature_source_pairing,
     real_terms,
@@ -299,15 +300,17 @@ def test_source_pairing_matches_quadrature(tables, materials):
 # ---------------------------------------------------------------------------
 
 def _assert_gradient_routes_agree(fields, params, tables):
-    """pairing_P, traction_coeffs_algebraic and lame_residual of every field
-    against their per-direction term_derivative oracles, to 1e-13.
+    """pairing_P, traction_coeffs_algebraic and the point Lame residual of
+    every field against their per-direction term_derivative oracles, to 1e-13.
 
     Pairings are held to 1e-13 of |P(u,u)| and of the Cauchy-Schwarz scale for
     two fields on one annulus; tractions, on each bounding sphere, to 1e-13 of
-    their largest coefficient.  The Lame residual is already relative (to
-    the second derivatives), so it is compared to 1e-13 absolute, for the
-    field and for the field plus r^2 times its largest term, which no longer
-    solves the Lame system.
+    their largest coefficient.  The point Lame residual (``point_lame_residual``,
+    on the package's broadcast second derivatives) is already relative, so it
+    is compared to 1e-13 absolute, for the field and for the field plus r^2
+    times its largest term, which no longer solves the Lame system; the
+    normwise coefficient residual reads rounding on the first and flags the
+    second.
     """
     rng = np.random.default_rng(7)
     tables = ensure_tables(tables, max(t.degree for f in fields for t in f.terms) + 2)
@@ -336,9 +339,10 @@ def _assert_gradient_routes_agree(fields, params, tables):
         broken = f.terms + (Term(t0.coef, t0.degree, t0.power + 2),)
         for terms in (f.terms, broken):
             ref = per_direction_lame_residual(terms, params, pts, tables)
-            val = lame_residual(terms, params, pts)
+            val = point_lame_residual(terms, params, pts)
             assert abs(val - ref) <= 1e-13, (f.r_lo, f.r_hi, val, ref)
         assert ref > 1e-9  # the broken field is not a solution, far above the 1e-13 agreement
+        assert lame_residual(f.terms, params, pts) <= 1e-13 < 1e-9 < lame_residual(broken, params, pts)
 
 
 @pytest.mark.parametrize("core", [1.0, None])

@@ -13,18 +13,18 @@ from elastoplasmon.lame import (
     ModeField,
     Term,
     displacement_coeffs,
-    eval_terms,
     exterior_traction_coeffs,
-    grad_terms,
     lame_residual,
     mode_constants,
     traction_coeffs,
     traction_coeffs_algebraic,
 )
 from oracles import (
+    eval_terms,
     exterior_block,
     exterior_mode,
     fd_lame_residual,
+    grad_terms,
     interior_block,
     interior_from_displacement,
     interior_from_traction,
@@ -146,7 +146,7 @@ def test_pure_multipole_when_t1_vanishes(tables):
 
 def test_zero_amplitude_gives_zero_field(tables):
     f = exterior_mode(np.zeros((3, 5)), 2, LameParams(1.0, 1.0), tables)
-    assert np.max(np.abs(f(np.array([0.3, 0.4, 1.2])))) == 0.0
+    assert np.max(np.abs(eval_terms(f.terms, np.array([0.3, 0.4, 1.2])))) == 0.0
 
 
 def test_mode_fields_satisfy_lame(tables, materials):
@@ -188,13 +188,13 @@ def test_rigid_boundary_data_no_correction(tables):
     params = LameParams(1.0, 1.0)
     B = np.array([[0.0], [1.0], [2.0]], dtype=complex) * math.sqrt(4 * math.pi)
     f = interior_from_displacement(1.0, [(0, B)], params, tables)
-    val = f(np.array([0.2, -0.1, 0.05]))
+    val = eval_terms(f.terms, np.array([0.2, -0.1, 0.05]))
     assert np.allclose(val, [0.0, 1.0, 2.0], atol=1e-12)
 
 
 def test_zero_traction_zero_field(tables):
     f = interior_from_traction(1.0, [(2, np.zeros((3, 5)))], LameParams(1.0, 1.0), tables)
-    assert np.max(np.abs(f(np.array([0.1, 0.2, 0.1])))) == 0.0
+    assert np.max(np.abs(eval_terms(f.terms, np.array([0.1, 0.2, 0.1])))) == 0.0
 
 
 def test_neumann_round_trip(tables, quad, materials):
@@ -214,7 +214,7 @@ def test_neumann_linearity(tables, quad):
     f1 = interior_from_traction(1.0, [(2, Ap)], params, tables)
     f2 = interior_from_traction(1.0, [(2, 2 * Ap)], params, tables)
     x = np.array([0.3, -0.2, 0.4])
-    assert np.allclose(2 * f1(x), f2(x), rtol=1e-12)
+    assert np.allclose(2 * eval_terms(f1.terms, x), eval_terms(f2.terms, x), rtol=1e-12)
 
 
 def test_neumann_rejects_degree_one(tables):
@@ -240,7 +240,7 @@ def test_dilation_traction(tables, quad):
     C[2] = c * np.array([0, 1, 0])
     field = ModeField((Term(C, 1, 1),), 0.0, math.inf)
     x = np.array([0.3, -1.1, 0.7])
-    assert np.allclose(field(x), x, atol=1e-12)
+    assert np.allclose(eval_terms(field.terms, x), x, atol=1e-12)
     out = numeric_traction(field, 1.2, params, quad)
     expected = (3 * params.lam + 2 * params.mu) * C
     assert np.max(np.abs(out[1] - expected)) < 1e-8

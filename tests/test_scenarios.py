@@ -8,7 +8,7 @@ import pytest
 
 from elastoplasmon import transmission
 from elastoplasmon.harmonics import build_quadrature
-from elastoplasmon.lame import LameParams, Term, eval_terms, traction_coeffs_algebraic
+from elastoplasmon.lame import LameParams, Term, traction_coeffs_algebraic
 from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P
 from elastoplasmon.scenarios import (
     _merge_pieces,
@@ -24,7 +24,7 @@ from elastoplasmon.scenarios import (
 )
 from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, kernel_basis, solve_modes
 from elastoplasmon.waves import plasmon_constants
-from oracles import fixed_c_closed_forms, mp_square_solve
+from oracles import eval_terms, fixed_c_closed_forms, mp_square_solve
 
 P11 = LameParams(1.0, 1.0)
 

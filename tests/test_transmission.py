@@ -99,16 +99,52 @@ def test_all_families_solve_with_tiny_residuals(tables, materials):
 
 
 def test_residual_check_detects_perturbation(tables):
-    med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=P11)
-    src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
-    sol = solve_mode(med, src, 2)
     from dataclasses import replace
     from elastoplasmon.lame import Term
 
-    bad_terms = tuple(Term(1.01 * t.coef, t.degree, t.power) for t in sol.regions[1].terms)
-    bad = FieldSolution(sol.n, sol.regions[:1] + (replace(sol.regions[1], terms=bad_terms),) + sol.regions[2:])
-    rep = residual_check([bad], med, src)
-    assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) > 1e-3
+    for params in (P11, LameParams(2.0, 0.5)):
+        med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=params)
+        src = SourceSpec(q=2.0, coefficients={(2, 1, 1): 1.0})
+        sol = solve_mode(med, src, 2)
+        bad_terms = tuple(Term(1.01 * t.coef, t.degree, t.power) for t in sol.regions[1].terms)
+        bad = FieldSolution(sol.n, sol.regions[:1] + (replace(sol.regions[1], terms=bad_terms),) + sol.regions[2:])
+        rep = residual_check([bad], med, src)
+        assert max(rep["displacement_jump"], rep["traction_jump"], rep["source_jump"]) > 1e-3, params
+
+
+@pytest.mark.parametrize("params", [P11, LameParams(2.0, 0.5)])
+def test_residual_check_flags_a_slaved_term_off_by_1e_minus_6(params):
+    # a family-2 solve: scaling any one slaved correction (degree n-2 at
+    # power n, or degree n at power -n-1 from the partner shape) by 1 + 1e-6
+    # breaks the Lame system, and the normwise residual reads it above the
+    # 1e-8 gate of solve (8.8e-8 at the least)
+    from dataclasses import replace
+    from elastoplasmon.lame import Term
+
+    med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=1.0)
+    src = SourceSpec(q=3.0, coefficients={(4, 2, 1): 1.0})
+    sol = solve_mode(med, src, 4)
+    assert residual_check([sol], med, src)["lame"] < 1e-15
+    seeded = 0
+    for ri, reg in enumerate(sol.regions):
+        for ti, t in enumerate(reg.terms):
+            if t.power in (t.degree, -t.degree - 1):  # a block's own shape
+                continue
+            terms = reg.terms[:ti] + (Term(t.coef * (1 + 1e-6), t.degree, t.power),) + reg.terms[ti + 1:]
+            regions = sol.regions[:ri] + (replace(reg, terms=terms),) + sol.regions[ri + 1:]
+            assert residual_check([FieldSolution(sol.n, regions)], med, src)["lame"] > 1e-8, (ri, t.degree, t.power)
+            seeded += 1
+    assert seeded == 6
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13, 1e-15, 1e-20])
+def test_residual_check_finds_the_source_sphere_at_any_scale(scale):
+    # the source sphere is the layout's last bound, not a radius within an
+    # absolute distance of q: the density is taken off the jump there alone
+    med = LayeredMedium(shell_radius=2.0 * scale, c=-4.0, delta=1e-2, base=P11, core_radius=scale)
+    src = SourceSpec(q=3.0 * scale, coefficients={(2, 1, 1): 1.0})
+    rep = residual_check(solve_modes(med, src), med, src)
+    assert max(rep.values()) < 1e-14, rep
 
 
 def test_field_decay_and_continuity(tables):
