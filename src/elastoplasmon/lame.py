@@ -403,9 +403,15 @@ def traction_coeffs_algebraic(terms: Iterable[Term], radius: float, params: Lame
     The traction is ``sum_k sigma[k, i] xhat_k`` with the symmetric stress
     ``sigma[k, i] = lam div delta_ki + mu (d u_i/d x_k + d u_k/d x_i)``.
     """
+    return _traction_from_groups(gradient_groups(terms), radius, params)
+
+
+def _traction_from_groups(groups: dict[tuple[int, int], np.ndarray], radius: float,
+                          params: LameParams) -> dict[int, np.ndarray]:
+    """:func:`traction_coeffs_algebraic` from the terms' :func:`gradient_groups`."""
     lam, mu = params.lam, params.mu
     out: dict[int, np.ndarray] = {}
-    for (g, p), A in gradient_groups(terms).items():  # A[j, i] = d u_i / d x_j
+    for (g, p), A in groups.items():  # A[j, i] = d u_i / d x_j
         sigma = mu * (A + A.transpose(1, 0, 2))
         sigma[[0, 1, 2], [0, 1, 2]] += lam * (A[0, 0] + A[1, 1] + A[2, 2])
         for block, deg in _sphere_multiply(radius**p * sigma, g):
@@ -454,11 +460,12 @@ def trace_jumps(inner: Iterable[Term], outer: Iterable[Term], rho: float, params
     lambda div u included, can reach.
     """
     sides, density = (tuple(inner), tuple(outer)), density or {}
+    groups = [gradient_groups(s) for s in sides]
     u0, u1 = (displacement_coeffs(s, rho) for s in sides)
-    t0, t1 = (traction_coeffs_algebraic(s, rho, params) for s in sides)
+    t0, t1 = (_traction_from_groups(g, rho, params) for g in groups)
     u_scale = _largest([*u0.values(), *u1.values()])
     t_scale = (abs(params.lam) + 2.0 * abs(params.mu)) * max(map(abs, weights)) * _largest(
-        g * rho**p for s in sides for (_, p), g in gradient_groups(s).items())
+        g * rho**p for side in groups for (_, p), g in side.items())
     return ({d: _relative(_largest([u1.get(d, 0.0) - u0.get(d, 0.0)]), u_scale) for d in u0.keys() | u1.keys()},
             {d: _relative(_largest([weights[1] * t1.get(d, 0.0) - weights[0] * t0.get(d, 0.0) - density.get(d, 0.0)]),
                           t_scale) for d in t0.keys() | t1.keys() | density.keys()})

@@ -4,12 +4,14 @@ Witness fields certify the dissipation from both sides: a primal pair
 (v, w) with  L_A v - L w = f  gives an upper bound I(v, w), a dual pair
 (v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).
 The generic constants of the asymptotic arguments are replaced by exactly
-computed surface pairings and P-norms, and the auxiliary elliptic solves are
-done exactly per mode in the radial geometry.  The fixed-multiplier primal
-witness is the loss-free field (L_A v = f): the transmission solve of the
-medium at delta = 0, with its scaling, refinement and checks.  Where that
-system is singular (condition above 1e9) the solve raises
-:class:`~elastoplasmon.transmission.ResonantSingularityError`, an
+computed surface pairings and P-norms.  The one auxiliary elliptic solve,
+the sector single layer on a sphere of :mod:`~elastoplasmon.transmission`,
+repairs the cored dual witness at the core and gives the radial primal
+witness its incident wave (the source's layer on q) and both repairs.  The
+fixed-multiplier primal witness is the loss-free field (L_A v = f): the
+transmission solve of the medium at delta = 0, with its scaling, refinement
+and checks.  Where that system is singular (condition above 1e9) the solve
+raises :class:`~elastoplasmon.transmission.ResonantSingularityError`, an
 ``ArithmeticError``, and a sweep row leaves ``I_upper`` blank unless another
 primal witness applies.
 
@@ -41,8 +43,8 @@ import numpy as np
 from .lame import LameParams, ModeField, Term, plasmon_constants
 from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairing
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_fields,
-                           _profile_trace, _radial_profile, _source_member, _wave_amplitudes, solve_mode,
-                           solve_modes)
+                           _profile_trace, _radial_profile, _single_layer, _source_member, _wave_amplitudes,
+                           solve_mode, solve_modes)
 
 __all__ = [
     "SweepResult",
@@ -84,14 +86,8 @@ def schedule_n_delta(R: float, delta: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar machinery of the divergence-free family
+# scalar machinery of the witnesses
 # ---------------------------------------------------------------------------
-
-def _entire_traction(params: LameParams, n: int, r: float) -> float:
-    """Traction of K r^n Y_n on the sphere r over K Y_n, K a family-1 kernel (its radial profile)."""
-    p, _, trac = _radial_profile(params, n, 1).blocks[("entire", n)]
-    return trac[n] * r ** (p - 1)
-
 
 def _merge_annuli(parts: list[list[tuple[float, float, dict]]]) -> list[tuple[float, float, dict]]:
     """Block amplitudes of several annulus lists summed on the union of their bounds (as :func:`_merge_pieces`)."""
@@ -215,20 +211,6 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
     return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
 
-def _toroidal_surface_solve(n: int, rho: float, density_scalar: complex, mu: float) -> list[tuple[float, float, dict]]:
-    """Scalar single-layer solve: -L w = density K Y on the sphere rho.
-
-    Returns the annuli inside and outside rho with their entire and decaying
-    amplitudes for a unit kernel; continuity plus a plain traction jump of
-    -density determine both.
-    """
-    # w = a r^n inside, b r^{-n-1} outside; continuity a rho^n = b rho^{-n-1};
-    # traction jump (out - in) = -density: mu[-(n+2) b rho^{-n-2} - (n-1) a rho^{n-1}] = -density
-    a = density_scalar / (mu * (2 * n + 1.0) * rho ** (n - 1))
-    b = a * rho ** (2 * n + 1)
-    return [(0.0, rho, {("entire", n): a}), (rho, math.inf, {("decay", n): b})]
-
-
 def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, float, tuple, list]:
     """(J lower bound, tau, dominant mode, core-repair annuli) of the cored dual witness, scalar."""
     if medium.core_radius is None:
@@ -241,9 +223,10 @@ def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tupl
     a_core = medium.core_radius
     n0, fam, k, C0, C_psi = _dual_constants(medium, source)
     # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
-    rho1 = (medium.c - 1.0) * _entire_traction(params, n0, a_core)  # per unit tau
-    v_tilde = _toroidal_surface_solve(n0, a_core, rho1, params.mu)  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
-    P_vt = profile_pairing(_radial_profile(params, n0, 1), v_tilde)
+    prof, inner, _, _ = _wave_amplitudes(params, n0, fam, medium.shell_radius)
+    rho1 = (medium.c - 1.0) * _profile_trace(prof, inner, a_core)[n0][1]  # per unit tau
+    v_tilde = _single_layer(params, n0, fam, a_core, -rho1)[1]  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
+    P_vt = profile_pairing(prof, v_tilde)
     # J(tau) = C0 tau - (delta C_psi + P_vt/(2 delta) * ... ) tau^2
     denom = delta * C_psi + 0.5 * P_vt / delta
     return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), v_tilde
@@ -259,25 +242,24 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     """
     J_lower, tau, (n0, fam, k), v_tilde = _core_bound(medium, source, delta)
     K, psi_hat = _unit_wave(medium, n0, fam, k)
-    v_hat = _profile_fields([(_radial_profile(medium.base, n0, 1), {n0: K}, v_tilde)])
+    v_hat = _profile_fields([(_radial_profile(medium.base, n0, fam), {n0: K}, v_tilde)])
     return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
 def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, list, list[ModeSolution]]:
     """I(v, w) of the radial primal witness by flux.
 
-    Returns the bound, (n, k, v annuli, [annuli of each repair]) per
-    scheduled mode (the form :func:`~elastoplasmon.transmission._profile_fields`
-    reads), and the loss-free solutions of the off-schedule degrees.
-    Scheduled modes, distinct members and distinct degrees are orthogonal,
-    so their energies add; the two repairs of one mode share its member.
+    Returns the bound, (n, k, v annuli, w annuli) per scheduled mode (the
+    form :func:`~elastoplasmon.transmission._profile_fields` reads), and the
+    loss-free solutions of the off-schedule degrees.  Scheduled modes,
+    distinct members and distinct degrees are orthogonal, so their energies
+    add; the two repairs of one mode share its member.
     """
     if medium.core_radius is None:
         raise ValueError("radial witness requires a core")
     if delta <= 0:
         raise ValueError("delta must be positive")
     params = medium.base
-    mu = params.mu
     R, q = medium.shell_radius, source.q
     if q <= R**1.5:
         raise ValueError("hypothesis violated: q must exceed R^{3/2}")
@@ -290,18 +272,17 @@ def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
         if gamma == 0:
             continue
         if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
-            # scheduled mode: free incident wave, interface defects go to w
+            # scheduled mode: free incident wave (the source's layer on q), interface defects go to w
             _check_source_mode(n, 1, k)
-            tau = -gamma / ((2 * n + 1.0) * q ** (n - 1) * mu)
-            v = [(0.0, q, {("entire", n): tau}), (q, math.inf, {("decay", n): tau * q ** (2 * n + 1)})]
+            prof, v = _single_layer(params, n, 1, q, gamma)
             repairs = []
             for rho, sgn in ((a_core, 1.0), (R, -1.0)):
-                dens = sgn * (medium.c - 1.0) * _entire_traction(params, n, rho) * tau
-                repairs.append(_toroidal_surface_solve(n, rho, -dens, mu))
-            prof = _radial_profile(params, n, 1)
+                dens = sgn * (medium.c - 1.0) * _profile_trace(prof, v[0][2], rho)[n][1]
+                repairs.append(_single_layer(params, n, 1, rho, dens)[1])
+            w = _merge_annuli(repairs)
             P_v += profile_pairing(prof, v)
-            P_w += profile_pairing(prof, _merge_annuli(repairs))
-            scheduled.append((n, k, v, repairs))
+            P_w += profile_pairing(prof, w)
+            scheduled.append((n, k, v, w))
         else:
             off_schedule.add(n)
     loss_free = replace(medium, delta=0.0)
@@ -320,14 +301,11 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
     I_upper, scheduled, off = _radial_bound(medium, source, delta)
-    v_parts: list[list[ModeField]] = []
-    w_parts: list[list[ModeField]] = []
-    for n, k, v, repairs in scheduled:
-        sector = (_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)})
-        v_parts.append(_profile_fields([(*sector, v)]))
-        w_parts += [_profile_fields([(*sector, w)]) for w in repairs]
-    v_parts += [list(sol.regions) for sol in off]
-    return _merge_pieces(v_parts), _merge_pieces(w_parts), I_upper
+    parts = [(_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)}, v, w)
+             for n, k, v, w in scheduled]
+    v = _profile_fields([(prof, refs, v) for prof, refs, v, _ in parts])
+    w = _profile_fields([(prof, refs, w) for prof, refs, _, w in parts])
+    return _merge_pieces([v] + [list(sol.regions) for sol in off]), w, I_upper
 
 
 @dataclass(frozen=True)

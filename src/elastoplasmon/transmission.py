@@ -11,17 +11,22 @@ through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
 reached through t1).  Within a sector every block's displacement and
 traction on a sphere is a scalar times one reference matrix per degree (the
 sector's *radial profile*, in closed form from
-:func:`~elastoplasmon.lame.mode_constants` once per process and key; a
-solve runs no traction algebra), so the interface conditions (displacement
-continuity, weighted-traction continuity and the prescribed traction jump
-across the source sphere) form a square scalar system: two unknowns per
-region and rows per interface for family 1, four for families 2 and 3.
+:func:`~elastoplasmon.lame.mode_constants`; a solve runs no traction
+algebra), so the interface conditions (displacement continuity,
+weighted-traction continuity and the prescribed traction jump across the
+source sphere) form a square scalar system: two unknowns per region and
+rows per interface for family 1, four for families 2 and 3.
 Each family's part of a density is solved in its sector, by LU refined in
 extended precision, and the parts are superposed.  A loss-free medium
 (delta = 0) is solved only where every solved system's equilibrated
 condition is at most 1e9; above it :class:`ResonantSingularityError` (an
 ``ArithmeticError``) is raised.  The fixed-multiplier primal witness of
-:mod:`~elastoplasmon.scenarios` is such a loss-free solve.
+:mod:`~elastoplasmon.scenarios` is such a loss-free solve; the other
+witnesses and the Neumann-Poincare spectrum read the one-interface system,
+the single layer on a sphere, solved on the unit sphere and scaled
+(:func:`_single_layer`).  Kept once per process per (float lambda, float
+mu, n[, family, R]) key: the radial profiles, the sector checks, the unit
+single layers and the kernel bases.
 
 Sources are expanded in the kernel basis of each degree, which is each
 family's sector itself, built in closed form (:func:`kernel_basis`).  The
@@ -46,6 +51,7 @@ function here takes, sizes or passes a derivative table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -437,7 +443,7 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
     :func:`~elastoplasmon.waves.perfect_wave` builds its fields from them:
     ``entire n`` inside and R^(2n+1) ``decay n`` outside, plus M_n R^2
     ``entire n-2`` inside for family 2 and -k_n R^(2n+3) ``decay n+2``
-    outside for family 3; an amplitude that is not finite raises
+    outside for family 3; an amplitude out of the normal float range raises
     ``ArithmeticError`` naming R.  The amplitudes are the sector's kernel check: at
     R the displacements must agree and the traction inside times the
     family's plasmon constant c must equal the one outside, each to 1e-9 of
@@ -455,8 +461,10 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
         inner[("entire", n - 2)] = mode_constants(params, n).M_n * R2
     elif fam == 3:
         outer[("decay", n + 2)] = -mode_constants(params, n).k_n * outer_scale * R2
-    if not all(map(math.isfinite, (*inner.values(), *outer.values()))):
-        raise ArithmeticError(f"perfect-wave amplitudes at R = {R} overflow (degree {n}, family {fam})")
+    sizes = [abs(a) for a in (*inner.values(), *outer.values())]
+    if not sys.float_info.min <= min(sizes) <= max(sizes) < math.inf:
+        side = "overflow" if max(sizes) == math.inf else "underflow"
+        raise ArithmeticError(f"perfect-wave amplitudes at R = {R} {side} (degree {n}, family {fam})")
     c = plasmon_constants(params, n).as_tuple()[fam - 1]
     at_in, at_out = _profile_trace(prof, inner, R), _profile_trace(prof, outer, R)
     for what, i, weight in (("continuity", 0, 1.0), ("transmission", 1, c)):
@@ -503,6 +511,36 @@ def _sector_annuli(radii, cols: list, x: np.ndarray) -> list[tuple[float, float,
     for xc, (reg, kind, shape) in zip(x.tolist(), cols):  # Python complex: scalar sums run faster
         annuli[reg][2][(kind, shape)] = xc
     return annuli
+
+
+@_once_per_key
+def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, list]:
+    """:func:`_single_layer` on the unit sphere for a unit density, solved once per key."""
+    prof = _radial_profile(params, n, fam)
+    M, b, cols = _sector_system([1.0], [1.0, 1.0], prof)
+    x, _, _ = _square_solve(M, b, f"degree-{n} family-{fam} single layer")
+    return prof, _sector_annuli((0.0, 1.0, math.inf), cols, x)
+
+
+def _single_layer(params: LameParams, n: int, fam: int, rho: float,
+                  density: complex = 1.0) -> tuple[_RadialProfile, list[tuple[float, float, dict]]]:
+    """The single layer of a sector density on the sphere rho: (profile, annuli inside and outside rho).
+
+    The profile field continuous across rho whose traction (outside minus
+    inside) jumps there by ``density`` times the degree-n shape: the
+    :func:`_unit_layer` with each block of power p times density rho^(1-p).
+    ``ArithmeticError`` naming rho where such a power leaves the normal float range.
+    """
+    prof, unit = _unit_layer(params, n, fam)
+    rho = float(rho)
+    try:
+        scale = {block: rho ** (1 - prof.blocks[block][0]) for _, _, amps in unit for block in amps}
+    except OverflowError:
+        scale = {None: math.inf}
+    if not all(sys.float_info.min <= s < math.inf for s in scale.values()):
+        raise ArithmeticError(f"single layer on the sphere rho = {rho}: a power of rho leaves the float range "
+                              f"(degree {n}, family {fam})")
+    return prof, [(lo * rho, hi * rho, {b: density * a * scale[b] for b, a in amps.items()}) for lo, hi, amps in unit]
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:

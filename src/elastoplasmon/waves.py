@@ -21,12 +21,12 @@ every k.
 
 The Neumann-Poincare spectrum reads the sectors' radial profiles of
 :mod:`~elastoplasmon.transmission`, the engine of the transmission solve.
-The single layer of a sector density on the sphere is the profile field
-that is continuous there and whose traction jumps by the density, one square
-scalar system, and K* is the average of its two one-sided traction scalars.
-K* commutes with rotations and maps every sector shape to a multiple of
-itself (checked), so one system per degree and family gives an eigenvalue;
-under (c+1)/(2(c-1)) these eigenvalues are the plasmon constants.
+The single layer of a sector density on the sphere (one unit-sphere system
+per key, scaled) is continuous there and its traction jumps by the density;
+K* is the average of its two one-sided traction scalars.  K* commutes with
+rotations and maps every sector shape to a multiple of itself (checked), so
+one layer per degree and family gives an eigenvalue; under (c+1)/(2(c-1))
+these eigenvalues are the plasmon constants.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ from .lame import (
     _tilde_scale,
     _tilde_unscaled,
 )
-from .transmission import (_ladder, _profile_fields, _profile_trace, _radial_profile, _sector_annuli,
-                           _sector_system, _square_solve, _wave_amplitudes)
+from .transmission import _ladder, _profile_fields, _profile_trace, _single_layer, _wave_amplitudes
 
 __all__ = [
     "PlasmonEigenProblem",
@@ -322,21 +321,19 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     :func:`sector_kernels` to a multiple of itself, so the Galerkin matrix
     is diagonal on the shapes, truncation included.  The single layer of a
     family's degree-n shape is the field of its radial profile that is
-    continuous at R with unit traction jump (one square scalar system, no
-    member matrix), and the multiple is half the sum of its two one-sided
-    traction scalars on degree n; a partner-degree part above 1e-11 of the
-    largest of them raises :class:`SectorCheckError`.  Each multiple is
-    emitted 2J + 1 times, once per member of its sector, as the dense
-    matrix's eigenvalues are.  Returns (eigenvalue, degree n) pairs sorted
-    by eigenvalue.
+    continuous at R with unit traction jump (no member matrix; a power of R
+    out of the float range raises ``ArithmeticError`` naming R), and the
+    multiple is half the sum of its two one-sided traction scalars on degree
+    n; a partner-degree part above 1e-11 of the largest of them raises
+    :class:`SectorCheckError`.  Each multiple is emitted 2J + 1 times, once
+    per member of its sector, as the dense matrix's eigenvalues are.
+    Returns (eigenvalue, degree n) pairs sorted by eigenvalue.
     """
     out = []
     for n in range(1, n_max + 1):
         for fam, J in ((1, n), (2, n - 1), (3, n + 1)):
-            prof = _radial_profile(params, n, fam)
-            M, b, cols = _sector_system([R], [1.0, 1.0], prof)
-            x, _, _ = _square_solve(M, b, f"degree-{n} family-{fam} single layer")
-            sides = [_profile_trace(prof, amps, R) for _, _, amps in _sector_annuli((0.0, R, math.inf), cols, x)]
+            prof, layer = _single_layer(params, n, fam, R)
+            sides = [_profile_trace(prof, amps, R) for _, _, amps in layer]
             scale = max(abs(t) for side in sides for _, t in side.values())
             kstar = [(sides[0][d][1] + sides[1][d][1]) / 2.0 for d in prof.degrees]
             stray = max((abs(t) for t in kstar[1:]), default=0.0)

@@ -54,6 +54,11 @@ traces at random interface points and project tractions on a sphere rule
 ``waves.verify_perfect_wave`` and ``waves.np_galerkin_spectrum`` replaced;
 ``pairing_P_pieces`` sums the pairing over a piecewise field.
 
+``toroidal_single_layer`` is the family-1 single layer on a sphere in closed
+form, the route of the witnesses' core repair, interface repairs and incident
+wave that ``transmission._single_layer`` (one unit-sphere sector solve,
+scaled) replaced.
+
 ``single_layer_field`` is the Kelvin single layer of a density G Y_n on a
 sphere, from the exact radial factors of the Newtonian and distance
 kernels (``_scalar_potential_terms``); ``waves.np_galerkin_spectrum``
@@ -1483,6 +1488,20 @@ def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams) -> t
     inside = ModeField(tuple(build(newt_in, dist_in)), 0.0, R)
     outside = ModeField(tuple(build(newt_out, dist_out)), R, math.inf)
     return inside, outside
+
+
+def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> list[tuple[float, float, dict]]:
+    """The family-1 single layer in closed form, the route ``transmission._single_layer`` replaced.
+
+    K r^n inside and K r^(-n-1) outside the sphere rho: continuity
+    a rho^n = b rho^(-n-1) and the traction jump (outside minus inside)
+    mu [-(n+2) b rho^(-n-2) - (n-1) a rho^(n-1)] = density give
+    a = -density / ((2n+1) rho^(n-1) mu), the radial witness's incident wave
+    at density gamma, and b = a rho^(2n+1), formed as rho^(n+2) so that it
+    stays in range.  Annuli as ``_single_layer`` returns them.
+    """
+    a = -density / ((2 * n + 1.0) * mu)
+    return [(0.0, rho, {("entire", n): a / rho ** (n - 1)}), (rho, math.inf, {("decay", n): a * rho ** (n + 2)})]
 
 
 def quadrature_np_matrix(R: float, params: LameParams, n_max: int,

@@ -517,6 +517,44 @@ def test_radius_out_of_the_float_range_is_a_json_error(argv, capsys):
     assert len(lines) == 1 and json.loads(lines[0])["code"] == 2
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["np-spectrum", "--R", "1e-300"], "rho = 1e-300"),
+    (["waves-check", "--n", "4", "--R", "1e-30"], "R = 1e-30"),
+])
+def test_radius_out_of_the_float_range_is_refused_by_name(argv, name):
+    # a power of the radius that underflows the normal range (rho^3 of the
+    # degree-1 single layer; R^11 of the degree-4 family-3 wave) is refused
+    # naming the radius, not by a symptom further on: exactly one line on
+    # stderr, with no numpy warning or LAPACK message before it
+    out = run_cli(*argv)
+    lines = out.stderr.splitlines()
+    assert out.returncode == 2 and len(lines) == 1, out.stderr
+    assert name in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("nmax, R", [("8", "3e20"), ("64", "1e-4"), ("64", "3e-3")])
+def test_np_spectrum_rows_are_the_mapped_constants_at_a_far_radius(nmax, R):
+    # K* is read off the single layer solved once on the unit sphere and
+    # scaled to R, so a far radius is not an ill-conditioned system: exit 0,
+    # nothing on stderr, and every row tagged n >= 2 a family's
+    # np_eigenvalue_map(zeta) to 1e-12, once per member of its sector
+    sys.path.insert(0, SRC)
+    from elastoplasmon.lame import LameParams, plasmon_constants
+    from elastoplasmon.waves import np_eigenvalue_map
+
+    out = run_cli("np-spectrum", "--nmax", nmax, "--R", R)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    rows: dict[int, list[float]] = {}
+    for line in out.stdout.splitlines()[2:]:
+        value, degree = line.split(",")[:2]
+        rows.setdefault(int(degree), []).append(float(value))
+    for n in range(2, int(nmax) + 1):
+        want = sorted(np_eigenvalue_map(c) for c, J in zip(plasmon_constants(LameParams(1.0, 1.0), n).as_tuple(),
+                                                            (n, n - 1, n + 1)) for _ in range(2 * J + 1))
+        got = sorted(rows[n])
+        assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (R, n)
+
+
 def test_failed_sector_checks_are_json_errors(capsys):
     # correct builds whose roundoff, growing with lambda / mu or near
     # 3 lambda + 2 mu = 0, exceeds a sector check: exit 2, never a traceback

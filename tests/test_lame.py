@@ -82,7 +82,8 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
     from elastoplasmon import lame, transmission
 
     kept = ((lame.mode_constants, (10,)), (lame.plasmon_constants, (10,)), (transmission._radial_profile, (10, 2)),
-            (transmission._wave_amplitudes, (10, 3, 2)), (transmission._wave_amplitudes, (10, 3, 2.0)))
+            (transmission._wave_amplitudes, (10, 3, 2)), (transmission._wave_amplitudes, (10, 3, 2.0)),
+            (transmission._unit_layer, (10, 2)))
     big = LameParams(1006633145311236043253, 87885138432301809200)
     pairs = ((LameParams(1, 1), LameParams(1.0, 1.0)), (LameParams(-0.0, 2), LameParams(0.0, 2.0)),
              (LameParams(3, 0.5), LameParams(3.0, 0.5)), (big, LameParams(float(big.lam), float(big.mu))))

@@ -1,7 +1,9 @@
 """Layered lossy solves: transparency, sources, resonances, residuals."""
 
+import ast
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +38,7 @@ from oracles import (
     project_source,
     projected_radial_profile,
     square_solve_reference,
+    toroidal_single_layer,
     volume_dissipation,
     window_solve,
 )
@@ -551,10 +554,13 @@ def _solve_outcome(solve, M, b, what="interface system", max_condition=math.inf)
 def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     # the lean solve calls the LAPACK gufunc of np.linalg.solve and forms
     # np.linalg.norm's sums itself: on every system the four benchmark sweeps
-    # solve (lossy and loss-free, raising or not) it is bit for bit the
-    # public-call route, and so are its errors
+    # solve (lossy and loss-free, raising or not, and the unit single layers
+    # of the witnesses) it is bit for bit the public-call route, and so are
+    # its errors.  The kept unit layers are swapped for an empty store, so
+    # the count does not depend on the tests run before
     systems = []
     lean = transmission._square_solve
+    monkeypatch.setattr(transmission._unit_layer, "cache", {})
 
     def recorded(M, b=None, what="interface system", max_condition=math.inf):
         systems.append((M.copy(), None if b is None else b.copy(), what, max_condition))
@@ -567,8 +573,79 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
         got = _solve_outcome(lean, *system)
         assert got == _solve_outcome(square_solve_reference, *system), system[2:]
         raised += got[0] is ResonantSingularityError
-    # lossy and loss-free per schedule row, lossy only per fixed row (no family-1 source)
-    assert len(systems) == 2 * 2 * 13 + 2 * 4 and raised > 0
+    # lossy and loss-free per schedule row, lossy only per fixed row (no
+    # family-1 source), and one unit layer per scheduled degree, shared by
+    # the two schedules' witnesses
+    layers = [system for system in systems if system[2].endswith("single layer")]
+    assert len(layers) == 13 and all(M.shape == (2, 2) for M, *_ in layers)
+    assert len(systems) == 2 * 2 * 13 + 2 * 4 + 13 and raised > 0
+
+
+@pytest.mark.parametrize("params", [P11, LameParams(2.0, 0.5), LameParams(-0.5, 1.0), LameParams(1e4, 1.0)])
+def test_single_layer_is_the_closed_form_and_the_direct_solve(params):
+    # the unit-sphere layer scaled to the sphere rho: family 1, times its
+    # density, is the closed form to 1e-15 relative.  Families 2 and 3 are
+    # continuous across rho with the degree-n shape as traction jump, and
+    # they are the one-interface sector system solved on rho itself to 1e-12
+    # of the largest block on each side, a block of amplitude a and power p
+    # read as a rho^(p-1), its traction scale on rho.  That direct system
+    # is ill-conditioned away from rho = 1 (equilibrated condition 1e11 at
+    # n = 27, rho = 1e-3, which costs its smallest blocks their digits) and
+    # at n = 64, rho = 1e-3 and 1e3 numpy reads it as singular
+    def on_rho(prof, amps, rho):
+        return [a * rho ** (prof.blocks[b][0] - 1) for b, a in amps.items()]
+
+    density = 0.6 - 0.8j
+    unsolved = set()
+    for n in (2, 7, 27, 64):
+        for rho in (1e-3, 1.0, 2.0, 3.6, 1e3):
+            prof, layer = transmission._single_layer(params, n, 1, rho, density)
+            assert prof is transmission._radial_profile(params, n, 1)
+            want = toroidal_single_layer(n, rho, density, params.mu)
+            assert [(lo, hi, set(amps)) for lo, hi, amps in layer] == [(lo, hi, set(amps)) for lo, hi, amps in want]
+            for (_, _, got), (_, _, ref) in zip(layer, want):
+                assert all(abs(got[b] - a) <= 1e-15 * abs(a) for b, a in ref.items()), (n, rho, got, ref)
+            for fam in (2, 3):
+                prof, layer = transmission._single_layer(params, n, fam, rho)
+                inside, outside = (transmission._profile_trace(prof, amps, rho) for _, _, amps in layer)
+                for i, jump in ((0, {}), (1, {n: 1.0})):
+                    scale = max(abs(side[d][i]) for side in (inside, outside) for d in prof.degrees)
+                    assert all(abs(outside[d][i] - inside[d][i] - jump.get(d, 0.0)) <= 1e-13 * scale
+                               for d in prof.degrees), (n, rho, fam, i)
+                M, b, cols = transmission._sector_system([rho], [1.0, 1.0], prof)
+                try:
+                    x = transmission._square_solve(M, b)[0]
+                except np.linalg.LinAlgError:
+                    unsolved.add((n, rho))
+                    continue
+                direct = transmission._sector_annuli((0.0, rho, math.inf), cols, x)
+                assert [(lo, hi, set(amps)) for lo, hi, amps in layer] == [(lo, hi, set(a)) for lo, hi, a in direct]
+                for (_, _, got), (_, _, ref) in zip(layer, direct):
+                    got, ref = on_rho(prof, got, rho), on_rho(prof, ref, rho)
+                    assert max(abs(g - r) for g, r in zip(got, ref)) <= 1e-12 * max(map(abs, ref)), (n, rho, fam)
+    assert unsolved <= {(64, 1e-3), (64, 1e3)}
+
+
+def test_single_layer_refuses_a_radius_out_of_the_float_range():
+    # a power rho^(1-p) that overflows or falls below the normal range is
+    # refused by name
+    for rho, n in ((1e-300, 1), (1e300, 1), (1e-20, 20), (1e20, 20)):
+        with pytest.raises(ArithmeticError, match=re.escape(f"sphere rho = {rho!r}: a power of rho")):
+            transmission._single_layer(P11, n, 1, rho)
+
+
+def test_only_transmission_names_the_sector_solve():
+    # the square sector systems are assembled, solved and read back in
+    # transmission alone: the other modules take its single layers and solves
+    names = {"_sector_system", "_square_solve", "_sector_annuli"}
+    found = {}
+    for path in sorted(Path(transmission.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+        used |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+        found[path.stem] = used & names
+    assert {m: u for m, u in found.items() if u} == {"transmission": names}
 
 
 def test_family1_solve_is_scale_free_in_the_moduli():
@@ -629,7 +706,8 @@ def test_cached_closed_forms_are_never_mutated():
     for fam in (1, 2, 3):
         for K in kernel_basis(P11, 6, fam):
             perfect_wave(K, fam, 6, 1.3, P11, tables)
-    for f in (mode_constants, closed_plasmon_constants, transmission._radial_profile, transmission._wave_amplitudes):
+    for f in (mode_constants, closed_plasmon_constants, transmission._radial_profile, transmission._wave_amplitudes,
+              transmission._unit_layer):
         assert f.cache
         for (lam, mu, *args), value in f.cache.items():
             assert value == f.__wrapped__(LameParams(lam, mu), *args), (f.__name__, lam, mu, args)

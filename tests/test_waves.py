@@ -21,7 +21,7 @@ from elastoplasmon.waves import (
     verify_perfect_wave,
     _conj_kernel,
 )
-import elastoplasmon.waves as waves
+from elastoplasmon import transmission
 from oracles import (
     conj_kernel_matrix,
     dense_np_matrix,
@@ -366,8 +366,10 @@ def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
     # block the single layer carries (family 2: the entire block inside,
     # slaving the upper degree onto the lower; family 3: the decaying block
     # outside, slaving the lower onto the upper) puts a partner-degree part
-    # into K*: the sector check raises instead of returning
-    exact = waves._radial_profile
+    # into K*: the sector check raises instead of returning.  The defect is
+    # seeded where the single layer reads the profile, and the kept unit
+    # layers are swapped for an empty store per family, else they hide it
+    exact = transmission._radial_profile
     for family in (2, 3):
         def seeded(params, n, fam):
             prof = exact(params, n, fam)
@@ -379,7 +381,8 @@ def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
             seeded_disp = {**disp, target: disp[target] * (1.0 + 1e-6)}
             return replace(prof, blocks={**prof.blocks, block: (p, seeded_disp, trac)})
 
-        monkeypatch.setattr(waves, "_radial_profile", seeded)
+        monkeypatch.setattr(transmission, "_radial_profile", seeded)
+        monkeypatch.setattr(transmission._unit_layer, "cache", {})
         with pytest.raises(AssertionError, match=f"family-{family} shape leaves its sector"):
             np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 3)
 
@@ -438,8 +441,6 @@ def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
     # a perfect wave's constant is the one its sector check tested, and the
     # check of each (material, degree, family, R) runs once however many
     # members are built (123 waves at degree 20, 3 checks)
-    from elastoplasmon import transmission
-
     params, n, R = LameParams(2.0, 0.5), 20, 1.3
     checked, check = [], transmission._wave_amplitudes.__wrapped__
     monkeypatch.setattr(transmission._wave_amplitudes, "cache", {})
