@@ -345,18 +345,28 @@ def _cmd_waves_check(args) -> int:
     _check_wave_degree(args.n)
     _check_radius(args.R)
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
+    # every wave is built and checked before a row is printed: an amplitude
+    # out of the float range is refused by perfect_wave, and a check whose
+    # gradients or tractions leave it is refused here, by the radius
+    waves = [(fam, k, perfect_wave(K, fam, args.n, args.R, params))
+             for fam in (1, 2, 3) for k, K in enumerate(kernel_basis(params, args.n, fam), start=1)]
+    reports = []
+    for fam, k, wave in waves:
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                reports.append((fam, k, verify_perfect_wave(wave, params)))
+        except FloatingPointError as exc:
+            raise ValidationError(f"--R {args.R} is out of the float range at degree {args.n}: the family-{fam} "
+                                  f"perfect wave's check fails with {exc}") from None
     worst = 0.0
-    for fam in (1, 2, 3):
-        for k, K in enumerate(kernel_basis(params, args.n, fam), start=1):
-            wave = perfect_wave(K, fam, args.n, args.R, params)
-            rep = verify_perfect_wave(wave, params)
-            # np.max, unlike max(), keeps a NaN residual, which then fails
-            worst = float(np.max([worst, rep["continuity"], rep["transmission"],
-                                  rep["lame_interior"], rep["lame_exterior"]]))
-            print(
-                f"n={args.n} family={fam} k={k}: continuity {rep['continuity']:.2e} "
-                f"transmission {rep['transmission']:.2e} lame {max(rep['lame_interior'], rep['lame_exterior']):.2e}"
-            )
+    for fam, k, rep in reports:
+        # np.max, unlike max(), keeps a NaN residual, which then fails
+        worst = float(np.max([worst, rep["continuity"], rep["transmission"],
+                              rep["lame_interior"], rep["lame_exterior"]]))
+        print(
+            f"n={args.n} family={fam} k={k}: continuity {rep['continuity']:.2e} "
+            f"transmission {rep['transmission']:.2e} lame {max(rep['lame_interior'], rep['lame_exterior']):.2e}"
+        )
     print(f"worst residual {worst:.3e}")
     if not worst < 1e-6:
         raise ValidationError(f"worst residual {worst:.3e} is not below 1e-6")

@@ -21,11 +21,18 @@ are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_p
 the radial profiles and the source coefficients.  :data:`WITNESSES` lists
 each witness once (its bound, whether it needs a core, its scalar core and
 the scalars it prints); a sweep row and the ``witness`` command read it and
-build no field.  A sweep tries the radial witness only on its schedule
-outside R^{3/2} and records each witness that raises in
+build no field.  A sweep solves two columns of sector systems
+(:func:`~elastoplasmon.transmission._solve_column`): every row's lossy
+solve, and the loss-free solve of the rows the fixed-multiplier witness
+applies to (a core and a family-1 source), which the primal witnesses read
+instead of solving; rows of one loss-free medium and source share their
+systems.  A sweep tries the radial witness only on its schedule outside
+R^{3/2} and records each witness that raises in
 ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
-exception type and message).  The public ``witness_*`` builders take their
-bound from the same scalar core and also return the fields.
+exception type and message), and per row the largest condition and
+backward error of each column's systems in ``SweepResult.meta["solves"]``.
+The public ``witness_*`` builders take their bound from the same scalar
+core and also return the fields.
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -42,9 +49,9 @@ import numpy as np
 
 from .lame import LameParams, ModeField, Term, plasmon_constants
 from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairing
-from .transmission import (LayeredMedium, ModeSolution, SourceSpec, _check_source_mode, _profile_fields,
-                           _profile_trace, _radial_profile, _single_layer, _source_member, _wave_amplitudes,
-                           solve_mode, solve_modes)
+from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
+                           _ok, _profile_fields, _profile_trace, _radial_profile, _single_layer, _solve_column,
+                           _source_member, _wave_amplitudes)
 
 __all__ = [
     "SweepResult",
@@ -117,14 +124,32 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
-def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, list[ModeSolution]]:
-    """I(v, 0) of the loss-free field at loss delta, by flux, and the loss-free solutions."""
+def _loss_free(medium: LayeredMedium, source: SourceSpec, degrees, loss_free: list | None) -> list[ModeSolution]:
+    """The loss-free solutions of the source's ``degrees``, the first one's error raised.
+
+    ``loss_free`` holds the outcome of each of ``source.degrees()`` (a
+    :class:`~elastoplasmon.transmission.ModeSolution` or the error of its
+    solve), as a sweep's loss-free column gives it; else they are solved.
+    """
+    if loss_free is None:
+        return [_ok(sol) for sol in _solve_column([(replace(medium, delta=0.0), source, n) for n in degrees])]
+    by_degree = dict(zip(source.degrees(), loss_free))
+    return [_ok(by_degree[n]) for n in degrees]
+
+
+def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> None:
     if medium.core_radius is None:
         raise ValueError("fixed-multiplier witness needs a core")
     _require_family1(source, "fixed-multiplier witness")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    solutions = solve_modes(replace(medium, delta=0.0), source)
+
+
+def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec, delta: float,
+                   loss_free: list | None = None) -> tuple[float, list[ModeSolution]]:
+    """I(v, 0) of the loss-free field at loss delta, by flux, and the loss-free solutions (:func:`_loss_free`)."""
+    _fixed_c_checks(medium, source, delta)
+    solutions = _loss_free(medium, source, source.degrees(), loss_free)
     return 0.5 * delta * solution_pairing(solutions), solutions
 
 
@@ -246,12 +271,13 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
-def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, list, list[ModeSolution]]:
+def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float,
+                  loss_free: list | None = None) -> tuple[float, list, list[ModeSolution]]:
     """I(v, w) of the radial primal witness by flux.
 
     Returns the bound, (n, k, v annuli, w annuli) per scheduled mode (the
     form :func:`~elastoplasmon.transmission._profile_fields` reads), and the
-    loss-free solutions of the off-schedule degrees.  Scheduled modes,
+    loss-free solutions of the off-schedule degrees (:func:`_loss_free`).  Scheduled modes,
     distinct members and distinct degrees are orthogonal, so their energies
     add; the two repairs of one mode share its member.
     """
@@ -285,8 +311,7 @@ def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
             scheduled.append((n, k, v, w))
         else:
             off_schedule.add(n)
-    loss_free = replace(medium, delta=0.0)
-    off = [solve_mode(loss_free, source, n) for n in sorted(off_schedule)]
+    off = _loss_free(medium, source, sorted(off_schedule), loss_free)
     I_upper = 0.5 * delta * (P_v + solution_pairing(off)) + 0.5 / delta * P_w
     return I_upper, scheduled, off
 
@@ -310,13 +335,19 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
 
 @dataclass(frozen=True)
 class Witness:
-    """One row of :data:`WITNESSES`; ``core(medium, source, delta)`` returns the bound first."""
+    """One row of :data:`WITNESSES`; ``core(medium, source, delta)`` returns the bound first.
+
+    A core that reads the loss-free field (``reads_loss_free``) also takes
+    it as ``loss_free``, which a sweep gives from its loss-free column
+    (:func:`_loss_free`).
+    """
 
     name: str  # the public builder
     bound: str  # "I_upper" (primal) or "J_lower" (dual)
     cored: bool  # for cored media only, else for core-free media only
     core: Callable[[LayeredMedium, SourceSpec, float], tuple]
     labels: tuple[str, ...]  # the leading scalars of the core, as the witness command prints them
+    reads_loss_free: bool = False
 
     def applies(self, medium: LayeredMedium) -> bool:
         return self.cored == (medium.core_radius is not None)
@@ -325,9 +356,10 @@ class Witness:
 # every witness, in the order the witness command prints them
 WITNESSES = (
     Witness("witness_nocore", "J_lower", False, _nocore_bound, ("J_lower", "tau")),
-    Witness("witness_fixed_c", "I_upper", True, _fixed_c_bound, ("I_upper",)),
+    Witness("witness_fixed_c", "I_upper", True, _fixed_c_bound, ("I_upper",), reads_loss_free=True),
     Witness("witness_core_resonant", "J_lower", True, _core_bound, ("J_lower", "tau")),
-    Witness("witness_radial_nonresonant", "I_upper", True, _radial_bound, ("I_upper_scheduled",)),
+    Witness("witness_radial_nonresonant", "I_upper", True, _radial_bound, ("I_upper_scheduled",),
+            reads_loss_free=True),
 )
 
 
@@ -382,40 +414,82 @@ def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
     return float(slope)
 
 
-def _sweep_row(configuration, delta: float, refusals: list | None = None) -> EnergyReport:
-    """One sweep row, with the tighter bound of each side from the :data:`WITNESSES` of its medium.
+def _worst(outcomes: list) -> tuple[float | None, float | None]:
+    """(largest condition, largest backward error) of a row's solve outcomes; None where none has one.
 
-    Every bound of a side is valid; a side no witness bounds is None.  A
-    witness that applies but raises ``ValueError`` or ``ArithmeticError`` is
-    appended to ``refusals`` as (witness, bound, exception).
+    A system refused as singular keeps its condition but has no backward error.
     """
-    if delta <= 0:
+    conds = [o.condition for o in outcomes if isinstance(o, (ModeSolution, ResonantSingularityError))]
+    berrs = [o.lstsq_residual for o in outcomes if isinstance(o, ModeSolution)]
+    return max(conds, default=None), max(berrs, default=None)
+
+
+def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyReport], list[dict], list[dict]]:
+    """The rows of a sweep, each with the tighter bound of each side from the :data:`WITNESSES` of its medium.
+
+    Returns (rows, refusals, solves).  Every bound of a side is valid; a side
+    no witness bounds is None.  A witness that applies but raises
+    ``ValueError`` or ``ArithmeticError`` is a refusal (row, loss, degree,
+    witness, bound, exception type and message).  The solves are two
+    columns (:func:`~elastoplasmon.transmission._solve_column`): the lossy
+    one, and the loss-free one of the rows that pass the fixed-multiplier
+    witness's checks, whose primal witnesses read it.  ``solves`` holds per
+    row the largest condition and backward error of each column's systems.
+    A row's solve error is raised when the rows before it are done.
+    """
+    if min(deltas) <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
-    med, src = configuration(delta)
-    sols = solve_modes(med, src)
-    E = dissipation_E(sols, med)
-    refusals = [] if refusals is None else refusals
-    bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
-    for w in WITNESSES:
-        if not w.applies(med):
-            continue
-        # unlike the witness command, a sweep tries the radial witness only on
-        # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
-        if w.name == "witness_radial_nonresonant" and not (
-                src.q > med.shell_radius**1.5
-                and math.isclose(med.c, plasmon_constants(med.base, max(src.degrees())).zeta1, rel_tol=1e-10)):
-            continue
+    media = [(d, *configuration(d)) for d in deltas]
+
+    def column(rows) -> list[list]:
+        items = [(med, src, n) for med, src in rows for n in src.degrees()]
+        flat, out = iter(_solve_column(items)), []
+        for _, src in rows:
+            out.append([next(flat) for _ in src.degrees()])
+        return out
+
+    def fixed_c_applies(med, src, d) -> bool:
         try:
-            bounds[w.bound].append(w.core(med, src, delta)[0])
-        except (ValueError, ArithmeticError) as exc:
-            refusals.append((w.name, w.bound, exc))
-    return EnergyReport(delta=delta, E_delta=E, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
-                        J_lower=max(bounds["J_lower"], default=None), n_delta=max(src.degrees()))
+            _fixed_c_checks(med, src, d)
+        except ValueError:
+            return False
+        return True
+
+    lossy = column([(med, src) for _, med, src in media])
+    free = [(replace(med, delta=0.0), src) if fixed_c_applies(med, src, d) else None for d, med, src in media]
+    solved = iter(column([row for row in free if row]))
+    loss_free = [next(solved) if row else None for row in free]
+    rows, refusals, solves = [], [], []
+    for i, ((d, med, src), outcomes, lf) in enumerate(zip(media, lossy, loss_free)):
+        E = dissipation_E([_ok(sol) for sol in outcomes], med)
+        n_delta = max(src.degrees())
+        bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
+        for w in WITNESSES:
+            if not w.applies(med):
+                continue
+            # unlike the witness command, a sweep tries the radial witness only on
+            # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
+            if w.name == "witness_radial_nonresonant" and not (
+                    src.q > med.shell_radius**1.5
+                    and math.isclose(med.c, plasmon_constants(med.base, n_delta).zeta1, rel_tol=1e-10)):
+                continue
+            kwargs = {"loss_free": lf} if w.reads_loss_free else {}
+            try:
+                bounds[w.bound].append(w.core(med, src, d, **kwargs)[0])
+            except (ValueError, ArithmeticError) as exc:
+                refusals.append({"row": i, "delta": d, "n_delta": n_delta, "witness": w.name, "bound": w.bound,
+                                 "error": type(exc).__name__, "message": str(exc)})
+        rows.append(EnergyReport(delta=d, E_delta=E, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
+                                 J_lower=max(bounds["J_lower"], default=None), n_delta=n_delta))
+        (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(lf or [])
+        solves.append({"row": i, "lossy_condition": lossy_cond, "lossy_backward_error": lossy_berr,
+                       "loss_free_condition": free_cond, "loss_free_backward_error": free_berr})
+    return rows, refusals, solves
 
 
 def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
           delta_list: Sequence[float]) -> SweepResult:
-    """Exact solves over a decreasing loss list, with witness bounds.
+    """Exact solves over a decreasing loss list, with witness bounds (:func:`_sweep_rows`).
 
     Each row records the dissipation and whichever bounds apply to the
     configuration; the verdict follows the growth conventions in the module
@@ -427,12 +501,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
         raise ValueError("delta_list must be strictly decreasing with >= 3 entries")
     if deltas[0] / deltas[-1] < 0.99e3:
         raise ValueError("sweep must span at least three decades")
-    rows, refusals = [], []
-    for i, d in enumerate(deltas):
-        refused: list = []
-        rows.append(_sweep_row(configuration, d, refused))
-        refusals += [{"row": i, "delta": d, "n_delta": rows[-1].n_delta, "witness": name, "bound": bound,
-                      "error": type(exc).__name__, "message": str(exc)} for name, bound, exc in refused]
+    rows, refusals, solves = _sweep_rows(configuration, deltas)
     E = [r.E_delta for r in rows]
     slope = _fit_slope(deltas, E)
     monotone = all(E[i + 1] >= E[i] * 0.95 for i in range(len(E) - 1))
@@ -458,5 +527,6 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
             "non-resonant: largest upward move in the final two decades < 10x",
             "final_window_growth_factor": growth_factor,
             "refusals": refusals,
+            "solves": solves,
         },
     )

@@ -17,7 +17,12 @@ weighted-traction continuity and the prescribed traction jump across the
 source sphere) form a square scalar system: two unknowns per region and
 rows per interface for family 1, four for families 2 and 3.
 Each family's part of a density is solved in its sector, by LU refined in
-extended precision, and the parts are superposed.  A loss-free medium
+extended precision, and the parts are superposed.  The unit of work is a
+column of (medium, source, degree) items (:func:`_solve_column`; a sweep's
+lossy rows are one, and :func:`solve_mode` is a column of one): every
+item's systems are assembled first, equal systems are solved once, and the
+systems of one shape go through one stacked :func:`_square_solve`, each
+system's result bit for bit its solve alone.  A loss-free medium
 (delta = 0) is solved only where every solved system's equilibrated
 condition is at most 1e9; above it :class:`ResonantSingularityError` (an
 ``ArithmeticError``) is raised.  The fixed-multiplier primal witness of
@@ -272,67 +277,125 @@ def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[c
     return bounds, weights
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm`` of a complex vector, in its own operations: sqrt(re . re + im . im)."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+def _norms(v: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each complex vector of a stack, in its own operations: sqrt(re . re + im . im).
+
+    ``np.vecdot`` takes each real dot to the BLAS dot of ``ndarray.dot``, so
+    every norm has the bits of the public call."""
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
 def _raise_singular(err: str, flag: int):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
-                  max_condition: float = math.inf) -> tuple[np.ndarray | None, float, float]:
-    """Solve a square interface system: (x, condition, backward error).
+def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what="interface system",
+                  max_condition=math.inf) -> list:
+    """Solve a stack of square interface systems: per system (x, condition, backward error) or its error.
 
-    Rows, then columns, are scaled to a largest entry of 1 and the scaled
-    system is solved by LU.  The condition number is that of the scaled
-    matrix, from its singular values; above ``max_condition`` the system is
-    singular (:class:`ResonantSingularityError`) and is not solved, and
-    without ``b`` only the condition number is computed.  Residuals of the
-    double system formed in ``np.clongdouble`` refine the solution, at most
-    4 steps, until a correction falls below eps |x| or no longer shrinks to
-    half the previous one, in which case it is not applied (Higham, *Accuracy
-    and Stability of Numerical Algorithms*, 2nd ed., ch. 12), so it is
-    accurate to working precision while condition x eps < 1.  A normwise backward
-    error of the scaled system above 1e-10 raises :class:`UnconvergedSolveError`.
-    The scaled right side is solved times the power of two that brings its
-    largest entry to unit size, which scales exactly: the norms stay in range
-    in any unit of the moduli, and a solve whose norms were in range keeps its bits.
-    LU calls the LAPACK gufunc of ``np.linalg.solve`` under its error state and
-    the norms are ``np.linalg.norm``'s own sums: bit for bit the public calls.
+    ``M`` is (k, m, m) and ``b`` (k, m); ``what`` (the name in the messages)
+    and ``max_condition`` are one per system or one for all.  Rows, then
+    columns, are scaled to a largest entry of 1 and the scaled system is
+    solved by LU.  The condition number is that of the scaled matrix, from
+    its singular values; above ``max_condition`` the system is singular
+    (:class:`ResonantSingularityError`) and is not solved, and without ``b``
+    only the condition number is computed.  Residuals of the double system
+    formed in ``np.clongdouble`` refine the solution, at most 4 steps, until a
+    correction falls below eps |x| or no longer shrinks to half the previous
+    one, in which case it is not applied (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., ch. 12), so it is accurate to working
+    precision while condition x eps < 1.  A normwise backward error of the
+    scaled system above 1e-10 is :class:`UnconvergedSolveError`.  The scaled
+    right side is solved times the power of two that brings its largest
+    entry to unit size, which scales exactly: the norms stay in range in any
+    unit of the moduli, and a solve whose norms were in range keeps its bits.
+
+    The whole stack goes through one batched SVD, one LAPACK ``solve1``
+    gufunc call (that of ``np.linalg.solve``) per refinement step and one
+    residual in extended precision per step; each system stops refining by
+    its own rule.  Every operation acts on each system alone, so a system's
+    result is bit for bit the one it has solved alone, and that is the
+    public-call route (``np.linalg.svd``, ``solve``, ``norm``).  Where the
+    stack raises ``LinAlgError`` (an exactly singular LU or an SVD that does
+    not converge), each system is solved alone and the one that raises gets
+    that error.
     """
-    rows = np.abs(M).max(axis=1)
+    k = len(M)
+    what = [what] * k if isinstance(what, str) else list(what)
+    max_condition = [max_condition] * k if isinstance(max_condition, (int, float)) else list(max_condition)
+    try:
+        return _solve_stack(M, b, what, max_condition)
+    except np.linalg.LinAlgError:
+        pass
+    out: list = []
+    for i in range(k):
+        try:
+            out += _solve_stack(M[i:i + 1], None if b is None else b[i:i + 1], what[i:i + 1], max_condition[i:i + 1])
+        except np.linalg.LinAlgError as exc:
+            out.append(exc)
+    return out
+
+
+def _solve_stack(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float]) -> list:
+    """:func:`_square_solve` of a stack, any ``LinAlgError`` raised for the whole stack."""
+    rows = np.abs(M).max(axis=2)
     rows[rows == 0] = 1.0
-    A = M / rows[:, None]
-    cols = np.abs(A).max(axis=0)
+    A = M / rows[:, :, None]
+    cols = np.abs(A).max(axis=1)
     cols[cols == 0] = 1.0
-    A /= cols
+    A /= cols[:, None, :]
     sv = np.linalg.svd(A, compute_uv=False)
-    cond = float(sv[0] / max(sv[-1], 1e-300))
-    if cond > max_condition:
-        raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
-    if b is None:
-        return None, cond, 0.0
-    scale = math.ldexp(1.0, -math.frexp(float(np.abs(b / rows).max()))[1])
-    rhs = b / rows * scale
+    cond = (sv[:, 0] / np.maximum(sv[:, -1], 1e-300)).tolist()
+    out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c) if c > cap
+                 else (None, c, 0.0) for w, c, cap in zip(what, cond, max_condition)]
+    live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
+    if b is None or not live:
+        return out
+    if len(live) < len(out):
+        M, b, A, rows, cols, sv = (a[live] for a in (M, b, A, rows, cols, sv))
+    rhs = b / rows
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
+    rhs *= scale
     M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble) * scale
+
+    def residual(x):  # of the double system, formed in extended precision, rows scaled
+        return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
+
+    k = len(live)
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         x = _lu_solve(A, rhs, signature="DD->D") / cols
-        last = math.inf
+        last, refining = [math.inf] * k, range(k)
         for _ in range(4):
-            dx = _lu_solve(A, (b_ext - M_ext @ x).astype(complex) / rows, signature="DD->D") / cols
-            step = _norm(dx)
-            if step > 0.5 * last:
+            dx = _lu_solve(A, residual(x), signature="DD->D") / cols
+            step = _norms(dx).tolist()
+            take = [j for j in refining if not step[j] > 0.5 * last[j]]
+            if not take:
                 break
-            x, last = x + dx, step
-            if step <= 2.0**-52 * _norm(x):  # eps
+            if len(take) == k:
+                x = x + dx
+            else:
+                x[take] = x[take] + dx[take]
+            size = _norms(x).tolist()
+            for j in take:
+                last[j] = step[j]
+            refining = [j for j in take if not step[j] <= 2.0**-52 * size[j]]  # eps
+            if not refining:
                 break
-        resid = _norm((b_ext - M_ext @ x).astype(complex) / rows)
-    berr = resid / (float(sv[0] * _norm(x * cols) + _norm(rhs)) or 1e-300)
-    if berr > 1e-10:
-        raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
-    return x / scale, cond, berr
+        resid = _norms(residual(x))
+    den = sv[:, 0] * _norms(x * cols) + _norms(rhs)
+    berr = (resid / np.where(den != 0.0, den, 1e-300)).tolist()
+    x /= scale
+    for j, i in enumerate(live):
+        out[i] = (UnconvergedSolveError(f"{what[i]} did not converge (backward error {berr[j]:.3e})")
+                  if berr[j] > 1e-10 else (x[j], out[i][1], berr[j]))
+    return out
+
+
+def _ok(outcome):
+    """A solve's outcome: raised if it is an error, else returned."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _ladder(G: np.ndarray, d: int, up: bool) -> np.ndarray:
@@ -518,7 +581,7 @@ def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, l
     """:func:`_single_layer` on the unit sphere for a unit density, solved once per key."""
     prof = _radial_profile(params, n, fam)
     M, b, cols = _sector_system([1.0], [1.0, 1.0], prof)
-    x, _, _ = _square_solve(M, b, f"degree-{n} family-{fam} single layer")
+    x, _, _ = _ok(_square_solve(M[None], b[None], f"degree-{n} family-{fam} single layer")[0])
     return prof, _sector_annuli((0.0, 1.0, math.inf), cols, x)
 
 
@@ -543,6 +606,22 @@ def _single_layer(params: LameParams, n: int, fam: int, rho: float,
     return prof, [(lo * rho, hi * rho, {b: density * a * scale[b] for b, a in amps.items()}) for lo, hi, amps in unit]
 
 
+def _solve_systems(systems: list) -> list:
+    """:func:`_square_solve` outcomes of (matrix, right side or None, what, max_condition) systems, in order.
+
+    The systems of one matrix shape go through one stacked call; within a
+    call the right sides are all given or all None."""
+    groups: dict = {}
+    for i, (M, *_) in enumerate(systems):
+        groups.setdefault(M.shape, []).append(i)
+    out: list = [None] * len(systems)
+    for idx in groups.values():
+        M, b, what, cap = zip(*(systems[i] for i in idx))
+        for i, got in zip(idx, _square_solve(np.array(M), None if b[0] is None else np.array(b), what, cap)):
+            out[i] = got
+    return out
+
+
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:
     """Condition number of each family's degree-n square sector system.
 
@@ -550,12 +629,69 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, floa
     matching family's system singular.
     """
     layout = _region_layout(medium, q)
-    return {fam: _square_solve(_sector_system(*layout, _radial_profile(medium.base, n, fam))[0])[1]
-            for fam in (1, 2, 3)}
+    systems = [(_sector_system(*layout, _radial_profile(medium.base, n, fam))[0], None, "interface system", math.inf)
+               for fam in (1, 2, 3)]
+    return {fam: _ok(got)[1] for fam, got in zip((1, 2, 3), _solve_systems(systems))}
+
+
+def _solve_column(items) -> list:
+    """Solve (medium, source, degree) items as one column: per item its :class:`ModeSolution` or its error.
+
+    Every item's sector systems are assembled first, and systems of equal
+    layout, profile and singularity cap are solved once
+    (:func:`_solve_systems`: one stacked :func:`_square_solve` per shape).
+    An item's error is the one :func:`solve_mode` raises for it: the first,
+    in solve order, of its checks, assembly and solves.
+    """
+    systems: list = []
+    index: dict = {}
+    parts = []
+    for medium, source, n in items:
+        params, bounds, slots, error = medium.base, [], [], None
+        try:
+            if n < 2:
+                raise ValueError("solve_mode needs n >= 2")
+            gammas = source.family_gammas(n) or {1: {}}
+            cap = 1e9 if medium.delta == 0.0 else math.inf
+            if medium.delta == 0.0 and set(gammas) != {1}:
+                cond = max(sector_conditions(medium, n, source.q).values())
+                if cond > cap:
+                    raise ResonantSingularityError(
+                        f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
+                        condition=cond,
+                    )
+            bounds, weights = _region_layout(medium, source.q)
+            for fam, gam in sorted(gammas.items()):
+                if gam:
+                    _wave_amplitudes(params, n, fam, medium.shell_radius)  # the sector's kernel check
+                prof = _radial_profile(params, n, fam)
+                key = (tuple(bounds), tuple(weights), params, n, fam, cap)
+                if key not in index:
+                    M, b, cols = _sector_system(bounds, weights, prof)
+                    index[key] = len(systems)
+                    systems.append((M, b, f"family-{fam} system at degree {n}", cap, cols))
+                slots.append((fam, tuple(gam.items()), prof, index[key]))
+        except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
+            error = exc
+        parts.append((n, params, (0.0, *bounds, math.inf), slots, error))
+    solved = _solve_systems([system[:4] for system in systems])
+    out: list = []
+    for n, params, radii, slots, error in parts:
+        got = [solved[i] for *_, i in slots]
+        error = next((g for g in got if isinstance(g, Exception)), error)
+        if error is not None:
+            out.append(error)
+            continue
+        sectors = tuple((fam, gam, prof, _sector_annuli(radii, systems[i][4], x))
+                        for (fam, gam, prof, i), (x, _, _) in zip(slots, got))
+        out.append(ModeSolution(n=n, condition=max(c for _, c, _ in got), lstsq_residual=max(e for _, _, e in got),
+                                window=tuple(sorted({d for _, _, prof, _ in sectors for d in prof.degrees})),
+                                radii=radii, sectors=sectors, params=params))
+    return out
 
 
 def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolution:
-    """Exact transmission solve for the degree-n part of the source.
+    """Exact transmission solve for the degree-n part of the source: a column of one (:func:`_solve_column`).
 
     Each family's part of the density is solved in its sector by one square
     scalar system for a unit density (:func:`sector_conditions` gives their
@@ -570,38 +706,12 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolutio
     ``ValueError`` unless q > shell_radius and every source mode names a
     family 1..3 and a member k in 1..2J+1.
     """
-    if n < 2:
-        raise ValueError("solve_mode needs n >= 2")
-    params = medium.base
-    gammas = source.family_gammas(n) or {1: {}}
-    max_condition = 1e9 if medium.delta == 0.0 else math.inf
-    if medium.delta == 0.0 and set(gammas) != {1}:
-        cond = max(sector_conditions(medium, n, source.q).values())
-        if cond > max_condition:
-            raise ResonantSingularityError(
-                f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
-                condition=cond,
-            )
-    bounds, weights = _region_layout(medium, source.q)
-    radii = (0.0, *bounds, math.inf)
-    sectors, conds, berrs = [], [], []
-    for fam, gam in sorted(gammas.items()):
-        if gam:
-            _wave_amplitudes(params, n, fam, medium.shell_radius)  # the sector's kernel check
-        prof = _radial_profile(params, n, fam)
-        M, b, cols = _sector_system(bounds, weights, prof)
-        x, cond, berr = _square_solve(M, b, f"family-{fam} system at degree {n}", max_condition)
-        conds.append(cond)
-        berrs.append(berr)
-        sectors.append((fam, tuple(gam.items()), prof, _sector_annuli(radii, cols, x)))
-    return ModeSolution(n=n, condition=max(conds), lstsq_residual=max(berrs),
-                        window=tuple(sorted({d for _, _, prof, _ in sectors for d in prof.degrees})),
-                        radii=radii, sectors=tuple(sectors), params=params)
+    return _ok(_solve_column([(medium, source, n)])[0])
 
 
 def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]:
-    """Solve every degree present in the source."""
-    return [solve_mode(medium, source, n) for n in source.degrees()]
+    """Solve every degree present in the source, as one column; the first degree's error is raised."""
+    return [_ok(sol) for sol in _solve_column([(medium, source, n) for n in source.degrees()])]
 
 
 def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec) -> dict[str, float]:

@@ -526,22 +526,28 @@ def _mp_lu_solve(M: np.ndarray, b: np.ndarray, dps: int):
         return [y[i] * mpmath.mpf(float(cols[i])) for i in range(len(b))]
 
 
-def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
-                    max_condition: float = math.inf, dps: int = 50) -> tuple[np.ndarray | None, float, float]:
-    """Drop-in for ``transmission._square_solve``: the double system solved in ``dps`` digits.
+def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what="interface system",
+                    max_condition=math.inf, dps: int = 50) -> list:
+    """Drop-in for ``transmission._square_solve``: each double system of the stack solved in ``dps`` digits.
 
-    The entries of M and b are taken exactly as doubles, the system is
+    The entries of M and b are taken exactly as doubles, each system is
     solved by :func:`_mp_lu_solve` at ``dps`` decimal digits and the solution
-    is rounded to complex doubles.  The condition number is the package's
-    (equilibrated, from an SVD), and the backward error is that of the
-    rounded solution.
+    is rounded to complex doubles.  The condition number, and the error of a
+    system refused as singular, are the package's (equilibrated, from an
+    SVD), and the backward error is that of the rounded solution.
     """
-    _, cond, _ = _square_solve(M, None, what, max_condition)
+    out = _square_solve(M, None, what, max_condition)
     if b is None:
-        return None, cond, 0.0
-    x = np.array([complex(v) for v in _mp_lu_solve(M, b, dps)])
-    berr = float(np.linalg.norm(M @ x - b) / (np.linalg.norm(M) * np.linalg.norm(x) + np.linalg.norm(b)))
-    return x, cond, berr
+        return out
+    solved = []
+    for Mi, bi, got in zip(M, b, out):
+        if isinstance(got, Exception):
+            solved.append(got)
+            continue
+        x = np.array([complex(v) for v in _mp_lu_solve(Mi, bi, dps)])
+        berr = float(np.linalg.norm(Mi @ x - bi) / (np.linalg.norm(Mi) * np.linalg.norm(x) + np.linalg.norm(bi)))
+        solved.append((x, got[1], berr))
+    return solved
 
 
 def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:

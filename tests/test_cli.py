@@ -200,6 +200,22 @@ def test_sweep_deterministic_csv(config_file, tmp_path):
     r2 = run_cli("sweep", "--config", config_file, "--csv", c2)
     assert r1.returncode == 0 and r2.returncode == 0
     assert Path(c1).read_bytes() == Path(c2).read_bytes()
+    # the per-row solve diagnostics ride in the result's meta, machine
+    # readable, and the CSV bytes are the same with them and without them
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+    from elastoplasmon.scenarios import sweep
+
+    cfg = cli.load_config(config_file)
+    res = sweep(cli._configuration(cfg), cfg["delta_list"])
+    solves = json.loads(json.dumps(res.meta["solves"]))
+    assert [entry["row"] for entry in solves] == list(range(len(res.rows)))
+    assert all(entry[f"{column}_condition"] >= 1.0 and 0.0 <= entry[f"{column}_backward_error"] <= 1e-10
+               for entry in solves for column in ("lossy", "loss_free"))
+    bare = dataclasses.replace(res, meta={key: v for key, v in res.meta.items() if key != "solves"})
+    for result, name in ((res, "with.csv"), (bare, "without.csv")):
+        cli.emit_report(result, cfg, str(tmp_path / name))
+        assert (tmp_path / name).read_bytes() == Path(c1).read_bytes(), name
 
 
 def test_scheduled_sweep_leaves_numpy_random_unimported(tmp_path):
@@ -499,6 +515,22 @@ def test_extreme_material_configs_rejected_before_any_run(lam, mu, tmp_path, mon
         assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 2
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and "out of the float range" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("R, refusal", [("1e44", "perfect-wave amplitudes at R = 1e+44 overflow"),
+                                        ("1.5e34", "--R 1.5e+34 is out of the float range at degree 3")])
+def test_waves_check_refuses_the_radius_before_any_row(R, refusal, capsys):
+    # at n = 3 the family-3 amplitudes overflow at R = 1e44; at R = 1.5e34
+    # they are in range but the check's gradients and tractions overflow.
+    # Either way the radius is refused by name before any row is printed:
+    # one JSON line and no numpy warning (the suite raises RuntimeWarning)
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert cli.main(["waves-check", "--n", "3", "--R", R]) == 2
+    out = capsys.readouterr()
+    lines = out.err.splitlines()
+    assert out.out == "" and len(lines) == 1 and refusal in json.loads(lines[0])["error"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -845,8 +877,8 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     # derivative-table self-test sums over polar Gauss nodes: no sphere rule
     # is built, through the shared cache or outside it.  The sector kernel
     # bases are closed forms: no Hermitian eigendecomposition, and the only
-    # SVDs are the condition numbers of the square interface systems (at
-    # most 6 x 6 for a cored family-1 sweep), never a sector basis.  Each
+    # SVDs are the condition numbers of stacks of square interface systems
+    # (at most 6 x 6 for a cored family-1 sweep), never a sector basis.  Each
     # degree's ladders are stored stacked, so no np.stack of ladder matrices
     # (arrays sharing memory with a stored ladder) runs either.
     configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
@@ -868,7 +900,7 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
         "    return lambda *a, **k: calls.update([name]) or f(*a, **k)\n"
         "np.linalg.eigh = counted('eigh', np.linalg.eigh)\n"
         "svd_dims, svd = [0], np.linalg.svd\n"
-        "np.linalg.svd = lambda a, *r, **k: svd_dims.append(max(np.shape(a))) or svd(a, *r, **k)\n"
+        "np.linalg.svd = lambda a, *r, **k: svd_dims.append(max(np.shape(a)[-2:])) or svd(a, *r, **k)\n"
         "stack = np.stack\n"
         "def counted_stack(arrays, *r, **k):\n"
         "    arrays = list(arrays)\n"

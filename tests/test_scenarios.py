@@ -12,7 +12,7 @@ from elastoplasmon.lame import LameParams, Term, traction_coeffs_algebraic
 from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P
 from elastoplasmon.scenarios import (
     _merge_pieces,
-    _sweep_row,
+    _sweep_rows,
     fixed_configuration,
     schedule_n_delta,
     scheduled_configuration,
@@ -192,7 +192,7 @@ def test_witness_fixed_c_singular_loss_free_system_leaves_bound_blank(tables):
     with pytest.raises(ResonantSingularityError) as err:
         witness_fixed_c(med, src)
     assert err.value.condition > 1e9
-    row = _sweep_row(conf, 1e-4)
+    row = _sweep_rows(conf, [1e-4])[0][0]
     assert row.I_upper is None and row.J_lower is not None
 
 
@@ -443,3 +443,47 @@ def test_sweep_records_every_witness_refusal(tables):
     res = sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5])
     assert [(r["row"], r["witness"], r["error"]) for r in res.meta["refusals"]] == [
         (i, w, "ValueError") for i in range(4) for w in ("witness_fixed_c", "witness_core_resonant")]
+
+
+def test_fixed_c_sweep_solves_one_loss_free_system(monkeypatch):
+    # every row of a cored family-1 fixed-c sweep has the same loss-free
+    # medium and source: its loss-free column is one system, and each row's
+    # I_upper is bit for bit the witness solved for that row alone
+    conf = fixed_configuration(P11, 2.0, -4.0, SourceSpec(3.0, {(3, 1, 2): 0.6 + 0.8j}), core_radius=1.0)
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5]
+    alone = [witness_fixed_c(*conf(d))[1] for d in deltas]
+    stacks = []
+    solve = transmission._square_solve
+
+    def recorded(M, *args):
+        stacks.append(len(M))
+        return solve(M, *args)
+
+    monkeypatch.setattr(transmission, "_square_solve", recorded)
+    res = sweep(conf, deltas)
+    assert stacks == [4, 1]  # the lossy column, then the loss-free one
+    assert [row.I_upper for row in res.rows] == alone and all(isinstance(I, float) for I in alone)
+
+
+def test_sweep_reports_each_rows_solves():
+    # meta["solves"]: per row the largest condition and backward error of its
+    # lossy and loss-free systems, as the row's own solves give them; a
+    # loss-free system refused as singular keeps its condition, and a sweep
+    # with no loss-free column reports None there
+    conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
+    deltas = [1e-2, 1e-3, 1e-4, 1e-5]  # n_delta 7, 10, 14, 17
+    res = sweep(conf, deltas)
+    singular = 0
+    for i, (d, entry) in enumerate(zip(deltas, res.meta["solves"])):
+        med, src = conf(d)
+        (sol,) = solve_modes(med, src)
+        try:
+            (free,) = solve_modes(replace(med, delta=0.0), src)
+            want = (free.condition, free.lstsq_residual)
+        except ResonantSingularityError as exc:
+            want, singular = (exc.condition, None), singular + 1
+        assert entry == {"row": i, "lossy_condition": sol.condition, "lossy_backward_error": sol.lstsq_residual,
+                         "loss_free_condition": want[0], "loss_free_backward_error": want[1]}
+    assert singular == 2
+    res = sweep(FLUX_CONFIGS["f2_fixed_cored"], deltas)
+    assert [(e["loss_free_condition"], e["loss_free_backward_error"]) for e in res.meta["solves"]] == [(None, None)] * 4

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -530,54 +531,73 @@ print(" ".join(out))
 SCHEDULE_DELTAS = [10.0 ** (-(4 + i) / 2) for i in range(13)]
 
 
+GATED_SWEEPS = [  # both cored family-1 schedules, the core-free family-3 run at zeta3(3), the cored family-2 run at zeta2(4)
+    *((scheduled_configuration(P11, 2.0, q, family=1, k=3, gamma=0.6 + 0.8j, core_radius=1.0), SCHEDULE_DELTAS)
+      for q in (2.3, 3.6)),
+    (fixed_configuration(P11, 2.0, -25.0 / 38.0, SourceSpec(2.6, {(3, 3, 5): 0.6 - 0.8j})), [1e-2, 1e-3, 1e-4, 1e-5]),
+    (fixed_configuration(P11, 2.0, -130.0 / 59.0, SourceSpec(3.0, {(4, 2, 2): -0.8 + 0.6j}), core_radius=1.0),
+     [1e-2, 1e-3, 1e-4, 1e-5]),
+]
+
+
 def _gated_sweeps():
-    """The sweeps of the two benchmark workloads (both cored family-1 schedules, the
-    core-free family-3 run at zeta3(3) and the cored family-2 run at zeta2(4))."""
-    for q in (2.3, 3.6):
-        sweep(scheduled_configuration(P11, 2.0, q, family=1, k=3, gamma=0.6 + 0.8j, core_radius=1.0),
-              SCHEDULE_DELTAS)
-    sweep(fixed_configuration(P11, 2.0, -25.0 / 38.0, SourceSpec(2.6, {(3, 3, 5): 0.6 - 0.8j})),
-          [1e-2, 1e-3, 1e-4, 1e-5])
-    sweep(fixed_configuration(P11, 2.0, -130.0 / 59.0, SourceSpec(3.0, {(4, 2, 2): -0.8 + 0.6j}), core_radius=1.0),
-          [1e-2, 1e-3, 1e-4, 1e-5])
+    """The sweeps of the two benchmark workloads."""
+    for conf, deltas in GATED_SWEEPS:
+        sweep(conf, deltas)
+
+
+def _outcome(got):
+    """(x bytes, condition, backward error) of a solved system, or (error type, message, condition)."""
+    if isinstance(got, Exception):
+        return type(got), str(got), getattr(got, "condition", None)
+    x, cond, berr = got
+    return (None if x is None else x.tobytes()), cond, berr
 
 
 def _solve_outcome(solve, M, b, what="interface system", max_condition=math.inf):
-    """(x bytes, condition, backward error), or (error type, message, condition) of a raising solve."""
+    """:func:`_outcome` of one system solved by ``solve`` (``square_solve_reference``'s signature)."""
     try:
-        x, cond, berr = solve(M.copy(), None if b is None else b.copy(), what, max_condition)
+        return _outcome(solve(M.copy(), None if b is None else b.copy(), what, max_condition))
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
-        return type(exc), str(exc), getattr(exc, "condition", None)
-    return (None if x is None else x.tobytes()), cond, berr
+        return _outcome(exc)
 
 
 def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     # the lean solve calls the LAPACK gufunc of np.linalg.solve and forms
-    # np.linalg.norm's sums itself: on every system the four benchmark sweeps
-    # solve (lossy and loss-free, raising or not, and the unit single layers
-    # of the witnesses) it is bit for bit the public-call route, and so are
-    # its errors.  The kept unit layers are swapped for an empty store, so
-    # the count does not depend on the tests run before
-    systems = []
+    # np.linalg.norm's sums itself, a stack at a time: on every system the
+    # four benchmark sweeps solve (lossy and loss-free, raising or not, and
+    # the unit single layers of the witnesses) what its stack returns is bit
+    # for bit the public-call route on that system alone, and so are its
+    # errors.  The kept unit layers are swapped for an empty store, so the
+    # counts do not depend on the tests run before
+    systems, calls = [], []
     lean = transmission._square_solve
     monkeypatch.setattr(transmission._unit_layer, "cache", {})
 
     def recorded(M, b=None, what="interface system", max_condition=math.inf):
-        systems.append((M.copy(), None if b is None else b.copy(), what, max_condition))
-        return lean(M, b, what, max_condition)
+        what = [what] * len(M) if isinstance(what, str) else what
+        max_condition = np.broadcast_to(max_condition, (len(M),))
+        out = lean(M.copy(), None if b is None else b.copy(), what, max_condition)
+        systems.extend((M[i].copy(), None if b is None else b[i].copy(), what[i], float(max_condition[i]), got)
+                       for i, got in enumerate(out))
+        calls[-1].append(len(M))
+        return out
 
     monkeypatch.setattr(transmission, "_square_solve", recorded)
-    _gated_sweeps()
+    for conf, deltas in GATED_SWEEPS:
+        calls.append([])
+        sweep(conf, deltas)
     raised = 0
-    for system in systems:
-        got = _solve_outcome(lean, *system)
-        assert got == _solve_outcome(square_solve_reference, *system), system[2:]
-        raised += got[0] is ResonantSingularityError
-    # lossy and loss-free per schedule row, lossy only per fixed row (no
-    # family-1 source), and one unit layer per scheduled degree, shared by
-    # the two schedules' witnesses
+    for *system, got in systems:
+        assert _outcome(got) == _solve_outcome(square_solve_reference, *system), system[2:]
+        raised += isinstance(got, ResonantSingularityError)
+    # per schedule one lossy and one loss-free column of 13 systems, then (on
+    # the first) one unit layer per scheduled degree, shared by the two
+    # schedules' witnesses; per fixed run one lossy column (no family-1
+    # source, so no loss-free one)
     layers = [system for system in systems if system[2].endswith("single layer")]
     assert len(layers) == 13 and all(M.shape == (2, 2) for M, *_ in layers)
+    assert calls == [[13, 13] + [1] * 13, [13, 13], [4], [4]]
     assert len(systems) == 2 * 2 * 13 + 2 * 4 + 13 and raised > 0
 
 
@@ -614,7 +634,7 @@ def test_single_layer_is_the_closed_form_and_the_direct_solve(params):
                                for d in prof.degrees), (n, rho, fam, i)
                 M, b, cols = transmission._sector_system([rho], [1.0, 1.0], prof)
                 try:
-                    x = transmission._square_solve(M, b)[0]
+                    x = transmission._ok(transmission._square_solve(M[None], b[None])[0])[0]
                 except np.linalg.LinAlgError:
                     unsolved.add((n, rho))
                     continue
@@ -687,11 +707,19 @@ def test_square_solve_is_the_reference_on_seeded_systems():
     cases += [(W, rng.normal(size=100) + 0j, math.inf), (np.ones((4, 4), dtype=complex), np.ones(4, dtype=complex),
                                                          math.inf)]
     kinds = set()
+    stacks: dict = {}
     for M, b, cap in cases:
-        got = _solve_outcome(transmission._square_solve, M, b, "system", cap)
+        # alone, and in one stack per size and kind of right side
+        stacks.setdefault((M.shape, b is None), []).append((M, b, cap))
+        got = _outcome(transmission._square_solve(M[None], None if b is None else b[None], "system", cap)[0])
         assert got == _solve_outcome(square_solve_reference, M, b, "system", cap), (M.shape, cap)
         kinds.add(got[0] if isinstance(got[0], type) else "none" if got[0] is None else "solved")
     assert kinds == {"solved", "none", ResonantSingularityError, UnconvergedSolveError, np.linalg.LinAlgError}
+    for group in stacks.values():
+        M, b, cap = zip(*group)
+        out = transmission._square_solve(np.stack(M), None if b[0] is None else np.stack(b), "system", cap)
+        assert [_outcome(got) for got in out] == [_solve_outcome(square_solve_reference, M, b, "system", c)
+                                                  for M, b, c in group]
 
 
 def test_cached_closed_forms_are_never_mutated():
@@ -730,3 +758,41 @@ def test_seeded_defect_is_caught_after_a_full_sweep(monkeypatch):
     with pytest.raises(SectorCheckError, match="family 2 .*transmission defect"):
         sweep(conf, deltas)
     assert not transmission._wave_amplitudes.cache
+
+
+def _solution_key(sol):
+    """Everything a ModeSolution holds but its parameters, or (error type, message) of an error."""
+    if isinstance(sol, Exception):
+        return type(sol), str(sol)
+    return sol.n, sol.condition, sol.lstsq_residual, sol.window, sol.radii, sol.sectors
+
+
+def test_column_is_the_row_at_a_time_solve():
+    # one column of lossy and loss-free, cored and core-free items whose
+    # sources mix families 1, 2 and 3 over several degrees: each item's
+    # outcome is what solve_mode gives for it alone (amplitudes, condition
+    # and backward error bit for bit, errors by type and message), the
+    # loss-free item at zeta1(3) being refused as singular and the
+    # out-of-range ones with their ValueError
+    mixed = {(n, fam, k): g for n in (2, 3, 5) for fam, k, g in ((1, 2, 0.3), (2, 1, 0.5j), (3, 3, -0.7 + 0.1j))}
+    mixed[(4, 2, 2)] = 1.0
+    lossy = LayeredMedium(shell_radius=1.8, c=-2.2, delta=0.05, base=P11, core_radius=1.0)
+    items = [(med, SourceSpec(2.5, mixed), n) for med in (lossy, replace(lossy, core_radius=None),
+                                                           replace(lossy, delta=0.0), replace(lossy, c=-3.9, delta=1e-7))
+             for n in (2, 3, 4, 5)]
+    z1 = plasmon_constants(P11, 3).zeta1
+    singular = LayeredMedium(shell_radius=2.0, c=z1, delta=0.0, base=P11)
+    items += [(singular, SourceSpec(3.0, {(3, 1, 1): 1.0}), 3), (lossy, SourceSpec(2.5, mixed), 1),
+              (lossy, SourceSpec(1.5, mixed), 2), (singular, SourceSpec(3.0, {(2, 1, 1): 1.0}), 2)]
+    column = transmission._solve_column(items)
+    alone = []
+    for med, src, n in items:
+        try:
+            alone.append(solve_mode(med, src, n))
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            alone.append(exc)
+    assert [_solution_key(sol) for sol in column] == [_solution_key(sol) for sol in alone]
+    kinds = [type(sol).__name__ for sol in column]
+    assert kinds.count("ModeSolution") == 17 and kinds[-4:] == ["ResonantSingularityError", "ValueError",
+                                                                "ValueError", "ModeSolution"]
+    assert {sol.window for sol in column if isinstance(sol, transmission.ModeSolution)} >= {(0, 2, 4), (1, 3, 5)}
