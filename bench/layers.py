@@ -170,9 +170,14 @@ def warm(repeats: int) -> dict:
 
 
 def _git(tree: Path) -> str | None:
-    r = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty", "--abbrev=12"],
-                       capture_output=True, text=True)
-    return r.stdout.strip() if r.returncode == 0 and (tree / ".git").exists() else None
+    if not (tree / ".git").exists():
+        return None
+    try:
+        r = subprocess.run(["git", "-C", str(tree), "describe", "--always", "--dirty", "--abbrev=12"],
+                           capture_output=True, text=True)
+    except OSError:  # no git
+        return None
+    return r.stdout.strip() if r.returncode == 0 else None
 
 
 def measure(tree: Path, repeats: int) -> dict:
