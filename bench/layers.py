@@ -1,12 +1,12 @@
 """Layer timings of elastoplasmon, written to ``BENCH_<label>.json``.
 
-    python bench/layers.py [--label NAME] [--tree DIR] [--repeats N] [--out DIR]
+    python bench/layers.py [--label NAME] [--repeats N] [--out DIR]
     python bench/layers.py --against DIR [--against-label NAME] [--pairs N] [--label NAME] [--out DIR]
 
-``--tree`` (default: this checkout) is the tree whose ``src`` is timed; this
-script imports nothing of it and runs each measurement in fresh processes
-with one BLAS thread.  The file (in ``--out``, default the repository root)
-holds the tree's git description (None outside a git checkout), ``nproc``,
+The ``src`` of this checkout is timed; this script imports nothing of it
+and runs each measurement in fresh processes with one BLAS thread.  The
+file (in ``--out``, default the repository root) holds the checkout's git
+description (None outside a git checkout), ``nproc``,
 the Python, numpy and BLAS versions, and two sets of medians in seconds:
 
 * ``cold_s``: over ``--repeats`` fresh processes each, ``import
@@ -19,10 +19,9 @@ the Python, numpy and BLAS versions, and two sets of medians in seconds:
   6, 8, 12: a family-1 unit single layer, a cored family-1, a core-free
   family-2 and a cored family-3 system, at degrees 7, 8, ...), ``solve_mode``
   per family, ``dissipation_E``, each ``scenarios.WITNESSES`` core and
-  ``sweep`` per gated configuration.  A tree whose ``_square_solve`` takes
-  one system at a time solves the k systems one call each.
+  ``sweep`` per gated configuration.
 
-``--against DIR`` times DIR (the parent) and ``--tree`` (the change) in N
+``--against DIR`` times DIR (the parent) and this checkout (the change) in N
 alternating pairs, each side first in every other pair, one record of
 ``--repeats`` repeats per side and pair.  It writes a record per side
 (``--against-label`` and ``--label``) whose medians are over the pairs,
@@ -36,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import statistics
 import subprocess
@@ -122,7 +122,6 @@ def warm(repeats: int) -> dict:
 
     params = LameParams(1.0, 1.0)
     cored = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=params, core_radius=1.0)
-    stacked = hasattr(transmission, "_solve_column")
     out: dict[str, float] = {}
     shapes = {2: ([1.0], [1.0, 1.0], 1), 6: (*transmission._region_layout(cored, 3.0), 1),
               8: (*transmission._region_layout(replace(cored, core_radius=None), 3.0), 2),
@@ -133,10 +132,10 @@ def warm(repeats: int) -> dict:
         for k in (1, 13):
             M = np.stack([s[0] for s in systems[:k]])
             b = np.stack([s[1] for s in systems[:k]])
-            if stacked:
+            if hasattr(transmission, "_solve_column"):
                 def call(M=M, b=b):
-                    transmission._square_solve(M, b)
-            else:
+                    transmission._square_solve(M, b, ["system"] * len(M), [math.inf] * len(M))
+            else:  # only for a parent from before stacked solves (BENCH_e1db3bb.json): one system per call
                 def call(M=M, b=b):
                     for Mi, bi in zip(M, b):
                         transmission._square_solve(Mi, bi)
@@ -233,7 +232,6 @@ def _write(out: Path, label: str, record: dict) -> None:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--label", default="local")
-    ap.add_argument("--tree", type=Path, default=ROOT)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--against", type=Path)
     ap.add_argument("--against-label", default="parent")
@@ -244,9 +242,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.worker:
         print(json.dumps(warm(args.repeats)))
         return 0
-    tree = args.tree.resolve()
     if args.against:
-        parent, change = pairs(args.against.resolve(), tree, args.pairs, args.repeats)
+        parent, change = pairs(args.against.resolve(), ROOT, args.pairs, args.repeats)
         for name, m in change["against"].items():
             part, layer = name.split("/", 1)
             print(f"{name:42s} parent {m['parent_median']:.3e} (IQR {m['parent_iqr']:.1e})  "
@@ -254,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         _write(args.out, args.against_label, parent)
         _write(args.out, args.label, change)
     else:
-        record = measure(tree, args.repeats)
+        record = measure(ROOT, args.repeats)
         for name, v in _flat(record).items():
             print(f"{name:42s} {v:.3e} s")
         _write(args.out, args.label, record)

@@ -289,15 +289,14 @@ def _raise_singular(err: str, flag: int):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what="interface system",
-                  max_condition=math.inf) -> list:
+def _square_solve(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float]) -> list:
     """Solve a stack of square interface systems: per system (x, condition, backward error) or its error.
 
     ``M`` is (k, m, m) and ``b`` (k, m); ``what`` (the name in the messages)
-    and ``max_condition`` are one per system or one for all.  Rows, then
-    columns, are scaled to a largest entry of 1 and the scaled system is
-    solved by LU.  The condition number is that of the scaled matrix, from
-    its singular values; above ``max_condition`` the system is singular
+    and ``max_condition`` hold one entry per system.  Rows, then columns,
+    are scaled to a largest entry of 1 and the scaled system is solved by
+    LU.  The condition number is that of the scaled matrix, from its
+    singular values; above ``max_condition`` the system is singular
     (:class:`ResonantSingularityError`) and is not solved, and without ``b``
     only the condition number is computed.  Residuals of the double system
     formed in ``np.clongdouble`` refine the solution, at most 4 steps, until a
@@ -320,15 +319,12 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what="interface sy
     not converge), each system is solved alone and the one that raises gets
     that error.
     """
-    k = len(M)
-    what = [what] * k if isinstance(what, str) else list(what)
-    max_condition = [max_condition] * k if isinstance(max_condition, (int, float)) else list(max_condition)
     try:
         return _solve_stack(M, b, what, max_condition)
     except np.linalg.LinAlgError:
         pass
     out: list = []
-    for i in range(k):
+    for i in range(len(M)):
         try:
             out += _solve_stack(M[i:i + 1], None if b is None else b[i:i + 1], what[i:i + 1], max_condition[i:i + 1])
         except np.linalg.LinAlgError as exc:
@@ -337,7 +333,11 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None = None, what="interface sy
 
 
 def _solve_stack(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float]) -> list:
-    """:func:`_square_solve` of a stack, any ``LinAlgError`` raised for the whole stack."""
+    """:func:`_square_solve` of a stack, any ``LinAlgError`` raised for the whole stack.
+
+    Norms wanted at the same point are taken in one :func:`_norms` call of
+    the stacked vectors, and a stack whose systems all take a correction
+    adds it without indexing."""
     rows = np.abs(M).max(axis=2)
     rows[rows == 0] = 1.0
     A = M / rows[:, :, None]
@@ -348,10 +348,13 @@ def _solve_stack(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condi
     cond = (sv[:, 0] / np.maximum(sv[:, -1], 1e-300)).tolist()
     out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c) if c > cap
                  else (None, c, 0.0) for w, c, cap in zip(what, cond, max_condition)]
-    live = [i for i, o in enumerate(out) if not isinstance(o, Exception)]
-    if b is None or not live:
+    if b is None:
         return out
-    if len(live) < len(out):
+    live = [i for i, (c, cap) in enumerate(zip(cond, max_condition)) if not c > cap]
+    k = len(live)
+    if k < len(out):
+        if not live:
+            return out
         M, b, A, rows, cols, sv = (a[live] for a in (M, b, A, rows, cols, sv))
     rhs = b / rows
     scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
@@ -361,33 +364,33 @@ def _solve_stack(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condi
     def residual(x):  # of the double system, formed in extended precision, rows scaled
         return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
 
-    k = len(live)
     with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         x = _lu_solve(A, rhs, signature="DD->D") / cols
         last, refining = [math.inf] * k, range(k)
         for _ in range(4):
             dx = _lu_solve(A, residual(x), signature="DD->D") / cols
-            step = _norms(dx).tolist()
-            take = [j for j in refining if not step[j] > 0.5 * last[j]]
+            ahead = x + dx
+            norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
+            take = [j for j in refining if not norms[j] > 0.5 * last[j]]
             if not take:
                 break
             if len(take) == k:
-                x = x + dx
+                x = ahead
             else:
-                x[take] = x[take] + dx[take]
-            size = _norms(x).tolist()
+                x[take] = ahead[take]
             for j in take:
-                last[j] = step[j]
-            refining = [j for j in take if not step[j] <= 2.0**-52 * size[j]]  # eps
+                last[j] = norms[j]
+            refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
             if not refining:
                 break
-        resid = _norms(residual(x))
-    den = sv[:, 0] * _norms(x * cols) + _norms(rhs)
-    berr = (resid / np.where(den != 0.0, den, 1e-300)).tolist()
+        resid = _norms(residual(x)).tolist()
+    sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
+    den = (sv[:, 0] * sizes[:k] + sizes[k:]).tolist()
     x /= scale
     for j, i in enumerate(live):
-        out[i] = (UnconvergedSolveError(f"{what[i]} did not converge (backward error {berr[j]:.3e})")
-                  if berr[j] > 1e-10 else (x[j], out[i][1], berr[j]))
+        berr = resid[j] / (den[j] or 1e-300)
+        out[i] = (UnconvergedSolveError(f"{what[i]} did not converge (backward error {berr:.3e})")
+                  if berr > 1e-10 else (x[j], out[i][1], berr))
     return out
 
 
@@ -581,7 +584,7 @@ def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, l
     """:func:`_single_layer` on the unit sphere for a unit density, solved once per key."""
     prof = _radial_profile(params, n, fam)
     M, b, cols = _sector_system([1.0], [1.0, 1.0], prof)
-    x, _, _ = _ok(_square_solve(M[None], b[None], f"degree-{n} family-{fam} single layer")[0])
+    x, _, _ = _ok(_square_solve(M[None], b[None], [f"degree-{n} family-{fam} single layer"], [math.inf])[0])
     return prof, _sector_annuli((0.0, 1.0, math.inf), cols, x)
 
 

@@ -526,8 +526,8 @@ def _mp_lu_solve(M: np.ndarray, b: np.ndarray, dps: int):
         return [y[i] * mpmath.mpf(float(cols[i])) for i in range(len(b))]
 
 
-def mp_square_solve(M: np.ndarray, b: np.ndarray | None = None, what="interface system",
-                    max_condition=math.inf, dps: int = 50) -> list:
+def mp_square_solve(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float],
+                    dps: int = 50) -> list:
     """Drop-in for ``transmission._square_solve``: each double system of the stack solved in ``dps`` digits.
 
     The entries of M and b are taken exactly as doubles, each system is

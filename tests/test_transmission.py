@@ -574,11 +574,9 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     lean = transmission._square_solve
     monkeypatch.setattr(transmission._unit_layer, "cache", {})
 
-    def recorded(M, b=None, what="interface system", max_condition=math.inf):
-        what = [what] * len(M) if isinstance(what, str) else what
-        max_condition = np.broadcast_to(max_condition, (len(M),))
+    def recorded(M, b, what, max_condition):
         out = lean(M.copy(), None if b is None else b.copy(), what, max_condition)
-        systems.extend((M[i].copy(), None if b is None else b[i].copy(), what[i], float(max_condition[i]), got)
+        systems.extend((M[i].copy(), None if b is None else b[i].copy(), what[i], max_condition[i], got)
                        for i, got in enumerate(out))
         calls[-1].append(len(M))
         return out
@@ -634,7 +632,7 @@ def test_single_layer_is_the_closed_form_and_the_direct_solve(params):
                                for d in prof.degrees), (n, rho, fam, i)
                 M, b, cols = transmission._sector_system([rho], [1.0, 1.0], prof)
                 try:
-                    x = transmission._ok(transmission._square_solve(M[None], b[None])[0])[0]
+                    x = transmission._ok(transmission._square_solve(M[None], b[None], ["layer"], [math.inf])[0])[0]
                 except np.linalg.LinAlgError:
                     unsolved.add((n, rho))
                     continue
@@ -711,13 +709,14 @@ def test_square_solve_is_the_reference_on_seeded_systems():
     for M, b, cap in cases:
         # alone, and in one stack per size and kind of right side
         stacks.setdefault((M.shape, b is None), []).append((M, b, cap))
-        got = _outcome(transmission._square_solve(M[None], None if b is None else b[None], "system", cap)[0])
+        got = _outcome(transmission._square_solve(M[None], None if b is None else b[None], ["system"], [cap])[0])
         assert got == _solve_outcome(square_solve_reference, M, b, "system", cap), (M.shape, cap)
         kinds.add(got[0] if isinstance(got[0], type) else "none" if got[0] is None else "solved")
     assert kinds == {"solved", "none", ResonantSingularityError, UnconvergedSolveError, np.linalg.LinAlgError}
     for group in stacks.values():
         M, b, cap = zip(*group)
-        out = transmission._square_solve(np.stack(M), None if b[0] is None else np.stack(b), "system", cap)
+        out = transmission._square_solve(np.stack(M), None if b[0] is None else np.stack(b), ["system"] * len(M),
+                                         cap)
         assert [_outcome(got) for got in out] == [_solve_outcome(square_solve_reference, M, b, "system", c)
                                                   for M, b, c in group]
 
