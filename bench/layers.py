@@ -10,16 +10,20 @@ description (None outside a git checkout), ``nproc``,
 the Python, numpy and BLAS versions, and two sets of medians in seconds:
 
 * ``cold_s``: over ``--repeats`` fresh processes each, ``import
-  elastoplasmon.cli`` and, through the CLI, each gated sweep (the four
-  configurations of the benchmark's two gated workloads, each with one fixed
-  source mode) and its ``solve`` check at the deepest loss;
+  elastoplasmon.cli``; through the CLI, each gated sweep (the four
+  configurations of the benchmark's two gated workloads, as
+  ``perfbench/workloads.make_plan`` writes them at seed 1) and its
+  ``solve`` check at the deepest loss; ``waves-check --n 20/40/64`` and
+  ``np-spectrum --nmax 64``;
 * ``warm_s``: in one process, after one untimed call that fills the
   per-process caches, the median over ``--repeats`` batches of in-process
   calls of: the square sector solve of k systems of size m (k = 1, 13; m = 2,
   6, 8, 12: a family-1 unit single layer, a cored family-1, a core-free
-  family-2 and a cored family-3 system, at degrees 7, 8, ...), ``solve_mode``
-  per family, ``dissipation_E``, each ``scenarios.WITNESSES`` core and
-  ``sweep`` per gated configuration.
+  family-2 and a cored family-3 system, at degrees 7, 8, ..., as the solves
+  hand them to it), ``solve_mode`` per family, ``dissipation_E``, each
+  ``scenarios.WITNESSES`` core on one row, the dissipations of one 13-row
+  schedule column and each core on a 13-row schedule column
+  (``column:*``), and ``sweep`` per gated configuration.
 
 ``--against DIR`` times DIR (the parent) and this checkout (the change) in N
 alternating pairs, each side first in every other pair, one record of
@@ -34,6 +38,7 @@ paired runs compare two trees.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -46,25 +51,22 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-SCHEDULE_DELTAS = [10.0 ** (-(4 + i) / 2) for i in range(13)]
-FIXED_DELTAS = [1e-2, 1e-3, 1e-4, 1e-5]
+GATED_WORKLOADS = ("dichotomy_schedule", "spheroidal_fixed")
 
 
-def _cored_schedule(q: float) -> dict:
-    return {"schema": 1, "lambda": 1.0, "mu": 1.0, "core_radius": 1.0, "shell_radius": 2.0, "q": q, "n_max": 12,
-            "c_mode": {"schedule": 1}, "delta_list": SCHEDULE_DELTAS, "source_modes": [[None, 1, 3, 0.6, 0.8]]}
+def _workloads():
+    """``perfbench/workloads.py``, loaded by path (it imports neither numpy nor the package)."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
-GATED = {
-    "sched_q2.3": _cored_schedule(2.3),
-    "sched_q3.6": _cored_schedule(3.6),
-    "nocore_zeta3_3": {"schema": 1, "lambda": 1.0, "mu": 1.0, "shell_radius": 2.0, "q": 2.6, "n_max": 12,
-                       "c_mode": {"fixed": -25.0 / 38.0}, "delta_list": FIXED_DELTAS,
-                       "source_modes": [[3, 3, 5, 0.6, -0.8]]},
-    "cored_zeta2_4": {"schema": 1, "lambda": 1.0, "mu": 1.0, "core_radius": 1.0, "shell_radius": 2.0, "q": 3.0,
-                      "n_max": 12, "c_mode": {"fixed": -130.0 / 59.0}, "delta_list": FIXED_DELTAS,
-                      "source_modes": [[4, 2, 2, -0.8, 0.6]]},
-}
+def gated_plans(work: Path) -> list:
+    """The plans of the benchmark's gated workloads at seed 1, their configs written under ``work``."""
+    workloads = _workloads()
+    return [workloads.make_plan(name, 1, work / name) for name in GATED_WORKLOADS]
 
 
 def _env(tree: Path) -> dict:
@@ -73,21 +75,25 @@ def _env(tree: Path) -> dict:
 
 
 def _cold_commands(work: Path) -> dict[str, list[str]]:
+    cli = ["-m", "elastoplasmon.cli"]
     commands = {"import": ["-c", "import elastoplasmon.cli"]}
-    for name, cfg in GATED.items():
-        path = work / f"{name}.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
-        cli = ["-m", "elastoplasmon.cli"]
-        commands[f"sweep:{name}"] = cli + ["sweep", "--config", str(path), "--csv", str(work / f"{name}.csv")]
-        commands[f"solve:{name}"] = cli + ["solve", "--config", str(path), "--delta", repr(cfg["delta_list"][-1])]
+    for plan in gated_plans(work):
+        for command in plan.commands:
+            commands[f"sweep:{command.ref}"] = cli + [a.replace("{work}", str(work)) for a in command.argv]
+        for command in plan.checks:
+            commands[f"solve:{command.ref}"] = cli + list(command.argv)
+    for n in (20, 40, 64):
+        commands[f"waves-check:{n}"] = cli + ["waves-check", "--n", str(n)]
+    commands["np-spectrum:64"] = cli + ["np-spectrum", "--nmax", "64"]
     return commands
 
 
 def cold(tree: Path, repeats: int, work: Path) -> dict[str, float]:
     """Median wall seconds of each cold command over ``repeats`` fresh processes."""
     times: dict[str, list[float]] = {}
+    commands = _cold_commands(work)
     for _ in range(repeats):
-        for name, argv in _cold_commands(work).items():
+        for name, argv in commands.items():
             t0 = time.perf_counter()
             subprocess.run([sys.executable, *argv], env=_env(tree), cwd=work, check=True,
                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
@@ -110,53 +116,89 @@ def _median_call_s(call, repeats: int) -> float:
     return statistics.median(runs)
 
 
+def _systems(transmission, solve) -> list:
+    """The (matrix, right side) of every system ``solve()`` hands to ``transmission._square_solve``."""
+    seen = []
+    square_solve = transmission._square_solve
+
+    def spy(M, b, *args):
+        seen.extend(zip(M, b))
+        return square_solve(M, b, *args)
+
+    transmission._square_solve = spy
+    try:
+        solve()
+    finally:
+        transmission._square_solve = square_solve
+    return seen
+
+
 def warm(repeats: int) -> dict:
     """The in-process layer timings of the elastoplasmon on ``sys.path``, and the versions."""
     import numpy as np
     from dataclasses import replace
 
-    from elastoplasmon import cli, scenarios, transmission
+    from elastoplasmon import cli, energy, scenarios, transmission
     from elastoplasmon.energy import dissipation_E
-    from elastoplasmon.lame import LameParams, plasmon_constants
+    from elastoplasmon.lame import LameParams
     from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_mode, solve_modes
+    from elastoplasmon.waves import plasmon_constants
 
     params = LameParams(1.0, 1.0)
     cored = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=params, core_radius=1.0)
     out: dict[str, float] = {}
-    shapes = {2: ([1.0], [1.0, 1.0], 1), 6: (*transmission._region_layout(cored, 3.0), 1),
-              8: (*transmission._region_layout(replace(cored, core_radius=None), 3.0), 2),
-              12: (*transmission._region_layout(cored, 3.0), 3)}
-    for m, (bounds, weights, fam) in shapes.items():
-        systems = [transmission._sector_system(bounds, weights, transmission._radial_profile(params, n, fam))
-                   for n in range(7, 20)]
+    solves = {2: lambda n: transmission._unit_layer.__wrapped__(params, n, 1),
+              6: lambda n: solve_mode(cored, SourceSpec(3.0, {(n, 1, 1): 1.0}), n),
+              8: lambda n: solve_mode(replace(cored, core_radius=None), SourceSpec(3.0, {(n, 2, 1): 1.0}), n),
+              12: lambda n: solve_mode(cored, SourceSpec(3.0, {(n, 3, 1): 1.0}), n)}
+    for m, solve in solves.items():
+        systems = [system for n in range(7, 20) for system in _systems(transmission, lambda: solve(n))]
+        assert all(M.shape == (m, m) for M, _ in systems), m
         for k in (1, 13):
-            M = np.stack([s[0] for s in systems[:k]])
-            b = np.stack([s[1] for s in systems[:k]])
-            if hasattr(transmission, "_solve_column"):
-                def call(M=M, b=b):
-                    transmission._square_solve(M, b, ["system"] * len(M), [math.inf] * len(M))
-            else:  # only for a parent from before stacked solves (BENCH_e1db3bb.json): one system per call
-                def call(M=M, b=b):
-                    for Mi, bi in zip(M, b):
-                        transmission._square_solve(Mi, bi)
-            out[f"square_solve[m={m},k={k}]"] = _median_call_s(call, repeats)
+            M = np.stack([M for M, _ in systems[:k]])
+            b = np.stack([b for _, b in systems[:k]])
+            out[f"square_solve[m={m},k={k}]"] = _median_call_s(
+                lambda M=M, b=b: transmission._square_solve(M, b, ["system"] * len(M), [math.inf] * len(M)), repeats)
     for fam in (1, 2, 3):
         src = SourceSpec(3.0, {(8, fam, 1): 1.0})
         out[f"solve_mode[family={fam}]"] = _median_call_s(lambda: solve_mode(cored, src, 8), repeats)
     mixed = SourceSpec(3.0, {(8, 1, 1): 1.0, (8, 2, 2): 0.5j, (8, 3, 3): -0.7})
     solutions = solve_modes(cored, mixed)
     out["dissipation_E"] = _median_call_s(lambda: dissipation_E(solutions, cored), repeats)
+    with tempfile.TemporaryDirectory() as work:
+        configs = {name: cfg for plan in gated_plans(Path(work)) for name, cfg in plan.configs.items()}
     zeta1 = plasmon_constants(params, 8).zeta1
     applies = {  # a (medium, source, loss) each witness applies to
         "witness_nocore": (LayeredMedium(2.0, zeta1, 1e-3, params), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
         "witness_fixed_c": (replace(cored, c=-4.0), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
-        "witness_core_resonant": (*cli._configuration(GATED["sched_q2.3"])(1e-3), 1e-3),
-        "witness_radial_nonresonant": (*cli._configuration(GATED["sched_q3.6"])(1e-3), 1e-3),
+        "witness_core_resonant": (*cli._configuration(configs["sched_q2.3"])(1e-3), 1e-3),
+        "witness_radial_nonresonant": (*cli._configuration(configs["sched_q3.6"])(1e-3), 1e-3),
     }
+    columns = hasattr(energy, "dissipations")  # else a tree from before column-shaped energies: row by row
     for w in scenarios.WITNESSES:
         if w.name in applies:
-            out[f"witness:{w.name}"] = _median_call_s(lambda w=w: w.core(*applies[w.name]), repeats)
-    for name, cfg in GATED.items():
+            row = applies[w.name]
+            call = (lambda w=w, row=row: w.core([row])) if columns else (lambda w=w, row=row: w.core(*row))
+            out[f"witness:{w.name}"] = _median_call_s(call, repeats)
+    # the 13-row schedule columns a sweep hands to the energies and the cores
+    nocore = {key: v for key, v in configs["sched_q2.3"].items() if key != "core_radius"}
+    column_of = {"witness_nocore": dict(nocore, q=2.6), "witness_fixed_c": configs["sched_q2.3"],
+                 "witness_core_resonant": configs["sched_q2.3"], "witness_radial_nonresonant": configs["sched_q3.6"]}
+    for name, cfg in [("dissipations", configs["sched_q2.3"])] + list(column_of.items()):
+        conf = cli._configuration(cfg)
+        rows = [(*conf(d), d) for d in cfg["delta_list"]]
+        if name == "dissipations":
+            media = [med for med, _, _ in rows]
+            lossy = [[sol] for sol in transmission._solve_column([(med, src, max(src.degrees())) for med, src, _ in rows])]
+            call = ((lambda: energy.dissipations(lossy, media)) if columns else
+                    (lambda: [dissipation_E(sols, med) for sols, med in zip(lossy, media)]))
+        else:
+            w = next(w for w in scenarios.WITNESSES if w.name == name)
+            free = [[sol] for sol in transmission._solve_column([(replace(med, delta=0.0), src, max(src.degrees()))
+                                                                 for med, src, _ in rows])]
+            call = _column_core(w, rows, free if w.reads_loss_free else None, columns)
+        out[f"column:{name}"] = _median_call_s(call, repeats)
+    for name, cfg in configs.items():
         conf = cli._configuration(cfg)
         out[f"sweep:{name}"] = _median_call_s(lambda: scenarios.sweep(conf, cfg["delta_list"]), repeats)
     blas = {}
@@ -166,6 +208,25 @@ def warm(repeats: int) -> dict:
     except (TypeError, KeyError, AttributeError):
         pass
     return {"warm_s": out, "versions": {"python": sys.version.split()[0], "numpy": np.__version__, "blas": blas}}
+
+
+def _column_core(w, rows, loss_free, columns: bool):
+    """A call of witness ``w``'s core on the (medium, source, loss) ``rows`` as one column, as a sweep makes it.
+
+    ``loss_free`` holds each row's loss-free solve outcomes for a core that
+    reads them.  A tree from before column-shaped cores (``columns``
+    false) takes the rows one at a time, its refusals caught."""
+    kwargs = {} if loss_free is None else {"loss_free": loss_free}
+    if columns:
+        return lambda: w.core(rows, **kwargs)
+
+    def row_by_row():
+        for i, row in enumerate(rows):
+            try:
+                w.core(*row, **({} if loss_free is None else {"loss_free": loss_free[i]}))
+            except (ValueError, ArithmeticError):
+                pass
+    return row_by_row
 
 
 def _git(tree: Path) -> str | None:

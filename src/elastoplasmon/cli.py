@@ -440,7 +440,7 @@ def _cmd_witness(args) -> int:
     failures = []
     for w in witnesses:
         try:
-            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(w.labels, w.core(med, src, delta))))
+            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(w.labels, w.scalars(med, src, delta))))
         except (ValueError, ArithmeticError) as exc:
             failures.append(f"{w.name}: {type(exc).__name__}: {exc}")
     if len(failures) == len(witnesses):

@@ -19,9 +19,15 @@ rho^2 Re <u, t(u)> through its outer sphere minus its inner one.  In a
 sector the displacement and traction on a sphere are radial-profile scalars
 times unit members and their partner shapes (norm^2 kappa (2n+1)/(2d+1)),
 so the dissipation of a solve and the witness bounds of
-:mod:`~elastoplasmon.scenarios` are scalar sums over the interface spheres
-(:func:`solution_pairing`, :func:`profile_pairing`), and a source enters
-through the Gram matrix of its coefficients alone.
+:mod:`~elastoplasmon.scenarios` are scalar sums over the interface spheres,
+and a source enters through the Gram matrix of its coefficients alone.  One
+array flux (:func:`_flux`) takes a stack of such fields, a column's rows,
+and all their interface spheres at once: the dissipations of a column
+(:func:`dissipations`; :func:`dissipation_E` is a column of one), the
+pairings of solves (:func:`solution_pairings`) and of unit-member fields
+(:func:`profile_pairings`) are this flux.  Each complex product in it is
+formed from real parts as Python's complex product rounds it, so a column's
+values are bit for bit those of its rows alone.
 """
 
 from __future__ import annotations
@@ -33,14 +39,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
-from .transmission import _profile_trace
+from .transmission import _pows, _profile_stack
 
 __all__ = [
     "EnergyReport",
     "pairing_P",
     "dissipation_E",
+    "dissipations",
     "solution_pairing",
+    "solution_pairings",
     "profile_pairing",
+    "profile_pairings",
     "functional_I",
     "functional_J",
     "source_pairing",
@@ -113,85 +122,133 @@ def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_h
     return total
 
 
-def _flux(annuli: dict) -> float:
-    """Sum over annuli of P(u, u) by Betti's identity, for fields that solve the Lame system.
+def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarray:
+    """Sum over regions of P(u, u) by Betti's identity, for a stack of k fields that solve the Lame system.
 
-    On an annulus P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
+    On a region P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
     sphere minus its inner one; the flux vanishes at r = 0 and at infinity.
-    ``annuli[(r_lo, r_hi, sector)]`` lists the sector's parts on the annulus
-    as (profile, coordinates, gamma, block amplitudes), gamma the part's
-    coefficients {member k: gamma_k}: on the sphere rho a part's shape of
-    degree d has the coordinate vector ``coordinates[d] * gamma * U_d(rho)``
-    on the sector's unit members (traction alike).  So the angular integral
-    of two parts' shapes of degree d is the product of their scalars
-    ``coordinates[d] * U_d(rho)`` and ``coordinates[d] * T_d(rho)`` times
-    the entry <gamma_p, gamma_q> of the Gram matrix of the parts'
-    coefficients, formed once per annulus.
+    Row i's field lies on the regions between ``radii[i]`` (from 0 to inf)
+    and is the sum of the P ``parts`` of one sector, each (degrees, profile
+    stack, amplitudes (k, regions, B)) of profile fields
+    (:func:`~elastoplasmon.transmission._profile_stack`).  On the sphere rho
+    a part's shape of degree d has the coordinate vector ``coordinates[d] *
+    gamma * U_d(rho)`` on the sector's unit members (traction alike), gamma
+    the part's coefficients and ``coordinates`` the profile's ``coords``.  So the
+    angular integral of two parts' shapes of degree d is the product of
+    their scalars ``coordinates[d] * U_d(rho)`` and ``coordinates[d] *
+    T_d(rho)`` times the entry <gamma_p, gamma_q> of the Gram matrix ``gram``
+    (k, P, P) of the parts' coefficients.  The fluxes are added to ``total``
+    region by region, outer sphere first.
     """
-    total = 0.0
-    for (r_lo, r_hi, _), parts in annuli.items():
-        gram = [[sum(g.conjugate() * q[2].get(k, 0.0) for k, g in p[2].items()) for q in parts] for p in parts]
-        for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
-            if not 0.0 < rho < math.inf:
-                continue
-            traces = [{d: (coords[d] * ud, coords[d] * td) for d, (ud, td) in _profile_trace(prof, amps, rho).items()}
-                      for prof, coords, _, amps in parts]
-            total += sign * rho**2 * sum(
-                (g * sum(u.conjugate() * tq[d][1] for d, (u, _) in tp.items() if d in tq)).real
-                for row, tp in zip(gram, traces) for g, tq in zip(row, traces))
+    rows = [list(r) for r in radii]
+    nreg = len(rows[0]) - 1
+    # the sides, region by region, outer sphere first: (region, interface sphere 1..nreg-1, sign)
+    sides = [(reg, s, sign) for reg in range(nreg) for s, sign in ((reg + 1, 1.0), (reg, -1.0)) if 0 < s < nreg]
+    regs, spheres = [reg for reg, _, _ in sides], [s - 1 for _, s, _ in sides]
+    rho = [r[1:nreg] for r in rows]
+    align = [[None if dp == dq else [dq.index(d) for d in dp] for dq, *_ in parts] for dp, *_ in parts]
+    gram_re, gram_im = gram.real[:, :, :, None], gram.imag[:, :, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        traces = []
+        for _, (power, scalars, coords), amps in parts:
+            # every block's rho^p and rho^(p-1) on every interface sphere; a region's absent blocks have amplitude 0
+            pw = _pows(rho, power)[:, spheres, :, :, None]
+            ut = coords[:, None, None, :] * ((amps[:, regs, :, None, None] * scalars[:, None]) * pw).sum(axis=2)
+            traces.append((ut[:, :, 0], ut[:, :, 1]))
+        value = 0
+        for p, (U, _) in enumerate(traces):
+            for q, (_, T) in enumerate(traces):
+                T = T if align[p][q] is None else T[:, :, align[p][q]]
+                # Re(g <U, T>) from real parts, each rounded as Python's complex product rounds it
+                re = (U.real * T.real + U.imag * T.imag).sum(axis=2)
+                im = (U.real * T.imag - U.imag * T.real).sum(axis=2)
+                value = value + (gram_re[:, p, q] * re - gram_im[:, p, q] * im)
+        square = np.array([[r**2 for r in rs] for rs in rho])[:, spheres]
+        fluxes = (np.array([sign for *_, sign in sides]) * square) * value  # sign rho^2 times the pairing
+        for j in range(len(sides)):
+            total = total + fluxes[:, j]
     return total
 
 
-def _coordinates(prof) -> dict[int, float]:
-    """Coordinates of a unit member's shapes: 1 at its degree n, -sqrt(kappa (2n+1)/(2d+1)) at the partner d.
+def profile_pairings(stack: tuple, radii, amps) -> np.ndarray:
+    """Re P(u, u) of k unit sector members' fields, by one flux: row i the blocks ``amps[i]`` on ``radii[i]``.
 
-    The partner shape of member k of a family-2 sector at n is minus its
-    norm times member k of the family-3 sector at n - 2, and the reverse, so
-    the two sectors share one member basis (total angular momentum n - 1).
+    ``stack`` holds the rows' profiles, of one shape
+    (:func:`~elastoplasmon.transmission._profile_stack`); ``amps`` is
+    (k, regions, B), one row of blocks per region between the radii (from 0
+    to inf).
     """
-    n = prof.degrees[0]
-    return {d: 1.0 if d == n else -math.sqrt(prof.kappa * (2 * n + 1) / (2 * d + 1)) for d in prof.degrees}
+    return _flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
 
 
-def profile_pairing(prof, pieces: Iterable[tuple[float, float, dict]]) -> float:
-    """Re P(u, u) of a unit sector member's field, by flux.
-
-    ``pieces`` are (r_lo, r_hi, {(kind, shape): amplitude}) annuli of blocks
-    of the profile ``prof`` (:func:`~elastoplasmon.transmission._radial_profile`).
-    """
-    coords = _coordinates(prof)
-    return _flux({(lo, hi, None): [(prof, coords, {1: 1.0}, amps)] for lo, hi, amps in pieces})
+def profile_pairing(prof, radii, amps) -> float:
+    """Re P(u, u) of a unit sector member's field, by flux: :func:`profile_pairings` of one."""
+    return float(profile_pairings(_profile_stack([prof]), [radii], np.asarray(amps)[None])[0])
 
 
-def solution_pairing(solutions: Sequence) -> float:
-    """Re P(u, u) summed over all regions of the superposed solves, by flux.
+def solution_pairings(rows: Sequence[Sequence]) -> list[float]:
+    """Re P(u, u) summed over all regions of each row's superposed solves, by flux.
 
     Sectors are orthogonal, except a family-2 density at n and a family-3
     density at n - 2, which share total angular momentum n - 1 and pair
-    through their member coordinates.
+    through their member coordinates.  The rows of one layout (regions, and
+    the families of each sector) are one stack of :func:`_flux`, a sector at
+    a time in the order the solves first reach it.
     """
-    annuli: dict = {}
-    for sol in solutions:
-        for fam, gammas, prof, pieces in sol.sectors:
-            J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
-            coords, gamma = _coordinates(prof), dict(gammas)
-            for lo, hi, amps in pieces:
-                annuli.setdefault((lo, hi, (fam == 1, J)), []).append((prof, coords, gamma, amps))
-    return _flux(annuli)
+    groups: dict = {}
+    for i, solutions in enumerate(rows):
+        sectors: dict = {}
+        for sol in solutions:
+            for fam, gammas, prof, amps in sol.sectors:
+                J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
+                sectors.setdefault((fam == 1, J), []).append((fam, prof, gammas, amps))
+        parts = list(sectors.values())
+        layout = (len(solutions[0].radii) if solutions else 0,
+                  tuple(tuple((fam, len(prof.degrees)) for fam, prof, _, _ in sector) for sector in parts))
+        groups.setdefault(layout, []).append((i, solutions[0].radii if solutions else None, parts))
+    out = [0.0] * len(rows)
+    for members in groups.values():
+        if not members[0][2]:
+            continue  # no solve: no field
+        radii = [r for _, r, _ in members]
+        total = 0.0
+        for j in range(len(members[0][2])):
+            sectors = [parts[j] for _, _, parts in members]
+            stack = [(sectors[0][p][1].degrees, _profile_stack([sector[p][1] for sector in sectors]),
+                      np.array([sector[p][3] for sector in sectors])) for p in range(len(sectors[0]))]
+            total = _flux(radii, stack, np.array([_gram(sector) for sector in sectors], dtype=complex), total)
+        for (i, _, _), value in zip(members, total.tolist()):
+            out[i] = value
+    return out
+
+
+def _gram(parts: list) -> list[list[complex]]:
+    """The Gram matrix <gamma_p, gamma_q> = sum_k conj(gamma_p,k) gamma_q,k of the parts' coefficients."""
+    coefficients = [dict(gammas) for _, _, gammas, _ in parts]
+    return [[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients] for gp in coefficients]
+
+
+def solution_pairing(solutions: Sequence) -> float:
+    """Re P(u, u) summed over all regions of the superposed solves: :func:`solution_pairings` of one row."""
+    return solution_pairings([solutions])[0]
+
+
+def dissipations(rows: Sequence[Sequence], media: Sequence) -> list[float]:
+    """Dissipation (delta/2) P(u, u) of each row's exact solves in its medium, by one flux per layout.
+
+    Every region's field solves the Lame system, so no volume integral is
+    formed: the sum reads only the solutions' sector amplitudes
+    (:func:`solution_pairings`), with no field and no ladder degree.  Raises
+    for delta = 0 where dissipation is undefined.
+    """
+    if any(medium.delta <= 0 for medium in media):
+        raise ValueError("dissipation needs delta > 0")
+    return [0.5 * medium.delta * p for medium, p in zip(media, solution_pairings(rows))]
 
 
 def dissipation_E(solutions: Sequence, medium) -> float:
-    """Dissipation (delta/2) P(u, u) of an exact solve, by the flux of :func:`solution_pairing`.
-
-    Every region's field solves the Lame system, so no volume integral is
-    formed: the sum reads only the solutions' sector amplitudes, with no
-    field and no ladder degree.  Raises for delta = 0 where dissipation
-    is undefined.
-    """
-    delta = medium.delta
-    if delta <= 0:
-        raise ValueError("dissipation needs delta > 0")
-    return 0.5 * delta * solution_pairing(solutions)
+    """Dissipation (delta/2) P(u, u) of an exact solve, by flux: :func:`dissipations` of one row."""
+    return dissipations([solutions], [medium])[0]
 
 
 def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,

@@ -16,23 +16,27 @@ raises :class:`~elastoplasmon.transmission.ResonantSingularityError`, an
 primal witness applies.
 
 Every witness field solves the Lame system in each region, so its energies
-are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_pairing`,
-:func:`~elastoplasmon.energy.solution_pairing`): each bound is a scalar of
+are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_pairings`,
+:func:`~elastoplasmon.energy.solution_pairings`): each bound is a scalar of
 the radial profiles and the source coefficients.  :data:`WITNESSES` lists
-each witness once (its bound, whether it needs a core, its scalar core and
-the scalars it prints); a sweep row and the ``witness`` command read it and
-build no field.  A sweep solves two columns of sector systems
-(:func:`~elastoplasmon.transmission._solve_column`): every row's lossy
-solve, and the loss-free solve of the rows the fixed-multiplier witness
-applies to (a core and a family-1 source), which the primal witnesses read
-instead of solving; rows of one loss-free medium and source share their
-systems.  A sweep tries the radial witness only on its schedule outside
-R^{3/2} and records each witness that raises in
-``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
-exception type and message), and per row the largest condition and
-backward error of each column's systems in ``SweepResult.meta["solves"]``.
-The public ``witness_*`` builders take their bound from the same scalar
-core and also return the fields.
+each witness once (its bound, whether it needs a core, its core and the
+scalars it prints); a sweep and the ``witness`` command read it and build
+no field.  A core takes a column of (medium, source, loss) rows and returns
+per row its scalars or its error: its traces, single-layer scalings and
+pairings are stacks over the column.  A sweep solves one column of sector
+systems (:func:`~elastoplasmon.transmission._solve_column`): every row's
+lossy solve and the loss-free solve of the rows the fixed-multiplier
+witness applies to (a core and a family-1 source), which the primal
+witnesses read instead of solving; rows of one loss-free medium and source
+share their systems.  It takes the dissipations of its rows as one flux and
+runs each core once, on the rows it applies to; it tries the radial witness
+only on its schedule outside R^{3/2}.  It records each witness that raises
+in ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
+exception type and message), and per row the largest condition and backward
+error of its lossy and of its loss-free systems in
+``SweepResult.meta["solves"]``.  The ``witness`` command and the public
+``witness_*`` builders run a core on a column of one; the builders also
+return the fields.
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -48,10 +52,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .lame import LameParams, ModeField, Term, plasmon_constants
-from .energy import EnergyReport, dissipation_E, profile_pairing, solution_pairing
+from .energy import EnergyReport, dissipations, profile_pairings, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
-                           _ok, _profile_fields, _profile_trace, _radial_profile, _single_layer, _solve_column,
-                           _source_member, _wave_amplitudes)
+                           _ok, _profile_fields, _profile_stack, _radial_profile, _region_blocks, _single_layers,
+                           _solve_column, _source_member, _traces, _wave_amplitudes)
 
 __all__ = [
     "SweepResult",
@@ -96,21 +100,6 @@ def schedule_n_delta(R: float, delta: float) -> int:
 # scalar machinery of the witnesses
 # ---------------------------------------------------------------------------
 
-def _merge_annuli(parts: list[list[tuple[float, float, dict]]]) -> list[tuple[float, float, dict]]:
-    """Block amplitudes of several annulus lists summed on the union of their bounds (as :func:`_merge_pieces`)."""
-    bounds = sorted({r for part in parts for lo, hi, _ in part for r in (lo, hi)})
-    merged = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        amps: dict = {}
-        for part in parts:
-            for p_lo, p_hi, p_amps in part:
-                if p_lo <= lo and hi <= p_hi:
-                    for block, a in p_amps.items():
-                        amps[block] = amps.get(block, 0.0) + a
-        merged.append((lo, hi, amps))
-    return merged
-
-
 def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
     """Fields of several piece lists summed on the union of their bounds, terms in list order."""
     pieces = [p for part in list_of_pieces for p in part]
@@ -124,17 +113,70 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
-def _loss_free(medium: LayeredMedium, source: SourceSpec, degrees, loss_free: list | None) -> list[ModeSolution]:
-    """The loss-free solutions of the source's ``degrees``, the first one's error raised.
+def _column(n: int, check, values, key=None) -> list:
+    """Per row of a column of ``n`` its values, or its error (which a caller raises on reading the row,
+    unless it is a refusal).
 
-    ``loss_free`` holds the outcome of each of ``source.degrees()`` (a
-    :class:`~elastoplasmon.transmission.ModeSolution` or the error of its
-    solve), as a sweep's loss-free column gives it; else they are solved.
+    ``check(i)`` runs per row and returns its state or raises.  The rows
+    that pass are evaluated as stacks, one per ``key(state)``:
+    ``values(idx, states)`` returns one value (or error) per row.  Where a
+    stack raises an ``ArithmeticError`` (a power or a single layer out of
+    the float range, a vanishing denominator), its rows go one at a time, so
+    only the row that raises gets the error."""
+    out: list = []
+    for i in range(n):
+        try:
+            out.append(check(i))
+        except Exception as exc:
+            out.append(exc)
+    groups: dict = {}
+    for i, state in enumerate(out):
+        if not isinstance(state, Exception):
+            groups.setdefault(None if key is None else key(state), []).append(i)
+    for idx in groups.values():
+        states = [out[i] for i in idx]
+        try:
+            got = values(idx, states)
+        except ArithmeticError:
+            got = []
+            for i, state in zip(idx, states):
+                try:
+                    got += values([i], [state])
+                except ArithmeticError as exc:
+                    got.append(exc)
+        for i, value in zip(idx, got):
+            out[i] = value
+    return out
+
+
+def _loss_free(rows, degrees, loss_free: list | None = None) -> list:
+    """Per row the loss-free solutions of its ``degrees``, or the error of the first one that raises.
+
+    ``loss_free`` holds per row the outcome of each of ``source.degrees()``
+    (a :class:`~elastoplasmon.transmission.ModeSolution` or the error of its
+    solve), as a sweep's loss-free column gives it; else the rows' degrees
+    are solved as one column.
     """
     if loss_free is None:
-        return [_ok(sol) for sol in _solve_column([(replace(medium, delta=0.0), source, n) for n in degrees])]
-    by_degree = dict(zip(source.degrees(), loss_free))
-    return [_ok(by_degree[n]) for n in degrees]
+        flat = iter(_solve_column([(replace(med, delta=0.0), src, n) for (med, src, _), ns in zip(rows, degrees)
+                                   for n in ns]))
+        by_degree = [{n: next(flat) for n in ns} for ns in degrees]
+    else:
+        by_degree = [dict(zip(src.degrees(), lf)) for (_, src, _), lf in zip(rows, loss_free)]
+    out = []
+    for got, ns in zip(by_degree, degrees):
+        sols = [got[n] for n in ns]
+        out.append(next((s for s in sols if isinstance(s, Exception)), sols))
+    return out
+
+
+def _pairings_of(solutions: list) -> list[float | None]:
+    """:func:`~elastoplasmon.energy.solution_pairings` of the rows whose solutions are not an error (None for those)."""
+    fine = [i for i, sols in enumerate(solutions) if not isinstance(sols, Exception)]
+    pairings: list = [None] * len(solutions)
+    for i, p in zip(fine, solution_pairings([solutions[i] for i in fine])):
+        pairings[i] = p
+    return pairings
 
 
 def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> None:
@@ -145,12 +187,17 @@ def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> 
         raise ValueError("delta must be positive")
 
 
-def _fixed_c_bound(medium: LayeredMedium, source: SourceSpec, delta: float,
-                   loss_free: list | None = None) -> tuple[float, list[ModeSolution]]:
-    """I(v, 0) of the loss-free field at loss delta, by flux, and the loss-free solutions (:func:`_loss_free`)."""
-    _fixed_c_checks(medium, source, delta)
-    solutions = _loss_free(medium, source, source.degrees(), loss_free)
-    return 0.5 * delta * solution_pairing(solutions), solutions
+def _fixed_c_bound(rows, loss_free: list | None = None) -> list:
+    """Per (medium, source, delta) row: (I(v, 0), loss-free solutions), or the row's error.
+
+    I(v, 0) is that of the loss-free field at the row's loss, by one flux
+    over the rows; the loss-free solutions are those of :func:`_loss_free`."""
+    def values(idx, _):
+        free = _loss_free([rows[i] for i in idx], [rows[i][1].degrees() for i in idx],
+                          None if loss_free is None else [loss_free[i] for i in idx])
+        return [sols if p is None else (0.5 * rows[i][2] * p, sols)
+                for i, sols, p in zip(idx, free, _pairings_of(free))]
+    return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
 
 
 def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[ModeField], float, list[ModeSolution]]:
@@ -165,7 +212,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[Mod
     loss-free system of condition above 1e9 raises
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
-    I_upper, solutions = _fixed_c_bound(medium, source, medium.delta)
+    I_upper, solutions = _ok(_fixed_c_bound([(medium, source, medium.delta)])[0])
     return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
@@ -179,16 +226,14 @@ def _real_branch_coefficient(gamma: complex) -> float:
     return gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
 
 
-def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int, int, float, float]:
-    """The dominant source mode and the dual-bound constants of its perfect wave.
+def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
+    """((n0, family, k), g, profile, wave, region) of the dominant source mode.
 
     Needs medium.c equal to the mode family's plasmon constant at its degree
-    n0 and a nonzero source.  Returns (n0, family, k, C0, C_psi) for the
-    unit wave psi_hat of member k (:func:`~elastoplasmon.transmission._wave_amplitudes`,
-    which checks the sector): C0 = g <f_unit, psi_hat> = g q^2 U_n0(q) with
-    g the real branch coefficient, and C_psi = 0.5 Re P(psi_hat, psi_hat),
-    both scalar.
-    """
+    n0 and a nonzero source.  g is the real branch coefficient, the wave the
+    amplitudes inside and outside the shell of the unit perfect wave of
+    member k (:func:`~elastoplasmon.transmission._wave_amplitudes`, which
+    checks the sector) and region that of the wave at the source sphere."""
     params = medium.base
     n0, fam, k, gamma = _dominant_mode(source)
     _check_source_mode(n0, fam, k)
@@ -198,11 +243,54 @@ def _dual_constants(medium: LayeredMedium, source: SourceSpec) -> tuple[int, int
     g = _real_branch_coefficient(gamma)
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
-    R, q = medium.shell_radius, source.q
-    prof, inner, outer, _ = _wave_amplitudes(params, n0, fam, R)  # checked once per key
-    C0 = g * q**2 * float(np.real(_profile_trace(prof, inner if q <= R else outer, q)[n0][0]))
-    C_psi = 0.5 * profile_pairing(prof, [(0.0, R, inner), (R, math.inf, outer)])
-    return n0, fam, k, C0, C_psi
+    prof, wave, _ = _wave_amplitudes(params, n0, fam, medium.shell_radius)
+    return (n0, fam, k), g, prof, wave, int(source.q > medium.shell_radius)
+
+
+def _dual_key(state) -> tuple:
+    """The stack key of :func:`_dual_constants`: the wave's shape and its region at the source sphere."""
+    return len(state[2].degrees), state[4]
+
+
+def _dual_constants(rows, idx, states) -> tuple[list[float], list[float], tuple, np.ndarray]:
+    """C0 and C_psi of each row's dominant mode (:func:`_dual_mode`), and its profile stack and waves, as a stack.
+
+    For the unit wave psi_hat of member k: C0 = g <f_unit, psi_hat> = g q^2
+    U_n0(q) and C_psi = 0.5 Re P(psi_hat, psi_hat), both scalar.  The rows
+    share :func:`_dual_key`."""
+    profs, waves = [s[2] for s in states], np.array([s[3] for s in states])
+    R, q = [rows[i][0].shell_radius for i in idx], [rows[i][1].q for i in idx]
+    reg = states[0][4]
+    stack = _profile_stack(profs)
+    U, _ = _traces(stack, waves[:, reg], q, _region_blocks(reg, 2, len(profs[0].degrees)))
+    C0 = [s[1] * q_i**2 * u for s, q_i, u in zip(states, q, U[:, 0].real.tolist())]
+    C_psi = [0.5 * p for p in profile_pairings(stack, [(0.0, R_i, math.inf) for R_i in R], waves).tolist()]
+    return C0, C_psi, stack, waves
+
+
+def _nocore_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
+    if medium.core_radius is not None:
+        raise ValueError("no-core witness requires an empty core")
+    return _dual_mode(medium, source)
+
+
+def _nocore_bound(rows) -> list:
+    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode) of the core-free dual witness, or its error."""
+    def values(idx, states):
+        C0, C_psi, _, _ = _dual_constants(rows, idx, states)
+        return [(c0**2 / (4.0 * cp * rows[i][2]), c0 / (2.0 * cp * rows[i][2]), s[0])
+                for i, s, c0, cp in zip(idx, states, C0, C_psi)]
+    return _column(len(rows), lambda i: _nocore_check(*rows[i][:2]), values, key=_dual_key)
+
+
+def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list[ModeField], float, float]:
+    """Dual witness for the core-free resonant configuration.
+
+    Needs medium.c equal to a plasmon constant of the dominant source mode.
+    Returns (psi pieces at the optimal amplitude, J lower bound, tau).
+    """
+    J_lower, tau, mode = _ok(_nocore_bound([(medium, source, delta)])[0])
+    return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
 
 def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int) -> tuple[np.ndarray, list[ModeField]]:
@@ -218,43 +306,40 @@ def _scaled(pieces: list[ModeField], s: complex) -> list[ModeField]:
     return [ModeField(tuple(Term(s * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in pieces]
 
 
-def _nocore_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, float, tuple]:
-    """(J lower bound, tau, dominant mode) of the core-free dual witness, scalar."""
-    if medium.core_radius is not None:
-        raise ValueError("no-core witness requires an empty core")
-    n0, fam, k, C0, C_psi = _dual_constants(medium, source)
-    return C0**2 / (4.0 * C_psi * delta), C0 / (2.0 * C_psi * delta), (n0, fam, k)
-
-
-def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list[ModeField], float, float]:
-    """Dual witness for the core-free resonant configuration.
-
-    Needs medium.c equal to a plasmon constant of the dominant source mode.
-    Returns (psi pieces at the optimal amplitude, J lower bound, tau).
-    """
-    J_lower, tau, mode = _nocore_bound(medium, source, delta)
-    return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
-
-
-def _core_bound(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[float, float, tuple, list]:
-    """(J lower bound, tau, dominant mode, core-repair annuli) of the cored dual witness, scalar."""
+def _core_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
     if medium.core_radius is None:
         raise ValueError("core witness requires a core")
     if source.q <= medium.shell_radius:
         raise ValueError("source must lie outside the shell")
     if _dominant_mode(source)[1] != 1:
         raise ValueError("core witness implemented for the family-1 schedule")
-    params = medium.base
-    a_core = medium.core_radius
-    n0, fam, k, C0, C_psi = _dual_constants(medium, source)
-    # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
-    prof, inner, _, _ = _wave_amplitudes(params, n0, fam, medium.shell_radius)
-    rho1 = (medium.c - 1.0) * _profile_trace(prof, inner, a_core)[n0][1]  # per unit tau
-    v_tilde = _single_layer(params, n0, fam, a_core, -rho1)[1]  # -L v_tilde = rho1 K Y, v = tau v_tilde/delta
-    P_vt = profile_pairing(prof, v_tilde)
-    # J(tau) = C0 tau - (delta C_psi + P_vt/(2 delta) * ... ) tau^2
-    denom = delta * C_psi + 0.5 * P_vt / delta
-    return C0**2 / (4.0 * denom), C0 / (2.0 * denom), (n0, fam, k), v_tilde
+    return _dual_mode(medium, source)
+
+
+def _core_bound(rows) -> list:
+    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair amplitudes), or its error.
+
+    The cored dual witness, the rows as one stack; the core repair's
+    amplitudes are those of :func:`~elastoplasmon.transmission._single_layer`
+    on the core sphere."""
+    def values(idx, states):
+        C0, C_psi, stack, waves = _dual_constants(rows, idx, states)
+        # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
+        media = [rows[i][0] for i in idx]
+        cores = [med.core_radius for med in media]
+        _, T = _traces(stack, waves[:, 0], cores, slice(0, 1))
+        rho1 = (np.array([med.c - 1.0 for med in media]) * T[:, 0]).tolist()  # per unit tau
+        v_tilde = _single_layers([(med.base, s[0][0], 1, a, -r)  # -L v_tilde = rho1 K Y, v = tau v_tilde / delta
+                                  for med, s, a, r in zip(media, states, cores, rho1)])
+        P_vt = profile_pairings(stack, [(0.0, a, math.inf) for a in cores], v_tilde).tolist()
+        out = []
+        for i, s, c0, cp, p, v in zip(idx, states, C0, C_psi, P_vt, v_tilde):
+            # J(tau) = C0 tau - (delta C_psi + P_vt / (2 delta)) tau^2
+            delta = rows[i][2]
+            denom = delta * cp + 0.5 * p / delta
+            out.append((c0**2 / (4.0 * denom), c0 / (2.0 * denom), s[0], v))
+        return out
+    return _column(len(rows), lambda i: _core_check(*rows[i][:2]), values, key=_dual_key)
 
 
 def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
@@ -265,55 +350,86 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     core interface through an exact per-mode elliptic solve.  Returns
     (v pieces, psi pieces, J lower bound, tau).
     """
-    J_lower, tau, (n0, fam, k), v_tilde = _core_bound(medium, source, delta)
+    J_lower, tau, (n0, fam, k), v_tilde = _ok(_core_bound([(medium, source, delta)])[0])
     K, psi_hat = _unit_wave(medium, n0, fam, k)
-    v_hat = _profile_fields([(_radial_profile(medium.base, n0, fam), {n0: K}, v_tilde)])
+    v_hat = _profile_fields([(_radial_profile(medium.base, n0, fam), {n0: K}, (0.0, medium.core_radius, math.inf),
+                              v_tilde)])
     return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
-def _radial_bound(medium: LayeredMedium, source: SourceSpec, delta: float,
-                  loss_free: list | None = None) -> tuple[float, list, list[ModeSolution]]:
-    """I(v, w) of the radial primal witness by flux.
-
-    Returns the bound, (n, k, v annuli, w annuli) per scheduled mode (the
-    form :func:`~elastoplasmon.transmission._profile_fields` reads), and the
-    loss-free solutions of the off-schedule degrees (:func:`_loss_free`).  Scheduled modes,
-    distinct members and distinct degrees are orthogonal, so their energies
-    add; the two repairs of one mode share its member.
-    """
+def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list, list[int]]:
+    """The row's scheduled modes [(n, k, gamma)], in coefficient order, and its off-schedule degrees."""
     if medium.core_radius is None:
         raise ValueError("radial witness requires a core")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    params = medium.base
-    R, q = medium.shell_radius, source.q
-    if q <= R**1.5:
+    if source.q <= medium.shell_radius**1.5:
         raise ValueError("hypothesis violated: q must exceed R^{3/2}")
     _require_family1(source, "radial witness")
-    a_core = medium.core_radius
-    scheduled = []
-    off_schedule: set[int] = set()
-    P_v = P_w = 0.0
+    scheduled, off = [], set()
     for (n, _, k), gamma in sorted(source.coefficients.items()):
         if gamma == 0:
             continue
-        if math.isclose(medium.c, plasmon_constants(params, n).zeta1, rel_tol=1e-10):
-            # scheduled mode: free incident wave (the source's layer on q), interface defects go to w
+        if math.isclose(medium.c, plasmon_constants(medium.base, n).zeta1, rel_tol=1e-10):
             _check_source_mode(n, 1, k)
-            prof, v = _single_layer(params, n, 1, q, gamma)
-            repairs = []
-            for rho, sgn in ((a_core, 1.0), (R, -1.0)):
-                dens = sgn * (medium.c - 1.0) * _profile_trace(prof, v[0][2], rho)[n][1]
-                repairs.append(_single_layer(params, n, 1, rho, dens)[1])
-            w = _merge_annuli(repairs)
-            P_v += profile_pairing(prof, v)
-            P_w += profile_pairing(prof, w)
-            scheduled.append((n, k, v, w))
+            scheduled.append((n, k, gamma))
         else:
-            off_schedule.add(n)
-    off = _loss_free(medium, source, sorted(off_schedule), loss_free)
-    I_upper = 0.5 * delta * (P_v + solution_pairing(off)) + 0.5 / delta * P_w
-    return I_upper, scheduled, off
+            off.add(n)
+    return scheduled, sorted(off)
+
+
+def _radial_modes(rows, modes: list) -> tuple:
+    """v and w amplitudes and their pairings P_v, P_w of (row, n, k, gamma) scheduled modes, as one stack.
+
+    v is the free incident wave (the source's layer on q), w carries the
+    interface defects: a repair on the core sphere and one on the shell
+    (the family-1 single layers of the defects of v's traction times c - 1)."""
+    media = [rows[i][0] for i, *_ in modes]
+    q = [rows[i][1].q for i, *_ in modes]
+    profs = [_radial_profile(med.base, n, 1) for med, (_, n, _, _) in zip(media, modes)]
+    stack = _profile_stack(profs)
+    v = _single_layers([(med.base, n, 1, rho, gamma) for med, (_, n, _, gamma), rho in zip(media, modes, q)])
+    repairs = []
+    for sgn, at in ((1.0, [med.core_radius for med in media]), (-1.0, [med.shell_radius for med in media])):
+        _, T = _traces(stack, v[:, 0], at, slice(0, 1))
+        density = (np.array([sgn * (med.c - 1.0) for med in media]) * T[:, 0]).tolist()
+        repairs.append(_single_layers([(med.base, n, 1, rho, d) for med, (_, n, _, _), rho, d
+                                       in zip(media, modes, at, density)]))
+    ra, rR = repairs
+    w = np.stack((ra[:, 0] + rR[:, 0], ra[:, 1] + rR[:, 0], ra[:, 1] + rR[:, 1]), axis=1)  # on (0, a, R, inf)
+    P_v = profile_pairings(stack, [(0.0, q_i, math.inf) for q_i in q], v).tolist()
+    P_w = profile_pairings(stack, [(0.0, med.core_radius, med.shell_radius, math.inf) for med in media], w).tolist()
+    return v, w, P_v, P_w
+
+
+def _radial_bound(rows, loss_free: list | None = None) -> list:
+    """Per (medium, source, delta) row: (I(v, w) of the radial primal witness by flux, scheduled, off), or its error.
+
+    ``scheduled`` holds (n, k, v amplitudes, w amplitudes) per scheduled
+    mode, v on the radii (0, q, inf) and w on (0, core, shell, inf) (the
+    form :func:`~elastoplasmon.transmission._profile_fields` reads), ``off``
+    the loss-free solutions of the off-schedule degrees
+    (:func:`_loss_free`).  Scheduled modes, distinct members and distinct
+    degrees are orthogonal, so their energies add; the two repairs of one
+    mode share its member.  The scheduled modes of the rows are one stack.
+    """
+    def values(idx, states):
+        modes = [(i, n, k, gamma) for i, (scheduled, _) in zip(idx, states) for n, k, gamma in scheduled]
+        v, w, P_v, P_w = _radial_modes(rows, modes) if modes else ([], [], [], [])
+        off = _loss_free([rows[i] for i in idx], [off for _, off in states],
+                         None if loss_free is None else [loss_free[i] for i in idx])
+        out = []
+        at = 0
+        for i, (scheduled, _), sols, p_off in zip(idx, states, off, _pairings_of(off)):
+            delta, P_vi, P_wi, mine = rows[i][2], 0.0, 0.0, []
+            for j in range(at, at + len(scheduled)):
+                P_vi += P_v[j]
+                P_wi += P_w[j]
+                mine.append((modes[j][1], modes[j][2], v[j], w[j]))
+            at += len(scheduled)
+            out.append(sols if p_off is None else (0.5 * delta * (P_vi + p_off) + 0.5 / delta * P_wi, mine, sols))
+        return out
+    return _column(len(rows), lambda i: _radial_check(*rows[i]), values)
 
 
 def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
@@ -325,32 +441,37 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     per-mode solves.  Off-schedule degrees take the loss-free field of
     :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
-    I_upper, scheduled, off = _radial_bound(medium, source, delta)
+    I_upper, scheduled, off = _ok(_radial_bound([(medium, source, delta)])[0])
+    a, R, q = medium.core_radius, medium.shell_radius, source.q
     parts = [(_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)}, v, w)
              for n, k, v, w in scheduled]
-    v = _profile_fields([(prof, refs, v) for prof, refs, v, _ in parts])
-    w = _profile_fields([(prof, refs, w) for prof, refs, _, w in parts])
+    v = _profile_fields([(prof, refs, (0.0, q, math.inf), v) for prof, refs, v, _ in parts])
+    w = _profile_fields([(prof, refs, (0.0, a, R, math.inf), w) for prof, refs, _, w in parts])
     return _merge_pieces([v] + [list(sol.regions) for sol in off]), w, I_upper
 
 
 @dataclass(frozen=True)
 class Witness:
-    """One row of :data:`WITNESSES`; ``core(medium, source, delta)`` returns the bound first.
+    """One row of :data:`WITNESSES`; ``core(rows)`` returns per (medium, source, delta) row its scalars or its error.
 
-    A core that reads the loss-free field (``reads_loss_free``) also takes
-    it as ``loss_free``, which a sweep gives from its loss-free column
-    (:func:`_loss_free`).
+    The scalars start with the bound.  A core that reads the loss-free
+    field (``reads_loss_free``) also takes it as ``loss_free``, per row the
+    outcomes a sweep's loss-free column gives (:func:`_loss_free`).
     """
 
     name: str  # the public builder
     bound: str  # "I_upper" (primal) or "J_lower" (dual)
     cored: bool  # for cored media only, else for core-free media only
-    core: Callable[[LayeredMedium, SourceSpec, float], tuple]
+    core: Callable[[list], list]
     labels: tuple[str, ...]  # the leading scalars of the core, as the witness command prints them
     reads_loss_free: bool = False
 
     def applies(self, medium: LayeredMedium) -> bool:
         return self.cored == (medium.core_radius is not None)
+
+    def scalars(self, medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple:
+        """The core's scalars on a column of one row, its error raised."""
+        return _ok(self.core([(medium, source, delta)])[0])
 
 
 # every witness, in the order the witness command prints them
@@ -430,23 +551,19 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     Returns (rows, refusals, solves).  Every bound of a side is valid; a side
     no witness bounds is None.  A witness that applies but raises
     ``ValueError`` or ``ArithmeticError`` is a refusal (row, loss, degree,
-    witness, bound, exception type and message).  The solves are two
-    columns (:func:`~elastoplasmon.transmission._solve_column`): the lossy
-    one, and the loss-free one of the rows that pass the fixed-multiplier
-    witness's checks, whose primal witnesses read it.  ``solves`` holds per
-    row the largest condition and backward error of each column's systems.
-    A row's solve error is raised when the rows before it are done.
+    witness, bound, exception type and message).  The work is done by
+    columns: one solve (:func:`~elastoplasmon.transmission._solve_column`)
+    of the lossy rows and the loss-free ones of the rows that pass the
+    fixed-multiplier witness's checks, whose primal witnesses read them; one
+    flux for the dissipations (:func:`~elastoplasmon.energy.dissipations`);
+    and each witness core once, on the rows it applies to.  ``solves`` holds
+    per row the largest condition and backward error of its lossy and of its
+    loss-free systems.  A row's error is raised when the rows before it are done.
     """
     if min(deltas) <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
     media = [(d, *configuration(d)) for d in deltas]
-
-    def column(rows) -> list[list]:
-        items = [(med, src, n) for med, src in rows for n in src.degrees()]
-        flat, out = iter(_solve_column(items)), []
-        for _, src in rows:
-            out.append([next(flat) for _ in src.degrees()])
-        return out
+    degrees = [src.degrees() for _, _, src in media]
 
     def fixed_c_applies(med, src, d) -> bool:
         try:
@@ -455,31 +572,41 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
             return False
         return True
 
-    lossy = column([(med, src) for _, med, src in media])
-    free = [(replace(med, delta=0.0), src) if fixed_c_applies(med, src, d) else None for d, med, src in media]
-    solved = iter(column([row for row in free if row]))
-    loss_free = [next(solved) if row else None for row in free]
+    def tried(w, i) -> bool:
+        # unlike the witness command, a sweep tries the radial witness only on
+        # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
+        _, med, src = media[i]
+        return w.applies(med) and (w.name != "witness_radial_nonresonant" or (
+            src.q > med.shell_radius**1.5
+            and math.isclose(med.c, plasmon_constants(med.base, max(degrees[i])).zeta1, rel_tol=1e-10)))
+
+    free = [fixed_c_applies(med, src, d) for d, med, src in media]
+    items = [(med, src, n) for (_, med, src), ns in zip(media, degrees) for n in ns]
+    items += [(replace(med, delta=0.0), src, n) for (_, med, src), ns, f in zip(media, degrees, free) if f for n in ns]
+    flat = iter(_solve_column(items))
+    lossy = [[next(flat) for _ in ns] for ns in degrees]
+    loss_free = [[next(flat) for _ in ns] if f else None for ns, f in zip(degrees, free)]
+    fine = [i for i, outcomes in enumerate(lossy) if not any(isinstance(o, Exception) for o in outcomes)]
+    E = dict(zip(fine, dissipations([lossy[i] for i in fine], [media[i][1] for i in fine])))
+    found = {}
+    for w in WITNESSES:
+        idx = [i for i in range(len(media)) if tried(w, i)]
+        kwargs = {"loss_free": [loss_free[i] for i in idx]} if w.reads_loss_free else {}
+        found[w.name] = dict(zip(idx, w.core([(media[i][1], media[i][2], media[i][0]) for i in idx], **kwargs)))
     rows, refusals, solves = [], [], []
     for i, ((d, med, src), outcomes, lf) in enumerate(zip(media, lossy, loss_free)):
-        E = dissipation_E([_ok(sol) for sol in outcomes], med)
-        n_delta = max(src.degrees())
+        if i not in E:
+            _ok(next(o for o in outcomes if isinstance(o, Exception)))
+        n_delta = max(degrees[i])
         bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
         for w in WITNESSES:
-            if not w.applies(med):
-                continue
-            # unlike the witness command, a sweep tries the radial witness only on
-            # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
-            if w.name == "witness_radial_nonresonant" and not (
-                    src.q > med.shell_radius**1.5
-                    and math.isclose(med.c, plasmon_constants(med.base, n_delta).zeta1, rel_tol=1e-10)):
-                continue
-            kwargs = {"loss_free": lf} if w.reads_loss_free else {}
-            try:
-                bounds[w.bound].append(w.core(med, src, d, **kwargs)[0])
-            except (ValueError, ArithmeticError) as exc:
+            got = found[w.name].get(i)
+            if isinstance(got, (ValueError, ArithmeticError)):
                 refusals.append({"row": i, "delta": d, "n_delta": n_delta, "witness": w.name, "bound": w.bound,
-                                 "error": type(exc).__name__, "message": str(exc)})
-        rows.append(EnergyReport(delta=d, E_delta=E, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
+                                 "error": type(got).__name__, "message": str(got)})
+            elif got is not None:
+                bounds[w.bound].append(_ok(got)[0])
+        rows.append(EnergyReport(delta=d, E_delta=E[i], c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
                                  J_lower=max(bounds["J_lower"], default=None), n_delta=n_delta))
         (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(lf or [])
         solves.append({"row": i, "lossy_condition": lossy_cond, "lossy_backward_error": lossy_berr,

@@ -11,18 +11,22 @@ through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
 reached through t1).  Within a sector every block's displacement and
 traction on a sphere is a scalar times one reference matrix per degree (the
 sector's *radial profile*, in closed form from
-:func:`~elastoplasmon.lame.mode_constants`; a solve runs no traction
-algebra), so the interface conditions (displacement continuity,
-weighted-traction continuity and the prescribed traction jump across the
-source sphere) form a square scalar system: two unknowns per region and
-rows per interface for family 1, four for families 2 and 3.
-Each family's part of a density is solved in its sector, by LU refined in
-extended precision, and the parts are superposed.  The unit of work is a
-column of (medium, source, degree) items (:func:`_solve_column`; a sweep's
-lossy rows are one, and :func:`solve_mode` is a column of one): every
-item's systems are assembled first, equal systems are solved once, and the
-systems of one shape go through one stacked :func:`_square_solve`, each
-system's result bit for bit its solve alone.  A loss-free medium
+:func:`~elastoplasmon.lame.mode_constants` and kept as arrays in one block
+order; a solve runs no traction algebra), so the interface conditions
+(displacement continuity, weighted-traction continuity and the prescribed
+traction jump across the source sphere) form a square scalar system: two
+unknowns per region and rows per interface for family 1, four for families
+2 and 3.  Each family's part of a density is solved in its sector, by LU
+refined in extended precision, and the parts are superposed.  The unit of
+work is a column of (medium, source, degree) items (:func:`_solve_column`;
+a sweep's lossy and loss-free rows are one, and :func:`solve_mode` is a
+column of one): equal systems are solved once, the systems of one shape
+are built as one stack from one template of entries and go through one
+stacked :func:`_square_solve`, each system's result bit for bit its solve
+alone, and each item's block amplitudes are rows of the stacked solution.
+Traces of a stack of profile fields on spheres (:func:`_traces`) and the
+powers of the radii they read (:func:`_pows`, Python's own ``pow``) serve
+the energies and witnesses alike.  A loss-free medium
 (delta = 0) is solved only where every solved system's equilibrated
 condition is at most 1e9; above it :class:`ResonantSingularityError` (an
 ``ArithmeticError``) is raised.  The fixed-multiplier primal witness of
@@ -220,13 +224,14 @@ class SourceSpec:
 class ModeSolution:
     """Exact solve of one degree: the scalar amplitudes of each family's sector system.
 
-    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, annuli)``
+    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, amplitudes)``
     entry per solved family: the block amplitudes of the unit-density
-    system per region (:func:`_sector_annuli`), the density being
-    sum gamma_k times member k.  ``radii`` are the region bounds from 0 to
-    inf and ``window`` the degrees of the solution's terms.  ``regions`` is
-    the piecewise field; its terms need the member matrices and the
-    process-wide ladders, so it is built when first read.
+    system, one row per region (:func:`_region_blocks`; a row of the stacked
+    solution of its column), the density being sum gamma_k times member k.
+    ``radii`` are the region bounds from 0 to inf and ``window`` the degrees
+    of the solution's terms.  ``regions`` is the piecewise field; its terms
+    need the member matrices and the process-wide ladders, so it is built
+    when first read.
     ``lstsq_residual`` is the largest backward error.
     """
 
@@ -250,7 +255,7 @@ class ModeSolution:
         """
         n = self.n
         sectors = []
-        for fam, gammas, prof, annuli in self.sectors:
+        for fam, gammas, prof, amps in self.sectors:
             G = _family_density(self.params, n, fam, gammas)
             refs = {n: G}
             if fam != 1:
@@ -261,7 +266,7 @@ class ModeSolution:
                 if not impurity <= 1e-10:
                     raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
                                                 f"(backward error {impurity:.3e})")
-            sectors.append((prof, refs, annuli))
+            sectors.append((prof, refs, self.radii, amps))
         return tuple(_profile_fields(sectors))
 
 
@@ -410,24 +415,52 @@ def _ladder(G: np.ndarray, d: int, up: bool) -> np.ndarray:
     return t3_vector(G, d) @ lower[d - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RadialProfile:
-    """Scalar radial data of one sector at degree n.
+    """Scalar radial data of one sector at degree n, its blocks as arrays in one block order.
 
     ``degrees`` are n alone (family 1) or n and the partner degree n-2 or
     n+2 (families 2, 3), whose reference matrices are a density G and its
-    :func:`_ladder` shape.  ``blocks[(kind, d)]`` is the ``entire`` or
-    ``decay`` block on the shape of degree d as (power p, {degree:
-    displacement scalar}, {degree: unit-radius traction scalar}): on the
-    sphere rho its displacement and traction are these scalars times the
-    reference matrix of their degree, times rho^p and rho^(p-1).  The ladder
-    back from the partner shape gives ``kappa`` G.  By Wigner-Eckart every
-    scalar is the same for every member of the sector.
+    :func:`_ladder` shape.  The blocks are ``entire`` on each degree, then
+    ``decay`` on each degree (the order of a region's unknowns,
+    :func:`_region_blocks`).  On the sphere rho block b's displacement and
+    traction are ``disp[b, j]`` rho^p and ``trac[b, j]`` rho^(p-1) times the
+    reference matrix of degree ``degrees[j]``, p = ``power[b]`` (zero where
+    the block has no part on that degree).  The ladder back from the partner
+    shape gives ``kappa`` G.  By Wigner-Eckart every scalar is the same for
+    every member of the sector.  ``scalars[b]`` holds the displacement (row
+    0, ``disp``) and traction (row 1, ``trac``) scalars of block b.
+
+    ``coords`` are the coordinates of a unit member's shapes on the
+    sector's member basis: 1 at its degree n, -sqrt(kappa (2n+1)/(2d+1)) at
+    the partner d.  The partner shape of member k of a family-2 sector at n
+    is minus its norm times member k of the family-3 sector at n - 2, and
+    the reverse, so the two sectors share one member basis (total angular
+    momentum n - 1).
     """
 
     degrees: tuple[int, ...]
-    blocks: dict
+    power: tuple[int, ...]  # Python ints, so that rho ** p is Python's float power
+    scalars: np.ndarray  # (2D, 2, D)
+    coords: np.ndarray  # (D,)
     kappa: float | None
+
+    @property
+    def disp(self) -> np.ndarray:
+        return self.scalars[:, 0]
+
+    @property
+    def trac(self) -> np.ndarray:
+        return self.scalars[:, 1]
+
+
+def _profile_from_blocks(degrees: tuple[int, ...], blocks: dict, kappa: float | None) -> _RadialProfile:
+    """A :class:`_RadialProfile` from {(kind, degree): (power, {degree: displacement}, {degree: traction})}."""
+    order = [blocks[(kind, d)] for kind in ("entire", "decay") for d in degrees]
+    scalars = np.array([[[part[i].get(d, 0.0) for d in degrees] for i in (1, 2)] for part in order])
+    n = degrees[0]
+    coords = np.array([1.0 if d == n else -math.sqrt(kappa * (2 * n + 1) / (2 * d + 1)) for d in degrees])
+    return _RadialProfile(tuple(degrees), tuple(int(p) for p, _, _ in order), scalars, coords, kappa)
 
 
 @_once_per_key
@@ -443,14 +476,16 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     lo and ``decay`` on lo slaves b k_lo onto hi, (a, b) = (1, kappa) for
     family 2 and (kappa, 1) for family 3, and their own tractions are
     -(2hi+2) mu / zeta2(hi) and 2 lo mu zeta3(lo), undivided for lo = 0.
+    These two are formed from r = lambda / mu and times mu last, so no
+    product of two moduli leaves the float range at any scale of the moduli.
     """
     lam, mu = params.lam, params.mu
     if fam == 1:
-        return _RadialProfile((n,), {("entire", n): (n, {n: 1.0}, {n: mu * (n - 1.0)}),
-                                     ("decay", n): (-n - 1, {n: 1.0}, {n: -mu * (n + 2.0)})}, None)
+        return _profile_from_blocks((n,), {("entire", n): (n, {n: 1.0}, {n: mu * (n - 1.0)}),
+                                           ("decay", n): (-n - 1, {n: 1.0}, {n: -mu * (n + 2.0)})}, None)
     if n == 1 and fam == 2:  # J = 0: x and x / r^3
-        return _RadialProfile((1,), {("entire", 1): (1, {1: 1.0}, {1: 3.0 * lam + 2.0 * mu}),
-                                     ("decay", 1): (-2, {1: 1.0}, {1: -4.0 * mu})}, None)
+        return _profile_from_blocks((1,), {("entire", 1): (1, {1: 1.0}, {1: 3.0 * lam + 2.0 * mu}),
+                                           ("decay", 1): (-2, {1: 1.0}, {1: -4.0 * mu})}, None)
     lo = n - 2 if fam == 2 else n
     hi = lo + 2
     kappa = (lo + 1.0) * (lo + 2) * (2 * lo + 1) * (2 * lo + 5)
@@ -458,58 +493,90 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     slave_lo = -a * mode_constants(params, hi).M_n
     slave_hi = b * (mode_constants(params, lo).k_n if lo >= 1 else _k0(params))
     t_lo, t_hi = 2.0 * mu * lo, -2.0 * mu * (hi + 1)
-    t_entire = mu * ((2 * hi * hi + 1) * lam + 2 * (hi * hi - hi + 1) * mu) / ((hi - 1) * lam + (3 * hi - 2) * mu)
-    t_decay = -mu * ((2 * lo * lo + 4 * lo + 3) * lam + 2 * (lo * lo + 3 * lo + 3) * mu) / (
-        (lo + 2) * lam + (3 * lo + 5) * mu)
+    r = lam / mu
+    t_entire = ((2 * hi * hi + 1) * r + 2 * (hi * hi - hi + 1)) / ((hi - 1) * r + (3 * hi - 2)) * mu
+    t_decay = -((2 * lo * lo + 4 * lo + 3) * r + 2 * (lo * lo + 3 * lo + 3)) / ((lo + 2) * r + (3 * lo + 5)) * mu
     blocks = {("entire", lo): (lo, {lo: 1.0}, {lo: t_lo}),
               ("entire", hi): (hi, {hi: 1.0, lo: slave_lo}, {hi: t_entire, lo: slave_lo * t_lo}),
               ("decay", lo): (-lo - 1, {lo: 1.0, hi: slave_hi}, {lo: t_decay, hi: slave_hi * t_hi}),
               ("decay", hi): (-hi - 1, {hi: 1.0}, {hi: t_hi})}
-    return _RadialProfile((n, lo if fam == 2 else hi), blocks, kappa)
+    return _profile_from_blocks((n, lo if fam == 2 else hi), blocks, kappa)
 
 
-def _profile_trace(prof: _RadialProfile, amplitudes: dict, rho: float) -> dict[int, tuple[complex, complex]]:
-    """{degree: (displacement, traction)} scalars on the sphere rho of a sum of the profile's blocks.
+def _region_blocks(reg: int, nreg: int, D: int) -> slice:
+    """The blocks region ``reg`` of ``nreg`` holds: entire in the ball, decaying outside, both in between."""
+    return slice(D if reg == nreg - 1 else 0, D if reg == 0 else 2 * D)
 
-    ``amplitudes`` maps (kind, shape) blocks to their amplitudes; the
-    traction is that of the base moduli.
+
+def _pows(rho, powers) -> np.ndarray:
+    """rho^p and rho^(p-1) for every power p of ``powers[i]`` on every radius of ``rho[i]``: (k, S, B, 2).
+
+    Each is Python's float power, the C library's pow, as every scalar of the
+    package is formed (numpy's vectorized pow may differ in the last bit);
+    ``OverflowError`` where one overflows."""
+    flat_r = [r for rs, ps in zip(rho, powers) for r in rs for _ in ps for _ in (0, 1)]
+    flat_p = [e for rs, ps in zip(rho, powers) for _ in rs for p in ps for e in (p, p - 1)]
+    return np.array(list(map(pow, flat_r, flat_p))).reshape(len(rho), -1, len(powers[0]), 2)
+
+
+def _profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
+    """The stacked arrays of profiles of one shape: (powers, scalars (k, B, 2, D), coords (k, D))."""
+    return ([prof.power for prof in profs], np.array([prof.scalars for prof in profs]),
+            np.array([prof.coords for prof in profs]))
+
+
+def _traces(stack, amps: np.ndarray, rho, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement and traction scalars per degree, (k, D) each, of k profile fields on the spheres ``rho``.
+
+    Row i is the field of block amplitudes ``amps[i]`` (B,) of the i-th
+    profile of ``stack`` (:func:`_profile_stack`); the ``blocks`` are summed
+    in block order, each amplitude times scalar times rho^p (traction
+    rho^(p-1)), the traction that of the base moduli.
     """
-    out: dict[int, tuple[complex, complex]] = {}
-    for block, a in amplitudes.items():
-        p, disp, trac = prof.blocks[block]
-        for d, u in disp.items():
-            u0, t0 = out.get(d, (0.0, 0.0))
-            out[d] = (u0 + a * u * rho**p, t0 + a * trac[d] * rho ** (p - 1))
-    return out
+    power, scalars, _ = stack
+    pw = _pows([[r] for r in rho], [p[blocks] for p in power])[:, 0, :, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        ut = ((amps[:, blocks, None, None] * scalars[:, blocks]) * pw).sum(axis=1)
+    return ut[:, 0], ut[:, 1]
 
 
-def _profile_fields(sectors) -> list[ModeField]:
-    """The fields of profile blocks, one :class:`~elastoplasmon.lame.ModeField` per annulus.
+def _profile_fields(sectors, drop_zero: bool = False) -> list[ModeField]:
+    """The fields of profile blocks, one :class:`~elastoplasmon.lame.ModeField` per region.
 
-    ``sectors`` are (profile, {degree: reference matrix}, annuli) triples,
-    annuli in the form :func:`~elastoplasmon.energy.profile_pairing` reads.
-    Each displacement scalar of a block adds amplitude x scalar x the
-    reference matrix of its degree to the term of that degree and the
-    block's power."""
+    ``sectors`` are (profile, {degree: reference matrix}, radii, amplitudes)
+    quadruples, ``amplitudes[r]`` the blocks of the region between
+    ``radii[r]`` and ``radii[r + 1]`` (:func:`_region_blocks`).  Each
+    displacement scalar of a block adds amplitude x scalar x the reference
+    matrix of its degree to the term of that degree and the block's power;
+    with ``drop_zero`` a block of zero amplitude adds no term (a perfect
+    wave's, whose blocks all have amplitudes in the normal float range)."""
     coefs: dict[tuple[float, float], dict[tuple[int, int], np.ndarray]] = {}
-    for prof, refs, annuli in sectors:
-        for lo, hi, amps in annuli:
+    for prof, refs, radii, amps in sectors:
+        nreg, D = len(radii) - 1, len(prof.degrees)
+        disp = prof.disp.tolist()
+        for reg, (lo, hi) in enumerate(zip(radii[:-1], radii[1:])):
             co = coefs.setdefault((lo, hi), {})
-            for block, x in amps.items():
-                p, disp, _ = prof.blocks[block]
-                for d, a in disp.items():
-                    co[(d, p)] = co.get((d, p), 0.0) + (x * a) * refs[d]
+            blocks = _region_blocks(reg, nreg, D)
+            for b, x in zip(range(blocks.start, blocks.stop), amps[reg, blocks].tolist()):
+                if drop_zero and x == 0:
+                    continue
+                for j in sorted(range(D), key=lambda j: j != b % D):  # the block's own degree first
+                    if disp[b][j] != 0.0:
+                        key = (prof.degrees[j], prof.power[b])
+                        co[key] = co.get(key, 0.0) + (x * disp[b][j]) * refs[prof.degrees[j]]
     return [ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi) for (lo, hi), co in coefs.items()]
 
 
 @_once_per_key
-def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, dict, dict, float]:
-    """The perfect wave of a unit sector member in profile blocks: (profile, inner, outer amplitudes, c).
+def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, np.ndarray, float]:
+    """The perfect wave of a unit sector member in profile blocks: (profile, amplitudes, c).
 
-    :func:`~elastoplasmon.waves.perfect_wave` builds its fields from them:
-    ``entire n`` inside and R^(2n+1) ``decay n`` outside, plus M_n R^2
-    ``entire n-2`` inside for family 2 and -k_n R^(2n+3) ``decay n+2``
-    outside for family 3; an amplitude out of the normal float range raises
+    The amplitudes are those of the regions inside and outside R (rows 0
+    and 1, :func:`_region_blocks`): ``entire n`` inside and R^(2n+1)
+    ``decay n`` outside, plus M_n R^2 ``entire n-2`` inside for family 2
+    and -k_n R^(2n+3) ``decay n+2`` outside for family 3
+    (:func:`~elastoplasmon.waves.perfect_wave` builds its fields from
+    them); an amplitude out of the normal float range raises
     ``ArithmeticError`` naming R.  The amplitudes are the sector's kernel check: at
     R the displacements must agree and the traction inside times the
     family's plasmon constant c must equal the one outside, each to 1e-9 of
@@ -522,107 +589,145 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
         outer_scale, R2 = R ** (2 * n + 1), R**2
     except OverflowError:  # the amplitudes are then not finite
         outer_scale = R2 = math.inf
-    inner, outer = {("entire", n): 1.0}, {("decay", n): outer_scale}
+    D = len(prof.degrees)
+    inner, outer = [(0, 1.0)], [(D, outer_scale)]  # (block, amplitude): entire n inside, decay n outside
     if fam == 2:
-        inner[("entire", n - 2)] = mode_constants(params, n).M_n * R2
+        inner.append((prof.degrees.index(n - 2), mode_constants(params, n).M_n * R2))
     elif fam == 3:
-        outer[("decay", n + 2)] = -mode_constants(params, n).k_n * outer_scale * R2
-    sizes = [abs(a) for a in (*inner.values(), *outer.values())]
+        outer.append((D + prof.degrees.index(n + 2), -mode_constants(params, n).k_n * outer_scale * R2))
+    sizes = [abs(a) for _, a in inner + outer]
     if not sys.float_info.min <= min(sizes) <= max(sizes) < math.inf:
         side = "overflow" if max(sizes) == math.inf else "underflow"
         raise ArithmeticError(f"perfect-wave amplitudes at R = {R} {side} (degree {n}, family {fam})")
+    amps = np.zeros((2, 2 * D), dtype=complex)
+    for reg, entries in enumerate((inner, outer)):
+        for b, a in entries:
+            amps[reg, b] = a
     c = plasmon_constants(params, n).as_tuple()[fam - 1]
-    at_in, at_out = _profile_trace(prof, inner, R), _profile_trace(prof, outer, R)
-    for what, i, weight in (("continuity", 0, 1.0), ("transmission", 1, c)):
-        inside = [weight * at_in.get(d, (0.0, 0.0))[i] for d in prof.degrees]
-        outside = [at_out.get(d, (0.0, 0.0))[i] for d in prof.degrees]
-        scale = max(map(abs, inside + outside))
-        defect = max(abs(a - b) for a, b in zip(inside, outside))
+    (u_in, t_in), (u_out, t_out) = (_traces(_profile_stack([prof]), amps[None, reg], [R], _region_blocks(reg, 2, D))
+                                    for reg in (0, 1))
+    for what, inside, outside in (("continuity", u_in[0], u_out[0]), ("transmission", c * t_in[0], t_out[0])):
+        scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
+        defect = float(np.max(np.abs(inside - outside)))
         if not defect <= 1e-9 * scale:
             raise SectorCheckError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
                                    f"({what} defect {defect / scale:.3e})")
-    return prof, inner, outer, c
+    return prof, amps, c
 
 
-def _sector_system(bounds: list[float], weights: list[complex], prof: _RadialProfile):
-    """Square system of one sector for a unit density: (matrix, right-hand side, columns).
+def _sector_matrices(bounds: list, weights: list, profs: list, pw: np.ndarray):
+    """Square systems of one shape for a unit density, stacked: (matrices (k, m, m), right sides (k, m)).
 
-    The unknowns are the amplitudes of the (region, kind, shape) blocks:
-    entire in the ball, decaying outside, both in between.  Each interface
-    of ``bounds`` has a displacement and a ``weights``-weighted traction row
-    per degree of the sector (inner minus outer); the density enters as the
-    traction jump at the last one."""
-    k = len(prof.degrees)
-    kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
-    cols = [(reg, kind, shape) for reg, ks in enumerate(kinds) for kind in ks for shape in prof.degrees]
-    nc = len(cols)
-    M = [0j] * (2 * k * len(bounds) * nc)  # row-major, filled as Python scalars
-    for ci, (reg, kind, shape) in enumerate(cols):
-        p, disp, trac = prof.blocks[(kind, shape)]
-        for bi in (reg - 1, reg):
-            if 0 <= bi < len(bounds):
-                rho, sgn = bounds[bi], (1.0 if reg == bi else -1.0)
-                u, t, at = rho**p, rho ** (p - 1), 2 * k * bi * nc + ci
-                for di, d in enumerate(prof.degrees):
-                    M[at + di * nc] = sgn * disp.get(d, 0.0) * u
-                    M[at + (k + di) * nc] = sgn * weights[reg] * trac.get(d, 0.0) * t
-    b = np.zeros(2 * k * len(bounds), dtype=complex)
-    b[-k] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
-    return np.array(M, dtype=complex).reshape(-1, nc), b, cols
+    System i is that of the sector of ``profs[i]`` on the interfaces
+    ``bounds[i]`` with region weights ``weights[i]``, ``pw[i]`` (nb, B, 2)
+    the powers rho^p and rho^(p-1) of its blocks on its interfaces
+    (:func:`_pows`).  The unknowns are the amplitudes of the blocks region by
+    region (:func:`_region_blocks`).  Each interface has a displacement and
+    a weighted traction row per degree of the sector (inner minus outer);
+    the density enters as the traction jump at the last one."""
+    k, nb = len(profs), len(bounds[0])
+    D = len(profs[0].degrees)
+    B = 2 * D
+    at = np.arange(nb)
+    full = np.zeros((k, nb, B, nb + 1, B), dtype=complex)  # (system, interface, row, region, block)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        # displacement rows: scalar x rho^p; traction rows: (weight x scalar) x rho^(p-1), the region inside first
+        scalars = np.array([prof.scalars.transpose(1, 2, 0) for prof in profs])  # (k, 2, D, B)
+        disp = (scalars[:, None, 0] * pw[:, :, None, :, 0]).transpose(1, 0, 2, 3)
+        trac = np.array(weights, dtype=complex)[:, :, None, None] * scalars[:, None, 1]
+        full[:, at, :D, at], full[:, at, :D, at + 1] = disp, -disp
+        full[:, at, D:, at] = (trac[:, :-1] * pw[:, :, None, :, 1]).transpose(1, 0, 2, 3)
+        full[:, at, D:, at + 1] = -(trac[:, 1:] * pw[:, :, None, :, 1]).transpose(1, 0, 2, 3)
+    cols = [reg * B + b for reg in range(nb + 1) for b in range(B)[_region_blocks(reg, nb + 1, D)]]
+    M = full.reshape(k, nb * B, (nb + 1) * B)[:, :, cols]
+    rhs = np.zeros((k, nb * B), dtype=complex)
+    rhs[:, -D] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
+    return M, rhs, cols
 
 
-def _sector_annuli(radii, cols: list, x: np.ndarray) -> list[tuple[float, float, dict]]:
-    """Amplitudes of (region, kind, shape) columns as [(r_lo, r_hi, {(kind, shape): amplitude})] per region."""
-    annuli = [(lo, hi, {}) for lo, hi in zip(radii[:-1], radii[1:])]
-    for xc, (reg, kind, shape) in zip(x.tolist(), cols):  # Python complex: scalar sums run faster
-        annuli[reg][2][(kind, shape)] = xc
-    return annuli
+def _solve_systems(systems: list, rhs: bool = True) -> list:
+    """Outcomes of (bounds, weights, profile, what, max_condition) sector systems, in order.
+
+    Per system (amplitudes (nb + 1, B) by region, condition, backward error)
+    or its error: the error of its powers (an ``OverflowError``) or of its
+    solve (:func:`_square_solve`).  The systems of one shape go through one
+    stacked assembly and solve, each system's amplitudes a row of the
+    stacked solution in the full block layout, zero for a region's absent
+    blocks.  Without ``rhs`` only the conditions are computed, the
+    amplitudes None."""
+    out: list = [None] * len(systems)
+    groups: dict = {}
+    for i, (bounds, _, prof, *_) in enumerate(systems):
+        groups.setdefault((len(bounds), len(prof.degrees)), []).append(i)
+    def powers(idx):  # rho^p and rho^(p-1) of every block on every interface
+        return _pows([systems[i][0] for i in idx], [systems[i][2].power for i in idx])
+
+    for (nb, D), idx in groups.items():
+        try:
+            pw = powers(idx)
+        except OverflowError:  # one system at a time: the one whose powers overflow gets the error
+            for i in idx:
+                try:
+                    powers([i])
+                except OverflowError as exc:
+                    out[i] = exc
+            idx = [i for i in idx if out[i] is None]
+            if not idx:
+                continue
+            pw = powers(idx)
+        bounds, weights, profs, what, cap = zip(*(systems[i] for i in idx))
+        M, b, cols = _sector_matrices(bounds, weights, profs, pw)
+        got = _square_solve(M, b if rhs else None, list(what), list(cap))
+        amps = np.zeros((len(idx), (nb + 1) * 2 * D), dtype=complex)
+        solved = [j for j, g in enumerate(got) if not isinstance(g, Exception) and g[0] is not None]
+        if solved:
+            amps[np.array(solved)[:, None], cols] = np.array([got[j][0] for j in solved])
+        amps = amps.reshape(len(idx), nb + 1, 2 * D)
+        for j, (i, g) in enumerate(zip(idx, got)):
+            out[i] = g if isinstance(g, Exception) or g[0] is None else (amps[j], g[1], g[2])
+    return out
 
 
 @_once_per_key
-def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, list]:
-    """:func:`_single_layer` on the unit sphere for a unit density, solved once per key."""
+def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray]:
+    """:func:`_single_layer` on the unit sphere for a unit density, solved once per key: (profile, amplitudes)."""
     prof = _radial_profile(params, n, fam)
-    M, b, cols = _sector_system([1.0], [1.0, 1.0], prof)
-    x, _, _ = _ok(_square_solve(M[None], b[None], [f"degree-{n} family-{fam} single layer"], [math.inf])[0])
-    return prof, _sector_annuli((0.0, 1.0, math.inf), cols, x)
+    amps, _, _ = _ok(_solve_systems([([1.0], [1.0, 1.0], prof, f"degree-{n} family-{fam} single layer", math.inf)])[0])
+    return prof, amps.real  # the solve of a real system: its amplitudes are real
 
 
 def _single_layer(params: LameParams, n: int, fam: int, rho: float,
-                  density: complex = 1.0) -> tuple[_RadialProfile, list[tuple[float, float, dict]]]:
-    """The single layer of a sector density on the sphere rho: (profile, annuli inside and outside rho).
+                  density: complex = 1.0) -> tuple[_RadialProfile, np.ndarray]:
+    """The single layer of a sector density on the sphere rho: (profile, amplitudes inside and outside rho).
 
-    The profile field continuous across rho whose traction (outside minus
-    inside) jumps there by ``density`` times the degree-n shape: the
-    :func:`_unit_layer` with each block of power p times density rho^(1-p).
-    ``ArithmeticError`` naming rho where such a power leaves the normal float range.
+    The profile field on the radii (0, rho, inf) continuous across rho
+    whose traction (outside minus inside) jumps there by ``density`` times
+    the degree-n shape: :func:`_single_layers` of one.
     """
-    prof, unit = _unit_layer(params, n, fam)
-    rho = float(rho)
-    try:
-        scale = {block: rho ** (1 - prof.blocks[block][0]) for _, _, amps in unit for block in amps}
-    except OverflowError:
-        scale = {None: math.inf}
-    if not all(sys.float_info.min <= s < math.inf for s in scale.values()):
-        raise ArithmeticError(f"single layer on the sphere rho = {rho}: a power of rho leaves the float range "
-                              f"(degree {n}, family {fam})")
-    return prof, [(lo * rho, hi * rho, {b: density * a * scale[b] for b, a in amps.items()}) for lo, hi, amps in unit]
+    return _radial_profile(params, n, fam), _single_layers([(params, n, fam, rho, density)])[0]
 
 
-def _solve_systems(systems: list) -> list:
-    """:func:`_square_solve` outcomes of (matrix, right side or None, what, max_condition) systems, in order.
+def _single_layers(items) -> np.ndarray:
+    """Single layers of (params, degree, family, sphere rho, density) items of one profile shape: (k, 2, B) amplitudes.
 
-    The systems of one matrix shape go through one stacked call; within a
-    call the right sides are all given or all None."""
-    groups: dict = {}
-    for i, (M, *_) in enumerate(systems):
-        groups.setdefault(M.shape, []).append(i)
-    out: list = [None] * len(systems)
-    for idx in groups.values():
-        M, b, what, cap = zip(*(systems[i] for i in idx))
-        for i, got in zip(idx, _square_solve(np.array(M), None if b[0] is None else np.array(b), what, cap)):
-            out[i] = got
-    return out
+    Item i is the :func:`_unit_layer` with each block of power p times
+    density rho^(1-p).  ``ArithmeticError`` naming rho for the first item
+    where such a power leaves the normal float range."""
+    units = [_unit_layer(params, n, fam) for params, n, fam, _, _ in items]
+    scales = []
+    for (prof, _), (_, n, fam, rho, _) in zip(units, items):
+        rho = float(rho)
+        try:
+            scale = [rho ** (1 - p) for p in prof.power]
+        except OverflowError:
+            scale = [math.inf]
+        if not all(sys.float_info.min <= s < math.inf for s in scale):
+            raise ArithmeticError(f"single layer on the sphere rho = {rho}: a power of rho leaves the float range "
+                                  f"(degree {n}, family {fam})")
+        scales.append(scale)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        return (np.array([density for *_, density in items], dtype=complex)[:, None, None]
+                * np.array([unit for _, unit in units])) * np.array(scales)[:, None, :]
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:
@@ -631,18 +736,18 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, floa
     No density enters; a loss-free medium at a plasmon constant makes the
     matching family's system singular.
     """
-    layout = _region_layout(medium, q)
-    systems = [(_sector_system(*layout, _radial_profile(medium.base, n, fam))[0], None, "interface system", math.inf)
-               for fam in (1, 2, 3)]
-    return {fam: _ok(got)[1] for fam, got in zip((1, 2, 3), _solve_systems(systems))}
+    bounds, weights = _region_layout(medium, q)
+    systems = [(bounds, weights, _radial_profile(medium.base, n, fam), "interface system", math.inf) for fam in (1, 2, 3)]
+    return {fam: _ok(got)[1] for fam, got in zip((1, 2, 3), _solve_systems(systems, rhs=False))}
 
 
 def _solve_column(items) -> list:
     """Solve (medium, source, degree) items as one column: per item its :class:`ModeSolution` or its error.
 
-    Every item's sector systems are assembled first, and systems of equal
+    Every item's sector systems are gathered first, and systems of equal
     layout, profile and singularity cap are solved once
-    (:func:`_solve_systems`: one stacked :func:`_square_solve` per shape).
+    (:func:`_solve_systems`: one stacked assembly and :func:`_square_solve`
+    per shape); each solution's sectors hold rows of the stacked solution.
     An item's error is the one :func:`solve_mode` raises for it: the first,
     in solve order, of its checks, assembly and solves.
     """
@@ -670,14 +775,13 @@ def _solve_column(items) -> list:
                 prof = _radial_profile(params, n, fam)
                 key = (tuple(bounds), tuple(weights), params, n, fam, cap)
                 if key not in index:
-                    M, b, cols = _sector_system(bounds, weights, prof)
                     index[key] = len(systems)
-                    systems.append((M, b, f"family-{fam} system at degree {n}", cap, cols))
+                    systems.append((bounds, weights, prof, f"family-{fam} system at degree {n}", cap))
                 slots.append((fam, tuple(gam.items()), prof, index[key]))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
             error = exc
         parts.append((n, params, (0.0, *bounds, math.inf), slots, error))
-    solved = _solve_systems([system[:4] for system in systems])
+    solved = _solve_systems(systems)
     out: list = []
     for n, params, radii, slots, error in parts:
         got = [solved[i] for *_, i in slots]
@@ -685,8 +789,7 @@ def _solve_column(items) -> list:
         if error is not None:
             out.append(error)
             continue
-        sectors = tuple((fam, gam, prof, _sector_annuli(radii, systems[i][4], x))
-                        for (fam, gam, prof, i), (x, _, _) in zip(slots, got))
+        sectors = tuple((fam, gam, prof, amps) for (fam, gam, prof, _), (amps, _, _) in zip(slots, got))
         out.append(ModeSolution(n=n, condition=max(c for _, c, _ in got), lstsq_residual=max(e for _, _, e in got),
                                 window=tuple(sorted({d for _, _, prof, _ in sectors for d in prof.degrees})),
                                 radii=radii, sectors=sectors, params=params))

@@ -50,7 +50,7 @@ from .lame import (
     _tilde_scale,
     _tilde_unscaled,
 )
-from .transmission import _ladder, _profile_fields, _profile_trace, _single_layer, _wave_amplitudes
+from .transmission import _ladder, _profile_fields, _profile_stack, _region_blocks, _single_layer, _traces, _wave_amplitudes
 
 __all__ = [
     "PlasmonEigenProblem",
@@ -277,11 +277,11 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
     that pass a table positionally, such as the benchmark's residual probe.
     """
     K = np.asarray(kernel, dtype=complex)
-    prof, inner, outer, c = _wave_amplitudes(params, n, family, R)
+    prof, amps, c = _wave_amplitudes(params, n, family, R)
     refs = {n: K}
     if family != 1:
         refs[prof.degrees[1]] = _ladder(K, n, family == 3)
-    interior, exterior = _profile_fields([(prof, refs, [(0.0, R, inner), (R, math.inf, outer)])])
+    interior, exterior = _profile_fields([(prof, refs, (0.0, R, math.inf), amps)], drop_zero=True)
     return PerfectWave(n=n, family=family, c=c, R=R, kernel=K, interior=interior, exterior=exterior)
 
 
@@ -333,9 +333,11 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     for n in range(1, n_max + 1):
         for fam, J in ((1, n), (2, n - 1), (3, n + 1)):
             prof, layer = _single_layer(params, n, fam, R)
-            sides = [_profile_trace(prof, amps, R) for _, _, amps in layer]
-            scale = max(abs(t) for side in sides for _, t in side.values())
-            kstar = [(sides[0][d][1] + sides[1][d][1]) / 2.0 for d in prof.degrees]
+            D = len(prof.degrees)
+            inside, outside = (_traces(_profile_stack([prof]), layer[None, reg], [R], _region_blocks(reg, 2, D))[1][0]
+                               for reg in (0, 1))
+            scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
+            kstar = ((inside + outside) / 2.0).tolist()
             stray = max((abs(t) for t in kstar[1:]), default=0.0)
             if not stray <= 1e-11 * scale:
                 raise SectorCheckError(f"K* of the degree-{n} family-{fam} shape leaves its sector "

@@ -102,6 +102,18 @@ flux of ``energy.solution_pairing`` with each source read as its coefficient
 vector on the sector's 2J + 1 members (one ``np.vdot`` per degree and
 sphere) instead of through the Gram matrix of the coefficients.
 
+``dict_flux`` and its ``dict_solution_pairing``/``dict_profile_pairing``
+are the route the array flux of ``energy`` replaced: a walk over
+{(kind, shape): amplitude} dicts per annulus (``annuli``), each sphere's
+scalars summed block by block (``dict_profile_trace``) in Python complex
+arithmetic.  ``sector_system`` is the per-entry Python assembly of one
+sector system that the stacked assembly of ``transmission`` replaced, its
+columns named (region, kind, shape); ``profile_blocks`` is a profile's
+arrays read back as {(kind, degree): (power, {degree: displacement},
+{degree: traction})}.  ``mp_pairing_P`` is ``energy.pairing_P`` of the
+same terms in 50 digits, and ``plain_data`` turns a kept value holding
+arrays or profiles into nested Python data that ``==`` compares.
+
 ``exterior_block``/``interior_block`` build the irregular and regular Lame
 blocks of one coefficient matrix with their slaved corrections, as terms.
 
@@ -122,6 +134,7 @@ matrices (``_project``), and so is the ladder round trip.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from math import pi, sqrt
@@ -129,7 +142,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from elastoplasmon.energy import _coordinates, _radial_integral, pairing_P
+from elastoplasmon.energy import _radial_integral, pairing_P
 from elastoplasmon.harmonics import (
     DerivativeTable,
     SphereQuadrature,
@@ -165,9 +178,9 @@ from elastoplasmon.transmission import (
     UnconvergedSolveError,
     _RadialProfile,
     _ladder,
-    _profile_trace,
+    _profile_from_blocks,
+    _region_blocks,
     _region_layout,
-    _sector_system,
     _square_solve,
     kernel_basis,
 )
@@ -302,10 +315,12 @@ def projected_radial_profile(params: LameParams, n: int, fam: int, tables: Deriv
             blocks[(kind, d)] = (p, {t.degree: _project(t.coef, refs[t.degree], scale, what) for t in terms},
                                  {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
     if fam == 1:
-        return _RadialProfile((n,), blocks, None)
+        return _profile_from_blocks((n,), blocks, None)
     back = _ladder(refs[d2], d2, fam == 2)
     kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
-    return _RadialProfile((n, d2), blocks, kappa)
+    if not abs(kappa.imag) <= 1e-13 * abs(kappa):
+        raise SectorCheckError(f"family-{fam} ladder round trip is not real (kappa {kappa})")
+    return _profile_from_blocks((n, d2), blocks, kappa.real)
 
 
 def window(n: int, minimal: bool = False) -> tuple[int, ...]:
@@ -572,7 +587,7 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
         parts = []
         for sol in sols:
             for fam, gammas, prof, _ in sol.sectors:
-                M, b, cols = _sector_system(*_region_layout(medium, sol.radii[-2]), prof)
+                M, b, cols = sector_system(*_region_layout(medium, sol.radii[-2]), prof)
                 n, J = sol.n, min(prof.degrees) + (fam != 1)
                 coords = {d: mpf(1) if d == n else -mpmath.sqrt(mpf(float(prof.kappa)) * (2 * n + 1) / (2 * d + 1))
                           for d in prof.degrees}
@@ -591,7 +606,7 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
                     for d in prof.degrees:
                         u = t = mpc(0)
                         for xc, (r2, kind, shape) in zip(x, cols):
-                            p, disp, trac = prof.blocks[(kind, shape)]
+                            p, disp, trac = profile_blocks(prof)[(kind, shape)]
                             if r2 == reg and d in disp:
                                 u += xc * mpc(complex(disp[d])) * r**p
                                 t += xc * mpc(complex(trac[d])) * r ** (p - 1)
@@ -643,22 +658,148 @@ def square_solve_reference(M: np.ndarray, b: np.ndarray | None = None, what: str
     return x, cond, berr
 
 
-def vector_flux(annuli: dict) -> float:
-    """``energy._flux`` with each part's coefficients a vector on the sector's 2J + 1 members.
+def plain_data(value):
+    """A value as nested Python data (arrays as lists, profiles as their fields), so that == compares it."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return tuple(plain_data(v) for v in value)
+    if isinstance(value, _RadialProfile):
+        return plain_data(dataclasses.astuple(value))
+    return value
+
+
+def profile_blocks(prof: _RadialProfile) -> dict:
+    """{(kind, degree): (power, {degree: displacement}, {degree: traction})} of a profile, nonzero scalars only."""
+    D = len(prof.degrees)
+    out = {}
+    for b, p in enumerate(prof.power):
+        kind, d0 = ("entire", "decay")[b // D], prof.degrees[b % D]
+        order = [d0] + [d for d in prof.degrees if d != d0]
+        disp = dict(zip(prof.degrees, prof.disp[b].tolist()))
+        trac = dict(zip(prof.degrees, prof.trac[b].tolist()))
+        out[(kind, d0)] = (p, {d: disp[d] for d in order if disp[d] != 0.0}, {d: trac[d] for d in order if trac[d] != 0.0})
+    return out
+
+
+def annuli(prof: _RadialProfile, radii, amps: np.ndarray) -> list[tuple[float, float, dict]]:
+    """[(r_lo, r_hi, {(kind, shape): amplitude})] per region of block amplitudes by region (``transmission._region_blocks``)."""
+    D, nreg = len(prof.degrees), len(radii) - 1
+    names = [(kind, d) for kind in ("entire", "decay") for d in prof.degrees]
+    out = []
+    for reg in range(nreg):
+        blocks = range(2 * D)[_region_blocks(reg, nreg, D)]
+        out.append((radii[reg], radii[reg + 1], {names[b]: complex(amps[reg, b]) for b in blocks}))
+    return out
+
+
+def sector_system(bounds: list[float], weights: list[complex], prof: _RadialProfile):
+    """Square system of one sector for a unit density, entry by entry: (matrix, right-hand side, columns).
+
+    The unknowns are the amplitudes of the (region, kind, shape) blocks:
+    entire in the ball, decaying outside, both in between.  Each interface
+    of ``bounds`` has a displacement and a ``weights``-weighted traction row
+    per degree of the sector (inner minus outer); the density enters as the
+    traction jump at the last one."""
+    blocks = profile_blocks(prof)
+    k = len(prof.degrees)
+    kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
+    cols = [(reg, kind, shape) for reg, ks in enumerate(kinds) for kind in ks for shape in prof.degrees]
+    nc = len(cols)
+    M = [0j] * (2 * k * len(bounds) * nc)  # row-major, filled as Python scalars
+    for ci, (reg, kind, shape) in enumerate(cols):
+        p, disp, trac = blocks[(kind, shape)]
+        for bi in (reg - 1, reg):
+            if 0 <= bi < len(bounds):
+                rho, sgn = bounds[bi], (1.0 if reg == bi else -1.0)
+                u, t, at = rho**p, rho ** (p - 1), 2 * k * bi * nc + ci
+                for di, d in enumerate(prof.degrees):
+                    M[at + di * nc] = sgn * disp.get(d, 0.0) * u
+                    M[at + (k + di) * nc] = sgn * weights[reg] * trac.get(d, 0.0) * t
+    b = np.zeros(2 * k * len(bounds), dtype=complex)
+    b[-k] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
+    return np.array(M, dtype=complex).reshape(-1, nc), b, cols
+
+
+def dict_profile_trace(prof: _RadialProfile, amplitudes: dict, rho: float) -> dict[int, tuple[complex, complex]]:
+    """{degree: (displacement, traction)} scalars on the sphere rho of a sum of the profile's blocks.
+
+    ``amplitudes`` maps (kind, shape) blocks to their amplitudes; the
+    traction is that of the base moduli.
+    """
+    blocks = profile_blocks(prof)
+    out: dict[int, tuple[complex, complex]] = {}
+    for block, a in amplitudes.items():
+        p, disp, trac = blocks[block]
+        for d, u in disp.items():
+            u0, t0 = out.get(d, (0.0, 0.0))
+            out[d] = (u0 + a * u * rho**p, t0 + a * trac.get(d, 0.0) * rho ** (p - 1))
+    return out
+
+
+def dict_flux(parts_by_annulus: dict) -> float:
+    """Sum over annuli of P(u, u) by Betti's identity, for fields that solve the Lame system.
+
+    On an annulus P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
+    sphere minus its inner one; the flux vanishes at r = 0 and at infinity.
+    ``parts_by_annulus[(r_lo, r_hi, sector)]`` lists the sector's parts on the annulus
+    as (profile, coordinates, gamma, block amplitudes), gamma the part's
+    coefficients {member k: gamma_k}; the angular integral of two parts'
+    shapes of degree d is the product of their scalars times the entry
+    <gamma_p, gamma_q> of the Gram matrix of the parts' coefficients.
+    """
+    total = 0.0
+    for (r_lo, r_hi, _), parts in parts_by_annulus.items():
+        gram = [[sum(g.conjugate() * q[2].get(k, 0.0) for k, g in p[2].items()) for q in parts] for p in parts]
+        for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
+            if not 0.0 < rho < math.inf:
+                continue
+            traces = [{d: (coords[d] * ud, coords[d] * td) for d, (ud, td) in dict_profile_trace(prof, amps, rho).items()}
+                      for prof, coords, _, amps in parts]
+            total += sign * rho**2 * sum(
+                (g * sum(u.conjugate() * tq[d][1] for d, (u, _) in tp.items() if d in tq)).real
+                for row, tp in zip(gram, traces) for g, tq in zip(row, traces))
+    return total
+
+
+def _coordinate_dict(prof: _RadialProfile) -> dict[int, float]:
+    return dict(zip(prof.degrees, prof.coords.tolist()))
+
+
+def dict_profile_pairing(prof: _RadialProfile, pieces: Iterable[tuple[float, float, dict]]) -> float:
+    """Re P(u, u) of a unit sector member's field given as (r_lo, r_hi, {(kind, shape): amplitude}) annuli, by ``dict_flux``."""
+    coords = _coordinate_dict(prof)
+    return dict_flux({(lo, hi, None): [(prof, coords, {1: 1.0}, amps)] for lo, hi, amps in pieces})
+
+
+def dict_solution_pairing(solutions: Sequence) -> float:
+    """Re P(u, u) summed over all regions of the superposed solves, by ``dict_flux``."""
+    parts: dict = {}
+    for sol in solutions:
+        for fam, gammas, prof, amps in sol.sectors:
+            J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
+            coords, gamma = _coordinate_dict(prof), dict(gammas)
+            for lo, hi, a in annuli(prof, sol.radii, amps):
+                parts.setdefault((lo, hi, (fam == 1, J)), []).append((prof, coords, gamma, a))
+    return dict_flux(parts)
+
+
+def vector_flux(parts_by_annulus: dict) -> float:
+    """``dict_flux`` with each part's coefficients a vector on the sector's 2J + 1 members.
 
     On the sphere rho a part's shape of degree d has the coordinate vector
     ``coordinates[d] * gamma * U_d(rho)`` (traction alike); the parts of an
     annulus are summed as vectors and paired by one ``np.vdot`` per degree.
     """
     total = 0.0
-    for (r_lo, r_hi, _), parts in annuli.items():
+    for (r_lo, r_hi, _), parts in parts_by_annulus.items():
         for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
             if not 0.0 < rho < math.inf:
                 continue
             u: dict = {}
             t: dict = {}
             for prof, coords, gamma, amplitudes in parts:
-                for d, (ud, td) in _profile_trace(prof, amplitudes, rho).items():
+                for d, (ud, td) in dict_profile_trace(prof, amplitudes, rho).items():
                     u[d] = u.get(d, 0.0) + (coords[d] * ud) * gamma
                     t[d] = t.get(d, 0.0) + (coords[d] * td) * gamma
             total += sign * rho**2 * sum(float(np.real(np.vdot(u[d], t[d]))) for d in u)
@@ -667,16 +808,16 @@ def vector_flux(annuli: dict) -> float:
 
 def vector_solution_pairing(solutions) -> float:
     """``energy.solution_pairing`` by :func:`vector_flux`: each source a zero-padded vector gamma_k."""
-    annuli: dict = {}
+    parts: dict = {}
     for sol in solutions:
-        for fam, gammas, prof, pieces in sol.sectors:
+        for fam, gammas, prof, amps in sol.sectors:
             J = min(prof.degrees) + (fam != 1)
             gamma = np.zeros(2 * J + 1, dtype=complex)
             for k, g in gammas:
                 gamma[k - 1] = g
-            for lo, hi, amps in pieces:
-                annuli.setdefault((lo, hi, (fam == 1, J)), []).append((prof, _coordinates(prof), gamma, amps))
-    return vector_flux(annuli)
+            for lo, hi, a in annuli(prof, sol.radii, amps):
+                parts.setdefault((lo, hi, (fam == 1, J)), []).append((prof, _coordinate_dict(prof), gamma, a))
+    return vector_flux(parts)
 
 
 def conj_terms(terms: Iterable[Term]) -> tuple[Term, ...]:
@@ -1560,3 +1701,54 @@ def dense_np_matrix(R: float, params: LameParams, n_max: int) -> tuple[np.ndarra
         M[:, a] = 0.5 * np.concatenate([kstar[nb].reshape(-1) if nb in kstar else np.zeros(3 * (2 * nb + 1))
                                         for nb in degrees])
     return M, basis
+
+
+def mp_pairing_P(u_terms, v_terms, r_lo: float, r_hi: float, params: LameParams, dps: int = 50) -> complex:
+    """``energy.pairing_P`` of the same terms in ``dps`` digits.
+
+    Every term coefficient, ladder entry and modulus is taken exactly as a
+    double; the ladder factors -(p-d)/(2d+1) and (p-d)/(2d+1) + 1 are exact
+    rationals.  The gradients (only the ladders' nonzero entries), the
+    divergence and symmetric-strain coefficients, their angular products and
+    the radial integrals are formed and summed in mpmath.
+    """
+    import mpmath
+
+    from elastoplasmon.harmonics import lower, raise_
+
+    with mpmath.workdps(dps):
+        mpf, mpc = mpmath.mpf, mpmath.mpc
+
+        def strains(terms):
+            groups: dict = {}
+            for t in terms:
+                d, p = t.degree, t.power
+                coef = [[mpc(complex(v)) for v in row] for row in t.coef]
+                for dd, factor, ladder in ((d + 1, -mpf(p - d) / (2 * d + 1), raise_[d]),
+                                           (d - 1, mpf(p - d) / (2 * d + 1) + 1, lower[d] if d >= 1 else None)):
+                    if ladder is None or factor == 0:
+                        continue
+                    g = groups.setdefault((dd, p - 1), [[[mpc(0)] * (2 * dd + 1) for _ in range(3)] for _ in range(3)])
+                    for j, m, mm in zip(*np.nonzero(ladder)):
+                        entry = factor * mpc(complex(ladder[j, m, mm]))
+                        for i in range(3):
+                            g[j][i][mm] += coef[i][m] * entry
+            return [(p, d, [g[0][0][m] + g[1][1][m] + g[2][2][m] for m in range(2 * d + 1)],
+                     [(g[j][i][m] + g[i][j][m]) / 2 for j in range(3) for i in range(3) for m in range(2 * d + 1)])
+                    for (d, p), g in groups.items()]
+
+        def radial(s):
+            if math.isinf(r_hi):
+                return -mpf(r_lo) ** (s + 1) / (s + 1)
+            return (mpf(r_hi) ** (s + 1) - (0 if r_lo == 0 else mpf(r_lo) ** (s + 1))) / (s + 1)
+
+        su = strains(u_terms)
+        sv = su if v_terms is u_terms else strains(v_terms)
+        lam, mu = mpf(params.lam), mpf(params.mu)
+        total = mpc(0)
+        for p, d, du, eu in su:
+            for p2, d2, dv, ev in sv:
+                if d2 == d:
+                    ang = lam * mpmath.fdot(dv, du, conjugate=True) + 2 * mu * mpmath.fdot(ev, eu, conjugate=True)
+                    total += ang * radial(p + p2 + 2)
+        return complex(total)

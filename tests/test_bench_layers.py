@@ -8,12 +8,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-COLD = {"import"} | {f"{kind}:{name}" for kind in ("sweep", "solve")
-                     for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")}
+WITNESSES = ("witness_nocore", "witness_fixed_c", "witness_core_resonant", "witness_radial_nonresonant")
+COLD = ({"import", "np-spectrum:64"} | {f"waves-check:{n}" for n in (20, 40, 64)}
+        | {f"{kind}:{name}" for kind in ("sweep", "solve")
+           for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")})
 WARM = ({f"square_solve[m={m},k={k}]" for m in (2, 6, 8, 12) for k in (1, 13)}
-        | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E"}
-        | {f"witness:{name}" for name in ("witness_nocore", "witness_fixed_c", "witness_core_resonant",
-                                          "witness_radial_nonresonant")}
+        | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:dissipations"}
+        | {f"{kind}:{name}" for kind in ("witness", "column") for name in WITNESSES}
         | {f"sweep:{name}" for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")})
 
 

@@ -1142,7 +1142,7 @@ def test_witness_table_row_reaches_the_command_and_the_sweep(config_file, tmp_pa
     sys.path.insert(0, SRC)
     from elastoplasmon import cli, scenarios
 
-    stub = scenarios.Witness("witness_stub", "I_upper", True, lambda med, src, delta: (1e-300, 7.0),
+    stub = scenarios.Witness("witness_stub", "I_upper", True, lambda rows: [(1e-300, 7.0)] * len(rows),
                              ("I_stub", "extra"))
     _replace_everywhere(monkeypatch, scenarios.WITNESSES, scenarios.WITNESSES + (stub,))
     assert cli.main(["witness", "--config", config_file, "--delta", "1e-3"]) == 0

@@ -30,6 +30,7 @@ from oracles import (
     interior_from_traction,
     interior_mode,
     numeric_traction,
+    plain_data,
 )
 
 
@@ -94,7 +95,7 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
                 monkeypatch.setattr(f, "cache", {})
                 value = f(first, *args)
                 assert f(second, *args) is value and len(f.cache) == 1
-                assert value == f.__wrapped__(floats, *args), (f.__name__, first)
+                assert plain_data(value) == plain_data(f.__wrapped__(floats, *args)), (f.__name__, first)
     assert transmission._wave_amplitudes(LameParams(1, 1), 5, 3, 2) is transmission._wave_amplitudes(
         LameParams(1.0, 1.0), 5, 3, 2.0)
     monkeypatch.setattr(lame.plasmon_constants, "cache", {})

@@ -50,7 +50,7 @@ def test_toroidal_traction_scalars(tables, quad):
     K = kernel_basis(P11, 3, 1)[0]
     prof = transmission._radial_profile(P11, 3, 1)
     for r in (0.8, 1.7):
-        se, sd = (prof.blocks[kind, 3][2][3] * r ** (prof.blocks[kind, 3][0] - 1) for kind in ("entire", "decay"))
+        se, sd = (prof.trac[b, 0] * r ** (prof.power[b] - 1) for b in (0, 1))  # entire, then decay
         t_e = traction_coeffs_algebraic((Term(K, 3, 3),), r, P11)
         t_d = traction_coeffs_algebraic((Term(K, 3, -4),), r, P11)
         assert np.max(np.abs(t_e[3] - se * K)) < 1e-12 * abs(se)
@@ -461,7 +461,7 @@ def test_fixed_c_sweep_solves_one_loss_free_system(monkeypatch):
 
     monkeypatch.setattr(transmission, "_square_solve", recorded)
     res = sweep(conf, deltas)
-    assert stacks == [4, 1]  # the lossy column, then the loss-free one
+    assert stacks == [5]  # one column: the 4 lossy systems and the one loss-free system
     assert [row.I_upper for row in res.rows] == alone and all(isinstance(I, float) for I in alone)
 
 
@@ -487,3 +487,49 @@ def test_sweep_reports_each_rows_solves():
     assert singular == 2
     res = sweep(FLUX_CONFIGS["f2_fixed_cored"], deltas)
     assert [(e["loss_free_condition"], e["loss_free_backward_error"]) for e in res.meta["solves"]] == [(None, None)] * 4
+
+
+def test_sweep_column_is_each_row_as_a_column_of_one():
+    # one column of mixed rows: the two gated schedules (the q = 2.3 row at
+    # n = 14 has a singular loss-free system), a cored family-1 fixed-c row
+    # whose loss-free system is singular, core-free family-2 and family-3
+    # rows and the cored family-2 row whose two witnesses refuse.  Each
+    # row's E_delta, I_upper and J_lower are those of the row solved alone,
+    # as a column of one, to 1e-15, and its refusals and solve diagnostics
+    # are the same bytes
+    import json
+
+    singular = fixed_configuration(P11, 2.0, plasmon_constants(P11, 14).zeta1,
+                                   SourceSpec(2.3, {(14, 1, 3): 0.6 - 0.8j}), core_radius=1.0)
+    picks = [("f1_sched_q2.3", 1e-2), ("f1_sched_q2.3", 1e-4), ("f1_sched_q3.6", 1e-3), ("f1_sched_q3.6", 1e-8),
+             (singular, 3e-3), ("f1_fixed_cored", 2e-3), ("f2_sched_nocore", 1.5e-2), ("f3_fixed_nocore", 2.5e-3),
+             ("f2_fixed_cored", 4e-3), ("shared_sector_cored", 5e-3)]
+    table = {delta: (FLUX_CONFIGS.get(conf, conf) if isinstance(conf, str) else conf)(delta) for conf, delta in picks}
+    deltas = list(table)
+    rows, refusals, solves = _sweep_rows(table.__getitem__, deltas)
+    assert {r["witness"] for r in refusals} >= {"witness_fixed_c", "witness_core_resonant"}
+    assert any(s["loss_free_condition"] and s["loss_free_backward_error"] is None for s in solves)  # refused
+    for i, (row, delta) in enumerate(zip(rows, deltas)):
+        (alone,), alone_refusals, alone_solves = _sweep_rows(table.__getitem__, [delta])
+        for got, want in ((row.E_delta, alone.E_delta), (row.I_upper, alone.I_upper), (row.J_lower, alone.J_lower)):
+            assert (got is None) == (want is None) and (want is None or abs(got - want) <= 1e-15 * abs(want)), i
+        mine = [r for r in refusals if r["row"] == i]
+        assert json.dumps(mine) == json.dumps([{**r, "row": i} for r in alone_refusals]), i
+        assert json.dumps(solves[i]) == json.dumps({**alone_solves[0], "row": i}), i
+
+
+def test_witness_column_gives_each_row_its_own_error():
+    # a row whose core repair leaves the float range (a core sphere of radius
+    # 1e-200) makes its stack raise; its rows then go one at a time, so that
+    # row alone is refused, by name, and the others keep their bounds bit for
+    # bit, as in a column of one
+    from elastoplasmon.scenarios import _core_bound
+    from oracles import plain_data
+
+    conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
+    good = [(*conf(d), d) for d in (1e-2, 1e-3)]
+    bad = (replace(good[0][0], core_radius=1e-200), good[0][1], 1e-2)
+    column = _core_bound([good[0], bad, good[1]])
+    assert isinstance(column[1], ArithmeticError) and "sphere rho = 1e-200" in str(column[1])
+    assert str(column[1]) == str(_core_bound([bad])[0])
+    assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_core_bound([row])[0]) for row in good]

@@ -31,6 +31,11 @@ from elastoplasmon.scenarios import (fixed_configuration, scheduled_configuratio
                                      witness_radial_nonresonant)
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
 from oracles import (
+    annuli,
+    dict_profile_trace,
+    plain_data,
+    profile_blocks,
+    sector_system,
     FieldSolution,
     eval_field,
     interface_singular_values,
@@ -381,14 +386,12 @@ def test_closed_form_profiles_match_projection_oracle(tables, materials):
         for n in range(2, 65):
             for fam in (1, 2, 3):
                 prof, ref = transmission._radial_profile(params, n, fam), projected_radial_profile(params, n, fam, tables)
-                assert prof.degrees == ref.degrees and prof.blocks.keys() == ref.blocks.keys()
+                assert prof.degrees == ref.degrees and prof.power == ref.power
                 triples = [(prof.kappa, ref.kappa, 0.0)] if fam != 1 else []
-                for key, (p, disp, trac) in prof.blocks.items():
-                    p_ref, disp_ref, trac_ref = ref.blocks[key]
-                    assert p == p_ref and disp.keys() == disp_ref.keys(), (params, n, fam, key)
-                    scale = max(abs(v) for v in [*disp.values(), *trac.values()])
-                    triples += [(disp[d], disp_ref[d], scale) for d in disp]
-                    triples += [(trac.get(d, 0.0), trac_ref.get(d, 0.0), scale) for d in trac.keys() | trac_ref.keys()]
+                for b in range(len(prof.power)):  # the same degrees reached, each scalar to 1e-13
+                    assert ((prof.disp[b] != 0) == (ref.disp[b] != 0)).all(), (params, n, fam, b)
+                    scale = float(np.max(np.abs(np.concatenate((prof.disp[b], prof.trac[b])))))
+                    triples += [(a, r, scale) for a, r in zip([*prof.disp[b], *prof.trac[b]], [*ref.disp[b], *ref.trac[b]])]
                 assert all(abs(a - b) <= 1e-13 * (abs(a) if a else scale) for a, b, scale in triples), (params, n, fam)
 
 
@@ -589,13 +592,13 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     for *system, got in systems:
         assert _outcome(got) == _solve_outcome(square_solve_reference, *system), system[2:]
         raised += isinstance(got, ResonantSingularityError)
-    # per schedule one lossy and one loss-free column of 13 systems, then (on
+    # per schedule one column of 13 lossy and 13 loss-free systems, then (on
     # the first) one unit layer per scheduled degree, shared by the two
     # schedules' witnesses; per fixed run one lossy column (no family-1
     # source, so no loss-free one)
     layers = [system for system in systems if system[2].endswith("single layer")]
     assert len(layers) == 13 and all(M.shape == (2, 2) for M, *_ in layers)
-    assert calls == [[13, 13] + [1] * 13, [13, 13], [4], [4]]
+    assert calls == [[26] + [1] * 13, [26], [4], [4]]
     assert len(systems) == 2 * 2 * 13 + 2 * 4 + 13 and raised > 0
 
 
@@ -611,32 +614,36 @@ def test_single_layer_is_the_closed_form_and_the_direct_solve(params):
     # n = 27, rho = 1e-3, which costs its smallest blocks their digits) and
     # at n = 64, rho = 1e-3 and 1e3 numpy reads it as singular
     def on_rho(prof, amps, rho):
-        return [a * rho ** (prof.blocks[b][0] - 1) for b, a in amps.items()]
+        return [a * rho ** (profile_blocks(prof)[b][0] - 1) for b, a in amps.items()]
 
     density = 0.6 - 0.8j
     unsolved = set()
     for n in (2, 7, 27, 64):
         for rho in (1e-3, 1.0, 2.0, 3.6, 1e3):
-            prof, layer = transmission._single_layer(params, n, 1, rho, density)
+            prof, amps = transmission._single_layer(params, n, 1, rho, density)
             assert prof is transmission._radial_profile(params, n, 1)
+            layer = annuli(prof, (0.0, rho, math.inf), amps)
             want = toroidal_single_layer(n, rho, density, params.mu)
             assert [(lo, hi, set(amps)) for lo, hi, amps in layer] == [(lo, hi, set(amps)) for lo, hi, amps in want]
             for (_, _, got), (_, _, ref) in zip(layer, want):
                 assert all(abs(got[b] - a) <= 1e-15 * abs(a) for b, a in ref.items()), (n, rho, got, ref)
             for fam in (2, 3):
-                prof, layer = transmission._single_layer(params, n, fam, rho)
-                inside, outside = (transmission._profile_trace(prof, amps, rho) for _, _, amps in layer)
+                prof, amps = transmission._single_layer(params, n, fam, rho)
+                layer = annuli(prof, (0.0, rho, math.inf), amps)
+                inside, outside = (dict_profile_trace(prof, amps, rho) for _, _, amps in layer)
                 for i, jump in ((0, {}), (1, {n: 1.0})):
                     scale = max(abs(side[d][i]) for side in (inside, outside) for d in prof.degrees)
                     assert all(abs(outside[d][i] - inside[d][i] - jump.get(d, 0.0)) <= 1e-13 * scale
                                for d in prof.degrees), (n, rho, fam, i)
-                M, b, cols = transmission._sector_system([rho], [1.0, 1.0], prof)
+                M, b, cols = sector_system([rho], [1.0, 1.0], prof)
                 try:
                     x = transmission._ok(transmission._square_solve(M[None], b[None], ["layer"], [math.inf])[0])[0]
                 except np.linalg.LinAlgError:
                     unsolved.add((n, rho))
                     continue
-                direct = transmission._sector_annuli((0.0, rho, math.inf), cols, x)
+                direct = [(0.0, rho, {}), (rho, math.inf, {})]
+                for xc, (reg, kind, shape) in zip(x.tolist(), cols):
+                    direct[reg][2][(kind, shape)] = xc
                 assert [(lo, hi, set(amps)) for lo, hi, amps in layer] == [(lo, hi, set(a)) for lo, hi, a in direct]
                 for (_, _, got), (_, _, ref) in zip(layer, direct):
                     got, ref = on_rho(prof, got, rho), on_rho(prof, ref, rho)
@@ -655,7 +662,7 @@ def test_single_layer_refuses_a_radius_out_of_the_float_range():
 def test_only_transmission_names_the_sector_solve():
     # the square sector systems are assembled, solved and read back in
     # transmission alone: the other modules take its single layers and solves
-    names = {"_sector_system", "_square_solve", "_sector_annuli"}
+    names = {"_sector_matrices", "_square_solve", "_solve_systems"}
     found = {}
     for path in sorted(Path(transmission.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -676,13 +683,48 @@ def test_family1_solve_is_scale_free_in_the_moduli():
     def solve(k):
         med = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=LameParams(2.0**k, 2.0**k), core_radius=1.0)
         sol = solve_mode(med, src, 2)
-        return sol, [(lo, hi, amps) for _, _, _, annuli in sol.sectors for lo, hi, amps in annuli]
+        return sol, [amps.tolist() for _, _, _, amps in sol.sectors]
 
-    unit, unit_annuli = solve(0)
+    unit, unit_amps = solve(0)
     for k in (530, -530, 664, -664, 900, -900):
-        sol, annuli = solve(k)
+        sol, amps = solve(k)
         assert (sol.condition, sol.lstsq_residual) == (unit.condition, unit.lstsq_residual), k
-        assert [(lo, hi, {b: a * 2.0**-k for b, a in amps.items()}) for lo, hi, amps in unit_annuli] == annuli, k
+        assert [[[a * 2.0**-k for a in row] for row in part] for part in unit_amps] == amps, k
+
+
+@pytest.mark.parametrize("e", [-300, -160, 0, 154, 300])
+def test_spheroidal_solve_is_scale_free_in_the_moduli(e, tmp_path, capsys):
+    # the family-2/3 traction scalars of the radial profile are formed from
+    # lambda / mu and times mu last: at lambda = mu = 10^e a cored family-2
+    # (n = 4) and family-3 (n = 3) solve reads the lambda = mu = 1 condition
+    # to 1e-9, and the solve command runs, or refuses the pair by the float
+    # range (exit 2, one JSON line).  Before, the products mu (a lambda + b mu)
+    # overflowed at 1e154 (LinAlgError) and went subnormal at 1e-160
+    # (SectorCheckError).  No numpy warning is emitted
+    import json
+    import warnings
+
+    from elastoplasmon import cli
+
+    def medium(v):
+        return LayeredMedium(shell_radius=2.0, c=-3.0, delta=1e-3, base=LameParams(v, v), core_radius=1.0)
+
+    modes = {(4, 2, 2): -0.8 + 0.6j, (3, 3, 1): 0.5}
+    config = tmp_path / "scaled.json"
+    config.write_text(json.dumps({"schema": 1, "lambda": 10.0**e, "mu": 10.0**e, "core_radius": 1.0, "shell_radius": 2.0,
+                                  "q": 3.0, "n_max": 12, "c_mode": {"fixed": -3.0}, "delta_list": [1e-2, 1e-3, 1e-4],
+                                  "source_modes": [[n, fam, k, g.real, g.imag] for (n, fam, k), g in modes.items()]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--config", str(config), "--delta", "1e-3"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            for (n, fam, k), g in modes.items():
+                src = SourceSpec(3.0, {(n, fam, k): g})
+                unit, scaled = (solve_mode(medium(v), src, n).condition for v in (1.0, 10.0**e))
+                assert abs(scaled - unit) <= 1e-9 * unit, (e, fam, scaled, unit)
+        else:
+            assert code == 2 and "out of the float range" in json.loads(err.splitlines()[-1])["error"], (e, err)
 
 
 def test_square_solve_is_the_reference_on_seeded_systems():
@@ -737,7 +779,7 @@ def test_cached_closed_forms_are_never_mutated():
               transmission._unit_layer):
         assert f.cache
         for (lam, mu, *args), value in f.cache.items():
-            assert value == f.__wrapped__(LameParams(lam, mu), *args), (f.__name__, lam, mu, args)
+            assert plain_data(value) == plain_data(f.__wrapped__(LameParams(lam, mu), *args)), (f.__name__, lam, mu, args)
 
 
 def test_seeded_defect_is_caught_after_a_full_sweep(monkeypatch):
@@ -763,7 +805,8 @@ def _solution_key(sol):
     """Everything a ModeSolution holds but its parameters, or (error type, message) of an error."""
     if isinstance(sol, Exception):
         return type(sol), str(sol)
-    return sol.n, sol.condition, sol.lstsq_residual, sol.window, sol.radii, sol.sectors
+    return sol.n, sol.condition, sol.lstsq_residual, sol.window, sol.radii, tuple(
+        (fam, gammas, prof, amps.tolist()) for fam, gammas, prof, amps in sol.sectors)
 
 
 def test_column_is_the_row_at_a_time_solve():
@@ -795,3 +838,41 @@ def test_column_is_the_row_at_a_time_solve():
     assert kinds.count("ModeSolution") == 17 and kinds[-4:] == ["ResonantSingularityError", "ValueError",
                                                                 "ValueError", "ModeSolution"]
     assert {sol.window for sol in column if isinstance(sol, transmission.ModeSolution)} >= {(0, 2, 4), (1, 3, 5)}
+
+
+def test_column_item_whose_powers_overflow_gets_the_error_alone():
+    # a source sphere so far out that q^8 overflows: that item's powers raise
+    # OverflowError, as its solve alone does, and the other items of its
+    # stack solve as they do alone
+    med = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=P11, core_radius=1.0)
+    items = [(med, SourceSpec(q, {(8, 1, 1): 1.0}), 8) for q in (3.0, 1e200, 4.0)]
+    column = transmission._solve_column(items)
+    with pytest.raises(OverflowError):
+        solve_mode(*items[1])
+    assert isinstance(column[1], OverflowError)
+    assert [_solution_key(column[i]) for i in (0, 2)] == [_solution_key(solve_mode(*items[i])) for i in (0, 2)]
+
+
+def test_stacked_assembly_is_the_entrywise_system(materials):
+    # the sector systems of one shape assembled as one stack (every block's
+    # powers on every interface at once, one template of entries) are the
+    # entry-by-entry Python assembly bit for bit, column by column in its
+    # (region, kind, shape) order: families 1, 2 and 3, cored and core-free,
+    # lossy and loss-free, and the one-interface single layer
+    for params in materials:
+        layouts = [transmission._region_layout(LayeredMedium(2.0, c, delta, params, core), 3.0)
+                   for c, delta, core in ((-3.9, 1e-3, 1.0), (-2.2, 0.05, 1.0), (-2.2, 0.0, 1.0), (-3.9, 1e-3, None))]
+        layouts.append(([1.0], [1.0, 1.0]))
+        for fam in (1, 2, 3):
+            systems = [(bounds, weights, transmission._radial_profile(params, n, fam))
+                       for bounds, weights in layouts for n in (2, 3, 8, 27)]
+            for nb in {len(bounds) for bounds, _, _ in systems}:
+                group = [system for system in systems if len(system[0]) == nb]
+                bounds, weights, profs = zip(*group)
+                pw = transmission._pows(list(bounds), [p.power for p in profs])
+                M, rhs, cols = transmission._sector_matrices(bounds, weights, profs, pw)
+                for i, system in enumerate(group):
+                    M_ref, b_ref, cols_ref = sector_system(*system)
+                    D = len(system[2].degrees)
+                    names = [(c // (2 * D), ("entire", "decay")[c % (2 * D) // D], system[2].degrees[c % D]) for c in cols]
+                    assert names == cols_ref and M[i].tolist() == M_ref.tolist() and rhs[i].tolist() == b_ref.tolist()

@@ -375,11 +375,11 @@ def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
             prof = exact(params, n, fam)
             if fam != family or len(prof.degrees) == 1:  # the J = 0 sector has no partner
                 return prof
-            lo, hi = sorted(prof.degrees)
-            block, target = (("entire", hi), lo) if fam == 2 else (("decay", lo), hi)
-            p, disp, trac = prof.blocks[block]
-            seeded_disp = {**disp, target: disp[target] * (1.0 + 1e-6)}
-            return replace(prof, blocks={**prof.blocks, block: (p, seeded_disp, trac)})
+            # blocks: entire on each degree, then decay; family 2's degrees are (hi, lo), family 3's (lo, hi)
+            block, target = (0, 1) if fam == 2 else (2, 1)
+            seeded = prof.scalars.copy()
+            seeded[block, 0, target] *= 1.0 + 1e-6  # the displacement scalar
+            return replace(prof, scalars=seeded)
 
         monkeypatch.setattr(transmission, "_radial_profile", seeded)
         monkeypatch.setattr(transmission._unit_layer, "cache", {})
