@@ -174,12 +174,9 @@ def warm(repeats: int) -> dict:
         "witness_core_resonant": (*cli._configuration(configs["sched_q2.3"])(1e-3), 1e-3),
         "witness_radial_nonresonant": (*cli._configuration(configs["sched_q3.6"])(1e-3), 1e-3),
     }
-    columns = hasattr(energy, "dissipations")  # else a tree from before column-shaped energies: row by row
     for w in scenarios.WITNESSES:
         if w.name in applies:
-            row = applies[w.name]
-            call = (lambda w=w, row=row: w.core([row])) if columns else (lambda w=w, row=row: w.core(*row))
-            out[f"witness:{w.name}"] = _median_call_s(call, repeats)
+            out[f"witness:{w.name}"] = _median_call_s(lambda: w.core([applies[w.name]]), repeats)
     # the 13-row schedule columns a sweep hands to the energies and the cores
     nocore = {key: v for key, v in configs["sched_q2.3"].items() if key != "core_radius"}
     column_of = {"witness_nocore": dict(nocore, q=2.6), "witness_fixed_c": configs["sched_q2.3"],
@@ -190,14 +187,13 @@ def warm(repeats: int) -> dict:
         if name == "dissipations":
             media = [med for med, _, _ in rows]
             lossy = [[sol] for sol in transmission._solve_column([(med, src, max(src.degrees())) for med, src, _ in rows])]
-            call = ((lambda: energy.dissipations(lossy, media)) if columns else
-                    (lambda: [dissipation_E(sols, med) for sols, med in zip(lossy, media)]))
+            out[f"column:{name}"] = _median_call_s(lambda: energy.dissipations(lossy, media), repeats)
         else:
             w = next(w for w in scenarios.WITNESSES if w.name == name)
             free = [[sol] for sol in transmission._solve_column([(replace(med, delta=0.0), src, max(src.degrees()))
                                                                  for med, src, _ in rows])]
-            call = _column_core(w, rows, free if w.reads_loss_free else None, columns)
-        out[f"column:{name}"] = _median_call_s(call, repeats)
+            kwargs = {"loss_free": free} if w.reads_loss_free else {}
+            out[f"column:{name}"] = _median_call_s(lambda: w.core(rows, **kwargs), repeats)
     for name, cfg in configs.items():
         conf = cli._configuration(cfg)
         out[f"sweep:{name}"] = _median_call_s(lambda: scenarios.sweep(conf, cfg["delta_list"]), repeats)
@@ -208,25 +204,6 @@ def warm(repeats: int) -> dict:
     except (TypeError, KeyError, AttributeError):
         pass
     return {"warm_s": out, "versions": {"python": sys.version.split()[0], "numpy": np.__version__, "blas": blas}}
-
-
-def _column_core(w, rows, loss_free, columns: bool):
-    """A call of witness ``w``'s core on the (medium, source, loss) ``rows`` as one column, as a sweep makes it.
-
-    ``loss_free`` holds each row's loss-free solve outcomes for a core that
-    reads them.  A tree from before column-shaped cores (``columns``
-    false) takes the rows one at a time, its refusals caught."""
-    kwargs = {} if loss_free is None else {"loss_free": loss_free}
-    if columns:
-        return lambda: w.core(rows, **kwargs)
-
-    def row_by_row():
-        for i, row in enumerate(rows):
-            try:
-                w.core(*row, **({} if loss_free is None else {"loss_free": loss_free[i]}))
-            except (ValueError, ArithmeticError):
-                pass
-    return row_by_row
 
 
 def _git(tree: Path) -> str | None:

@@ -24,10 +24,11 @@ and a source enters through the Gram matrix of its coefficients alone.  One
 array flux (:func:`_flux`) takes a stack of such fields, a column's rows,
 and all their interface spheres at once: the dissipations of a column
 (:func:`dissipations`; :func:`dissipation_E` is a column of one), the
-pairings of solves (:func:`solution_pairings`) and of unit-member fields
-(:func:`profile_pairings`) are this flux.  Each complex product in it is
-formed from real parts as Python's complex product rounds it, so a column's
-values are bit for bit those of its rows alone.
+pairings of solves (:func:`solution_pairings`, a
+:func:`~elastoplasmon.transmission._column` by layout) and of unit-member
+fields (:func:`profile_pairings`) are this flux.  Each complex product in it
+is formed from real parts as Python's complex product rounds it, so a
+column's values are bit for bit those of its rows alone.
 """
 
 from __future__ import annotations
@@ -39,16 +40,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
-from .transmission import _pows, _profile_stack
+from .transmission import _column, _ok, _pows, _profile_stack
 
 __all__ = [
     "EnergyReport",
     "pairing_P",
     "dissipation_E",
     "dissipations",
-    "solution_pairing",
     "solution_pairings",
-    "profile_pairing",
     "profile_pairings",
     "functional_I",
     "functional_J",
@@ -181,45 +180,39 @@ def profile_pairings(stack: tuple, radii, amps) -> np.ndarray:
     return _flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
 
 
-def profile_pairing(prof, radii, amps) -> float:
-    """Re P(u, u) of a unit sector member's field, by flux: :func:`profile_pairings` of one."""
-    return float(profile_pairings(_profile_stack([prof]), [radii], np.asarray(amps)[None])[0])
-
-
-def solution_pairings(rows: Sequence[Sequence]) -> list[float]:
-    """Re P(u, u) summed over all regions of each row's superposed solves, by flux.
+def solution_pairings(rows: Sequence) -> list:
+    """Re P(u, u) summed over all regions of each row's superposed solves, by flux, or the first error among them.
 
     Sectors are orthogonal, except a family-2 density at n and a family-3
     density at n - 2, which share total angular momentum n - 1 and pair
-    through their member coordinates.  The rows of one layout (regions, and
-    the families of each sector) are one stack of :func:`_flux`, a sector at
-    a time in the order the solves first reach it.
+    through their member coordinates.  The rows are a
+    :func:`~elastoplasmon.transmission._column`: those of one layout (regions,
+    and the families of each sector) are one stack of :func:`_flux`, a
+    sector at a time in the order the solves first reach it.
     """
-    groups: dict = {}
-    for i, solutions in enumerate(rows):
-        sectors: dict = {}
+    def sectors_of(i):
+        solutions, sectors = [_ok(sol) for sol in rows[i]], {}
         for sol in solutions:
             for fam, gammas, prof, amps in sol.sectors:
                 J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
                 sectors.setdefault((fam == 1, J), []).append((fam, prof, gammas, amps))
         parts = list(sectors.values())
-        layout = (len(solutions[0].radii) if solutions else 0,
-                  tuple(tuple((fam, len(prof.degrees)) for fam, prof, _, _ in sector) for sector in parts))
-        groups.setdefault(layout, []).append((i, solutions[0].radii if solutions else None, parts))
-    out = [0.0] * len(rows)
-    for members in groups.values():
-        if not members[0][2]:
-            continue  # no solve: no field
-        radii = [r for _, r, _ in members]
+        radii = solutions[0].radii if solutions else ()
+        return (len(radii), tuple(tuple((fam, len(prof.degrees)) for fam, prof, _, _ in sector) for sector in parts),
+                radii, parts)
+
+    def values(idx, states):
+        if not states[0][3]:
+            return [0.0] * len(idx)  # no solve: no field
         total = 0.0
-        for j in range(len(members[0][2])):
-            sectors = [parts[j] for _, _, parts in members]
+        for j in range(len(states[0][3])):
+            sectors = [parts[j] for *_, parts in states]
             stack = [(sectors[0][p][1].degrees, _profile_stack([sector[p][1] for sector in sectors]),
                       np.array([sector[p][3] for sector in sectors])) for p in range(len(sectors[0]))]
-            total = _flux(radii, stack, np.array([_gram(sector) for sector in sectors], dtype=complex), total)
-        for (i, _, _), value in zip(members, total.tolist()):
-            out[i] = value
-    return out
+            total = _flux([radii for _, _, radii, _ in states], stack,
+                          np.array([_gram(sector) for sector in sectors], dtype=complex), total)
+        return total.tolist()
+    return _column(len(rows), sectors_of, values, key=lambda state: state[:2])
 
 
 def _gram(parts: list) -> list[list[complex]]:
@@ -228,13 +221,8 @@ def _gram(parts: list) -> list[list[complex]]:
     return [[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients] for gp in coefficients]
 
 
-def solution_pairing(solutions: Sequence) -> float:
-    """Re P(u, u) summed over all regions of the superposed solves: :func:`solution_pairings` of one row."""
-    return solution_pairings([solutions])[0]
-
-
 def dissipations(rows: Sequence[Sequence], media: Sequence) -> list[float]:
-    """Dissipation (delta/2) P(u, u) of each row's exact solves in its medium, by one flux per layout.
+    """Dissipation (delta/2) P(u, u) of each row's exact solves in its medium (or the row's error), by flux.
 
     Every region's field solves the Lame system, so no volume integral is
     formed: the sum reads only the solutions' sector amplitudes
@@ -243,12 +231,13 @@ def dissipations(rows: Sequence[Sequence], media: Sequence) -> list[float]:
     """
     if any(medium.delta <= 0 for medium in media):
         raise ValueError("dissipation needs delta > 0")
-    return [0.5 * medium.delta * p for medium, p in zip(media, solution_pairings(rows))]
+    return [p if isinstance(p, Exception) else 0.5 * medium.delta * p
+            for medium, p in zip(media, solution_pairings(rows))]
 
 
 def dissipation_E(solutions: Sequence, medium) -> float:
-    """Dissipation (delta/2) P(u, u) of an exact solve, by flux: :func:`dissipations` of one row."""
-    return dissipations([solutions], [medium])[0]
+    """Dissipation (delta/2) P(u, u) of an exact solve, by flux: :func:`dissipations` of one row, its error raised."""
+    return _ok(dissipations([solutions], [medium])[0])
 
 
 def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,

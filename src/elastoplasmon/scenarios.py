@@ -21,14 +21,14 @@ are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_p
 the radial profiles and the source coefficients.  :data:`WITNESSES` lists
 each witness once (its bound, whether it needs a core, its core and the
 scalars it prints); a sweep and the ``witness`` command read it and build
-no field.  A core takes a column of (medium, source, loss) rows and returns
-per row its scalars or its error: its traces, single-layer scalings and
-pairings are stacks over the column.  A sweep solves one column of sector
-systems (:func:`~elastoplasmon.transmission._solve_column`): every row's
-lossy solve and the loss-free solve of the rows the fixed-multiplier
-witness applies to (a core and a family-1 source), which the primal
-witnesses read instead of solving; rows of one loss-free medium and source
-share their systems.  It takes the dissipations of its rows as one flux and
+no field.  A core is a :func:`~elastoplasmon.transmission._column` of
+(medium, source, loss) rows, per row its scalars or its error; its traces,
+single-layer scalings and pairings are stacks over the column.  A sweep
+solves one column of sector systems (:func:`~elastoplasmon.transmission._solve_column`):
+every row's lossy solve and the loss-free solve of the rows the
+fixed-multiplier witness applies to (a core and a family-1 source), which
+the primal witnesses read instead of solving; rows of one loss-free medium
+and source share their systems.  It takes the dissipations of its rows as one flux and
 runs each core once, on the rows it applies to; it tries the radial witness
 only on its schedule outside R^{3/2}.  It records each witness that raises
 in ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
@@ -54,8 +54,8 @@ import numpy as np
 from .lame import LameParams, ModeField, Term, plasmon_constants
 from .energy import EnergyReport, dissipations, profile_pairings, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
-                           _ok, _profile_fields, _profile_stack, _radial_profile, _region_blocks, _single_layers,
-                           _solve_column, _source_member, _traces, _wave_amplitudes)
+                           _column, _ok, _profile_fields, _profile_stack, _radial_profile, _region_blocks,
+                           _single_layers, _solve_column, _source_member, _traces, _wave_amplitudes)
 
 __all__ = [
     "SweepResult",
@@ -113,44 +113,8 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
-def _column(n: int, check, values, key=None) -> list:
-    """Per row of a column of ``n`` its values, or its error (which a caller raises on reading the row,
-    unless it is a refusal).
-
-    ``check(i)`` runs per row and returns its state or raises.  The rows
-    that pass are evaluated as stacks, one per ``key(state)``:
-    ``values(idx, states)`` returns one value (or error) per row.  Where a
-    stack raises an ``ArithmeticError`` (a power or a single layer out of
-    the float range, a vanishing denominator), its rows go one at a time, so
-    only the row that raises gets the error."""
-    out: list = []
-    for i in range(n):
-        try:
-            out.append(check(i))
-        except Exception as exc:
-            out.append(exc)
-    groups: dict = {}
-    for i, state in enumerate(out):
-        if not isinstance(state, Exception):
-            groups.setdefault(None if key is None else key(state), []).append(i)
-    for idx in groups.values():
-        states = [out[i] for i in idx]
-        try:
-            got = values(idx, states)
-        except ArithmeticError:
-            got = []
-            for i, state in zip(idx, states):
-                try:
-                    got += values([i], [state])
-                except ArithmeticError as exc:
-                    got.append(exc)
-        for i, value in zip(idx, got):
-            out[i] = value
-    return out
-
-
 def _loss_free(rows, degrees, loss_free: list | None = None) -> list:
-    """Per row the loss-free solutions of its ``degrees``, or the error of the first one that raises.
+    """Per row the loss-free solve outcomes of its ``degrees``: each a solution or the error of its solve.
 
     ``loss_free`` holds per row the outcome of each of ``source.degrees()``
     (a :class:`~elastoplasmon.transmission.ModeSolution` or the error of its
@@ -163,20 +127,7 @@ def _loss_free(rows, degrees, loss_free: list | None = None) -> list:
         by_degree = [{n: next(flat) for n in ns} for ns in degrees]
     else:
         by_degree = [dict(zip(src.degrees(), lf)) for (_, src, _), lf in zip(rows, loss_free)]
-    out = []
-    for got, ns in zip(by_degree, degrees):
-        sols = [got[n] for n in ns]
-        out.append(next((s for s in sols if isinstance(s, Exception)), sols))
-    return out
-
-
-def _pairings_of(solutions: list) -> list[float | None]:
-    """:func:`~elastoplasmon.energy.solution_pairings` of the rows whose solutions are not an error (None for those)."""
-    fine = [i for i, sols in enumerate(solutions) if not isinstance(sols, Exception)]
-    pairings: list = [None] * len(solutions)
-    for i, p in zip(fine, solution_pairings([solutions[i] for i in fine])):
-        pairings[i] = p
-    return pairings
+    return [[got[n] for n in ns] for got, ns in zip(by_degree, degrees)]
 
 
 def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> None:
@@ -195,8 +146,8 @@ def _fixed_c_bound(rows, loss_free: list | None = None) -> list:
     def values(idx, _):
         free = _loss_free([rows[i] for i in idx], [rows[i][1].degrees() for i in idx],
                           None if loss_free is None else [loss_free[i] for i in idx])
-        return [sols if p is None else (0.5 * rows[i][2] * p, sols)
-                for i, sols, p in zip(idx, free, _pairings_of(free))]
+        return [p if isinstance(p, Exception) else (0.5 * rows[i][2] * p, sols)
+                for i, sols, p in zip(idx, free, solution_pairings(free))]
     return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
 
 
@@ -207,7 +158,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[Mod
     transmission solve of the medium at delta = 0, scaled, refined and
     checked like any other.  The source must carry family-1 content only.
     Returns the witness field, the upper bound I(v, 0) at the medium's loss
-    (the flux of :func:`~elastoplasmon.energy.solution_pairing`), and the
+    (the flux of :func:`~elastoplasmon.energy.solution_pairings`), and the
     loss-free solutions (with their conditions and backward errors).  A
     loss-free system of condition above 1e9 raises
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
@@ -420,14 +371,15 @@ def _radial_bound(rows, loss_free: list | None = None) -> list:
                          None if loss_free is None else [loss_free[i] for i in idx])
         out = []
         at = 0
-        for i, (scheduled, _), sols, p_off in zip(idx, states, off, _pairings_of(off)):
+        for i, (scheduled, _), sols, p_off in zip(idx, states, off, solution_pairings(off)):
             delta, P_vi, P_wi, mine = rows[i][2], 0.0, 0.0, []
             for j in range(at, at + len(scheduled)):
                 P_vi += P_v[j]
                 P_wi += P_w[j]
                 mine.append((modes[j][1], modes[j][2], v[j], w[j]))
             at += len(scheduled)
-            out.append(sols if p_off is None else (0.5 * delta * (P_vi + p_off) + 0.5 / delta * P_wi, mine, sols))
+            out.append(p_off if isinstance(p_off, Exception) else
+                       (0.5 * delta * (P_vi + p_off) + 0.5 / delta * P_wi, mine, sols))
         return out
     return _column(len(rows), lambda i: _radial_check(*rows[i]), values)
 
@@ -586,8 +538,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     flat = iter(_solve_column(items))
     lossy = [[next(flat) for _ in ns] for ns in degrees]
     loss_free = [[next(flat) for _ in ns] if f else None for ns, f in zip(degrees, free)]
-    fine = [i for i, outcomes in enumerate(lossy) if not any(isinstance(o, Exception) for o in outcomes)]
-    E = dict(zip(fine, dissipations([lossy[i] for i in fine], [media[i][1] for i in fine])))
+    E = dissipations(lossy, [med for _, med, _ in media])
     found = {}
     for w in WITNESSES:
         idx = [i for i in range(len(media)) if tried(w, i)]
@@ -595,8 +546,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
         found[w.name] = dict(zip(idx, w.core([(media[i][1], media[i][2], media[i][0]) for i in idx], **kwargs)))
     rows, refusals, solves = [], [], []
     for i, ((d, med, src), outcomes, lf) in enumerate(zip(media, lossy, loss_free)):
-        if i not in E:
-            _ok(next(o for o in outcomes if isinstance(o, Exception)))
+        E_delta = _ok(E[i])  # a row's error is raised when the rows before it are done
         n_delta = max(degrees[i])
         bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
         for w in WITNESSES:
@@ -606,7 +556,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
                                  "error": type(got).__name__, "message": str(got)})
             elif got is not None:
                 bounds[w.bound].append(_ok(got)[0])
-        rows.append(EnergyReport(delta=d, E_delta=E[i], c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
+        rows.append(EnergyReport(delta=d, E_delta=E_delta, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
                                  J_lower=max(bounds["J_lower"], default=None), n_delta=n_delta))
         (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(lf or [])
         solves.append({"row": i, "lossy_condition": lossy_cond, "lossy_backward_error": lossy_berr,
@@ -621,7 +571,8 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     Each row records the dissipation and whichever bounds apply to the
     configuration; the verdict follows the growth conventions in the module
     docstring.  A row is sector-scalar algebra: it builds no field and reads
-    no ladder degree.
+    no ladder degree.  A dissipation that is not positive and finite (a
+    vanishing source, an energy that underflows) is ``ArithmeticError``.
     """
     deltas = list(delta_list)
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
@@ -629,6 +580,9 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     if deltas[0] / deltas[-1] < 0.99e3:
         raise ValueError("sweep must span at least three decades")
     rows, refusals, solves = _sweep_rows(configuration, deltas)
+    for r in rows:
+        if not 0.0 < r.E_delta < math.inf:
+            raise ArithmeticError(f"E_delta = {r.E_delta!r} at delta = {r.delta!r} is not positive and finite: no fit")
     E = [r.E_delta for r in rows]
     slope = _fit_slope(deltas, E)
     monotone = all(E[i + 1] >= E[i] * 0.95 for i in range(len(E) - 1))

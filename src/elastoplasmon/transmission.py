@@ -24,10 +24,11 @@ column of one): equal systems are solved once, the systems of one shape
 are built as one stack from one template of entries and go through one
 stacked :func:`_square_solve`, each system's result bit for bit its solve
 alone, and each item's block amplitudes are rows of the stacked solution.
-Traces of a stack of profile fields on spheres (:func:`_traces`) and the
-powers of the radii they read (:func:`_pows`, Python's own ``pow``) serve
-the energies and witnesses alike.  A loss-free medium
-(delta = 0) is solved only where every solved system's equilibrated
+One helper (:func:`_column`) groups the rows of the solves, energies and
+witnesses by shape, stacks them and gives a row that raises its own error;
+traces of profile fields on spheres (:func:`_traces`) and the powers of the
+radii (:func:`_pows`, Python's own ``pow``) serve them alike.  A loss-free
+medium (delta = 0) is solved only where every solved system's equilibrated
 condition is at most 1e9; above it :class:`ResonantSingularityError` (an
 ``ArithmeticError``) is raised.  The fixed-multiplier primal witness of
 :mod:`~elastoplasmon.scenarios` is such a loss-free solve; the other
@@ -211,13 +212,10 @@ class SourceSpec:
                 out.setdefault(fam, {})[k] = g
         return out
 
-    def family_densities(self, n: int, params: LameParams) -> dict[int, np.ndarray]:
-        """Degree-n part of the density split by family: {family: sum of g K}."""
-        return {fam: _family_density(params, n, fam, gam.items()) for fam, gam in self.family_gammas(n).items()}
-
     def density_matrix(self, n: int, params: LameParams) -> np.ndarray:
-        """Coefficient matrix of the degree-n part of the density."""
-        return sum(self.family_densities(n, params).values(), np.zeros((3, 2 * n + 1), dtype=complex))
+        """Coefficient matrix of the degree-n part of the density: the sum of each family's sum of g K."""
+        return sum((_family_density(params, n, fam, gam.items()) for fam, gam in self.family_gammas(n).items()),
+                   np.zeros((3, 2 * n + 1), dtype=complex))
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,22 +317,16 @@ def _square_solve(M: np.ndarray, b: np.ndarray | None, what: list[str], max_cond
     residual in extended precision per step; each system stops refining by
     its own rule.  Every operation acts on each system alone, so a system's
     result is bit for bit the one it has solved alone, and that is the
-    public-call route (``np.linalg.svd``, ``solve``, ``norm``).  Where the
-    stack raises ``LinAlgError`` (an exactly singular LU or an SVD that does
-    not converge), each system is solved alone and the one that raises gets
-    that error.
+    public-call route (``np.linalg.svd``, ``solve``, ``norm``).  The stack is
+    a :func:`_column`: a system whose LU is exactly singular or whose SVD does
+    not converge gets numpy's ``LinAlgError`` alone, led by its ``what``.
     """
-    try:
-        return _solve_stack(M, b, what, max_condition)
-    except np.linalg.LinAlgError:
-        pass
-    out: list = []
-    for i in range(len(M)):
+    def values(idx, names):
         try:
-            out += _solve_stack(M[i:i + 1], None if b is None else b[i:i + 1], what[i:i + 1], max_condition[i:i + 1])
-        except np.linalg.LinAlgError as exc:
-            out.append(exc)
-    return out
+            return _solve_stack(M[idx], None if b is None else b[idx], names, [max_condition[i] for i in idx])
+        except np.linalg.LinAlgError as exc:  # read only for a system alone
+            raise np.linalg.LinAlgError(f"{names[0]}: {exc}") from None
+    return _column(len(M), what.__getitem__, values)
 
 
 def _solve_stack(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float]) -> list:
@@ -404,6 +396,40 @@ def _ok(outcome):
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def _column(n: int, check, values, key=None) -> list:
+    """Per row of a column of ``n`` its value or its error; the one place a stack is taken apart row by row.
+
+    ``check(i)`` returns row i's state or raises; the rows that pass are one
+    stack per ``key(state)``, ``values(idx, states)`` giving one value (or
+    error) per row.  Where a stack raises an ``ArithmeticError`` or
+    ``LinAlgError``, its rows go one at a time, so only the row that raises
+    gets the error."""
+    out: list = []
+    for i in range(n):
+        try:
+            out.append(check(i))
+        except Exception as exc:
+            out.append(exc)
+    groups: dict = {}
+    for i, state in enumerate(out):
+        if not isinstance(state, Exception):
+            groups.setdefault(None if key is None else key(state), []).append(i)
+    for idx in groups.values():
+        states = [out[i] for i in idx]
+        try:
+            got = values(idx, states)
+        except (ArithmeticError, np.linalg.LinAlgError):
+            got = []
+            for i, state in zip(idx, states):
+                try:
+                    got += values([i], [state])
+                except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                    got.append(exc)
+        for i, value in zip(idx, got):
+            out[i] = value
+    return out
 
 
 def _ladder(G: np.ndarray, d: int, up: bool) -> np.ndarray:
@@ -513,10 +539,19 @@ def _pows(rho, powers) -> np.ndarray:
 
     Each is Python's float power, the C library's pow, as every scalar of the
     package is formed (numpy's vectorized pow may differ in the last bit);
-    ``OverflowError`` where one overflows."""
+    ``OverflowError`` naming the first radius and power that overflow."""
     flat_r = [r for rs, ps in zip(rho, powers) for r in rs for _ in ps for _ in (0, 1)]
     flat_p = [e for rs, ps in zip(rho, powers) for _ in rs for p in ps for e in (p, p - 1)]
-    return np.array(list(map(pow, flat_r, flat_p))).reshape(len(rho), -1, len(powers[0]), 2)
+    try:
+        values = list(map(pow, flat_r, flat_p))
+    except OverflowError as exc:  # named: the first power that overflows
+        for r, p in zip(flat_r, flat_p):
+            try:
+                pow(r, p)
+            except OverflowError:
+                raise OverflowError(f"rho^{p} at rho = {r} overflows the float range") from exc
+        raise
+    return np.array(values).reshape(len(rho), -1, len(powers[0]), 2)
 
 
 def _profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
@@ -650,32 +685,15 @@ def _solve_systems(systems: list, rhs: bool = True) -> list:
 
     Per system (amplitudes (nb + 1, B) by region, condition, backward error)
     or its error: the error of its powers (an ``OverflowError``) or of its
-    solve (:func:`_square_solve`).  The systems of one shape go through one
-    stacked assembly and solve, each system's amplitudes a row of the
-    stacked solution in the full block layout, zero for a region's absent
-    blocks.  Without ``rhs`` only the conditions are computed, the
-    amplitudes None."""
-    out: list = [None] * len(systems)
-    groups: dict = {}
-    for i, (bounds, _, prof, *_) in enumerate(systems):
-        groups.setdefault((len(bounds), len(prof.degrees)), []).append(i)
-    def powers(idx):  # rho^p and rho^(p-1) of every block on every interface
-        return _pows([systems[i][0] for i in idx], [systems[i][2].power for i in idx])
-
-    for (nb, D), idx in groups.items():
-        try:
-            pw = powers(idx)
-        except OverflowError:  # one system at a time: the one whose powers overflow gets the error
-            for i in idx:
-                try:
-                    powers([i])
-                except OverflowError as exc:
-                    out[i] = exc
-            idx = [i for i in idx if out[i] is None]
-            if not idx:
-                continue
-            pw = powers(idx)
-        bounds, weights, profs, what, cap = zip(*(systems[i] for i in idx))
+    solve (:func:`_square_solve`).  The systems are a :func:`_column`: those
+    of one shape (interfaces and degrees) go through one stacked assembly and
+    solve, each system's amplitudes a row of the stacked solution in the full
+    block layout, zero for a region's absent blocks.  Without ``rhs`` only
+    the conditions are computed, the amplitudes None."""
+    def values(idx, states):
+        bounds, weights, profs, what, cap = zip(*states)
+        nb, D = len(bounds[0]), len(profs[0].degrees)
+        pw = _pows(bounds, [prof.power for prof in profs])  # rho^p and rho^(p-1) of every block on every interface
         M, b, cols = _sector_matrices(bounds, weights, profs, pw)
         got = _square_solve(M, b if rhs else None, list(what), list(cap))
         amps = np.zeros((len(idx), (nb + 1) * 2 * D), dtype=complex)
@@ -683,9 +701,8 @@ def _solve_systems(systems: list, rhs: bool = True) -> list:
         if solved:
             amps[np.array(solved)[:, None], cols] = np.array([got[j][0] for j in solved])
         amps = amps.reshape(len(idx), nb + 1, 2 * D)
-        for j, (i, g) in enumerate(zip(idx, got)):
-            out[i] = g if isinstance(g, Exception) or g[0] is None else (amps[j], g[1], g[2])
-    return out
+        return [g if isinstance(g, Exception) or g[0] is None else (amps[j], g[1], g[2]) for j, g in enumerate(got)]
+    return _column(len(systems), systems.__getitem__, values, key=lambda s: (len(s[0]), len(s[2].degrees)))
 
 
 @_once_per_key

@@ -98,7 +98,7 @@ solve from those 50-digit amplitudes by the flux of the radial profiles.
 public ``np.linalg.solve`` and ``np.linalg.norm`` calls; the package's
 solve calls their LAPACK gufunc and their sums directly and must agree with
 it bit for bit.  ``vector_flux``/``vector_solution_pairing`` are the
-flux of ``energy.solution_pairing`` with each source read as its coefficient
+flux of ``energy.solution_pairings`` with each source read as its coefficient
 vector on the sector's 2J + 1 members (one ``np.vdot`` per degree and
 sphere) instead of through the Gram matrix of the coefficients.
 
@@ -177,6 +177,7 @@ from elastoplasmon.transmission import (
     SourceSpec,
     UnconvergedSolveError,
     _RadialProfile,
+    _family_density,
     _ladder,
     _profile_from_blocks,
     _region_blocks,
@@ -496,7 +497,7 @@ def matrix_sector_solve(medium: LayeredMedium, source: SourceSpec, n: int, table
     are those of that least squares.
     """
     tables = ensure_tables(tables, n + 6)
-    gammas = source.family_densities(n, medium.base)
+    gammas = {fam: _family_density(medium.base, n, fam, gam.items()) for fam, gam in source.family_gammas(n).items()}
     M, offsets, cols, bounds, weights = matrix_sector_system(medium, source.q, _sector_shapes(gammas, n, tables), tables)
     b = np.zeros(M.shape[0], dtype=complex)
     gamma = sum(gammas.values())
@@ -626,8 +627,16 @@ def square_solve_reference(M: np.ndarray, b: np.ndarray | None = None, what: str
     Rows, then columns, are scaled to a largest entry of 1, the condition
     number is that of the scaled matrix from its singular values, and the
     scaled system is solved by ``np.linalg.solve`` and refined at most 4 times
-    from ``np.clongdouble`` residuals; the same errors are raised.
+    from ``np.clongdouble`` residuals; the same errors are raised, numpy's
+    ``LinAlgError`` led by the system's name ``what``.
     """
+    try:
+        return _reference_solve(M, b, what, max_condition)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{what}: {exc}") from None
+
+
+def _reference_solve(M, b, what, max_condition):
     rows = np.max(np.abs(M), axis=1)
     rows[rows == 0] = 1.0
     A = M / rows[:, None]
@@ -807,7 +816,7 @@ def vector_flux(parts_by_annulus: dict) -> float:
 
 
 def vector_solution_pairing(solutions) -> float:
-    """``energy.solution_pairing`` by :func:`vector_flux`: each source a zero-padded vector gamma_k."""
+    """A row of ``energy.solution_pairings`` by :func:`vector_flux`: each source a zero-padded vector gamma_k."""
     parts: dict = {}
     for sol in solutions:
         for fam, gammas, prof, amps in sol.sectors:

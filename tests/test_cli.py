@@ -356,6 +356,52 @@ def test_solver_failures_are_json_errors(tmp_path, config, args):
     assert "Traceback" not in r.stderr and "DLASCL" not in r.stdout + r.stderr
 
 
+DEGREE3_CONFIG = dict(BASE_CONFIG, source_modes=[[3, 1, 1, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("q, error, message", [
+    (1e200, "OverflowError", "rho^3 at rho = 1e+200 overflows the float range"),
+    (1e60, "LinAlgError", "family-1 system at degree 3: Singular matrix"),
+])
+def test_far_source_errors_name_their_sphere_or_system(command, q, error, message, tmp_path):
+    # the cored fixed c = -4 degree-3 config with its source sphere far out:
+    # at q = 1e200 a power of q overflows and the error names the radius and
+    # the power; at q = 1e60 the lossy system is exactly singular and numpy's
+    # error is led by the system's name.  Exit 2 with that one JSON line, and
+    # the solve raises the same exception type as before
+    sys.path.insert(0, SRC)
+    from elastoplasmon.lame import LameParams
+    from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_mode
+
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(DEGREE3_CONFIG, q=q)))
+    r = run_cli(command, "--config", str(path), *(["--csv", str(tmp_path / "x.csv")] if command == "sweep" else []))
+    lines = r.stderr.splitlines()
+    assert r.returncode == 2 and len(lines) == 1, r.stderr
+    assert json.loads(lines[0])["error"] == message
+    medium = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-2, base=LameParams(1.0, 1.0), core_radius=1.0)
+    with pytest.raises(Exception) as raised:
+        solve_mode(medium, SourceSpec(q, {(3, 1, 1): 1.0}), 3)
+    assert type(raised.value).__name__ == error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("gamma", [0.0, 1e-170])
+def test_sweep_refuses_energies_it_cannot_fit(gamma, tmp_path):
+    # a source coefficient of 0, or of 1e-170 (its energy underflows), gives
+    # E_delta = 0 on every row: the sweep refuses before the fit, naming the
+    # first row's loss and energy, in one JSON line with no numpy warning and
+    # no CSV
+    path = tmp_path / "faint.json"
+    path.write_text(json.dumps(dict(DEGREE3_CONFIG, source_modes=[[3, 1, 1, gamma, 0.0]])))
+    r = run_cli("sweep", "--config", str(path), "--csv", str(tmp_path / "x.csv"))
+    lines = r.stderr.splitlines()
+    assert r.returncode == 2 and len(lines) == 1, r.stderr
+    error = json.loads(lines[0])
+    assert error["code"] == 2 and error["error"].startswith("E_delta = 0.0 at delta = 0.01 is not positive and finite")
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("config", [
     dict(BASE_CONFIG, source_modes=[7]),
     dict(BASE_CONFIG, source_modes=[[2, 1, 99, 1.0, 0.0]]),  # k above 2n+1

@@ -487,8 +487,8 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
     # share J = n - 1 (several members, complex coefficients) beside a
     # family-1 part: measured <= 2.9e-16 and <= 7.8e-16.  The witness pairing
     # of a unit member reads the vector route's value too
-    from elastoplasmon.energy import profile_pairing, solution_pairing
-    from elastoplasmon.transmission import _wave_amplitudes
+    from elastoplasmon.energy import profile_pairings, solution_pairings
+    from elastoplasmon.transmission import _profile_stack, _wave_amplitudes
     from oracles import annuli, mp_flux_dissipation, vector_flux, vector_solution_pairing
 
     for params in (P11, LameParams(2.0, 0.5)):
@@ -497,7 +497,7 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
             src = SourceSpec(q=2.25, coefficients={(n, 2, 1): 0.6 - 0.8j, (n, 2, 3): 0.3j, (n - 2, 3, 1): -0.9 + 0.2j,
                                                     (n - 2, 3, 3): 0.5, (n - 2, 3, 2): 0.1, (n, 1, 2): 0.7})
             sols = solve_modes(med, src)
-            gram, vector = solution_pairing(sols), vector_solution_pairing(sols)
+            gram, vector = solution_pairings([sols])[0], vector_solution_pairing(sols)
             assert abs(gram - vector) <= 1e-15 * abs(vector), (params, n)
             ref = mp_flux_dissipation(sols, med)
             assert abs(dissipation_E(sols, med) - ref) <= 2e-15 * ref, (params, n)
@@ -505,7 +505,8 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
                 prof, amps, _ = _wave_amplitudes(params, n, fam, 1.5)
                 coords, radii = dict(zip(prof.degrees, prof.coords.tolist())), (0.0, 1.5, math.inf)
                 want = vector_flux({(lo, hi, None): [(prof, coords, 1.0, a)] for lo, hi, a in annuli(prof, radii, amps)})
-                assert abs(profile_pairing(prof, radii, amps) - want) <= 1e-15 * abs(want), (params, n, fam)
+                got = profile_pairings(_profile_stack([prof]), [radii], amps[None])[0]
+                assert abs(got - want) <= 1e-15 * abs(want), (params, n, fam)
 
 
 def test_array_flux_is_the_dict_flux(materials):
@@ -515,8 +516,8 @@ def test_array_flux_is_the_dict_flux(materials):
     # core-free, with a family-2 and a family-3 density sharing a sector, as
     # one column of rows and row by row; and on the witness fields, the
     # perfect waves and the single layers
-    from elastoplasmon.energy import profile_pairing, solution_pairing, solution_pairings
-    from elastoplasmon.transmission import _single_layer, _wave_amplitudes
+    from elastoplasmon.energy import profile_pairings, solution_pairings
+    from elastoplasmon.transmission import _profile_stack, _single_layer, _wave_amplitudes
     from oracles import annuli, dict_profile_pairing, dict_solution_pairing
 
     rows = []
@@ -528,9 +529,10 @@ def test_array_flux_is_the_dict_flux(materials):
                 rows.append(solve_modes(med, SourceSpec(q=2.25, coefficients=coeffs)))
     want = [dict_solution_pairing(sols) for sols in rows]
     assert solution_pairings(rows) == want
-    assert [solution_pairing(sols) for sols in rows] == want
+    assert [solution_pairings([sols])[0] for sols in rows] == want
     for params in materials:
         for n, fam in ((2, 1), (9, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
             prof, amps, _ = _wave_amplitudes(params, n, fam, 1.5)
             for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), _single_layer(params, n, fam, 0.8, 0.3j)[1])):
-                assert profile_pairing(prof, radii, a) == dict_profile_pairing(prof, annuli(prof, radii, a)), (n, fam)
+                got = profile_pairings(_profile_stack([prof]), [radii], a[None])[0]
+                assert got == dict_profile_pairing(prof, annuli(prof, radii, a)), (n, fam)

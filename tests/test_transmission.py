@@ -853,6 +853,37 @@ def test_column_item_whose_powers_overflow_gets_the_error_alone():
     assert [_solution_key(column[i]) for i in (0, 2)] == [_solution_key(solve_mode(*items[i])) for i in (0, 2)]
 
 
+@pytest.mark.parametrize("error", [ArithmeticError, OverflowError, ZeroDivisionError, np.linalg.LinAlgError])
+def test_column_isolates_a_raising_row_on_a_stub(error):
+    # the one column helper on stub rows keyed by parity: a check per row and
+    # one values call per key; a check error stays on its own row; the even
+    # stack of three raises an ArithmeticError or LinAlgError and goes row by
+    # row, so only the raising row gets the error and the other two keep
+    # their values alone; any other exception propagates
+    calls = []
+
+    def check(i):
+        if i == 1:
+            raise ValueError("row 1 refused")
+        return i
+
+    def values(idx, states):
+        calls.append(list(idx))
+        if 4 in idx:
+            raise raised("row 4 raised")
+        return [10 * s + len(idx) for s in states]
+
+    raised = error
+    out = transmission._column(6, check, values, key=lambda s: s % 2)
+    assert calls == [[0, 2, 4], [0], [2], [4], [3, 5]]
+    assert out[0] == 1 and out[2] == 21 and out[3] == 32 and out[5] == 52
+    assert type(out[1]) is ValueError and str(out[1]) == "row 1 refused"
+    assert type(out[4]) is error and str(out[4]) == "row 4 raised"
+    raised = RuntimeError
+    with pytest.raises(RuntimeError, match="row 4 raised"):
+        transmission._column(6, check, values, key=lambda s: s % 2)
+
+
 def test_stacked_assembly_is_the_entrywise_system(materials):
     # the sector systems of one shape assembled as one stack (every block's
     # powers on every interface at once, one template of entries) are the
