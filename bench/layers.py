@@ -7,7 +7,8 @@ The ``src`` of this checkout is timed; this script imports nothing of it
 and runs each measurement in fresh processes with one BLAS thread.  The
 file (in ``--out``, default the repository root) holds the checkout's git
 description (None outside a git checkout), ``nproc``,
-the Python, numpy and BLAS versions, and two sets of medians in seconds:
+the Python, numpy and BLAS versions, and two sets of minima in seconds
+(the least disturbed run of each, as the host's other load only adds time):
 
 * ``cold_s``: over ``--repeats`` fresh processes each, ``import
   elastoplasmon.cli``; through the CLI, each gated sweep (the four
@@ -16,7 +17,7 @@ the Python, numpy and BLAS versions, and two sets of medians in seconds:
   ``solve`` check at the deepest loss; ``waves-check --n 20/40/64`` and
   ``np-spectrum --nmax 64``;
 * ``warm_s``: in one process, after one untimed call that fills the
-  per-process caches, the median over ``--repeats`` batches of in-process
+  per-process caches, the minimum over ``--repeats`` batches of in-process
   calls of: the square sector solve of k systems of size m (k = 1, 13; m = 2,
   6, 8, 12: a family-1 unit single layer, a cored family-1, a core-free
   family-2 and a cored family-3 system, at degrees 7, 8, ..., as the solves
@@ -89,7 +90,7 @@ def _cold_commands(work: Path) -> dict[str, list[str]]:
 
 
 def cold(tree: Path, repeats: int, work: Path) -> dict[str, float]:
-    """Median wall seconds of each cold command over ``repeats`` fresh processes."""
+    """Least wall seconds of each cold command over ``repeats`` fresh processes."""
     times: dict[str, list[float]] = {}
     commands = _cold_commands(work)
     for _ in range(repeats):
@@ -98,11 +99,11 @@ def cold(tree: Path, repeats: int, work: Path) -> dict[str, float]:
             subprocess.run([sys.executable, *argv], env=_env(tree), cwd=work, check=True,
                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             times.setdefault(name, []).append(time.perf_counter() - t0)
-    return {name: statistics.median(ts) for name, ts in times.items()}
+    return {name: min(ts) for name, ts in times.items()}
 
 
-def _median_call_s(call, repeats: int) -> float:
-    """Median seconds per call over ``repeats`` batches, each batch at least about 2 ms long."""
+def _least_call_s(call, repeats: int) -> float:
+    """Least seconds per call over ``repeats`` batches, each batch at least about 2 ms long."""
     call()  # fills the per-process caches
     t0 = time.perf_counter()
     call()
@@ -113,7 +114,7 @@ def _median_call_s(call, repeats: int) -> float:
         for _ in range(batch):
             call()
         runs.append((time.perf_counter() - t0) / batch)
-    return statistics.median(runs)
+    return min(runs)
 
 
 def _systems(transmission, solve) -> list:
@@ -157,14 +158,14 @@ def warm(repeats: int) -> dict:
         for k in (1, 13):
             M = np.stack([M for M, _ in systems[:k]])
             b = np.stack([b for _, b in systems[:k]])
-            out[f"square_solve[m={m},k={k}]"] = _median_call_s(
+            out[f"square_solve[m={m},k={k}]"] = _least_call_s(
                 lambda M=M, b=b: transmission._square_solve(M, b, ["system"] * len(M), [math.inf] * len(M)), repeats)
     for fam in (1, 2, 3):
         src = SourceSpec(3.0, {(8, fam, 1): 1.0})
-        out[f"solve_mode[family={fam}]"] = _median_call_s(lambda: solve_mode(cored, src, 8), repeats)
+        out[f"solve_mode[family={fam}]"] = _least_call_s(lambda: solve_mode(cored, src, 8), repeats)
     mixed = SourceSpec(3.0, {(8, 1, 1): 1.0, (8, 2, 2): 0.5j, (8, 3, 3): -0.7})
     solutions = solve_modes(cored, mixed)
-    out["dissipation_E"] = _median_call_s(lambda: dissipation_E(solutions, cored), repeats)
+    out["dissipation_E"] = _least_call_s(lambda: dissipation_E(solutions, cored), repeats)
     with tempfile.TemporaryDirectory() as work:
         configs = {name: cfg for plan in gated_plans(Path(work)) for name, cfg in plan.configs.items()}
     zeta1 = plasmon_constants(params, 8).zeta1
@@ -176,7 +177,7 @@ def warm(repeats: int) -> dict:
     }
     for w in scenarios.WITNESSES:
         if w.name in applies:
-            out[f"witness:{w.name}"] = _median_call_s(lambda: w.core([applies[w.name]]), repeats)
+            out[f"witness:{w.name}"] = _least_call_s(lambda: w.core([applies[w.name]]), repeats)
     # the 13-row schedule columns a sweep hands to the energies and the cores
     nocore = {key: v for key, v in configs["sched_q2.3"].items() if key != "core_radius"}
     column_of = {"witness_nocore": dict(nocore, q=2.6), "witness_fixed_c": configs["sched_q2.3"],
@@ -187,16 +188,16 @@ def warm(repeats: int) -> dict:
         if name == "dissipations":
             media = [med for med, _, _ in rows]
             lossy = [[sol] for sol in transmission._solve_column([(med, src, max(src.degrees())) for med, src, _ in rows])]
-            out[f"column:{name}"] = _median_call_s(lambda: energy.dissipations(lossy, media), repeats)
+            out[f"column:{name}"] = _least_call_s(lambda: energy.dissipations(lossy, media), repeats)
         else:
             w = next(w for w in scenarios.WITNESSES if w.name == name)
             free = [[sol] for sol in transmission._solve_column([(replace(med, delta=0.0), src, max(src.degrees()))
                                                                  for med, src, _ in rows])]
             kwargs = {"loss_free": free} if w.reads_loss_free else {}
-            out[f"column:{name}"] = _median_call_s(lambda: w.core(rows, **kwargs), repeats)
+            out[f"column:{name}"] = _least_call_s(lambda: w.core(rows, **kwargs), repeats)
     for name, cfg in configs.items():
         conf = cli._configuration(cfg)
-        out[f"sweep:{name}"] = _median_call_s(lambda: scenarios.sweep(conf, cfg["delta_list"]), repeats)
+        out[f"sweep:{name}"] = _least_call_s(lambda: scenarios.sweep(conf, cfg["delta_list"]), repeats)
     blas = {}
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]
@@ -218,7 +219,7 @@ def _git(tree: Path) -> str | None:
 
 
 def measure(tree: Path, repeats: int) -> dict:
-    """One BENCH record of ``tree``: cold medians, then warm medians from a worker process."""
+    """One BENCH record of ``tree``: cold minima, then warm minima from a worker process."""
     with tempfile.TemporaryDirectory() as work:
         cold_s = cold(tree, repeats, Path(work))
     worker = subprocess.run([sys.executable, __file__, "--worker", "--repeats", str(repeats)], env=_env(tree),

@@ -8,8 +8,9 @@ configurations produce byte-identical CSV files.
 
 Exit codes: 0 success, 2 validation failure (including an argument error, a
 singular loss-free or unconverged solve, a failed sector check, arithmetic
-out of the float range and a witness command no witness applies to), 3 I/O
-failure, 4 empty result.  Every failure writes one JSON line to stderr.
+out of the float range, a sweep whose bounds break the variational sandwich
+and a witness command no witness applies to), 3 I/O failure, 4 empty
+result.  Every failure writes one JSON line to stderr.
 """
 
 from __future__ import annotations

@@ -57,7 +57,8 @@ __all__ = [
 
 @dataclass
 class EnergyReport:
-    """One row of a loss sweep; ``sandwich_ok``: J_lower <= E_delta <= I_upper to ``slack * |E_delta|``."""
+    """One row of a loss sweep; ``sandwich_ok``: J_lower <= E_delta <= I_upper to ``slack * |E_delta|``, else
+    ``sandwich_break`` names the bound that breaks it (``"I_upper = ... below"``)."""
 
     delta: float
     E_delta: float
@@ -67,12 +68,15 @@ class EnergyReport:
     n_delta: int | None = None
 
     def sandwich_ok(self, slack: float = 1e-9) -> bool:
+        return self.sandwich_break(slack) is None
+
+    def sandwich_break(self, slack: float = 1e-9) -> str | None:
         tol = slack * abs(self.E_delta)
         if self.J_lower is not None and self.J_lower > self.E_delta + tol:
-            return False
+            return f"J_lower = {self.J_lower!r} above"
         if self.I_upper is not None and self.I_upper < self.E_delta - tol:
-            return False
-        return True
+            return f"I_upper = {self.I_upper!r} below"
+        return None
 
 
 def _radial_integral(s: int, r_lo: float, r_hi: float) -> float:

@@ -572,7 +572,9 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     configuration; the verdict follows the growth conventions in the module
     docstring.  A row is sector-scalar algebra: it builds no field and reads
     no ladder degree.  A dissipation that is not positive and finite (a
-    vanishing source, an energy that underflows) is ``ArithmeticError``.
+    vanishing source, an energy that underflows) is ``ArithmeticError``, as
+    are bounds that break J_lower <= E_delta <= I_upper by more than 1e-9
+    relative (``EnergyReport.sandwich_ok``): the first such row, before the fit.
     """
     deltas = list(delta_list)
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
@@ -583,6 +585,9 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     for r in rows:
         if not 0.0 < r.E_delta < math.inf:
             raise ArithmeticError(f"E_delta = {r.E_delta!r} at delta = {r.delta!r} is not positive and finite: no fit")
+        if broken := r.sandwich_break():
+            raise ArithmeticError(f"{broken} E_delta = {r.E_delta!r} at delta = {r.delta!r}: the variational "
+                                  "sandwich J_lower <= E_delta <= I_upper breaks")
     E = [r.E_delta for r in rows]
     slope = _fit_slope(deltas, E)
     monotone = all(E[i + 1] >= E[i] * 0.95 for i in range(len(E) - 1))

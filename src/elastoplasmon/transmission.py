@@ -17,26 +17,30 @@ order; a solve runs no traction algebra), so the interface conditions
 traction jump across the source sphere) form a square scalar system: two
 unknowns per region and rows per interface for family 1, four for families
 2 and 3.  Each family's part of a density is solved in its sector, by LU
-refined in extended precision, and the parts are superposed.  The unit of
-work is a column of (medium, source, degree) items (:func:`_solve_column`;
-a sweep's lossy and loss-free rows are one, and :func:`solve_mode` is a
-column of one): equal systems are solved once, the systems of one shape
-are built as one stack from one template of entries and go through one
-stacked :func:`_square_solve`, each system's result bit for bit its solve
-alone, and each item's block amplitudes are rows of the stacked solution.
-One helper (:func:`_column`) groups the rows of the solves, energies and
-witnesses by shape, stacks them and gives a row that raises its own error;
-traces of profile fields on spheres (:func:`_traces`) and the powers of the
-radii (:func:`_pows`, Python's own ``pow``) serve them alike.  A loss-free
-medium (delta = 0) is solved only where every solved system's equilibrated
-condition is at most 1e9; above it :class:`ResonantSingularityError` (an
-``ArithmeticError``) is raised.  The fixed-multiplier primal witness of
+(``np.linalg.solve``) refined in extended precision, and the parts are
+superposed.  The unit of work is a column of (medium, source, degree) items
+(:func:`_solve_column`; a sweep's lossy and loss-free rows are one, and
+:func:`solve_mode` is a column of one): equal systems are solved once, the
+systems of one shape are built as one stack from one template of entries and
+go through one stacked :func:`_square_solve`, each system's result bit for
+bit its solve alone, and each item's block amplitudes are rows of the
+stacked solution.  One helper (:func:`_column`) groups the rows of the
+sector systems, energies and witnesses by shape, stacks them and gives a row
+that raises its own error (the stacked solve is not one: where it raises for
+a stack, the column of :func:`_solve_systems` solves that stack's systems
+one at a time); traces of profile fields on spheres (:func:`_traces`) and
+the powers of the radii (:func:`_pows`, Python's own ``pow``) serve them
+alike.  A loss-free medium (delta = 0) is solved only where every solved
+system's equilibrated condition is at most 1e9; above it
+:class:`ResonantSingularityError` (an ``ArithmeticError`` that carries the
+condition) is raised, and a solve capped at 0 reads the conditions
+(:func:`sector_conditions`).  The fixed-multiplier primal witness of
 :mod:`~elastoplasmon.scenarios` is such a loss-free solve; the other
 witnesses and the Neumann-Poincare spectrum read the one-interface system,
 the single layer on a sphere, solved on the unit sphere and scaled
-(:func:`_single_layer`).  Kept once per process per (float lambda, float
-mu, n[, family, R]) key: the radial profiles, the sector checks, the unit
-single layers and the kernel bases.
+(:func:`_single_layer`).  Kept once per process per (float lambda, float mu,
+n[, family, R]) key: the radial profiles, the sector checks, the unit single
+layers and the kernel bases.
 
 Sources are expanded in the kernel basis of each degree, which is each
 family's sector itself, built in closed form (:func:`kernel_basis`).  The
@@ -66,7 +70,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.linalg._umath_linalg import solve1 as _lu_solve
 
 from .lame import (
     LameParams,
@@ -288,106 +291,88 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
-def _raise_singular(err: str, flag: int):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
-def _square_solve(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float]) -> list:
+def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: list[float]) -> list:
     """Solve a stack of square interface systems: per system (x, condition, backward error) or its error.
 
     ``M`` is (k, m, m) and ``b`` (k, m); ``what`` (the name in the messages)
     and ``max_condition`` hold one entry per system.  Rows, then columns,
-    are scaled to a largest entry of 1 and the scaled system is solved by
-    LU.  The condition number is that of the scaled matrix, from its
-    singular values; above ``max_condition`` the system is singular
-    (:class:`ResonantSingularityError`) and is not solved, and without ``b``
-    only the condition number is computed.  Residuals of the double system
-    formed in ``np.clongdouble`` refine the solution, at most 4 steps, until a
-    correction falls below eps |x| or no longer shrinks to half the previous
-    one, in which case it is not applied (Higham, *Accuracy and Stability of
-    Numerical Algorithms*, 2nd ed., ch. 12), so it is accurate to working
+    are scaled to a largest entry of 1; the condition number is that of the
+    scaled matrix, from its singular values, and above ``max_condition`` the
+    system is refused as singular (:class:`ResonantSingularityError`, which
+    carries the condition).  The scaled system, its right side times the
+    power of two that brings it to unit size (exact, so the norms stay in
+    range in any unit of the moduli), is solved by LU and refined from
+    residuals of the double system formed in ``np.clongdouble``, at most 4
+    steps, until a correction falls below eps |x| or no longer shrinks to
+    half the previous one, which is then not applied (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 12): accurate to working
     precision while condition x eps < 1.  A normwise backward error of the
-    scaled system above 1e-10 is :class:`UnconvergedSolveError`.  The scaled
-    right side is solved times the power of two that brings its largest
-    entry to unit size, which scales exactly: the norms stay in range in any
-    unit of the moduli, and a solve whose norms were in range keeps its bits.
+    scaled system not at most 1e-10 is :class:`UnconvergedSolveError`.
 
-    The whole stack goes through one batched SVD, one LAPACK ``solve1``
-    gufunc call (that of ``np.linalg.solve``) per refinement step and one
-    residual in extended precision per step; each system stops refining by
-    its own rule.  Every operation acts on each system alone, so a system's
-    result is bit for bit the one it has solved alone, and that is the
-    public-call route (``np.linalg.svd``, ``solve``, ``norm``).  The stack is
-    a :func:`_column`: a system whose LU is exactly singular or whose SVD does
-    not converge gets numpy's ``LinAlgError`` alone, led by its ``what``.
+    The stack goes through one batched SVD and per step one
+    ``np.linalg.solve`` and one :func:`_norms` of the stacked vectors; every
+    operation acts on each system alone, so each result is bit for bit the
+    public-call solve of its system alone.  Scaled entries out of the float
+    range (``ArithmeticError``), an exactly singular LU and an SVD that does
+    not converge (numpy's ``LinAlgError``, led by the first system's
+    ``what``) are raised for the whole stack, whose systems the
+    :func:`_column` of :func:`_solve_systems` then solves one at a time.
     """
-    def values(idx, names):
-        try:
-            return _solve_stack(M[idx], None if b is None else b[idx], names, [max_condition[i] for i in idx])
-        except np.linalg.LinAlgError as exc:  # read only for a system alone
-            raise np.linalg.LinAlgError(f"{names[0]}: {exc}") from None
-    return _column(len(M), what.__getitem__, values)
-
-
-def _solve_stack(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float]) -> list:
-    """:func:`_square_solve` of a stack, any ``LinAlgError`` raised for the whole stack.
-
-    Norms wanted at the same point are taken in one :func:`_norms` call of
-    the stacked vectors, and a stack whose systems all take a correction
-    adds it without indexing."""
-    rows = np.abs(M).max(axis=2)
-    rows[rows == 0] = 1.0
-    A = M / rows[:, :, None]
-    cols = np.abs(A).max(axis=1)
-    cols[cols == 0] = 1.0
-    A /= cols[:, None, :]
-    sv = np.linalg.svd(A, compute_uv=False)
-    cond = (sv[:, 0] / np.maximum(sv[:, -1], 1e-300)).tolist()
-    out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c) if c > cap
-                 else (None, c, 0.0) for w, c, cap in zip(what, cond, max_condition)]
-    if b is None:
-        return out
-    live = [i for i, (c, cap) in enumerate(zip(cond, max_condition)) if not c > cap]
-    k = len(live)
-    if k < len(out):
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / a subnormal scale overflows: refused below
+        rows = np.abs(M).max(axis=2)
+        rows[rows == 0] = 1.0
+        A = M / rows[:, :, None]
+        cols = np.abs(A).max(axis=1)
+        cols[cols == 0] = 1.0
+        A /= cols[:, None, :]
+    finite = np.isfinite(A).all(axis=(1, 2)).tolist()
+    if not all(finite):
+        raise ArithmeticError(f"{what[finite.index(False)]}: equilibrated entries out of the float range")
+    try:
+        sv = np.linalg.svd(A, compute_uv=False)
+        cond = (sv[:, 0] / np.maximum(sv[:, -1], 1e-300)).tolist()
+        out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c)
+                     if c > cap else None for w, c, cap in zip(what, cond, max_condition)]
+        live = [i for i, got in enumerate(out) if got is None]
         if not live:
             return out
-        M, b, A, rows, cols, sv = (a[live] for a in (M, b, A, rows, cols, sv))
-    rhs = b / rows
-    scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
-    rhs *= scale
-    M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble) * scale
+        k = len(live)
+        if k < len(out):
+            M, b, A, rows, cols, sv = (a[live] for a in (M, b, A, rows, cols, sv))
+        rhs = b / rows
+        scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
+        rhs *= scale
+        M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble) * scale
 
-    def residual(x):  # of the double system, formed in extended precision, rows scaled
-        return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
+        def residual(x):  # of the double system, formed in extended precision, rows scaled
+            return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
 
-    with np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        x = _lu_solve(A, rhs, signature="DD->D") / cols
-        last, refining = [math.inf] * k, range(k)
-        for _ in range(4):
-            dx = _lu_solve(A, residual(x), signature="DD->D") / cols
-            ahead = x + dx
-            norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
-            take = [j for j in refining if not norms[j] > 0.5 * last[j]]
-            if not take:
-                break
-            if len(take) == k:
-                x = ahead
-            else:
+        with np.errstate(all="ignore"):  # a correction out of range fails the backward-error gate
+            x = np.linalg.solve(A, rhs[..., None])[..., 0] / cols
+            last, refining = [math.inf] * k, range(k)
+            for _ in range(4):
+                dx = np.linalg.solve(A, residual(x)[..., None])[..., 0] / cols
+                ahead = x + dx
+                norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
+                take = [j for j in refining if not norms[j] > 0.5 * last[j]]
+                if not take:
+                    break
                 x[take] = ahead[take]
-            for j in take:
-                last[j] = norms[j]
-            refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
-            if not refining:
-                break
-        resid = _norms(residual(x)).tolist()
-    sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
+                for j in take:
+                    last[j] = norms[j]
+                refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
+                if not refining:
+                    break
+            resid = _norms(residual(x)).tolist()
+            sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{what[0]}: {exc}") from None
     den = (sv[:, 0] * sizes[:k] + sizes[k:]).tolist()
     x /= scale
     for j, i in enumerate(live):
         berr = resid[j] / (den[j] or 1e-300)
-        out[i] = (UnconvergedSolveError(f"{what[i]} did not converge (backward error {berr:.3e})")
-                  if berr > 1e-10 else (x[j], out[i][1], berr))
+        out[i] = ((x[j], cond[i], berr) if berr <= 1e-10
+                  else UnconvergedSolveError(f"{what[i]} did not converge (backward error {berr:.3e})"))
     return out
 
 
@@ -405,7 +390,7 @@ def _column(n: int, check, values, key=None) -> list:
     stack per ``key(state)``, ``values(idx, states)`` giving one value (or
     error) per row.  Where a stack raises an ``ArithmeticError`` or
     ``LinAlgError``, its rows go one at a time, so only the row that raises
-    gets the error."""
+    gets the error (a system singular alone in :func:`_solve_systems`)."""
     out: list = []
     for i in range(n):
         try:
@@ -680,28 +665,28 @@ def _sector_matrices(bounds: list, weights: list, profs: list, pw: np.ndarray):
     return M, rhs, cols
 
 
-def _solve_systems(systems: list, rhs: bool = True) -> list:
+def _solve_systems(systems: list) -> list:
     """Outcomes of (bounds, weights, profile, what, max_condition) sector systems, in order.
 
     Per system (amplitudes (nb + 1, B) by region, condition, backward error)
     or its error: the error of its powers (an ``OverflowError``) or of its
-    solve (:func:`_square_solve`).  The systems are a :func:`_column`: those
-    of one shape (interfaces and degrees) go through one stacked assembly and
-    solve, each system's amplitudes a row of the stacked solution in the full
-    block layout, zero for a region's absent blocks.  Without ``rhs`` only
-    the conditions are computed, the amplitudes None."""
+    solve (:func:`_square_solve`).  The systems are a :func:`_column`, the
+    one place a stack of them goes system by system: those of one shape
+    (interfaces and degrees) go through one stacked assembly and solve, each
+    system's amplitudes a row of the stacked solution in the full block
+    layout, zero for a region's absent blocks."""
     def values(idx, states):
         bounds, weights, profs, what, cap = zip(*states)
         nb, D = len(bounds[0]), len(profs[0].degrees)
         pw = _pows(bounds, [prof.power for prof in profs])  # rho^p and rho^(p-1) of every block on every interface
         M, b, cols = _sector_matrices(bounds, weights, profs, pw)
-        got = _square_solve(M, b if rhs else None, list(what), list(cap))
+        got = _square_solve(M, b, list(what), list(cap))
         amps = np.zeros((len(idx), (nb + 1) * 2 * D), dtype=complex)
-        solved = [j for j, g in enumerate(got) if not isinstance(g, Exception) and g[0] is not None]
+        solved = [j for j, g in enumerate(got) if not isinstance(g, Exception)]
         if solved:
             amps[np.array(solved)[:, None], cols] = np.array([got[j][0] for j in solved])
         amps = amps.reshape(len(idx), nb + 1, 2 * D)
-        return [g if isinstance(g, Exception) or g[0] is None else (amps[j], g[1], g[2]) for j, g in enumerate(got)]
+        return [g if isinstance(g, Exception) else (amps[j], g[1], g[2]) for j, g in enumerate(got)]
     return _column(len(systems), systems.__getitem__, values, key=lambda s: (len(s[0]), len(s[2].degrees)))
 
 
@@ -750,12 +735,15 @@ def _single_layers(items) -> np.ndarray:
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:
     """Condition number of each family's degree-n square sector system.
 
-    No density enters; a loss-free medium at a plasmon constant makes the
-    matching family's system singular.
+    Each system is solved capped at 0 (:func:`_solve_systems`), so it is
+    refused after its SVD and the refusal carries its condition; an error
+    is raised.  A loss-free medium at a plasmon constant makes the matching
+    family's system singular.
     """
     bounds, weights = _region_layout(medium, q)
-    systems = [(bounds, weights, _radial_profile(medium.base, n, fam), "interface system", math.inf) for fam in (1, 2, 3)]
-    return {fam: _ok(got)[1] for fam, got in zip((1, 2, 3), _solve_systems(systems, rhs=False))}
+    systems = [(bounds, weights, _radial_profile(medium.base, n, fam), "interface system", 0.0) for fam in (1, 2, 3)]
+    return {fam: got.condition if isinstance(got, ResonantSingularityError) else _ok(got)[1]
+            for fam, got in zip((1, 2, 3), _solve_systems(systems))}
 
 
 def _solve_column(items) -> list:

@@ -95,9 +95,9 @@ solve is held to, and ``mp_flux_dissipation`` is the dissipation of a
 solve from those 50-digit amplitudes by the flux of the radial profiles.
 
 ``square_solve_reference`` is ``transmission._square_solve`` through the
-public ``np.linalg.solve`` and ``np.linalg.norm`` calls; the package's
-solve calls their LAPACK gufunc and their sums directly and must agree with
-it bit for bit.  ``vector_flux``/``vector_solution_pairing`` are the
+public ``np.linalg.solve`` and ``np.linalg.norm`` calls, one system at a
+time; the package's solve takes a stack through each ``np.linalg.solve``
+and forms the norms' sums itself, and must agree with it bit for bit.  ``vector_flux``/``vector_solution_pairing`` are the
 flux of ``energy.solution_pairings`` with each source read as its coefficient
 vector on the sector's 2J + 1 members (one ``np.vdot`` per degree and
 sphere) instead of through the Gram matrix of the coefficients.
@@ -542,27 +542,26 @@ def _mp_lu_solve(M: np.ndarray, b: np.ndarray, dps: int):
         return [y[i] * mpmath.mpf(float(cols[i])) for i in range(len(b))]
 
 
-def mp_square_solve(M: np.ndarray, b: np.ndarray | None, what: list[str], max_condition: list[float],
+def mp_square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: list[float],
                     dps: int = 50) -> list:
     """Drop-in for ``transmission._square_solve``: each double system of the stack solved in ``dps`` digits.
 
     The entries of M and b are taken exactly as doubles, each system is
     solved by :func:`_mp_lu_solve` at ``dps`` decimal digits and the solution
     is rounded to complex doubles.  The condition number, and the error of a
-    system refused as singular, are the package's (equilibrated, from an
-    SVD), and the backward error is that of the rounded solution.
+    system refused as singular, are the package's: its solve capped at 0
+    refuses every system after the SVD, the refusal carrying the condition
+    (and its message being the one a refusal at the system's own cap has).
+    The backward error is that of the rounded solution.
     """
-    out = _square_solve(M, None, what, max_condition)
-    if b is None:
-        return out
     solved = []
-    for Mi, bi, got in zip(M, b, out):
-        if isinstance(got, Exception):
+    for Mi, bi, cap, got in zip(M, b, max_condition, _square_solve(M, b, what, [0.0] * len(M))):
+        if not isinstance(got, ResonantSingularityError) or got.condition > cap:
             solved.append(got)
             continue
         x = np.array([complex(v) for v in _mp_lu_solve(Mi, bi, dps)])
         berr = float(np.linalg.norm(Mi @ x - bi) / (np.linalg.norm(Mi) * np.linalg.norm(x) + np.linalg.norm(bi)))
-        solved.append((x, got[1], berr))
+        solved.append((x, got.condition, berr))
     return solved
 
 
@@ -620,8 +619,8 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
         return float(mpf(float(medium.delta)) / 2 * total)
 
 
-def square_solve_reference(M: np.ndarray, b: np.ndarray | None = None, what: str = "interface system",
-                           max_condition: float = math.inf) -> tuple[np.ndarray | None, float, float]:
+def square_solve_reference(M: np.ndarray, b: np.ndarray, what: str = "interface system",
+                           max_condition: float = math.inf) -> tuple[np.ndarray, float, float]:
     """``transmission._square_solve`` by the public numpy calls: (x, condition, backward error).
 
     Rows, then columns, are scaled to a largest entry of 1, the condition
@@ -637,18 +636,19 @@ def square_solve_reference(M: np.ndarray, b: np.ndarray | None = None, what: str
 
 
 def _reference_solve(M, b, what, max_condition):
-    rows = np.max(np.abs(M), axis=1)
-    rows[rows == 0] = 1.0
-    A = M / rows[:, None]
-    cols = np.max(np.abs(A), axis=0)
-    cols[cols == 0] = 1.0
-    A = A / cols
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.max(np.abs(M), axis=1)
+        rows[rows == 0] = 1.0
+        A = M / rows[:, None]
+        cols = np.max(np.abs(A), axis=0)
+        cols[cols == 0] = 1.0
+        A = A / cols
+    if not np.isfinite(A).all():
+        raise ArithmeticError(f"{what}: equilibrated entries out of the float range")
     sv = np.linalg.svd(A, compute_uv=False)
     cond = float(sv[0] / max(sv[-1], 1e-300))
     if cond > max_condition:
         raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
-    if b is None:
-        return None, cond, 0.0
     M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
     x = np.linalg.solve(A, b / rows) / cols
     last = math.inf
@@ -662,7 +662,7 @@ def _reference_solve(M, b, what, max_condition):
             break
     resid = float(np.linalg.norm((b_ext - M_ext @ x).astype(complex) / rows))
     berr = resid / (float(sv[0] * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
-    if berr > 1e-10:
+    if not berr <= 1e-10:
         raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
     return x, cond, berr
 

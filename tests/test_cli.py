@@ -363,13 +363,17 @@ DEGREE3_CONFIG = dict(BASE_CONFIG, source_modes=[[3, 1, 1, 1.0, 0.0]])
 @pytest.mark.parametrize("q, error, message", [
     (1e200, "OverflowError", "rho^3 at rho = 1e+200 overflows the float range"),
     (1e60, "LinAlgError", "family-1 system at degree 3: Singular matrix"),
+    (1e45, "ArithmeticError", "family-1 system at degree 3: equilibrated entries out of the float range"),
 ])
 def test_far_source_errors_name_their_sphere_or_system(command, q, error, message, tmp_path):
     # the cored fixed c = -4 degree-3 config with its source sphere far out:
     # at q = 1e200 a power of q overflows and the error names the radius and
     # the power; at q = 1e60 the lossy system is exactly singular and numpy's
-    # error is led by the system's name.  Exit 2 with that one JSON line, and
-    # the solve raises the same exception type as before
+    # error is led by the system's name; at q = 1e45 a column scale of the
+    # system is subnormal, its equilibrated entries leave the float range and
+    # the system is refused by name before its SVD, with no numpy warning.
+    # Exit 2 with that one JSON line, and the solve raises the same exception
+    # type as before
     sys.path.insert(0, SRC)
     from elastoplasmon.lame import LameParams
     from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_mode
@@ -386,6 +390,16 @@ def test_far_source_errors_name_their_sphere_or_system(command, q, error, messag
     assert type(raised.value).__name__ == error and str(raised.value) == message
 
 
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_far_source_in_range_solves_quietly(command, tmp_path):
+    # the same config at q = 1e40, where every scale of the system is in
+    # the normal range: exit 0 and nothing on stderr
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(dict(DEGREE3_CONFIG, q=1e40)))
+    r = run_cli(command, "--config", str(path), *(["--csv", str(tmp_path / "x.csv")] if command == "sweep" else []))
+    assert r.returncode == 0 and r.stderr == "", r.stderr
+
+
 @pytest.mark.parametrize("gamma", [0.0, 1e-170])
 def test_sweep_refuses_energies_it_cannot_fit(gamma, tmp_path):
     # a source coefficient of 0, or of 1e-170 (its energy underflows), gives
@@ -399,6 +413,34 @@ def test_sweep_refuses_energies_it_cannot_fit(gamma, tmp_path):
     assert r.returncode == 2 and len(lines) == 1, r.stderr
     error = json.loads(lines[0])
     assert error["code"] == 2 and error["error"].startswith("E_delta = 0.0 at delta = 0.01 is not positive and finite")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
+    # a stub fixed-multiplier core whose I_upper is E_delta (1 - 1e-8), 1e-8
+    # relative below the dissipation: the sweep refuses before the fit,
+    # naming the first row's loss, E_delta and the bound, in one JSON line
+    # with no CSV
+    import dataclasses
+
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli, scenarios
+    from elastoplasmon.energy import dissipation_E
+    from elastoplasmon.transmission import solve_modes
+
+    def low(rows, **kwargs):
+        return [(dissipation_E(solve_modes(med, src), med) * (1 - 1e-8),) for med, src, _ in rows]
+
+    monkeypatch.setattr(scenarios, "WITNESSES", tuple(dataclasses.replace(w, core=low) if w.name == "witness_fixed_c"
+                                                      else w for w in scenarios.WITNESSES))
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(BASE_CONFIG))
+    assert cli.main(["sweep", "--config", str(path), "--csv", str(tmp_path / "x.csv")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    error = json.loads(lines[0])
+    assert error["code"] == 2 and error["error"].startswith("I_upper = ")
+    assert "below E_delta = " in error["error"] and "at delta = 0.01: the variational sandwich" in error["error"]
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -1184,19 +1226,25 @@ def test_witness_table_names_the_traced_public_builders(monkeypatch):
 
 def test_witness_table_row_reaches_the_command_and_the_sweep(config_file, tmp_path, monkeypatch, capsys):
     # one row added to the table: witness prints its scalars, and a sweep
-    # row keeps its bound where it is the tighter
+    # row keeps its bound where it is the tighter (a valid one, E_delta
+    # itself: a sweep refuses bounds that break the sandwich)
     sys.path.insert(0, SRC)
     from elastoplasmon import cli, scenarios
+    from elastoplasmon.energy import dissipation_E
+    from elastoplasmon.transmission import solve_modes
 
-    stub = scenarios.Witness("witness_stub", "I_upper", True, lambda rows: [(1e-300, 7.0)] * len(rows),
-                             ("I_stub", "extra"))
+    def tightest(rows):
+        return [(dissipation_E(solve_modes(med, src), med), 7.0) for med, src, _ in rows]
+
+    stub = scenarios.Witness("witness_stub", "I_upper", True, tightest, ("I_stub", "extra"))
     _replace_everywhere(monkeypatch, scenarios.WITNESSES, scenarios.WITNESSES + (stub,))
     assert cli.main(["witness", "--config", config_file, "--delta", "1e-3"]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "I_stub = 1e-300  extra = 7"
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line.startswith("I_stub = ") and line.endswith("  extra = 7"), line
     csv = tmp_path / "stub.csv"
     assert cli.main(["sweep", "--config", config_file, "--csv", str(csv)]) == 0
     _, rows, _, _ = parse_report(csv)
-    assert [row.I_upper for row in rows] == [1e-300] * 4
+    assert [row.I_upper for row in rows] == [row.E_delta for row in rows]
 
 
 def test_cli_imports_no_private_name_of_the_package():

@@ -554,13 +554,13 @@ def _outcome(got):
     if isinstance(got, Exception):
         return type(got), str(got), getattr(got, "condition", None)
     x, cond, berr = got
-    return (None if x is None else x.tobytes()), cond, berr
+    return x.tobytes(), cond, berr
 
 
 def _solve_outcome(solve, M, b, what="interface system", max_condition=math.inf):
     """:func:`_outcome` of one system solved by ``solve`` (``square_solve_reference``'s signature)."""
     try:
-        return _outcome(solve(M.copy(), None if b is None else b.copy(), what, max_condition))
+        return _outcome(solve(M.copy(), b.copy(), what, max_condition))
     except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
         return _outcome(exc)
 
@@ -578,8 +578,8 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     monkeypatch.setattr(transmission._unit_layer, "cache", {})
 
     def recorded(M, b, what, max_condition):
-        out = lean(M.copy(), None if b is None else b.copy(), what, max_condition)
-        systems.extend((M[i].copy(), None if b is None else b[i].copy(), what[i], max_condition[i], got)
+        out = lean(M.copy(), b.copy(), what, max_condition)
+        systems.extend((M[i].copy(), b[i].copy(), what[i], max_condition[i], got)
                        for i, got in enumerate(out))
         calls[-1].append(len(M))
         return out
@@ -727,12 +727,10 @@ def test_spheroidal_solve_is_scale_free_in_the_moduli(e, tmp_path, capsys):
             assert code == 2 and "out of the float range" in json.loads(err.splitlines()[-1])["error"], (e, err)
 
 
-def test_square_solve_is_the_reference_on_seeded_systems():
-    # random complex systems of sizes 2..12, conditions 1 to 1e15, rows
-    # scaled over 16 decades: solved, condition only (b = None) and capped at
-    # 1e9 (ResonantSingularityError); a Wilkinson matrix of size 100, whose
-    # LU growth 2^99 defeats refinement (UnconvergedSolveError), and an
-    # exactly singular one (numpy's LinAlgError)
+def _seeded_systems():
+    """Random complex systems of sizes 2..12, conditions 1 to 1e15, rows scaled over 16 decades, each solved
+    uncapped, capped at 0 (its condition read from the refusal) and capped at 1e9, then a Wilkinson matrix of
+    size 100, whose LU growth 2^99 defeats refinement, and an exactly singular one: (M, b, cap) each."""
     rng = np.random.default_rng(20261018)
     cases = []
     for size in (2, 4, 6, 8, 12):
@@ -741,26 +739,76 @@ def test_square_solve_is_the_reference_on_seeded_systems():
             V, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
             M = (U * np.logspace(0, -log_cond, size)) @ V.conj().T * 10.0 ** rng.uniform(-8, 8, size=(size, 1))
             b = rng.normal(size=size) + 1j * rng.normal(size=size)
-            cases += [(M, b, math.inf), (M, None, math.inf), (M, b, 1e9)]
+            cases += [(M, b, math.inf), (M, b, 0.0), (M, b, 1e9)]
     W = (np.eye(100) - np.tril(np.ones((100, 100)), -1)).astype(complex)
     W[:, -1] = 1.0
-    cases += [(W, rng.normal(size=100) + 0j, math.inf), (np.ones((4, 4), dtype=complex), np.ones(4, dtype=complex),
-                                                         math.inf)]
+    return cases + [(W, rng.normal(size=100) + 0j, math.inf),
+                    (np.ones((4, 4), dtype=complex), np.ones(4, dtype=complex), math.inf)]
+
+
+def _square_solve_alone(M, b, what, cap):
+    """The stacked solve's outcome for one system in a stack of its own (an error it raises propagates)."""
+    return transmission._square_solve(M[None], b[None], [what], [cap])[0]
+
+
+def test_square_solve_is_the_reference_on_seeded_systems():
+    # each seeded system solved alone: solved, capped at 0 (the condition
+    # read from the refusal) and capped at 1e9 (ResonantSingularityError);
+    # the Wilkinson matrix's UnconvergedSolveError and the singular one's
+    # LinAlgError, led by the system's name
     kinds = set()
-    stacks: dict = {}
-    for M, b, cap in cases:
-        # alone, and in one stack per size and kind of right side
-        stacks.setdefault((M.shape, b is None), []).append((M, b, cap))
-        got = _outcome(transmission._square_solve(M[None], None if b is None else b[None], ["system"], [cap])[0])
+    zero_capped = 0
+    for M, b, cap in _seeded_systems():
+        got = _solve_outcome(_square_solve_alone, M, b, "system", cap)
         assert got == _solve_outcome(square_solve_reference, M, b, "system", cap), (M.shape, cap)
-        kinds.add(got[0] if isinstance(got[0], type) else "none" if got[0] is None else "solved")
-    assert kinds == {"solved", "none", ResonantSingularityError, UnconvergedSolveError, np.linalg.LinAlgError}
-    for group in stacks.values():
-        M, b, cap = zip(*group)
-        out = transmission._square_solve(np.stack(M), None if b[0] is None else np.stack(b), ["system"] * len(M),
-                                         cap)
-        assert [_outcome(got) for got in out] == [_solve_outcome(square_solve_reference, M, b, "system", c)
-                                                  for M, b, c in group]
+        kinds.add(got[0] if isinstance(got[0], type) else "solved")
+        zero_capped += cap == 0.0 and got[0] is ResonantSingularityError and got[2] > 0
+    assert kinds == {"solved", ResonantSingularityError, UnconvergedSolveError, np.linalg.LinAlgError}
+    assert zero_capped == 20
+
+
+def test_column_over_the_square_solve_isolates_a_singular_system():
+    # the seeded systems stacked per size and taken apart by the one column
+    # helper: the size-4 stack holds the exactly singular system, so its
+    # solve raises numpy's LinAlgError for the whole stack and the column
+    # solves its systems one at a time.  Only the singular system gets the
+    # error, its own name leading the message, and every system's outcome
+    # is bit for bit its solve alone
+    systems = [(M, b, f"system {i}", cap) for i, (M, b, cap) in enumerate(_seeded_systems())]
+    calls = []
+
+    def values(idx, states):
+        M, b, what, cap = zip(*states)
+        calls.append(len(idx))
+        return transmission._square_solve(np.stack(M), np.stack(b), list(what), list(cap))
+
+    out = transmission._column(len(systems), systems.__getitem__, values, key=lambda s: s[0].shape)
+    size4 = [i for i, (M, *_) in enumerate(systems) if M.shape == (4, 4)]
+    singular = size4[-1]
+    assert calls[:15] == [12, 13] + [1] * 13  # size 2, then size 4 as a stack and one system at a time
+    assert isinstance(out[singular], np.linalg.LinAlgError) and str(out[singular]) == f"system {singular}: Singular matrix"
+    assert sum(isinstance(got, np.linalg.LinAlgError) for got in out) == 1
+    assert [_outcome(got) for got in out] == [_solve_outcome(_square_solve_alone, *system) for system in systems]
+    assert [_outcome(got) for got in out] == [_solve_outcome(square_solve_reference, *system) for system in systems]
+    with pytest.raises(np.linalg.LinAlgError, match=f"^system {size4[0]}: Singular matrix$"):
+        values(size4, [systems[i] for i in size4])  # the stack alone: raised for all, led by its first name
+
+
+def test_src_imports_no_private_numpy_module():
+    # the package reaches numpy through its public modules only: no import
+    # names a module or member of numpy whose name starts with an underscore
+    private = []
+    for path in sorted(Path(transmission.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            private += [(path.name, name) for name in names
+                        if name.split(".")[0] == "numpy" and any(part.startswith("_") for part in name.split("."))]
+    assert private == []
 
 
 def test_cached_closed_forms_are_never_mutated():
