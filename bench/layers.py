@@ -15,7 +15,14 @@ the Python, numpy and BLAS versions, and two sets of minima in seconds
   configurations of the benchmark's two gated workloads, as
   ``perfbench/workloads.make_plan`` writes them at seed 1) and its
   ``solve`` check at the deepest loss; ``waves-check --n 20/40/64`` and
-  ``np-spectrum --nmax 64``;
+  ``np-spectrum --nmax 64``.  Then, in one fresh process per gated sweep
+  (:func:`first_sweep`), the first ``cli.main`` call of that sweep after
+  the import, its caches empty (``first_sweep:*``), and the package import
+  after numpy (``import:package``) with two of its parts: the time in the
+  dataclass decorators (``import:dataclasses``) and the ``compile()`` of
+  the sources of the modules it loaded (``import:compile``; the host
+  compiles them at import where no bytecode is cached, as with
+  ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout);
 * ``warm_s``: in one process, after one untimed call that fills the
   per-process caches, the minimum over ``--repeats`` batches of in-process
   calls of: the square sector solve of k systems of size m (k = 1, 13; m = 2,
@@ -90,7 +97,7 @@ def _cold_commands(work: Path) -> dict[str, list[str]]:
 
 
 def cold(tree: Path, repeats: int, work: Path) -> dict[str, float]:
-    """Least wall seconds of each cold command over ``repeats`` fresh processes."""
+    """Least wall seconds of each cold command and of each :func:`first_sweep` record over ``repeats`` processes."""
     times: dict[str, list[float]] = {}
     commands = _cold_commands(work)
     for _ in range(repeats):
@@ -99,7 +106,54 @@ def cold(tree: Path, repeats: int, work: Path) -> dict[str, float]:
             subprocess.run([sys.executable, *argv], env=_env(tree), cwd=work, check=True,
                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
             times.setdefault(name, []).append(time.perf_counter() - t0)
+        for name, argv in commands.items():
+            if name.startswith("sweep:"):  # argv: -m elastoplasmon.cli sweep ...
+                probe = subprocess.run([sys.executable, __file__, "--first-sweep", *argv[2:]], env=_env(tree),
+                                       cwd=work, check=True, capture_output=True, text=True)
+                for key, v in json.loads(probe.stdout.splitlines()[-1]).items():
+                    times.setdefault(f"first_{name}" if key == "first_sweep" else key, []).append(v)
     return {name: min(ts) for name, ts in times.items()}
+
+
+def first_sweep(argv: list[str]) -> dict[str, float]:
+    """In this fresh process: the package import after numpy, split, and then the first ``cli.main(argv)``.
+
+    ``import:dataclasses`` is the time spent in ``dataclasses.dataclass``
+    while ``elastoplasmon.cli`` is imported, and ``import:compile`` the
+    ``compile()`` of the sources of the package modules loaded by then,
+    timed after the sweep."""
+    import dataclasses
+
+    import numpy  # noqa: F401  (loaded first: its import is not the package's)
+
+    spent = []
+    decorate = dataclasses.dataclass
+
+    def timed(cls=None, /, **kwargs):
+        def apply(c):
+            t0 = time.perf_counter()
+            out = decorate(**kwargs)(c)
+            spent.append(time.perf_counter() - t0)
+            return out
+        return apply if cls is None else apply(cls)
+
+    dataclasses.dataclass = timed
+    t0 = time.perf_counter()
+    from elastoplasmon import cli
+
+    t1 = time.perf_counter()
+    dataclasses.dataclass = decorate
+    sources = [(m.__file__, Path(m.__file__).read_bytes()) for name, m in list(sys.modules.items())
+               if name == "elastoplasmon" or name.startswith("elastoplasmon.")]
+    t2 = time.perf_counter()
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"{argv} failed")
+    t3 = time.perf_counter()
+    for path, source in sources:
+        compile(source, path, "exec")
+    compiled = time.perf_counter() - t3
+    return {"import:package": t1 - t0, "import:dataclasses": sum(spent), "import:compile": compiled,
+            "first_sweep": t3 - t2}
 
 
 def _least_call_s(call, repeats: int) -> float:
@@ -277,9 +331,13 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", type=Path, default=ROOT)
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--first-sweep", nargs=argparse.REMAINDER, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
         print(json.dumps(warm(args.repeats)))
+        return 0
+    if args.first_sweep:
+        print(json.dumps(first_sweep(args.first_sweep)))
         return 0
     if args.against:
         parent, change = pairs(args.against.resolve(), ROOT, args.pairs, args.repeats)

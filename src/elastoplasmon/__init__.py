@@ -14,14 +14,13 @@ import importlib
 # public name -> the module that defines it
 _EXPORTS = {name: module for module, names in (
     ("harmonics", "DerivativeTable shared_tables sph_harm_stack"),
-    ("lame", "LameParams ModeConstants ModeField PlasmonConstants SectorCheckError Term mode_constants "
-             "plasmon_constants"),
+    ("lame", "LameParams ModeConstants PlasmonConstants SectorCheckError mode_constants plasmon_constants"),
+    ("fields", "ModeField Term kernel_basis residual_check witness_core_resonant witness_fixed_c witness_nocore "
+               "witness_radial_nonresonant"),
     ("waves", "PerfectWave np_eigenvalue_map np_galerkin_spectrum perfect_wave verify_perfect_wave"),
-    ("transmission", "LayeredMedium ModeSolution ResonantSingularityError SourceSpec kernel_basis "
-                     "residual_check solve_mode solve_modes"),
+    ("transmission", "LayeredMedium ModeSolution ResonantSingularityError SourceSpec solve_mode solve_modes"),
     ("energy", "EnergyReport dissipation_E"),
-    ("scenarios", "SweepResult fixed_configuration schedule_n_delta scheduled_configuration sweep "
-                  "witness_core_resonant witness_fixed_c witness_nocore witness_radial_nonresonant"),
+    ("scenarios", "SweepResult fixed_configuration schedule_n_delta scheduled_configuration sweep"),
 ) for name in names.split()}
 
 __all__ = list(_EXPORTS)

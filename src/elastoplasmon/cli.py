@@ -24,13 +24,7 @@ import numpy as np
 
 from .lame import LameParams, SectorCheckError, mode_constants, plasmon_constants
 from .energy import dissipation_E
-from .transmission import (
-    SourceSpec,
-    UnconvergedSolveError,
-    kernel_basis,
-    residual_check,
-    solve_modes,
-)
+from .transmission import SourceSpec, UnconvergedSolveError, solve_modes
 from .scenarios import WITNESSES, SweepResult, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
 
 EXIT_OK = 0
@@ -328,6 +322,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
+    from .fields import kernel_basis
     from .waves import kernel_family
 
     _check_wave_degree(args.n)
@@ -341,6 +336,7 @@ def _cmd_kernels(args) -> int:
 
 
 def _cmd_waves_check(args) -> int:
+    from .fields import kernel_basis
     from .waves import perfect_wave, verify_perfect_wave
 
     _check_wave_degree(args.n)
@@ -406,6 +402,8 @@ def _cmd_np_spectrum(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .fields import residual_check
+
     cfg = load_config(args.config)
     delta = _single_loss(args, cfg)
     med, src = _configuration(cfg)(delta)

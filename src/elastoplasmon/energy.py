@@ -1,20 +1,8 @@
-"""Energy pairing, dissipation, and the primal/dual functionals.
+"""Energy pairing and dissipation, by flux through the interface spheres.
 
-The quadratic pairing
-
-    P(u, v) = int [ lambda (div u) conj(div v) + 2 mu  sym grad u : conj(sym grad v) ]
-
-of two general fields is evaluated per region as (angular integral) x
-(closed-form radial power integral) by :func:`pairing_P`.  The term algebra
-gives every gradient as exact harmonic coefficients, one (3, 3, 2d+1) array
-per (radial power, degree), and the Y_d^m are orthonormal, so the angular
-integral of two such arrays is a dot product of their divergence and
-symmetric-strain coefficients when the degrees are equal and zero otherwise.
-Improper exterior integrals are legal only for decaying strain pairs and
-raise otherwise.
-
-A field that solves the Lame system in each region needs no volume
-integral: by Betti's identity P(u, u) over an annulus is the flux
+The quadratic pairing P(u, v) of general fields is a volume integral
+(:func:`~elastoplasmon.fields.pairing_P`).  A field that solves the Lame
+system in each region needs none: by Betti's identity P(u, u) over an annulus is the flux
 rho^2 Re <u, t(u)> through its outer sphere minus its inner one.  In a
 sector the displacement and traction on a sphere are radial-profile scalars
 times unit members and their partner shapes (norm^2 kappa (2n+1)/(2d+1)),
@@ -33,25 +21,16 @@ column's values are bit for bit those of its rows alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .lame import LameParams, ModeField, Term, displacement_coeffs, gradient_groups
+from .lame import _served_from_fields
 from .transmission import _column, _ok, _pows, _profile_stack
 
 __all__ = [
-    "EnergyReport",
-    "pairing_P",
-    "dissipation_E",
-    "dissipations",
-    "solution_pairings",
-    "profile_pairings",
-    "functional_I",
-    "functional_J",
-    "source_pairing",
+    "EnergyReport", "dissipation_E", "dissipations", "solution_pairings", "profile_pairings",
 ]
 
 
@@ -77,52 +56,6 @@ class EnergyReport:
         if self.I_upper is not None and self.I_upper < self.E_delta - tol:
             return f"I_upper = {self.I_upper!r} below"
         return None
-
-
-def _radial_integral(s: int, r_lo: float, r_hi: float) -> float:
-    """int_{r_lo}^{r_hi} r^s dr for integer s, with the logarithmic case."""
-    if math.isinf(r_hi):
-        if s >= -1:
-            raise ValueError(f"divergent exterior radial integral, power {s}")
-        return -(r_lo ** (s + 1)) / (s + 1)
-    if s == -1:
-        if r_lo <= 0:
-            raise ValueError("logarithmic radial integral down to r = 0")
-        return math.log(r_hi / r_lo)
-    if s + 1 < 0 and r_lo <= 0:
-        raise ValueError(f"divergent radial integral at r = 0, power {s}")
-    lo = 0.0 if r_lo == 0 else r_lo ** (s + 1)
-    return (r_hi ** (s + 1) - lo) / (s + 1)
-
-
-def _strain_coeffs(terms: Iterable[Term]) -> list[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Divergence and symmetric-strain coefficients grouped by gradient power and degree.
-
-    Returns (p, d, div (2d+1,), sym (3, 3, 2d+1)) entries: the gradient at
-    r xhat is the sum over groups of r^p grad[j, i] . Y_d(xhat), with
-    [j, i] = d u_i / d x_j; the strain is symmetric, so its layout is either.
-    """
-    return [(p, d, g[0, 0] + g[1, 1] + g[2, 2], 0.5 * (g + g.transpose(1, 0, 2)))
-            for (d, p), g in gradient_groups(terms).items()]
-
-
-def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
-              params: LameParams) -> complex:
-    """P over one annulus, from the gradients' harmonic coefficients."""
-    same = u_terms is v_terms
-    u_terms, v_terms = tuple(u_terms), tuple(v_terms)
-    if not u_terms or not v_terms:
-        return 0.0
-    su = _strain_coeffs(u_terms)
-    sv = su if same else _strain_coeffs(v_terms)
-    lam, mu = params.lam, params.mu
-    total = 0.0 + 0.0j
-    for p, d, du, eu in su:
-        for p2, d2, dv, ev in sv:
-            if d2 == d:  # distinct degrees are orthogonal; their radial factor may diverge
-                ang = lam * np.vdot(dv, du) + 2.0 * mu * np.vdot(ev, eu)
-                total += ang * _radial_integral(p + p2 + 2, r_lo, r_hi)
-    return total
 
 
 def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarray:
@@ -244,52 +177,4 @@ def dissipation_E(solutions: Sequence, medium) -> float:
     return _ok(dissipations([solutions], [medium])[0])
 
 
-def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,
-                 params: LameParams) -> float:
-    """Primal value (delta/2) P(v,v) + 1/(2 delta) P(w,w)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    total = 0.0
-    for piece in v_pieces:
-        total += 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params)))
-    if w_pieces is not None:
-        for piece in w_pieces:
-            total += (0.5 / delta) * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params)))
-    return total
-
-
-def source_pairing(psi_pieces: Sequence[ModeField], source, params: LameParams) -> float:
-    """Surface integral of (density . psi) over the source sphere.
-
-    The integral is bilinear, so Y_n^m pairs with conj(Y_n^m) =
-    (-1)^m Y_n^{-m}: the density's degree-n coefficients meet those of psi's
-    trace in reversed order, odd orders signed.
-    """
-    q = source.q
-    trace = None
-    for piece in psi_pieces:
-        if piece.r_lo < q < piece.r_hi or math.isclose(piece.r_hi, q):
-            trace = displacement_coeffs(piece.terms, q)
-            break
-    if trace is None:
-        raise ValueError("no piece of psi covers the source sphere")
-    val = 0.0 + 0.0j
-    for n in source.degrees():
-        if n in trace:
-            gamma = source.density_matrix(n, params)
-            val += np.sum(gamma * trace[n][:, ::-1] * (-1.0) ** (n - np.arange(2 * n + 1)))
-    return float(np.real(q**2 * val))
-
-
-def functional_J(v_pieces: Sequence[ModeField] | None, psi_pieces: Sequence[ModeField], source, delta: float,
-                 params: LameParams) -> float:
-    """Dual value  int f . psi - (delta/2) P(v,v) - (delta/2) P(psi,psi)."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    total = source_pairing(psi_pieces, source, params)
-    for pieces in (v_pieces, psi_pieces):
-        if pieces is None:
-            continue
-        for piece in pieces:
-            total -= 0.5 * delta * float(np.real(pairing_P(piece.terms, piece.terms, piece.r_lo, piece.r_hi, params)))
-    return total
+__getattr__ = _served_from_fields(globals(), "functional_I functional_J")

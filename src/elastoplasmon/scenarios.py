@@ -22,21 +22,16 @@ the radial profiles and the source coefficients.  :data:`WITNESSES` lists
 each witness once (its bound, whether it needs a core, its core and the
 scalars it prints); a sweep and the ``witness`` command read it and build
 no field.  A core is a :func:`~elastoplasmon.transmission._column` of
-(medium, source, loss) rows, per row its scalars or its error; its traces,
-single-layer scalings and pairings are stacks over the column.  A sweep
-solves one column of sector systems (:func:`~elastoplasmon.transmission._solve_column`):
-every row's lossy solve and the loss-free solve of the rows the
-fixed-multiplier witness applies to (a core and a family-1 source), which
-the primal witnesses read instead of solving; rows of one loss-free medium
-and source share their systems.  It takes the dissipations of its rows as one flux and
-runs each core once, on the rows it applies to; it tries the radial witness
-only on its schedule outside R^{3/2}.  It records each witness that raises
-in ``SweepResult.meta["refusals"]`` (row, loss, degree, witness, bound,
-exception type and message), and per row the largest condition and backward
-error of its lossy and of its loss-free systems in
-``SweepResult.meta["solves"]``.  The ``witness`` command and the public
-``witness_*`` builders run a core on a column of one; the builders also
-return the fields.
+(medium, source, loss) rows, per row its scalars or its error.  A sweep
+solves one column of sector systems: every row's lossy solve and the
+loss-free solve of the rows the fixed-multiplier witness applies to, which
+the primal witnesses read instead of solving.  It takes the dissipations of
+its rows as one flux and runs each core once, on the rows it applies to
+(the radial witness only on its schedule outside R^{3/2}), and records each
+witness that raises and each row's largest conditions and backward errors
+in ``SweepResult.meta`` (:func:`_sweep_rows`).  The ``witness`` command and
+the public ``witness_*`` builders of :mod:`~elastoplasmon.fields` run a core
+on a column of one; the builders also return the fields.
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -51,23 +46,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .lame import LameParams, ModeField, Term, plasmon_constants
+from .lame import LameParams, _served_from_fields, plasmon_constants
 from .energy import EnergyReport, dissipations, profile_pairings, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
-                           _column, _ok, _profile_fields, _profile_stack, _radial_profile, _region_blocks,
-                           _single_layers, _solve_column, _source_member, _traces, _wave_amplitudes)
+                           _column, _ok, _profile_stack, _radial_profile, _region_blocks, _single_layers,
+                           _solve_column, _traces, _wave_amplitudes)
 
 __all__ = [
-    "SweepResult",
-    "Witness",
-    "WITNESSES",
-    "schedule_n_delta",
-    "witness_fixed_c",
-    "witness_nocore",
-    "witness_core_resonant",
-    "witness_radial_nonresonant",
-    "sweep",
-    "fixed_configuration",
+    "SweepResult", "Witness", "WITNESSES", "schedule_n_delta", "sweep", "fixed_configuration",
     "scheduled_configuration",
 ]
 
@@ -99,14 +85,6 @@ def schedule_n_delta(R: float, delta: float) -> int:
 # ---------------------------------------------------------------------------
 # scalar machinery of the witnesses
 # ---------------------------------------------------------------------------
-
-def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
-    """Fields of several piece lists summed on the union of their bounds, terms in list order."""
-    pieces = [p for part in list_of_pieces for p in part]
-    bounds = sorted({r for p in pieces for r in (p.r_lo, p.r_hi)})
-    return [ModeField(tuple(t for p in pieces if p.r_lo <= lo and hi <= p.r_hi for t in p.terms), lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
-
 
 def _require_family1(source: SourceSpec, what: str) -> None:
     if any(fam != 1 for (_, fam, _), g in source.coefficients.items() if g != 0):
@@ -149,22 +127,6 @@ def _fixed_c_bound(rows, loss_free: list | None = None) -> list:
         return [p if isinstance(p, Exception) else (0.5 * rows[i][2] * p, sols)
                 for i, sols, p in zip(idx, free, solution_pairings(free))]
     return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
-
-
-def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[ModeField], float, list[ModeSolution]]:
-    """Primal witness for the cored fixed-multiplier configuration.
-
-    The witness is the loss-free field v with L_A v = f (and w = 0): the
-    transmission solve of the medium at delta = 0, scaled, refined and
-    checked like any other.  The source must carry family-1 content only.
-    Returns the witness field, the upper bound I(v, 0) at the medium's loss
-    (the flux of :func:`~elastoplasmon.energy.solution_pairings`), and the
-    loss-free solutions (with their conditions and backward errors).  A
-    loss-free system of condition above 1e9 raises
-    :class:`~elastoplasmon.transmission.ResonantSingularityError`.
-    """
-    I_upper, solutions = _ok(_fixed_c_bound([(medium, source, medium.delta)])[0])
-    return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
 def _dominant_mode(source: SourceSpec) -> tuple[int, int, int, complex]:
@@ -234,29 +196,6 @@ def _nocore_bound(rows) -> list:
     return _column(len(rows), lambda i: _nocore_check(*rows[i][:2]), values, key=_dual_key)
 
 
-def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list[ModeField], float, float]:
-    """Dual witness for the core-free resonant configuration.
-
-    Needs medium.c equal to a plasmon constant of the dominant source mode.
-    Returns (psi pieces at the optimal amplitude, J lower bound, tau).
-    """
-    J_lower, tau, mode = _ok(_nocore_bound([(medium, source, delta)])[0])
-    return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
-
-
-def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int) -> tuple[np.ndarray, list[ModeField]]:
-    """Member k of the dominant mode and its unit perfect wave's pieces (built from the member matrix)."""
-    from .waves import perfect_wave
-
-    K = _source_member(medium.base, n0, fam, k)
-    wave = perfect_wave(K, fam, n0, medium.shell_radius, medium.base)
-    return K, [wave.interior, wave.exterior]
-
-
-def _scaled(pieces: list[ModeField], s: complex) -> list[ModeField]:
-    return [ModeField(tuple(Term(s * t.coef, t.degree, t.power) for t in p.terms), p.r_lo, p.r_hi) for p in pieces]
-
-
 def _core_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
     if medium.core_radius is None:
         raise ValueError("core witness requires a core")
@@ -291,21 +230,6 @@ def _core_bound(rows) -> list:
             out.append((c0**2 / (4.0 * denom), c0 / (2.0 * denom), s[0], v))
         return out
     return _column(len(rows), lambda i: _core_check(*rows[i][:2]), values, key=_dual_key)
-
-
-def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
-                          delta: float) -> tuple[list[ModeField], list[ModeField], float, float]:
-    """Dual witness for the cored scheduled configuration.
-
-    psi is the core-free perfect wave of the scheduled mode; v repairs the
-    core interface through an exact per-mode elliptic solve.  Returns
-    (v pieces, psi pieces, J lower bound, tau).
-    """
-    J_lower, tau, (n0, fam, k), v_tilde = _ok(_core_bound([(medium, source, delta)])[0])
-    K, psi_hat = _unit_wave(medium, n0, fam, k)
-    v_hat = _profile_fields([(_radial_profile(medium.base, n0, fam), {n0: K}, (0.0, medium.core_radius, math.inf),
-                              v_tilde)])
-    return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
 
 
 def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list, list[int]]:
@@ -358,7 +282,7 @@ def _radial_bound(rows, loss_free: list | None = None) -> list:
 
     ``scheduled`` holds (n, k, v amplitudes, w amplitudes) per scheduled
     mode, v on the radii (0, q, inf) and w on (0, core, shell, inf) (the
-    form :func:`~elastoplasmon.transmission._profile_fields` reads), ``off``
+    form :func:`~elastoplasmon.fields._profile_fields` reads), ``off``
     the loss-free solutions of the off-schedule degrees
     (:func:`_loss_free`).  Scheduled modes, distinct members and distinct
     degrees are orthogonal, so their energies add; the two repairs of one
@@ -384,24 +308,6 @@ def _radial_bound(rows, loss_free: list | None = None) -> list:
     return _column(len(rows), lambda i: _radial_check(*rows[i]), values)
 
 
-def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
-                               delta: float) -> tuple[list[ModeField], list[ModeField], float]:
-    """Primal witness for the cored scheduled configuration outside R^{3/2}.
-
-    The scheduled mode rides the free incident wave (no scattering); the
-    constraint defect at the material interfaces is pushed into w by exact
-    per-mode solves.  Off-schedule degrees take the loss-free field of
-    :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
-    """
-    I_upper, scheduled, off = _ok(_radial_bound([(medium, source, delta)])[0])
-    a, R, q = medium.core_radius, medium.shell_radius, source.q
-    parts = [(_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)}, v, w)
-             for n, k, v, w in scheduled]
-    v = _profile_fields([(prof, refs, (0.0, q, math.inf), v) for prof, refs, v, _ in parts])
-    w = _profile_fields([(prof, refs, (0.0, a, R, math.inf), w) for prof, refs, _, w in parts])
-    return _merge_pieces([v] + [list(sol.regions) for sol in off]), w, I_upper
-
-
 @dataclass(frozen=True)
 class Witness:
     """One row of :data:`WITNESSES`; ``core(rows)`` returns per (medium, source, delta) row its scalars or its error.
@@ -411,7 +317,7 @@ class Witness:
     outcomes a sweep's loss-free column gives (:func:`_loss_free`).
     """
 
-    name: str  # the public builder
+    name: str  # the public builder, in elastoplasmon.fields
     bound: str  # "I_upper" (primal) or "J_lower" (dual)
     cored: bool  # for cored media only, else for core-free media only
     core: Callable[[list], list]
@@ -616,3 +522,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
             "solves": solves,
         },
     )
+
+
+__getattr__ = _served_from_fields(globals(), "witness_fixed_c witness_nocore witness_core_resonant "
+                                             "witness_radial_nonresonant")

@@ -10,56 +10,40 @@ family f excites only its total-angular-momentum sector: J = n for family 1
 through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
 reached through t1).  Within a sector every block's displacement and
 traction on a sphere is a scalar times one reference matrix per degree (the
-sector's *radial profile*, in closed form from
-:func:`~elastoplasmon.lame.mode_constants` and kept as arrays in one block
-order; a solve runs no traction algebra), so the interface conditions
+sector's closed-form *radial profile*), so the interface conditions
 (displacement continuity, weighted-traction continuity and the prescribed
-traction jump across the source sphere) form a square scalar system: two
-unknowns per region and rows per interface for family 1, four for families
-2 and 3.  Each family's part of a density is solved in its sector, by LU
-(``np.linalg.solve``) refined in extended precision, and the parts are
-superposed.  The unit of work is a column of (medium, source, degree) items
+traction jump across the source sphere) form a square scalar system per
+family for a unit density: two unknowns per region and rows per interface
+for family 1, four for families 2 and 3.  It is solved by LU refined in
+extended precision (:func:`_square_solve`), and the families' parts
+superpose with the source coefficients (:class:`ModeSolution`).  The
+source-mode index k picks a member of the family's sector
+(:func:`~elastoplasmon.fields.kernel_basis`) and enters no system, so no
+member matrix is built until :mod:`~elastoplasmon.fields` builds a
+solution's field.  Each solved family passes a scalar sector check, run
+once per key: its perfect wave in profile blocks (:func:`_wave_amplitudes`)
+must match at the plasmon constant.
+
+The unit of work is a column of (medium, source, degree) items
 (:func:`_solve_column`; a sweep's lossy and loss-free rows are one, and
-:func:`solve_mode` is a column of one): equal systems are solved once, the
-systems of one shape are built as one stack from one template of entries and
-go through one stacked :func:`_square_solve`, each system's result bit for
-bit its solve alone, and each item's block amplitudes are rows of the
-stacked solution.  One helper (:func:`_column`) groups the rows of the
-sector systems, energies and witnesses by shape, stacks them and gives a row
-that raises its own error (the stacked solve is not one: where it raises for
-a stack, the column of :func:`_solve_systems` solves that stack's systems
-one at a time); traces of profile fields on spheres (:func:`_traces`) and
-the powers of the radii (:func:`_pows`, Python's own ``pow``) serve them
-alike.  A loss-free medium (delta = 0) is solved only where every solved
-system's equilibrated condition is at most 1e9; above it
-:class:`ResonantSingularityError` (an ``ArithmeticError`` that carries the
-condition) is raised, and a solve capped at 0 reads the conditions
-(:func:`sector_conditions`).  The fixed-multiplier primal witness of
-:mod:`~elastoplasmon.scenarios` is such a loss-free solve; the other
-witnesses and the Neumann-Poincare spectrum read the one-interface system,
-the single layer on a sphere, solved on the unit sphere and scaled
-(:func:`_single_layer`).  Kept once per process per (float lambda, float mu,
-n[, family, R]) key: the radial profiles, the sector checks, the unit single
-layers and the kernel bases.
-
-Sources are expanded in the kernel basis of each degree, which is each
-family's sector itself, built in closed form (:func:`kernel_basis`).  The
-source-mode index k picks one member of that basis (ordered by descending
-|M| as in :func:`~elastoplasmon.waves.sector_kernels`); the sector systems
-do not depend on the member, so a solve is scalar: one unit-density system
-per family, its amplitudes kept with the source coefficients
-(:class:`ModeSolution`), and no member matrix is built until a caller reads
-the solution's fields.  The dissipation, the bounds and the verdicts of a
-unit source do not depend on k.  Instead of the matching map applied to the
-members, each solved family passes a scalar sector check, run once per key:
-its perfect wave in profile blocks (:func:`_wave_amplitudes`) must match at
-the plasmon constant.  A source sphere that is not outside the shell, a
-family other than 1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
-
-Where a field is formed (the kernels, a solution's regions, the residual
-check), the gradient ladders are read by degree from the one process-wide
-store of :mod:`~elastoplasmon.harmonics` (``lower[n]``, ``raise_[n]``); no
-function here takes, sizes or passes a derivative table.
+:func:`solve_mode` is a column of one): equal systems are solved once, and
+those of one shape are one stacked assembly and solve, each system's result
+bit for bit its solve alone.  One helper (:func:`_column`) groups the rows
+of the sector systems, energies and witnesses by shape, stacks them and
+gives a row that raises its own error; traces of profile fields on spheres
+(:func:`_traces`) and the powers of the radii (:func:`_pows`, Python's own
+``pow``) serve them alike.  A loss-free medium (delta = 0) is solved only
+where every solved system's equilibrated condition is at most 1e9 (for a
+source outside family 1, the systems of all three families at its degree);
+above it :class:`ResonantSingularityError` (an ``ArithmeticError`` that
+carries the condition) is raised, and a solve capped at 0 reads the
+conditions (:func:`sector_conditions`).  The witnesses and the
+Neumann-Poincare spectrum also read the single layer on a sphere, solved on
+the unit sphere and scaled (:func:`_single_layers`).  Kept once per process
+per (float lambda, float mu, n[, family, R]) key: the radial profiles, the
+sector checks and the unit single layers.  A source sphere that is not
+outside the shell, a family other than 1, 2, 3 or an index k outside
+1..2J+1 raises ``ValueError``.  No function here reads a gradient ladder.
 """
 
 from __future__ import annotations
@@ -68,34 +52,19 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lame import (
-    LameParams,
-    ModeField,
-    SectorCheckError,
-    Term,
-    _k0,
-    _once_per_key,
-    mode_constants,
-    plasmon_constants,
-    t1_vector,
-    t3_vector,
-    trace_jumps,
-)
+from .lame import (LameParams, SectorCheckError, _key, _once_per_key, _served_from_fields, mode_constants,
+                   plasmon_constants)
+
+if TYPE_CHECKING:
+    from .fields import ModeField
 
 __all__ = [
-    "LayeredMedium",
-    "SourceSpec",
-    "ModeSolution",
-    "ResonantSingularityError",
-    "UnconvergedSolveError",
-    "kernel_basis",
-    "solve_mode",
-    "solve_modes",
-    "residual_check",
-    "sector_conditions",
+    "LayeredMedium", "SourceSpec", "ModeSolution", "ResonantSingularityError", "UnconvergedSolveError",
+    "solve_mode", "solve_modes", "sector_conditions",
 ]
 
 
@@ -139,34 +108,6 @@ class LayeredMedium:
         return a + 1j * self.delta
 
 
-@_once_per_key
-def kernel_basis(params: LameParams, n: int, family: int) -> list[np.ndarray]:
-    """Self-conjugate orthonormal kernel matrices of one family at degree n.
-
-    The kernel is the family's whole angular-momentum sector, built in
-    closed form (:func:`~elastoplasmon.waves.sector_kernels`), so families
-    stay pure where two plasmon constants coincide.  Kernels 2(J - M) + 1
-    and 2(J - M) + 2 are the two members of orders +-M about the z axis
-    (M = J..1) and kernel 2J + 1 is the M = 0 member.  One fixed combination
-    of the kernels must pass the matching map at the family's plasmon
-    constant to a relative defect of 1e-9, else :class:`SectorCheckError`, before
-    the basis is kept.  Results are kept once per process per material,
-    degree and family (``kernel_basis.cache``), and only the families a
-    caller reads are built: the fields of a solve, the public witnesses'
-    pieces and the wave checks read them, a sweep does not.
-    """
-    from .waves import matching_defect, sector_kernels
-
-    c = plasmon_constants(params, n).as_tuple()[family - 1]
-    kers = sector_kernels(n, family)
-    probe = np.tensordot(np.linspace(1.0, 2.0, len(kers)), kers, axes=1)
-    defect = matching_defect(probe, n, params, c)
-    if not defect <= 1e-9:
-        raise SectorCheckError(f"family {family} sector at degree {n} is not a kernel at c={c} "
-                               f"(matching defect {defect:.3e})")
-    return kers
-
-
 def _check_source_mode(n: int, family: int, k: int) -> None:
     """ValueError unless the family is 1, 2 or 3 and 1 <= k <= 2J + 1 (J = n, n - 1, n + 1)."""
     if family not in (1, 2, 3):
@@ -176,27 +117,15 @@ def _check_source_mode(n: int, family: int, k: int) -> None:
         raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
 
 
-def _source_member(params: LameParams, n: int, family: int, k: int) -> np.ndarray:
-    """Kernel k of the family at degree n (:func:`kernel_basis`); ValueError unless 1 <= k <= 2J + 1."""
-    _check_source_mode(n, family, k)
-    return kernel_basis(params, n, family)[k - 1]
-
-
-def _family_density(params: LameParams, n: int, family: int, gammas) -> np.ndarray:
-    """The density sum gamma_k K_k over (k, gamma_k) pairs, K_k member k of the family's sector at degree n."""
-    return sum((g * _source_member(params, n, family, k) for k, g in gammas),
-               np.zeros((3, 2 * n + 1), dtype=complex))
-
-
 @dataclass(frozen=True)
 class SourceSpec:
     """Surface force density on partial B_q expanded in kernel matrices.
 
     ``coefficients[(n, family, k)]`` multiplies kernel k of the family at
-    degree n (:func:`kernel_basis`: by descending order |M| of the sector's
-    total angular momentum J, k = 2J + 1 being M = 0).  Every
-    rotation-invariant output of a solve from one such mode (``E_delta``,
-    ``I_upper``, ``J_lower``, the verdict) is the same for every k.
+    degree n (:func:`~elastoplasmon.fields.kernel_basis`: by descending
+    order |M| of the sector's total angular momentum J, k = 2J + 1 being
+    M = 0).  Every rotation-invariant output of a solve from one such mode
+    (``E_delta``, ``I_upper``, ``J_lower``, the verdict) is the same for every k.
     """
 
     q: float
@@ -217,6 +146,8 @@ class SourceSpec:
 
     def density_matrix(self, n: int, params: LameParams) -> np.ndarray:
         """Coefficient matrix of the degree-n part of the density: the sum of each family's sum of g K."""
+        from .fields import _family_density
+
         return sum((_family_density(params, n, fam, gam.items()) for fam, gam in self.family_gammas(n).items()),
                    np.zeros((3, 2 * n + 1), dtype=complex))
 
@@ -231,8 +162,8 @@ class ModeSolution:
     solution of its column), the density being sum gamma_k times member k.
     ``radii`` are the region bounds from 0 to inf and ``window`` the degrees
     of the solution's terms.  ``regions`` is the piecewise field; its terms
-    need the member matrices and the process-wide ladders, so it is built
-    when first read.
+    need the member matrices and the process-wide ladders, so
+    :mod:`~elastoplasmon.fields` builds it when first read.
     ``lstsq_residual`` is the largest backward error.
     """
 
@@ -246,29 +177,11 @@ class ModeSolution:
 
     @cached_property
     def regions(self) -> tuple[ModeField, ...]:
-        """One :class:`~elastoplasmon.lame.ModeField` per region (:func:`_profile_fields`).
+        """One :class:`~elastoplasmon.fields.ModeField` per region, built when first read
+        (:func:`~elastoplasmon.fields._solution_regions`)."""
+        from .fields import _solution_regions
 
-        Each family's density G is built from its members
-        (:func:`kernel_basis`); its profile's reference matrices are G and
-        the partner shape of G.  Raises :class:`UnconvergedSolveError` when
-        a family-2/3 density leaves its sector: the ladder back from its
-        partner shape is not kappa G to 1e-10.
-        """
-        n = self.n
-        sectors = []
-        for fam, gammas, prof, amps in self.sectors:
-            G = _family_density(self.params, n, fam, gammas)
-            refs = {n: G}
-            if fam != 1:
-                d2 = prof.degrees[1]
-                refs[d2] = _ladder(G, n, fam == 3)
-                stray = np.linalg.norm(_ladder(refs[d2], d2, fam == 2) - prof.kappa * G)
-                impurity = float(stray / (abs(prof.kappa) * max(float(np.linalg.norm(G)), 1e-300)))
-                if not impurity <= 1e-10:
-                    raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
-                                                f"(backward error {impurity:.3e})")
-            sectors.append((prof, refs, self.radii, amps))
-        return tuple(_profile_fields(sectors))
+        return _solution_regions(self)
 
 
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
@@ -417,24 +330,15 @@ def _column(n: int, check, values, key=None) -> list:
     return out
 
 
-def _ladder(G: np.ndarray, d: int, up: bool) -> np.ndarray:
-    """The shape two degrees up (through t1) or down (through t3) that G Y_d slaves."""
-    from .harmonics import lower, raise_
-
-    if up:
-        return t1_vector(G, d) @ raise_[d + 1]
-    return t3_vector(G, d) @ lower[d - 1]
-
-
 @dataclass(frozen=True, eq=False)
 class _RadialProfile:
     """Scalar radial data of one sector at degree n, its blocks as arrays in one block order.
 
     ``degrees`` are n alone (family 1) or n and the partner degree n-2 or
     n+2 (families 2, 3), whose reference matrices are a density G and its
-    :func:`_ladder` shape.  The blocks are ``entire`` on each degree, then
-    ``decay`` on each degree (the order of a region's unknowns,
-    :func:`_region_blocks`).  On the sphere rho block b's displacement and
+    ladder shape (:func:`~elastoplasmon.fields._ladder`).  The blocks are
+    ``entire`` on each degree, then ``decay`` on each degree (the order of a
+    region's unknowns, :func:`_region_blocks`).  On the sphere rho block b's displacement and
     traction are ``disp[b, j]`` rho^p and ``trac[b, j]`` rho^(p-1) times the
     reference matrix of degree ``degrees[j]``, p = ``power[b]`` (zero where
     the block has no part on that degree).  The ladder back from the partner
@@ -502,7 +406,7 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     kappa = (lo + 1.0) * (lo + 2) * (2 * lo + 1) * (2 * lo + 5)
     a, b = (1.0, kappa) if fam == 2 else (kappa, 1.0)
     slave_lo = -a * mode_constants(params, hi).M_n
-    slave_hi = b * (mode_constants(params, lo).k_n if lo >= 1 else _k0(params))
+    slave_hi = b * (mode_constants(params, lo).k_n if lo >= 1 else (lam + mu) / (2.0 * (2 * lam + 5 * mu)))  # k_0
     t_lo, t_hi = 2.0 * mu * lo, -2.0 * mu * (hi + 1)
     r = lam / mu
     t_entire = ((2 * hi * hi + 1) * r + 2 * (hi * hi - hi + 1)) / ((hi - 1) * r + (3 * hi - 2)) * mu
@@ -558,33 +462,6 @@ def _traces(stack, amps: np.ndarray, rho, blocks: slice) -> tuple[np.ndarray, np
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         ut = ((amps[:, blocks, None, None] * scalars[:, blocks]) * pw).sum(axis=1)
     return ut[:, 0], ut[:, 1]
-
-
-def _profile_fields(sectors, drop_zero: bool = False) -> list[ModeField]:
-    """The fields of profile blocks, one :class:`~elastoplasmon.lame.ModeField` per region.
-
-    ``sectors`` are (profile, {degree: reference matrix}, radii, amplitudes)
-    quadruples, ``amplitudes[r]`` the blocks of the region between
-    ``radii[r]`` and ``radii[r + 1]`` (:func:`_region_blocks`).  Each
-    displacement scalar of a block adds amplitude x scalar x the reference
-    matrix of its degree to the term of that degree and the block's power;
-    with ``drop_zero`` a block of zero amplitude adds no term (a perfect
-    wave's, whose blocks all have amplitudes in the normal float range)."""
-    coefs: dict[tuple[float, float], dict[tuple[int, int], np.ndarray]] = {}
-    for prof, refs, radii, amps in sectors:
-        nreg, D = len(radii) - 1, len(prof.degrees)
-        disp = prof.disp.tolist()
-        for reg, (lo, hi) in enumerate(zip(radii[:-1], radii[1:])):
-            co = coefs.setdefault((lo, hi), {})
-            blocks = _region_blocks(reg, nreg, D)
-            for b, x in zip(range(blocks.start, blocks.stop), amps[reg, blocks].tolist()):
-                if drop_zero and x == 0:
-                    continue
-                for j in sorted(range(D), key=lambda j: j != b % D):  # the block's own degree first
-                    if disp[b][j] != 0.0:
-                        key = (prof.degrees[j], prof.power[b])
-                        co[key] = co.get(key, 0.0) + (x * disp[b][j]) * refs[prof.degrees[j]]
-    return [ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi) for (lo, hi), co in coefs.items()]
 
 
 @_once_per_key
@@ -690,12 +567,17 @@ def _solve_systems(systems: list) -> list:
     return _column(len(systems), systems.__getitem__, values, key=lambda s: (len(s[0]), len(s[2].degrees)))
 
 
+def _unit_system(params: LameParams, n: int, fam: int) -> tuple:
+    """The system of :func:`_unit_layer`, as :func:`_solve_systems` takes it."""
+    return [1.0], [1.0, 1.0], _radial_profile(params, n, fam), f"degree-{n} family-{fam} single layer", math.inf
+
+
 @_once_per_key
 def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray]:
     """:func:`_single_layer` on the unit sphere for a unit density, solved once per key: (profile, amplitudes)."""
-    prof = _radial_profile(params, n, fam)
-    amps, _, _ = _ok(_solve_systems([([1.0], [1.0, 1.0], prof, f"degree-{n} family-{fam} single layer", math.inf)])[0])
-    return prof, amps.real  # the solve of a real system: its amplitudes are real
+    system = _unit_system(params, n, fam)
+    amps, _, _ = _ok(_solve_systems([system])[0])
+    return system[2], amps.real  # the solve of a real system: its amplitudes are real
 
 
 def _single_layer(params: LameParams, n: int, fam: int, rho: float,
@@ -714,8 +596,22 @@ def _single_layers(items) -> np.ndarray:
 
     Item i is the :func:`_unit_layer` with each block of power p times
     density rho^(1-p).  ``ArithmeticError`` naming rho for the first item
-    where such a power leaves the normal float range."""
-    units = [_unit_layer(params, n, fam) for params, n, fam, _, _ in items]
+    where such a power leaves the normal float range.  The unit layers not
+    yet kept are solved first, as one stack (:func:`_solve_systems`), and
+    kept in ``_unit_layer.cache``; a key whose profile or solve raises is left
+    to :func:`_unit_layer`, which raises it for the first such item."""
+    keys = [_key(params, n, fam) for params, n, fam, _, _ in items]
+    systems = {}
+    for key in keys:
+        if key not in _unit_layer.cache and key not in systems:
+            try:
+                systems[key] = _unit_system(LameParams(*key[:2]), *key[2:])
+            except (ArithmeticError, ValueError):
+                pass
+    for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values())) if systems else ()):
+        if not isinstance(got, Exception):
+            _unit_layer.cache[key] = (system[2], got[0].real)
+    units = [_unit_layer.cache.get(key) or _unit_layer(*item[:3]) for key, item in zip(keys, items)]
     scales = []
     for (prof, _), (_, n, fam, rho, _) in zip(units, items):
         rho = float(rho)
@@ -753,44 +649,50 @@ def _solve_column(items) -> list:
     layout, profile and singularity cap are solved once
     (:func:`_solve_systems`: one stacked assembly and :func:`_square_solve`
     per shape); each solution's sectors hold rows of the stacked solution.
-    An item's error is the one :func:`solve_mode` raises for it: the first,
-    in solve order, of its checks, assembly and solves.
+    A loss-free item with a source outside family 1 adds the capped systems
+    of all three families at its degree, and its resonance check reads
+    their outcomes (:func:`_resonance`).  An item's error is the one
+    :func:`solve_mode` raises for it: the first, in solve order, of its
+    checks, assembly and solves.
     """
     systems: list = []
     index: dict = {}
     parts = []
+
+    def slot(layout, params, n, fam, prof, cap) -> int:  # the index of the family's system in the column, added once
+        key = (tuple(layout[0]), tuple(layout[1]), params, n, fam, cap)
+        if key not in index:
+            index[key] = len(systems)
+            systems.append((*layout, prof, f"family-{fam} system at degree {n}", cap))
+        return index[key]
+
     for medium, source, n in items:
-        params, bounds, slots, error = medium.base, [], [], None
+        params, bounds, checks, slots, error = medium.base, [], [], [], None
         try:
             if n < 2:
                 raise ValueError("solve_mode needs n >= 2")
             gammas = source.family_gammas(n) or {1: {}}
             cap = 1e9 if medium.delta == 0.0 else math.inf
+            layout = _region_layout(medium, source.q)
+            bounds = layout[0]
             if medium.delta == 0.0 and set(gammas) != {1}:
-                cond = max(sector_conditions(medium, n, source.q).values())
-                if cond > cap:
-                    raise ResonantSingularityError(
-                        f"loss-free interface system singular at degree {n} (condition {cond:.3e})",
-                        condition=cond,
-                    )
-            bounds, weights = _region_layout(medium, source.q)
+                checks = [slot(layout, params, n, fam, _radial_profile(params, n, fam), cap)  # all three, capped
+                          for fam in (1, 2, 3)]
             for fam, gam in sorted(gammas.items()):
                 if gam:
                     _wave_amplitudes(params, n, fam, medium.shell_radius)  # the sector's kernel check
                 prof = _radial_profile(params, n, fam)
-                key = (tuple(bounds), tuple(weights), params, n, fam, cap)
-                if key not in index:
-                    index[key] = len(systems)
-                    systems.append((bounds, weights, prof, f"family-{fam} system at degree {n}", cap))
-                slots.append((fam, tuple(gam.items()), prof, index[key]))
+                slots.append((fam, tuple(gam.items()), prof, slot(layout, params, n, fam, prof, cap)))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
             error = exc
-        parts.append((n, params, (0.0, *bounds, math.inf), slots, error))
+        parts.append((n, params, (0.0, *bounds, math.inf), checks, slots, error))
     solved = _solve_systems(systems)
     out: list = []
-    for n, params, radii, slots, error in parts:
+    for n, params, radii, checks, slots, error in parts:
         got = [solved[i] for *_, i in slots]
         error = next((g for g in got if isinstance(g, Exception)), error)
+        if checks:  # a loss-free source outside family 1: its resonance check comes first
+            error = _resonance(n, [solved[i] for i in checks]) or error
         if error is not None:
             out.append(error)
             continue
@@ -799,6 +701,18 @@ def _solve_column(items) -> list:
                                 window=tuple(sorted({d for _, _, prof, _ in sectors for d in prof.degrees})),
                                 radii=radii, sectors=sectors, params=params))
     return out
+
+
+def _resonance(n: int, outcomes: list) -> Exception | None:
+    """The resonance check's error at degree n from the outcomes of every family's capped system, or None: the
+    first error raised before a condition is known, else one :class:`ResonantSingularityError` with the largest
+    condition of those refused (a system that passed the cap but did not converge is not the check's)."""
+    for got in outcomes:
+        if isinstance(got, Exception) and not isinstance(got, (ResonantSingularityError, UnconvergedSolveError)):
+            return got
+    cond = max((got.condition for got in outcomes if isinstance(got, ResonantSingularityError)), default=None)
+    return None if cond is None else ResonantSingularityError(
+        f"loss-free interface system singular at degree {n} (condition {cond:.3e})", condition=cond)
 
 
 def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolution:
@@ -825,25 +739,4 @@ def solve_modes(medium: LayeredMedium, source: SourceSpec) -> list[ModeSolution]
     return [_ok(sol) for sol in _solve_column([(medium, source, n) for n in source.degrees()])]
 
 
-def residual_check(solutions: list[ModeSolution], medium: LayeredMedium, source: SourceSpec) -> dict[str, float]:
-    """Independent verification of a solve: PDE, interfaces, source jump.
-
-    Each is the worst of :mod:`~elastoplasmon.lame`'s normwise measures: the
-    Lame residual of each region (:meth:`~elastoplasmon.lame.ModeField.residual`)
-    and the per-degree jumps at each interface (:func:`~elastoplasmon.lame.trace_jumps`),
-    the density taken off on the source sphere, the layout's last bound.  A NaN stays NaN.
-    """
-    params = medium.base
-    bounds, weights = _region_layout(medium, source.q)
-    found = {key: [0.0] for key in ("lame", "displacement_jump", "traction_jump", "source_jump")}
-    for sol in solutions:
-        found["lame"] += [reg.residual(params) for reg in sol.regions if reg.terms]
-        for bi, rho in enumerate(bounds):
-            on_source = bi == len(bounds) - 1
-            density = {sol.n: source.density_matrix(sol.n, params)} if on_source else None
-            disp, trac = trace_jumps(sol.regions[bi].terms, sol.regions[bi + 1].terms, rho, params,
-                                     weights[bi:bi + 2], density)
-            found["displacement_jump"] += disp.values()
-            for d, jump in trac.items():
-                found["source_jump" if on_source and d == sol.n else "traction_jump"].append(jump)
-    return {key: float(np.max(values)) for key, values in found.items()}
+__getattr__ = _served_from_fields(globals(), "kernel_basis residual_check")

@@ -36,33 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_unscaled, exterior_traction_coeffs,
+                     t1_vector, t3_vector, trace_jumps)
 from .harmonics import lower, raise_
-from .lame import (
-    LameParams,
-    ModeField,
-    PlasmonConstants,  # noqa: F401  (defined next to the mode constants; imported from here too)
-    SectorCheckError,
-    exterior_traction_coeffs,
-    plasmon_constants,  # noqa: F401  (imported from here too)
-    t1_vector,
-    t3_vector,
-    trace_jumps,
-    _tilde_scale,
-    _tilde_unscaled,
-)
-from .transmission import _ladder, _profile_fields, _profile_stack, _region_blocks, _single_layer, _traces, _wave_amplitudes
+from .lame import LameParams, SectorCheckError
+from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
+from .transmission import _profile_stack, _region_blocks, _single_layer, _traces, _wave_amplitudes
 
 __all__ = [
-    "PlasmonEigenProblem",
-    "PerfectWave",
-    "assemble_H",
-    "matching_defect",
-    "plasmon_kernel",
-    "sector_kernels",
-    "perfect_wave",
-    "verify_perfect_wave",
-    "np_eigenvalue_map",
-    "np_galerkin_spectrum",
+    "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
+    "perfect_wave", "verify_perfect_wave", "np_eigenvalue_map", "np_galerkin_spectrum",
 ]
 
 # the null space of plasmon_kernel: singular values below this fraction of
@@ -289,9 +272,9 @@ def verify_perfect_wave(wave: PerfectWave, params: LameParams) -> dict[str, floa
     """Residuals of every defining property of a perfect wave.
 
     Keys: continuity and transmission (c-weighted traction match), the
-    worst per-degree interface jumps of :func:`~elastoplasmon.lame.trace_jumps`;
+    worst per-degree interface jumps of :func:`~elastoplasmon.fields.trace_jumps`;
     lame_interior / lame_exterior, each side's normwise Lame residual
-    (:meth:`~elastoplasmon.lame.ModeField.residual`); t1 / t3 conditions;
+    (:meth:`~elastoplasmon.fields.ModeField.residual`); t1 / t3 conditions;
     normalization.  A NaN stays NaN.
     """
     n = wave.n

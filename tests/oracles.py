@@ -31,17 +31,17 @@ through the Gram eigendecomposition of ``waves._realify``, the route the
 closed-form sector bases of ``waves.sector_kernels`` replaced.
 
 ``term_derivative`` differentiates a term in one direction ``j`` with the
-ladder matrix ``[j]``, the route the broadcast ``lame.term_gradient``
+ladder matrix ``[j]``, the route the broadcast ``fields.term_gradient``
 replaced; ``per_direction_pairing_P``, ``per_direction_traction_coeffs`` and
-``per_direction_lame_residual`` are ``energy.pairing_P``,
-``lame.traction_coeffs_algebraic`` and ``point_lame_residual`` built on it,
+``per_direction_lame_residual`` are ``fields.pairing_P``,
+``fields.traction_coeffs_algebraic`` and ``point_lame_residual`` built on it,
 one direction, one term and one output component at a time.
 
 ``eval_terms`` and ``grad_terms`` evaluate a field and its exact gradient at
-points (``lame._eval_coefs``); no command evaluates a field at points.
+points (``fields._eval_coefs``); no command evaluates a field at points.
 ``point_lame_residual`` evaluates the exact second derivatives at points and
 divides the residual there by mu times their size (or |u|/r^2), the route
-the normwise coefficient residual ``lame.lame_residual`` replaced: the
+the normwise coefficient residual ``fields.lame_residual`` replaced: the
 roundoff of lambda div u counts lambda / mu times in it, and its absolute
 floors hide a field whose coefficients are below them.
 
@@ -50,7 +50,7 @@ integrals of the energy pairing and the source pairing on a sphere rule, the
 route the coefficient dot products of ``energy`` replaced;
 ``point_verify_perfect_wave`` and ``quadrature_np_matrix`` compare wave
 traces at random interface points and project tractions on a sphere rule
-(``lame.traction_coeffs``), the routes the exact coefficient traces of
+(``fields.traction_coeffs``), the routes the exact coefficient traces of
 ``waves.verify_perfect_wave`` and ``waves.np_galerkin_spectrum`` replaced;
 ``pairing_P_pieces`` sums the pairing over a piecewise field.
 
@@ -110,7 +110,7 @@ arithmetic.  ``sector_system`` is the per-entry Python assembly of one
 sector system that the stacked assembly of ``transmission`` replaced, its
 columns named (region, kind, shape); ``profile_blocks`` is a profile's
 arrays read back as {(kind, degree): (power, {degree: displacement},
-{degree: traction})}.  ``mp_pairing_P`` is ``energy.pairing_P`` of the
+{degree: traction})}.  ``mp_pairing_P`` is ``fields.pairing_P`` of the
 same terms in 50 digits, and ``plain_data`` turns a kept value holding
 arrays or profiles into nested Python data that ``==`` compares.
 
@@ -119,7 +119,7 @@ blocks of one coefficient matrix with their slaved corrections, as terms.
 
 ``volume_dissipation`` is the route the flux of ``energy.dissipation_E``
 replaced: the terms of all degree solutions are merged per region and
-paired by ``energy.pairing_P`` (gradients of a common degree pair, so
+paired by ``fields.pairing_P`` (gradients of a common degree pair, so
 solutions two degrees apart must be merged).  ``FieldSolution`` is the
 record of the matrix routes, a solve given by its regions alone.
 ``volume_row`` is a sweep row by these volume routes, the witness bounds
@@ -142,7 +142,26 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from elastoplasmon.energy import _radial_integral, pairing_P
+from elastoplasmon.fields import (
+    ModeField,
+    Term,
+    _eval_coefs,
+    _family_density,
+    _hessian_groups,
+    _ladder,
+    _radial_integral,
+    _tilde_scale,
+    _tilde_unscaled,
+    _traction_from_grad,
+    displacement_coeffs,
+    gradient_groups,
+    kernel_basis,
+    pairing_P,
+    t1_vector,
+    t3_vector,
+    traction_coeffs,
+    traction_coeffs_algebraic,
+)
 from elastoplasmon.harmonics import (
     DerivativeTable,
     SphereQuadrature,
@@ -152,40 +171,24 @@ from elastoplasmon.harmonics import (
     shared_quadrature,
     sph_harm_stack,
 )
-from elastoplasmon.lame import (
-    LameParams,
-    ModeField,
-    SectorCheckError,
-    Term,
-    _eval_coefs,
-    _hessian_groups,
-    _tilde_scale,
-    _tilde_unscaled,
-    _traction_from_grad,
-    displacement_coeffs,
-    _k0,
-    gradient_groups,
-    mode_constants,
-    t1_vector,
-    t3_vector,
-    traction_coeffs,
-    traction_coeffs_algebraic,
-)
+from elastoplasmon.lame import LameParams, SectorCheckError, mode_constants
 from elastoplasmon.transmission import (
     LayeredMedium,
     ResonantSingularityError,
     SourceSpec,
     UnconvergedSolveError,
     _RadialProfile,
-    _family_density,
-    _ladder,
     _profile_from_blocks,
     _region_blocks,
     _region_layout,
     _square_solve,
-    kernel_basis,
 )
 from elastoplasmon.waves import PerfectWave, _realify, _unvec, sector_kernels
+
+
+def _k0(params: LameParams) -> float:
+    """k_n continued to n = 0 (the monopole block), as the radial profiles form it."""
+    return (params.lam + params.mu) / (2.0 * (2 * params.lam + 5 * params.mu))
 
 
 def exterior_block(G: np.ndarray, n: int, params: LameParams, tables: DerivativeTable) -> tuple[Term, ...]:
@@ -243,9 +246,8 @@ def volume_row(configuration, delta: float) -> tuple[float, float | None, float 
     denominator the energies of the dual witness's pieces, its amplitude
     divided out; a witness that raises leaves its bound None.
     """
-    from elastoplasmon.energy import functional_I, source_pairing
-    from elastoplasmon.scenarios import (witness_core_resonant, witness_fixed_c, witness_nocore,
-                                         witness_radial_nonresonant)
+    from elastoplasmon.fields import (functional_I, source_pairing, witness_core_resonant, witness_fixed_c,
+                                      witness_nocore, witness_radial_nonresonant)
     from elastoplasmon.transmission import solve_modes
     from elastoplasmon.waves import plasmon_constants
 
@@ -1243,7 +1245,7 @@ def term_derivative(t: Term, j: int, tables: DerivativeTable) -> list[Term]:
 
 def per_direction_pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
                             params: LameParams, tables: DerivativeTable) -> complex:
-    """``energy.pairing_P`` with each gradient column taken by :func:`term_derivative`."""
+    """``fields.pairing_P`` with each gradient column taken by :func:`term_derivative`."""
     u_terms, v_terms = tuple(u_terms), tuple(v_terms)
     if not u_terms or not v_terms:
         return 0.0
@@ -1278,7 +1280,7 @@ def _per_direction_sphere_multiply(row: np.ndarray, g: int, j: int,
 
 def per_direction_traction_coeffs(terms: Iterable[Term], radius: float, params: LameParams,
                                   tables: DerivativeTable) -> dict[int, np.ndarray]:
-    """``lame.traction_coeffs_algebraic`` one gradient term and one component at a time."""
+    """``fields.traction_coeffs_algebraic`` one gradient term and one component at a time."""
     lam, mu = params.lam, params.mu
     grads: dict[tuple[int, int], list[tuple[np.ndarray, int, int]]] = {}
     div: list[tuple[np.ndarray, int, int]] = []
@@ -1368,7 +1370,7 @@ def _strain_profiles(terms: Iterable[Term], quad: SphereQuadrature,
 def quadrature_pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
                          params: LameParams, tables: DerivativeTable,
                          quad: SphereQuadrature | None = None) -> complex:
-    """``energy.pairing_P`` with the angular integrals taken on a sphere rule.
+    """``fields.pairing_P`` with the angular integrals taken on a sphere rule.
 
     Pairs of radial powers whose angular integral falls below 1e-13 of its
     scale are dropped as zero by orthogonality (their radial factor may
@@ -1398,7 +1400,7 @@ def quadrature_pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo:
 
 def quadrature_source_pairing(psi_pieces: Sequence[ModeField], source: SourceSpec, params: LameParams,
                               quad: SphereQuadrature) -> float:
-    """``energy.source_pairing`` with density and psi sampled on a sphere rule."""
+    """``fields.source_pairing`` with density and psi sampled on a sphere rule."""
     q = source.q
     nodes = quad.nodes
     fvals = np.zeros((len(nodes), 3), dtype=complex)
@@ -1557,7 +1559,7 @@ def point_verify_perfect_wave(wave: PerfectWave, params: LameParams,
 
     Continuity compares both sides' values at ``n_points`` random points of
     the interface; transmission projects the nodal tractions of both sides on
-    a ``2n+8`` sphere rule (``lame.traction_coeffs``).  The Lame residuals are
+    a ``2n+8`` sphere rule (``fields.traction_coeffs``).  The Lame residuals are
     ``point_lame_residual`` at 24 of the directions on the spheres 0.35 R and
     1.7 R; the t-conditions are those of the package.
     """
@@ -1666,7 +1668,7 @@ def quadrature_np_matrix(R: float, params: LameParams, n_max: int,
 
     Each Kelvin single-layer field's (:func:`single_layer_field`) traction
     is evaluated at the nodes of ``quad`` and projected on every degree up
-    to ``n_max`` (``lame.traction_coeffs``); the rule must be exact to
+    to ``n_max`` (``fields.traction_coeffs``); the rule must be exact to
     ``2 n_max + 4``.  Basis entries are
     (component, degree, stack position), in the row and column order.
     """
@@ -1713,7 +1715,7 @@ def dense_np_matrix(R: float, params: LameParams, n_max: int) -> tuple[np.ndarra
 
 
 def mp_pairing_P(u_terms, v_terms, r_lo: float, r_hi: float, params: LameParams, dps: int = 50) -> complex:
-    """``energy.pairing_P`` of the same terms in ``dps`` digits.
+    """``fields.pairing_P`` of the same terms in ``dps`` digits.
 
     Every term coefficient, ladder entry and modulus is taken exactly as a
     double; the ladder factors -(p-d)/(2d+1) and (p-d)/(2d+1) + 1 are exact

@@ -15,26 +15,24 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature, shared_tables, sph_harm_stack
-from elastoplasmon.lame import (
-    LameParams,
+from elastoplasmon.fields import (
     ModeField,
     Term,
-    exterior_traction_coeffs,
-    traction_coeffs,
-)
-from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P
-from elastoplasmon.scenarios import (
     _merge_pieces,
-    fixed_configuration,
-    schedule_n_delta,
-    scheduled_configuration,
-    sweep,
+    exterior_traction_coeffs,
+    functional_I,
+    functional_J,
+    pairing_P,
+    traction_coeffs,
     witness_core_resonant,
     witness_fixed_c,
     witness_nocore,
     witness_radial_nonresonant,
 )
+from elastoplasmon.harmonics import build_quadrature, shared_tables, sph_harm_stack
+from elastoplasmon.lame import LameParams
+from elastoplasmon.energy import dissipation_E
+from elastoplasmon.scenarios import fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
 from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
 from elastoplasmon.waves import (
     assemble_H,

@@ -9,8 +9,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 WITNESSES = ("witness_nocore", "witness_fixed_c", "witness_core_resonant", "witness_radial_nonresonant")
-COLD = ({"import", "np-spectrum:64"} | {f"waves-check:{n}" for n in (20, 40, 64)}
-        | {f"{kind}:{name}" for kind in ("sweep", "solve")
+COLD = ({"import", "import:package", "import:compile", "import:dataclasses", "np-spectrum:64"}
+        | {f"waves-check:{n}" for n in (20, 40, 64)}
+        | {f"{kind}:{name}" for kind in ("sweep", "first_sweep", "solve")
            for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")})
 WARM = ({f"square_solve[m={m},k={k}]" for m in (2, 6, 8, 12) for k in (1, 13)}
         | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:dissipations"}

@@ -140,9 +140,9 @@ def test_waves_check_fails_on_a_nan_residual(monkeypatch, capsys):
 def test_solve_fails_its_gate_with_one_json_line(config_file, monkeypatch, capsys):
     # stdout keeps every residual line; the failed gate names its residual on stderr
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli
+    from elastoplasmon import cli, fields
 
-    monkeypatch.setattr(cli, "residual_check", lambda *args: {"lame": 2e-8, "source_jump": 0.0})
+    monkeypatch.setattr(fields, "residual_check", lambda *args: {"lame": 2e-8, "source_jump": 0.0})
     assert cli.main(["solve", "--config", config_file]) == 2
     out = capsys.readouterr()
     assert out.out.splitlines()[1:] == ["residual lame: 2.000e-08", "residual source_jump: 0.000e+00"]
@@ -489,7 +489,7 @@ def _no_run(*args, **kwargs):
 # dual bound (looked up when its core runs, unlike the core, which the
 # witness table holds), and solve, a witness in a cored medium (its
 # loss-free bound) and a sweep's first row with their degree's solve
-FIRST_CALLS = (("transmission", "kernel_basis"), ("waves", "np_galerkin_spectrum"),
+FIRST_CALLS = (("fields", "kernel_basis"), ("waves", "np_galerkin_spectrum"),
                ("scenarios", "_dual_constants"), ("transmission", "solve_mode"))
 
 
@@ -532,11 +532,11 @@ def test_no_command_evaluates_a_field_at_points(argv, config_file, tmp_path, mon
     # every check reads coefficients: with point evaluation refused, every
     # command of the first-call guard still runs to exit 0
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli, lame
+    from elastoplasmon import cli, fields
 
     nocore = tmp_path / "nocore.json"
     nocore.write_text(json.dumps(dict(BASE_CONFIG, core_radius=None, c_mode={"fixed": -4.0})))
-    monkeypatch.setattr(lame, "_eval_coefs", _no_run)
+    monkeypatch.setattr(fields, "_eval_coefs", _no_run)
     assert cli.main([a.format(config=config_file, csv=tmp_path / "x.csv", nocore=nocore) for a in argv]) == 0
     assert not capsys.readouterr().err
 
@@ -1026,12 +1026,12 @@ def test_cold_sweeps_build_no_member_and_test_no_degree(tmp_path):
         argvs.append(["sweep", "--config", str(path), "--csv", str(tmp_path / f"x{i}.csv")])
     code = (
         "import sys\n"
-        "from elastoplasmon import harmonics, transmission\n"
+        "from elastoplasmon import fields, harmonics\n"
         "from elastoplasmon.cli import main\n"
         "tested, test = [], harmonics._self_test_degree\n"
         "harmonics._self_test_degree = lambda n, *pair: tested.append(n) or test(n, *pair)\n"
         f"assert [main(argv) for argv in {argvs!r}] == [0, 0, 0, 0]\n"
-        "print(tested, sorted(harmonics._BANDS), len(transmission.kernel_basis.cache), 'numpy.polynomial' in sys.modules)\n"
+        "print(tested, sorted(harmonics._BANDS), len(fields.kernel_basis.cache), 'numpy.polynomial' in sys.modules)\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
@@ -1085,6 +1085,24 @@ def test_cold_sweep_loads_neither_harmonics_nor_waves(tmp_path):
                                                 ("cli", "energy", "lame", "scenarios", "transmission")]), argvs
 
 
+@pytest.mark.parametrize("argv", [["solve", "--config", "{config}"], ["waves-check", "--n", "3"],
+                                  ["kernels", "--n", "3"], ["np-spectrum", "--nmax", "3"]])
+def test_field_commands_load_the_fields_module(argv, config_file):
+    # the commands that build or check fields load elastoplasmon.fields,
+    # which the command line module itself does not
+    code = (
+        "import sys\n"
+        "from elastoplasmon.cli import main\n"
+        "assert 'elastoplasmon.fields' not in sys.modules\n"
+        f"assert main({[a.format(config=config_file) for a in argv]!r}) == 0\n"
+        "print('elastoplasmon.fields' in sys.modules)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       env=dict(os.environ, PYTHONPATH=SRC))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "True"
+
+
 @pytest.mark.parametrize("config, delta", [
     (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]]), "1e-4"),
     (dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}, source_modes=[[None, 1, 2, 0.0, 1.0]]), "1e-6"),
@@ -1096,7 +1114,7 @@ def test_witness_prints_the_public_builders_scalars(config, delta, tmp_path, cap
     # the command reads the scalar cores; the public builders, which also
     # build the witness fields, return the same bounds to the last digit
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli, scenarios
+    from elastoplasmon import cli, fields
 
     path = tmp_path / "run.json"
     path.write_text(json.dumps(config))
@@ -1105,13 +1123,13 @@ def test_witness_prints_the_public_builders_scalars(config, delta, tmp_path, cap
     d = float(delta)
     med, src = cli._configuration(cli.load_config(str(path)))(d)
     if med.core_radius is None:
-        builders = [(lambda: scenarios.witness_nocore(med, src, d),
+        builders = [(lambda: fields.witness_nocore(med, src, d),
                      lambda w: f"J_lower = {cli._fmt(w[1])}  tau = {cli._fmt(w[2])}")]
     else:
-        builders = [(lambda: scenarios.witness_fixed_c(med, src), lambda w: f"I_upper = {cli._fmt(w[1])}"),
-                    (lambda: scenarios.witness_core_resonant(med, src, d),
+        builders = [(lambda: fields.witness_fixed_c(med, src), lambda w: f"I_upper = {cli._fmt(w[1])}"),
+                    (lambda: fields.witness_core_resonant(med, src, d),
                      lambda w: f"J_lower = {cli._fmt(w[2])}  tau = {cli._fmt(w[3])}"),
-                    (lambda: scenarios.witness_radial_nonresonant(med, src, d),
+                    (lambda: fields.witness_radial_nonresonant(med, src, d),
                      lambda w: f"I_upper_scheduled = {cli._fmt(w[2])}")]
     expected = []
     for build, show in builders:
@@ -1132,11 +1150,11 @@ def test_verification_commands_build_no_sphere_rule(tmp_path):
              ["solve", "--config", str(path)]]
     code = (
         "import sys\n"
-        "from elastoplasmon import harmonics, lame\n"
+        "from elastoplasmon import fields, harmonics\n"
         "from elastoplasmon.cli import main\n"
         "built, build = [], harmonics.build_quadrature\n"
         "harmonics.build_quadrature = lambda exactness: built.append(exactness) or build(exactness)\n"
-        "traced, trace = [], lame.traction_coeffs\n"
+        "traced, trace = [], fields.traction_coeffs\n"
         "for mod in [m for name, m in sys.modules.items() if name.startswith('elastoplasmon.')]:\n"
         "    for attr, value in list(vars(mod).items()):\n"
         "        if value is trace:\n"
@@ -1157,13 +1175,13 @@ def test_np_spectrum_reaches_max_degree_without_an_eigensolver(tmp_path):
     csv = tmp_path / "np.csv"
     code = (
         "import numpy as np\n"
-        "from elastoplasmon import harmonics, transmission\n"
+        "from elastoplasmon import fields, harmonics\n"
         "from elastoplasmon.cli import main\n"
         "calls = []\n"
         "for name in ('eig', 'eigvals'):\n"
         "    setattr(np.linalg, name, lambda *a, name=name, f=getattr(np.linalg, name): calls.append(name) or f(*a))\n"
         f"assert main(['np-spectrum', '--nmax', '64', '--csv', {str(csv)!r}]) == 0\n"
-        "print(len(calls), len(harmonics._DEGREES), len(transmission.kernel_basis.cache))\n"
+        "print(len(calls), len(harmonics._DEGREES), len(fields.kernel_basis.cache))\n"
     )
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
@@ -1215,13 +1233,14 @@ def test_benchmark_span_targets_resolve(monkeypatch):
 
 def test_witness_table_names_the_traced_public_builders(monkeypatch):
     # each witness the command and the sweep rows read is a public builder
-    # of scenarios that the benchmark traces
-    from elastoplasmon import scenarios
+    # of fields that the benchmark traces where it reads it, in scenarios
+    from elastoplasmon import fields, scenarios
 
     traced = {name for module, name, _ in _perfbench_module("spans", monkeypatch).TARGETS if module == "scenarios"}
     names = [w.name for w in scenarios.WITNESSES]
     assert names == ["witness_nocore", "witness_fixed_c", "witness_core_resonant", "witness_radial_nonresonant"]
-    assert all(name in scenarios.__all__ and name in traced for name in names)
+    assert all(name in fields.__all__ and name in traced for name in names)
+    assert all(getattr(scenarios, name) is getattr(fields, name) for name in names)
 
 
 def test_witness_table_row_reaches_the_command_and_the_sweep(config_file, tmp_path, monkeypatch, capsys):

@@ -5,23 +5,20 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature, ensure_tables
-from elastoplasmon.lame import (
-    LameParams,
+from elastoplasmon.fields import (
     ModeField,
     Term,
     displacement_coeffs,
-    lame_residual,
-    traction_coeffs_algebraic,
-)
-from elastoplasmon.energy import (
-    EnergyReport,
-    dissipation_E,
     functional_I,
     functional_J,
+    lame_residual,
     pairing_P,
     source_pairing,
+    traction_coeffs_algebraic,
 )
+from elastoplasmon.harmonics import build_quadrature, ensure_tables
+from elastoplasmon.lame import LameParams
+from elastoplasmon.energy import EnergyReport, dissipation_E
 from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
 from oracles import (
     dissipation_imaginary,
@@ -158,7 +155,7 @@ def test_dual_identity_at_maximizer(tables):
 
 def test_admissible_non_optimal_pair_is_upper_bound(tables):
     # the fixed-multiplier witness is admissible but not optimal
-    from elastoplasmon.scenarios import witness_fixed_c
+    from elastoplasmon.fields import witness_fixed_c
 
     med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.05, base=P11, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
@@ -169,7 +166,7 @@ def test_admissible_non_optimal_pair_is_upper_bound(tables):
 
 def test_dual_witness_sign(tables):
     # tiny positive amplitude on the dual witness gives positive J
-    from elastoplasmon.transmission import kernel_basis
+    from elastoplasmon.fields import kernel_basis
     from elastoplasmon.waves import perfect_wave, plasmon_constants
 
     z1 = plasmon_constants(P11, 2).zeta1
@@ -238,8 +235,8 @@ def test_pairing_matches_quadrature_on_solve_regions(tables, materials, core):
 
 
 def test_pairing_matches_quadrature_on_witness_pieces(tables, materials):
-    from elastoplasmon.scenarios import (
-        scheduled_configuration,
+    from elastoplasmon.scenarios import scheduled_configuration
+    from elastoplasmon.fields import (
         witness_core_resonant,
         witness_fixed_c,
         witness_nocore,
@@ -273,7 +270,7 @@ def test_wave_pairings_of_every_member_match_50_digits(materials):
     # degree 12: at degree 27 the double evaluation is not within 1e-13 of
     # 50 digits (ROADMAP item 1).  Measured worst: 6.1e-14 (lambda = 2,
     # mu = 0.5, family 3 at n = 12, member 11)
-    from elastoplasmon.scenarios import witness_nocore
+    from elastoplasmon.fields import witness_nocore
     from elastoplasmon.waves import plasmon_constants
     from oracles import mp_pairing_P
 
@@ -382,8 +379,8 @@ def test_gradient_routes_agree_on_solve_regions(tables, materials, core):
 
 
 def test_gradient_routes_agree_on_witness_pieces(tables, materials):
-    from elastoplasmon.scenarios import (
-        scheduled_configuration,
+    from elastoplasmon.scenarios import scheduled_configuration
+    from elastoplasmon.fields import (
         witness_core_resonant,
         witness_fixed_c,
         witness_nocore,
@@ -417,7 +414,8 @@ def test_partner_shape_norms():
     # ||ladder(G)||^2 = kappa (2n+1)/(2d+1) for every unit member G of families
     # 2 and 3 (d = n - 2, n + 2): the weight of the partner shape in the flux
     from elastoplasmon.harmonics import shared_tables
-    from elastoplasmon.transmission import _ladder, _radial_profile
+    from elastoplasmon.transmission import _radial_profile
+    from elastoplasmon.fields import _ladder
     from elastoplasmon.waves import sector_kernels
 
     tables = shared_tables(67)

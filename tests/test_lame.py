@@ -6,19 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
-from elastoplasmon.lame import (
-    LameParams,
-    _safe_div,
+from elastoplasmon.fields import (
     ModeField,
     Term,
     displacement_coeffs,
     exterior_traction_coeffs,
     lame_residual,
-    mode_constants,
     traction_coeffs,
     traction_coeffs_algebraic,
 )
+from elastoplasmon.harmonics import build_quadrature, sph_harm_stack
+from elastoplasmon.lame import LameParams, _safe_div, mode_constants
 from oracles import (
     eval_terms,
     exterior_block,
@@ -139,7 +137,7 @@ def test_pure_multipole_when_t1_vanishes(tables):
     n = 2
     w = rng.normal(size=2 * n + 1)
     # angular-momentum-type matrix: rows of x cross grad of a degree-n harmonic
-    from elastoplasmon.transmission import kernel_basis
+    from elastoplasmon.fields import kernel_basis
 
     K = kernel_basis(LameParams(1.0, 1.0), n, 1)[0]
     terms = exterior_block(K, n, LameParams(1.0, 1.0), tables)

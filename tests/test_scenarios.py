@@ -7,22 +7,24 @@ import numpy as np
 import pytest
 
 from elastoplasmon import transmission
-from elastoplasmon.harmonics import build_quadrature
-from elastoplasmon.lame import LameParams, Term, traction_coeffs_algebraic
-from elastoplasmon.energy import dissipation_E, functional_I, functional_J, pairing_P
-from elastoplasmon.scenarios import (
+from elastoplasmon.fields import (
+    Term,
     _merge_pieces,
-    _sweep_rows,
-    fixed_configuration,
-    schedule_n_delta,
-    scheduled_configuration,
-    sweep,
+    functional_I,
+    functional_J,
+    kernel_basis,
+    pairing_P,
+    traction_coeffs_algebraic,
     witness_core_resonant,
     witness_fixed_c,
     witness_nocore,
     witness_radial_nonresonant,
 )
-from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, kernel_basis, solve_modes
+from elastoplasmon.harmonics import build_quadrature
+from elastoplasmon.lame import LameParams
+from elastoplasmon.energy import dissipation_E
+from elastoplasmon.scenarios import _sweep_rows, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
+from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, solve_modes
 from elastoplasmon.waves import plasmon_constants
 from oracles import eval_terms, fixed_c_closed_forms, mp_square_solve
 
@@ -123,7 +125,7 @@ def test_witness_fixed_c_jump_scalar_against_oracle(tables, quad):
     pieces, _, _ = witness_fixed_c(med, src)
     gamma = src.coefficients[(2, 1, 1)]
     K = kernel_basis(P11, 2, 1)[0]
-    from elastoplasmon.lame import ModeField
+    from elastoplasmon.fields import ModeField
     from oracles import numeric_traction
 
     inner = next(p for p in pieces if abs(p.r_hi - 3.0) < 1e-12)

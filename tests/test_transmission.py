@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from elastoplasmon import transmission
+from elastoplasmon import fields, transmission
 from elastoplasmon.energy import dissipation_E
+from elastoplasmon.fields import kernel_basis, residual_check, witness_nocore, witness_radial_nonresonant
 from elastoplasmon.harmonics import build_quadrature, ensure_tables, sph_harm_stack
 from elastoplasmon.lame import LameParams, SectorCheckError, mode_constants
 from elastoplasmon.transmission import (
@@ -21,14 +22,11 @@ from elastoplasmon.transmission import (
     ResonantSingularityError,
     SourceSpec,
     UnconvergedSolveError,
-    kernel_basis,
-    residual_check,
     sector_conditions,
     solve_mode,
     solve_modes,
 )
-from elastoplasmon.scenarios import (fixed_configuration, scheduled_configuration, sweep, witness_nocore,
-                                     witness_radial_nonresonant)
+from elastoplasmon.scenarios import fixed_configuration, scheduled_configuration, sweep
 from elastoplasmon.waves import PlasmonConstants, assemble_H, kernel_family, matching_defect, plasmon_constants
 from oracles import (
     annuli,
@@ -109,7 +107,7 @@ def test_all_families_solve_with_tiny_residuals(tables, materials):
 
 def test_residual_check_detects_perturbation(tables):
     from dataclasses import replace
-    from elastoplasmon.lame import Term
+    from elastoplasmon.fields import Term
 
     for params in (P11, LameParams(2.0, 0.5)):
         med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=0.05, base=params)
@@ -128,7 +126,7 @@ def test_residual_check_flags_a_slaved_term_off_by_1e_minus_6(params):
     # breaks the Lame system, and the normwise residual reads it above the
     # 1e-8 gate of solve (8.8e-8 at the least)
     from dataclasses import replace
-    from elastoplasmon.lame import Term
+    from elastoplasmon.fields import Term
 
     med = LayeredMedium(shell_radius=2.0, c=-3.0, delta=0.1, base=params, core_radius=1.0)
     src = SourceSpec(q=3.0, coefficients={(4, 2, 1): 1.0})
@@ -206,6 +204,62 @@ def test_loss_free_solve_checks_every_family(tables):
     assert err.value.condition > 1e9
 
 
+def test_loss_free_check_reads_the_columns_own_solves(monkeypatch):
+    # a loss-free source outside family 1 caps the systems of all three
+    # families at its degree in the column's own stacks: the family-1 system
+    # alone, then families 2 and 3 as one stack, each solved once (the
+    # source's own system among them); a refusal keeps its message and the
+    # largest condition of sector_conditions
+    stacks = []
+    solve = transmission._square_solve
+
+    def spy(M, b, what, caps):
+        stacks.append((M.shape[:2], caps))
+        return solve(M, b, what, caps)
+
+    monkeypatch.setattr(transmission, "_square_solve", spy)
+    med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.0, base=P11)
+    for fam in (2, 3):
+        stacks.clear()
+        sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(3, fam, 1): 1.0}), 3)
+        assert stacks == [((1, 4), [1e9]), ((2, 8), [1e9, 1e9])]
+        assert [f for f, *_ in sol.sectors] == [fam] and sol.condition < 1e9
+    stacks.clear()
+    solve_mode(med, SourceSpec(q=2.0, coefficients={(3, 1, 1): 1.0}), 3)  # family 1 alone: its own system
+    assert stacks == [((1, 4), [1e9])]
+    singular = replace(med, c=plasmon_constants(P11, 3).zeta3)
+    cond = max(sector_conditions(singular, 3, 2.0).values())
+    for fam in (2, 3):
+        with pytest.raises(ResonantSingularityError) as err:
+            solve_mode(singular, SourceSpec(q=2.0, coefficients={(3, fam, 1): 1.0}), 3)
+        assert err.value.condition == cond > 1e9
+        assert str(err.value) == f"loss-free interface system singular at degree 3 (condition {cond:.3e})"
+
+
+def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
+    # the unit layers a column reads and the store does not hold are one
+    # stacked solve per profile shape, each kept value bit for bit the solve
+    # of its key alone; read again, every layer comes from the store
+    calls = []
+    solve = transmission._square_solve
+    monkeypatch.setattr(transmission._unit_layer, "cache", {})
+    monkeypatch.setattr(transmission, "_square_solve", lambda M, *args: calls.append(len(M)) or solve(M, *args))
+    columns = ([(P11, n, 1, 1.7, 1.0) for n in range(7, 20)] + [(P11, 7, 1, 2.5, 0.5j)],
+               [(LameParams(2.0, 0.5), n, 3, 1.3, -1.0) for n in (2, 5, 8, 5)])
+    for items in columns:
+        transmission._single_layers(items)
+    assert calls == [13, 3]
+    alone = {key: transmission._unit_layer.__wrapped__(LameParams(*key[:2]), *key[2:])
+             for key in transmission._unit_layer.cache}
+    assert len(alone) == 16
+    for key, (prof, amps) in transmission._unit_layer.cache.items():
+        assert prof is alone[key][0] and amps.tobytes() == alone[key][1].tobytes(), key
+    calls.clear()
+    for items in columns:
+        transmission._single_layers(items)
+    assert calls == []
+
+
 def test_sector_solve_agrees_with_window_oracle(tables, materials):
     # the sector solve against the full-window matrix route, one oracle
     # assembly per medium and degree for all three sources
@@ -233,7 +287,7 @@ def test_unconverged_solve_raises(tables, monkeypatch):
     # a density with content outside its declared sector cannot be matched:
     # the solve is scalar, and building its regions from the members fails
     mix = (kernel_basis(P11, 2, 1)[0] + kernel_basis(P11, 2, 2)[0]) / math.sqrt(2.0)
-    monkeypatch.setattr(transmission, "kernel_basis", lambda params, n, fam: [mix])
+    monkeypatch.setattr(fields, "kernel_basis", lambda params, n, fam: [mix])
     med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.05, base=P11)
     sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 3, 1): 1.0}), 2)
     with pytest.raises(UnconvergedSolveError, match="backward error"):
@@ -311,12 +365,12 @@ def test_kernel_check_rejects_detuned_constants(tables, monkeypatch):
     def detuned(params, n):
         return PlasmonConstants(n, *(z * (1 + 1e-6) for z in plasmon_constants(params, n).as_tuple()))
 
-    monkeypatch.setattr(transmission, "plasmon_constants", detuned)
-    monkeypatch.setattr(transmission.kernel_basis, "cache", {})
+    monkeypatch.setattr(fields, "plasmon_constants", detuned)
+    monkeypatch.setattr(fields.kernel_basis, "cache", {})
     for fam in (1, 2, 3):  # each family is checked before it is kept
         with pytest.raises(AssertionError, match=f"family {fam} .*matching defect"):
             kernel_basis(P11, 4, fam)
-    assert not transmission.kernel_basis.cache
+    assert not fields.kernel_basis.cache
 
 
 def test_scalar_kernel_check_rejects_detuned_constants(tables, monkeypatch):
@@ -498,23 +552,23 @@ def test_sector_sweeps_do_not_assemble_per_row():
     # sweeps call traction_coeffs_algebraic never, however many rows they have
     code = """
 import numpy as np
-from elastoplasmon import lame, transmission
+from elastoplasmon import fields
 from elastoplasmon.harmonics import shared_tables
 from elastoplasmon.lame import LameParams
 from elastoplasmon.scenarios import fixed_configuration, sweep
 from elastoplasmon.transmission import SourceSpec
 calls = [0]
-traction = lame.traction_coeffs_algebraic
+traction = fields.traction_coeffs_algebraic
 def counted(*args, **kwargs):
     calls[0] += 1
     return traction(*args, **kwargs)
-lame.traction_coeffs_algebraic = transmission.traction_coeffs_algebraic = counted
+fields.traction_coeffs_algebraic = counted
 tables = shared_tables(12)
 out = []
 for fam, n, c, q, core in ((2, 4, -130 / 59, 3.0, 1.0), (3, 3, -25 / 38, 2.6, None), (1, 2, -4.0, 3.0, 1.0)):
     conf = fixed_configuration(LameParams(1.0, 1.0), 2.0, c, SourceSpec(q, {(n, fam, 1): 1.0}), core_radius=core)
     for rows in (4, 8):
-        transmission.kernel_basis.cache.clear()
+        fields.kernel_basis.cache.clear()
         calls[0] = 0
         sweep(conf, list(np.geomspace(1e-2, 1e-5, rows)))
         out.append(str(calls[0]))
@@ -593,12 +647,12 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
         assert _outcome(got) == _solve_outcome(square_solve_reference, *system), system[2:]
         raised += isinstance(got, ResonantSingularityError)
     # per schedule one column of 13 lossy and 13 loss-free systems, then (on
-    # the first) one unit layer per scheduled degree, shared by the two
-    # schedules' witnesses; per fixed run one lossy column (no family-1
-    # source, so no loss-free one)
+    # the first) one stack of the unit layers of the 13 scheduled degrees,
+    # shared by the two schedules' witnesses; per fixed run one lossy column
+    # (no family-1 source, so no loss-free one)
     layers = [system for system in systems if system[2].endswith("single layer")]
     assert len(layers) == 13 and all(M.shape == (2, 2) for M, *_ in layers)
-    assert calls == [[26] + [1] * 13, [26], [4], [4]]
+    assert calls == [[26, 13], [26], [4], [4]]
     assert len(systems) == 2 * 2 * 13 + 2 * 4 + 13 and raised > 0
 
 

@@ -7,8 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from elastoplasmon.fields import Term, t1_vector, t3_vector
 from elastoplasmon.harmonics import build_quadrature, ensure_tables, sph_harm_stack
-from elastoplasmon.lame import LameParams, Term, t1_vector, t3_vector
+from elastoplasmon.lame import LameParams
 from elastoplasmon.waves import (
     assemble_H,
     kernel_family,
@@ -21,7 +22,7 @@ from elastoplasmon.waves import (
     verify_perfect_wave,
     _conj_kernel,
 )
-from elastoplasmon import transmission
+from elastoplasmon import fields, transmission
 from oracles import (
     conj_kernel_matrix,
     dense_np_matrix,
@@ -262,7 +263,7 @@ def test_single_layer_jump_relation(tables):
     G = np.zeros((3, 5))
     G[0, 1] = 1.0
     inside, outside = single_layer_field(G, 2, R, params)
-    from elastoplasmon.lame import _traction_from_grad
+    from elastoplasmon.fields import _traction_from_grad
 
     ti = _traction_from_grad(grad_terms(inside.terms, R * quad.nodes), quad.nodes, params.lam, params.mu)
     to = _traction_from_grad(grad_terms(outside.terms, R * quad.nodes), quad.nodes, params.lam, params.mu)
@@ -449,7 +450,7 @@ def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
     waves_built = 0
     for fam in (1, 2, 3):
         c = plasmon_constants(params, n).as_tuple()[fam - 1]
-        for K in transmission.kernel_basis(params, n, fam):
+        for K in fields.kernel_basis(params, n, fam):
             assert perfect_wave(K, fam, n, R, params, tables).c == c
             waves_built += 1
     assert waves_built == 123 and checked == [(n, 1, R), (n, 2, R), (n, 3, R)]
