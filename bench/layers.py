@@ -1,4 +1,4 @@
-"""Layer timings of elastoplasmon, written to ``BENCH_<label>.json``.
+"""Layer timings and cold memory of elastoplasmon, written to ``BENCH_<label>.json``.
 
     python bench/layers.py [--label NAME] [--repeats N] [--out DIR]
     python bench/layers.py --against DIR [--against-label NAME] [--pairs N] [--label NAME] [--out DIR]
@@ -7,8 +7,8 @@ The ``src`` of this checkout is timed; this script imports nothing of it
 and runs each measurement in fresh processes with one BLAS thread.  The
 file (in ``--out``, default the repository root) holds the checkout's git
 description (None outside a git checkout), ``nproc``,
-the Python, numpy and BLAS versions, and two sets of minima in seconds
-(the least disturbed run of each, as the host's other load only adds time):
+the Python, numpy and BLAS versions, and three sets of minima (the least
+disturbed run of each, as the host's other load only adds time and pages):
 
 * ``cold_s``: over ``--repeats`` fresh processes each, ``import
   elastoplasmon.cli``; through the CLI, each gated sweep (the four
@@ -23,6 +23,9 @@ the Python, numpy and BLAS versions, and two sets of minima in seconds
   the sources of the modules it loaded (``import:compile``; the host
   compiles them at import where no bytecode is cached, as with
   ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout);
+* ``cold_rss_mb``: the max-RSS in MB of each cold command (not of the
+  :func:`first_sweep` processes) as ``os.wait4`` reports it, the least over
+  its ``--repeats`` processes;
 * ``warm_s``: in one process, after one untimed call that fills the
   per-process caches, the minimum over ``--repeats`` batches of in-process
   calls of: the square sector solve of k systems of size m (k = 1, 13; m = 2,
@@ -96,23 +99,42 @@ def _cold_commands(work: Path) -> dict[str, list[str]]:
     return commands
 
 
-def cold(tree: Path, repeats: int, work: Path) -> dict[str, float]:
-    """Least wall seconds of each cold command and of each :func:`first_sweep` record over ``repeats`` processes."""
+def _run(argv: list[str], env: dict, cwd: Path) -> tuple[float, float]:
+    """Wall seconds and max-RSS in MB (``os.wait4``) of one fresh ``python argv``, which must exit 0."""
+    t0 = time.perf_counter()
+    proc = subprocess.Popen([sys.executable, *argv], env=env, cwd=cwd, stdin=subprocess.DEVNULL,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    except BaseException:  # interrupted: leave no child behind
+        proc.kill()
+        proc.wait()
+        raise
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise subprocess.CalledProcessError(proc.returncode, argv)
+    return wall, usage.ru_maxrss / 1024.0
+
+
+def cold(tree: Path, repeats: int, work: Path) -> tuple[dict[str, float], dict[str, float]]:
+    """Least wall seconds of each cold command and :func:`first_sweep` record, and least max-RSS in MB of each
+    cold command, over ``repeats`` processes."""
     times: dict[str, list[float]] = {}
+    rss: dict[str, list[float]] = {}
     commands = _cold_commands(work)
     for _ in range(repeats):
         for name, argv in commands.items():
-            t0 = time.perf_counter()
-            subprocess.run([sys.executable, *argv], env=_env(tree), cwd=work, check=True,
-                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-            times.setdefault(name, []).append(time.perf_counter() - t0)
+            wall, mb = _run(argv, _env(tree), work)
+            times.setdefault(name, []).append(wall)
+            rss.setdefault(name, []).append(mb)
         for name, argv in commands.items():
             if name.startswith("sweep:"):  # argv: -m elastoplasmon.cli sweep ...
                 probe = subprocess.run([sys.executable, __file__, "--first-sweep", *argv[2:]], env=_env(tree),
                                        cwd=work, check=True, capture_output=True, text=True)
                 for key, v in json.loads(probe.stdout.splitlines()[-1]).items():
                     times.setdefault(f"first_{name}" if key == "first_sweep" else key, []).append(v)
-    return {name: min(ts) for name, ts in times.items()}
+    return {name: min(ts) for name, ts in times.items()}, {name: min(mbs) for name, mbs in rss.items()}
 
 
 def first_sweep(argv: list[str]) -> dict[str, float]:
@@ -275,22 +297,25 @@ def _git(tree: Path) -> str | None:
 def measure(tree: Path, repeats: int) -> dict:
     """One BENCH record of ``tree``: cold minima, then warm minima from a worker process."""
     with tempfile.TemporaryDirectory() as work:
-        cold_s = cold(tree, repeats, Path(work))
+        cold_s, cold_rss_mb = cold(tree, repeats, Path(work))
     worker = subprocess.run([sys.executable, __file__, "--worker", "--repeats", str(repeats)], env=_env(tree),
                             capture_output=True, text=True, check=True)
     record = json.loads(worker.stdout.splitlines()[-1])
     return {"schema": 1, "git": _git(tree), "nproc": os.cpu_count(), "repeats": repeats,
-            "versions": record["versions"], "cold_s": cold_s, "warm_s": record["warm_s"]}
+            "versions": record["versions"], "cold_s": cold_s, "cold_rss_mb": cold_rss_mb, "warm_s": record["warm_s"]}
+
+
+PARTS = {"cold_s": "s", "cold_rss_mb": "MB", "warm_s": "s"}  # each part of a record, and its unit
 
 
 def _flat(record: dict) -> dict[str, float]:
-    return {f"{part}/{name}": v for part in ("cold_s", "warm_s") for name, v in record[part].items()}
+    return {f"{part}/{name}": v for part in PARTS for name, v in record[part].items()}
 
 
 def pairs(parent: Path, change: Path, n: int, repeats: int) -> tuple[dict, dict]:
     """N alternating pairs of ``repeats``-repeat records: the parent's and the change's record.
 
-    Each record's ``cold_s`` and ``warm_s`` are the medians over the pairs
+    Each record's ``cold_s``, ``cold_rss_mb`` and ``warm_s`` are the medians over the pairs
     and ``runs`` the values of every pair; the change's ``against`` holds per
     metric the parent's median and interquartile range and the pairs won.
     """
@@ -350,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         record = measure(ROOT, args.repeats)
         for name, v in _flat(record).items():
-            print(f"{name:42s} {v:.3e} s")
+            print(f"{name:42s} {v:.3e} {PARTS[name.split('/')[0]]}")
         _write(args.out, args.label, record)
     return 0
 

@@ -21,8 +21,7 @@ column's values are bit for bit those of its rows alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,8 +33,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """One row of a loss sweep; ``sandwich_ok``: J_lower <= E_delta <= I_upper to ``slack * |E_delta|``, else
     ``sandwich_break`` names the bound that breaks it (``"I_upper = ... below"``)."""
 

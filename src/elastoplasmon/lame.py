@@ -18,6 +18,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SectorCheckError", "LameParams", "ModeConstants", "PlasmonConstants", "mode_constants", "plasmon_constants",
@@ -49,8 +50,7 @@ class LameParams:
             )
 
 
-@dataclass(frozen=True)
-class ModeConstants:
+class ModeConstants(NamedTuple):
     """Scalar constants of the degree-n mode formulas."""
 
     n: int
@@ -123,8 +123,7 @@ def mode_constants(params: LameParams, n: int) -> ModeConstants:
     return ModeConstants(n=n, k_n=k_n, M_n=M_n, E_n=E_n, s1_n=s1_n, s2_n=s2_n, l_n=l_n, m_n=m_n)
 
 
-@dataclass(frozen=True)
-class PlasmonConstants:
+class PlasmonConstants(NamedTuple):
     """The three negative shell multipliers admitting nontrivial waves."""
 
     n: int

@@ -41,8 +41,8 @@ final two decades to stay within a factor 10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from dataclasses import replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,12 +58,11 @@ __all__ = [
 ]
 
 
-@dataclass
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: list[EnergyReport]
     verdict: str
     growth_exponent: float
-    meta: dict = field(default_factory=dict)
+    meta: dict
 
 
 def schedule_n_delta(R: float, delta: float) -> int:
@@ -308,8 +307,7 @@ def _radial_bound(rows, loss_free: list | None = None) -> list:
     return _column(len(rows), lambda i: _radial_check(*rows[i]), values)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One row of :data:`WITNESSES`; ``core(rows)`` returns per (medium, source, delta) row its scalars or its error.
 
     The scalars start with the bound.  A core that reads the loss-free
@@ -346,8 +344,7 @@ WITNESSES = (
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class fixed_configuration:
+class fixed_configuration(NamedTuple):
     """delta -> (medium, source) factory with a fixed multiplier."""
 
     params: LameParams
@@ -361,8 +358,7 @@ class fixed_configuration:
                              core_radius=self.core_radius), self.source
 
 
-@dataclass(frozen=True)
-class scheduled_configuration:
+class scheduled_configuration(NamedTuple):
     """delta -> (medium, source) factory following the loss schedule.
 
     The multiplier is the family constant at the scheduled degree and the
@@ -386,11 +382,12 @@ class scheduled_configuration:
 
 
 def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
-    x = np.log(1.0 / np.asarray(deltas))
-    y = np.log(np.asarray(values))
-    A = np.vstack([x, np.ones_like(x)]).T
-    slope, _ = np.linalg.lstsq(A, y, rcond=None)[0]
-    return float(slope)
+    """Least-squares slope of log E on log(1/delta), in closed form: sum dx dy / sum dx^2 about the means."""
+    x, y = [math.log(1.0 / d) for d in deltas], [math.log(v) for v in values]
+    x_mean = math.fsum(x) / len(x)
+    y_mean = y[0] + math.fsum(y + [-y[0]] * len(y)) / len(y)  # taken about y[0], so a constant y is its own mean
+    dx = [a - x_mean for a in x]
+    return math.fsum(a * (b - y_mean) for a, b in zip(dx, y)) / math.fsum(a * a for a in dx)
 
 
 def _worst(outcomes: list) -> tuple[float | None, float | None]:

@@ -41,7 +41,8 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import _profile_stack, _region_blocks, _single_layer, _traces, _wave_amplitudes
+from .transmission import (_profile_stack, _radial_profile, _region_blocks, _single_layer, _single_layers, _traces,
+                           _wave_amplitudes)
 
 __all__ = [
     "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
@@ -312,6 +313,11 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     per member of its sector, as the dense matrix's eigenvalues are.
     Returns (eigenvalue, degree n) pairs sorted by eigenvalue.
     """
+    shapes: dict[int, list] = {}  # the unit layers of every degree, kept first: one stacked solve per profile shape
+    for n, fam in ((n, fam) for n in range(1, n_max + 1) for fam in (1, 2, 3)):
+        shapes.setdefault(len(_radial_profile(params, n, fam).degrees), []).append((params, n, fam, 1.0, 1.0))
+    for items in shapes.values():
+        _single_layers(items)
     out = []
     for n in range(1, n_max + 1):
         for fam, J in ((1, n), (2, n - 1), (3, n + 1)):

@@ -9,14 +9,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 WITNESSES = ("witness_nocore", "witness_fixed_c", "witness_core_resonant", "witness_radial_nonresonant")
-COLD = ({"import", "import:package", "import:compile", "import:dataclasses", "np-spectrum:64"}
-        | {f"waves-check:{n}" for n in (20, 40, 64)}
-        | {f"{kind}:{name}" for kind in ("sweep", "first_sweep", "solve")
-           for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")})
+GATED = ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")
+COMMANDS = ({"import", "np-spectrum:64"} | {f"waves-check:{n}" for n in (20, 40, 64)}
+            | {f"{kind}:{name}" for kind in ("sweep", "solve") for name in GATED})  # the cold commands
+COLD = COMMANDS | {"import:package", "import:compile", "import:dataclasses"} | {f"first_sweep:{name}" for name in GATED}
 WARM = ({f"square_solve[m={m},k={k}]" for m in (2, 6, 8, 12) for k in (1, 13)}
         | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:dissipations"}
         | {f"{kind}:{name}" for kind in ("witness", "column") for name in WITNESSES}
-        | {f"sweep:{name}" for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")})
+        | {f"sweep:{name}" for name in GATED})
 
 
 def _layers(monkeypatch):
@@ -33,11 +33,13 @@ def test_layer_record_names_every_layer(tmp_path):
                         "--out", str(tmp_path)], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
     record = json.loads((tmp_path / "BENCH_schema.json").read_text())
-    assert {"schema", "label", "git", "nproc", "repeats", "versions", "cold_s", "warm_s"} <= set(record)
+    assert {"schema", "label", "git", "nproc", "repeats", "versions", "cold_s", "cold_rss_mb", "warm_s"} <= set(record)
     assert record["schema"] == 1 and record["label"] == "schema" and record["repeats"] == 1
     assert {"python", "numpy", "blas"} <= set(record["versions"])
-    assert set(record["cold_s"]) == COLD and set(record["warm_s"]) == WARM
-    assert all(v > 0 for part in ("cold_s", "warm_s") for v in record[part].values())
+    assert set(record["cold_s"]) == COLD and set(record["cold_rss_mb"]) == COMMANDS and set(record["warm_s"]) == WARM
+    assert all(v > 0 for part in ("cold_s", "cold_rss_mb", "warm_s") for v in record[part].values())
+    # a fresh interpreter with numpy loaded holds more than 10 MB, and none of these reaches 1 GB
+    assert all(10 < v < 1024 for v in record["cold_rss_mb"].values()), record["cold_rss_mb"]
 
 
 def test_pairs_alternate_and_summarize(monkeypatch):
@@ -50,8 +52,9 @@ def test_pairs_alternate_and_summarize(monkeypatch):
     def measure(tree, repeats):
         order.append(tree.name)
         value = {"parent": 2.0, "change": 1.0}[tree.name] + len(order) / 100
+        mb = {"parent": 40.0, "change": 30.0}[tree.name] + len(order)
         return {"schema": 1, "git": None, "nproc": 1, "versions": {}, "cold_s": {"import": value},
-                "warm_s": {"sweep:x": value}}
+                "cold_rss_mb": {"import": mb}, "warm_s": {"sweep:x": value}}
 
     monkeypatch.setattr(layers, "measure", measure)
     parent, change = layers.pairs(Path("parent"), Path("change"), 4, 1)
@@ -65,3 +68,8 @@ def test_pairs_alternate_and_summarize(monkeypatch):
     assert m["change_wins"] == 4 and m["parent_median"] == 2.045
     assert abs(m["parent_iqr"] - 0.055) < 1e-12  # statistics.quantiles, exclusive method
     assert "against" not in parent
+    # the max-RSS part is summarized as the times are
+    assert parent["runs"]["cold_rss_mb/import"] == [41.0, 44.0, 45.0, 48.0]
+    assert change["runs"]["cold_rss_mb/import"] == [32.0, 33.0, 36.0, 37.0]
+    assert parent["cold_rss_mb"] == {"import": 44.5} and change["cold_rss_mb"] == {"import": 34.5}
+    assert change["against"]["cold_rss_mb/import"] == {"parent_median": 44.5, "parent_iqr": 5.5, "change_wins": 4}

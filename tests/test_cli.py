@@ -212,7 +212,7 @@ def test_sweep_deterministic_csv(config_file, tmp_path):
     assert [entry["row"] for entry in solves] == list(range(len(res.rows)))
     assert all(entry[f"{column}_condition"] >= 1.0 and 0.0 <= entry[f"{column}_backward_error"] <= 1e-10
                for entry in solves for column in ("lossy", "loss_free"))
-    bare = dataclasses.replace(res, meta={key: v for key, v in res.meta.items() if key != "solves"})
+    bare = res._replace(meta={key: v for key, v in res.meta.items() if key != "solves"})
     for result, name in ((res, "with.csv"), (bare, "without.csv")):
         cli.emit_report(result, cfg, str(tmp_path / name))
         assert (tmp_path / name).read_bytes() == Path(c1).read_bytes(), name
@@ -285,7 +285,7 @@ def test_empty_result_exit_code_distinct():
 
     assert EXIT_EMPTY not in (EXIT_IO, EXIT_VALIDATION)
     with pytest.raises(EmptyResultError):
-        emit_report(SweepResult(rows=[], verdict="", growth_exponent=0.0), {}, "/tmp/unused.csv")
+        emit_report(SweepResult(rows=[], verdict="", growth_exponent=0.0, meta={}), {}, "/tmp/unused.csv")
 
 
 def test_solve_subcommand(config_file):
@@ -421,8 +421,6 @@ def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
     # relative below the dissipation: the sweep refuses before the fit,
     # naming the first row's loss, E_delta and the bound, in one JSON line
     # with no CSV
-    import dataclasses
-
     sys.path.insert(0, SRC)
     from elastoplasmon import cli, scenarios
     from elastoplasmon.energy import dissipation_E
@@ -431,7 +429,7 @@ def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
     def low(rows, **kwargs):
         return [(dissipation_E(solve_modes(med, src), med) * (1 - 1e-8),) for med, src, _ in rows]
 
-    monkeypatch.setattr(scenarios, "WITNESSES", tuple(dataclasses.replace(w, core=low) if w.name == "witness_fixed_c"
+    monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=low) if w.name == "witness_fixed_c"
                                                       else w for w in scenarios.WITNESSES))
     path = tmp_path / "run.json"
     path.write_text(json.dumps(BASE_CONFIG))
@@ -953,7 +951,7 @@ def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
     monkeypatch.setattr(cli, "solve_modes", _no_run)
-    monkeypatch.setattr(cli, "WITNESSES", tuple(dataclasses.replace(w, core=_no_run) if w.name == "witness_fixed_c"
+    monkeypatch.setattr(cli, "WITNESSES", tuple(w._replace(core=_no_run) if w.name == "witness_fixed_c"
                                                 else w for w in cli.WITNESSES))
     for command in ("solve", "witness"):
         assert cli.main([command, "--config", str(path), "--delta", "1e-300"]) == 2
@@ -1302,6 +1300,100 @@ def test_benchmark_workloads_pass_their_checks(workload, tmp_path, monkeypatch, 
         result = {**dataclasses.asdict(cmd), "code": code, "stdout": capsys.readouterr().out}
         checks = check.check_result(result, ref)
         assert [c for c in checks if not c.ok] == [], cmd.argv
+
+
+def _gated_configs(workloads, seed, work):
+    """(sweep name, config, config path) of each gated benchmark sweep at ``seed``, written under ``work``."""
+    for workload in ("dichotomy_schedule", "spheroidal_fixed"):
+        plan = workloads.make_plan(workload, seed, work / f"{workload}-{seed}")
+        for name, cfg in plan.configs.items():
+            yield name, cfg, work / f"{workload}-{seed}" / f"{name}.json"
+
+
+def test_growth_fit_is_the_exact_least_squares_slope(tmp_path, monkeypatch):
+    # the growth exponent of each gated sweep at seeds 1-7, and the fit of
+    # constant series, is within 1 ulp of the exact rational least-squares
+    # slope of the same float logs; np.linalg.lstsq, which the fit replaced,
+    # was up to 6 ulp off on these sweeps, and the plain mean fsum(y) / n,
+    # which rounds off a constant y for some values, leaves such a series a
+    # slope of about 1e-33 where the fit's mean about y[0] leaves exactly 0
+    from fractions import Fraction
+
+    from elastoplasmon import cli
+    from elastoplasmon.scenarios import _fit_slope, sweep
+    from oracles import least_squares_slope
+
+    workloads = _perfbench_module("workloads", monkeypatch)
+    series = []
+    for seed in range(1, 8):
+        for _, cfg, _ in _gated_configs(workloads, seed, tmp_path):
+            res = sweep(cli._configuration(cfg), cfg["delta_list"])
+            E = [r.E_delta for r in res.rows]
+            assert res.growth_exponent == _fit_slope(cfg["delta_list"], E)
+            series.append((cfg["delta_list"], E))
+    decades = [[10.0 ** -(2 + i) for i in range(n)] for n in range(3, 10)]
+    for deltas in [workloads.FIXED_DELTAS, workloads.SCHEDULE_DELTAS, *decades]:
+        series += [(deltas, [10.0 ** (k / 7)] * len(deltas)) for k in range(-21, 22)]
+    assert len(series) == 28 + 9 * 43
+    for deltas, E in series:
+        got, want = _fit_slope(deltas, E), least_squares_slope(deltas, E)
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want))), (E, got, float(want))
+
+
+def test_gated_runs_call_no_least_squares_driver(tmp_path, monkeypatch, capsys):
+    # the fit is closed-form: with np.linalg.lstsq raising, each gated sweep
+    # at seed 1 and the witness command on its config print what they print
+    # without the patch, and exit as they do: 0, except witness on the cored
+    # family-2 config, which no witness bounds (exit 2, as before)
+    import numpy as np
+
+    from elastoplasmon import cli
+
+    def lstsq(*args, **kwargs):
+        raise AssertionError("np.linalg.lstsq called")
+
+    runs = {}
+    for name, _, path in _gated_configs(_perfbench_module("workloads", monkeypatch), 1, tmp_path):
+        for argv in (["sweep", "--config", str(path), "--csv", str(tmp_path / f"{name}.csv")],
+                     ["witness", "--config", str(path)]):
+            for patched in (False, True):
+                with monkeypatch.context() as m:
+                    if patched:
+                        m.setattr(np.linalg, "lstsq", lstsq)
+                    code = cli.main(argv)
+                out = capsys.readouterr()
+                csv = (tmp_path / f"{name}.csv").read_bytes() if argv[0] == "sweep" else None
+                runs.setdefault((argv[0], name), []).append((code, out.out, out.err, csv))
+    assert {key: got[0][0] for key, got in runs.items()} == {
+        (command, name): 2 if (command, name) == ("witness", "cored_zeta2_4") else 0
+        for command in ("sweep", "witness") for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")}
+    assert all(got[0] == got[1] for got in runs.values())
+
+
+def test_np_spectrum_solves_its_unit_layers_as_two_stacks(tmp_path, monkeypatch):
+    # np-spectrum solves the unit layers of all its degrees first, one
+    # stacked solve per profile shape: the one-degree profiles (family 1,
+    # and family 2 at n = 1) and the two-degree ones (family 2 at n >= 2,
+    # family 3).  Its CSV is byte for byte the one each layer solved alone
+    # gives, which the per-degree loop does when the stacked fill is taken out
+    from elastoplasmon import cli, transmission, waves
+
+    stacks = []
+    square_solve = transmission._square_solve
+    monkeypatch.setattr(transmission, "_square_solve", lambda M, *a: stacks.append(len(M)) or square_solve(M, *a))
+    for nmax in (5, 64):
+        csv = {}
+        for route in ("stacked", "alone"):
+            with monkeypatch.context() as m:
+                m.setattr(transmission._unit_layer, "cache", {})
+                if route == "alone":
+                    m.setattr(waves, "_single_layers", lambda items: None)
+                stacks.clear()
+                path = tmp_path / f"{route}-{nmax}.csv"
+                assert cli.main(["np-spectrum", "--nmax", str(nmax), "--csv", str(path)]) == 0
+                csv[route] = path.read_bytes()
+                assert stacks == ([nmax + 1, 2 * nmax - 1] if route == "stacked" else [1] * (3 * nmax)), route
+        assert csv["stacked"] == csv["alone"], nmax
 
 
 def test_a_sweep_evaluates_each_closed_form_once_per_key(tmp_path):

@@ -76,3 +76,42 @@ def test_from_import_of_a_moved_name_loads_fields():
                        env=dict(os.environ, PYTHONPATH=src))
     assert r.returncode == 0, r.stderr
     assert r.stdout.split() == ["True", "True"]
+
+
+def test_value_records_keep_repr_equality_and_hash():
+    # the seven value records of a sweep are named tuples: each keeps the
+    # repr its dataclass wrote, equality by value, and where every field is
+    # hashable the hash of the tuple of its fields, as a frozen dataclass
+    # had; none takes an attribute assignment
+    from elastoplasmon.lame import LameParams, mode_constants, plasmon_constants
+    from elastoplasmon.scenarios import WITNESSES, fixed_configuration, scheduled_configuration, sweep
+    from elastoplasmon.transmission import SourceSpec
+
+    params = LameParams(1.0, 1.0)
+    fixed = fixed_configuration(params, 2.0, -4.0, SourceSpec(3.0, {(2, 1, 1): 1.0}), core_radius=1.0)
+    result = sweep(fixed, [1e-2, 1e-3, 1e-4, 1e-5])
+    records = [mode_constants(params, 3), plasmon_constants(params, 3), result.rows[0], result, WITNESSES[1], fixed,
+               scheduled_configuration(params, 2.0, 2.3, core_radius=1.0)]
+    assert [type(r).__name__ for r in records] == ["ModeConstants", "PlasmonConstants", "EnergyReport", "SweepResult",
+                                                   "Witness", "fixed_configuration", "scheduled_configuration"]
+    assert repr(records[1]) == "PlasmonConstants(n=3, zeta1=-2.5, zeta2=-2.1818181818181817, zeta3=-0.6578947368421053)"
+    hashable = []
+    for record in records:
+        names = type(record)._fields
+        values = tuple(getattr(record, name) for name in names)
+        assert repr(record) == f"{type(record).__name__}({', '.join(f'{k}={v!r}' for k, v in zip(names, values))})"
+        twin = type(record)(*values)
+        assert twin == record and twin is not record and not twin != record
+        assert record._replace(**{names[-1]: "other"}) != record
+        try:
+            want = hash(values)
+        except TypeError:
+            with pytest.raises(TypeError):
+                hash(record)
+        else:
+            assert hash(record) == hash(twin) == want
+            hashable.append(type(record).__name__)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+    assert hashable == ["ModeConstants", "PlasmonConstants", "EnergyReport", "Witness", "scheduled_configuration"]
