@@ -38,7 +38,10 @@ disturbed run of each, as the host's other load only adds time and pages):
 
 ``--against DIR`` times DIR (the parent) and this checkout (the change) in N
 alternating pairs, each side first in every other pair, one record of
-``--repeats`` repeats per side and pair.  It writes a record per side
+``--repeats`` repeats per side and pair.  Each side runs a copy of its
+``src``, ``<tmp>/parent/src`` and ``<tmp>/change/src`` (:func:`side_trees`):
+a cold process's max-RSS moves with the path it runs from, so the two
+sides run from paths of one length.  It writes a record per side
 (``--against-label`` and ``--label``) whose medians are over the pairs,
 with every pair's values; the change's record also holds per metric the
 parent's interquartile range and the number of pairs the change wins.
@@ -53,6 +56,7 @@ import importlib.util
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -312,6 +316,14 @@ def _flat(record: dict) -> dict[str, float]:
     return {f"{part}/{name}": v for part in PARTS for name, v in record[part].items()}
 
 
+def side_trees(parent: Path, change: Path, tmp: Path) -> tuple[Path, Path]:
+    """The trees :func:`pairs` runs for ``--against``: each tree's ``src`` copied to ``tmp/parent/src`` and
+    ``tmp/change/src``, paths of one length."""
+    for side, tree in (("parent", parent), ("change", change)):
+        shutil.copytree(tree / "src", tmp / side / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    return tmp / "parent", tmp / "change"
+
+
 def pairs(parent: Path, change: Path, n: int, repeats: int) -> tuple[dict, dict]:
     """N alternating pairs of ``repeats``-repeat records: the parent's and the change's record.
 
@@ -365,7 +377,9 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(first_sweep(args.first_sweep)))
         return 0
     if args.against:
-        parent, change = pairs(args.against.resolve(), ROOT, args.pairs, args.repeats)
+        with tempfile.TemporaryDirectory() as tmp:
+            parent, change = pairs(*side_trees(args.against.resolve(), ROOT, Path(tmp)), args.pairs, args.repeats)
+        parent["git"], change["git"] = _git(args.against.resolve()), _git(ROOT)  # the copies have no git
         for name, m in change["against"].items():
             part, layer = name.split("/", 1)
             print(f"{name:42s} parent {m['parent_median']:.3e} (IQR {m['parent_iqr']:.1e})  "

@@ -2,7 +2,8 @@
 
 Sweep the shell multiplier c over the negative axis and watch the loss-free
 transmission system of the degree-n sectors, one per family: the largest
-condition number peaks at the plasmon constants.  The family-3 sector
+condition number peaks at the plasmon constants (inf where the system is
+exactly singular; the bar stops at 16 decades, 1 / eps).  The family-3 sector
 (total angular momentum n + 1) also holds the degree-(n + 2) shape, so its
 system peaks at zeta2(n + 2) too (-130/59 for n = 2).  The kernels at the
 three constants have dimensions 2n+1, 2n-1, 2n+3 and split by the two
@@ -32,7 +33,7 @@ print(" c        largest condition number (family)")
 for c in np.linspace(-6.0, -0.2, 30):
     conds = conditions(float(c))
     fam = max(conds, key=conds.get)
-    print(f"{c:+.3f}   {conds[fam]:.3e} ({fam})  {'#' * int(np.log10(conds[fam]))}")
+    print(f"{c:+.3f}   {conds[fam]:9.3e} ({fam})  {'#' * int(min(np.log10(conds[fam]), 16))}")
 
 print("\nkernels at the three constants:")
 for fam, c in enumerate(zetas.as_tuple(), start=1):

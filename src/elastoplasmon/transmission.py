@@ -33,7 +33,7 @@ of the sector systems, energies and witnesses by shape, stacks them and
 gives a row that raises its own error; traces of profile fields on spheres
 (:func:`_traces`) and the powers of the radii (:func:`_pows`, Python's own
 ``pow``) serve them alike.  A loss-free medium (delta = 0) is solved only
-where every solved system's equilibrated condition is at most 1e9 (for a
+where every solved system's equilibrated 1-norm condition is at most 1e9 (for a
 source outside family 1, the systems of all three families at its degree);
 above it :class:`ResonantSingularityError` (an ``ArithmeticError`` that
 carries the condition) is raised, and a solve capped at 0 reads the
@@ -209,27 +209,28 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
 
     ``M`` is (k, m, m) and ``b`` (k, m); ``what`` (the name in the messages)
     and ``max_condition`` hold one entry per system.  Rows, then columns,
-    are scaled to a largest entry of 1; the condition number is that of the
-    scaled matrix, from its singular values, and above ``max_condition`` the
-    system is refused as singular (:class:`ResonantSingularityError`, which
-    carries the condition).  The scaled system, its right side times the
-    power of two that brings it to unit size (exact, so the norms stay in
-    range in any unit of the moduli), is solved by LU and refined from
-    residuals of the double system formed in ``np.clongdouble``, at most 4
-    steps, until a correction falls below eps |x| or no longer shrinks to
-    half the previous one, which is then not applied (Higham, *Accuracy and
-    Stability of Numerical Algorithms*, 2nd ed., ch. 12): accurate to working
-    precision while condition x eps < 1.  A normwise backward error of the
-    scaled system not at most 1e-10 is :class:`UnconvergedSolveError`.
+    are scaled to a largest entry of 1; the condition number is the exact
+    1-norm one of the scaled matrix (inf for a singular LU), and above
+    ``max_condition`` the system is refused as singular
+    (:class:`ResonantSingularityError`, which carries the condition).  The
+    scaled system, its right side times the power of two that brings it to
+    unit size (exact, so the norms stay in range in any unit of the moduli),
+    is solved by LU and refined from residuals of the double system formed
+    in ``np.clongdouble``, at most 4 steps, until a correction falls below
+    eps |x| or no longer shrinks to half the previous one, which is then not
+    applied (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., ch. 12): accurate to working precision while condition x eps < 1.
+    A normwise backward error of the scaled system (its norm bounded by the
+    largest row 2-norm) not at most 1e-10 is :class:`UnconvergedSolveError`.
 
-    The stack goes through one batched SVD and per step one
-    ``np.linalg.solve`` and one :func:`_norms` of the stacked vectors; every
+    The stack goes through one ``np.linalg.cond(A, 1)`` and per step one
+    ``np.linalg.solve`` and one :func:`_norms` of the stacked vectors; each
     operation acts on each system alone, so each result is bit for bit the
     public-call solve of its system alone.  Scaled entries out of the float
-    range (``ArithmeticError``), an exactly singular LU and an SVD that does
-    not converge (numpy's ``LinAlgError``, led by the first system's
-    ``what``) are raised for the whole stack, whose systems the
-    :func:`_column` of :func:`_solve_systems` then solves one at a time.
+    range (``ArithmeticError``) and an exactly singular LU (numpy's
+    ``LinAlgError``, led by the first system's ``what``) are raised for the
+    whole stack, whose systems the :func:`_column` of :func:`_solve_systems`
+    then solves one at a time.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # 1 / a subnormal scale overflows: refused below
         rows = np.abs(M).max(axis=2)
@@ -241,17 +242,16 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
     finite = np.isfinite(A).all(axis=(1, 2)).tolist()
     if not all(finite):
         raise ArithmeticError(f"{what[finite.index(False)]}: equilibrated entries out of the float range")
+    cond = np.linalg.cond(A, 1).tolist()
+    out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c)
+                 if c > cap else None for w, c, cap in zip(what, cond, max_condition)]
+    live = [i for i, got in enumerate(out) if got is None]
+    if not live:
+        return out
+    k = len(live)
+    if k < len(out):
+        M, b, A, rows, cols = (a[live] for a in (M, b, A, rows, cols))
     try:
-        sv = np.linalg.svd(A, compute_uv=False)
-        cond = (sv[:, 0] / np.maximum(sv[:, -1], 1e-300)).tolist()
-        out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c)
-                     if c > cap else None for w, c, cap in zip(what, cond, max_condition)]
-        live = [i for i, got in enumerate(out) if got is None]
-        if not live:
-            return out
-        k = len(live)
-        if k < len(out):
-            M, b, A, rows, cols, sv = (a[live] for a in (M, b, A, rows, cols, sv))
         rhs = b / rows
         scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
         rhs *= scale
@@ -280,7 +280,7 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
             sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{what[0]}: {exc}") from None
-    den = (sv[:, 0] * sizes[:k] + sizes[k:]).tolist()
+    den = (_norms(A).max(axis=1) * sizes[:k] + sizes[k:]).tolist()
     x /= scale
     for j, i in enumerate(live):
         berr = resid[j] / (den[j] or 1e-300)
@@ -632,8 +632,8 @@ def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, floa
     """Condition number of each family's degree-n square sector system.
 
     Each system is solved capped at 0 (:func:`_solve_systems`), so it is
-    refused after its SVD and the refusal carries its condition; an error
-    is raised.  A loss-free medium at a plasmon constant makes the matching
+    refused and the refusal carries its (1-norm) condition; an error is
+    raised.  A loss-free medium at a plasmon constant makes the matching
     family's system singular.
     """
     bounds, weights = _region_layout(medium, q)

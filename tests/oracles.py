@@ -95,9 +95,13 @@ solve is held to, and ``mp_flux_dissipation`` is the dissipation of a
 solve from those 50-digit amplitudes by the flux of the radial profiles.
 
 ``square_solve_reference`` is ``transmission._square_solve`` through the
-public ``np.linalg.solve`` and ``np.linalg.norm`` calls, one system at a
+public ``np.linalg.solve``, ``inv`` and ``norm`` calls, one system at a
 time; the package's solve takes a stack through each ``np.linalg.solve``
-and forms the norms' sums itself, and must agree with it bit for bit.  ``vector_flux``/``vector_solution_pairing`` are the
+and ``np.linalg.cond`` and forms the norms' sums itself, and must agree
+with it bit for bit.  ``spectral_condition`` is the SVD condition number
+and 2-norm the package's 1-norm condition (``one_norm_condition``) and
+row-norm bound replaced; ``seeded_square_systems`` are the random,
+Wilkinson and singular systems the solves are compared on.  ``vector_flux``/``vector_solution_pairing`` are the
 flux of ``energy.solution_pairings`` with each source read as its coefficient
 vector on the sector's 2J + 1 members (one ``np.vdot`` per degree and
 sphere) instead of through the Gram matrix of the coefficients.
@@ -558,7 +562,7 @@ def mp_square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition
     solved by :func:`_mp_lu_solve` at ``dps`` decimal digits and the solution
     is rounded to complex doubles.  The condition number, and the error of a
     system refused as singular, are the package's: its solve capped at 0
-    refuses every system after the SVD, the refusal carrying the condition
+    refuses every system, the refusal carrying the condition
     (and its message being the one a refusal at the system's own cap has).
     The backward error is that of the rounded solution.
     """
@@ -627,34 +631,62 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
         return float(mpf(float(medium.delta)) / 2 * total)
 
 
-def square_solve_reference(M: np.ndarray, b: np.ndarray, what: str = "interface system",
-                           max_condition: float = math.inf) -> tuple[np.ndarray, float, float]:
-    """``transmission._square_solve`` by the public numpy calls: (x, condition, backward error).
-
-    Rows, then columns, are scaled to a largest entry of 1, the condition
-    number is that of the scaled matrix from its singular values, and the
-    scaled system is solved by ``np.linalg.solve`` and refined at most 4 times
-    from ``np.clongdouble`` residuals; the same errors are raised, numpy's
-    ``LinAlgError`` led by the system's name ``what``.
-    """
-    try:
-        return _reference_solve(M, b, what, max_condition)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{what}: {exc}") from None
-
-
-def _reference_solve(M, b, what, max_condition):
+def equilibrated(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row scales, column scales, A): M with its rows, then its columns, scaled to a largest entry of 1."""
     with np.errstate(over="ignore", invalid="ignore"):
         rows = np.max(np.abs(M), axis=1)
         rows[rows == 0] = 1.0
         A = M / rows[:, None]
         cols = np.max(np.abs(A), axis=0)
         cols[cols == 0] = 1.0
-        A = A / cols
+        return rows, cols, A / cols
+
+
+def one_norm_condition(A: np.ndarray) -> tuple[float, float]:
+    """(kappa_1, bound on ||A||_2) of a matrix, as ``transmission._square_solve`` takes them of its scaled matrix.
+
+    kappa_1 = ||A||_1 ||A^-1||_1 with the inverse by ``np.linalg.inv`` (the
+    LU of ``gesv``), inf where that LU is exactly singular; the bound is the
+    largest row 2-norm, at most ||A||_2."""
+    try:
+        cond = float(np.linalg.norm(A, 1) * np.linalg.norm(np.linalg.inv(A), 1))
+    except np.linalg.LinAlgError:
+        cond = math.inf
+    return cond, max(float(np.linalg.norm(row)) for row in A)
+
+
+def spectral_condition(A: np.ndarray) -> tuple[float, float]:
+    """(kappa_2, ||A||_2) of a matrix from its singular values, the smallest floored at 1e-300: the SVD route
+    that :func:`one_norm_condition` replaced in the package's solve."""
+    sv = np.linalg.svd(A, compute_uv=False)
+    return float(sv[0] / max(sv[-1], 1e-300)), float(sv[0])
+
+
+def square_solve_reference(M: np.ndarray, b: np.ndarray, what: str = "interface system",
+                           max_condition: float = math.inf,
+                           condition=one_norm_condition) -> tuple[np.ndarray, float, float]:
+    """``transmission._square_solve`` by the public numpy calls: (x, condition, backward error).
+
+    Rows, then columns, are scaled to a largest entry of 1 (:func:`equilibrated`);
+    ``condition`` of the scaled matrix (default :func:`one_norm_condition`)
+    gives the condition number and the bound on its 2-norm in the backward
+    error, and the scaled system is solved by ``np.linalg.solve`` and refined
+    at most 4 times from ``np.clongdouble`` residuals; the same errors are
+    raised, numpy's ``LinAlgError`` led by the system's name ``what``.  With
+    :func:`spectral_condition` it is the SVD route the package's solve took
+    before: the same solution, its own condition and backward error.
+    """
+    try:
+        return _reference_solve(M, b, what, max_condition, condition)
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError(f"{what}: {exc}") from None
+
+
+def _reference_solve(M, b, what, max_condition, condition):
+    rows, cols, A = equilibrated(M)
     if not np.isfinite(A).all():
         raise ArithmeticError(f"{what}: equilibrated entries out of the float range")
-    sv = np.linalg.svd(A, compute_uv=False)
-    cond = float(sv[0] / max(sv[-1], 1e-300))
+    cond, norm = condition(A)
     if cond > max_condition:
         raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
     M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble)
@@ -669,10 +701,29 @@ def _reference_solve(M, b, what, max_condition):
         if step <= np.finfo(float).eps * np.linalg.norm(x):
             break
     resid = float(np.linalg.norm((b_ext - M_ext @ x).astype(complex) / rows))
-    berr = resid / (float(sv[0] * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
+    berr = resid / (float(norm * np.linalg.norm(x * cols) + np.linalg.norm(b / rows)) or 1e-300)
     if not berr <= 1e-10:
         raise UnconvergedSolveError(f"{what} did not converge (backward error {berr:.3e})")
     return x, cond, berr
+
+
+def seeded_square_systems() -> list:
+    """Random complex systems of sizes 2..12, conditions 1 to 1e15, rows scaled over 16 decades, each solved
+    uncapped, capped at 0 (its condition read from the refusal) and capped at 1e9, then a Wilkinson matrix of
+    size 100, whose LU growth 2^99 defeats refinement, and an exactly singular one: (M, b, cap) each."""
+    rng = np.random.default_rng(20261018)
+    cases = []
+    for size in (2, 4, 6, 8, 12):
+        for log_cond in (0, 6, 12, 15):
+            U, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+            V, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+            M = (U * np.logspace(0, -log_cond, size)) @ V.conj().T * 10.0 ** rng.uniform(-8, 8, size=(size, 1))
+            b = rng.normal(size=size) + 1j * rng.normal(size=size)
+            cases += [(M, b, math.inf), (M, b, 0.0), (M, b, 1e9)]
+    W = (np.eye(100) - np.tril(np.ones((100, 100)), -1)).astype(complex)
+    W[:, -1] = 1.0
+    return cases + [(W, rng.normal(size=100) + 0j, math.inf),
+                    (np.ones((4, 4), dtype=complex), np.ones(4, dtype=complex), math.inf)]
 
 
 def least_squares_slope(deltas: Sequence[float], values: Sequence[float]) -> Fraction:

@@ -73,3 +73,29 @@ def test_pairs_alternate_and_summarize(monkeypatch):
     assert change["runs"]["cold_rss_mb/import"] == [32.0, 33.0, 36.0, 37.0]
     assert parent["cold_rss_mb"] == {"import": 44.5} and change["cold_rss_mb"] == {"import": 34.5}
     assert change["against"]["cold_rss_mb/import"] == {"parent_median": 44.5, "parent_iqr": 5.5, "change_wins": 4}
+
+
+def test_against_runs_both_sides_from_paths_of_one_length(tmp_path, monkeypatch):
+    # --against runs each tree's src from a copy, <tmp>/parent/src and
+    # <tmp>/change/src, so the two sides' PYTHONPATH strings have one length
+    # however long the trees' own paths are (a cold process's max-RSS moves
+    # with the path it runs from); each copy holds its tree's sources
+    layers = _layers(monkeypatch)
+    parent = tmp_path / "a-parent-checkout-at-a-longer-path-than-this-one"
+    (parent / "src" / "elastoplasmon").mkdir(parents=True)
+    (parent / "src" / "elastoplasmon" / "__init__.py").write_text("# parent\n")
+    seen = []
+
+    def measure(tree, repeats):
+        package = tree / "src" / "elastoplasmon" / "__init__.py"
+        seen.append((layers._env(tree)["PYTHONPATH"], package.read_text() == "# parent\n"))
+        return {"schema": 1, "git": None, "nproc": 1, "versions": {}, "cold_s": {"import": 1.0},
+                "cold_rss_mb": {"import": 30.0}, "warm_s": {"sweep:x": 1.0}}
+
+    monkeypatch.setattr(layers, "measure", measure)
+    assert layers.main(["--against", str(parent), "--pairs", "2", "--out", str(tmp_path)]) == 0
+    (parent_path, is_parent), (change_path, is_change) = seen[:2]
+    assert len(parent_path) == len(change_path) and parent_path != change_path
+    assert is_parent and not is_change and seen[2:] == [seen[1], seen[0]]
+    assert parent_path.endswith("/parent/src") and change_path.endswith("/change/src")
+    assert json.loads((tmp_path / "BENCH_local.json").read_text())["git"] == layers._git(ROOT)

@@ -371,7 +371,7 @@ def test_far_source_errors_name_their_sphere_or_system(command, q, error, messag
     # the power; at q = 1e60 the lossy system is exactly singular and numpy's
     # error is led by the system's name; at q = 1e45 a column scale of the
     # system is subnormal, its equilibrated entries leave the float range and
-    # the system is refused by name before its SVD, with no numpy warning.
+    # the system is refused by name before its condition, with no numpy warning.
     # Exit 2 with that one JSON line, and the solve raises the same exception
     # type as before
     sys.path.insert(0, SRC)
@@ -962,9 +962,9 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     # energies and witnesses integrate on harmonic coefficients and the
     # derivative-table self-test sums over polar Gauss nodes: no sphere rule
     # is built, through the shared cache or outside it.  The sector kernel
-    # bases are closed forms: no Hermitian eigendecomposition, and the only
-    # SVDs are the condition numbers of stacks of square interface systems
-    # (at most 6 x 6 for a cored family-1 sweep), never a sector basis.  Each
+    # bases are closed forms: no Hermitian eigendecomposition, and no SVD
+    # (the sector solves take their conditions from the LU inverse, and no
+    # sector basis is a null space).  Each
     # degree's ladders are stored stacked, so no np.stack of ladder matrices
     # (arrays sharing memory with a stored ladder) runs either.
     configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
@@ -1002,7 +1002,7 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[-1] == "0 0 6 0 0"
+    assert r.stdout.splitlines()[-1] == "0 0 0 0 0"
 
 
 def test_cold_sweeps_build_no_member_and_test_no_degree(tmp_path):
@@ -1340,17 +1340,15 @@ def test_growth_fit_is_the_exact_least_squares_slope(tmp_path, monkeypatch):
         assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want))), (E, got, float(want))
 
 
-def test_gated_runs_call_no_least_squares_driver(tmp_path, monkeypatch, capsys):
-    # the fit is closed-form: with np.linalg.lstsq raising, each gated sweep
-    # at seed 1 and the witness command on its config print what they print
-    # without the patch, and exit as they do: 0, except witness on the cored
-    # family-2 config, which no witness bounds (exit 2, as before)
+def _gated_runs_without(driver, tmp_path, monkeypatch, capsys) -> dict:
+    """(exit code, stdout, stderr, CSV) of each gated sweep at seed 1 and of the witness command on its config,
+    keyed by (command, config name), each run without and with ``np.linalg.<driver>`` patched to raise."""
     import numpy as np
 
     from elastoplasmon import cli
 
-    def lstsq(*args, **kwargs):
-        raise AssertionError("np.linalg.lstsq called")
+    def raising(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{driver} called")
 
     runs = {}
     for name, _, path in _gated_configs(_perfbench_module("workloads", monkeypatch), 1, tmp_path):
@@ -1359,15 +1357,92 @@ def test_gated_runs_call_no_least_squares_driver(tmp_path, monkeypatch, capsys):
             for patched in (False, True):
                 with monkeypatch.context() as m:
                     if patched:
-                        m.setattr(np.linalg, "lstsq", lstsq)
+                        m.setattr(np.linalg, driver, raising)
                     code = cli.main(argv)
                 out = capsys.readouterr()
                 csv = (tmp_path / f"{name}.csv").read_bytes() if argv[0] == "sweep" else None
                 runs.setdefault((argv[0], name), []).append((code, out.out, out.err, csv))
+    # exit 0, except witness on the cored family-2 config, which no witness bounds (exit 2)
     assert {key: got[0][0] for key, got in runs.items()} == {
         (command, name): 2 if (command, name) == ("witness", "cored_zeta2_4") else 0
         for command in ("sweep", "witness") for name in ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")}
+    return runs
+
+
+def test_gated_runs_call_no_least_squares_driver(tmp_path, monkeypatch, capsys):
+    # the fit is closed-form: with np.linalg.lstsq raising, each gated sweep
+    # at seed 1 and the witness command on its config print what they print
+    # without the patch, and exit as they do
+    runs = _gated_runs_without("lstsq", tmp_path, monkeypatch, capsys)
     assert all(got[0] == got[1] for got in runs.values())
+
+
+def test_gated_runs_call_no_svd(tmp_path, monkeypatch, capsys):
+    # the sector solves take their conditions from the LU inverse
+    # (np.linalg.cond(A, 1)): with np.linalg.svd raising, each gated sweep at
+    # seed 1 and the witness command on its config print and write what they
+    # do without the patch, and exit as they do
+    runs = _gated_runs_without("svd", tmp_path, monkeypatch, capsys)
+    assert all(got[0] == got[1] for got in runs.values())
+
+
+def test_one_norm_condition_brackets_the_spectral_one(tmp_path, monkeypatch, capsys):
+    # the solve reads the exact 1-norm condition kappa_1 of each equilibrated
+    # system and bounds its 2-norm in the backward error by the largest row
+    # 2-norm, where an SVD gave kappa_2 and the 2-norm.  On the seeded
+    # systems and on every system the four gated sweeps hand to the solve at
+    # seeds 1-7: kappa_2 / m <= kappa_1 <= m kappa_2 (kappa_1 is inf only
+    # for the exactly singular system, whose LU fails), the row bound is at
+    # most the 2-norm, so for the same solution the backward error is at
+    # least the spectral one, and on the sweeps the refusals at the cap of
+    # 1e9 are the SVD route's, both sides of the cap being reached
+    import numpy as np
+
+    from elastoplasmon import cli, transmission
+    from oracles import (equilibrated, one_norm_condition, seeded_square_systems, spectral_condition,
+                         square_solve_reference)
+
+    swept = []
+    solve = transmission._square_solve
+
+    def recorded(M, b, what, max_condition):
+        swept.extend(zip(M.copy(), b.copy(), what, max_condition))
+        return solve(M, b, what, max_condition)
+
+    monkeypatch.setattr(transmission, "_square_solve", recorded)
+    monkeypatch.setattr(transmission._unit_layer, "cache", {})
+    workloads = _perfbench_module("workloads", monkeypatch)
+    for seed in range(1, 8):
+        for name, _, path in _gated_configs(workloads, seed, tmp_path):
+            assert cli.main(["sweep", "--config", str(path), "--csv", str(tmp_path / f"{name}.csv")]) == 0
+    capsys.readouterr()
+
+    def outcome(M, b, condition):
+        try:
+            return square_solve_reference(M.copy(), b.copy(), "system", math.inf, condition)
+        except (ArithmeticError, RuntimeError, np.linalg.LinAlgError) as exc:
+            return exc
+
+    seeded = [(M, b, "system", cap) for M, b, cap in seeded_square_systems()]
+    singular, refused = 0, set()
+    for M, b, what, cap in seeded + swept:
+        m, (_, _, A) = len(M), equilibrated(M)
+        (k1, bound), (k2, norm2) = one_norm_condition(A), spectral_condition(A)
+        assert bound <= norm2, what
+        if k1 == math.inf:
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(A, b)
+            singular += 1
+            continue
+        assert k2 / m <= k1 <= m * k2, (what, k1, k2)
+        got, spectral = outcome(M, b, one_norm_condition), outcome(M, b, spectral_condition)
+        assert type(got) is type(spectral), what
+        if isinstance(got, tuple):
+            assert got[0].tobytes() == spectral[0].tobytes() and got[2] >= spectral[2], what
+        if cap == 1e9:
+            assert (k1 > cap) == (k2 > cap), (what, k1, k2)
+            refused.add(k1 > cap)
+    assert singular == 1 and len(swept) == 7 * (2 * 2 * 13 + 2 * 4) + 13 and refused == {False, True}
 
 
 def test_np_spectrum_solves_its_unit_layers_as_two_stacks(tmp_path, monkeypatch):

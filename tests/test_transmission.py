@@ -41,6 +41,7 @@ from oracles import (
     mp_square_solve,
     project_source,
     projected_radial_profile,
+    seeded_square_systems,
     square_solve_reference,
     toroidal_single_layer,
     volume_dissipation,
@@ -781,25 +782,6 @@ def test_spheroidal_solve_is_scale_free_in_the_moduli(e, tmp_path, capsys):
             assert code == 2 and "out of the float range" in json.loads(err.splitlines()[-1])["error"], (e, err)
 
 
-def _seeded_systems():
-    """Random complex systems of sizes 2..12, conditions 1 to 1e15, rows scaled over 16 decades, each solved
-    uncapped, capped at 0 (its condition read from the refusal) and capped at 1e9, then a Wilkinson matrix of
-    size 100, whose LU growth 2^99 defeats refinement, and an exactly singular one: (M, b, cap) each."""
-    rng = np.random.default_rng(20261018)
-    cases = []
-    for size in (2, 4, 6, 8, 12):
-        for log_cond in (0, 6, 12, 15):
-            U, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
-            V, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
-            M = (U * np.logspace(0, -log_cond, size)) @ V.conj().T * 10.0 ** rng.uniform(-8, 8, size=(size, 1))
-            b = rng.normal(size=size) + 1j * rng.normal(size=size)
-            cases += [(M, b, math.inf), (M, b, 0.0), (M, b, 1e9)]
-    W = (np.eye(100) - np.tril(np.ones((100, 100)), -1)).astype(complex)
-    W[:, -1] = 1.0
-    return cases + [(W, rng.normal(size=100) + 0j, math.inf),
-                    (np.ones((4, 4), dtype=complex), np.ones(4, dtype=complex), math.inf)]
-
-
 def _square_solve_alone(M, b, what, cap):
     """The stacked solve's outcome for one system in a stack of its own (an error it raises propagates)."""
     return transmission._square_solve(M[None], b[None], [what], [cap])[0]
@@ -812,7 +794,7 @@ def test_square_solve_is_the_reference_on_seeded_systems():
     # LinAlgError, led by the system's name
     kinds = set()
     zero_capped = 0
-    for M, b, cap in _seeded_systems():
+    for M, b, cap in seeded_square_systems():
         got = _solve_outcome(_square_solve_alone, M, b, "system", cap)
         assert got == _solve_outcome(square_solve_reference, M, b, "system", cap), (M.shape, cap)
         kinds.add(got[0] if isinstance(got[0], type) else "solved")
@@ -828,7 +810,7 @@ def test_column_over_the_square_solve_isolates_a_singular_system():
     # solves its systems one at a time.  Only the singular system gets the
     # error, its own name leading the message, and every system's outcome
     # is bit for bit its solve alone
-    systems = [(M, b, f"system {i}", cap) for i, (M, b, cap) in enumerate(_seeded_systems())]
+    systems = [(M, b, f"system {i}", cap) for i, (M, b, cap) in enumerate(seeded_square_systems())]
     calls = []
 
     def values(idx, states):
