@@ -25,7 +25,8 @@ import numpy as np
 from .lame import LameParams, SectorCheckError, mode_constants, plasmon_constants
 from .energy import dissipation_E
 from .transmission import SourceSpec, UnconvergedSolveError, solve_modes
-from .scenarios import WITNESSES, SweepResult, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
+from .scenarios import (SweepResult, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep,
+                        witness_scalars)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -435,14 +436,14 @@ def _cmd_witness(args) -> int:
     cfg = load_config(args.config)
     delta = _single_loss(args, cfg)
     med, src = _configuration(cfg)(delta)
-    witnesses = [w for w in WITNESSES if w.applies(med)]  # every one, unlike a sweep row
-    failures = []
-    for w in witnesses:
-        try:
-            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(w.labels, w.scalars(med, src, delta))))
-        except (ValueError, ArithmeticError) as exc:
-            failures.append(f"{w.name}: {type(exc).__name__}: {exc}")
-    if len(failures) == len(witnesses):
+    failures, shown = [], 0
+    for w, got in witness_scalars(med, src, delta):  # every one that applies, unlike a sweep row
+        if isinstance(got, Exception):
+            failures.append(f"{w.name}: {type(got).__name__}: {got}")
+        else:
+            shown += 1
+            print("  ".join(f"{label} = {_fmt(v)}" for label, v in zip(w.labels, got)))
+    if not shown:
         raise ValidationError("no witness applies: " + "; ".join(failures))
     return EXIT_OK
 

@@ -33,9 +33,12 @@ __all__ = [
 ]
 
 
+SANDWICH_SLACK = 1e-9
+
+
 class EnergyReport(NamedTuple):
-    """One row of a loss sweep; ``sandwich_ok``: J_lower <= E_delta <= I_upper to ``slack * |E_delta|``, else
-    ``sandwich_break`` names the bound that breaks it (``"I_upper = ... below"``)."""
+    """One row of a loss sweep; ``sandwich_ok``: J_lower <= E_delta <= I_upper to ``SANDWICH_SLACK`` relative,
+    else ``sandwich_break`` names the bound that breaks it (``"I_upper = ... below"``)."""
 
     delta: float
     E_delta: float
@@ -44,11 +47,11 @@ class EnergyReport(NamedTuple):
     J_lower: float | None = None
     n_delta: int | None = None
 
-    def sandwich_ok(self, slack: float = 1e-9) -> bool:
-        return self.sandwich_break(slack) is None
+    def sandwich_ok(self) -> bool:
+        return self.sandwich_break() is None
 
-    def sandwich_break(self, slack: float = 1e-9) -> str | None:
-        tol = slack * abs(self.E_delta)
+    def sandwich_break(self) -> str | None:
+        tol = SANDWICH_SLACK * abs(self.E_delta)
         if self.J_lower is not None and self.J_lower > self.E_delta + tol:
             return f"J_lower = {self.J_lower!r} above"
         if self.I_upper is not None and self.I_upper < self.E_delta - tol:

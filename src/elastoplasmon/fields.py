@@ -41,7 +41,7 @@ import numpy as np
 
 from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
-from .scenarios import _core_bound, _fixed_c_bound, _nocore_bound, _radial_bound
+from .scenarios import _core_bound, _fixed_c_bound, _nocore_bound, _radial_bound, _row_solves
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _check_source_mode, _ok,
                            _radial_profile, _region_blocks, _region_layout)
 
@@ -576,7 +576,8 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[Mod
     loss-free system of condition above 1e9 raises
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
-    I_upper, solutions = _ok(_fixed_c_bound([(medium, source, medium.delta)])[0])
+    rows = [(medium, source, medium.delta)]
+    I_upper, solutions = _ok(_fixed_c_bound(rows, _row_solves(rows, lossy=False)[1])[0])
     return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
@@ -586,7 +587,7 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
     Needs medium.c equal to a plasmon constant of the dominant source mode.
     Returns (psi pieces at the optimal amplitude, J lower bound, tau).
     """
-    J_lower, tau, mode = _ok(_nocore_bound([(medium, source, delta)])[0])
+    J_lower, tau, mode = _ok(_nocore_bound([(medium, source, delta)], [[]])[0])
     return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
 
@@ -598,7 +599,7 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     core interface through an exact per-mode elliptic solve.  Returns
     (v pieces, psi pieces, J lower bound, tau).
     """
-    J_lower, tau, (n0, fam, k), v_tilde = _ok(_core_bound([(medium, source, delta)])[0])
+    J_lower, tau, (n0, fam, k), v_tilde = _ok(_core_bound([(medium, source, delta)], [[]])[0])
     K, psi_hat = _unit_wave(medium, n0, fam, k)
     v_hat = _profile_fields([(_radial_profile(medium.base, n0, fam), {n0: K}, (0.0, medium.core_radius, math.inf),
                               v_tilde)])
@@ -614,7 +615,8 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     per-mode solves.  Off-schedule degrees take the loss-free field of
     :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
     """
-    I_upper, scheduled, off = _ok(_radial_bound([(medium, source, delta)])[0])
+    rows = [(medium, source, delta)]
+    I_upper, scheduled, off = _ok(_radial_bound(rows, _row_solves(rows, lossy=False)[1])[0])
     a, R, q = medium.core_radius, medium.shell_radius, source.q
     parts = [(_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)}, v, w)
              for n, k, v, w in scheduled]

@@ -22,16 +22,15 @@ the radial profiles and the source coefficients.  :data:`WITNESSES` lists
 each witness once (its bound, whether it needs a core, its core and the
 scalars it prints); a sweep and the ``witness`` command read it and build
 no field.  A core is a :func:`~elastoplasmon.transmission._column` of
-(medium, source, loss) rows, per row its scalars or its error.  A sweep
-solves one column of sector systems: every row's lossy solve and the
-loss-free solve of the rows the fixed-multiplier witness applies to, which
-the primal witnesses read instead of solving.  It takes the dissipations of
+(medium, source, loss) rows, per row its scalars or its error; the primal
+cores read the rows' loss-free solves, one column (:func:`_row_solves`).  A
+sweep solves its lossy rows in that column too, takes the dissipations of
 its rows as one flux and runs each core once, on the rows it applies to
 (the radial witness only on its schedule outside R^{3/2}), and records each
 witness that raises and each row's largest conditions and backward errors
-in ``SweepResult.meta`` (:func:`_sweep_rows`).  The ``witness`` command and
-the public ``witness_*`` builders of :mod:`~elastoplasmon.fields` run a core
-on a column of one; the builders also return the fields.
+in ``SweepResult.meta`` (:func:`_sweep_rows`).  The ``witness`` command
+(:func:`witness_scalars`) and the public ``witness_*`` builders of
+:mod:`~elastoplasmon.fields` run the cores on a column of one.
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -53,7 +52,7 @@ from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError
                            _solve_column, _traces, _wave_amplitudes)
 
 __all__ = [
-    "SweepResult", "Witness", "WITNESSES", "schedule_n_delta", "sweep", "fixed_configuration",
+    "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
     "scheduled_configuration",
 ]
 
@@ -90,23 +89,6 @@ def _require_family1(source: SourceSpec, what: str) -> None:
         raise ValueError(f"{what} needs a family-1 source")
 
 
-def _loss_free(rows, degrees, loss_free: list | None = None) -> list:
-    """Per row the loss-free solve outcomes of its ``degrees``: each a solution or the error of its solve.
-
-    ``loss_free`` holds per row the outcome of each of ``source.degrees()``
-    (a :class:`~elastoplasmon.transmission.ModeSolution` or the error of its
-    solve), as a sweep's loss-free column gives it; else the rows' degrees
-    are solved as one column.
-    """
-    if loss_free is None:
-        flat = iter(_solve_column([(replace(med, delta=0.0), src, n) for (med, src, _), ns in zip(rows, degrees)
-                                   for n in ns]))
-        by_degree = [{n: next(flat) for n in ns} for ns in degrees]
-    else:
-        by_degree = [dict(zip(src.degrees(), lf)) for (_, src, _), lf in zip(rows, loss_free)]
-    return [[got[n] for n in ns] for got, ns in zip(by_degree, degrees)]
-
-
 def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> None:
     if medium.core_radius is None:
         raise ValueError("fixed-multiplier witness needs a core")
@@ -115,14 +97,30 @@ def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> 
         raise ValueError("delta must be positive")
 
 
-def _fixed_c_bound(rows, loss_free: list | None = None) -> list:
+def _row_solves(rows, lossy: bool) -> tuple[list, list]:
+    """Per (medium, source, delta) row the outcomes of its lossy solves (none unless ``lossy``) and of its loss-free
+    ones, one per degree of the source, all one column (none if empty).  A row has loss-free solves where the
+    fixed-multiplier witness's checks pass, the rows the primal witnesses read."""
+    items = [[(med, src, n) for n in src.degrees()] if lossy else [] for med, src, _ in rows]
+    for med, src, delta in rows:
+        try:
+            _fixed_c_checks(med, src, delta)
+        except ValueError:
+            items.append([])
+            continue
+        items.append([(replace(med, delta=0.0), src, n) for n in src.degrees()])
+    flat = iter(_solve_column([item for row in items for item in row]) if any(items) else ())
+    got = [[next(flat) for _ in row] for row in items]
+    return got[:len(rows)], got[len(rows):]
+
+
+def _fixed_c_bound(rows, loss_free: list) -> list:
     """Per (medium, source, delta) row: (I(v, 0), loss-free solutions), or the row's error.
 
     I(v, 0) is that of the loss-free field at the row's loss, by one flux
-    over the rows; the loss-free solutions are those of :func:`_loss_free`."""
+    over the rows; the loss-free solutions are the row's ``loss_free``."""
     def values(idx, _):
-        free = _loss_free([rows[i] for i in idx], [rows[i][1].degrees() for i in idx],
-                          None if loss_free is None else [loss_free[i] for i in idx])
+        free = [loss_free[i] for i in idx]
         return [p if isinstance(p, Exception) else (0.5 * rows[i][2] * p, sols)
                 for i, sols, p in zip(idx, free, solution_pairings(free))]
     return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
@@ -186,7 +184,7 @@ def _nocore_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
     return _dual_mode(medium, source)
 
 
-def _nocore_bound(rows) -> list:
+def _nocore_bound(rows, loss_free: list) -> list:
     """Per (medium, source, delta) row: (J lower bound, tau, dominant mode) of the core-free dual witness, or its error."""
     def values(idx, states):
         C0, C_psi, _, _ = _dual_constants(rows, idx, states)
@@ -205,21 +203,25 @@ def _core_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
     return _dual_mode(medium, source)
 
 
-def _core_bound(rows) -> list:
+def _repair(media, degrees, stack, amps, at, sign: float) -> np.ndarray:
+    """Per row the family-1 single layer on the sphere ``at[i]`` of density ``sign`` (c - 1) times the traction
+    there of the entire degree-n block of ``amps[i]``: an interface repair."""
+    _, T = _traces(stack, amps, at, slice(0, 1))
+    density = (np.array([sign * (med.c - 1.0) for med in media]) * T[:, 0]).tolist()
+    return _single_layers([(med.base, n, 1, rho, d) for med, n, rho, d in zip(media, degrees, at, density)])
+
+
+def _core_bound(rows, loss_free: list) -> list:
     """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair amplitudes), or its error.
 
-    The cored dual witness, the rows as one stack; the core repair's
-    amplitudes are those of :func:`~elastoplasmon.transmission._single_layer`
-    on the core sphere."""
+    The cored dual witness, the rows as one stack, repaired on the core
+    sphere (:func:`_repair`)."""
     def values(idx, states):
         C0, C_psi, stack, waves = _dual_constants(rows, idx, states)
-        # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere
+        # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere, v = tau v_tilde / delta
         media = [rows[i][0] for i in idx]
         cores = [med.core_radius for med in media]
-        _, T = _traces(stack, waves[:, 0], cores, slice(0, 1))
-        rho1 = (np.array([med.c - 1.0 for med in media]) * T[:, 0]).tolist()  # per unit tau
-        v_tilde = _single_layers([(med.base, s[0][0], 1, a, -r)  # -L v_tilde = rho1 K Y, v = tau v_tilde / delta
-                                  for med, s, a, r in zip(media, states, cores, rho1)])
+        v_tilde = _repair(media, [s[0][0] for s in states], stack, waves[:, 0], cores, -1.0)
         P_vt = profile_pairings(stack, [(0.0, a, math.inf) for a in cores], v_tilde).tolist()
         out = []
         for i, s, c0, cp, p, v in zip(idx, states, C0, C_psi, P_vt, v_tilde):
@@ -260,38 +262,32 @@ def _radial_modes(rows, modes: list) -> tuple:
     (the family-1 single layers of the defects of v's traction times c - 1)."""
     media = [rows[i][0] for i, *_ in modes]
     q = [rows[i][1].q for i, *_ in modes]
-    profs = [_radial_profile(med.base, n, 1) for med, (_, n, _, _) in zip(media, modes)]
-    stack = _profile_stack(profs)
+    degrees = [n for _, n, _, _ in modes]
+    stack = _profile_stack([_radial_profile(med.base, n, 1) for med, n in zip(media, degrees)])
     v = _single_layers([(med.base, n, 1, rho, gamma) for med, (_, n, _, gamma), rho in zip(media, modes, q)])
-    repairs = []
-    for sgn, at in ((1.0, [med.core_radius for med in media]), (-1.0, [med.shell_radius for med in media])):
-        _, T = _traces(stack, v[:, 0], at, slice(0, 1))
-        density = (np.array([sgn * (med.c - 1.0) for med in media]) * T[:, 0]).tolist()
-        repairs.append(_single_layers([(med.base, n, 1, rho, d) for med, (_, n, _, _), rho, d
-                                       in zip(media, modes, at, density)]))
-    ra, rR = repairs
+    cores, shells = [med.core_radius for med in media], [med.shell_radius for med in media]
+    ra, rR = _repair(media, degrees, stack, v[:, 0], cores, 1.0), _repair(media, degrees, stack, v[:, 0], shells, -1.0)
     w = np.stack((ra[:, 0] + rR[:, 0], ra[:, 1] + rR[:, 0], ra[:, 1] + rR[:, 1]), axis=1)  # on (0, a, R, inf)
     P_v = profile_pairings(stack, [(0.0, q_i, math.inf) for q_i in q], v).tolist()
     P_w = profile_pairings(stack, [(0.0, med.core_radius, med.shell_radius, math.inf) for med in media], w).tolist()
     return v, w, P_v, P_w
 
 
-def _radial_bound(rows, loss_free: list | None = None) -> list:
+def _radial_bound(rows, loss_free: list) -> list:
     """Per (medium, source, delta) row: (I(v, w) of the radial primal witness by flux, scheduled, off), or its error.
 
     ``scheduled`` holds (n, k, v amplitudes, w amplitudes) per scheduled
     mode, v on the radii (0, q, inf) and w on (0, core, shell, inf) (the
     form :func:`~elastoplasmon.fields._profile_fields` reads), ``off``
-    the loss-free solutions of the off-schedule degrees
-    (:func:`_loss_free`).  Scheduled modes, distinct members and distinct
-    degrees are orthogonal, so their energies add; the two repairs of one
-    mode share its member.  The scheduled modes of the rows are one stack.
+    the row's loss-free solutions of the off-schedule degrees.  Scheduled
+    modes, distinct members and distinct degrees are orthogonal, so their
+    energies add; the two repairs of one mode share its member.  The
+    scheduled modes of the rows are one stack.
     """
     def values(idx, states):
         modes = [(i, n, k, gamma) for i, (scheduled, _) in zip(idx, states) for n, k, gamma in scheduled]
         v, w, P_v, P_w = _radial_modes(rows, modes) if modes else ([], [], [], [])
-        off = _loss_free([rows[i] for i in idx], [off for _, off in states],
-                         None if loss_free is None else [loss_free[i] for i in idx])
+        off = [[dict(zip(rows[i][1].degrees(), loss_free[i]))[n] for n in ns] for i, (_, ns) in zip(idx, states)]
         out = []
         at = 0
         for i, (scheduled, _), sols, p_off in zip(idx, states, off, solution_pairings(off)):
@@ -308,36 +304,42 @@ def _radial_bound(rows, loss_free: list | None = None) -> list:
 
 
 class Witness(NamedTuple):
-    """One row of :data:`WITNESSES`; ``core(rows)`` returns per (medium, source, delta) row its scalars or its error.
+    """One row of :data:`WITNESSES`; ``core(rows, loss_free)`` returns per (medium, source, delta) row its scalars
+    or its error.
 
-    The scalars start with the bound.  A core that reads the loss-free
-    field (``reads_loss_free``) also takes it as ``loss_free``, per row the
-    outcomes a sweep's loss-free column gives (:func:`_loss_free`).
+    The scalars start with the bound; ``loss_free`` holds per row its
+    loss-free solves (:func:`_row_solves`), read by the primal cores.
     """
 
     name: str  # the public builder, in elastoplasmon.fields
     bound: str  # "I_upper" (primal) or "J_lower" (dual)
     cored: bool  # for cored media only, else for core-free media only
-    core: Callable[[list], list]
+    core: Callable[[list, list], list]
     labels: tuple[str, ...]  # the leading scalars of the core, as the witness command prints them
-    reads_loss_free: bool = False
 
     def applies(self, medium: LayeredMedium) -> bool:
         return self.cored == (medium.core_radius is not None)
-
-    def scalars(self, medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple:
-        """The core's scalars on a column of one row, its error raised."""
-        return _ok(self.core([(medium, source, delta)])[0])
 
 
 # every witness, in the order the witness command prints them
 WITNESSES = (
     Witness("witness_nocore", "J_lower", False, _nocore_bound, ("J_lower", "tau")),
-    Witness("witness_fixed_c", "I_upper", True, _fixed_c_bound, ("I_upper",), reads_loss_free=True),
+    Witness("witness_fixed_c", "I_upper", True, _fixed_c_bound, ("I_upper",)),
     Witness("witness_core_resonant", "J_lower", True, _core_bound, ("J_lower", "tau")),
-    Witness("witness_radial_nonresonant", "I_upper", True, _radial_bound, ("I_upper_scheduled",),
-            reads_loss_free=True),
+    Witness("witness_radial_nonresonant", "I_upper", True, _radial_bound, ("I_upper_scheduled",)),
 )
+
+
+def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
+    """Yield (witness, its core's scalars or ``ValueError`` or ``ArithmeticError``) per witness of :data:`WITNESSES`
+    that applies to the medium, on the row (medium, source, delta), whose loss-free solves are one column; another
+    error is raised."""
+    rows = [(medium, source, delta)]
+    _, loss_free = _row_solves(rows, lossy=False)
+    for w in WITNESSES:
+        if w.applies(medium):
+            got = w.core(rows, loss_free)[0]
+            yield w, got if isinstance(got, (ValueError, ArithmeticError)) else _ok(got)
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +409,8 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     no witness bounds is None.  A witness that applies but raises
     ``ValueError`` or ``ArithmeticError`` is a refusal (row, loss, degree,
     witness, bound, exception type and message).  The work is done by
-    columns: one solve (:func:`~elastoplasmon.transmission._solve_column`)
-    of the lossy rows and the loss-free ones of the rows that pass the
-    fixed-multiplier witness's checks, whose primal witnesses read them; one
+    columns: one solve of the lossy rows and the loss-free ones
+    (:func:`_row_solves`), which the primal witnesses read; one
     flux for the dissipations (:func:`~elastoplasmon.energy.dissipations`);
     and each witness core once, on the rows it applies to.  ``solves`` holds
     per row the largest condition and backward error of its lossy and of its
@@ -417,38 +418,25 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     """
     if min(deltas) <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
-    media = [(d, *configuration(d)) for d in deltas]
-    degrees = [src.degrees() for _, _, src in media]
-
-    def fixed_c_applies(med, src, d) -> bool:
-        try:
-            _fixed_c_checks(med, src, d)
-        except ValueError:
-            return False
-        return True
+    media = [(*configuration(d), d) for d in deltas]  # the (medium, source, delta) rows
+    degrees = [src.degrees() for _, src, _ in media]
 
     def tried(w, i) -> bool:
         # unlike the witness command, a sweep tries the radial witness only on
         # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
-        _, med, src = media[i]
+        med, src, _ = media[i]
         return w.applies(med) and (w.name != "witness_radial_nonresonant" or (
             src.q > med.shell_radius**1.5
             and math.isclose(med.c, plasmon_constants(med.base, max(degrees[i])).zeta1, rel_tol=1e-10)))
 
-    free = [fixed_c_applies(med, src, d) for d, med, src in media]
-    items = [(med, src, n) for (_, med, src), ns in zip(media, degrees) for n in ns]
-    items += [(replace(med, delta=0.0), src, n) for (_, med, src), ns, f in zip(media, degrees, free) if f for n in ns]
-    flat = iter(_solve_column(items))
-    lossy = [[next(flat) for _ in ns] for ns in degrees]
-    loss_free = [[next(flat) for _ in ns] if f else None for ns, f in zip(degrees, free)]
-    E = dissipations(lossy, [med for _, med, _ in media])
+    lossy, loss_free = _row_solves(media, lossy=True)
+    E = dissipations(lossy, [med for med, _, _ in media])
     found = {}
     for w in WITNESSES:
         idx = [i for i in range(len(media)) if tried(w, i)]
-        kwargs = {"loss_free": [loss_free[i] for i in idx]} if w.reads_loss_free else {}
-        found[w.name] = dict(zip(idx, w.core([(media[i][1], media[i][2], media[i][0]) for i in idx], **kwargs)))
+        found[w.name] = dict(zip(idx, w.core([media[i] for i in idx], [loss_free[i] for i in idx])))
     rows, refusals, solves = [], [], []
-    for i, ((d, med, src), outcomes, lf) in enumerate(zip(media, lossy, loss_free)):
+    for i, ((med, src, d), outcomes, lf) in enumerate(zip(media, lossy, loss_free)):
         E_delta = _ok(E[i])  # a row's error is raised when the rows before it are done
         n_delta = max(degrees[i])
         bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
@@ -461,7 +449,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
                 bounds[w.bound].append(_ok(got)[0])
         rows.append(EnergyReport(delta=d, E_delta=E_delta, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
                                  J_lower=max(bounds["J_lower"], default=None), n_delta=n_delta))
-        (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(lf or [])
+        (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(lf)
         solves.append({"row": i, "lossy_condition": lossy_cond, "lossy_backward_error": lossy_berr,
                        "loss_free_condition": free_cond, "loss_free_backward_error": free_berr})
     return rows, refusals, solves

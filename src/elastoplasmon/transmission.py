@@ -567,51 +567,35 @@ def _solve_systems(systems: list) -> list:
     return _column(len(systems), systems.__getitem__, values, key=lambda s: (len(s[0]), len(s[2].degrees)))
 
 
-def _unit_system(params: LameParams, n: int, fam: int) -> tuple:
-    """The system of :func:`_unit_layer`, as :func:`_solve_systems` takes it."""
-    return [1.0], [1.0, 1.0], _radial_profile(params, n, fam), f"degree-{n} family-{fam} single layer", math.inf
-
-
-@_once_per_key
-def _unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray]:
-    """:func:`_single_layer` on the unit sphere for a unit density, solved once per key: (profile, amplitudes)."""
-    system = _unit_system(params, n, fam)
-    amps, _, _ = _ok(_solve_systems([system])[0])
-    return system[2], amps.real  # the solve of a real system: its amplitudes are real
-
-
-def _single_layer(params: LameParams, n: int, fam: int, rho: float,
-                  density: complex = 1.0) -> tuple[_RadialProfile, np.ndarray]:
-    """The single layer of a sector density on the sphere rho: (profile, amplitudes inside and outside rho).
-
-    The profile field on the radii (0, rho, inf) continuous across rho
-    whose traction (outside minus inside) jumps there by ``density`` times
-    the degree-n shape: :func:`_single_layers` of one.
-    """
-    return _radial_profile(params, n, fam), _single_layers([(params, n, fam, rho, density)])[0]
-
-
 def _single_layers(items) -> np.ndarray:
     """Single layers of (params, degree, family, sphere rho, density) items of one profile shape: (k, 2, B) amplitudes.
 
-    Item i is the :func:`_unit_layer` with each block of power p times
-    density rho^(1-p).  ``ArithmeticError`` naming rho for the first item
-    where such a power leaves the normal float range.  The unit layers not
-    yet kept are solved first, as one stack (:func:`_solve_systems`), and
-    kept in ``_unit_layer.cache``; a key whose profile or solve raises is left
-    to :func:`_unit_layer`, which raises it for the first such item."""
+    Item i is the profile field on the radii (0, rho, inf), continuous
+    across rho, whose traction (outside minus inside) jumps there by
+    ``density`` times the degree-n shape: the unit-sphere layer (one square
+    system with one interface, for a unit density) with each block of power
+    p times density rho^(1-p).  The unit layers are kept per key in
+    ``_single_layers.cache``; those missing are solved as one stack
+    (:func:`_solve_systems`), and the first item whose profile or solve
+    fails raises that error.  ``ArithmeticError`` naming rho for the first
+    item where a power rho^(1-p) leaves the normal float range."""
+    cache = _single_layers.cache
     keys = [_key(params, n, fam) for params, n, fam, _, _ in items]
-    systems = {}
-    for key in keys:
-        if key not in _unit_layer.cache and key not in systems:
+    pending = {}  # per missing key its unit system, or the error of its profile
+    for key, (params, n, fam, _, _) in zip(keys, items):
+        if key not in cache and key not in pending:
             try:
-                systems[key] = _unit_system(LameParams(*key[:2]), *key[2:])
-            except (ArithmeticError, ValueError):
-                pass
-    for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values())) if systems else ()):
-        if not isinstance(got, Exception):
-            _unit_layer.cache[key] = (system[2], got[0].real)
-    units = [_unit_layer.cache.get(key) or _unit_layer(*item[:3]) for key, item in zip(keys, items)]
+                pending[key] = ([1.0], [1.0, 1.0], _radial_profile(params, n, fam),
+                                f"degree-{n} family-{fam} single layer", math.inf)
+            except (ArithmeticError, ValueError) as exc:
+                pending[key] = exc
+    systems = {key: system for key, system in pending.items() if not isinstance(system, Exception)}
+    for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values()))):
+        if isinstance(got, Exception):
+            pending[key] = got
+        else:
+            cache[key] = (system[2], got[0].real)  # the solve of a real system: its amplitudes are real
+    units = [cache.get(key) or _ok(pending[key]) for key in keys]
     scales = []
     for (prof, _), (_, n, fam, rho, _) in zip(units, items):
         rho = float(rho)
@@ -626,6 +610,9 @@ def _single_layers(items) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         return (np.array([density for *_, density in items], dtype=complex)[:, None, None]
                 * np.array([unit for _, unit in units])) * np.array(scales)[:, None, :]
+
+
+_single_layers.cache = {}  # (float lambda, float mu, n, family) -> (profile, unit-sphere amplitudes (2, B))
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:

@@ -41,7 +41,7 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import (_profile_stack, _radial_profile, _region_blocks, _single_layer, _single_layers, _traces,
+from .transmission import (_column, _ok, _profile_stack, _radial_profile, _region_blocks, _single_layers, _traces,
                            _wave_amplitudes)
 
 __all__ = [
@@ -310,27 +310,31 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     multiple is half the sum of its two one-sided traction scalars on degree
     n; a partner-degree part above 1e-11 of the largest of them raises
     :class:`SectorCheckError`.  Each multiple is emitted 2J + 1 times, once
-    per member of its sector, as the dense matrix's eigenvalues are.
-    Returns (eigenvalue, degree n) pairs sorted by eigenvalue.
+    per member of its sector, as the dense matrix's eigenvalues are.  The
+    layers of one profile shape are one stacked solve; an error is raised
+    for the first (degree, family) that has one.  Returns (eigenvalue,
+    degree n) pairs sorted by eigenvalue.
     """
-    shapes: dict[int, list] = {}  # the unit layers of every degree, kept first: one stacked solve per profile shape
-    for n, fam in ((n, fam) for n in range(1, n_max + 1) for fam in (1, 2, 3)):
-        shapes.setdefault(len(_radial_profile(params, n, fam).degrees), []).append((params, n, fam, 1.0, 1.0))
-    for items in shapes.values():
-        _single_layers(items)
+    modes = [(n, fam, J, _radial_profile(params, n, fam)) for n in range(1, n_max + 1)
+             for fam, J in ((1, n), (2, n - 1), (3, n + 1))]
+
+    def values(idx, states):  # the layers of one profile shape: one stacked solve, one trace per side
+        layers = _single_layers([(params, n, fam, R, 1.0) for n, fam, _, _ in states])
+        stack, D = _profile_stack([prof for *_, prof in states]), len(states[0][3].degrees)
+        (_, inside), (_, outside) = (_traces(stack, layers[:, reg], [R] * len(idx), _region_blocks(reg, 2, D))
+                                     for reg in (0, 1))
+        return list(zip(inside, outside))
+
     out = []
-    for n in range(1, n_max + 1):
-        for fam, J in ((1, n), (2, n - 1), (3, n + 1)):
-            prof, layer = _single_layer(params, n, fam, R)
-            D = len(prof.degrees)
-            inside, outside = (_traces(_profile_stack([prof]), layer[None, reg], [R], _region_blocks(reg, 2, D))[1][0]
-                               for reg in (0, 1))
-            scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
-            kstar = ((inside + outside) / 2.0).tolist()
-            stray = max((abs(t) for t in kstar[1:]), default=0.0)
-            if not stray <= 1e-11 * scale:
-                raise SectorCheckError(f"K* of the degree-{n} family-{fam} shape leaves its sector "
-                                       f"(partner part {stray / scale:.3e})")
-            out += [(float(kstar[0].real), n)] * (2 * J + 1)
+    for (n, fam, J, _), got in zip(modes, _column(len(modes), modes.__getitem__, values,
+                                                   key=lambda mode: len(mode[3].degrees))):
+        inside, outside = _ok(got)
+        scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
+        kstar = ((inside + outside) / 2.0).tolist()
+        stray = max((abs(t) for t in kstar[1:]), default=0.0)
+        if not stray <= 1e-11 * scale:
+            raise SectorCheckError(f"K* of the degree-{n} family-{fam} shape leaves its sector "
+                                   f"(partner part {stray / scale:.3e})")
+        out += [(float(kstar[0].real), n)] * (2 * J + 1)
     out.sort(key=lambda t: t[0])
     return out

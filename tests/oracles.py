@@ -56,8 +56,9 @@ traces at random interface points and project tractions on a sphere rule
 
 ``toroidal_single_layer`` is the family-1 single layer on a sphere in closed
 form, the route of the witnesses' core repair, interface repairs and incident
-wave that ``transmission._single_layer`` (one unit-sphere sector solve,
-scaled) replaced.
+wave that ``transmission._single_layers`` (unit-sphere sector solves,
+scaled) replaced.  ``unit_layer`` is the unit-sphere layer of one key solved
+alone, the value ``_single_layers`` keeps for it.
 
 ``single_layer_field`` is the Kelvin single layer of a density G Y_n on a
 sphere, from the exact radial factors of the Newtonian and distance
@@ -190,7 +191,10 @@ from elastoplasmon.transmission import (
     _RadialProfile,
     _profile_from_blocks,
     _region_blocks,
+    _ok,
+    _radial_profile,
     _region_layout,
+    _solve_systems,
     _square_solve,
 )
 from elastoplasmon.waves import PerfectWave, _realify, _unvec, sector_kernels
@@ -1714,17 +1718,25 @@ def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams) -> t
 
 
 def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> list[tuple[float, float, dict]]:
-    """The family-1 single layer in closed form, the route ``transmission._single_layer`` replaced.
+    """The family-1 single layer in closed form, the route ``transmission._single_layers`` replaced.
 
     K r^n inside and K r^(-n-1) outside the sphere rho: continuity
     a rho^n = b rho^(-n-1) and the traction jump (outside minus inside)
     mu [-(n+2) b rho^(-n-2) - (n-1) a rho^(n-1)] = density give
     a = -density / ((2n+1) rho^(n-1) mu), the radial witness's incident wave
     at density gamma, and b = a rho^(2n+1), formed as rho^(n+2) so that it
-    stays in range.  Annuli as ``_single_layer`` returns them.
+    stays in range.  Annuli as ``annuli`` reads a layer of ``_single_layers``.
     """
     a = -density / ((2 * n + 1.0) * mu)
     return [(0.0, rho, {("entire", n): a / rho ** (n - 1)}), (rho, math.inf, {("decay", n): a * rho ** (n + 2)})]
+
+
+def unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray]:
+    """The unit-sphere single layer of one key solved alone, one system through ``transmission._solve_systems``:
+    (profile, real amplitudes (2, B)), as ``transmission._single_layers.cache`` keeps it."""
+    prof = _radial_profile(params, n, fam)
+    system = ([1.0], [1.0, 1.0], prof, f"degree-{n} family-{fam} single layer", math.inf)
+    return prof, _ok(_solve_systems([system])[0])[0].real
 
 
 def quadrature_np_matrix(R: float, params: LameParams, n_max: int,

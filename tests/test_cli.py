@@ -323,6 +323,29 @@ def test_witness_subcommand_without_loss_free_bound(tmp_path):
     assert not any(line.startswith("I_upper") for line in r.stdout.splitlines())
 
 
+def test_witness_solves_one_loss_free_column(tmp_path, monkeypatch, capsys):
+    # the witness command solves its row's loss-free column once, for both
+    # primal witnesses, and no empty column: one column of the two degrees
+    # on the cored fixed c = -4 config with family-1 sources at degrees 3
+    # and 5, and one of the scheduled degree on the q = 3.6 schedule
+    from elastoplasmon import cli, scenarios
+    from elastoplasmon.scenarios import schedule_n_delta
+
+    columns = []
+    solve_column = scenarios._solve_column
+    monkeypatch.setattr(scenarios, "_solve_column", lambda items: columns.append(
+        [(med.delta, n) for med, _, n in items]) or solve_column(items))
+    fixed = dict(BASE_CONFIG, source_modes=[[3, 1, 1, 1.0, 0.0], [5, 1, 2, 0.6, 0.8]])
+    scheduled = dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1})
+    for cfg, want in ((fixed, [[(0.0, 3), (0.0, 5)]]), (scheduled, [[(0.0, schedule_n_delta(2.0, 1e-3))]])):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(cfg))
+        columns.clear()
+        assert cli.main(["witness", "--config", str(path), "--delta", "1e-3"]) == 0
+        assert columns == want
+        assert capsys.readouterr().out.count("I_upper") == 2  # both primal witnesses print their bounds
+
+
 def test_np_spectrum_csv(tmp_path):
     csv = str(tmp_path / "np.csv")
     r = run_cli("np-spectrum", "--R", "1", "--nmax", "4", "--csv", csv)
@@ -426,7 +449,7 @@ def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
     from elastoplasmon.energy import dissipation_E
     from elastoplasmon.transmission import solve_modes
 
-    def low(rows, **kwargs):
+    def low(rows, loss_free):
         return [(dissipation_E(solve_modes(med, src), med) * (1 - 1e-8),) for med, src, _ in rows]
 
     monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=low) if w.name == "witness_fixed_c"
@@ -946,13 +969,13 @@ def test_tiny_moduli_are_the_unit_material(capsys):
 
 def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli
+    from elastoplasmon import cli, scenarios
 
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
     monkeypatch.setattr(cli, "solve_modes", _no_run)
-    monkeypatch.setattr(cli, "WITNESSES", tuple(w._replace(core=_no_run) if w.name == "witness_fixed_c"
-                                                else w for w in cli.WITNESSES))
+    monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=_no_run) if w.name == "witness_fixed_c"
+                                                      else w for w in scenarios.WITNESSES))
     for command in ("solve", "witness"):
         assert cli.main([command, "--config", str(path), "--delta", "1e-300"]) == 2
         assert "exceeds the largest supported degree" in json.loads(capsys.readouterr().err)["error"]
@@ -1250,7 +1273,7 @@ def test_witness_table_row_reaches_the_command_and_the_sweep(config_file, tmp_pa
     from elastoplasmon.energy import dissipation_E
     from elastoplasmon.transmission import solve_modes
 
-    def tightest(rows):
+    def tightest(rows, loss_free):
         return [(dissipation_E(solve_modes(med, src), med), 7.0) for med, src, _ in rows]
 
     stub = scenarios.Witness("witness_stub", "I_upper", True, tightest, ("I_stub", "extra"))
@@ -1410,7 +1433,7 @@ def test_one_norm_condition_brackets_the_spectral_one(tmp_path, monkeypatch, cap
         return solve(M, b, what, max_condition)
 
     monkeypatch.setattr(transmission, "_square_solve", recorded)
-    monkeypatch.setattr(transmission._unit_layer, "cache", {})
+    monkeypatch.setattr(transmission._single_layers, "cache", {})
     workloads = _perfbench_module("workloads", monkeypatch)
     for seed in range(1, 8):
         for name, _, path in _gated_configs(workloads, seed, tmp_path):
@@ -1446,12 +1469,14 @@ def test_one_norm_condition_brackets_the_spectral_one(tmp_path, monkeypatch, cap
 
 
 def test_np_spectrum_solves_its_unit_layers_as_two_stacks(tmp_path, monkeypatch):
-    # np-spectrum solves the unit layers of all its degrees first, one
-    # stacked solve per profile shape: the one-degree profiles (family 1,
-    # and family 2 at n = 1) and the two-degree ones (family 2 at n >= 2,
-    # family 3).  Its CSV is byte for byte the one each layer solved alone
-    # gives, which the per-degree loop does when the stacked fill is taken out
-    from elastoplasmon import cli, transmission, waves
+    # np-spectrum solves the unit layers of all its degrees as one stacked
+    # solve per profile shape: the one-degree profiles (family 1, and family
+    # 2 at n = 1) and the two-degree ones (family 2 at n >= 2, family 3).
+    # Its CSV is byte for byte the one it writes from layers each solved
+    # alone (one system per _solve_systems call) and kept before it runs
+    from elastoplasmon import cli, transmission
+    from elastoplasmon.lame import LameParams
+    from oracles import unit_layer
 
     stacks = []
     square_solve = transmission._square_solve
@@ -1460,10 +1485,13 @@ def test_np_spectrum_solves_its_unit_layers_as_two_stacks(tmp_path, monkeypatch)
         csv = {}
         for route in ("stacked", "alone"):
             with monkeypatch.context() as m:
-                m.setattr(transmission._unit_layer, "cache", {})
-                if route == "alone":
-                    m.setattr(waves, "_single_layers", lambda items: None)
+                m.setattr(transmission._single_layers, "cache", {})
                 stacks.clear()
+                if route == "alone":
+                    for n in range(1, nmax + 1):
+                        for fam in (1, 2, 3):
+                            transmission._single_layers.cache[(1.0, 1.0, n, fam)] = unit_layer(LameParams(1.0, 1.0),
+                                                                                              n, fam)
                 path = tmp_path / f"{route}-{nmax}.csv"
                 assert cli.main(["np-spectrum", "--nmax", str(nmax), "--csv", str(path)]) == 0
                 csv[route] = path.read_bytes()

@@ -196,6 +196,9 @@ def test_sandwich_slack_is_relative():
     assert EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, I_upper=E * (1 - 1e-10), J_lower=E * (1 + 1e-10)).sandwich_ok()
     assert not EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, I_upper=E * (1 - 1e-8)).sandwich_ok()
     assert not EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, J_lower=E * (1 + 1e-8)).sandwich_ok()
+    # the slack is 1e-9 relative
+    assert EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, I_upper=E * (1 - 0.9e-9)).sandwich_ok()
+    assert not EnergyReport(delta=1e-8, E_delta=E, c_used=-2.0, I_upper=E * (1 - 1.1e-9)).sandwich_ok()
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +518,7 @@ def test_array_flux_is_the_dict_flux(materials):
     # one column of rows and row by row; and on the witness fields, the
     # perfect waves and the single layers
     from elastoplasmon.energy import profile_pairings, solution_pairings
-    from elastoplasmon.transmission import _profile_stack, _single_layer, _wave_amplitudes
+    from elastoplasmon.transmission import _profile_stack, _single_layers, _wave_amplitudes
     from oracles import annuli, dict_profile_pairing, dict_solution_pairing
 
     rows = []
@@ -531,6 +534,7 @@ def test_array_flux_is_the_dict_flux(materials):
     for params in materials:
         for n, fam in ((2, 1), (9, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
             prof, amps, _ = _wave_amplitudes(params, n, fam, 1.5)
-            for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), _single_layer(params, n, fam, 0.8, 0.3j)[1])):
+            layer = _single_layers([(params, n, fam, 0.8, 0.3j)])[0]
+            for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), layer)):
                 got = profile_pairings(_profile_stack([prof]), [radii], a[None])[0]
                 assert got == dict_profile_pairing(prof, annuli(prof, radii, a)), (n, fam)

@@ -76,12 +76,13 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
     # -0.0 and 0.0 and the radii 2 and 2.0: whichever call comes first, the
     # kept value is a fresh evaluation at the float pair.  Integers beyond
     # 2^53 round otherwise in their own arithmetic, so they are read as the
-    # float pair too.  A call that raises keeps nothing.
+    # float pair too.  A call that raises keeps nothing.  The unit single
+    # layers are kept per key too, in the store _single_layers fills
     from elastoplasmon import lame, transmission
+    from oracles import unit_layer
 
     kept = ((lame.mode_constants, (10,)), (lame.plasmon_constants, (10,)), (transmission._radial_profile, (10, 2)),
-            (transmission._wave_amplitudes, (10, 3, 2)), (transmission._wave_amplitudes, (10, 3, 2.0)),
-            (transmission._unit_layer, (10, 2)))
+            (transmission._wave_amplitudes, (10, 3, 2)), (transmission._wave_amplitudes, (10, 3, 2.0)))
     big = LameParams(1006633145311236043253, 87885138432301809200)
     pairs = ((LameParams(1, 1), LameParams(1.0, 1.0)), (LameParams(-0.0, 2), LameParams(0.0, 2.0)),
              (LameParams(3, 0.5), LameParams(3.0, 0.5)), (big, LameParams(float(big.lam), float(big.mu))))
@@ -93,6 +94,22 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
                 value = f(first, *args)
                 assert f(second, *args) is value and len(f.cache) == 1
                 assert plain_data(value) == plain_data(f.__wrapped__(floats, *args)), (f.__name__, first)
+            monkeypatch.setattr(transmission._single_layers, "cache", {})
+            transmission._single_layers([(first, 10, 2, 1.0, 1.0)])
+            (key, value), = transmission._single_layers.cache.items()
+            transmission._single_layers([(second, 10, 2, 1.0, 1.0)])
+            cache = transmission._single_layers.cache
+            assert len(cache) == 1 and cache[key] is value and key == (floats.lam, floats.mu, 10, 2)
+            assert plain_data(value) == plain_data(unit_layer(floats, 10, 2)), first
+    # an item whose unit layer fails, in its solve (family 1) or its profile
+    # (family 2), raises that error and keeps nothing; the others are kept
+    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    huge = LameParams(1e308, 1e308)
+    with pytest.raises(ArithmeticError, match="degree-4 family-1 single layer: equilibrated entries out of"):
+        transmission._single_layers([(LameParams(1, 1), 4, 1, 1.0, 1.0), (huge, 4, 1, 1.0, 1.0)])
+    with pytest.raises(ArithmeticError, match="denominator of k_n vanishes"):
+        transmission._single_layers([(huge, 5, 2, 1.0, 1.0), (LameParams(1, 1), 5, 2, 1.0, 1.0)])
+    assert list(transmission._single_layers.cache) == [(1.0, 1.0, 4, 1), (1.0, 1.0, 5, 2)]
     assert transmission._wave_amplitudes(LameParams(1, 1), 5, 3, 2) is transmission._wave_amplitudes(
         LameParams(1.0, 1.0), 5, 3, 2.0)
     monkeypatch.setattr(lame.plasmon_constants, "cache", {})

@@ -44,6 +44,7 @@ from oracles import (
     seeded_square_systems,
     square_solve_reference,
     toroidal_single_layer,
+    unit_layer,
     volume_dissipation,
     window_solve,
 )
@@ -243,17 +244,16 @@ def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
     # of its key alone; read again, every layer comes from the store
     calls = []
     solve = transmission._square_solve
-    monkeypatch.setattr(transmission._unit_layer, "cache", {})
+    monkeypatch.setattr(transmission._single_layers, "cache", {})
     monkeypatch.setattr(transmission, "_square_solve", lambda M, *args: calls.append(len(M)) or solve(M, *args))
     columns = ([(P11, n, 1, 1.7, 1.0) for n in range(7, 20)] + [(P11, 7, 1, 2.5, 0.5j)],
                [(LameParams(2.0, 0.5), n, 3, 1.3, -1.0) for n in (2, 5, 8, 5)])
     for items in columns:
         transmission._single_layers(items)
     assert calls == [13, 3]
-    alone = {key: transmission._unit_layer.__wrapped__(LameParams(*key[:2]), *key[2:])
-             for key in transmission._unit_layer.cache}
+    alone = {key: unit_layer(LameParams(*key[:2]), *key[2:]) for key in transmission._single_layers.cache}
     assert len(alone) == 16
-    for key, (prof, amps) in transmission._unit_layer.cache.items():
+    for key, (prof, amps) in transmission._single_layers.cache.items():
         assert prof is alone[key][0] and amps.tobytes() == alone[key][1].tobytes(), key
     calls.clear()
     for items in columns:
@@ -630,7 +630,7 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     # counts do not depend on the tests run before
     systems, calls = [], []
     lean = transmission._square_solve
-    monkeypatch.setattr(transmission._unit_layer, "cache", {})
+    monkeypatch.setattr(transmission._single_layers, "cache", {})
 
     def recorded(M, b, what, max_condition):
         out = lean(M.copy(), b.copy(), what, max_condition)
@@ -675,15 +675,16 @@ def test_single_layer_is_the_closed_form_and_the_direct_solve(params):
     unsolved = set()
     for n in (2, 7, 27, 64):
         for rho in (1e-3, 1.0, 2.0, 3.6, 1e3):
-            prof, amps = transmission._single_layer(params, n, 1, rho, density)
-            assert prof is transmission._radial_profile(params, n, 1)
+            prof, (amps,) = transmission._radial_profile(params, n, 1), transmission._single_layers(
+                [(params, n, 1, rho, density)])
             layer = annuli(prof, (0.0, rho, math.inf), amps)
             want = toroidal_single_layer(n, rho, density, params.mu)
             assert [(lo, hi, set(amps)) for lo, hi, amps in layer] == [(lo, hi, set(amps)) for lo, hi, amps in want]
             for (_, _, got), (_, _, ref) in zip(layer, want):
                 assert all(abs(got[b] - a) <= 1e-15 * abs(a) for b, a in ref.items()), (n, rho, got, ref)
             for fam in (2, 3):
-                prof, amps = transmission._single_layer(params, n, fam, rho)
+                prof, (amps,) = transmission._radial_profile(params, n, fam), transmission._single_layers(
+                    [(params, n, fam, rho, 1.0)])
                 layer = annuli(prof, (0.0, rho, math.inf), amps)
                 inside, outside = (dict_profile_trace(prof, amps, rho) for _, _, amps in layer)
                 for i, jump in ((0, {}), (1, {n: 1.0})):
@@ -711,7 +712,7 @@ def test_single_layer_refuses_a_radius_out_of_the_float_range():
     # refused by name
     for rho, n in ((1e-300, 1), (1e300, 1), (1e-20, 20), (1e20, 20)):
         with pytest.raises(ArithmeticError, match=re.escape(f"sphere rho = {rho!r}: a power of rho")):
-            transmission._single_layer(P11, n, 1, rho)
+            transmission._single_layers([(P11, n, 1, rho, 1.0)])
 
 
 def test_only_transmission_names_the_sector_solve():
@@ -849,7 +850,8 @@ def test_src_imports_no_private_numpy_module():
 
 def test_cached_closed_forms_are_never_mutated():
     # after the four benchmark sweeps and the perfect waves of degree 6 every
-    # kept closed form and sector check equals a fresh evaluation at its key
+    # kept closed form and sector check equals a fresh evaluation at its key,
+    # and every kept unit single layer the solve of its key alone
     from elastoplasmon.harmonics import ensure_tables
     from elastoplasmon.lame import plasmon_constants as closed_plasmon_constants
     from elastoplasmon.waves import perfect_wave
@@ -859,11 +861,13 @@ def test_cached_closed_forms_are_never_mutated():
     for fam in (1, 2, 3):
         for K in kernel_basis(P11, 6, fam):
             perfect_wave(K, fam, 6, 1.3, P11, tables)
-    for f in (mode_constants, closed_plasmon_constants, transmission._radial_profile, transmission._wave_amplitudes,
-              transmission._unit_layer):
+    for f in (mode_constants, closed_plasmon_constants, transmission._radial_profile, transmission._wave_amplitudes):
         assert f.cache
         for (lam, mu, *args), value in f.cache.items():
             assert plain_data(value) == plain_data(f.__wrapped__(LameParams(lam, mu), *args)), (f.__name__, lam, mu, args)
+    assert transmission._single_layers.cache
+    for (lam, mu, *args), value in transmission._single_layers.cache.items():
+        assert plain_data(value) == plain_data(unit_layer(LameParams(lam, mu), *args)), (lam, mu, args)
 
 
 def test_seeded_defect_is_caught_after_a_full_sweep(monkeypatch):

@@ -383,7 +383,7 @@ def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
             return replace(prof, scalars=seeded)
 
         monkeypatch.setattr(transmission, "_radial_profile", seeded)
-        monkeypatch.setattr(transmission._unit_layer, "cache", {})
+        monkeypatch.setattr(transmission._single_layers, "cache", {})
         with pytest.raises(AssertionError, match=f"family-{family} shape leaves its sector"):
             np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 3)
 
