@@ -22,7 +22,10 @@ disturbed run of each, as the host's other load only adds time and pages):
   dataclass decorators (``import:dataclasses``) and the ``compile()`` of
   the sources of the modules it loaded (``import:compile``; the host
   compiles them at import where no bytecode is cached, as with
-  ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout);
+  ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout).  Last, in one more
+  fresh process per gated sweep (:func:`exit_s`), the sweep run by
+  ``python -m elastoplasmon.cli``'s own path and timed from the return of
+  ``cli.main`` until the process is reaped (``exit:sweep:*``);
 * ``cold_rss_mb``: the max-RSS in MB of each cold command (not of the
   :func:`first_sweep` processes) as ``os.wait4`` reports it, the least over
   its ``--repeats`` processes;
@@ -103,11 +106,38 @@ def _cold_commands(work: Path) -> dict[str, list[str]]:
     return commands
 
 
-def _run(argv: list[str], env: dict, cwd: Path) -> tuple[float, float]:
+# the child of exit_s: `python -m elastoplasmon.cli` through runpy, with a profile hook that writes the
+# monotonic clock to the file descriptor in argv[1] when cli.main returns, then removes itself
+_EXIT_PROBE = """\
+import os, runpy, sys, time
+fd = int(sys.argv.pop(1))
+def stamp(frame, event, arg):
+    if event == "return" and frame.f_code.co_name == "main" and frame.f_globals.get("__name__") == "__main__":
+        sys.setprofile(None)
+        os.write(fd, repr(time.clock_gettime(time.CLOCK_MONOTONIC)).encode())
+sys.setprofile(stamp)
+runpy.run_module("elastoplasmon.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def exit_s(argv: list[str], env: dict, cwd: Path) -> float:
+    """Seconds from the return of ``cli.main`` to the reaping of one fresh ``python -m elastoplasmon.cli argv``,
+    which must exit 0 (``time.CLOCK_MONOTONIC`` is one clock for every process)."""
+    read, write = os.pipe()
+    with os.fdopen(read, "rb") as stamp:
+        try:
+            _run(["-c", _EXIT_PROBE, str(write), *argv], env, cwd, pass_fds=(write,))
+            reaped = time.clock_gettime(time.CLOCK_MONOTONIC)
+        finally:
+            os.close(write)
+        return reaped - float(stamp.read())
+
+
+def _run(argv: list[str], env: dict, cwd: Path, pass_fds=()) -> tuple[float, float]:
     """Wall seconds and max-RSS in MB (``os.wait4``) of one fresh ``python argv``, which must exit 0."""
     t0 = time.perf_counter()
     proc = subprocess.Popen([sys.executable, *argv], env=env, cwd=cwd, stdin=subprocess.DEVNULL,
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, pass_fds=pass_fds)
     try:
         _, status, usage = os.wait4(proc.pid, 0)
     except BaseException:  # interrupted: leave no child behind
@@ -122,8 +152,8 @@ def _run(argv: list[str], env: dict, cwd: Path) -> tuple[float, float]:
 
 
 def cold(tree: Path, repeats: int, work: Path) -> tuple[dict[str, float], dict[str, float]]:
-    """Least wall seconds of each cold command and :func:`first_sweep` record, and least max-RSS in MB of each
-    cold command, over ``repeats`` processes."""
+    """Least wall seconds of each cold command, :func:`first_sweep` record and :func:`exit_s` of a sweep, and
+    least max-RSS in MB of each cold command, over ``repeats`` processes."""
     times: dict[str, list[float]] = {}
     rss: dict[str, list[float]] = {}
     commands = _cold_commands(work)
@@ -138,6 +168,7 @@ def cold(tree: Path, repeats: int, work: Path) -> tuple[dict[str, float], dict[s
                                        cwd=work, check=True, capture_output=True, text=True)
                 for key, v in json.loads(probe.stdout.splitlines()[-1]).items():
                     times.setdefault(f"first_{name}" if key == "first_sweep" else key, []).append(v)
+                times.setdefault(f"exit:{name}", []).append(exit_s(argv[2:], _env(tree), work))
     return {name: min(ts) for name, ts in times.items()}, {name: min(mbs) for name, mbs in rss.items()}
 
 

@@ -10,7 +10,9 @@ Exit codes: 0 success, 2 validation failure (including an argument error, a
 singular loss-free or unconverged solve, a failed sector check, arithmetic
 out of the float range, a sweep whose bounds break the variational sandwich
 and a witness command no witness applies to), 3 I/O failure, 4 empty
-result.  Every failure writes one JSON line to stderr.
+result.  Every failure writes one JSON line to stderr.  The command-line
+process exits as soon as its outputs are flushed, so it runs no ``atexit``
+handler; in-process callers of ``main`` are unaffected.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -525,5 +528,19 @@ def main(argv: list[str] | None = None) -> int:
         return _error(str(exc), EXIT_IO)
 
 
+def run() -> None:
+    """:func:`main`, then exit once the outputs are flushed, skipping Python's finalization.
+
+    An exception escaping :func:`main`, or a failed flush, ends the process as ``sys.exit`` does.
+    """
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)  # finalization reports the failed flush
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

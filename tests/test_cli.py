@@ -1530,3 +1530,131 @@ def test_a_sweep_evaluates_each_closed_form_once_per_key(tmp_path):
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == ("_radial_profile=13/13 _wave_amplitudes=13/13 mode_constants=18/18 "
                                          "plasmon_constants=13/13")
+
+
+# ---------------------------------------------------------------------------
+# the command-line process: cli.run ends it once its outputs are flushed
+# ---------------------------------------------------------------------------
+
+# stdout block-buffered, as for any pipe or file without PYTHONUNBUFFERED:
+# output a process left unflushed at its exit would be lost
+BUFFERED_ENV = dict({k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}, PYTHONPATH=SRC)
+
+
+def _process(argv, env=BUFFERED_ENV, **kwargs):
+    return subprocess.run([sys.executable, "-m", "elastoplasmon.cli", *argv], env=env, **kwargs)
+
+
+# one success and one refusal of each command, with the exit code main returns
+@pytest.mark.parametrize("argv, code", [
+    (["constants", "--n", "3"], 0), (["constants", "--n", "1"], 2),
+    (["kernels", "--n", "2"], 0), (["kernels", "--n", "1"], 2),
+    (["waves-check", "--n", "2"], 0), (["waves-check", "--n", "2", "--R", "-1"], 2),
+    (["np-spectrum", "--nmax", "3"], 0), (["np-spectrum", "--nmax", "65"], 2),
+    (["solve", "--config", "{config}", "--delta", "0.01"], 0), (["solve", "--config", "{config}", "--delta", "-1"], 2),
+    (["sweep", "--config", "{config}", "--csv", "{csv}"], 0), (["sweep", "--config", "{missing}"], 3),
+    (["witness", "--config", "{config}", "--delta", "0.001"], 0), (["witness", "--config", "{config}", "--delta", "0"], 2),
+])
+def test_the_process_exits_as_main_returns(argv, code, config_file, tmp_path, capsys):
+    # the process's exit code, stdout and stderr are those of main in
+    # process, and a sweep's CSV is written whole
+    argv = [a.format(config=config_file, csv=tmp_path / "x.csv", missing=tmp_path / "missing.json") for a in argv]
+    r = _process(argv, capture_output=True, text=True)
+    written = (tmp_path / "x.csv").read_bytes() if "sweep" in argv and code == 0 else None
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert cli.main(argv) == code
+    assert (r.returncode, r.stdout, r.stderr) == (code, *capsys.readouterr())
+    assert bool(r.stdout) == (code == 0) and bool(r.stderr) == (code != 0)
+    if written is not None:
+        assert written.startswith(b"# elastoplasmon sweep") and written == (tmp_path / "x.csv").read_bytes()
+
+
+def test_a_large_output_reaches_the_pipe_whole():
+    r = _process(["np-spectrum", "--nmax", "40"], capture_output=True)
+    assert r.returncode == 0 and not r.stderr
+    assert r.stdout.startswith(b"# elastoplasmon np-spectrum schema=1\n") and r.stdout.endswith(b"\n")
+    assert len(r.stdout) == 329_774
+
+
+def test_help_exits_zero_with_the_full_usage(capsys):
+    r = _process(["--help"], capture_output=True, text=True)
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    out, err = capsys.readouterr()
+    assert (r.returncode, r.stdout, r.stderr) == (0, out, err)
+    assert r.stdout.startswith("usage: elastoplasmon") and all(f"    {name}" in r.stdout for name in COMMANDS)
+
+
+def _unwritable_stdout(sink):
+    """A stdout file descriptor that refuses writes: a pipe whose reader is gone, or ``/dev/full``."""
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        return os.open(sink, os.O_WRONLY)
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("sink, error", [("closed", "[Errno 32] Broken pipe"),
+                                         ("/dev/full", "[Errno 28] No space left on device")])
+@pytest.mark.parametrize("argv", [["constants", "--n", "3"], ["np-spectrum", "--nmax", "40"]])
+def test_an_unwritable_stdout_is_an_io_failure(argv, sink, error):
+    # unbuffered, each write fails inside main: exit 3 and one JSON line
+    fd = _unwritable_stdout(sink)
+    try:
+        r = _process(argv, env=dict(BUFFERED_ENV, PYTHONUNBUFFERED="1"), stdout=fd, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(fd)
+    assert r.returncode == 3 and r.stderr.splitlines() == [json.dumps({"code": 3, "error": error})]
+
+
+@pytest.mark.parametrize("sink, error", [("closed", "BrokenPipeError: [Errno 32] Broken pipe"),
+                                         ("/dev/full", "OSError: [Errno 28] No space left on device")])
+def test_a_failed_final_flush_ends_as_sys_exit_does(sink, error):
+    # buffered, a short output is first written by the flush after main
+    # returns 0: that flush fails, and Python's finalization reports the
+    # failure and exits 120, as a process that ends by sys.exit(main()) does
+    fd = _unwritable_stdout(sink)
+    try:
+        r = _process(["constants", "--n", "3"], stdout=fd, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(fd)
+    assert r.returncode == 120
+    assert r.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'") and error in r.stderr
+
+
+def test_an_exception_escaping_main_keeps_its_traceback():
+    # the module run as `python -m elastoplasmon.cli` runs, with a function
+    # main calls raising an error main does not catch
+    code = ("import runpy\n"
+            "from elastoplasmon import lame\n"
+            "def seeded(*args):\n"
+            "    raise RuntimeError('seeded defect')\n"
+            "lame.plasmon_constants = seeded\n"
+            "runpy.run_module('elastoplasmon.cli', run_name='__main__', alter_sys=True)\n")
+    r = subprocess.run([sys.executable, "-c", code, "constants", "--n", "3"], capture_output=True, text=True,
+                       env=BUFFERED_ENV)
+    assert r.returncode == 1 and not r.stdout
+    assert r.stderr.startswith("Traceback (most recent call last):")
+    assert r.stderr.endswith("RuntimeError: seeded defect\n") and "in seeded" in r.stderr
+
+
+def test_the_console_script_is_the_main_block_function():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(SRC).parent
+    target = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]["scripts"]["elastoplasmon"]
+    module, _, name = target.partition(":")
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    assert getattr(importlib.import_module(module), name) is cli.run
+    tree = ast.parse((Path(SRC) / "elastoplasmon" / "cli.py").read_text(encoding="utf-8"))
+    block = [node for node in tree.body if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block[0].body] == [f"{name}()"]
