@@ -11,7 +11,9 @@ the Python, numpy and BLAS versions, and three sets of minima (the least
 disturbed run of each, as the host's other load only adds time and pages):
 
 * ``cold_s``: over ``--repeats`` fresh processes each, ``import
-  elastoplasmon.cli``; through the CLI, each gated sweep (the four
+  elastoplasmon.cli`` ended by ``os._exit(0)``, so that, like a CLI run
+  (``cli.run``), it pays no interpreter finalization; through the CLI,
+  each gated sweep (the four
   configurations of the benchmark's two gated workloads, as
   ``perfbench/workloads.make_plan`` writes them at seed 1) and its
   ``solve`` check at the deepest loss; ``waves-check --n 20/40/64`` and
@@ -94,7 +96,7 @@ def _env(tree: Path) -> dict:
 
 def _cold_commands(work: Path) -> dict[str, list[str]]:
     cli = ["-m", "elastoplasmon.cli"]
-    commands = {"import": ["-c", "import elastoplasmon.cli"]}
+    commands = {"import": ["-c", "import os, elastoplasmon.cli; os._exit(0)"]}  # no finalization, as cli.run
     for plan in gated_plans(work):
         for command in plan.commands:
             commands[f"sweep:{command.ref}"] = cli + [a.replace("{work}", str(work)) for a in command.argv]

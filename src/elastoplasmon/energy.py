@@ -2,21 +2,24 @@
 
 The quadratic pairing P(u, v) of general fields is a volume integral
 (:func:`~elastoplasmon.fields.pairing_P`).  A field that solves the Lame
-system in each region needs none: by Betti's identity P(u, u) over an annulus is the flux
-rho^2 Re <u, t(u)> through its outer sphere minus its inner one.  In a
-sector the displacement and traction on a sphere are radial-profile scalars
-times unit members and their partner shapes (norm^2 kappa (2n+1)/(2d+1)),
-so the dissipation of a solve and the witness bounds of
+system in each region needs none: by Betti's identity P(u, u) over an
+annulus is the flux rho^2 Re <u, t(u)> through its outer sphere minus its
+inner one.  In a sector the displacement and traction on a sphere are
+radial-profile scalars times unit members and their partner shapes (norm^2
+kappa (2n+1)/(2d+1)).  The amplitudes are region-local, each block's value
+on its region's reference sphere (:mod:`~elastoplasmon.transmission`), and
+the traces read from them are U and T' = rho t, so the flux is rho Re <U,
+T'>: with every length times a power of two s, every energy is s^3 times
+its value.  So the dissipation of a solve and the witness bounds of
 :mod:`~elastoplasmon.scenarios` are scalar sums over the interface spheres,
-and a source enters through the Gram matrix of its coefficients alone.  One
-array flux (:func:`_flux`) takes a stack of such fields, a column's rows,
-and all their interface spheres at once: the dissipations of a column
-(:func:`dissipations`; :func:`dissipation_E` is a column of one), the
-pairings of solves (:func:`solution_pairings`, a
-:func:`~elastoplasmon.transmission._column` by layout) and of unit-member
-fields (:func:`profile_pairings`) are this flux.  Each complex product in it
-is formed from real parts as Python's complex product rounds it, so a
-column's values are bit for bit those of its rows alone.
+a source entering through the Gram matrix of its coefficients alone.  One
+array flux (:func:`_flux`) takes a column's rows and all their interface
+spheres at once: the dissipations (:func:`dissipations`;
+:func:`dissipation_E` is a column of one) and the pairings of solves
+(:func:`solution_pairings`) and of unit-member fields
+(:func:`profile_pairings`).  Each complex product in it is formed from real
+parts as Python's complex product rounds it, so a column's values are bit
+for bit those of its rows alone.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .lame import _served_from_fields
-from .transmission import _column, _ok, _pows, _profile_stack
+from .transmission import _column, _ok, _pows, _profile_stack, _ratios
 
 __all__ = [
     "EnergyReport", "dissipation_E", "dissipations", "solution_pairings", "profile_pairings",
@@ -62,34 +65,31 @@ class EnergyReport(NamedTuple):
 def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarray:
     """Sum over regions of P(u, u) by Betti's identity, for a stack of k fields that solve the Lame system.
 
-    On a region P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
-    sphere minus its inner one; the flux vanishes at r = 0 and at infinity.
-    Row i's field lies on the regions between ``radii[i]`` (from 0 to inf)
-    and is the sum of the P ``parts`` of one sector, each (degrees, profile
-    stack, amplitudes (k, regions, B)) of profile fields
-    (:func:`~elastoplasmon.transmission._profile_stack`).  On the sphere rho
-    a part's shape of degree d has the coordinate vector ``coordinates[d] *
-    gamma * U_d(rho)`` on the sector's unit members (traction alike), gamma
-    the part's coefficients and ``coordinates`` the profile's ``coords``.  So the
+    On a region P(u, u) is the flux rho Re <U, T'> through its outer sphere
+    minus its inner one, U the displacement and T' rho times the traction;
+    the flux vanishes at r = 0 and at infinity.  Row i's field lies on the
+    regions between ``radii[i]`` (from 0 to inf) and is the sum of the P
+    ``parts`` of one sector, each (degrees, profile stack, region-local
+    amplitudes (k, regions, B)).  On the sphere rho a part's shape of degree
+    d has the coordinate vector ``coords[d] * gamma * U_d(rho)`` on the
+    sector's unit members (T' alike), gamma the part's coefficients, so the
     angular integral of two parts' shapes of degree d is the product of
-    their scalars ``coordinates[d] * U_d(rho)`` and ``coordinates[d] *
-    T_d(rho)`` times the entry <gamma_p, gamma_q> of the Gram matrix ``gram``
-    (k, P, P) of the parts' coefficients.  The fluxes are added to ``total``
-    region by region, outer sphere first.
+    their scalars times the entry <gamma_p, gamma_q> of the Gram matrix
+    ``gram`` (k, P, P).  The fluxes are added to ``total`` region by region,
+    outer sphere first.
     """
-    rows = [list(r) for r in radii]
-    nreg = len(rows[0]) - 1
+    r = np.array([list(rs) for rs in radii])
+    nreg = r.shape[1] - 1
     # the sides, region by region, outer sphere first: (region, interface sphere 1..nreg-1, sign)
     sides = [(reg, s, sign) for reg in range(nreg) for s, sign in ((reg + 1, 1.0), (reg, -1.0)) if 0 < s < nreg]
-    regs, spheres = [reg for reg, _, _ in sides], [s - 1 for _, s, _ in sides]
-    rho = [r[1:nreg] for r in rows]
+    regs, spheres = [reg for reg, _, _ in sides], [s for _, s, _ in sides]
     align = [[None if dp == dq else [dq.index(d) for d in dp] for dq, *_ in parts] for dp, *_ in parts]
     gram_re, gram_im = gram.real[:, :, :, None], gram.imag[:, :, :, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         traces = []
         for _, (power, scalars, coords), amps in parts:
-            # every block's rho^p and rho^(p-1) on every interface sphere; a region's absent blocks have amplitude 0
-            pw = _pows(rho, power)[:, spheres, :, :, None]
+            # every block's (rho / r_ref)^p on every side; a region's absent blocks have amplitude 0
+            pw = _pows(_ratios(r, spheres, regs, scalars.shape[-1]), power)[:, :, :, None, None]
             ut = coords[:, None, None, :] * ((amps[:, regs, :, None, None] * scalars[:, None]) * pw).sum(axis=2)
             traces.append((ut[:, :, 0], ut[:, :, 1]))
         value = 0
@@ -100,8 +100,7 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
                 re = (U.real * T.real + U.imag * T.imag).sum(axis=2)
                 im = (U.real * T.imag - U.imag * T.real).sum(axis=2)
                 value = value + (gram_re[:, p, q] * re - gram_im[:, p, q] * im)
-        square = np.array([[r**2 for r in rs] for rs in rho])[:, spheres]
-        fluxes = (np.array([sign for *_, sign in sides]) * square) * value  # sign rho^2 times the pairing
+        fluxes = (np.array([sign for *_, sign in sides]) * r[:, spheres]) * value  # sign rho times the pairing
         for j in range(len(sides)):
             total = total + fluxes[:, j]
     return total
@@ -110,10 +109,8 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
 def profile_pairings(stack: tuple, radii, amps) -> np.ndarray:
     """Re P(u, u) of k unit sector members' fields, by one flux: row i the blocks ``amps[i]`` on ``radii[i]``.
 
-    ``stack`` holds the rows' profiles, of one shape
-    (:func:`~elastoplasmon.transmission._profile_stack`); ``amps`` is
-    (k, regions, B), one row of blocks per region between the radii (from 0
-    to inf).
+    ``stack`` holds the rows' profiles, of one shape; ``amps`` is (k,
+    regions, B), the region-local blocks of each region between the radii.
     """
     return _flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
 
@@ -123,10 +120,8 @@ def solution_pairings(rows: Sequence) -> list:
 
     Sectors are orthogonal, except a family-2 density at n and a family-3
     density at n - 2, which share total angular momentum n - 1 and pair
-    through their member coordinates.  The rows are a
-    :func:`~elastoplasmon.transmission._column`: those of one layout (regions,
-    and the families of each sector) are one stack of :func:`_flux`, a
-    sector at a time in the order the solves first reach it.
+    through their member coordinates.  The rows of one layout (regions and
+    the families of each sector) are one stack of :func:`_flux`.
     """
     def sectors_of(i):
         solutions, sectors = [_ok(sol) for sol in rows[i]], {}
@@ -163,9 +158,7 @@ def dissipations(rows: Sequence[Sequence], media: Sequence) -> list[float]:
     """Dissipation (delta/2) P(u, u) of each row's exact solves in its medium (or the row's error), by flux.
 
     Every region's field solves the Lame system, so no volume integral is
-    formed: the sum reads only the solutions' sector amplitudes
-    (:func:`solution_pairings`), with no field and no ladder degree.  Raises
-    for delta = 0 where dissipation is undefined.
+    formed (:func:`solution_pairings`).  Raises for delta = 0.
     """
     if any(medium.delta <= 0 for medium in media):
         raise ValueError("dissipation needs delta > 0")

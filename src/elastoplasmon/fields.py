@@ -42,8 +42,8 @@ import numpy as np
 from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
 from .scenarios import _core_bound, _fixed_c_bound, _nocore_bound, _radial_bound, _row_solves
-from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _check_source_mode, _ok,
-                           _radial_profile, _region_blocks, _region_layout)
+from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _check_source_mode,
+                           _global_amplitude, _ok, _radial_profile, _region_blocks, _region_layout)
 
 if TYPE_CHECKING:
     from .harmonics import SphereQuadrature
@@ -358,11 +358,11 @@ def _profile_fields(sectors, drop_zero: bool = False) -> list[ModeField]:
 
     ``sectors`` are (profile, {degree: reference matrix}, radii, amplitudes)
     quadruples, ``amplitudes[r]`` the blocks of the region between
-    ``radii[r]`` and ``radii[r + 1]`` (:func:`~elastoplasmon.transmission._region_blocks`).  Each
-    displacement scalar of a block adds amplitude x scalar x the reference
-    matrix of its degree to the term of that degree and the block's power;
-    with ``drop_zero`` a block of zero amplitude adds no term (a perfect
-    wave's, whose blocks all have amplitudes in the normal float range)."""
+    ``radii[r]`` and ``radii[r + 1]`` (:func:`~elastoplasmon.transmission._region_blocks`)
+    at the origin's scale (:func:`_global_blocks`).  Each displacement
+    scalar of a block adds amplitude x scalar x the reference matrix of its
+    degree to the term of that degree and power; with ``drop_zero`` a block
+    of zero amplitude adds none (a perfect wave's)."""
     coefs: dict[tuple[float, float], dict[tuple[int, int], np.ndarray]] = {}
     for prof, refs, radii, amps in sectors:
         nreg, D = len(radii) - 1, len(prof.degrees)
@@ -380,14 +380,22 @@ def _profile_fields(sectors, drop_zero: bool = False) -> list[ModeField]:
     return [ModeField(tuple(Term(c, d, p) for (d, p), c in co.items()), lo, hi) for (lo, hi), co in coefs.items()]
 
 
+def _global_blocks(prof, radii, amps: np.ndarray) -> np.ndarray:
+    """Region-local block amplitudes (a row per region between ``radii``; an absent block 0) at the origin's scale:
+    each block's value on the outer radius of its region (entire) or the inner one (decaying), taken by
+    :func:`~elastoplasmon.transmission._global_amplitude`, which names a value out of the float range."""
+    D = len(prof.degrees)
+    return np.array([[_global_amplitude(a, radii[reg + (b < D)], p) for b, (a, p) in enumerate(zip(row, prof.power))]
+                     for reg, row in enumerate(amps.tolist())], dtype=complex)
+
+
 def _solution_regions(sol: ModeSolution) -> tuple[ModeField, ...]:
     """``ModeSolution.regions``: one :class:`ModeField` per region of the solve (:func:`_profile_fields`).
 
-    Each family's density G is built from its members
-    (:func:`kernel_basis`); its profile's reference matrices are G and
-    the partner shape of G.  Raises :class:`~elastoplasmon.transmission.UnconvergedSolveError`
-    when a family-2/3 density leaves its sector: the ladder back from its
-    partner shape is not kappa G to 1e-10.
+    Each family's profile has the reference matrices G, its density built
+    from its members (:func:`kernel_basis`), and the partner shape of G;
+    ``UnconvergedSolveError`` where the ladder back from it is not kappa G
+    to 1e-10 (a density out of its sector).
     """
     n = sol.n
     sectors = []
@@ -402,7 +410,7 @@ def _solution_regions(sol: ModeSolution) -> tuple[ModeField, ...]:
             if not impurity <= 1e-10:
                 raise UnconvergedSolveError(f"family-{fam} density at degree {n} leaves its sector "
                                             f"(backward error {impurity:.3e})")
-        sectors.append((prof, refs, sol.radii, amps))
+        sectors.append((prof, refs, sol.radii, _global_blocks(prof, sol.radii, amps)))
     return tuple(_profile_fields(sectors))
 
 
@@ -585,9 +593,11 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
     """Dual witness for the core-free resonant configuration.
 
     Needs medium.c equal to a plasmon constant of the dominant source mode.
-    Returns (psi pieces at the optimal amplitude, J lower bound, tau).
+    Returns (psi pieces at the optimal amplitude, J lower bound, tau), tau
+    the multiplier of the wave whose entire degree-n block has amplitude 1.
     """
     J_lower, tau, mode = _ok(_nocore_bound([(medium, source, delta)], [[]])[0])
+    tau = _global_amplitude(tau, medium.shell_radius, mode[0])  # the multiplier of the wave perfect_wave builds
     return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
 
@@ -601,9 +611,10 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     """
     J_lower, tau, (n0, fam, k), v_tilde = _ok(_core_bound([(medium, source, delta)], [[]])[0])
     K, psi_hat = _unit_wave(medium, n0, fam, k)
-    v_hat = _profile_fields([(_radial_profile(medium.base, n0, fam), {n0: K}, (0.0, medium.core_radius, math.inf),
-                              v_tilde)])
-    return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau), J_lower, tau
+    prof, radii = _radial_profile(medium.base, n0, fam), (0.0, medium.core_radius, math.inf)
+    v_hat = _profile_fields([(prof, {n0: K}, radii, _global_blocks(prof, radii, v_tilde))])
+    tau_wave = _global_amplitude(tau, medium.shell_radius, n0)  # the multiplier of the wave perfect_wave builds
+    return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau_wave), J_lower, tau_wave
 
 
 def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
@@ -620,6 +631,8 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     a, R, q = medium.core_radius, medium.shell_radius, source.q
     parts = [(_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)}, v, w)
              for n, k, v, w in scheduled]
-    v = _profile_fields([(prof, refs, (0.0, q, math.inf), v) for prof, refs, v, _ in parts])
-    w = _profile_fields([(prof, refs, (0.0, a, R, math.inf), w) for prof, refs, _, w in parts])
+    v = _profile_fields([(prof, refs, (0.0, q, math.inf), _global_blocks(prof, (0.0, q, math.inf), v))
+                         for prof, refs, v, _ in parts])
+    w = _profile_fields([(prof, refs, (0.0, a, R, math.inf), _global_blocks(prof, (0.0, a, R, math.inf), w))
+                         for prof, refs, _, w in parts])
     return _merge_pieces([v] + [list(sol.regions) for sol in off]), w, I_upper

@@ -2,35 +2,28 @@
 
 Witness fields certify the dissipation from both sides: a primal pair
 (v, w) with  L_A v - L w = f  gives an upper bound I(v, w), a dual pair
-(v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).
-The generic constants of the asymptotic arguments are replaced by exactly
-computed surface pairings and P-norms.  The one auxiliary elliptic solve,
-the sector single layer on a sphere of :mod:`~elastoplasmon.transmission`,
-repairs the cored dual witness at the core and gives the radial primal
-witness its incident wave (the source's layer on q) and both repairs.  The
-fixed-multiplier primal witness is the loss-free field (L_A v = f): the
-transmission solve of the medium at delta = 0, with its scaling, refinement
-and checks.  Where that system is singular (condition above 1e9) the solve
-raises :class:`~elastoplasmon.transmission.ResonantSingularityError`, an
-``ArithmeticError``, and a sweep row leaves ``I_upper`` blank unless another
-primal witness applies.
+(v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).  The
+one auxiliary elliptic solve, the sector single layer on a sphere of
+:mod:`~elastoplasmon.transmission`, repairs the cored dual witness at the
+core and gives the radial primal witness its incident wave (the source's
+layer on q) and both repairs.  The fixed-multiplier primal witness is the
+loss-free field (L_A v = f), the transmission solve at delta = 0; where that
+system is singular (condition above 1e9) a sweep row leaves ``I_upper``
+blank unless another primal witness applies.
 
 Every witness field solves the Lame system in each region, so its energies
-are fluxes through the interface spheres (:func:`~elastoplasmon.energy.profile_pairings`,
-:func:`~elastoplasmon.energy.solution_pairings`): each bound is a scalar of
-the radial profiles and the source coefficients.  :data:`WITNESSES` lists
-each witness once (its bound, whether it needs a core, its core and the
-scalars it prints); a sweep and the ``witness`` command read it and build
-no field.  A core is a :func:`~elastoplasmon.transmission._column` of
-(medium, source, loss) rows, per row its scalars or its error; the primal
-cores read the rows' loss-free solves, one column (:func:`_row_solves`).  A
-sweep solves its lossy rows in that column too, takes the dissipations of
-its rows as one flux and runs each core once, on the rows it applies to
-(the radial witness only on its schedule outside R^{3/2}), and records each
-witness that raises and each row's largest conditions and backward errors
-in ``SweepResult.meta`` (:func:`_sweep_rows`).  The ``witness`` command
-(:func:`witness_scalars`) and the public ``witness_*`` builders of
-:mod:`~elastoplasmon.fields` run the cores on a column of one.
+are fluxes through the interface spheres (:mod:`~elastoplasmon.energy`):
+each bound is a scalar of the radial profiles and the source coefficients,
+read off region-local amplitudes.  :data:`WITNESSES` lists each witness
+once; a sweep and the ``witness`` command read it and build no field.  A
+core is a :func:`~elastoplasmon.transmission._column` of (medium, source,
+loss) rows, per row its scalars or its error; the primal cores read the
+rows' loss-free solves, one column (:func:`_row_solves`).  A sweep solves
+its lossy rows in that column too, takes their dissipations as one flux,
+runs each core once on the rows it applies to (the radial witness only on
+its schedule outside R^{3/2}, radii in units of the core radius), and
+records each witness that raises and each row's largest conditions and
+backward errors in ``SweepResult.meta`` (:func:`_sweep_rows`).
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -48,8 +41,8 @@ import numpy as np
 from .lame import LameParams, _served_from_fields, plasmon_constants
 from .energy import EnergyReport, dissipations, profile_pairings, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
-                           _column, _ok, _profile_stack, _radial_profile, _region_blocks, _single_layers,
-                           _solve_column, _traces, _wave_amplitudes)
+                           _column, _global_amplitude, _ok, _pows, _profile_stack, _radial_profile, _region_blocks,
+                           _single_layers, _solve_column, _traces, _wave_amplitudes)
 
 __all__ = [
     "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
@@ -141,8 +134,8 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
 
     Needs medium.c equal to the mode family's plasmon constant at its degree
     n0 and a nonzero source.  g is the real branch coefficient, the wave the
-    amplitudes inside and outside the shell of the unit perfect wave of
-    member k (:func:`~elastoplasmon.transmission._wave_amplitudes`, which
+    region-local amplitudes inside and outside the shell of the perfect wave
+    of member k (:func:`~elastoplasmon.transmission._wave_amplitudes`, which
     checks the sector) and region that of the wave at the source sphere."""
     params = medium.base
     n0, fam, k, gamma = _dominant_mode(source)
@@ -153,7 +146,7 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     g = _real_branch_coefficient(gamma)
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
-    prof, wave, _ = _wave_amplitudes(params, n0, fam, medium.shell_radius)
+    prof, wave, _ = _wave_amplitudes(params, n0, fam)
     return (n0, fam, k), g, prof, wave, int(source.q > medium.shell_radius)
 
 
@@ -165,14 +158,15 @@ def _dual_key(state) -> tuple:
 def _dual_constants(rows, idx, states) -> tuple[list[float], list[float], tuple, np.ndarray]:
     """C0 and C_psi of each row's dominant mode (:func:`_dual_mode`), and its profile stack and waves, as a stack.
 
-    For the unit wave psi_hat of member k: C0 = g <f_unit, psi_hat> = g q^2
-    U_n0(q) and C_psi = 0.5 Re P(psi_hat, psi_hat), both scalar.  The rows
-    share :func:`_dual_key`."""
+    For the wave psi_hat of member k, of value 1 on the shell sphere: C0 = g
+    <f_unit, psi_hat> = g q^2 U_n0(q) and C_psi = 0.5 Re P(psi_hat,
+    psi_hat), both scalar.  The rows share :func:`_dual_key`."""
     profs, waves = [s[2] for s in states], np.array([s[3] for s in states])
     R, q = [rows[i][0].shell_radius for i in idx], [rows[i][1].q for i in idx]
     reg = states[0][4]
     stack = _profile_stack(profs)
-    U, _ = _traces(stack, waves[:, reg], q, _region_blocks(reg, 2, len(profs[0].degrees)))
+    U, _ = _traces(stack, waves[:, reg], [q_i / R_i for q_i, R_i in zip(q, R)],
+                   _region_blocks(reg, 2, len(profs[0].degrees)))
     C0 = [s[1] * q_i**2 * u for s, q_i, u in zip(states, q, U[:, 0].real.tolist())]
     C_psi = [0.5 * p for p in profile_pairings(stack, [(0.0, R_i, math.inf) for R_i in R], waves).tolist()]
     return C0, C_psi, stack, waves
@@ -185,7 +179,10 @@ def _nocore_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
 
 
 def _nocore_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode) of the core-free dual witness, or its error."""
+    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode) of the core-free dual witness, or its error.
+
+    tau multiplies the wave of value 1 on the shell sphere R; ``witness`` prints R^(-n0) tau, that of the wave of
+    entire degree-n0 amplitude 1 at the origin's scale."""
     def values(idx, states):
         C0, C_psi, _, _ = _dual_constants(rows, idx, states)
         return [(c0**2 / (4.0 * cp * rows[i][2]), c0 / (2.0 * cp * rows[i][2]), s[0])
@@ -203,11 +200,11 @@ def _core_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
     return _dual_mode(medium, source)
 
 
-def _repair(media, degrees, stack, amps, at, sign: float) -> np.ndarray:
+def _repair(media, degrees, stack, amps, at, ref, sign: float) -> np.ndarray:
     """Per row the family-1 single layer on the sphere ``at[i]`` of density ``sign`` (c - 1) times the traction
-    there of the entire degree-n block of ``amps[i]``: an interface repair."""
-    _, T = _traces(stack, amps, at, slice(0, 1))
-    density = (np.array([sign * (med.c - 1.0) for med in media]) * T[:, 0]).tolist()
+    there of the entire degree-n block of value ``amps[i]`` on the sphere ``ref[i]``: an interface repair."""
+    _, T = _traces(stack, amps, [a / r for a, r in zip(at, ref)], slice(0, 1))  # rho times the traction
+    density = (np.array([sign * (med.c - 1.0) / a for med, a in zip(media, at)]) * T[:, 0]).tolist()
     return _single_layers([(med.base, n, 1, rho, d) for med, n, rho, d in zip(media, degrees, at, density)])
 
 
@@ -220,8 +217,8 @@ def _core_bound(rows, loss_free: list) -> list:
         C0, C_psi, stack, waves = _dual_constants(rows, idx, states)
         # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere, v = tau v_tilde / delta
         media = [rows[i][0] for i in idx]
-        cores = [med.core_radius for med in media]
-        v_tilde = _repair(media, [s[0][0] for s in states], stack, waves[:, 0], cores, -1.0)
+        cores, shells = [med.core_radius for med in media], [med.shell_radius for med in media]
+        v_tilde = _repair(media, [s[0][0] for s in states], stack, waves[:, 0], cores, shells, -1.0)
         P_vt = profile_pairings(stack, [(0.0, a, math.inf) for a in cores], v_tilde).tolist()
         out = []
         for i, s, c0, cp, p, v in zip(idx, states, C0, C_psi, P_vt, v_tilde):
@@ -233,14 +230,19 @@ def _core_bound(rows, loss_free: list) -> list:
     return _column(len(rows), lambda i: _core_check(*rows[i][:2]), values, key=_dual_key)
 
 
+def _outside_critical_radius(medium: LayeredMedium, source: SourceSpec) -> bool:
+    """q > R^{3/2} in units of the core radius a: q / a > (R / a)^{3/2}, a statement about ratios alone."""
+    return source.q / medium.core_radius > (medium.shell_radius / medium.core_radius) ** 1.5
+
+
 def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tuple[list, list[int]]:
     """The row's scheduled modes [(n, k, gamma)], in coefficient order, and its off-schedule degrees."""
     if medium.core_radius is None:
         raise ValueError("radial witness requires a core")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    if source.q <= medium.shell_radius**1.5:
-        raise ValueError("hypothesis violated: q must exceed R^{3/2}")
+    if not _outside_critical_radius(medium, source):
+        raise ValueError("hypothesis violated: q must exceed R^{3/2}, radii in units of the core radius")
     _require_family1(source, "radial witness")
     scheduled, off = [], set()
     for (n, _, k), gamma in sorted(source.coefficients.items()):
@@ -258,16 +260,19 @@ def _radial_modes(rows, modes: list) -> tuple:
     """v and w amplitudes and their pairings P_v, P_w of (row, n, k, gamma) scheduled modes, as one stack.
 
     v is the free incident wave (the source's layer on q), w carries the
-    interface defects: a repair on the core sphere and one on the shell
-    (the family-1 single layers of the defects of v's traction times c - 1)."""
+    interface defects: a repair on the core sphere a and one on the shell R
+    (the family-1 single layers of the defects of v's traction times c - 1),
+    summed on (0, a, R, inf), the shell repair's entire block re-referenced
+    to a (times (a/R)^n) and the core repair's decaying one to R."""
     media = [rows[i][0] for i, *_ in modes]
     q = [rows[i][1].q for i, *_ in modes]
     degrees = [n for _, n, _, _ in modes]
     stack = _profile_stack([_radial_profile(med.base, n, 1) for med, n in zip(media, degrees)])
     v = _single_layers([(med.base, n, 1, rho, gamma) for med, (_, n, _, gamma), rho in zip(media, modes, q)])
     cores, shells = [med.core_radius for med in media], [med.shell_radius for med in media]
-    ra, rR = _repair(media, degrees, stack, v[:, 0], cores, 1.0), _repair(media, degrees, stack, v[:, 0], shells, -1.0)
-    w = np.stack((ra[:, 0] + rR[:, 0], ra[:, 1] + rR[:, 0], ra[:, 1] + rR[:, 1]), axis=1)  # on (0, a, R, inf)
+    ra, rR = (_repair(media, degrees, stack, v[:, 0], at, q, sign) for at, sign in ((cores, 1.0), (shells, -1.0)))
+    f = _pows(np.array([[a / R, R / a] for a, R in zip(cores, shells)]), stack[0])[:, :, None]  # (a/R)^n, (R/a)^(-n-1)
+    w = np.stack((ra[:, 0] + rR[:, 0] * f[:, 0], ra[:, 1] + rR[:, 0], ra[:, 1] * f[:, 1] + rR[:, 1]), axis=1)
     P_v = profile_pairings(stack, [(0.0, q_i, math.inf) for q_i in q], v).tolist()
     P_w = profile_pairings(stack, [(0.0, med.core_radius, med.shell_radius, math.inf) for med in media], w).tolist()
     return v, w, P_v, P_w
@@ -339,6 +344,11 @@ def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
     for w in WITNESSES:
         if w.applies(medium):
             got = w.core(rows, loss_free)[0]
+            if w.bound == "J_lower" and not isinstance(got, Exception):  # tau at the origin's scale
+                try:
+                    got = (got[0], _global_amplitude(got[1], medium.shell_radius, got[2][0]), *got[2:])
+                except ArithmeticError as exc:
+                    got = exc
             yield w, got if isinstance(got, (ValueError, ArithmeticError)) else _ok(got)
 
 
@@ -384,12 +394,15 @@ class scheduled_configuration(NamedTuple):
 
 
 def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
-    """Least-squares slope of log E on log(1/delta), in closed form: sum dx dy / sum dx^2 about the means."""
-    x, y = [math.log(1.0 / d) for d in deltas], [math.log(v) for v in values]
-    x_mean = math.fsum(x) / len(x)
-    y_mean = y[0] + math.fsum(y + [-y[0]] * len(y)) / len(y)  # taken about y[0], so a constant y is its own mean
-    dx = [a - x_mean for a in x]
-    return math.fsum(a * (b - y_mean) for a, b in zip(dx, y)) / math.fsum(a * a for a in dx)
+    """Least-squares slope of log(E / E_0) on log(1/delta), exactly rounded: (n sum xy - sum x sum y) / (n sum x^2 -
+    (sum x)^2) of the float logs, each list taken exactly as integers times a power of two, so its one rounding is
+    the quotient's.  E / E_0, and so the slope, is the same with every E scaled by a power of two."""
+    logs = [[math.log(1.0 / d) for d in deltas], [math.log(v / values[0]) for v in values]]
+    e = [max(v.as_integer_ratio()[1].bit_length() for v in vs) - 1 for vs in logs]
+    x, y = ([int(math.ldexp(v, ei)) for v in vs] for vs, ei in zip(logs, e))
+    n, sx = len(x), sum(x)
+    return math.ldexp((n * sum(a * b for a, b in zip(x, y)) - sx * sum(y)) / (n * sum(a * a for a in x) - sx * sx),
+                      e[0] - e[1])
 
 
 def _worst(outcomes: list) -> tuple[float | None, float | None]:
@@ -405,16 +418,15 @@ def _worst(outcomes: list) -> tuple[float | None, float | None]:
 def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyReport], list[dict], list[dict]]:
     """The rows of a sweep, each with the tighter bound of each side from the :data:`WITNESSES` of its medium.
 
-    Returns (rows, refusals, solves).  Every bound of a side is valid; a side
-    no witness bounds is None.  A witness that applies but raises
-    ``ValueError`` or ``ArithmeticError`` is a refusal (row, loss, degree,
-    witness, bound, exception type and message).  The work is done by
-    columns: one solve of the lossy rows and the loss-free ones
-    (:func:`_row_solves`), which the primal witnesses read; one
-    flux for the dissipations (:func:`~elastoplasmon.energy.dissipations`);
-    and each witness core once, on the rows it applies to.  ``solves`` holds
-    per row the largest condition and backward error of its lossy and of its
-    loss-free systems.  A row's error is raised when the rows before it are done.
+    Returns (rows, refusals, solves).  A side no witness bounds is None.  A
+    witness that applies but raises ``ValueError`` or ``ArithmeticError`` is
+    a refusal (row, loss, degree, witness, bound, exception type and
+    message).  The work is done by columns: one solve of the lossy and the
+    loss-free rows (:func:`_row_solves`), one flux for the dissipations and
+    each witness core once, on the rows it applies to.  ``solves`` holds per
+    row the largest condition (of its region-local systems) and backward
+    error of its lossy and of its loss-free systems.  A row's error is
+    raised when the rows before it are done.
     """
     if min(deltas) <= 0:
         raise ValueError("delta = 0 is rejected: the exact solve may be singular")
@@ -426,7 +438,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
         # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
         med, src, _ = media[i]
         return w.applies(med) and (w.name != "witness_radial_nonresonant" or (
-            src.q > med.shell_radius**1.5
+            _outside_critical_radius(med, src)
             and math.isclose(med.c, plasmon_constants(med.base, max(degrees[i])).zeta1, rel_tol=1e-10)))
 
     lossy, loss_free = _row_solves(media, lossy=True)
@@ -459,13 +471,12 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
           delta_list: Sequence[float]) -> SweepResult:
     """Exact solves over a decreasing loss list, with witness bounds (:func:`_sweep_rows`).
 
-    Each row records the dissipation and whichever bounds apply to the
-    configuration; the verdict follows the growth conventions in the module
-    docstring.  A row is sector-scalar algebra: it builds no field and reads
-    no ladder degree.  A dissipation that is not positive and finite (a
-    vanishing source, an energy that underflows) is ``ArithmeticError``, as
-    are bounds that break J_lower <= E_delta <= I_upper by more than 1e-9
-    relative (``EnergyReport.sandwich_ok``): the first such row, before the fit.
+    Each row records the dissipation and whichever bounds apply; the verdict
+    follows the growth conventions in the module docstring.  A dissipation
+    that is not positive and finite (a vanishing source, an energy out of
+    the float range) is ``ArithmeticError``, as are bounds that break
+    J_lower <= E_delta <= I_upper by more than 1e-9 relative: the first such
+    row, before the fit.
     """
     deltas = list(delta_list)
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):

@@ -10,40 +10,42 @@ family f excites only its total-angular-momentum sector: J = n for family 1
 through t3) and J = n+1 for family 3 (degree n plus the degree n+2 shape
 reached through t1).  Within a sector every block's displacement and
 traction on a sphere is a scalar times one reference matrix per degree (the
-sector's closed-form *radial profile*), so the interface conditions
-(displacement continuity, weighted-traction continuity and the prescribed
-traction jump across the source sphere) form a square scalar system per
-family for a unit density: two unknowns per region and rows per interface
-for family 1, four for families 2 and 3.  It is solved by LU refined in
-extended precision (:func:`_square_solve`), and the families' parts
-superpose with the source coefficients (:class:`ModeSolution`).  The
-source-mode index k picks a member of the family's sector
-(:func:`~elastoplasmon.fields.kernel_basis`) and enters no system, so no
-member matrix is built until :mod:`~elastoplasmon.fields` builds a
-solution's field.  Each solved family passes a scalar sector check, run
-once per key: its perfect wave in profile blocks (:func:`_wave_amplitudes`)
-must match at the plasmon constant.
+sector's closed-form *radial profile*), so the interface conditions form a
+square scalar system per family for a unit density, solved by LU refined in
+extended precision (:func:`_square_solve`); the families' parts superpose
+with the source coefficients (:class:`ModeSolution`).  The source-mode index
+k picks a member of the family's sector and enters no system, so no member
+matrix is built until :mod:`~elastoplasmon.fields` builds a field.  Each
+solved family passes a scalar sector check, its perfect wave
+(:func:`_wave_amplitudes`).
+
+Units: each region's unknown is a block's value on the region's reference
+sphere, the outer radius for an entire block and the inner one for a
+decaying block, and traction rows are taken times the radius rho.  A block
+of power p then enters every row as its scalar times (rho / r_ref)^p, at
+most 1 (:func:`_pows`), and the right side is -q: a sector system depends
+only on the ratios of consecutive radii, and so do its condition and the
+resonance gate.  Energies and witness traces read these region-local
+amplitudes; only the field builders convert them to the origin's scale
+(:func:`_global_amplitude`, which refuses by name a value out of the float
+range).
 
 The unit of work is a column of (medium, source, degree) items
-(:func:`_solve_column`; a sweep's lossy and loss-free rows are one, and
-:func:`solve_mode` is a column of one): equal systems are solved once, and
-those of one shape are one stacked assembly and solve, each system's result
-bit for bit its solve alone.  One helper (:func:`_column`) groups the rows
-of the sector systems, energies and witnesses by shape, stacks them and
-gives a row that raises its own error; traces of profile fields on spheres
-(:func:`_traces`) and the powers of the radii (:func:`_pows`, Python's own
-``pow``) serve them alike.  A loss-free medium (delta = 0) is solved only
-where every solved system's equilibrated 1-norm condition is at most 1e9 (for a
-source outside family 1, the systems of all three families at its degree);
-above it :class:`ResonantSingularityError` (an ``ArithmeticError`` that
-carries the condition) is raised, and a solve capped at 0 reads the
-conditions (:func:`sector_conditions`).  The witnesses and the
-Neumann-Poincare spectrum also read the single layer on a sphere, solved on
-the unit sphere and scaled (:func:`_single_layers`).  Kept once per process
-per (float lambda, float mu, n[, family, R]) key: the radial profiles, the
-sector checks and the unit single layers.  A source sphere that is not
-outside the shell, a family other than 1, 2, 3 or an index k outside
-1..2J+1 raises ``ValueError``.  No function here reads a gradient ladder.
+(:func:`_solve_column`; :func:`solve_mode` is a column of one): equal
+systems are solved once, those of one shape as one stacked assembly and
+solve, each result bit for bit its solve alone.  One helper
+(:func:`_column`) groups the rows of the sector systems, energies and
+witnesses by shape and gives a row that raises its own error.  A loss-free
+medium (delta = 0) is solved only where every solved system's equilibrated
+1-norm condition is at most 1e9 (for a source outside family 1, the systems
+of all three families at its degree), else
+:class:`ResonantSingularityError`, an ``ArithmeticError`` carrying the
+condition (:func:`sector_conditions` reads them).  The witnesses and the
+Neumann-Poincare spectrum read the single layer on a sphere
+(:func:`_single_layers`).  Kept once per process per (float lambda, float
+mu, n[, family]) key: the radial profiles, the sector checks and the unit
+single layers.  A source sphere not outside the shell, a family other than
+1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -157,14 +159,13 @@ class ModeSolution:
     """Exact solve of one degree: the scalar amplitudes of each family's sector system.
 
     ``sectors`` holds one ``(family, ((k, gamma), ...), profile, amplitudes)``
-    entry per solved family: the block amplitudes of the unit-density
-    system, one row per region (:func:`_region_blocks`; a row of the stacked
-    solution of its column), the density being sum gamma_k times member k.
-    ``radii`` are the region bounds from 0 to inf and ``window`` the degrees
-    of the solution's terms.  ``regions`` is the piecewise field; its terms
-    need the member matrices and the process-wide ladders, so
-    :mod:`~elastoplasmon.fields` builds it when first read.
-    ``lstsq_residual`` is the largest backward error.
+    entry per solved family: the region-local block amplitudes of the
+    unit-density system, one row per region (:func:`_region_blocks`), the
+    density being sum gamma_k times member k.  ``radii`` are the region
+    bounds from 0 to inf and ``window`` the degrees of the solution's terms.
+    ``regions`` is the piecewise field, which :mod:`~elastoplasmon.fields`
+    builds when first read.  ``condition`` is the largest condition of its
+    systems and ``lstsq_residual`` the largest backward error.
     """
 
     n: int
@@ -204,6 +205,7 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
+@np.errstate(all="ignore")  # a non-finite entry or correction fails the backward-error gate
 def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: list[float]) -> list:
     """Solve a stack of square interface systems: per system (x, condition, backward error) or its error.
 
@@ -219,29 +221,24 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
     in ``np.clongdouble``, at most 4 steps, until a correction falls below
     eps |x| or no longer shrinks to half the previous one, which is then not
     applied (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., ch. 12): accurate to working precision while condition x eps < 1.
-    A normwise backward error of the scaled system (its norm bounded by the
-    largest row 2-norm) not at most 1e-10 is :class:`UnconvergedSolveError`.
+    ed., ch. 12).  What holds is the backward error: a normwise backward
+    error of the scaled system (its norm bounded by the largest row 2-norm)
+    not at most 1e-10 is :class:`UnconvergedSolveError`.  The forward error
+    can reach about condition x eps relative: the rounding of the entries
+    alone moves x that much.
 
     The stack goes through one ``np.linalg.cond(A, 1)`` and per step one
-    ``np.linalg.solve`` and one :func:`_norms` of the stacked vectors; each
-    operation acts on each system alone, so each result is bit for bit the
-    public-call solve of its system alone.  Scaled entries out of the float
-    range (``ArithmeticError``) and an exactly singular LU (numpy's
-    ``LinAlgError``, led by the first system's ``what``) are raised for the
-    whole stack, whose systems the :func:`_column` of :func:`_solve_systems`
-    then solves one at a time.
+    ``np.linalg.solve`` and one :func:`_norms`; each operation acts on each
+    system alone, so each result is bit for bit the public-call solve of its
+    system alone.  An exactly singular LU (numpy's ``LinAlgError``, led by
+    the first system's ``what``) is raised for the whole stack.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # 1 / a subnormal scale overflows: refused below
-        rows = np.abs(M).max(axis=2)
-        rows[rows == 0] = 1.0
-        A = M / rows[:, :, None]
-        cols = np.abs(A).max(axis=1)
-        cols[cols == 0] = 1.0
-        A /= cols[:, None, :]
-    finite = np.isfinite(A).all(axis=(1, 2)).tolist()
-    if not all(finite):
-        raise ArithmeticError(f"{what[finite.index(False)]}: equilibrated entries out of the float range")
+    rows = np.abs(M).max(axis=2)
+    rows[rows == 0] = 1.0
+    A = M / rows[:, :, None]
+    cols = np.abs(A).max(axis=1)
+    cols[cols == 0] = 1.0
+    A /= cols[:, None, :]
     cond = np.linalg.cond(A, 1).tolist()
     out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c)
                  if c > cap else None for w, c, cap in zip(what, cond, max_condition)]
@@ -260,24 +257,23 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
         def residual(x):  # of the double system, formed in extended precision, rows scaled
             return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
 
-        with np.errstate(all="ignore"):  # a correction out of range fails the backward-error gate
-            x = np.linalg.solve(A, rhs[..., None])[..., 0] / cols
-            last, refining = [math.inf] * k, range(k)
-            for _ in range(4):
-                dx = np.linalg.solve(A, residual(x)[..., None])[..., 0] / cols
-                ahead = x + dx
-                norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
-                take = [j for j in refining if not norms[j] > 0.5 * last[j]]
-                if not take:
-                    break
-                x[take] = ahead[take]
-                for j in take:
-                    last[j] = norms[j]
-                refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
-                if not refining:
-                    break
-            resid = _norms(residual(x)).tolist()
-            sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
+        x = np.linalg.solve(A, rhs[..., None])[..., 0] / cols
+        last, refining = [math.inf] * k, range(k)
+        for _ in range(4):
+            dx = np.linalg.solve(A, residual(x)[..., None])[..., 0] / cols
+            ahead = x + dx
+            norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
+            take = [j for j in refining if not norms[j] > 0.5 * last[j]]
+            if not take:
+                break
+            x[take] = ahead[take]
+            for j in take:
+                last[j] = norms[j]
+            refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
+            if not refining:
+                break
+        resid = _norms(residual(x)).tolist()
+        sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(f"{what[0]}: {exc}") from None
     den = (_norms(A).max(axis=1) * sizes[:k] + sizes[k:]).tolist()
@@ -338,10 +334,11 @@ class _RadialProfile:
     n+2 (families 2, 3), whose reference matrices are a density G and its
     ladder shape (:func:`~elastoplasmon.fields._ladder`).  The blocks are
     ``entire`` on each degree, then ``decay`` on each degree (the order of a
-    region's unknowns, :func:`_region_blocks`).  On the sphere rho block b's displacement and
-    traction are ``disp[b, j]`` rho^p and ``trac[b, j]`` rho^(p-1) times the
-    reference matrix of degree ``degrees[j]``, p = ``power[b]`` (zero where
-    the block has no part on that degree).  The ladder back from the partner
+    region's unknowns, :func:`_region_blocks`).  On the sphere rho block b of
+    value a on the sphere r_ref has displacement and rho times traction a
+    ``disp[b, j]`` (rho / r_ref)^p and a ``trac[b, j]`` (rho / r_ref)^p times
+    the reference matrix of degree ``degrees[j]``, p = ``power[b]`` (zero
+    where the block has no part on that degree).  The ladder back from the partner
     shape gives ``kappa`` G.  By Wigner-Eckart every scalar is the same for
     every member of the sector.  ``scalars[b]`` holds the displacement (row
     0, ``disp``) and traction (row 1, ``trac``) scalars of block b.
@@ -355,7 +352,7 @@ class _RadialProfile:
     """
 
     degrees: tuple[int, ...]
-    power: tuple[int, ...]  # Python ints, so that rho ** p is Python's float power
+    power: tuple[int, ...]  # Python ints, so that a ratio ** p is Python's float power
     scalars: np.ndarray  # (2D, 2, D)
     coords: np.ndarray  # (D,)
     kappa: float | None
@@ -423,24 +420,40 @@ def _region_blocks(reg: int, nreg: int, D: int) -> slice:
     return slice(D if reg == nreg - 1 else 0, D if reg == 0 else 2 * D)
 
 
-def _pows(rho, powers) -> np.ndarray:
-    """rho^p and rho^(p-1) for every power p of ``powers[i]`` on every radius of ``rho[i]``: (k, S, B, 2).
+def _ratios(radii: np.ndarray, spheres: list, regions: list, D: int) -> np.ndarray:
+    """rho / r_ref of every block, (k, S, 2D): row i's sphere ``radii[i, spheres[s]]`` over a radius of the region
+    ``regions[s]`` (``radii[i]`` runs from 0 to inf), its outer one for the D entire blocks and its inner one for the
+    D decaying blocks.  Toward a kind of block the region does not hold the ratio is 0 or inf, and its power a finite
+    0 or 1.  The indices are Python lists, so no integer ufunc runs."""
+    with np.errstate(divide="ignore"):  # an inner radius 0: the region holds no decaying block
+        return radii[:, spheres][:, :, None] / radii[:, [[reg + 1] * D + [reg] * D for reg in regions]]
 
-    Each is Python's float power, the C library's pow, as every scalar of the
-    package is formed (numpy's vectorized pow may differ in the last bit);
-    ``OverflowError`` naming the first radius and power that overflow."""
-    flat_r = [r for rs, ps in zip(rho, powers) for r in rs for _ in ps for _ in (0, 1)]
-    flat_p = [e for rs, ps in zip(rho, powers) for _ in rs for p in ps for e in (p, p - 1)]
+
+def _pows(ratios: np.ndarray, powers) -> np.ndarray:
+    """(rho / r_ref)^p of every block, ``ratios[i, ..., b]`` to the power ``powers[i][b]``: the shape of ``ratios``.
+
+    A region's sphere lies inside the reference sphere of its entire blocks
+    (p >= 0) and outside that of its decaying ones (p < 0), so each power is
+    at most 1.  Each is Python's float power, as every scalar of the package
+    is formed (numpy's vectorized pow may differ in the last bit)."""
+    rows = ratios.reshape(len(powers), -1).tolist()
+    values = [list(map(pow, rs, ps * (len(rs) // len(ps)))) for rs, ps in zip(rows, powers)]
+    return np.array(values).reshape(ratios.shape)
+
+
+def _global_amplitude(a: complex, r_ref: float, p: int) -> complex:
+    """The amplitude at the origin's scale, a r_ref^(-p), of a block of power p and value a on the sphere r_ref;
+    ``ArithmeticError`` naming the block and the sphere where a nonzero value leaves the normal float range."""
+    if a == 0:
+        return a
     try:
-        values = list(map(pow, flat_r, flat_p))
-    except OverflowError as exc:  # named: the first power that overflows
-        for r, p in zip(flat_r, flat_p):
-            try:
-                pow(r, p)
-            except OverflowError:
-                raise OverflowError(f"rho^{p} at rho = {r} overflows the float range") from exc
-        raise
-    return np.array(values).reshape(len(rho), -1, len(powers[0]), 2)
+        out = a * r_ref ** -p
+    except OverflowError:
+        out = math.inf
+    if not sys.float_info.min <= abs(out) < math.inf:
+        raise ArithmeticError(f"a power-{p} block of value {a!r} on the sphere r = {r_ref!r} is out of the float "
+                              "range at the origin's scale")
+    return out
 
 
 def _profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
@@ -449,61 +462,45 @@ def _profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
             np.array([prof.coords for prof in profs]))
 
 
-def _traces(stack, amps: np.ndarray, rho, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement and traction scalars per degree, (k, D) each, of k profile fields on the spheres ``rho``.
+def _traces(stack, amps: np.ndarray, ratios, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Displacement and rho times traction scalars per degree, (k, D) each, of k profile fields on spheres rho.
 
-    Row i is the field of block amplitudes ``amps[i]`` (B,) of the i-th
-    profile of ``stack`` (:func:`_profile_stack`); the ``blocks`` are summed
-    in block order, each amplitude times scalar times rho^p (traction
-    rho^(p-1)), the traction that of the base moduli.
+    Row i is the field of region-local amplitudes ``amps[i]`` (B,) of the
+    i-th profile of ``stack``, its ``blocks`` referenced to one sphere,
+    ``ratios[i]`` being rho over its radius: each amplitude times scalar
+    times (rho / r_ref)^p (Python's pow, as :func:`_pows`), in block order.
     """
     power, scalars, _ = stack
-    pw = _pows([[r] for r in rho], [p[blocks] for p in power])[:, 0, :, :, None]
+    pw = np.array([[pow(r, p) for p in ps[blocks]] for r, ps in zip(ratios, power)])
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        ut = ((amps[:, blocks, None, None] * scalars[:, blocks]) * pw).sum(axis=1)
+        ut = ((amps[:, blocks, None, None] * scalars[:, blocks]) * pw[:, :, None, None]).sum(axis=1)
     return ut[:, 0], ut[:, 1]
 
 
 @_once_per_key
-def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_RadialProfile, np.ndarray, float]:
-    """The perfect wave of a unit sector member in profile blocks: (profile, amplitudes, c).
+def _wave_amplitudes(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray, float]:
+    """The perfect wave of a unit sector member in region-local profile blocks: (profile, amplitudes, c).
 
-    The amplitudes are those of the regions inside and outside R (rows 0
-    and 1, :func:`_region_blocks`): ``entire n`` inside and R^(2n+1)
-    ``decay n`` outside, plus M_n R^2 ``entire n-2`` inside for family 2
-    and -k_n R^(2n+3) ``decay n+2`` outside for family 3
-    (:func:`~elastoplasmon.waves.perfect_wave` builds its fields from
-    them); an amplitude out of the normal float range raises
-    ``ArithmeticError`` naming R.  The amplitudes are the sector's kernel check: at
-    R the displacements must agree and the traction inside times the
-    family's plasmon constant c must equal the one outside, each to 1e-9 of
-    the largest, else :class:`SectorCheckError`.  The check runs once per
-    process per (lambda, mu, n, family, R); R is taken as a float.
+    The amplitudes of the regions inside and outside the shell sphere R
+    (rows 0 and 1, :func:`_region_blocks`) are each block's value on R,
+    whatever R: 1 for ``entire n`` inside and ``decay n`` outside, plus M_n
+    for ``entire n-2`` inside (family 2) and -k_n for ``decay n+2`` outside
+    (family 3).  They are the sector's kernel check: on R the displacements
+    must agree and the traction inside times the family's plasmon constant
+    c must equal the one outside, each to 1e-9 of the largest, else
+    :class:`SectorCheckError`; once per process per (lambda, mu, n, family).
     """
-    R = float(R)
     prof = _radial_profile(params, n, fam)
-    try:
-        outer_scale, R2 = R ** (2 * n + 1), R**2
-    except OverflowError:  # the amplitudes are then not finite
-        outer_scale = R2 = math.inf
     D = len(prof.degrees)
-    inner, outer = [(0, 1.0)], [(D, outer_scale)]  # (block, amplitude): entire n inside, decay n outside
-    if fam == 2:
-        inner.append((prof.degrees.index(n - 2), mode_constants(params, n).M_n * R2))
-    elif fam == 3:
-        outer.append((D + prof.degrees.index(n + 2), -mode_constants(params, n).k_n * outer_scale * R2))
-    sizes = [abs(a) for _, a in inner + outer]
-    if not sys.float_info.min <= min(sizes) <= max(sizes) < math.inf:
-        side = "overflow" if max(sizes) == math.inf else "underflow"
-        raise ArithmeticError(f"perfect-wave amplitudes at R = {R} {side} (degree {n}, family {fam})")
     amps = np.zeros((2, 2 * D), dtype=complex)
-    for reg, entries in enumerate((inner, outer)):
-        for b, a in entries:
-            amps[reg, b] = a
+    amps[0, 0] = amps[1, D] = 1.0  # entire n inside, decay n outside
+    if fam == 2:
+        amps[0, prof.degrees.index(n - 2)] = mode_constants(params, n).M_n
+    elif fam == 3:
+        amps[1, D + prof.degrees.index(n + 2)] = -mode_constants(params, n).k_n
     c = plasmon_constants(params, n).as_tuple()[fam - 1]
-    (u_in, t_in), (u_out, t_out) = (_traces(_profile_stack([prof]), amps[None, reg], [R], _region_blocks(reg, 2, D))
-                                    for reg in (0, 1))
-    for what, inside, outside in (("continuity", u_in[0], u_out[0]), ("transmission", c * t_in[0], t_out[0])):
+    (u_in, t_in), (u_out, t_out) = np.einsum("rb,bsd->rsd", amps, prof.scalars)  # the traces on R, by region
+    for what, inside, outside in (("continuity", u_in, u_out), ("transmission", c * t_in, t_out)):
         scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
         defect = float(np.max(np.abs(inside - outside)))
         if not defect <= 1e-9 * scale:
@@ -512,51 +509,50 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int, R: float) -> tuple[_R
     return prof, amps, c
 
 
-def _sector_matrices(bounds: list, weights: list, profs: list, pw: np.ndarray):
-    """Square systems of one shape for a unit density, stacked: (matrices (k, m, m), right sides (k, m)).
+def _sector_matrices(bounds: list, weights: list, profs: list):
+    """Square systems of one shape for a unit density, stacked: (matrices (k, m, m), right sides (k, m), columns).
 
     System i is that of the sector of ``profs[i]`` on the interfaces
-    ``bounds[i]`` with region weights ``weights[i]``, ``pw[i]`` (nb, B, 2)
-    the powers rho^p and rho^(p-1) of its blocks on its interfaces
-    (:func:`_pows`).  The unknowns are the amplitudes of the blocks region by
-    region (:func:`_region_blocks`).  Each interface has a displacement and
-    a weighted traction row per degree of the sector (inner minus outer);
-    the density enters as the traction jump at the last one."""
+    ``bounds[i]`` with region weights ``weights[i]``, its unknowns the
+    region-local amplitudes region by region (:func:`_region_blocks`).  Each
+    interface rho has a displacement and a weighted rho-times-traction row
+    per degree (inner minus outer, a block entering as scalar x (rho /
+    r_ref)^p); the density enters as the jump -q at the last one."""
     k, nb = len(profs), len(bounds[0])
     D = len(profs[0].degrees)
     B = 2 * D
+    # per interface the ratios of its sphere in the region inside (j = 0), then outside (j = 1): (k, nb, 2, B)
+    sides = [(m + 1, m + j) for m in range(nb) for j in (0, 1)]  # (sphere, region)
+    pw = _pows(_ratios(np.array([[0.0, *bs, math.inf] for bs in bounds]), *map(list, zip(*sides)), D),
+               [prof.power for prof in profs]).reshape(k, nb, 2, B)
     at = np.arange(nb)
     full = np.zeros((k, nb, B, nb + 1, B), dtype=complex)  # (system, interface, row, region, block)
+    scalars = np.array([prof.scalars.transpose(1, 2, 0) for prof in profs])[:, None]  # (k, 1, 2, D, B)
+    weights = np.array(weights, dtype=complex)[:, :, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        # displacement rows: scalar x rho^p; traction rows: (weight x scalar) x rho^(p-1), the region inside first
-        scalars = np.array([prof.scalars.transpose(1, 2, 0) for prof in profs])  # (k, 2, D, B)
-        disp = (scalars[:, None, 0] * pw[:, :, None, :, 0]).transpose(1, 0, 2, 3)
-        trac = np.array(weights, dtype=complex)[:, :, None, None] * scalars[:, None, 1]
-        full[:, at, :D, at], full[:, at, :D, at + 1] = disp, -disp
-        full[:, at, D:, at] = (trac[:, :-1] * pw[:, :, None, :, 1]).transpose(1, 0, 2, 3)
-        full[:, at, D:, at + 1] = -(trac[:, 1:] * pw[:, :, None, :, 1]).transpose(1, 0, 2, 3)
+        for j, sign in ((0, 1.0), (1, -1.0)):  # displacement scalar x power, (weight x scalar) x power; inner - outer
+            side = pw[:, :, j, None, :]
+            full[:, at, :D, at + j] = sign * (scalars[:, :, 0] * side).transpose(1, 0, 2, 3)
+            full[:, at, D:, at + j] = sign * ((weights[:, j:j + nb] * scalars[:, :, 1]) * side).transpose(1, 0, 2, 3)
     cols = [reg * B + b for reg in range(nb + 1) for b in range(B)[_region_blocks(reg, nb + 1, D)]]
     M = full.reshape(k, nb * B, (nb + 1) * B)[:, :, cols]
     rhs = np.zeros((k, nb * B), dtype=complex)
-    rhs[:, -D] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
+    rhs[:, -D] = [-bs[-1] for bs in bounds]  # rho times the weighted traction jump (outer - inner) on the last sphere
     return M, rhs, cols
 
 
 def _solve_systems(systems: list) -> list:
     """Outcomes of (bounds, weights, profile, what, max_condition) sector systems, in order.
 
-    Per system (amplitudes (nb + 1, B) by region, condition, backward error)
-    or its error: the error of its powers (an ``OverflowError``) or of its
-    solve (:func:`_square_solve`).  The systems are a :func:`_column`, the
-    one place a stack of them goes system by system: those of one shape
-    (interfaces and degrees) go through one stacked assembly and solve, each
-    system's amplitudes a row of the stacked solution in the full block
-    layout, zero for a region's absent blocks."""
+    Per system (region-local amplitudes (nb + 1, B) by region, zero for a
+    region's absent blocks, condition, backward error) or the error of its
+    solve (:func:`_square_solve`).  The systems are a :func:`_column`: those
+    of one shape (interfaces and degrees) are one stacked assembly and
+    solve."""
     def values(idx, states):
         bounds, weights, profs, what, cap = zip(*states)
         nb, D = len(bounds[0]), len(profs[0].degrees)
-        pw = _pows(bounds, [prof.power for prof in profs])  # rho^p and rho^(p-1) of every block on every interface
-        M, b, cols = _sector_matrices(bounds, weights, profs, pw)
+        M, b, cols = _sector_matrices(bounds, weights, profs)
         got = _square_solve(M, b, list(what), list(cap))
         amps = np.zeros((len(idx), (nb + 1) * 2 * D), dtype=complex)
         solved = [j for j, g in enumerate(got) if not isinstance(g, Exception)]
@@ -572,13 +568,10 @@ def _single_layers(items) -> np.ndarray:
 
     Item i is the profile field on the radii (0, rho, inf), continuous
     across rho, whose traction (outside minus inside) jumps there by
-    ``density`` times the degree-n shape: the unit-sphere layer (one square
-    system with one interface, for a unit density) with each block of power
-    p times density rho^(1-p).  The unit layers are kept per key in
-    ``_single_layers.cache``; those missing are solved as one stack
-    (:func:`_solve_systems`), and the first item whose profile or solve
-    fails raises that error.  ``ArithmeticError`` naming rho for the first
-    item where a power rho^(1-p) leaves the normal float range."""
+    ``density`` times the degree-n shape: in region-local amplitudes, rho x
+    density x the unit-sphere layer.  The unit layers are kept per key in
+    ``_single_layers.cache``; those missing are solved as one stack, and the
+    first item whose profile or solve fails raises that error."""
     cache = _single_layers.cache
     keys = [_key(params, n, fam) for params, n, fam, _, _ in items]
     pending = {}  # per missing key its unit system, or the error of its profile
@@ -595,34 +588,17 @@ def _single_layers(items) -> np.ndarray:
             pending[key] = got
         else:
             cache[key] = (system[2], got[0].real)  # the solve of a real system: its amplitudes are real
-    units = [cache.get(key) or _ok(pending[key]) for key in keys]
-    scales = []
-    for (prof, _), (_, n, fam, rho, _) in zip(units, items):
-        rho = float(rho)
-        try:
-            scale = [rho ** (1 - p) for p in prof.power]
-        except OverflowError:
-            scale = [math.inf]
-        if not all(sys.float_info.min <= s < math.inf for s in scale):
-            raise ArithmeticError(f"single layer on the sphere rho = {rho}: a power of rho leaves the float range "
-                                  f"(degree {n}, family {fam})")
-        scales.append(scale)
+    units = [(cache.get(key) or _ok(pending[key]))[1] for key in keys]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        return (np.array([density for *_, density in items], dtype=complex)[:, None, None]
-                * np.array([unit for _, unit in units])) * np.array(scales)[:, None, :]
+        return np.array([float(rho) * density for *_, rho, density in items], dtype=complex)[:, None, None] * units
 
 
 _single_layers.cache = {}  # (float lambda, float mu, n, family) -> (profile, unit-sphere amplitudes (2, B))
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:
-    """Condition number of each family's degree-n square sector system.
-
-    Each system is solved capped at 0 (:func:`_solve_systems`), so it is
-    refused and the refusal carries its (1-norm) condition; an error is
-    raised.  A loss-free medium at a plasmon constant makes the matching
-    family's system singular.
-    """
+    """Condition number of each family's degree-n square sector system, read from its solve capped at 0 (whose
+    refusal carries it); an error is raised.  At a plasmon constant the loss-free system is singular."""
     bounds, weights = _region_layout(medium, q)
     systems = [(bounds, weights, _radial_profile(medium.base, n, fam), "interface system", 0.0) for fam in (1, 2, 3)]
     return {fam: got.condition if isinstance(got, ResonantSingularityError) else _ok(got)[1]
@@ -634,9 +610,7 @@ def _solve_column(items) -> list:
 
     Every item's sector systems are gathered first, and systems of equal
     layout, profile and singularity cap are solved once
-    (:func:`_solve_systems`: one stacked assembly and :func:`_square_solve`
-    per shape); each solution's sectors hold rows of the stacked solution.
-    A loss-free item with a source outside family 1 adds the capped systems
+    (:func:`_solve_systems`).  A loss-free item with a source outside family 1 adds the capped systems
     of all three families at its degree, and its resonance check reads
     their outcomes (:func:`_resonance`).  An item's error is the one
     :func:`solve_mode` raises for it: the first, in solve order, of its
@@ -667,7 +641,7 @@ def _solve_column(items) -> list:
                           for fam in (1, 2, 3)]
             for fam, gam in sorted(gammas.items()):
                 if gam:
-                    _wave_amplitudes(params, n, fam, medium.shell_radius)  # the sector's kernel check
+                    _wave_amplitudes(params, n, fam)  # the sector's kernel check
                 prof = _radial_profile(params, n, fam)
                 slots.append((fam, tuple(gam.items()), prof, slot(layout, params, n, fam, prof, cap)))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
@@ -706,14 +680,12 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolutio
     """Exact transmission solve for the degree-n part of the source: a column of one (:func:`_solve_column`).
 
     Each family's part of the density is solved in its sector by one square
-    scalar system for a unit density (:func:`sector_conditions` gives their
-    conditions); the parts superpose with their coefficients.  No kernel
-    matrix or ladder degree is built: the solution's ``regions`` are,
-    when read.  Each family's perfect wave must pass :func:`_wave_amplitudes`'
-    check at its plasmon constant, else :class:`SectorCheckError`.  Raises
-    :class:`ResonantSingularityError` when a loss-free medium makes a solved
-    system singular, that is of equilibrated condition above 1e9 (for a
-    source outside family 1: any family's system), and
+    scalar system for a unit density; the parts superpose with their
+    coefficients.  No kernel matrix or ladder degree is built.  Raises
+    :class:`SectorCheckError` where a family's perfect wave fails
+    :func:`_wave_amplitudes`' check, :class:`ResonantSingularityError` when
+    a loss-free medium makes a solved system (for a source outside family 1:
+    any family's) of equilibrated condition above 1e9,
     :class:`UnconvergedSolveError` when a backward error exceeds 1e-10, and
     ``ValueError`` unless q > shell_radius and every source mode names a
     family 1..3 and a member k in 1..2J+1.

@@ -22,11 +22,12 @@ every k.
 The Neumann-Poincare spectrum reads the sectors' radial profiles of
 :mod:`~elastoplasmon.transmission`, the engine of the transmission solve.
 The single layer of a sector density on the sphere (one unit-sphere system
-per key, scaled) is continuous there and its traction jumps by the density;
-K* is the average of its two one-sided traction scalars.  K* commutes with
+per key) is continuous there and its traction jumps by the density; K* is
+the average of its two one-sided traction scalars.  K* commutes with
 rotations and maps every sector shape to a multiple of itself (checked), so
 one layer per degree and family gives an eigenvalue; under (c+1)/(2(c-1))
-these eigenvalues are the plasmon constants.
+these eigenvalues are the plasmon constants.  A single layer's system has
+one sphere, so the spectrum is scale-free: the unit sphere's at every R.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import (_column, _ok, _profile_stack, _radial_profile, _region_blocks, _single_layers, _traces,
-                           _wave_amplitudes)
+from .transmission import (_column, _global_amplitude, _ok, _profile_stack, _radial_profile, _region_blocks,
+                           _single_layers, _traces, _wave_amplitudes)
 
 __all__ = [
     "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
@@ -255,13 +256,20 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
 
     Its fields are the profile blocks of the sector's perfect wave
     (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
-    sector once per key and gives its plasmon constant) on the kernel and
-    its ladder shape.  ``tables`` is unused (the ladders are read by degree
-    from the process-wide store); it keeps its position only for callers
-    that pass a table positionally, such as the benchmark's residual probe.
+    sector and gives its plasmon constant) on the kernel and its ladder
+    shape, a block of value a on R taken as a R^(n-p), so that the kernel's
+    own block is 1; an amplitude out of the normal float range raises
+    ``ArithmeticError`` naming R.  ``tables`` is unused; it keeps its
+    position for callers that pass a table, such as the benchmark's probe.
     """
     K = np.asarray(kernel, dtype=complex)
-    prof, amps, c = _wave_amplitudes(params, n, family, R)
+    prof, local, c = _wave_amplitudes(params, n, family)
+    try:
+        amps = np.array([[_global_amplitude(a, float(R), p - n) for a, p in zip(row, prof.power)]
+                         for row in local.tolist()])
+    except ArithmeticError:
+        raise ArithmeticError(f"perfect-wave amplitudes at R = {float(R)} {'overflow' if R > 1 else 'underflow'} "
+                              f"(degree {n}, family {family})") from None
     refs = {n: K}
     if family != 1:
         refs[prof.degrees[1]] = _ladder(K, n, family == 3)
@@ -305,23 +313,23 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     :func:`sector_kernels` to a multiple of itself, so the Galerkin matrix
     is diagonal on the shapes, truncation included.  The single layer of a
     family's degree-n shape is the field of its radial profile that is
-    continuous at R with unit traction jump (no member matrix; a power of R
-    out of the float range raises ``ArithmeticError`` naming R), and the
-    multiple is half the sum of its two one-sided traction scalars on degree
-    n; a partner-degree part above 1e-11 of the largest of them raises
-    :class:`SectorCheckError`.  Each multiple is emitted 2J + 1 times, once
-    per member of its sector, as the dense matrix's eigenvalues are.  The
-    layers of one profile shape are one stacked solve; an error is raised
-    for the first (degree, family) that has one.  Returns (eigenvalue,
-    degree n) pairs sorted by eigenvalue.
+    continuous on the sphere with unit traction jump, and the multiple is
+    half the sum of its two one-sided traction scalars on degree n.  The
+    layer's system has one sphere, so R drops out: every R gives the unit
+    sphere's spectrum, bit for bit.  A partner-degree part above 1e-11 of
+    the largest scalar raises :class:`SectorCheckError`.  Each multiple is
+    emitted 2J + 1 times, once per member of its sector.  The layers of one
+    profile shape are one stacked solve; an error is raised for the first
+    (degree, family) that has one.  Returns (eigenvalue, degree n) pairs
+    sorted by eigenvalue.
     """
     modes = [(n, fam, J, _radial_profile(params, n, fam)) for n in range(1, n_max + 1)
              for fam, J in ((1, n), (2, n - 1), (3, n + 1))]
 
     def values(idx, states):  # the layers of one profile shape: one stacked solve, one trace per side
-        layers = _single_layers([(params, n, fam, R, 1.0) for n, fam, _, _ in states])
+        layers = _single_layers([(params, n, fam, 1.0, 1.0) for n, fam, _, _ in states])
         stack, D = _profile_stack([prof for *_, prof in states]), len(states[0][3].degrees)
-        (_, inside), (_, outside) = (_traces(stack, layers[:, reg], [R] * len(idx), _region_blocks(reg, 2, D))
+        (_, inside), (_, outside) = (_traces(stack, layers[:, reg], [1.0] * len(idx), _region_blocks(reg, 2, D))
                                      for reg in (0, 1))
         return list(zip(inside, outside))
 

@@ -119,10 +119,10 @@ arrays read back as {(kind, degree): (power, {degree: displacement},
 same terms in 50 digits, and ``plain_data`` turns a kept value holding
 arrays or profiles into nested Python data that ``==`` compares.
 
-``least_squares_slope`` is the exact rational least-squares slope of log E
-on log(1/delta), the logs as ``math.log`` rounds them: the value the
-closed-form growth fit of ``scenarios._fit_slope`` rounds, and the one
-``np.linalg.lstsq``, the route it replaced, missed by up to 6 ulp.
+``least_squares_slope`` is the exact rational least-squares slope of
+log(E / E_0) on log(1/delta), the logs as ``math.log`` rounds them: the value the
+integer growth fit of ``scenarios._fit_slope`` rounds once, and the one
+``np.linalg.lstsq``, a route it replaced, missed by up to 6 ulp.
 
 ``exterior_block``/``interior_block`` build the irregular and regular Lame
 blocks of one coefficient matrix with their slaved corrections, as terms.
@@ -592,7 +592,10 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
     shape's coordinate (1 at the part's degree n, -sqrt(kappa (2n+1)/(2d+1))
     at the partner degree d), the profile scalar and the coefficient vector.
     The flux rho^2 Re <u, t(u)> of each region (outer minus inner sphere) is
-    summed in ``dps`` digits from the profile scalars taken exactly as doubles.
+    summed in ``dps`` digits from the profile scalars taken exactly as doubles,
+    the 50-digit region-local amplitudes taken to the origin's scale first
+    (times r_ref^(-p), r_ref the outer radius of an entire block's region and
+    the inner one of a decaying block's).
     """
     import mpmath
 
@@ -624,6 +627,7 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
                         for xc, (r2, kind, shape) in zip(x, cols):
                             p, disp, trac = profile_blocks(prof)[(kind, shape)]
                             if r2 == reg and d in disp:
+                                xc = xc / mpf(radii[reg + 1] if kind == "entire" else radii[reg]) ** p
                                 u += xc * mpc(complex(disp[d])) * r**p
                                 t += xc * mpc(complex(trac[d])) * r ** (p - 1)
                         U, T = fields.setdefault((key, d), ([mpc(0)] * len(gamma), [mpc(0)] * len(gamma)))
@@ -688,8 +692,6 @@ def square_solve_reference(M: np.ndarray, b: np.ndarray, what: str = "interface 
 
 def _reference_solve(M, b, what, max_condition, condition):
     rows, cols, A = equilibrated(M)
-    if not np.isfinite(A).all():
-        raise ArithmeticError(f"{what}: equilibrated entries out of the float range")
     cond, norm = condition(A)
     if cond > max_condition:
         raise ResonantSingularityError(f"loss-free {what} singular (condition {cond:.3e})", condition=cond)
@@ -731,9 +733,10 @@ def seeded_square_systems() -> list:
 
 
 def least_squares_slope(deltas: Sequence[float], values: Sequence[float]) -> Fraction:
-    """The exact slope of the least-squares line through (log(1/delta), log E), each log a ``math.log`` float."""
+    """The exact slope of the least-squares line through (log(1/delta), log(E / E_0)), each log a ``math.log``
+    float."""
     x = [Fraction(math.log(1.0 / d)) for d in deltas]
-    y = [Fraction(math.log(v)) for v in values]
+    y = [Fraction(math.log(v / values[0])) for v in values]
     x_mean, y_mean = sum(x) / len(x), sum(y) / len(y)
     return sum((a - x_mean) * (b - y_mean) for a, b in zip(x, y)) / sum((a - x_mean) ** 2 for a in x)
 
@@ -763,7 +766,8 @@ def profile_blocks(prof: _RadialProfile) -> dict:
 
 
 def annuli(prof: _RadialProfile, radii, amps: np.ndarray) -> list[tuple[float, float, dict]]:
-    """[(r_lo, r_hi, {(kind, shape): amplitude})] per region of block amplitudes by region (``transmission._region_blocks``)."""
+    """[(r_lo, r_hi, {(kind, shape): amplitude})] per region of region-local block amplitudes by region
+    (``transmission._region_blocks``)."""
     D, nreg = len(prof.degrees), len(radii) - 1
     names = [(kind, d) for kind in ("entire", "decay") for d in prof.degrees]
     out = []
@@ -776,51 +780,59 @@ def annuli(prof: _RadialProfile, radii, amps: np.ndarray) -> list[tuple[float, f
 def sector_system(bounds: list[float], weights: list[complex], prof: _RadialProfile):
     """Square system of one sector for a unit density, entry by entry: (matrix, right-hand side, columns).
 
-    The unknowns are the amplitudes of the (region, kind, shape) blocks:
+    The unknowns are the region-local amplitudes of the (region, kind,
+    shape) blocks, each block's value on its region's reference sphere (the
+    outer radius for an entire block, the inner one for a decaying block):
     entire in the ball, decaying outside, both in between.  Each interface
-    of ``bounds`` has a displacement and a ``weights``-weighted traction row
-    per degree of the sector (inner minus outer); the density enters as the
-    traction jump at the last one."""
+    rho of ``bounds`` has a displacement and a ``weights``-weighted rho-times-
+    traction row per degree of the sector (inner minus outer), a block of
+    power p entering as its scalar times (rho / r_ref)^p; the density enters
+    as the jump -q at the last one, q = ``bounds[-1]``."""
     blocks = profile_blocks(prof)
     k = len(prof.degrees)
+    radii = [0.0, *bounds, math.inf]
     kinds = [("entire",)] + [("entire", "decay")] * (len(bounds) - 1) + [("decay",)]
     cols = [(reg, kind, shape) for reg, ks in enumerate(kinds) for kind in ks for shape in prof.degrees]
     nc = len(cols)
     M = [0j] * (2 * k * len(bounds) * nc)  # row-major, filled as Python scalars
     for ci, (reg, kind, shape) in enumerate(cols):
         p, disp, trac = blocks[(kind, shape)]
+        ref = radii[reg + 1] if kind == "entire" else radii[reg]
         for bi in (reg - 1, reg):
             if 0 <= bi < len(bounds):
                 rho, sgn = bounds[bi], (1.0 if reg == bi else -1.0)
-                u, t, at = rho**p, rho ** (p - 1), 2 * k * bi * nc + ci
+                u, at = (rho / ref) ** p, 2 * k * bi * nc + ci
                 for di, d in enumerate(prof.degrees):
                     M[at + di * nc] = sgn * disp.get(d, 0.0) * u
-                    M[at + (k + di) * nc] = sgn * weights[reg] * trac.get(d, 0.0) * t
+                    M[at + (k + di) * nc] = sgn * weights[reg] * trac.get(d, 0.0) * u
     b = np.zeros(2 * k * len(bounds), dtype=complex)
-    b[-k] = -1.0  # weighted traction jump (outer - inner) = density on the last sphere, degree n
+    b[-k] = -bounds[-1]  # rho times the weighted traction jump (outer - inner) = density on the last sphere, degree n
     return np.array(M, dtype=complex).reshape(-1, nc), b, cols
 
 
-def dict_profile_trace(prof: _RadialProfile, amplitudes: dict, rho: float) -> dict[int, tuple[complex, complex]]:
-    """{degree: (displacement, traction)} scalars on the sphere rho of a sum of the profile's blocks.
+def dict_profile_trace(prof: _RadialProfile, amplitudes: dict, rho: float, r_lo: float,
+                       r_hi: float) -> dict[int, tuple[complex, complex]]:
+    """{degree: (displacement, rho times traction)} scalars on the sphere rho of a sum of the profile's blocks.
 
-    ``amplitudes`` maps (kind, shape) blocks to their amplitudes; the
-    traction is that of the base moduli.
+    ``amplitudes`` maps (kind, shape) blocks of the annulus (r_lo, r_hi) to
+    their region-local amplitudes, each block's value on r_hi (entire) or
+    r_lo (decaying); the traction is that of the base moduli.
     """
     blocks = profile_blocks(prof)
     out: dict[int, tuple[complex, complex]] = {}
-    for block, a in amplitudes.items():
-        p, disp, trac = blocks[block]
+    for (kind, shape), a in amplitudes.items():
+        p, disp, trac = blocks[(kind, shape)]
+        power = (rho / (r_hi if kind == "entire" else r_lo)) ** p
         for d, u in disp.items():
             u0, t0 = out.get(d, (0.0, 0.0))
-            out[d] = (u0 + a * u * rho**p, t0 + a * trac.get(d, 0.0) * rho ** (p - 1))
+            out[d] = (u0 + a * u * power, t0 + a * trac.get(d, 0.0) * power)
     return out
 
 
 def dict_flux(parts_by_annulus: dict) -> float:
     """Sum over annuli of P(u, u) by Betti's identity, for fields that solve the Lame system.
 
-    On an annulus P(u, u) is the flux rho^2 Re <u, t(u)> through its outer
+    On an annulus P(u, u) is the flux rho Re <u, rho t(u)> through its outer
     sphere minus its inner one; the flux vanishes at r = 0 and at infinity.
     ``parts_by_annulus[(r_lo, r_hi, sector)]`` lists the sector's parts on the annulus
     as (profile, coordinates, gamma, block amplitudes), gamma the part's
@@ -834,9 +846,10 @@ def dict_flux(parts_by_annulus: dict) -> float:
         for rho, sign in ((r_hi, 1.0), (r_lo, -1.0)):
             if not 0.0 < rho < math.inf:
                 continue
-            traces = [{d: (coords[d] * ud, coords[d] * td) for d, (ud, td) in dict_profile_trace(prof, amps, rho).items()}
+            traces = [{d: (coords[d] * ud, coords[d] * td)
+                       for d, (ud, td) in dict_profile_trace(prof, amps, rho, r_lo, r_hi).items()}
                       for prof, coords, _, amps in parts]
-            total += sign * rho**2 * sum(
+            total += sign * rho * sum(
                 (g * sum(u.conjugate() * tq[d][1] for d, (u, _) in tp.items() if d in tq)).real
                 for row, tp in zip(gram, traces) for g, tq in zip(row, traces))
     return total
@@ -879,10 +892,10 @@ def vector_flux(parts_by_annulus: dict) -> float:
             u: dict = {}
             t: dict = {}
             for prof, coords, gamma, amplitudes in parts:
-                for d, (ud, td) in dict_profile_trace(prof, amplitudes, rho).items():
+                for d, (ud, td) in dict_profile_trace(prof, amplitudes, rho, r_lo, r_hi).items():
                     u[d] = u.get(d, 0.0) + (coords[d] * ud) * gamma
                     t[d] = t.get(d, 0.0) + (coords[d] * td) * gamma
-            total += sign * rho**2 * sum(float(np.real(np.vdot(u[d], t[d]))) for d in u)
+            total += sign * rho * sum(float(np.real(np.vdot(u[d], t[d]))) for d in u)
     return total
 
 
@@ -1724,11 +1737,12 @@ def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> li
     a rho^n = b rho^(-n-1) and the traction jump (outside minus inside)
     mu [-(n+2) b rho^(-n-2) - (n-1) a rho^(n-1)] = density give
     a = -density / ((2n+1) rho^(n-1) mu), the radial witness's incident wave
-    at density gamma, and b = a rho^(2n+1), formed as rho^(n+2) so that it
-    stays in range.  Annuli as ``annuli`` reads a layer of ``_single_layers``.
+    at density gamma, and b = a rho^(2n+1).  Both blocks' value on rho, their
+    region-local amplitude, is then -density rho / ((2n+1) mu).  Annuli as
+    ``annuli`` reads a layer of ``_single_layers``.
     """
-    a = -density / ((2 * n + 1.0) * mu)
-    return [(0.0, rho, {("entire", n): a / rho ** (n - 1)}), (rho, math.inf, {("decay", n): a * rho ** (n + 2)})]
+    a = -density * rho / ((2 * n + 1.0) * mu)
+    return [(0.0, rho, {("entire", n): a}), (rho, math.inf, {("decay", n): a})]
 
 
 def unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray]:

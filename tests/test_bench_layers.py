@@ -43,6 +43,20 @@ def test_layer_record_names_every_layer(tmp_path):
     assert all(10 < v < 1024 for v in record["cold_rss_mb"].values()), record["cold_rss_mb"]
 
 
+def test_cold_import_ends_before_finalization(tmp_path, monkeypatch):
+    # the cold import record is the import alone: its process imports
+    # elastoplasmon.cli and ends by os._exit(0), as cli.run ends a command,
+    # so an exit handler registered before it never runs and the record
+    # pays no interpreter finalization
+    layers = _layers(monkeypatch)
+    flag, code = layers._cold_commands(tmp_path)["import"]
+    probe = "import atexit\natexit.register(print, 'finalized')\n" + code
+    r = subprocess.run([sys.executable, "-X", "importtime", flag, probe], env=layers._env(ROOT), capture_output=True,
+                       text=True)
+    assert r.returncode == 0 and r.stdout == "", r.stdout
+    assert any(line.endswith("| elastoplasmon.cli") for line in r.stderr.splitlines()), r.stderr
+
+
 def test_pairs_alternate_and_summarize(monkeypatch):
     # each pair runs both sides, the first side alternating; each side's
     # record holds its medians and runs, and the change's the parent's

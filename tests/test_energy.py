@@ -503,7 +503,7 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
             ref = mp_flux_dissipation(sols, med)
             assert abs(dissipation_E(sols, med) - ref) <= 2e-15 * ref, (params, n)
             for fam in (1, 2, 3):
-                prof, amps, _ = _wave_amplitudes(params, n, fam, 1.5)
+                prof, amps, _ = _wave_amplitudes(params, n, fam)
                 coords, radii = dict(zip(prof.degrees, prof.coords.tolist())), (0.0, 1.5, math.inf)
                 want = vector_flux({(lo, hi, None): [(prof, coords, 1.0, a)] for lo, hi, a in annuli(prof, radii, amps)})
                 got = profile_pairings(_profile_stack([prof]), [radii], amps[None])[0]
@@ -533,7 +533,7 @@ def test_array_flux_is_the_dict_flux(materials):
     assert [solution_pairings([sols])[0] for sols in rows] == want
     for params in materials:
         for n, fam in ((2, 1), (9, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
-            prof, amps, _ = _wave_amplitudes(params, n, fam, 1.5)
+            prof, amps, _ = _wave_amplitudes(params, n, fam)
             layer = _single_layers([(params, n, fam, 0.8, 0.3j)])[0]
             for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), layer)):
                 got = profile_pairings(_profile_stack([prof]), [radii], a[None])[0]

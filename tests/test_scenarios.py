@@ -187,14 +187,14 @@ def test_witness_fixed_c_matches_extended_precision_solve(tables, monkeypatch):
 
 
 def test_witness_fixed_c_singular_loss_free_system_leaves_bound_blank(tables):
-    # at n = 14 the loss-free system's condition exceeds 1e9: no bound
+    # at n = 17 the loss-free system's condition exceeds 1e9: no bound
     conf = scheduled_configuration(params=P11, shell_radius=2.0, q=2.3, core_radius=1.0)
-    med, src = conf(1e-4)
-    assert max(src.degrees()) == 14
+    med, src = conf(1e-5)
+    assert max(src.degrees()) == 17
     with pytest.raises(ResonantSingularityError) as err:
         witness_fixed_c(med, src)
     assert err.value.condition > 1e9
-    row = _sweep_rows(conf, [1e-4])[0][0]
+    row = _sweep_rows(conf, [1e-5])[0][0]
     assert row.I_upper is None and row.J_lower is not None
 
 
@@ -288,8 +288,9 @@ def test_witness_radial_nonresonant_bounded(tables):
 
 
 def test_witness_radial_nonresonant_upper_bound_any_core(tables):
-    # modes off the schedule are matched at the actual core radius
-    src = SourceSpec(q=3.0, coefficients={(3, 1, 1): 1.0})
+    # modes off the schedule are matched at the actual core radius a; the
+    # source sphere lies outside the critical radius a (R / a)^(3/2) of both
+    src = SourceSpec(q=4.5, coefficients={(3, 1, 1): 1.0})
     for core in (0.5, 1.5):
         med = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-2, base=P11, core_radius=core)
         _, _, I_up = witness_radial_nonresonant(med, src, 1e-2)
@@ -428,12 +429,12 @@ def test_shared_sector_cross_energy_is_counted(tables):
 
 def test_sweep_records_every_witness_refusal(tables):
     # q = 2.3: the loss-free system of the fixed-multiplier witness is
-    # singular from n_delta = 14 on; each blank I_upper names its refusal, and
+    # singular from n_delta = 17 on; each blank I_upper names its refusal, and
     # the radial witness, whose hypothesis q > R^(3/2) fails, is not tried
     conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
     res = sweep(conf, [10.0 ** (-e / 2) for e in range(4, 17)])
     refusals = res.meta["refusals"]
-    assert [r["n_delta"] for r in refusals] == [14, 15, 17, 19, 20, 22, 24, 25, 27]
+    assert [r["n_delta"] for r in refusals] == [17, 19, 20, 22, 24, 25, 27]
     assert {(r["witness"], r["bound"], r["error"]) for r in refusals} == {
         ("witness_fixed_c", "I_upper", "ResonantSingularityError")}
     assert all("singular" in r["message"] for r in refusals)
@@ -470,8 +471,8 @@ def test_fixed_c_sweep_solves_one_loss_free_system(monkeypatch):
 def test_sweep_reports_each_rows_solves():
     # meta["solves"]: per row the largest condition and backward error of its
     # lossy and loss-free systems, as the row's own solves give them; a
-    # loss-free system refused as singular keeps its condition, and a sweep
-    # with no loss-free column reports None there
+    # loss-free system refused as singular (n = 17) keeps its condition, and
+    # a sweep with no loss-free column reports None there
     conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
     deltas = [1e-2, 1e-3, 1e-4, 1e-5]  # n_delta 7, 10, 14, 17
     res = sweep(conf, deltas)
@@ -486,14 +487,14 @@ def test_sweep_reports_each_rows_solves():
             want, singular = (exc.condition, None), singular + 1
         assert entry == {"row": i, "lossy_condition": sol.condition, "lossy_backward_error": sol.lstsq_residual,
                          "loss_free_condition": want[0], "loss_free_backward_error": want[1]}
-    assert singular == 2
+    assert singular == 1
     res = sweep(FLUX_CONFIGS["f2_fixed_cored"], deltas)
     assert [(e["loss_free_condition"], e["loss_free_backward_error"]) for e in res.meta["solves"]] == [(None, None)] * 4
 
 
 def test_sweep_column_is_each_row_as_a_column_of_one():
     # one column of mixed rows: the two gated schedules (the q = 2.3 row at
-    # n = 14 has a singular loss-free system), a cored family-1 fixed-c row
+    # n = 17 has a singular loss-free system), a cored family-1 fixed-c row
     # whose loss-free system is singular, core-free family-2 and family-3
     # rows and the cored family-2 row whose two witnesses refuse.  Each
     # row's E_delta, I_upper and J_lower are those of the row solved alone,
@@ -501,9 +502,9 @@ def test_sweep_column_is_each_row_as_a_column_of_one():
     # are the same bytes
     import json
 
-    singular = fixed_configuration(P11, 2.0, plasmon_constants(P11, 14).zeta1,
-                                   SourceSpec(2.3, {(14, 1, 3): 0.6 - 0.8j}), core_radius=1.0)
-    picks = [("f1_sched_q2.3", 1e-2), ("f1_sched_q2.3", 1e-4), ("f1_sched_q3.6", 1e-3), ("f1_sched_q3.6", 1e-8),
+    singular = fixed_configuration(P11, 2.0, plasmon_constants(P11, 17).zeta1,
+                                   SourceSpec(2.3, {(17, 1, 3): 0.6 - 0.8j}), core_radius=1.0)
+    picks = [("f1_sched_q2.3", 1e-2), ("f1_sched_q2.3", 1e-5), ("f1_sched_q3.6", 1e-3), ("f1_sched_q3.6", 1e-8),
              (singular, 3e-3), ("f1_fixed_cored", 2e-3), ("f2_sched_nocore", 1.5e-2), ("f3_fixed_nocore", 2.5e-3),
              ("f2_fixed_cored", 4e-3), ("shared_sector_cored", 5e-3)]
     table = {delta: (FLUX_CONFIGS.get(conf, conf) if isinstance(conf, str) else conf)(delta) for conf, delta in picks}
@@ -521,17 +522,22 @@ def test_sweep_column_is_each_row_as_a_column_of_one():
 
 
 def test_witness_column_gives_each_row_its_own_error():
-    # a row whose core repair leaves the float range (a core sphere of radius
-    # 1e-200) makes its stack raise; its rows then go one at a time, so that
-    # row alone is refused, by name, and the others keep their bounds bit for
-    # bit, as in a column of one
+    # a row whose bound leaves the float range (a source coefficient of
+    # 1e200: C0^2 overflows) makes its stack raise; its rows then go one at a
+    # time, so that row alone is refused, and the others keep their bounds
+    # bit for bit, as in a column of one.  A core sphere of radius 1e-200,
+    # which the core repair's powers of the radius once refused, is a row
+    # like any other: its repair is region-local
     from elastoplasmon.scenarios import _core_bound
     from oracles import plain_data
 
     conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
     good = [(*conf(d), d) for d in (1e-2, 1e-3)]
-    bad = (replace(good[0][0], core_radius=1e-200), good[0][1], 1e-2)
+    (mode,) = good[0][1].coefficients
+    bad = (good[0][0], SourceSpec(2.3, {mode: 1e200}), 1e-2)
     column = _core_bound([good[0], bad, good[1]], [[]] * 3)  # a dual core reads no loss-free solve
-    assert isinstance(column[1], ArithmeticError) and "sphere rho = 1e-200" in str(column[1])
+    assert isinstance(column[1], OverflowError)
     assert str(column[1]) == str(_core_bound([bad], [[]])[0])
+    far_core = (replace(good[0][0], core_radius=1e-200), good[0][1], 1e-2)
+    assert 0 < _core_bound([far_core], [[]])[0][0] < math.inf
     assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_core_bound([row], [[]])[0]) for row in good]

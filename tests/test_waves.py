@@ -440,7 +440,7 @@ def test_wave_check_routes_agree_on_waves_and_seeded_defects(tables, materials):
 
 def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
     # a perfect wave's constant is the one its sector check tested, and the
-    # check of each (material, degree, family, R) runs once however many
+    # check of each (material, degree, family) runs once however many
     # members are built (123 waves at degree 20, 3 checks)
     params, n, R = LameParams(2.0, 0.5), 20, 1.3
     checked, check = [], transmission._wave_amplitudes.__wrapped__
@@ -453,4 +453,4 @@ def test_perfect_waves_run_one_sector_check_per_family(monkeypatch):
         for K in fields.kernel_basis(params, n, fam):
             assert perfect_wave(K, fam, n, R, params, tables).c == c
             waves_built += 1
-    assert waves_built == 123 and checked == [(n, 1, R), (n, 2, R), (n, 3, R)]
+    assert waves_built == 123 and checked == [(n, 1), (n, 2), (n, 3)]
