@@ -20,11 +20,11 @@ disturbed run of each, as the host's other load only adds time and pages):
   ``np-spectrum --nmax 64``.  Then, in one fresh process per gated sweep
   (:func:`first_sweep`), the first ``cli.main`` call of that sweep after
   the import, its caches empty (``first_sweep:*``), and the package import
-  after numpy (``import:package``) with two of its parts: the time in the
-  dataclass decorators (``import:dataclasses``) and the ``compile()`` of
-  the sources of the modules it loaded (``import:compile``; the host
-  compiles them at import where no bytecode is cached, as with
-  ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout).  Last, in one more
+  after numpy (``import:package``) with one of its parts, the
+  ``compile()`` of the sources of the modules it loaded
+  (``import:compile``; the host compiles them at import where no bytecode
+  is cached, as with ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout).
+  Last, in one more
   fresh process per gated sweep (:func:`exit_s`), the sweep run by
   ``python -m elastoplasmon.cli``'s own path and timed from the return of
   ``cli.main`` until the process is reaped (``exit:sweep:*``);
@@ -39,7 +39,10 @@ disturbed run of each, as the host's other load only adds time and pages):
   hand them to it), ``solve_mode`` per family, ``dissipation_E``, each
   ``scenarios.WITNESSES`` core on one row, the dissipations of one 13-row
   schedule column and each core on a 13-row schedule column
-  (``column:*``), and ``sweep`` per gated configuration.
+  (``column:*``), and per gated configuration ``sweep`` and the whole
+  command through ``cli.main`` (``main:sweep:*``: the config read and
+  checked, the argument parse, the sweep and the CSV written, what the
+  benchmark's ``warm_s`` times).
 
 ``--against DIR`` times DIR (the parent) and this checkout (the change) in N
 alternating pairs, each side first in every other pair, one record of
@@ -57,7 +60,9 @@ paired runs compare two trees.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -175,33 +180,16 @@ def cold(tree: Path, repeats: int, work: Path) -> tuple[dict[str, float], dict[s
 
 
 def first_sweep(argv: list[str]) -> dict[str, float]:
-    """In this fresh process: the package import after numpy, split, and then the first ``cli.main(argv)``.
+    """In this fresh process: the package import after numpy, and then the first ``cli.main(argv)``.
 
-    ``import:dataclasses`` is the time spent in ``dataclasses.dataclass``
-    while ``elastoplasmon.cli`` is imported, and ``import:compile`` the
-    ``compile()`` of the sources of the package modules loaded by then,
-    timed after the sweep."""
-    import dataclasses
-
+    ``import:compile`` is the ``compile()`` of the sources of the package
+    modules loaded by then, timed after the sweep."""
     import numpy  # noqa: F401  (loaded first: its import is not the package's)
 
-    spent = []
-    decorate = dataclasses.dataclass
-
-    def timed(cls=None, /, **kwargs):
-        def apply(c):
-            t0 = time.perf_counter()
-            out = decorate(**kwargs)(c)
-            spent.append(time.perf_counter() - t0)
-            return out
-        return apply if cls is None else apply(cls)
-
-    dataclasses.dataclass = timed
     t0 = time.perf_counter()
     from elastoplasmon import cli
 
     t1 = time.perf_counter()
-    dataclasses.dataclass = decorate
     sources = [(m.__file__, Path(m.__file__).read_bytes()) for name, m in list(sys.modules.items())
                if name == "elastoplasmon" or name.startswith("elastoplasmon.")]
     t2 = time.perf_counter()
@@ -211,8 +199,7 @@ def first_sweep(argv: list[str]) -> dict[str, float]:
     for path, source in sources:
         compile(source, path, "exec")
     compiled = time.perf_counter() - t3
-    return {"import:package": t1 - t0, "import:dataclasses": sum(spent), "import:compile": compiled,
-            "first_sweep": t3 - t2}
+    return {"import:package": t1 - t0, "import:compile": compiled, "first_sweep": t3 - t2}
 
 
 def _least_call_s(call, repeats: int) -> float:
@@ -255,10 +242,18 @@ def _core_call(scenarios, w, rows, free):
     return w.core(rows, scenarios._row_solves(rows, lossy=False)[1] if free is None else free)
 
 
+def _replace(record, **changes):
+    """``record._replace(**changes)``, or ``dataclasses.replace`` in a tree whose medium is a dataclass."""
+    if hasattr(record, "_replace"):
+        return record._replace(**changes)
+    import dataclasses
+
+    return dataclasses.replace(record, **changes)
+
+
 def warm(repeats: int) -> dict:
     """The in-process layer timings of the elastoplasmon on ``sys.path``, and the versions."""
     import numpy as np
-    from dataclasses import replace
 
     from elastoplasmon import cli, energy, scenarios, transmission
     from elastoplasmon.energy import dissipation_E
@@ -272,7 +267,7 @@ def warm(repeats: int) -> dict:
     solves = {2: lambda n: transmission._solve_systems([([1.0], [1.0, 1.0], transmission._radial_profile(params, n, 1),
                                                          "single layer", math.inf)]),
               6: lambda n: solve_mode(cored, SourceSpec(3.0, {(n, 1, 1): 1.0}), n),
-              8: lambda n: solve_mode(replace(cored, core_radius=None), SourceSpec(3.0, {(n, 2, 1): 1.0}), n),
+              8: lambda n: solve_mode(_replace(cored, core_radius=None), SourceSpec(3.0, {(n, 2, 1): 1.0}), n),
               12: lambda n: solve_mode(cored, SourceSpec(3.0, {(n, 3, 1): 1.0}), n)}
     for m, solve in solves.items():
         systems = [system for n in range(7, 20) for system in _systems(transmission, lambda: solve(n))]
@@ -293,7 +288,7 @@ def warm(repeats: int) -> dict:
     zeta1 = plasmon_constants(params, 8).zeta1
     applies = {  # a (medium, source, loss) each witness applies to
         "witness_nocore": (LayeredMedium(2.0, zeta1, 1e-3, params), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
-        "witness_fixed_c": (replace(cored, c=-4.0), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
+        "witness_fixed_c": (_replace(cored, c=-4.0), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
         "witness_core_resonant": (*cli._configuration(configs["sched_q2.3"])(1e-3), 1e-3),
         "witness_radial_nonresonant": (*cli._configuration(configs["sched_q3.6"])(1e-3), 1e-3),
     }
@@ -318,12 +313,18 @@ def warm(repeats: int) -> dict:
             out[f"column:{name}"] = _least_call_s(lambda: energy.dissipations(lossy, media), repeats)
         else:
             w = next(w for w in scenarios.WITNESSES if w.name == name)
-            free = [[sol] for sol in transmission._solve_column([(replace(med, delta=0.0), src, max(src.degrees()))
+            free = [[sol] for sol in transmission._solve_column([(_replace(med, delta=0.0), src, max(src.degrees()))
                                                                  for med, src, _ in rows])]
             out[f"column:{name}"] = _least_call_s(lambda: _core_call(scenarios, w, rows, free), repeats)
     for name, cfg in configs.items():
         conf = cli._configuration(cfg)
         out[f"sweep:{name}"] = _least_call_s(lambda: scenarios.sweep(conf, cfg["delta_list"]), repeats)
+    with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):
+        for command in [c for plan in gated_plans(Path(work)) for c in plan.commands if c.kind == "sweep"]:
+            argv = [a.replace("{work}", work) for a in command.argv]
+            if cli.main(argv) != 0:
+                raise RuntimeError(f"{argv} failed")
+            out[f"main:sweep:{command.ref}"] = _least_call_s(lambda: cli.main(argv), repeats)
     blas = {}
     try:
         deps = np.show_config(mode="dicts")["Build Dependencies"]

@@ -13,21 +13,23 @@ and a witness command no witness applies to), 3 I/O failure, 4 empty
 result.  Every failure writes one JSON line to stderr.  The command-line
 process exits as soon as its outputs are flushed, so it runs no ``atexit``
 handler; in-process callers of ``main`` are unaffected.
+
+Only ``sweep`` and ``witness`` live in this module; the other commands and
+the plot of ``sweep --svg`` load ``elastoplasmon.commands`` when first run.
+A process builds each command's argument parser once, and the full one once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
 
-import numpy as np
-
 from .lame import LameParams, SectorCheckError, mode_constants, plasmon_constants
-from .energy import dissipation_E
-from .transmission import SourceSpec, UnconvergedSolveError, solve_modes
+from .transmission import SourceSpec, UnconvergedSolveError
 from .scenarios import (SweepResult, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep,
                         witness_scalars)
 
@@ -212,17 +214,6 @@ def _check_degree(n: int, what: str) -> None:
         raise ValidationError(f"{what} {n} exceeds the largest supported degree {MAX_DEGREE}")
 
 
-def _check_wave_degree(n: int) -> None:
-    if n < 2:
-        raise ValidationError(f"--n must be at least 2, got {n}")
-    _check_degree(n, "--n")
-
-
-def _check_radius(R: float) -> None:
-    if not (math.isfinite(R) and R > 0):
-        raise ValidationError(f"--R must be finite and positive, got {R}")
-
-
 def _single_loss(args, cfg: dict) -> float:
     """The loss of a one-loss command: ``--delta``, else the first listed loss.
 
@@ -281,146 +272,22 @@ def emit_report(result: SweepResult, cfg: dict, csv_path: str, svg_path: str | N
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     if svg_path:
-        _write_svg(result, svg_path)
-
-
-def _write_svg(result: SweepResult, path: str) -> None:
-    xs = [math.log10(1.0 / r.delta) for r in result.rows]
-    ys = [math.log10(max(r.E_delta, 1e-300)) for r in result.rows]
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
-    dx = (x1 - x0) or 1.0
-    dy = (y1 - y0) or 1.0
-    W, H, pad = 480, 320, 40
-
-    def px(x):
-        return pad + (W - 2 * pad) * (x - x0) / dx
-
-    def py(y):
-        return H - pad - (H - 2 * pad) * (y - y0) / dy
-
-    pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
-    svg = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{W}" height="{H}">',
-        f'<rect width="{W}" height="{H}" fill="white"/>',
-        f'<polyline points="{pts}" fill="none" stroke="black" stroke-width="1.5"/>',
-        f'<text x="{W//2}" y="{H-10}" font-size="12" text-anchor="middle">log10(1/delta)</text>',
-        f'<text x="12" y="{H//2}" font-size="12" transform="rotate(-90 12 {H//2})" text-anchor="middle">log10(E)</text>',
-        f'<text x="{W//2}" y="20" font-size="12" text-anchor="middle">verdict: {result.verdict}, slope {result.growth_exponent:.3f}</text>',
-        "</svg>",
-    ]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(svg) + "\n")
+        _on_demand("_write_svg")(result, svg_path)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_constants(args) -> int:
-    params = _material(args.lam, args.mu, degrees=[args.n])
-    z = plasmon_constants(params, args.n)
-    for name, val in zip(("zeta1", "zeta2", "zeta3"), z.as_tuple()):
-        print(f"{name} = {_fmt(val)}")
-    return EXIT_OK
+def _on_demand(name: str):
+    """A call of the function ``name`` of :mod:`elastoplasmon.commands`, which imports it.  That module imports
+    its helpers from this one, ``__main__`` under ``python -m elastoplasmon.cli``, so registered as ``cli`` first."""
+    def call(*args):
+        sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
+        from . import commands
 
-
-def _cmd_kernels(args) -> int:
-    from .fields import kernel_basis
-    from .waves import kernel_family
-
-    _check_wave_degree(args.n)
-    params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
-    z = plasmon_constants(params, args.n)
-    kernels = [kernel_basis(params, args.n, fam) for fam in (1, 2, 3)]
-    for fam, (c, kers) in enumerate(zip(z.as_tuple(), kernels), start=1):
-        fams = {kernel_family(K) for K in kers}
-        print(f"family {fam}: c = {_fmt(c)}, kernel dimension {len(kers)}, t-pattern {sorted(fams)}")
-    return EXIT_OK
-
-
-def _cmd_waves_check(args) -> int:
-    from .fields import kernel_basis
-    from .waves import perfect_wave, verify_perfect_wave
-
-    _check_wave_degree(args.n)
-    _check_radius(args.R)
-    params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
-    # every wave is built and checked before a row is printed: an amplitude
-    # out of the float range is refused by perfect_wave, and a check whose
-    # gradients or tractions leave it is refused here, by the radius
-    waves = [(fam, k, perfect_wave(K, fam, args.n, args.R, params))
-             for fam in (1, 2, 3) for k, K in enumerate(kernel_basis(params, args.n, fam), start=1)]
-    reports = []
-    for fam, k, wave in waves:
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                reports.append((fam, k, verify_perfect_wave(wave, params)))
-        except FloatingPointError as exc:
-            raise ValidationError(f"--R {args.R} is out of the float range at degree {args.n}: the family-{fam} "
-                                  f"perfect wave's check fails with {exc}") from None
-    worst = 0.0
-    for fam, k, rep in reports:
-        # np.max, unlike max(), keeps a NaN residual, which then fails
-        worst = float(np.max([worst, rep["continuity"], rep["transmission"],
-                              rep["lame_interior"], rep["lame_exterior"]]))
-        print(
-            f"n={args.n} family={fam} k={k}: continuity {rep['continuity']:.2e} "
-            f"transmission {rep['transmission']:.2e} lame {max(rep['lame_interior'], rep['lame_exterior']):.2e}"
-        )
-    print(f"worst residual {worst:.3e}")
-    if not worst < 1e-6:
-        raise ValidationError(f"worst residual {worst:.3e} is not below 1e-6")
-    return EXIT_OK
-
-
-def _cmd_np_spectrum(args) -> int:
-    from .waves import np_eigenvalue_map, np_galerkin_spectrum
-
-    _check_radius(args.R)
-    if not 2 <= args.nmax <= MAX_DEGREE:
-        raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
-    params = _material(args.lam, args.mu, degrees=range(2, args.nmax + 1), fields=range(1, args.nmax + 1))
-    spec = np_galerkin_spectrum(args.R, params, args.nmax)
-    lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
-    targets = []
-    for n in range(2, args.nmax + 1):
-        z = plasmon_constants(params, n)
-        for fam, c in enumerate(z.as_tuple(), start=1):
-            targets.append((np_eigenvalue_map(c), c, fam, n))
-    # a value repeats once per member of its sector: match each distinct value once
-    nearest = {val: min(targets, key=lambda t: abs(t[0] - val)) for val in {v for v, _ in spec}}
-    for val, deg in spec:
-        match = nearest[val]
-        if abs(match[0] - val) < 5e-3:
-            lines.append(f"{_fmt(val)},{deg},{_fmt(match[1])},{match[2]},{_fmt(match[0])}")
-        else:
-            lines.append(f"{_fmt(val)},{deg},,,")
-    text = "\n".join(lines) + "\n"
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
-
-
-def _cmd_solve(args) -> int:
-    from .fields import residual_check
-
-    cfg = load_config(args.config)
-    delta = _single_loss(args, cfg)
-    med, src = _configuration(cfg)(delta)
-    sols = solve_modes(med, src)
-    rep = residual_check(sols, med, src)
-    E = dissipation_E(sols, med)
-    print(f"delta = {_fmt(delta)}  c = {_fmt(med.c)}  E_delta = {_fmt(E)}")
-    for key, val in sorted(rep.items()):
-        print(f"residual {key}: {val:.3e}")
-    failed = [f"{key} {val:.3e}" for key, val in sorted(rep.items()) if not val < 1e-8]
-    if failed:
-        raise ValidationError("residual not below 1e-8: " + ", ".join(failed))
-    return EXIT_OK
+        return getattr(commands, name)(*args)
+    return call
 
 
 def _cmd_sweep(args) -> int:
@@ -487,12 +354,13 @@ _DELTA = ("--delta", dict(type=float))
 
 # (name, help, handler, options as (flag, add_argument keywords)), in help order
 _COMMANDS = (
-    ("constants", "plasmon constants at one degree", _cmd_constants, (_DEGREE, *_MATERIAL)),
-    ("kernels", "kernel dimensions and t-patterns", _cmd_kernels, (_DEGREE, *_MATERIAL)),
-    ("waves-check", "verify the perfect-wave invariants", _cmd_waves_check, (_DEGREE, _RADIUS, *_MATERIAL)),
-    ("np-spectrum", "Galerkin boundary-operator spectrum", _cmd_np_spectrum,
+    ("constants", "plasmon constants at one degree", _on_demand("_cmd_constants"), (_DEGREE, *_MATERIAL)),
+    ("kernels", "kernel dimensions and t-patterns", _on_demand("_cmd_kernels"), (_DEGREE, *_MATERIAL)),
+    ("waves-check", "verify the perfect-wave invariants", _on_demand("_cmd_waves_check"),
+     (_DEGREE, _RADIUS, *_MATERIAL)),
+    ("np-spectrum", "Galerkin boundary-operator spectrum", _on_demand("_cmd_np_spectrum"),
      (_RADIUS, ("--nmax", dict(type=int, default=5)), ("--csv", {}), *_MATERIAL)),
-    ("solve", "one exact solve with residual report", _cmd_solve, (_CONFIG, _DELTA)),
+    ("solve", "one exact solve with residual report", _on_demand("_cmd_solve"), (_CONFIG, _DELTA)),
     ("sweep", "loss sweep driven by a JSON config", _cmd_sweep, (_CONFIG, ("--csv", {}), ("--svg", {}))),
     ("witness", "variational bounds at one loss value", _cmd_witness, (_CONFIG, _DELTA)),
 )
@@ -503,11 +371,18 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 
     Any other first token (none, ``-h``, an unknown command, an option) gets
     every subparser, so usage, help and error texts are the full parser's.
+    Each parser is built once per process (:func:`_parser`).
     """
+    first = argv[0] if argv else None
+    return _parser(first if any(c[0] == first for c in _COMMANDS) else None)
+
+
+@functools.lru_cache(maxsize=None)
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser with the subparser of ``command`` alone, or of every command for None."""
     ap = _Parser(prog="elastoplasmon", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
-    first = argv[0] if argv else None
-    for name, text, func, options in [c for c in _COMMANDS if c[0] == first] or _COMMANDS:
+    for name, text, func, options in [c for c in _COMMANDS if c[0] == command] or _COMMANDS:
         p = sub.add_parser(name, help=text)
         for flag, kwargs in options:
             p.add_argument(flag, **kwargs)

@@ -76,7 +76,7 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
     angular integral of two parts' shapes of degree d is the product of
     their scalars times the entry <gamma_p, gamma_q> of the Gram matrix
     ``gram`` (k, P, P).  The fluxes are added to ``total`` region by region,
-    outer sphere first.
+    outer sphere first; one out of the float range is ``ArithmeticError``.
     """
     r = np.array([list(rs) for rs in radii])
     nreg = r.shape[1] - 1
@@ -101,6 +101,9 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
                 im = (U.real * T.imag - U.imag * T.real).sum(axis=2)
                 value = value + (gram_re[:, p, q] * re - gram_im[:, p, q] * im)
         fluxes = (np.array([sign for *_, sign in sides]) * r[:, spheres]) * value  # sign rho times the pairing
+        for i, j in np.argwhere(~np.isfinite(fluxes))[:1].tolist():  # refused, not summed (inf - inf is nan)
+            raise ArithmeticError(f"the flux through the sphere r = {float(r[i, spheres[j]])!r} is "
+                                  f"{float(fluxes[i, j])!r}, out of the float range")
         for j in range(len(sides)):
             total = total + fluxes[:, j]
     return total

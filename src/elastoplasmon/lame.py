@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 __all__ = [
@@ -36,18 +35,17 @@ class SectorCheckError(AssertionError):
     """
 
 
-@dataclass(frozen=True)
-class LameParams:
-    """Base Lame pair with the 3D strong convexity invariant."""
+class LameParams(NamedTuple("LameParams", [("lam", float), ("mu", float)])):
+    """Base Lame pair with the 3D strong convexity invariant, checked on construction and by ``_replace``."""
 
-    lam: float
-    mu: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.mu > 0 and 3.0 * self.lam + 2.0 * self.mu > 0):
-            raise ValueError(
-                f"(lambda, mu)=({self.lam}, {self.mu}) violates mu>0, 3*lambda+2*mu>0"
-            )
+    def __new__(cls, lam: float, mu: float):
+        if not (mu > 0 and 3.0 * lam + 2.0 * mu > 0):
+            raise ValueError(f"(lambda, mu)=({lam}, {mu}) violates mu>0, 3*lambda+2*mu>0")
+        return super().__new__(cls, lam, mu)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through __new__
 
 
 class ModeConstants(NamedTuple):

@@ -33,7 +33,6 @@ final two decades to stay within a factor 10.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -101,7 +100,7 @@ def _row_solves(rows, lossy: bool) -> tuple[list, list]:
         except ValueError:
             items.append([])
             continue
-        items.append([(replace(med, delta=0.0), src, n) for n in src.degrees()])
+        items.append([(med._replace(delta=0.0), src, n) for n in src.degrees()])
     flat = iter(_solve_column([item for row in items for item in row]) if any(items) else ())
     got = [[next(flat) for _ in row] for row in items]
     return got[:len(rows)], got[len(rows):]

@@ -52,9 +52,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -86,23 +85,22 @@ class UnconvergedSolveError(RuntimeError):
     """Raised when a density leaves its sector or a solve's backward error exceeds 1e-10."""
 
 
-@dataclass(frozen=True)
-class LayeredMedium:
-    """Core | shell | matrix geometry with shell multiplier c and loss delta."""
+class LayeredMedium(NamedTuple("LayeredMedium", [("shell_radius", float), ("c", float), ("delta", float),
+                                                  ("base", LameParams), ("core_radius", "float | None")])):
+    """Core | shell | matrix geometry with shell multiplier c and loss delta, checked as :class:`LameParams` is."""
 
-    shell_radius: float
-    c: float
-    delta: float
-    base: LameParams
-    core_radius: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.core_radius is not None and not (0 < self.core_radius < self.shell_radius):
+    def __new__(cls, shell_radius: float, c: float, delta: float, base: LameParams, core_radius: float | None = None):
+        if core_radius is not None and not (0 < core_radius < shell_radius):
             raise ValueError("need 0 < core_radius < shell_radius")
-        if not (math.isfinite(self.c) and math.isfinite(self.delta)):
+        if not (math.isfinite(c) and math.isfinite(delta)):
             raise ValueError("shell multiplier c and loss delta must be finite")
-        if self.delta < 0:
+        if delta < 0:
             raise ValueError("loss delta must be nonnegative")
+        return super().__new__(cls, shell_radius, c, delta, base, core_radius)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through __new__
 
     def weight(self, r: float) -> complex:
         """A(r) + i delta."""
@@ -119,8 +117,7 @@ def _check_source_mode(n: int, family: int, k: int) -> None:
         raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+class SourceSpec(NamedTuple):
     """Surface force density on partial B_q expanded in kernel matrices.
 
     ``coefficients[(n, family, k)]`` multiplies kernel k of the family at
@@ -154,7 +151,6 @@ class SourceSpec:
                    np.zeros((3, 2 * n + 1), dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
 class ModeSolution:
     """Exact solve of one degree: the scalar amplitudes of each family's sector system.
 
@@ -165,16 +161,19 @@ class ModeSolution:
     bounds from 0 to inf and ``window`` the degrees of the solution's terms.
     ``regions`` is the piecewise field, which :mod:`~elastoplasmon.fields`
     builds when first read.  ``condition`` is the largest condition of its
-    systems and ``lstsq_residual`` the largest backward error.
+    systems and ``lstsq_residual`` the largest backward error.  Equal only
+    to itself; no attribute is assigned after construction.
     """
 
-    n: int
-    condition: float
-    lstsq_residual: float
-    window: tuple[int, ...]
-    radii: tuple[float, ...]
-    sectors: tuple
-    params: LameParams
+    def __init__(self, n: int, condition: float, lstsq_residual: float, window: tuple[int, ...],
+                 radii: tuple[float, ...], sectors: tuple, params: LameParams):
+        vars(self).update(n=n, condition=condition, lstsq_residual=lstsq_residual, window=window, radii=radii,
+                          sectors=sectors, params=params)
+
+    def __setattr__(self, name, *value):  # also __delattr__
+        raise AttributeError(f"ModeSolution attribute {name!r} is read-only")
+
+    __delattr__ = __setattr__
 
     @cached_property
     def regions(self) -> tuple[ModeField, ...]:
@@ -326,8 +325,7 @@ def _column(n: int, check, values, key=None) -> list:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class _RadialProfile:
+class _RadialProfile(NamedTuple):
     """Scalar radial data of one sector at degree n, its blocks as arrays in one block order.
 
     ``degrees`` are n alone (family 1) or n and the partner degree n-2 or
@@ -366,11 +364,16 @@ class _RadialProfile:
         return self.scalars[:, 1]
 
 
-def _profile_from_blocks(degrees: tuple[int, ...], blocks: dict, kappa: float | None) -> _RadialProfile:
-    """A :class:`_RadialProfile` from {(kind, degree): (power, {degree: displacement}, {degree: traction})}."""
+def _profile_from_blocks(params: LameParams, fam: int, degrees: tuple[int, ...], blocks: dict,
+                         kappa: float | None) -> _RadialProfile:
+    """The family's :class:`_RadialProfile` from {(kind, degree): (power, {degree: displacement}, {degree: traction})};
+    ``ArithmeticError`` naming the moduli where a scalar is not finite (moduli near the float range's end)."""
     order = [blocks[(kind, d)] for kind in ("entire", "decay") for d in degrees]
     scalars = np.array([[[part[i].get(d, 0.0) for d in degrees] for i in (1, 2)] for part in order])
     n = degrees[0]
+    if not np.isfinite(scalars).all():
+        raise ArithmeticError(f"the degree-{n} family-{fam} radial profile of (lambda, mu) = ({params.lam!r}, "
+                              f"{params.mu!r}) is out of the float range")
     coords = np.array([1.0 if d == n else -math.sqrt(kappa * (2 * n + 1) / (2 * d + 1)) for d in degrees])
     return _RadialProfile(tuple(degrees), tuple(int(p) for p, _, _ in order), scalars, coords, kappa)
 
@@ -393,11 +396,11 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
     """
     lam, mu = params.lam, params.mu
     if fam == 1:
-        return _profile_from_blocks((n,), {("entire", n): (n, {n: 1.0}, {n: mu * (n - 1.0)}),
-                                           ("decay", n): (-n - 1, {n: 1.0}, {n: -mu * (n + 2.0)})}, None)
+        return _profile_from_blocks(params, fam, (n,), {("entire", n): (n, {n: 1.0}, {n: mu * (n - 1.0)}),
+                                                        ("decay", n): (-n - 1, {n: 1.0}, {n: -mu * (n + 2.0)})}, None)
     if n == 1 and fam == 2:  # J = 0: x and x / r^3
-        return _profile_from_blocks((1,), {("entire", 1): (1, {1: 1.0}, {1: 3.0 * lam + 2.0 * mu}),
-                                           ("decay", 1): (-2, {1: 1.0}, {1: -4.0 * mu})}, None)
+        return _profile_from_blocks(params, fam, (1,), {("entire", 1): (1, {1: 1.0}, {1: 3.0 * lam + 2.0 * mu}),
+                                                        ("decay", 1): (-2, {1: 1.0}, {1: -4.0 * mu})}, None)
     lo = n - 2 if fam == 2 else n
     hi = lo + 2
     kappa = (lo + 1.0) * (lo + 2) * (2 * lo + 1) * (2 * lo + 5)
@@ -412,7 +415,7 @@ def _radial_profile(params: LameParams, n: int, fam: int) -> _RadialProfile:
               ("entire", hi): (hi, {hi: 1.0, lo: slave_lo}, {hi: t_entire, lo: slave_lo * t_lo}),
               ("decay", lo): (-lo - 1, {lo: 1.0, hi: slave_hi}, {lo: t_decay, hi: slave_hi * t_hi}),
               ("decay", hi): (-hi - 1, {hi: 1.0}, {hi: t_hi})}
-    return _profile_from_blocks((n, lo if fam == 2 else hi), blocks, kappa)
+    return _profile_from_blocks(params, fam, (n, lo if fam == 2 else hi), blocks, kappa)
 
 
 def _region_blocks(reg: int, nreg: int, D: int) -> slice:

@@ -144,7 +144,6 @@ matrices (``_project``), and so is the ladder round trip.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,12 +331,12 @@ def projected_radial_profile(params: LameParams, n: int, fam: int, tables: Deriv
             blocks[(kind, d)] = (p, {t.degree: _project(t.coef, refs[t.degree], scale, what) for t in terms},
                                  {dd: _project(m, refs.get(dd), scale, what) for dd, m in trac.items()})
     if fam == 1:
-        return _profile_from_blocks((n,), blocks, None)
+        return _profile_from_blocks(params, fam, (n,), blocks, None)
     back = _ladder(refs[d2], d2, fam == 2)
     kappa = _project(back, K, float(np.linalg.norm(back)), f"family-{fam} ladder round trip")
     if not abs(kappa.imag) <= 1e-13 * abs(kappa):
         raise SectorCheckError(f"family-{fam} ladder round trip is not real (kappa {kappa})")
-    return _profile_from_blocks((n, d2), blocks, kappa.real)
+    return _profile_from_blocks(params, fam, (n, d2), blocks, kappa.real)
 
 
 def window(n: int, minimal: bool = False) -> tuple[int, ...]:
@@ -745,10 +744,8 @@ def plain_data(value):
     """A value as nested Python data (arrays as lists, profiles as their fields), so that == compares it."""
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, tuple):
+    if isinstance(value, tuple):  # profiles included, named tuples of their fields
         return tuple(plain_data(v) for v in value)
-    if isinstance(value, _RadialProfile):
-        return plain_data(dataclasses.astuple(value))
     return value
 
 

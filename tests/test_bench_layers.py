@@ -12,12 +12,12 @@ WITNESSES = ("witness_nocore", "witness_fixed_c", "witness_core_resonant", "witn
 GATED = ("sched_q2.3", "sched_q3.6", "nocore_zeta3_3", "cored_zeta2_4")
 COMMANDS = ({"import", "np-spectrum:64"} | {f"waves-check:{n}" for n in (20, 40, 64)}
             | {f"{kind}:{name}" for kind in ("sweep", "solve") for name in GATED})  # the cold commands
-COLD = (COMMANDS | {"import:package", "import:compile", "import:dataclasses"}
+COLD = (COMMANDS | {"import:package", "import:compile"}
         | {f"{kind}:{name}" for kind in ("first_sweep", "exit:sweep") for name in GATED})
 WARM = ({f"square_solve[m={m},k={k}]" for m in (2, 6, 8, 12) for k in (1, 13)}
         | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:dissipations"}
         | {f"{kind}:{name}" for kind in ("witness", "column") for name in WITNESSES}
-        | {f"sweep:{name}" for name in GATED})
+        | {f"{kind}:{name}" for kind in ("sweep", "main:sweep") for name in GATED})
 
 
 def _layers(monkeypatch):

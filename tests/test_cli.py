@@ -391,8 +391,9 @@ def test_far_source_solves_or_names_the_float_range(command, q, tmp_path):
     # and 1e60 both commands exit 0 with nothing on stderr (at the origin's
     # scale the systems had a subnormal column scale and an exactly singular
     # LU there).  At q = 1e200 the energy, scaling as q^3, and the field at
-    # the origin's scale leave the float range: the sweep refuses its energy
-    # and the solve check refuses the field by name, each in one JSON line
+    # the origin's scale leave the float range: the sweep refuses the flux
+    # through the source sphere and the solve check refuses the field, each
+    # by name in one JSON line
     sys.path.insert(0, SRC)
     from elastoplasmon.lame import LameParams
     from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_mode
@@ -409,7 +410,9 @@ def test_far_source_solves_or_names_the_float_range(command, q, tmp_path):
     lines = r.stderr.splitlines()
     assert r.returncode == 2 and len(lines) == 1, r.stderr
     error = json.loads(lines[0])["error"]
-    assert ("is not positive and finite" if command == "sweep" else "out of the float range") in error, error
+    assert "out of the float range" in error, error
+    if command == "sweep":
+        assert error == "the flux through the sphere r = 1e+200 is nan, out of the float range"
     with pytest.raises(ArithmeticError, match="sphere r = 1e[+]200 is out of the float range"):
         sol.regions
 
@@ -490,13 +493,13 @@ def test_invalid_source_modes_are_json_errors(tmp_path, config):
 
 def test_unconverged_solve_is_a_json_error(config_file, monkeypatch, capsys):
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli
+    from elastoplasmon import cli, commands
     from elastoplasmon.transmission import UnconvergedSolveError
 
     def unconverged(*args):
         raise UnconvergedSolveError("sector solve did not converge")
 
-    monkeypatch.setattr(cli, "solve_modes", unconverged)
+    monkeypatch.setattr(commands, "solve_modes", unconverged)
     assert cli.main(["solve", "--config", config_file]) == 2
     assert json.loads(capsys.readouterr().err)["code"] == 2
 
@@ -885,6 +888,8 @@ def test_one_subparser_texts_are_the_full_parsers(argv, monkeypatch, capsys):
 
 
 def test_a_command_builds_only_its_own_subparser(config_file, tmp_path, monkeypatch):
+    # a command's first call builds the subparser it runs alone, and every
+    # later call of it builds nothing: its parser is kept for the process
     sys.path.insert(0, SRC)
     import argparse
 
@@ -898,11 +903,15 @@ def test_a_command_builds_only_its_own_subparser(config_file, tmp_path, monkeypa
         return add_parser(self, name, **kwargs)
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
-    assert cli.main(["sweep", "--config", config_file, "--csv", str(tmp_path / "x.csv")]) == 0
-    assert calls == ["sweep"]
-    calls.clear()
-    assert cli.main(["bogus"]) == 2
-    assert calls == COMMANDS
+    cli._parser.cache_clear()
+    for built in (["sweep"], []):
+        calls.clear()
+        assert cli.main(["sweep", "--config", config_file, "--csv", str(tmp_path / "x.csv")]) == 0
+        assert calls == built
+    for built in (COMMANDS, []):
+        calls.clear()
+        assert cli.main(["bogus"]) == 2 and cli.main([]) == 2
+        assert calls == built
 
 
 @pytest.mark.parametrize("output", [None, [], {"csv": 1}, {"svg": 3}, {"csv": ""}])
@@ -936,10 +945,10 @@ def test_sweep_refuses_a_missing_csv_path_before_solving(config_file, monkeypatc
 @pytest.mark.parametrize("delta", ["0", "-1e-3", "nan"])
 def test_delta_argument_is_positive_before_any_run(command, delta, config_file, monkeypatch, capsys):
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli
+    from elastoplasmon import cli, commands
 
     _forbid_runs(monkeypatch)
-    monkeypatch.setattr(cli, "solve_modes", _no_run)
+    monkeypatch.setattr(commands, "solve_modes", _no_run)
     assert cli.main([command, "--config", config_file, "--delta", delta]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and json.loads(lines[0]) == {
@@ -988,11 +997,11 @@ def test_tiny_moduli_are_the_unit_material(capsys):
 
 def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     sys.path.insert(0, SRC)
-    from elastoplasmon import cli, scenarios
+    from elastoplasmon import cli, commands, scenarios
 
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
-    monkeypatch.setattr(cli, "solve_modes", _no_run)
+    monkeypatch.setattr(commands, "solve_modes", _no_run)
     monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=_no_run) if w.name == "witness_fixed_c"
                                                       else w for w in scenarios.WITNESSES))
     for command in ("solve", "witness"):
@@ -1087,7 +1096,8 @@ def test_cold_sweep_loads_neither_harmonics_nor_waves(tmp_path):
     # the cored family-2 run at zeta2(4), and witnesses on the cored q = 2.3
     # schedule (every cored witness tried) and on a core-free family-3
     # schedule, load neither the derivative tables' module nor the perfect
-    # waves'
+    # waves', nor the module of the other commands, nor dataclasses: their
+    # records are named tuples and plain classes
     schedule = dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 3, 0.6, 0.8]],
                     delta_list=[10.0 ** (-(4 + i) / 2) for i in range(13)])
     cored_zeta2 = dict(BASE_CONFIG, c_mode={"fixed": -130.0 / 59.0}, source_modes=[[4, 2, 2, -0.8, 0.6]])
@@ -1116,6 +1126,7 @@ def test_cold_sweep_loads_neither_harmonics_nor_waves(tmp_path):
             "assert loaded() == [], loaded()\n"
             "from elastoplasmon.cli import main\n"
             f"assert [main(argv) for argv in {argvs!r}] == {[0] * len(argvs)!r}\n"
+            "assert 'dataclasses' not in sys.modules and 'elastoplasmon.commands' not in sys.modules\n"
             "print(loaded())\n"
         )
         r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -1141,6 +1152,26 @@ def test_field_commands_load_the_fields_module(argv, config_file):
                        env=dict(os.environ, PYTHONPATH=SRC))
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("argv", [["constants", "--n", "3"], ["waves-check", "--n", "2", "--R", "0"],
+                                  ["sweep", "--config", "{config}", "--csv", "{tmp}/x.csv", "--svg", "{tmp}/x.svg"]])
+def test_a_command_line_run_compiles_the_cli_once(argv, config_file, tmp_path):
+    # python -m elastoplasmon.cli runs the module as __main__; a command of
+    # elastoplasmon.commands (and the plot of sweep --svg) imports its
+    # helpers from that running module, not from a second, imported copy of
+    # elastoplasmon.cli, so an argument error is still the run's exit 2
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "elastoplasmon.cli",
+                        *(a.format(config=config_file, tmp=tmp_path) for a in argv)],
+                       capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC))
+    imported = [line.rsplit("|", 1)[-1].strip() for line in r.stderr.splitlines() if line.startswith("import time:")]
+    assert "elastoplasmon.commands" in imported and "elastoplasmon.cli" not in imported, imported
+    errors = [line for line in r.stderr.splitlines() if not line.startswith("import time:")]
+    if "--R" in argv:
+        assert r.returncode == 2 and [json.loads(line)["error"] for line in errors] == [
+            "--R must be finite and positive, got 0.0"]
+    else:
+        assert r.returncode == 0 and errors == [], r.stderr
 
 
 @pytest.mark.parametrize("config, delta", [

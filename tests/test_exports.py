@@ -1,8 +1,10 @@
 """Public names: every ``__all__`` entry exists, and the package exports only public names."""
 
 import importlib
+import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,3 +117,72 @@ def test_value_records_keep_repr_equality_and_hash():
             with pytest.raises(AttributeError):
                 setattr(record, name, getattr(record, name))
     assert hashable == ["ModeConstants", "PlasmonConstants", "EnergyReport", "Witness", "scheduled_configuration"]
+
+
+def test_model_records_check_their_fields_as_their_dataclasses_did():
+    # LameParams, LayeredMedium and SourceSpec are named tuples too: the
+    # repr their frozen dataclasses wrote, equality by value, the hash of the
+    # tuple of their fields (none for a source, which holds a dict), no
+    # attribute assignment, and the field checks on construction and on
+    # _replace, with the same messages
+    from elastoplasmon.lame import LameParams
+    from elastoplasmon.transmission import LayeredMedium, SourceSpec
+
+    params = LameParams(1.0, 2)
+    medium = LayeredMedium(2.0, -4.0, 1e-2, params, core_radius=1.0)
+    source = SourceSpec(3.0, {(2, 1, 1): 1 + 2j})
+    assert repr(params) == "LameParams(lam=1.0, mu=2)"
+    assert repr(medium) == ("LayeredMedium(shell_radius=2.0, c=-4.0, delta=0.01, base=LameParams(lam=1.0, mu=2), "
+                            "core_radius=1.0)")
+    assert repr(LayeredMedium(2.0, -4.0, 0.0, params).core_radius) == "None"
+    assert repr(source) == "SourceSpec(q=3.0, coefficients={(2, 1, 1): (1+2j)})"
+    for record in (params, medium, source):
+        twin = type(record)(*record)
+        assert twin == record and twin is not record and record._replace(**{record._fields[0]: 9.0}) != record
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        with pytest.raises(AttributeError):
+            record.other = 1.0
+    assert hash(params) == hash(LameParams(1.0, 2.0)) == hash((1.0, 2))
+    assert hash(medium) == hash((2.0, -4.0, 1e-2, params, 1.0))
+    with pytest.raises(TypeError):
+        hash(source)
+    assert LameParams(lam=1.0, mu=2.0) == params and medium.weight(1.5) == -4.0 + 0.01j
+    for lam, mu in ((1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)):
+        message = re.escape(f"(lambda, mu)=({lam}, {mu}) violates mu>0, 3*lambda+2*mu>0")
+        for build in (lambda: LameParams(lam, mu), lambda: params._replace(lam=lam, mu=mu)):
+            with pytest.raises(ValueError, match=message):
+                build()
+    for change, message in (({"core_radius": 2.0}, "need 0 < core_radius < shell_radius"),
+                            ({"core_radius": 0.0}, "need 0 < core_radius < shell_radius"),
+                            ({"c": math.inf}, "shell multiplier c and loss delta must be finite"),
+                            ({"delta": math.nan}, "shell multiplier c and loss delta must be finite"),
+                            ({"delta": -1e-3}, "loss delta must be nonnegative")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LayeredMedium(**{**medium._asdict(), **change})
+        with pytest.raises(ValueError, match=re.escape(message)):
+            medium._replace(**change)
+
+
+def test_mode_solution_is_equal_to_itself_alone_and_keeps_its_field():
+    # a solve's record compares by identity, takes no assignment or deletion,
+    # and builds its piecewise field once, when first read
+    from elastoplasmon import fields
+    from elastoplasmon.lame import LameParams
+    from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_mode
+
+    medium = LayeredMedium(2.0, -4.0, 1e-2, LameParams(1.0, 1.0), core_radius=1.0)
+    first, second = (solve_mode(medium, SourceSpec(3.0, {(3, 1, 1): 1.0}), 3) for _ in range(2))
+    assert first == first and first != second and not first == second
+    assert first.n == second.n == 3 and first.condition == second.condition
+    assert hash(first) != hash(second)
+    for name in ("n", "regions", "other"):
+        with pytest.raises(AttributeError, match="read-only"):
+            setattr(first, name, 1)
+    with pytest.raises(AttributeError, match="read-only"):
+        del first.n
+    assert "regions" not in vars(first)
+    regions = first.regions
+    assert first.regions is regions and vars(first)["regions"] is regions
+    assert len(regions) == 4 and all(isinstance(reg, fields.ModeField) for reg in regions)

@@ -1,6 +1,7 @@
 """Mode constants, mode fields, boundary solvers and traction oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,13 +102,13 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
             cache = transmission._single_layers.cache
             assert len(cache) == 1 and cache[key] is value and key == (floats.lam, floats.mu, 10, 2)
             assert plain_data(value) == plain_data(unit_layer(floats, 10, 2)), first
-    # an item whose unit layer fails, in its solve (family 1: traction
-    # scalars beyond the float range fail the backward-error gate) or its
-    # profile (family 2), raises that error and keeps nothing; the others
-    # are kept
+    # an item whose unit layer fails in its profile (family 1: traction
+    # scalars beyond the float range; family 2: a vanishing denominator)
+    # raises that error and keeps nothing; the others are kept
     monkeypatch.setattr(transmission._single_layers, "cache", {})
     huge = LameParams(1e308, 1e308)
-    with pytest.raises(transmission.UnconvergedSolveError, match="degree-4 family-1 single layer did not converge"):
+    with pytest.raises(ArithmeticError, match=re.escape("the degree-4 family-1 radial profile of (lambda, mu) = "
+                                                        "(1e+308, 1e+308) is out of the float range")):
         transmission._single_layers([(LameParams(1, 1), 4, 1, 1.0, 1.0), (huge, 4, 1, 1.0, 1.0)])
     with pytest.raises(ArithmeticError, match="denominator of k_n vanishes"):
         transmission._single_layers([(huge, 5, 2, 1.0, 1.0), (LameParams(1, 1), 5, 2, 1.0, 1.0)])
@@ -330,3 +331,24 @@ def test_gradients_match_finite_differences(tables):
         e[j] = h
         fd = (eval_terms(terms, x + e) - eval_terms(terms, x - e)) / (2 * h)
         assert np.max(np.abs(g[:, j] - fd)) < 1e-8
+
+
+@pytest.mark.parametrize("lam, mu, n, fam", [(1e308, 1e308, 4, 1), (1.0, 1e308, 3, 1), (1e308, 1.0, 1, 2),
+                                             (1e308, 1e308, 1, 2)])
+def test_radial_profile_refuses_scalars_out_of_the_float_range(lam, mu, n, fam, monkeypatch):
+    # moduli whose traction scalars overflow are refused by name where the
+    # profile is formed, before any sector system is assembled (a spheroidal
+    # sector's mode constants refuse such moduli first); the refusal
+    # keeps nothing, so the key is formed again (and refused again) on the
+    # next call
+    from elastoplasmon import lame, transmission
+
+    monkeypatch.setattr(transmission._radial_profile, "cache", {})
+    monkeypatch.setattr(lame.mode_constants, "cache", {})
+    params = LameParams(lam, mu)
+    message = f"the degree-{n} family-{fam} radial profile of (lambda, mu) = ({lam!r}, {mu!r}) is out of the float range"
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=re.escape(message)):
+            transmission._radial_profile(params, n, fam)
+        assert not transmission._radial_profile.cache
+    assert np.isfinite(transmission._radial_profile(LameParams(1.0, 1.0), n, fam).scalars).all()

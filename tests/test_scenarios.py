@@ -1,7 +1,6 @@
 """Witness constructions, the loss schedule, and sweep verdicts."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -180,7 +179,7 @@ def test_witness_fixed_c_matches_extended_precision_solve(tables, monkeypatch):
         _, I_up, _ = witness_fixed_c(med, src)
         with monkeypatch.context() as m:
             m.setattr(transmission, "_square_solve", mp_square_solve)
-            sols = solve_modes(replace(med, delta=0.0), src)
+            sols = solve_modes(med._replace(delta=0.0), src)
         pieces = _merge_pieces([list(sol.regions) for sol in sols])
         I_ref = functional_I(pieces, None, delta, P11)
         assert abs(I_up - I_ref) <= 1e-11 * abs(I_ref), (delta, I_up, I_ref)
@@ -481,7 +480,7 @@ def test_sweep_reports_each_rows_solves():
         med, src = conf(d)
         (sol,) = solve_modes(med, src)
         try:
-            (free,) = solve_modes(replace(med, delta=0.0), src)
+            (free,) = solve_modes(med._replace(delta=0.0), src)
             want = (free.condition, free.lstsq_residual)
         except ResonantSingularityError as exc:
             want, singular = (exc.condition, None), singular + 1
@@ -538,6 +537,6 @@ def test_witness_column_gives_each_row_its_own_error():
     column = _core_bound([good[0], bad, good[1]], [[]] * 3)  # a dual core reads no loss-free solve
     assert isinstance(column[1], OverflowError)
     assert str(column[1]) == str(_core_bound([bad], [[]])[0])
-    far_core = (replace(good[0][0], core_radius=1e-200), good[0][1], 1e-2)
+    far_core = (good[0][0]._replace(core_radius=1e-200), good[0][1], 1e-2)
     assert 0 < _core_bound([far_core], [[]])[0][0] < math.inf
     assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_core_bound([row], [[]])[0]) for row in good]

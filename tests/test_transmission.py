@@ -6,7 +6,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +228,7 @@ def test_loss_free_check_reads_the_columns_own_solves(monkeypatch):
     stacks.clear()
     solve_mode(med, SourceSpec(q=2.0, coefficients={(3, 1, 1): 1.0}), 3)  # family 1 alone: its own system
     assert stacks == [((1, 4), [1e9])]
-    singular = replace(med, c=plasmon_constants(P11, 3).zeta3)
+    singular = med._replace(c=plasmon_constants(P11, 3).zeta3)
     cond = max(sector_conditions(singular, 3, 2.0).values())
     for fam in (2, 3):
         with pytest.raises(ResonantSingularityError) as err:
@@ -608,7 +607,7 @@ def _scaled(configuration, s: float):
     """The configuration with every length (core, shell and source radii) times s."""
     def scaled(delta):
         med, src = configuration(delta)
-        return (replace(med, shell_radius=med.shell_radius * s, core_radius=med.core_radius and med.core_radius * s),
+        return (med._replace(shell_radius=med.shell_radius * s, core_radius=med.core_radius and med.core_radius * s),
                 SourceSpec(src.q * s, src.coefficients))
     return scaled
 
@@ -997,8 +996,8 @@ def test_column_is_the_row_at_a_time_solve():
     mixed = {(n, fam, k): g for n in (2, 3, 5) for fam, k, g in ((1, 2, 0.3), (2, 1, 0.5j), (3, 3, -0.7 + 0.1j))}
     mixed[(4, 2, 2)] = 1.0
     lossy = LayeredMedium(shell_radius=1.8, c=-2.2, delta=0.05, base=P11, core_radius=1.0)
-    items = [(med, SourceSpec(2.5, mixed), n) for med in (lossy, replace(lossy, core_radius=None),
-                                                           replace(lossy, delta=0.0), replace(lossy, c=-3.9, delta=1e-7))
+    items = [(med, SourceSpec(2.5, mixed), n) for med in (lossy, lossy._replace(core_radius=None),
+                                                           lossy._replace(delta=0.0), lossy._replace(c=-3.9, delta=1e-7))
              for n in (2, 3, 4, 5)]
     z1 = plasmon_constants(P11, 3).zeta1
     singular = LayeredMedium(shell_radius=2.0, c=z1, delta=0.0, base=P11)

@@ -380,7 +380,7 @@ def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
             block, target = (0, 1) if fam == 2 else (2, 1)
             seeded = prof.scalars.copy()
             seeded[block, 0, target] *= 1.0 + 1e-6  # the displacement scalar
-            return replace(prof, scalars=seeded)
+            return prof._replace(scalars=seeded)
 
         monkeypatch.setattr(transmission, "_radial_profile", seeded)
         monkeypatch.setattr(transmission._single_layers, "cache", {})
