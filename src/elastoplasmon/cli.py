@@ -352,6 +352,10 @@ _RADIUS = ("--R", dict(type=float, default=1.0))
 _CONFIG = ("--config", dict(required=True))
 _DELTA = ("--delta", dict(type=float))
 
+_DESCRIPTION = ("Plasmon resonance of the 3D Lame system in core-shell-matrix spheres: exact solves, loss sweeps "
+                "and variational witness bounds.  Exit codes: 0 success, 2 validation failure, 3 I/O failure, "
+                "4 empty result.")
+
 # (name, help, handler, options as (flag, add_argument keywords)), in help order
 _COMMANDS = (
     ("constants", "plasmon constants at one degree", _on_demand("_cmd_constants"), (_DEGREE, *_MATERIAL)),
@@ -380,7 +384,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
 @functools.lru_cache(maxsize=None)
 def _parser(command: str | None) -> argparse.ArgumentParser:
     """The parser with the subparser of ``command`` alone, or of every command for None."""
-    ap = _Parser(prog="elastoplasmon", description=__doc__)
+    ap = _Parser(prog="elastoplasmon", description=_DESCRIPTION)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, text, func, options in [c for c in _COMMANDS if c[0] == command] or _COMMANDS:
         p = sub.add_parser(name, help=text)

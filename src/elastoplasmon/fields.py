@@ -41,7 +41,7 @@ import numpy as np
 
 from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
-from .scenarios import _core_bound, _fixed_c_bound, _nocore_bound, _radial_bound, _row_solves
+from .scenarios import _dual_bound, _fixed_c_bound, _radial_bound, _row_solves
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _check_source_mode,
                            _global_amplitude, _ok, _radial_profile, _region_blocks, _region_layout)
 
@@ -596,7 +596,9 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
     Returns (psi pieces at the optimal amplitude, J lower bound, tau), tau
     the multiplier of the wave whose entire degree-n block has amplitude 1.
     """
-    J_lower, tau, mode = _ok(_nocore_bound([(medium, source, delta)], [[]])[0])
+    if medium.core_radius is not None:
+        raise ValueError("no-core witness requires an empty core")
+    J_lower, tau, mode, _ = _ok(_dual_bound([(medium, source, delta)], [[]])[0])
     tau = _global_amplitude(tau, medium.shell_radius, mode[0])  # the multiplier of the wave perfect_wave builds
     return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
@@ -609,7 +611,9 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     core interface through an exact per-mode elliptic solve.  Returns
     (v pieces, psi pieces, J lower bound, tau).
     """
-    J_lower, tau, (n0, fam, k), v_tilde = _ok(_core_bound([(medium, source, delta)], [[]])[0])
+    if medium.core_radius is None:
+        raise ValueError("core witness requires a core")
+    J_lower, tau, (n0, fam, k), v_tilde = _ok(_dual_bound([(medium, source, delta)], [[]])[0])
     K, psi_hat = _unit_wave(medium, n0, fam, k)
     prof, radii = _radial_profile(medium.base, n0, fam), (0.0, medium.core_radius, math.inf)
     v_hat = _profile_fields([(prof, {n0: K}, radii, _global_blocks(prof, radii, v_tilde))])

@@ -2,13 +2,16 @@
 
 Witness fields certify the dissipation from both sides: a primal pair
 (v, w) with  L_A v - L w = f  gives an upper bound I(v, w), a dual pair
-(v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).  The
-one auxiliary elliptic solve, the sector single layer on a sphere of
-:mod:`~elastoplasmon.transmission`, repairs the cored dual witness at the
-core and gives the radial primal witness its incident wave (the source's
-layer on q) and both repairs.  The fixed-multiplier primal witness is the
-loss-free field (L_A v = f), the transmission solve at delta = 0; where that
-system is singular (condition above 1e9) a sweep row leaves ``I_upper``
+(v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).  Both
+dual witnesses are one core (:func:`_dual_bound`): psi is the perfect wave
+of the dominant source mode, v = 0 in a core-free medium and in a cored one
+the repair of psi's traction defect at the core.  The one auxiliary
+elliptic solve, the sector single layer on a sphere of
+:mod:`~elastoplasmon.transmission`, makes that repair and gives the radial
+primal witness its incident wave (the source's layer on q) and both
+repairs.  The fixed-multiplier primal witness is the loss-free field
+(L_A v = f), the transmission solve at delta = 0; where that system is
+singular (condition above 1e9) a sweep row leaves ``I_upper``
 blank unless another primal witness applies.
 
 Every witness field solves the Lame system in each region, so its energies
@@ -118,40 +121,31 @@ def _fixed_c_bound(rows, loss_free: list) -> list:
     return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
 
 
-def _dominant_mode(source: SourceSpec) -> tuple[int, int, int, complex]:
-    (n, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
-    return n, fam, k, gamma
-
-
-def _real_branch_coefficient(gamma: complex) -> float:
-    """Re/Im branch choice: the larger real projection of the coefficient."""
-    return gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
-
-
 def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
-    """((n0, family, k), g, profile, wave, region) of the dominant source mode.
+    """((n0, family, k), g, profile, wave, cored) of the dominant source mode.
 
-    Needs medium.c equal to the mode family's plasmon constant at its degree
-    n0 and a nonzero source.  g is the real branch coefficient, the wave the
+    Needs the source outside the shell, a family-1 mode in a cored medium,
+    medium.c equal to the mode family's plasmon constant at its degree n0
+    and a nonzero source.  g is the real branch coefficient (the real or
+    imaginary part of the mode's coefficient, the larger), the wave the
     region-local amplitudes inside and outside the shell of the perfect wave
     of member k (:func:`~elastoplasmon.transmission._wave_amplitudes`, which
-    checks the sector) and region that of the wave at the source sphere."""
-    params = medium.base
-    n0, fam, k, gamma = _dominant_mode(source)
+    checks the sector) and cored whether the medium has a core."""
+    if source.q <= medium.shell_radius:
+        raise ValueError("source must lie outside the shell")
+    params, cored = medium.base, medium.core_radius is not None
+    (n0, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
+    if cored and fam != 1:
+        raise ValueError("core witness implemented for the family-1 schedule")
     _check_source_mode(n0, fam, k)
     zet = plasmon_constants(params, n0).as_tuple()[fam - 1]
     if not math.isclose(medium.c, zet, rel_tol=1e-10):
         raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant {zet} at degree {n0}")
-    g = _real_branch_coefficient(gamma)
+    g = gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
     prof, wave, _ = _wave_amplitudes(params, n0, fam)
-    return (n0, fam, k), g, prof, wave, int(source.q > medium.shell_radius)
-
-
-def _dual_key(state) -> tuple:
-    """The stack key of :func:`_dual_constants`: the wave's shape and its region at the source sphere."""
-    return len(state[2].degrees), state[4]
+    return (n0, fam, k), g, prof, wave, cored
 
 
 def _dual_constants(rows, idx, states) -> tuple[list[float], list[float], tuple, np.ndarray]:
@@ -159,44 +153,15 @@ def _dual_constants(rows, idx, states) -> tuple[list[float], list[float], tuple,
 
     For the wave psi_hat of member k, of value 1 on the shell sphere: C0 = g
     <f_unit, psi_hat> = g q^2 U_n0(q) and C_psi = 0.5 Re P(psi_hat,
-    psi_hat), both scalar.  The rows share :func:`_dual_key`."""
+    psi_hat), both scalar, U_n0 read off the wave outside the shell."""
     profs, waves = [s[2] for s in states], np.array([s[3] for s in states])
     R, q = [rows[i][0].shell_radius for i in idx], [rows[i][1].q for i in idx]
-    reg = states[0][4]
     stack = _profile_stack(profs)
-    U, _ = _traces(stack, waves[:, reg], [q_i / R_i for q_i, R_i in zip(q, R)],
-                   _region_blocks(reg, 2, len(profs[0].degrees)))
+    U, _ = _traces(stack, waves[:, 1], [q_i / R_i for q_i, R_i in zip(q, R)],
+                   _region_blocks(1, 2, len(profs[0].degrees)))
     C0 = [s[1] * q_i**2 * u for s, q_i, u in zip(states, q, U[:, 0].real.tolist())]
     C_psi = [0.5 * p for p in profile_pairings(stack, [(0.0, R_i, math.inf) for R_i in R], waves).tolist()]
     return C0, C_psi, stack, waves
-
-
-def _nocore_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
-    if medium.core_radius is not None:
-        raise ValueError("no-core witness requires an empty core")
-    return _dual_mode(medium, source)
-
-
-def _nocore_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode) of the core-free dual witness, or its error.
-
-    tau multiplies the wave of value 1 on the shell sphere R; ``witness`` prints R^(-n0) tau, that of the wave of
-    entire degree-n0 amplitude 1 at the origin's scale."""
-    def values(idx, states):
-        C0, C_psi, _, _ = _dual_constants(rows, idx, states)
-        return [(c0**2 / (4.0 * cp * rows[i][2]), c0 / (2.0 * cp * rows[i][2]), s[0])
-                for i, s, c0, cp in zip(idx, states, C0, C_psi)]
-    return _column(len(rows), lambda i: _nocore_check(*rows[i][:2]), values, key=_dual_key)
-
-
-def _core_check(medium: LayeredMedium, source: SourceSpec) -> tuple:
-    if medium.core_radius is None:
-        raise ValueError("core witness requires a core")
-    if source.q <= medium.shell_radius:
-        raise ValueError("source must lie outside the shell")
-    if _dominant_mode(source)[1] != 1:
-        raise ValueError("core witness implemented for the family-1 schedule")
-    return _dual_mode(medium, source)
 
 
 def _repair(media, degrees, stack, amps, at, ref, sign: float) -> np.ndarray:
@@ -207,26 +172,28 @@ def _repair(media, degrees, stack, amps, at, ref, sign: float) -> np.ndarray:
     return _single_layers([(med.base, n, 1, rho, d) for med, n, rho, d in zip(media, degrees, at, density)])
 
 
-def _core_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair amplitudes), or its error.
+def _dual_bound(rows, loss_free: list) -> list:
+    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair amplitudes or None) of the
+    dual witness, or its error.
 
-    The cored dual witness, the rows as one stack, repaired on the core
-    sphere (:func:`_repair`)."""
+    tau multiplies the wave of value 1 on the shell sphere R; ``witness``
+    prints R^(-n0) tau, that of the wave of entire degree-n0 amplitude 1 at
+    the origin's scale.  A cored row's witness is repaired on the core
+    sphere (:func:`_repair`); the rows are one stack per wave shape and kind of medium."""
     def values(idx, states):
         C0, C_psi, stack, waves = _dual_constants(rows, idx, states)
+        if not states[0][4]:  # no core: J(tau) = C0 tau - delta C_psi tau^2
+            return [(c0**2 / (4.0 * cp * rows[i][2]), c0 / (2.0 * cp * rows[i][2]), s[0], None)
+                    for i, s, c0, cp in zip(idx, states, C0, C_psi)]
         # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere, v = tau v_tilde / delta
         media = [rows[i][0] for i in idx]
         cores, shells = [med.core_radius for med in media], [med.shell_radius for med in media]
         v_tilde = _repair(media, [s[0][0] for s in states], stack, waves[:, 0], cores, shells, -1.0)
         P_vt = profile_pairings(stack, [(0.0, a, math.inf) for a in cores], v_tilde).tolist()
-        out = []
-        for i, s, c0, cp, p, v in zip(idx, states, C0, C_psi, P_vt, v_tilde):
-            # J(tau) = C0 tau - (delta C_psi + P_vt / (2 delta)) tau^2
-            delta = rows[i][2]
-            denom = delta * cp + 0.5 * p / delta
-            out.append((c0**2 / (4.0 * denom), c0 / (2.0 * denom), s[0], v))
-        return out
-    return _column(len(rows), lambda i: _core_check(*rows[i][:2]), values, key=_dual_key)
+        # J(tau) = C0 tau - (delta C_psi + P_vt / (2 delta)) tau^2
+        denom = [rows[i][2] * cp + 0.5 * p / rows[i][2] for i, cp, p in zip(idx, C_psi, P_vt)]
+        return [(c0**2 / (4.0 * d), c0 / (2.0 * d), s[0], v) for s, c0, d, v in zip(states, C0, denom, v_tilde)]
+    return _column(len(rows), lambda i: _dual_mode(*rows[i][:2]), values, key=lambda s: (len(s[2].degrees), s[4]))
 
 
 def _outside_critical_radius(medium: LayeredMedium, source: SourceSpec) -> bool:
@@ -327,9 +294,9 @@ class Witness(NamedTuple):
 
 # every witness, in the order the witness command prints them
 WITNESSES = (
-    Witness("witness_nocore", "J_lower", False, _nocore_bound, ("J_lower", "tau")),
+    Witness("witness_nocore", "J_lower", False, _dual_bound, ("J_lower", "tau")),
     Witness("witness_fixed_c", "I_upper", True, _fixed_c_bound, ("I_upper",)),
-    Witness("witness_core_resonant", "J_lower", True, _core_bound, ("J_lower", "tau")),
+    Witness("witness_core_resonant", "J_lower", True, _dual_bound, ("J_lower", "tau")),
     Witness("witness_radial_nonresonant", "I_upper", True, _radial_bound, ("I_upper_scheduled",)),
 )
 
@@ -386,6 +353,7 @@ class scheduled_configuration(NamedTuple):
 
     def __call__(self, delta: float) -> tuple[LayeredMedium, SourceSpec]:
         n = schedule_n_delta(self.shell_radius, delta)
+        _check_source_mode(n, self.family, self.k)
         c = plasmon_constants(self.params, n).as_tuple()[self.family - 1]
         med = LayeredMedium(shell_radius=self.shell_radius, c=c, delta=delta, base=self.params,
                             core_radius=self.core_radius)

@@ -36,9 +36,8 @@ systems are solved once, those of one shape as one stacked assembly and
 solve, each result bit for bit its solve alone.  One helper
 (:func:`_column`) groups the rows of the sector systems, energies and
 witnesses by shape and gives a row that raises its own error.  A loss-free
-medium (delta = 0) is solved only where every solved system's equilibrated
-1-norm condition is at most 1e9 (for a source outside family 1, the systems
-of all three families at its degree), else
+medium (delta = 0) is solved only where the equilibrated 1-norm condition
+of each system of the source's families is at most 1e9, else
 :class:`ResonantSingularityError`, an ``ArithmeticError`` carrying the
 condition (:func:`sector_conditions` reads them).  The witnesses and the
 Neumann-Poincare spectrum read the single layer on a sphere
@@ -92,6 +91,8 @@ class LayeredMedium(NamedTuple("LayeredMedium", [("shell_radius", float), ("c", 
     __slots__ = ()
 
     def __new__(cls, shell_radius: float, c: float, delta: float, base: LameParams, core_radius: float | None = None):
+        if not (math.isfinite(shell_radius) and shell_radius > 0):
+            raise ValueError(f"shell_radius must be finite and positive, got {shell_radius!r}")
         if core_radius is not None and not (0 < core_radius < shell_radius):
             raise ValueError("need 0 < core_radius < shell_radius")
         if not (math.isfinite(c) and math.isfinite(delta)):
@@ -117,7 +118,7 @@ def _check_source_mode(n: int, family: int, k: int) -> None:
         raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
 
 
-class SourceSpec(NamedTuple):
+class SourceSpec(NamedTuple("SourceSpec", [("q", float), ("coefficients", dict)])):
     """Surface force density on partial B_q expanded in kernel matrices.
 
     ``coefficients[(n, family, k)]`` multiplies kernel k of the family at
@@ -125,10 +126,17 @@ class SourceSpec(NamedTuple):
     order |M| of the sector's total angular momentum J, k = 2J + 1 being
     M = 0).  Every rotation-invariant output of a solve from one such mode
     (``E_delta``, ``I_upper``, ``J_lower``, the verdict) is the same for every k.
+    The radius q must be finite and positive.
     """
 
-    q: float
-    coefficients: dict  # (n, family, k) -> complex gamma
+    __slots__ = ()
+
+    def __new__(cls, q: float, coefficients: dict):  # coefficients: (n, family, k) -> complex gamma
+        if not (math.isfinite(q) and q > 0):
+            raise ValueError(f"source radius q must be finite and positive, got {q!r}")
+        return super().__new__(cls, q, coefficients)
+
+    _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through __new__
 
     def degrees(self) -> list[int]:
         return sorted({n for (n, _, _) in self.coefficients})
@@ -613,11 +621,9 @@ def _solve_column(items) -> list:
 
     Every item's sector systems are gathered first, and systems of equal
     layout, profile and singularity cap are solved once
-    (:func:`_solve_systems`).  A loss-free item with a source outside family 1 adds the capped systems
-    of all three families at its degree, and its resonance check reads
-    their outcomes (:func:`_resonance`).  An item's error is the one
-    :func:`solve_mode` raises for it: the first, in solve order, of its
-    checks, assembly and solves.
+    (:func:`_solve_systems`).  An item's error is the one :func:`solve_mode`
+    raises for it: the first, in solve order, of its checks, assembly and
+    solves.
     """
     systems: list = []
     index: dict = {}
@@ -631,7 +637,7 @@ def _solve_column(items) -> list:
         return index[key]
 
     for medium, source, n in items:
-        params, bounds, checks, slots, error = medium.base, [], [], [], None
+        params, bounds, slots, error = medium.base, [], [], None
         try:
             if n < 2:
                 raise ValueError("solve_mode needs n >= 2")
@@ -639,9 +645,6 @@ def _solve_column(items) -> list:
             cap = 1e9 if medium.delta == 0.0 else math.inf
             layout = _region_layout(medium, source.q)
             bounds = layout[0]
-            if medium.delta == 0.0 and set(gammas) != {1}:
-                checks = [slot(layout, params, n, fam, _radial_profile(params, n, fam), cap)  # all three, capped
-                          for fam in (1, 2, 3)]
             for fam, gam in sorted(gammas.items()):
                 if gam:
                     _wave_amplitudes(params, n, fam)  # the sector's kernel check
@@ -649,14 +652,12 @@ def _solve_column(items) -> list:
                 slots.append((fam, tuple(gam.items()), prof, slot(layout, params, n, fam, prof, cap)))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
             error = exc
-        parts.append((n, params, (0.0, *bounds, math.inf), checks, slots, error))
+        parts.append((n, params, (0.0, *bounds, math.inf), slots, error))
     solved = _solve_systems(systems)
     out: list = []
-    for n, params, radii, checks, slots, error in parts:
+    for n, params, radii, slots, error in parts:
         got = [solved[i] for *_, i in slots]
         error = next((g for g in got if isinstance(g, Exception)), error)
-        if checks:  # a loss-free source outside family 1: its resonance check comes first
-            error = _resonance(n, [solved[i] for i in checks]) or error
         if error is not None:
             out.append(error)
             continue
@@ -667,18 +668,6 @@ def _solve_column(items) -> list:
     return out
 
 
-def _resonance(n: int, outcomes: list) -> Exception | None:
-    """The resonance check's error at degree n from the outcomes of every family's capped system, or None: the
-    first error raised before a condition is known, else one :class:`ResonantSingularityError` with the largest
-    condition of those refused (a system that passed the cap but did not converge is not the check's)."""
-    for got in outcomes:
-        if isinstance(got, Exception) and not isinstance(got, (ResonantSingularityError, UnconvergedSolveError)):
-            return got
-    cond = max((got.condition for got in outcomes if isinstance(got, ResonantSingularityError)), default=None)
-    return None if cond is None else ResonantSingularityError(
-        f"loss-free interface system singular at degree {n} (condition {cond:.3e})", condition=cond)
-
-
 def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolution:
     """Exact transmission solve for the degree-n part of the source: a column of one (:func:`_solve_column`).
 
@@ -687,9 +676,8 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolutio
     coefficients.  No kernel matrix or ladder degree is built.  Raises
     :class:`SectorCheckError` where a family's perfect wave fails
     :func:`_wave_amplitudes`' check, :class:`ResonantSingularityError` when
-    a loss-free medium makes a solved system (for a source outside family 1:
-    any family's) of equilibrated condition above 1e9,
-    :class:`UnconvergedSolveError` when a backward error exceeds 1e-10, and
+    a loss-free medium makes one of the source's family systems of
+    equilibrated condition above 1e9, :class:`UnconvergedSolveError` when a backward error exceeds 1e-10, and
     ``ValueError`` unless q > shell_radius and every source mode names a
     family 1..3 and a member k in 1..2J+1.
     """

@@ -1638,6 +1638,18 @@ def test_help_exits_zero_with_the_full_usage(capsys):
     assert r.stdout.startswith("usage: elastoplasmon") and all(f"    {name}" in r.stdout for name in COMMANDS)
 
 
+def test_help_prints_the_short_description():
+    # -h describes the program in a few lines, not the module's notes on
+    # process exit and parser caching
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    r = _process(["-h"], capture_output=True, text=True)
+    assert r.returncode == 0 and not r.stderr
+    assert " ".join(cli._DESCRIPTION.split()) in " ".join(r.stdout.split())
+    assert "atexit" not in r.stdout and "parser" not in r.stdout
+
+
 def _unwritable_stdout(sink):
     """A stdout file descriptor that refuses writes: a pipe whose reader is gone, or ``/dev/full``."""
     if sink == "/dev/full":

@@ -527,16 +527,48 @@ def test_witness_column_gives_each_row_its_own_error():
     # bit for bit, as in a column of one.  A core sphere of radius 1e-200,
     # which the core repair's powers of the radius once refused, is a row
     # like any other: its repair is region-local
-    from elastoplasmon.scenarios import _core_bound
+    from elastoplasmon.scenarios import _dual_bound
     from oracles import plain_data
 
     conf = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
     good = [(*conf(d), d) for d in (1e-2, 1e-3)]
     (mode,) = good[0][1].coefficients
     bad = (good[0][0], SourceSpec(2.3, {mode: 1e200}), 1e-2)
-    column = _core_bound([good[0], bad, good[1]], [[]] * 3)  # a dual core reads no loss-free solve
+    column = _dual_bound([good[0], bad, good[1]], [[]] * 3)  # a dual core reads no loss-free solve
     assert isinstance(column[1], OverflowError)
-    assert str(column[1]) == str(_core_bound([bad], [[]])[0])
+    assert str(column[1]) == str(_dual_bound([bad], [[]])[0])
     far_core = (good[0][0]._replace(core_radius=1e-200), good[0][1], 1e-2)
-    assert 0 < _core_bound([far_core], [[]])[0][0] < math.inf
-    assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_core_bound([row], [[]])[0]) for row in good]
+    assert 0 < _dual_bound([far_core], [[]])[0][0] < math.inf
+    assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_dual_bound([row], [[]])[0]) for row in good]
+
+
+def test_dual_column_mixes_cored_and_core_free_rows():
+    # one column of cored family-1 rows and core-free rows of all three
+    # families: the rows go one stack per wave shape and kind of medium, and
+    # each row's value is its column of one bit for bit; a cored row carries
+    # its core repair, a core-free row none
+    from elastoplasmon.scenarios import _dual_bound
+    from oracles import plain_data
+
+    cored = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
+    free = [scheduled_configuration(P11, 2.0, q=2.6, family=fam, k=2, gamma=-0.3 + 0.9j) for fam in (1, 2, 3)]
+    rows = [(*conf(d), d) for d in (1e-2, 1e-4) for conf in (cored, *free)]
+    column = _dual_bound(rows, [[]] * len(rows))
+    for row, got in zip(rows, column):
+        assert repr(plain_data(got)) == repr(plain_data(_dual_bound([row], [[]])[0]))
+        assert (got[3] is None) == (row[0].core_radius is None) and 0 < got[0] < math.inf
+
+
+def test_dual_builders_refuse_the_other_kind_of_medium():
+    # the core-free builder refuses a core and a source not outside the
+    # shell, the cored one a medium without a core
+    z1 = plasmon_constants(P11, 2).zeta1
+    src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
+    free = LayeredMedium(shell_radius=2.0, c=z1, delta=1e-3, base=P11)
+    with pytest.raises(ValueError, match="^no-core witness requires an empty core$"):
+        witness_nocore(free._replace(core_radius=1.0), src, 1e-3)
+    with pytest.raises(ValueError, match="^core witness requires a core$"):
+        witness_core_resonant(free, src, 1e-3)
+    for q in (1.5, 2.0):
+        with pytest.raises(ValueError, match="^source must lie outside the shell$"):
+            witness_nocore(free, src._replace(q=q), 1e-3)

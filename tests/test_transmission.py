@@ -61,6 +61,35 @@ def test_medium_validation():
             LayeredMedium(shell_radius=1.0, c=c, delta=delta, base=P11)
 
 
+def _medium(shell_radius):
+    return lambda: LayeredMedium(shell_radius=shell_radius, c=-4.0, delta=1e-3, base=LameParams(1, 1))
+
+
+def _source(q):
+    return lambda: SourceSpec(q=q, coefficients={(2, 1, 1): 1.0})
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(_medium(-1.0), "shell_radius must be finite and positive", id="shell-negative"),
+    pytest.param(_medium(0.0), "shell_radius must be finite and positive", id="shell-zero"),
+    pytest.param(_medium(math.inf), "shell_radius must be finite and positive", id="shell-inf"),
+    pytest.param(_medium(math.nan), "shell_radius must be finite and positive", id="shell-nan"),
+    pytest.param(_source(math.inf), "source radius q must be finite and positive", id="q-inf"),
+    pytest.param(_source(math.nan), "source radius q must be finite and positive", id="q-nan"),
+    pytest.param(_source(0.0), "source radius q must be finite and positive", id="q-zero"),
+    pytest.param(lambda: _source(3.0)()._replace(q=-3.0), "source radius q must be finite and positive",
+                 id="q-replaced"),
+    pytest.param(lambda: scheduled_configuration(P11, 2.0, q=3.0, family=4)(1e-3), "family 4 is not 1, 2 or 3",
+                 id="schedule-family4"),
+])
+def test_constructors_refuse_geometry_that_does_not_exist(build, message):
+    # geometry no medium or source has raises ValueError naming the field,
+    # not a solution (a negative shell), a numpy warning (a shell of radius
+    # 0), an unconverged solve (q = inf) or an IndexError (family 4)
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 def test_transparent_interfaces(tables):
     # c = 1: no scattering; entire amplitudes equal in all interior regions
     med = LayeredMedium(shell_radius=1.5, c=1.0, delta=0.02, base=P11)
@@ -196,45 +225,51 @@ def test_resonant_singularity_alignment(tables, materials):
         assert sv[-1] < 1e-13 * sv[0]
 
 
-def test_loss_free_solve_checks_every_family(tables):
-    # a family-2 source still raises at the family-3 constant
-    z3 = plasmon_constants(P11, 2).zeta3
-    med = LayeredMedium(shell_radius=1.5, c=z3, delta=0.0, base=P11)
-    with pytest.raises(ResonantSingularityError) as err:
-        solve_mode(med, SourceSpec(q=2.0, coefficients={(2, 2, 1): 1.0}), 2)
-    assert err.value.condition > 1e9
-
-
-def test_loss_free_check_reads_the_columns_own_solves(monkeypatch):
-    # a loss-free source outside family 1 caps the systems of all three
-    # families at its degree in the column's own stacks: the family-1 system
-    # alone, then families 2 and 3 as one stack, each solved once (the
-    # source's own system among them); a refusal keeps its message and the
-    # largest condition of sector_conditions
-    stacks = []
+@pytest.mark.parametrize("core", [None, 1.0])
+def test_loss_free_source_solves_its_own_systems_alone(core, monkeypatch):
+    # every family's loss-free system stands alone: a source of each family
+    # at each other family's constant (degrees 2..4) hands the solve its own
+    # system alone, capped at 1e9, whose condition it reports, and is
+    # accurate; without a core the other family's system is singular there
+    # (condition above 1e16) and enters no solve
+    seen = []
     solve = transmission._square_solve
 
     def spy(M, b, what, caps):
-        stacks.append((M.shape[:2], caps))
+        seen.extend(zip(what, caps))
         return solve(M, b, what, caps)
 
     monkeypatch.setattr(transmission, "_square_solve", spy)
-    med = LayeredMedium(shell_radius=1.5, c=-2.2, delta=0.0, base=P11)
-    for fam in (2, 3):
-        stacks.clear()
-        sol = solve_mode(med, SourceSpec(q=2.0, coefficients={(3, fam, 1): 1.0}), 3)
-        assert stacks == [((1, 4), [1e9]), ((2, 8), [1e9, 1e9])]
-        assert [f for f, *_ in sol.sectors] == [fam] and sol.condition < 1e9
-    stacks.clear()
-    solve_mode(med, SourceSpec(q=2.0, coefficients={(3, 1, 1): 1.0}), 3)  # family 1 alone: its own system
-    assert stacks == [((1, 4), [1e9])]
-    singular = med._replace(c=plasmon_constants(P11, 3).zeta3)
-    cond = max(sector_conditions(singular, 3, 2.0).values())
-    for fam in (2, 3):
-        with pytest.raises(ResonantSingularityError) as err:
-            solve_mode(singular, SourceSpec(q=2.0, coefficients={(3, fam, 1): 1.0}), 3)
-        assert err.value.condition == cond > 1e9
-        assert str(err.value) == f"loss-free interface system singular at degree 3 (condition {cond:.3e})"
+    for n in (2, 3, 4):
+        zetas = plasmon_constants(P11, n).as_tuple()
+        for at in (1, 2, 3):
+            med = LayeredMedium(shell_radius=1.5, c=zetas[at - 1], delta=0.0, base=P11, core_radius=core)
+            for fam in {1, 2, 3} - {at}:
+                src = SourceSpec(q=2.0, coefficients={(n, fam, 1): 1.0})
+                seen.clear()
+                sol = solve_mode(med, src, n)
+                assert seen == [(f"family-{fam} system at degree {n}", 1e9)], (core, n, at, fam)
+                conds = sector_conditions(med, n, 2.0)
+                assert sol.condition == conds[fam] < 1e4, (core, n, at, fam)
+                assert max(residual_check([sol], med, src).values()) <= 1e-14, (core, n, at, fam)
+                assert core is not None or conds[at] > 1e16
+
+
+def test_loss_free_refusal_is_the_source_systems_own():
+    # a loss-free source is refused exactly where one of its own systems is
+    # singular, with that system's condition and name; a source with two
+    # families is refused by the singular one
+    for n in (2, 3):
+        zetas = plasmon_constants(P11, n).as_tuple()
+        for fam in (1, 2, 3):
+            med = LayeredMedium(shell_radius=1.5, c=zetas[fam - 1], delta=0.0, base=P11)
+            cond = sector_conditions(med, n, 2.0)[fam]
+            other = fam % 3 + 1
+            for coefficients in ({(n, fam, 1): 1.0}, {(n, other, 1): 0.5, (n, fam, 1): 1.0}):
+                with pytest.raises(ResonantSingularityError) as err:
+                    solve_mode(med, SourceSpec(q=2.0, coefficients=coefficients), n)
+                assert err.value.condition == cond > 1e9, (n, fam)
+                assert str(err.value) == f"loss-free family-{fam} system at degree {n} singular (condition {cond:.3e})"
 
 
 def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
