@@ -32,17 +32,19 @@ disturbed run of each, as the host's other load only adds time and pages):
   :func:`first_sweep` processes) as ``os.wait4`` reports it, the least over
   its ``--repeats`` processes;
 * ``warm_s``: in one process, after one untimed call that fills the
-  per-process caches, the minimum over ``--repeats`` batches of in-process
-  calls of: the square sector solve of k systems of size m (k = 1, 13; m = 2,
-  6, 8, 12: a family-1 unit single layer, a cored family-1, a core-free
-  family-2 and a cored family-3 system, at degrees 7, 8, ..., as the solves
-  hand them to it), ``solve_mode`` per family, ``dissipation_E``, each
+  per-process caches, the minimum over ``--repeats`` batches, each at
+  least about 10 ms of back-to-back in-process calls, of: the square
+  sector solve of k systems of size m (k = 1, 13; m = 2, 6, 8, 12: a
+  family-1 unit single layer, a cored family-1, a core-free family-2 and a
+  cored family-3 system, at degrees 7, 8, ..., as the solves hand them to
+  it), ``solve_mode`` per family, ``dissipation_E``, each
   ``scenarios.WITNESSES`` core on one row, the dissipations of one 13-row
   schedule column and each core on a 13-row schedule column
-  (``column:*``), and per gated configuration ``sweep`` and the whole
-  command through ``cli.main`` (``main:sweep:*``: the config read and
-  checked, the argument parse, the sweep and the CSV written, what the
-  benchmark's ``warm_s`` times).
+  (``column:*``; the loss-free input a core reads is formed outside the
+  timing, :func:`_loss_free`), and per gated configuration ``sweep`` and
+  the whole command through ``cli.main`` (``main:sweep:*``: the config
+  read and checked, the argument parse, the sweep and the CSV written,
+  what the benchmark's ``warm_s`` times).
 
 ``--against DIR`` times DIR (the parent) and this checkout (the change) in N
 alternating pairs, each side first in every other pair, one record of
@@ -203,11 +205,11 @@ def first_sweep(argv: list[str]) -> dict[str, float]:
 
 
 def _least_call_s(call, repeats: int) -> float:
-    """Least seconds per call over ``repeats`` batches, each batch at least about 2 ms long."""
+    """Least seconds per call over ``repeats`` batches, each batch at least about 10 ms long."""
     call()  # fills the per-process caches
     t0 = time.perf_counter()
     call()
-    batch = max(1, int(2e-3 / max(time.perf_counter() - t0, 1e-7)))
+    batch = max(1, int(1e-2 / max(time.perf_counter() - t0, 1e-7)))
     runs = []
     for _ in range(repeats):
         t0 = time.perf_counter()
@@ -235,11 +237,22 @@ def _systems(transmission, solve) -> list:
 
 
 def _core_call(scenarios, w, rows, free):
-    """Witness ``w``'s core on ``rows`` with their loss-free outcomes ``free``, solved in the call where None.  A
-    tree whose witness rows carry ``reads_loss_free`` takes them by keyword, its cores solving them where not given."""
+    """Witness ``w``'s core on ``rows`` with their loss-free input ``free`` (:func:`_loss_free`), solved in the call
+    where None.  A tree whose witness rows carry ``reads_loss_free`` takes them by keyword, its cores solving them
+    where not given."""
     if hasattr(w, "reads_loss_free"):
         return w.core(rows, **({"loss_free": free} if w.reads_loss_free and free is not None else {}))
-    return w.core(rows, scenarios._row_solves(rows, lossy=False)[1] if free is None else free)
+    return w.core(rows, scenarios._row_solves(rows, lossy=False)[-1] if free is None else free)
+
+
+def _loss_free(energy, rows, outcomes: list) -> list:
+    """The cores' loss-free input from per-row lists of loss-free outcomes, one per degree of the row's source: the
+    lists, or in a tree with ``energy.column_energies``, where a core reads a row's solves by degree and their
+    pairing (the sweep's one flux), each row's {degree: outcome} and pairing, paired here, outside the timing."""
+    if not hasattr(energy, "column_energies"):
+        return outcomes
+    return [(dict(zip(src.degrees(), sols)), p)
+            for (_, src, _), sols, p in zip(rows, outcomes, energy.solution_pairings(outcomes))]
 
 
 def _replace(record, **changes):
@@ -298,7 +311,7 @@ def warm(repeats: int) -> dict:
             # the fixed-multiplier bound is the loss-free field, timed with its solve; the other cores read no
             # loss-free solve on their rows (the radial row has no off-schedule degree)
             row = [applies[w.name]]
-            free = None if w.name == "witness_fixed_c" or solve_rows is None else solve_rows(row, lossy=False)[1]
+            free = None if w.name == "witness_fixed_c" or solve_rows is None else solve_rows(row, lossy=False)[-1]
             out[f"witness:{w.name}"] = _least_call_s(lambda: _core_call(scenarios, w, row, free), repeats)
     # the 13-row schedule columns a sweep hands to the energies and the cores
     nocore = {key: v for key, v in configs["sched_q2.3"].items() if key != "core_radius"}
@@ -310,11 +323,13 @@ def warm(repeats: int) -> dict:
         if name == "dissipations":
             media = [med for med, _, _ in rows]
             lossy = [[sol] for sol in transmission._solve_column([(med, src, max(src.degrees())) for med, src, _ in rows])]
-            out[f"column:{name}"] = _least_call_s(lambda: energy.dissipations(lossy, media), repeats)
+            dissipations = (getattr(energy, "dissipations", None)
+                            or (lambda rows, media: energy.column_energies(rows, media, [])[0]))
+            out[f"column:{name}"] = _least_call_s(lambda: dissipations(lossy, media), repeats)
         else:
             w = next(w for w in scenarios.WITNESSES if w.name == name)
-            free = [[sol] for sol in transmission._solve_column([(_replace(med, delta=0.0), src, max(src.degrees()))
-                                                                 for med, src, _ in rows])]
+            free = _loss_free(energy, rows, [[sol] for sol in transmission._solve_column(
+                [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
             out[f"column:{name}"] = _least_call_s(lambda: _core_call(scenarios, w, rows, free), repeats)
     for name, cfg in configs.items():
         conf = cli._configuration(cfg)

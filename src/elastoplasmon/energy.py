@@ -10,16 +10,17 @@ kappa (2n+1)/(2d+1)).  The amplitudes are region-local, each block's value
 on its region's reference sphere (:mod:`~elastoplasmon.transmission`), and
 the traces read from them are U and T' = rho t, so the flux is rho Re <U,
 T'>: with every length times a power of two s, every energy is s^3 times
-its value.  So the dissipation of a solve and the witness bounds of
-:mod:`~elastoplasmon.scenarios` are scalar sums over the interface spheres,
-a source entering through the Gram matrix of its coefficients alone.  One
-array flux (:func:`_flux`) takes a column's rows and all their interface
-spheres at once: the dissipations (:func:`dissipations`;
-:func:`dissipation_E` is a column of one) and the pairings of solves
-(:func:`solution_pairings`) and of unit-member fields
-(:func:`profile_pairings`).  Each complex product in it is formed from real
-parts as Python's complex product rounds it, so a column's values are bit
-for bit those of its rows alone.
+its value.  So the dissipation of a solve is a scalar sum over the
+interface spheres, a source entering through the Gram matrix of its
+coefficients alone.  One array flux (:func:`_flux`) takes a column's rows
+and all their interface spheres at once: a sweep's lossy solves and the
+loss-free ones of its fixed-multiplier witness are one column
+(:func:`column_energies`; :func:`dissipation_E` is a column of one).  The
+other witness energies of :mod:`~elastoplasmon.scenarios` need no flux:
+their fields are perfect waves and single layers, whose energies are
+scalars of unit data kept per key.  Each complex product in the flux is
+formed from real parts as Python's complex product rounds it, so a
+column's values are bit for bit those of its rows alone.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .lame import _served_from_fields
 from .transmission import _column, _ok, _pows, _profile_stack, _ratios
 
 __all__ = [
-    "EnergyReport", "dissipation_E", "dissipations", "solution_pairings", "profile_pairings",
+    "EnergyReport", "dissipation_E", "column_energies", "solution_pairings",
 ]
 
 
@@ -109,15 +110,6 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
     return total
 
 
-def profile_pairings(stack: tuple, radii, amps) -> np.ndarray:
-    """Re P(u, u) of k unit sector members' fields, by one flux: row i the blocks ``amps[i]`` on ``radii[i]``.
-
-    ``stack`` holds the rows' profiles, of one shape; ``amps`` is (k,
-    regions, B), the region-local blocks of each region between the radii.
-    """
-    return _flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
-
-
 def solution_pairings(rows: Sequence) -> list:
     """Re P(u, u) summed over all regions of each row's superposed solves, by flux, or the first error among them.
 
@@ -157,21 +149,23 @@ def _gram(parts: list) -> list[list[complex]]:
     return [[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients] for gp in coefficients]
 
 
-def dissipations(rows: Sequence[Sequence], media: Sequence) -> list[float]:
-    """Dissipation (delta/2) P(u, u) of each row's exact solves in its medium (or the row's error), by flux.
+def column_energies(lossy: Sequence[Sequence], media: Sequence, loss_free: Sequence[Sequence]) -> tuple[list, list]:
+    """The dissipations (delta/2) P(u, u) of the ``lossy`` rows' solves in their ``media`` and the pairings Re P(v, v)
+    of the ``loss_free`` rows' solves, each a value or the row's error: one :func:`solution_pairings` column.
 
     Every region's field solves the Lame system, so no volume integral is
-    formed (:func:`solution_pairings`).  Raises for delta = 0.
+    formed.  Raises for delta = 0.
     """
     if any(medium.delta <= 0 for medium in media):
         raise ValueError("dissipation needs delta > 0")
-    return [p if isinstance(p, Exception) else 0.5 * medium.delta * p
-            for medium, p in zip(media, solution_pairings(rows))]
+    pairings = solution_pairings([*lossy, *loss_free])
+    return ([p if isinstance(p, Exception) else 0.5 * medium.delta * p for medium, p in zip(media, pairings)],
+            pairings[len(lossy):])
 
 
 def dissipation_E(solutions: Sequence, medium) -> float:
-    """Dissipation (delta/2) P(u, u) of an exact solve, by flux: :func:`dissipations` of one row, its error raised."""
-    return _ok(dissipations([solutions], [medium])[0])
+    """Dissipation (delta/2) P(u, u) of an exact solve, by flux: a :func:`column_energies` row, its error raised."""
+    return _ok(column_energies([solutions], [medium], [])[0][0])
 
 
 __getattr__ = _served_from_fields(globals(), "functional_I functional_J")

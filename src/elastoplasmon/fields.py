@@ -41,9 +41,9 @@ import numpy as np
 
 from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
-from .scenarios import _dual_bound, _fixed_c_bound, _radial_bound, _row_solves
+from .scenarios import _dual_bound, _fixed_c_bound, _radial_bound, _radial_check, _row_solves
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _check_source_mode,
-                           _global_amplitude, _ok, _radial_profile, _region_blocks, _region_layout)
+                           _global_amplitude, _ok, _radial_profile, _region_blocks, _region_layout, _single_layers)
 
 if TYPE_CHECKING:
     from .harmonics import SphereQuadrature
@@ -585,7 +585,7 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[Mod
     :class:`~elastoplasmon.transmission.ResonantSingularityError`.
     """
     rows = [(medium, source, medium.delta)]
-    I_upper, solutions = _ok(_fixed_c_bound(rows, _row_solves(rows, lossy=False)[1])[0])
+    I_upper, solutions = _ok(_fixed_c_bound(rows, _row_solves(rows, lossy=False)[2])[0])
     return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
@@ -598,9 +598,16 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
     """
     if medium.core_radius is not None:
         raise ValueError("no-core witness requires an empty core")
-    J_lower, tau, mode, _ = _ok(_dual_bound([(medium, source, delta)], [[]])[0])
+    J_lower, tau, mode, _ = _ok(_dual_bound([(medium, source, delta)], [None])[0])
     tau = _global_amplitude(tau, medium.shell_radius, mode[0])  # the multiplier of the wave perfect_wave builds
     return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
+
+
+def _layer_fields(params: LameParams, n: int, K: np.ndarray, layers) -> list[list[ModeField]]:
+    """The fields of degree-n family-1 single layers [(sphere rho, density)] of member ``K``, each on (0, rho, inf)."""
+    prof, amps = _radial_profile(params, n, 1), _single_layers([(params, n, 1, *layer) for layer in layers])
+    return [_profile_fields([(prof, {n: K}, radii, _global_blocks(prof, radii, a))])
+            for radii, a in zip([(0.0, rho, math.inf) for rho, _ in layers], amps)]
 
 
 def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
@@ -608,15 +615,14 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     """Dual witness for the cored scheduled configuration.
 
     psi is the core-free perfect wave of the scheduled mode; v repairs the
-    core interface through an exact per-mode elliptic solve.  Returns
-    (v pieces, psi pieces, J lower bound, tau).
+    core interface, the single layer of the core's density.  Returns (v
+    pieces, psi pieces, J lower bound, tau).
     """
     if medium.core_radius is None:
         raise ValueError("core witness requires a core")
-    J_lower, tau, (n0, fam, k), v_tilde = _ok(_dual_bound([(medium, source, delta)], [[]])[0])
+    J_lower, tau, (n0, fam, k), sigma = _ok(_dual_bound([(medium, source, delta)], [None])[0])
     K, psi_hat = _unit_wave(medium, n0, fam, k)
-    prof, radii = _radial_profile(medium.base, n0, fam), (0.0, medium.core_radius, math.inf)
-    v_hat = _profile_fields([(prof, {n0: K}, radii, _global_blocks(prof, radii, v_tilde))])
+    (v_hat,) = _layer_fields(medium.base, n0, K, [(medium.core_radius, sigma)])
     tau_wave = _global_amplitude(tau, medium.shell_radius, n0)  # the multiplier of the wave perfect_wave builds
     return _scaled(v_hat, tau / delta), _scaled(psi_hat, tau_wave), J_lower, tau_wave
 
@@ -626,17 +632,18 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     """Primal witness for the cored scheduled configuration outside R^{3/2}.
 
     The scheduled mode rides the free incident wave (no scattering); the
-    constraint defect at the material interfaces is pushed into w by exact
-    per-mode solves.  Off-schedule degrees take the loss-free field of
-    :func:`witness_fixed_c`.  Returns (v pieces, w pieces, I upper bound).
+    constraint defect at the material interfaces is pushed into w, single
+    layers on the core and shell spheres of the core's densities.
+    Off-schedule degrees take the loss-free field of :func:`witness_fixed_c`,
+    solved for those degrees only.  Returns (v pieces, w pieces, I upper bound).
     """
-    rows = [(medium, source, delta)]
-    I_upper, scheduled, off = _ok(_radial_bound(rows, _row_solves(rows, lossy=False)[1])[0])
-    a, R, q = medium.core_radius, medium.shell_radius, source.q
-    parts = [(_radial_profile(medium.base, n, 1), {n: _source_member(medium.base, n, 1, k)}, v, w)
-             for n, k, v, w in scheduled]
-    v = _profile_fields([(prof, refs, (0.0, q, math.inf), _global_blocks(prof, (0.0, q, math.inf), v))
-                         for prof, refs, v, _ in parts])
-    w = _profile_fields([(prof, refs, (0.0, a, R, math.inf), _global_blocks(prof, (0.0, a, R, math.inf), w))
-                         for prof, refs, _, w in parts])
-    return _merge_pieces([v] + [list(sol.regions) for sol in off]), w, I_upper
+    off = _radial_check(medium, source, delta)[1]
+    off_source = source._replace(coefficients={m: g for m, g in source.coefficients.items() if m[0] in off})
+    loss_free = _row_solves([(medium, off_source, delta)], lossy=False)[2]
+    I_upper, scheduled, sols = _ok(_radial_bound([(medium, source, delta)], loss_free)[0])
+    v, w = [], []
+    for n, k, gamma, s_a, s_R in scheduled:
+        K = _source_member(medium.base, n, 1, k)
+        v += _layer_fields(medium.base, n, K, [(source.q, gamma)])
+        w += _layer_fields(medium.base, n, K, [(medium.core_radius, s_a), (medium.shell_radius, s_R)])
+    return _merge_pieces(v + [list(sol.regions) for sol in sols]), _merge_pieces(w), I_upper

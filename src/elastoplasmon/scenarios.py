@@ -5,28 +5,33 @@ Witness fields certify the dissipation from both sides: a primal pair
 (v, psi) with  L_A psi + delta L v = 0  gives a lower bound J(v, psi).  Both
 dual witnesses are one core (:func:`_dual_bound`): psi is the perfect wave
 of the dominant source mode, v = 0 in a core-free medium and in a cored one
-the repair of psi's traction defect at the core.  The one auxiliary
-elliptic solve, the sector single layer on a sphere of
-:mod:`~elastoplasmon.transmission`, makes that repair and gives the radial
-primal witness its incident wave (the source's layer on q) and both
-repairs.  The fixed-multiplier primal witness is the loss-free field
-(L_A v = f), the transmission solve at delta = 0; where that system is
-singular (condition above 1e9) a sweep row leaves ``I_upper``
-blank unless another primal witness applies.
+the single layer that repairs psi's traction defect at the core.  The
+radial primal witness is single layers too: its incident wave is the
+source's layer on q, and w the repair layers on the core and the shell.
+The fixed-multiplier primal witness is the loss-free field (L_A v = f),
+the transmission solve at delta = 0; where that system is singular
+(condition above 1e9) a sweep row leaves ``I_upper`` blank unless another
+primal witness applies.
 
-Every witness field solves the Lame system in each region, so its energies
-are fluxes through the interface spheres (:mod:`~elastoplasmon.energy`):
-each bound is a scalar of the radial profiles and the source coefficients,
-read off region-local amplitudes.  :data:`WITNESSES` lists each witness
-once; a sweep and the ``witness`` command read it and build no field.  A
+Every witness bound is a few scalar operations per row.  The energies of
+perfect waves and single layers are unit data kept per (lambda, mu, n,
+family) key with the wave and the unit layer of
+:mod:`~elastoplasmon.transmission`: the wave's energy on the unit shell
+sphere and its traces, the layer's trace on its own shape.  Summed over
+the spheres of a sum of single layers, the flux gives P = -sum rho^2 Re
+<U(rho), sigma> (:func:`_layer_energy`).  Only the loss-free field is
+paired by flux (:mod:`~elastoplasmon.energy`), in one column with a
+sweep's dissipations.  :data:`WITNESSES` lists each witness once; a sweep
+and the ``witness`` command read it and build no field
+(:mod:`~elastoplasmon.fields` builds them from the cores' densities).  A
 core is a :func:`~elastoplasmon.transmission._column` of (medium, source,
 loss) rows, per row its scalars or its error; the primal cores read the
-rows' loss-free solves, one column (:func:`_row_solves`).  A sweep solves
-its lossy rows in that column too, takes their dissipations as one flux,
-runs each core once on the rows it applies to (the radial witness only on
-its schedule outside R^{3/2}, radii in units of the core radius), and
-records each witness that raises and each row's largest conditions and
-backward errors in ``SweepResult.meta`` (:func:`_sweep_rows`).
+rows' loss-free solves and their pairing (:func:`_row_solves`).  A sweep
+solves its lossy rows in that column too, runs each core once on the rows
+it applies to (the radial witness only on its schedule outside R^{3/2},
+radii in units of the core radius), and records each witness that raises
+and each row's largest conditions and backward errors in
+``SweepResult.meta`` (:func:`_sweep_rows`).
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -38,13 +43,10 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Sequence
 
-import numpy as np
-
 from .lame import LameParams, _served_from_fields, plasmon_constants
-from .energy import EnergyReport, dissipations, profile_pairings, solution_pairings
+from .energy import EnergyReport, column_energies, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
-                           _column, _global_amplitude, _ok, _pows, _profile_stack, _radial_profile, _region_blocks,
-                           _single_layers, _solve_column, _traces, _wave_amplitudes)
+                           _column, _global_amplitude, _ok, _solve_column, _unit_layers, _wave_amplitudes)
 
 __all__ = [
     "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
@@ -92,10 +94,14 @@ def _fixed_c_checks(medium: LayeredMedium, source: SourceSpec, delta: float) -> 
         raise ValueError("delta must be positive")
 
 
-def _row_solves(rows, lossy: bool) -> tuple[list, list]:
-    """Per (medium, source, delta) row the outcomes of its lossy solves (none unless ``lossy``) and of its loss-free
-    ones, one per degree of the source, all one column (none if empty).  A row has loss-free solves where the
-    fixed-multiplier witness's checks pass, the rows the primal witnesses read."""
+def _row_solves(rows, lossy: bool) -> tuple[list, list, list]:
+    """Per (medium, source, delta) row: the outcomes of its lossy solves and their dissipation (none unless
+    ``lossy``), and its loss-free solves, {degree: outcome}, with their pairing Re P(v, v) or its error.
+
+    A row has loss-free solves, one per degree of its source, where the
+    fixed-multiplier witness's checks pass, the rows the primal witnesses
+    read.  The solves are one column, and so are the energies
+    (:func:`~elastoplasmon.energy.column_energies`)."""
     items = [[(med, src, n) for n in src.degrees()] if lossy else [] for med, src, _ in rows]
     for med, src, delta in rows:
         try:
@@ -106,31 +112,34 @@ def _row_solves(rows, lossy: bool) -> tuple[list, list]:
         items.append([(med._replace(delta=0.0), src, n) for n in src.degrees()])
     flat = iter(_solve_column([item for row in items for item in row]) if any(items) else ())
     got = [[next(flat) for _ in row] for row in items]
-    return got[:len(rows)], got[len(rows):]
+    E, pairings = column_energies(got[:len(rows)] if lossy else [], [med for med, _, _ in rows] if lossy else [],
+                                  got[len(rows):])
+    free = [({n: sol for (_, _, n), sol in zip(row, sols)}, p) for row, sols, p in zip(items[len(rows):],
+                                                                                       got[len(rows):], pairings)]
+    return got[:len(rows)], E, free
 
 
 def _fixed_c_bound(rows, loss_free: list) -> list:
     """Per (medium, source, delta) row: (I(v, 0), loss-free solutions), or the row's error.
 
-    I(v, 0) is that of the loss-free field at the row's loss, by one flux
-    over the rows; the loss-free solutions are the row's ``loss_free``."""
+    I(v, 0) is that of the loss-free field at the row's loss: half the loss
+    times the pairing of the row's ``loss_free`` solves (:func:`_row_solves`)."""
     def values(idx, _):
-        free = [loss_free[i] for i in idx]
-        return [p if isinstance(p, Exception) else (0.5 * rows[i][2] * p, sols)
-                for i, sols, p in zip(idx, free, solution_pairings(free))]
+        return [p if isinstance(p, Exception) else (0.5 * rows[i][2] * p, list(sols.values()))
+                for i in idx for sols, p in [loss_free[i]]]
     return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
 
 
 def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
-    """((n0, family, k), g, profile, wave, cored) of the dominant source mode.
+    """((n0, family, k), g, wave, cored) of the dominant source mode.
 
     Needs the source outside the shell, a family-1 mode in a cored medium,
     medium.c equal to the mode family's plasmon constant at its degree n0
     and a nonzero source.  g is the real branch coefficient (the real or
     imaginary part of the mode's coefficient, the larger), the wave the
-    region-local amplitudes inside and outside the shell of the perfect wave
-    of member k (:func:`~elastoplasmon.transmission._wave_amplitudes`, which
-    checks the sector) and cored whether the medium has a core."""
+    perfect wave of member k with its unit data
+    (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
+    sector) and cored whether the medium has a core."""
     if source.q <= medium.shell_radius:
         raise ValueError("source must lie outside the shell")
     params, cored = medium.base, medium.core_radius is not None
@@ -144,56 +153,55 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     g = gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
-    prof, wave, _ = _wave_amplitudes(params, n0, fam)
-    return (n0, fam, k), g, prof, wave, cored
+    return (n0, fam, k), g, _wave_amplitudes(params, n0, fam), cored
 
 
-def _dual_constants(rows, idx, states) -> tuple[list[float], list[float], tuple, np.ndarray]:
-    """C0 and C_psi of each row's dominant mode (:func:`_dual_mode`), and its profile stack and waves, as a stack.
+def _layer_energy(unit: float, n: int, layers) -> float:
+    """Re P(w, w) of w the sum of degree-n family-1 single layers (sphere rho, density sigma), radii increasing.
 
-    For the wave psi_hat of member k, of value 1 on the shell sphere: C0 = g
-    <f_unit, psi_hat> = g q^2 U_n0(q) and C_psi = 0.5 Re P(psi_hat,
-    psi_hat), both scalar, U_n0 read off the wave outside the shell."""
-    profs, waves = [s[2] for s in states], np.array([s[3] for s in states])
-    R, q = [rows[i][0].shell_radius for i in idx], [rows[i][1].q for i in idx]
-    stack = _profile_stack(profs)
-    U, _ = _traces(stack, waves[:, 1], [q_i / R_i for q_i, R_i in zip(q, R)],
-                   _region_blocks(1, 2, len(profs[0].degrees)))
-    C0 = [s[1] * q_i**2 * u for s, q_i, u in zip(states, q, U[:, 0].real.tolist())]
-    C_psi = [0.5 * p for p in profile_pairings(stack, [(0.0, R_i, math.inf) for R_i in R], waves).tolist()]
-    return C0, C_psi, stack, waves
-
-
-def _repair(media, degrees, stack, amps, at, ref, sign: float) -> np.ndarray:
-    """Per row the family-1 single layer on the sphere ``at[i]`` of density ``sign`` (c - 1) times the traction
-    there of the entire degree-n block of value ``amps[i]`` on the sphere ``ref[i]``: an interface repair."""
-    _, T = _traces(stack, amps, [a / r for a, r in zip(at, ref)], slice(0, 1))  # rho times the traction
-    density = (np.array([sign * (med.c - 1.0) / a for med, a in zip(media, at)]) * T[:, 0]).tolist()
-    return _single_layers([(med.base, n, 1, rho, d) for med, n, rho, d in zip(media, degrees, at, density)])
+    Summed over the spheres, the flux gives P = -sum rho^2 Re <U(rho),
+    sigma>: layer j's displacement is ``unit`` rho_j sigma_j on its own
+    sphere (the unit layer's trace, :func:`~elastoplasmon.transmission._unit_layers`),
+    times (r / rho_j)^n inside it and (rho_j / r)^(n+1) outside."""
+    total = 0.0
+    for i, (r, s) in enumerate(layers):
+        total += r * r * r * (s.real * s.real + s.imag * s.imag)
+        for r2, s2 in layers[i + 1:]:
+            total += 2.0 * r * r * r2 * (r / r2) ** n * (s.real * s2.real + s.imag * s2.imag)
+    return -unit * total
 
 
 def _dual_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair amplitudes or None) of the
+    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair density or None) of the
     dual witness, or its error.
 
-    tau multiplies the wave of value 1 on the shell sphere R; ``witness``
-    prints R^(-n0) tau, that of the wave of entire degree-n0 amplitude 1 at
-    the origin's scale.  A cored row's witness is repaired on the core
-    sphere (:func:`_repair`); the rows are one stack per wave shape and kind of medium."""
+    With psi_hat the wave of value 1 on the shell sphere R (:func:`_dual_mode`),
+    C0 = g q^2 U_n0(q) and C_psi = R / 2 times the wave's unit energy.  A
+    cored row's v is tau / delta times the core sphere's layer of density
+    -(c - 1) T / a, T the wave's rho-times-traction there.  J(tau) = C0 tau -
+    d tau^2, d = delta C_psi + P(v_tilde) / (2 delta), peaks at tau = C0 /
+    (2 d) with J = C0 tau / 2; a J or tau out of the float range is
+    ``OverflowError``.  ``witness`` prints R^(-n0) tau, the multiplier of the
+    wave of entire degree-n0 amplitude 1 at the origin's scale."""
     def values(idx, states):
-        C0, C_psi, stack, waves = _dual_constants(rows, idx, states)
-        if not states[0][4]:  # no core: J(tau) = C0 tau - delta C_psi tau^2
-            return [(c0**2 / (4.0 * cp * rows[i][2]), c0 / (2.0 * cp * rows[i][2]), s[0], None)
-                    for i, s, c0, cp in zip(idx, states, C0, C_psi)]
-        # core repair: -delta L v = L_A psi = (c-1) traction(psi) on the core sphere, v = tau v_tilde / delta
-        media = [rows[i][0] for i in idx]
-        cores, shells = [med.core_radius for med in media], [med.shell_radius for med in media]
-        v_tilde = _repair(media, [s[0][0] for s in states], stack, waves[:, 0], cores, shells, -1.0)
-        P_vt = profile_pairings(stack, [(0.0, a, math.inf) for a in cores], v_tilde).tolist()
-        # J(tau) = C0 tau - (delta C_psi + P_vt / (2 delta)) tau^2
-        denom = [rows[i][2] * cp + 0.5 * p / rows[i][2] for i, cp, p in zip(idx, C_psi, P_vt)]
-        return [(c0**2 / (4.0 * d), c0 / (2.0 * d), s[0], v) for s, c0, d, v in zip(states, C0, denom, v_tilde)]
-    return _column(len(rows), lambda i: _dual_mode(*rows[i][:2]), values, key=lambda s: (len(s[2].degrees), s[4]))
+        units = iter(_unit_layers([(rows[i][0].base, mode[0], 1) for i, (mode, *_, core) in zip(idx, states) if core]))
+        out = []
+        for i, (mode, g, wave, core) in zip(idx, states):
+            med, src, delta = rows[i]
+            R, q = med.shell_radius, src.q
+            C0 = g * q**2 * sum(s * (q / R) ** p for s, p in wave.outside)
+            d, sigma = delta * (0.5 * R * wave.energy), None
+            if core:
+                a = med.core_radius
+                sigma = -(med.c - 1.0) / a * sum(s * (a / R) ** p for s, p in wave.inside)
+                d += 0.5 * _layer_energy(next(units).trace, mode[0], [(a, sigma)]) / delta
+            tau = C0 / (2.0 * d)
+            J = 0.5 * C0 * tau
+            if not (math.isfinite(J) and math.isfinite(tau)):
+                raise OverflowError(f"dual bound J = {J!r} with tau = {tau!r} is out of the float range")
+            out.append((J, tau, mode, sigma))
+        return out
+    return _column(len(rows), lambda i: _dual_mode(*rows[i][:2]), values)
 
 
 def _outside_critical_radius(medium: LayeredMedium, source: SourceSpec) -> bool:
@@ -222,54 +230,35 @@ def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
     return scheduled, sorted(off)
 
 
-def _radial_modes(rows, modes: list) -> tuple:
-    """v and w amplitudes and their pairings P_v, P_w of (row, n, k, gamma) scheduled modes, as one stack.
-
-    v is the free incident wave (the source's layer on q), w carries the
-    interface defects: a repair on the core sphere a and one on the shell R
-    (the family-1 single layers of the defects of v's traction times c - 1),
-    summed on (0, a, R, inf), the shell repair's entire block re-referenced
-    to a (times (a/R)^n) and the core repair's decaying one to R."""
-    media = [rows[i][0] for i, *_ in modes]
-    q = [rows[i][1].q for i, *_ in modes]
-    degrees = [n for _, n, _, _ in modes]
-    stack = _profile_stack([_radial_profile(med.base, n, 1) for med, n in zip(media, degrees)])
-    v = _single_layers([(med.base, n, 1, rho, gamma) for med, (_, n, _, gamma), rho in zip(media, modes, q)])
-    cores, shells = [med.core_radius for med in media], [med.shell_radius for med in media]
-    ra, rR = (_repair(media, degrees, stack, v[:, 0], at, q, sign) for at, sign in ((cores, 1.0), (shells, -1.0)))
-    f = _pows(np.array([[a / R, R / a] for a, R in zip(cores, shells)]), stack[0])[:, :, None]  # (a/R)^n, (R/a)^(-n-1)
-    w = np.stack((ra[:, 0] + rR[:, 0] * f[:, 0], ra[:, 1] + rR[:, 0], ra[:, 1] * f[:, 1] + rR[:, 1]), axis=1)
-    P_v = profile_pairings(stack, [(0.0, q_i, math.inf) for q_i in q], v).tolist()
-    P_w = profile_pairings(stack, [(0.0, med.core_radius, med.shell_radius, math.inf) for med in media], w).tolist()
-    return v, w, P_v, P_w
-
-
 def _radial_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (I(v, w) of the radial primal witness by flux, scheduled, off), or its error.
+    """Per (medium, source, delta) row: (I(v, w) of the radial primal witness, scheduled, off), or its error.
 
-    ``scheduled`` holds (n, k, v amplitudes, w amplitudes) per scheduled
-    mode, v on the radii (0, q, inf) and w on (0, core, shell, inf) (the
-    form :func:`~elastoplasmon.fields._profile_fields` reads), ``off``
-    the row's loss-free solutions of the off-schedule degrees.  Scheduled
-    modes, distinct members and distinct degrees are orthogonal, so their
-    energies add; the two repairs of one mode share its member.  The
-    scheduled modes of the rows are one stack.
-    """
+    Per scheduled mode (n, k, gamma) v is the source's layer on q and w the
+    layers on the core a and the shell R of the defects of v's traction
+    times c - 1, so P_v and P_w are :func:`_layer_energy` of the densities;
+    ``scheduled`` holds (n, k, gamma, sigma_a, sigma_R) per mode.  ``off``
+    holds the row's loss-free solutions of its off-schedule degrees, read
+    by degree from ``loss_free`` and paired by flux.  Scheduled modes,
+    distinct members and distinct degrees are orthogonal, so their energies
+    add."""
     def values(idx, states):
-        modes = [(i, n, k, gamma) for i, (scheduled, _) in zip(idx, states) for n, k, gamma in scheduled]
-        v, w, P_v, P_w = _radial_modes(rows, modes) if modes else ([], [], [], [])
-        off = [[dict(zip(rows[i][1].degrees(), loss_free[i]))[n] for n in ns] for i, (_, ns) in zip(idx, states)]
+        units = iter(_unit_layers([(rows[i][0].base, n, 1) for i, (sch, _) in zip(idx, states) for n, _, _ in sch]))
+        off = [[loss_free[i][0][n] for n in ns] for i, (_, ns) in zip(idx, states)]
         out = []
-        at = 0
         for i, (scheduled, _), sols, p_off in zip(idx, states, off, solution_pairings(off)):
-            delta, P_vi, P_wi, mine = rows[i][2], 0.0, 0.0, []
-            for j in range(at, at + len(scheduled)):
-                P_vi += P_v[j]
-                P_wi += P_w[j]
-                mine.append((modes[j][1], modes[j][2], v[j], w[j]))
-            at += len(scheduled)
+            med, src, delta = rows[i]
+            a, R, q = med.core_radius, med.shell_radius, src.q
+            P_v = P_w = 0.0
+            mine = []
+            for n, k, gamma in scheduled:
+                unit = next(units).trace
+                T = q * gamma * unit * sum(s for s, _ in _wave_amplitudes(med.base, n, 1).inside)  # rho t of v on q
+                s_a, s_R = (med.c - 1.0) / a * (T * (a / q) ** n), -(med.c - 1.0) / R * (T * (R / q) ** n)
+                P_v += _layer_energy(unit, n, [(q, gamma)])
+                P_w += _layer_energy(unit, n, [(a, s_a), (R, s_R)])
+                mine.append((n, k, gamma, s_a, s_R))
             out.append(p_off if isinstance(p_off, Exception) else
-                       (0.5 * delta * (P_vi + p_off) + 0.5 / delta * P_wi, mine, sols))
+                       (0.5 * delta * (P_v + p_off) + 0.5 / delta * P_w, mine, sols))
         return out
     return _column(len(rows), lambda i: _radial_check(*rows[i]), values)
 
@@ -279,7 +268,8 @@ class Witness(NamedTuple):
     or its error.
 
     The scalars start with the bound; ``loss_free`` holds per row its
-    loss-free solves (:func:`_row_solves`), read by the primal cores.
+    loss-free solves by degree and their pairing (:func:`_row_solves`),
+    read by the primal cores.
     """
 
     name: str  # the public builder, in elastoplasmon.fields
@@ -306,7 +296,7 @@ def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
     that applies to the medium, on the row (medium, source, delta), whose loss-free solves are one column; another
     error is raised."""
     rows = [(medium, source, delta)]
-    _, loss_free = _row_solves(rows, lossy=False)
+    loss_free = _row_solves(rows, lossy=False)[2]
     for w in WITNESSES:
         if w.applies(medium):
             got = w.core(rows, loss_free)[0]
@@ -389,8 +379,8 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     witness that applies but raises ``ValueError`` or ``ArithmeticError`` is
     a refusal (row, loss, degree, witness, bound, exception type and
     message).  The work is done by columns: one solve of the lossy and the
-    loss-free rows (:func:`_row_solves`), one flux for the dissipations and
-    each witness core once, on the rows it applies to.  ``solves`` holds per
+    loss-free rows and one flux for their energies (:func:`_row_solves`),
+    and each witness core once, on the rows it applies to.  ``solves`` holds per
     row the largest condition (of its region-local systems) and backward
     error of its lossy and of its loss-free systems.  A row's error is
     raised when the rows before it are done.
@@ -408,14 +398,13 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
             _outside_critical_radius(med, src)
             and math.isclose(med.c, plasmon_constants(med.base, max(degrees[i])).zeta1, rel_tol=1e-10)))
 
-    lossy, loss_free = _row_solves(media, lossy=True)
-    E = dissipations(lossy, [med for med, _, _ in media])
+    lossy, E, loss_free = _row_solves(media, lossy=True)
     found = {}
     for w in WITNESSES:
         idx = [i for i in range(len(media)) if tried(w, i)]
         found[w.name] = dict(zip(idx, w.core([media[i] for i in idx], [loss_free[i] for i in idx])))
     rows, refusals, solves = [], [], []
-    for i, ((med, src, d), outcomes, lf) in enumerate(zip(media, lossy, loss_free)):
+    for i, ((med, src, d), outcomes, (lf, _)) in enumerate(zip(media, lossy, loss_free)):
         E_delta = _ok(E[i])  # a row's error is raised when the rows before it are done
         n_delta = max(degrees[i])
         bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
@@ -428,7 +417,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
                 bounds[w.bound].append(_ok(got)[0])
         rows.append(EnergyReport(delta=d, E_delta=E_delta, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
                                  J_lower=max(bounds["J_lower"], default=None), n_delta=n_delta))
-        (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(lf)
+        (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(list(lf.values()))
         solves.append({"row": i, "lossy_condition": lossy_cond, "lossy_backward_error": lossy_berr,
                        "loss_free_condition": free_cond, "loss_free_backward_error": free_berr})
     return rows, refusals, solves

@@ -42,9 +42,11 @@ of each system of the source's families is at most 1e9, else
 condition (:func:`sector_conditions` reads them).  The witnesses and the
 Neumann-Poincare spectrum read the single layer on a sphere
 (:func:`_single_layers`).  Kept once per process per (float lambda, float
-mu, n[, family]) key: the radial profiles, the sector checks and the unit
-single layers.  A source sphere not outside the shell, a family other than
-1, 2, 3 or an index k outside 1..2J+1 raises ``ValueError``.
+mu, n[, family]) key: the radial profiles, the sector checks with the
+perfect wave's unit data and the unit single layers with their traces,
+which the witness bounds read.  A source sphere not outside the shell, a
+family other than 1, 2, 3 or an index k outside 1..2J+1 raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -488,9 +490,20 @@ def _traces(stack, amps: np.ndarray, ratios, blocks: slice) -> tuple[np.ndarray,
     return ut[:, 0], ut[:, 1]
 
 
+class _Wave(NamedTuple):
+    """The perfect wave of a unit sector member on the shell sphere R (:func:`_wave_amplitudes`) and its unit data."""
+
+    profile: _RadialProfile
+    amps: np.ndarray  # (2, B): the region-local blocks inside and outside R
+    c: float  # the family's plasmon constant
+    energy: float  # Re P(psi, psi) / R, the flux R Re <U, T'> inside minus outside
+    outside: tuple  # the displacement outside on degree n, sum s (rho / R)^p over (s, p) pairs
+    inside: tuple  # rho times the traction inside on degree n, alike
+
+
 @_once_per_key
-def _wave_amplitudes(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray, float]:
-    """The perfect wave of a unit sector member in region-local profile blocks: (profile, amplitudes, c).
+def _wave_amplitudes(params: LameParams, n: int, fam: int) -> _Wave:
+    """The perfect wave of a unit sector member in region-local profile blocks, with its unit data (:class:`_Wave`).
 
     The amplitudes of the regions inside and outside the shell sphere R
     (rows 0 and 1, :func:`_region_blocks`) are each block's value on R,
@@ -500,6 +513,7 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int) -> tuple[_RadialProfi
     must agree and the traction inside times the family's plasmon constant
     c must equal the one outside, each to 1e-9 of the largest, else
     :class:`SectorCheckError`; once per process per (lambda, mu, n, family).
+    The traces on R give the unit data, read in the member coordinates.
     """
     prof = _radial_profile(params, n, fam)
     D = len(prof.degrees)
@@ -510,14 +524,17 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int) -> tuple[_RadialProfi
     elif fam == 3:
         amps[1, D + prof.degrees.index(n + 2)] = -mode_constants(params, n).k_n
     c = plasmon_constants(params, n).as_tuple()[fam - 1]
-    (u_in, t_in), (u_out, t_out) = np.einsum("rb,bsd->rsd", amps, prof.scalars)  # the traces on R, by region
+    (u_in, t_in), (u_out, t_out) = traces = np.einsum("rb,bsd->rsd", amps, prof.scalars)  # the traces on R, by region
     for what, inside, outside in (("continuity", u_in, u_out), ("transmission", c * t_in, t_out)):
         scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
         defect = float(np.max(np.abs(inside - outside)))
         if not defect <= 1e-9 * scale:
             raise SectorCheckError(f"family {fam} sector at degree {n} is not a kernel at c={c} "
                                    f"({what} defect {defect / scale:.3e})")
-    return prof, amps, c
+    (U_in, T_in), (U_out, T_out) = traces.real * prof.coords
+    outside, inside = ([(s, p) for s, p in zip((amps[reg] * prof.scalars[:, row, 0]).real.tolist(), prof.power) if s]
+                       for reg, row in ((1, 0), (0, 1)))
+    return _Wave(prof, amps, c, float(U_in @ T_in - U_out @ T_out), tuple(outside), tuple(inside))
 
 
 def _sector_matrices(bounds: list, weights: list, profs: list):
@@ -574,20 +591,23 @@ def _solve_systems(systems: list) -> list:
     return _column(len(systems), systems.__getitem__, values, key=lambda s: (len(s[0]), len(s[2].degrees)))
 
 
-def _single_layers(items) -> np.ndarray:
-    """Single layers of (params, degree, family, sphere rho, density) items of one profile shape: (k, 2, B) amplitudes.
+class _UnitLayer(NamedTuple):
+    """The single layer of a unit density on the unit sphere (:func:`_unit_layers`)."""
 
-    Item i is the profile field on the radii (0, rho, inf), continuous
-    across rho, whose traction (outside minus inside) jumps there by
-    ``density`` times the degree-n shape: in region-local amplitudes, rho x
-    density x the unit-sphere layer.  The unit layers are kept per key in
-    ``_single_layers.cache``; those missing are solved as one stack, and the
-    first item whose profile or solve fails raises that error."""
+    profile: _RadialProfile
+    amps: np.ndarray  # (2, B) real: the region-local blocks inside and outside the sphere
+    trace: float  # its displacement on the density's own shape there
+
+
+def _unit_layers(keys) -> list[_UnitLayer]:
+    """The unit layers of (params, degree, family) keys, kept per key in ``_single_layers.cache``; those missing are
+    solved as one stack, and the first key whose profile or solve fails raises that error."""
     cache = _single_layers.cache
-    keys = [_key(params, n, fam) for params, n, fam, _, _ in items]
+    keys = [_key(*key) for key in keys]
     pending = {}  # per missing key its unit system, or the error of its profile
-    for key, (params, n, fam, _, _) in zip(keys, items):
+    for key in keys:
         if key not in cache and key not in pending:
+            params, n, fam = LameParams(*key[:2]), *key[2:]
             try:
                 pending[key] = ([1.0], [1.0, 1.0], _radial_profile(params, n, fam),
                                 f"degree-{n} family-{fam} single layer", math.inf)
@@ -598,13 +618,23 @@ def _single_layers(items) -> np.ndarray:
         if isinstance(got, Exception):
             pending[key] = got
         else:
-            cache[key] = (system[2], got[0].real)  # the solve of a real system: its amplitudes are real
-    units = [(cache.get(key) or _ok(pending[key]))[1] for key in keys]
+            amps = got[0].real  # the solve of a real system: its amplitudes are real
+            cache[key] = _UnitLayer(system[2], amps, float(amps[0] @ system[2].disp[:, 0]))
+    return [cache.get(key) or _ok(pending[key]) for key in keys]
+
+
+def _single_layers(items) -> np.ndarray:
+    """Single layers of (params, degree, family, sphere rho, density) items of one profile shape: (k, 2, B) amplitudes.
+
+    Item i is the profile field on the radii (0, rho, inf), continuous across rho, whose traction (outside minus
+    inside) jumps there by ``density`` times the degree-n shape: rho density times the unit layer
+    (:func:`_unit_layers`)."""
+    units = [layer.amps for layer in _unit_layers([item[:3] for item in items])]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         return np.array([float(rho) * density for *_, rho, density in items], dtype=complex)[:, None, None] * units
 
 
-_single_layers.cache = {}  # (float lambda, float mu, n, family) -> (profile, unit-sphere amplitudes (2, B))
+_single_layers.cache = {}  # (float lambda, float mu, n, family) -> its _UnitLayer
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:

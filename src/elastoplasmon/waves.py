@@ -263,7 +263,7 @@ def perfect_wave(kernel: np.ndarray, family: int, n: int, R: float,
     position for callers that pass a table, such as the benchmark's probe.
     """
     K = np.asarray(kernel, dtype=complex)
-    prof, local, c = _wave_amplitudes(params, n, family)
+    prof, local, c, *_ = _wave_amplitudes(params, n, family)
     try:
         amps = np.array([[_global_amplitude(a, float(R), p - n) for a, p in zip(row, prof.power)]
                          for row in local.tolist()])

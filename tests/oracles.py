@@ -58,7 +58,12 @@ traces at random interface points and project tractions on a sphere rule
 form, the route of the witnesses' core repair, interface repairs and incident
 wave that ``transmission._single_layers`` (unit-sphere sector solves,
 scaled) replaced.  ``unit_layer`` is the unit-sphere layer of one key solved
-alone, the value ``_single_layers`` keeps for it.
+alone, the value ``_single_layers`` keeps for it.  ``profile_pairings`` is
+the array flux of unit-member fields, the route of the witness energies
+that the per-key unit data of ``transmission`` replaced;
+``closed_unit_layer``, ``closed_wave_energy``, ``closed_dual_bound`` and
+``closed_radial_bound`` are that unit data and the family-1 witness bounds
+in closed form.
 
 ``single_layer_field`` is the Kelvin single layer of a density G Y_n on a
 sphere, from the exact radial factors of the Newtonian and distance
@@ -181,6 +186,7 @@ from elastoplasmon.harmonics import (
     shared_quadrature,
     sph_harm_stack,
 )
+from elastoplasmon.energy import _flux
 from elastoplasmon.lame import LameParams, SectorCheckError, mode_constants
 from elastoplasmon.transmission import (
     LayeredMedium,
@@ -188,6 +194,7 @@ from elastoplasmon.transmission import (
     SourceSpec,
     UnconvergedSolveError,
     _RadialProfile,
+    _UnitLayer,
     _profile_from_blocks,
     _region_blocks,
     _ok,
@@ -1742,12 +1749,57 @@ def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> li
     return [(0.0, rho, {("entire", n): a}), (rho, math.inf, {("decay", n): a})]
 
 
-def unit_layer(params: LameParams, n: int, fam: int) -> tuple[_RadialProfile, np.ndarray]:
+def unit_layer(params: LameParams, n: int, fam: int) -> _UnitLayer:
     """The unit-sphere single layer of one key solved alone, one system through ``transmission._solve_systems``:
-    (profile, real amplitudes (2, B)), as ``transmission._single_layers.cache`` keeps it."""
+    (profile, real amplitudes (2, B), displacement on its own shape), as ``transmission._single_layers.cache``
+    keeps it."""
     prof = _radial_profile(params, n, fam)
     system = ([1.0], [1.0, 1.0], prof, f"degree-{n} family-{fam} single layer", math.inf)
-    return prof, _ok(_solve_systems([system])[0])[0].real
+    amps = _ok(_solve_systems([system])[0])[0].real
+    return _UnitLayer(prof, amps, float(amps[0] @ prof.disp[:, 0]))
+
+
+def profile_pairings(stack: tuple, radii, amps) -> np.ndarray:
+    """Re P(u, u) of k unit sector members' fields by one array flux (``energy._flux``): row i the region-local
+    blocks ``amps[i]`` (regions, B) on ``radii[i]``, the profiles ``stack`` of one shape
+    (``transmission._profile_stack``).  The route of the witness energies that the per-key unit data replaced."""
+    return _flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
+
+
+def closed_unit_layer(params: LameParams, n: int) -> tuple[float, float]:
+    """The family-1 unit layer's (trace, energy) on the unit sphere in closed form: -s and s, s = 1 / (mu (2n+1));
+    a layer of density sigma on rho has energy rho^3 |sigma|^2 s."""
+    s = 1.0 / (params.mu * (2 * n + 1))
+    return -s, s
+
+
+def closed_wave_energy(params: LameParams, n: int) -> float:
+    """The family-1 perfect wave's energy on the unit shell sphere in closed form, mu (2n+1)."""
+    return params.mu * (2 * n + 1)
+
+
+def closed_dual_bound(params: LameParams, n: int, g: float, q: float, R: float, delta: float,
+                      a: float | None = None) -> float:
+    """The family-1 dual bound at c = zeta1(n) in closed form (a = 0 without a core):
+    J = g^2 q^4 (q/R)^(-2n-2) / (2 mu (2n+1) (delta R + a (a/R)^(2n) / delta))."""
+    a = a or 0.0
+    return g * g * q**4 * (q / R) ** (-2 * n - 2) / (
+        2.0 * params.mu * (2 * n + 1) * (delta * R + a * (a / R) ** (2 * n) / delta))
+
+
+def closed_radial_bound(params: LameParams, n: int, c: float, gamma: complex, q: float, R: float, a: float,
+                        delta: float) -> float:
+    """The family-1 radial primal bound of one scheduled mode in closed form: (delta/2) P_v + P_w / (2 delta), with
+    P_v = q^3 |gamma|^2 s and P_w = s (a^3 |s_a|^2 + R^3 |s_R|^2 + 2 a^2 R (a/R)^n Re(conj(s_a) s_R)),
+    s = 1 / (mu (2n+1)), the repair densities s_a = (c - 1) T(a) / a and s_R = -(c - 1) T(R) / R of the incident
+    layer's rho-times-traction T(r) = -q gamma (n - 1) / (2n + 1) (r / q)^n."""
+    s = 1.0 / (params.mu * (2 * n + 1))
+    T = -q * gamma * (n - 1) / (2 * n + 1)
+    s_a, s_R = (c - 1) * T * (a / q) ** n / a, -(c - 1) * T * (R / q) ** n / R
+    P_v = q**3 * abs(gamma) ** 2 * s
+    P_w = s * (a**3 * abs(s_a) ** 2 + R**3 * abs(s_R) ** 2
+               + 2 * a * a * R * (a / R) ** n * (s_a.conjugate() * s_R).real)
+    return 0.5 * delta * P_v + 0.5 / delta * P_w
 
 
 def quadrature_np_matrix(R: float, params: LameParams, n_max: int,
@@ -1807,7 +1859,8 @@ def mp_pairing_P(u_terms, v_terms, r_lo: float, r_hi: float, params: LameParams,
 
     Every term coefficient, ladder entry and modulus is taken exactly as a
     double; the ladder factors -(p-d)/(2d+1) and (p-d)/(2d+1) + 1 are exact
-    rationals.  The gradients (only the ladders' nonzero entries), the
+    rationals.  The gradients (only the ladders' nonzero entries that meet a
+    nonzero coefficient column; the others add exact zeros), the
     divergence and symmetric-strain coefficients, their angular products and
     the radial integrals are formed and summed in mpmath.
     """
@@ -1828,7 +1881,7 @@ def mp_pairing_P(u_terms, v_terms, r_lo: float, r_hi: float, params: LameParams,
                     if ladder is None or factor == 0:
                         continue
                     g = groups.setdefault((dd, p - 1), [[[mpc(0)] * (2 * dd + 1) for _ in range(3)] for _ in range(3)])
-                    for j, m, mm in zip(*np.nonzero(ladder)):
+                    for j, m, mm in zip(*np.nonzero(ladder * t.coef.any(axis=0)[None, :, None])):
                         entry = factor * mpc(complex(ladder[j, m, mm]))
                         for i in range(3):
                             g[j][i][mm] += coef[i][m] * entry

@@ -510,12 +510,12 @@ def _no_run(*args, **kwargs):
 
 # the first computational call of each command, where it is defined:
 # kernels and waves-check start with their kernel bases, np-spectrum with
-# its spectrum, a witness in a core-free medium with the constants of its
-# dual bound (looked up when its core runs, unlike the core, which the
+# its spectrum, a witness in a core-free medium with the dominant mode of
+# its dual bound (looked up when its core runs, unlike the core, which the
 # witness table holds), and solve, a witness in a cored medium (its
 # loss-free bound) and a sweep's first row with their degree's solve
 FIRST_CALLS = (("fields", "kernel_basis"), ("waves", "np_galerkin_spectrum"),
-               ("scenarios", "_dual_constants"), ("transmission", "solve_mode"))
+               ("scenarios", "_dual_mode"), ("transmission", "solve_mode"))
 
 
 def _replace_everywhere(monkeypatch, original, value):

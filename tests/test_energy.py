@@ -488,9 +488,9 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
     # share J = n - 1 (several members, complex coefficients) beside a
     # family-1 part: measured <= 2.9e-16 and <= 7.8e-16.  The witness pairing
     # of a unit member reads the vector route's value too
-    from elastoplasmon.energy import profile_pairings, solution_pairings
+    from elastoplasmon.energy import solution_pairings
     from elastoplasmon.transmission import _profile_stack, _wave_amplitudes
-    from oracles import annuli, mp_flux_dissipation, vector_flux, vector_solution_pairing
+    from oracles import annuli, mp_flux_dissipation, profile_pairings, vector_flux, vector_solution_pairing
 
     for params in (P11, LameParams(2.0, 0.5)):
         med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=1e-3, base=params, core_radius=core)
@@ -503,11 +503,29 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
             ref = mp_flux_dissipation(sols, med)
             assert abs(dissipation_E(sols, med) - ref) <= 2e-15 * ref, (params, n)
             for fam in (1, 2, 3):
-                prof, amps, _ = _wave_amplitudes(params, n, fam)
+                prof, amps, *_ = _wave_amplitudes(params, n, fam)
                 coords, radii = dict(zip(prof.degrees, prof.coords.tolist())), (0.0, 1.5, math.inf)
                 want = vector_flux({(lo, hi, None): [(prof, coords, 1.0, a)] for lo, hi, a in annuli(prof, radii, amps)})
                 got = profile_pairings(_profile_stack([prof]), [radii], amps[None])[0]
                 assert abs(got - want) <= 1e-15 * abs(want), (params, n, fam)
+
+
+def test_wave_energies_against_50_digits():
+    # the energy of each family-2 and family-3 perfect wave on the unit shell
+    # sphere, kept per key with the wave, against the 50-digit volume pairing
+    # of its fields (member M = 0) at n = 2..64, to 1e-13 (measured <= 7.8e-16)
+    from elastoplasmon.fields import kernel_basis
+    from elastoplasmon.transmission import _wave_amplitudes
+    from elastoplasmon.waves import perfect_wave
+    from oracles import mp_pairing_P
+
+    params = LameParams(2.0, 0.5)
+    for n in range(2, 65):
+        for fam in (2, 3):
+            wave = perfect_wave(kernel_basis(params, n, fam)[-1], fam, n, 1.0, params)
+            want = sum(mp_pairing_P(p.terms, p.terms, p.r_lo, p.r_hi, params).real
+                       for p in (wave.interior, wave.exterior))
+            assert abs(_wave_amplitudes(params, n, fam).energy - want) <= 1e-13 * want, (n, fam)
 
 
 def test_array_flux_is_the_dict_flux(materials):
@@ -517,9 +535,9 @@ def test_array_flux_is_the_dict_flux(materials):
     # core-free, with a family-2 and a family-3 density sharing a sector, as
     # one column of rows and row by row; and on the witness fields, the
     # perfect waves and the single layers
-    from elastoplasmon.energy import profile_pairings, solution_pairings
+    from elastoplasmon.energy import solution_pairings
     from elastoplasmon.transmission import _profile_stack, _single_layers, _wave_amplitudes
-    from oracles import annuli, dict_profile_pairing, dict_solution_pairing
+    from oracles import annuli, dict_profile_pairing, dict_solution_pairing, profile_pairings
 
     rows = []
     for params in materials:
@@ -533,7 +551,7 @@ def test_array_flux_is_the_dict_flux(materials):
     assert [solution_pairings([sols])[0] for sols in rows] == want
     for params in materials:
         for n, fam in ((2, 1), (9, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
-            prof, amps, _ = _wave_amplitudes(params, n, fam)
+            prof, amps, *_ = _wave_amplitudes(params, n, fam)
             layer = _single_layers([(params, n, fam, 0.8, 0.3j)])[0]
             for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), layer)):
                 got = profile_pairings(_profile_stack([prof]), [radii], a[None])[0]

@@ -25,7 +25,8 @@ from elastoplasmon.energy import dissipation_E
 from elastoplasmon.scenarios import _sweep_rows, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
 from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, solve_modes
 from elastoplasmon.waves import plasmon_constants
-from oracles import eval_terms, fixed_c_closed_forms, mp_square_solve
+from oracles import (closed_dual_bound, closed_radial_bound, eval_terms, fixed_c_closed_forms, mp_square_solve,
+                     plain_data)
 
 P11 = LameParams(1.0, 1.0)
 
@@ -544,9 +545,8 @@ def test_witness_column_gives_each_row_its_own_error():
 
 def test_dual_column_mixes_cored_and_core_free_rows():
     # one column of cored family-1 rows and core-free rows of all three
-    # families: the rows go one stack per wave shape and kind of medium, and
-    # each row's value is its column of one bit for bit; a cored row carries
-    # its core repair, a core-free row none
+    # families: each row's value is its column of one bit for bit; a cored
+    # row carries its core repair's density, a core-free row none
     from elastoplasmon.scenarios import _dual_bound
     from oracles import plain_data
 
@@ -572,3 +572,77 @@ def test_dual_builders_refuse_the_other_kind_of_medium():
     for q in (1.5, 2.0):
         with pytest.raises(ValueError, match="^source must lie outside the shell$"):
             witness_nocore(free, src._replace(q=q), 1e-3)
+
+
+def test_dual_bound_keeps_its_digits_for_a_small_source():
+    # J is formed as C0 tau / 2, never as C0^2: at gamma = 2^-532, where
+    # C0^2 is subnormal (J was 3.4e-5 off), J is 2^-1064 times its value at
+    # gamma = 1 and tau 2^-532 times, on a core-free family-1 row at zeta1(2)
+    # (q = 2.6, R = 2) at delta = 1e-200 and 1e-300.  A J out of the float
+    # range is OverflowError, named so
+    from elastoplasmon.scenarios import _dual_bound
+
+    med = LayeredMedium(shell_radius=2.0, c=plasmon_constants(P11, 2).zeta1, delta=1e-2, base=P11)
+
+    def row(gamma, delta):
+        return med._replace(delta=delta), SourceSpec(2.6, {(2, 1, 1): gamma}), delta
+
+    for delta in (1e-200, 1e-300):
+        (J1, tau1, *_), (J, tau, *_) = _dual_bound([row(1.0, delta), row(2.0**-532, delta)], [None, None])
+        assert tau == math.ldexp(tau1, -532) and 0 < J1 < math.inf
+        assert abs(math.ldexp(J, 1064) - J1) <= math.ulp(J1), delta
+    (huge,) = _dual_bound([row(1e200, 1e-2)], [None])
+    assert isinstance(huge, OverflowError) and str(huge).endswith("is out of the float range")
+
+
+@pytest.mark.parametrize("params", [P11, LameParams(2.0, 0.5), LameParams(1e3, 1.0)])
+def test_bounds_are_the_family1_closed_forms(params):
+    # on every row of both gated schedules (R = 2, core radius 1) J_lower is
+    # the closed-form dual bound at c = zeta1(n), and on the q = 3.6 one,
+    # outside R^{3/2}, I_upper is the closed-form radial bound; a core-free
+    # family-1 run at a fixed zeta1(n) has the closed-form J of no core.
+    # All to 1e-15 relative (measured <= 7.7e-16)
+    deltas = [10.0 ** (-(4 + i) / 2) for i in range(13)]
+    for q in (2.3, 3.6):
+        conf = scheduled_configuration(params, 2.0, q, family=1, k=3, gamma=0.6 + 0.8j, core_radius=1.0)
+        for row in sweep(conf, deltas).rows:
+            J = closed_dual_bound(params, row.n_delta, 0.8, q, 2.0, row.delta, 1.0)
+            assert abs(row.J_lower - J) <= 1e-15 * J, (q, row)
+            if q == 3.6:
+                I = closed_radial_bound(params, row.n_delta, row.c_used, 0.6 + 0.8j, q, 2.0, 1.0, row.delta)
+                assert abs(row.I_upper - I) <= 1e-15 * I, row
+    for n in (2, 5, 9):
+        src = SourceSpec(2.6, {(n, 1, 2): -0.3 + 0.9j})
+        for row in sweep(fixed_configuration(params, 2.0, plasmon_constants(params, n).zeta1, src),
+                         [1e-2, 1e-4, 1e-6, 1e-8]).rows:
+            J = closed_dual_bound(params, n, 0.9, 2.6, 2.0, row.delta)
+            assert abs(row.J_lower - J) <= 1e-15 * J, (n, row)
+
+
+def test_radial_builder_solves_only_its_off_schedule_degrees(monkeypatch):
+    # the builder of the radial witness solves the loss-free systems of its
+    # off-schedule degrees only: none on a scheduled q = 3.6 row, and with
+    # an added off-schedule family-1 mode exactly that degree's, whose field
+    # joins v; the bound is the witness core's on all the row's loss-free
+    # solves, and the scheduled fields are unchanged, bit for bit
+    from elastoplasmon.scenarios import witness_scalars
+
+    med, src = FLUX_CONFIGS["f1_sched_q3.6"](1e-3)
+    loss_free = []
+    solve = transmission._square_solve
+    monkeypatch.setattr(transmission, "_square_solve", lambda M, b, what, caps: loss_free.extend(
+        w for w, cap in zip(what, caps) if cap == 1e9) or solve(M, b, what, caps))
+    v, w, I_upper = witness_radial_nonresonant(med, src, 1e-3)
+    assert loss_free == []
+    mixed = src._replace(coefficients={**src.coefficients, (3, 1, 2): 0.4 - 0.3j})
+    v_mixed, w_mixed, I_mixed = witness_radial_nonresonant(med, mixed, 1e-3)
+    assert loss_free == ["family-1 system at degree 3"]
+    core = {wit.name: got for wit, got in witness_scalars(med, mixed, 1e-3)}["witness_radial_nonresonant"]
+    assert I_mixed == core[0] and I_mixed != I_upper
+
+    def terms(pieces):
+        return [(p.r_lo, p.r_hi, [(t.degree, t.power, t.coef.tobytes()) for t in p.terms]) for p in pieces]
+
+    off = solve_modes(med._replace(delta=0.0), SourceSpec(mixed.q, {(3, 1, 2): 0.4 - 0.3j}))
+    assert terms(w_mixed) == terms(w)
+    assert terms(v_mixed) == terms(_merge_pieces([v] + [list(sol.regions) for sol in off]))

@@ -287,8 +287,8 @@ def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
     assert calls == [13, 3]
     alone = {key: unit_layer(LameParams(*key[:2]), *key[2:]) for key in transmission._single_layers.cache}
     assert len(alone) == 16
-    for key, (prof, amps) in transmission._single_layers.cache.items():
-        assert prof is alone[key][0] and amps.tobytes() == alone[key][1].tobytes(), key
+    for key, (prof, amps, trace) in transmission._single_layers.cache.items():
+        assert prof is alone[key][0] and amps.tobytes() == alone[key][1].tobytes() and trace == alone[key][2], key
     calls.clear()
     for items in columns:
         transmission._single_layers(items)
@@ -677,6 +677,75 @@ def test_gated_sweeps_are_scale_free():
                         assert abs(value - s**3 * want) <= bound * s**3 * abs(want), (s, value, want)
             if tol == 0.0:
                 assert got.growth_exponent == unit.growth_exponent and got.meta["refusals"] == unit.meta["refusals"]
+
+
+def _source_times(configuration, f: float):
+    """The configuration with every source coefficient times f."""
+    def scaled(delta):
+        med, src = configuration(delta)
+        return med, SourceSpec(src.q, {mode: g * f for mode, g in src.coefficients.items()})
+    return scaled
+
+
+def test_gated_sweeps_are_homogeneous_in_the_source():
+    # every energy is quadratic in the source: with every source coefficient
+    # of the four gated sweeps times 2^k, k = 64, -64, -300, each row's
+    # E_delta, I_upper and J_lower is 2^(2k) times its value bit for bit,
+    # and the refusals, the verdict and the growth exponent are the same
+    for conf, deltas in GATED_SWEEPS:
+        unit = sweep(conf, deltas)
+        for k in (64, -64, -300):
+            got = sweep(_source_times(conf, 2.0**k), deltas)
+            assert (got.verdict, got.growth_exponent, got.meta["refusals"]) == (
+                unit.verdict, unit.growth_exponent, unit.meta["refusals"]), k
+            for row, ref in zip(got.rows, unit.rows):
+                for value, want in ((row.E_delta, ref.E_delta), (row.I_upper, ref.I_upper),
+                                    (row.J_lower, ref.J_lower)):
+                    assert value == (None if want is None else math.ldexp(want, 2 * k)), (k, row)
+
+
+def test_a_warm_gated_sweep_runs_one_flux(monkeypatch):
+    # the dissipations and the fixed-multiplier witness's pairings of a
+    # sweep are one column of energy._flux, and the other witness bounds are
+    # scalars of per-key unit data: one flux per warm gated sweep (the
+    # witnesses' own fluxes made it 4, 6, 2 and 1)
+    from elastoplasmon import energy
+
+    calls = []
+    flux = energy._flux
+    for conf, deltas in GATED_SWEEPS:
+        sweep(conf, deltas)
+        with monkeypatch.context() as m:
+            m.setattr(energy, "_flux", lambda *args: calls.append(1) or flux(*args))
+            sweep(conf, deltas)
+        calls.append("|")
+    assert calls == [1, "|"] * 4
+
+
+@pytest.mark.parametrize("params", [P11, LameParams(2.0, 0.5), LameParams(1e3, 1.0)])
+def test_unit_data_per_key(params, monkeypatch):
+    # the unit data kept per key with the unit layers and the perfect waves:
+    # the family-1 layer's trace -1 / (mu (2n+1)) and wave energy mu (2n+1),
+    # each to 1e-15; and for every family the layer identity, the energy of
+    # a layer of density sigma on rho by the array flux being -rho^3 |sigma|^2
+    # times its trace, to 1e-14
+    from oracles import closed_unit_layer, closed_wave_energy, profile_pairings
+
+    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    degrees = range(2, 65)
+    for n, layer in zip(degrees, transmission._unit_layers([(params, n, 1) for n in degrees])):
+        trace, energy = closed_unit_layer(params, n)
+        assert abs(layer.trace - trace) <= 1e-15 * energy, n
+        wave = closed_wave_energy(params, n)
+        assert abs(transmission._wave_amplitudes(params, n, 1).energy - wave) <= 1e-15 * wave, n
+    rho, sigma = 0.8, 0.3 - 0.4j
+    for fam in (1, 2, 3):
+        for n in (2, 7, 27):
+            layer, = transmission._unit_layers([(params, n, fam)])
+            got = profile_pairings(transmission._profile_stack([layer.profile]), [(0.0, rho, math.inf)],
+                                   transmission._single_layers([(params, n, fam, rho, sigma)]))[0]
+            want = -rho**3 * abs(sigma) ** 2 * layer.trace
+            assert abs(got - want) <= 1e-14 * abs(want), (fam, n)
 
 
 @pytest.mark.parametrize("fam, n, c, delta", [(3, 64, 1.01 * plasmon_constants(P11, 64).zeta3, 1e-6),
