@@ -41,10 +41,11 @@ disturbed run of each, as the host's other load only adds time and pages):
   ``scenarios.WITNESSES`` core on one row, the dissipations of one 13-row
   schedule column and each core on a 13-row schedule column
   (``column:*``; the loss-free input a core reads is formed outside the
-  timing, :func:`_loss_free`), and per gated configuration ``sweep`` and
-  the whole command through ``cli.main`` (``main:sweep:*``: the config
-  read and checked, the argument parse, the sweep and the CSV written,
-  what the benchmark's ``warm_s`` times).
+  timing, :func:`_loss_free`), and per gated configuration its check
+  ``cli.validate_config`` on a fresh copy of the document
+  (``validate:*``), ``sweep`` and the whole command through ``cli.main``
+  (``main:sweep:*``: the config read and checked, the argument parse, the
+  sweep and the CSV written, what the benchmark's ``warm_s`` times).
 
 ``--against DIR`` times DIR (the parent) and this checkout (the change) in N
 alternating pairs, each side first in every other pair, one record of
@@ -332,6 +333,8 @@ def warm(repeats: int) -> dict:
                 [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
             out[f"column:{name}"] = _least_call_s(lambda: _core_call(scenarios, w, rows, free), repeats)
     for name, cfg in configs.items():
+        # validate_config adds only top-level keys, so a shallow copy is a fresh document
+        out[f"validate:{name}"] = _least_call_s(lambda: cli.validate_config(dict(cfg)), repeats)
         conf = cli._configuration(cfg)
         out[f"sweep:{name}"] = _least_call_s(lambda: scenarios.sweep(conf, cfg["delta_list"]), repeats)
     with tempfile.TemporaryDirectory() as work, contextlib.redirect_stdout(io.StringIO()):

@@ -40,9 +40,8 @@ EXIT_EMPTY = 4
 
 CSV_COLUMNS = "delta,n_delta,c,E_delta,I_upper,J_lower,growth_exponent,verdict"
 
-# Deepest source degree a run may reach, also the bound on n_max, on
-# np-spectrum's --nmax (and, as 2 MAX_DEGREE + 4, on the inert
-# quadrature_exactness key).  Every table degree a run reads is built and
+# Deepest source degree a run may reach, also the bound on n_max and on
+# np-spectrum's --nmax.  Every table degree a run reads is built and
 # self-tested on first use: about 20 ms for degree 64 alone (its band's
 # polar rule included) and 0.2 s for degrees 0..70, on a 2-vCPU x86-64 host
 # with one BLAS thread.  A sweep, witness and np-spectrum read none (their
@@ -98,7 +97,8 @@ def _is_real(x) -> bool:
 
 
 def validate_config(cfg: dict) -> dict:
-    """Check every field a run reads; any defect raises :class:`ValidationError`."""
+    """Check what the JSON document adds to a run, then build the run (:func:`_check_run`), whose own constructors
+    refuse the rest; any defect raises :class:`ValidationError`."""
     if not isinstance(cfg, dict) or cfg.get("schema") != 1:
         raise ValidationError("config schema must be 1")
     for key in ("lambda", "mu", "shell_radius", "q", "delta_list", "c_mode", "source_modes"):
@@ -108,11 +108,6 @@ def validate_config(cfg: dict) -> dict:
     for key in ("lambda", "mu", "shell_radius", "q") + (("core_radius",) if core is not None else ()):
         if not _is_real(cfg[key]):
             raise ValidationError(f"{key} must be a finite number")
-    LameParams(cfg["lambda"], cfg["mu"])  # raises on a non-convex pair
-    if cfg["shell_radius"] <= 0 or cfg["q"] <= cfg["shell_radius"]:
-        raise ValidationError("need 0 < shell_radius < q")
-    if core is not None and not (0 < core < cfg["shell_radius"]):
-        raise ValidationError("need 0 < core_radius < shell_radius")
     deltas = cfg["delta_list"]
     if (not isinstance(deltas, list) or len(deltas) < 3 or not all(_is_real(d) for d in deltas)
             or any(b >= a for a, b in zip(deltas, deltas[1:])) or min(deltas) <= 0):
@@ -122,58 +117,66 @@ def validate_config(cfg: dict) -> dict:
         raise ValidationError("c_mode must be {'fixed': value} or {'schedule': family}")
     if "fixed" in cmode and not _is_real(cmode["fixed"]):
         raise ValidationError("the fixed multiplier must be a finite number")
-    if "schedule" in cmode and not (_is_int(cmode["schedule"]) and cmode["schedule"] in (1, 2, 3)):
-        raise ValidationError("schedule family must be 1, 2 or 3")
+    scheduled = "schedule" in cmode
+    if scheduled and not _is_int(cmode["schedule"]):
+        raise ValidationError("the schedule family must be an integer")
     n_max = cfg.setdefault("n_max", 24)
     if not _is_int(n_max):
         raise ValidationError("n_max must be an integer")
     _check_degree(n_max, "n_max")  # bounds the source degrees of fixed runs too
-    # inert (no run builds a sphere rule), but validated and echoed in the CSV header
-    exactness = cfg.setdefault("quadrature_exactness", 2 * n_max + 4)
-    if not _is_int(exactness):
-        raise ValidationError("quadrature_exactness must be an integer")
-    if exactness > 2 * MAX_DEGREE + 4:
-        raise ValidationError(f"quadrature_exactness {exactness} exceeds 2 * {MAX_DEGREE} + 4")
     modes = cfg["source_modes"]
     if not (isinstance(modes, list) and modes):
         raise ValidationError("source_modes must be a non-empty list")
-    first = None
-    if "schedule" in cmode:
-        if len(modes) != 1:
-            raise ValidationError("scheduled runs re-inject exactly one source mode")
-        # the mode is re-injected at every scheduled degree; the first is the smallest
-        first = schedule_n_delta(cfg["shell_radius"], deltas[0])
-        _check_degree(schedule_n_delta(cfg["shell_radius"], deltas[-1]), "deepest scheduled degree")
-        sources = [(schedule_n_delta(cfg["shell_radius"], d), cmode["schedule"]) for d in deltas]
-    else:
-        sources = []
+    if scheduled and len(modes) != 1:
+        raise ValidationError("scheduled runs re-inject exactly one source mode")
+    listed = set()
     for mode in modes:
         if not (isinstance(mode, list) and len(mode) == 5):
             raise ValidationError(f"source mode {mode!r} is not [degree, family, k, Re gamma, Im gamma]")
         n, fam, k, re, im = mode
         if not ((n is None or _is_int(n)) and _is_int(fam) and _is_int(k) and _is_real(re) and _is_real(im)):
             raise ValidationError(f"source mode {mode!r} needs integer degree, family and k and a finite gamma")
-        if n is None and first is None:
+        if n is None and not scheduled:
             raise ValidationError("fixed-multiplier runs need explicit source degrees")
-        if n is not None and n < 2:
-            raise ValidationError("source degrees below 2 are unsupported")
         if n is not None and n > n_max:
             raise ValidationError(f"source degree {n} exceeds the truncation n_max = {n_max}")
-        if fam not in (1, 2, 3):
-            raise ValidationError("source mode family must be 1, 2 or 3")
-        if first is not None and fam != cmode["schedule"]:
+        if scheduled and fam != cmode["schedule"]:
             raise ValidationError("scheduled source family must match the schedule family")
-        deg = n if first is None else first
-        dim = {1: 2 * deg + 1, 2: 2 * deg - 1, 3: 2 * deg + 3}[fam]
-        if not 1 <= k <= dim:
-            raise ValidationError(f"source mode index k = {k} outside 1..{dim} (family {fam}, degree {deg})")
-        if first is None:
-            sources.append((n, fam))
-    _source_material(cfg, sources)
+        if (n, fam, k) in listed:  # a second coefficient would silently replace the first
+            raise ValidationError(f"source mode (degree, family, k) = ({n}, {fam}, {k}) is listed twice")
+        listed.add((n, fam, k))
+    _check_run(cfg, deltas)
+    if not cfg["q"] > cfg["shell_radius"]:  # as the solve's region layout refuses it
+        raise ValidationError(f"source sphere q = {cfg['q']} must lie outside the shell (radius {cfg['shell_radius']})")
     out = cfg.setdefault("output", {})
     if not (isinstance(out, dict) and all(isinstance(out[k], str) and out[k] for k in ("csv", "svg") if k in out)):
         raise ValidationError("output must be an object whose csv and svg, where given, are non-empty strings")
     return cfg
+
+
+def _check_run(cfg: dict, deltas: list[float]) -> None:
+    """Build the run of a checked document at the first of ``deltas`` (a schedule also at the last); a ``ValueError``
+    of its constructors (geometry, loss, source modes) is a :class:`ValidationError` with the same message.
+
+    A scheduled run's degree follows the loss, so the deepest one is bounded
+    first, and the moduli are probed at every degree the run reads
+    (:func:`_material`) before a constructor forms a constant from them.
+    """
+    scheduled = "schedule" in cfg["c_mode"]
+    try:
+        run = _configuration(cfg)
+        if scheduled:
+            degrees = [schedule_n_delta(cfg["shell_radius"], d) for d in deltas]
+            _check_degree(max(degrees), "deepest scheduled degree")
+            sources = [(n, cfg["c_mode"]["schedule"]) for n in degrees]
+        else:
+            sources = [(n, fam) for n, fam, *_ in cfg["source_modes"]]
+        _source_material(cfg, sources)
+        run(deltas[0])
+        if scheduled:  # its degree, and with it the source and the multiplier, follow the loss
+            run(deltas[-1])
+    except ValueError as exc:  # a ValidationError keeps its message too
+        raise ValidationError(str(exc)) from None
 
 
 def _material(lam: float, mu: float, degrees=(), fields=()) -> LameParams:
@@ -217,17 +220,14 @@ def _check_degree(n: int, what: str) -> None:
 def _single_loss(args, cfg: dict) -> float:
     """The loss of a one-loss command: ``--delta``, else the first listed loss.
 
-    ``--delta`` must be finite and positive, and a scheduled run's degree
-    follows the loss, so it is bounded like the listed losses.
+    ``--delta`` must be finite and positive, and the run is built at it
+    (:func:`_check_run`: a scheduled run's degree follows the loss).
     """
     if args.delta is None:
         return cfg["delta_list"][0]
     if not (math.isfinite(args.delta) and args.delta > 0):
         raise ValidationError(f"--delta must be finite and positive, got {args.delta}")
-    if "schedule" in cfg["c_mode"]:
-        n = schedule_n_delta(cfg["shell_radius"], args.delta)
-        _check_degree(n, "scheduled degree")
-        _source_material(cfg, [(n, cfg["c_mode"]["schedule"])])
+    _check_run(cfg, [args.delta])
     return args.delta
 
 

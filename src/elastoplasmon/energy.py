@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .lame import _served_from_fields
-from .transmission import _column, _ok, _pows, _profile_stack, _ratios
+from .transmission import _column, _ok, _profile_stack, _profile_traces
 
 __all__ = [
     "EnergyReport", "dissipation_E", "column_energies", "solution_pairings",
@@ -88,11 +88,9 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
     gram_re, gram_im = gram.real[:, :, :, None], gram.imag[:, :, :, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         traces = []
-        for _, (power, scalars, coords), amps in parts:
-            # every block's (rho / r_ref)^p on every side; a region's absent blocks have amplitude 0
-            pw = _pows(_ratios(r, spheres, regs, scalars.shape[-1]), power)[:, :, :, None, None]
-            ut = coords[:, None, None, :] * ((amps[:, regs, :, None, None] * scalars[:, None]) * pw).sum(axis=2)
-            traces.append((ut[:, :, 0], ut[:, :, 1]))
+        for _, stack, amps in parts:
+            coords = stack[2][:, None, :]
+            traces.append(tuple(coords * t for t in _profile_traces(r, (regs, spheres), stack, amps)))
         value = 0
         for p, (U, _) in enumerate(traces):
             for q, (_, T) in enumerate(traces):

@@ -42,8 +42,8 @@ import numpy as np
 from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
 from .scenarios import _dual_bound, _fixed_c_bound, _radial_bound, _radial_check, _row_solves
-from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _check_source_mode,
-                           _global_amplitude, _ok, _radial_profile, _region_blocks, _region_layout, _single_layers)
+from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _global_amplitude,
+                           _ok, _radial_profile, _region_blocks, _region_layout, _single_layers)
 
 if TYPE_CHECKING:
     from .harmonics import SphereQuadrature
@@ -334,15 +334,9 @@ def kernel_basis(params: LameParams, n: int, family: int) -> list[np.ndarray]:
     return kers
 
 
-def _source_member(params: LameParams, n: int, family: int, k: int) -> np.ndarray:
-    """Kernel k of the family at degree n (:func:`kernel_basis`); ValueError unless 1 <= k <= 2J + 1."""
-    _check_source_mode(n, family, k)
-    return kernel_basis(params, n, family)[k - 1]
-
-
 def _family_density(params: LameParams, n: int, family: int, gammas) -> np.ndarray:
     """The density sum gamma_k K_k over (k, gamma_k) pairs, K_k member k of the family's sector at degree n."""
-    return sum((g * _source_member(params, n, family, k) for k, g in gammas),
+    return sum((g * kernel_basis(params, n, family)[k - 1] for k, g in gammas),
                np.zeros((3, 2 * n + 1), dtype=complex))
 
 
@@ -563,7 +557,7 @@ def _unit_wave(medium: LayeredMedium, n0: int, fam: int, k: int) -> tuple[np.nda
     """Member k of the dominant mode and its unit perfect wave's pieces (built from the member matrix)."""
     from .waves import perfect_wave
 
-    K = _source_member(medium.base, n0, fam, k)
+    K = kernel_basis(medium.base, n0, fam)[k - 1]
     wave = perfect_wave(K, fam, n0, medium.shell_radius, medium.base)
     return K, [wave.interior, wave.exterior]
 
@@ -643,7 +637,7 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     I_upper, scheduled, sols = _ok(_radial_bound([(medium, source, delta)], loss_free)[0])
     v, w = [], []
     for n, k, gamma, s_a, s_R in scheduled:
-        K = _source_member(medium.base, n, 1, k)
+        K = kernel_basis(medium.base, n, 1)[k - 1]
         v += _layer_fields(medium.base, n, K, [(source.q, gamma)])
         w += _layer_fields(medium.base, n, K, [(medium.core_radius, s_a), (medium.shell_radius, s_R)])
     return _merge_pieces(v + [list(sol.regions) for sol in sols]), _merge_pieces(w), I_upper

@@ -45,8 +45,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .lame import LameParams, _served_from_fields, plasmon_constants
 from .energy import EnergyReport, column_energies, solution_pairings
-from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _check_source_mode,
-                           _column, _global_amplitude, _ok, _solve_column, _unit_layers, _wave_amplitudes)
+from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _column,
+                           _global_amplitude, _ok, _solve_column, _unit_layers, _wave_amplitudes)
 
 __all__ = [
     "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
@@ -146,7 +146,6 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     (n0, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
     if cored and fam != 1:
         raise ValueError("core witness implemented for the family-1 schedule")
-    _check_source_mode(n0, fam, k)
     zet = plasmon_constants(params, n0).as_tuple()[fam - 1]
     if not math.isclose(medium.c, zet, rel_tol=1e-10):
         raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant {zet} at degree {n0}")
@@ -223,7 +222,6 @@ def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
         if gamma == 0:
             continue
         if math.isclose(medium.c, plasmon_constants(medium.base, n).zeta1, rel_tol=1e-10):
-            _check_source_mode(n, 1, k)
             scheduled.append((n, k, gamma))
         else:
             off.add(n)
@@ -343,11 +341,11 @@ class scheduled_configuration(NamedTuple):
 
     def __call__(self, delta: float) -> tuple[LayeredMedium, SourceSpec]:
         n = schedule_n_delta(self.shell_radius, delta)
-        _check_source_mode(n, self.family, self.k)
+        # built first: it refuses a family outside 1..3 before the family indexes the constants
+        source = SourceSpec(q=self.q, coefficients={(n, self.family, self.k): self.gamma})
         c = plasmon_constants(self.params, n).as_tuple()[self.family - 1]
-        med = LayeredMedium(shell_radius=self.shell_radius, c=c, delta=delta, base=self.params,
-                            core_radius=self.core_radius)
-        return med, SourceSpec(q=self.q, coefficients={(n, self.family, self.k): self.gamma})
+        return LayeredMedium(shell_radius=self.shell_radius, c=c, delta=delta, base=self.params,
+                             core_radius=self.core_radius), source
 
 
 def _fit_slope(deltas: Sequence[float], values: Sequence[float]) -> float:
@@ -385,8 +383,6 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     error of its lossy and of its loss-free systems.  A row's error is
     raised when the rows before it are done.
     """
-    if min(deltas) <= 0:
-        raise ValueError("delta = 0 is rejected: the exact solve may be singular")
     media = [(*configuration(d), d) for d in deltas]  # the (medium, source, delta) rows
     degrees = [src.degrees() for _, src, _ in media]
 
@@ -432,9 +428,12 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     that is not positive and finite (a vanishing source, an energy out of
     the float range) is ``ArithmeticError``, as are bounds that break
     J_lower <= E_delta <= I_upper by more than 1e-9 relative: the first such
-    row, before the fit.
+    row, before the fit.  Losses that are not positive (checked first), not
+    strictly decreasing, fewer than 3 or within three decades are ``ValueError``.
     """
     deltas = list(delta_list)
+    if bad := [d for d in deltas if not d > 0]:
+        raise ValueError(f"sweep losses must be positive, got delta = {bad[0]!r}")
     if len(deltas) < 3 or any(b >= a for a, b in zip(deltas[:-1], deltas[1:])):
         raise ValueError("delta_list must be strictly decreasing with >= 3 entries")
     if deltas[0] / deltas[-1] < 0.99e3:

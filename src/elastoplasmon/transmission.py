@@ -44,9 +44,9 @@ Neumann-Poincare spectrum read the single layer on a sphere
 (:func:`_single_layers`).  Kept once per process per (float lambda, float
 mu, n[, family]) key: the radial profiles, the sector checks with the
 perfect wave's unit data and the unit single layers with their traces,
-which the witness bounds read.  A source sphere not outside the shell, a
-family other than 1, 2, 3 or an index k outside 1..2J+1 raises
-``ValueError``.
+which the witness bounds read.  A :class:`SourceSpec` checks its modes
+when it is built, so a solve reads only valid ones; a source sphere not
+outside the shell raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -112,9 +112,11 @@ class LayeredMedium(NamedTuple("LayeredMedium", [("shell_radius", float), ("c", 
 
 
 def _check_source_mode(n: int, family: int, k: int) -> None:
-    """ValueError unless the family is 1, 2 or 3 and 1 <= k <= 2J + 1 (J = n, n - 1, n + 1)."""
+    """ValueError unless the family is 1, 2 or 3, the degree n >= 2 and 1 <= k <= 2J + 1 (J = n, n - 1, n + 1)."""
     if family not in (1, 2, 3):
         raise ValueError(f"source mode family {family} is not 1, 2 or 3")
+    if n < 2:
+        raise ValueError(f"source mode degree {n} is below 2 (family {family}, k = {k})")
     dim = 2 * (n, n - 1, n + 1)[family - 1] + 1
     if not 1 <= k <= dim:
         raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
@@ -128,7 +130,8 @@ class SourceSpec(NamedTuple("SourceSpec", [("q", float), ("coefficients", dict)]
     order |M| of the sector's total angular momentum J, k = 2J + 1 being
     M = 0).  Every rotation-invariant output of a solve from one such mode
     (``E_delta``, ``I_upper``, ``J_lower``, the verdict) is the same for every k.
-    The radius q must be finite and positive.
+    A source is valid by construction: a radius q that is not finite and
+    positive, or a mode :func:`_check_source_mode` refuses, is ``ValueError``.
     """
 
     __slots__ = ()
@@ -136,6 +139,8 @@ class SourceSpec(NamedTuple("SourceSpec", [("q", float), ("coefficients", dict)]
     def __new__(cls, q: float, coefficients: dict):  # coefficients: (n, family, k) -> complex gamma
         if not (math.isfinite(q) and q > 0):
             raise ValueError(f"source radius q must be finite and positive, got {q!r}")
+        for mode in coefficients:
+            _check_source_mode(*mode)
         return super().__new__(cls, q, coefficients)
 
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through __new__
@@ -144,12 +149,10 @@ class SourceSpec(NamedTuple("SourceSpec", [("q", float), ("coefficients", dict)]
         return sorted({n for (n, _, _) in self.coefficients})
 
     def family_gammas(self, n: int) -> dict[int, dict[int, complex]]:
-        """Degree-n coefficients split by family, {family: {k: gamma}}, each mode checked
-        (:func:`_check_source_mode`); no kernel matrix is built."""
+        """Degree-n coefficients split by family, {family: {k: gamma}}; no kernel matrix is built."""
         out: dict[int, dict[int, complex]] = {}
         for (nn, fam, k), g in self.coefficients.items():
             if nn == n and g != 0:
-                _check_source_mode(n, fam, k)
                 out.setdefault(fam, {})[k] = g
         return out
 
@@ -197,13 +200,9 @@ class ModeSolution:
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
     if not q > medium.shell_radius:
         raise ValueError(f"source sphere q = {q} must lie outside the shell (radius {medium.shell_radius})")
-    bounds = ([medium.core_radius] if medium.core_radius else []) + [medium.shell_radius, q]
-    radii = [0.0] + bounds + [math.inf]
-    weights = [
-        medium.weight(0.5 * (lo + hi) if math.isfinite(hi) else 2.0 * lo)
-        for lo, hi in zip(radii[:-1], radii[1:])
-    ]
-    return bounds, weights
+    core = [] if medium.core_radius is None else [medium.core_radius]
+    # each region's A + i delta, as LayeredMedium.weight forms it: core 1, shell c, then 1 out to q and beyond
+    return core + [medium.shell_radius, q], [a + 1j * medium.delta for a in [1.0] * len(core) + [medium.c, 1.0, 1.0]]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -475,19 +474,19 @@ def _profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
             np.array([prof.coords for prof in profs]))
 
 
-def _traces(stack, amps: np.ndarray, ratios, blocks: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Displacement and rho times traction scalars per degree, (k, D) each, of k profile fields on spheres rho.
+def _profile_traces(radii: np.ndarray, sides: tuple[list, list], stack, amps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Displacement and rho times traction scalars per degree, (k, S, D) each, of k profile fields on S sides.
 
-    Row i is the field of region-local amplitudes ``amps[i]`` (B,) of the
-    i-th profile of ``stack``, its ``blocks`` referenced to one sphere,
-    ``ratios[i]`` being rho over its radius: each amplitude times scalar
-    times (rho / r_ref)^p (Python's pow, as :func:`_pows`), in block order.
-    """
+    Row i is the field of region-local amplitudes ``amps[i]`` (regions, B) of the i-th profile of ``stack`` on the
+    regions between ``radii[i]`` (0 to inf); ``sides`` lists the region and the sphere of each side.  Each is the sum,
+    in block order, of amplitude x scalar x (rho / r_ref)^p (:func:`_pows`); a region's absent blocks have amplitude 0.
+    The scalars are the unit member's; times the profile's ``coords`` they are member coordinates."""
+    regions, spheres = sides
     power, scalars, _ = stack
-    pw = np.array([[pow(r, p) for p in ps[blocks]] for r, ps in zip(ratios, power)])
+    pw = _pows(_ratios(radii, spheres, regions, scalars.shape[-1]), power)[:, :, :, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        ut = ((amps[:, blocks, None, None] * scalars[:, blocks]) * pw[:, :, None, None]).sum(axis=1)
-    return ut[:, 0], ut[:, 1]
+        ut = ((amps[:, regions, :, None, None] * scalars[:, None]) * pw).sum(axis=2)
+    return ut[:, :, 0], ut[:, :, 1]
 
 
 class _Wave(NamedTuple):
@@ -708,8 +707,8 @@ def solve_mode(medium: LayeredMedium, source: SourceSpec, n: int) -> ModeSolutio
     :func:`_wave_amplitudes`' check, :class:`ResonantSingularityError` when
     a loss-free medium makes one of the source's family systems of
     equilibrated condition above 1e9, :class:`UnconvergedSolveError` when a backward error exceeds 1e-10, and
-    ``ValueError`` unless q > shell_radius and every source mode names a
-    family 1..3 and a member k in 1..2J+1.
+    ``ValueError`` unless n >= 2 and q > shell_radius (the source's modes
+    were checked when it was built).
     """
     return _ok(_solve_column([(medium, source, n)])[0])
 

@@ -42,8 +42,8 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import (_column, _global_amplitude, _ok, _profile_stack, _radial_profile, _region_blocks,
-                           _single_layers, _traces, _wave_amplitudes)
+from .transmission import (_column, _global_amplitude, _ok, _profile_stack, _profile_traces, _radial_profile,
+                           _single_layers, _wave_amplitudes)
 
 __all__ = [
     "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
@@ -326,12 +326,11 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     modes = [(n, fam, J, _radial_profile(params, n, fam)) for n in range(1, n_max + 1)
              for fam, J in ((1, n), (2, n - 1), (3, n + 1))]
 
-    def values(idx, states):  # the layers of one profile shape: one stacked solve, one trace per side
+    def values(idx, states):  # the layers of one profile shape: one stacked solve, one trace of both sides
         layers = _single_layers([(params, n, fam, 1.0, 1.0) for n, fam, _, _ in states])
-        stack, D = _profile_stack([prof for *_, prof in states]), len(states[0][3].degrees)
-        (_, inside), (_, outside) = (_traces(stack, layers[:, reg], [1.0] * len(idx), _region_blocks(reg, 2, D))
-                                     for reg in (0, 1))
-        return list(zip(inside, outside))
+        radii = np.array([[0.0, 1.0, math.inf]] * len(idx))
+        _, traction = _profile_traces(radii, ([0, 1], [1, 1]), _profile_stack([prof for *_, prof in states]), layers)
+        return list(zip(traction[:, 0], traction[:, 1]))  # inside, then outside
 
     out = []
     for (n, fam, J, _), got in zip(modes, _column(len(modes), modes.__getitem__, values,

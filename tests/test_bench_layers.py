@@ -17,7 +17,7 @@ COLD = (COMMANDS | {"import:package", "import:compile"}
 WARM = ({f"square_solve[m={m},k={k}]" for m in (2, 6, 8, 12) for k in (1, 13)}
         | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:dissipations"}
         | {f"{kind}:{name}" for kind in ("witness", "column") for name in WITNESSES}
-        | {f"{kind}:{name}" for kind in ("sweep", "main:sweep") for name in GATED})
+        | {f"{kind}:{name}" for kind in ("validate", "sweep", "main:sweep") for name in GATED})
 
 
 def _layers(monkeypatch):

@@ -571,7 +571,6 @@ def test_no_command_evaluates_a_field_at_points(argv, config_file, tmp_path, mon
     # the scheduled degree at the deepest loss is about 1070
     dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 1, 1.0, 0.0]],
          delta_list=[3e-323, 2e-323, 1e-323]),
-    dict(BASE_CONFIG, quadrature_exactness=2 * 64 + 5),
 ])
 def test_unreachable_degrees_rejected_before_any_run(tmp_path, config, monkeypatch, capsys):
     sys.path.insert(0, SRC)
@@ -930,6 +929,61 @@ def test_output_block_is_validated(output, tmp_path, monkeypatch, capsys):
     assert cli.main(["sweep", "--config", str(path)]) == 2
     out = capsys.readouterr()
     assert not out.out and json.loads(out.err)["code"] == 2
+
+
+def test_a_source_mode_listed_twice_is_refused_before_any_run(tmp_path, monkeypatch, capsys):
+    # the list of modes becomes one coefficient per (degree, family, k): a
+    # second entry once replaced the first silently, so witness printed the
+    # bounds of gamma = 1 where the config also asked for gamma = 5
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    cfg = dict(BASE_CONFIG, source_modes=[[2, 1, 1, 5.0, 0.0], [2, 1, 1, 1.0, 0.0]])
+    message = "source mode (degree, family, k) = (2, 1, 1) is listed twice"
+    with pytest.raises(cli.ValidationError) as refused:
+        cli.validate_config(copy.deepcopy(cfg))
+    assert str(refused.value) == message
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    _forbid_runs(monkeypatch)
+    for argv in (["sweep", "--csv", str(tmp_path / "x.csv")], ["solve"], ["witness"]):
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {"code": 2, "error": message}
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("change, build", [
+    (dict(shell_radius=-1.0), lambda t, s: t.LayeredMedium(-1.0, -4.0, 1e-2, t.LameParams(1.0, 1.0), 1.0)),
+    (dict(core_radius=2.0), lambda t, s: t.LayeredMedium(2.0, -4.0, 1e-2, t.LameParams(1.0, 1.0), 2.0)),
+    (dict(source_modes=[[2, 4, 1, 1.0, 0.0]]), lambda t, s: t.SourceSpec(3.0, {(2, 4, 1): 1.0})),
+    # degree 7 at the first listed loss: its family-1 sector has 15 members
+    (dict(q=2.3, c_mode={"schedule": 1}, source_modes=[[None, 1, 16, 1.0, 0.0]]),
+     lambda t, s: s.scheduled_configuration(t.LameParams(1.0, 1.0), 2.0, 2.3, 1, 16, core_radius=1.0)(1e-2)),
+], ids=["shell-negative", "core-beyond-shell", "family-4", "k-at-the-first-scheduled-degree"])
+def test_config_refusals_are_the_constructors_own(change, build):
+    # the command line restates none of these rules: it builds the run, and
+    # the constructor that owns the rule refuses it in its own words
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli, scenarios, transmission
+
+    with pytest.raises(ValueError) as owner:
+        build(transmission, scenarios)
+    with pytest.raises(cli.ValidationError) as refused:
+        cli.validate_config(dict(copy.deepcopy(BASE_CONFIG), **change))
+    assert str(refused.value) == str(owner.value)
+
+
+def test_quadrature_exactness_is_echoed_as_given():
+    # a retired key: no run reads it, so it is neither checked nor defaulted
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    for value in (2 * 64 + 5, "any"):
+        assert cli.validate_config(dict(copy.deepcopy(BASE_CONFIG), quadrature_exactness=value))[
+            "quadrature_exactness"] == value
+    bare = {key: v for key, v in copy.deepcopy(BASE_CONFIG).items() if key != "quadrature_exactness"}
+    assert "quadrature_exactness" not in cli.validate_config(bare)
 
 
 def test_sweep_refuses_a_missing_csv_path_before_solving(config_file, monkeypatch, capsys):

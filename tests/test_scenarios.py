@@ -378,6 +378,18 @@ def test_sweep_input_validation(tables):
         sweep(conf, [1e-2, 1e-3, 1e-4])  # under three decades
 
 
+@pytest.mark.parametrize("deltas, loss", [([1e-2, 1e-4, 0.0], "0.0"), ([1e-2, 1e-3, 1e-4, -1e-5], "-1e-05")])
+def test_sweep_refuses_a_loss_that_is_not_positive(deltas, loss):
+    # the positivity of every loss is checked first: a zero loss once ended
+    # in ZeroDivisionError from the span check, and a negative one read as a
+    # sweep under three decades
+    src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
+    conf = fixed_configuration(params=P11, shell_radius=2.0, c=-4.0, source=src, core_radius=1.0)
+    with pytest.raises(ValueError) as refused:
+        sweep(conf, deltas)
+    assert str(refused.value) == f"sweep losses must be positive, got delta = {loss}"
+
+
 # fixed and scheduled runs of families 1-3, cored and core-free, and a
 # two-mode source whose family-2 (n = 4) and family-3 (n = 2) densities share
 # total angular momentum 3

@@ -69,6 +69,10 @@ def _source(q):
     return lambda: SourceSpec(q=q, coefficients={(2, 1, 1): 1.0})
 
 
+def _mode(n, family, k):
+    return lambda: SourceSpec(q=3.0, coefficients={(n, family, k): 1.0})
+
+
 @pytest.mark.parametrize("build, message", [
     pytest.param(_medium(-1.0), "shell_radius must be finite and positive", id="shell-negative"),
     pytest.param(_medium(0.0), "shell_radius must be finite and positive", id="shell-zero"),
@@ -81,11 +85,21 @@ def _source(q):
                  id="q-replaced"),
     pytest.param(lambda: scheduled_configuration(P11, 2.0, q=3.0, family=4)(1e-3), "family 4 is not 1, 2 or 3",
                  id="schedule-family4"),
+    pytest.param(_mode(2, 0, 1), "source mode family 0 is not 1, 2 or 3", id="family0"),
+    pytest.param(_mode(2, 4, 1), "source mode family 4 is not 1, 2 or 3", id="family4"),
+    pytest.param(_mode(2, 1, 0), r"source mode index k = 0 outside 1\.\.5 \(family 1, degree 2\)", id="k0"),
+    pytest.param(_mode(3, 1, 8), r"source mode index k = 8 outside 1\.\.7 \(family 1, degree 3\)", id="k-2J+2-family1"),
+    pytest.param(_mode(2, 2, 4), r"source mode index k = 4 outside 1\.\.3 \(family 2, degree 2\)", id="k-2J+2-family2"),
+    pytest.param(_mode(2, 3, 8), r"source mode index k = 8 outside 1\.\.7 \(family 3, degree 2\)", id="k-2J+2-family3"),
+    pytest.param(_mode(1, 1, 1), "source mode degree 1 is below 2", id="degree1"),
+    pytest.param(lambda: _mode(2, 1, 1)()._replace(coefficients={(2, 1, 1): 1.0, (1, 2, 1): 0.0}),
+                 "source mode degree 1 is below 2", id="degree1-zero-coefficient-replaced"),
 ])
 def test_constructors_refuse_geometry_that_does_not_exist(build, message):
     # geometry no medium or source has raises ValueError naming the field,
     # not a solution (a negative shell), a numpy warning (a shell of radius
-    # 0), an unconverged solve (q = inf) or an IndexError (family 4)
+    # 0), an unconverged solve (q = inf) or an IndexError (family 4); a
+    # source checks every mode when it is built, so no solve checks one
     with pytest.raises(ValueError, match=message):
         build()
 
