@@ -38,10 +38,13 @@ disturbed run of each, as the host's other load only adds time and pages):
   family-1 unit single layer, a cored family-1, a core-free family-2 and a
   cored family-3 system, at degrees 7, 8, ..., as the solves hand them to
   it), ``solve_mode`` per family, ``dissipation_E``, each
-  ``scenarios.WITNESSES`` core on one row, the dissipations of one 13-row
-  schedule column and each core on a 13-row schedule column
-  (``column:*``; the loss-free input a core reads is formed outside the
-  timing, :func:`_loss_free`), and per gated configuration its check
+  ``scenarios.WITNESSES`` core on one row, the solve of the 26-item column
+  of a 13-row schedule sweep (``column:solve``: its lossy and loss-free
+  items, ``transmission._solve_column``), that column's energies as the
+  sweep forms them (``column:energies``: ``energy.column_energies``) and
+  each core on a 13-row schedule column (``column:<witness>``; the
+  loss-free input a core reads is formed outside the timing,
+  :func:`_loss_free`), and per gated configuration its check
   ``cli.validate_config`` on a fresh copy of the document
   (``validate:*``), ``sweep`` and the whole command through ``cli.main``
   (``main:sweep:*``: the config read and checked, the argument parse, the
@@ -314,24 +317,28 @@ def warm(repeats: int) -> dict:
             row = [applies[w.name]]
             free = None if w.name == "witness_fixed_c" or solve_rows is None else solve_rows(row, lossy=False)[-1]
             out[f"witness:{w.name}"] = _least_call_s(lambda: _core_call(scenarios, w, row, free), repeats)
-    # the 13-row schedule columns a sweep hands to the energies and the cores
+    # the 26-item column a sched_q2.3 sweep solves, its 13 lossy rows and their loss-free solves, and the energies
+    # of that column, as the sweep forms them (one flux)
+    conf = cli._configuration(configs["sched_q2.3"])
+    rows = [(*conf(d), d) for d in configs["sched_q2.3"]["delta_list"]]
+    items = ([(med, src, max(src.degrees())) for med, src, _ in rows]
+             + [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])
+    out["column:solve"] = _least_call_s(lambda: transmission._solve_column(items), repeats)
+    outcomes = [[sol] for sol in transmission._solve_column(items)]
+    media = [med for med, _, _ in rows]
+    out["column:energies"] = _least_call_s(
+        lambda: energy.column_energies(outcomes[:len(rows)], media, outcomes[len(rows):]), repeats)
+    # the 13-row schedule columns a sweep hands to the cores
     nocore = {key: v for key, v in configs["sched_q2.3"].items() if key != "core_radius"}
     column_of = {"witness_nocore": dict(nocore, q=2.6), "witness_fixed_c": configs["sched_q2.3"],
                  "witness_core_resonant": configs["sched_q2.3"], "witness_radial_nonresonant": configs["sched_q3.6"]}
-    for name, cfg in [("dissipations", configs["sched_q2.3"])] + list(column_of.items()):
+    for name, cfg in column_of.items():
         conf = cli._configuration(cfg)
         rows = [(*conf(d), d) for d in cfg["delta_list"]]
-        if name == "dissipations":
-            media = [med for med, _, _ in rows]
-            lossy = [[sol] for sol in transmission._solve_column([(med, src, max(src.degrees())) for med, src, _ in rows])]
-            dissipations = (getattr(energy, "dissipations", None)
-                            or (lambda rows, media: energy.column_energies(rows, media, [])[0]))
-            out[f"column:{name}"] = _least_call_s(lambda: dissipations(lossy, media), repeats)
-        else:
-            w = next(w for w in scenarios.WITNESSES if w.name == name)
-            free = _loss_free(energy, rows, [[sol] for sol in transmission._solve_column(
-                [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
-            out[f"column:{name}"] = _least_call_s(lambda: _core_call(scenarios, w, rows, free), repeats)
+        w = next(w for w in scenarios.WITNESSES if w.name == name)
+        free = _loss_free(energy, rows, [[sol] for sol in transmission._solve_column(
+            [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
+        out[f"column:{name}"] = _least_call_s(lambda: _core_call(scenarios, w, rows, free), repeats)
     for name, cfg in configs.items():
         # validate_config adds only top-level keys, so a shallow copy is a fresh document
         out[f"validate:{name}"] = _least_call_s(lambda: cli.validate_config(dict(cfg)), repeats)

@@ -6,11 +6,11 @@ system in each region needs none: by Betti's identity P(u, u) over an
 annulus is the flux rho^2 Re <u, t(u)> through its outer sphere minus its
 inner one.  In a sector the displacement and traction on a sphere are
 radial-profile scalars times unit members and their partner shapes (norm^2
-kappa (2n+1)/(2d+1)).  The amplitudes are region-local, each block's value
-on its region's reference sphere (:mod:`~elastoplasmon.transmission`), and
-the traces read from them are U and T' = rho t, so the flux is rho Re <U,
-T'>: with every length times a power of two s, every energy is s^3 times
-its value.  So the dissipation of a solve is a scalar sum over the
+kappa (2n+1)/(2d+1)).  The stacked solve forms them once, U and T' = rho t
+on every side of the interface spheres, and each sector entry of a solve
+carries them (:func:`~elastoplasmon.transmission._solve_systems`), so the
+flux is rho Re <U, T'>: with every length times a power of two s, every
+energy is s^3 times its value.  So the dissipation of a solve is a scalar sum over the
 interface spheres, a source entering through the Gram matrix of its
 coefficients alone.  One array flux (:func:`_flux`) takes a column's rows
 and all their interface spheres at once: a sweep's lossy solves and the
@@ -25,12 +25,13 @@ column's values are bit for bit those of its rows alone.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .lame import _served_from_fields
-from .transmission import _column, _ok, _profile_stack, _profile_traces
+from .transmission import _column, _ok, _sides
 
 __all__ = [
     "EnergyReport", "dissipation_E", "column_energies", "solution_pairings",
@@ -66,31 +67,22 @@ class EnergyReport(NamedTuple):
 def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarray:
     """Sum over regions of P(u, u) by Betti's identity, for a stack of k fields that solve the Lame system.
 
-    On a region P(u, u) is the flux rho Re <U, T'> through its outer sphere
-    minus its inner one, U the displacement and T' rho times the traction;
-    the flux vanishes at r = 0 and at infinity.  Row i's field lies on the
-    regions between ``radii[i]`` (from 0 to inf) and is the sum of the P
-    ``parts`` of one sector, each (degrees, profile stack, region-local
-    amplitudes (k, regions, B)).  On the sphere rho a part's shape of degree
-    d has the coordinate vector ``coords[d] * gamma * U_d(rho)`` on the
-    sector's unit members (T' alike), gamma the part's coefficients, so the
-    angular integral of two parts' shapes of degree d is the product of
-    their scalars times the entry <gamma_p, gamma_q> of the Gram matrix
-    ``gram`` (k, P, P).  The fluxes are added to ``total`` region by region,
-    outer sphere first; one out of the float range is ``ArithmeticError``.
+    On a region P(u, u) is the flux rho Re <U, T'> through its outer sphere minus its inner one, U the displacement
+    and T' rho times the traction; the flux vanishes at r = 0 and at infinity.  Row i's field lies on the regions
+    between ``radii[i]`` (from 0 to inf) and is the sum of the P ``parts`` of one sector, each (degrees, coords (k, D),
+    the traces of its solve (k, S, 2, D)).  On the sphere rho a part's shape of degree d has the coordinate vector
+    ``coords[d] * gamma * U_d(rho)`` on the sector's unit members (T' alike), gamma the part's coefficients, so the
+    angular integral of two parts' shapes of degree d is the product of their scalars times the entry <gamma_p,
+    gamma_q> of the Gram matrix ``gram`` (k, P, P).  The fluxes are added to ``total`` region by region, outer sphere
+    first; one out of the float range is ``ArithmeticError``.
     """
-    r = np.array([list(rs) for rs in radii])
-    nreg = r.shape[1] - 1
-    # the sides, region by region, outer sphere first: (region, interface sphere 1..nreg-1, sign)
-    sides = [(reg, s, sign) for reg in range(nreg) for s, sign in ((reg + 1, 1.0), (reg, -1.0)) if 0 < s < nreg]
-    regs, spheres = [reg for reg, _, _ in sides], [s for _, s, _ in sides]
+    r = np.array(radii)
+    regions, spheres = _sides(r.shape[1] - 2)
+    order = sorted(range(len(spheres)), key=lambda j: (regions[j], -spheres[j]))  # region by region, outer first
     align = [[None if dp == dq else [dq.index(d) for d in dp] for dq, *_ in parts] for dp, *_ in parts]
     gram_re, gram_im = gram.real[:, :, :, None], gram.imag[:, :, :, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        traces = []
-        for _, stack, amps in parts:
-            coords = stack[2][:, None, :]
-            traces.append(tuple(coords * t for t in _profile_traces(r, (regs, spheres), stack, amps)))
+        traces = [(coords[:, None, :] * tr[:, :, 0], coords[:, None, :] * tr[:, :, 1]) for _, coords, tr in parts]
         value = 0
         for p, (U, _) in enumerate(traces):
             for q, (_, T) in enumerate(traces):
@@ -99,11 +91,12 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
                 re = (U.real * T.real + U.imag * T.imag).sum(axis=2)
                 im = (U.real * T.imag - U.imag * T.real).sum(axis=2)
                 value = value + (gram_re[:, p, q] * re - gram_im[:, p, q] * im)
-        fluxes = (np.array([sign for *_, sign in sides]) * r[:, spheres]) * value  # sign rho times the pairing
+        spheres, signs = [spheres[j] for j in order], [1.0 if regions[j] < spheres[j] else -1.0 for j in order]
+        fluxes = (np.array(signs) * r[:, spheres]) * value[:, order]  # sign rho times the pairing, in that order
         for i, j in np.argwhere(~np.isfinite(fluxes))[:1].tolist():  # refused, not summed (inf - inf is nan)
             raise ArithmeticError(f"the flux through the sphere r = {float(r[i, spheres[j]])!r} is "
                                   f"{float(fluxes[i, j])!r}, out of the float range")
-        for j in range(len(sides)):
+        for j in range(len(spheres)):
             total = total + fluxes[:, j]
     return total
 
@@ -114,37 +107,37 @@ def solution_pairings(rows: Sequence) -> list:
     Sectors are orthogonal, except a family-2 density at n and a family-3
     density at n - 2, which share total angular momentum n - 1 and pair
     through their member coordinates.  The rows of one layout (regions and
-    the families of each sector) are one stack of :func:`_flux`.
+    the families of each sector, which fix its shapes) are one stack of :func:`_flux`.
     """
-    def sectors_of(i):
-        solutions, sectors = [_ok(sol) for sol in rows[i]], {}
-        for sol in solutions:
-            for fam, gammas, prof, amps in sol.sectors:
-                J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
-                sectors.setdefault((fam == 1, J), []).append((fam, prof, gammas, amps))
-        parts = list(sectors.values())
-        radii = solutions[0].radii if solutions else ()
-        return (len(radii), tuple(tuple((fam, len(prof.degrees)) for fam, prof, _, _ in sector) for sector in parts),
-                radii, parts)
+    def check(i):  # the row's stack key, radii and parts per sector
+        sectors: dict = {}
+        for sol in rows[i]:
+            sol = _ok(sol)
+            for part in sol.sectors:  # by (toroidal, total angular momentum J: n, n - 1 or n + 1)
+                sectors.setdefault((part[0] == 1, sol.n + (0, -1, 1)[part[0] - 1]), []).append(part)
+        parts, radii = list(sectors.values()), rows[i][0].radii if rows[i] else ()
+        return (len(radii), tuple(tuple(part[0] for part in sector) for sector in parts)), radii, parts
 
     def values(idx, states):
-        if not states[0][3]:
+        if not states[0][2]:
             return [0.0] * len(idx)  # no solve: no field
         total = 0.0
-        for j in range(len(states[0][3])):
+        for j in range(len(states[0][2])):
             sectors = [parts[j] for *_, parts in states]
-            stack = [(sectors[0][p][1].degrees, _profile_stack([sector[p][1] for sector in sectors]),
-                      np.array([sector[p][3] for sector in sectors])) for p in range(len(sectors[0]))]
-            total = _flux([radii for _, _, radii, _ in states], stack,
-                          np.array([_gram(sector) for sector in sectors], dtype=complex), total)
+            stack = [(sectors[0][p][2].degrees, np.array([sector[p][2].coords for sector in sectors]),
+                      np.array([sector[p][4] for sector in sectors])) for p in range(len(sectors[0]))]
+            total = _flux([radii for _, radii, _ in states], stack,
+                          np.array([_gram(tuple(part[1] for part in sector)) for sector in sectors]), total)
         return total.tolist()
-    return _column(len(rows), sectors_of, values, key=lambda state: state[:2])
+    return _column(len(rows), check, values, key=lambda state: state[0])
 
 
-def _gram(parts: list) -> list[list[complex]]:
-    """The Gram matrix <gamma_p, gamma_q> = sum_k conj(gamma_p,k) gamma_q,k of the parts' coefficients."""
-    coefficients = [dict(gammas) for _, _, gammas, _ in parts]
-    return [[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients] for gp in coefficients]
+@functools.lru_cache(maxsize=256)  # a sweep's rows share their coefficients
+def _gram(gammas: tuple) -> np.ndarray:
+    """The Gram matrix <gamma_p, gamma_q> = sum_k conj(gamma_p,k) gamma_q,k of parts' ((k, gamma), ...) tuples."""
+    coefficients = [dict(gamma) for gamma in gammas]
+    return np.array([[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients]
+                     for gp in coefficients], dtype=complex)
 
 
 def column_energies(lossy: Sequence[Sequence], media: Sequence, loss_free: Sequence[Sequence]) -> tuple[list, list]:

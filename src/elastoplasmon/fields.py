@@ -393,7 +393,7 @@ def _solution_regions(sol: ModeSolution) -> tuple[ModeField, ...]:
     """
     n = sol.n
     sectors = []
-    for fam, gammas, prof, amps in sol.sectors:
+    for fam, gammas, prof, amps, _ in sol.sectors:
         G = _family_density(sol.params, n, fam, gammas)
         refs = {n: G}
         if fam != 1:

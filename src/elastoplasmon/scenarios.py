@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 from .lame import LameParams, _served_from_fields, plasmon_constants
 from .energy import EnergyReport, column_energies, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _column,
-                           _global_amplitude, _ok, _solve_column, _unit_layers, _wave_amplitudes)
+                           _global_amplitude, _ok, _region_layout, _solve_column, _unit_layers, _wave_amplitudes)
 
 __all__ = [
     "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
@@ -140,8 +140,7 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     perfect wave of member k with its unit data
     (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
     sector) and cored whether the medium has a core."""
-    if source.q <= medium.shell_radius:
-        raise ValueError("source must lie outside the shell")
+    _region_layout(medium, source.q)  # the solve's rule and message: the source sphere outside the shell
     params, cored = medium.base, medium.core_radius is not None
     (n0, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
     if cored and fam != 1:
@@ -242,8 +241,9 @@ def _radial_bound(rows, loss_free: list) -> list:
     def values(idx, states):
         units = iter(_unit_layers([(rows[i][0].base, n, 1) for i, (sch, _) in zip(idx, states) for n, _, _ in sch]))
         off = [[loss_free[i][0][n] for n in ns] for i, (_, ns) in zip(idx, states)]
+        pairings = solution_pairings(off) if any(off) else [0.0] * len(off)  # no off-schedule degree: no field
         out = []
-        for i, (scheduled, _), sols, p_off in zip(idx, states, off, solution_pairings(off)):
+        for i, (scheduled, _), sols, p_off in zip(idx, states, off, pairings):
             med, src, delta = rows[i]
             a, R, q = med.core_radius, med.shell_radius, src.q
             P_v = P_w = 0.0

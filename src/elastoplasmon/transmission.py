@@ -25,8 +25,10 @@ decaying block, and traction rows are taken times the radius rho.  A block
 of power p then enters every row as its scalar times (rho / r_ref)^p, at
 most 1 (:func:`_pows`), and the right side is -q: a sector system depends
 only on the ratios of consecutive radii, and so do its condition and the
-resonance gate.  Energies and witness traces read these region-local
-amplitudes; only the field builders convert them to the origin's scale
+resonance gate.  With the same powers each stacked solve forms its
+systems' traces on the interface spheres once (:func:`_solve_systems`);
+the energy flux and the Neumann-Poincare spectrum read them.  Only the
+field builders convert the region-local amplitudes to the origin's scale
 (:func:`_global_amplitude`, which refuses by name a value out of the float
 range).
 
@@ -51,6 +53,7 @@ outside the shell raises ``ValueError``.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import sys
 from functools import cached_property
@@ -167,26 +170,30 @@ class SourceSpec(NamedTuple("SourceSpec", [("q", float), ("coefficients", dict)]
 class ModeSolution:
     """Exact solve of one degree: the scalar amplitudes of each family's sector system.
 
-    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, amplitudes)``
-    entry per solved family: the region-local block amplitudes of the
-    unit-density system, one row per region (:func:`_region_blocks`), the
-    density being sum gamma_k times member k.  ``radii`` are the region
-    bounds from 0 to inf and ``window`` the degrees of the solution's terms.
-    ``regions`` is the piecewise field, which :mod:`~elastoplasmon.fields`
-    builds when first read.  ``condition`` is the largest condition of its
-    systems and ``lstsq_residual`` the largest backward error.  Equal only
-    to itself; no attribute is assigned after construction.
+    ``sectors`` holds one ``(family, ((k, gamma), ...), profile, amplitudes,
+    traces)`` entry per solved family: the region-local block amplitudes of
+    the unit-density system, one row per region (:func:`_region_blocks`), and
+    its traces (:func:`_solve_systems`), the density being sum gamma_k times
+    member k.  ``radii`` are the region bounds from 0 to inf, ``condition``
+    the largest condition of its systems and ``lstsq_residual`` the largest
+    backward error; ``window`` and ``regions`` are formed when first read.
+    Equal only to itself; no attribute is assigned after construction.
     """
 
-    def __init__(self, n: int, condition: float, lstsq_residual: float, window: tuple[int, ...],
-                 radii: tuple[float, ...], sectors: tuple, params: LameParams):
-        vars(self).update(n=n, condition=condition, lstsq_residual=lstsq_residual, window=window, radii=radii,
-                          sectors=sectors, params=params)
+    def __init__(self, n: int, condition: float, lstsq_residual: float, radii: tuple[float, ...], sectors: tuple,
+                 params: LameParams):
+        vars(self).update(n=n, condition=condition, lstsq_residual=lstsq_residual, radii=radii, sectors=sectors,
+                          params=params)
 
     def __setattr__(self, name, *value):  # also __delattr__
         raise AttributeError(f"ModeSolution attribute {name!r} is read-only")
 
     __delattr__ = __setattr__
+
+    @cached_property
+    def window(self) -> tuple[int, ...]:
+        """The degrees of the solution's terms."""
+        return tuple(sorted({d for _, _, prof, *_ in self.sectors for d in prof.degrees}))
 
     @cached_property
     def regions(self) -> tuple[ModeField, ...]:
@@ -200,9 +207,10 @@ class ModeSolution:
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
     if not q > medium.shell_radius:
         raise ValueError(f"source sphere q = {q} must lie outside the shell (radius {medium.shell_radius})")
-    core = [] if medium.core_radius is None else [medium.core_radius]
-    # each region's A + i delta, as LayeredMedium.weight forms it: core 1, shell c, then 1 out to q and beyond
-    return core + [medium.shell_radius, q], [a + 1j * medium.delta for a in [1.0] * len(core) + [medium.c, 1.0, 1.0]]
+    loss = 1j * medium.delta  # each region's A + i delta, as LayeredMedium.weight forms it
+    if medium.core_radius is None:  # shell c, then 1 out to q and beyond
+        return [medium.shell_radius, q], [medium.c + loss, 1.0 + loss, 1.0 + loss]
+    return [medium.core_radius, medium.shell_radius, q], [1.0 + loss, medium.c + loss, 1.0 + loss, 1.0 + loss]
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
@@ -211,6 +219,22 @@ def _norms(v: np.ndarray) -> np.ndarray:
     ``np.vecdot`` takes each real dot to the BLAS dot of ``ndarray.dot``, so
     every norm has the bits of the public call."""
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+
+
+def _one_norm_conditions(A: np.ndarray) -> np.ndarray:
+    """||A||_1 ||inv(A)||_1 per matrix (k, m, m) as ``np.linalg.cond(A, 1)`` forms it, bit for bit: one inverse (NaN
+    for an exactly singular LU), the reductions of ``norm(X, 1)``, a NaN read as inf unless the matrix holds one."""
+    try:
+        inv = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        inv = np.full_like(A, np.nan)
+        for i, a in enumerate(A):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                inv[i] = np.linalg.inv(a)
+    cond = np.add.reduce(np.abs(A), axis=1).max(axis=1, initial=0)
+    cond *= np.add.reduce(np.abs(inv), axis=1).max(axis=1, initial=0)
+    cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
+    return cond
 
 
 @np.errstate(all="ignore")  # a non-finite entry or correction fails the backward-error gate
@@ -235,8 +259,9 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
     can reach about condition x eps relative: the rounding of the entries
     alone moves x that much.
 
-    The stack goes through one ``np.linalg.cond(A, 1)`` and per step one
-    ``np.linalg.solve`` and one :func:`_norms`; each operation acts on each
+    The stack goes through one inverse for the condition
+    (:func:`_one_norm_conditions`) and per step one ``np.linalg.solve`` and
+    one :func:`_norms`; each operation acts on each
     system alone, so each result is bit for bit the public-call solve of its
     system alone.  An exactly singular LU (numpy's ``LinAlgError``, led by
     the first system's ``what``) is raised for the whole stack.
@@ -247,7 +272,7 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
     cols = np.abs(A).max(axis=1)
     cols[cols == 0] = 1.0
     A /= cols[:, None, :]
-    cond = np.linalg.cond(A, 1).tolist()
+    cond = _one_norm_conditions(A).tolist()
     out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c)
                  if c > cap else None for w, c, cap in zip(what, cond, max_condition)]
     live = [i for i, got in enumerate(out) if got is None]
@@ -468,27 +493,6 @@ def _global_amplitude(a: complex, r_ref: float, p: int) -> complex:
     return out
 
 
-def _profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
-    """The stacked arrays of profiles of one shape: (powers, scalars (k, B, 2, D), coords (k, D))."""
-    return ([prof.power for prof in profs], np.array([prof.scalars for prof in profs]),
-            np.array([prof.coords for prof in profs]))
-
-
-def _profile_traces(radii: np.ndarray, sides: tuple[list, list], stack, amps: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Displacement and rho times traction scalars per degree, (k, S, D) each, of k profile fields on S sides.
-
-    Row i is the field of region-local amplitudes ``amps[i]`` (regions, B) of the i-th profile of ``stack`` on the
-    regions between ``radii[i]`` (0 to inf); ``sides`` lists the region and the sphere of each side.  Each is the sum,
-    in block order, of amplitude x scalar x (rho / r_ref)^p (:func:`_pows`); a region's absent blocks have amplitude 0.
-    The scalars are the unit member's; times the profile's ``coords`` they are member coordinates."""
-    regions, spheres = sides
-    power, scalars, _ = stack
-    pw = _pows(_ratios(radii, spheres, regions, scalars.shape[-1]), power)[:, :, :, None, None]
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        ut = ((amps[:, regions, :, None, None] * scalars[:, None]) * pw).sum(axis=2)
-    return ut[:, :, 0], ut[:, :, 1]
-
-
 class _Wave(NamedTuple):
     """The perfect wave of a unit sector member on the shell sphere R (:func:`_wave_amplitudes`) and its unit data."""
 
@@ -536,8 +540,14 @@ def _wave_amplitudes(params: LameParams, n: int, fam: int) -> _Wave:
     return _Wave(prof, amps, c, float(U_in @ T_in - U_out @ T_out), tuple(outside), tuple(inside))
 
 
+def _sides(nb: int) -> tuple[list, list]:
+    """(regions, spheres) of the sides of ``nb`` interfaces: sphere m + 1 in the region inside, then outside."""
+    return [m + j for m in range(nb) for j in (0, 1)], [m + 1 for m in range(nb) for _ in (0, 1)]
+
+
 def _sector_matrices(bounds: list, weights: list, profs: list):
-    """Square systems of one shape for a unit density, stacked: (matrices (k, m, m), right sides (k, m), columns).
+    """Square systems of one shape for a unit density, stacked: (matrices (k, m, m), right sides (k, m), columns,
+    (rho / r_ref)^p of every block on every side of :func:`_sides` (k, S, B), the profiles' scalars (k, B, 2, D)).
 
     System i is that of the sector of ``profs[i]`` on the interfaces
     ``bounds[i]`` with region weights ``weights[i]``, its unknowns the
@@ -548,45 +558,50 @@ def _sector_matrices(bounds: list, weights: list, profs: list):
     k, nb = len(profs), len(bounds[0])
     D = len(profs[0].degrees)
     B = 2 * D
-    # per interface the ratios of its sphere in the region inside (j = 0), then outside (j = 1): (k, nb, 2, B)
-    sides = [(m + 1, m + j) for m in range(nb) for j in (0, 1)]  # (sphere, region)
-    pw = _pows(_ratios(np.array([[0.0, *bs, math.inf] for bs in bounds]), *map(list, zip(*sides)), D),
-               [prof.power for prof in profs]).reshape(k, nb, 2, B)
+    regions, spheres = _sides(nb)
+    pw = _pows(_ratios(np.array([[0.0, *bs, math.inf] for bs in bounds]), spheres, regions, D),
+               [prof.power for prof in profs])
     at = np.arange(nb)
     full = np.zeros((k, nb, B, nb + 1, B), dtype=complex)  # (system, interface, row, region, block)
-    scalars = np.array([prof.scalars.transpose(1, 2, 0) for prof in profs])[:, None]  # (k, 1, 2, D, B)
+    scalars = np.array([prof.scalars for prof in profs])  # (k, B, 2, D)
+    disp, trac = scalars.transpose(2, 0, 3, 1)[:, :, None]  # (k, 1, D, B) each
     weights = np.array(weights, dtype=complex)[:, :, None, None]
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         for j, sign in ((0, 1.0), (1, -1.0)):  # displacement scalar x power, (weight x scalar) x power; inner - outer
-            side = pw[:, :, j, None, :]
-            full[:, at, :D, at + j] = sign * (scalars[:, :, 0] * side).transpose(1, 0, 2, 3)
-            full[:, at, D:, at + j] = sign * ((weights[:, j:j + nb] * scalars[:, :, 1]) * side).transpose(1, 0, 2, 3)
+            side = pw.reshape(k, nb, 2, B)[:, :, j, None, :]
+            full[:, at, :D, at + j] = sign * (disp * side).transpose(1, 0, 2, 3)
+            full[:, at, D:, at + j] = sign * ((weights[:, j:j + nb] * trac) * side).transpose(1, 0, 2, 3)
     cols = [reg * B + b for reg in range(nb + 1) for b in range(B)[_region_blocks(reg, nb + 1, D)]]
     M = full.reshape(k, nb * B, (nb + 1) * B)[:, :, cols]
     rhs = np.zeros((k, nb * B), dtype=complex)
     rhs[:, -D] = [-bs[-1] for bs in bounds]  # rho times the weighted traction jump (outer - inner) on the last sphere
-    return M, rhs, cols
+    return M, rhs, cols, pw, scalars
 
 
 def _solve_systems(systems: list) -> list:
     """Outcomes of (bounds, weights, profile, what, max_condition) sector systems, in order.
 
     Per system (region-local amplitudes (nb + 1, B) by region, zero for a
-    region's absent blocks, condition, backward error) or the error of its
-    solve (:func:`_square_solve`).  The systems are a :func:`_column`: those
-    of one shape (interfaces and degrees) are one stacked assembly and
-    solve."""
+    region's absent blocks, condition, backward error, traces (S, 2, D)) or
+    the error of its solve (:func:`_square_solve`).  The traces are the
+    displacement and rho-times-traction scalars per degree on the sides of
+    :func:`_sides`, each the sum in block order of amplitude x scalar x (rho
+    / r_ref)^p, the powers of the assembly.  The systems are a :func:`_column`:
+    those of one shape (interfaces and degrees) are one stacked assembly, solve and trace."""
     def values(idx, states):
         bounds, weights, profs, what, cap = zip(*states)
         nb, D = len(bounds[0]), len(profs[0].degrees)
-        M, b, cols = _sector_matrices(bounds, weights, profs)
+        M, b, cols, pw, scalars = _sector_matrices(bounds, weights, profs)
         got = _square_solve(M, b, list(what), list(cap))
         amps = np.zeros((len(idx), (nb + 1) * 2 * D), dtype=complex)
         solved = [j for j, g in enumerate(got) if not isinstance(g, Exception)]
         if solved:
             amps[np.array(solved)[:, None], cols] = np.array([got[j][0] for j in solved])
         amps = amps.reshape(len(idx), nb + 1, 2 * D)
-        return [g if isinstance(g, Exception) else (amps[j], g[1], g[2]) for j, g in enumerate(got)]
+        with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+            terms = (amps[:, _sides(nb)[0], :, None, None] * scalars[:, None]) * pw[:, :, :, None, None]
+            traces = sum((terms[:, :, b] for b in range(1, 2 * D)), terms[:, :, 0])  # in block order
+        return [g if isinstance(g, Exception) else (amps[j], g[1], g[2], traces[j]) for j, g in enumerate(got)]
     return _column(len(systems), systems.__getitem__, values, key=lambda s: (len(s[0]), len(s[2].degrees)))
 
 
@@ -596,6 +611,7 @@ class _UnitLayer(NamedTuple):
     profile: _RadialProfile
     amps: np.ndarray  # (2, B) real: the region-local blocks inside and outside the sphere
     trace: float  # its displacement on the density's own shape there
+    traction: np.ndarray  # (2, D) real: rho times its traction per degree there, inside, then outside
 
 
 def _unit_layers(keys) -> list[_UnitLayer]:
@@ -617,8 +633,8 @@ def _unit_layers(keys) -> list[_UnitLayer]:
         if isinstance(got, Exception):
             pending[key] = got
         else:
-            amps = got[0].real  # the solve of a real system: its amplitudes are real
-            cache[key] = _UnitLayer(system[2], amps, float(amps[0] @ system[2].disp[:, 0]))
+            amps = got[0].real  # the solve of a real system: its amplitudes and traces are real
+            cache[key] = _UnitLayer(system[2], amps, float(amps[0] @ system[2].disp[:, 0]), got[3][:, 1].real)
     return [cache.get(key) or _ok(pending[key]) for key in keys]
 
 
@@ -655,45 +671,39 @@ def _solve_column(items) -> list:
     solves.
     """
     systems: list = []
-    index: dict = {}
+    index: dict = {}  # per (medium, q, n, family) the index of its system in ``systems``
+    layouts: dict = {}  # per (medium, q): its bounds, weights and singularity cap
     parts = []
-
-    def slot(layout, params, n, fam, prof, cap) -> int:  # the index of the family's system in the column, added once
-        key = (tuple(layout[0]), tuple(layout[1]), params, n, fam, cap)
-        if key not in index:
-            index[key] = len(systems)
-            systems.append((*layout, prof, f"family-{fam} system at degree {n}", cap))
-        return index[key]
-
     for medium, source, n in items:
-        params, bounds, slots, error = medium.base, [], [], None
+        params, at, slots, error = medium.base, (medium, source.q), [], None
         try:
             if n < 2:
                 raise ValueError("solve_mode needs n >= 2")
-            gammas = source.family_gammas(n) or {1: {}}
-            cap = 1e9 if medium.delta == 0.0 else math.inf
-            layout = _region_layout(medium, source.q)
-            bounds = layout[0]
-            for fam, gam in sorted(gammas.items()):
+            if at not in layouts:
+                layouts[at] = (*_region_layout(*at), 1e9 if medium.delta == 0.0 else math.inf)
+            bounds, weights, cap = layouts[at]
+            for fam, gam in sorted((source.family_gammas(n) or {1: {}}).items()):
                 if gam:
                     _wave_amplitudes(params, n, fam)  # the sector's kernel check
-                prof = _radial_profile(params, n, fam)
-                slots.append((fam, tuple(gam.items()), prof, slot(layout, params, n, fam, prof, cap)))
+                prof, key = _radial_profile(params, n, fam), (*at, n, fam)
+                if key not in index:
+                    index[key] = len(systems)
+                    systems.append((bounds, weights, prof, f"family-{fam} system at degree {n}", cap))
+                slots.append((fam, tuple(gam.items()), prof, index[key]))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
             error = exc
-        parts.append((n, params, (0.0, *bounds, math.inf), slots, error))
+        parts.append((n, params, at, slots, error))
     solved = _solve_systems(systems)
     out: list = []
-    for n, params, radii, slots, error in parts:
+    for n, params, at, slots, error in parts:
         got = [solved[i] for *_, i in slots]
         error = next((g for g in got if isinstance(g, Exception)), error)
         if error is not None:
             out.append(error)
             continue
-        sectors = tuple((fam, gam, prof, amps) for (fam, gam, prof, _), (amps, _, _) in zip(slots, got))
-        out.append(ModeSolution(n=n, condition=max(c for _, c, _ in got), lstsq_residual=max(e for _, _, e in got),
-                                window=tuple(sorted({d for _, _, prof, _ in sectors for d in prof.degrees})),
-                                radii=radii, sectors=sectors, params=params))
+        out.append(ModeSolution(n=n, condition=max(g[1] for g in got), lstsq_residual=max(g[2] for g in got),
+                                radii=(0.0, *layouts[at][0], math.inf), params=params, sectors=tuple(
+                                    (fam, gam, prof, g[0], g[3]) for (fam, gam, prof, _), g in zip(slots, got))))
     return out
 
 

@@ -42,8 +42,7 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import (_column, _global_amplitude, _ok, _profile_stack, _profile_traces, _radial_profile,
-                           _single_layers, _wave_amplitudes)
+from .transmission import _column, _global_amplitude, _ok, _radial_profile, _unit_layers, _wave_amplitudes
 
 __all__ = [
     "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
@@ -326,11 +325,8 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     modes = [(n, fam, J, _radial_profile(params, n, fam)) for n in range(1, n_max + 1)
              for fam, J in ((1, n), (2, n - 1), (3, n + 1))]
 
-    def values(idx, states):  # the layers of one profile shape: one stacked solve, one trace of both sides
-        layers = _single_layers([(params, n, fam, 1.0, 1.0) for n, fam, _, _ in states])
-        radii = np.array([[0.0, 1.0, math.inf]] * len(idx))
-        _, traction = _profile_traces(radii, ([0, 1], [1, 1]), _profile_stack([prof for *_, prof in states]), layers)
-        return list(zip(traction[:, 0], traction[:, 1]))  # inside, then outside
+    def values(idx, states):  # the layers of one profile shape: one stacked solve, which traces both sides
+        return [layer.traction for layer in _unit_layers([(params, n, fam) for n, fam, _, _ in states])]
 
     out = []
     for (n, fam, J, _), got in zip(modes, _column(len(modes), modes.__getitem__, values,
@@ -342,6 +338,6 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
         if not stray <= 1e-11 * scale:
             raise SectorCheckError(f"K* of the degree-{n} family-{fam} shape leaves its sector "
                                    f"(partner part {stray / scale:.3e})")
-        out += [(float(kstar[0].real), n)] * (2 * J + 1)
+        out += [(kstar[0], n)] * (2 * J + 1)
     out.sort(key=lambda t: t[0])
     return out

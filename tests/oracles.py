@@ -65,6 +65,13 @@ that the per-key unit data of ``transmission`` replaced;
 ``closed_radial_bound`` are that unit data and the family-1 witness bounds
 in closed form.
 
+``profile_solution_pairings`` (with ``profile_dissipations``) is the flux
+of ``energy.solution_pairings`` as it was before the stacked solve formed
+its systems' traces: each row's solves regrouped by sector, the profiles
+and amplitudes of the rows stacked (``profile_stack``) and traced a second
+time (``profile_traces``, by ``profile_flux``); the package's flux of the
+solve's own traces must give its bits.
+
 ``single_layer_field`` is the Kelvin single layer of a density G Y_n on a
 sphere, from the exact radial factors of the Newtonian and distance
 kernels (``_scalar_potential_terms``); ``waves.np_galerkin_spectrum``
@@ -98,7 +105,9 @@ least squares.  ``mp_square_solve`` solves the package's square systems as
 assembled in double, in 50-digit ``mpmath`` arithmetic; patched in for
 ``transmission._square_solve`` it gives the reference the refined double
 solve is held to, and ``mp_flux_dissipation`` is the dissipation of a
-solve from those 50-digit amplitudes by the flux of the radial profiles.
+solve from those 50-digit amplitudes by the flux of the radial profiles
+(a block's traction on a degree where it has none, such as the degree-0
+shape of family 2 at n = 2, read as 0).
 
 ``square_solve_reference`` is ``transmission._square_solve`` through the
 public ``np.linalg.solve``, ``inv`` and ``norm`` calls, one system at a
@@ -186,7 +195,6 @@ from elastoplasmon.harmonics import (
     shared_quadrature,
     sph_harm_stack,
 )
-from elastoplasmon.energy import _flux
 from elastoplasmon.lame import LameParams, SectorCheckError, mode_constants
 from elastoplasmon.transmission import (
     LayeredMedium,
@@ -195,7 +203,10 @@ from elastoplasmon.transmission import (
     UnconvergedSolveError,
     _RadialProfile,
     _UnitLayer,
+    _column,
+    _pows,
     _profile_from_blocks,
+    _ratios,
     _region_blocks,
     _ok,
     _radial_profile,
@@ -611,7 +622,7 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
         mpf, mpc = mpmath.mpf, mpmath.mpc
         parts = []
         for sol in sols:
-            for fam, gammas, prof, _ in sol.sectors:
+            for fam, gammas, prof, *_ in sol.sectors:
                 M, b, cols = sector_system(*_region_layout(medium, sol.radii[-2]), prof)
                 n, J = sol.n, min(prof.degrees) + (fam != 1)
                 coords = {d: mpf(1) if d == n else -mpmath.sqrt(mpf(float(prof.kappa)) * (2 * n + 1) / (2 * d + 1))
@@ -635,7 +646,7 @@ def mp_flux_dissipation(sols, medium: LayeredMedium, dps: int = 50) -> float:
                             if r2 == reg and d in disp:
                                 xc = xc / mpf(radii[reg + 1] if kind == "entire" else radii[reg]) ** p
                                 u += xc * mpc(complex(disp[d])) * r**p
-                                t += xc * mpc(complex(trac[d])) * r ** (p - 1)
+                                t += xc * mpc(complex(trac.get(d, 0.0))) * r ** (p - 1)  # no traction: 0
                         U, T = fields.setdefault((key, d), ([mpc(0)] * len(gamma), [mpc(0)] * len(gamma)))
                         for i, g in enumerate(gamma):
                             U[i] += coords[d] * u * g
@@ -873,7 +884,7 @@ def dict_solution_pairing(solutions: Sequence) -> float:
     """Re P(u, u) summed over all regions of the superposed solves, by ``dict_flux``."""
     parts: dict = {}
     for sol in solutions:
-        for fam, gammas, prof, amps in sol.sectors:
+        for fam, gammas, prof, amps, _ in sol.sectors:
             J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
             coords, gamma = _coordinate_dict(prof), dict(gammas)
             for lo, hi, a in annuli(prof, sol.radii, amps):
@@ -907,7 +918,7 @@ def vector_solution_pairing(solutions) -> float:
     """A row of ``energy.solution_pairings`` by :func:`vector_flux`: each source a zero-padded vector gamma_k."""
     parts: dict = {}
     for sol in solutions:
-        for fam, gammas, prof, amps in sol.sectors:
+        for fam, gammas, prof, amps, _ in sol.sectors:
             J = min(prof.degrees) + (fam != 1)
             gamma = np.zeros(2 * J + 1, dtype=complex)
             for k, g in gammas:
@@ -1751,19 +1762,113 @@ def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> li
 
 def unit_layer(params: LameParams, n: int, fam: int) -> _UnitLayer:
     """The unit-sphere single layer of one key solved alone, one system through ``transmission._solve_systems``:
-    (profile, real amplitudes (2, B), displacement on its own shape), as ``transmission._single_layers.cache``
-    keeps it."""
+    (profile, real amplitudes (2, B), displacement on its own shape, traction per degree inside and outside), as
+    ``transmission._single_layers.cache`` keeps it."""
     prof = _radial_profile(params, n, fam)
     system = ([1.0], [1.0, 1.0], prof, f"degree-{n} family-{fam} single layer", math.inf)
-    amps = _ok(_solve_systems([system])[0])[0].real
-    return _UnitLayer(prof, amps, float(amps[0] @ prof.disp[:, 0]))
+    amps, _, _, traces = _ok(_solve_systems([system])[0])
+    return _UnitLayer(prof, amps.real, float(amps.real[0] @ prof.disp[:, 0]), traces[:, 1].real)
+
+
+def profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:
+    """The stacked arrays of profiles of one shape: (powers, scalars (k, B, 2, D), coords (k, D))."""
+    return ([prof.power for prof in profs], np.array([prof.scalars for prof in profs]),
+            np.array([prof.coords for prof in profs]))
+
+
+def profile_traces(radii: np.ndarray, sides: tuple[list, list], stack, amps: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Displacement and rho times traction scalars per degree, (k, S, D) each, of k profile fields on S sides.
+
+    Row i is the field of region-local amplitudes ``amps[i]`` (regions, B) of the i-th profile of ``stack`` on the
+    regions between ``radii[i]`` (0 to inf); ``sides`` lists the region and the sphere of each side.  Each is the sum,
+    in block order, of amplitude x scalar x (rho / r_ref)^p (``transmission._pows``), formed a second time from the
+    profiles and amplitudes, after the solve."""
+    regions, spheres = sides
+    power, scalars, _ = stack
+    pw = _pows(_ratios(radii, spheres, regions, scalars.shape[-1]), power)[:, :, :, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        ut = ((amps[:, regions, :, None, None] * scalars[:, None]) * pw).sum(axis=2)
+    return ut[:, :, 0], ut[:, :, 1]
+
+
+def profile_flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarray:
+    """The array flux over the sides of a stack of k fields that ``energy._flux`` replaced: each of the P ``parts``
+    of one sector is (degrees, profile stack, region-local amplitudes (k, regions, B)), traced here
+    (:func:`profile_traces`); ``gram`` (k, P, P) and ``total`` as ``energy._flux`` reads them."""
+    r = np.array([list(rs) for rs in radii])
+    nreg = r.shape[1] - 1
+    # the sides, region by region, outer sphere first: (region, interface sphere 1..nreg-1, sign)
+    sides = [(reg, s, sign) for reg in range(nreg) for s, sign in ((reg + 1, 1.0), (reg, -1.0)) if 0 < s < nreg]
+    regs, spheres = [reg for reg, _, _ in sides], [s for _, s, _ in sides]
+    align = [[None if dp == dq else [dq.index(d) for d in dp] for dq, *_ in parts] for dp, *_ in parts]
+    gram_re, gram_im = gram.real[:, :, :, None], gram.imag[:, :, :, None]
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        traces = []
+        for _, stack, amps in parts:
+            coords = stack[2][:, None, :]
+            traces.append(tuple(coords * t for t in profile_traces(r, (regs, spheres), stack, amps)))
+        value = 0
+        for p, (U, _) in enumerate(traces):
+            for q, (_, T) in enumerate(traces):
+                T = T if align[p][q] is None else T[:, :, align[p][q]]
+                re = (U.real * T.real + U.imag * T.imag).sum(axis=2)
+                im = (U.real * T.imag - U.imag * T.real).sum(axis=2)
+                value = value + (gram_re[:, p, q] * re - gram_im[:, p, q] * im)
+        fluxes = (np.array([sign for *_, sign in sides]) * r[:, spheres]) * value  # sign rho times the pairing
+        for i, j in np.argwhere(~np.isfinite(fluxes))[:1].tolist():  # refused, not summed (inf - inf is nan)
+            raise ArithmeticError(f"the flux through the sphere r = {float(r[i, spheres[j]])!r} is "
+                                  f"{float(fluxes[i, j])!r}, out of the float range")
+        for j in range(len(sides)):
+            total = total + fluxes[:, j]
+    return total
+
+
+def profile_solution_pairings(rows: Sequence) -> list:
+    """``energy.solution_pairings`` as it was before the solve traced its sectors: per row each solve taken apart,
+    its parts regrouped by sector (toroidal or not, J), the profiles and amplitudes of the rows of one layout stacked
+    (:func:`profile_stack`) and traced again by :func:`profile_flux`, a Gram matrix per row and sector."""
+    def sectors_of(i):
+        solutions, sectors = [_ok(sol) for sol in rows[i]], {}
+        for sol in solutions:
+            for fam, gammas, prof, amps, _ in sol.sectors:
+                J = min(prof.degrees) + (fam != 1)  # total angular momentum: n, n - 1 or n + 1
+                sectors.setdefault((fam == 1, J), []).append((fam, prof, gammas, amps))
+        parts = list(sectors.values())
+        radii = solutions[0].radii if solutions else ()
+        return (len(radii), tuple(tuple((fam, len(prof.degrees)) for fam, prof, _, _ in sector) for sector in parts),
+                radii, parts)
+
+    def gram(parts):
+        coefficients = [dict(gammas) for _, _, gammas, _ in parts]
+        return [[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients]
+                for gp in coefficients]
+
+    def values(idx, states):
+        if not states[0][3]:
+            return [0.0] * len(idx)  # no solve: no field
+        total = 0.0
+        for j in range(len(states[0][3])):
+            sectors = [parts[j] for *_, parts in states]
+            stack = [(sectors[0][p][1].degrees, profile_stack([sector[p][1] for sector in sectors]),
+                      np.array([sector[p][3] for sector in sectors])) for p in range(len(sectors[0]))]
+            total = profile_flux([radii for _, _, radii, _ in states], stack,
+                                 np.array([gram(sector) for sector in sectors], dtype=complex), total)
+        return total.tolist()
+    return _column(len(rows), sectors_of, values, key=lambda state: state[:2])
+
+
+def profile_dissipations(lossy: Sequence, media: Sequence) -> list:
+    """(delta / 2) P(u, u) of each row's solves by :func:`profile_solution_pairings`, each a value or the row's
+    error, as ``energy.column_energies`` formed them."""
+    return [p if isinstance(p, Exception) else 0.5 * medium.delta * p
+            for medium, p in zip(media, profile_solution_pairings(lossy))]
 
 
 def profile_pairings(stack: tuple, radii, amps) -> np.ndarray:
-    """Re P(u, u) of k unit sector members' fields by one array flux (``energy._flux``): row i the region-local
+    """Re P(u, u) of k unit sector members' fields by one array flux (:func:`profile_flux`): row i the region-local
     blocks ``amps[i]`` (regions, B) on ``radii[i]``, the profiles ``stack`` of one shape
-    (``transmission._profile_stack``).  The route of the witness energies that the per-key unit data replaced."""
-    return _flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
+    (:func:`profile_stack`).  The route of the witness energies that the per-key unit data replaced."""
+    return profile_flux(radii, [(None, stack, amps)], np.ones((len(amps), 1, 1), dtype=complex))
 
 
 def closed_unit_layer(params: LameParams, n: int) -> tuple[float, float]:

@@ -15,7 +15,7 @@ COMMANDS = ({"import", "np-spectrum:64"} | {f"waves-check:{n}" for n in (20, 40,
 COLD = (COMMANDS | {"import:package", "import:compile"}
         | {f"{kind}:{name}" for kind in ("first_sweep", "exit:sweep") for name in GATED})
 WARM = ({f"square_solve[m={m},k={k}]" for m in (2, 6, 8, 12) for k in (1, 13)}
-        | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:dissipations"}
+        | {f"solve_mode[family={fam}]" for fam in (1, 2, 3)} | {"dissipation_E", "column:solve", "column:energies"}
         | {f"{kind}:{name}" for kind in ("witness", "column") for name in WITNESSES}
         | {f"{kind}:{name}" for kind in ("validate", "sweep", "main:sweep") for name in GATED})
 

@@ -1437,6 +1437,54 @@ def _gated_configs(workloads, seed, work):
             yield name, cfg, work / f"{workload}-{seed}" / f"{name}.json"
 
 
+def test_flux_of_the_solve_traces_is_the_regrouping_flux(tmp_path, monkeypatch):
+    # the flux reads the traces each stacked solve formed; the flux it
+    # replaced, which regrouped each row's solves and traced the profiles a
+    # second time (oracles.profile_solution_pairings), gives the same bits:
+    # every E_delta, I_upper and J_lower of the four gated sweeps at seeds
+    # 1-5; the fixed-multiplier and radial I_upper with the radial witness's
+    # off-schedule pairing, and J_lower, of cored rows at zeta1(8) whose
+    # sources add degrees 5 and 11; a family-2 mode at n and a family-3 mode
+    # at n - 2 sharing a sector (the Gram cross terms); a three-family solve
+    from elastoplasmon import energy, scenarios
+    from elastoplasmon.cli import _configuration
+    from elastoplasmon.lame import LameParams, plasmon_constants
+    from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
+    from oracles import profile_dissipations, profile_solution_pairings
+
+    def regrouping(m):
+        m.setattr(energy, "solution_pairings", profile_solution_pairings)
+        m.setattr(scenarios, "solution_pairings", profile_solution_pairings)
+
+    workloads = _perfbench_module("workloads", monkeypatch)
+    for seed in range(1, 6):
+        for name, cfg, _ in _gated_configs(workloads, seed, tmp_path):
+            conf, deltas = _configuration(cfg), cfg["delta_list"]
+            got = scenarios.sweep(conf, deltas)
+            with monkeypatch.context() as m:
+                regrouping(m)
+                want = scenarios.sweep(conf, deltas)
+            assert got.rows == want.rows and got.meta["refusals"] == want.meta["refusals"], (name, seed)
+            assert any(row.I_upper is not None for row in got.rows) == name.startswith("sched"), (name, seed)
+    params = LameParams(1.0, 1.0)
+    med = LayeredMedium(shell_radius=2.0, c=plasmon_constants(params, 8).zeta1, delta=1e-3, base=params,
+                        core_radius=1.0)
+    for src in (SourceSpec(3.6, {(8, 1, 3): 0.6 + 0.8j, (5, 1, 2): -0.3j}),
+                SourceSpec(3.6, {(8, 1, 1): 1.0, (5, 1, 4): 0.2 - 0.1j, (11, 1, 7): 0.5})):
+        for delta in (1e-2, 1e-5):
+            got = [(w.name, b[0]) for w, b in scenarios.witness_scalars(med._replace(delta=delta), src, delta)]
+            with monkeypatch.context() as m:
+                regrouping(m)
+                want = [(w.name, b[0]) for w, b in scenarios.witness_scalars(med._replace(delta=delta), src, delta)]
+            assert got == want and [name for name, _ in got] == [w.name for w in scenarios.WITNESSES[1:]], delta
+    for core in (None, 1.0):
+        med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=1e-3, base=params, core_radius=core)
+        for coefficients in ({(6, 2, 1): 0.6 - 0.8j, (4, 3, 1): 0.3j, (4, 3, 5): -0.2},
+                             {(9, 1, 2): 0.7, (9, 2, 3): 0.5j, (9, 3, 4): -0.4 + 0.1j}):
+            sols = solve_modes(med, SourceSpec(q=2.25, coefficients=coefficients))
+            assert energy.dissipation_E(sols, med) == profile_dissipations([sols], [med])[0], (core, coefficients)
+
+
 def test_growth_fit_is_the_exact_least_squares_slope(tmp_path, monkeypatch):
     # the growth exponent of each gated sweep at seeds 1-7, and the fit of
     # constant series (exactly 0), is the exact rational least-squares slope

@@ -19,7 +19,7 @@ from elastoplasmon.fields import (
 from elastoplasmon.harmonics import build_quadrature, ensure_tables
 from elastoplasmon.lame import LameParams
 from elastoplasmon.energy import EnergyReport, dissipation_E
-from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_modes
+from elastoplasmon.transmission import LayeredMedium, SourceSpec, solve_mode, solve_modes
 from oracles import (
     dissipation_imaginary,
     exterior_block,
@@ -461,7 +461,6 @@ def test_flux_dissipation_against_50_digit_solve(core):
     # families 1-3 at n = 12, 27, 60.  The volume route is recorded beside it
     # and needs its n^2-fold looser bound (measured up to 5.4e-13 at n = 60)
     from elastoplasmon.harmonics import shared_tables
-    from elastoplasmon.transmission import solve_mode
     from oracles import mp_flux_dissipation, volume_dissipation
 
     params = LameParams(2.0, 0.5)
@@ -481,6 +480,24 @@ def test_flux_dissipation_against_50_digit_solve(core):
 
 
 @pytest.mark.parametrize("core", [None, 0.75])
+def test_family2_degree2_dissipation_against_50_digits(core):
+    # family 2 at n = 2 pairs degree 2 with the degree-0 shape, whose
+    # entire block (a rigid translation) has a displacement but no traction:
+    # the 50-digit flux reads its traction as 0.  Each member (J = 1) and
+    # their sum, at two losses and two moduli, to 2e-15 (the package flux
+    # reads the traces of its solve)
+    from oracles import mp_flux_dissipation
+
+    for params in (P11, LameParams(2.0, 0.5)):
+        for delta in (1e-2, 1e-6):
+            med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=delta, base=params, core_radius=core)
+            for coefficients in [{(2, 2, k): 0.6 - 0.8j} for k in (1, 2, 3)] + [{(2, 2, k): 0.3j * k for k in (1, 2, 3)}]:
+                sol = solve_mode(med, SourceSpec(q=2.25, coefficients=coefficients), 2)
+                ref = mp_flux_dissipation(sol, med)
+                assert abs(dissipation_E([sol], med) - ref) <= 2e-15 * ref, (params, delta, coefficients)
+
+
+@pytest.mark.parametrize("core", [None, 0.75])
 def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
     # the flux reads each source through the Gram matrix of its coefficients;
     # against the coefficient vectors (one np.vdot per degree and sphere) and
@@ -489,8 +506,9 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
     # family-1 part: measured <= 2.9e-16 and <= 7.8e-16.  The witness pairing
     # of a unit member reads the vector route's value too
     from elastoplasmon.energy import solution_pairings
-    from elastoplasmon.transmission import _profile_stack, _wave_amplitudes
-    from oracles import annuli, mp_flux_dissipation, profile_pairings, vector_flux, vector_solution_pairing
+    from elastoplasmon.transmission import _wave_amplitudes
+    from oracles import (annuli, mp_flux_dissipation, profile_pairings, profile_stack, vector_flux,
+                         vector_solution_pairing)
 
     for params in (P11, LameParams(2.0, 0.5)):
         med = LayeredMedium(shell_radius=1.5, c=-2.0, delta=1e-3, base=params, core_radius=core)
@@ -506,7 +524,7 @@ def test_gram_flux_matches_the_vector_flux_and_50_digits(core):
                 prof, amps, *_ = _wave_amplitudes(params, n, fam)
                 coords, radii = dict(zip(prof.degrees, prof.coords.tolist())), (0.0, 1.5, math.inf)
                 want = vector_flux({(lo, hi, None): [(prof, coords, 1.0, a)] for lo, hi, a in annuli(prof, radii, amps)})
-                got = profile_pairings(_profile_stack([prof]), [radii], amps[None])[0]
+                got = profile_pairings(profile_stack([prof]), [radii], amps[None])[0]
                 assert abs(got - want) <= 1e-15 * abs(want), (params, n, fam)
 
 
@@ -536,8 +554,8 @@ def test_array_flux_is_the_dict_flux(materials):
     # one column of rows and row by row; and on the witness fields, the
     # perfect waves and the single layers
     from elastoplasmon.energy import solution_pairings
-    from elastoplasmon.transmission import _profile_stack, _single_layers, _wave_amplitudes
-    from oracles import annuli, dict_profile_pairing, dict_solution_pairing, profile_pairings
+    from elastoplasmon.transmission import _single_layers, _wave_amplitudes
+    from oracles import annuli, dict_profile_pairing, dict_solution_pairing, profile_pairings, profile_stack
 
     rows = []
     for params in materials:
@@ -554,5 +572,5 @@ def test_array_flux_is_the_dict_flux(materials):
             prof, amps, *_ = _wave_amplitudes(params, n, fam)
             layer = _single_layers([(params, n, fam, 0.8, 0.3j)])[0]
             for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), layer)):
-                got = profile_pairings(_profile_stack([prof]), [radii], a[None])[0]
+                got = profile_pairings(profile_stack([prof]), [radii], a[None])[0]
                 assert got == dict_profile_pairing(prof, annuli(prof, radii, a)), (n, fam)

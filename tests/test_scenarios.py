@@ -23,7 +23,7 @@ from elastoplasmon.harmonics import build_quadrature
 from elastoplasmon.lame import LameParams
 from elastoplasmon.energy import dissipation_E
 from elastoplasmon.scenarios import _sweep_rows, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep
-from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, solve_modes
+from elastoplasmon.transmission import LayeredMedium, ResonantSingularityError, SourceSpec, solve_mode, solve_modes
 from elastoplasmon.waves import plasmon_constants
 from oracles import (closed_dual_bound, closed_radial_bound, eval_terms, fixed_c_closed_forms, mp_square_solve,
                      plain_data)
@@ -573,7 +573,7 @@ def test_dual_column_mixes_cored_and_core_free_rows():
 
 def test_dual_builders_refuse_the_other_kind_of_medium():
     # the core-free builder refuses a core and a source not outside the
-    # shell, the cored one a medium without a core
+    # shell (in the solve's words), the cored one a medium without a core
     z1 = plasmon_constants(P11, 2).zeta1
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0})
     free = LayeredMedium(shell_radius=2.0, c=z1, delta=1e-3, base=P11)
@@ -582,8 +582,22 @@ def test_dual_builders_refuse_the_other_kind_of_medium():
     with pytest.raises(ValueError, match="^core witness requires a core$"):
         witness_core_resonant(free, src, 1e-3)
     for q in (1.5, 2.0):
-        with pytest.raises(ValueError, match="^source must lie outside the shell$"):
+        with pytest.raises(ValueError, match=f"^source sphere q = {q} must lie outside the shell \\(radius 2.0\\)$"):
             witness_nocore(free, src._replace(q=q), 1e-3)
+
+
+def test_a_source_inside_the_shell_has_one_message():
+    # the dual witness asks the solve's layout for the rule q > R, so a
+    # library caller of witness_scalars reads the message solve_mode gives
+    from elastoplasmon.scenarios import witness_scalars
+
+    med = LayeredMedium(shell_radius=2.0, c=plasmon_constants(P11, 2).zeta1, delta=1e-3, base=P11)
+    src = SourceSpec(q=1.5, coefficients={(2, 1, 1): 1.0})
+    with pytest.raises(ValueError) as solve_error:
+        solve_mode(med, src, 2)
+    got = [(w.name, type(e), str(e)) for w, e in witness_scalars(med, src, 1e-3)]
+    assert str(solve_error.value) == "source sphere q = 1.5 must lie outside the shell (radius 2.0)"
+    assert got == [("witness_nocore", ValueError, str(solve_error.value))]
 
 
 def test_dual_bound_keeps_its_digits_for_a_small_source():

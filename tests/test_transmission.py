@@ -301,8 +301,9 @@ def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
     assert calls == [13, 3]
     alone = {key: unit_layer(LameParams(*key[:2]), *key[2:]) for key in transmission._single_layers.cache}
     assert len(alone) == 16
-    for key, (prof, amps, trace) in transmission._single_layers.cache.items():
+    for key, (prof, amps, trace, traction) in transmission._single_layers.cache.items():
         assert prof is alone[key][0] and amps.tobytes() == alone[key][1].tobytes() and trace == alone[key][2], key
+        assert traction.tobytes() == alone[key][3].tobytes(), key
     calls.clear()
     for items in columns:
         transmission._single_layers(items)
@@ -718,6 +719,25 @@ def test_gated_sweeps_are_homogeneous_in_the_source():
                     assert value == (None if want is None else math.ldexp(want, 2 * k)), (k, row)
 
 
+def test_one_norm_conditions_are_numpys_bit_for_bit(monkeypatch):
+    # kappa_1 is formed from one inverse of the stack and the reductions
+    # np.linalg.cond(A, 1) makes, without calling it: on every stack of the
+    # four gated sweeps, lossy and loss-free, and on a stack holding an
+    # exactly singular system (inf), a NaN entry (NaN) and a regular system,
+    # each condition is cond's bit for bit
+    seen = []
+    conditions = transmission._one_norm_conditions
+    monkeypatch.setattr(transmission, "_one_norm_conditions", lambda A: seen.append(A.copy()) or conditions(A))
+    _gated_sweeps()
+    regular = np.array([[2.0, 1.0j, 0.0], [0.5, 1.0, -0.25], [0.0, 0.3, 1.0]])
+    seen.append(np.stack([regular, np.ones((3, 3), dtype=complex), np.where(np.eye(3), np.nan, regular)]))
+    assert sum(len(A) for A in seen[:-1]) >= 60  # 13 + 13 systems per schedule, 4 per fixed run
+    for A in seen:
+        assert conditions(A).tobytes() == np.linalg.cond(A, 1).tobytes()
+    got = conditions(seen[-1]).tolist()
+    assert math.isfinite(got[0]) and got[1] == math.inf and math.isnan(got[2])
+
+
 def test_a_warm_gated_sweep_runs_one_flux(monkeypatch):
     # the dissipations and the fixed-multiplier witness's pairings of a
     # sweep are one column of energy._flux, and the other witness bounds are
@@ -743,7 +763,7 @@ def test_unit_data_per_key(params, monkeypatch):
     # each to 1e-15; and for every family the layer identity, the energy of
     # a layer of density sigma on rho by the array flux being -rho^3 |sigma|^2
     # times its trace, to 1e-14
-    from oracles import closed_unit_layer, closed_wave_energy, profile_pairings
+    from oracles import closed_unit_layer, closed_wave_energy, profile_pairings, profile_stack
 
     monkeypatch.setattr(transmission._single_layers, "cache", {})
     degrees = range(2, 65)
@@ -756,7 +776,7 @@ def test_unit_data_per_key(params, monkeypatch):
     for fam in (1, 2, 3):
         for n in (2, 7, 27):
             layer, = transmission._unit_layers([(params, n, fam)])
-            got = profile_pairings(transmission._profile_stack([layer.profile]), [(0.0, rho, math.inf)],
+            got = profile_pairings(profile_stack([layer.profile]), [(0.0, rho, math.inf)],
                                    transmission._single_layers([(params, n, fam, rho, sigma)]))[0]
             want = -rho**3 * abs(sigma) ** 2 * layer.trace
             assert abs(got - want) <= 1e-14 * abs(want), (fam, n)
@@ -946,7 +966,7 @@ def test_family1_solve_is_scale_free_in_the_moduli():
     def solve(k):
         med = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=LameParams(2.0**k, 2.0**k), core_radius=1.0)
         sol = solve_mode(med, src, 2)
-        return sol, [amps.tolist() for _, _, _, amps in sol.sectors]
+        return sol, [amps.tolist() for _, _, _, amps, _ in sol.sectors]
 
     unit, unit_amps = solve(0)
     for k in (530, -530, 664, -664, 900, -900):
@@ -1101,7 +1121,7 @@ def _solution_key(sol):
     if isinstance(sol, Exception):
         return type(sol), str(sol)
     return sol.n, sol.condition, sol.lstsq_residual, sol.window, sol.radii, tuple(
-        (fam, gammas, prof, amps.tolist()) for fam, gammas, prof, amps in sol.sectors)
+        (fam, gammas, prof, amps.tolist(), traces.tolist()) for fam, gammas, prof, amps, traces in sol.sectors)
 
 
 def test_column_is_the_row_at_a_time_solve():
@@ -1193,7 +1213,7 @@ def test_stacked_assembly_is_the_entrywise_system(materials):
             for nb in {len(bounds) for bounds, _, _ in systems}:
                 group = [system for system in systems if len(system[0]) == nb]
                 bounds, weights, profs = zip(*group)
-                M, rhs, cols = transmission._sector_matrices(bounds, weights, profs)
+                M, rhs, cols, *_ = transmission._sector_matrices(bounds, weights, profs)
                 for i, system in enumerate(group):
                     M_ref, b_ref, cols_ref = sector_system(*system)
                     D = len(system[2].degrees)
