@@ -78,9 +78,9 @@ def _error(msg: str, code: int) -> int:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    return validate_config(cfg)
+    with open(path, "rb") as fh:  # decoded, newlines and all, as text mode reads it, without its layer
+        text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return validate_config(json.loads(text))
 
 
 def _is_int(x) -> bool:
@@ -195,8 +195,7 @@ def _material(lam: float, mu: float, degrees=(), fields=()) -> LameParams:
             plasmon_constants(params, n)
         for n in sorted({e for d in fields for e in (d, d + 2) if e >= 1}):
             cst = mode_constants(params, n)
-            read = (cst.k_n, cst.M_n, cst.E_n, cst.s1_n, cst.s2_n, cst.l_n, cst.m_n) if n >= 2 else (cst.k_n, cst.M_n)
-            if not all(math.isfinite(v) for v in read):
+            if not all(map(math.isfinite, cst[1:] if n >= 2 else (cst.k_n, cst.M_n))):  # every constant but n
                 raise ArithmeticError(f"mode constants at n={n} are not finite")
     except ArithmeticError as exc:
         raise ValidationError(f"(lambda, mu) = ({lam!r}, {mu!r}) is out of the float range: {exc}") from None
@@ -252,25 +251,18 @@ def emit_report(result: SweepResult, cfg: dict, csv_path: str, svg_path: str | N
     """Write the sweep CSV (and optional SVG); refuses an empty result."""
     if not result.rows:
         raise EmptyResultError("empty sweep result")
-    lines = ["# elastoplasmon sweep schema=1"]
-    lines.append("# config=" + json.dumps(cfg, sort_keys=True, separators=(",", ":")))
-    lines.append(CSV_COLUMNS)
-    last = len(result.rows) - 1
-    for i, row in enumerate(result.rows):
-        cells = [
-            _fmt(row.delta),
-            _fmt(row.n_delta),
-            _fmt(row.c_used),
-            _fmt(row.E_delta),
-            _fmt(row.I_upper),
-            _fmt(row.J_lower),
-            _fmt(result.growth_exponent) if i == last else "",
-            result.verdict if i == last else "",
-        ]
-        lines.append(",".join(cells))
-    text = "\n".join(lines) + "\n"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    cells = [[_fmt(v) for v in (r.delta, r.n_delta, r.c_used, r.E_delta, r.I_upper, r.J_lower)] + ["", ""]
+             for r in result.rows]
+    cells[-1][-2:] = _fmt(result.growth_exponent), result.verdict  # the fit, on the last row
+    lines = ["# elastoplasmon sweep schema=1", "# config=" + json.dumps(cfg, sort_keys=True, separators=(",", ":")),
+             CSV_COLUMNS, *(",".join(row) for row in cells)]
+    data = ("\n".join(lines) + "\n").encode()
+    fd = os.open(csv_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # as open(csv_path, "w"), no text layer
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
     if svg_path:
         _on_demand("_write_svg")(result, svg_path)
 

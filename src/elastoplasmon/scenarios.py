@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Sequence
 from .lame import LameParams, _served_from_fields, plasmon_constants
 from .energy import EnergyReport, column_energies, solution_pairings
 from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _column,
-                           _global_amplitude, _ok, _region_layout, _solve_column, _unit_layers, _wave_amplitudes)
+                           _global_amplitude, _ok, _outside_the_shell, _solve_column, _unit_layers, _wave_amplitudes)
 
 __all__ = [
     "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
@@ -140,7 +140,7 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     perfect wave of member k with its unit data
     (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
     sector) and cored whether the medium has a core."""
-    _region_layout(medium, source.q)  # the solve's rule and message: the source sphere outside the shell
+    _outside_the_shell(medium, source.q)  # the solve's rule and message
     params, cored = medium.base, medium.core_radius is not None
     (n0, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
     if cored and fam != 1:
@@ -302,7 +302,7 @@ def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
                 try:
                     got = (got[0], _global_amplitude(got[1], medium.shell_radius, got[2][0]), *got[2:])
                 except ArithmeticError as exc:
-                    got = exc
+                    got = exc.with_traceback(None)
             yield w, got if isinstance(got, (ValueError, ArithmeticError)) else _ok(got)
 
 
@@ -384,35 +384,34 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     raised when the rows before it are done.
     """
     media = [(*configuration(d), d) for d in deltas]  # the (medium, source, delta) rows
-    degrees = [src.degrees() for _, src, _ in media]
+    n_deltas = [max(src.degrees()) for _, src, _ in media]
 
     def tried(w, i) -> bool:
         # unlike the witness command, a sweep tries the radial witness only on
         # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
         med, src, _ = media[i]
-        return w.applies(med) and (w.name != "witness_radial_nonresonant" or (
+        return w.applies(med) and (w.core is not _radial_bound or (
             _outside_critical_radius(med, src)
-            and math.isclose(med.c, plasmon_constants(med.base, max(degrees[i])).zeta1, rel_tol=1e-10)))
+            and math.isclose(med.c, plasmon_constants(med.base, n_deltas[i]).zeta1, rel_tol=1e-10)))
 
     lossy, E, loss_free = _row_solves(media, lossy=True)
-    found = {}
+    found = []  # per witness, {row: its core's outcome} on the rows it is tried on
     for w in WITNESSES:
         idx = [i for i in range(len(media)) if tried(w, i)]
-        found[w.name] = dict(zip(idx, w.core([media[i] for i in idx], [loss_free[i] for i in idx])))
+        found.append((w, dict(zip(idx, w.core([media[i] for i in idx], [loss_free[i] for i in idx])))))
     rows, refusals, solves = [], [], []
     for i, ((med, src, d), outcomes, (lf, _)) in enumerate(zip(media, lossy, loss_free)):
         E_delta = _ok(E[i])  # a row's error is raised when the rows before it are done
-        n_delta = max(degrees[i])
         bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
-        for w in WITNESSES:
-            got = found[w.name].get(i)
+        for w, got in found:
+            got = got.get(i)
             if isinstance(got, (ValueError, ArithmeticError)):
-                refusals.append({"row": i, "delta": d, "n_delta": n_delta, "witness": w.name, "bound": w.bound,
+                refusals.append({"row": i, "delta": d, "n_delta": n_deltas[i], "witness": w.name, "bound": w.bound,
                                  "error": type(got).__name__, "message": str(got)})
             elif got is not None:
                 bounds[w.bound].append(_ok(got)[0])
-        rows.append(EnergyReport(delta=d, E_delta=E_delta, c_used=med.c, I_upper=min(bounds["I_upper"], default=None),
-                                 J_lower=max(bounds["J_lower"], default=None), n_delta=n_delta))
+        rows.append(EnergyReport(d, E_delta, med.c, min(bounds["I_upper"], default=None),
+                                 max(bounds["J_lower"], default=None), n_deltas[i]))
         (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(list(lf.values()))
         solves.append({"row": i, "lossy_condition": lossy_cond, "lossy_backward_error": lossy_berr,
                        "loss_free_condition": free_cond, "loss_free_backward_error": free_berr})

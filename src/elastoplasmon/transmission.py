@@ -204,9 +204,14 @@ class ModeSolution:
         return _solution_regions(self)
 
 
-def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
+def _outside_the_shell(medium: LayeredMedium, q: float) -> None:
+    """ValueError unless the source sphere q lies outside the shell, the rule of every solve and witness."""
     if not q > medium.shell_radius:
         raise ValueError(f"source sphere q = {q} must lie outside the shell (radius {medium.shell_radius})")
+
+
+def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
+    _outside_the_shell(medium, q)
     loss = 1j * medium.delta  # each region's A + i delta, as LayeredMedium.weight forms it
     if medium.core_radius is None:  # shell c, then 1 out to q and beyond
         return [medium.shell_radius, q], [medium.c + loss, 1.0 + loss, 1.0 + loss]
@@ -233,7 +238,8 @@ def _one_norm_conditions(A: np.ndarray) -> np.ndarray:
                 inv[i] = np.linalg.inv(a)
     cond = np.add.reduce(np.abs(A), axis=1).max(axis=1, initial=0)
     cond *= np.add.reduce(np.abs(inv), axis=1).max(axis=1, initial=0)
-    cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
+    if np.isnan(cond).any():
+        cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
     return cond
 
 
@@ -299,7 +305,7 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
             take = [j for j in refining if not norms[j] > 0.5 * last[j]]
             if not take:
                 break
-            x[take] = ahead[take]
+            x = ahead if len(take) == k else np.where(np.isin(np.arange(k), take)[:, None], ahead, x)
             for j in take:
                 last[j] = norms[j]
             refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
@@ -321,7 +327,10 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
 def _ok(outcome):
     """A solve's outcome: raised if it is an error, else returned."""
     if isinstance(outcome, Exception):
-        raise outcome
+        try:
+            raise outcome
+        finally:
+            outcome = None  # this frame, in the error's traceback, does not hold it
     return outcome
 
 
@@ -332,13 +341,15 @@ def _column(n: int, check, values, key=None) -> list:
     stack per ``key(state)``, ``values(idx, states)`` giving one value (or
     error) per row.  Where a stack raises an ``ArithmeticError`` or
     ``LinAlgError``, its rows go one at a time, so only the row that raises
-    gets the error (a system singular alone in :func:`_solve_systems`)."""
+    gets the error (a system singular alone in :func:`_solve_systems`).  An
+    error is kept without its traceback, whose frames would hold the column
+    in a reference cycle until the garbage collector runs."""
     out: list = []
     for i in range(n):
         try:
             out.append(check(i))
         except Exception as exc:
-            out.append(exc)
+            out.append(exc.with_traceback(None))
     groups: dict = {}
     for i, state in enumerate(out):
         if not isinstance(state, Exception):
@@ -353,7 +364,7 @@ def _column(n: int, check, values, key=None) -> list:
                 try:
                     got += values([i], [state])
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                    got.append(exc)
+                    got.append(exc.with_traceback(None))
         for i, value in zip(idx, got):
             out[i] = value
     return out
@@ -627,7 +638,7 @@ def _unit_layers(keys) -> list[_UnitLayer]:
                 pending[key] = ([1.0], [1.0, 1.0], _radial_profile(params, n, fam),
                                 f"degree-{n} family-{fam} single layer", math.inf)
             except (ArithmeticError, ValueError) as exc:
-                pending[key] = exc
+                pending[key] = exc.with_traceback(None)
     systems = {key: system for key, system in pending.items() if not isinstance(system, Exception)}
     for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values()))):
         if isinstance(got, Exception):
@@ -672,16 +683,17 @@ def _solve_column(items) -> list:
     """
     systems: list = []
     index: dict = {}  # per (medium, q, n, family) the index of its system in ``systems``
-    layouts: dict = {}  # per (medium, q): its bounds, weights and singularity cap
+    layouts: dict = {}  # per (medium, q): its bounds, weights, singularity cap and region radii
     parts = []
     for medium, source, n in items:
-        params, at, slots, error = medium.base, (medium, source.q), [], None
+        params, at, slots, error, radii = medium.base, (medium, source.q), [], None, None
         try:
             if n < 2:
                 raise ValueError("solve_mode needs n >= 2")
             if at not in layouts:
-                layouts[at] = (*_region_layout(*at), 1e9 if medium.delta == 0.0 else math.inf)
-            bounds, weights, cap = layouts[at]
+                bounds, weights = _region_layout(*at)
+                layouts[at] = (bounds, weights, 1e9 if medium.delta == 0.0 else math.inf, (0.0, *bounds, math.inf))
+            bounds, weights, cap, radii = layouts[at]
             for fam, gam in sorted((source.family_gammas(n) or {1: {}}).items()):
                 if gam:
                     _wave_amplitudes(params, n, fam)  # the sector's kernel check
@@ -691,19 +703,16 @@ def _solve_column(items) -> list:
                     systems.append((bounds, weights, prof, f"family-{fam} system at degree {n}", cap))
                 slots.append((fam, tuple(gam.items()), prof, index[key]))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
-            error = exc
-        parts.append((n, params, at, slots, error))
+            error = exc.with_traceback(None)
+        parts.append((n, params, radii, slots, error))
     solved = _solve_systems(systems)
     out: list = []
-    for n, params, at, slots, error in parts:
+    for n, params, radii, slots, error in parts:
         got = [solved[i] for *_, i in slots]
         error = next((g for g in got if isinstance(g, Exception)), error)
-        if error is not None:
-            out.append(error)
-            continue
-        out.append(ModeSolution(n=n, condition=max(g[1] for g in got), lstsq_residual=max(g[2] for g in got),
-                                radii=(0.0, *layouts[at][0], math.inf), params=params, sectors=tuple(
-                                    (fam, gam, prof, g[0], g[3]) for (fam, gam, prof, _), g in zip(slots, got))))
+        out.append(error if error is not None else ModeSolution(
+            n, max([g[1] for g in got]), max([g[2] for g in got]), radii,
+            tuple((fam, gam, prof, g[0], g[3]) for (fam, gam, prof, _), g in zip(slots, got)), params))
     return out
 
 

@@ -756,6 +756,36 @@ def test_a_warm_gated_sweep_runs_one_flux(monkeypatch):
     assert calls == [1, "|"] * 4
 
 
+def test_kept_errors_close_no_reference_cycle():
+    # an error kept as a row's outcome holds no traceback: its frames (the
+    # catching column's, holding the outcomes, and the raising ones, holding
+    # the error) would close a reference cycle that keeps the whole column
+    # alive until the garbage collector runs.  The gated sweeps keep refused
+    # loss-free systems (the schedules) and refused witnesses (the fixed
+    # runs); solve_mode raises an invalid item's kept error.  None leaves
+    # garbage, and the refusal messages are unchanged
+    import gc
+
+    _gated_sweeps()  # the per-key data kept for the process
+    medium = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=P11, core_radius=1.0)
+    gc.collect()
+    gc.disable()
+    try:
+        results = [sweep(conf, deltas) for conf, deltas in GATED_SWEEPS]
+        try:
+            solve_mode(medium, SourceSpec(q=1.5, coefficients={(3, 1, 1): 1.0}), 3)
+        except ValueError as exc:
+            message = str(exc)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
+    assert message == "source sphere q = 1.5 must lie outside the shell (radius 2.0)"
+    refusals = [r for result in results for r in result.meta["refusals"]]
+    assert {r["error"] for r in refusals} == {"ResonantSingularityError", "ValueError"}
+    assert all(r["message"] and r["message"] != "None" for r in refusals)
+
+
 @pytest.mark.parametrize("params", [P11, LameParams(2.0, 0.5), LameParams(1e3, 1.0)])
 def test_unit_data_per_key(params, monkeypatch):
     # the unit data kept per key with the unit layers and the perfect waves:
