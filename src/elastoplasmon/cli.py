@@ -256,13 +256,8 @@ def emit_report(result: SweepResult, cfg: dict, csv_path: str, svg_path: str | N
     cells[-1][-2:] = _fmt(result.growth_exponent), result.verdict  # the fit, on the last row
     lines = ["# elastoplasmon sweep schema=1", "# config=" + json.dumps(cfg, sort_keys=True, separators=(",", ":")),
              CSV_COLUMNS, *(",".join(row) for row in cells)]
-    data = ("\n".join(lines) + "\n").encode()
-    fd = os.open(csv_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)  # as open(csv_path, "w"), no text layer
-    try:
-        while data:
-            data = data[os.write(fd, data):]
-    finally:
-        os.close(fd)
+    with open(csv_path, "wb") as fh:  # the bytes a text-mode file would write, without its layer
+        fh.write(("\n".join(lines) + "\n").encode())
     if svg_path:
         _on_demand("_write_svg")(result, svg_path)
 

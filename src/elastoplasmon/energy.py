@@ -10,9 +10,9 @@ kappa (2n+1)/(2d+1)).  The stacked solve forms them once, U and T' = rho t
 on every side of the interface spheres, and each sector entry of a solve
 carries them (:func:`~elastoplasmon.transmission._solve_systems`), so the
 flux is rho Re <U, T'>: with every length times a power of two s, every
-energy is s^3 times its value.  So the dissipation of a solve is a scalar sum over the
-interface spheres, a source entering through the Gram matrix of its
-coefficients alone.  One array flux (:func:`_flux`) takes a column's rows
+energy is s^3 times its value.  So the dissipation of a solve is a scalar
+sum over the interface spheres, a source entering through the Gram matrix
+of its coefficients alone.  One array flux (:func:`_flux`) takes a column's rows
 and all their interface spheres at once: a sweep's lossy solves and the
 loss-free ones of its fixed-multiplier witness are one column
 (:func:`column_energies`; :func:`dissipation_E` is a column of one).  The

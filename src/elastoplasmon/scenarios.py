@@ -140,7 +140,7 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     perfect wave of member k with its unit data
     (:func:`~elastoplasmon.transmission._wave_amplitudes`, which checks the
     sector) and cored whether the medium has a core."""
-    _outside_the_shell(medium, source.q)  # the solve's rule and message
+    _outside_the_shell(medium.shell_radius, source.q)  # the solve's rule and message
     params, cored = medium.base, medium.core_radius is not None
     (n0, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
     if cored and fam != 1:
@@ -302,7 +302,7 @@ def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
                 try:
                     got = (got[0], _global_amplitude(got[1], medium.shell_radius, got[2][0]), *got[2:])
                 except ArithmeticError as exc:
-                    got = exc.with_traceback(None)
+                    got = exc
             yield w, got if isinstance(got, (ValueError, ArithmeticError)) else _ok(got)
 
 

@@ -89,6 +89,9 @@ class UnconvergedSolveError(RuntimeError):
     """Raised when a density leaves its sector or a solve's backward error exceeds 1e-10."""
 
 
+_REFUSALS = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError)  # what a solve or witness refuses
+
+
 class LayeredMedium(NamedTuple("LayeredMedium", [("shell_radius", float), ("c", float), ("delta", float),
                                                   ("base", LameParams), ("core_radius", "float | None")])):
     """Core | shell | matrix geometry with shell multiplier c and loss delta, checked as :class:`LameParams` is."""
@@ -204,14 +207,14 @@ class ModeSolution:
         return _solution_regions(self)
 
 
-def _outside_the_shell(medium: LayeredMedium, q: float) -> None:
+def _outside_the_shell(shell_radius: float, q: float) -> None:
     """ValueError unless the source sphere q lies outside the shell, the rule of every solve and witness."""
-    if not q > medium.shell_radius:
-        raise ValueError(f"source sphere q = {q} must lie outside the shell (radius {medium.shell_radius})")
+    if not q > shell_radius:
+        raise ValueError(f"source sphere q = {q} must lie outside the shell (radius {shell_radius})")
 
 
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
-    _outside_the_shell(medium, q)
+    _outside_the_shell(medium.shell_radius, q)
     loss = 1j * medium.delta  # each region's A + i delta, as LayeredMedium.weight forms it
     if medium.core_radius is None:  # shell c, then 1 out to q and beyond
         return [medium.shell_radius, q], [medium.c + loss, 1.0 + loss, 1.0 + loss]
@@ -238,8 +241,7 @@ def _one_norm_conditions(A: np.ndarray) -> np.ndarray:
                 inv[i] = np.linalg.inv(a)
     cond = np.add.reduce(np.abs(A), axis=1).max(axis=1, initial=0)
     cond *= np.add.reduce(np.abs(inv), axis=1).max(axis=1, initial=0)
-    if np.isnan(cond).any():
-        cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
+    cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
     return cond
 
 
@@ -327,11 +329,14 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
 def _ok(outcome):
     """A solve's outcome: raised if it is an error, else returned."""
     if isinstance(outcome, Exception):
-        try:
-            raise outcome
-        finally:
-            outcome = None  # this frame, in the error's traceback, does not hold it
+        raise outcome
     return outcome
+
+
+def _kept(exc: Exception) -> Exception:
+    """A caught error kept as a row's outcome: a refusal (``_REFUSALS``) without its traceback, whose frames would hold
+    the column in a reference cycle until the garbage collector runs; another error, a defect, as it is."""
+    return exc.with_traceback(None) if isinstance(exc, _REFUSALS) else exc
 
 
 def _column(n: int, check, values, key=None) -> list:
@@ -341,15 +346,14 @@ def _column(n: int, check, values, key=None) -> list:
     stack per ``key(state)``, ``values(idx, states)`` giving one value (or
     error) per row.  Where a stack raises an ``ArithmeticError`` or
     ``LinAlgError``, its rows go one at a time, so only the row that raises
-    gets the error (a system singular alone in :func:`_solve_systems`).  An
-    error is kept without its traceback, whose frames would hold the column
-    in a reference cycle until the garbage collector runs."""
+    gets the error (a system singular alone in :func:`_solve_systems`); an
+    error is :func:`_kept`."""
     out: list = []
     for i in range(n):
         try:
             out.append(check(i))
         except Exception as exc:
-            out.append(exc.with_traceback(None))
+            out.append(_kept(exc))
     groups: dict = {}
     for i, state in enumerate(out):
         if not isinstance(state, Exception):
@@ -364,7 +368,7 @@ def _column(n: int, check, values, key=None) -> list:
                 try:
                     got += values([i], [state])
                 except (ArithmeticError, np.linalg.LinAlgError) as exc:
-                    got.append(exc.with_traceback(None))
+                    got.append(_kept(exc))
         for i, value in zip(idx, got):
             out[i] = value
     return out
@@ -638,7 +642,7 @@ def _unit_layers(keys) -> list[_UnitLayer]:
                 pending[key] = ([1.0], [1.0, 1.0], _radial_profile(params, n, fam),
                                 f"degree-{n} family-{fam} single layer", math.inf)
             except (ArithmeticError, ValueError) as exc:
-                pending[key] = exc.with_traceback(None)
+                pending[key] = _kept(exc)
     systems = {key: system for key, system in pending.items() if not isinstance(system, Exception)}
     for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values()))):
         if isinstance(got, Exception):
@@ -695,15 +699,15 @@ def _solve_column(items) -> list:
                 layouts[at] = (bounds, weights, 1e9 if medium.delta == 0.0 else math.inf, (0.0, *bounds, math.inf))
             bounds, weights, cap, radii = layouts[at]
             for fam, gam in sorted((source.family_gammas(n) or {1: {}}).items()):
-                if gam:
-                    _wave_amplitudes(params, n, fam)  # the sector's kernel check
-                prof, key = _radial_profile(params, n, fam), (*at, n, fam)
+                # a family with a density passes its sector's kernel check, which keeps the profile
+                prof = _wave_amplitudes(params, n, fam).profile if gam else _radial_profile(params, n, fam)
+                key = (*at, n, fam)
                 if key not in index:
                     index[key] = len(systems)
                     systems.append((bounds, weights, prof, f"family-{fam} system at degree {n}", cap))
                 slots.append((fam, tuple(gam.items()), prof, index[key]))
         except Exception as exc:  # raised when the item's solution is read, after its earlier solves' errors
-            error = exc.with_traceback(None)
+            error = _kept(exc)
         parts.append((n, params, radii, slots, error))
     solved = _solve_systems(systems)
     out: list = []

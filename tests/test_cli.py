@@ -279,9 +279,9 @@ def test_io_failure_exit_code(config_file, tmp_path):
 
 
 def test_csv_write_errors_are_opens(config_file, tmp_path, capsys):
-    # the CSV goes out through os.open and os.write, without a text layer: a
-    # path that cannot be created, a directory and a device that refuses the
-    # bytes give the message of a text-mode open and write (exit 3)
+    # the CSV goes out as bytes, without a text layer: a path that cannot be
+    # created, a directory and a device that refuses the bytes give the
+    # message of a text-mode open and write (exit 3)
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
 

@@ -762,8 +762,9 @@ def test_kept_errors_close_no_reference_cycle():
     # the error) would close a reference cycle that keeps the whole column
     # alive until the garbage collector runs.  The gated sweeps keep refused
     # loss-free systems (the schedules) and refused witnesses (the fixed
-    # runs); solve_mode raises an invalid item's kept error.  None leaves
-    # garbage, and the refusal messages are unchanged
+    # runs), and a column keeps an invalid item's refusal.  None leaves
+    # garbage, and the refusal messages are unchanged.  A defect, an error
+    # that is not a refusal, keeps its traceback
     import gc
 
     _gated_sweeps()  # the per-key data kept for the process
@@ -772,15 +773,15 @@ def test_kept_errors_close_no_reference_cycle():
     gc.disable()
     try:
         results = [sweep(conf, deltas) for conf, deltas in GATED_SWEEPS]
-        try:
-            solve_mode(medium, SourceSpec(q=1.5, coefficients={(3, 1, 1): 1.0}), 3)
-        except ValueError as exc:
-            message = str(exc)
+        refused, = transmission._solve_column([(medium, SourceSpec(q=1.5, coefficients={(3, 1, 1): 1.0}), 3)])
         unreachable = gc.collect()
     finally:
         gc.enable()
     assert unreachable == 0
-    assert message == "source sphere q = 1.5 must lie outside the shell (radius 2.0)"
+    assert str(refused) == "source sphere q = 1.5 must lie outside the shell (radius 2.0)"
+    assert refused.__traceback__ is None
+    defect, = transmission._column(1, lambda i: None + i, None)
+    assert isinstance(defect, TypeError) and defect.__traceback__ is not None
     refusals = [r for result in results for r in result.meta["refusals"]]
     assert {r["error"] for r in refusals} == {"ResonantSingularityError", "ValueError"}
     assert all(r["message"] and r["message"] != "None" for r in refusals)
