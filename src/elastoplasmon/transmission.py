@@ -241,7 +241,8 @@ def _one_norm_conditions(A: np.ndarray) -> np.ndarray:
                 inv[i] = np.linalg.inv(a)
     cond = np.add.reduce(np.abs(A), axis=1).max(axis=1, initial=0)
     cond *= np.add.reduce(np.abs(inv), axis=1).max(axis=1, initial=0)
-    cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
+    if np.isnan(cond).any():
+        cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
     return cond
 
 
