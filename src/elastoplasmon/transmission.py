@@ -308,7 +308,7 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
             take = [j for j in refining if not norms[j] > 0.5 * last[j]]
             if not take:
                 break
-            x = ahead if len(take) == k else np.where(np.isin(np.arange(k), take)[:, None], ahead, x)
+            x[take] = ahead[take]
             for j in take:
                 last[j] = norms[j]
             refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
