@@ -89,9 +89,6 @@ class UnconvergedSolveError(RuntimeError):
     """Raised when a density leaves its sector or a solve's backward error exceeds 1e-10."""
 
 
-_REFUSALS = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError)  # what a solve or witness refuses
-
-
 class LayeredMedium(NamedTuple("LayeredMedium", [("shell_radius", float), ("c", float), ("delta", float),
                                                   ("base", LameParams), ("core_radius", "float | None")])):
     """Core | shell | matrix geometry with shell multiplier c and loss delta, checked as :class:`LameParams` is."""
@@ -308,7 +305,10 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
             take = [j for j in refining if not norms[j] > 0.5 * last[j]]
             if not take:
                 break
-            x[take] = ahead[take]
+            if len(take) == k:  # every system steps: the corrected stack is the next
+                x = ahead
+            else:
+                x[take] = ahead[take]
             for j in take:
                 last[j] = norms[j]
             refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
@@ -335,9 +335,9 @@ def _ok(outcome):
 
 
 def _kept(exc: Exception) -> Exception:
-    """A caught error kept as a row's outcome: a refusal (``_REFUSALS``) without its traceback, whose frames would hold
-    the column in a reference cycle until the garbage collector runs; another error, a defect, as it is."""
-    return exc.with_traceback(None) if isinstance(exc, _REFUSALS) else exc
+    """An error as a row keeps it: a refusal drops its traceback, whose frames would hold the column in a cycle."""
+    refusals = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError)  # the command line's exit 2
+    return exc.with_traceback(None) if isinstance(exc, refusals) else exc
 
 
 def _column(n: int, check, values, key=None) -> list:
