@@ -763,8 +763,8 @@ def test_kept_errors_close_no_reference_cycle():
     # alive until the garbage collector runs.  The gated sweeps keep refused
     # loss-free systems (the schedules) and refused witnesses (the fixed
     # runs), and a column keeps an invalid item's refusal.  None leaves
-    # garbage, and the refusal messages are unchanged.  A defect, an error
-    # that is not a refusal, keeps its traceback
+    # garbage, and each refusal keeps its message.  A defect, an error that
+    # is not a refusal, keeps its traceback
     import gc
 
     _gated_sweeps()  # the per-key data kept for the process
