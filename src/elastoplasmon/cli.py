@@ -28,8 +28,8 @@ import math
 import os
 import sys
 
-from .lame import LameParams, SectorCheckError, mode_constants, plasmon_constants
-from .transmission import SourceSpec, UnconvergedSolveError
+from .lame import LameParams, mode_constants, plasmon_constants
+from .transmission import REFUSALS, SourceSpec
 from .scenarios import (SweepResult, fixed_configuration, schedule_n_delta, scheduled_configuration, sweep,
                         witness_scalars)
 
@@ -78,9 +78,9 @@ def _error(msg: str, code: int) -> int:
 # ---------------------------------------------------------------------------
 
 def load_config(path: str) -> dict:
-    with open(path, "rb") as fh:  # decoded, newlines and all, as text mode reads it, without its layer
-        text = fh.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return validate_config(json.loads(text))
+    with open(path, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    return validate_config(cfg)
 
 
 def _is_int(x) -> bool:
@@ -256,8 +256,8 @@ def emit_report(result: SweepResult, cfg: dict, csv_path: str, svg_path: str | N
     cells[-1][-2:] = _fmt(result.growth_exponent), result.verdict  # the fit, on the last row
     lines = ["# elastoplasmon sweep schema=1", "# config=" + json.dumps(cfg, sort_keys=True, separators=(",", ":")),
              CSV_COLUMNS, *(",".join(row) for row in cells)]
-    with open(csv_path, "wb") as fh:  # the bytes a text-mode file would write, without its layer
-        fh.write(("\n".join(lines) + "\n").encode())
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
     if svg_path:
         _on_demand("_write_svg")(result, svg_path)
 
@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except EmptyResultError as exc:
         return _error(str(exc), EXIT_EMPTY)
-    except (ValidationError, ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError) as exc:
+    except (ValidationError, *REFUSALS) as exc:
         return _error(str(exc), EXIT_VALIDATION)
     except OSError as exc:
         return _error(str(exc), EXIT_IO)

@@ -25,7 +25,6 @@ column's values are bit for bit those of its rows alone.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -127,17 +126,15 @@ def solution_pairings(rows: Sequence) -> list:
             stack = [(sectors[0][p][2].degrees, np.array([sector[p][2].coords for sector in sectors]),
                       np.array([sector[p][4] for sector in sectors])) for p in range(len(sectors[0]))]
             total = _flux([radii for _, radii, _ in states], stack,
-                          np.array([_gram(tuple(part[1] for part in sector)) for sector in sectors]), total)
+                          np.array([_gram(sector) for sector in sectors], dtype=complex), total)
         return total.tolist()
     return _column(len(rows), check, values, key=lambda state: state[0])
 
 
-@functools.lru_cache(maxsize=256)  # a sweep's rows share their coefficients
-def _gram(gammas: tuple) -> np.ndarray:
-    """The Gram matrix <gamma_p, gamma_q> = sum_k conj(gamma_p,k) gamma_q,k of parts' ((k, gamma), ...) tuples."""
-    coefficients = [dict(gamma) for gamma in gammas]
-    return np.array([[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients]
-                     for gp in coefficients], dtype=complex)
+def _gram(parts: list) -> list[list[complex]]:
+    """The Gram matrix <gamma_p, gamma_q> = sum_k conj(gamma_p,k) gamma_q,k of the parts' coefficients."""
+    coefficients = [dict(gammas) for _, gammas, *_ in parts]
+    return [[sum(g.conjugate() * gq.get(k, 0.0) for k, g in gp.items()) for gq in coefficients] for gp in coefficients]
 
 
 def column_energies(lossy: Sequence[Sequence], media: Sequence, loss_free: Sequence[Sequence]) -> tuple[list, list]:

@@ -241,9 +241,8 @@ def _radial_bound(rows, loss_free: list) -> list:
     def values(idx, states):
         units = iter(_unit_layers([(rows[i][0].base, n, 1) for i, (sch, _) in zip(idx, states) for n, _, _ in sch]))
         off = [[loss_free[i][0][n] for n in ns] for i, (_, ns) in zip(idx, states)]
-        pairings = solution_pairings(off) if any(off) else [0.0] * len(off)  # no off-schedule degree: no field
         out = []
-        for i, (scheduled, _), sols, p_off in zip(idx, states, off, pairings):
+        for i, (scheduled, _), sols, p_off in zip(idx, states, off, solution_pairings(off)):
             med, src, delta = rows[i]
             a, R, q = med.core_radius, med.shell_radius, src.q
             P_v = P_w = 0.0
@@ -390,7 +389,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
         # unlike the witness command, a sweep tries the radial witness only on
         # its schedule outside R^{3/2}: zeta1 at the deepest degree, q > R^{3/2}
         med, src, _ = media[i]
-        return w.applies(med) and (w.core is not _radial_bound or (
+        return w.applies(med) and (w.name != "witness_radial_nonresonant" or (
             _outside_critical_radius(med, src)
             and math.isclose(med.c, plasmon_constants(med.base, n_deltas[i]).zeta1, rel_tol=1e-10)))
 

@@ -69,7 +69,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "LayeredMedium", "SourceSpec", "ModeSolution", "ResonantSingularityError", "UnconvergedSolveError",
-    "solve_mode", "solve_modes", "sector_conditions",
+    "solve_mode", "solve_modes", "sector_conditions", "REFUSALS",
 ]
 
 
@@ -334,10 +334,13 @@ def _ok(outcome):
     return outcome
 
 
+# the errors that refuse an input or a solve, which the command line reports with exit 2
+REFUSALS = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError)
+
+
 def _kept(exc: Exception) -> Exception:
     """An error as a row keeps it: a refusal drops its traceback, whose frames would hold the column in a cycle."""
-    refusals = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError)  # the command line's exit 2
-    return exc.with_traceback(None) if isinstance(exc, refusals) else exc
+    return exc.with_traceback(None) if isinstance(exc, REFUSALS) else exc
 
 
 def _column(n: int, check, values, key=None) -> list:

@@ -278,45 +278,6 @@ def test_io_failure_exit_code(config_file, tmp_path):
     assert r.returncode == 3
 
 
-def test_csv_write_errors_are_opens(config_file, tmp_path, capsys):
-    # the CSV goes out as bytes, without a text layer: a path that cannot be
-    # created, a directory and a device that refuses the bytes give the
-    # message of a text-mode open and write (exit 3)
-    sys.path.insert(0, SRC)
-    from elastoplasmon import cli
-
-    paths = [str(tmp_path / "nodir" / "x.csv"), str(tmp_path)] + (["/dev/full"] if os.path.exists("/dev/full") else [])
-    for path in paths:
-        with pytest.raises(OSError) as text_mode:
-            with open(path, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write("x")
-        assert cli.main(["sweep", "--config", config_file, "--csv", path]) == 3
-        assert json.loads(capsys.readouterr().err) == {"error": str(text_mode.value), "code": 3}
-
-
-@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
-def test_config_reads_as_text_mode_reads_it(newline, tmp_path):
-    # load_config decodes the file's bytes and translates its newlines, as a
-    # text-mode open reads it: a valid config in any line ending loads the
-    # same, and a JSON syntax error on a later line, a byte-order mark and a
-    # byte that is not UTF-8 give text mode's error and message
-    sys.path.insert(0, SRC)
-    from elastoplasmon import cli
-
-    good = json.dumps(BASE_CONFIG, indent=1).replace("\n", newline).encode()
-    for i, data in enumerate([good, good.replace(b'"mu"', b"'mu'"), b"\xef\xbb\xbf" + good, good[:40] + b"\xff" + good[40:]]):
-        path = tmp_path / f"config{i}.json"
-        path.write_bytes(data)
-        outcomes = []
-        for load in (lambda: cli.validate_config(json.load(open(path, encoding="utf-8"))), lambda: cli.load_config(path)):
-            try:
-                outcomes.append(load())
-            except ValueError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1], i
-        assert (i == 0) == isinstance(outcomes[1], dict)
-
-
 def test_empty_result_exit_code_distinct():
     sys.path.insert(0, SRC)
     from elastoplasmon.cli import EXIT_EMPTY, EXIT_IO, EXIT_VALIDATION, EmptyResultError, emit_report
