@@ -19,7 +19,7 @@ from elastoplasmon import (
 
 params = LameParams(1.0, 1.0)
 n_max = 5
-spec = np_galerkin_spectrum(1.0, params, n_max)
+spec = np_galerkin_spectrum(params, n_max)
 eigs = np.array([e for e, _ in spec])
 
 print(f"Galerkin spectrum on vector harmonics up to degree {n_max}: {len(eigs)} eigenvalues")

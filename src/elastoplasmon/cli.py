@@ -138,6 +138,8 @@ def validate_config(cfg: dict) -> dict:
             raise ValidationError(f"source mode {mode!r} needs integer degree, family and k and a finite gamma")
         if n is None and not scheduled:
             raise ValidationError("fixed-multiplier runs need explicit source degrees")
+        if n is not None and scheduled:  # the schedule sets the degree from the loss
+            raise ValidationError(f"scheduled source mode {mode!r} lists degree {n}: a schedule's degree must be null")
         if n is not None and n > n_max:
             raise ValidationError(f"source degree {n} exceeds the truncation n_max = {n_max}")
         if scheduled and fam != cmode["schedule"]:
@@ -350,7 +352,7 @@ _COMMANDS = (
     ("waves-check", "verify the perfect-wave invariants", _on_demand("_cmd_waves_check"),
      (_DEGREE, _RADIUS, *_MATERIAL)),
     ("np-spectrum", "Galerkin boundary-operator spectrum", _on_demand("_cmd_np_spectrum"),
-     (_RADIUS, ("--nmax", dict(type=int, default=5)), ("--csv", {}), *_MATERIAL)),
+     (("--nmax", dict(type=int, default=5)), ("--csv", {}), *_MATERIAL)),
     ("solve", "one exact solve with residual report", _on_demand("_cmd_solve"), (_CONFIG, _DELTA)),
     ("sweep", "loss sweep driven by a JSON config", _cmd_sweep, (_CONFIG, ("--csv", {}), ("--svg", {}))),
     ("witness", "variational bounds at one loss value", _cmd_witness, (_CONFIG, _DELTA)),

@@ -22,11 +22,6 @@ def _check_wave_degree(n: int) -> None:
     _check_degree(n, "--n")
 
 
-def _check_radius(R: float) -> None:
-    if not (math.isfinite(R) and R > 0):
-        raise ValidationError(f"--R must be finite and positive, got {R}")
-
-
 def _write_svg(result, path: str) -> None:
     xs = [math.log10(1.0 / r.delta) for r in result.rows]
     ys = [math.log10(max(r.E_delta, 1e-300)) for r in result.rows]
@@ -83,7 +78,8 @@ def _cmd_waves_check(args) -> int:
     from .waves import perfect_wave, verify_perfect_wave
 
     _check_wave_degree(args.n)
-    _check_radius(args.R)
+    if not (math.isfinite(args.R) and args.R > 0):
+        raise ValidationError(f"--R must be finite and positive, got {args.R}")
     params = _material(args.lam, args.mu, degrees=[args.n], fields=[args.n])
     # every wave is built and checked before a row is printed: an amplitude
     # out of the float range is refused by perfect_wave, and a check whose
@@ -116,11 +112,10 @@ def _cmd_waves_check(args) -> int:
 def _cmd_np_spectrum(args) -> int:
     from .waves import np_eigenvalue_map, np_galerkin_spectrum
 
-    _check_radius(args.R)
     if not 2 <= args.nmax <= MAX_DEGREE:
         raise ValidationError(f"--nmax must lie in 2..{MAX_DEGREE}, got {args.nmax}")
     params = _material(args.lam, args.mu, degrees=range(2, args.nmax + 1), fields=range(1, args.nmax + 1))
-    spec = np_galerkin_spectrum(args.R, params, args.nmax)
+    spec = np_galerkin_spectrum(params, args.nmax)
     lines = ["# elastoplasmon np-spectrum schema=1", "eigenvalue,degree_tag,matched_c,matched_family,target"]
     targets = []
     for n in range(2, args.nmax + 1):

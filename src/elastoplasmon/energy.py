@@ -30,7 +30,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .lame import _served_from_fields
-from .transmission import _column, _ok, _sides
+from .transmission import _column, _ok, _sector_j, _sides
 
 __all__ = [
     "EnergyReport", "dissipation_E", "column_energies", "solution_pairings",
@@ -112,8 +112,8 @@ def solution_pairings(rows: Sequence) -> list:
         sectors: dict = {}
         for sol in rows[i]:
             sol = _ok(sol)
-            for part in sol.sectors:  # by (toroidal, total angular momentum J: n, n - 1 or n + 1)
-                sectors.setdefault((part[0] == 1, sol.n + (0, -1, 1)[part[0] - 1]), []).append(part)
+            for part in sol.sectors:  # by (toroidal, total angular momentum J)
+                sectors.setdefault((part[0] == 1, _sector_j(sol.n, part[0])), []).append(part)
         parts, radii = list(sectors.values()), rows[i][0].radii if rows[i] else ()
         return (len(radii), tuple(tuple(part[0] for part in sector) for sector in parts)), radii, parts
 
@@ -153,7 +153,10 @@ def column_energies(lossy: Sequence[Sequence], media: Sequence, loss_free: Seque
 
 def dissipation_E(solutions: Sequence, medium) -> float:
     """Dissipation (delta/2) P(u, u) of an exact solve, by flux: a :func:`column_energies` row, its error raised."""
-    return _ok(column_energies([solutions], [medium], [])[0][0])
+    try:
+        return _ok(column_energies([solutions], [medium], [])[0][0])
+    finally:
+        solutions = None  # the row may hold the error raised, whose traceback holds this frame: a cycle
 
 
 __getattr__ = _served_from_fields(globals(), "functional_I functional_J")

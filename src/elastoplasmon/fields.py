@@ -43,7 +43,7 @@ from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
 from .scenarios import _dual_bound, _fixed_c_bound, _radial_bound, _radial_check, _row_solves
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _global_amplitude,
-                           _ok, _radial_profile, _region_blocks, _region_layout, _single_layers)
+                           _ok, _radial_profile, _region_blocks, _region_layout, _unit_layers)
 
 if TYPE_CHECKING:
     from .harmonics import SphereQuadrature
@@ -598,8 +598,11 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
 
 
 def _layer_fields(params: LameParams, n: int, K: np.ndarray, layers) -> list[list[ModeField]]:
-    """The fields of degree-n family-1 single layers [(sphere rho, density)] of member ``K``, each on (0, rho, inf)."""
-    prof, amps = _radial_profile(params, n, 1), _single_layers([(params, n, 1, *layer) for layer in layers])
+    """The fields of degree-n family-1 single layers [(sphere rho, density)] of member ``K``: rho density times the
+    unit layer (:func:`~elastoplasmon.transmission._unit_layers`), each on (0, rho, inf)."""
+    prof, (unit,) = _radial_profile(params, n, 1), _unit_layers([(params, n, 1)])
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
+        amps = np.array([float(rho) * density for rho, density in layers], dtype=complex)[:, None, None] * unit.amps
     return [_profile_fields([(prof, {n: K}, radii, _global_blocks(prof, radii, a))])
             for radii, a in zip([(0.0, rho, math.inf) for rho, _ in layers], amps)]
 

@@ -130,6 +130,11 @@ def _fixed_c_bound(rows, loss_free: list) -> list:
     return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
 
 
+def _at_constant(c: float, params: LameParams, n: int, fam: int) -> bool:
+    """Whether the multiplier c is the family's degree-n plasmon constant, to 1e-10 relative: the witnesses' match."""
+    return math.isclose(c, plasmon_constants(params, n).as_tuple()[fam - 1], rel_tol=1e-10)
+
+
 def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     """((n0, family, k), g, wave, cored) of the dominant source mode.
 
@@ -145,9 +150,9 @@ def _dual_mode(medium: LayeredMedium, source: SourceSpec) -> tuple:
     (n0, fam, k), gamma = max(source.coefficients.items(), key=lambda kv: abs(kv[1]))
     if cored and fam != 1:
         raise ValueError("core witness implemented for the family-1 schedule")
-    zet = plasmon_constants(params, n0).as_tuple()[fam - 1]
-    if not math.isclose(medium.c, zet, rel_tol=1e-10):
-        raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant {zet} at degree {n0}")
+    if not _at_constant(medium.c, params, n0, fam):
+        raise ValueError(f"multiplier {medium.c} does not match the family-{fam} constant "
+                         f"{plasmon_constants(params, n0).as_tuple()[fam - 1]} at degree {n0}")
     g = gamma.real if abs(gamma.real) >= abs(gamma.imag) else gamma.imag
     if g == 0:
         raise ValueError("dominant source coefficient vanishes on both branches")
@@ -192,7 +197,7 @@ def _dual_bound(rows, loss_free: list) -> list:
             if core:
                 a = med.core_radius
                 sigma = -(med.c - 1.0) / a * sum(s * (a / R) ** p for s, p in wave.inside)
-                d += 0.5 * _layer_energy(next(units).trace, mode[0], [(a, sigma)]) / delta
+                d += 0.5 * _layer_energy(float(next(units).traces[0, 0, 0]), mode[0], [(a, sigma)]) / delta
             tau = C0 / (2.0 * d)
             J = 0.5 * C0 * tau
             if not (math.isfinite(J) and math.isfinite(tau)):
@@ -220,7 +225,7 @@ def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
     for (n, _, k), gamma in sorted(source.coefficients.items()):
         if gamma == 0:
             continue
-        if math.isclose(medium.c, plasmon_constants(medium.base, n).zeta1, rel_tol=1e-10):
+        if _at_constant(medium.c, medium.base, n, 1):
             scheduled.append((n, k, gamma))
         else:
             off.add(n)
@@ -248,7 +253,7 @@ def _radial_bound(rows, loss_free: list) -> list:
             P_v = P_w = 0.0
             mine = []
             for n, k, gamma in scheduled:
-                unit = next(units).trace
+                unit = float(next(units).traces[0, 0, 0])  # its displacement inside, on degree n
                 T = q * gamma * unit * sum(s for s, _ in _wave_amplitudes(med.base, n, 1).inside)  # rho t of v on q
                 s_a, s_R = (med.c - 1.0) / a * (T * (a / q) ** n), -(med.c - 1.0) / R * (T * (R / q) ** n)
                 P_v += _layer_energy(unit, n, [(q, gamma)])
@@ -391,7 +396,7 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
         med, src, _ = media[i]
         return w.applies(med) and (w.name != "witness_radial_nonresonant" or (
             _outside_critical_radius(med, src)
-            and math.isclose(med.c, plasmon_constants(med.base, n_deltas[i]).zeta1, rel_tol=1e-10)))
+            and _at_constant(med.c, med.base, n_deltas[i], 1)))
 
     lossy, E, loss_free = _row_solves(media, lossy=True)
     found = []  # per witness, {row: its core's outcome} on the rows it is tried on

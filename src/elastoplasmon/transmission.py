@@ -42,11 +42,11 @@ medium (delta = 0) is solved only where the equilibrated 1-norm condition
 of each system of the source's families is at most 1e9, else
 :class:`ResonantSingularityError`, an ``ArithmeticError`` carrying the
 condition (:func:`sector_conditions` reads them).  The witnesses and the
-Neumann-Poincare spectrum read the single layer on a sphere
-(:func:`_single_layers`).  Kept once per process per (float lambda, float
-mu, n[, family]) key: the radial profiles, the sector checks with the
-perfect wave's unit data and the unit single layers with their traces,
-which the witness bounds read.  A :class:`SourceSpec` checks its modes
+Neumann-Poincare spectrum read the unit-sphere single layers, which
+:func:`_unit_layers` solves and keeps.  Kept once per process per (float
+lambda, float mu, n[, family]) key: the radial profiles, the sector checks
+with the perfect wave's unit data and the unit single layers with their
+traces.  A :class:`SourceSpec` checks its modes
 when it is built, so a solve reads only valid ones; a source sphere not
 outside the shell raises ``ValueError``.
 """
@@ -108,19 +108,19 @@ class LayeredMedium(NamedTuple("LayeredMedium", [("shell_radius", float), ("c", 
 
     _make = classmethod(lambda cls, values: cls(*values))  # _replace builds through __new__
 
-    def weight(self, r: float) -> complex:
-        """A(r) + i delta."""
-        a = self.c if (self.core_radius or 0.0) < r < self.shell_radius else 1.0
-        return a + 1j * self.delta
+
+def _sector_j(n: int, family: int) -> int:
+    """The total angular momentum J of the degree-n sector of a family: n, n - 1 or n + 1 for families 1, 2, 3."""
+    return n + (0, -1, 1)[family - 1]
 
 
 def _check_source_mode(n: int, family: int, k: int) -> None:
-    """ValueError unless the family is 1, 2 or 3, the degree n >= 2 and 1 <= k <= 2J + 1 (J = n, n - 1, n + 1)."""
+    """ValueError unless the family is 1, 2 or 3, the degree n >= 2 and 1 <= k <= 2J + 1 (:func:`_sector_j`)."""
     if family not in (1, 2, 3):
         raise ValueError(f"source mode family {family} is not 1, 2 or 3")
     if n < 2:
         raise ValueError(f"source mode degree {n} is below 2 (family {family}, k = {k})")
-    dim = 2 * (n, n - 1, n + 1)[family - 1] + 1
+    dim = 2 * _sector_j(n, family) + 1
     if not 1 <= k <= dim:
         raise ValueError(f"source mode index k = {k} outside 1..{dim} (family {family}, degree {n})")
 
@@ -212,7 +212,7 @@ def _outside_the_shell(shell_radius: float, q: float) -> None:
 
 def _region_layout(medium: LayeredMedium, q: float) -> tuple[list[float], list[complex]]:
     _outside_the_shell(medium.shell_radius, q)
-    loss = 1j * medium.delta  # each region's A + i delta, as LayeredMedium.weight forms it
+    loss = 1j * medium.delta  # each region's weight A + i delta: A is c in the shell and 1 elsewhere
     if medium.core_radius is None:  # shell c, then 1 out to q and beyond
         return [medium.shell_radius, q], [medium.c + loss, 1.0 + loss, 1.0 + loss]
     return [medium.core_radius, medium.shell_radius, q], [1.0 + loss, medium.c + loss, 1.0 + loss, 1.0 + loss]
@@ -330,7 +330,10 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
 def _ok(outcome):
     """A solve's outcome: raised if it is an error, else returned."""
     if isinstance(outcome, Exception):
-        raise outcome
+        try:
+            raise outcome
+        finally:
+            outcome = None  # else this frame, in the error's traceback, holds the error: a cycle
     return outcome
 
 
@@ -339,8 +342,11 @@ REFUSALS = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError
 
 
 def _kept(exc: Exception) -> Exception:
-    """An error as a row keeps it: a refusal drops its traceback, whose frames would hold the column in a cycle."""
-    return exc.with_traceback(None) if isinstance(exc, REFUSALS) else exc
+    """An error as a row keeps it: a refusal drops its traceback and the error it was raised in handling (a retried
+    stack's), whose frames would hold the column in a cycle."""
+    if isinstance(exc, REFUSALS):
+        exc.__traceback__ = exc.__context__ = None
+    return exc
 
 
 def _column(n: int, check, values, key=None) -> list:
@@ -625,18 +631,17 @@ def _solve_systems(systems: list) -> list:
 
 
 class _UnitLayer(NamedTuple):
-    """The single layer of a unit density on the unit sphere (:func:`_unit_layers`)."""
+    """The profile field continuous on the unit sphere whose traction jumps there by the degree-n shape, as its real
+    solve gave it (:func:`_unit_layers`); that of density sigma on the sphere rho is rho sigma times its amplitudes."""
 
-    profile: _RadialProfile
-    amps: np.ndarray  # (2, B) real: the region-local blocks inside and outside the sphere
-    trace: float  # its displacement on the density's own shape there
-    traction: np.ndarray  # (2, D) real: rho times its traction per degree there, inside, then outside
+    amps: np.ndarray  # (2, B): the region-local blocks inside and outside the sphere
+    traces: np.ndarray  # (2, 2, D): inside, then outside, its displacement and rho-times-traction scalars per degree
 
 
 def _unit_layers(keys) -> list[_UnitLayer]:
-    """The unit layers of (params, degree, family) keys, kept per key in ``_single_layers.cache``; those missing are
-    solved as one stack, and the first key whose profile or solve fails raises that error."""
-    cache = _single_layers.cache
+    """The unit layers of (params, degree, family) keys, kept per key in ``_unit_layers.cache``; those missing are
+    solved as one stack per profile shape, and the first key whose profile or solve fails raises that error."""
+    cache = _unit_layers.cache
     keys = [_key(*key) for key in keys]
     pending = {}  # per missing key its unit system, or the error of its profile
     for key in keys:
@@ -651,24 +656,12 @@ def _unit_layers(keys) -> list[_UnitLayer]:
     for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values()))):
         if isinstance(got, Exception):
             pending[key] = got
-        else:
-            amps = got[0].real  # the solve of a real system: its amplitudes and traces are real
-            cache[key] = _UnitLayer(system[2], amps, float(amps[0] @ system[2].disp[:, 0]), got[3][:, 1].real)
+        else:  # the solve of a real system: its amplitudes and traces are real
+            cache[key] = _UnitLayer(got[0].real, got[3].real)
     return [cache.get(key) or _ok(pending[key]) for key in keys]
 
 
-def _single_layers(items) -> np.ndarray:
-    """Single layers of (params, degree, family, sphere rho, density) items of one profile shape: (k, 2, B) amplitudes.
-
-    Item i is the profile field on the radii (0, rho, inf), continuous across rho, whose traction (outside minus
-    inside) jumps there by ``density`` times the degree-n shape: rho density times the unit layer
-    (:func:`_unit_layers`)."""
-    units = [layer.amps for layer in _unit_layers([item[:3] for item in items])]
-    with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
-        return np.array([float(rho) * density for *_, rho, density in items], dtype=complex)[:, None, None] * units
-
-
-_single_layers.cache = {}  # (float lambda, float mu, n, family) -> its _UnitLayer
+_unit_layers.cache = {}  # (float lambda, float mu, n, family) -> its _UnitLayer
 
 
 def sector_conditions(medium: LayeredMedium, n: int, q: float) -> dict[int, float]:

@@ -27,7 +27,8 @@ the average of its two one-sided traction scalars.  K* commutes with
 rotations and maps every sector shape to a multiple of itself (checked), so
 one layer per degree and family gives an eigenvalue; under (c+1)/(2(c-1))
 these eigenvalues are the plasmon constants.  A single layer's system has
-one sphere, so the spectrum is scale-free: the unit sphere's at every R.
+one sphere, so every sphere has the unit sphere's spectrum, which
+:func:`np_galerkin_spectrum` computes without a radius.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import _column, _global_amplitude, _ok, _radial_profile, _unit_layers, _wave_amplitudes
+from .transmission import _global_amplitude, _sector_j, _unit_layers, _wave_amplitudes
 
 __all__ = [
     "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
@@ -305,7 +306,7 @@ def np_eigenvalue_map(c: float) -> float:
     return (c + 1.0) / (2.0 * (c - 1.0))
 
 
-def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple[float, int]]:
+def np_galerkin_spectrum(params: LameParams, n_max: int) -> list[tuple[float, int]]:
     """Galerkin eigenvalues of K* on vector harmonics up to degree ``n_max``.
 
     K* commutes with rotations and maps each sector shape of
@@ -314,30 +315,24 @@ def np_galerkin_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple
     family's degree-n shape is the field of its radial profile that is
     continuous on the sphere with unit traction jump, and the multiple is
     half the sum of its two one-sided traction scalars on degree n.  The
-    layer's system has one sphere, so R drops out: every R gives the unit
-    sphere's spectrum, bit for bit.  A partner-degree part above 1e-11 of
+    layer's system has one sphere, whose radius drops out, so every sphere
+    has the unit sphere's spectrum.  A partner-degree part above 1e-11 of
     the largest scalar raises :class:`SectorCheckError`.  Each multiple is
-    emitted 2J + 1 times, once per member of its sector.  The layers of one
-    profile shape are one stacked solve; an error is raised for the first
-    (degree, family) that has one.  Returns (eigenvalue, degree n) pairs
-    sorted by eigenvalue.
+    emitted 2J + 1 times, once per member of its sector.  The layers are
+    one :func:`~elastoplasmon.transmission._unit_layers` call, which raises
+    for the first (degree, family) whose profile or solve fails.  Returns
+    (eigenvalue, degree n) pairs sorted by eigenvalue.
     """
-    modes = [(n, fam, J, _radial_profile(params, n, fam)) for n in range(1, n_max + 1)
-             for fam, J in ((1, n), (2, n - 1), (3, n + 1))]
-
-    def values(idx, states):  # the layers of one profile shape: one stacked solve, which traces both sides
-        return [layer.traction for layer in _unit_layers([(params, n, fam) for n, fam, _, _ in states])]
-
+    modes = [(n, fam) for n in range(1, n_max + 1) for fam in (1, 2, 3)]
     out = []
-    for (n, fam, J, _), got in zip(modes, _column(len(modes), modes.__getitem__, values,
-                                                   key=lambda mode: len(mode[3].degrees))):
-        inside, outside = _ok(got)
+    for (n, fam), layer in zip(modes, _unit_layers([(params, n, fam) for n, fam in modes])):
+        inside, outside = layer.traces[:, 1]  # rho times the traction per degree inside, then outside
         scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
         kstar = ((inside + outside) / 2.0).tolist()
         stray = max((abs(t) for t in kstar[1:]), default=0.0)
         if not stray <= 1e-11 * scale:
             raise SectorCheckError(f"K* of the degree-{n} family-{fam} shape leaves its sector "
                                    f"(partner part {stray / scale:.3e})")
-        out += [(kstar[0], n)] * (2 * J + 1)
+        out += [(kstar[0], n)] * (2 * _sector_j(n, fam) + 1)
     out.sort(key=lambda t: t[0])
     return out

@@ -56,9 +56,13 @@ traces at random interface points and project tractions on a sphere rule
 
 ``toroidal_single_layer`` is the family-1 single layer on a sphere in closed
 form, the route of the witnesses' core repair, interface repairs and incident
-wave that ``transmission._single_layers`` (unit-sphere sector solves,
-scaled) replaced.  ``unit_layer`` is the unit-sphere layer of one key solved
-alone, the value ``_single_layers`` keeps for it.  ``profile_pairings`` is
+wave that unit-sphere sector solves (``transmission._unit_layers``), scaled,
+replaced; ``single_layer`` is that scaled layer, as
+``fields._layer_fields`` forms it.  ``unit_layer`` is the unit-sphere layer
+of one key solved alone, the value ``_unit_layers`` keeps for it.
+``sphere_np_spectrum`` is K* with each layer solved on the sphere of radius
+R itself, the route ``waves.np_galerkin_spectrum`` left for the unit
+sphere's layers, which serve every radius.  ``profile_pairings`` is
 the array flux of unit-member fields, the route of the witness energies
 that the per-key unit data of ``transmission`` replaced;
 ``closed_unit_layer``, ``closed_wave_energy``, ``closed_dual_bound`` and
@@ -211,8 +215,10 @@ from elastoplasmon.transmission import (
     _ok,
     _radial_profile,
     _region_layout,
+    _sector_j,
     _solve_systems,
     _square_solve,
+    _unit_layers,
 )
 from elastoplasmon.waves import PerfectWave, _realify, _unvec, sector_kernels
 
@@ -1746,7 +1752,7 @@ def single_layer_field(G: np.ndarray, n: int, R: float, params: LameParams) -> t
 
 
 def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> list[tuple[float, float, dict]]:
-    """The family-1 single layer in closed form, the route ``transmission._single_layers`` replaced.
+    """The family-1 single layer in closed form, the route :func:`single_layer` replaced.
 
     K r^n inside and K r^(-n-1) outside the sphere rho: continuity
     a rho^n = b rho^(-n-1) and the traction jump (outside minus inside)
@@ -1754,20 +1760,40 @@ def toroidal_single_layer(n: int, rho: float, density: complex, mu: float) -> li
     a = -density / ((2n+1) rho^(n-1) mu), the radial witness's incident wave
     at density gamma, and b = a rho^(2n+1).  Both blocks' value on rho, their
     region-local amplitude, is then -density rho / ((2n+1) mu).  Annuli as
-    ``annuli`` reads a layer of ``_single_layers``.
+    ``annuli`` reads a layer of :func:`single_layer`.
     """
     a = -density * rho / ((2 * n + 1.0) * mu)
     return [(0.0, rho, {("entire", n): a}), (rho, math.inf, {("decay", n): a})]
 
 
+def single_layer(params: LameParams, n: int, fam: int, rho: float, density: complex) -> np.ndarray:
+    """The region-local amplitudes (2, B) of the layer of ``density`` on the sphere rho: rho density times the unit
+    layer's amplitudes (``transmission._unit_layers``), the product ``fields._layer_fields`` forms."""
+    (unit,) = _unit_layers([(params, n, fam)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.complex128(float(rho) * density) * unit.amps
+
+
 def unit_layer(params: LameParams, n: int, fam: int) -> _UnitLayer:
     """The unit-sphere single layer of one key solved alone, one system through ``transmission._solve_systems``:
-    (profile, real amplitudes (2, B), displacement on its own shape, traction per degree inside and outside), as
-    ``transmission._single_layers.cache`` keeps it."""
-    prof = _radial_profile(params, n, fam)
-    system = ([1.0], [1.0, 1.0], prof, f"degree-{n} family-{fam} single layer", math.inf)
+    (real amplitudes (2, B), real traces (2, 2, D)), as ``transmission._unit_layers.cache`` keeps it."""
+    system = ([1.0], [1.0, 1.0], _radial_profile(params, n, fam), f"degree-{n} family-{fam} single layer", math.inf)
     amps, _, _, traces = _ok(_solve_systems([system])[0])
-    return _UnitLayer(prof, amps.real, float(amps.real[0] @ prof.disp[:, 0]), traces[:, 1].real)
+    return _UnitLayer(amps.real, traces.real)
+
+
+def sphere_np_spectrum(R: float, params: LameParams, n_max: int) -> list[tuple[float, int]]:
+    """K* on the sphere of radius R as (eigenvalue, degree n) pairs sorted by eigenvalue, each sector shape's layer
+    solved on that sphere itself (one interface at R, right side -R): half the sum of its two one-sided rho times
+    traction scalars on degree n, over R, once per member of its sector."""
+    keys = [(n, fam) for n in range(1, n_max + 1) for fam in (1, 2, 3)]
+    systems = [([R], [1.0, 1.0], _radial_profile(params, n, fam), f"degree-{n} family-{fam} layer on R", math.inf)
+               for n, fam in keys]
+    out = []
+    for (n, fam), got in zip(keys, _solve_systems(systems)):
+        traces = _ok(got)[3].real
+        out += [(float((traces[0, 1, 0] + traces[1, 1, 0]) / 2.0 / R), n)] * (2 * _sector_j(n, fam) + 1)
+    return sorted(out, key=lambda t: t[0])
 
 
 def profile_stack(profs) -> tuple[list, np.ndarray, np.ndarray]:

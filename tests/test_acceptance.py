@@ -141,7 +141,7 @@ def test_criterion_04_np_cross_validation():
     # the mapped constants are found both in the spectrum of the sector
     # profiles and in the eigenvalues of the dense Kelvin single-layer
     # oracle, which assumes neither sectors nor profiles
-    spec = np_galerkin_spectrum(1.0, P11, 5)
+    spec = np_galerkin_spectrum(P11, 5)
     eigs = np.array([e for e, _ in spec])
     kelvin = np.real(np.linalg.eigvals(dense_np_matrix(1.0, P11, 5)[0]))
     worst = 0.0

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import math
 import os
@@ -40,6 +41,8 @@ BASE_CONFIG = {
     "n_max": 12,
     "quadrature_exactness": 20,
 }
+# a schedule sets its source degree from the loss, so its mode lists none
+SCHEDULED_CONFIG = dict(BASE_CONFIG, c_mode={"schedule": 1}, source_modes=[[None, 1, 1, 1.0, 0.0]])
 
 
 def parse_report(csv_path):
@@ -220,7 +223,7 @@ def test_sweep_deterministic_csv(config_file, tmp_path):
 
 def test_scheduled_sweep_leaves_numpy_random_unimported(tmp_path):
     # numpy.random adds about 6 MB of resident memory; a sweep has no use for it
-    cfg = dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}, delta_list=[1e-2, 1e-3, 1e-4, 1e-5])
+    cfg = dict(SCHEDULED_CONFIG, q=2.3, delta_list=[1e-2, 1e-3, 1e-4, 1e-5])
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(cfg))
     code = (
@@ -297,7 +300,7 @@ def test_solve_subcommand(config_file):
 
 def test_solve_deep_schedule(tmp_path):
     # the scheduled degree (14 at delta=1e-4, R=2) is beyond the config's n_max
-    cfg = dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1})
+    cfg = dict(SCHEDULED_CONFIG, q=3.6)
     path = tmp_path / "sched.json"
     path.write_text(json.dumps(cfg))
     r = run_cli("solve", "--config", str(path), "--delta", "1e-4")
@@ -316,7 +319,7 @@ def test_witness_subcommand_without_loss_free_bound(tmp_path):
     # q=2.3 at delta 1e-5 (degree 17): the loss-free system is singular, so
     # only the dual bound is printed
     path = tmp_path / "sched.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
+    path.write_text(json.dumps(dict(SCHEDULED_CONFIG, q=2.3)))
     r = run_cli("witness", "--config", str(path), "--delta", "1e-5")
     assert r.returncode == 0, r.stderr
     assert r.stdout.startswith("J_lower = ")
@@ -336,7 +339,7 @@ def test_witness_solves_one_loss_free_column(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(scenarios, "_solve_column", lambda items: columns.append(
         [(med.delta, n) for med, _, n in items]) or solve_column(items))
     fixed = dict(BASE_CONFIG, source_modes=[[3, 1, 1, 1.0, 0.0], [5, 1, 2, 0.6, 0.8]])
-    scheduled = dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1})
+    scheduled = dict(SCHEDULED_CONFIG, q=3.6)
     for cfg, want in ((fixed, [[(0.0, 3), (0.0, 5)]]), (scheduled, [[(0.0, schedule_n_delta(2.0, 1e-3))]])):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
@@ -348,7 +351,7 @@ def test_witness_solves_one_loss_free_column(tmp_path, monkeypatch, capsys):
 
 def test_np_spectrum_csv(tmp_path):
     csv = str(tmp_path / "np.csv")
-    r = run_cli("np-spectrum", "--R", "1", "--nmax", "4", "--csv", csv)
+    r = run_cli("np-spectrum", "--nmax", "4", "--csv", csv)
     assert r.returncode == 0
     lines = Path(csv).read_text().splitlines()
     assert lines[1] == "eigenvalue,degree_tag,matched_c,matched_family,target"
@@ -479,6 +482,7 @@ def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
     dict(BASE_CONFIG, source_modes=[[None, 1, 1, 1.0, 0.0]]),  # fixed runs need a degree
     # scheduled: degree 7 at delta=1e-2, R=2 has 15 family-1 kernels
     dict(BASE_CONFIG, c_mode={"schedule": 1}, source_modes=[[None, 1, 16, 1.0, 0.0]]),
+    dict(SCHEDULED_CONFIG, q=2.3, source_modes=[[7, 1, 3, 0.6, 0.8]]),  # a schedule sets the degree
     dict(BASE_CONFIG, n_max="12"),
 ])
 def test_invalid_source_modes_are_json_errors(tmp_path, config):
@@ -679,42 +683,52 @@ def test_radius_out_of_the_float_range_is_refused_by_name(argv, name):
 
 @pytest.mark.parametrize("nmax, R", [("8", "3e20"), ("64", "1e-4"), ("64", "3e-3")])
 def test_np_spectrum_rows_are_the_mapped_constants_at_a_far_radius(nmax, R):
-    # K* is read off the single layer solved once on the unit sphere, the
-    # same for every R, so a far radius is not an ill-conditioned system:
-    # exit 0, nothing on stderr, and every row tagged n >= 2 a family's
-    # np_eigenvalue_map(zeta) to 1e-12, once per member of its sector
+    # K* is read off the single layer solved once on the unit sphere, which
+    # serves every radius: np-spectrum exits 0 with nothing on stderr, its
+    # rows are those of the layers solved on the far sphere of radius R
+    # itself (oracles.sphere_np_spectrum: no ill-conditioned system there
+    # either), and every row tagged n >= 2 is a family's
+    # np_eigenvalue_map(zeta), once per member of its sector, each to 1e-12
     sys.path.insert(0, SRC)
     from elastoplasmon.lame import LameParams, plasmon_constants
     from elastoplasmon.waves import np_eigenvalue_map
+    from oracles import sphere_np_spectrum
 
-    out = run_cli("np-spectrum", "--nmax", nmax, "--R", R)
+    out = run_cli("np-spectrum", "--nmax", nmax)
     assert out.returncode == 0 and out.stderr == "", out.stderr
     rows: dict[int, list[float]] = {}
     for line in out.stdout.splitlines()[2:]:
         value, degree = line.split(",")[:2]
         rows.setdefault(int(degree), []).append(float(value))
-    for n in range(2, int(nmax) + 1):
-        want = sorted(np_eigenvalue_map(c) for c, J in zip(plasmon_constants(LameParams(1.0, 1.0), n).as_tuple(),
-                                                            (n, n - 1, n + 1)) for _ in range(2 * J + 1))
+    on_R: dict[int, list[float]] = {}
+    for value, degree in sphere_np_spectrum(float(R), LameParams(1.0, 1.0), int(nmax)):
+        on_R.setdefault(degree, []).append(value)
+    for n in range(1, int(nmax) + 1):
         got = sorted(rows[n])
-        assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (R, n)
+        assert len(got) == len(on_R[n]) and max(abs(g - w) for g, w in zip(got, sorted(on_R[n]))) <= 1e-12, (R, n)
+        if n >= 2:
+            want = sorted(np_eigenvalue_map(c) for c, J in zip(plasmon_constants(LameParams(1.0, 1.0), n).as_tuple(),
+                                                                (n, n - 1, n + 1)) for _ in range(2 * J + 1))
+            assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (R, n)
 
 
-def test_np_spectrum_is_scale_free(capsys):
-    # the single layer's system has one sphere, so the spectrum is that of
-    # the unit sphere for every radius: the same CSV bytes at R = 1e-300,
-    # 1e-5, 1 and 1e300 (before, 1e-300 and 1e300 were refused, a power of R
-    # out of the float range, and 1e-5 differed from 1 in its digits)
+def test_np_spectrum_takes_no_radius(monkeypatch, capsys):
+    # the single layer's system has one sphere, whose radius drops out, so
+    # every sphere has the unit sphere's spectrum (the oracle tests solve it
+    # on spheres of other radii) and neither np_galerkin_spectrum nor
+    # np-spectrum takes a radius: --R is refused before any run, exit 2 with
+    # one JSON line, at every value (before, it was validated and ignored)
     sys.path.insert(0, SRC)
     from elastoplasmon import cli
+    from elastoplasmon.waves import np_galerkin_spectrum
 
-    outputs = []
+    assert list(inspect.signature(np_galerkin_spectrum).parameters) == ["params", "n_max"]
+    _forbid_runs(monkeypatch)
     for R in ("1e-300", "1e-5", "1", "1e300"):
-        assert cli.main(["np-spectrum", "--nmax", "8", "--R", R]) == 0
+        assert cli.main(["np-spectrum", "--nmax", "8", "--R", R]) == 2
         out = capsys.readouterr()
-        assert out.err == "", (R, out.err)
-        outputs.append(out.out)
-    assert len(set(outputs)) == 1 and len(outputs[0].splitlines()) == 2 + sum(3 * (2 * n + 1) for n in range(1, 9))
+        error = f"elastoplasmon: unrecognized arguments: --R {R}"
+        assert not out.out and json.loads(out.err) == {"code": 2, "error": error}, R
 
 
 def test_failed_sector_checks_are_json_errors(capsys):
@@ -953,6 +967,27 @@ def test_a_source_mode_listed_twice_is_refused_before_any_run(tmp_path, monkeypa
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("degree", [7, 1, -3])
+def test_a_scheduled_mode_listing_a_degree_is_refused_before_any_run(degree, tmp_path, monkeypatch, capsys):
+    # a schedule builds its source at the degree the loss sets: a listed
+    # degree (even one the degree floor refuses) was read by no run, so
+    # each of these ran the same schedule as a null degree
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    mode = [degree, 1, 3, 0.6, 0.8]
+    cfg = dict(SCHEDULED_CONFIG, q=2.3, source_modes=[mode])
+    message = f"scheduled source mode {mode!r} lists degree {degree}: a schedule's degree must be null"
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(cfg))
+    _forbid_runs(monkeypatch)
+    for argv in (["sweep", "--csv", str(tmp_path / "x.csv")], ["solve"], ["witness"]):
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and json.loads(lines[0]) == {"code": 2, "error": message}
+    cli.validate_config(dict(cfg, source_modes=[[None, *mode[1:]]]))  # a null degree is accepted
+
+
 @pytest.mark.parametrize("change, build", [
     (dict(shell_radius=-1.0), lambda t, s: t.LayeredMedium(-1.0, -4.0, 1e-2, t.LameParams(1.0, 1.0), 1.0)),
     (dict(core_radius=2.0), lambda t, s: t.LayeredMedium(2.0, -4.0, 1e-2, t.LameParams(1.0, 1.0), 2.0)),
@@ -1054,7 +1089,7 @@ def test_scheduled_delta_argument_is_bounded(tmp_path, monkeypatch, capsys):
     from elastoplasmon import cli, commands, scenarios
 
     path = tmp_path / "sched.json"
-    path.write_text(json.dumps(dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1})))
+    path.write_text(json.dumps(dict(SCHEDULED_CONFIG, q=2.3)))
     monkeypatch.setattr(commands, "solve_modes", _no_run)
     monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=_no_run) if w.name == "witness_fixed_c"
                                                       else w for w in scenarios.WITNESSES))
@@ -1072,8 +1107,8 @@ def test_cold_scheduled_sweeps_build_no_sphere_rule(tmp_path):
     # sector basis is a null space).  Each
     # degree's ladders are stored stacked, so no np.stack of ladder matrices
     # (arrays sharing memory with a stored ladder) runs either.
-    configs = (dict(BASE_CONFIG, q=2.3, c_mode={"schedule": 1}), dict(BASE_CONFIG, q=3.6, c_mode={"schedule": 1}),
-               dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"schedule": 1}))
+    configs = (dict(SCHEDULED_CONFIG, q=2.3), dict(SCHEDULED_CONFIG, q=3.6),
+               dict(SCHEDULED_CONFIG, core_radius=None, q=2.6))
     argvs = []
     for i, cfg in enumerate(configs):
         path = tmp_path / f"sched{i}.json"
@@ -1582,7 +1617,7 @@ def test_one_norm_condition_brackets_the_spectral_one(tmp_path, monkeypatch, cap
         return solve(M, b, what, max_condition)
 
     monkeypatch.setattr(transmission, "_square_solve", recorded)
-    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
     workloads = _perfbench_module("workloads", monkeypatch)
     for seed in range(1, 8):
         for name, _, path in _gated_configs(workloads, seed, tmp_path):
@@ -1634,13 +1669,13 @@ def test_np_spectrum_solves_its_unit_layers_as_two_stacks(tmp_path, monkeypatch)
         csv = {}
         for route in ("stacked", "alone"):
             with monkeypatch.context() as m:
-                m.setattr(transmission._single_layers, "cache", {})
+                m.setattr(transmission._unit_layers, "cache", {})
                 stacks.clear()
                 if route == "alone":
                     for n in range(1, nmax + 1):
                         for fam in (1, 2, 3):
-                            transmission._single_layers.cache[(1.0, 1.0, n, fam)] = unit_layer(LameParams(1.0, 1.0),
-                                                                                              n, fam)
+                            transmission._unit_layers.cache[(1.0, 1.0, n, fam)] = unit_layer(LameParams(1.0, 1.0),
+                                                                                             n, fam)
                 path = tmp_path / f"{route}-{nmax}.csv"
                 assert cli.main(["np-spectrum", "--nmax", str(nmax), "--csv", str(path)]) == 0
                 csv[route] = path.read_bytes()

@@ -554,8 +554,9 @@ def test_array_flux_is_the_dict_flux(materials):
     # one column of rows and row by row; and on the witness fields, the
     # perfect waves and the single layers
     from elastoplasmon.energy import solution_pairings
-    from elastoplasmon.transmission import _single_layers, _wave_amplitudes
-    from oracles import annuli, dict_profile_pairing, dict_solution_pairing, profile_pairings, profile_stack
+    from elastoplasmon.transmission import _wave_amplitudes
+    from oracles import (annuli, dict_profile_pairing, dict_solution_pairing, profile_pairings, profile_stack,
+                         single_layer)
 
     rows = []
     for params in materials:
@@ -570,7 +571,7 @@ def test_array_flux_is_the_dict_flux(materials):
     for params in materials:
         for n, fam in ((2, 1), (9, 1), (4, 2), (12, 2), (3, 3), (12, 3)):
             prof, amps, *_ = _wave_amplitudes(params, n, fam)
-            layer = _single_layers([(params, n, fam, 0.8, 0.3j)])[0]
+            layer = single_layer(params, n, fam, 0.8, 0.3j)
             for radii, a in (((0.0, 1.5, math.inf), amps), ((0.0, 0.8, math.inf), layer)):
                 got = profile_pairings(profile_stack([prof]), [radii], a[None])[0]
                 assert got == dict_profile_pairing(prof, annuli(prof, radii, a)), (n, fam)

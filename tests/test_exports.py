@@ -126,7 +126,7 @@ def test_model_records_check_their_fields_as_their_dataclasses_did():
     # attribute assignment, and the field checks on construction and on
     # _replace, with the same messages
     from elastoplasmon.lame import LameParams
-    from elastoplasmon.transmission import LayeredMedium, SourceSpec
+    from elastoplasmon.transmission import LayeredMedium, SourceSpec, _region_layout
 
     params = LameParams(1.0, 2)
     medium = LayeredMedium(2.0, -4.0, 1e-2, params, core_radius=1.0)
@@ -148,7 +148,8 @@ def test_model_records_check_their_fields_as_their_dataclasses_did():
     assert hash(medium) == hash((2.0, -4.0, 1e-2, params, 1.0))
     with pytest.raises(TypeError):
         hash(source)
-    assert LameParams(lam=1.0, mu=2.0) == params and medium.weight(1.5) == -4.0 + 0.01j
+    assert LameParams(lam=1.0, mu=2.0) == params
+    assert _region_layout(medium, 3.0) == ([1.0, 2.0, 3.0], [1 + 0.01j, -4 + 0.01j, 1 + 0.01j, 1 + 0.01j])
     for lam, mu in ((1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0)):
         message = re.escape(f"(lambda, mu)=({lam}, {mu}) violates mu>0, 3*lambda+2*mu>0")
         for build in (lambda: LameParams(lam, mu), lambda: params._replace(lam=lam, mu=mu)):

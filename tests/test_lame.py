@@ -78,7 +78,7 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
     # kept value is a fresh evaluation at the float pair.  Integers beyond
     # 2^53 round otherwise in their own arithmetic, so they are read as the
     # float pair too.  A call that raises keeps nothing.  The unit single
-    # layers are kept per key too, in the store _single_layers fills
+    # layers are kept per key too, in the store of _unit_layers
     from elastoplasmon import lame, transmission
     from oracles import unit_layer
 
@@ -95,24 +95,24 @@ def test_closed_forms_are_kept_per_float_key(monkeypatch):
                 value = f(first, *args)
                 assert f(second, *args) is value and len(f.cache) == 1
                 assert plain_data(value) == plain_data(f.__wrapped__(floats, *args)), (f.__name__, first)
-            monkeypatch.setattr(transmission._single_layers, "cache", {})
-            transmission._single_layers([(first, 10, 2, 1.0, 1.0)])
-            (key, value), = transmission._single_layers.cache.items()
-            transmission._single_layers([(second, 10, 2, 1.0, 1.0)])
-            cache = transmission._single_layers.cache
+            monkeypatch.setattr(transmission._unit_layers, "cache", {})
+            transmission._unit_layers([(first, 10, 2)])
+            (key, value), = transmission._unit_layers.cache.items()
+            transmission._unit_layers([(second, 10, 2)])
+            cache = transmission._unit_layers.cache
             assert len(cache) == 1 and cache[key] is value and key == (floats.lam, floats.mu, 10, 2)
             assert plain_data(value) == plain_data(unit_layer(floats, 10, 2)), first
     # an item whose unit layer fails in its profile (family 1: traction
     # scalars beyond the float range; family 2: a vanishing denominator)
     # raises that error and keeps nothing; the others are kept
-    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
     huge = LameParams(1e308, 1e308)
     with pytest.raises(ArithmeticError, match=re.escape("the degree-4 family-1 radial profile of (lambda, mu) = "
                                                         "(1e+308, 1e+308) is out of the float range")):
-        transmission._single_layers([(LameParams(1, 1), 4, 1, 1.0, 1.0), (huge, 4, 1, 1.0, 1.0)])
+        transmission._unit_layers([(LameParams(1, 1), 4, 1), (huge, 4, 1)])
     with pytest.raises(ArithmeticError, match="denominator of k_n vanishes"):
-        transmission._single_layers([(huge, 5, 2, 1.0, 1.0), (LameParams(1, 1), 5, 2, 1.0, 1.0)])
-    assert list(transmission._single_layers.cache) == [(1.0, 1.0, 4, 1), (1.0, 1.0, 5, 2)]
+        transmission._unit_layers([(huge, 5, 2), (LameParams(1, 1), 5, 2)])
+    assert list(transmission._unit_layers.cache) == [(1.0, 1.0, 4, 1), (1.0, 1.0, 5, 2)]
     assert transmission._wave_amplitudes(LameParams(1, 1), 5, 3) is transmission._wave_amplitudes(
         LameParams(1.0, 1.0), 5, 3)
     monkeypatch.setattr(lame.plasmon_constants, "cache", {})

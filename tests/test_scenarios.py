@@ -101,11 +101,11 @@ def test_witness_fixed_c_constraint_and_jump(tables, quad):
     src = SourceSpec(q=3.0, coefficients={(2, 1, 1): 1.0, (3, 1, 2): 0.5})
     pieces, I_up, data = witness_fixed_c(med, src)
     gammas = {2: src.density_matrix(2, P11), 3: src.density_matrix(3, P11)}
-    for rho, is_src in ((1.0, False), (2.0, False), (3.0, True)):
+    bounds, weights = transmission._region_layout(med, src.q)  # each region's A + i delta
+    for rho, w_in, w_out in zip(bounds, [w.real for w in weights], [w.real for w in weights[1:]]):
+        is_src = rho == src.q
         inner = next(p for p in pieces if abs(p.r_hi - rho) < 1e-12)
         outer = next(p for p in pieces if abs(p.r_lo - rho) < 1e-12)
-        w_in = med.weight(rho - 1e-9).real
-        w_out = med.weight(rho + 1e-9).real
         t_in = traction_coeffs_algebraic(inner.terms, rho, P11)
         t_out = traction_coeffs_algebraic(outer.terms, rho, P11)
         for d in set(t_in) | set(t_out):

@@ -43,6 +43,7 @@ from oracles import (
     seeded_square_systems,
     square_solve_reference,
     toroidal_single_layer,
+    single_layer,
     unit_layer,
     volume_dissipation,
     window_solve,
@@ -292,21 +293,20 @@ def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
     # of its key alone; read again, every layer comes from the store
     calls = []
     solve = transmission._square_solve
-    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
     monkeypatch.setattr(transmission, "_square_solve", lambda M, *args: calls.append(len(M)) or solve(M, *args))
-    columns = ([(P11, n, 1, 1.7, 1.0) for n in range(7, 20)] + [(P11, 7, 1, 2.5, 0.5j)],
-               [(LameParams(2.0, 0.5), n, 3, 1.3, -1.0) for n in (2, 5, 8, 5)])
-    for items in columns:
-        transmission._single_layers(items)
+    columns = ([(P11, n, 1) for n in range(7, 20)] + [(P11, 7, 1)],
+               [(LameParams(2.0, 0.5), n, 3) for n in (2, 5, 8, 5)])
+    for keys in columns:
+        transmission._unit_layers(keys)
     assert calls == [13, 3]
-    alone = {key: unit_layer(LameParams(*key[:2]), *key[2:]) for key in transmission._single_layers.cache}
+    alone = {key: unit_layer(LameParams(*key[:2]), *key[2:]) for key in transmission._unit_layers.cache}
     assert len(alone) == 16
-    for key, (prof, amps, trace, traction) in transmission._single_layers.cache.items():
-        assert prof is alone[key][0] and amps.tobytes() == alone[key][1].tobytes() and trace == alone[key][2], key
-        assert traction.tobytes() == alone[key][3].tobytes(), key
+    for key, (amps, traces) in transmission._unit_layers.cache.items():
+        assert amps.tobytes() == alone[key].amps.tobytes() and traces.tobytes() == alone[key].traces.tobytes(), key
     calls.clear()
-    for items in columns:
-        transmission._single_layers(items)
+    for keys in columns:
+        transmission._unit_layers(keys)
     assert calls == []
 
 
@@ -763,22 +763,36 @@ def test_kept_errors_close_no_reference_cycle():
     # alive until the garbage collector runs.  The gated sweeps keep refused
     # loss-free systems (the schedules) and refused witnesses (the fixed
     # runs), and a column keeps an invalid item's refusal.  None leaves
-    # garbage, and each refusal keeps its message.  A defect, an error that
-    # is not a refusal, keeps its traceback
+    # garbage, and each refusal keeps its message.  Nor does a refusal
+    # raised to a library caller: a solve of degree 1 or of a source inside
+    # the shell, the dissipation of a row holding a refused solve, and that
+    # of a row whose flux leaves the float range (a stack retried row by
+    # row).  A defect, an error that is not a refusal, keeps its traceback
     import gc
 
     _gated_sweeps()  # the per-key data kept for the process
     medium = LayeredMedium(shell_radius=2.0, c=-3.9, delta=1e-3, base=P11, core_radius=1.0)
+    inside = SourceSpec(q=1.5, coefficients={(3, 1, 1): 1.0})
+    far = solve_modes(medium, SourceSpec(q=1e200, coefficients={(3, 1, 1): 1.0}))
+    outside = "source sphere q = 1.5 must lie outside the shell (radius 2.0)"
+    raised = [(lambda: solve_mode(medium, SourceSpec(3.0, {(3, 1, 1): 1.0}), 1), "solve_mode needs n >= 2"),
+              (lambda: solve_mode(medium, inside, 3), outside),
+              (lambda: dissipation_E(transmission._solve_column([(medium, inside, 3)]), medium), outside),
+              (lambda: dissipation_E(far, medium), "the flux through the sphere r = 1e+200 is nan, out of the float range")]
     gc.collect()
     gc.disable()
     try:
         results = [sweep(conf, deltas) for conf, deltas in GATED_SWEEPS]
-        refused, = transmission._solve_column([(medium, SourceSpec(q=1.5, coefficients={(3, 1, 1): 1.0}), 3)])
-        unreachable = gc.collect()
+        refused, = transmission._solve_column([(medium, inside, 3)])
+        unreachable = [gc.collect()]
+        for call, message in raised:
+            with pytest.raises((ValueError, ArithmeticError), match=re.escape(message)):
+                call()
+            unreachable.append(gc.collect())
     finally:
         gc.enable()
-    assert unreachable == 0
-    assert str(refused) == "source sphere q = 1.5 must lie outside the shell (radius 2.0)"
+    assert unreachable == [0] * 5
+    assert str(refused) == outside
     assert refused.__traceback__ is None
     defect, = transmission._column(1, lambda i: None + i, None)
     assert isinstance(defect, TypeError) and defect.__traceback__ is not None
@@ -796,20 +810,20 @@ def test_unit_data_per_key(params, monkeypatch):
     # times its trace, to 1e-14
     from oracles import closed_unit_layer, closed_wave_energy, profile_pairings, profile_stack
 
-    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
     degrees = range(2, 65)
     for n, layer in zip(degrees, transmission._unit_layers([(params, n, 1) for n in degrees])):
         trace, energy = closed_unit_layer(params, n)
-        assert abs(layer.trace - trace) <= 1e-15 * energy, n
+        assert abs(layer.traces[0, 0, 0] - trace) <= 1e-15 * energy, n
         wave = closed_wave_energy(params, n)
         assert abs(transmission._wave_amplitudes(params, n, 1).energy - wave) <= 1e-15 * wave, n
     rho, sigma = 0.8, 0.3 - 0.4j
     for fam in (1, 2, 3):
         for n in (2, 7, 27):
             layer, = transmission._unit_layers([(params, n, fam)])
-            got = profile_pairings(profile_stack([layer.profile]), [(0.0, rho, math.inf)],
-                                   transmission._single_layers([(params, n, fam, rho, sigma)]))[0]
-            want = -rho**3 * abs(sigma) ** 2 * layer.trace
+            got = profile_pairings(profile_stack([transmission._radial_profile(params, n, fam)]),
+                                   [(0.0, rho, math.inf)], single_layer(params, n, fam, rho, sigma)[None])[0]
+            want = -rho**3 * abs(sigma) ** 2 * layer.traces[0, 0, 0]
             assert abs(got - want) <= 1e-14 * abs(want), (fam, n)
 
 
@@ -862,7 +876,7 @@ def test_square_solve_is_the_reference_on_the_gated_sweeps(monkeypatch):
     # counts do not depend on the tests run before
     systems, calls = [], []
     lean = transmission._square_solve
-    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
 
     def recorded(M, b, what, max_condition):
         out = lean(M.copy(), b.copy(), what, max_condition)
@@ -904,7 +918,7 @@ def test_gated_systems_match_the_50_digit_solve(monkeypatch):
         systems.extend((M[i].copy(), b[i].copy(), what[i], max_condition[i], got) for i, got in enumerate(out))
         return out
 
-    monkeypatch.setattr(transmission._single_layers, "cache", {})
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
     monkeypatch.setattr(transmission, "_square_solve", recorded)
     _gated_sweeps()
     solved = 0
@@ -934,16 +948,14 @@ def test_single_layer_is_the_closed_form_and_the_direct_solve(params):
     density = 0.6 - 0.8j
     for n in (2, 7, 27, 64):
         for rho in (1e-3, 1.0, 2.0, 3.6, 1e3):
-            prof, (amps,) = transmission._radial_profile(params, n, 1), transmission._single_layers(
-                [(params, n, 1, rho, density)])
+            prof, amps = transmission._radial_profile(params, n, 1), single_layer(params, n, 1, rho, density)
             layer = annuli(prof, (0.0, rho, math.inf), amps)
             want = toroidal_single_layer(n, rho, density, params.mu)
             assert [(lo, hi, set(amps)) for lo, hi, amps in layer] == [(lo, hi, set(amps)) for lo, hi, amps in want]
             for (_, _, got), (_, _, ref) in zip(layer, want):
                 assert all(abs(got[b] - a) <= 1e-15 * abs(a) for b, a in ref.items()), (n, rho, got, ref)
             for fam in (2, 3):
-                prof, (amps,) = transmission._radial_profile(params, n, fam), transmission._single_layers(
-                    [(params, n, fam, rho, 1.0)])
+                prof, amps = transmission._radial_profile(params, n, fam), single_layer(params, n, fam, rho, 1.0)
                 layer = annuli(prof, (0.0, rho, math.inf), amps)
                 inside, outside = (dict_profile_trace(prof, amps, rho, lo, hi) for lo, hi, amps in layer)
                 for i, jump in ((0, {}), (1, {n: rho})):
@@ -967,7 +979,7 @@ def test_layer_field_refuses_a_radius_out_of_the_float_range():
     # a block of power p times rho^(-p), is refused by name where that value
     # overflows or falls below the normal range
     for rho, n in ((1e-300, 1), (1e300, 1), (1e-20, 20), (1e20, 20)):
-        prof, (layer,) = transmission._radial_profile(P11, n, 1), transmission._single_layers([(P11, n, 1, rho, 1.0)])
+        prof, layer = transmission._radial_profile(P11, n, 1), single_layer(P11, n, 1, rho, 1.0)
         assert np.isfinite(layer).all() and np.any(layer)
         with pytest.raises(ArithmeticError, match=re.escape(f"on the sphere r = {rho!r} is out of the float range")):
             fields._global_blocks(prof, (0.0, rho, math.inf), layer)
@@ -1123,8 +1135,8 @@ def test_cached_closed_forms_are_never_mutated():
         assert f.cache
         for (lam, mu, *args), value in f.cache.items():
             assert plain_data(value) == plain_data(f.__wrapped__(LameParams(lam, mu), *args)), (f.__name__, lam, mu, args)
-    assert transmission._single_layers.cache
-    for (lam, mu, *args), value in transmission._single_layers.cache.items():
+    assert transmission._unit_layers.cache
+    for (lam, mu, *args), value in transmission._unit_layers.cache.items():
         assert plain_data(value) == plain_data(unit_layer(LameParams(lam, mu), *args)), (lam, mu, args)
 
 

@@ -32,6 +32,7 @@ from oracles import (
     point_verify_perfect_wave,
     quadrature_np_matrix,
     single_layer_field,
+    sphere_np_spectrum,
     svd_sector_kernels,
 )
 
@@ -277,7 +278,7 @@ def test_single_layer_jump_relation(tables):
 
 @pytest.fixture(scope="module")
 def np_spectrum():
-    return np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 5)
+    return np_galerkin_spectrum(LameParams(1.0, 1.0), 5)
 
 
 def test_np_spectrum_contains_mapped_constants(np_spectrum, tables):
@@ -300,16 +301,10 @@ def test_np_spectrum_within_half(np_spectrum):
     assert np.all(rest > -0.5) and np.all(rest < 0.5)
 
 
-def test_np_spectrum_scale_invariance(tables):
-    params = LameParams(1.0, 1.0)
-    s1 = np.array([e for e, _ in np_galerkin_spectrum(1.0, params, 3)])
-    s2 = np.array([e for e, _ in np_galerkin_spectrum(2.0, params, 3)])
-    assert np.max(np.abs(np.sort(s1) - np.sort(s2))) < 1e-6
-
-
 @pytest.mark.parametrize("R, n_max", [(1.0, 5), (2.0, 4)])
 def test_np_spectrum_matches_quadrature_oracle(R, n_max, materials):
-    # coefficient traces against tractions projected on a sphere rule: the
+    # coefficient traces against tractions projected on a sphere rule on the
+    # sphere of radius R, which has the package's radius-free spectrum: the
     # same sorted eigenvalues, and each degree tag a degree on which the
     # oracle's eigenspace at that eigenvalue has weight.  The oracle's own
     # tags are no reference where two degrees share an eigenvalue: eig may
@@ -318,7 +313,7 @@ def test_np_spectrum_matches_quadrature_oracle(R, n_max, materials):
     # degree-1 monopole lies in that space)
     quad = build_quadrature(2 * n_max + 4)
     for params in materials:
-        spec = np_galerkin_spectrum(R, params, n_max)
+        spec = np_galerkin_spectrum(params, n_max)
         M, basis = quadrature_np_matrix(R, params, n_max, quad)
         ref_vals, ref_vecs = np.linalg.eig(M)
         ref_vals = np.real(ref_vals)
@@ -333,11 +328,12 @@ def test_np_spectrum_matches_quadrature_oracle(R, n_max, materials):
 
 @pytest.mark.parametrize("R", [1.0, 2.0])
 def test_np_spectrum_matches_dense_galerkin_oracle(R, materials):
-    # one single layer per sector shape against one per scalar density and a
-    # dense eig: the same sorted eigenvalues, with the same multiplicities
+    # one unit-sphere single layer per sector shape against one per scalar
+    # density on the sphere of radius R and a dense eig: the same sorted
+    # eigenvalues, with the same multiplicities, at every R
     for params in materials:
         for n_max in (2, 5, 8):
-            vals = np.array([e for e, _ in np_galerkin_spectrum(R, params, n_max)])
+            vals = np.array([e for e, _ in np_galerkin_spectrum(params, n_max)])
             M, basis = dense_np_matrix(R, params, n_max)
             ref = np.sort(np.real(np.linalg.eigvals(M)))
             assert len(vals) == len(basis)
@@ -350,16 +346,22 @@ def test_np_spectrum_matches_dense_galerkin_oracle(R, materials):
 @pytest.mark.parametrize("R", [0.3, 1.0, 3.0])
 def test_np_spectrum_rows_are_the_mapped_constants(R, materials):
     # the rows tagged with degree n are each family's np_eigenvalue_map(zeta)
-    # once per member of its sector, away from the truncation edge and at it
+    # once per member of its sector, away from the truncation edge and at it;
+    # and the layers solved on the sphere of radius R itself give the same
+    # rows (oracles.sphere_np_spectrum), each to 1e-12
     n_max = 12
     for params in materials:
-        spec = np_galerkin_spectrum(R, params, n_max)
+        spec = np_galerkin_spectrum(params, n_max)
         assert len(spec) == 3 * ((n_max + 1) ** 2 - 1)
+        on_R = sphere_np_spectrum(R, params, n_max)
         for n in range(2, n_max + 1):
             got = np.sort([e for e, d in spec if d == n])
             want = np.sort([np_eigenvalue_map(c) for fam, c in enumerate(plasmon_constants(params, n).as_tuple(), 1)
                             for _ in range(MULTIPLICITY[fam](n))])
             assert len(got) == len(want) and np.max(np.abs(got - want)) < 1e-12, (params, n)
+        for n in range(1, n_max + 1):
+            got, want = (np.sort([e for e, d in pairs if d == n]) for pairs in (spec, on_R))
+            assert len(got) == len(want) and np.max(np.abs(got - want)) <= 1e-12, (params, n)
 
 
 def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
@@ -383,9 +385,9 @@ def test_np_spectrum_rejects_a_shape_off_its_sector(monkeypatch):
             return prof._replace(scalars=seeded)
 
         monkeypatch.setattr(transmission, "_radial_profile", seeded)
-        monkeypatch.setattr(transmission._single_layers, "cache", {})
+        monkeypatch.setattr(transmission._unit_layers, "cache", {})
         with pytest.raises(AssertionError, match=f"family-{family} shape leaves its sector"):
-            np_galerkin_spectrum(1.0, LameParams(1.0, 1.0), 3)
+            np_galerkin_spectrum(LameParams(1.0, 1.0), 3)
 
 
 def _worst(rep):
