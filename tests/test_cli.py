@@ -712,6 +712,22 @@ def test_np_spectrum_rows_are_the_mapped_constants_at_a_far_radius(nmax, R):
             assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-12, (R, n)
 
 
+def test_np_spectrum_is_scale_free(capsys):
+    # the spectrum depends on the moduli through lambda / mu only: scaling
+    # both by a power of two, which every step carries exactly, gives the
+    # same CSV bytes, one row per member of each degree's three sectors
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    outputs = []
+    for s in (1.0, 2.0 ** -40, 2.0 ** 40):
+        assert cli.main(["np-spectrum", "--nmax", "8", f"--lambda={s!r}", f"--mu={s!r}"]) == 0
+        out = capsys.readouterr()
+        assert out.err == "", (s, out.err)
+        outputs.append(out.out)
+    assert len(set(outputs)) == 1 and len(outputs[0].splitlines()) == 2 + sum(3 * (2 * n + 1) for n in range(1, 9))
+
+
 def test_np_spectrum_takes_no_radius(monkeypatch, capsys):
     # the single layer's system has one sphere, whose radius drops out, so
     # every sphere has the unit sphere's spectrum (the oracle tests solve it

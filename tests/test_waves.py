@@ -301,6 +301,18 @@ def test_np_spectrum_within_half(np_spectrum):
     assert np.all(rest > -0.5) and np.all(rest < 0.5)
 
 
+def test_np_spectrum_scale_invariance(tables):
+    # the layers solved on spheres of radius 1 and 2 have one spectrum, and
+    # scaling both moduli leaves it as it is
+    params = LameParams(1.0, 1.0)
+    s = np.array([e for e, _ in np_galerkin_spectrum(params, 3)])
+    for R in (1.0, 2.0):
+        on_R = np.array([e for e, _ in sphere_np_spectrum(R, params, 3)])
+        assert np.max(np.abs(s - on_R)) < 1e-12, R
+    scaled = np.array([e for e, _ in np_galerkin_spectrum(LameParams(3.0, 3.0), 3)])
+    assert np.max(np.abs(s - scaled)) < 1e-12
+
+
 @pytest.mark.parametrize("R, n_max", [(1.0, 5), (2.0, 4)])
 def test_np_spectrum_matches_quadrature_oracle(R, n_max, materials):
     # coefficient traces against tractions projected on a sphere rule on the
