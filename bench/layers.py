@@ -240,32 +240,11 @@ def _systems(transmission, solve) -> list:
     return seen
 
 
-def _core_call(scenarios, w, rows, free):
-    """Witness ``w``'s core on ``rows`` with their loss-free input ``free`` (:func:`_loss_free`), solved in the call
-    where None.  A tree whose witness rows carry ``reads_loss_free`` takes them by keyword, its cores solving them
-    where not given."""
-    if hasattr(w, "reads_loss_free"):
-        return w.core(rows, **({"loss_free": free} if w.reads_loss_free and free is not None else {}))
-    return w.core(rows, scenarios._row_solves(rows, lossy=False)[-1] if free is None else free)
-
-
 def _loss_free(energy, rows, outcomes: list) -> list:
-    """The cores' loss-free input from per-row lists of loss-free outcomes, one per degree of the row's source: the
-    lists, or in a tree with ``energy.column_energies``, where a core reads a row's solves by degree and their
-    pairing (the sweep's one flux), each row's {degree: outcome} and pairing, paired here, outside the timing."""
-    if not hasattr(energy, "column_energies"):
-        return outcomes
+    """The cores' loss-free input from per-row lists of loss-free outcomes, one per degree of the row's source: each
+    row's {degree: outcome} and their pairing (the sweep's one flux), paired here, outside the timing."""
     return [(dict(zip(src.degrees(), sols)), p)
             for (_, src, _), sols, p in zip(rows, outcomes, energy.solution_pairings(outcomes))]
-
-
-def _replace(record, **changes):
-    """``record._replace(**changes)``, or ``dataclasses.replace`` in a tree whose medium is a dataclass."""
-    if hasattr(record, "_replace"):
-        return record._replace(**changes)
-    import dataclasses
-
-    return dataclasses.replace(record, **changes)
 
 
 def warm(repeats: int) -> dict:
@@ -284,7 +263,7 @@ def warm(repeats: int) -> dict:
     solves = {2: lambda n: transmission._solve_systems([([1.0], [1.0, 1.0], transmission._radial_profile(params, n, 1),
                                                          "single layer", math.inf)]),
               6: lambda n: solve_mode(cored, SourceSpec(3.0, {(n, 1, 1): 1.0}), n),
-              8: lambda n: solve_mode(_replace(cored, core_radius=None), SourceSpec(3.0, {(n, 2, 1): 1.0}), n),
+              8: lambda n: solve_mode(cored._replace(core_radius=None), SourceSpec(3.0, {(n, 2, 1): 1.0}), n),
               12: lambda n: solve_mode(cored, SourceSpec(3.0, {(n, 3, 1): 1.0}), n)}
     for m, solve in solves.items():
         systems = [system for n in range(7, 20) for system in _systems(transmission, lambda: solve(n))]
@@ -305,24 +284,24 @@ def warm(repeats: int) -> dict:
     zeta1 = plasmon_constants(params, 8).zeta1
     applies = {  # a (medium, source, loss) each witness applies to
         "witness_nocore": (LayeredMedium(2.0, zeta1, 1e-3, params), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
-        "witness_fixed_c": (_replace(cored, c=-4.0), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
+        "witness_fixed_c": (cored._replace(c=-4.0), SourceSpec(3.0, {(8, 1, 1): 1.0}), 1e-3),
         "witness_core_resonant": (*cli._configuration(configs["sched_q2.3"])(1e-3), 1e-3),
         "witness_radial_nonresonant": (*cli._configuration(configs["sched_q3.6"])(1e-3), 1e-3),
     }
-    solve_rows = getattr(scenarios, "_row_solves", None)  # absent where the cores solve their loss-free rows
     for w in scenarios.WITNESSES:
         if w.name in applies:
             # the fixed-multiplier bound is the loss-free field, timed with its solve; the other cores read no
             # loss-free solve on their rows (the radial row has no off-schedule degree)
             row = [applies[w.name]]
-            free = None if w.name == "witness_fixed_c" or solve_rows is None else solve_rows(row, lossy=False)[-1]
-            out[f"witness:{w.name}"] = _least_call_s(lambda: _core_call(scenarios, w, row, free), repeats)
+            free = None if w.name == "witness_fixed_c" else scenarios._row_solves(row, lossy=False)[-1]
+            out[f"witness:{w.name}"] = _least_call_s(
+                lambda: w.core(row, scenarios._row_solves(row, lossy=False)[-1] if free is None else free), repeats)
     # the 26-item column a sched_q2.3 sweep solves, its 13 lossy rows and their loss-free solves, and the energies
     # of that column, as the sweep forms them (one flux)
     conf = cli._configuration(configs["sched_q2.3"])
     rows = [(*conf(d), d) for d in configs["sched_q2.3"]["delta_list"]]
     items = ([(med, src, max(src.degrees())) for med, src, _ in rows]
-             + [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])
+             + [(med._replace(delta=0.0), src, max(src.degrees())) for med, src, _ in rows])
     out["column:solve"] = _least_call_s(lambda: transmission._solve_column(items), repeats)
     outcomes = [[sol] for sol in transmission._solve_column(items)]
     media = [med for med, _, _ in rows]
@@ -337,8 +316,8 @@ def warm(repeats: int) -> dict:
         rows = [(*conf(d), d) for d in cfg["delta_list"]]
         w = next(w for w in scenarios.WITNESSES if w.name == name)
         free = _loss_free(energy, rows, [[sol] for sol in transmission._solve_column(
-            [(_replace(med, delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
-        out[f"column:{name}"] = _least_call_s(lambda: _core_call(scenarios, w, rows, free), repeats)
+            [(med._replace(delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
+        out[f"column:{name}"] = _least_call_s(lambda: w.core(rows, free), repeats)
     for name, cfg in configs.items():
         # validate_config adds only top-level keys, so a shallow copy is a fresh document
         out[f"validate:{name}"] = _least_call_s(lambda: cli.validate_config(dict(cfg)), repeats)

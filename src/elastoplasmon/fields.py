@@ -463,6 +463,12 @@ def _strain_coeffs(terms: Iterable[Term]) -> list[tuple[int, int, np.ndarray, np
             for (d, p), g in gradient_groups(terms).items()]
 
 
+def _unit_terms(terms: tuple[Term, ...]) -> tuple[tuple[Term, ...], int]:
+    """(the terms times 2^-e, e), e the binary exponent of their largest coefficient (at least -1023: 2^-e a float)."""
+    e = max(math.frexp(max(float(np.max(np.abs(t.coef), initial=0.0)) for t in terms))[1], -1023)
+    return tuple(Term(t.coef * 2.0**-e, t.degree, t.power) for t in terms), e
+
+
 def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_hi: float,
               params: LameParams) -> complex:
     """P(u, v) = int [lambda (div u) conj(div v) + 2 mu sym grad u : conj(sym grad v)] over one annulus.
@@ -472,12 +478,17 @@ def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_h
     groups is a dot product of their divergence and symmetric-strain
     coefficients when the degrees are equal and zero otherwise.  Improper
     exterior integrals are legal only for decaying strain pairs and raise
-    otherwise.
+    otherwise.  Each side is taken at unit scale (:func:`_unit_terms`) and
+    its power of two is put back with ``math.ldexp``, so P(2^a u, 2^b v) =
+    2^(a+b) P(u, v) exactly and no product of two coefficients leaves the
+    float range at any scale of the field or the moduli.
     """
     same = u_terms is v_terms
     u_terms, v_terms = tuple(u_terms), tuple(v_terms)
     if not u_terms or not v_terms:
         return 0.0
+    u_terms, e = _unit_terms(u_terms)
+    v_terms, e_v = (u_terms, e) if same else _unit_terms(v_terms)
     su = _strain_coeffs(u_terms)
     sv = su if same else _strain_coeffs(v_terms)
     lam, mu = params.lam, params.mu
@@ -487,7 +498,7 @@ def pairing_P(u_terms: Iterable[Term], v_terms: Iterable[Term], r_lo: float, r_h
             if d2 == d:  # distinct degrees are orthogonal; their radial factor may diverge
                 ang = lam * np.vdot(dv, du) + 2.0 * mu * np.vdot(ev, eu)
                 total += ang * _radial_integral(p + p2 + 2, r_lo, r_hi)
-    return total
+    return complex(math.ldexp(total.real, e + e_v), math.ldexp(total.imag, e + e_v))
 
 
 def functional_I(v_pieces: Sequence[ModeField], w_pieces: Sequence[ModeField] | None, delta: float,

@@ -293,12 +293,21 @@ WITNESSES = (
 )
 
 
+def _check_sandwich(r: EnergyReport) -> None:
+    """``ArithmeticError`` naming the bound, E_delta and the loss where the row breaks its sandwich_break check."""
+    if broken := r.sandwich_break():
+        raise ArithmeticError(f"{broken} E_delta = {r.E_delta!r} at delta = {r.delta!r}: the variational "
+                              "sandwich J_lower <= E_delta <= I_upper breaks")
+
+
 def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
-    """Yield (witness, its core's scalars or ``ValueError`` or ``ArithmeticError``) per witness of :data:`WITNESSES`
-    that applies to the medium, on the row (medium, source, delta), whose loss-free solves are one column; another
-    error is raised."""
+    """(witness, its core's scalars or ``ValueError`` or ``ArithmeticError``) per witness of :data:`WITNESSES` that
+    applies to the medium, on the row (medium, source, delta), whose solves are one column; another error, a bound
+    that breaks the sandwich with the row's dissipation (:func:`_check_sandwich`) or, beside a bound, the
+    dissipation's error is raised."""
     rows = [(medium, source, delta)]
-    loss_free = _row_solves(rows, lossy=False)[2]
+    _, E, loss_free = _row_solves(rows, lossy=True)
+    found = []
     for w in WITNESSES:
         if w.applies(medium):
             got = w.core(rows, loss_free)[0]
@@ -307,7 +316,10 @@ def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
                     got = (got[0], _global_amplitude(got[1], medium.shell_radius, got[2][0]), *got[2:])
                 except ArithmeticError as exc:
                     got = exc
-            yield w, got if isinstance(got, (ValueError, ArithmeticError)) else _ok(got)
+            if not isinstance(got, (ValueError, ArithmeticError)):
+                _check_sandwich(EnergyReport(delta, _ok(E[0]), medium.c, **{w.bound: _ok(got)[0]}))
+            found.append((w, got))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +457,7 @@ def sweep(configuration: Callable[[float], tuple[LayeredMedium, SourceSpec]],
     for r in rows:
         if not 0.0 < r.E_delta < math.inf:
             raise ArithmeticError(f"E_delta = {r.E_delta!r} at delta = {r.delta!r} is not positive and finite: no fit")
-        if broken := r.sandwich_break():
-            raise ArithmeticError(f"{broken} E_delta = {r.E_delta!r} at delta = {r.delta!r}: the variational "
-                                  "sandwich J_lower <= E_delta <= I_upper breaks")
+        _check_sandwich(r)
     E = [r.E_delta for r in rows]
     slope = _fit_slope(deltas, E)
     monotone = all(E[i + 1] >= E[i] * 0.95 for i in range(len(E) - 1))

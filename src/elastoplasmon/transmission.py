@@ -53,7 +53,6 @@ outside the shell raises ``ValueError``.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import sys
 from functools import cached_property
@@ -226,51 +225,34 @@ def _norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
 
 
-def _one_norm_conditions(A: np.ndarray) -> np.ndarray:
-    """||A||_1 ||inv(A)||_1 per matrix (k, m, m) as ``np.linalg.cond(A, 1)`` forms it, bit for bit: one inverse (NaN
-    for an exactly singular LU), the reductions of ``norm(X, 1)``, a NaN read as inf unless the matrix holds one."""
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError:
-        inv = np.full_like(A, np.nan)
-        for i, a in enumerate(A):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                inv[i] = np.linalg.inv(a)
-    cond = np.add.reduce(np.abs(A), axis=1).max(axis=1, initial=0)
-    cond *= np.add.reduce(np.abs(inv), axis=1).max(axis=1, initial=0)
-    if np.isnan(cond).any():
-        cond[np.isnan(cond) & ~np.isnan(A).any(axis=(1, 2))] = math.inf
-    return cond
-
-
 @np.errstate(all="ignore")  # a non-finite entry or correction fails the backward-error gate
 def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: list[float]) -> list:
     """Solve a stack of square interface systems: per system (x, condition, backward error) or its error.
 
     ``M`` is (k, m, m) and ``b`` (k, m); ``what`` (the name in the messages)
-    and ``max_condition`` hold one entry per system.  Rows, then columns,
-    are scaled to a largest entry of 1; the condition number is the exact
-    1-norm one of the scaled matrix (inf for a singular LU), and above
-    ``max_condition`` the system is refused as singular
-    (:class:`ResonantSingularityError`, which carries the condition).  The
-    scaled system, its right side times the power of two that brings it to
-    unit size (exact, so the norms stay in range in any unit of the moduli),
-    is solved by LU and refined from residuals of the double system formed
-    in ``np.clongdouble``, at most 4 steps, until a correction falls below
-    eps |x| or no longer shrinks to half the previous one, which is then not
-    applied (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
-    ed., ch. 12).  What holds is the backward error: a normwise backward
-    error of the scaled system (its norm bounded by the largest row 2-norm)
-    not at most 1e-10 is :class:`UnconvergedSolveError`.  The forward error
-    can reach about condition x eps relative: the rounding of the entries
-    alone moves x that much.
+    and ``max_condition`` hold one entry per system.  Rows, then columns, are
+    scaled to a largest entry of 1; the condition number is
+    ``np.linalg.cond(A, 1)`` of the scaled matrix (inf for an exactly singular
+    LU or an inverse out of the float range), and above ``max_condition`` the
+    system is refused as singular (:class:`ResonantSingularityError`, which
+    carries the condition); one of condition inf under no cap is numpy's
+    ``LinAlgError``, led by its ``what``.  The scaled system, its right side
+    times the power of two that brings it to unit size (exact, so the norms
+    stay in range in any unit of the moduli), is solved by LU and refined from
+    residuals of the double system formed in ``np.clongdouble``, at most 4
+    steps, until a correction falls below eps |x| or no longer shrinks to half
+    the previous one, which is then not applied (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., ch. 12).  What holds is the
+    backward error: a normwise backward error of the scaled system (its norm
+    bounded by the largest row 2-norm) not at most 1e-10 is
+    :class:`UnconvergedSolveError`.  The forward error can reach about
+    condition x eps relative: the rounding of the entries alone moves x that
+    much.
 
-    The stack goes through one inverse for the condition
-    (:func:`_one_norm_conditions`) and per step one ``np.linalg.solve`` and
-    one :func:`_norms`; each operation acts on each
-    system alone, so each result is bit for bit the public-call solve of its
-    system alone.  An exactly singular LU (numpy's ``LinAlgError``, led by
-    the first system's ``what``) is raised for the whole stack.
+    The stack goes through one ``np.linalg.cond`` and, its regular systems,
+    per step one ``np.linalg.solve`` and one :func:`_norms`; each operation
+    acts on each system alone, so each result is bit for bit the public-call
+    solve of its system alone.
     """
     rows = np.abs(M).max(axis=2)
     rows[rows == 0] = 1.0
@@ -278,46 +260,44 @@ def _square_solve(M: np.ndarray, b: np.ndarray, what: list[str], max_condition: 
     cols = np.abs(A).max(axis=1)
     cols[cols == 0] = 1.0
     A /= cols[:, None, :]
-    cond = _one_norm_conditions(A).tolist()
-    out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c)
-                 if c > cap else None for w, c, cap in zip(what, cond, max_condition)]
+    cond = np.linalg.cond(A, 1).tolist()
+    out: list = [ResonantSingularityError(f"loss-free {w} singular (condition {c:.3e})", condition=c) if c > cap
+                 else np.linalg.LinAlgError(f"{w}: Singular matrix") if c == math.inf else None
+                 for w, c, cap in zip(what, cond, max_condition)]
     live = [i for i, got in enumerate(out) if got is None]
     if not live:
         return out
     k = len(live)
     if k < len(out):
         M, b, A, rows, cols = (a[live] for a in (M, b, A, rows, cols))
-    try:
-        rhs = b / rows
-        scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
-        rhs *= scale
-        M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble) * scale
+    rhs = b / rows
+    scale = np.ldexp(1.0, -np.frexp(np.abs(rhs).max(axis=1))[1])[:, None]
+    rhs *= scale
+    M_ext, b_ext = M.astype(np.clongdouble), b.astype(np.clongdouble) * scale
 
-        def residual(x):  # of the double system, formed in extended precision, rows scaled
-            return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
+    def residual(x):  # of the double system, formed in extended precision, rows scaled
+        return (b_ext - (M_ext @ x[:, :, None])[:, :, 0]).astype(complex) / rows
 
-        x = np.linalg.solve(A, rhs[..., None])[..., 0] / cols
-        last, refining = [math.inf] * k, range(k)
-        for _ in range(4):
-            dx = np.linalg.solve(A, residual(x)[..., None])[..., 0] / cols
-            ahead = x + dx
-            norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
-            take = [j for j in refining if not norms[j] > 0.5 * last[j]]
-            if not take:
-                break
-            if len(take) == k:  # every system steps: the corrected stack is the next
-                x = ahead
-            else:
-                x[take] = ahead[take]
-            for j in take:
-                last[j] = norms[j]
-            refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
-            if not refining:
-                break
-        resid = _norms(residual(x)).tolist()
-        sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"{what[0]}: {exc}") from None
+    x = np.linalg.solve(A, rhs[..., None])[..., 0] / cols
+    last, refining = [math.inf] * k, range(k)
+    for _ in range(4):
+        dx = np.linalg.solve(A, residual(x)[..., None])[..., 0] / cols
+        ahead = x + dx
+        norms = _norms(np.concatenate((dx, ahead))).tolist()  # |dx|, then |x + dx|
+        take = [j for j in refining if not norms[j] > 0.5 * last[j]]
+        if not take:
+            break
+        if len(take) == k:  # every system steps: the corrected stack is the next
+            x = ahead
+        else:
+            x[take] = ahead[take]
+        for j in take:
+            last[j] = norms[j]
+        refining = [j for j in take if not norms[j] <= 2.0**-52 * norms[k + j]]  # eps
+        if not refining:
+            break
+    resid = _norms(residual(x)).tolist()
+    sizes = _norms(np.concatenate((x * cols, rhs)))  # |x cols|, then |rhs|
     den = (_norms(A).max(axis=1) * sizes[:k] + sizes[k:]).tolist()
     x /= scale
     for j, i in enumerate(live):
@@ -354,10 +334,10 @@ def _column(n: int, check, values, key=None) -> list:
 
     ``check(i)`` returns row i's state or raises; the rows that pass are one
     stack per ``key(state)``, ``values(idx, states)`` giving one value (or
-    error) per row.  Where a stack raises an ``ArithmeticError`` or
-    ``LinAlgError``, its rows go one at a time, so only the row that raises
-    gets the error (a system singular alone in :func:`_solve_systems`); an
-    error is :func:`_kept`."""
+    error) per row.  Where a stack raises an ``ArithmeticError`` (a flux out
+    of the float range in :mod:`~elastoplasmon.energy`), its rows go one at a
+    time, so only the row that raises gets the error; an error is
+    :func:`_kept`."""
     out: list = []
     for i in range(n):
         try:
@@ -372,12 +352,12 @@ def _column(n: int, check, values, key=None) -> list:
         states = [out[i] for i in idx]
         try:
             got = values(idx, states)
-        except (ArithmeticError, np.linalg.LinAlgError):
+        except ArithmeticError:
             got = []
             for i, state in zip(idx, states):
                 try:
                     got += values([i], [state])
-                except (ArithmeticError, np.linalg.LinAlgError) as exc:
+                except ArithmeticError as exc:
                     got.append(_kept(exc))
         for i, value in zip(idx, got):
             out[i] = value
@@ -684,17 +664,14 @@ def _solve_column(items) -> list:
     """
     systems: list = []
     index: dict = {}  # per (medium, q, n, family) the index of its system in ``systems``
-    layouts: dict = {}  # per (medium, q): its bounds, weights, singularity cap and region radii
     parts = []
     for medium, source, n in items:
         params, at, slots, error, radii = medium.base, (medium, source.q), [], None, None
         try:
             if n < 2:
                 raise ValueError("solve_mode needs n >= 2")
-            if at not in layouts:
-                bounds, weights = _region_layout(*at)
-                layouts[at] = (bounds, weights, 1e9 if medium.delta == 0.0 else math.inf, (0.0, *bounds, math.inf))
-            bounds, weights, cap, radii = layouts[at]
+            bounds, weights = _region_layout(*at)
+            cap, radii = 1e9 if medium.delta == 0.0 else math.inf, (0.0, *bounds, math.inf)
             for fam, gam in sorted((source.family_gammas(n) or {1: {}}).items()):
                 # a family with a density passes its sector's kernel check, which keeps the profile
                 prof = _wave_amplitudes(params, n, fam).profile if gam else _radial_profile(params, n, fam)

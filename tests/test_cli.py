@@ -328,9 +328,10 @@ def test_witness_subcommand_without_loss_free_bound(tmp_path):
 
 def test_witness_solves_one_loss_free_column(tmp_path, monkeypatch, capsys):
     # the witness command solves its row's loss-free column once, for both
-    # primal witnesses, and no empty column: one column of the two degrees
-    # on the cored fixed c = -4 config with family-1 sources at degrees 3
-    # and 5, and one of the scheduled degree on the q = 3.6 schedule
+    # primal witnesses, in one column with the lossy solves its bounds are
+    # checked against: the two degrees lossy, then loss-free, on the cored
+    # fixed c = -4 config with family-1 sources at degrees 3 and 5, and the
+    # scheduled degree on the q = 3.6 schedule
     from elastoplasmon import cli, scenarios
     from elastoplasmon.scenarios import schedule_n_delta
 
@@ -340,7 +341,8 @@ def test_witness_solves_one_loss_free_column(tmp_path, monkeypatch, capsys):
         [(med.delta, n) for med, _, n in items]) or solve_column(items))
     fixed = dict(BASE_CONFIG, source_modes=[[3, 1, 1, 1.0, 0.0], [5, 1, 2, 0.6, 0.8]])
     scheduled = dict(SCHEDULED_CONFIG, q=3.6)
-    for cfg, want in ((fixed, [[(0.0, 3), (0.0, 5)]]), (scheduled, [[(0.0, schedule_n_delta(2.0, 1e-3))]])):
+    n = schedule_n_delta(2.0, 1e-3)
+    for cfg, want in ((fixed, [[(1e-3, 3), (1e-3, 5), (0.0, 3), (0.0, 5)]]), (scheduled, [[(1e-3, n), (0.0, n)]])):
         path = tmp_path / "run.json"
         path.write_text(json.dumps(cfg))
         columns.clear()
@@ -470,6 +472,32 @@ def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
     assert error["code"] == 2 and error["error"].startswith("I_upper = ")
     assert "below E_delta = " in error["error"] and "at delta = 0.01: the variational sandwich" in error["error"]
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_witness_refuses_a_broken_sandwich(tmp_path, capsys):
+    # a core-free family-3 row near its plasmon constant at delta = 1e-14:
+    # its dual bound J_lower is about 4e6 times the dissipation E_delta the
+    # solve command prints, so the witness command prints no bound and
+    # exits 2 with the sweep's sandwich message in one JSON line; at delta =
+    # 1e-3 the bound holds and is printed
+    sys.path.insert(0, SRC)
+    from elastoplasmon import cli
+
+    path = tmp_path / "nocore.json"
+    path.write_text(json.dumps(dict(BASE_CONFIG, core_radius=None, q=2.6, c_mode={"fixed": -0.657894736875},
+                                    source_modes=[[3, 3, 1, 1.0, 0.0]])))
+    assert cli.main(["solve", "--config", str(path), "--delta", "1e-14"]) == 0
+    E_delta = capsys.readouterr().out.split("E_delta = ")[1].split()[0]
+    assert cli.main(["witness", "--config", str(path), "--delta", "1e-14"]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1, (out, err)
+    error = json.loads(lines[0])["error"]
+    assert error.startswith("J_lower = ") and error.endswith(
+        f" above E_delta = {float(E_delta)!r} at delta = 1e-14: the variational sandwich J_lower <= E_delta <= "
+        "I_upper breaks"), error
+    assert cli.main(["witness", "--config", str(path), "--delta", "1e-3"]) == 0
+    assert capsys.readouterr().out.startswith("J_lower = ")
 
 
 @pytest.mark.parametrize("config", [

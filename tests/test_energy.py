@@ -479,6 +479,30 @@ def test_flux_dissipation_against_50_digit_solve(core):
     print(" ".join(f"f{f} n={n}: flux {a:.1e} volume {b:.1e}" for (f, n), (a, b) in errors.items()))
 
 
+def test_volume_pairing_keeps_its_digits_at_any_scale():
+    # the volume pairing takes each side at unit scale: on the cored q = 3.6
+    # schedule at delta = 1e-6 (n = 20) the volume dissipation is the flux
+    # one to 1e-12 at (lambda, mu) = (1, 1), (1, 1e150) and (1e-150,
+    # 1e-150), where the squared coefficients left the float range (-7.8e-4
+    # and NaN before), and P(2^a u, 2^b v) is 2^(a+b) P(u, v) bit for bit
+    from elastoplasmon.scenarios import scheduled_configuration
+    from oracles import volume_dissipation
+
+    solved = {}
+    for lam, mu in ((1.0, 1.0), (1.0, 1e150), (1e-150, 1e-150)):
+        med, src = scheduled_configuration(LameParams(lam, mu), 2.0, 3.6, core_radius=1.0)(1e-6)
+        solved[lam, mu] = sols = solve_modes(med, src)
+        E = dissipation_E(sols, med)
+        assert abs(volume_dissipation(sols, med) - E) <= 1e-12 * E, (lam, mu)
+    for reg in solved[1.0, 1.0][0].regions:
+        for a, b in ((600, -700), (-900, 40)):
+            u = [Term(t.coef * 2.0**a, t.degree, t.power) for t in reg.terms]
+            v = [Term(t.coef * 2.0**b, t.degree, t.power) for t in reg.terms]
+            want = pairing_P(reg.terms, reg.terms, reg.r_lo, reg.r_hi, LameParams(1.0, 1.0))
+            got = pairing_P(u, v, reg.r_lo, reg.r_hi, LameParams(1.0, 1.0))
+            assert got == complex(math.ldexp(want.real, a + b), math.ldexp(want.imag, a + b)), (reg.r_lo, a, b)
+
+
 @pytest.mark.parametrize("core", [None, 0.75])
 def test_family2_degree2_dissipation_against_50_digits(core):
     # family 2 at n = 2 pairs degree 2 with the degree-0 shape, whose
