@@ -38,13 +38,15 @@ disturbed run of each, as the host's other load only adds time and pages):
   family-1 unit single layer, a cored family-1, a core-free family-2 and a
   cored family-3 system, at degrees 7, 8, ..., as the solves hand them to
   it), ``solve_mode`` per family, ``dissipation_E``, each
-  ``scenarios.WITNESSES`` core on one row, the solve of the 26-item column
-  of a 13-row schedule sweep (``column:solve``: its lossy and loss-free
-  items, ``transmission._solve_column``), that column's energies as the
-  sweep forms them (``column:energies``: ``energy.column_energies``) and
-  each core on a 13-row schedule column (``column:<witness>``; the
-  loss-free input a core reads is formed outside the timing,
-  :func:`_loss_free`), and per gated configuration its check
+  ``scenarios.WITNESSES`` core on one row (``witness:<witness>``), the
+  solve of the 26-item column of a 13-row schedule sweep (``column:solve``:
+  its lossy and loss-free items, ``transmission._solve_column``), that
+  column's energies as the sweep forms them (``column:energies``:
+  ``energy.column_energies``) and the 13-row pass of each core over a
+  schedule column (``column:<witness>``: ``scenarios._witness_pass``, or a
+  tree's core that takes the column itself; the loss-free input a core
+  reads is formed outside the timing, :func:`_loss_free`), and per gated
+  configuration its check
   ``cli.validate_config`` on a fresh copy of the document
   (``validate:*``), ``sweep`` and the whole command through ``cli.main``
   (``main:sweep:*``: the config read and checked, the argument parse, the
@@ -288,14 +290,18 @@ def warm(repeats: int) -> dict:
         "witness_core_resonant": (*cli._configuration(configs["sched_q2.3"])(1e-3), 1e-3),
         "witness_radial_nonresonant": (*cli._configuration(configs["sched_q3.6"])(1e-3), 1e-3),
     }
+    per_row = hasattr(scenarios, "_witness_pass")  # a core takes one row, else the column of rows
     for w in scenarios.WITNESSES:
         if w.name in applies:
             # the fixed-multiplier bound is the loss-free field, timed with its solve; the other cores read no
             # loss-free solve on their rows (the radial row has no off-schedule degree)
-            row = [applies[w.name]]
-            free = None if w.name == "witness_fixed_c" else scenarios._row_solves(row, lossy=False)[-1]
-            out[f"witness:{w.name}"] = _least_call_s(
-                lambda: w.core(row, scenarios._row_solves(row, lossy=False)[-1] if free is None else free), repeats)
+            row = applies[w.name]
+            free = None if w.name == "witness_fixed_c" else scenarios._row_solves([row], lossy=False)[-1]
+
+            def one_row():
+                loss_free = scenarios._row_solves([row], lossy=False)[-1] if free is None else free
+                return w.core(row, loss_free[0]) if per_row else w.core([row], loss_free)
+            out[f"witness:{w.name}"] = _least_call_s(one_row, repeats)
     # the 26-item column a sched_q2.3 sweep solves, its 13 lossy rows and their loss-free solves, and the energies
     # of that column, as the sweep forms them (one flux)
     conf = cli._configuration(configs["sched_q2.3"])
@@ -317,7 +323,9 @@ def warm(repeats: int) -> dict:
         w = next(w for w in scenarios.WITNESSES if w.name == name)
         free = _loss_free(energy, rows, [[sol] for sol in transmission._solve_column(
             [(med._replace(delta=0.0), src, max(src.degrees())) for med, src, _ in rows])])
-        out[f"column:{name}"] = _least_call_s(lambda: w.core(rows, free), repeats)
+        column = ((lambda: scenarios._witness_pass(rows, free, lambda v, _: v is w)) if per_row
+                  else lambda: w.core(rows, free))
+        out[f"column:{name}"] = _least_call_s(column, repeats)
     for name, cfg in configs.items():
         # validate_config adds only top-level keys, so a shallow copy is a fresh document
         out[f"validate:{name}"] = _least_call_s(lambda: cli.validate_config(dict(cfg)), repeats)

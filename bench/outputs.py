@@ -8,14 +8,16 @@ configuration six outputs are hashed:
 
 * ``sweep``: the exit code, stdout, stderr and CSV bytes of the command;
 * ``meta``, ``rows`` and ``exponent``: the ``SweepResult`` of
-  ``scenarios.sweep`` on the configuration;
+  ``scenarios.sweep`` on the configuration, or, where the sweep refuses, the
+  type and text of its error under ``refused``;
 * ``solve`` and ``witness``: the exit code, stdout and stderr of the command
   at the first listed loss, at the deepest one and at ``--delta 1e-6``.
 
-Then six more commands: ``np-spectrum --nmax 64``, ``np-spectrum --nmax 20
---lambda 2 --mu 0.5``, ``waves-check --n 3 --R 1.3``, ``constants --n 5``,
-``kernels --n 4`` and the refused ``np-spectrum --nmax 1``.  At the default
-seeds 1-5 that is 126 outputs.
+Three configurations whose runs refuse (:data:`REFUSED`) are written beside
+them and hashed the same way, once.  Then six more commands: ``np-spectrum
+--nmax 64``, ``np-spectrum --nmax 20 --lambda 2 --mu 0.5``, ``waves-check
+--n 3 --R 1.3``, ``constants --n 5``, ``kernels --n 4`` and the refused
+``np-spectrum --nmax 1``.  At the default seeds 1-5 that is 138 outputs.
 
 Each tree runs every command in one fresh process, through ``cli.main``,
 with ``PYTHONPATH=<tree>/src`` and one BLAS thread; the configurations are
@@ -39,6 +41,22 @@ from pathlib import Path
 
 from layers import GATED_WORKLOADS, ROOT, _env, _workloads
 
+FIXED_DELTAS = [1e-2, 1e-3, 1e-4, 1e-5]
+# configurations on the refusal paths: a cored fixed-multiplier row whose flux leaves the float range (q = 1e200),
+# the q = 2.3 cored schedule whose dual bound J overflows (gamma = 1e200), and a core-free family-3 row 1e-10 off
+# its plasmon constant, whose dual bound breaks the sandwich at the smallest losses
+REFUSED = {
+    "far_source": {"schema": 1, "lambda": 1.0, "mu": 1.0, "core_radius": 1.0, "shell_radius": 2.0, "q": 1e200,
+                   "n_max": 12, "c_mode": {"fixed": -4.0}, "source_modes": [[3, 1, 1, 1.0, 0.0]],
+                   "delta_list": FIXED_DELTAS},
+    "sched_q2.3_gamma1e200": {"schema": 1, "lambda": 1.0, "mu": 1.0, "core_radius": 1.0, "shell_radius": 2.0,
+                              "q": 2.3, "n_max": 12, "c_mode": {"schedule": 1},
+                              "source_modes": [[None, 1, 1, 1e200, 0.0]],
+                              "delta_list": [10.0 ** (-(4 + i) / 2) for i in range(13)]},
+    "detuned_nocore": {"schema": 1, "lambda": 1.0, "mu": 1.0, "shell_radius": 2.0, "q": 2.6, "n_max": 12,
+                       "c_mode": {"fixed": -0.657894736875}, "source_modes": [[3, 3, 1, 1.0, 0.0]],
+                       "delta_list": [1e-12, 1e-13, 1e-14, 1e-15]},
+}
 EXTRA = {
     "np-spectrum:64": ["np-spectrum", "--nmax", "64"],
     "np-spectrum:20:lambda2:mu0.5": ["np-spectrum", "--nmax", "20", "--lambda", "2", "--mu", "0.5"],
@@ -49,6 +67,15 @@ EXTRA = {
 }
 
 
+def _config_jobs(label: str, path: str, cfg: dict) -> list[dict]:
+    """The six outputs of one configuration, written at ``path``."""
+    losses = [[], ["--delta", repr(cfg["delta_list"][-1])], ["--delta", "1e-6"]]
+    return [{"label": f"{label}:sweep", "argvs": [["sweep", "--config", path, "--csv", "{csv}"]]},
+            {"label": label, "sweep": path},
+            *({"label": f"{label}:{cmd}", "argvs": [[cmd, "--config", path, *loss] for loss in losses]}
+              for cmd in ("solve", "witness"))]
+
+
 def jobs(seeds: list[int], work: Path) -> list[dict]:
     """The outputs to hash, in order, their configurations written under ``work``."""
     workloads = _workloads()
@@ -57,12 +84,11 @@ def jobs(seeds: list[int], work: Path) -> list[dict]:
         for name in GATED_WORKLOADS:
             plan = workloads.make_plan(name, seed, work / f"{name}-{seed}")
             for ref, cfg in plan.configs.items():
-                path, label = str(work / f"{name}-{seed}" / f"{ref}.json"), f"{ref}@{seed}"
-                losses = [[], ["--delta", repr(cfg["delta_list"][-1])], ["--delta", "1e-6"]]
-                out += [{"label": f"{label}:sweep", "argvs": [["sweep", "--config", path, "--csv", "{csv}"]]},
-                        {"label": label, "sweep": path},
-                        *({"label": f"{label}:{cmd}", "argvs": [[cmd, "--config", path, *loss] for loss in losses]}
-                          for cmd in ("solve", "witness"))]
+                out += _config_jobs(f"{ref}@{seed}", str(work / f"{name}-{seed}" / f"{ref}.json"), cfg)
+    for ref, cfg in REFUSED.items():
+        path = work / f"{ref}.json"
+        path.write_text(json.dumps(cfg, sort_keys=True) + "\n", encoding="utf-8")
+        out += _config_jobs(ref, str(path), cfg)
     return out + [{"label": label, "argvs": [argv]} for label, argv in EXTRA.items()]
 
 
@@ -74,12 +100,17 @@ def child(jobs: list[dict], out_dir: Path) -> dict[str, str]:
     """In this process: the hash of each job's outputs, by label (a sweep job gives three)."""
     from elastoplasmon import cli
     from elastoplasmon.scenarios import sweep
+    from elastoplasmon.transmission import REFUSALS
 
     hashes = {}
     for job in jobs:
         if "sweep" in job:
             cfg = cli.load_config(job["sweep"])
-            result = sweep(cli._configuration(cfg), cfg["delta_list"])
+            try:
+                result = sweep(cli._configuration(cfg), cfg["delta_list"])
+            except REFUSALS as exc:
+                hashes[f"{job['label']}:refused"] = _digest((type(exc).__name__, str(exc)))
+                continue
             for part, value in (("meta", result.meta), ("rows", result.rows),
                                 ("exponent", (result.growth_exponent, result.verdict))):
                 hashes[f"{job['label']}:{part}"] = _digest(value)

@@ -63,7 +63,7 @@ class EnergyReport(NamedTuple):
         return None
 
 
-def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarray:
+def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> tuple[np.ndarray, dict]:
     """Sum over regions of P(u, u) by Betti's identity, for a stack of k fields that solve the Lame system.
 
     On a region P(u, u) is the flux rho Re <U, T'> through its outer sphere minus its inner one, U the displacement
@@ -73,7 +73,7 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
     ``coords[d] * gamma * U_d(rho)`` on the sector's unit members (T' alike), gamma the part's coefficients, so the
     angular integral of two parts' shapes of degree d is the product of their scalars times the entry <gamma_p,
     gamma_q> of the Gram matrix ``gram`` (k, P, P).  The fluxes are added to ``total`` region by region, outer sphere
-    first; one out of the float range is ``ArithmeticError``.
+    first; returns them and {row: the ``ArithmeticError`` naming its first flux out of the float range}.
     """
     r = np.array(radii)
     regions, spheres = _sides(r.shape[1] - 2)
@@ -92,16 +92,18 @@ def _flux(radii: Sequence, parts: list, gram: np.ndarray, total=0.0) -> np.ndarr
                 value = value + (gram_re[:, p, q] * re - gram_im[:, p, q] * im)
         spheres, signs = [spheres[j] for j in order], [1.0 if regions[j] < spheres[j] else -1.0 for j in order]
         fluxes = (np.array(signs) * r[:, spheres]) * value[:, order]  # sign rho times the pairing, in that order
-        for i, j in np.argwhere(~np.isfinite(fluxes))[:1].tolist():  # refused, not summed (inf - inf is nan)
-            raise ArithmeticError(f"the flux through the sphere r = {float(r[i, spheres[j]])!r} is "
-                                  f"{float(fluxes[i, j])!r}, out of the float range")
+        errors: dict = {}
+        for i, j in np.argwhere(~np.isfinite(fluxes)).tolist():  # refused, not summed (inf - inf is nan)
+            errors.setdefault(i, ArithmeticError(f"the flux through the sphere r = {float(r[i, spheres[j]])!r} is "
+                                                 f"{float(fluxes[i, j])!r}, out of the float range"))
         for j in range(len(spheres)):
             total = total + fluxes[:, j]
-    return total
+    return total, errors
 
 
 def solution_pairings(rows: Sequence) -> list:
-    """Re P(u, u) summed over all regions of each row's superposed solves, by flux, or the first error among them.
+    """Re P(u, u) summed over all regions of each row's superposed solves, by flux, or the row's first error: that of
+    a solve, else that of its first flux out of the float range.
 
     Sectors are orthogonal, except a family-2 density at n and a family-3
     density at n - 2, which share total angular momentum n - 1 and pair
@@ -120,14 +122,15 @@ def solution_pairings(rows: Sequence) -> list:
     def values(idx, states):
         if not states[0][2]:
             return [0.0] * len(idx)  # no solve: no field
-        total = 0.0
+        total, errors = 0.0, {}
         for j in range(len(states[0][2])):
             sectors = [parts[j] for *_, parts in states]
             stack = [(sectors[0][p][2].degrees, np.array([sector[p][2].coords for sector in sectors]),
                       np.array([sector[p][4] for sector in sectors])) for p in range(len(sectors[0]))]
-            total = _flux([radii for _, radii, _ in states], stack,
-                          np.array([_gram(sector) for sector in sectors], dtype=complex), total)
-        return total.tolist()
+            total, bad = _flux([radii for _, radii, _ in states], stack,
+                               np.array([_gram(sector) for sector in sectors], dtype=complex), total)
+            errors = {**bad, **errors}  # a row keeps its first sector's error
+        return [errors.get(i, t) for i, t in enumerate(total.tolist())]
     return _column(len(rows), check, values, key=lambda state: state[0])
 
 

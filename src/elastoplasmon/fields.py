@@ -39,11 +39,12 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .energy import EnergyReport, dissipation_E
 from .harmonics import _legendre_rows, _stack_row, lower, raise_
 from .lame import LameParams, SectorCheckError, _once_per_key, mode_constants, plasmon_constants
-from .scenarios import _dual_bound, _fixed_c_bound, _radial_bound, _radial_check, _row_solves
+from .scenarios import _check_sandwich, _dual_bound, _fixed_c_bound, _radial_bound, _radial_check, _row_solves
 from .transmission import (LayeredMedium, ModeSolution, SourceSpec, UnconvergedSolveError, _global_amplitude,
-                           _ok, _radial_profile, _region_blocks, _region_layout, _unit_layers)
+                           _ok, _radial_profile, _region_blocks, _region_layout, _unit_layers, solve_modes)
 
 if TYPE_CHECKING:
     from .harmonics import SphereQuadrature
@@ -556,6 +557,17 @@ def functional_J(v_pieces: Sequence[ModeField] | None, psi_pieces: Sequence[Mode
 # the public witness builders: the bounds of the WITNESSES cores, with the fields
 # ---------------------------------------------------------------------------
 
+def _checked(got: tuple, bound: str, medium: LayeredMedium, source: SourceSpec, delta: float, E=None) -> tuple:
+    """``got``, a witness core's scalars on the row (medium, source, delta), once its ``bound`` is checked against
+    the row's dissipation ``E`` at that loss (solved here unless given) by the sweep's rule
+    (:func:`~elastoplasmon.scenarios._check_sandwich`); the dissipation's error or a broken sandwich is raised."""
+    if E is None:
+        medium = medium._replace(delta=delta)
+        E = dissipation_E(solve_modes(medium, source), medium)
+    _check_sandwich(EnergyReport(delta, E, medium.c, **{bound: got[0]}))
+    return got
+
+
 def _merge_pieces(list_of_pieces: list[list[ModeField]]) -> list[ModeField]:
     """Fields of several piece lists summed on the union of their bounds, terms in list order."""
     pieces = [p for part in list_of_pieces for p in part]
@@ -587,10 +599,14 @@ def witness_fixed_c(medium: LayeredMedium, source: SourceSpec) -> tuple[list[Mod
     (the flux of :func:`~elastoplasmon.energy.solution_pairings`), and the
     loss-free solutions (with their conditions and backward errors).  A
     loss-free system of condition above 1e9 raises
-    :class:`~elastoplasmon.transmission.ResonantSingularityError`.
+    :class:`~elastoplasmon.transmission.ResonantSingularityError`, and a
+    bound below the dissipation ``ArithmeticError`` (:func:`_checked`, as
+    every builder).
     """
     rows = [(medium, source, medium.delta)]
-    I_upper, solutions = _ok(_fixed_c_bound(rows, _row_solves(rows, lossy=False)[2])[0])
+    _, E, loss_free = _row_solves(rows, lossy=True)
+    I_upper, solutions = _checked(_fixed_c_bound(rows[0], loss_free[0]), "I_upper", medium, source, medium.delta,
+                                  _ok(E[0]))
     return _merge_pieces([list(sol.regions) for sol in solutions]), I_upper, solutions
 
 
@@ -603,7 +619,7 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
     """
     if medium.core_radius is not None:
         raise ValueError("no-core witness requires an empty core")
-    J_lower, tau, mode, _ = _ok(_dual_bound([(medium, source, delta)], [None])[0])
+    J_lower, tau, mode, _ = _checked(_dual_bound((medium, source, delta), None), "J_lower", medium, source, delta)
     tau = _global_amplitude(tau, medium.shell_radius, mode[0])  # the multiplier of the wave perfect_wave builds
     return _scaled(_unit_wave(medium, *mode)[1], tau), J_lower, tau
 
@@ -611,7 +627,7 @@ def witness_nocore(medium: LayeredMedium, source: SourceSpec, delta: float) -> t
 def _layer_fields(params: LameParams, n: int, K: np.ndarray, layers) -> list[list[ModeField]]:
     """The fields of degree-n family-1 single layers [(sphere rho, density)] of member ``K``: rho density times the
     unit layer (:func:`~elastoplasmon.transmission._unit_layers`), each on (0, rho, inf)."""
-    prof, (unit,) = _radial_profile(params, n, 1), _unit_layers([(params, n, 1)])
+    prof, unit = _radial_profile(params, n, 1), _ok(_unit_layers([(params, n, 1)])[0])
     with np.errstate(over="ignore", invalid="ignore"):  # as Python's arithmetic: out of range is inf
         amps = np.array([float(rho) * density for rho, density in layers], dtype=complex)[:, None, None] * unit.amps
     return [_profile_fields([(prof, {n: K}, radii, _global_blocks(prof, radii, a))])
@@ -628,7 +644,8 @@ def witness_core_resonant(medium: LayeredMedium, source: SourceSpec,
     """
     if medium.core_radius is None:
         raise ValueError("core witness requires a core")
-    J_lower, tau, (n0, fam, k), sigma = _ok(_dual_bound([(medium, source, delta)], [None])[0])
+    J_lower, tau, (n0, fam, k), sigma = _checked(_dual_bound((medium, source, delta), None), "J_lower", medium,
+                                                 source, delta)
     K, psi_hat = _unit_wave(medium, n0, fam, k)
     (v_hat,) = _layer_fields(medium.base, n0, K, [(medium.core_radius, sigma)])
     tau_wave = _global_amplitude(tau, medium.shell_radius, n0)  # the multiplier of the wave perfect_wave builds
@@ -648,7 +665,8 @@ def witness_radial_nonresonant(medium: LayeredMedium, source: SourceSpec,
     off = _radial_check(medium, source, delta)[1]
     off_source = source._replace(coefficients={m: g for m, g in source.coefficients.items() if m[0] in off})
     loss_free = _row_solves([(medium, off_source, delta)], lossy=False)[2]
-    I_upper, scheduled, sols = _ok(_radial_bound([(medium, source, delta)], loss_free)[0])
+    I_upper, scheduled, sols = _checked(_radial_bound((medium, source, delta), loss_free[0]), "I_upper", medium,
+                                        source, delta)
     v, w = [], []
     for n, k, gamma, s_a, s_R in scheduled:
         K = kernel_basis(medium.base, n, 1)[k - 1]

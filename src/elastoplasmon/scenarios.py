@@ -24,14 +24,15 @@ paired by flux (:mod:`~elastoplasmon.energy`), in one column with a
 sweep's dissipations.  :data:`WITNESSES` lists each witness once; a sweep
 and the ``witness`` command read it and build no field
 (:mod:`~elastoplasmon.fields` builds them from the cores' densities).  A
-core is a :func:`~elastoplasmon.transmission._column` of (medium, source,
-loss) rows, per row its scalars or its error; the primal cores read the
-rows' loss-free solves and their pairing (:func:`_row_solves`).  A sweep
-solves its lossy rows in that column too, runs each core once on the rows
-it applies to (the radial witness only on its schedule outside R^{3/2},
-radii in units of the core radius), and records each witness that raises
-and each row's largest conditions and backward errors in
-``SweepResult.meta`` (:func:`_sweep_rows`).
+core takes one (medium, source, loss) row and returns its scalars or
+raises its refusal; the primal cores read the row's loss-free solves and
+their pairing (:func:`_row_solves`).  One pass runs the cores, after one
+read of the unit layers they need (:func:`_witness_pass`).  A sweep solves
+its lossy rows in the loss-free rows' column, tries each witness on the
+rows it applies to (the radial witness only on its schedule outside
+R^{3/2}, radii in units of the core radius), and records each refusal and
+each row's largest conditions and backward errors in ``SweepResult.meta``
+(:func:`_sweep_rows`).
 
 Verdicts are artifact conventions: ``resonant`` needs monotone growth of the
 dissipation with fitted log-log slope above 0.5, ``non-resonant`` needs the
@@ -40,13 +41,14 @@ final two decades to stay within a factor 10.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable, NamedTuple, Sequence
 
 from .lame import LameParams, _served_from_fields, plasmon_constants
 from .energy import EnergyReport, column_energies, solution_pairings
-from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _column,
-                           _global_amplitude, _ok, _outside_the_shell, _solve_column, _unit_layers, _wave_amplitudes)
+from .transmission import (LayeredMedium, ModeSolution, ResonantSingularityError, SourceSpec, _global_amplitude,
+                           _kept, _ok, _outside_the_shell, _solve_column, _unit_layers, _wave_amplitudes)
 
 __all__ = [
     "SweepResult", "Witness", "WITNESSES", "witness_scalars", "schedule_n_delta", "sweep", "fixed_configuration",
@@ -119,15 +121,14 @@ def _row_solves(rows, lossy: bool) -> tuple[list, list, list]:
     return got[:len(rows)], E, free
 
 
-def _fixed_c_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (I(v, 0), loss-free solutions), or the row's error.
+def _fixed_c_bound(row, loss_free: tuple) -> tuple:
+    """(I(v, 0), loss-free solutions) of a (medium, source, delta) row.
 
     I(v, 0) is that of the loss-free field at the row's loss: half the loss
     times the pairing of the row's ``loss_free`` solves (:func:`_row_solves`)."""
-    def values(idx, _):
-        return [p if isinstance(p, Exception) else (0.5 * rows[i][2] * p, list(sols.values()))
-                for i in idx for sols, p in [loss_free[i]]]
-    return _column(len(rows), lambda i: _fixed_c_checks(*rows[i]), values)
+    _fixed_c_checks(*row)
+    sols, p = loss_free
+    return 0.5 * row[2] * _ok(p), list(sols.values())
 
 
 def _at_constant(c: float, params: LameParams, n: int, fam: int) -> bool:
@@ -174,9 +175,9 @@ def _layer_energy(unit: float, n: int, layers) -> float:
     return -unit * total
 
 
-def _dual_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (J lower bound, tau, dominant mode, core-repair density or None) of the
-    dual witness, or its error.
+def _dual_bound(row, loss_free) -> tuple:
+    """(J lower bound, tau, dominant mode, core-repair density or None) of the dual witness on a (medium, source,
+    delta) row; it reads no loss-free solve.
 
     With psi_hat the wave of value 1 on the shell sphere R (:func:`_dual_mode`),
     C0 = g q^2 U_n0(q) and C_psi = R / 2 times the wave's unit energy.  A
@@ -186,25 +187,21 @@ def _dual_bound(rows, loss_free: list) -> list:
     (2 d) with J = C0 tau / 2; a J or tau out of the float range is
     ``OverflowError``.  ``witness`` prints R^(-n0) tau, the multiplier of the
     wave of entire degree-n0 amplitude 1 at the origin's scale."""
-    def values(idx, states):
-        units = iter(_unit_layers([(rows[i][0].base, mode[0], 1) for i, (mode, *_, core) in zip(idx, states) if core]))
-        out = []
-        for i, (mode, g, wave, core) in zip(idx, states):
-            med, src, delta = rows[i]
-            R, q = med.shell_radius, src.q
-            C0 = g * q**2 * sum(s * (q / R) ** p for s, p in wave.outside)
-            d, sigma = delta * (0.5 * R * wave.energy), None
-            if core:
-                a = med.core_radius
-                sigma = -(med.c - 1.0) / a * sum(s * (a / R) ** p for s, p in wave.inside)
-                d += 0.5 * _layer_energy(float(next(units).traces[0, 0, 0]), mode[0], [(a, sigma)]) / delta
-            tau = C0 / (2.0 * d)
-            J = 0.5 * C0 * tau
-            if not (math.isfinite(J) and math.isfinite(tau)):
-                raise OverflowError(f"dual bound J = {J!r} with tau = {tau!r} is out of the float range")
-            out.append((J, tau, mode, sigma))
-        return out
-    return _column(len(rows), lambda i: _dual_mode(*rows[i][:2]), values)
+    med, src, delta = row
+    mode, g, wave, cored = _dual_mode(med, src)
+    R, q = med.shell_radius, src.q
+    C0 = g * q**2 * sum(s * (q / R) ** p for s, p in wave.outside)
+    d, sigma = delta * (0.5 * R * wave.energy), None
+    if cored:
+        a = med.core_radius
+        sigma = -(med.c - 1.0) / a * sum(s * (a / R) ** p for s, p in wave.inside)
+        unit = _ok(_unit_layers([(med.base, mode[0], 1)])[0])
+        d += 0.5 * _layer_energy(float(unit.traces[0, 0, 0]), mode[0], [(a, sigma)]) / delta
+    tau = C0 / (2.0 * d)
+    J = 0.5 * C0 * tau
+    if not (math.isfinite(J) and math.isfinite(tau)):
+        raise OverflowError(f"dual bound J = {J!r} with tau = {tau!r} is out of the float range")
+    return J, tau, mode, sigma
 
 
 def _outside_critical_radius(medium: LayeredMedium, source: SourceSpec) -> bool:
@@ -232,8 +229,8 @@ def _radial_check(medium: LayeredMedium, source: SourceSpec, delta: float) -> tu
     return scheduled, sorted(off)
 
 
-def _radial_bound(rows, loss_free: list) -> list:
-    """Per (medium, source, delta) row: (I(v, w) of the radial primal witness, scheduled, off), or its error.
+def _radial_bound(row, loss_free: tuple) -> tuple:
+    """(I(v, w) of the radial primal witness, scheduled, off) on a (medium, source, delta) row.
 
     Per scheduled mode (n, k, gamma) v is the source's layer on q and w the
     layers on the core a and the shell R of the defects of v's traction
@@ -243,33 +240,29 @@ def _radial_bound(rows, loss_free: list) -> list:
     by degree from ``loss_free`` and paired by flux.  Scheduled modes,
     distinct members and distinct degrees are orthogonal, so their energies
     add."""
-    def values(idx, states):
-        units = iter(_unit_layers([(rows[i][0].base, n, 1) for i, (sch, _) in zip(idx, states) for n, _, _ in sch]))
-        off = [[loss_free[i][0][n] for n in ns] for i, (_, ns) in zip(idx, states)]
-        out = []
-        for i, (scheduled, _), sols, p_off in zip(idx, states, off, solution_pairings(off)):
-            med, src, delta = rows[i]
-            a, R, q = med.core_radius, med.shell_radius, src.q
-            P_v = P_w = 0.0
-            mine = []
-            for n, k, gamma in scheduled:
-                unit = float(next(units).traces[0, 0, 0])  # its displacement inside, on degree n
-                T = q * gamma * unit * sum(s for s, _ in _wave_amplitudes(med.base, n, 1).inside)  # rho t of v on q
-                s_a, s_R = (med.c - 1.0) / a * (T * (a / q) ** n), -(med.c - 1.0) / R * (T * (R / q) ** n)
-                P_v += _layer_energy(unit, n, [(q, gamma)])
-                P_w += _layer_energy(unit, n, [(a, s_a), (R, s_R)])
-                mine.append((n, k, gamma, s_a, s_R))
-            out.append(p_off if isinstance(p_off, Exception) else
-                       (0.5 * delta * (P_v + p_off) + 0.5 / delta * P_w, mine, sols))
-        return out
-    return _column(len(rows), lambda i: _radial_check(*rows[i]), values)
+    scheduled, off = _radial_check(*row)
+    med, src, delta = row
+    a, R, q = med.core_radius, med.shell_radius, src.q
+    units = _unit_layers([(med.base, n, 1) for n, _, _ in scheduled])
+    sols = [loss_free[0][n] for n in off]
+    P_v = P_w = 0.0
+    mine = []
+    for (n, k, gamma), unit in zip(scheduled, units):
+        unit = float(_ok(unit).traces[0, 0, 0])  # its displacement inside, on degree n
+        T = q * gamma * unit * sum(s for s, _ in _wave_amplitudes(med.base, n, 1).inside)  # rho t of v on q
+        s_a, s_R = (med.c - 1.0) / a * (T * (a / q) ** n), -(med.c - 1.0) / R * (T * (R / q) ** n)
+        P_v += _layer_energy(unit, n, [(q, gamma)])
+        P_w += _layer_energy(unit, n, [(a, s_a), (R, s_R)])
+        mine.append((n, k, gamma, s_a, s_R))
+    p_off = _ok(solution_pairings([sols])[0]) if sols else 0.0
+    return 0.5 * delta * (P_v + p_off) + 0.5 / delta * P_w, mine, sols
 
 
 class Witness(NamedTuple):
-    """One row of :data:`WITNESSES`; ``core(rows, loss_free)`` returns per (medium, source, delta) row its scalars
-    or its error.
+    """One row of :data:`WITNESSES`; ``core(row, loss_free)`` returns the scalars of one (medium, source, delta) row
+    or raises its refusal, a ``ValueError`` or an ``ArithmeticError``.
 
-    The scalars start with the bound; ``loss_free`` holds per row its
+    The scalars start with the bound; ``loss_free`` holds the row's
     loss-free solves by degree and their pairing (:func:`_row_solves`),
     read by the primal cores.
     """
@@ -277,7 +270,7 @@ class Witness(NamedTuple):
     name: str  # the public builder, in elastoplasmon.fields
     bound: str  # "I_upper" (primal) or "J_lower" (dual)
     cored: bool  # for cored media only, else for core-free media only
-    core: Callable[[list, list], list]
+    core: Callable[[tuple, tuple], tuple]
     labels: tuple[str, ...]  # the leading scalars of the core, as the witness command prints them
 
     def applies(self, medium: LayeredMedium) -> bool:
@@ -300,6 +293,26 @@ def _check_sandwich(r: EnergyReport) -> None:
                               "sandwich J_lower <= E_delta <= I_upper breaks")
 
 
+def _witness_pass(rows, loss_free: list, tried) -> list:
+    """Per (medium, source, delta) row, (witness, its core's scalars or its ``ValueError`` or ``ArithmeticError``)
+    for each witness of :data:`WITNESSES` tried on it (``tried(w, i)``); any other error is raised.  The unit layers
+    the cores read (cored rows, family-1 modes at a degree whose zeta1 is the multiplier) are read first, in one
+    :func:`~elastoplasmon.transmission._unit_layers` call, so the missing ones are solved as one stack."""
+    keys = []
+    for med, src, _ in rows:
+        with contextlib.suppress(ValueError, ArithmeticError):  # constants out of range: the cores refuse the row
+            keys += [(med.base, n, 1) for n, fam, _ in src.coefficients
+                     if fam == 1 and med.core_radius is not None and _at_constant(med.c, med.base, n, 1)]
+    _unit_layers(keys)
+
+    def outcome(w, i):
+        try:
+            return w.core(rows[i], loss_free[i])
+        except (ValueError, ArithmeticError) as exc:
+            return _kept(exc)
+    return [[(w, outcome(w, i)) for w in WITNESSES if tried(w, i)] for i in range(len(rows))]
+
+
 def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
     """(witness, its core's scalars or ``ValueError`` or ``ArithmeticError``) per witness of :data:`WITNESSES` that
     applies to the medium, on the row (medium, source, delta), whose solves are one column; another error, a bound
@@ -308,17 +321,15 @@ def witness_scalars(medium: LayeredMedium, source: SourceSpec, delta: float):
     rows = [(medium, source, delta)]
     _, E, loss_free = _row_solves(rows, lossy=True)
     found = []
-    for w in WITNESSES:
-        if w.applies(medium):
-            got = w.core(rows, loss_free)[0]
-            if w.bound == "J_lower" and not isinstance(got, Exception):  # tau at the origin's scale
-                try:
-                    got = (got[0], _global_amplitude(got[1], medium.shell_radius, got[2][0]), *got[2:])
-                except ArithmeticError as exc:
-                    got = exc
-            if not isinstance(got, (ValueError, ArithmeticError)):
-                _check_sandwich(EnergyReport(delta, _ok(E[0]), medium.c, **{w.bound: _ok(got)[0]}))
-            found.append((w, got))
+    for w, got in _witness_pass(rows, loss_free, lambda w, _: w.applies(medium))[0]:
+        if w.bound == "J_lower" and not isinstance(got, Exception):  # tau at the origin's scale
+            try:
+                got = (got[0], _global_amplitude(got[1], medium.shell_radius, got[2][0]), *got[2:])
+            except ArithmeticError as exc:
+                got = _kept(exc)
+        if not isinstance(got, Exception):
+            _check_sandwich(EnergyReport(delta, _ok(E[0]), medium.c, **{w.bound: got[0]}))
+        found.append((w, got))
     return found
 
 
@@ -394,9 +405,10 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
     a refusal (row, loss, degree, witness, bound, exception type and
     message).  The work is done by columns: one solve of the lossy and the
     loss-free rows and one flux for their energies (:func:`_row_solves`),
-    and each witness core once, on the rows it applies to.  ``solves`` holds per
-    row the largest condition (of its region-local systems) and backward
-    error of its lossy and of its loss-free systems.  A row's error is
+    and one pass of the cores (:func:`_witness_pass`, which raises a core's
+    error other than a refusal at once).  ``solves`` holds per row the
+    largest condition (of its region-local systems) and backward error of
+    its lossy and of its loss-free systems.  A row's dissipation error is
     raised when the rows before it are done.
     """
     media = [(*configuration(d), d) for d in deltas]  # the (medium, source, delta) rows
@@ -411,21 +423,17 @@ def _sweep_rows(configuration, deltas: Sequence[float]) -> tuple[list[EnergyRepo
             and _at_constant(med.c, med.base, n_deltas[i], 1)))
 
     lossy, E, loss_free = _row_solves(media, lossy=True)
-    found = []  # per witness, {row: its core's outcome} on the rows it is tried on
-    for w in WITNESSES:
-        idx = [i for i in range(len(media)) if tried(w, i)]
-        found.append((w, dict(zip(idx, w.core([media[i] for i in idx], [loss_free[i] for i in idx])))))
+    found = _witness_pass(media, loss_free, tried)
     rows, refusals, solves = [], [], []
     for i, ((med, src, d), outcomes, (lf, _)) in enumerate(zip(media, lossy, loss_free)):
         E_delta = _ok(E[i])  # a row's error is raised when the rows before it are done
         bounds: dict[str, list[float]] = {"I_upper": [], "J_lower": []}
-        for w, got in found:
-            got = got.get(i)
-            if isinstance(got, (ValueError, ArithmeticError)):
+        for w, got in found[i]:
+            if isinstance(got, Exception):
                 refusals.append({"row": i, "delta": d, "n_delta": n_deltas[i], "witness": w.name, "bound": w.bound,
                                  "error": type(got).__name__, "message": str(got)})
-            elif got is not None:
-                bounds[w.bound].append(_ok(got)[0])
+            else:
+                bounds[w.bound].append(got[0])
         rows.append(EnergyReport(d, E_delta, med.c, min(bounds["I_upper"], default=None),
                                  max(bounds["J_lower"], default=None), n_deltas[i]))
         (lossy_cond, lossy_berr), (free_cond, free_berr) = _worst(outcomes), _worst(list(lf.values()))

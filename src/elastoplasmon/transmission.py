@@ -36,8 +36,8 @@ The unit of work is a column of (medium, source, degree) items
 (:func:`_solve_column`; :func:`solve_mode` is a column of one): equal
 systems are solved once, those of one shape as one stacked assembly and
 solve, each result bit for bit its solve alone.  One helper
-(:func:`_column`) groups the rows of the sector systems, energies and
-witnesses by shape and gives a row that raises its own error.  A loss-free
+(:func:`_column`) groups the rows of the sector systems and energies by
+shape, evaluates each stack once and gives each row its own error.  A loss-free
 medium (delta = 0) is solved only where the equilibrated 1-norm condition
 of each system of the source's families is at most 1e9, else
 :class:`ResonantSingularityError`, an ``ArithmeticError`` carrying the
@@ -322,22 +322,19 @@ REFUSALS = (ValueError, ArithmeticError, UnconvergedSolveError, SectorCheckError
 
 
 def _kept(exc: Exception) -> Exception:
-    """An error as a row keeps it: a refusal drops its traceback and the error it was raised in handling (a retried
-    stack's), whose frames would hold the column in a cycle."""
+    """An error as a row keeps it: a refusal drops its traceback, whose frames would hold the column in a cycle."""
     if isinstance(exc, REFUSALS):
-        exc.__traceback__ = exc.__context__ = None
+        exc.__traceback__ = None
     return exc
 
 
 def _column(n: int, check, values, key=None) -> list:
-    """Per row of a column of ``n`` its value or its error; the one place a stack is taken apart row by row.
+    """Per row of a column of ``n`` its value or its error.
 
-    ``check(i)`` returns row i's state or raises; the rows that pass are one
-    stack per ``key(state)``, ``values(idx, states)`` giving one value (or
-    error) per row.  Where a stack raises an ``ArithmeticError`` (a flux out
-    of the float range in :mod:`~elastoplasmon.energy`), its rows go one at a
-    time, so only the row that raises gets the error; an error is
-    :func:`_kept`."""
+    ``check(i)`` returns row i's state or raises the error the row keeps
+    (:func:`_kept`); the rows that pass are one stack per ``key(state)``,
+    evaluated once: ``values(idx, states)`` gives per row its value or its
+    own error."""
     out: list = []
     for i in range(n):
         try:
@@ -349,17 +346,7 @@ def _column(n: int, check, values, key=None) -> list:
         if not isinstance(state, Exception):
             groups.setdefault(None if key is None else key(state), []).append(i)
     for idx in groups.values():
-        states = [out[i] for i in idx]
-        try:
-            got = values(idx, states)
-        except ArithmeticError:
-            got = []
-            for i, state in zip(idx, states):
-                try:
-                    got += values([i], [state])
-                except ArithmeticError as exc:
-                    got.append(_kept(exc))
-        for i, value in zip(idx, got):
+        for i, value in zip(idx, values(idx, [out[i] for i in idx])):
             out[i] = value
     return out
 
@@ -618,9 +605,9 @@ class _UnitLayer(NamedTuple):
     traces: np.ndarray  # (2, 2, D): inside, then outside, its displacement and rho-times-traction scalars per degree
 
 
-def _unit_layers(keys) -> list[_UnitLayer]:
-    """The unit layers of (params, degree, family) keys, kept per key in ``_unit_layers.cache``; those missing are
-    solved as one stack per profile shape, and the first key whose profile or solve fails raises that error."""
+def _unit_layers(keys) -> list:
+    """Per (params, degree, family) key its unit layer, kept per key in ``_unit_layers.cache``, or the error of its
+    profile or solve; those missing are solved as one stack per profile shape, and none when every key is kept."""
     cache = _unit_layers.cache
     keys = [_key(*key) for key in keys]
     pending = {}  # per missing key its unit system, or the error of its profile
@@ -633,12 +620,12 @@ def _unit_layers(keys) -> list[_UnitLayer]:
             except (ArithmeticError, ValueError) as exc:
                 pending[key] = _kept(exc)
     systems = {key: system for key, system in pending.items() if not isinstance(system, Exception)}
-    for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values()))):
+    for (key, system), got in zip(systems.items(), _solve_systems(list(systems.values())) if systems else ()):
         if isinstance(got, Exception):
             pending[key] = got
         else:  # the solve of a real system: its amplitudes and traces are real
             cache[key] = _UnitLayer(got[0].real, got[3].real)
-    return [cache.get(key) or _ok(pending[key]) for key in keys]
+    return [cache.get(key) or pending[key] for key in keys]
 
 
 _unit_layers.cache = {}  # (float lambda, float mu, n, family) -> its _UnitLayer

@@ -43,7 +43,7 @@ from .fields import (ModeField, _ladder, _profile_fields, _tilde_scale, _tilde_u
 from .harmonics import lower, raise_
 from .lame import LameParams, SectorCheckError
 from .lame import PlasmonConstants, plasmon_constants  # noqa: F401  (defined with the mode constants; imported here too)
-from .transmission import _global_amplitude, _sector_j, _unit_layers, _wave_amplitudes
+from .transmission import _global_amplitude, _ok, _sector_j, _unit_layers, _wave_amplitudes
 
 __all__ = [
     "PlasmonEigenProblem", "PerfectWave", "assemble_H", "matching_defect", "plasmon_kernel", "sector_kernels",
@@ -325,7 +325,7 @@ def np_galerkin_spectrum(params: LameParams, n_max: int) -> list[tuple[float, in
     """
     modes = [(n, fam) for n in range(1, n_max + 1) for fam in (1, 2, 3)]
     out = []
-    for (n, fam), layer in zip(modes, _unit_layers([(params, n, fam) for n, fam in modes])):
+    for (n, fam), layer in zip(modes, [_ok(layer) for layer in _unit_layers([(params, n, fam) for n, fam in modes])]):
         inside, outside = layer.traces[:, 1]  # rho times the traction per degree inside, then outside
         scale = float(np.max(np.abs(np.concatenate((inside, outside)))))
         kstar = ((inside + outside) / 2.0).tolist()

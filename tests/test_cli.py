@@ -458,8 +458,9 @@ def test_sweep_refuses_a_broken_sandwich(tmp_path, monkeypatch, capsys):
     from elastoplasmon.energy import dissipation_E
     from elastoplasmon.transmission import solve_modes
 
-    def low(rows, loss_free):
-        return [(dissipation_E(solve_modes(med, src), med) * (1 - 1e-8),) for med, src, _ in rows]
+    def low(row, loss_free):
+        med, src, _ = row
+        return (dissipation_E(solve_modes(med, src), med) * (1 - 1e-8),)
 
     monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=low) if w.name == "witness_fixed_c"
                                                       else w for w in scenarios.WITNESSES))
@@ -1456,8 +1457,9 @@ def test_witness_table_row_reaches_the_command_and_the_sweep(config_file, tmp_pa
     from elastoplasmon.energy import dissipation_E
     from elastoplasmon.transmission import solve_modes
 
-    def tightest(rows, loss_free):
-        return [(dissipation_E(solve_modes(med, src), med), 7.0) for med, src, _ in rows]
+    def tightest(row, loss_free):
+        med, src, _ = row
+        return dissipation_E(solve_modes(med, src), med), 7.0
 
     stub = scenarios.Witness("witness_stub", "I_upper", True, tightest, ("I_stub", "extra"))
     _replace_everywhere(monkeypatch, scenarios.WITNESSES, scenarios.WITNESSES + (stub,))

@@ -533,11 +533,19 @@ def test_sweep_column_is_each_row_as_a_column_of_one():
         assert json.dumps(solves[i]) == json.dumps({**alone_solves[0], "row": i}), i
 
 
+def _dual_pass(rows) -> list:
+    """Per row the outcome of its dual core in one pass of the cores over ``rows`` (``scenarios._witness_pass``)."""
+    from elastoplasmon.scenarios import _dual_bound, _witness_pass
+
+    found = _witness_pass(rows, [None] * len(rows), lambda w, i: w.core is _dual_bound and w.applies(rows[i][0]))
+    return [got for ((_, got),) in found]
+
+
 def test_witness_column_gives_each_row_its_own_error():
     # a row whose bound leaves the float range (a source coefficient of
-    # 1e200: C0^2 overflows) makes its stack raise; its rows then go one at a
-    # time, so that row alone is refused, and the others keep their bounds
-    # bit for bit, as in a column of one.  A core sphere of radius 1e-200,
+    # 1e200) is refused by OverflowError; in one pass of the cores between
+    # two good rows that row alone is refused, with the same text, and the
+    # others keep their bounds bit for bit.  A core sphere of radius 1e-200,
     # which the core repair's powers of the radius once refused, is a row
     # like any other: its repair is region-local
     from elastoplasmon.scenarios import _dual_bound
@@ -547,27 +555,33 @@ def test_witness_column_gives_each_row_its_own_error():
     good = [(*conf(d), d) for d in (1e-2, 1e-3)]
     (mode,) = good[0][1].coefficients
     bad = (good[0][0], SourceSpec(2.3, {mode: 1e200}), 1e-2)
-    column = _dual_bound([good[0], bad, good[1]], [[]] * 3)  # a dual core reads no loss-free solve
-    assert isinstance(column[1], OverflowError)
-    assert str(column[1]) == str(_dual_bound([bad], [[]])[0])
+    with pytest.raises(OverflowError) as alone:
+        _dual_bound(bad, None)  # a dual core reads no loss-free solve
+    column = _dual_pass([good[0], bad, good[1]])
+    assert type(column[1]) is OverflowError and str(column[1]) == str(alone.value)
     far_core = (good[0][0]._replace(core_radius=1e-200), good[0][1], 1e-2)
-    assert 0 < _dual_bound([far_core], [[]])[0][0] < math.inf
-    assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_dual_bound([row], [[]])[0]) for row in good]
+    assert 0 < _dual_bound(far_core, None)[0] < math.inf
+    assert [plain_data(column[i]) for i in (0, 2)] == [plain_data(_dual_bound(row, None)) for row in good]
 
 
-def test_dual_column_mixes_cored_and_core_free_rows():
-    # one column of cored family-1 rows and core-free rows of all three
-    # families: each row's value is its column of one bit for bit; a cored
-    # row carries its core repair's density, a core-free row none
+def test_dual_column_mixes_cored_and_core_free_rows(monkeypatch):
+    # one pass of the dual cores over cored family-1 rows and core-free rows
+    # of all three families, no unit layer kept yet: the pass keeps the
+    # cored rows' unit layers, and each row's value is its core's on the row
+    # alone bit for bit; a cored row carries its core repair's density, a
+    # core-free row none
     from elastoplasmon.scenarios import _dual_bound
     from oracles import plain_data
 
     cored = scheduled_configuration(P11, 2.0, q=2.3, k=3, gamma=0.6 - 0.8j, core_radius=1.0)
     free = [scheduled_configuration(P11, 2.0, q=2.6, family=fam, k=2, gamma=-0.3 + 0.9j) for fam in (1, 2, 3)]
     rows = [(*conf(d), d) for d in (1e-2, 1e-4) for conf in (cored, *free)]
-    column = _dual_bound(rows, [[]] * len(rows))
+    monkeypatch.setattr(transmission._unit_layers, "cache", {})
+    column = _dual_pass(rows)
+    assert set(transmission._unit_layers.cache) == {(1.0, 1.0, max(src.degrees()), 1) for med, src, _ in rows
+                                                    if med.core_radius is not None}
     for row, got in zip(rows, column):
-        assert repr(plain_data(got)) == repr(plain_data(_dual_bound([row], [[]])[0]))
+        assert repr(plain_data(got)) == repr(plain_data(_dual_bound(row, None)))
         assert (got[3] is None) == (row[0].core_radius is None) and 0 < got[0] < math.inf
 
 
@@ -584,6 +598,49 @@ def test_dual_builders_refuse_the_other_kind_of_medium():
     for q in (1.5, 2.0):
         with pytest.raises(ValueError, match=f"^source sphere q = {q} must lie outside the shell \\(radius 2.0\\)$"):
             witness_nocore(free, src._replace(q=q), 1e-3)
+
+
+def test_public_builders_check_their_bound_against_the_dissipation():
+    # a core-free family-3 row whose multiplier c = -0.657894736875 is 1e-10
+    # relative off its plasmon constant at degree 3: at delta = 1e-14 its
+    # dual bound is about 3.9e6 times the dissipation, so witness_nocore
+    # raises the sandwich error naming J_lower, with the same text as
+    # witness_scalars; at delta = 1e-3 the bound holds and both return it
+    from elastoplasmon.scenarios import witness_scalars
+
+    med = LayeredMedium(shell_radius=2.0, c=-0.657894736875, delta=1e-14, base=P11)
+    src = SourceSpec(q=2.6, coefficients={(3, 3, 1): 1.0})
+    E = dissipation_E(solve_modes(med, src), med)
+    with pytest.raises(ArithmeticError) as built:
+        witness_nocore(med, src, 1e-14)
+    with pytest.raises(ArithmeticError) as scalars:
+        witness_scalars(med, src, 1e-14)
+    assert str(built.value) == str(scalars.value) == (
+        f"J_lower = 14079212986814.258 above E_delta = {E!r} at delta = 1e-14: the variational sandwich "
+        "J_lower <= E_delta <= I_upper breaks")
+    med = med._replace(delta=1e-3)
+    (_, (J, tau, *_)), = witness_scalars(med, src, 1e-3)
+    assert witness_nocore(med, src, 1e-3)[1:] == (J, tau)
+
+
+def test_a_core_defect_propagates_from_the_sweep_and_the_witness_scalars(monkeypatch):
+    # a core that raises an error other than ValueError or ArithmeticError
+    # is a defect, not a refusal: that very error, its traceback through
+    # the core kept, propagates out of sweep and witness_scalars
+    from elastoplasmon import scenarios
+
+    defect = RuntimeError("stub core defect")
+
+    def broken(row, loss_free):
+        raise defect
+
+    monkeypatch.setattr(scenarios, "WITNESSES", tuple(w._replace(core=broken) if w.name == "witness_fixed_c" else w
+                                                      for w in scenarios.WITNESSES))
+    conf = fixed_configuration(P11, 2.0, -4.0, SourceSpec(3.0, {(3, 1, 1): 1.0}), core_radius=1.0)
+    for call in (lambda: sweep(conf, [1e-2, 1e-3, 1e-4, 1e-5]), lambda: scenarios.witness_scalars(*conf(1e-3), 1e-3)):
+        with pytest.raises(RuntimeError) as err:
+            call()
+        assert err.value is defect and err.traceback[-1].name == "broken"
 
 
 def test_a_source_inside_the_shell_has_one_message():
@@ -614,11 +671,13 @@ def test_dual_bound_keeps_its_digits_for_a_small_source():
         return med._replace(delta=delta), SourceSpec(2.6, {(2, 1, 1): gamma}), delta
 
     for delta in (1e-200, 1e-300):
-        (J1, tau1, *_), (J, tau, *_) = _dual_bound([row(1.0, delta), row(2.0**-532, delta)], [None, None])
+        J1, tau1, *_ = _dual_bound(row(1.0, delta), None)
+        J, tau, *_ = _dual_bound(row(2.0**-532, delta), None)
         assert tau == math.ldexp(tau1, -532) and 0 < J1 < math.inf
         assert abs(math.ldexp(J, 1064) - J1) <= math.ulp(J1), delta
-    (huge,) = _dual_bound([row(1e200, 1e-2)], [None])
-    assert isinstance(huge, OverflowError) and str(huge).endswith("is out of the float range")
+    with pytest.raises(OverflowError) as huge:
+        _dual_bound(row(1e200, 1e-2), None)
+    assert str(huge.value).startswith("dual bound J = ") and str(huge.value).endswith("is out of the float range")
 
 
 @pytest.mark.parametrize("params", [P11, LameParams(2.0, 0.5), LameParams(1e3, 1.0)])

@@ -290,16 +290,18 @@ def test_loss_free_refusal_is_the_source_systems_own():
 def test_unit_layers_of_a_column_are_one_stack_bit_for_bit(monkeypatch):
     # the unit layers a column reads and the store does not hold are one
     # stacked solve per profile shape, each kept value bit for bit the solve
-    # of its key alone; read again, every layer comes from the store
+    # of its key alone; read again, every layer comes from the store, with
+    # no solve called
     calls = []
-    solve = transmission._square_solve
+    solve, systems = transmission._square_solve, transmission._solve_systems
     monkeypatch.setattr(transmission._unit_layers, "cache", {})
     monkeypatch.setattr(transmission, "_square_solve", lambda M, *args: calls.append(len(M)) or solve(M, *args))
+    monkeypatch.setattr(transmission, "_solve_systems", lambda items: calls.append("column") or systems(items))
     columns = ([(P11, n, 1) for n in range(7, 20)] + [(P11, 7, 1)],
                [(LameParams(2.0, 0.5), n, 3) for n in (2, 5, 8, 5)])
     for keys in columns:
         transmission._unit_layers(keys)
-    assert calls == [13, 3]
+    assert calls == ["column", 13, "column", 3]
     alone = {key: unit_layer(LameParams(*key[:2]), *key[2:]) for key in transmission._unit_layers.cache}
     assert len(alone) == 16
     for key, (amps, traces) in transmission._unit_layers.cache.items():
@@ -767,8 +769,7 @@ def test_kept_errors_close_no_reference_cycle():
     # garbage, and each refusal keeps its message.  Nor does a refusal
     # raised to a library caller: a solve of degree 1 or of a source inside
     # the shell, the dissipation of a row holding a refused solve, and that
-    # of a row whose flux leaves the float range (a stack retried row by
-    # row).  A defect, an error that is not a refusal, keeps its traceback
+    # of a row whose flux leaves the float range.  A defect, an error that is not a refusal, keeps its traceback
     import gc
 
     _gated_sweeps()  # the per-key data kept for the process
@@ -1210,10 +1211,10 @@ def test_column_item_with_a_far_source_solves_as_alone():
 @pytest.mark.parametrize("error", [ArithmeticError, OverflowError, ZeroDivisionError])
 def test_column_isolates_a_raising_row_on_a_stub(error):
     # the one column helper on stub rows keyed by parity: a check per row and
-    # one values call per key; a check error stays on its own row; the even
-    # stack of three raises an ArithmeticError and goes row by row, so only
-    # the raising row gets the error and the other two keep their values
-    # alone; any other exception propagates
+    # one values call per key; a check error stays on its own row, and so
+    # does the error a stack gives one of its rows.  A stack is evaluated
+    # once: an error its values call raises, an ArithmeticError included,
+    # propagates
     calls = []
 
     def check(i):
@@ -1223,19 +1224,37 @@ def test_column_isolates_a_raising_row_on_a_stub(error):
 
     def values(idx, states):
         calls.append(list(idx))
-        if 4 in idx:
-            raise raised("row 4 raised")
-        return [10 * s + len(idx) for s in states]
+        if raising and 4 in idx:
+            raise error("row 4 raised")
+        return [error("row 4 refused") if s == 4 else 10 * s + len(idx) for s in states]
 
-    raised = error
+    raising = False
     out = transmission._column(6, check, values, key=lambda s: s % 2)
-    assert calls == [[0, 2, 4], [0], [2], [4], [3, 5]]
-    assert out[0] == 1 and out[2] == 21 and out[3] == 32 and out[5] == 52
+    assert calls == [[0, 2, 4], [3, 5]]
+    assert out[0] == 3 and out[2] == 23 and out[3] == 32 and out[5] == 52
     assert type(out[1]) is ValueError and str(out[1]) == "row 1 refused"
-    assert type(out[4]) is error and str(out[4]) == "row 4 raised"
-    raised = RuntimeError
-    with pytest.raises(RuntimeError, match="row 4 raised"):
+    assert type(out[4]) is error and str(out[4]) == "row 4 refused"
+    raising = True
+    calls.clear()
+    with pytest.raises(error, match="row 4 raised"):
         transmission._column(6, check, values, key=lambda s: s % 2)
+    assert calls == [[0, 2, 4]]
+
+
+def test_flux_gives_an_out_of_range_row_its_own_error():
+    # a cored row at c = -4 whose source sphere q = 1e200 sends its flux
+    # out of the float range, between two regular rows of the same layout
+    # (one stack of the flux): the bad row gets the error it gets in a
+    # column of one, and the regular rows keep their values alone bit for bit
+    from elastoplasmon.energy import solution_pairings
+
+    medium = LayeredMedium(shell_radius=2.0, c=-4.0, delta=1e-3, base=P11, core_radius=1.0)
+    rows = [solve_modes(medium, SourceSpec(q=q, coefficients={(3, 1, 1): 1.0})) for q in (3.0, 1e200, 5.0)]
+    column = solution_pairings(rows)
+    alone = [solution_pairings([row])[0] for row in rows]
+    assert type(column[1]) is ArithmeticError and type(alone[1]) is ArithmeticError
+    assert str(column[1]) == str(alone[1]) == "the flux through the sphere r = 1e+200 is nan, out of the float range"
+    assert [column[0], column[2]] == [alone[0], alone[2]] and all(0 < p < math.inf for p in alone[::2])
 
 
 def test_stacked_assembly_is_the_entrywise_system(materials):
